@@ -28,8 +28,8 @@
 
 use minctx_bench::{xmark_doc, XmarkConfig};
 use minctx_core::{
-    AxisRoute, BudgetMeter, CompiledQuery, Context, Engine, Evaluator, MinContext, Rule, Strategy,
-    Value,
+    AxisRoute, BudgetMeter, CompiledQuery, Context, Engine, Evaluator, MinContext, PredMode, Rule,
+    Strategy, Value,
 };
 use minctx_obs::{JsonLinesSink, Recorder};
 use minctx_serve::{Corpus, ServeEngine, ServeError};
@@ -356,7 +356,44 @@ fn explain_check(doc: &minctx_xml::Document) {
     assert_eq!(profile.result, format!("node-set n={with_id}"));
 
     let plan = profile.plan_text();
-    assert!(plan.contains("route=postings"), "{plan}");
+    assert!(
+        plan.contains("descendant::item preds=1 mode=set route=postings calls=1 in=1"),
+        "{plan}"
+    );
     assert!(plan.contains("fired=fuse-descendant:1"), "{plan}");
     println!("{plan}");
+
+    // OPTMINCONTEXT answers the same predicate from one backward set
+    // seeded by the `id` postings: no candidate is visited, so the
+    // predicate path never runs and the memo is never touched.
+    let opt = Engine::new(Strategy::OptMinContext)
+        .explain(doc, QUERY)
+        .unwrap();
+    let golden = format!(
+        "  [#2 step 0] descendant::item preds=1 mode=backward route=postings calls=1 in=1 out={with_id}\n\
+         memo hits=0 misses=1\n\
+         backward passes=1\n"
+    );
+    let plan = opt.plan_text();
+    assert!(plan.contains(&golden), "{plan}");
+    assert_eq!(opt.steps[0].mode, Some(PredMode::Backward));
+
+    // A positional step stays per-origin, but only for the origins the
+    // `item` postings say have an <item> child at all.
+    let opt = Engine::new(Strategy::OptMinContext)
+        .explain(doc, "//item[position() = last()]")
+        .unwrap();
+    let step = &opt.steps[1];
+    assert_eq!(step.mode, Some(PredMode::PerOrigin));
+    assert!(
+        step.origins <= items && step.origins < step.input,
+        "origins not pruned: {}",
+        opt.plan_text()
+    );
+    assert!(
+        opt.plan_text()
+            .contains(&format!(" origins={}→{} ", step.input, step.origins)),
+        "{}",
+        opt.plan_text()
+    );
 }

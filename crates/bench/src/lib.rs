@@ -482,6 +482,51 @@ pub mod corpus {
         "'' = 0",
         "number('') = number('')",
         "//mixed != //mixed",
+        // ---- Set-at-a-time predicates ----
+        // or / nested not / and chains, context-free operands included.
+        "//book[@ref or price > 60]",
+        "//book[not(@ref or price > 60)]",
+        "//book[not(not(@ref))]",
+        "//book[@year = 2000 and not(@ref) and price < 50]",
+        "//book[(@ref or @year = 1994) and not(price > 90 and @ref)]",
+        "//*[not(*) and not(@id)]",
+        "//*[odd or not(even)]",
+        "//*[@id and (title = 'XML' or price > 60)][not(@ref)]",
+        "//book[//magazine and @ref]",
+        "//book[not(//nosuch) or @ref]",
+        "//n[. > 1 and (. < 3 or . = 100)]",
+        // Candidates reached from overlapping origins, as the step's own
+        // predicate and nested inside another predicate.
+        "//title/ancestor::*[@id]",
+        "//price/ancestor-or-self::*[not(@year)]",
+        "//book/following::*[title]",
+        "//odd/ancestor::*[odd]",
+        "//keyword/ancestor::*[@id]",
+        "//bid/following::item[keyword]",
+        "//book[following-sibling::*[price < 50]]",
+        "//odd[ancestor::*[count(odd) > 1]]",
+        "//title[ancestor::*[@id or count(*) > 3]]",
+        // Attribute nodes as the filtered candidates.
+        "//@*[. > 500]",
+        "//@*[. = 2000]",
+        "//@*[. = 'b1' or not(. > 0)]",
+        "//book/@*[not(. = 2000)][2]",
+        // Position-free then positional, and positional then position-free.
+        "//book[@year = 2000][1]",
+        "//book[price][not(@ref)][last()]",
+        "//book[2][@year = 2000]",
+        "//book[position() > 1][@ref]",
+        "//odd[even][position() = last()]",
+        "//*[odd][2][even]",
+        "//price/ancestor::*[@id][1]",
+        "//title/preceding::*[price > 10][2]",
+        // (…)[p] filter starts.
+        "(//book)[@ref]",
+        "(//book | //magazine)[price < 50]",
+        "(//book)[@year = 2000][2]",
+        "(//book)[2][@year = 2000]",
+        "(//title | //price)[not(. = 'XML')][last()]",
+        "(//odd)[even or not(odd)]/even",
     ];
 }
 

@@ -266,11 +266,12 @@ impl Engine {
 
     /// Sets the worker count for parallel evaluation.  With `n > 1` the
     /// MINCONTEXT/OPTMINCONTEXT evaluators split large axis sweeps and
-    /// predicate fan-outs across a pool of `n` workers (chunks merged by
-    /// pre-order ordinal, so results are **bit-identical** to sequential
-    /// evaluation).  The default — and `n = 1` — keeps evaluation fully
-    /// sequential on the exact pre-parallelism code path; small inputs
-    /// stay sequential regardless, gated by a size threshold.
+    /// the per-origin loops of positional steps across a pool of `n`
+    /// workers (chunks merged by pre-order ordinal, so results are
+    /// **bit-identical** to sequential evaluation).  The default — and
+    /// `n = 1` — keeps evaluation fully sequential on the exact
+    /// pre-parallelism code path; small inputs stay sequential
+    /// regardless, gated by a size threshold.
     pub fn with_threads(mut self, n: usize) -> Engine {
         let n = n.max(1);
         self.threads = n;
@@ -484,8 +485,11 @@ impl Engine {
     /// and reports what happened: the IR before/after rewriting with the
     /// [`Rule`](crate::rewrite::Rule)s that fired, per-step kernel routing
     /// ([`AxisRoute`](minctx_xml::AxisRoute)) with cardinalities and wall
-    /// times, memo and backward-propagation traffic, and fuel spent under
-    /// the engine's budget.
+    /// times, how each predicated step's predicates ran
+    /// ([`PredMode`](crate::PredMode): as a set, from backward sets alone,
+    /// or per origin — then with the origins left after postings pruning),
+    /// memo and backward-propagation traffic, and fuel spent under the
+    /// engine's budget.
     ///
     /// The profiled run uses the MINCONTEXT evaluator (OPTMINCONTEXT when
     /// the engine's strategy is [`Strategy::OptMinContext`]) and honors
@@ -497,11 +501,21 @@ impl Engine {
     /// use minctx_xml::parse;
     ///
     /// let doc = parse(r#"<a><item id="1"/><item/></a>"#).unwrap();
-    /// let profile = Engine::new(Strategy::MinContext)
-    ///     .explain(&doc, "//item[@id]")
-    ///     .unwrap();
+    /// let engine = Engine::new(Strategy::OptMinContext).with_optimizer(true);
+    /// let profile = engine.explain(&doc, "//item[@id]").unwrap();
     /// println!("{profile}");
     /// assert_eq!(profile.result, "node-set n=1");
+    /// // One fused step; its predicate is answered by intersecting the
+    /// // two <item>s with the backward set seeded from the `id` postings.
+    /// assert!(profile.plan_text().contains(
+    ///     "descendant::item preds=1 mode=backward route=postings calls=1 in=1 out=1"
+    /// ));
+    /// // A positional predicate keeps per-origin candidate lists — but
+    /// // only for origins that have an <item> child at all.
+    /// let profile = engine.explain(&doc, "//item[last()]").unwrap();
+    /// assert!(profile.plan_text().contains(
+    ///     "child::item preds=1 mode=per-origin origins=4→1 route=walk"
+    /// ));
     /// ```
     pub fn explain(&self, doc: &Document, query: &str) -> Result<QueryProfile, EvalError> {
         crate::explain::explain(self, doc, query)

@@ -10,8 +10,10 @@
 //!   ([`AxisRoute`](minctx_xml::AxisRoute) — postings fast path, local
 //!   walk, or generic `O(|D|)` sweep), context-set and axis-output
 //!   cardinalities, invocation counts, and wall time (inclusive of the
-//!   step's predicate filtering);
-//! * MINCONTEXT memo hits/misses and OPTMINCONTEXT backward passes;
+//!   step's predicate filtering); for a predicated step also *how* its
+//!   predicates ran ([`PredMode`]: as a set, from backward sets alone, or
+//!   per origin) and how many origins survived postings pruning;
+//! * MINCONTEXT memo hits/computes and OPTMINCONTEXT backward passes;
 //! * fuel consumed under the engine's configured budget;
 //! * phase wall times (parse / rewrite / compile / evaluate).
 //!
@@ -36,6 +38,39 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+/// How a predicated step's predicates were evaluated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PredMode {
+    /// Every predicate is position-free: one axis sweep for the whole
+    /// context set, then the candidate *set* is filtered, at least one
+    /// predicate (or operand of an `and` / `or` / `not`) node by node.
+    Set,
+    /// As [`PredMode::Set`], and every predicate was answered by
+    /// intersecting with OPTMINCONTEXT backward sets: no candidate was
+    /// visited.
+    Backward,
+    /// A positional predicate: candidates are listed per origin in axis
+    /// order (leading position-free predicates still run once, as a set).
+    PerOrigin,
+}
+
+impl PredMode {
+    /// A short stable name (used in EXPLAIN plan text).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            PredMode::Set => "set",
+            PredMode::Backward => "backward",
+            PredMode::PerOrigin => "per-origin",
+        }
+    }
+}
+
+impl fmt::Display for PredMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 /// One step of one location path, as actually evaluated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepProfile {
@@ -47,13 +82,23 @@ pub struct StepProfile {
     pub display: String,
     /// How many predicates filter this step.
     pub predicates: usize,
-    /// The kernel route of the step's first invocation.
+    /// The kernel route of the step's first invocation: the set kernel
+    /// that swept the whole context set for a predicate-free or
+    /// set-filtered step, the single-origin kernel each origin of a
+    /// per-origin step paid.
     pub route: AxisRoute,
-    /// How many times the step ran (predicate paths run once per distinct
-    /// memoized context).
+    /// How the first invocation evaluated the step's predicates (`None`
+    /// for a predicate-free step).
+    pub mode: Option<PredMode>,
+    /// How many times the step ran (a path under a predicate runs once
+    /// per candidate its predicate is computed for; none at all when a
+    /// backward set answers the predicate).
     pub invocations: u64,
     /// Total context-set cardinality across invocations.
     pub input: u64,
+    /// Total origins actually expanded across invocations: `input` less
+    /// the origins postings pruning showed to have no candidate.
+    pub origins: u64,
     /// Total axis-output cardinality across invocations (post-predicate).
     pub output: u64,
     /// Wall time across invocations, inclusive of predicate filtering.
@@ -84,11 +129,14 @@ pub struct QueryProfile {
     pub fired_rules: Vec<(Rule, u32)>,
     /// Per-step evaluation records, outermost path first.
     pub steps: Vec<StepProfile>,
-    /// MINCONTEXT memo hits (free re-uses of a computed value).
+    /// MINCONTEXT memo hits (free re-uses of a computed value).  Answers
+    /// read from a backward set are not memo traffic and count as neither.
     pub memo_hits: u64,
-    /// MINCONTEXT memo misses (values actually computed).
+    /// Values actually computed: every compute counts, whether or not the
+    /// node keeps a table to store the result in.
     pub memo_misses: u64,
-    /// OPTMINCONTEXT backward-propagation passes built.
+    /// OPTMINCONTEXT backward sets built (one per predicate of a
+    /// backward-propagatable shape that was asked about).
     pub backward_passes: u64,
     /// Fuel charged under the engine's budget.
     pub fuel_spent: u64,
@@ -143,9 +191,16 @@ impl QueryProfile {
             } else {
                 String::new()
             };
+            let mode = st.mode.map_or(String::new(), |m| format!(" mode={m}"));
+            // ` origins=A→B` appears only when pruning dropped origins.
+            let origins = if st.origins < st.input {
+                format!(" origins={}→{}", st.input, st.origins)
+            } else {
+                String::new()
+            };
             let _ = writeln!(
                 s,
-                "  [#{} step {}] {}{preds} route={} calls={} in={} out={}{par}",
+                "  [#{} step {}] {}{preds}{mode}{origins} route={} calls={} in={} out={}{par}",
                 st.path, st.index, st.display, st.route, st.invocations, st.input, st.output
             );
         }
@@ -210,6 +265,7 @@ impl ProfileCollector {
         {
             s.invocations += 1;
             s.input += obs.input as u64;
+            s.origins += obs.origins as u64;
             s.output += obs.output as u64;
             s.time += obs.time;
             s.par_chunks += obs.chunks as u64;
@@ -221,8 +277,10 @@ impl ProfileCollector {
             display: format!("{}::{}", step.axis, step.test),
             predicates: step.predicates.len(),
             route: obs.route,
+            mode: obs.mode,
             invocations: 1,
             input: obs.input as u64,
+            origins: obs.origins as u64,
             output: obs.output as u64,
             time: obs.time,
             par_chunks: obs.chunks as u64,
@@ -231,11 +289,14 @@ impl ProfileCollector {
 }
 
 /// What one profiled step invocation measured: the kernel route it
-/// dispatched to, its context-set cardinalities, and its wall time
+/// dispatched to, how its predicates ran, its context-set cardinalities
+/// (`origins` is `input` less the origins pruned away), and its wall time
 /// (including predicate filtering, for predicated steps).
 pub(crate) struct StepObservation {
     pub(crate) route: AxisRoute,
+    pub(crate) mode: Option<PredMode>,
     pub(crate) input: usize,
+    pub(crate) origins: usize,
     pub(crate) output: usize,
     pub(crate) time: Duration,
     pub(crate) chunks: usize,
@@ -445,21 +506,62 @@ mod tests {
         assert_eq!(outer.route, AxisRoute::Postings);
         assert_eq!(outer.input, 1);
         assert_eq!(outer.output, 2, "two items carry @id");
-        // The predicate path ran per candidate as a local attribute walk.
+        // Plain MINCONTEXT filters the candidate set node by node: the
+        // predicate path ran per candidate as a local attribute walk.
+        assert_eq!(outer.mode, Some(PredMode::Set));
+        assert_eq!(outer.origins, 1, "nothing to prune on a set step");
         let pred = p
             .steps
             .iter()
             .find(|s| s.display == "attribute::id")
             .expect("predicate step profiled");
         assert_eq!(pred.route, AxisRoute::Walk);
+        assert_eq!(pred.mode, None, "predicate-free step");
         assert_eq!(pred.invocations, 3, "one walk per candidate item");
         assert!(p.memo_misses > 0);
         assert!(p.fuel_spent > 0);
         assert_eq!(p.result, "node-set n=2");
         // The deterministic plan text round-trips through Display.
         assert!(p.to_string().contains(&p.plan_text()));
-        assert!(p.plan_text().contains("route=postings"));
+        assert!(p.plan_text().contains("preds=1 mode=set route=postings"));
         assert!(p.plan_text().contains("fired=fuse-descendant:1"));
+    }
+
+    #[test]
+    fn explain_says_which_way_a_predicate_ran() {
+        let doc = item_doc();
+        let e = Engine::new(Strategy::OptMinContext).with_optimizer(true);
+        // Answered from the backward set alone: no candidate is visited,
+        // so the predicate path has no step row at all.
+        let p = e.explain(&doc, "//item[@id]").unwrap();
+        assert_eq!(p.steps.len(), 1, "{}", p.plan_text());
+        assert_eq!(p.steps[0].mode, Some(PredMode::Backward));
+        assert_eq!((p.backward_passes, p.memo_hits), (1, 0));
+        assert_eq!(p.result, "node-set n=2");
+        // `not` over a backward set is still set algebra only…
+        let p = e.explain(&doc, "//item[not(@id)]").unwrap();
+        assert_eq!(p.steps[0].mode, Some(PredMode::Backward));
+        assert_eq!(p.result, "node-set n=1");
+        // …one operand that has to be computed per node makes it `set`,
+        // and the set route is the set kernel's, not a per-origin walk.
+        let p = e.explain(&doc, "//*[@id or count(*) > 1]").unwrap();
+        assert_eq!(p.steps[0].mode, Some(PredMode::Set));
+        assert_eq!(p.steps[0].route, AxisRoute::Walk, "singleton-root walk");
+        assert_eq!(p.result, "node-set n=3");
+        // A positional predicate keeps per-origin lists (after its
+        // position-free neighbour ran as a set) and prunes the origins
+        // that have no <item> child at all.
+        let p = e.explain(&doc, "//item[@id][1]").unwrap();
+        let step = p.steps.iter().find(|s| s.predicates == 2).unwrap();
+        assert_eq!(step.mode, Some(PredMode::PerOrigin));
+        assert_eq!((step.input, step.origins), (8, 2));
+        assert!(
+            p.plan_text()
+                .contains("child::item preds=2 mode=per-origin origins=8→2 route=walk"),
+            "{}",
+            p.plan_text()
+        );
+        assert_eq!(p.result, "node-set n=2");
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub mod engine;
 pub mod error;
 pub mod explain;
 pub mod funcs;
+mod memo;
 pub mod mincontext;
 pub mod naive;
 pub mod rewrite;
@@ -52,7 +53,7 @@ pub use cache::LruCache;
 pub use compile::CompiledQuery;
 pub use engine::{Context, Engine, Evaluator, Strategy};
 pub use error::{EvalError, Exhausted};
-pub use explain::{QueryProfile, StepProfile};
+pub use explain::{PredMode, QueryProfile, StepProfile};
 pub use mincontext::{MinContext, ParSettings};
 // The kernel-route label `Engine::explain` reports per step, re-exported
 // so profile consumers match on it without a direct xml dependency.

@@ -5,17 +5,26 @@
 //! **MINCONTEXT** (Section 3).  Location paths are evaluated *set at a
 //! time* with deduplication (so step chains stay linear in `|D|` instead of
 //! exploding like the naive context-at-a-time loop), and every expression
-//! node `N` memoizes its value keyed on the *relevant context* `Relev(N)`
-//! computed during lowering: a predicate such as `position() != last()`
-//! (`Relev = {position, size}`) is evaluated once per distinct `(k, n)`
-//! pair *across all context nodes*, a predicate path such as `child::b`
-//! (`Relev = {node}`) once per distinct context node regardless of the
-//! positional context, and an absolute path exactly once per document.
-//! Since each node is evaluated at most once per distinct relevant context
-//! and only contexts that actually arise are ever touched (the top-down
-//! recursion is the paper's context-propagation), total work is polynomial
-//! — `O(|D|·|Q|)` on Core XPath and the Extended Wadler fragment
-//! (Theorems 7 and 10).
+//! node `N` is computed at most once per distinct *relevant context*
+//! `Relev(N)` computed during lowering: a predicate such as
+//! `position() != last()` (`Relev = {position, size}`) once per distinct
+//! `(k, n)` pair *across all context nodes*, a predicate such as
+//! `count(b) > 2` (`Relev = {node}`) once per distinct context node
+//! regardless of the positional context, and an absolute path exactly once
+//! per document.  The memo tables that guarantee this exist only where a
+//! repeat can actually arrive (the `memo` module decides which).  Since only contexts
+//! that actually arise are ever touched (the top-down recursion is the
+//! paper's context-propagation), total work is polynomial — `O(|D|·|Q|)`
+//! on Core XPath and the Extended Wadler fragment (Theorems 7 and 10).
+//!
+//! Predicates are set-at-a-time too.  A step whose predicates all ignore
+//! `position()` and `last()` sweeps its axis once for the whole context
+//! set and filters the resulting candidate *set* (`and` in sequence, `or`
+//! as a union, `not` as a difference, anything else node by node); a step
+//! with a positional predicate lists candidates per origin in axis order,
+//! but only for origins the node test's postings say have a candidate at
+//! all, and still answers its leading position-free predicates once, as a
+//! set (DESIGN.md "Set-at-a-time predicates").
 //!
 //! **OPTMINCONTEXT** (Section 4, plus the backward-propagation rule of the
 //! VLDB'02 predecessor's Section 6).  On top of MINCONTEXT, predicates of
@@ -27,18 +36,24 @@
 //!
 //! where `π` is a predicate-free relative path and `c` a constant scalar,
 //! are answered from a single *backward pass*: the node-level comparison
-//! set `T = {y | strval(y) op c}` is propagated through the inverse axes
-//! `χ⁻¹` (one `O(|D|)` [`axis_preimage`] sweep per step, including the
-//! id-"axis" of Section 4), yielding the set of context nodes for which
-//! the predicate holds.  Every subsequent predicate check is then an
-//! `O(log |D|)` membership test instead of a fresh `O(|D|)` forward walk.
+//! set `T = {y | strval(y) op c}` — seeded from the postings of `π`'s last
+//! node test, so only nodes that test can select are ever compared — is
+//! propagated through the inverse axes `χ⁻¹` (one `O(|D|)`
+//! [`axis_preimage`] sweep per step, including the id-"axis" of
+//! Section 4), yielding the set of context nodes for which the predicate
+//! holds.  That set *is* the predicate's table: a candidate set is
+//! intersected with it in one linear merge, and a lone candidate is one
+//! binary search — no forward walk, no memo entry.
+//!
+//! [`axis_preimage`]: minctx_xml::axes::axis_preimage
 
 use crate::budget::BudgetMeter;
 use crate::compile::CompiledQuery;
 use crate::engine::{Context, Evaluator, Strategy};
 use crate::error::EvalError;
-use crate::explain::{ProfileCollector, StepObservation};
+use crate::explain::{PredMode, ProfileCollector, StepObservation};
 use crate::funcs;
+use crate::memo::{tables_for, Table};
 use crate::naive::arith;
 use crate::value::{compare, node_scalar_compare, Value};
 use minctx_syntax::{ExprId, Func, Node, PathStart, Relev, Step};
@@ -48,7 +63,6 @@ use minctx_xml::axes::{
 };
 use minctx_xml::par::chunk_bounds;
 use minctx_xml::{Document, NodeId, NodeSet, ParConfig, Scratch, WorkerPool};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -80,7 +94,7 @@ pub struct MinContext {
     /// Enables the Section-4 backward-propagation optimizations.
     pub optimized: bool,
     /// With parallel settings attached, large axis sweeps run on the
-    /// chunked kernels and predicated steps fan the context set out
+    /// chunked kernels and positional steps fan the context set out
     /// across the pool — results stay bit-identical to sequential
     /// evaluation (chunks merge by pre-order ordinal).  `None` (the
     /// default) is the exact sequential code path.
@@ -104,18 +118,7 @@ impl Evaluator for MinContext {
         scratch: &mut Scratch,
         meter: &mut BudgetMeter,
     ) -> Result<Value, EvalError> {
-        let mut run = Run {
-            doc,
-            query,
-            opt: self.optimized,
-            memo: vec![HashMap::new(); query.query().len()],
-            backward: vec![None; query.query().len()],
-            scratch,
-            meter,
-            prof: None,
-            par: self.parallel.clone(),
-        };
-        run.eval(query.query().root(), ctx)
+        Run::new(doc, query, self, scratch, meter, None).eval(query.query().root(), ctx)
     }
 }
 
@@ -135,18 +138,7 @@ impl MinContext {
         meter: &mut BudgetMeter,
         prof: &mut ProfileCollector,
     ) -> Result<Value, EvalError> {
-        let mut run = Run {
-            doc,
-            query,
-            opt: self.optimized,
-            memo: vec![HashMap::new(); query.query().len()],
-            backward: vec![None; query.query().len()],
-            scratch,
-            meter,
-            prof: Some(prof),
-            par: self.parallel.clone(),
-        };
-        run.eval(query.query().root(), ctx)
+        Run::new(doc, query, self, scratch, meter, Some(prof)).eval(query.query().root(), ctx)
     }
 }
 
@@ -154,16 +146,20 @@ struct Run<'d, 'q, 's, 'm, 'p> {
     doc: &'d Document,
     query: &'q CompiledQuery,
     opt: bool,
-    /// Per expression node: relevant-context key → value.
-    memo: Vec<HashMap<u128, Value>>,
+    /// Per expression node: its memo table (see [`crate::memo`] for which
+    /// nodes have one).
+    memo: Vec<Table>,
     /// OPTMINCONTEXT: per predicate node, the set of context nodes for
-    /// which the predicate holds (computed by one backward pass).
-    backward: Vec<Option<NodeSet>>,
+    /// which the predicate holds (computed by one backward pass) — the
+    /// predicate's whole table, consulted before `memo` and never copied
+    /// into it.  `None` until first asked, `Some(None)` once the node turned
+    /// out not to have a backward-propagatable shape.
+    backward: Vec<Option<Option<NodeSet>>>,
     /// Reusable axis-kernel working memory (engine-owned).
     scratch: &'s mut Scratch,
-    /// Fuel/deadline accounting: charged per memo-miss compute, per axis
-    /// sweep (proportional to the context set), per candidate filtered,
-    /// and per backward-propagation pass (proportional to the document).
+    /// Fuel/deadline accounting: charged per compute, per axis sweep
+    /// (proportional to the context set and to its output), per candidate
+    /// filtered, and per backward or pruning sweep.
     meter: &'m mut BudgetMeter,
     /// EXPLAIN instrumentation; `None` (the common case) costs one branch
     /// per hook and never reads the clock.
@@ -172,6 +168,10 @@ struct Run<'d, 'q, 's, 'm, 'p> {
     /// sequential path.  Fan-out workers always run with `None` — nested
     /// regions would serialize on the pool's region lock for no benefit.
     par: Option<ParSettings>,
+    /// How many set filters had to evaluate a predicate node by node; a
+    /// step that leaves it unchanged was answered from backward sets alone
+    /// (EXPLAIN's `mode=backward` as opposed to `mode=set`).
+    per_node: u64,
 }
 
 /// What one fan-out chunk hands back to the parent run.
@@ -179,60 +179,72 @@ struct ChunkOutcome {
     /// Kept candidates, concatenated in origin order.
     acc: Vec<NodeId>,
     /// The worker's memo tables, merged back after the region.
-    memo: Vec<HashMap<u128, Value>>,
+    memo: Vec<Table>,
     /// The worker's backward sets (OPTMINCONTEXT), merged back likewise.
-    backward: Vec<Option<NodeSet>>,
+    backward: Vec<Option<Option<NodeSet>>>,
     /// The first evaluation error the worker hit, if any.
     err: Option<EvalError>,
 }
 
-/// Packs the *relevant* components of a context into a memo key; the
-/// irrelevant components are zeroed so contexts that agree on `Relev(N)`
-/// share an entry.  42-bit fields: node ids are `u32` by construction,
-/// and positions/sizes are bounded by the document's node count, so any
-/// document the arena can represent fits without aliasing (the previous
-/// `u64` key packed 21-bit fields and had to refuse documents past 2²¹
-/// nodes — the 10⁶-element XMark tier among them).
-fn memo_key(relev: Relev, ctx: Context) -> u128 {
-    debug_assert!(ctx.position <= u32::MAX as usize && ctx.size <= u32::MAX as usize);
-    let mut key = 0u128;
-    if relev.node() {
-        key |= ctx.node.index() as u128;
-    }
-    if relev.position() {
-        key |= (ctx.position as u128) << 42;
-    }
-    if relev.size() {
-        key |= (ctx.size as u128) << 84;
-    }
-    key
+/// A positional step's per-origin work, shared by the sequential loop and
+/// the fan-out workers.
+#[derive(Clone, Copy)]
+struct OriginFilter<'a> {
+    axis: Axis,
+    test: ResolvedTest,
+    /// The candidates passing the step's leading position-free predicates,
+    /// computed once for all origins; `None` when the first predicate is
+    /// positional.
+    prefix: Option<&'a NodeSet>,
+    /// The remaining predicates, evaluated per origin in axis order.
+    preds: &'a [ExprId],
 }
 
-impl<'q> Run<'_, 'q, '_, '_, '_> {
+impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
+    fn new(
+        doc: &'d Document,
+        query: &'q CompiledQuery,
+        config: &MinContext,
+        scratch: &'s mut Scratch,
+        meter: &'m mut BudgetMeter,
+        prof: Option<&'p mut ProfileCollector>,
+    ) -> Self {
+        Run {
+            doc,
+            query,
+            opt: config.optimized,
+            memo: tables_for(query.query()),
+            backward: vec![None; query.query().len()],
+            scratch,
+            meter,
+            prof,
+            par: config.parallel.clone(),
+            per_node: 0,
+        }
+    }
+
     fn eval(&mut self, id: ExprId, ctx: Context) -> Result<Value, EvalError> {
-        let key = memo_key(self.query.query().relev(id), ctx);
-        if let Some(v) = self.memo[id.index()].get(&key) {
+        if let Some(set) = self.backward_set(id)? {
+            return Ok(Value::Boolean(set.contains(ctx.node)));
+        }
+        let relev = self.query.query().relev(id);
+        if let Some(v) = self.memo[id.index()].get(relev, ctx) {
             if let Some(p) = &mut self.prof {
                 p.memo_hit();
             }
-            return Ok(v.clone());
-        }
-        // Memo misses are the unit of work MINCONTEXT's complexity bound
-        // counts; hits are free.
-        self.meter.charge(1)?;
-        if let Some(p) = &mut self.prof {
-            p.memo_miss();
+            return Ok(v);
         }
         let v = self.compute(id, ctx)?;
-        self.memo[id.index()].insert(key, v.clone());
+        self.memo[id.index()].put(relev, ctx, self.doc.len(), &v);
         Ok(v)
     }
 
     fn compute(&mut self, id: ExprId, ctx: Context) -> Result<Value, EvalError> {
-        if self.opt {
-            if let Some(holds) = self.try_backward(id, ctx.node)? {
-                return Ok(Value::Boolean(holds));
-            }
+        // Computes are the unit of work MINCONTEXT's complexity bound
+        // counts; table hits are free.
+        self.meter.charge(1)?;
+        if let Some(p) = &mut self.prof {
+            p.memo_miss();
         }
         Ok(match self.query.query().node(id) {
             Node::Or(a, b) => {
@@ -272,6 +284,69 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
         })
     }
 
+    /// How many of the leading `preds` ignore `position()` and `last()` —
+    /// the gate `rewrite` uses for step fusion.  Those can be answered for
+    /// a whole candidate *set*; from the first positional predicate on,
+    /// candidates need their per-origin axis order.
+    fn position_free(&self, preds: &[ExprId]) -> usize {
+        let q = self.query.query();
+        preds
+            .iter()
+            .take_while(|&&p| !q.relev(p).position() && !q.relev(p).size())
+            .count()
+    }
+
+    /// `χ(from)` filtered by `test` into `out`, chunked when parallel
+    /// settings are attached; returns the chunks dispatched.
+    fn image(
+        &mut self,
+        axis: Axis,
+        test: ResolvedTest,
+        from: &NodeSet,
+        out: &mut NodeSet,
+    ) -> usize {
+        match &self.par {
+            Some(ps) => {
+                let (pool, config) = (&ps.pool, ps.config);
+                axis_image_into_par(self.doc, axis, from, test, self.scratch, out, pool, config)
+            }
+            None => {
+                axis_image_into(self.doc, axis, from, test, self.scratch, out);
+                0
+            }
+        }
+    }
+
+    /// `χ⁻¹(targets)` into `out`: one `O(|D|)` sweep, charged as such.
+    fn preimage(
+        &mut self,
+        axis: Axis,
+        targets: &NodeSet,
+        out: &mut NodeSet,
+    ) -> Result<(), EvalError> {
+        self.meter.charge(self.doc.len() as u64 + 1)?;
+        match &self.par {
+            Some(ps) => {
+                let (pool, config) = (&ps.pool, ps.config);
+                axis_preimage_into_par(self.doc, axis, targets, self.scratch, out, pool, config);
+            }
+            None => axis_preimage_into(self.doc, axis, targets, self.scratch, out),
+        }
+        Ok(())
+    }
+
+    /// The sorted postings a name test selects on `axis` — everything the
+    /// test can match, known without visiting a node.
+    fn postings(&self, axis: Axis, test: ResolvedTest) -> Option<&'d [NodeId]> {
+        match test {
+            ResolvedTest::Name(n) if axis == Axis::Attribute => {
+                Some(self.doc.attribute_postings(n))
+            }
+            ResolvedTest::Name(n) => Some(self.doc.element_postings(n)),
+            _ => None,
+        }
+    }
+
     /// Set-at-a-time path evaluation with deduplication after every step.
     fn eval_path(
         &mut self,
@@ -287,12 +362,17 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
                 primary,
                 predicates,
             } => {
-                let primary = self.eval(*primary, ctx)?.into_node_set()?;
-                let mut list: Vec<NodeId> = primary.into_vec();
-                for &p in predicates {
-                    list = self.filter_candidates(p, list)?;
+                let mut set = self.eval(*primary, ctx)?.into_node_set()?;
+                let free = self.position_free(predicates);
+                for &p in &predicates[..free] {
+                    set = self.filter_set(p, set)?;
                 }
-                // Filtering a document-ordered list keeps it sorted.
+                // Proximity positions of a filter are in document order;
+                // filtering a document-ordered list keeps it sorted.
+                let mut list = set.into_vec();
+                for &p in &predicates[free..] {
+                    self.filter_candidates(p, &mut list)?;
+                }
                 NodeSet::from_sorted_vec(list)
             }
         };
@@ -307,120 +387,208 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
             // An axis sweep touches at least the whole context set.
             self.meter.charge(cur.len() as u64 + 1)?;
             // Only a profiled run reads the clock; the step's route and
-            // cardinalities are recorded after the kernel (and, for
-            // predicated steps, the predicate filtering) finish.
+            // cardinalities are recorded after the kernel and the
+            // predicate filtering finish.
             let timer = self.prof.is_some().then(Instant::now);
             let input = cur.len();
-            if step.predicates.is_empty() {
-                // Predicate-free step: one axis sweep for the whole
-                // context set, ping-ponging two reused buffers.  With
-                // parallel settings attached, large sweeps run on the
-                // chunked kernels (same output, merged by ordinal).
-                let chunks = match &self.par {
-                    Some(ps) => axis_image_into_par(
-                        self.doc,
-                        step.axis,
-                        &cur,
-                        test,
-                        self.scratch,
-                        &mut next,
-                        &ps.pool,
-                        ps.config,
-                    ),
-                    None => {
-                        axis_image_into(self.doc, step.axis, &cur, test, self.scratch, &mut next);
-                        0
-                    }
-                };
+            let free = self.position_free(&step.predicates);
+            let (route, chunks, mode, origins) = if free == step.predicates.len() {
+                // No positional predicate (or none at all): one axis sweep
+                // for the whole context set, ping-ponging two reused
+                // buffers, then each predicate filters the result as a
+                // set.  With parallel settings attached, large sweeps run
+                // on the chunked kernels (same output, merged by ordinal).
+                let chunks = self.image(step.axis, test, &cur, &mut next);
                 // Charge the sweep's output too: from a singleton
                 // context, `preceding::*` can touch most of the
                 // document, and deadline polling granularity must
                 // track that work, not just the input size.
                 self.meter.charge(next.len() as u64)?;
                 std::mem::swap(&mut cur, &mut next);
-                if let Some(p) = &mut self.prof {
-                    let obs = StepObservation {
-                        route: classify_image_route(step.axis, test, input),
-                        input,
-                        output: cur.len(),
-                        time: timer.expect("profiled step has a timer").elapsed(),
-                        chunks,
-                    };
-                    p.record_step(path_id, si, step, obs);
+                let visited = self.per_node;
+                for &p in &step.predicates {
+                    cur = self.filter_set(p, cur)?;
                 }
+                let mode = match (step.predicates.is_empty(), self.per_node > visited) {
+                    (true, _) => None,
+                    (false, true) => Some(PredMode::Set),
+                    (false, false) => Some(PredMode::Backward),
+                };
+                let route = classify_image_route(step.axis, test, input);
+                (route, chunks, mode, input)
             } else {
                 // Positional predicates need per-origin candidate lists in
-                // axis order; predicate values are memoized on Relev.
-                // Above the size threshold the context set fans out
-                // across the pool — each worker handles a contiguous
-                // origin range with its own memo table and fuel
-                // sub-allowance, and per-origin results concatenate in
-                // origin order, identical to this sequential loop.
+                // axis order.  An origin none of whose candidates can pass
+                // the node test contributes nothing: when the test's
+                // postings are shorter than the origin set, one preimage
+                // sweep keeps only the origins that reach them.
+                if let Some(hits) = self.postings(step.axis, test) {
+                    if hits.len() < cur.len() {
+                        let hits = NodeSet::from_sorted_vec(hits.to_vec());
+                        self.preimage(step.axis, &hits, &mut next)?;
+                        cur = cur.intersect(&next);
+                    }
+                }
+                let origins = cur.len();
+                // Leading position-free predicates are answered once, as a
+                // set over every origin's candidates, and consulted by
+                // membership below.
+                let mut chunks = 0;
+                let prefix = if free > 0 {
+                    chunks += self.image(step.axis, test, &cur, &mut next);
+                    self.meter.charge(next.len() as u64)?;
+                    let mut set = std::mem::take(&mut next);
+                    for &p in &step.predicates[..free] {
+                        set = self.filter_set(p, set)?;
+                    }
+                    Some(set)
+                } else {
+                    None
+                };
+                let filter = OriginFilter {
+                    axis: step.axis,
+                    test,
+                    prefix: prefix.as_ref(),
+                    preds: &step.predicates[free..],
+                };
+                // Above the size threshold the origins fan out across the
+                // pool — each worker handles a contiguous origin range
+                // with its own memo tables and fuel sub-allowance, and
+                // per-origin results concatenate in origin order,
+                // identical to the sequential loop.
                 let fanout = self
                     .par
                     .as_ref()
                     .map_or(0, |ps| ps.config.chunks_for(&ps.pool, cur.len()));
-                let (acc, chunks) = if fanout >= 2 {
-                    (self.fan_out_predicates(step, test, &cur, fanout)?, fanout)
+                let acc = if fanout >= 2 {
+                    chunks += fanout;
+                    self.fan_out_origins(filter, &cur, fanout)?
                 } else {
-                    let mut acc = Vec::new();
-                    let mut cands = Vec::new();
-                    let mut chunks = 0usize;
+                    let (mut acc, mut cands) = (Vec::new(), Vec::new());
                     for x in cur.iter() {
-                        // A large single-origin arena scan (`preceding`,
-                        // `following`) can still chunk even when the
-                        // context set is too small to fan out.
-                        chunks += match &self.par {
-                            Some(ps) => axis_nodes_into_par(
-                                self.doc, step.axis, x, test, &mut cands, &ps.pool, ps.config,
-                            ),
-                            None => {
-                                self.doc.axis_nodes_into(step.axis, x, test, &mut cands);
-                                0
-                            }
-                        };
-                        let mut kept = std::mem::take(&mut cands);
-                        for &p in &step.predicates {
-                            kept = self.filter_candidates(p, kept)?;
-                        }
-                        acc.extend_from_slice(&kept);
-                        cands = kept;
+                        chunks += self.filter_origin(filter, x, &mut cands, &mut acc)?;
                     }
-                    (acc, chunks)
+                    acc
                 };
                 cur = NodeSet::from_unsorted_with_capacity(self.doc.len(), acc);
-                if let Some(p) = &mut self.prof {
-                    let obs = StepObservation {
-                        route: classify_single_route(step.axis, test),
-                        input,
-                        output: cur.len(),
-                        time: timer.expect("profiled step has a timer").elapsed(),
-                        chunks,
-                    };
-                    p.record_step(path_id, si, step, obs);
-                }
+                let route = classify_single_route(step.axis, test);
+                (route, chunks, Some(PredMode::PerOrigin), origins)
+            };
+            if let Some(p) = &mut self.prof {
+                let obs = StepObservation {
+                    route,
+                    mode,
+                    input,
+                    origins,
+                    output: cur.len(),
+                    time: timer.expect("profiled step has a timer").elapsed(),
+                    chunks,
+                };
+                p.record_step(path_id, si, step, obs);
             }
         }
         Ok(Value::NodeSet(cur))
     }
 
-    /// Fans a predicated step's context set out across the pool: each of
-    /// the `k` chunks is a contiguous origin range evaluated by a fresh
-    /// sub-[`Run`] (own memo table, own backward slots, a pool-stashed
+    /// Keeps the members of `cands` for which the position-free predicate
+    /// `pred` holds, without visiting a node the answer is already known
+    /// for: a backward-propagatable shape intersects with its backward
+    /// set; `and` filters in sequence, `or` unions (the right operand sees
+    /// only what the left rejected), `not` takes the difference — each
+    /// consulting and extending the predicate's own table, which stands in
+    /// for the per-node computes that would have shielded the operands;
+    /// any other shape is evaluated node by node through [`Run::eval`].
+    fn filter_set(&mut self, pred: ExprId, cands: NodeSet) -> Result<NodeSet, EvalError> {
+        if cands.is_empty() {
+            return Ok(cands);
+        }
+        let q = self.query.query();
+        if q.relev(pred) != Relev::NODE {
+            // A context-free predicate is one table entry, not a set.
+            return self.filter_nodes(pred, cands);
+        }
+        let charge = cands.len() as u64 + 1;
+        if let Some(holds) = self.backward_set(pred)? {
+            let kept = cands.intersect(holds);
+            self.meter.charge(charge)?;
+            return Ok(kept);
+        }
+        let (a, b) = match q.node(pred) {
+            Node::And(a, b) | Node::Or(a, b) => (*a, Some(*b)),
+            Node::Call(Func::Not, args) => (args[0], None),
+            _ => return self.filter_nodes(pred, cands),
+        };
+        self.meter.charge(charge)?;
+        let (known, todo) = self.memo[pred.index()].split(cands);
+        let left = self.filter_set(a, todo.clone())?;
+        let holds = match (q.node(pred), b) {
+            (Node::And(..), Some(b)) => self.filter_set(b, left)?,
+            (_, Some(b)) => {
+                let right = self.filter_set(b, todo.difference(&left))?;
+                left.union(&right)
+            }
+            (_, None) => todo.difference(&left),
+        };
+        self.memo[pred.index()].record(self.doc.len(), &todo, &holds);
+        Ok(known.union(&holds))
+    }
+
+    /// [`Run::filter_set`]'s node-by-node leg.
+    fn filter_nodes(&mut self, pred: ExprId, cands: NodeSet) -> Result<NodeSet, EvalError> {
+        self.per_node += 1;
+        let mut list = cands.into_vec();
+        self.filter_candidates(pred, &mut list)?;
+        Ok(NodeSet::from_sorted_vec(list))
+    }
+
+    /// One origin of a positional step: its candidates in axis order, cut
+    /// down to the position-free prefix set, then filtered predicate by
+    /// predicate and appended to `acc`.  `cands` is a reused buffer.
+    /// Returns the chunks a large single-origin arena scan (`preceding`,
+    /// `following`) dispatched — those can chunk even when the origin set
+    /// is too small to fan out.
+    fn filter_origin(
+        &mut self,
+        f: OriginFilter<'_>,
+        x: NodeId,
+        cands: &mut Vec<NodeId>,
+        acc: &mut Vec<NodeId>,
+    ) -> Result<usize, EvalError> {
+        let chunks = match &self.par {
+            Some(ps) => {
+                axis_nodes_into_par(self.doc, f.axis, x, f.test, cands, &ps.pool, ps.config)
+            }
+            None => {
+                self.doc.axis_nodes_into(f.axis, x, f.test, cands);
+                0
+            }
+        };
+        if let Some(set) = f.prefix {
+            cands.retain(|&y| set.contains(y));
+        }
+        for &p in f.preds {
+            self.filter_candidates(p, cands)?;
+        }
+        acc.extend_from_slice(cands);
+        Ok(chunks)
+    }
+
+    /// Fans a positional step's origins out across the pool: each of the
+    /// `k` chunks is a contiguous origin range evaluated by a fresh
+    /// sub-[`Run`] (own memo tables, own backward slots, a pool-stashed
     /// scratch, and a fuel sub-allowance from
     /// [`BudgetMeter::split`]).  Per-origin results concatenate in chunk =
     /// origin order, so the accumulated candidate list is exactly what
     /// the sequential loop builds; worker memo tables merge back
-    /// (first-write-wins — values are deterministic, so order is moot)
-    /// and unspent fuel is absorbed.
+    /// (values are deterministic, so order is moot) and unspent fuel is
+    /// absorbed.
     ///
     /// On failure the earliest chunk's error is returned — deterministic,
     /// though a tight fuel cap may trip at a different point than
     /// sequential evaluation would (see DESIGN.md "Parallel evaluation").
-    fn fan_out_predicates(
+    fn fan_out_origins(
         &mut self,
-        step: &Step,
-        test: ResolvedTest,
+        filter: OriginFilter<'_>,
         origins: &NodeSet,
         k: usize,
     ) -> Result<Vec<NodeId>, EvalError> {
@@ -429,13 +597,13 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
             .clone()
             .expect("fan-out requires parallel settings");
         fanout_counter().inc();
-        let doc = self.doc;
-        let query = self.query;
-        let opt = self.opt;
-        let exprs = query.query().len();
+        let (doc, query) = (self.doc, self.query);
+        // Workers never open nested regions.
+        let config = MinContext {
+            optimized: self.opt,
+            parallel: None,
+        };
         let origins = origins.as_slice();
-        let axis = step.axis;
-        let predicates = &step.predicates;
         let meters: Vec<Mutex<Option<BudgetMeter>>> = self
             .meter
             .split(k)
@@ -447,36 +615,11 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
             let (s, e) = chunk_bounds(origins.len(), k, i);
             let mut meter = lock(&meters[i]).take().expect("meter prepared per chunk");
             let mut scratch = ps.pool.take_scratch();
-            let mut sub = Run {
-                doc,
-                query,
-                opt,
-                memo: vec![HashMap::new(); exprs],
-                backward: vec![None; exprs],
-                scratch: &mut scratch,
-                meter: &mut meter,
-                prof: None,
-                // Workers never open nested regions.
-                par: None,
-            };
-            let mut acc = Vec::new();
-            let mut cands = Vec::new();
-            let mut err = None;
-            'origins: for &x in &origins[s..e] {
-                doc.axis_nodes_into(axis, x, test, &mut cands);
-                let mut kept = std::mem::take(&mut cands);
-                for &p in predicates {
-                    match sub.filter_candidates(p, kept) {
-                        Ok(v) => kept = v,
-                        Err(failure) => {
-                            err = Some(failure);
-                            break 'origins;
-                        }
-                    }
-                }
-                acc.extend_from_slice(&kept);
-                cands = kept;
-            }
+            let mut sub = Run::new(doc, query, &config, &mut scratch, &mut meter, None);
+            let (mut acc, mut cands) = (Vec::new(), Vec::new());
+            let err = origins[s..e]
+                .iter()
+                .find_map(|&x| sub.filter_origin(filter, x, &mut cands, &mut acc).err());
             let Run { memo, backward, .. } = sub;
             ps.pool.put_scratch(scratch);
             *lock(&meters[i]) = Some(meter);
@@ -495,22 +638,18 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
         let mut acc = Vec::new();
         for slot in slots {
             let out = lock(&slot).take().expect("every chunk completes");
-            if let Some(e) = out.err {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
+            if first_err.is_some() {
                 continue;
             }
-            if first_err.is_some() {
+            if out.err.is_some() {
+                first_err = out.err;
                 continue;
             }
             acc.extend(out.acc);
             // Worker memo entries stay useful for later steps of this
             // evaluation; merge them back (values are deterministic).
             for (dst, src) in self.memo.iter_mut().zip(out.memo) {
-                for (key, val) in src {
-                    dst.entry(key).or_insert(val);
-                }
+                dst.merge(src);
             }
             for (dst, src) in self.backward.iter_mut().zip(out.backward) {
                 if dst.is_none() {
@@ -524,88 +663,96 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
         }
     }
 
+    /// Keeps, in place, the candidates `pred` holds for; proximity
+    /// positions are the list's (axis) order.
     fn filter_candidates(
         &mut self,
         pred: ExprId,
-        cands: Vec<NodeId>,
-    ) -> Result<Vec<NodeId>, EvalError> {
+        cands: &mut Vec<NodeId>,
+    ) -> Result<(), EvalError> {
         let size = cands.len();
         self.meter.charge(size as u64 + 1)?;
-        let mut kept = Vec::with_capacity(size);
-        for (i, &y) in cands.iter().enumerate() {
+        let mut kept = 0;
+        for i in 0..size {
             let inner = Context {
-                node: y,
+                node: cands[i],
                 position: i + 1,
                 size,
             };
             if self.eval(pred, inner)?.boolean() {
-                kept.push(y);
+                cands[kept] = cands[i];
+                kept += 1;
             }
         }
-        Ok(kept)
+        cands.truncate(kept);
+        Ok(())
     }
 
     // ---- OPTMINCONTEXT: backward propagation --------------------------
 
-    /// If `id` is a predicate of one of the backward-propagatable shapes,
-    /// answers it via the precomputed context-node set.
-    fn try_backward(&mut self, id: ExprId, ctx_node: NodeId) -> Result<Option<bool>, EvalError> {
+    /// The backward set of `id` — every context node its predicate holds
+    /// for — built on first request; `None` when the engine is plain
+    /// MINCONTEXT or `id` is not of a backward-propagatable shape.
+    fn backward_set(&mut self, id: ExprId) -> Result<Option<&NodeSet>, EvalError> {
+        if !self.opt {
+            return Ok(None);
+        }
         if self.backward[id.index()].is_none() {
-            let Some(set) = self.build_backward(id)? else {
-                return Ok(None);
-            };
-            if let Some(p) = &mut self.prof {
+            let built = self.build_backward(id)?;
+            if let (Some(_), Some(p)) = (&built, &mut self.prof) {
                 p.backward_pass();
             }
-            self.backward[id.index()] = Some(set);
+            self.backward[id.index()] = Some(built);
         }
-        Ok(self.backward[id.index()]
-            .as_ref()
-            .map(|set| set.contains(ctx_node)))
+        Ok(self.backward[id.index()].as_ref().and_then(Option::as_ref))
     }
 
     /// Builds the backward set for `boolean(π)` / `π RelOp c` / `c RelOp π`
     /// shapes, or `None` when the shape does not apply.
+    ///
+    /// Witnesses are seeded from the last step's node test — its postings
+    /// for a name test, a test-filtered sweep otherwise — *before* any
+    /// string value is read: `@v > 500` compares the `v` attributes, not
+    /// the text of every element in the document.
     fn build_backward(&mut self, id: ExprId) -> Result<Option<NodeSet>, EvalError> {
-        match self.query.query().node(id) {
-            Node::Call(Func::Boolean, args) => {
-                let Some((path_id, steps)) = self.simple_relative_path(args[0]) else {
-                    return Ok(None);
-                };
-                // The witness scan visits every node once.
-                self.meter.charge(self.doc.len() as u64)?;
-                // Existence: every node is a witness.
-                let all: NodeSet = self.doc.all_nodes().collect();
-                self.propagate_backwards(path_id, steps, all).map(Some)
-            }
+        let (path, cmp) = match self.query.query().node(id) {
+            Node::Call(Func::Boolean, args) => (self.simple_relative_path(args[0]), None),
             Node::Compare(op, a, b) => {
                 // Normalize to path-on-the-left.
-                let ((path_id, steps), scalar, op) =
-                    if let Some(path) = self.simple_relative_path(*a) {
-                        let Some(scalar) = self.constant_scalar(*b) else {
-                            return Ok(None);
-                        };
-                        (path, scalar, *op)
-                    } else {
-                        let Some(path) = self.simple_relative_path(*b) else {
-                            return Ok(None);
-                        };
-                        let Some(scalar) = self.constant_scalar(*a) else {
-                            return Ok(None);
-                        };
-                        (path, scalar, op.swapped())
-                    };
-                self.meter.charge(self.doc.len() as u64)?;
-                let witnesses: NodeSet = self
-                    .doc
-                    .all_nodes()
-                    .filter(|&y| node_scalar_compare(self.doc, op, y, &scalar))
-                    .collect();
-                self.propagate_backwards(path_id, steps, witnesses)
-                    .map(Some)
+                let (path, scalar, op) = match self.simple_relative_path(*a) {
+                    Some(path) => (Some(path), *b, *op),
+                    None => (self.simple_relative_path(*b), *a, op.swapped()),
+                };
+                let Some(scalar) = self.constant_scalar(scalar) else {
+                    return Ok(None);
+                };
+                (path, Some((op, scalar)))
             }
-            _ => Ok(None),
+            _ => return Ok(None),
+        };
+        let Some((path_id, steps)) = path else {
+            return Ok(None);
+        };
+        let last = steps.len().checked_sub(1);
+        let last = last.map(|si| (steps[si].axis, self.query.step_test(path_id, si)));
+        let seed = last.and_then(|(axis, test)| self.postings(axis, test));
+        // The witness scan visits every seeded node once.
+        self.meter
+            .charge(seed.map_or(self.doc.len(), <[NodeId]>::len) as u64 + 1)?;
+        let mut witnesses: Vec<NodeId> = match seed {
+            Some(hits) => hits.to_vec(),
+            None => {
+                let selects =
+                    |&y: &NodeId| last.is_none_or(|(axis, test)| test.matches(self.doc, axis, y));
+                self.doc.all_nodes().filter(selects).collect()
+            }
+        };
+        if let Some((op, scalar)) = cmp {
+            witnesses.retain(|&y| node_scalar_compare(self.doc, op, y, &scalar));
         }
+        let witnesses = NodeSet::from_sorted_vec(witnesses);
+        self.propagate_backwards(path_id, steps, witnesses)
+            .map(Some)
     }
 
     /// `χ₁⁻¹(t₁ ∩ … χₖ⁻¹(tₖ ∩ T))`: one preimage sweep per step, right to
@@ -627,8 +774,6 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
         let mut set = targets;
         let mut pre = NodeSet::new();
         for (si, step) in steps.iter().enumerate().rev() {
-            // Each preimage sweep is an `O(|D|)` pass.
-            self.meter.charge(self.doc.len() as u64 + 1)?;
             let test = self.query.step_test(path_id, si);
             set.retain(|y| {
                 let is_attr = self.doc.kind(y).is_attribute();
@@ -642,20 +787,7 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
                 };
                 attr_ok && test.matches(self.doc, step.axis, y)
             });
-            match &self.par {
-                Some(ps) => {
-                    axis_preimage_into_par(
-                        self.doc,
-                        step.axis,
-                        &set,
-                        self.scratch,
-                        &mut pre,
-                        &ps.pool,
-                        ps.config,
-                    );
-                }
-                None => axis_preimage_into(self.doc, step.axis, &set, self.scratch, &mut pre),
-            }
+            self.preimage(step.axis, &set, &mut pre)?;
             std::mem::swap(&mut set, &mut pre);
         }
         Ok(set)
@@ -801,17 +933,8 @@ mod tests {
         let cq = CompiledQuery::new(&doc, &q);
         let mut scratch = Scratch::new();
         let mut meter = BudgetMeter::unlimited();
-        let mut run = Run {
-            doc: &doc,
-            query: &cq,
-            opt: false,
-            memo: vec![HashMap::new(); q.len()],
-            backward: vec![None; q.len()],
-            scratch: &mut scratch,
-            meter: &mut meter,
-            prof: None,
-            par: None,
-        };
+        let config = MinContext::default();
+        let mut run = Run::new(&doc, &cq, &config, &mut scratch, &mut meter, None);
         let v = run.eval(q.root(), Context::document(&doc)).unwrap();
         assert_eq!(v.as_node_set().unwrap().len(), 2);
         // Find the comparison predicate node and check its memo size: three
@@ -819,8 +942,65 @@ mod tests {
         let pred_memo: Vec<usize> = q
             .iter()
             .filter(|(id, n)| matches!(n, Node::Compare(..)) && !q.relev(*id).node())
-            .map(|(id, _)| run.memo[id.index()].len())
+            .map(|(id, _)| run.memo[id.index()].entries())
             .collect();
         assert_eq!(pred_memo, vec![3]);
+    }
+
+    #[test]
+    fn nested_predicates_over_overlapping_axes_compute_each_pair_once() {
+        // The twin of the test above for `Relev = {node}`: the inner path
+        // `ancestor::a[count(c) > 1]` runs once per <c>, and every run
+        // reaches the same three <a> ancestors.  The predicate's dense
+        // table answers the repeats, so `child::c` under it is walked once
+        // per distinct <a> — not once per (origin, ancestor) pair.
+        let doc = parse("<a><a><a><c/><c/><c/><c/></a></a></a>").unwrap();
+        // The second query filters through the set algebra: `not`'s own
+        // table must shield its (table-less) operand the same way.
+        for q in [
+            "//c[ancestor::a[count(c) > 1]]",
+            "//c[ancestor::a[not(count(c) > 1)]]",
+        ] {
+            for strategy in [Strategy::MinContext, Strategy::OptMinContext] {
+                // Optimizer pinned on: fused, the outer `//c` is not a second
+                // `child::c` row.
+                let engine = crate::Engine::new(strategy).with_optimizer(true);
+                let p = engine.explain(&doc, q).unwrap();
+                assert_eq!(p.result, "node-set n=4", "{strategy} {q}");
+                let inner = p.steps.iter().find(|s| s.display == "child::c").unwrap();
+                assert_eq!(inner.invocations, 3, "{strategy}:\n{}", p.plan_text());
+                let anc = p.steps.iter().find(|s| s.display == "ancestor::a").unwrap();
+                assert_eq!(anc.invocations, 4, "{strategy} {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn origin_pruning_skips_origins_without_a_matching_child() {
+        // 45 elements, only two of which have <b> children: the positional
+        // step keeps per-origin evaluation but expands just those two.
+        let mut xml = String::from("<r>");
+        for _ in 0..18 {
+            xml.push_str("<x><y/></x>");
+        }
+        xml.push_str("<x><b/><b k=\"1\"/><y/><b/></x><x><y/><b/></x></r>");
+        let doc = parse(&xml).unwrap();
+        let engine = crate::Engine::new(Strategy::OptMinContext).with_optimizer(true);
+        for (q, want) in [("//*/b[last()]", 2), ("//*/b[2]", 1), ("//*/b[@k][1]", 1)] {
+            let p = engine.explain(&doc, q).unwrap();
+            assert_eq!(p.result, format!("node-set n={want}"), "{q}");
+            let step = p.steps.iter().find(|s| s.display == "child::b").unwrap();
+            assert_eq!(step.mode, Some(PredMode::PerOrigin), "{q}");
+            assert_eq!((step.input, step.origins), (45, 2), "{q}");
+            assert!(p.plan_text().contains("origins=45→2"), "{}", p.plan_text());
+            // Same answer as the unpruned reference semantics.
+            let naive = crate::Engine::new(Strategy::Naive).evaluate_str(&doc, q);
+            assert_eq!(engine.evaluate_str(&doc, q), naive, "{q}");
+        }
+        // Postings no shorter than the origin set: nothing to prune.
+        let p = engine.explain(&doc, "/r/x/y[1]").unwrap();
+        let step = p.steps.iter().find(|s| s.display == "child::y").unwrap();
+        assert_eq!((step.input, step.origins), (20, 20));
+        assert!(!p.plan_text().contains("origins="), "{}", p.plan_text());
     }
 }

@@ -7,7 +7,8 @@
 
 use crate::error::EvalError;
 use minctx_syntax::{CmpOp, ValueType};
-use minctx_xml::{Document, NodeSet};
+use minctx_xml::{Document, NodeId, NodeKind, NodeSet};
+use std::borrow::Cow;
 
 /// An XPath 1.0 value: the result of evaluating any expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,20 +199,27 @@ pub fn compare(doc: &Document, op: CmpOp, a: &Value, b: &Value) -> bool {
 /// Panics if `v` is a node-set or a boolean: node-sets are handled by the
 /// existential rules of [`compare`], and boolean comparisons convert the
 /// whole node-set, never its members.
-pub fn node_scalar_compare(doc: &Document, op: CmpOp, node: minctx_xml::NodeId, v: &Value) -> bool {
+pub fn node_scalar_compare(doc: &Document, op: CmpOp, node: NodeId, v: &Value) -> bool {
     cmp_node_scalar(doc, op, node, v)
 }
 
+/// The string value of `node` without allocating where it is one stored
+/// span: attribute / text / comment / PI nodes borrow their content; only
+/// elements and the root concatenate their descendant text.
+fn string_value(doc: &Document, node: NodeId) -> Cow<'_, str> {
+    match doc.kind(node) {
+        NodeKind::Root | NodeKind::Element(_) => Cow::Owned(doc.string_value(node)),
+        _ => Cow::Borrowed(doc.content(node)),
+    }
+}
+
 /// `strval(node) op scalar` with the per-type dispatch of §3.4.
-fn cmp_node_scalar(doc: &Document, op: CmpOp, node: minctx_xml::NodeId, v: &Value) -> bool {
+fn cmp_node_scalar(doc: &Document, op: CmpOp, node: NodeId, v: &Value) -> bool {
+    let strval = string_value(doc, node);
     match v {
-        Value::Number(n) => cmp_num(op, string_to_number(&doc.string_value(node)), *n),
-        Value::String(s) if op.is_equality() => cmp_str(op, &doc.string_value(node), s),
-        Value::String(s) => cmp_num(
-            op,
-            string_to_number(&doc.string_value(node)),
-            string_to_number(s),
-        ),
+        Value::Number(n) => cmp_num(op, string_to_number(&strval), *n),
+        Value::String(s) if op.is_equality() => cmp_str(op, &strval, s),
+        Value::String(s) => cmp_num(op, string_to_number(&strval), string_to_number(s)),
         Value::Boolean(_) => {
             unreachable!("boolean comparisons convert the node-set, not its members")
         }
@@ -360,6 +368,51 @@ mod tests {
         // String equality against a node-set is by string value.
         assert!(compare(&doc, CmpOp::Eq, &v, &Value::String("1".into())));
         assert!(!compare(&doc, CmpOp::Eq, &v, &Value::String("7".into())));
+    }
+
+    #[test]
+    fn node_scalar_comparison_reads_every_kind_by_its_string_value() {
+        // Leaf kinds compare their own (borrowed) content; elements and
+        // the root still compare the concatenation of their text.
+        let doc = parse(r#"<a k="7">1<b>2</b><!--5--><?p 9?>3</a>"#).unwrap();
+        let num = |n: f64| Value::Number(n);
+        let a = doc.document_element();
+        assert!(node_scalar_compare(
+            &doc,
+            CmpOp::Eq,
+            doc.root(),
+            &num(123.0)
+        ));
+        assert!(node_scalar_compare(&doc, CmpOp::Eq, a, &num(123.0)));
+        assert!(node_scalar_compare(
+            &doc,
+            CmpOp::Eq,
+            a,
+            &Value::String("123".into())
+        ));
+        // Element and root string-values are unchanged, and owned…
+        for n in [doc.root(), a] {
+            assert!(matches!(string_value(&doc, n), Cow::Owned(s) if s == "123"));
+        }
+        // …every other kind is its one stored span, borrowed.
+        let want = ["7", "1", "2", "2", "5", "9", "3"];
+        let inner = doc.all_nodes().filter(|&n| n != doc.root() && n != a);
+        for (n, s) in inner.zip(want) {
+            let strval = string_value(&doc, n);
+            assert_eq!(strval, s, "node {n}");
+            let leaf = !doc.kind(n).is_element();
+            assert_eq!(matches!(strval, Cow::Borrowed(_)), leaf, "node {n}");
+            let eq = |v: Value| node_scalar_compare(&doc, CmpOp::Eq, n, &v);
+            assert!(eq(Value::String(s.into())), "node {n} = {s:?}");
+            assert!(eq(num(s.parse().unwrap())), "node {n} = {s}");
+            assert!(!eq(Value::String("123".into())), "node {n}");
+            assert!(node_scalar_compare(
+                &doc,
+                CmpOp::Lt,
+                n,
+                &Value::String("10".into())
+            ));
+        }
     }
 
     #[test]

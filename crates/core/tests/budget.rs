@@ -124,3 +124,100 @@ fn exhaustion_is_not_sticky_across_evaluations() {
         );
     }
 }
+
+/// 300 elements, every third carrying `@id`: `count(//*[@id])` filters a
+/// 301-candidate set (the elements plus the root element).
+fn id_doc() -> minctx_xml::Document {
+    let mut s = String::from("<r>");
+    for i in 0..300 {
+        if i % 3 == 0 {
+            s.push_str(&format!("<e id=\"i{i}\"/>"));
+        } else {
+            s.push_str("<e/>");
+        }
+    }
+    s.push_str("</r>");
+    parse(&s).unwrap()
+}
+
+#[test]
+fn set_filtered_predicates_are_metered_per_candidate() {
+    // The set-at-a-time predicate path charges per candidate filtered and
+    // per sweep: a fuel cap below the candidate count is an error — never
+    // a short count — whatever the cap, and enough fuel changes nothing.
+    let doc = id_doc();
+    let q = "count(//*[@id])";
+    for s in [Strategy::MinContext, Strategy::OptMinContext] {
+        for optimize in [false, true] {
+            let engine = Engine::new(s).with_optimizer(optimize);
+            let unmetered = engine.evaluate_str(&doc, q).unwrap();
+            assert_eq!(unmetered, Value::Number(100.0), "{s}");
+            for fuel in [0, 1, 7, 50, 150, 299] {
+                let err = engine
+                    .clone()
+                    .with_budget(fuel)
+                    .evaluate_str(&doc, q)
+                    .unwrap_err();
+                assert_eq!(
+                    err,
+                    EvalError::BudgetExhausted {
+                        cause: Exhausted::Fuel { fuel }
+                    },
+                    "{s} optimize={optimize} fuel={fuel}"
+                );
+            }
+            let metered = engine
+                .clone()
+                .with_budget(100_000_000)
+                .with_timeout(Duration::from_secs(600))
+                .evaluate_str(&doc, q)
+                .unwrap();
+            assert_eq!(unmetered, metered, "{s} optimize={optimize}");
+            // A deadline that has already passed trips too.
+            let err = engine
+                .clone()
+                .with_timeout(Duration::ZERO)
+                .evaluate_str(&doc, q)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                EvalError::BudgetExhausted {
+                    cause: Exhausted::Deadline
+                },
+                "{s} optimize={optimize}"
+            );
+        }
+    }
+}
+
+#[test]
+fn set_filter_and_origin_pruning_charge_their_own_work() {
+    // Fuel that covers the axis sweeps but not the filtering that follows
+    // must trip *inside* the set filter / the pruning sweep: the answer is
+    // an error at every cap below the unmetered run's spend, and the very
+    // next unit of fuel succeeds with the unmetered answer.
+    let doc = id_doc();
+    for s in [Strategy::MinContext, Strategy::OptMinContext] {
+        for q in [
+            "count(//*[@id or not(self::e)])",
+            "count(//e[@id][2])",
+            "count(//*[@id][last()])",
+        ] {
+            let engine = Engine::new(s);
+            let want = engine.evaluate_str(&doc, q).unwrap();
+            let spent = engine.explain(&doc, q).unwrap().fuel_spent;
+            assert!(spent > 600, "{s} {q}: sweep + filter spend, got {spent}");
+            for fuel in [302, 400, spent - 1] {
+                assert!(
+                    matches!(
+                        engine.clone().with_budget(fuel).evaluate_str(&doc, q),
+                        Err(EvalError::BudgetExhausted { .. })
+                    ),
+                    "{s} {q} fuel={fuel} of {spent}"
+                );
+            }
+            let exact = engine.clone().with_budget(spent).evaluate_str(&doc, q);
+            assert_eq!(exact, Ok(want), "{s} {q}");
+        }
+    }
+}

@@ -161,26 +161,141 @@ fn eval(e: &Engine, doc: &Document, q: &str) -> Option<Value> {
     }
 }
 
+/// A random boolean predicate tree: `and` / `or` / `not` over
+/// position-free atoms (existence, comparison, count, a context-free
+/// absolute path) — the shapes MINCONTEXT filters set-at-a-time.
+fn random_pred(rng: &mut u64, depth: usize) -> String {
+    if depth == 0 || xorshift(rng) % 3 == 0 {
+        return pick(
+            rng,
+            &[
+                "b",
+                "@p",
+                "a/b",
+                ". = 'v'",
+                "@q = 'v'",
+                "text() > 1",
+                "count(*) > 1",
+                "ancestor::a",
+                "following-sibling::*",
+                "c[d]",
+                "//d/@q",
+                "true()",
+            ],
+        )
+        .to_string();
+    }
+    let a = random_pred(rng, depth - 1);
+    match xorshift(rng) % 3 {
+        0 => format!("not({a})"),
+        1 => format!("({a} and {})", random_pred(rng, depth - 1)),
+        _ => format!("({a} or {})", random_pred(rng, depth - 1)),
+    }
+}
+
+/// A boolean predicate tree on a step whose candidates are reached from
+/// many (often overlapping) origins, alone, beside a positional
+/// predicate on either side, nested inside another predicate, or on a
+/// `(…)[p]` filter start.
+fn random_boolean_tree_query(rng: &mut u64) -> String {
+    let step = pick(
+        rng,
+        &[
+            "//*",
+            "//a",
+            "//*/b",
+            "//b/ancestor::*",
+            "//c/following::*",
+            "//a/descendant-or-self::node()",
+            "//@*",
+            "//*/preceding-sibling::*",
+        ],
+    );
+    let p = random_pred(rng, 3);
+    match xorshift(rng) % 6 {
+        0 => format!("{step}[{p}][2]"),
+        1 => format!("{step}[last()][{p}]"),
+        2 => format!("//*[{}[{p}]]", step.trim_start_matches("//")),
+        3 => format!("({step})[{p}]"),
+        4 => format!("count({step}[{p}])"),
+        _ => format!("{step}[{p}]"),
+    }
+}
+
+/// Every strategy with the rewrite pipeline off and on; raw naive (the
+/// semantics oracle) first, under a guard budget.
+fn engines() -> Vec<Engine> {
+    let mut engines = Vec::new();
+    for s in Strategy::ALL {
+        for optimize in [false, true] {
+            let mut e = Engine::new(s).with_optimizer(optimize);
+            if s == Strategy::Naive {
+                e = e.with_budget(3_000_000);
+            }
+            engines.push(e);
+        }
+    }
+    engines
+}
+
+/// Asserts that every engine that answers `q` gives the same answer.
+fn assert_all_agree(engines: &[Engine], doc: &Document, q: &str, seed: u64) {
+    let mut baseline: Option<Value> = None;
+    for e in engines {
+        let Some(v) = eval(e, doc, q) else { continue };
+        match &baseline {
+            None => baseline = Some(v),
+            Some(b) => assert!(
+                values_agree(b, &v),
+                "seed {seed}: {} (optimize={}) diverges on {q:?}:\n  baseline: {b:?}\n  got: {v:?}",
+                e.strategy(),
+                e.optimizer(),
+            ),
+        }
+    }
+    assert!(baseline.is_some(), "seed {seed}: no engine answered {q:?}");
+}
+
+#[test]
+fn boolean_predicate_trees_agree_across_strategies() {
+    let engines = engines();
+    let mut non_empty = 0usize;
+    for seed in 1..=6u64 {
+        let doc = random_doc(
+            seed.wrapping_mul(0x2545_f491_4f6c_dd1d),
+            30 + seed as usize * 4,
+        );
+        let mut rng = seed ^ 0xb001_ea17;
+        for _ in 0..50 {
+            let q = random_boolean_tree_query(&mut rng);
+            assert_all_agree(&engines, &doc, &q, seed);
+            let opt = engines.last().expect("eight engines");
+            non_empty += match eval(opt, &doc, &q) {
+                Some(Value::NodeSet(ns)) => usize::from(!ns.is_empty()),
+                Some(Value::Number(n)) => usize::from(n > 0.0),
+                _ => 0,
+            };
+        }
+    }
+    // Agreement on empty answers proves little: a fair share must select
+    // something.
+    assert!(
+        non_empty >= 100,
+        "only {non_empty}/300 tree queries were non-empty"
+    );
+}
+
 #[test]
 fn raw_and_rewritten_agree_on_random_queries_and_documents() {
     let mut rewrites = 0usize;
     let mut total = 0usize;
+    let engines = engines();
     for seed in 1..=8u64 {
         let doc = random_doc(
             seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
             25 + seed as usize * 5,
         );
         let mut rng = seed;
-        let mut engines = Vec::new();
-        for s in Strategy::ALL {
-            for optimize in [false, true] {
-                let mut e = Engine::new(s).with_optimizer(optimize);
-                if s == Strategy::Naive {
-                    e = e.with_budget(3_000_000);
-                }
-                engines.push(e);
-            }
-        }
         for _ in 0..60 {
             let q = random_query(&mut rng);
             let parsed = parse_xpath(&q).unwrap_or_else(|e| panic!("{q:?} failed to parse: {e}"));
@@ -188,20 +303,7 @@ fn raw_and_rewritten_agree_on_random_queries_and_documents() {
             if rewrite(&parsed) != parsed {
                 rewrites += 1;
             }
-            let mut baseline: Option<Value> = None;
-            for e in &engines {
-                let Some(v) = eval(e, &doc, &q) else { continue };
-                match &baseline {
-                    None => baseline = Some(v),
-                    Some(b) => assert!(
-                        values_agree(b, &v),
-                        "seed {seed}: {} (optimize={}) diverges on {q:?}:\n  baseline: {b:?}\n  got: {v:?}",
-                        e.strategy(),
-                        e.optimizer(),
-                    ),
-                }
-            }
-            assert!(baseline.is_some(), "seed {seed}: no engine answered {q:?}");
+            assert_all_agree(&engines, &doc, &q, seed);
         }
     }
     // The generator must actually exercise the pipeline: a large share of

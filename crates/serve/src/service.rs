@@ -399,7 +399,7 @@ impl ServeBuilder {
     /// Intra-query data-parallel threads per worker engine (default 1 —
     /// purely sequential, the pre-existing path).  Values above 1 give
     /// each worker's engine a [`Engine::with_threads`] pool, so large
-    /// axis sweeps and predicate fan-outs split across that many
+    /// axis sweeps and positional-step fan-outs split across that many
     /// threads; total thread pressure is roughly `workers × threads`,
     /// so raise this only when workers are few and documents are large.
     pub fn threads(mut self, n: usize) -> ServeBuilder {
@@ -420,7 +420,9 @@ impl ServeBuilder {
         self
     }
 
-    /// Lock shards per cache (default 8).
+    /// Lock shards per cache (default 8).  A cache too small to give
+    /// every shard two entries uses fewer (see [`ShardedLru::new`]): the
+    /// default 8-snapshot cache runs on 4.
     pub fn shards(mut self, n: usize) -> ServeBuilder {
         self.shards = n.max(1);
         self

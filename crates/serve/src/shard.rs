@@ -43,11 +43,14 @@ pub struct ShardedLru<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
-    /// A cache of ~`capacity` total entries spread over `shards` locks.
-    /// Both are clamped to at least 1; each shard holds at least one
-    /// entry, so the effective total can round up to `shards`.
+    /// A cache of ~`capacity` total entries spread over at most `shards`
+    /// locks.  Both are clamped to at least 1, and the shard count is
+    /// lowered until every shard holds at least two entries (8 entries
+    /// asked over 8 shards become 4 shards of 2): a one-entry shard makes
+    /// any two keys that hash to it evict each other on every alternation,
+    /// however much room the cache has overall.
     pub fn new(capacity: usize, shards: usize) -> ShardedLru<K, V> {
-        let shards = shards.max(1);
+        let shards = shards.clamp(1, (capacity / 2).max(1));
         let per_shard = capacity.div_ceil(shards).max(1);
         ShardedLru {
             shards: (0..shards)
@@ -151,6 +154,32 @@ mod tests {
         assert_eq!(c.shard_count(), 1);
         c.insert(1, 1);
         assert_eq!(c.get(&1), Some(1));
+        // Shards are given up until each holds two entries; a geometry
+        // that already does is taken as asked.
+        assert_eq!(ShardedLru::<u32, u32>::new(8, 8).shard_count(), 4);
+        assert_eq!(ShardedLru::<u32, u32>::new(16, 8).shard_count(), 8);
+        assert_eq!(ShardedLru::<u32, u32>::new(256, 8).shard_count(), 8);
+        assert_eq!(ShardedLru::<u32, u32>::new(1, 8).shard_count(), 1);
+    }
+
+    #[test]
+    fn colliding_keys_do_not_evict_each_other() {
+        // The service default (8 entries asked over 8 shards) used to
+        // hold one entry per shard: two snapshots whose stamps share a
+        // shard then re-opened on every switch.  Whatever the hasher's
+        // seed, some pair among nine keys shares one of ≤ 8 shards.
+        let c: ShardedLru<u32, u32> = ShardedLru::new(8, 8);
+        let (a, b) = (0..9u32)
+            .flat_map(|a| (a + 1..9).map(move |b| (a, b)))
+            .find(|(a, b)| c.shard_index(a) == c.shard_index(b))
+            .expect("nine keys over at most eight shards collide");
+        c.insert(a, 10);
+        c.insert(b, 20);
+        for round in 0..100 {
+            assert_eq!(c.get(&a), Some(10), "round {round}: {a} evicted by {b}");
+            assert_eq!(c.get(&b), Some(20), "round {round}: {b} evicted by {a}");
+        }
+        assert_eq!(c.len(), 2);
     }
 
     /// A value whose `Clone` panics while armed — which happens inside

@@ -245,7 +245,7 @@
 //! [`Engine::with_threads`](engine::Engine::with_threads) turns on
 //! intra-query data parallelism: large axis sweeps split the flat
 //! postings/arena columns into index-range chunks across a scoped
-//! worker pool, and predicated steps fan their context sets out with
+//! worker pool, and positional steps fan their origins out with
 //! per-worker fuel sub-allowances — results are **bit-identical** to
 //! sequential evaluation, ordinals included (chunks are disjoint
 //! ascending ranges merged in chunk order; the differential corpus runs
