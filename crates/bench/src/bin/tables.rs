@@ -23,7 +23,7 @@
 //! default disabled recorder vs. a recorder draining to a discarding
 //! sink, `Engine::explain`, and Prometheus exposition rendering), and
 //! the `par/*` rows (`Engine::with_threads` wall time and speedup at
-//! threads 1/2/4 plus a split-threshold sweep) — writing
+//! threads 1/2/4) — writing
 //! machine-diffable JSON to `PATH`.
 //! `BENCH_baseline.json` at the repo root is one such committed
 //! snapshot; regenerate and diff against it before landing kernel,
@@ -171,7 +171,7 @@ fn main() {
         println!("  {key:<52} {v:>10.4}");
     }
 
-    banner("Parallel evaluation (threads knob / threshold sweep)");
+    banner("Parallel evaluation (threads knob)");
     for elements in [stream_compare, stream_scale] {
         for (key, v) in &par_snapshot(elements, snapshot_runs) {
             println!("  {key:<52} {v:>10.4}");
@@ -182,11 +182,9 @@ fn main() {
 /// The `par/*` rows: what `Engine::with_threads` buys (or costs) on
 /// this machine.  For each tier, evaluation wall time of two
 /// parallel-eligible queries at threads 1/2/4 with a derived
-/// `speedup/tN` ratio (t1 / tN, so >1 means the pool helped), plus a
-/// sweep of the split threshold at threads=4 showing where the
-/// chunk-coordination cost crosses the split benefit.  On a single-core
-/// container the speedups sit at ~1.0 — the rows then record that the
-/// coordination overhead stays in the noise, not a speedup (see
+/// `speedup/tN` ratio (t1 / tN, so >1 means the pool helped).  On a
+/// single-core container the speedups sit at ~1.0 — the rows then record
+/// that the coordination overhead stays in the noise, not a speedup (see
 /// DESIGN.md "Parallel evaluation").
 fn par_snapshot(elements: usize, runs: usize) -> Vec<(String, f64)> {
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
@@ -207,20 +205,6 @@ fn par_snapshot(elements: usize, runs: usize) -> Vec<(String, f64)> {
                 out.push((format!("par/{tag}/speedup/t{threads}/{q}"), t1_ms / t));
             }
         }
-    }
-    // Threshold sweep at threads=4 on the fused-descendant query: low
-    // thresholds chunk nearly every step, high ones bypass all but the
-    // biggest sweeps.
-    let query = minctx_syntax::parse_xpath("//item[@id]").unwrap();
-    for threshold in [512usize, 4096, 32768, 262_144] {
-        let engine = Engine::new(Strategy::MinContext)
-            .with_threads(4)
-            .with_par_threshold(threshold);
-        engine.evaluate(&doc, &query).unwrap();
-        out.push((
-            format!("par/{tag}/eval-ms/t4-thr{threshold}"),
-            ms(time(runs, || engine.evaluate(&doc, &query).unwrap())),
-        ));
     }
     out
 }

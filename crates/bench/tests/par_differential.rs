@@ -4,20 +4,27 @@
 //! which *is* the pre-order ordinal) — against the plain sequential
 //! engine, under all four arena strategies.
 //!
-//! This is the acceptance gate for the chunk-and-merge kernels and the
-//! per-context fan-out: chunks are disjoint ascending index ranges
-//! merged in chunk order, so a threaded engine is required to be
-//! bit-identical to the sequential one, not merely set-equal.  The
-//! thresholds are forced far below their defaults so the corpus's small
-//! documents actually cross the parallel gates instead of vacuously
-//! bypassing them.
+//! A threaded engine runs the same kernel bodies as the sequential one,
+//! over several index ranges concatenated in range order instead of over
+//! one, so it is required to be bit-identical, not merely set-equal.  The
+//! corpus's small documents sit below the kernels' size gate — what they
+//! pin is that attaching a pool changes nothing else; a generated
+//! document past the gate (with the chunk counter asserted to move) puts
+//! real cut scans under the same comparison, and every cut geometry the
+//! gate cannot produce is covered kernel by kernel in `minctx-xml`'s
+//! `parallel_kernels_match_sequential_bit_for_bit`.
 
 use minctx_bench::{corpus, values_agree, xmark_doc, xorshift, XmarkConfig};
 use minctx_core::{Engine, Strategy, Value};
 use minctx_xml::Document;
 
-/// Corpus documents plus an XMark-style generated document so the
-/// postings fast paths split realistic column slices.
+/// Element count of the generated document that opens the kernels' size
+/// gate (2¹⁹ scanned items): at ~2.66 nodes per element its arena sweeps
+/// are past it.
+const GATE_DOC_ELEMENTS: usize = 200_000;
+
+/// Corpus documents plus an XMark-style generated document with realistic
+/// postings columns.
 fn documents() -> Vec<(String, Document)> {
     let mut docs = corpus::documents();
     docs.push((
@@ -63,15 +70,7 @@ fn corpus_agrees_across_thread_counts_and_strategies() {
             let baseline = Engine::new(strategy);
             let threaded: Vec<(usize, Engine)> = [2, 4]
                 .into_iter()
-                .map(|t| {
-                    (
-                        t,
-                        Engine::new(strategy)
-                            .with_threads(t)
-                            .with_par_threshold(8)
-                            .with_par_chunk_min(2),
-                    )
-                })
+                .map(|t| (t, Engine::new(strategy).with_threads(t)))
                 .collect();
             // threads(1) must be the literal sequential engine.
             assert_eq!(Engine::new(strategy).with_threads(1).threads(), 1);
@@ -86,39 +85,68 @@ fn corpus_agrees_across_thread_counts_and_strategies() {
     }
 }
 
+/// Queries whose steps sweep the big document's whole arena, forwards and
+/// backwards (preimages): fused descendants, wide child and attribute steps,
+/// reverse and sibling axes, set-filtered and positional predicates,
+/// backward propagation, aggregates.
+const GATE_QUERIES: &[&str] = &[
+    "//@v",
+    "//*/@id",
+    "/site/*/*",
+    "//item//keyword",
+    "//*/parent::*",
+    "//keyword/ancestor::item",
+    "//bid/preceding::item",
+    "//item/following::person",
+    "//item/following-sibling::person",
+    "//*[@id]",
+    "//item[keyword and not(bid)]",
+    "//item[position() = last()]",
+    "//item[@id][2]",
+    "(//item)[last()]/preceding::*[3]",
+    "count(//*[@v > 500])",
+    "sum(//item/@v)",
+];
+
 #[test]
 #[cfg_attr(
     miri,
-    ignore = "randomized corpus sweep is minutes-long under the interpreter"
+    ignore = "gate-sized document sweep is minutes-long under the interpreter"
 )]
 fn randomized_chunk_geometry_never_changes_results() {
-    // Seeded property test: random split geometry (threshold, minimum
-    // chunk size, thread count) must never change any answer.  Chunk
-    // boundaries land at arbitrary offsets inside the postings columns
-    // and context sets, so this sweeps merge seams the fixed-geometry
-    // test cannot.
-    let doc = xmark_doc(&XmarkConfig::sized(1_500));
-    let baseline = Engine::new(Strategy::OptMinContext);
+    // The production gate cuts a scan into `min(len / min-chunk, 4 ·
+    // threads)` ranges, so on a document past the gate the thread count
+    // *is* the chunk geometry: seeded random counts move the seams
+    // through the postings columns and the arena, and no answer may
+    // change.  Not vacuous: chunks must actually have been dispatched.
+    let doc = xmark_doc(&XmarkConfig::sized(GATE_DOC_ELEMENTS));
+    let chunks_before = minctx_xml::par::par_chunks_dispatched();
     let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-    for round in 0..12 {
-        let threads = 2 + (xorshift(&mut rng) as usize % 4); // 2..=5
-        let threshold = 1 + (xorshift(&mut rng) as usize % 64); // 1..=64
-        let min_chunk = 1 + (xorshift(&mut rng) as usize % 32); // 1..=32
-        let engine = Engine::new(Strategy::OptMinContext)
-            .with_threads(threads)
-            .with_par_threshold(threshold)
-            .with_par_chunk_min(min_chunk);
-        for query in corpus::QUERIES
-            .iter()
-            .filter(|_| xorshift(&mut rng) % 3 == 0)
-        {
+    for strategy in [Strategy::MinContext, Strategy::OptMinContext] {
+        let baseline = Engine::new(strategy);
+        let threaded: Vec<Engine> = [2, 4, 3 + xorshift(&mut rng) as usize % 6]
+            .into_iter()
+            .map(|t| Engine::new(strategy).with_threads(t))
+            .collect();
+        for query in GATE_QUERIES {
             let seq = baseline.evaluate_str(&doc, query);
-            let par = engine.evaluate_str(&doc, query);
-            check(
-                &format!("round {round} (t={threads} thr={threshold} min={min_chunk}) / {query}"),
-                &seq,
-                par,
-            );
+            for engine in &threaded {
+                let par = engine.evaluate_str(&doc, query);
+                let t = engine.threads();
+                check(&format!("{strategy} / t={t} / {query}"), &seq, par);
+            }
+            // The plan — routes, modes, cardinalities, memo traffic, fuel —
+            // is the sequential one but for the ` par=K` attribution.
+            let plan = |engine: &Engine| {
+                let text = engine.explain(&doc, query).unwrap().plan_text();
+                let rows = text.lines().map(|l| l.split(" par=").next().unwrap());
+                rows.collect::<Vec<_>>().join("\n")
+            };
+            assert_eq!(plan(&threaded[1]), plan(&baseline), "{strategy} / {query}");
         }
     }
+    assert!(
+        minctx_xml::par::par_chunks_dispatched() > chunks_before,
+        "no chunks dispatched: the document is below the kernels' gate"
+    );
 }

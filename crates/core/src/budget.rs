@@ -167,56 +167,6 @@ impl BudgetMeter {
         self.fuel.unwrap_or(u64::MAX) - self.remaining
     }
 
-    /// Splits this meter's remaining fuel into `parts` sub-allowances for
-    /// parallel fan-out workers: each child receives `remaining / parts`
-    /// fuel (the parent keeps the division remainder), shares the
-    /// parent's deadline, and polls the wall clock on its *first* charge
-    /// (`until_poll = 1`) so an expired deadline trips per chunk, not per
-    /// 50k units.  Unspent child fuel is returned via [`absorb`], so
-    /// split + absorb round-trips: the parent ends up down by exactly
-    /// what the children charged.
-    ///
-    /// An unmetered, deadline-free parent hands out unlimited children —
-    /// the zero-cost path stays zero-cost.  Note the semantics caveat
-    /// (documented in DESIGN.md): a fuel cap tight enough to trip can
-    /// trip *earlier* under fan-out than sequentially, because workers
-    /// exhaust their sub-allowance instead of the shared pot.  Outputs of
-    /// successful evaluations are unaffected.
-    ///
-    /// [`absorb`]: BudgetMeter::absorb
-    pub fn split(&mut self, parts: usize) -> Vec<BudgetMeter> {
-        let parts = parts.max(1);
-        if self.fuel.is_none() {
-            return (0..parts)
-                .map(|_| BudgetMeter {
-                    remaining: u64::MAX,
-                    fuel: None,
-                    deadline: self.deadline,
-                    until_poll: 1,
-                })
-                .collect();
-        }
-        let share = self.remaining / parts as u64;
-        self.remaining -= share * parts as u64;
-        (0..parts)
-            .map(|_| BudgetMeter {
-                remaining: share,
-                fuel: self.fuel,
-                deadline: self.deadline,
-                until_poll: 1,
-            })
-            .collect()
-    }
-
-    /// Returns a [`split`](BudgetMeter::split) child's unspent fuel to
-    /// the parent.  No-op for unmetered parents (children were unlimited
-    /// clones, not sub-allowances).
-    pub fn absorb(&mut self, child: BudgetMeter) {
-        if self.fuel.is_some() {
-            self.remaining += child.remaining;
-        }
-    }
-
     /// Cold path: reads the clock and resets the poll countdown.
     #[cold]
     fn poll_deadline(&mut self) -> Result<(), EvalError> {
@@ -289,69 +239,6 @@ mod tests {
         for _ in 0..1000 {
             m.charge(100_000).unwrap();
         }
-    }
-
-    #[test]
-    fn split_and_absorb_round_trip_fuel() {
-        let mut m = Budget::fuel(103).meter();
-        m.charge(3).unwrap();
-        let children = m.split(4);
-        // 100 / 4 = 25 each; parent keeps the remainder (0 here).
-        assert_eq!(m.spent(), 103);
-        let mut total_child_spend = 0;
-        for (i, mut c) in children.into_iter().enumerate() {
-            c.charge(i as u64).unwrap();
-            total_child_spend += i as u64;
-            m.absorb(c);
-        }
-        // Parent is down by exactly what was charged anywhere.
-        assert_eq!(m.spent(), 3 + total_child_spend);
-    }
-
-    #[test]
-    fn split_keeps_the_division_remainder_in_the_parent() {
-        let mut m = Budget::fuel(10).meter();
-        let children = m.split(3);
-        assert_eq!(children.len(), 3);
-        // 3 × 3 handed out, 1 kept: parent can still charge exactly 1.
-        for c in children {
-            m.absorb(c);
-        }
-        assert_eq!(m.spent(), 0);
-        m.charge(10).unwrap();
-        assert!(m.charge(1).is_err());
-    }
-
-    #[test]
-    fn split_children_trip_on_their_own_share() {
-        let mut m = Budget::fuel(8).meter();
-        let mut children = m.split(2);
-        assert!(children[0].charge(4).is_ok());
-        assert!(children[0].charge(1).is_err());
-        assert!(children[1].charge(4).is_ok());
-    }
-
-    #[test]
-    fn unmetered_split_children_are_unlimited() {
-        let mut m = BudgetMeter::unlimited();
-        let mut children = m.split(3);
-        for c in &mut children {
-            c.charge(1_000_000_000).unwrap();
-        }
-        for c in children {
-            m.absorb(c);
-        }
-        m.charge(1).unwrap();
-    }
-
-    #[test]
-    fn split_children_inherit_an_expired_deadline() {
-        let start = Instant::now() - Duration::from_secs(1);
-        let mut m = Budget::timeout(Duration::from_millis(10)).meter_at(start);
-        let mut children = m.split(2);
-        // until_poll = 1: the first charge in each chunk polls the clock.
-        assert!(children[0].charge(1).is_err());
-        assert!(children[1].charge(1).is_err());
     }
 
     #[test]

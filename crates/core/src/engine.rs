@@ -17,13 +17,13 @@ use crate::cache::LruCache;
 use crate::compile::CompiledQuery;
 use crate::error::EvalError;
 use crate::explain::QueryProfile;
-use crate::mincontext::{MinContext, ParSettings};
+use crate::mincontext::MinContext;
 use crate::naive::Naive;
 use crate::tables::ContextValueTables;
 use crate::value::Value;
 use minctx_obs::{Phase, Recorder};
 use minctx_syntax::{parse_xpath, Query};
-use minctx_xml::{Document, NodeId, ParConfig, Scratch, WorkerPool};
+use minctx_xml::{Document, NodeId, Scratch, WorkerPool};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -191,11 +191,9 @@ pub struct Engine {
     /// and never read the clock (see [`Engine::with_recorder`]).
     recorder: Recorder,
     /// Worker count for parallel evaluation; 1 (the default) means fully
-    /// sequential — no pool exists and the MINCONTEXT evaluators run the
-    /// exact pre-parallelism code path.
+    /// sequential — no pool exists and every axis kernel runs its scan as
+    /// one range on the calling thread.
     threads: usize,
-    /// Size gating for the chunked kernels (see [`ParConfig`]).
-    par: ParConfig,
     /// The work-splitting pool, present iff `threads > 1`.  Clones share
     /// it (the pool serializes concurrent regions internally).
     pool: Option<Arc<WorkerPool>>,
@@ -231,7 +229,6 @@ impl Clone for Engine {
             // into the same stream.
             recorder: self.recorder.clone(),
             threads: self.threads,
-            par: self.par,
             // Clones share the pool; regions are serialized inside it.
             pool: self.pool.clone(),
         }
@@ -259,19 +256,19 @@ impl Engine {
             scratch_pool: Mutex::new(Vec::new()),
             recorder: Recorder::disabled(),
             threads: 1,
-            par: ParConfig::default(),
             pool: None,
         }
     }
 
     /// Sets the worker count for parallel evaluation.  With `n > 1` the
-    /// MINCONTEXT/OPTMINCONTEXT evaluators split large axis sweeps and
-    /// the per-origin loops of positional steps across a pool of `n`
-    /// workers (chunks merged by pre-order ordinal, so results are
-    /// **bit-identical** to sequential evaluation).  The default — and
-    /// `n = 1` — keeps evaluation fully sequential on the exact
-    /// pre-parallelism code path; small inputs stay sequential
-    /// regardless, gated by a size threshold.
+    /// MINCONTEXT/OPTMINCONTEXT evaluators hand a pool of `n` workers to
+    /// the axis kernels, which cut a large scan — a postings slice or an
+    /// arena sweep — into index ranges, run the same kernel body on each
+    /// and concatenate in range order, so results are **bit-identical**
+    /// to sequential evaluation.  That is all the setting means: fuel
+    /// spent, budget outcomes and EXPLAIN routes do not depend on `n`,
+    /// and scans below a fixed size gate stay on the calling thread.  The
+    /// default — and `n = 1` — builds no pool at all.
     pub fn with_threads(mut self, n: usize) -> Engine {
         let n = n.max(1);
         self.threads = n;
@@ -284,31 +281,12 @@ impl Engine {
         self.threads
     }
 
-    /// Overrides the minimum scanned-item count above which the chunked
-    /// parallel kernels engage (default 4096).  Exposed chiefly so tests
-    /// and benchmarks can force or sweep the gating; the default keeps
-    /// small steps off the pool.
-    pub fn with_par_threshold(mut self, threshold: usize) -> Engine {
-        self.par.threshold = threshold;
-        self
-    }
-
-    /// Overrides the minimum chunk size for the parallel kernels
-    /// (default 1024).
-    pub fn with_par_chunk_min(mut self, min_chunk: usize) -> Engine {
-        self.par.min_chunk = min_chunk;
-        self
-    }
-
     /// The MINCONTEXT evaluator configured for this engine: optimized or
-    /// not, with the parallel settings attached iff a pool exists.
+    /// not, sharing the engine's pool if it has one.
     pub(crate) fn mincontext(&self, optimized: bool) -> MinContext {
         MinContext {
             optimized,
-            parallel: self.pool.as_ref().map(|pool| ParSettings {
-                pool: Arc::clone(pool),
-                config: self.par,
-            }),
+            pool: self.pool.clone(),
         }
     }
 
@@ -694,15 +672,23 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "gate-sized documents are minutes-long under the interpreter"
+    )]
     fn threaded_engines_agree_with_sequential_evaluation() {
-        // A document wide enough to clear forced-down parallel gates:
-        // 600 <item> children (half carrying @id) under one root.
+        // A document whose arena is past the kernels' size gate (2¹⁹
+        // scanned items) without many elements: ITEMS <item> children
+        // (half carrying @id), each padded with 24 more attributes, so
+        // every arena sweep is cut while the per-origin work stays small.
+        const ITEMS: usize = 21_000;
+        let pad: String = (0..24).map(|k| format!(" a{k}=\"{k}\"")).collect();
         let mut xml = String::from("<root>");
-        for i in 0..600 {
+        for i in 0..ITEMS {
             if i % 2 == 0 {
-                xml.push_str(&format!("<item id=\"{i}\"><sub/></item>"));
+                xml.push_str(&format!("<item id=\"{i}\"{pad}><sub/></item>"));
             } else {
-                xml.push_str("<item><sub/></item>");
+                xml.push_str(&format!("<item{pad}><sub/></item>"));
             }
         }
         xml.push_str("</root>");
@@ -714,13 +700,12 @@ mod tests {
             "//item[@id]",
             "count(//item[sub])",
             "/root/item[position() mod 2 = 1]/sub",
+            "/root/item/*",
+            "count(//sub/preceding::*)",
         ];
         for strategy in [Strategy::MinContext, Strategy::OptMinContext] {
             let seq = Engine::new(strategy);
-            let par = Engine::new(strategy)
-                .with_threads(4)
-                .with_par_threshold(8)
-                .with_par_chunk_min(2);
+            let par = Engine::new(strategy).with_threads(4);
             assert_eq!(par.threads(), 4);
             for q in queries {
                 assert_eq!(
@@ -742,26 +727,30 @@ mod tests {
         );
 
         // EXPLAIN on a threaded engine attributes chunked steps (the
-        // child::sub step sweeps from 600 context items; `//sub` would
-        // take the singleton-root shortcut and stay sequential); the
-        // sequential plan stays in the pre-parallel format.
-        let par = Engine::new(Strategy::MinContext)
-            .with_threads(4)
-            .with_par_threshold(8)
-            .with_par_chunk_min(2);
-        let plan = par.explain(&doc, "/root/item/sub").unwrap().plan_text();
+        // `child::*` step sweeps the arena from ITEMS context items;
+        // `//sub` would take the singleton-root shortcut and stay
+        // inline); apart from that attribution the plan — routes, fuel —
+        // is the sequential one.
+        let par = Engine::new(Strategy::MinContext).with_threads(4);
+        let plan = par.explain(&doc, "/root/item/*").unwrap().plan_text();
         assert!(
             plan.contains(" par="),
             "threaded plan attributes chunks:\n{plan}"
         );
         let seq_plan = Engine::new(Strategy::MinContext)
-            .explain(&doc, "/root/item/sub")
+            .explain(&doc, "/root/item/*")
             .unwrap()
             .plan_text();
         assert!(
             !seq_plan.contains(" par="),
             "sequential plan unchanged:\n{seq_plan}"
         );
+        let strip = |plan: &str| {
+            plan.lines()
+                .map(|l| l.split(" par=").next().unwrap().to_string())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(strip(&plan), strip(&seq_plan));
     }
 
     #[test]

@@ -54,14 +54,14 @@ pub use compile::CompiledQuery;
 pub use engine::{Context, Engine, Evaluator, Strategy};
 pub use error::{EvalError, Exhausted};
 pub use explain::{PredMode, QueryProfile, StepProfile};
-pub use mincontext::{MinContext, ParSettings};
+pub use mincontext::MinContext;
 // The kernel-route label `Engine::explain` reports per step, re-exported
 // so profile consumers match on it without a direct xml dependency.
 pub use minctx_xml::AxisRoute;
-// The parallel-evaluation knobs behind `Engine::with_threads`,
-// re-exported so engine users tune the split threshold without a direct
-// xml dependency.
-pub use minctx_xml::{ParConfig, WorkerPool};
+// The pool behind `Engine::with_threads` (and `MinContext::pool`),
+// re-exported so evaluator users attach one without a direct xml
+// dependency.
+pub use minctx_xml::WorkerPool;
 // The persistent-index backend, re-exported so engine users reach
 // `open_snapshot`/`write_snapshot` (the serving pair behind
 // `Engine::evaluate_snapshot`) without a separate dependency.

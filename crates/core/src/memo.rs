@@ -139,35 +139,6 @@ impl Table {
         }
     }
 
-    /// Folds a fan-out worker's table of the same node into this one
-    /// (values are deterministic, so overlapping entries agree).
-    pub(crate) fn merge(&mut self, other: Table) {
-        match (self, other) {
-            (Table::Bools { known, truth }, Table::Bools { known: k, truth: t }) => {
-                known.ensure_capacity(k.capacity());
-                known.union_with(&k);
-                truth.ensure_capacity(t.capacity());
-                truth.union_with(&t);
-            }
-            (Table::Numbers { known, vals }, Table::Numbers { known: k, vals: v }) => {
-                if vals.is_empty() {
-                    (*known, *vals) = (k, v);
-                } else {
-                    for n in k.iter() {
-                        known.insert(n);
-                        vals[n.index()] = v[n.index()];
-                    }
-                }
-            }
-            (Table::Sparse(map), Table::Sparse(other)) => {
-                for (key, val) in other {
-                    map.entry(key).or_insert(val);
-                }
-            }
-            _ => {}
-        }
-    }
-
     /// How many contexts the table holds an answer for.
     #[cfg(test)]
     pub(crate) fn entries(&self) -> usize {
@@ -305,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_tables_round_trip_split_record_and_merge() {
+    fn dense_tables_round_trip_split_and_record() {
         use minctx_xml::NodeId;
         let ctx = |i: usize| Context::at(NodeId::from_index(i));
         let set = |v: &[usize]| -> NodeSet { v.iter().map(|&i| NodeId::from_index(i)).collect() };
@@ -322,14 +293,7 @@ mod tests {
         assert_eq!(t.split(set(&[1, 3, 4])), (set(&[3]), set(&[1])));
         t.record(10, &set(&[1, 2]), &set(&[2]));
         assert_eq!(t.split(set(&[1, 2, 3, 4, 5])), (set(&[2, 3]), set(&[5])));
-        let mut other = Table::Bools {
-            known: DenseSet::new(),
-            truth: DenseSet::new(),
-        };
-        other.put(Relev::NODE, ctx(7), 10, &Value::Boolean(true));
-        t.merge(other);
-        assert_eq!(t.get(Relev::NODE, ctx(7)), Some(Value::Boolean(true)));
-        assert_eq!(t.entries(), 5);
+        assert_eq!(t.entries(), 4);
 
         let mut n = Table::Numbers {
             known: DenseSet::new(),

@@ -57,48 +57,24 @@ use crate::memo::{tables_for, Table};
 use crate::naive::arith;
 use crate::value::{compare, node_scalar_compare, Value};
 use minctx_syntax::{ExprId, Func, Node, PathStart, Relev, Step};
-use minctx_xml::axes::{
-    axis_image_into, axis_image_into_par, axis_nodes_into_par, axis_preimage_into,
-    axis_preimage_into_par, classify_image_route, classify_single_route, Axis, ResolvedTest,
-};
-use minctx_xml::par::chunk_bounds;
-use minctx_xml::{Document, NodeId, NodeSet, ParConfig, Scratch, WorkerPool};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use minctx_xml::axes::{axis_image_on, axis_preimage_on, Axis, Dispatch, ResolvedTest};
+use minctx_xml::{Document, Exec, NodeId, NodeSet, Scratch, WorkerPool};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Parallel-evaluation settings threaded from the engine
-/// ([`Engine::with_threads`](crate::Engine::with_threads)): the shared
-/// work-splitting pool plus the size gating for the chunked kernels and
-/// the per-context fan-out.
-#[derive(Debug, Clone)]
-pub struct ParSettings {
-    /// The engine's worker pool (shared across engine clones; regions are
-    /// serialized inside the pool).
-    pub pool: Arc<WorkerPool>,
-    /// When the chunked paths engage and how finely they split.
-    pub config: ParConfig,
-}
-
-fn fanout_counter() -> &'static minctx_obs::Counter {
-    static C: OnceLock<minctx_obs::Counter> = OnceLock::new();
-    C.get_or_init(|| minctx_obs::global().counter("par/fanout_regions"))
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The MINCONTEXT evaluator; with `optimized` set, OPTMINCONTEXT.
 #[derive(Debug, Clone, Default)]
 pub struct MinContext {
     /// Enables the Section-4 backward-propagation optimizations.
     pub optimized: bool,
-    /// With parallel settings attached, large axis sweeps run on the
-    /// chunked kernels and positional steps fan the context set out
-    /// across the pool — results stay bit-identical to sequential
-    /// evaluation (chunks merge by pre-order ordinal).  `None` (the
-    /// default) is the exact sequential code path.
-    pub parallel: Option<ParSettings>,
+    /// The engine's worker pool
+    /// ([`Engine::with_threads`](crate::Engine::with_threads); shared
+    /// across engine clones, regions are serialized inside it).  With one
+    /// attached, the axis kernels cut their large scans into ranges on it
+    /// — same kernel bodies, same results, same fuel; nothing else about
+    /// the evaluation changes.  `None` (the default) runs every scan as
+    /// one range on the calling thread.
+    pub pool: Option<Arc<WorkerPool>>,
 }
 
 impl Evaluator for MinContext {
@@ -164,47 +140,20 @@ struct Run<'d, 'q, 's, 'm, 'p> {
     /// EXPLAIN instrumentation; `None` (the common case) costs one branch
     /// per hook and never reads the clock.
     prof: Option<&'p mut ProfileCollector>,
-    /// Parallel settings; `None` keeps every kernel and loop on the exact
-    /// sequential path.  Fan-out workers always run with `None` — nested
-    /// regions would serialize on the pool's region lock for no benefit.
-    par: Option<ParSettings>,
+    /// How the axis kernels run their scans: on the evaluator's pool when
+    /// it has one, inline otherwise.
+    exec: Exec<'q>,
     /// How many set filters had to evaluate a predicate node by node; a
     /// step that leaves it unchanged was answered from backward sets alone
     /// (EXPLAIN's `mode=backward` as opposed to `mode=set`).
     per_node: u64,
 }
 
-/// What one fan-out chunk hands back to the parent run.
-struct ChunkOutcome {
-    /// Kept candidates, concatenated in origin order.
-    acc: Vec<NodeId>,
-    /// The worker's memo tables, merged back after the region.
-    memo: Vec<Table>,
-    /// The worker's backward sets (OPTMINCONTEXT), merged back likewise.
-    backward: Vec<Option<Option<NodeSet>>>,
-    /// The first evaluation error the worker hit, if any.
-    err: Option<EvalError>,
-}
-
-/// A positional step's per-origin work, shared by the sequential loop and
-/// the fan-out workers.
-#[derive(Clone, Copy)]
-struct OriginFilter<'a> {
-    axis: Axis,
-    test: ResolvedTest,
-    /// The candidates passing the step's leading position-free predicates,
-    /// computed once for all origins; `None` when the first predicate is
-    /// positional.
-    prefix: Option<&'a NodeSet>,
-    /// The remaining predicates, evaluated per origin in axis order.
-    preds: &'a [ExprId],
-}
-
 impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
     fn new(
         doc: &'d Document,
         query: &'q CompiledQuery,
-        config: &MinContext,
+        config: &'q MinContext,
         scratch: &'s mut Scratch,
         meter: &'m mut BudgetMeter,
         prof: Option<&'p mut ProfileCollector>,
@@ -218,7 +167,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             scratch,
             meter,
             prof,
-            par: config.parallel.clone(),
+            exec: Exec::on(config.pool.as_deref()),
             per_node: 0,
         }
     }
@@ -296,27 +245,6 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             .count()
     }
 
-    /// `χ(from)` filtered by `test` into `out`, chunked when parallel
-    /// settings are attached; returns the chunks dispatched.
-    fn image(
-        &mut self,
-        axis: Axis,
-        test: ResolvedTest,
-        from: &NodeSet,
-        out: &mut NodeSet,
-    ) -> usize {
-        match &self.par {
-            Some(ps) => {
-                let (pool, config) = (&ps.pool, ps.config);
-                axis_image_into_par(self.doc, axis, from, test, self.scratch, out, pool, config)
-            }
-            None => {
-                axis_image_into(self.doc, axis, from, test, self.scratch, out);
-                0
-            }
-        }
-    }
-
     /// `χ⁻¹(targets)` into `out`: one `O(|D|)` sweep, charged as such.
     fn preimage(
         &mut self,
@@ -325,13 +253,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         out: &mut NodeSet,
     ) -> Result<(), EvalError> {
         self.meter.charge(self.doc.len() as u64 + 1)?;
-        match &self.par {
-            Some(ps) => {
-                let (pool, config) = (&ps.pool, ps.config);
-                axis_preimage_into_par(self.doc, axis, targets, self.scratch, out, pool, config);
-            }
-            None => axis_preimage_into(self.doc, axis, targets, self.scratch, out),
-        }
+        axis_preimage_on(self.doc, axis, targets, self.scratch, out, self.exec);
         Ok(())
     }
 
@@ -392,13 +314,13 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             let timer = self.prof.is_some().then(Instant::now);
             let input = cur.len();
             let free = self.position_free(&step.predicates);
-            let (route, chunks, mode, origins) = if free == step.predicates.len() {
+            let (doc, exec) = (self.doc, self.exec);
+            let (ran, mode, origins) = if free == step.predicates.len() {
                 // No positional predicate (or none at all): one axis sweep
                 // for the whole context set, ping-ponging two reused
                 // buffers, then each predicate filters the result as a
-                // set.  With parallel settings attached, large sweeps run
-                // on the chunked kernels (same output, merged by ordinal).
-                let chunks = self.image(step.axis, test, &cur, &mut next);
+                // set.
+                let ran = axis_image_on(doc, step.axis, &cur, test, self.scratch, &mut next, exec);
                 // Charge the sweep's output too: from a singleton
                 // context, `preceding::*` can touch most of the
                 // document, and deadline polling granularity must
@@ -414,8 +336,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                     (false, true) => Some(PredMode::Set),
                     (false, false) => Some(PredMode::Backward),
                 };
-                let route = classify_image_route(step.axis, test, input);
-                (route, chunks, mode, input)
+                (ran, mode, input)
             } else {
                 // Positional predicates need per-origin candidate lists in
                 // axis order.  An origin none of whose candidates can pass
@@ -433,9 +354,14 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                 // Leading position-free predicates are answered once, as a
                 // set over every origin's candidates, and consulted by
                 // membership below.
-                let mut chunks = 0;
+                // The step's route is what the single-origin kernel reports
+                // (the same for every origin); with none left after
+                // pruning, no kernel ran.
+                let mut ran = Dispatch::NONE;
                 let prefix = if free > 0 {
-                    chunks += self.image(step.axis, test, &cur, &mut next);
+                    let set =
+                        axis_image_on(doc, step.axis, &cur, test, self.scratch, &mut next, exec);
+                    ran.chunks = set.chunks;
                     self.meter.charge(next.len() as u64)?;
                     let mut set = std::mem::take(&mut next);
                     for &p in &step.predicates[..free] {
@@ -445,44 +371,33 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                 } else {
                     None
                 };
-                let filter = OriginFilter {
-                    axis: step.axis,
-                    test,
-                    prefix: prefix.as_ref(),
-                    preds: &step.predicates[free..],
-                };
-                // Above the size threshold the origins fan out across the
-                // pool — each worker handles a contiguous origin range
-                // with its own memo tables and fuel sub-allowance, and
-                // per-origin results concatenate in origin order,
-                // identical to the sequential loop.
-                let fanout = self
-                    .par
-                    .as_ref()
-                    .map_or(0, |ps| ps.config.chunks_for(&ps.pool, cur.len()));
-                let acc = if fanout >= 2 {
-                    chunks += fanout;
-                    self.fan_out_origins(filter, &cur, fanout)?
-                } else {
-                    let (mut acc, mut cands) = (Vec::new(), Vec::new());
-                    for x in cur.iter() {
-                        chunks += self.filter_origin(filter, x, &mut cands, &mut acc)?;
+                // Each origin: its candidates in axis order, cut down to
+                // the prefix set, then filtered predicate by predicate.
+                let (mut acc, mut cands) = (Vec::new(), Vec::new());
+                for x in cur.iter() {
+                    let one = doc.axis_nodes_on(step.axis, x, test, &mut cands, exec);
+                    ran.route = one.route;
+                    ran.chunks += one.chunks;
+                    if let Some(set) = &prefix {
+                        cands.retain(|&y| set.contains(y));
                     }
-                    acc
-                };
-                cur = NodeSet::from_unsorted_with_capacity(self.doc.len(), acc);
-                let route = classify_single_route(step.axis, test);
-                (route, chunks, Some(PredMode::PerOrigin), origins)
+                    for &p in &step.predicates[free..] {
+                        self.filter_candidates(p, &mut cands)?;
+                    }
+                    acc.extend_from_slice(&cands);
+                }
+                cur = NodeSet::from_unsorted_with_capacity(doc.len(), acc);
+                (ran, Some(PredMode::PerOrigin), origins)
             };
             if let Some(p) = &mut self.prof {
                 let obs = StepObservation {
-                    route,
+                    route: ran.route,
                     mode,
                     input,
                     origins,
                     output: cur.len(),
                     time: timer.expect("profiled step has a timer").elapsed(),
-                    chunks,
+                    chunks: ran.chunks,
                 };
                 p.record_step(path_id, si, step, obs);
             }
@@ -539,128 +454,6 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         let mut list = cands.into_vec();
         self.filter_candidates(pred, &mut list)?;
         Ok(NodeSet::from_sorted_vec(list))
-    }
-
-    /// One origin of a positional step: its candidates in axis order, cut
-    /// down to the position-free prefix set, then filtered predicate by
-    /// predicate and appended to `acc`.  `cands` is a reused buffer.
-    /// Returns the chunks a large single-origin arena scan (`preceding`,
-    /// `following`) dispatched — those can chunk even when the origin set
-    /// is too small to fan out.
-    fn filter_origin(
-        &mut self,
-        f: OriginFilter<'_>,
-        x: NodeId,
-        cands: &mut Vec<NodeId>,
-        acc: &mut Vec<NodeId>,
-    ) -> Result<usize, EvalError> {
-        let chunks = match &self.par {
-            Some(ps) => {
-                axis_nodes_into_par(self.doc, f.axis, x, f.test, cands, &ps.pool, ps.config)
-            }
-            None => {
-                self.doc.axis_nodes_into(f.axis, x, f.test, cands);
-                0
-            }
-        };
-        if let Some(set) = f.prefix {
-            cands.retain(|&y| set.contains(y));
-        }
-        for &p in f.preds {
-            self.filter_candidates(p, cands)?;
-        }
-        acc.extend_from_slice(cands);
-        Ok(chunks)
-    }
-
-    /// Fans a positional step's origins out across the pool: each of the
-    /// `k` chunks is a contiguous origin range evaluated by a fresh
-    /// sub-[`Run`] (own memo tables, own backward slots, a pool-stashed
-    /// scratch, and a fuel sub-allowance from
-    /// [`BudgetMeter::split`]).  Per-origin results concatenate in chunk =
-    /// origin order, so the accumulated candidate list is exactly what
-    /// the sequential loop builds; worker memo tables merge back
-    /// (values are deterministic, so order is moot) and unspent fuel is
-    /// absorbed.
-    ///
-    /// On failure the earliest chunk's error is returned — deterministic,
-    /// though a tight fuel cap may trip at a different point than
-    /// sequential evaluation would (see DESIGN.md "Parallel evaluation").
-    fn fan_out_origins(
-        &mut self,
-        filter: OriginFilter<'_>,
-        origins: &NodeSet,
-        k: usize,
-    ) -> Result<Vec<NodeId>, EvalError> {
-        let ps = self
-            .par
-            .clone()
-            .expect("fan-out requires parallel settings");
-        fanout_counter().inc();
-        let (doc, query) = (self.doc, self.query);
-        // Workers never open nested regions.
-        let config = MinContext {
-            optimized: self.opt,
-            parallel: None,
-        };
-        let origins = origins.as_slice();
-        let meters: Vec<Mutex<Option<BudgetMeter>>> = self
-            .meter
-            .split(k)
-            .into_iter()
-            .map(|m| Mutex::new(Some(m)))
-            .collect();
-        let slots: Vec<Mutex<Option<ChunkOutcome>>> = (0..k).map(|_| Mutex::new(None)).collect();
-        ps.pool.run(k, &|i| {
-            let (s, e) = chunk_bounds(origins.len(), k, i);
-            let mut meter = lock(&meters[i]).take().expect("meter prepared per chunk");
-            let mut scratch = ps.pool.take_scratch();
-            let mut sub = Run::new(doc, query, &config, &mut scratch, &mut meter, None);
-            let (mut acc, mut cands) = (Vec::new(), Vec::new());
-            let err = origins[s..e]
-                .iter()
-                .find_map(|&x| sub.filter_origin(filter, x, &mut cands, &mut acc).err());
-            let Run { memo, backward, .. } = sub;
-            ps.pool.put_scratch(scratch);
-            *lock(&meters[i]) = Some(meter);
-            *lock(&slots[i]) = Some(ChunkOutcome {
-                acc,
-                memo,
-                backward,
-                err,
-            });
-        });
-        for m in &meters {
-            let child = lock(m).take().expect("every chunk returns its meter");
-            self.meter.absorb(child);
-        }
-        let mut first_err: Option<EvalError> = None;
-        let mut acc = Vec::new();
-        for slot in slots {
-            let out = lock(&slot).take().expect("every chunk completes");
-            if first_err.is_some() {
-                continue;
-            }
-            if out.err.is_some() {
-                first_err = out.err;
-                continue;
-            }
-            acc.extend(out.acc);
-            // Worker memo entries stay useful for later steps of this
-            // evaluation; merge them back (values are deterministic).
-            for (dst, src) in self.memo.iter_mut().zip(out.memo) {
-                dst.merge(src);
-            }
-            for (dst, src) in self.backward.iter_mut().zip(out.backward) {
-                if dst.is_none() {
-                    *dst = src;
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(acc),
-        }
     }
 
     /// Keeps, in place, the candidates `pred` holds for; proximity
@@ -836,7 +629,7 @@ mod tests {
         let mut meter = BudgetMeter::unlimited();
         MinContext {
             optimized,
-            parallel: None,
+            pool: None,
         }
         .evaluate(doc, &cq, Context::document(doc), &mut scratch, &mut meter)
         .unwrap()

@@ -7,7 +7,7 @@
 //! evaluation.  (The streaming engine's per-event metering is covered in
 //! `crates/stream/tests/budget_stream.rs`.)
 
-use minctx_core::{Engine, EvalError, Exhausted, Strategy, Value};
+use minctx_core::{Budget, Context, Engine, EvalError, Exhausted, Strategy, Value};
 use minctx_xml::parse;
 use std::time::Duration;
 
@@ -220,4 +220,68 @@ fn set_filter_and_origin_pruning_charge_their_own_work() {
             assert_eq!(exact, Ok(want), "{s} {q}");
         }
     }
+}
+
+#[test]
+#[cfg_attr(
+    miri,
+    ignore = "gate-sized documents are minutes-long under the interpreter"
+)]
+fn budget_outcomes_do_not_depend_on_the_thread_count() {
+    // `with_threads(n)` only cuts kernel scans into ranges; nothing is
+    // charged per range and no fuel is set aside per worker.  So at every
+    // cap — well under, one unit short of, exactly at and above what the
+    // sequential run spends — a threaded engine returns the same
+    // Ok/BudgetExhausted *and* leaves the same `BudgetMeter::spent`.
+    // The document's arena is past the kernels' size gate (2¹⁹ scanned
+    // items; attributes pad it without adding origins), so the threaded
+    // runs really do cut their arena sweeps.
+    let pad: String = (0..24).map(|k| format!(" a{k}=\"{k}\"")).collect();
+    let mut xml = String::from("<site>");
+    for i in 0..19_000 {
+        let id = if i % 3 == 0 { "" } else { " id=\"x\"" };
+        xml.push_str(&format!("<item{id} v=\"{i}\"{pad}><keyword/>t</item>"));
+        if i % 9 == 0 {
+            xml.push_str(&format!("<person id=\"p{i}\"/>"));
+        }
+    }
+    xml.push_str("</site>");
+    let doc = parse(&xml).unwrap();
+    assert!(doc.len() > 524_288);
+    let ctx = Context::document(&doc);
+    let chunks_before = minctx_xml::par::par_chunks_dispatched();
+    for s in [Strategy::MinContext, Strategy::OptMinContext] {
+        let engines: Vec<Engine> = [1, 2, 4]
+            .into_iter()
+            .map(|t| Engine::new(s).with_threads(t))
+            .collect();
+        for q in [
+            "//item[position() = last()]",
+            "//item[@id][2]",
+            "//person[position() mod 2 = 1]/@id",
+        ] {
+            let query = minctx_syntax::parse_xpath(q).unwrap();
+            let run = |engine: &Engine, budget: Budget| {
+                let mut meter = budget.meter();
+                let compiled = engine.compile(&doc, &query);
+                let result = engine.evaluate_compiled_metered(&doc, &compiled, ctx, &mut meter);
+                (result, meter.spent())
+            };
+            let (want, spend) = run(&engines[0], Budget::UNLIMITED);
+            assert!(want.is_ok() && spend > 100_000, "{s} {q}: spent {spend}");
+            for cap in [spend / 3, spend - 1, spend, spend + 1] {
+                let sequential = run(&engines[0], Budget::fuel(cap));
+                assert_eq!(sequential.0.is_ok(), cap >= spend, "{s} {q} cap={cap}");
+                for engine in &engines[1..] {
+                    let threaded = run(engine, Budget::fuel(cap));
+                    let t = engine.threads();
+                    assert_eq!(threaded, sequential, "{s} {q} cap={cap} of {spend} t={t}");
+                }
+            }
+        }
+    }
+    assert!(
+        minctx_xml::par::par_chunks_dispatched() > chunks_before,
+        "no scan was cut: the document is below the kernels' gate"
+    );
 }

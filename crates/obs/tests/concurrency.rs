@@ -138,48 +138,8 @@ fn snapshots_during_hammer_are_monotone_and_conserving() {
 
 // ---- exhaustive interleaving checks (protocol_model.rs style) --------
 
-/// Drives `explore` over every interleaving of threads with the given
-/// program lengths, preserving each thread's program order.  Returns the
-/// number of schedules visited.
-fn for_each_schedule(lens: &[usize], mut explore: impl FnMut(&[usize])) -> usize {
-    fn rec(
-        lens: &[usize],
-        done: &mut [usize],
-        schedule: &mut Vec<usize>,
-        count: &mut usize,
-        explore: &mut impl FnMut(&[usize]),
-    ) {
-        if schedule.len() == lens.iter().sum() {
-            *count += 1;
-            explore(schedule);
-            return;
-        }
-        for t in 0..lens.len() {
-            if done[t] < lens[t] {
-                done[t] += 1;
-                schedule.push(t);
-                rec(lens, done, schedule, count, explore);
-                schedule.pop();
-                done[t] -= 1;
-            }
-        }
-    }
-    let mut count = 0;
-    rec(
-        lens,
-        &mut vec![0; lens.len()],
-        &mut Vec::new(),
-        &mut count,
-        &mut explore,
-    );
-    count
-}
-
-#[test]
-fn schedule_enumeration_is_exhaustive() {
-    assert_eq!(for_each_schedule(&[2, 2], |_| {}), 6);
-    assert_eq!(for_each_schedule(&[2, 2, 2], |_| {}), 90);
-}
+// `for_each_schedule` and its self-check, shared by the three model suites.
+include!("../../../tests/support/schedules.rs");
 
 /// One atomic step of a histogram-model thread.  `Record` is a single
 /// step because a bucket increment is one atomic RMW — the derived count

@@ -398,8 +398,8 @@ impl ServeBuilder {
 
     /// Intra-query data-parallel threads per worker engine (default 1 —
     /// purely sequential, the pre-existing path).  Values above 1 give
-    /// each worker's engine a [`Engine::with_threads`] pool, so large
-    /// axis sweeps and positional-step fan-outs split across that many
+    /// each worker's engine a [`Engine::with_threads`] pool, so the large
+    /// scans inside the axis kernels are cut into ranges across that many
     /// threads; total thread pressure is roughly `workers × threads`,
     /// so raise this only when workers are few and documents are large.
     pub fn threads(mut self, n: usize) -> ServeBuilder {

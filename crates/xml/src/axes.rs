@@ -20,11 +20,19 @@
 //! * **Label postings** ([`Document::element_postings`]): name tests route
 //!   through per-label sorted node lists instead of sweeping `dom`, making
 //!   the common `descendant::a` / `child::a` / `attribute::a` steps
-//!   sublinear in practice ([`name_image_fast`]).
+//!   sublinear in practice.
 //! * **[`Scratch`]**: every kernel threads reusable mark/flag bitmaps and
 //!   candidate buffers, so steady-state evaluation performs no per-call
 //!   `O(|D|)` allocations.  The `*_into` variants also reuse the output
 //!   set's allocation.
+//!
+//! Each (axis, test shape, origin shape) is dispatched once, to one kernel
+//! body; the bodies whose cost is a single ascending scan are written over
+//! an index range of that scan, and the `*_on` entry points take the
+//! [`Exec`] that runs it — one range on the calling thread
+//! ([`Exec::INLINE`], what the plain entry points use) or several on a
+//! [`WorkerPool`](crate::par::WorkerPool), concatenated in range order —
+//! and return the [`Dispatch`] that ran.
 //!
 //! The paper's formal model has no attribute nodes; we support them as an
 //! extension.  Per the XPath 1.0 data model, attribute nodes are *excluded*
@@ -37,9 +45,8 @@ use crate::document::{Document, NONE};
 use crate::name::Name;
 use crate::node::{NodeId, NodeKind};
 use crate::nodeset::{DenseSet, NodeSet};
-use crate::par::{chunk_bounds, note_bypass, ParConfig, WorkerPool};
+use crate::par::Exec;
 use std::fmt;
-use std::sync::{Mutex, PoisonError};
 
 /// The XPath axes of the paper (Section 2.1) plus the `attribute` extension
 /// and the `id` pseudo-axis of Section 4.
@@ -301,6 +308,62 @@ fn mark(set: &mut DenseSet, x: &[NodeId]) {
     }
 }
 
+/// Which kernel family an axis call ran on.  The kernel invocation itself
+/// returns this (inside a [`Dispatch`]), so the EXPLAIN/profile surface
+/// reports the arm that ran rather than a re-derivation of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AxisRoute {
+    /// Sorted label-postings kernel (binary search / interval merge /
+    /// parent check): sublinear in `|D|` when the label is rare.
+    Postings,
+    /// Local traversal — the ordered single-node walk from a singleton
+    /// origin, or the `parent`/`ancestor` chain kernels — whose cost is
+    /// the touched chain/subtree, not the document.
+    Walk,
+    /// Generic document-order sweep over the arena: `O(|D|)`.
+    Sweep,
+}
+
+impl AxisRoute {
+    /// A short stable name (used in EXPLAIN plan text).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            AxisRoute::Postings => "postings",
+            AxisRoute::Walk => "walk",
+            AxisRoute::Sweep => "sweep",
+        }
+    }
+}
+
+impl fmt::Display for AxisRoute {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// What one kernel invocation did: the family of the kernel arm that ran,
+/// and how many chunks its scan was cut into on the pool (`0`: one range
+/// on the calling thread — always, under [`Exec::INLINE`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Dispatch {
+    pub route: AxisRoute,
+    pub chunks: usize,
+}
+
+impl Dispatch {
+    /// The constant-time short-circuit — no origins, or a name the
+    /// document lacks: no kernel runs at all.  Reported as a walk (of
+    /// nothing).
+    pub const NONE: Dispatch = Dispatch {
+        route: AxisRoute::Walk,
+        chunks: 0,
+    };
+
+    fn ran(route: AxisRoute, chunks: usize) -> Dispatch {
+        Dispatch { route, chunks }
+    }
+}
+
 /// `χ(X)` filtered by a node test, in `O(|D|)` worst case (Definition 1;
 /// the filter does not change the bound) and sublinear for name tests via
 /// the label postings index.  The result is in document order.
@@ -337,24 +400,57 @@ pub fn axis_image_into(
     scratch: &mut Scratch,
     out: &mut NodeSet,
 ) {
-    image_into(doc, axis, x.as_slice(), t, scratch, out);
+    axis_image_on(doc, axis, x, t, scratch, out, Exec::INLINE);
 }
 
-// The sweeps below are index-driven by design: the loop index *is* the
+/// [`axis_image_into`] with the scan run on `exec` (identical output,
+/// whatever the executor), reporting the kernel that ran.
+pub fn axis_image_on(
+    doc: &Document,
+    axis: Axis,
+    x: &NodeSet,
+    t: ResolvedTest,
+    scratch: &mut Scratch,
+    out: &mut NodeSet,
+    exec: Exec<'_>,
+) -> Dispatch {
+    image(doc, axis, x.as_slice(), t, scratch, out, exec)
+}
+
+/// The one dispatch on (axis, test shape, origin shape).  Every arm whose
+/// dominant cost is a single ascending scan — over a sorted postings
+/// slice or over arena ordinals — hands that scan to `exec` as a body over
+/// an index range; the arms whose scans interleave state updates (sibling
+/// sweeps), are bounded by the origin chains (`parent`/`ancestor` walks),
+/// re-sort anyway (`id`) or are already memcpys (name-tested `following`)
+/// run inline.
+///
+/// The scan bodies are `#[inline(always)]` closures: inlined into this
+/// function for the one-range path, their loops see that `out`, `scratch`
+/// and `doc` are distinct (the parameters' `noalias`), so the bitmap and
+/// column headers stay in registers across the pushes — compiled out of
+/// line they are reloaded once per node, measured at +25 % on a sweep.
+// The flag sweeps are index-driven by design: the loop index *is* the
 // pre-order NodeId, and each iteration reads several parallel columns.
 #[allow(clippy::needless_range_loop)]
-fn image_into(
+fn image(
     doc: &Document,
     axis: Axis,
     x: &[NodeId],
     t: ResolvedTest,
     scratch: &mut Scratch,
     out: &mut NodeSet,
-) {
+    exec: Exec<'_>,
+) -> Dispatch {
     out.clear();
     if x.is_empty() || t == ResolvedTest::NeverMatches {
-        return;
+        return Dispatch::NONE;
     }
+    let name = match t {
+        ResolvedTest::Name(nm) => Some(nm),
+        _ => None,
+    };
+    let o = out.vec_mut();
     // Singleton origin: the ordered single-node walk is local (subtree /
     // chain / sibling cost) where the set sweeps are O(|D|) — and the
     // per-candidate predicate paths the evaluators memoize are exactly
@@ -364,68 +460,228 @@ fn image_into(
     // `following`/`preceding`, where the sliced postings kernel is
     // sublinear while the single-node walk scans the whole tail.
     if let [single] = x {
-        let sliced_name_test =
-            matches!(axis, Axis::Following | Axis::Preceding) && matches!(t, ResolvedTest::Name(_));
+        let sliced_name_test = name.is_some() && matches!(axis, Axis::Following | Axis::Preceding);
         if axis != Axis::Id && !sliced_name_test {
+            // Staged in the scratch so `out` is sized once, exactly.
             let tmp = &mut scratch.tmp;
-            doc.axis_nodes_into(axis, *single, t, tmp);
+            let ran = doc.axis_nodes_on(axis, *single, t, tmp, exec);
             if axis.is_reverse() {
                 tmp.reverse();
             }
-            out.vec_mut().extend_from_slice(tmp);
-            return;
+            o.extend_from_slice(tmp);
+            return ran;
         }
     }
     let n = doc.len();
     scratch.grow(n);
-    if let ResolvedTest::Name(nm) = t {
-        if name_image_fast(doc, axis, x, nm, scratch, out) {
-            debug_assert!(out.as_slice().windows(2).all(|w| w[0] < w[1]));
-            return;
-        }
-    }
-    let keep = |node: NodeId| t.matches(doc, axis, node);
     let Scratch {
-        marked, flag, tmp, ..
+        marked,
+        flag,
+        tmp,
+        ranges,
+        ..
     } = scratch;
-    match axis {
-        Axis::SelfAxis => out.vec_mut().extend(x.iter().copied().filter(|&m| keep(m))),
-        Axis::Child => {
+    let parent = doc.parent_raw();
+    let keep = |node: NodeId| t.matches(doc, axis, node);
+    use AxisRoute::{Postings, Sweep, Walk};
+    match (axis, name) {
+        // Postings-backed name tests: sublinear in |D| when the label is
+        // rare.  `child::a` / `attribute::a` parent-check the postings.
+        (Axis::Child | Axis::Attribute, Some(nm)) => {
             mark(marked, x);
-            let parent = doc.parent_raw();
-            let o = out.vec_mut();
-            for i in 0..n {
-                let y = NodeId::from_index(i);
-                let p = parent[i];
-                if p != NONE && marked.contains(NodeId(p)) && !doc.kind(y).is_attribute() && keep(y)
-                {
-                    o.push(y);
+            let marked = &*marked;
+            let posts = if axis == Axis::Child {
+                doc.element_postings(nm)
+            } else {
+                doc.attribute_postings(nm)
+            };
+            let chunks = exec.scan(
+                posts.len(),
+                o,
+                #[inline(always)]
+                |r, buf| {
+                    for &p in &posts[r] {
+                        let par = parent[p.index()];
+                        if par != NONE && marked.contains(NodeId(par)) {
+                            buf.push(p);
+                        }
+                    }
+                },
+            );
+            Dispatch::ran(Postings, chunks)
+        }
+        (Axis::Descendant | Axis::DescendantOrSelf, Some(nm)) => {
+            // Merge the subtree intervals of X (sorted starts ⇒ one pass),
+            // then merge the postings they span against them.
+            let or_self = axis == Axis::DescendantOrSelf;
+            ranges.clear();
+            for &m in x {
+                let s = (m.index() + usize::from(!or_self)) as u32;
+                let e = doc.subtree_end(m) as u32;
+                if s >= e {
+                    continue;
+                }
+                match ranges.last_mut() {
+                    Some(last) if s <= last.1 => last.1 = last.1.max(e),
+                    _ => ranges.push((s, e)),
                 }
             }
+            let ranges = &*ranges;
+            let span = match (ranges.first(), ranges.last()) {
+                (Some(first), Some(last)) => first.0..last.1,
+                _ => 0..0,
+            };
+            let all = doc.element_postings(nm);
+            let lo = all.partition_point(|p| (p.index() as u32) < span.start);
+            let hi = lo + all[lo..].partition_point(|p| (p.index() as u32) < span.end);
+            let posts = &all[lo..hi];
+            let chunks = exec.scan(
+                posts.len(),
+                o,
+                #[inline(always)]
+                |r, buf| {
+                    let posts = &posts[r];
+                    let Some(first) = posts.first() else {
+                        return;
+                    };
+                    // Intervals are sorted and disjoint: start at the first
+                    // one that does not end before this range's postings do.
+                    let from = ranges.partition_point(|&(_, e)| e <= first.index() as u32);
+                    let mut pi = 0usize;
+                    for &(s, e) in &ranges[from..] {
+                        pi += posts[pi..].partition_point(|p| (p.index() as u32) < s);
+                        if pi == posts.len() {
+                            break;
+                        }
+                        while pi < posts.len() && (posts[pi].index() as u32) < e {
+                            buf.push(posts[pi]);
+                            pi += 1;
+                        }
+                    }
+                },
+            );
+            Dispatch::ran(Postings, chunks)
         }
-        Axis::Parent => {
+        (Axis::Following, Some(nm)) => {
+            let m = x
+                .iter()
+                .map(|&v| doc.subtree_end(v))
+                .min()
+                .expect("x non-empty");
+            let posts = doc.element_postings(nm);
+            o.extend_from_slice(&posts[posts.partition_point(|p| p.index() < m)..]);
+            Dispatch::ran(Postings, 0)
+        }
+        (Axis::Preceding, Some(nm)) => {
+            let m = x.iter().map(|v| v.index()).max().expect("x non-empty");
+            let all = doc.element_postings(nm);
+            let posts = &all[..all.partition_point(|p| p.index() < m)];
+            let chunks = exec.scan(
+                posts.len(),
+                o,
+                #[inline(always)]
+                |r, buf| {
+                    for &p in &posts[r] {
+                        if doc.subtree_end(p) <= m {
+                            buf.push(p);
+                        }
+                    }
+                },
+            );
+            Dispatch::ran(Postings, chunks)
+        }
+        // `parent::a` / `ancestor::a` walk the origin chains.
+        (Axis::Parent, Some(nm)) => {
+            tmp.clear();
+            for &m in x {
+                let p = parent[m.index()];
+                if p != NONE && doc.kind(NodeId(p)) == NodeKind::Element(nm) {
+                    tmp.push(NodeId(p));
+                }
+            }
+            tmp.sort_unstable();
+            tmp.dedup();
+            o.extend_from_slice(tmp);
+            Dispatch::ran(Walk, 0)
+        }
+        (Axis::Ancestor | Axis::AncestorOrSelf, Some(nm)) => {
+            // Union of ancestor chains with a visited set: O(|X| + output
+            // + total fresh chain length), not O(|D|).
             flag.clear();
-            let parent = doc.parent_raw();
+            tmp.clear();
+            let or_self = axis == Axis::AncestorOrSelf;
+            for &m in x {
+                let mut cur = if or_self { Some(m) } else { doc.parent(m) };
+                while let Some(p) = cur {
+                    if !flag.insert(p) {
+                        break; // chain already walked from here up
+                    }
+                    if doc.kind(p) == NodeKind::Element(nm) {
+                        tmp.push(p);
+                    }
+                    cur = doc.parent(p);
+                }
+            }
+            tmp.sort_unstable();
+            o.extend_from_slice(tmp);
+            Dispatch::ran(Walk, 0)
+        }
+        // Everything below is a generic O(|D|) sweep, whatever the test.
+        (Axis::SelfAxis, _) => {
+            o.extend(x.iter().copied().filter(|&m| keep(m)));
+            Dispatch::ran(Sweep, 0)
+        }
+        (Axis::Child, None) => {
+            mark(marked, x);
+            let marked = &*marked;
+            let chunks = exec.scan(
+                n,
+                o,
+                #[inline(always)]
+                |r, buf| {
+                    for i in r {
+                        let y = NodeId::from_index(i);
+                        let p = parent[i];
+                        if p != NONE
+                            && marked.contains(NodeId(p))
+                            && !doc.kind(y).is_attribute()
+                            && keep(y)
+                        {
+                            buf.push(y);
+                        }
+                    }
+                },
+            );
+            Dispatch::ran(Sweep, chunks)
+        }
+        (Axis::Parent, None) => {
+            flag.clear();
             for &m in x {
                 let p = parent[m.index()];
                 if p != NONE {
                     flag.insert(NodeId(p));
                 }
             }
-            let o = out.vec_mut();
-            for i in 0..n {
-                let y = NodeId::from_index(i);
-                if flag.contains(y) && keep(y) {
-                    o.push(y);
-                }
-            }
+            let flag = &*flag;
+            let chunks = exec.scan(
+                n,
+                o,
+                #[inline(always)]
+                |r, buf| {
+                    for y in r.map(NodeId::from_index) {
+                        if flag.contains(y) && keep(y) {
+                            buf.push(y);
+                        }
+                    }
+                },
+            );
+            Dispatch::ran(Sweep, chunks)
         }
-        Axis::Descendant | Axis::DescendantOrSelf => {
+        (Axis::Descendant | Axis::DescendantOrSelf, None) => {
             mark(marked, x);
             // flag: some proper ancestor is in X.  Parents precede children
             // in pre-order, so a single forward sweep suffices.
             flag.clear();
-            let parent = doc.parent_raw();
             for i in 1..n {
                 let p = NodeId(parent[i]);
                 if marked.contains(p) || flag.contains(p) {
@@ -433,25 +689,31 @@ fn image_into(
                 }
             }
             let or_self = axis == Axis::DescendantOrSelf;
-            let o = out.vec_mut();
-            for i in 0..n {
-                let y = NodeId::from_index(i);
-                // Attributes never appear as *descendants*, but an
-                // attribute member of X is its own descendant-or-self.
-                if ((flag.contains(y) && !doc.kind(y).is_attribute())
-                    || (or_self && marked.contains(y)))
-                    && keep(y)
-                {
-                    o.push(y);
-                }
-            }
+            let (marked, flag) = (&*marked, &*flag);
+            // Attributes never appear as *descendants*, but an attribute
+            // member of X is its own descendant-or-self.
+            let chunks = exec.scan(
+                n,
+                o,
+                #[inline(always)]
+                |r, buf| {
+                    for y in r.map(NodeId::from_index) {
+                        if ((flag.contains(y) && !doc.kind(y).is_attribute())
+                            || (or_self && marked.contains(y)))
+                            && keep(y)
+                        {
+                            buf.push(y);
+                        }
+                    }
+                },
+            );
+            Dispatch::ran(Sweep, chunks)
         }
-        Axis::Ancestor | Axis::AncestorOrSelf => {
+        (Axis::Ancestor | Axis::AncestorOrSelf, None) => {
             mark(marked, x);
             // flag: some proper descendant is in X.  Children follow
             // parents in pre-order, so a single backward sweep suffices.
             flag.clear();
-            let parent = doc.parent_raw();
             for i in (1..n).rev() {
                 let y = NodeId::from_index(i);
                 if marked.contains(y) || flag.contains(y) {
@@ -459,43 +721,65 @@ fn image_into(
                 }
             }
             let or_self = axis == Axis::AncestorOrSelf;
-            let o = out.vec_mut();
-            for i in 0..n {
-                let y = NodeId::from_index(i);
-                if (flag.contains(y) || (or_self && marked.contains(y))) && keep(y) {
-                    o.push(y);
-                }
-            }
+            let (marked, flag) = (&*marked, &*flag);
+            let chunks = exec.scan(
+                n,
+                o,
+                #[inline(always)]
+                |r, buf| {
+                    for y in r.map(NodeId::from_index) {
+                        if (flag.contains(y) || (or_self && marked.contains(y))) && keep(y) {
+                            buf.push(y);
+                        }
+                    }
+                },
+            );
+            Dispatch::ran(Sweep, chunks)
         }
-        Axis::Following => {
+        (Axis::Following, None) => {
             // y ∈ following(X)  ⇔  pre(y) ≥ min_{x∈X} subtree_end(x).
             let m = x
                 .iter()
                 .map(|&v| doc.subtree_end(v))
                 .min()
                 .expect("x non-empty");
-            out.vec_mut().extend(
-                (m..n)
-                    .map(NodeId::from_index)
-                    .filter(|&y| !doc.kind(y).is_attribute() && keep(y)),
+            let chunks = exec.scan(
+                n - m,
+                o,
+                #[inline(always)]
+                |r, buf| {
+                    for y in (m + r.start..m + r.end).map(NodeId::from_index) {
+                        if !doc.kind(y).is_attribute() && keep(y) {
+                            buf.push(y);
+                        }
+                    }
+                },
             );
+            Dispatch::ran(Sweep, chunks)
         }
-        Axis::Preceding => {
-            // y ∈ preceding(X)  ⇔  subtree_end(y) ≤ max_{x∈X} pre(x).
+        (Axis::Preceding, None) => {
+            // y ∈ preceding(X)  ⇔  subtree_end(y) ≤ max_{x∈X} pre(x) — and
+            // subtree_end(y) > pre(y), so only ordinals below it qualify.
             let m = x.iter().map(|v| v.index()).max().expect("x non-empty");
-            out.vec_mut().extend(
-                (0..n)
-                    .map(NodeId::from_index)
-                    .filter(|&y| doc.subtree_end(y) <= m && !doc.kind(y).is_attribute() && keep(y)),
+            let chunks = exec.scan(
+                m,
+                o,
+                #[inline(always)]
+                |r, buf| {
+                    for y in r.map(NodeId::from_index) {
+                        if doc.subtree_end(y) <= m && !doc.kind(y).is_attribute() && keep(y) {
+                            buf.push(y);
+                        }
+                    }
+                },
             );
+            Dispatch::ran(Sweep, chunks)
         }
-        Axis::FollowingSibling => {
+        (Axis::FollowingSibling, _) => {
             mark(marked, x);
             // flag[p]: a marked child of p has already occurred in the
             // pre-order sweep (siblings occur in document order).
             flag.clear();
-            let parent = doc.parent_raw();
-            let o = out.vec_mut();
             for i in 1..n {
                 let y = NodeId::from_index(i);
                 if doc.kind(y).is_attribute() {
@@ -509,12 +793,11 @@ fn image_into(
                     flag.insert(p);
                 }
             }
+            Dispatch::ran(Sweep, 0)
         }
-        Axis::PrecedingSibling => {
+        (Axis::PrecedingSibling, _) => {
             mark(marked, x);
             flag.clear();
-            let parent = doc.parent_raw();
-            let o = out.vec_mut();
             for i in (1..n).rev() {
                 let y = NodeId::from_index(i);
                 if doc.kind(y).is_attribute() {
@@ -529,27 +812,37 @@ fn image_into(
                 }
             }
             o.reverse();
+            Dispatch::ran(Sweep, 0)
         }
-        Axis::Attribute => {
+        (Axis::Attribute, None) => {
             mark(marked, x);
-            let parent = doc.parent_raw();
-            let o = out.vec_mut();
-            for i in 0..n {
-                let y = NodeId::from_index(i);
-                let p = parent[i];
-                if doc.kind(y).is_attribute() && p != NONE && marked.contains(NodeId(p)) && keep(y)
-                {
-                    o.push(y);
-                }
-            }
+            let marked = &*marked;
+            let chunks = exec.scan(
+                n,
+                o,
+                #[inline(always)]
+                |r, buf| {
+                    for i in r {
+                        let y = NodeId::from_index(i);
+                        let p = parent[i];
+                        if doc.kind(y).is_attribute()
+                            && p != NONE
+                            && marked.contains(NodeId(p))
+                            && keep(y)
+                        {
+                            buf.push(y);
+                        }
+                    }
+                },
+            );
+            Dispatch::ran(Sweep, chunks)
         }
-        Axis::Id => {
+        (Axis::Id, _) => {
             // Tokens of text content reachable from X (descendant-or-self
             // for element/root members; own content for the rest),
             // dereferenced through the id index.  O(|D| + text).
             mark(marked, x);
             flag.clear(); // flag: under an element/root member of X
-            let parent = doc.parent_raw();
             for i in 0..n {
                 let p = parent[i];
                 let from_parent = p != NONE && {
@@ -578,835 +871,9 @@ fn image_into(
             tmp.retain(|&m| keep(m));
             tmp.sort_unstable();
             tmp.dedup();
-            out.vec_mut().extend_from_slice(tmp);
+            o.extend_from_slice(tmp);
+            Dispatch::ran(Sweep, 0)
         }
-    }
-}
-
-/// Postings-backed name-test kernels: `descendant::a` merges the `a`
-/// postings against the subtree intervals of `X`, `child::a` /
-/// `attribute::a` parent-check the postings, `following`/`preceding` slice
-/// them, and `parent`/`ancestor` walk chains with a visited set — all
-/// sublinear in `|D|` when the label is rare.  Returns `false` for the
-/// axes that fall through to the generic sweeps.
-fn name_image_fast(
-    doc: &Document,
-    axis: Axis,
-    x: &[NodeId],
-    nm: Name,
-    scratch: &mut Scratch,
-    out: &mut NodeSet,
-) -> bool {
-    let Scratch {
-        marked,
-        flag,
-        tmp,
-        ranges,
-        ..
-    } = scratch;
-    match axis {
-        Axis::Child => {
-            mark(marked, x);
-            let parent = doc.parent_raw();
-            let o = out.vec_mut();
-            for &p in doc.element_postings(nm) {
-                let par = parent[p.index()];
-                if par != NONE && marked.contains(NodeId(par)) {
-                    o.push(p);
-                }
-            }
-            true
-        }
-        Axis::Attribute => {
-            mark(marked, x);
-            let parent = doc.parent_raw();
-            let o = out.vec_mut();
-            for &a in doc.attribute_postings(nm) {
-                let par = parent[a.index()];
-                if par != NONE && marked.contains(NodeId(par)) {
-                    o.push(a);
-                }
-            }
-            true
-        }
-        Axis::Descendant | Axis::DescendantOrSelf => {
-            // Merge the subtree intervals of X (sorted starts ⇒ one pass),
-            // then merge the postings against them.
-            let or_self = axis == Axis::DescendantOrSelf;
-            ranges.clear();
-            for &m in x {
-                let s = (m.index() + usize::from(!or_self)) as u32;
-                let e = doc.subtree_end(m) as u32;
-                if s >= e {
-                    continue;
-                }
-                match ranges.last_mut() {
-                    Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                    _ => ranges.push((s, e)),
-                }
-            }
-            let posts = doc.element_postings(nm);
-            let mut pi = 0usize;
-            let o = out.vec_mut();
-            for &(s, e) in ranges.iter() {
-                pi += posts[pi..].partition_point(|p| (p.index() as u32) < s);
-                while pi < posts.len() && (posts[pi].index() as u32) < e {
-                    o.push(posts[pi]);
-                    pi += 1;
-                }
-            }
-            true
-        }
-        Axis::Following => {
-            let m = x
-                .iter()
-                .map(|&v| doc.subtree_end(v))
-                .min()
-                .expect("x non-empty");
-            let posts = doc.element_postings(nm);
-            let start = posts.partition_point(|p| p.index() < m);
-            out.vec_mut().extend_from_slice(&posts[start..]);
-            true
-        }
-        Axis::Preceding => {
-            let m = x.iter().map(|v| v.index()).max().expect("x non-empty");
-            let o = out.vec_mut();
-            for &p in doc.element_postings(nm) {
-                if p.index() >= m {
-                    break;
-                }
-                if doc.subtree_end(p) <= m {
-                    o.push(p);
-                }
-            }
-            true
-        }
-        Axis::Parent => {
-            tmp.clear();
-            let parent = doc.parent_raw();
-            for &m in x {
-                let p = parent[m.index()];
-                if p != NONE && doc.kind(NodeId(p)) == NodeKind::Element(nm) {
-                    tmp.push(NodeId(p));
-                }
-            }
-            tmp.sort_unstable();
-            tmp.dedup();
-            out.vec_mut().extend_from_slice(tmp);
-            true
-        }
-        Axis::Ancestor | Axis::AncestorOrSelf => {
-            // Union of ancestor chains with a visited set: O(|X| + output
-            // + total fresh chain length), not O(|D|).
-            flag.ensure_capacity(doc.len());
-            flag.clear();
-            tmp.clear();
-            let or_self = axis == Axis::AncestorOrSelf;
-            for &m in x {
-                let mut cur = if or_self { Some(m) } else { doc.parent(m) };
-                while let Some(p) = cur {
-                    if !flag.insert(p) {
-                        break; // chain already walked from here up
-                    }
-                    if doc.kind(p) == NodeKind::Element(nm) {
-                        tmp.push(p);
-                    }
-                    cur = doc.parent(p);
-                }
-            }
-            tmp.sort_unstable();
-            out.vec_mut().extend_from_slice(tmp);
-            true
-        }
-        // Sibling walks and the remaining axes use the generic sweeps.
-        Axis::SelfAxis | Axis::FollowingSibling | Axis::PrecedingSibling | Axis::Id => false,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel chunk-and-merge kernels.
-//
-// The dominant cost of every eligible kernel above is a single ascending
-// scan — over the arena (`0..n`) or over a sorted postings slice.  Chunking
-// that scan at index boundaries yields per-chunk outputs that are sorted and
-// disjoint, and concatenating them in chunk order reproduces the sequential
-// output *bit for bit* (the differential suites enforce this).  Any shared
-// mark/flag bitmaps are built sequentially before the region starts and read
-// immutably inside it.
-//
-// Kernels whose scans are interleaved with state updates (sibling sweeps),
-// bounded by the origin chain (parent/ancestor walks), or already memcpys
-// (name-tested `following`) stay sequential; the `*_par` entry points
-// delegate and return 0 chunks.  Size gating (`ParConfig`) keeps small
-// calls off the pool entirely.
-
-/// Runs `fill(start, end, buf)` for each chunk of `0..len` on the pool and
-/// returns the per-chunk buffers in chunk order.
-fn fill_chunks<F>(pool: &WorkerPool, len: usize, chunks: usize, fill: F) -> Vec<Vec<NodeId>>
-where
-    F: Fn(usize, usize, &mut Vec<NodeId>) + Sync,
-{
-    let slots: Vec<Mutex<Vec<NodeId>>> = (0..chunks).map(|_| Mutex::new(Vec::new())).collect();
-    pool.run(chunks, &|i| {
-        let (s, e) = chunk_bounds(len, chunks, i);
-        // Uncontended: each chunk index is claimed exactly once, so the
-        // lock only fences the buffer hand-off back to the merge loop.
-        let mut buf = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
-        fill(s, e, &mut buf);
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect()
-}
-
-/// Chunk-and-merge driver: per-chunk outputs (ascending within each chunk)
-/// are concatenated in chunk order into `out` — exactly the sequential
-/// scan's output, since the chunks partition `0..len` in ascending order.
-fn run_chunked<F>(pool: &WorkerPool, len: usize, chunks: usize, out: &mut NodeSet, fill: F)
-where
-    F: Fn(usize, usize, &mut Vec<NodeId>) + Sync,
-{
-    let o = out.vec_mut();
-    for buf in fill_chunks(pool, len, chunks, fill) {
-        o.extend_from_slice(&buf);
-    }
-}
-
-/// Parallel variant of [`axis_image_into`]: identical output, but the
-/// dominant scan of eligible kernels is split into index-range chunks
-/// executed on `pool` and merged by pre-order ordinal.  Returns the number
-/// of chunks used; `0` means the call ran on the sequential kernels
-/// (ineligible shape, or below `cfg.threshold`).
-#[allow(clippy::too_many_arguments)]
-pub fn axis_image_into_par(
-    doc: &Document,
-    axis: Axis,
-    x: &NodeSet,
-    t: ResolvedTest,
-    scratch: &mut Scratch,
-    out: &mut NodeSet,
-    pool: &WorkerPool,
-    cfg: ParConfig,
-) -> usize {
-    image_into_par(doc, axis, x.as_slice(), t, scratch, out, pool, cfg)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn image_into_par(
-    doc: &Document,
-    axis: Axis,
-    x: &[NodeId],
-    t: ResolvedTest,
-    scratch: &mut Scratch,
-    out: &mut NodeSet,
-    pool: &WorkerPool,
-    cfg: ParConfig,
-) -> usize {
-    out.clear();
-    if x.is_empty() || t == ResolvedTest::NeverMatches {
-        return 0;
-    }
-    // Same singleton shortcut as the sequential kernel: the local walk is
-    // cheaper than any region could be.
-    if x.len() == 1 {
-        let sliced_name_test =
-            matches!(axis, Axis::Following | Axis::Preceding) && matches!(t, ResolvedTest::Name(_));
-        if axis != Axis::Id && !sliced_name_test {
-            image_into(doc, axis, x, t, scratch, out);
-            return 0;
-        }
-    }
-    scratch.grow(doc.len());
-    if let ResolvedTest::Name(nm) = t {
-        name_image_par(doc, axis, x, nm, scratch, out, pool, cfg)
-    } else {
-        generic_image_par(doc, axis, x, t, scratch, out, pool, cfg)
-    }
-}
-
-/// Postings-backed name-test kernels, chunked over the (sliced) postings.
-#[allow(clippy::too_many_arguments)]
-fn name_image_par(
-    doc: &Document,
-    axis: Axis,
-    x: &[NodeId],
-    nm: Name,
-    scratch: &mut Scratch,
-    out: &mut NodeSet,
-    pool: &WorkerPool,
-    cfg: ParConfig,
-) -> usize {
-    let t = ResolvedTest::Name(nm);
-    match axis {
-        Axis::Child | Axis::Attribute => {
-            let posts = if axis == Axis::Child {
-                doc.element_postings(nm)
-            } else {
-                doc.attribute_postings(nm)
-            };
-            let chunks = cfg.chunks_for(pool, posts.len());
-            if chunks == 0 {
-                note_bypass();
-                image_into(doc, axis, x, t, scratch, out);
-                return 0;
-            }
-            let marked = &mut scratch.marked;
-            mark(marked, x);
-            let marked = &*marked;
-            let parent = doc.parent_raw();
-            run_chunked(pool, posts.len(), chunks, out, |s, e, buf| {
-                for &p in &posts[s..e] {
-                    let par = parent[p.index()];
-                    if par != NONE && marked.contains(NodeId(par)) {
-                        buf.push(p);
-                    }
-                }
-            });
-            chunks
-        }
-        Axis::Descendant | Axis::DescendantOrSelf => {
-            // Merge the subtree intervals of X exactly as the sequential
-            // kernel does, then test each posting against the merged
-            // ranges by binary search instead of merging linearly.
-            let or_self = axis == Axis::DescendantOrSelf;
-            scratch.ranges.clear();
-            for &m in x {
-                let s = (m.index() + usize::from(!or_self)) as u32;
-                let e = doc.subtree_end(m) as u32;
-                if s >= e {
-                    continue;
-                }
-                match scratch.ranges.last_mut() {
-                    Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                    _ => scratch.ranges.push((s, e)),
-                }
-            }
-            let (first, last) = match (scratch.ranges.first(), scratch.ranges.last()) {
-                (Some(&f), Some(&l)) => (f, l),
-                _ => return 0, // no ranges ⇒ empty output
-            };
-            let all = doc.element_postings(nm);
-            let lo = all.partition_point(|p| (p.index() as u32) < first.0);
-            let hi = lo + all[lo..].partition_point(|p| (p.index() as u32) < last.1);
-            let posts = &all[lo..hi];
-            let chunks = cfg.chunks_for(pool, posts.len());
-            if chunks == 0 {
-                note_bypass();
-                image_into(doc, axis, x, t, scratch, out);
-                return 0;
-            }
-            let ranges = &scratch.ranges;
-            run_chunked(pool, posts.len(), chunks, out, |s, e, buf| {
-                for &p in &posts[s..e] {
-                    let pi = p.index() as u32;
-                    // Ranges are sorted and disjoint: the only candidate
-                    // is the last one starting at or before `pi`.
-                    let idx = ranges.partition_point(|&(rs, _)| rs <= pi);
-                    if idx > 0 && pi < ranges[idx - 1].1 {
-                        buf.push(p);
-                    }
-                }
-            });
-            chunks
-        }
-        Axis::Preceding => {
-            let m = x.iter().map(|v| v.index()).max().expect("x non-empty");
-            let all = doc.element_postings(nm);
-            let posts = &all[..all.partition_point(|p| p.index() < m)];
-            let chunks = cfg.chunks_for(pool, posts.len());
-            if chunks == 0 {
-                note_bypass();
-                image_into(doc, axis, x, t, scratch, out);
-                return 0;
-            }
-            run_chunked(pool, posts.len(), chunks, out, |s, e, buf| {
-                for &p in &posts[s..e] {
-                    if doc.subtree_end(p) <= m {
-                        buf.push(p);
-                    }
-                }
-            });
-            chunks
-        }
-        // Name-tested `following` is a postings memcpy, `parent`/`ancestor`
-        // are chain walks, and the rest fall through to sweeps the
-        // sequential kernel handles — none benefit from chunking.
-        _ => {
-            image_into(doc, axis, x, t, scratch, out);
-            0
-        }
-    }
-}
-
-/// Generic arena sweeps with the output scan chunked; mark/flag bitmaps
-/// are built sequentially first (identically to [`image_into`]) and read
-/// immutably inside the region.
-#[allow(clippy::too_many_arguments)]
-#[allow(clippy::needless_range_loop)] // index-driven pre-order sweeps; the index is the NodeId
-fn generic_image_par(
-    doc: &Document,
-    axis: Axis,
-    x: &[NodeId],
-    t: ResolvedTest,
-    scratch: &mut Scratch,
-    out: &mut NodeSet,
-    pool: &WorkerPool,
-    cfg: ParConfig,
-) -> usize {
-    let n = doc.len();
-    let keep = move |node: NodeId| t.matches(doc, axis, node);
-    let parallel = matches!(
-        axis,
-        Axis::Child
-            | Axis::Parent
-            | Axis::Descendant
-            | Axis::DescendantOrSelf
-            | Axis::Ancestor
-            | Axis::AncestorOrSelf
-            | Axis::Following
-            | Axis::Preceding
-            | Axis::Attribute
-    );
-    if !parallel {
-        // Sibling sweeps interleave flag updates with output, `self` is
-        // O(|X|), and `id` re-sorts anyway: sequential.
-        image_into(doc, axis, x, t, scratch, out);
-        return 0;
-    }
-    let chunks = cfg.chunks_for(pool, n);
-    if chunks == 0 {
-        note_bypass();
-        image_into(doc, axis, x, t, scratch, out);
-        return 0;
-    }
-    let Scratch { marked, flag, .. } = scratch;
-    match axis {
-        Axis::Child => {
-            mark(marked, x);
-            let marked = &*marked;
-            let parent = doc.parent_raw();
-            run_chunked(pool, n, chunks, out, |s, e, buf| {
-                for i in s..e {
-                    let y = NodeId::from_index(i);
-                    let p = parent[i];
-                    if p != NONE
-                        && marked.contains(NodeId(p))
-                        && !doc.kind(y).is_attribute()
-                        && keep(y)
-                    {
-                        buf.push(y);
-                    }
-                }
-            });
-        }
-        Axis::Parent => {
-            flag.clear();
-            let parent = doc.parent_raw();
-            for &m in x {
-                let p = parent[m.index()];
-                if p != NONE {
-                    flag.insert(NodeId(p));
-                }
-            }
-            let flag = &*flag;
-            run_chunked(pool, n, chunks, out, |s, e, buf| {
-                for i in s..e {
-                    let y = NodeId::from_index(i);
-                    if flag.contains(y) && keep(y) {
-                        buf.push(y);
-                    }
-                }
-            });
-        }
-        Axis::Descendant | Axis::DescendantOrSelf => {
-            mark(marked, x);
-            flag.clear();
-            let parent = doc.parent_raw();
-            for i in 1..n {
-                let p = NodeId(parent[i]);
-                if marked.contains(p) || flag.contains(p) {
-                    flag.insert(NodeId::from_index(i));
-                }
-            }
-            let or_self = axis == Axis::DescendantOrSelf;
-            let (marked, flag) = (&*marked, &*flag);
-            run_chunked(pool, n, chunks, out, |s, e, buf| {
-                for i in s..e {
-                    let y = NodeId::from_index(i);
-                    if ((flag.contains(y) && !doc.kind(y).is_attribute())
-                        || (or_self && marked.contains(y)))
-                        && keep(y)
-                    {
-                        buf.push(y);
-                    }
-                }
-            });
-        }
-        Axis::Ancestor | Axis::AncestorOrSelf => {
-            mark(marked, x);
-            flag.clear();
-            let parent = doc.parent_raw();
-            for i in (1..n).rev() {
-                let y = NodeId::from_index(i);
-                if marked.contains(y) || flag.contains(y) {
-                    flag.insert(NodeId(parent[i]));
-                }
-            }
-            let or_self = axis == Axis::AncestorOrSelf;
-            let (marked, flag) = (&*marked, &*flag);
-            run_chunked(pool, n, chunks, out, |s, e, buf| {
-                for i in s..e {
-                    let y = NodeId::from_index(i);
-                    if (flag.contains(y) || (or_self && marked.contains(y))) && keep(y) {
-                        buf.push(y);
-                    }
-                }
-            });
-        }
-        Axis::Following => {
-            let m = x
-                .iter()
-                .map(|&v| doc.subtree_end(v))
-                .min()
-                .expect("x non-empty");
-            run_chunked(pool, n - m, chunks, out, |s, e, buf| {
-                for i in m + s..m + e {
-                    let y = NodeId::from_index(i);
-                    if !doc.kind(y).is_attribute() && keep(y) {
-                        buf.push(y);
-                    }
-                }
-            });
-        }
-        Axis::Preceding => {
-            let m = x.iter().map(|v| v.index()).max().expect("x non-empty");
-            // subtree_end(y) > pre(y), so only indices below m qualify.
-            run_chunked(pool, m, chunks, out, |s, e, buf| {
-                for i in s..e {
-                    let y = NodeId::from_index(i);
-                    if doc.subtree_end(y) <= m && !doc.kind(y).is_attribute() && keep(y) {
-                        buf.push(y);
-                    }
-                }
-            });
-        }
-        Axis::Attribute => {
-            mark(marked, x);
-            let marked = &*marked;
-            let parent = doc.parent_raw();
-            run_chunked(pool, n, chunks, out, |s, e, buf| {
-                for i in s..e {
-                    let y = NodeId::from_index(i);
-                    let p = parent[i];
-                    if doc.kind(y).is_attribute()
-                        && p != NONE
-                        && marked.contains(NodeId(p))
-                        && keep(y)
-                    {
-                        buf.push(y);
-                    }
-                }
-            });
-        }
-        _ => unreachable!("gated by `parallel` above"),
-    }
-    chunks
-}
-
-/// Parallel variant of [`axis_preimage_into`]: identical output, with the
-/// mirror-image cases routed through [`axis_image_into_par`] and the
-/// direct `ancestor`/`following` arena scans chunked.  Returns the number
-/// of chunks used (`0` = sequential).
-#[allow(clippy::too_many_arguments)]
-#[allow(clippy::needless_range_loop)] // index-driven pre-order sweeps; the index is the NodeId
-pub fn axis_preimage_into_par(
-    doc: &Document,
-    axis: Axis,
-    y: &NodeSet,
-    scratch: &mut Scratch,
-    out: &mut NodeSet,
-    pool: &WorkerPool,
-    cfg: ParConfig,
-) -> usize {
-    out.clear();
-    if y.is_empty() {
-        return 0;
-    }
-    let n = doc.len();
-    scratch.grow(n);
-    match axis {
-        Axis::Child | Axis::Descendant | Axis::DescendantOrSelf => {
-            // Mirror through the parallel image, with the same attribute
-            // filtering as the sequential kernel.
-            let mut filt = std::mem::take(&mut scratch.tmp2);
-            filt.clear();
-            filt.extend(y.iter().filter(|&m| !doc.kind(m).is_attribute()));
-            let mirror = match axis {
-                Axis::Child => Axis::Parent,
-                Axis::Descendant => Axis::Ancestor,
-                _ => Axis::AncestorOrSelf,
-            };
-            let chunks = image_into_par(
-                doc,
-                mirror,
-                &filt,
-                ResolvedTest::AnyNode,
-                scratch,
-                out,
-                pool,
-                cfg,
-            );
-            scratch.tmp2 = filt;
-            if axis == Axis::DescendantOrSelf {
-                let o = out.vec_mut();
-                o.extend(y.iter().filter(|&m| doc.kind(m).is_attribute()));
-                o.sort_unstable();
-                o.dedup();
-            }
-            chunks
-        }
-        Axis::Parent => {
-            let chunks = image_into_par(
-                doc,
-                Axis::Child,
-                y.as_slice(),
-                ResolvedTest::AnyNode,
-                scratch,
-                out,
-                pool,
-                cfg,
-            );
-            let o = out.vec_mut();
-            for m in y.iter() {
-                if doc.kind(m).is_element() {
-                    o.extend(doc.attributes(m));
-                }
-            }
-            o.sort_unstable();
-            o.dedup();
-            chunks
-        }
-        Axis::Ancestor | Axis::AncestorOrSelf => {
-            let chunks = cfg.chunks_for(pool, n);
-            if chunks == 0 {
-                note_bypass();
-                axis_preimage_into(doc, axis, y, scratch, out);
-                return 0;
-            }
-            let or_self = axis == Axis::AncestorOrSelf;
-            let Scratch { marked, flag, .. } = scratch;
-            mark(marked, y.as_slice());
-            flag.clear();
-            let parent = doc.parent_raw();
-            for i in 1..n {
-                let p = NodeId(parent[i]);
-                if marked.contains(p) || flag.contains(p) {
-                    flag.insert(NodeId::from_index(i));
-                }
-            }
-            let (marked, flag) = (&*marked, &*flag);
-            run_chunked(pool, n, chunks, out, |s, e, buf| {
-                for i in s..e {
-                    let id = NodeId::from_index(i);
-                    if flag.contains(id) || (or_self && marked.contains(id)) {
-                        buf.push(id);
-                    }
-                }
-            });
-            chunks
-        }
-        Axis::Following => {
-            let Some(m) = y
-                .iter()
-                .filter(|&v| !doc.kind(v).is_attribute())
-                .map(|v| v.index())
-                .max()
-            else {
-                return 0;
-            };
-            let chunks = cfg.chunks_for(pool, n);
-            if chunks == 0 {
-                note_bypass();
-                axis_preimage_into(doc, axis, y, scratch, out);
-                return 0;
-            }
-            run_chunked(pool, n, chunks, out, |s, e, buf| {
-                for i in s..e {
-                    let v = NodeId::from_index(i);
-                    if doc.subtree_end(v) <= m {
-                        buf.push(v);
-                    }
-                }
-            });
-            chunks
-        }
-        // `preceding` is a pure index-range push (memcpy-shaped), and the
-        // remaining axes are small or sibling-shaped: sequential.
-        _ => {
-            axis_preimage_into(doc, axis, y, scratch, out);
-            0
-        }
-    }
-}
-
-/// Parallel variant of [`Document::axis_nodes_into`] for the single-origin
-/// axes whose cost is an arena scan — `following` and `preceding` under
-/// non-name tests.  Everything else (local walks, postings binary
-/// searches) delegates.  Output order is the axis order `<doc,χ`, exactly
-/// as the sequential walk produces it.  Returns chunks used (`0` =
-/// sequential).
-pub fn axis_nodes_into_par(
-    doc: &Document,
-    axis: Axis,
-    from: NodeId,
-    t: ResolvedTest,
-    out: &mut Vec<NodeId>,
-    pool: &WorkerPool,
-    cfg: ParConfig,
-) -> usize {
-    let name_test = matches!(t, ResolvedTest::Name(_));
-    match axis {
-        Axis::Following if !name_test && t != ResolvedTest::NeverMatches => {
-            let start = doc.subtree_end(from);
-            let n = doc.len();
-            let chunks = cfg.chunks_for(pool, n - start);
-            if chunks == 0 {
-                note_bypass();
-                doc.axis_nodes_into(axis, from, t, out);
-                return 0;
-            }
-            out.clear();
-            let bufs = fill_chunks(pool, n - start, chunks, |s, e, buf| {
-                for i in start + s..start + e {
-                    let y = NodeId::from_index(i);
-                    if !doc.kind(y).is_attribute() && t.matches(doc, axis, y) {
-                        buf.push(y);
-                    }
-                }
-            });
-            for buf in bufs {
-                out.extend_from_slice(&buf);
-            }
-            chunks
-        }
-        Axis::Preceding if !name_test && t != ResolvedTest::NeverMatches => {
-            let m = from.index();
-            let chunks = cfg.chunks_for(pool, m);
-            if chunks == 0 {
-                note_bypass();
-                doc.axis_nodes_into(axis, from, t, out);
-                return 0;
-            }
-            out.clear();
-            let bufs = fill_chunks(pool, m, chunks, |s, e, buf| {
-                for i in s..e {
-                    let y = NodeId::from_index(i);
-                    if doc.subtree_end(y) <= m
-                        && !doc.kind(y).is_attribute()
-                        && t.matches(doc, axis, y)
-                    {
-                        buf.push(y);
-                    }
-                }
-            });
-            // Reverse document order: reverse both the chunk order and
-            // each chunk's ascending contents.
-            for buf in bufs.iter().rev() {
-                out.extend(buf.iter().rev());
-            }
-            chunks
-        }
-        _ => {
-            doc.axis_nodes_into(axis, from, t, out);
-            0
-        }
-    }
-}
-
-/// Which kernel family an axis call dispatches to — the EXPLAIN/profile
-/// surface reports this without re-running the sweep, so the classifiers
-/// below must mirror the real dispatch in [`axis_image_into`] and
-/// [`Document::axis_nodes_into`] exactly (a test pins the agreement).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AxisRoute {
-    /// Sorted label-postings kernel (binary search / interval merge /
-    /// parent check): sublinear in `|D|` when the label is rare.
-    Postings,
-    /// Local traversal — the ordered single-node walk from a singleton
-    /// origin, or the `parent`/`ancestor` chain kernels — whose cost is
-    /// the touched chain/subtree, not the document.
-    Walk,
-    /// Generic document-order sweep over the arena: `O(|D|)`.
-    Sweep,
-}
-
-impl AxisRoute {
-    /// A short stable name (used in EXPLAIN plan text).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AxisRoute::Postings => "postings",
-            AxisRoute::Walk => "walk",
-            AxisRoute::Sweep => "sweep",
-        }
-    }
-}
-
-impl fmt::Display for AxisRoute {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// The route [`axis_image_into`] takes for an origin set of `origins`
-/// nodes under test `t`.  Mirrors `image_into`'s dispatch: singleton
-/// origins take the single-node walk (except the id axis and name-tested
-/// `following`/`preceding`, which prefer the set kernels), name tests
-/// route through [`name_image_fast`], everything else sweeps.
-pub fn classify_image_route(axis: Axis, t: ResolvedTest, origins: usize) -> AxisRoute {
-    if origins == 0 || t == ResolvedTest::NeverMatches {
-        // Constant-time empty short-circuit; no kernel runs at all.
-        return AxisRoute::Walk;
-    }
-    let name_test = matches!(t, ResolvedTest::Name(_));
-    if origins == 1 {
-        let sliced_name_test = matches!(axis, Axis::Following | Axis::Preceding) && name_test;
-        if axis != Axis::Id && !sliced_name_test {
-            return classify_single_route(axis, t);
-        }
-    }
-    if name_test {
-        return match axis {
-            Axis::Child
-            | Axis::Attribute
-            | Axis::Descendant
-            | Axis::DescendantOrSelf
-            | Axis::Following
-            | Axis::Preceding => AxisRoute::Postings,
-            // Chain kernels with a visited set: local, not postings.
-            Axis::Parent | Axis::Ancestor | Axis::AncestorOrSelf => AxisRoute::Walk,
-            Axis::SelfAxis | Axis::FollowingSibling | Axis::PrecedingSibling | Axis::Id => {
-                AxisRoute::Sweep
-            }
-        };
-    }
-    AxisRoute::Sweep
-}
-
-/// The route [`Document::axis_nodes_into`] takes from one origin node —
-/// what each origin of a predicated step pays.  Name-tested
-/// `descendant(-or-self)` and `following` binary-search the postings;
-/// every other shape is the ordered local walk.
-pub fn classify_single_route(axis: Axis, t: ResolvedTest) -> AxisRoute {
-    if matches!(t, ResolvedTest::Name(_))
-        && matches!(
-            axis,
-            Axis::Descendant | Axis::DescendantOrSelf | Axis::Following
-        )
-    {
-        AxisRoute::Postings
-    } else {
-        AxisRoute::Walk
     }
 }
 
@@ -1430,7 +897,6 @@ pub fn axis_preimage(doc: &Document, axis: Axis, y: &NodeSet) -> NodeSet {
 
 /// The allocation-free core of [`axis_preimage`]: clears `out` and fills
 /// it with `χ⁻¹(Y)` in document order.
-#[allow(clippy::needless_range_loop)] // index-driven pre-order sweeps; the index is the NodeId
 pub fn axis_preimage_into(
     doc: &Document,
     axis: Axis,
@@ -1438,28 +904,33 @@ pub fn axis_preimage_into(
     scratch: &mut Scratch,
     out: &mut NodeSet,
 ) {
+    axis_preimage_on(doc, axis, y, scratch, out, Exec::INLINE);
+}
+
+/// [`axis_preimage_into`] with the scan run on `exec` (identical output,
+/// whatever the executor).  Returns the chunks the scan was cut into
+/// (`0`: one range, inline).
+#[allow(clippy::needless_range_loop)] // index-driven pre-order sweeps; the index is the NodeId
+pub fn axis_preimage_on(
+    doc: &Document,
+    axis: Axis,
+    y: &NodeSet,
+    scratch: &mut Scratch,
+    out: &mut NodeSet,
+    exec: Exec<'_>,
+) -> usize {
     out.clear();
     if y.is_empty() {
-        return;
+        return 0;
     }
     let n = doc.len();
     scratch.grow(n);
-    // Filters Y down to the members the forward axis can produce before
-    // mirroring; the buffer must survive the inner image call, so it is
-    // taken out of the scratch for the duration.
-    macro_rules! with_non_attr {
-        ($body:expr) => {{
-            let mut filt = std::mem::take(&mut scratch.tmp2);
-            filt.clear();
-            filt.extend(y.iter().filter(|&m| !doc.kind(m).is_attribute()));
-            let filt_ref: &[NodeId] = &filt;
-            #[allow(clippy::redundant_closure_call)]
-            ($body)(filt_ref);
-            scratch.tmp2 = filt;
-        }};
-    }
+    let mirror = |axis: Axis| axis.inverse().expect("tree axes have inverses");
     match axis {
-        Axis::SelfAxis => out.vec_mut().extend_from_slice(y.as_slice()),
+        Axis::SelfAxis => {
+            out.vec_mut().extend_from_slice(y.as_slice());
+            0
+        }
         Axis::Attribute => {
             // x has an attribute in Y  ⇔  x owns an attribute node in Y.
             let tmp = &mut scratch.tmp;
@@ -1472,31 +943,38 @@ pub fn axis_preimage_into(
             tmp.sort_unstable();
             tmp.dedup();
             out.vec_mut().extend_from_slice(tmp);
+            0
         }
-        Axis::Id => *out = doc.id_preimage(y),
-        Axis::Child => {
-            // child(x) never contains attributes: drop them from Y, then
-            // mirror.
-            with_non_attr!(|filt| image_into(
-                doc,
-                Axis::Parent,
-                filt,
-                ResolvedTest::AnyNode,
-                scratch,
-                out
-            ));
+        Axis::Id => {
+            *out = doc.id_preimage(y);
+            0
+        }
+        Axis::Child | Axis::Descendant | Axis::DescendantOrSelf => {
+            // child(x) / descendant(x) never contain attributes: drop them
+            // from Y, then mirror.  The buffer must survive the inner
+            // image call, so it is taken out of the scratch for its
+            // duration.
+            let mut filt = std::mem::take(&mut scratch.tmp2);
+            filt.clear();
+            filt.extend(y.iter().filter(|&m| !doc.kind(m).is_attribute()));
+            let any = ResolvedTest::AnyNode;
+            let ran = image(doc, mirror(axis), &filt, any, scratch, out, exec);
+            scratch.tmp2 = filt;
+            if axis == Axis::DescendantOrSelf {
+                // …plus the attribute members themselves (an attribute is
+                // its own descendant-or-self and has no other preimage).
+                let o = out.vec_mut();
+                o.extend(y.iter().filter(|&m| doc.kind(m).is_attribute()));
+                o.sort_unstable();
+                o.dedup();
+            }
+            ran.chunks
         }
         Axis::Parent => {
             // parent(x) is defined for attributes too: the preimage is the
             // non-attribute children of Y plus the attributes owned by Y.
-            image_into(
-                doc,
-                Axis::Child,
-                y.as_slice(),
-                ResolvedTest::AnyNode,
-                scratch,
-                out,
-            );
+            let any = ResolvedTest::AnyNode;
+            let ran = image(doc, Axis::Child, y.as_slice(), any, scratch, out, exec);
             let o = out.vec_mut();
             for m in y.iter() {
                 if doc.kind(m).is_element() {
@@ -1505,33 +983,7 @@ pub fn axis_preimage_into(
             }
             o.sort_unstable();
             o.dedup();
-        }
-        Axis::Descendant => {
-            with_non_attr!(|filt| image_into(
-                doc,
-                Axis::Ancestor,
-                filt,
-                ResolvedTest::AnyNode,
-                scratch,
-                out
-            ));
-        }
-        Axis::DescendantOrSelf => {
-            // Ancestors-or-self of the non-attribute members, plus the
-            // attribute members themselves (an attribute is its own
-            // descendant-or-self and has no other preimage).
-            with_non_attr!(|filt| image_into(
-                doc,
-                Axis::AncestorOrSelf,
-                filt,
-                ResolvedTest::AnyNode,
-                scratch,
-                out
-            ));
-            let o = out.vec_mut();
-            o.extend(y.iter().filter(|&m| doc.kind(m).is_attribute()));
-            o.sort_unstable();
-            o.dedup();
+            ran.chunks
         }
         Axis::Ancestor | Axis::AncestorOrSelf => {
             // ancestor(x) reaches Y  ⇔  x is a proper descendant of Y —
@@ -1548,13 +1000,19 @@ pub fn axis_preimage_into(
                     flag.insert(NodeId::from_index(i));
                 }
             }
-            let o = out.vec_mut();
-            for i in 0..n {
-                let id = NodeId::from_index(i);
-                if flag.contains(id) || (or_self && marked.contains(id)) {
-                    o.push(id);
-                }
-            }
+            let (marked, flag) = (&*marked, &*flag);
+            exec.scan(
+                n,
+                out.vec_mut(),
+                #[inline(always)]
+                |r, buf| {
+                    for v in r.map(NodeId::from_index) {
+                        if flag.contains(v) || (or_self && marked.contains(v)) {
+                            buf.push(v);
+                        }
+                    }
+                },
+            )
         }
         Axis::Following => {
             // following(x) ∩ Y ≠ ∅  ⇔  subtree_end(x) ≤ max non-attribute
@@ -1565,13 +1023,20 @@ pub fn axis_preimage_into(
                 .map(|v| v.index())
                 .max()
             else {
-                return;
+                return 0;
             };
-            out.vec_mut().extend(
-                (0..n)
-                    .map(NodeId::from_index)
-                    .filter(|&v| doc.subtree_end(v) <= m),
-            );
+            exec.scan(
+                n,
+                out.vec_mut(),
+                #[inline(always)]
+                |r, buf| {
+                    for v in r.map(NodeId::from_index) {
+                        if doc.subtree_end(v) <= m {
+                            buf.push(v);
+                        }
+                    }
+                },
+            )
         }
         Axis::Preceding => {
             // preceding(x) ∩ Y ≠ ∅  ⇔  pre(x) ≥ min subtree_end over
@@ -1582,31 +1047,16 @@ pub fn axis_preimage_into(
                 .map(|v| doc.subtree_end(v))
                 .min()
             else {
-                return;
+                return 0;
             };
             out.vec_mut().extend((m..n).map(NodeId::from_index));
+            0
         }
-        Axis::FollowingSibling => {
+        Axis::FollowingSibling | Axis::PrecedingSibling => {
             // Sibling relations exclude attributes on both sides, and the
             // sibling sweeps already enforce that: plain mirror.
-            image_into(
-                doc,
-                Axis::PrecedingSibling,
-                y.as_slice(),
-                ResolvedTest::AnyNode,
-                scratch,
-                out,
-            );
-        }
-        Axis::PrecedingSibling => {
-            image_into(
-                doc,
-                Axis::FollowingSibling,
-                y.as_slice(),
-                ResolvedTest::AnyNode,
-                scratch,
-                out,
-            );
+            let any = ResolvedTest::AnyNode;
+            image(doc, mirror(axis), y.as_slice(), any, scratch, out, exec).chunks
         }
     }
 }
@@ -1632,9 +1082,24 @@ impl Document {
         t: ResolvedTest,
         out: &mut Vec<NodeId>,
     ) {
+        self.axis_nodes_on(axis, from, t, out, Exec::INLINE);
+    }
+
+    /// [`Document::axis_nodes_into`] with the two shapes whose cost is an
+    /// arena scan — `following` and `preceding` under non-name tests —
+    /// run on `exec` (identical output, whatever the executor), reporting
+    /// the kernel that ran.
+    pub fn axis_nodes_on(
+        &self,
+        axis: Axis,
+        from: NodeId,
+        t: ResolvedTest,
+        out: &mut Vec<NodeId>,
+        exec: Exec<'_>,
+    ) -> Dispatch {
         out.clear();
         if t == ResolvedTest::NeverMatches {
-            return;
+            return Dispatch::NONE;
         }
         // Postings fast paths: a name test over a subtree range is a
         // binary search into the label postings instead of an arena scan.
@@ -1651,18 +1116,19 @@ impl Document {
                         }
                         out.push(p);
                     }
-                    return;
+                    return Dispatch::ran(AxisRoute::Postings, 0);
                 }
                 Axis::Following => {
                     let posts = self.element_postings(nm);
                     let start = posts.partition_point(|p| p.index() < self.subtree_end(from));
                     out.extend_from_slice(&posts[start..]);
-                    return;
+                    return Dispatch::ran(AxisRoute::Postings, 0);
                 }
                 _ => {}
             }
         }
         let keep = |n: NodeId| t.matches(self, axis, n);
+        let mut chunks = 0;
         match axis {
             Axis::SelfAxis => {
                 if keep(from) {
@@ -1700,23 +1166,34 @@ impl Document {
             }
             Axis::Following => {
                 let start = self.subtree_end(from);
-                out.extend(
-                    (start..self.len())
-                        .map(NodeId::from_index)
-                        .filter(|&y| !self.kind(y).is_attribute() && keep(y)),
+                chunks = exec.scan(
+                    self.len() - start,
+                    out,
+                    #[inline(always)]
+                    |r, buf| {
+                        for y in (start + r.start..start + r.end).map(NodeId::from_index) {
+                            if !self.kind(y).is_attribute() && keep(y) {
+                                buf.push(y);
+                            }
+                        }
+                    },
                 );
             }
             Axis::Preceding => {
                 // Reverse document order, skipping ancestors of `from`.
-                for i in (0..from.index()).rev() {
-                    let y = NodeId::from_index(i);
-                    if self.subtree_end(y) <= from.index()
-                        && !self.kind(y).is_attribute()
-                        && keep(y)
-                    {
-                        out.push(y);
-                    }
-                }
+                let m = from.index();
+                chunks = exec.scan_rev(
+                    m,
+                    out,
+                    #[inline(always)]
+                    |r, buf| {
+                        for y in r.rev().map(NodeId::from_index) {
+                            if self.subtree_end(y) <= m && !self.kind(y).is_attribute() && keep(y) {
+                                buf.push(y);
+                            }
+                        }
+                    },
+                );
             }
             Axis::FollowingSibling => {
                 let mut cur = self.next_sibling(from);
@@ -1742,6 +1219,7 @@ impl Document {
                 out.extend(set.iter().filter(|&m| keep(m)));
             }
         }
+        Dispatch::ran(AxisRoute::Walk, chunks)
     }
 
     /// Whether the pair `(x, y)` is in the axis relation `χ` — the
@@ -1791,6 +1269,7 @@ pub fn idx_in_axis_order(axis: Axis, x: NodeId, s: &NodeSet) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::WorkerPool;
     use crate::parser::parse;
 
     /// Brute-force reference: enumerate all pairs via `axis_relates`.
@@ -2086,63 +1565,75 @@ mod tests {
         assert_eq!(Axis::from_str_opt("sideways"), None);
     }
 
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
     #[test]
     #[cfg_attr(
         miri,
         ignore = "full axis x test x origin pool sweep is minutes-long under the interpreter"
     )]
     fn parallel_kernels_match_sequential_bit_for_bit() {
-        // Tiny thresholds force the chunked paths even on these small
-        // documents; every axis × test × origin-set combination must agree
-        // with the sequential kernels exactly (ordinals included).
+        // The range driver's contract, kernel by kernel: a scan cut at
+        // *any* points — random ones here, repeated (empty ranges),
+        // adjacent (one-item ranges) and past the scan's end — and run on
+        // a pool concatenates to exactly what the one inline range
+        // produces, ordinals and axis order included, and dispatches to
+        // the same route.
         let pool = WorkerPool::new(3);
-        let cfg = ParConfig {
-            threshold: 2,
-            min_chunk: 1,
-        };
-        for doc in [doc1(), doc2()] {
+        let ids = parse(r#"<a id="10"><b id="11">22 10</b><c id="22">x</c></a>"#).unwrap();
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        for doc in [doc1(), doc2(), ids] {
             let everything: NodeSet = doc.all_nodes().collect();
-            let elems = all_elements(&doc);
+            let sparse: NodeSet = doc.all_nodes().filter(|n| n.index() % 3 == 1).collect();
             let single = NodeSet::singleton(doc.document_element());
+            let sets = [single, sparse, all_elements(&doc), everything.clone()];
             let tests = [
-                NodeTest::AnyNode,
-                NodeTest::Wildcard,
-                NodeTest::Text,
                 NodeTest::name("b"),
                 NodeTest::name("c"),
                 NodeTest::name("q"),
-                NodeTest::name("zzz"),
+                NodeTest::Wildcard,
+                NodeTest::AnyNode,
+                NodeTest::Text,
+                NodeTest::name("zzz"), // never matches
             ];
             let mut scratch = Scratch::new();
-            for axis in Axis::ALL {
-                for test in &tests {
-                    let t = test.resolve(&doc);
-                    for set in [&elems, &everything, &single] {
-                        let mut seq = NodeSet::new();
-                        axis_image_into(&doc, axis, set, t, &mut scratch, &mut seq);
-                        let mut par = NodeSet::new();
-                        axis_image_into_par(&doc, axis, set, t, &mut scratch, &mut par, &pool, cfg);
-                        assert_eq!(par, seq, "image axis {axis} test {test}");
+            let (mut one, mut many) = (NodeSet::new(), NodeSet::new());
+            let (mut one_list, mut many_list) = (Vec::new(), Vec::new());
+            for round in 0..6 {
+                let mut cuts: Vec<usize> = (0..xorshift(&mut rng) % 7)
+                    .map(|_| xorshift(&mut rng) as usize % (doc.len() + 3))
+                    .collect();
+                cuts.sort_unstable();
+                let cut = Exec::cut_at(&pool, &cuts);
+                let inline = Exec::INLINE;
+                for axis in Axis::ALL {
+                    let tag = format!("round {round} cuts {cuts:?} axis {axis}");
+                    for set in &sets {
+                        let a = axis_preimage_on(&doc, axis, set, &mut scratch, &mut one, inline);
+                        let b = axis_preimage_on(&doc, axis, set, &mut scratch, &mut many, cut);
+                        assert_eq!(many, one, "preimage {tag}");
+                        assert!(a == 0 && (b == 0 || b == cuts.len() + 1), "{tag}");
                     }
-                    let mut seq = NodeSet::new();
-                    axis_preimage_into(&doc, axis, &everything, &mut scratch, &mut seq);
-                    let mut par = NodeSet::new();
-                    axis_preimage_into_par(
-                        &doc,
-                        axis,
-                        &everything,
-                        &mut scratch,
-                        &mut par,
-                        &pool,
-                        cfg,
-                    );
-                    assert_eq!(par, seq, "preimage axis {axis}");
-                    for from in everything.iter() {
-                        let mut seq = Vec::new();
-                        doc.axis_nodes_into(axis, from, t, &mut seq);
-                        let mut par = Vec::new();
-                        axis_nodes_into_par(&doc, axis, from, t, &mut par, &pool, cfg);
-                        assert_eq!(par, seq, "axis_nodes axis {axis} test {test} from {from}");
+                    for test in &tests {
+                        let t = test.resolve(&doc);
+                        for set in &sets {
+                            let a =
+                                axis_image_on(&doc, axis, set, t, &mut scratch, &mut one, inline);
+                            let b = axis_image_on(&doc, axis, set, t, &mut scratch, &mut many, cut);
+                            assert_eq!(many, one, "image {tag} test {test}");
+                            assert_eq!((a.route, a.chunks), (b.route, 0), "{tag} test {test}");
+                        }
+                        for from in everything.iter() {
+                            let a = doc.axis_nodes_on(axis, from, t, &mut one_list, inline);
+                            let b = doc.axis_nodes_on(axis, from, t, &mut many_list, cut);
+                            assert_eq!(many_list, one_list, "nodes {tag} test {test} from {from}");
+                            assert_eq!(a.route, b.route, "{tag} test {test} from {from}");
+                        }
                     }
                 }
             }
@@ -2152,108 +1643,128 @@ mod tests {
     #[test]
     #[cfg_attr(
         miri,
-        ignore = "4000-element chunked sweep is minutes-long under the interpreter"
+        ignore = "gate-sized chunked sweeps are minutes-long under the interpreter"
     )]
     fn parallel_kernels_engage_above_threshold() {
-        // A wide flat document large enough that the chunked paths really
-        // run (non-zero chunk counts), still agreeing with sequential.
-        let mut xml = String::from("<r>");
-        for i in 0..4000 {
-            if i % 3 == 0 {
-                xml.push_str("<a><b/></a>");
+        // A wide flat document just past the production gate, in postings
+        // (the `a` label) and in arena ordinals: the scans really are cut
+        // (non-zero chunk counts), still agreeing with the one inline
+        // range; a scan below the gate stays inline on the same executor.
+        let mut xml = String::from("<r><c><b/></c>");
+        for i in 0..crate::par::GATE_ITEMS + 10 {
+            xml.push_str(if i % 1000 == 0 {
+                "<a><b/>t</a>"
             } else {
-                xml.push_str("<c/>");
-            }
+                "<a/>"
+            });
         }
-        xml.push_str("</r>");
+        xml.push_str("<c/></r>");
         let doc = parse(&xml).unwrap();
         let pool = WorkerPool::new(4);
-        let cfg = ParConfig {
-            threshold: 64,
-            min_chunk: 16,
-        };
+        let exec = Exec::on(Some(&pool));
         let elems = all_elements(&doc);
         let mut scratch = Scratch::new();
-        let mut ran_parallel = 0usize;
-        for (axis, test) in [
-            (Axis::Child, NodeTest::name("b")),
-            (Axis::Descendant, NodeTest::name("a")),
-            (Axis::Child, NodeTest::AnyNode),
-            (Axis::Preceding, NodeTest::Wildcard),
-            (Axis::Following, NodeTest::AnyNode),
+        let (mut one, mut many) = (NodeSet::new(), NodeSet::new());
+        for (axis, test, chunked) in [
+            (Axis::Child, NodeTest::name("a"), true),
+            (Axis::Descendant, NodeTest::name("a"), true),
+            (Axis::Preceding, NodeTest::name("a"), true),
+            (Axis::Child, NodeTest::AnyNode, true),
+            (Axis::Preceding, NodeTest::Wildcard, true),
+            (Axis::Following, NodeTest::AnyNode, true),
+            (Axis::Child, NodeTest::name("c"), false),
+            (Axis::FollowingSibling, NodeTest::AnyNode, false),
         ] {
             let t = test.resolve(&doc);
-            let mut seq = NodeSet::new();
-            axis_image_into(&doc, axis, &elems, t, &mut scratch, &mut seq);
-            let mut par = NodeSet::new();
-            let chunks =
-                axis_image_into_par(&doc, axis, &elems, t, &mut scratch, &mut par, &pool, cfg);
-            assert_eq!(par, seq, "axis {axis} test {test}");
-            ran_parallel += usize::from(chunks > 0);
+            let a = axis_image_on(&doc, axis, &elems, t, &mut scratch, &mut one, Exec::INLINE);
+            let b = axis_image_on(&doc, axis, &elems, t, &mut scratch, &mut many, exec);
+            assert_eq!(many, one, "axis {axis} test {test}");
+            assert_eq!((a.route, a.chunks), (b.route, 0), "axis {axis} test {test}");
+            assert_eq!(b.chunks > 0, chunked, "axis {axis} test {test}");
         }
-        assert!(ran_parallel >= 4, "expected the chunked kernels to engage");
+        axis_preimage_on(
+            &doc,
+            Axis::Ancestor,
+            &elems,
+            &mut scratch,
+            &mut one,
+            Exec::INLINE,
+        );
+        let chunks = axis_preimage_on(&doc, Axis::Ancestor, &elems, &mut scratch, &mut many, exec);
+        assert!(chunks > 0 && many == one);
+        let last = elems.last().unwrap();
+        let (mut one, mut many) = (Vec::new(), Vec::new());
+        doc.axis_nodes_into(Axis::Preceding, last, ResolvedTest::Wildcard, &mut one);
+        let ran = doc.axis_nodes_on(
+            Axis::Preceding,
+            last,
+            ResolvedTest::Wildcard,
+            &mut many,
+            exec,
+        );
+        assert!(ran.chunks > 0 && many == one && one.windows(2).all(|w| w[0] > w[1]));
     }
 
     #[test]
-    fn route_classification_mirrors_the_kernel_dispatch() {
+    fn kernels_return_the_route_they_ran() {
+        use AxisRoute::{Postings, Sweep, Walk};
         let doc = doc1();
         let name = NodeTest::name("c").resolve(&doc);
         let any = NodeTest::AnyNode.resolve(&doc);
-        // Name tests over multi-node origin sets hit the postings kernels
-        // exactly for the axes name_image_fast accepts…
-        for axis in [
-            Axis::Child,
-            Axis::Attribute,
-            Axis::Descendant,
-            Axis::DescendantOrSelf,
-            Axis::Following,
-            Axis::Preceding,
+        let three: NodeSet = all_elements(&doc).iter().take(3).collect();
+        let one = NodeSet::singleton(doc.document_element());
+        let none = NodeSet::new();
+        let mut scratch = Scratch::new();
+        let mut out = NodeSet::new();
+        for (axis, t, x, want) in [
+            // Name tests over multi-node origin sets run on the postings…
+            (Axis::Child, name, &three, Postings),
+            (Axis::Attribute, name, &three, Postings),
+            (Axis::Descendant, name, &three, Postings),
+            (Axis::DescendantOrSelf, name, &three, Postings),
+            (Axis::Following, name, &three, Postings),
+            (Axis::Preceding, name, &three, Postings),
+            // …the chain kernels are local walks…
+            (Axis::Parent, name, &three, Walk),
+            (Axis::Ancestor, name, &three, Walk),
+            (Axis::AncestorOrSelf, name, &three, Walk),
+            // …and the rest sweep, as every non-name test does.
+            (Axis::SelfAxis, name, &three, Sweep),
+            (Axis::FollowingSibling, name, &three, Sweep),
+            (Axis::Id, name, &three, Sweep),
+            (Axis::Child, any, &three, Sweep),
+            // Singleton origins take the single-node walk, whose own
+            // postings fast paths cover name-tested descendant(-or-self).
+            (Axis::Descendant, name, &one, Postings),
+            (Axis::Child, name, &one, Walk),
+            (Axis::Child, any, &one, Walk),
+            // The singleton exceptions stay on the set kernels: id, and
+            // the sliced name-tested following/preceding postings.
+            (Axis::Id, any, &one, Sweep),
+            (Axis::Preceding, name, &one, Postings),
+            // Empty origins and dead names never run a kernel at all.
+            (Axis::Child, name, &none, Walk),
+            (Axis::Descendant, ResolvedTest::NeverMatches, &three, Walk),
         ] {
-            assert_eq!(classify_image_route(axis, name, 3), AxisRoute::Postings);
+            let ran = axis_image_on(&doc, axis, x, t, &mut scratch, &mut out, Exec::INLINE);
+            assert_eq!(
+                ran,
+                Dispatch::ran(want, 0),
+                "axis {axis} test {t:?} from {}",
+                x.len()
+            );
         }
-        // …chain kernels are local walks…
-        for axis in [Axis::Parent, Axis::Ancestor, Axis::AncestorOrSelf] {
-            assert_eq!(classify_image_route(axis, name, 3), AxisRoute::Walk);
+        // One origin at a time — what each origin of a positional step pays.
+        let from = doc.document_element();
+        let mut list = Vec::new();
+        for (axis, t, want) in [
+            (Axis::Descendant, name, Postings),
+            (Axis::Following, name, Postings),
+            (Axis::Preceding, name, Walk),
+            (Axis::Child, any, Walk),
+        ] {
+            let ran = doc.axis_nodes_on(axis, from, t, &mut list, Exec::INLINE);
+            assert_eq!(ran, Dispatch::ran(want, 0), "axis {axis} test {t:?}");
         }
-        // …and the rest fall through to the generic sweeps.
-        for axis in [Axis::SelfAxis, Axis::FollowingSibling, Axis::Id] {
-            assert_eq!(classify_image_route(axis, name, 3), AxisRoute::Sweep);
-        }
-        assert_eq!(classify_image_route(Axis::Child, any, 3), AxisRoute::Sweep);
-        // Singleton origins take the single-node walk, whose own postings
-        // fast paths cover name-tested descendant(-or-self)/following.
-        assert_eq!(
-            classify_image_route(Axis::Descendant, name, 1),
-            AxisRoute::Postings
-        );
-        assert_eq!(classify_image_route(Axis::Child, name, 1), AxisRoute::Walk);
-        assert_eq!(classify_image_route(Axis::Child, any, 1), AxisRoute::Walk);
-        // The singleton exceptions stay on the set kernels: id, and the
-        // sliced name-tested following/preceding postings.
-        assert_eq!(classify_image_route(Axis::Id, any, 1), AxisRoute::Sweep);
-        assert_eq!(
-            classify_image_route(Axis::Preceding, name, 1),
-            AxisRoute::Postings
-        );
-        // Empty origins and dead names never run a kernel at all.
-        assert_eq!(classify_image_route(Axis::Child, name, 0), AxisRoute::Walk);
-        assert_eq!(
-            classify_image_route(Axis::Descendant, ResolvedTest::NeverMatches, 9),
-            AxisRoute::Walk
-        );
-        // The per-origin classifier mirrors axis_nodes_into.
-        assert_eq!(
-            classify_single_route(Axis::Descendant, name),
-            AxisRoute::Postings
-        );
-        assert_eq!(
-            classify_single_route(Axis::Following, name),
-            AxisRoute::Postings
-        );
-        assert_eq!(
-            classify_single_route(Axis::Preceding, name),
-            AxisRoute::Walk
-        );
-        assert_eq!(classify_single_route(Axis::Child, any), AxisRoute::Walk);
     }
 }

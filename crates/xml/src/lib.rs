@@ -45,14 +45,14 @@ pub mod serialize;
 pub mod store;
 pub mod token;
 
-pub use axes::{Axis, AxisRoute, NodeTest, ResolvedTest, Scratch};
+pub use axes::{Axis, AxisRoute, Dispatch, NodeTest, ResolvedTest, Scratch};
 pub use builder::DocumentBuilder;
 pub use document::Document;
 pub use error::{XmlError, XmlErrorKind};
 pub use name::{Name, NameTable};
 pub use node::{NodeId, NodeKind};
 pub use nodeset::{DenseSet, NodeSet};
-pub use par::{ParConfig, WorkerPool};
+pub use par::{Exec, WorkerPool};
 pub use parser::{
     parse, parse_reader, parse_reader_with_options, parse_with_options, ParseOptions,
 };

@@ -1,5 +1,5 @@
-//! A small zero-dependency scoped work-splitting pool — the substrate of
-//! the parallel axis kernels and MINCONTEXT's per-context fan-out (see
+//! A small zero-dependency scoped work-splitting pool, and the range driver
+//! ([`Exec`]) through which the axis kernels run their scans on it (see
 //! DESIGN.md "Parallel evaluation").
 //!
 //! A [`WorkerPool`] owns `threads − 1` parked OS threads; the caller of
@@ -11,11 +11,12 @@
 //! valid for exactly the region's duration; that blocking discipline is
 //! what makes the one lifetime-erasing `unsafe` below sound.
 //!
-//! Determinism contract: chunks are *index-range* shaped by construction
-//! (see [`chunk_bounds`]) and callers merge per-chunk outputs in chunk
-//! order, so results are bit-identical to a sequential run regardless of
-//! which thread claims which chunk — the differential suites run the
-//! whole corpus both ways to enforce this.
+//! Determinism contract: a kernel's scan is cut into ascending, disjoint
+//! *index ranges* and [`Exec`] concatenates the per-range outputs in range
+//! order, so results are bit-identical to running the same kernel body
+//! over the one whole range regardless of which thread claims which
+//! range — the differential suites run the whole corpus both ways to
+//! enforce this.
 //!
 //! A panic inside a chunk is caught on the worker, the region still
 //! drains (remaining chunks run), and the first payload is re-raised on
@@ -23,10 +24,11 @@
 //!
 //! Observability: the process-global registry gains `par/regions`,
 //! `par/chunks`, `par/steals` (chunks executed by pool workers rather
-//! than the caller) and `par/bypass` (would-be parallel calls that ran
-//! sequentially below the size threshold).
+//! than the caller) and `par/bypass` (scans that stayed one range on the
+//! calling thread because they were below the gate).
 
-use crate::axes::Scratch;
+use crate::node::NodeId;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
@@ -66,71 +68,170 @@ pub fn par_bypasses() -> u64 {
     bypass_counter().get()
 }
 
-/// Records that a parallel-capable call stayed sequential (input below
-/// the size threshold, or a single chunk's worth of work).
-pub fn note_bypass() {
-    bypass_counter().inc();
+/// The one gate, in scanned items (postings or arena ordinals): a scan
+/// shorter than this runs as one range on the calling thread.  Set from
+/// the measured table in DESIGN.md "Parallel evaluation": on two threads
+/// every kind of scan loses below ~10⁵ items, arena sweeps break even
+/// around 2.7·10⁵ (the whole arena of a 10⁵-element document) and were
+/// never measured slower from 5·10⁵ up — so the gate is 2¹⁹, and nothing
+/// a 10⁵-element document can hold is cut.
+pub(crate) const GATE_ITEMS: usize = 524_288;
+
+/// Minimum items per chunk (one range of a cut scan).
+const MIN_CHUNK_ITEMS: usize = 65_536;
+
+/// Chunk-count cap per worker: enough slack that one slow (or descheduled)
+/// worker does not serialize the region, not so many that claiming
+/// dominates.
+const CHUNKS_PER_THREAD: usize = 4;
+
+/// How many chunks to cut a scan of `items` into for `threads` workers;
+/// `0` means "below the gate: one range, on the calling thread".
+fn chunks_for(threads: usize, items: usize) -> usize {
+    if threads < 2 || items < GATE_ITEMS {
+        return 0;
+    }
+    (items / MIN_CHUNK_ITEMS).min(threads * CHUNKS_PER_THREAD)
 }
 
-/// Size gating for the parallel kernels: how much scanned work justifies
-/// a region, and how small chunks may get.  Defaults keep small queries
-/// on the sequential path so they never pay coordination cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParConfig {
-    /// Minimum number of scanned items (postings, arena nodes, context
-    /// origins) before the chunked variant engages.
-    pub threshold: usize,
-    /// Minimum items per chunk; more chunks than `threads` (up to
-    /// [`CHUNKS_PER_THREAD`] each) keep uneven chunks load-balanced.
-    pub min_chunk: usize,
+/// The `chunks + 1` bounds cutting `0..len` into contiguous index ranges
+/// `[b[i], b[i + 1])`: ascending, disjoint, covering — so per-range
+/// outputs produced in index order concatenate (in range order) to
+/// exactly the one-range output.
+fn chunk_bounds(len: usize, chunks: usize) -> Vec<usize> {
+    (0..=chunks).map(|i| i * len / chunks).collect()
 }
 
-/// Default engagement threshold: below ~4k scanned items a region's
-/// wake/claim/merge overhead rivals the scan itself.
-pub const DEFAULT_PAR_THRESHOLD: usize = 4096;
+/// How an axis kernel's scan is executed — the one thing
+/// `Engine::with_threads` changes.  Every kernel writes its scan once, as
+/// a body over an index range; [`Exec::INLINE`] runs that body over the
+/// whole range straight into the caller's buffer (no pool, no per-range
+/// buffer, no lock), [`Exec::on`] a pool cuts scans above the gate into
+/// ranges, runs the *same* body on each, and concatenates in range order.
+#[derive(Debug, Clone, Copy)]
+pub struct Exec<'a> {
+    pool: Option<&'a WorkerPool>,
+    /// Explicit cut points replacing the gate (unit tests only): they may
+    /// repeat and may exceed a scan's length, so empty and one-item ranges
+    /// occur.
+    cuts: Option<&'a [usize]>,
+}
 
-/// Default minimum chunk size.
-pub const DEFAULT_MIN_CHUNK: usize = 1024;
+impl<'a> Exec<'a> {
+    /// One range on the calling thread — what `threads = 1` runs.
+    pub const INLINE: Exec<'static> = Exec {
+        pool: None,
+        cuts: None,
+    };
 
-/// Chunk-count cap per worker: enough slack that one slow chunk does not
-/// serialize the region, not so many that claiming dominates.
-pub const CHUNKS_PER_THREAD: usize = 4;
+    /// Scans above the gate are cut into ranges on `pool`; with no pool
+    /// this is [`Exec::INLINE`].
+    pub fn on(pool: Option<&'a WorkerPool>) -> Exec<'a> {
+        Exec { pool, cuts: None }
+    }
 
-impl Default for ParConfig {
-    fn default() -> ParConfig {
-        ParConfig {
-            threshold: DEFAULT_PAR_THRESHOLD,
-            min_chunk: DEFAULT_MIN_CHUNK,
+    /// Every scan is cut at `cuts` (ascending), whatever its length.
+    #[cfg(test)]
+    pub(crate) fn cut_at(pool: &'a WorkerPool, cuts: &'a [usize]) -> Exec<'a> {
+        Exec {
+            pool: Some(pool),
+            cuts: Some(cuts),
         }
+    }
+
+    /// Runs `body(range, buf)` over `0..len`, appending to `out` what the
+    /// body appends to `buf`; the body must emit a range's output in
+    /// ascending order.  Returns the number of ranges run through the pool
+    /// (`0`: one range, inline).
+    #[inline(always)]
+    pub(crate) fn scan<F>(self, len: usize, out: &mut Vec<NodeId>, body: F) -> usize
+    where
+        F: Fn(Range<usize>, &mut Vec<NodeId>) + Sync,
+    {
+        self.drive(len, out, false, body)
+    }
+
+    /// [`Exec::scan`] for a body that emits a range's output in
+    /// *descending* order (`preceding` from one node, in axis order):
+    /// ranges concatenate last to first.
+    #[inline(always)]
+    pub(crate) fn scan_rev<F>(self, len: usize, out: &mut Vec<NodeId>, body: F) -> usize
+    where
+        F: Fn(Range<usize>, &mut Vec<NodeId>) + Sync,
+    {
+        self.drive(len, out, true, body)
+    }
+
+    #[inline(always)]
+    fn drive<F>(self, len: usize, out: &mut Vec<NodeId>, reversed: bool, body: F) -> usize
+    where
+        F: Fn(Range<usize>, &mut Vec<NodeId>) + Sync,
+    {
+        match self.bounds(len) {
+            Some((pool, bounds)) => run_ranges(pool, &bounds, out, reversed, &body),
+            None => {
+                body(0..len, out);
+                0
+            }
+        }
+    }
+
+    /// Where to cut `0..len`: `k + 1` ascending bounds for `k` ranges, or
+    /// `None` for one inline range.
+    fn bounds(self, len: usize) -> Option<(&'a WorkerPool, Vec<usize>)> {
+        let pool = self.pool?;
+        if let Some(cuts) = self.cuts {
+            debug_assert!(cuts.windows(2).all(|w| w[0] <= w[1]));
+            let inner = cuts.iter().map(|&c| c.min(len));
+            return Some((pool, std::iter::once(0).chain(inner).chain([len]).collect()));
+        }
+        let k = chunks_for(pool.threads(), len);
+        if k == 0 {
+            bypass_counter().inc();
+            return None;
+        }
+        Some((pool, chunk_bounds(len, k)))
     }
 }
 
-impl ParConfig {
-    /// How many chunks to split `items` into for `pool`, honoring
-    /// `min_chunk`; `0` means "stay sequential" (below threshold or not
-    /// enough work for two chunks).
-    pub fn chunks_for(&self, pool: &WorkerPool, items: usize) -> usize {
-        if items < self.threshold.max(2) {
-            return 0;
-        }
-        let by_size = items / self.min_chunk.max(1);
-        let cap = pool.threads() * CHUNKS_PER_THREAD;
-        let chunks = by_size.min(cap);
-        if chunks < 2 {
-            0
-        } else {
-            chunks
-        }
+/// Runs `body` on each range of `bounds` through the pool and concatenates
+/// the per-range buffers in range order (reverse range order when
+/// `reversed`).  Returns the range count.
+fn run_ranges(
+    pool: &WorkerPool,
+    bounds: &[usize],
+    out: &mut Vec<NodeId>,
+    reversed: bool,
+    body: &(dyn Fn(Range<usize>, &mut Vec<NodeId>) + Sync),
+) -> usize {
+    let k = bounds.len() - 1;
+    let slots: Vec<Mutex<Vec<NodeId>>> = {
+        let mut warm = pool.lock_bufs();
+        (0..k)
+            .map(|_| Mutex::new(warm.pop().unwrap_or_default()))
+            .collect()
+    };
+    pool.run(k, &|i| {
+        // Uncontended: each range index is claimed exactly once, so the
+        // lock only fences the buffer hand-off back to the merge loop.
+        let mut buf = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+        body(bounds[i]..bounds[i + 1], &mut buf);
+    });
+    let mut bufs: Vec<Vec<NodeId>> = slots
+        .into_iter()
+        .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .collect();
+    if reversed {
+        bufs.reverse();
     }
-}
-
-/// The contiguous index range `[start, end)` of chunk `i` out of
-/// `chunks` over `len` items.  Ranges are ascending and disjoint and
-/// cover `0..len`, so per-chunk outputs produced in index order
-/// concatenate (in chunk order) to exactly the sequential output.
-pub fn chunk_bounds(len: usize, chunks: usize, i: usize) -> (usize, usize) {
-    debug_assert!(i < chunks);
-    (i * len / chunks, (i + 1) * len / chunks)
+    for buf in &mut bufs {
+        out.extend_from_slice(buf);
+        buf.clear();
+    }
+    let mut warm = pool.lock_bufs();
+    warm.extend(bufs);
+    warm.truncate(pool.threads * CHUNKS_PER_THREAD);
+    k
 }
 
 /// The task pointer published to the workers for one region: a
@@ -237,8 +338,12 @@ pub struct WorkerPool {
     handles: Vec<JoinHandle<()>>,
     /// Serializes regions: `run` publishes exactly one task at a time.
     region: Mutex<()>,
-    /// Per-thread [`Scratch`] arenas for fan-out evaluation workers.
-    scratch: Mutex<Vec<Scratch>>,
+    /// Per-chunk output buffers, kept warm between regions.  Fresh ones
+    /// are mapped, page-faulted and unmapped on every region, which was
+    /// measured to cost more than the scans they serve (DESIGN.md
+    /// "Parallel evaluation"); like a [`Scratch`](crate::Scratch) they
+    /// grow to the largest output seen.
+    bufs: Mutex<Vec<Vec<NodeId>>>,
     threads: usize,
 }
 
@@ -282,7 +387,7 @@ impl WorkerPool {
             shared,
             handles,
             region: Mutex::new(()),
-            scratch: Mutex::new(Vec::new()),
+            bufs: Mutex::new(Vec::new()),
             threads,
         }
     }
@@ -290,6 +395,12 @@ impl WorkerPool {
     /// Total worker count, caller included.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// The warm buffers hold no invariant (they are emptied before they
+    /// are stashed), so a poisoned lock is recovered.
+    fn lock_bufs(&self) -> MutexGuard<'_, Vec<Vec<NodeId>>> {
+        self.bufs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Runs `task(i)` once for every `i in 0..chunks`, distributing
@@ -361,24 +472,6 @@ impl WorkerPool {
             resume_unwind(payload);
         }
     }
-
-    /// Pops a per-thread [`Scratch`] arena for a fan-out evaluation
-    /// worker (fresh if the stash is empty; buffers size on first use).
-    pub fn take_scratch(&self) -> Scratch {
-        self.scratch
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Returns a scratch to the stash (bounded at one per thread).
-    pub fn put_scratch(&self, s: Scratch) {
-        let mut stash = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
-        if stash.len() < self.threads {
-            stash.push(s);
-        }
-    }
 }
 
 impl Drop for WorkerPool {
@@ -420,9 +513,9 @@ mod tests {
         let items: Vec<u64> = (0..100_000).collect();
         let total = AtomicU64::new(0);
         let chunks = 16;
+        let bounds = chunk_bounds(items.len(), chunks);
         pool.run(chunks, &|i| {
-            let (s, e) = chunk_bounds(items.len(), chunks, i);
-            let part: u64 = items[s..e].iter().sum();
+            let part: u64 = items[bounds[i]..bounds[i + 1]].iter().sum();
             total.fetch_add(part, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), items.iter().sum::<u64>());
@@ -432,14 +525,13 @@ mod tests {
     fn chunk_bounds_cover_and_are_disjoint() {
         for len in [0usize, 1, 5, 64, 1000, 1001] {
             for chunks in [1usize, 2, 3, 7, 16] {
-                let mut expected_start = 0;
-                for i in 0..chunks {
-                    let (s, e) = chunk_bounds(len, chunks, i);
-                    assert_eq!(s, expected_start, "len={len} chunks={chunks} i={i}");
-                    assert!(e >= s);
-                    expected_start = e;
-                }
-                assert_eq!(expected_start, len);
+                let bounds = chunk_bounds(len, chunks);
+                assert_eq!(bounds.len(), chunks + 1);
+                assert_eq!((bounds[0], bounds[chunks]), (0, len));
+                assert!(
+                    bounds.windows(2).all(|w| w[0] <= w[1]),
+                    "len={len} chunks={chunks}"
+                );
             }
         }
     }
@@ -491,31 +583,38 @@ mod tests {
     }
 
     #[test]
-    fn scratch_stash_round_trips() {
-        let pool = WorkerPool::new(2);
-        let s = pool.take_scratch();
-        pool.put_scratch(s);
-        let _ = pool.take_scratch();
+    fn chunks_for_gates_on_threshold_and_min_chunk() {
+        assert_eq!(chunks_for(4, 0), 0);
+        assert_eq!(chunks_for(4, GATE_ITEMS - 1), 0, "below the gate");
+        assert_eq!(chunks_for(1, 10 * GATE_ITEMS), 0, "nobody to share with");
+        // At the gate the region engages, in chunks no smaller than the
+        // minimum…
+        let at_gate = chunks_for(4, GATE_ITEMS);
+        assert!(at_gate >= 2);
+        assert!(GATE_ITEMS / at_gate >= MIN_CHUNK_ITEMS);
+        // …and however long the scan, the per-thread cap holds.
+        assert_eq!(chunks_for(2, usize::MAX / 2), 2 * CHUNKS_PER_THREAD);
     }
 
     #[test]
-    fn chunks_for_gates_on_threshold_and_min_chunk() {
-        let pool = WorkerPool::new(4);
-        let cfg = ParConfig {
-            threshold: 100,
-            min_chunk: 10,
-        };
-        assert_eq!(cfg.chunks_for(&pool, 0), 0);
-        assert_eq!(cfg.chunks_for(&pool, 99), 0, "below threshold");
-        let c = cfg.chunks_for(&pool, 100);
-        assert!(c >= 2, "at threshold the region engages");
-        assert!(cfg.chunks_for(&pool, 1_000_000) <= pool.threads() * CHUNKS_PER_THREAD);
-        // min_chunk dominates for barely-eligible sizes.
-        let tight = ParConfig {
-            threshold: 2,
-            min_chunk: 1000,
-        };
-        assert_eq!(tight.chunks_for(&pool, 1999), 0, "one chunk's worth");
-        assert_eq!(tight.chunks_for(&pool, 2000), 2);
+    fn scans_concatenate_in_range_order_and_reversed() {
+        let pool = WorkerPool::new(3);
+        // Repeated and out-of-range cut points: empty ranges, clamped.
+        let exec = Exec::cut_at(&pool, &[0, 3, 3, 4, 9, 50]);
+        let ids = |r: Range<usize>| r.map(NodeId::from_index).collect::<Vec<_>>();
+        let mut out = Vec::new();
+        let k = exec.scan(12, &mut out, |r, buf| buf.extend(ids(r)));
+        assert_eq!((k, out), (7, ids(0..12)));
+        let mut out = Vec::new();
+        exec.scan_rev(12, &mut out, |r, buf| buf.extend(ids(r).into_iter().rev()));
+        assert_eq!(out, ids(0..12).into_iter().rev().collect::<Vec<_>>());
+        // Inline: the body sees the one whole range and the caller's buffer.
+        let mut out = vec![NodeId::from_index(99)];
+        let k = Exec::INLINE.scan(3, &mut out, |r, buf| buf.extend(ids(r)));
+        assert_eq!((k, out.len()), (0, 4));
+        // Below the gate a pool-backed scan stays inline and says so.
+        let before = par_bypasses();
+        assert_eq!(Exec::on(Some(&pool)).scan(3, &mut out, |_, _| {}), 0);
+        assert!(par_bypasses() > before);
     }
 }

@@ -233,7 +233,7 @@
 //! use minctx::prelude::*;
 //!
 //! let doc = minctx::xml::parse(r#"<a><item id="1"/><item/></a>"#).unwrap();
-//! let engine = Engine::new(Strategy::MinContext);
+//! let engine = Engine::new(Strategy::MinContext).with_optimizer(true);
 //! let profile = engine.explain(&doc, "//item[@id]").unwrap();
 //! assert_eq!(profile.result, "node-set n=1");
 //! assert!(profile.plan_text().contains("fired=fuse-descendant:1"));
@@ -243,17 +243,15 @@
 //! ## Parallel evaluation
 //!
 //! [`Engine::with_threads`](engine::Engine::with_threads) turns on
-//! intra-query data parallelism: large axis sweeps split the flat
-//! postings/arena columns into index-range chunks across a scoped
-//! worker pool, and positional steps fan their origins out with
-//! per-worker fuel sub-allowances — results are **bit-identical** to
-//! sequential evaluation, ordinals included (chunks are disjoint
-//! ascending ranges merged in chunk order; the differential corpus runs
-//! at threads 1/2/4 to hold the line).  The default of 1 constructs no
-//! pool at all and *is* the sequential path; small steps below the
-//! split threshold (tunable via
-//! [`Engine::with_par_threshold`](engine::Engine::with_par_threshold))
-//! never pay coordination cost.  In the service, set
+//! intra-query data parallelism, and means exactly one thing: the axis
+//! kernels cut a large scan — a postings slice or an arena sweep — into
+//! index ranges, run the same kernel body on each across a scoped worker
+//! pool, and concatenate in range order.  Results are **bit-identical**
+//! to sequential evaluation, ordinals included, and so are fuel spent,
+//! budget outcomes and EXPLAIN routes (the differential corpus runs at
+//! threads 1/2/4 to hold the line).  The default of 1 constructs no
+//! pool at all; scans below a fixed, measured size gate never pay
+//! coordination cost.  In the service, set
 //! [`ServeBuilder::threads`](serve::ServeBuilder::threads) per worker
 //! engine — total thread pressure is roughly `workers × threads`.
 //! EXPLAIN step rows report dispatched chunk counts
@@ -289,13 +287,11 @@ pub use minctx_stream as stream;
 pub use minctx_syntax as syntax;
 pub use minctx_xml as xml;
 
-/// The most common imports, bundled.  (`ParConfig` rides along for
-/// tuning `Engine::with_threads` split thresholds; the knob itself is a
-/// method on `Engine`.)
+/// The most common imports, bundled.
 pub mod prelude {
     pub use minctx_core::{
-        Budget, CompiledQuery, Context, Engine, EvalError, Evaluator, ParConfig, QueryProfile,
-        StepProfile, Strategy, Value,
+        Budget, CompiledQuery, Context, Engine, EvalError, Evaluator, QueryProfile, StepProfile,
+        Strategy, Value,
     };
     pub use minctx_index::{
         open_snapshot, open_snapshot_or_quarantine, snapshot_stamp, write_snapshot, SnapshotError,
