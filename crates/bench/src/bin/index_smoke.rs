@@ -9,10 +9,11 @@
 //! stream smoke's tier), snapshots it, drops the arena, reopens the
 //! snapshot, and asserts:
 //!
-//! * `minctx_xml::tokenizers_created()` did not move — the open never
-//!   lexed a byte of XML (no re-parse, structurally impossible to fake);
-//! * `minctx_xml::builder::documents_built()` did not move — no arena
-//!   was re-built either, the columns were adopted in place;
+//! * the `xml/tokenizers_created` counter of `minctx_obs::global()` did
+//!   not move — the open never lexed a byte of XML (no re-parse,
+//!   structurally impossible to fake);
+//! * its `xml/documents_built` counter did not move — no arena was
+//!   re-built either, the columns were adopted in place;
 //! * total bytes allocated during the open stay under a fixed ceiling
 //!   (1 MiB) that is orders of magnitude below the document's own
 //!   footprint — only the name table and the document shell may
@@ -66,8 +67,10 @@ fn main() {
     );
     drop(doc);
 
-    let docs_before = minctx_xml::builder::documents_built();
-    let toks_before = minctx_xml::tokenizers_created();
+    let docs_built = minctx_obs::global().counter("xml/documents_built");
+    let toks_created = minctx_obs::global().counter("xml/tokenizers_created");
+    let docs_before = docs_built.get();
+    let toks_before = toks_created.get();
     let alloc_before = ALLOC.total();
     let open_start = Instant::now();
     let snap = open_snapshot(&path).unwrap();
@@ -75,12 +78,12 @@ fn main() {
     let open_alloc = ALLOC.total() - alloc_before;
 
     assert_eq!(
-        minctx_xml::tokenizers_created(),
+        toks_created.get(),
         toks_before,
         "open_snapshot constructed a Tokenizer: the snapshot was re-lexed"
     );
     assert_eq!(
-        minctx_xml::builder::documents_built(),
+        docs_built.get(),
         docs_before,
         "open_snapshot ran the DocumentBuilder: the arena was re-built"
     );
@@ -96,7 +99,7 @@ fn main() {
         "snapshot answer {got:?} != arena answer {expected:?}"
     );
     assert_eq!(
-        minctx_xml::tokenizers_created(),
+        toks_created.get(),
         toks_before,
         "evaluating on a snapshot lexed XML"
     );

@@ -12,11 +12,11 @@
 //!
 //! * every concurrent answer agrees with a single-threaded evaluation
 //!   of the same query on the same snapshot;
-//! * `minctx_xml::tokenizers_created()` and
-//!   `minctx_xml::builder::documents_built()` stay **flat** across the
-//!   serving phase — after warm-up the pool never lexes XML or rebuilds
-//!   an arena (the snapshot is mapped once per content stamp, compiled
-//!   queries are cached per `(query, doc stamp)`);
+//! * the `xml/tokenizers_created` and `xml/documents_built` counters of
+//!   `minctx_obs::global()` stay **flat** across the serving phase —
+//!   after warm-up the pool never lexes XML or rebuilds an arena (the
+//!   snapshot is mapped once per content stamp, compiled queries are
+//!   cached per `(query, doc stamp)`);
 //! * mean allocation per request stays under a fixed ceiling orders of
 //!   magnitude below the document footprint — no per-request copy;
 //! * a pathological request under a 100 ms deadline comes back as
@@ -105,8 +105,10 @@ fn main() {
         assert!(values_agree(&got, want), "{q}: warm-up {got:?} != {want:?}");
     }
 
-    let toks_before = minctx_xml::tokenizers_created();
-    let docs_before = minctx_xml::builder::documents_built();
+    let toks_created = minctx_obs::global().counter("xml/tokenizers_created");
+    let docs_built = minctx_obs::global().counter("xml/documents_built");
+    let toks_before = toks_created.get();
+    let docs_before = docs_built.get();
     let alloc_before = ALLOC.total();
     let serve_start = Instant::now();
 
@@ -139,12 +141,12 @@ fn main() {
     let serve_time = serve_start.elapsed();
     let per_request_alloc = (ALLOC.total() - alloc_before) / REQUESTS;
     assert_eq!(
-        minctx_xml::tokenizers_created(),
+        toks_created.get(),
         toks_before,
         "the pool lexed XML mid-serve: a snapshot was re-parsed"
     );
     assert_eq!(
-        minctx_xml::builder::documents_built(),
+        docs_built.get(),
         docs_before,
         "the pool re-built an arena mid-serve: the snapshot cache missed"
     );

@@ -8,7 +8,13 @@
 //! * the peak working set of the pass stayed under a ceiling that is a
 //!   small fraction of what the arena for this corpus costs — i.e.
 //!   memory is bounded by document depth + result size, not `|D|`;
-//! * `documents_built()` is unchanged — the arena was *never* built.
+//! * the `xml/documents_built` counter of `minctx_obs::global()` is
+//!   unchanged — the arena was *never* built.
+//!
+//! It then drains the same text through `Tokenizer::new` and
+//! `Tokenizer::from_reader`, asserts the two modes count the same
+//! events, and prints the MB/s of each (printed, not asserted: the
+//! gate on lexing speed is `benchmark/`).
 //!
 //! ```text
 //! cargo run --release -p minctx-bench --bin stream_smoke [-- elements [ceiling-mb]]
@@ -18,6 +24,8 @@ use minctx_bench::{xmark_doc, CountingAllocator, XmarkConfig};
 use minctx_core::{Engine, Strategy};
 use minctx_stream::{StreamValue, StreamingEngine};
 use minctx_xml::serialize::to_xml_string;
+use minctx_xml::{ParseOptions, Tokenizer};
+use std::time::Instant;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -43,7 +51,8 @@ fn main() {
     );
 
     let engine = Engine::new(Strategy::Streaming);
-    let built_before = minctx_xml::builder::documents_built();
+    let docs_built = minctx_obs::global().counter("xml/documents_built");
+    let built_before = docs_built.get();
     let ceiling = ceiling_mb * 1024 * 1024;
     for q in [
         "//item",
@@ -78,9 +87,30 @@ fn main() {
         );
     }
     assert_eq!(
-        minctx_xml::builder::documents_built(),
+        docs_built.get(),
         built_before,
         "a Document arena was built on the streamable path"
+    );
+
+    let drain = |mode: &str, mut tok: Tokenizer<'_>| {
+        let start = Instant::now();
+        let mut events = 0u64;
+        while let Some(ev) = tok.next_event().unwrap_or_else(|e| panic!("{mode}: {e}")) {
+            std::hint::black_box(&ev);
+            events += 1;
+        }
+        let mb_per_s = xml.len() as f64 / 1e6 / start.elapsed().as_secs_f64();
+        println!("  tokenizer {mode:<6} {events:>9} events   {mb_per_s:>6.0} MB/s");
+        events
+    };
+    let from_str = drain("str", Tokenizer::new(&xml));
+    let from_reader = drain(
+        "reader",
+        Tokenizer::from_reader(xml.as_bytes(), ParseOptions::default()),
+    );
+    assert_eq!(
+        from_str, from_reader,
+        "the two tokenizer modes disagree on the event count"
     );
     println!("stream smoke OK: no arena built, all passes under the allocation ceiling");
 }

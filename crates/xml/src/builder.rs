@@ -20,24 +20,15 @@ static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 /// The `xml/documents_built` counter in the process-wide metrics
 /// registry, resolved once.  Stamps still come from [`NEXT_STAMP`] (the
 /// registry cell must not double as the stamp source — stamps demand
-/// uniqueness, metrics only monotonicity).
+/// uniqueness, metrics only monotonicity).  The streaming smoke asserts
+/// the counter is unchanged across `evaluate_reader` on streamable
+/// queries — direct proof that the one-pass path never materializes an
+/// arena — and the index and serve smokes assert the same across
+/// `open_snapshot` (reopening a snapshot never re-builds, just as it
+/// never re-lexes).
 fn documents_built_counter() -> &'static minctx_obs::Counter {
     static C: std::sync::OnceLock<minctx_obs::Counter> = std::sync::OnceLock::new();
     C.get_or_init(|| minctx_obs::global().counter("xml/documents_built"))
-}
-
-/// Number of [`Document`]s fully built process-wide (monotone).
-///
-/// Diagnostics hook: the streaming allocation smoke asserts this is
-/// unchanged across `evaluate_reader` on streamable queries — direct
-/// proof that the one-pass path never materializes an arena — and the
-/// index smoke asserts the same across `open_snapshot` (reopening a
-/// snapshot never re-builds, just as it never re-lexes).
-///
-/// Thin shim over the `xml/documents_built` counter in
-/// [`minctx_obs::global`] (where exposition renderers pick it up).
-pub fn documents_built() -> u64 {
-    documents_built_counter().get()
 }
 
 /// Builder stamps are plain counter values with the high bit clear;
@@ -170,13 +161,25 @@ impl DocumentBuilder {
 
     /// Opens an element with the given attributes.
     pub fn start_element(&mut self, name: &str, attrs: &[(&str, &str)]) -> &mut Self {
+        self.start_element_from(name, attrs)
+    }
+
+    /// [`start_element`](Self::start_element) over any pair of string
+    /// types, so the parser folds the tokenizer's owned attribute slots
+    /// in without collecting them into borrowed pairs first.
+    pub fn start_element_from<N, V>(&mut self, name: &str, attrs: &[(N, V)]) -> &mut Self
+    where
+        N: AsRef<str>,
+        V: AsRef<str>,
+    {
         let nm = self.names.intern(name);
         let parent = self.current_parent();
         let elem = self.push_node(NodeKind::Element(nm), "", parent);
         for (aname, avalue) in attrs {
+            let aname = aname.as_ref();
             let an = self.names.intern(aname);
-            let attr = self.push_node(NodeKind::Attribute(an), avalue, elem);
-            if *aname == self.id_attribute {
+            let attr = self.push_node(NodeKind::Attribute(an), avalue.as_ref(), elem);
+            if aname == self.id_attribute {
                 self.id_pairs.push((attr, elem));
             }
         }

@@ -68,8 +68,15 @@ impl fmt::Display for XmlErrorKind {
 }
 
 /// An XML parse error with the byte offset and line/column where it occurred.
+///
+/// One pointer wide: the tokenizer returns a `Result<_, XmlError>` per
+/// event, and an inline 72-byte error made every one of those returns a
+/// 10-word move.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct XmlError {
+pub struct XmlError(Box<Inner>);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Inner {
     kind: XmlErrorKind,
     offset: usize,
     line: u32,
@@ -78,32 +85,32 @@ pub struct XmlError {
 
 impl XmlError {
     pub(crate) fn new(kind: XmlErrorKind, offset: usize, line: u32, column: u32) -> Self {
-        XmlError {
+        XmlError(Box::new(Inner {
             kind,
             offset,
             line,
             column,
-        }
+        }))
     }
 
     /// What went wrong.
     pub fn kind(&self) -> &XmlErrorKind {
-        &self.kind
+        &self.0.kind
     }
 
     /// Byte offset into the input where the error was detected.
     pub fn offset(&self) -> usize {
-        self.offset
+        self.0.offset
     }
 
     /// 1-based line number of the error.
     pub fn line(&self) -> u32 {
-        self.line
+        self.0.line
     }
 
     /// 1-based column number (in characters) of the error.
     pub fn column(&self) -> u32 {
-        self.column
+        self.0.column
     }
 }
 
@@ -112,7 +119,7 @@ impl fmt::Display for XmlError {
         write!(
             f,
             "{} at line {}, column {}",
-            self.kind, self.line, self.column
+            self.0.kind, self.0.line, self.0.column
         )
     }
 }

@@ -57,4 +57,4 @@ pub use parser::{
     parse, parse_reader, parse_reader_with_options, parse_with_options, ParseOptions,
 };
 pub use store::{ColumnError, RawColumns, StableBytes};
-pub use token::{tokenizers_created, Tokenizer, XmlEvent, DEFAULT_MAX_ELEMENT_DEPTH};
+pub use token::{Tokenizer, XmlEvent, DEFAULT_MAX_ELEMENT_DEPTH};

@@ -58,11 +58,7 @@ fn build(
     while let Some(ev) = tok.next_event()? {
         match ev {
             XmlEvent::StartElement { name, attrs } => {
-                let borrowed: Vec<(&str, &str)> = attrs
-                    .iter()
-                    .map(|(n, v)| (n.as_str(), v.as_str()))
-                    .collect();
-                b.start_element(name, &borrowed);
+                b.start_element_from(name, attrs);
             }
             XmlEvent::EndElement { .. } => {
                 b.end_element();
@@ -291,6 +287,55 @@ mod tests {
                 .unwrap()
                 .len()
         );
+    }
+
+    #[test]
+    fn leading_bom_is_skipped_once() {
+        for input in ["\u{feff}<a/>", "\u{feff}<?xml version=\"1.0\"?><a/>"] {
+            assert_eq!(parse(input).unwrap().len(), 2, "{input:?}");
+            assert_eq!(
+                parse_reader(input.as_bytes()).unwrap().len(),
+                2,
+                "{input:?}"
+            );
+        }
+        // Offsets count the BOM as three bytes, columns as one character.
+        let err = parse("\u{feff}<a></b>").unwrap_err();
+        assert_eq!((err.offset(), err.column()), (8, 7));
+        // Anywhere else it is content like any other.
+        for input in ["\u{feff}\u{feff}<a/>", " \u{feff}<a/>", "<a/>\u{feff}"] {
+            let err = parse(input).unwrap_err();
+            assert_eq!(*err.kind(), XmlErrorKind::TrailingContent, "{input:?}");
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried() {
+        /// Fails every other `read` with `Interrupted`.
+        struct Flaky<'a>(&'a [u8], bool);
+        impl Read for Flaky<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                self.1 = !self.1;
+                if self.1 {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                let n = self.0.len().min(out.len()).min(2);
+                out[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let doc = parse_reader(Flaky(b"<a>t</a>", false)).unwrap();
+        assert_eq!(doc.string_value(doc.root()), "t");
+        // Any other read error still ends the parse.
+        struct Broken;
+        impl Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::ConnectionReset.into())
+            }
+        }
+        let err = parse_reader(Broken).unwrap_err();
+        assert!(matches!(err.kind(), XmlErrorKind::Malformed(m) if m.contains("read error")));
     }
 
     #[test]

@@ -114,112 +114,235 @@ const COMPACT_AT: usize = 64 * 1024;
 /// Longest entity body the lexer accepts (`&#x10FFFF;` needs 9).
 const MAX_ENTITY: usize = 32;
 
-/// Where the tokenizer's bytes come from: a borrowed string (all data
-/// present up front) or a reader with a sliding window.
-enum Source<'a> {
-    Str {
-        input: &'a str,
-        pos: usize,
-    },
-    Reader {
-        rd: Box<dyn Read + 'a>,
-        /// The current (decoded) window; `pos` indexes into it.
-        buf: String,
-        pos: usize,
-        /// No more bytes will ever be appended to `buf`.
-        eof: bool,
-        /// Raw bytes read but not yet validated as UTF-8 (an incomplete
-        /// trailing sequence, at most 3 bytes plus one unappended chunk).
-        raw: Vec<u8>,
-        /// Bytes dropped from the front of the window so far.
-        drained: usize,
-        /// Newlines inside the drained prefix.
-        drained_lines: u32,
-        /// Characters after the last newline of the drained prefix.
-        drained_cols: u32,
-    },
+// Byte classes.  Every run — a name, an attribute value, character
+// data — is lexed by `Source::scan`: advance to the first byte carrying
+// a given class bit.  Name runs therefore stop on the complemented class
+// `NAME_END`, which every byte >= 0x80 is in: `lex_name` decodes that one
+// character, asks the Unicode predicate, and resumes the run.
+const NAME_START: u8 = 1; // [A-Za-z_:]
+const NAME_END: u8 = 2; // not [A-Za-z0-9_:.-]
+const TEXT_STOP: u8 = 4; // < & ]
+const ATTR_STOP: u8 = 8; // " ' < & \t \n \r
+const DOCTYPE_STOP: u8 = 16; // [ ] " ' >
+
+static CLASS: [u8; 256] = {
+    let mut t = [NAME_END; 256];
+    let mut b = 0;
+    while b < 128 {
+        let c = b as u8;
+        if c.is_ascii_alphabetic() || c == b'_' || c == b':' {
+            t[b] |= NAME_START;
+        }
+        if c.is_ascii_alphanumeric() || matches!(c, b'_' | b':' | b'-' | b'.') {
+            t[b] &= !NAME_END;
+        }
+        if matches!(c, b'<' | b'&' | b']') {
+            t[b] |= TEXT_STOP;
+        }
+        if matches!(c, b'"' | b'\'' | b'<' | b'&' | b'\t' | b'\n' | b'\r') {
+            t[b] |= ATTR_STOP;
+        }
+        if matches!(c, b'[' | b']' | b'"' | b'\'' | b'>') {
+            t[b] |= DOCTYPE_STOP;
+        }
+        b += 1;
+    }
+    t
+};
+
+/// Where the lexer's window comes from.  The lexer is written once
+/// against this trait and instantiated for a borrowed string and for a
+/// reader, so its hot loops read the window through a plain field
+/// instead of deciding the mode again on every access.
+trait Feed {
+    /// Whether [`Feed::drain`] drops bytes (a borrowed string stays whole).
+    const SLIDES: bool;
+    /// The text in hand.  [`Feed::refill`] only appends to it.
+    fn window(&self) -> &str;
+    /// Appends more input to the window.  Returns `false` once the input
+    /// is exhausted (repeated calls after EOF stay `false`).
+    fn refill(&mut self) -> Result<bool, XmlErrorKind>;
+    /// Drops the window's first `n` bytes.
+    fn drain(&mut self, n: usize);
 }
 
-impl Source<'_> {
+impl Feed for &str {
+    const SLIDES: bool = false;
+
+    #[inline]
     fn window(&self) -> &str {
-        match self {
-            Source::Str { input, .. } => input,
-            Source::Reader { buf, .. } => buf,
-        }
+        self
     }
 
-    fn pos(&self) -> usize {
-        match self {
-            Source::Str { pos, .. } | Source::Reader { pos, .. } => *pos,
-        }
+    fn refill(&mut self) -> Result<bool, XmlErrorKind> {
+        Ok(false)
     }
 
-    fn advance(&mut self, n: usize) {
-        match self {
-            Source::Str { pos, .. } | Source::Reader { pos, .. } => *pos += n,
-        }
+    fn drain(&mut self, _n: usize) {}
+}
+
+/// An [`io::Read`](Read) behind a sliding window of decoded text.
+struct ReaderFeed<'a> {
+    rd: Box<dyn Read + 'a>,
+    buf: String,
+    /// No more bytes will ever be appended to `buf`.
+    eof: bool,
+    /// Read scratch, `READ_CHUNK` long; its first `carry` bytes are input
+    /// not yet moved to `buf`: an incomplete trailing UTF-8 sequence (at
+    /// most 3 bytes) or, once `eof` is set, the start of an invalid one.
+    chunk: Vec<u8>,
+    carry: usize,
+}
+
+impl Feed for ReaderFeed<'_> {
+    const SLIDES: bool = true;
+
+    #[inline]
+    fn window(&self) -> &str {
+        &self.buf
     }
 
-    /// Appends more data to the window.  Returns `false` once the input is
-    /// exhausted (repeated calls after EOF stay `false`).
-    fn refill(&mut self) -> Result<bool, XmlError> {
-        // Read/decode with the fields borrowed; errors carry only a kind
-        // here and are positioned (line/column at the end of the decoded
-        // window) below, where `self` is borrowable again.
-        let r: Result<bool, XmlErrorKind> = (|| {
-            let (rd, buf, eof, raw) = match self {
-                Source::Str { .. } => return Ok(false),
-                Source::Reader {
-                    rd, buf, eof, raw, ..
-                } => {
-                    if *eof {
-                        return Ok(false);
-                    }
-                    (rd, buf, eof, raw)
+    /// One `read` into the scratch chunk, validated and appended.  Invalid
+    /// UTF-8 is reported only once the lexer has consumed the valid text
+    /// before it, so what precedes the error does not depend on how the
+    /// reader chunks its input.
+    fn refill(&mut self) -> Result<bool, XmlErrorKind> {
+        if !self.eof {
+            let n = loop {
+                match self.rd.read(&mut self.chunk[self.carry..]) {
+                    Ok(n) => break n,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(XmlErrorKind::Malformed(format!("read error: {e}"))),
                 }
             };
-            let mut chunk = [0u8; READ_CHUNK];
-            let n = rd
-                .read(&mut chunk)
-                .map_err(|e| XmlErrorKind::Malformed(format!("read error: {e}")))?;
-            if n == 0 {
-                *eof = true;
-                if !raw.is_empty() {
-                    return Err(XmlErrorKind::Malformed(
-                        "invalid UTF-8 in input".to_string(),
-                    ));
-                }
-                return Ok(false);
+            let have = self.carry + n;
+            let (text, invalid) = match std::str::from_utf8(&self.chunk[..have]) {
+                Ok(text) => (text, false),
+                Err(e) => (
+                    std::str::from_utf8(&self.chunk[..e.valid_up_to()]).expect("validated prefix"),
+                    e.error_len().is_some(),
+                ),
+            };
+            self.buf.push_str(text);
+            let valid = text.len();
+            self.chunk.copy_within(valid..have, 0);
+            self.carry = have - valid;
+            self.eof = n == 0 || invalid;
+            if valid > 0 || !self.eof {
+                return Ok(true);
             }
-            raw.extend_from_slice(&chunk[..n]);
-            match std::str::from_utf8(raw) {
-                Ok(s) => {
-                    buf.push_str(s);
-                    raw.clear();
-                }
-                Err(e) => {
-                    if e.error_len().is_some() {
-                        return Err(XmlErrorKind::Malformed(
-                            "invalid UTF-8 in input".to_string(),
-                        ));
-                    }
-                    let valid = e.valid_up_to();
-                    let s = std::str::from_utf8(&raw[..valid]).expect("validated prefix");
-                    buf.push_str(s);
-                    raw.drain(..valid);
-                }
-            }
-            Ok(true)
-        })();
-        r.map_err(|kind| {
-            let end = self.window().len();
-            self.err_at(kind, end)
-        })
+        }
+        if self.carry > 0 {
+            return Err(XmlErrorKind::Malformed(
+                "invalid UTF-8 in input".to_string(),
+            ));
+        }
+        Ok(false)
     }
 
-    /// Makes at least `n` bytes available past the cursor, or reaches EOF.
+    fn drain(&mut self, n: usize) {
+        self.buf.drain(..n);
+    }
+}
+
+/// Index of the first byte of `w` whose class has a bit of `stop`.  Eight
+/// bytes are classified into a bit mask per step, so a short run costs
+/// one predictable loop turn rather than a branch per byte that
+/// mispredicts wherever the run happens to end.
+#[inline]
+fn first_of_class(w: &[u8], stop: u8) -> Option<usize> {
+    let hit = |b: &u8| CLASS[*b as usize] & stop != 0;
+    // Many scans end where they start (character data at a `<`, a name at
+    // its delimiter after a wide character): not worth a wide step.
+    if w.first().is_some_and(hit) {
+        return Some(0);
+    }
+    let mut chunks = w.chunks_exact(8);
+    for (n, chunk) in chunks.by_ref().enumerate() {
+        let mask = chunk
+            .iter()
+            .enumerate()
+            .fold(0u32, |m, (k, b)| m | (u32::from(hit(b)) << k));
+        if mask != 0 {
+            return Some(n * 8 + mask.trailing_zeros() as usize);
+        }
+    }
+    let tail = chunks.remainder();
+    tail.iter().position(hit).map(|k| w.len() - tail.len() + k)
+}
+
+/// Advances a zero-based `(line, col)` over `text`; columns count
+/// characters.
+fn advance_line_col(text: &str, line: &mut u32, col: &mut u32) {
+    let sat = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+    let mut tail = text;
+    if let Some(nl) = text.rfind('\n') {
+        let lines = text.as_bytes()[..=nl].iter().filter(|&&b| b == b'\n');
+        *line = line.saturating_add(sat(lines.count()));
+        *col = 0;
+        tail = &text[nl + 1..];
+    }
+    *col = col.saturating_add(sat(tail.chars().count()));
+}
+
+/// The window and the cursor into it.  All indices are window-local; they
+/// stay valid while a token is lexed because the window is refilled only
+/// by appending (when a scan reaches its end) and trimmed only between
+/// tokens ([`Source::compact`]).
+struct Source<F> {
+    feed: F,
+    /// Start of the next token.
+    pos: usize,
+    /// Bytes dropped from the front of the window so far, and the
+    /// zero-based line/column that prefix ends at.
+    drained: usize,
+    drained_lines: u32,
+    drained_cols: u32,
+    /// Bytes examined by `scan`/`find`, for the linearity test.
+    #[cfg(test)]
+    scanned: usize,
+}
+
+impl<F: Feed> Source<F> {
+    #[inline]
+    fn bytes(&self) -> &[u8] {
+        self.feed.window().as_bytes()
+    }
+
+    #[inline]
+    fn byte(&self, i: usize) -> Option<u8> {
+        self.bytes().get(i).copied()
+    }
+
+    /// The window text `a..b` (character boundaries: every scan stops on
+    /// an ASCII byte or on the first byte of a sequence).
+    #[inline]
+    fn text(&self, a: usize, b: usize) -> &str {
+        &self.feed.window()[a..b]
+    }
+
+    fn char_at(&self, i: usize) -> Option<char> {
+        self.feed.window().get(i..)?.chars().next()
+    }
+
+    #[inline]
+    fn note_scanned(&mut self, _n: usize) {
+        #[cfg(test)]
+        {
+            self.scanned += _n;
+        }
+    }
+
+    #[cold]
+    fn refill(&mut self) -> Result<bool, XmlError> {
+        let more = self.feed.refill();
+        more.map_err(|kind| self.err_at(kind, self.bytes().len()))
+    }
+
+    /// Makes the window at least `n` bytes long, or reaches EOF.
+    #[inline]
     fn ensure(&mut self, n: usize) -> Result<(), XmlError> {
-        while self.window().len() - self.pos() < n {
+        while self.bytes().len() < n {
             if !self.refill()? {
                 break;
             }
@@ -227,311 +350,314 @@ impl Source<'_> {
         Ok(())
     }
 
-    /// Drops the consumed window prefix (reader mode), carrying line and
-    /// column counts so error positions stay exact.
-    fn compact(&mut self) {
-        if let Source::Reader {
-            buf,
-            pos,
-            drained,
-            drained_lines,
-            drained_cols,
-            ..
-        } = self
-        {
-            if *pos >= COMPACT_AT {
-                for c in buf[..*pos].chars() {
-                    if c == '\n' {
-                        *drained_lines += 1;
-                        *drained_cols = 0;
-                    } else {
-                        *drained_cols += 1;
-                    }
-                }
-                *drained += *pos;
-                buf.drain(..*pos);
-                *pos = 0;
-            }
-        }
-    }
-
-    fn err_here(&self, kind: XmlErrorKind) -> XmlError {
-        self.err_at(kind, self.pos())
-    }
-
-    /// Builds an error positioned at window-local offset `local`.
-    fn err_at(&self, kind: XmlErrorKind, local: usize) -> XmlError {
-        let (base_off, mut line, mut col) = match self {
-            Source::Str { .. } => (0, 1u32, 1u32),
-            Source::Reader {
-                drained,
-                drained_lines,
-                drained_cols,
-                ..
-            } => (*drained, 1 + drained_lines, 1 + drained_cols),
-        };
-        let prefix = &self.window()[..local.min(self.window().len())];
-        for c in prefix.chars() {
-            if c == '\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-        }
-        XmlError::new(kind, base_off + local, line, col)
-    }
-
-    // ---- lexing primitives -------------------------------------------
-
-    fn peek_byte(&mut self) -> Result<Option<u8>, XmlError> {
-        self.ensure(1)?;
-        Ok(self.window().as_bytes().get(self.pos()).copied())
-    }
-
-    fn peek_char(&mut self) -> Result<Option<char>, XmlError> {
-        self.ensure(4)?;
-        Ok(self.window()[self.pos()..].chars().next())
-    }
-
-    fn at_end(&mut self) -> Result<bool, XmlError> {
-        Ok(self.peek_byte()?.is_none())
-    }
-
-    fn starts_with(&mut self, s: &str) -> Result<bool, XmlError> {
-        self.ensure(s.len())?;
-        Ok(self.window()[self.pos()..].starts_with(s))
-    }
-
-    fn expect(&mut self, s: &str) -> Result<(), XmlError> {
-        if self.starts_with(s)? {
-            self.advance(s.len());
-            Ok(())
-        } else {
-            match self.peek_char()? {
-                Some(c) => Err(self.err_here(XmlErrorKind::UnexpectedChar(c))),
-                None => Err(self.err_here(XmlErrorKind::UnexpectedEof)),
-            }
-        }
-    }
-
-    fn skip_whitespace(&mut self) -> Result<(), XmlError> {
-        while matches!(self.peek_byte()?, Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.advance(1);
-        }
-        Ok(())
-    }
-
-    /// Window-local offset (relative to the cursor) of `pat`, refilling as
-    /// needed; `None` only at EOF.  `pat` must be ASCII.
-    fn find(&mut self, pat: &str) -> Result<Option<usize>, XmlError> {
-        let needle = pat.as_bytes();
-        let mut from = 0usize;
+    /// Window index of the first byte at or after `i` whose class has a
+    /// bit of `stop`; the window's end only at EOF.  Resumes where it
+    /// stopped after a refill, so a token is scanned once however many
+    /// refills it spans.
+    #[inline]
+    fn scan(&mut self, mut i: usize, stop: u8) -> Result<usize, XmlError> {
         loop {
-            let hay = &self.window().as_bytes()[self.pos()..];
-            if hay.len() >= needle.len() {
-                if let Some(i) = hay[from..].windows(needle.len()).position(|w| w == needle) {
-                    return Ok(Some(from + i));
-                }
-                // Re-scan only the tail that could still complete a match.
-                from = hay.len() - (needle.len() - 1);
+            let w = self.bytes();
+            let len = w.len();
+            let run = first_of_class(&w[i..], stop);
+            self.note_scanned(run.unwrap_or(len - i));
+            match run {
+                Some(n) => return Ok(i + n),
+                None => i = len,
             }
+            if !self.refill()? {
+                return Ok(i);
+            }
+        }
+    }
+
+    /// Window index of the first occurrence of `pat` at or after `from`;
+    /// `None` only at EOF.  After a refill only the tail that could still
+    /// complete a match is looked at again.
+    fn find(&mut self, mut from: usize, pat: &[u8]) -> Result<Option<usize>, XmlError> {
+        loop {
+            let w = self.bytes();
+            let len = w.len();
+            let hit = w[from..].windows(pat.len()).position(|x| x == pat);
+            self.note_scanned(hit.unwrap_or(len - from));
+            if let Some(i) = hit {
+                return Ok(Some(from + i));
+            }
+            from = from.max(len.saturating_sub(pat.len() - 1));
             if !self.refill()? {
                 return Ok(None);
             }
         }
     }
 
-    /// Lexes an XML name; returns its window-local byte range (valid until
-    /// the next consuming call — refills only append).
-    fn lex_name(&mut self) -> Result<(usize, usize), XmlError> {
-        let start = self.pos();
-        match self.peek_char()? {
-            Some(c) if is_name_start(c) => self.advance(c.len_utf8()),
-            Some(c) => return Err(self.err_here(XmlErrorKind::UnexpectedChar(c))),
-            None => return Err(self.err_here(XmlErrorKind::UnexpectedEof)),
-        }
-        loop {
-            match self.peek_char()? {
-                Some(c) if is_name_char(c) => self.advance(c.len_utf8()),
-                _ => break,
-            }
-        }
-        Ok((start, self.pos()))
+    /// Whether the window holds `pat` at index `i` (refilling as needed).
+    #[inline]
+    fn at(&mut self, i: usize, pat: &[u8]) -> Result<bool, XmlError> {
+        self.ensure(i + pat.len())?;
+        Ok(self.bytes()[i..].starts_with(pat))
     }
 
-    /// Lexes `&...;` (named entity or character reference), appending the
-    /// replacement text to `out`.
-    fn lex_reference(&mut self, out: &mut String) -> Result<(), XmlError> {
-        let start = self.pos();
-        self.expect("&")?;
-        self.ensure(MAX_ENTITY + 2)?;
-        let w = &self.window()[self.pos()..];
+    /// Drops the consumed window prefix (reader mode), carrying line and
+    /// column counts so error positions stay exact.
+    #[inline]
+    fn compact(&mut self) {
+        if F::SLIDES && self.pos >= COMPACT_AT {
+            let prefix = &self.feed.window()[..self.pos];
+            advance_line_col(prefix, &mut self.drained_lines, &mut self.drained_cols);
+            self.drained += self.pos;
+            self.feed.drain(self.pos);
+            self.pos = 0;
+        }
+    }
+
+    /// Builds an error positioned at window index `i`.
+    #[cold]
+    fn err_at(&self, kind: XmlErrorKind, i: usize) -> XmlError {
+        let (mut line, mut col) = (self.drained_lines, self.drained_cols);
+        let w = self.feed.window();
+        advance_line_col(&w[..i.min(w.len())], &mut line, &mut col);
+        XmlError::new(
+            kind,
+            self.drained + i,
+            line.saturating_add(1),
+            col.saturating_add(1),
+        )
+    }
+
+    /// The error for finding something other than what the grammar wants
+    /// at window index `i`.
+    #[cold]
+    fn unexpected(&self, i: usize) -> XmlError {
+        let kind = match self.char_at(i) {
+            Some(c) => XmlErrorKind::UnexpectedChar(c),
+            None => XmlErrorKind::UnexpectedEof,
+        };
+        self.err_at(kind, i)
+    }
+
+    /// Window index of the first non-whitespace byte at or after `i`.
+    /// Whitespace inside markup is a byte or none, which a plain loop
+    /// handles better than [`Source::scan`]'s wide steps.
+    #[inline]
+    fn skip_ws(&mut self, mut i: usize) -> Result<usize, XmlError> {
+        loop {
+            match self.byte(i) {
+                Some(b' ' | b'\t' | b'\n' | b'\r') => i += 1,
+                Some(_) => return Ok(i),
+                None if self.refill()? => {}
+                None => return Ok(i),
+            }
+        }
+    }
+
+    /// Skips whitespace from `i`, wants `want` there; returns the index
+    /// after it.
+    #[inline]
+    fn skip_ws_then(&mut self, i: usize, want: u8) -> Result<usize, XmlError> {
+        let i = self.skip_ws(i)?;
+        if self.byte(i) == Some(want) {
+            Ok(i + 1)
+        } else {
+            Err(self.unexpected(i))
+        }
+    }
+
+    /// Length of the non-ASCII name character at window index `i`, if
+    /// there is one.
+    #[cold]
+    fn wide_name_char(&self, i: usize, first: bool) -> Option<usize> {
+        let c = self.char_at(i)?;
+        let ok = !c.is_ascii()
+            && if first {
+                is_name_start(c)
+            } else {
+                is_name_char(c)
+            };
+        ok.then_some(c.len_utf8())
+    }
+
+    /// Lexes an XML name starting at window index `start`; returns its
+    /// end.
+    #[inline]
+    fn lex_name(&mut self, start: usize) -> Result<usize, XmlError> {
+        self.ensure(start + 1)?;
+        let mut i = match self.byte(start) {
+            Some(b) if CLASS[b as usize] & NAME_START != 0 => start + 1,
+            _ => match self.wide_name_char(start, true) {
+                Some(n) => start + n,
+                None => return Err(self.unexpected(start)),
+            },
+        };
+        loop {
+            i = self.scan(i, NAME_END)?;
+            match self.byte(i) {
+                Some(0x80..) => match self.wide_name_char(i, false) {
+                    Some(n) => i += n,
+                    None => return Ok(i),
+                },
+                _ => return Ok(i),
+            }
+        }
+    }
+
+    /// Lexes the `&...;` at window index `amp` (named entity or character
+    /// reference), appending the replacement text to `out`; returns the
+    /// index after the `;`.
+    fn lex_reference(&mut self, amp: usize, out: &mut String) -> Result<usize, XmlError> {
+        // Enough for the `;` search below and for the MAX_ENTITY + 1
+        // characters an unterminated reference is reported with.
+        self.ensure(amp + 1 + 4 * (MAX_ENTITY + 1))?;
+        let w = &self.feed.window()[amp + 1..];
         let semi = w
             .as_bytes()
             .iter()
             .take(MAX_ENTITY + 2)
             .position(|&b| b == b';');
+        let bad = |body: &str| self.err_at(XmlErrorKind::BadEntity(body.to_string()), amp);
         let Some(semi) = semi else {
             // No terminator in sight: report the would-be body (or the bare
             // ampersand when nothing readable follows).
             let body: String = w.chars().take(MAX_ENTITY + 1).collect();
-            let shown = if body.is_empty() {
-                "&".to_string()
-            } else {
-                body
-            };
-            return Err(self.err_at(XmlErrorKind::BadEntity(shown), start));
+            return Err(bad(if body.is_empty() { "&" } else { &body }));
         };
         let body = &w[..semi];
         if body.len() > MAX_ENTITY {
-            return Err(self.err_at(XmlErrorKind::BadEntity(body.to_string()), start));
+            return Err(bad(body));
         }
-        if let Some(num) = body.strip_prefix('#') {
-            let code = if let Some(hex) = num.strip_prefix('x').or_else(|| num.strip_prefix('X')) {
-                u32::from_str_radix(hex, 16)
-            } else {
-                num.parse::<u32>()
+        out.push(if let Some(num) = body.strip_prefix('#') {
+            let code = match num.strip_prefix(['x', 'X']) {
+                Some(hex) => u32::from_str_radix(hex, 16),
+                None => num.parse::<u32>(),
             };
-            let code = code
-                .ok()
+            code.ok()
                 .and_then(char::from_u32)
-                .ok_or_else(|| self.err_at(XmlErrorKind::BadEntity(body.to_string()), start))?;
-            out.push(code);
+                .ok_or_else(|| bad(body))?
         } else {
-            let rep = match body {
+            match body {
                 "lt" => '<',
                 "gt" => '>',
                 "amp" => '&',
                 "apos" => '\'',
                 "quot" => '"',
-                _ => return Err(self.err_at(XmlErrorKind::BadEntity(body.to_string()), start)),
-            };
-            out.push(rep);
-        }
-        self.advance(semi + 1);
-        Ok(())
+                _ => return Err(bad(body)),
+            }
+        });
+        Ok(amp + 1 + semi + 1)
     }
 
-    /// Lexes a quoted attribute value into `out`, decoding references and
-    /// normalizing whitespace characters to spaces.
-    fn lex_attr_value(&mut self, out: &mut String) -> Result<(), XmlError> {
-        let quote = match self.peek_byte()? {
-            Some(q @ (b'"' | b'\'')) => q,
-            Some(_) => {
-                let c = self.peek_char()?.expect("byte present");
-                return Err(self.err_here(XmlErrorKind::UnexpectedChar(c)));
-            }
-            None => return Err(self.err_here(XmlErrorKind::UnexpectedEof)),
+    /// Lexes the quoted attribute value at window index `q` into `out`,
+    /// decoding references and normalizing whitespace characters to
+    /// spaces; returns the index after the closing quote.
+    #[inline]
+    fn lex_attr_value(&mut self, q: usize, out: &mut String) -> Result<usize, XmlError> {
+        let quote = match self.byte(q) {
+            Some(c @ (b'"' | b'\'')) => c,
+            _ => return Err(self.unexpected(q)),
         };
-        self.advance(1);
+        let (mut run, mut i) = (q + 1, q + 1);
         loop {
-            match self.peek_byte()? {
-                Some(q) if q == quote => {
-                    self.advance(1);
-                    return Ok(());
-                }
-                Some(b'<') => {
-                    return Err(self.err_here(XmlErrorKind::Malformed(
-                        "'<' in attribute value".to_string(),
-                    )))
-                }
-                Some(b'&') => self.lex_reference(out)?,
-                Some(_) => {
-                    let c = self.peek_char()?.expect("byte present");
-                    out.push(if matches!(c, '\t' | '\n' | '\r') {
-                        ' '
-                    } else {
-                        c
-                    });
-                    self.advance(c.len_utf8());
-                }
-                None => return Err(self.err_here(XmlErrorKind::UnexpectedEof)),
+            i = self.scan(i, ATTR_STOP)?;
+            let stop = self.byte(i);
+            if matches!(stop, Some(b'"' | b'\'')) && stop != Some(quote) {
+                i += 1; // the other quote is plain data
+                continue;
             }
+            out.push_str(self.text(run, i));
+            match stop {
+                None => return Err(self.err_at(XmlErrorKind::UnexpectedEof, i)),
+                Some(b'<') => {
+                    let kind = XmlErrorKind::Malformed("'<' in attribute value".to_string());
+                    return Err(self.err_at(kind, i));
+                }
+                Some(b'&') => i = self.lex_reference(i, out)?,
+                Some(b'\t' | b'\n' | b'\r') => {
+                    out.push(' ');
+                    i += 1;
+                }
+                Some(_) => return Ok(i + 1),
+            }
+            run = i;
         }
     }
 
-    /// Skips `<!DOCTYPE ... >` including a bracketed internal subset and
-    /// quoted literals.
-    fn skip_doctype(&mut self) -> Result<(), XmlError> {
-        self.advance("<!DOCTYPE".len());
+    /// Skips the `<!DOCTYPE ... >` at window index `at`, including a
+    /// bracketed internal subset and quoted literals.
+    fn skip_doctype(&mut self, at: usize) -> Result<(), XmlError> {
+        let mut i = at + "<!DOCTYPE".len();
         let mut depth = 0usize;
         loop {
-            match self.peek_byte()? {
-                Some(b'[') => {
-                    depth += 1;
-                    self.advance(1);
-                }
-                Some(b']') => {
-                    depth = depth.saturating_sub(1);
-                    self.advance(1);
-                }
-                Some(q @ (b'"' | b'\'')) => {
-                    self.advance(1);
-                    loop {
-                        match self.peek_byte()? {
-                            Some(c) => {
-                                self.advance(1);
-                                if c == q {
-                                    break;
-                                }
-                            }
-                            None => return Err(self.err_here(XmlErrorKind::UnexpectedEof)),
-                        }
-                    }
-                }
+            i = self.scan(i, DOCTYPE_STOP)?;
+            match self.byte(i) {
+                Some(b'[') => depth += 1,
+                Some(b']') => depth = depth.saturating_sub(1),
                 Some(b'>') if depth == 0 => {
-                    self.advance(1);
+                    self.pos = i + 1;
                     return Ok(());
                 }
-                Some(_) => self.advance(1),
-                None => return Err(self.err_here(XmlErrorKind::UnexpectedEof)),
+                Some(b'>') => {}
+                Some(q) => match self.find(i + 1, &[q])? {
+                    Some(close) => i = close,
+                    None => {
+                        let end = self.bytes().len();
+                        return Err(self.err_at(XmlErrorKind::UnexpectedEof, end));
+                    }
+                },
+                None => return Err(self.err_at(XmlErrorKind::UnexpectedEof, i)),
             }
+            i += 1;
         }
     }
 }
 
 /// The `xml/tokenizers_created` counter in the process-wide metrics
-/// registry, resolved once.
+/// registry, resolved once.  Every path that reads XML *text* — the DOM
+/// parser and the streamer alike — goes through exactly one `Tokenizer`,
+/// so the index and serve smokes assert this counter stays flat across
+/// `open_snapshot` (a reopened snapshot is adopted column-for-column,
+/// never re-lexed).
 fn tokenizers_counter() -> &'static minctx_obs::Counter {
     static C: std::sync::OnceLock<minctx_obs::Counter> = std::sync::OnceLock::new();
     C.get_or_init(|| minctx_obs::global().counter("xml/tokenizers_created"))
 }
 
-/// How many [`Tokenizer`]s this process has constructed (monotone).
-///
-/// Diagnostics hook, the lexing counterpart of
-/// [`documents_built`](crate::builder::documents_built): every path that
-/// reads XML *text* — the DOM parser and the streamer alike — goes
-/// through exactly one `Tokenizer`, so the index smoke asserts this
-/// counter does not move across `open_snapshot` (a reopened snapshot is
-/// adopted column-for-column, never re-lexed).
-///
-/// Thin shim over the `xml/tokenizers_created` counter in
-/// [`minctx_obs::global`] (where exposition renderers pick it up).
-pub fn tokenizers_created() -> u64 {
-    tokenizers_counter().get()
-}
-
 /// The pull tokenizer.  Obtain events with [`Tokenizer::next_event`] until
 /// it returns `Ok(None)` (clean end of document) or an error.
-pub struct Tokenizer<'a> {
-    src: Source<'a>,
+pub struct Tokenizer<'a>(Mode<'a>);
+
+/// The one lexer, instantiated per source.
+enum Mode<'a> {
+    Str(Lexer<&'a str>),
+    Reader(Lexer<ReaderFeed<'a>>),
+}
+
+/// Applies `$body` to the lexer of either mode.
+macro_rules! either {
+    ($mode:expr, $lx:ident => $body:expr) => {
+        match $mode {
+            Mode::Str($lx) => $body,
+            Mode::Reader($lx) => $body,
+        }
+    };
+}
+
+struct Lexer<F> {
+    src: Source<F>,
     opts: ParseOptions,
-    /// Open-element name stack; only the first `open_live` slots are
-    /// active (slots are reused to avoid per-element allocation).
-    open: Vec<String>,
-    open_live: usize,
-    /// Current element / close-tag / PI-target name.
-    name_buf: String,
+    /// Names of the open elements, concatenated outermost first;
+    /// `open_ends[d]` is where the name at depth `d` ends.
+    open_names: String,
+    open_ends: Vec<usize>,
+    /// Window range of the current element / close-tag / PI-target name.
+    name: (usize, usize),
     /// Attribute slots of the current start tag; first `attrs_live` valid.
     attrs: Vec<(String, String)>,
     attrs_live: usize,
-    /// The text run being accumulated (entities decoded, CDATA merged).
+    /// The current text run, when it could not be borrowed from the
+    /// window (entities decoded, CDATA merged).
     text_buf: String,
     /// A self-closing element's `EndElement` is due before reading on.
     pending_end: bool,
-    /// The optional XML declaration has been consumed.
+    /// The optional BOM and XML declaration have been consumed.
     started: bool,
     /// A complete top-level element has been seen.
     seen_root: bool,
@@ -545,35 +671,57 @@ impl<'a> Tokenizer<'a> {
 
     /// Tokenizes a borrowed string.
     pub fn with_options(input: &'a str, opts: ParseOptions) -> Tokenizer<'a> {
-        Tokenizer::build(Source::Str { input, pos: 0 }, opts)
+        Tokenizer(Mode::Str(Lexer::new(input, opts)))
     }
 
     /// Tokenizes from a reader through a sliding window; memory stays
     /// proportional to the largest single token, not the input.
     pub fn from_reader(rd: impl Read + 'a, opts: ParseOptions) -> Tokenizer<'a> {
-        Tokenizer::build(
-            Source::Reader {
-                rd: Box::new(rd),
-                buf: String::new(),
+        let feed = ReaderFeed {
+            rd: Box::new(rd),
+            buf: String::new(),
+            eof: false,
+            chunk: vec![0; READ_CHUNK],
+            carry: 0,
+        };
+        Tokenizer(Mode::Reader(Lexer::new(feed, opts)))
+    }
+
+    /// The options this tokenizer filters events with.
+    pub fn options(&self) -> &ParseOptions {
+        either!(&self.0, lx => &lx.opts)
+    }
+
+    /// Number of currently open elements.
+    pub fn depth(&self) -> usize {
+        either!(&self.0, lx => lx.open_ends.len() + usize::from(lx.pending_end))
+    }
+
+    /// The next event, or `Ok(None)` at the clean end of the document.
+    ///
+    /// Borrowed event data is valid until the next call.
+    pub fn next_event(&mut self) -> Result<Option<XmlEvent<'_>>, XmlError> {
+        either!(&mut self.0, lx => lx.next_event())
+    }
+}
+
+impl<F: Feed> Lexer<F> {
+    fn new(feed: F, opts: ParseOptions) -> Lexer<F> {
+        tokenizers_counter().inc();
+        Lexer {
+            src: Source {
+                feed,
                 pos: 0,
-                eof: false,
-                raw: Vec::new(),
                 drained: 0,
                 drained_lines: 0,
                 drained_cols: 0,
+                #[cfg(test)]
+                scanned: 0,
             },
             opts,
-        )
-    }
-
-    fn build(src: Source<'a>, opts: ParseOptions) -> Tokenizer<'a> {
-        tokenizers_counter().inc();
-        Tokenizer {
-            src,
-            opts,
-            open: Vec::new(),
-            open_live: 0,
-            name_buf: String::new(),
+            open_names: String::new(),
+            open_ends: Vec::new(),
+            name: (0, 0),
             attrs: Vec::new(),
             attrs_live: 0,
             text_buf: String::new(),
@@ -583,337 +731,247 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
-    /// The options this tokenizer filters events with.
-    pub fn options(&self) -> &ParseOptions {
-        &self.opts
-    }
-
-    /// Number of currently open elements.
-    pub fn depth(&self) -> usize {
-        self.open_live + usize::from(self.pending_end)
-    }
-
-    /// The next event, or `Ok(None)` at the clean end of the document.
-    ///
-    /// Borrowed event data is valid until the next call.
-    pub fn next_event(&mut self) -> Result<Option<XmlEvent<'_>>, XmlError> {
+    fn next_event(&mut self) -> Result<Option<XmlEvent<'_>>, XmlError> {
         if self.pending_end {
             self.pending_end = false;
-            if self.open_live == 0 {
-                self.seen_root = true;
-            }
-            return Ok(Some(XmlEvent::EndElement {
-                name: &self.name_buf,
-            }));
+            self.seen_root |= self.open_ends.is_empty();
+            let name = self.src.text(self.name.0, self.name.1);
+            return Ok(Some(XmlEvent::EndElement { name }));
         }
         self.text_buf.clear();
         if !self.started {
             self.started = true;
-            if self.src.starts_with("<?xml")? {
-                match self.src.find("?>")? {
-                    Some(i) => self.src.advance(i + 2),
-                    None => return Err(self.src.err_here(XmlErrorKind::UnexpectedEof)),
+            if self.src.at(0, "\u{feff}".as_bytes())? {
+                self.src.pos = 3;
+            }
+            if self.src.at(self.src.pos, b"<?xml")? {
+                match self.src.find(self.src.pos, b"?>")? {
+                    Some(i) => self.src.pos = i + 2,
+                    None => return Err(self.src.err_at(XmlErrorKind::UnexpectedEof, self.src.pos)),
                 }
             }
         }
         loop {
             self.src.compact();
-            if self.open_live == 0 {
+            if self.open_ends.is_empty() {
                 // Prolog or epilog: misc items only; content is rejected.
-                self.src.skip_whitespace()?;
-                if self.src.at_end()? {
+                let at = self.src.skip_ws(self.src.pos)?;
+                self.src.pos = at;
+                if self.src.byte(at).is_none() {
                     return if self.seen_root {
                         Ok(None)
                     } else {
-                        Err(self.src.err_here(XmlErrorKind::NoRootElement))
+                        Err(self.src.err_at(XmlErrorKind::NoRootElement, at))
                     };
                 }
-                if self.src.starts_with("<!--")? {
-                    self.consume_comment()?; // always dropped outside the root
-                    continue;
+                if self.src.at(at, b"<!--")? {
+                    self.consume_comment(at)?; // always dropped outside the root
+                } else if self.src.at(at, b"<!DOCTYPE")? {
+                    self.src.skip_doctype(at)?;
+                } else if self.src.at(at, b"<?")? {
+                    self.consume_pi(at)?; // always dropped outside the root
+                } else if self.src.byte(at) == Some(b'<') && !self.seen_root {
+                    return self.start_element(at);
+                } else {
+                    return Err(self.src.err_at(XmlErrorKind::TrailingContent, at));
                 }
-                if self.src.starts_with("<!DOCTYPE")? {
-                    self.src.skip_doctype()?;
-                    continue;
-                }
-                if self.src.starts_with("<?")? {
-                    self.consume_pi()?; // always dropped outside the root
-                    continue;
-                }
-                if self.src.peek_byte()? == Some(b'<') {
-                    if self.seen_root {
-                        return Err(self.src.err_here(XmlErrorKind::TrailingContent));
-                    }
-                    return self.start_element().map(Some);
-                }
-                return Err(self.src.err_here(XmlErrorKind::TrailingContent));
+                continue;
             }
-            // Element content.
-            match self.src.peek_byte()? {
-                None => return Err(self.src.err_here(XmlErrorKind::UnexpectedEof)),
-                Some(b'<') => {
-                    if self.src.starts_with("</")? {
-                        if self.text_ready() {
-                            return Ok(Some(XmlEvent::Text(&self.text_buf)));
+            // Element content: one text run up to the next markup.  The run
+            // is `text_buf` followed by the window's `raw..at`; it stays
+            // borrowed unless a reference or CDATA section forces a copy.
+            let (mut raw, mut at) = (self.src.pos, self.src.pos);
+            let next = loop {
+                at = self.src.scan(at, TEXT_STOP)?;
+                match self.src.byte(at) {
+                    None => return Err(self.src.err_at(XmlErrorKind::UnexpectedEof, at)),
+                    Some(b']') => {
+                        if self.src.at(at, b"]]>")? {
+                            let kind =
+                                XmlErrorKind::Malformed("']]>' in character data".to_string());
+                            return Err(self.src.err_at(kind, at));
                         }
-                        return self.end_element().map(Some);
-                    } else if self.src.starts_with("<!--")? {
-                        // Comments split text runs even when dropped.
-                        if self.text_ready() {
-                            return Ok(Some(XmlEvent::Text(&self.text_buf)));
-                        }
-                        if let Some((a, b)) = self.consume_comment()? {
-                            return Ok(Some(XmlEvent::Comment(&self.src.window()[a..b])));
-                        }
+                        at += 1;
                         continue;
-                    } else if self.src.starts_with("<![CDATA[")? {
-                        self.consume_cdata()?; // merges into the text run
-                        continue;
-                    } else if self.src.starts_with("<?")? {
-                        if self.text_ready() {
-                            return Ok(Some(XmlEvent::Text(&self.text_buf)));
+                    }
+                    Some(b'&') => {
+                        self.text_buf.push_str(self.src.text(raw, at));
+                        at = self.src.lex_reference(at, &mut self.text_buf)?;
+                    }
+                    Some(_) => {
+                        self.src.ensure(at + 2)?;
+                        let next = self.src.byte(at + 1);
+                        if next != Some(b'!') || !self.src.at(at, b"<![CDATA[")? {
+                            break next;
                         }
-                        if let Some((a, b)) = self.consume_pi()? {
-                            let data = self.src.window()[a..b].trim_start();
-                            return Ok(Some(XmlEvent::Pi {
-                                target: &self.name_buf,
-                                data,
-                            }));
-                        }
-                        continue;
-                    } else {
-                        if self.text_ready() {
-                            return Ok(Some(XmlEvent::Text(&self.text_buf)));
-                        }
-                        return self.start_element().map(Some);
+                        // CDATA merges into the text run.
+                        self.text_buf.push_str(self.src.text(raw, at));
+                        let body = at + "<![CDATA[".len();
+                        let Some(end) = self.src.find(body, b"]]>")? else {
+                            return Err(self.src.err_at(XmlErrorKind::UnexpectedEof, body));
+                        };
+                        self.text_buf.push_str(self.src.text(body, end));
+                        at = end + 3;
                     }
                 }
-                Some(b'&') => self.src.lex_reference(&mut self.text_buf)?,
-                Some(_) => self.consume_text_chunk()?,
+                raw = at;
+            };
+            // Markup other than CDATA ends the run (comments and PIs split
+            // runs even when dropped): emit it first, the markup next call.
+            self.src.pos = at;
+            let owned = !self.text_buf.is_empty();
+            if owned {
+                self.text_buf.push_str(self.src.text(raw, at));
             }
-        }
-    }
-
-    /// Whether the accumulated text run should be emitted (clears runs the
-    /// whitespace-stripping option discards).
-    fn text_ready(&mut self) -> bool {
-        if self.text_buf.is_empty() {
-            return false;
-        }
-        let keep = !self.opts.strip_whitespace_text
-            || self.text_buf.chars().any(|c| !c.is_ascii_whitespace());
-        if !keep {
+            let run = if owned {
+                &self.text_buf[..]
+            } else {
+                self.src.text(raw, at)
+            };
+            let keep =
+                !self.opts.strip_whitespace_text || run.bytes().any(|b| !b.is_ascii_whitespace());
+            if keep && !run.is_empty() {
+                return Ok(Some(XmlEvent::Text(if owned {
+                    &self.text_buf
+                } else {
+                    self.src.text(raw, at)
+                })));
+            }
             self.text_buf.clear();
+            match next {
+                Some(b'/') => return self.end_element(at),
+                Some(b'!') if self.src.at(at, b"<!--")? => {
+                    if let Some((a, b)) = self.consume_comment(at)? {
+                        return Ok(Some(XmlEvent::Comment(self.src.text(a, b))));
+                    }
+                }
+                Some(b'?') => {
+                    if let Some((a, b)) = self.consume_pi(at)? {
+                        return Ok(Some(XmlEvent::Pi {
+                            target: self.src.text(self.name.0, self.name.1),
+                            data: self.src.text(a, b).trim_start(),
+                        }));
+                    }
+                }
+                _ => return self.start_element(at),
+            }
         }
-        keep
     }
 
-    /// Consumes a `<tag attr="v"…>` or `<tag…/>` start tag.
-    fn start_element(&mut self) -> Result<XmlEvent<'_>, XmlError> {
-        let at = self.src.pos();
-        self.src.advance(1); // '<'
-        if self.open_live >= self.opts.max_element_depth {
-            return Err(self.src.err_at(
-                XmlErrorKind::TooDeep {
-                    limit: self.opts.max_element_depth,
-                },
-                at,
-            ));
+    /// Consumes the `<tag attr="v"…>` or `<tag…/>` start tag at window
+    /// index `at`.
+    fn start_element(&mut self, at: usize) -> Result<Option<XmlEvent<'_>>, XmlError> {
+        if self.open_ends.len() >= self.opts.max_element_depth {
+            let limit = self.opts.max_element_depth;
+            return Err(self.src.err_at(XmlErrorKind::TooDeep { limit }, at));
         }
-        let (a, b) = self.src.lex_name()?;
-        self.name_buf.clear();
-        self.name_buf.push_str(&self.src.window()[a..b]);
+        let name_end = self.src.lex_name(at + 1)?;
+        self.name = (at + 1, name_end);
         self.attrs_live = 0;
+        let mut i = name_end;
         loop {
-            self.src.skip_whitespace()?;
-            match self.src.peek_byte()? {
+            i = self.src.skip_ws(i)?;
+            match self.src.byte(i) {
                 Some(b'>') => {
-                    self.src.advance(1);
-                    if self.open.len() == self.open_live {
-                        self.open.push(String::new());
-                    }
-                    let slot = &mut self.open[self.open_live];
-                    slot.clear();
-                    slot.push_str(&self.name_buf);
-                    self.open_live += 1;
+                    self.open_names.push_str(self.src.text(at + 1, name_end));
+                    self.open_ends.push(self.open_names.len());
+                    self.src.pos = i + 1;
                     break;
                 }
                 Some(b'/') => {
-                    self.src.expect("/>")?;
+                    if !self.src.at(i, b"/>")? {
+                        return Err(self.src.err_at(XmlErrorKind::UnexpectedChar('/'), i));
+                    }
                     self.pending_end = true;
+                    self.src.pos = i + 2;
                     break;
                 }
                 Some(_) => {
-                    let at = self.src.pos();
-                    let (na, nb) = self.src.lex_name()?;
+                    let aname_end = self.src.lex_name(i)?;
+                    let aname = self.src.text(i, aname_end);
+                    if self.attrs[..self.attrs_live]
+                        .iter()
+                        .any(|(n, _)| n == aname)
                     {
-                        let aname = &self.src.window()[na..nb];
-                        if self.attrs[..self.attrs_live]
-                            .iter()
-                            .any(|(n, _)| n == aname)
-                        {
-                            return Err(self
-                                .src
-                                .err_at(XmlErrorKind::DuplicateAttribute(aname.to_string()), at));
-                        }
-                        if self.attrs.len() == self.attrs_live {
-                            self.attrs.push((String::new(), String::new()));
-                        }
-                        let slot = &mut self.attrs[self.attrs_live];
-                        slot.0.clear();
-                        slot.0.push_str(aname);
-                        slot.1.clear();
+                        let kind = XmlErrorKind::DuplicateAttribute(aname.to_string());
+                        return Err(self.src.err_at(kind, i));
                     }
-                    self.src.skip_whitespace()?;
-                    self.src.expect("=")?;
-                    self.src.skip_whitespace()?;
-                    let mut value = std::mem::take(&mut self.attrs[self.attrs_live].1);
-                    self.src.lex_attr_value(&mut value)?;
-                    self.attrs[self.attrs_live].1 = value;
+                    if self.attrs.len() == self.attrs_live {
+                        self.attrs.push((String::new(), String::new()));
+                    }
+                    let slot = &mut self.attrs[self.attrs_live];
+                    slot.0.clear();
+                    slot.0.push_str(aname);
+                    slot.1.clear();
+                    let eq = self.src.skip_ws_then(aname_end, b'=')?;
+                    let q = self.src.skip_ws(eq)?;
+                    i = self.src.lex_attr_value(q, &mut slot.1)?;
                     self.attrs_live += 1;
                 }
-                None => return Err(self.src.err_here(XmlErrorKind::UnexpectedEof)),
+                None => return Err(self.src.err_at(XmlErrorKind::UnexpectedEof, i)),
             }
         }
-        Ok(XmlEvent::StartElement {
-            name: &self.name_buf,
+        Ok(Some(XmlEvent::StartElement {
+            name: self.src.text(at + 1, name_end),
             attrs: &self.attrs[..self.attrs_live],
-        })
+        }))
     }
 
-    /// Consumes a `</tag>` close tag, validating nesting.
-    fn end_element(&mut self) -> Result<XmlEvent<'_>, XmlError> {
-        self.src.advance(2); // "</"
-        let at = self.src.pos();
-        let (a, b) = self.src.lex_name()?;
-        self.name_buf.clear();
-        self.name_buf.push_str(&self.src.window()[a..b]);
-        self.src.skip_whitespace()?;
-        self.src.expect(">")?;
-        if self.open_live == 0 {
-            return Err(self
-                .src
-                .err_at(XmlErrorKind::UnmatchedClose(self.name_buf.clone()), at));
+    /// Consumes the `</tag>` close tag at window index `at`, validating
+    /// nesting (the caller has checked an element is open).
+    fn end_element(&mut self, at: usize) -> Result<Option<XmlEvent<'_>>, XmlError> {
+        let name_end = self.src.lex_name(at + 2)?;
+        self.src.pos = self.src.skip_ws_then(name_end, b'>')?;
+        let close = self.src.text(at + 2, name_end);
+        self.open_ends.pop();
+        let open_start = self.open_ends.last().copied().unwrap_or(0);
+        if self.open_names[open_start..] != *close {
+            let kind = XmlErrorKind::MismatchedTag {
+                open: self.open_names[open_start..].to_string(),
+                close: close.to_string(),
+            };
+            return Err(self.src.err_at(kind, at + 2));
         }
-        let open = &self.open[self.open_live - 1];
-        if *open != self.name_buf {
-            return Err(self.src.err_at(
-                XmlErrorKind::MismatchedTag {
-                    open: open.clone(),
-                    close: self.name_buf.clone(),
-                },
-                at,
-            ));
-        }
-        self.open_live -= 1;
-        if self.open_live == 0 {
-            self.seen_root = true;
-        }
-        Ok(XmlEvent::EndElement {
-            name: &self.name_buf,
-        })
+        self.open_names.truncate(open_start);
+        self.seen_root |= self.open_ends.is_empty();
+        Ok(Some(XmlEvent::EndElement { name: close }))
     }
 
-    /// Consumes a comment; returns the body's window range when the
-    /// options keep comments (and we are inside the root element).
-    fn consume_comment(&mut self) -> Result<Option<(usize, usize)>, XmlError> {
-        self.src.advance(4); // "<!--"
-        let end = match self.src.find("-->")? {
-            Some(i) => i,
-            None => return Err(self.src.err_here(XmlErrorKind::UnexpectedEof)),
+    /// Consumes the comment at window index `at`; returns the body's
+    /// window range when the options keep comments (and we are inside the
+    /// root element).
+    fn consume_comment(&mut self, at: usize) -> Result<Option<(usize, usize)>, XmlError> {
+        let body = at + "<!--".len();
+        let Some(end) = self.src.find(body, b"-->")? else {
+            return Err(self.src.err_at(XmlErrorKind::UnexpectedEof, body));
         };
-        let start = self.src.pos();
-        if self.src.window()[start..start + end].contains("--") {
-            return Err(self
-                .src
-                .err_here(XmlErrorKind::Malformed("'--' in comment".to_string())));
+        self.src.note_scanned(end - body);
+        if self.src.text(body, end).contains("--") {
+            let kind = XmlErrorKind::Malformed("'--' in comment".to_string());
+            return Err(self.src.err_at(kind, body));
         }
-        self.src.advance(end + 3);
-        let keep = self.opts.keep_comments && self.open_live > 0;
-        Ok(keep.then_some((start, start + end)))
+        self.src.pos = end + 3;
+        let keep = self.opts.keep_comments && !self.open_ends.is_empty();
+        Ok(keep.then_some((body, end)))
     }
 
-    /// Consumes a CDATA section into the current text run.
-    fn consume_cdata(&mut self) -> Result<(), XmlError> {
-        self.src.advance("<![CDATA[".len());
-        let end = match self.src.find("]]>")? {
-            Some(i) => i,
-            None => return Err(self.src.err_here(XmlErrorKind::UnexpectedEof)),
-        };
-        let start = self.src.pos();
-        self.text_buf
-            .push_str(&self.src.window()[start..start + end]);
-        self.src.advance(end + 3);
-        Ok(())
-    }
-
-    /// Consumes a processing instruction; returns the data's window range
-    /// when the options keep PIs (and we are inside the root element).
-    /// The target is left in `name_buf`.
-    fn consume_pi(&mut self) -> Result<Option<(usize, usize)>, XmlError> {
-        self.src.advance(2); // "<?"
-        let (a, b) = self.src.lex_name()?;
-        self.name_buf.clear();
-        self.name_buf.push_str(&self.src.window()[a..b]);
-        if self.name_buf.eq_ignore_ascii_case("xml") {
-            return Err(self.src.err_here(XmlErrorKind::Malformed(
-                "'<?xml' only allowed at document start".to_string(),
-            )));
+    /// Consumes the processing instruction at window index `at`; returns
+    /// the data's window range when the options keep PIs (and we are
+    /// inside the root element).  The target's range is left in `name`.
+    fn consume_pi(&mut self, at: usize) -> Result<Option<(usize, usize)>, XmlError> {
+        let data = self.src.lex_name(at + 2)?;
+        self.name = (at + 2, data);
+        if self.src.text(at + 2, data).eq_ignore_ascii_case("xml") {
+            let kind =
+                XmlErrorKind::Malformed("'<?xml' only allowed at document start".to_string());
+            return Err(self.src.err_at(kind, data));
         }
-        let end = match self.src.find("?>")? {
-            Some(i) => i,
-            None => return Err(self.src.err_here(XmlErrorKind::UnexpectedEof)),
+        let Some(end) = self.src.find(data, b"?>")? else {
+            return Err(self.src.err_at(XmlErrorKind::UnexpectedEof, data));
         };
-        let start = self.src.pos();
-        self.src.advance(end + 2);
-        let keep = self.opts.keep_processing_instructions && self.open_live > 0;
-        Ok(keep.then_some((start, start + end)))
-    }
-
-    /// Consumes a run of plain character data up to the next markup or
-    /// reference, rejecting a bare `]]>`.
-    fn consume_text_chunk(&mut self) -> Result<(), XmlError> {
-        let pos = self.src.pos();
-        let w = &self.src.window()[pos..];
-        let stop = w.as_bytes().iter().position(|&b| b == b'<' || b == b'&');
-        // How much character data to take this round: up to the stop, or —
-        // with a reader that may still produce bytes — all but a 2-byte
-        // guard band so a `]]>` or stop split across refills is still seen
-        // whole on the next round.
-        let all_present = stop.is_some()
-            || matches!(&self.src, Source::Str { .. })
-            || matches!(&self.src, Source::Reader { eof, .. } if *eof);
-        let take = match stop {
-            Some(i) => i,
-            None if all_present => w.len(),
-            None => {
-                let mut t = w.len().saturating_sub(2);
-                while t > 0 && !w.is_char_boundary(t) {
-                    t -= 1;
-                }
-                t
-            }
-        };
-        // Scan for a bare `]]>` over everything known to be character
-        // data — up to the stop when there is one, else the whole window
-        // (NOT just the guard-trimmed `take` prefix: a `]]>` ending
-        // exactly at the window edge would otherwise lose its first `]`
-        // to this round's consumption and never re-form).
-        let scannable = &w[..stop.unwrap_or(w.len())];
-        if let Some(i) = scannable.find("]]>") {
-            return Err(self.src.err_at(
-                XmlErrorKind::Malformed("']]>' in character data".to_string()),
-                pos + i,
-            ));
-        }
-        if take == 0 {
-            // Window too small to make progress: grow it.
-            self.src.refill()?;
-        } else {
-            self.text_buf.push_str(&w[..take]);
-            self.src.advance(take);
-        }
-        Ok(())
+        self.src.pos = end + 2;
+        let keep = self.opts.keep_processing_instructions && !self.open_ends.is_empty();
+        Ok(keep.then_some((data, end)))
     }
 }
 
@@ -1144,6 +1202,53 @@ mod tests {
             }
         };
         assert!(matches!(err.kind(), XmlErrorKind::TooDeep { limit: 8 }));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // 20 MB through the interpreter
+    fn giant_tokens_are_scanned_once() {
+        // A token that outruns the window is resumed where the scan
+        // stopped, never re-scanned from its start: with 4 KB reads a
+        // restart per refill would examine each 4 MB token ~500 times.
+        struct Chunks<'a>(&'a [u8]);
+        impl Read for Chunks<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.0.len().min(out.len()).min(4096);
+                out[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let big = "x".repeat(4 << 20);
+        for (input, events) in [
+            (format!("<a v=\"{big}\"/>"), 2),
+            (format!("<a>{big}</a>"), 3),
+            (format!("<a><!--{big}--></a>"), 3),
+            (format!("<a><?p {big}?></a>"), 3),
+            (format!("<{big}/>"), 2),
+        ] {
+            let mut tok = Tokenizer::from_reader(Chunks(input.as_bytes()), ParseOptions::default());
+            let mut seen = 0;
+            while let Some(ev) = tok.next_event().unwrap() {
+                let len = match ev {
+                    XmlEvent::StartElement { name, attrs } => name.len() + attrs.len(),
+                    XmlEvent::Text(t) | XmlEvent::Comment(t) | XmlEvent::Pi { data: t, .. } => {
+                        assert_eq!(t.len(), big.len());
+                        0
+                    }
+                    XmlEvent::EndElement { .. } => 0,
+                };
+                assert!(len < 3 || len == big.len(), "{len}");
+                seen += 1;
+            }
+            assert_eq!(seen, events);
+            let scanned = either!(&tok.0, lx => lx.src.scanned);
+            assert!(
+                scanned <= 3 * input.len(),
+                "{scanned} bytes scanned for {} of input",
+                input.len()
+            );
+        }
     }
 
     #[test]
