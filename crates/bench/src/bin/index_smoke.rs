@@ -21,6 +21,12 @@
 //! * a query answered from the reopened snapshot agrees with the answer
 //!   computed on the original arena, and the snapshot stamp round-trips.
 //!
+//! It also prints what the open cost — MB/s over the file, and how the
+//! one pass over the sections split between checksum and invariant
+//! sweep (the `index/open_hash_ns` / `index/open_sweep_ns` counters).
+//! Printed, not asserted: open speed is gated by `benchmark/`
+//! (`snapshot-cold`, `index.open_ms`).
+//!
 //! The CI `index-smoke` job runs this binary; see DESIGN.md "Persistent
 //! index".
 
@@ -69,8 +75,11 @@ fn main() {
 
     let docs_built = minctx_obs::global().counter("xml/documents_built");
     let toks_created = minctx_obs::global().counter("xml/tokenizers_created");
+    let pass_ns = ["index/open_hash_ns", "index/open_sweep_ns"]
+        .map(|name| minctx_obs::global().counter(name));
     let docs_before = docs_built.get();
     let toks_before = toks_created.get();
+    let pass_before = pass_ns.each_ref().map(minctx_obs::Counter::get);
     let alloc_before = ALLOC.total();
     let open_start = Instant::now();
     let snap = open_snapshot(&path).unwrap();
@@ -109,9 +118,12 @@ fn main() {
         "stamp did not survive the round trip"
     );
 
+    let [hash_ms, sweep_ms] = [0, 1].map(|k| (pass_ns[k].get() - pass_before[k]) as f64 / 1e6);
     println!(
-        "open_snapshot: {open_time:.1?}, {open_alloc} bytes allocated \
-         (ceiling {OPEN_ALLOC_CEILING}); count(//item) = {got:?} — OK"
+        "open_snapshot: {open_time:.1?} ({:.0} MB/s; hash {hash_ms:.1} ms, sweep {sweep_ms:.1} ms, \
+         map + names + adopt the rest), {open_alloc} bytes allocated \
+         (ceiling {OPEN_ALLOC_CEILING}); count(//item) = {got:?} — OK",
+        info.file_len as f64 / 1e6 / open_time.as_secs_f64()
     );
     std::fs::remove_file(&path).ok();
 }

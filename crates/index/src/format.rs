@@ -5,7 +5,7 @@
 //!      0     8  magic  b"MCTXSNP\x01"
 //!      8     4  endian tag 0x0A0B0C0D (little-endian on disk; a reader
 //!                on the wrong byte order sees a scrambled tag)
-//!     12     4  format version (1)
+//!     12     4  format version (2; version 1 used a different FastHash)
 //!     16     8  node_count
 //!     24     8  name_count
 //!     32     8  text_heap_len        (bytes)
@@ -33,8 +33,10 @@
 pub(crate) const MAGIC: [u8; 8] = *b"MCTXSNP\x01";
 /// Byte-order canary (reads back scrambled under the wrong endianness).
 pub(crate) const ENDIAN_TAG: u32 = 0x0A0B_0C0D;
-/// Current format version.
-pub(crate) const VERSION: u32 = 1;
+/// Current format version.  Version 2 moved no byte of any section: it
+/// changed [`FastHash`](crate::hash), and with it both checksums and the
+/// stamp, so version-1 files are refused rather than re-hashed.
+pub(crate) const VERSION: u32 = 2;
 /// Total header bytes; sections start here (8-aligned).
 pub(crate) const HEADER_LEN: usize = 104;
 /// Alignment of every section start.

@@ -6,11 +6,15 @@
 //! module and DESIGN.md "Persistent index") are written to disk once
 //! with [`write_snapshot`] and reopened **zero-copy** with
 //! [`open_snapshot`]: the file is memory-mapped and the columns are
-//! adopted in place, so reopening a stored corpus costs an integrity
-//! scan instead of an XML re-parse (≥5× cheaper at the 10⁶-element
-//! bench tier; the `index/*` rows in `BENCH_baseline.json` record the
-//! gap).  The axis kernels and all four arena evaluators run unchanged
-//! on the mapped columns.
+//! adopted in place, so reopening a stored corpus costs one pass over
+//! the file — checksum and invariant sweep together, about 3.4 GB/s —
+//! instead of an XML re-parse.  `benchmark/` holds the numbers: the
+//! `snapshot-cold` workload (open a 4·10⁵-element, 40 MB snapshot, one
+//! query, unmap: 12–13 ms an open, 38 ms before format version 2) and
+//! the per-layer row `index.open_ms` (10⁵ elements, 10 MB: 1.5–2.3 ms,
+//! against `xml.parse.ms` ≈ 20 ms for the same document as text).  The
+//! axis kernels and all four arena evaluators run unchanged on the
+//! mapped columns.
 //!
 //! ```
 //! use minctx_index::{open_snapshot, write_snapshot};
@@ -40,7 +44,10 @@
 //! (monotone offsets, UTF-8, sorted postings, in-range links) — before
 //! adopting a single column, so truncated, bit-flipped or handcrafted
 //! files fail with an actionable [`SnapshotError`], never a panic or
-//! worse.
+//! worse.  The section checksum and the invariants ride one pass:
+//! each 64 KB block is hashed and then, still in cache, swept by
+//! `minctx-xml`'s [`ColumnSweep`] (DESIGN.md "Opening at memory
+//! speed").
 //!
 //! ## Stamps
 //!
@@ -68,13 +75,14 @@
 //! [`open_snapshot_or_quarantine`]); the [`fault`] module injects torn
 //! writes and step failures so these guarantees stay tested.
 
-use minctx_xml::{Document, NameTable, RawColumns, StableBytes};
+use minctx_xml::{ColumnError, ColumnSweep, Document, NameTable, RawColumns, StableBytes};
 use std::fmt;
 use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 pub mod fault;
 mod format;
@@ -86,6 +94,11 @@ use hash::{hash_bytes, FastHash};
 
 /// High bit of snapshot stamps; builder stamps keep it clear.
 const SNAPSHOT_STAMP_BIT: u64 = 1 << 63;
+
+/// Bytes hashed, then swept, per step of [`open_snapshot`]'s pass over
+/// the sections: small enough that the sweep finds the block the hash
+/// just read still in L2.
+const OPEN_BLOCK: usize = 64 * 1024;
 
 /// Everything that can go wrong writing or opening a snapshot.  The
 /// messages name the failing region and what to do about it (usually:
@@ -287,31 +300,31 @@ pub struct SnapshotInfo {
     pub stamp: u64,
 }
 
-/// Process-wide registry cell for successfully written snapshots
-/// (`index/snapshots_written` in [`minctx_obs::global`]).
-fn snapshots_written_counter() -> &'static minctx_obs::Counter {
-    static C: std::sync::OnceLock<minctx_obs::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| minctx_obs::global().counter("index/snapshots_written"))
+/// The crate's cells in [`minctx_obs::global`].
+struct Counters {
+    /// `index/snapshots_written`: snapshots committed by
+    /// [`write_snapshot`] (bumped only after the durable rename).
+    written: minctx_obs::Counter,
+    /// `index/snapshots_opened`: snapshots that passed full validation
+    /// in [`open_snapshot`].
+    opened: minctx_obs::Counter,
+    /// `index/open_hash_ns`, `index/open_sweep_ns`: where the opens'
+    /// passes over the sections spent their time, summed over opens.
+    open_hash_ns: minctx_obs::Counter,
+    open_sweep_ns: minctx_obs::Counter,
 }
 
-/// Process-wide count of snapshots successfully committed by
-/// [`write_snapshot`] — the increment happens only after the durable
-/// rename, so a crashed or failed write is not counted.
-pub fn snapshots_written() -> u64 {
-    snapshots_written_counter().get()
-}
-
-/// Process-wide registry cell for successfully opened snapshots
-/// (`index/snapshots_opened` in [`minctx_obs::global`]).
-fn snapshots_opened_counter() -> &'static minctx_obs::Counter {
-    static C: std::sync::OnceLock<minctx_obs::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| minctx_obs::global().counter("index/snapshots_opened"))
-}
-
-/// Process-wide count of snapshots that passed full validation in
-/// [`open_snapshot`]; rejected or quarantined files are not counted.
-pub fn snapshots_opened() -> u64 {
-    snapshots_opened_counter().get()
+fn counters() -> &'static Counters {
+    static C: std::sync::OnceLock<Counters> = std::sync::OnceLock::new();
+    C.get_or_init(|| {
+        let cell = |name| minctx_obs::global().counter(name);
+        Counters {
+            written: cell("index/snapshots_written"),
+            opened: cell("index/snapshots_opened"),
+            open_hash_ns: cell("index/open_hash_ns"),
+            open_sweep_ns: cell("index/open_sweep_ns"),
+        }
+    })
 }
 
 /// Serializes `doc` into the snapshot container at `path`.  The write is
@@ -341,7 +354,7 @@ pub fn write_snapshot(
     {
         let r = write_snapshot_le(doc, path.as_ref());
         if r.is_ok() {
-            snapshots_written_counter().inc();
+            counters().written.inc();
         }
         r
     }
@@ -362,7 +375,7 @@ pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Document, SnapshotError> 
     {
         let r = open_snapshot_le(path.as_ref());
         if r.is_ok() {
-            snapshots_opened_counter().inc();
+            counters().opened.inc();
         }
         r
     }
@@ -400,6 +413,16 @@ fn snapshot_stamp_le(path: &Path) -> Result<u64, SnapshotError> {
     }
     let mut bytes = [0u8; HEADER_LEN];
     file.read_exact(&mut bytes)?;
+    Ok(check_header(&bytes)?.stamp)
+}
+
+/// The header gate of both [`snapshot_stamp`] and [`open_snapshot`]:
+/// magic, endianness and version — in that order, each with its
+/// dedicated error — *before* the header checksum, so a foreign or
+/// version-skewed file is named as such rather than reported as a
+/// generic checksum mismatch; then the stamp's namespace bit.
+#[cfg(target_endian = "little")]
+fn check_header(bytes: &[u8; HEADER_LEN]) -> Result<Header, SnapshotError> {
     if bytes[..8] != MAGIC {
         return Err(SnapshotError::NotASnapshot {
             found: bytes[..8].try_into().expect("8 bytes"),
@@ -415,7 +438,7 @@ fn snapshot_stamp_le(path: &Path) -> Result<u64, SnapshotError> {
             supported: VERSION,
         });
     }
-    let header = Header::from_bytes(&bytes);
+    let header = Header::from_bytes(bytes);
     let header_hash = hash_bytes(&bytes[..88]);
     if header_hash != header.header_hash {
         return Err(SnapshotError::ChecksumMismatch {
@@ -429,7 +452,7 @@ fn snapshot_stamp_le(path: &Path) -> Result<u64, SnapshotError> {
             "stamp is missing the snapshot namespace bit".into(),
         ));
     }
-    Ok(header.stamp)
+    Ok(header)
 }
 
 /// Reinterprets a `u32` column as raw bytes (little-endian hosts only:
@@ -759,31 +782,8 @@ fn open_snapshot_le(path: &Path) -> Result<Document, SnapshotError> {
     let keep: Arc<dyn StableBytes> = Arc::new(map::map_file(&mut file, len)?);
     let bytes = keep.bytes();
 
-    // ---- Container validation: identity, hashes, geometry -------------
-    if bytes[..8] != MAGIC {
-        return Err(SnapshotError::NotASnapshot {
-            found: bytes[..8].try_into().expect("8 bytes"),
-        });
-    }
-    if u32::from_le_bytes(bytes[8..12].try_into().expect("4")) != ENDIAN_TAG {
-        return Err(SnapshotError::UnsupportedEndianness);
-    }
-    let version = u32::from_le_bytes(bytes[12..16].try_into().expect("4"));
-    if version != VERSION {
-        return Err(SnapshotError::UnsupportedVersion {
-            found: version,
-            supported: VERSION,
-        });
-    }
-    let header = Header::from_bytes(bytes[..HEADER_LEN].try_into().expect("header length"));
-    let header_hash = hash_bytes(&bytes[..88]);
-    if header_hash != header.header_hash {
-        return Err(SnapshotError::ChecksumMismatch {
-            region: "header",
-            expected: header.header_hash,
-            actual: header_hash,
-        });
-    }
+    // ---- Container validation: identity, geometry ----------------------
+    let header = check_header(bytes[..HEADER_LEN].try_into().expect("header length"))?;
     if header.file_len != actual {
         return Err(SnapshotError::Truncated {
             expected: header.file_len,
@@ -798,7 +798,52 @@ fn open_snapshot_le(path: &Path) -> Result<Document, SnapshotError> {
             actual,
         });
     }
-    let section_hash = hash_bytes(&bytes[HEADER_LEN..]);
+    let name_off = u32_slice(bytes, lay.name_off, "name_off")?;
+    let name_bytes = byte_slice(bytes, lay.name_bytes.off, lay.name_bytes.count)?;
+    let cols = RawColumns {
+        kinds: u32_slice(bytes, lay.kinds, "kinds")?,
+        parent: u32_slice(bytes, lay.parent, "parent")?,
+        first_child: u32_slice(bytes, lay.first_child, "first_child")?,
+        last_child: u32_slice(bytes, lay.last_child, "last_child")?,
+        next_sibling: u32_slice(bytes, lay.next_sibling, "next_sibling")?,
+        prev_sibling: u32_slice(bytes, lay.prev_sibling, "prev_sibling")?,
+        subtree_end: u32_slice(bytes, lay.subtree_end, "subtree_end")?,
+        text_off: u32_slice(bytes, lay.text_off, "text_off")?,
+        text_heap: byte_slice(bytes, lay.text_heap.off, lay.text_heap.count)?,
+        elem_off: u32_slice(bytes, lay.elem_off, "elem_off")?,
+        elem_post: u32_slice(bytes, lay.elem_post, "elem_post")?,
+        attr_off: u32_slice(bytes, lay.attr_off, "attr_off")?,
+        attr_post: u32_slice(bytes, lay.attr_post, "attr_post")?,
+        id_attrs: u32_slice(bytes, lay.id_attrs, "id_attrs")?,
+        id_elems: u32_slice(bytes, lay.id_elems, "id_elems")?,
+    };
+
+    // ---- One pass over the sections: checksum and invariant sweep ------
+    // Each block is hashed and then — while it is still in cache —
+    // swept (`ColumnSweep` checks every column entry the bytes read so
+    // far contain).  The sweep keeps its verdict to itself until the
+    // end, so a decayed file is still reported as a checksum mismatch,
+    // never as whatever invariant the flipped bit happened to break.
+    let mut sweep = ColumnSweep::new(cols, lay.name_off.count - 1);
+    let mut hash = FastHash::new();
+    let mut clock = Instant::now();
+    let mut lap = || {
+        let since = std::mem::replace(&mut clock, Instant::now());
+        (clock - since).as_nanos() as u64
+    };
+    let (mut hash_ns, mut sweep_ns) = (0, 0);
+    let mut pos = HEADER_LEN;
+    while pos < bytes.len() {
+        let end = bytes.len().min(pos + OPEN_BLOCK);
+        hash.write(&bytes[pos..end]);
+        hash_ns += lap();
+        sweep.advance(&bytes[..end]);
+        sweep_ns += lap();
+        pos = end;
+    }
+    counters().open_hash_ns.add(hash_ns);
+    counters().open_sweep_ns.add(sweep_ns);
+    let section_hash = hash.finish();
     if section_hash != header.section_hash {
         return Err(SnapshotError::ChecksumMismatch {
             region: "section",
@@ -806,15 +851,8 @@ fn open_snapshot_le(path: &Path) -> Result<Document, SnapshotError> {
             actual: section_hash,
         });
     }
-    if header.stamp & SNAPSHOT_STAMP_BIT == 0 {
-        return Err(SnapshotError::Corrupt(
-            "stamp is missing the snapshot namespace bit".into(),
-        ));
-    }
 
     // ---- Name table ---------------------------------------------------
-    let name_off = u32_slice(bytes, lay.name_off, "name_off")?;
-    let name_bytes = byte_slice(bytes, lay.name_bytes.off, lay.name_bytes.count)?;
     // Reject invalid bytes wholesale before per-entry slicing, so the
     // error names the region even when entry offsets are also wrong.
     if let Err(e) = std::str::from_utf8(name_bytes) {
@@ -847,37 +885,19 @@ fn open_snapshot_le(path: &Path) -> Result<Document, SnapshotError> {
         ));
     }
 
-    // ---- Columns (validated in depth by from_mapped_columns) ----------
+    // ---- Columns: the sweep's verdict, then zero-copy adoption ---------
     // The text heap backs `from_utf8_unchecked` views for the life of
-    // the document: validate it here, at the trust boundary, so no
-    // crafted or checksum-colliding file can smuggle invalid bytes past
-    // the unsafe decode (from_mapped_columns re-checks in depth).
-    let text_heap = byte_slice(bytes, lay.text_heap.off, lay.text_heap.count)?;
-    if let Err(e) = std::str::from_utf8(text_heap) {
-        return Err(SnapshotError::InvalidUtf8 {
-            region: "text heap",
-            valid_up_to: e.valid_up_to(),
-        });
-    }
-    let cols = RawColumns {
-        kinds: u32_slice(bytes, lay.kinds, "kinds")?,
-        parent: u32_slice(bytes, lay.parent, "parent")?,
-        first_child: u32_slice(bytes, lay.first_child, "first_child")?,
-        last_child: u32_slice(bytes, lay.last_child, "last_child")?,
-        next_sibling: u32_slice(bytes, lay.next_sibling, "next_sibling")?,
-        prev_sibling: u32_slice(bytes, lay.prev_sibling, "prev_sibling")?,
-        subtree_end: u32_slice(bytes, lay.subtree_end, "subtree_end")?,
-        text_off: u32_slice(bytes, lay.text_off, "text_off")?,
-        text_heap,
-        elem_off: u32_slice(bytes, lay.elem_off, "elem_off")?,
-        elem_post: u32_slice(bytes, lay.elem_post, "elem_post")?,
-        attr_off: u32_slice(bytes, lay.attr_off, "attr_off")?,
-        attr_post: u32_slice(bytes, lay.attr_post, "attr_post")?,
-        id_attrs: u32_slice(bytes, lay.id_attrs, "id_attrs")?,
-        id_elems: u32_slice(bytes, lay.id_elems, "id_elems")?,
-    };
-    Document::from_mapped_columns(cols, names, header.stamp, Arc::clone(&keep))
-        .map_err(|e| SnapshotError::Corrupt(e.to_string()))
+    // the document; the sweep validated it (once), and its failure
+    // keeps the typed error.
+    sweep
+        .finish(names, header.stamp, Arc::clone(&keep))
+        .map_err(|e| match e {
+            ColumnError::InvalidUtf8 { valid_up_to } => SnapshotError::InvalidUtf8 {
+                region: "text heap",
+                valid_up_to,
+            },
+            ColumnError::Invariant(_) => SnapshotError::Corrupt(e.to_string()),
+        })
 }
 
 #[cfg(test)]

@@ -110,7 +110,7 @@ fn wrong_magic_version_and_endianness_are_distinct_errors() {
             e,
             SnapshotError::UnsupportedVersion {
                 found: 999,
-                supported: 1
+                supported: 2
             }
         ),
         "{e}"
@@ -153,7 +153,7 @@ fn header_and_section_corruption_name_their_region() {
     );
 }
 
-/// Re-implementation of the format-version-1 FastHash (pinned by
+/// Re-implementation of the format-version-2 FastHash (pinned by
 /// `hash.rs::known_stability`, so it cannot drift silently) and of the
 /// documented header/section layout — enough to *re-sign* a mutated
 /// snapshot so it passes both checksums and exercises the semantic
@@ -162,20 +162,27 @@ mod craft {
     fn hash(data: &[u8]) -> u64 {
         const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
         const PRIME: u64 = 0xC2B2_AE3D_27D4_EB4F;
-        let mut state = SEED;
-        let mut chunks = data.chunks_exact(8);
+        let round = |state: u64, word: u64| (state ^ word).wrapping_mul(PRIME).rotate_left(31);
+        let word = |c: &[u8]| u64::from_le_bytes(c.try_into().unwrap());
+        // Eight lanes over 64-byte stripes, folded in order...
+        let mut lanes: [u64; 8] = std::array::from_fn(|k| SEED ^ (k as u64).wrapping_mul(PRIME));
+        let mut stripes = data.chunks_exact(64);
+        for s in &mut stripes {
+            for (lane, c) in lanes.iter_mut().zip(s.chunks_exact(8)) {
+                *lane = round(*lane, word(c));
+            }
+        }
+        let mut state = lanes.into_iter().fold(SEED, round);
+        // ...then the tail words, the last one zero-padded.
+        let mut chunks = stripes.remainder().chunks_exact(8);
         for c in &mut chunks {
-            state = (state ^ u64::from_le_bytes(c.try_into().unwrap()))
-                .wrapping_mul(PRIME)
-                .rotate_left(31);
+            state = round(state, word(c));
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
             let mut buf = [0u8; 8];
             buf[..rem.len()].copy_from_slice(rem);
-            state = (state ^ u64::from_le_bytes(buf))
-                .wrapping_mul(PRIME)
-                .rotate_left(31);
+            state = round(state, u64::from_le_bytes(buf));
         }
         let mut h = state ^ data.len() as u64;
         h ^= h >> 33;
@@ -264,6 +271,40 @@ mod craft {
             cursor += count * width;
         }
         unreachable!("region index out of range");
+    }
+
+    /// `(byte offset, entry count, entry width)` of all seventeen
+    /// sections in on-disk order — the fifteen `u32` sections, then
+    /// `name_bytes`, then `text_heap` (see `format.rs`).
+    pub fn sections(bytes: &[u8]) -> [(usize, usize, usize); 17] {
+        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap()) as usize;
+        let (n, names, ids) = (u64_at(16), u64_at(24), u64_at(56));
+        let mut sections = [
+            (0, n, 4),          // kinds
+            (0, n, 4),          // parent
+            (0, n, 4),          // first_child
+            (0, n, 4),          // last_child
+            (0, n, 4),          // next_sibling
+            (0, n, 4),          // prev_sibling
+            (0, n, 4),          // subtree_end
+            (0, n + 1, 4),      // text_off
+            (0, names + 1, 4),  // elem_off
+            (0, u64_at(40), 4), // elem_post
+            (0, names + 1, 4),  // attr_off
+            (0, u64_at(48), 4), // attr_post
+            (0, ids, 4),        // id_attrs
+            (0, ids, 4),        // id_elems
+            (0, names + 1, 4),  // name_off
+            (0, u64_at(64), 1), // name_bytes
+            (0, u64_at(32), 1), // text_heap
+        ];
+        let mut cursor = 104usize;
+        for s in &mut sections {
+            cursor = cursor.div_ceil(8) * 8;
+            s.0 = cursor;
+            cursor += s.1 * s.2;
+        }
+        sections
     }
 }
 
@@ -382,6 +423,319 @@ fn error_display_is_actionable() {
     let e = open_snapshot(temp("does-not-exist")).unwrap_err();
     assert!(matches!(e, SnapshotError::Io(_)));
     assert!(e.to_string().contains("I/O"), "{e}");
+}
+
+// ---------------------------------------------------------------------
+// The column sweep against the row-wise validator it replaced: every
+// re-signed mutant gets the same verdict from `open_snapshot` as from
+// the verbatim oracle — `Ok` or the same error variant and message.
+
+mod oracle;
+
+mod mutants {
+    use super::{craft, open_raw, oracle, temp};
+    use minctx_index::{write_snapshot, SnapshotError};
+
+    /// Bytes `open_snapshot` hashes, then sweeps, per step (`lib.rs`
+    /// `OPEN_BLOCK`), counted from the end of the 104-byte header.
+    const BLOCK: usize = 64 * 1024;
+    const NONE: u32 = u32::MAX;
+
+    /// Attributes, ids, text, comments and PIs; multi-byte text and
+    /// names; depth and many names with repeats.
+    const DOCS: [&str; 3] = [
+        r#"<lib x="1"><b id="b1">text one</b><!--c--><?p d?><b id="b2" y="2">two<i/></b></lib>"#,
+        r#"<données où="ici"><é id="ü1">héllo · wörld</é><é id="a2">日本語</é>trailing</données>"#,
+        r#"<a><b><c><d e="1" f="2"><a id="k3"/><b id="k1">x</b></d></c><c/><c g="3">y<b/>z</c></b><?a b?><e id="k2"><e><e>deep</e></e></e></a>"#,
+    ];
+
+    struct Rng(u64);
+
+    impl Rng {
+        /// splitmix64.
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    fn snapshot_of(name: &str, xml: &str) -> Vec<u8> {
+        let doc = minctx_xml::parse(xml).unwrap();
+        let path = temp(name);
+        write_snapshot(&doc, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    }
+
+    fn set_u32(
+        bytes: &mut [u8],
+        sections: &[(usize, usize, usize); 17],
+        s: usize,
+        i: usize,
+        v: u32,
+    ) {
+        let at = sections[s].0 + 4 * i;
+        bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// The candidate values of the issue: the small, the neighbours of
+    /// the entry's own index, the neighbours of the node count, `NONE`.
+    fn candidates(i: usize, n: usize) -> [u32; 9] {
+        let (i, n) = (i as u32, n as u32);
+        [0, 1, i.wrapping_sub(1), i, i + 1, n - 1, n, n + 1, NONE]
+    }
+
+    /// Re-signs `bytes` and holds `open_snapshot` to the oracle's
+    /// verdict on them.
+    fn assert_agree(name: &str, bytes: &mut [u8], what: &str) -> Result<(), SnapshotError> {
+        craft::resign(bytes);
+        let sections = craft::sections(bytes);
+        let u32s: [Vec<u32>; 15] = std::array::from_fn(|s| {
+            let (off, count, _) = sections[s];
+            bytes[off..off + 4 * count]
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+                .collect()
+        });
+        let region = |s: usize| &bytes[sections[s].0..sections[s].0 + sections[s].1];
+        let want = oracle::verdict(&u32s, region(15), region(16));
+        let got = open_raw(name, bytes).map(|_| ());
+        assert_eq!(got, want, "{what}");
+        got
+    }
+
+    /// One mutation of the issue's menu, applied in place: one byte of
+    /// the name bytes or of the text heap replaced, or one `u32` of one
+    /// section set to a candidate value (one time in ten, any value).
+    fn mutate(bytes: &mut [u8], rng: &mut Rng) -> String {
+        let sections = craft::sections(bytes);
+        let n = sections[0].1;
+        match rng.below(10) {
+            k @ (0 | 1) => {
+                let (off, len, _) = sections[15 + k];
+                let (at, b) = (rng.below(len), rng.next() as u8);
+                bytes[off + at] = b;
+                format!("section {} byte {at} := {b:#x}", 15 + k)
+            }
+            _ => {
+                let s = loop {
+                    let s = rng.below(15);
+                    if sections[s].1 > 0 {
+                        break s;
+                    }
+                };
+                let i = rng.below(sections[s].1);
+                let v = match rng.below(10) {
+                    9 => rng.next() as u32,
+                    c => candidates(i, n)[c],
+                };
+                set_u32(bytes, &sections, s, i, v);
+                format!("section {s} entry {i} := {v}")
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_mutants_get_the_row_wise_verdict() {
+        let per_doc = if cfg!(miri) { 12 } else { 800 };
+        let (mut accepted, mut rejected) = (0, 0);
+        for (d, xml) in DOCS.iter().enumerate() {
+            let name = format!("mutant-{d}");
+            let pristine = snapshot_of(&name, xml);
+            let mut rng = Rng(0x5eed_0000 + d as u64);
+            for m in 0..per_doc {
+                let mut bytes = pristine.clone();
+                // One mutation, as the issue asks; every fourth mutant
+                // carries a second, so that two violations in different
+                // columns must be reported in the row-wise order too.
+                let mut what = format!("doc {d} mutant {m}: {}", mutate(&mut bytes, &mut rng));
+                if m % 4 == 3 {
+                    what = format!("{what}, {}", mutate(&mut bytes, &mut rng));
+                }
+                match assert_agree(&name, &mut bytes, &what) {
+                    Ok(()) => accepted += 1,
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+        // The suite bites both ways: mutants that write back the value
+        // already there (or another valid one) must still open.
+        assert!(
+            rejected > accepted,
+            "{accepted} accepted, {rejected} rejected"
+        );
+        assert!(cfg!(miri) || accepted > 0, "no mutant was accepted");
+    }
+
+    /// `<r>` with `elements` children `<e k="v">text</e>`: three nodes a
+    /// child, so every column outgrows a block at a few thousand.
+    fn wide_doc(elements: usize) -> String {
+        format!("<r>{}</r>", r#"<e k="v">text</e>"#.repeat(elements))
+    }
+
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "megabyte snapshots are minutes-long under the interpreter"
+    )]
+    fn entries_beside_every_block_boundary_get_the_row_wise_verdict() {
+        let pristine = snapshot_of("blocks", &wide_doc(8_000));
+        let sections = craft::sections(&pristine);
+        let n = sections[0].1;
+        let mut rejected = 0;
+        for (s, &(off, count, _)) in sections[..15].iter().enumerate() {
+            if count == 0 {
+                continue; // this document has no ids
+            }
+            // The first and last entry of the section, and the entries on
+            // either side of each block boundary inside it (entries are
+            // 4-aligned and so is every boundary: none straddles one).
+            let mut entries = vec![0, count - 1];
+            let first_boundary = (off - 104).div_ceil(BLOCK) * BLOCK + 104;
+            for boundary in (first_boundary..off + 4 * count).step_by(BLOCK) {
+                let after = (boundary - off) / 4;
+                entries.extend([after.saturating_sub(1), after.min(count - 1)]);
+            }
+            for i in entries {
+                for v in [0, i as u32, n as u32, NONE] {
+                    let mut bytes = pristine.clone();
+                    set_u32(&mut bytes, &sections, s, i, v);
+                    let what = format!("section {s} entry {i} := {v}");
+                    rejected += usize::from(assert_agree("blocks", &mut bytes, &what).is_err());
+                }
+            }
+        }
+        assert!(
+            rejected > 100,
+            "only {rejected} boundary mutants were rejected"
+        );
+
+        // A violation only in the file's final, partial block.
+        let mut bytes = pristine.clone();
+        assert!((bytes.len() - 104) % BLOCK != 0);
+        *bytes.last_mut().unwrap() = 0xFF;
+        let e = assert_agree("blocks", &mut bytes, "last heap byte := 0xff").unwrap_err();
+        assert!(
+            matches!(
+                e,
+                SnapshotError::InvalidUtf8 {
+                    region: "text heap",
+                    ..
+                }
+            ),
+            "{e}"
+        );
+    }
+
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "megabyte snapshots are minutes-long under the interpreter"
+    )]
+    fn one_node_over_a_block_gets_the_row_wise_verdict() {
+        // root + r + 5 461 × (e, k, text): 16 385 nodes, and `kinds`
+        // starts where the first block does — its last entry is alone in
+        // the second.
+        let pristine = snapshot_of("one-over", &wide_doc(5_461));
+        let sections = craft::sections(&pristine);
+        let (n, per_block) = (sections[0].1, BLOCK / 4);
+        assert_eq!((sections[0].0, n), (104, per_block + 1));
+        // A self-reference and an index past the arena are wrong in every
+        // node column, on either side of the block edge.
+        for s in 0..7 {
+            for i in [per_block - 1, per_block] {
+                for v in [i as u32, n as u32 + 1] {
+                    let mut bytes = pristine.clone();
+                    set_u32(&mut bytes, &sections, s, i, v);
+                    let what = format!("section {s} entry {i} := {v}");
+                    let r = assert_agree("one-over", &mut bytes, &what);
+                    assert!(r.is_err(), "{what} opened");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "megabyte snapshots are minutes-long under the interpreter"
+    )]
+    fn utf8_sequences_cut_by_a_block_boundary_are_validated_whole() {
+        // One 200 000-byte text node: the heap is a single span crossing
+        // several block boundaries, so bytes around one can be rewritten
+        // without disturbing a text offset.
+        let pristine = snapshot_of("cut", &format!("<a>{}</a>", "x".repeat(200_000)));
+        let (heap, len, _) = craft::sections(&pristine)[16];
+        let cut = (heap - 104).div_ceil(BLOCK) * BLOCK + 104 - heap;
+        assert!(cut >= 3 && cut + 3 < len);
+        let run = |what: &str, edits: &[(usize, u8)]| {
+            let mut bytes = pristine.clone();
+            for &(at, b) in edits {
+                bytes[heap + at] = b;
+            }
+            assert_agree("cut", &mut bytes, what)
+        };
+        // é, € and 😀 with 1, 2 and 3 of their bytes before the boundary.
+        run(
+            "2-byte char across the cut",
+            &[(cut - 1, 0xC3), (cut, 0xA9)],
+        )
+        .unwrap();
+        run(
+            "3-byte char, 1 + 2",
+            &[(cut - 1, 0xE2), (cut, 0x82), (cut + 1, 0xAC)],
+        )
+        .unwrap();
+        run(
+            "3-byte char, 2 + 1",
+            &[(cut - 2, 0xE2), (cut - 1, 0x82), (cut, 0xAC)],
+        )
+        .unwrap();
+        run(
+            "4-byte char, 3 + 1",
+            &[
+                (cut - 3, 0xF0),
+                (cut - 2, 0x9F),
+                (cut - 1, 0x98),
+                (cut, 0x80),
+            ],
+        )
+        .unwrap();
+        // A lead byte before the cut whose continuation never comes, a
+        // continuation byte right after it, and a sequence the heap's
+        // end cuts short: each names the first invalid byte.
+        for (what, edits, at) in [
+            ("lead byte, then ASCII", &[(cut - 1, 0xC3)][..], cut - 1),
+            ("stray continuation after the cut", &[(cut, 0xA9)][..], cut),
+            (
+                "bad second continuation",
+                &[(cut - 1, 0xE2), (cut, 0x82)][..],
+                cut - 1,
+            ),
+            (
+                "heap ends inside a sequence",
+                &[(len - 1, 0xC3)][..],
+                len - 1,
+            ),
+        ] {
+            assert_eq!(
+                run(what, edits),
+                Err(SnapshotError::InvalidUtf8 {
+                    region: "text heap",
+                    valid_up_to: at
+                }),
+                "{what}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -24,7 +24,8 @@
 use crate::name::{Name, NameTable};
 use crate::node::{self, NodeId, NodeKind};
 use crate::nodeset::NodeSet;
-use crate::store::{self, Col, ColumnError, DocStore, RawColumns, StableBytes};
+use crate::store::{ColumnError, DocStore, RawColumns, StableBytes};
+use crate::sweep::ColumnSweep;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -435,61 +436,16 @@ impl Document {
     /// in `O(|D|)`, so a column set that decodes structurally but
     /// violates the data model (dangling links, non-monotone offsets,
     /// invalid UTF-8, unsorted postings) is rejected with a
-    /// [`ColumnError`] instead of panicking later.
+    /// [`ColumnError`] instead of panicking later.  This is one whole
+    /// [`ColumnSweep`]; a caller that reads the backing bytes itself can
+    /// drive the sweep alongside its own pass instead.
     pub fn from_mapped_columns(
         cols: RawColumns<'_>,
         names: NameTable,
         stamp: u64,
         keep: Arc<dyn StableBytes>,
     ) -> Result<Document, ColumnError> {
-        validate_columns(&cols, &names)?;
-        let region = keep.bytes();
-        let contained = store::slice_within(cols.text_heap, region)
-            && [
-                cols.kinds,
-                cols.parent,
-                cols.first_child,
-                cols.last_child,
-                cols.next_sibling,
-                cols.prev_sibling,
-                cols.subtree_end,
-                cols.text_off,
-                cols.elem_off,
-                cols.elem_post,
-                cols.attr_off,
-                cols.attr_post,
-                cols.id_attrs,
-                cols.id_elems,
-            ]
-            .iter()
-            .all(|s| store::slice_within(s, region));
-        if !contained {
-            return Err(ColumnError::new(
-                "a column slice lies outside the backing byte region",
-            ));
-        }
-        let store = DocStore {
-            kinds: Col::borrowed(cols.kinds, &keep),
-            parent: Col::borrowed(cols.parent, &keep),
-            first_child: Col::borrowed(cols.first_child, &keep),
-            last_child: Col::borrowed(cols.last_child, &keep),
-            next_sibling: Col::borrowed(cols.next_sibling, &keep),
-            prev_sibling: Col::borrowed(cols.prev_sibling, &keep),
-            subtree_end: Col::borrowed(cols.subtree_end, &keep),
-            text_off: Col::borrowed(cols.text_off, &keep),
-            text_heap: Col::borrowed(cols.text_heap, &keep),
-            elem_off: Col::borrowed(cols.elem_off, &keep),
-            elem_post: Col::borrowed(cols.elem_post, &keep),
-            attr_off: Col::borrowed(cols.attr_off, &keep),
-            attr_post: Col::borrowed(cols.attr_post, &keep),
-            id_attrs: Col::borrowed(cols.id_attrs, &keep),
-            id_elems: Col::borrowed(cols.id_elems, &keep),
-        };
-        Ok(Document {
-            names,
-            store,
-            stamp,
-        })
+        ColumnSweep::new(cols, names.len()).finish(names, stamp, keep)
     }
 
     /// A debug rendering of the tree structure, one node per line.
@@ -536,185 +492,6 @@ impl Document {
         }
         out
     }
-}
-
-/// The full invariant sweep behind [`Document::from_mapped_columns`].
-fn validate_columns(cols: &RawColumns<'_>, names: &NameTable) -> Result<(), ColumnError> {
-    let err = |msg: String| Err(ColumnError::new(msg));
-    let n = cols.kinds.len();
-    if n < 2 {
-        return err(format!(
-            "document has {n} nodes; a well-formed document has at least root + document element"
-        ));
-    }
-    for (name, col) in [
-        ("parent", cols.parent),
-        ("first_child", cols.first_child),
-        ("last_child", cols.last_child),
-        ("next_sibling", cols.next_sibling),
-        ("prev_sibling", cols.prev_sibling),
-        ("subtree_end", cols.subtree_end),
-    ] {
-        if col.len() != n {
-            return err(format!(
-                "column {name} has {} entries, expected {n}",
-                col.len()
-            ));
-        }
-    }
-    // Structure links: in range or NONE; subtree ranges within the arena.
-    if cols.kinds[0] & node::KIND_TAG_MASK != node::TAG_ROOT || cols.parent[0] != NONE {
-        return err("node 0 is not a parentless root node".to_string());
-    }
-    let name_count = names.len() as u32;
-    for i in 0..n {
-        let word = cols.kinds[i];
-        let tag = word & node::KIND_TAG_MASK;
-        let nm = word >> node::KIND_TAG_BITS;
-        let named = matches!(tag, node::TAG_ELEMENT | node::TAG_PI | node::TAG_ATTRIBUTE);
-        if tag > node::TAG_ATTRIBUTE || (named && nm >= name_count) || (!named && nm != 0) {
-            return err(format!("node {i} has invalid packed kind word {word:#x}"));
-        }
-        // Pre-order direction, not just range: parents and previous
-        // siblings strictly precede a node, children and next siblings
-        // strictly follow it.  Beyond catching corruption, this is what
-        // makes every link *traversal* provably terminate — a crafted
-        // snapshot with a sibling or parent cycle must fail here, not
-        // hang the first `children()` walk.
-        let iu = i as u32;
-        for (what, v, forward) in [
-            ("parent", cols.parent[i], false),
-            ("first_child", cols.first_child[i], true),
-            ("last_child", cols.last_child[i], true),
-            ("next_sibling", cols.next_sibling[i], true),
-            ("prev_sibling", cols.prev_sibling[i], false),
-        ] {
-            if v == NONE {
-                continue;
-            }
-            if v as usize >= n || (forward && v <= iu) || (!forward && v >= iu) {
-                return err(format!(
-                    "node {i}: {what} link {v} out of range or against pre-order"
-                ));
-            }
-        }
-        let se = cols.subtree_end[i] as usize;
-        if se <= i || se > n {
-            return err(format!("node {i}: subtree_end {se} out of range"));
-        }
-    }
-    // Text heap: monotone offsets on UTF-8 char boundaries.
-    if cols.text_off.len() != n + 1 {
-        return err(format!(
-            "text_off has {} entries, expected {}",
-            cols.text_off.len(),
-            n + 1
-        ));
-    }
-    let heap = match std::str::from_utf8(cols.text_heap) {
-        Ok(h) => h,
-        Err(e) => return err(format!("text heap is not valid UTF-8: {e}")),
-    };
-    let mut prev = 0u32;
-    for (i, &off) in cols.text_off.iter().enumerate() {
-        if off < prev || off as usize > heap.len() || !heap.is_char_boundary(off as usize) {
-            return err(format!(
-                "text_off[{i}] = {off} is not a monotone char boundary"
-            ));
-        }
-        prev = off;
-    }
-    if cols.text_off[n] as usize != heap.len() {
-        return err("final text offset does not cover the text heap".to_string());
-    }
-    // CSR postings: offset arrays sized to the name table, monotone and
-    // covering; every entry sorted, in range, and naming a node of
-    // exactly this family and label; group sizes matching the per-name
-    // counts recomputed from the kinds column.  Membership + equal
-    // counts together mean each group is *exactly* the set of matching
-    // nodes — a crafted snapshot cannot make the name-test fast paths
-    // (or `element_count`) silently disagree with the kind sweeps.
-    for (what, tag, off, posts) in [
-        ("element", node::TAG_ELEMENT, cols.elem_off, cols.elem_post),
-        (
-            "attribute",
-            node::TAG_ATTRIBUTE,
-            cols.attr_off,
-            cols.attr_post,
-        ),
-    ] {
-        if off.len() != names.len() + 1 {
-            return err(format!(
-                "{what} postings offsets have {} entries, expected {}",
-                off.len(),
-                names.len() + 1
-            ));
-        }
-        let mut prev = 0u32;
-        for &o in off {
-            if o < prev || o as usize > posts.len() {
-                return err(format!("{what} postings offsets are not monotone"));
-            }
-            prev = o;
-        }
-        if off.last().copied().unwrap_or(0) as usize != posts.len() {
-            return err(format!("{what} postings offsets do not cover the postings"));
-        }
-        let mut last_in_group = None;
-        let mut group = 0usize;
-        for (i, &p) in posts.iter().enumerate() {
-            while off[group + 1] as usize <= i {
-                group += 1;
-                last_in_group = None;
-            }
-            let expected_word = tag | ((group as u32) << node::KIND_TAG_BITS);
-            if p as usize >= n
-                || cols.kinds[p as usize] != expected_word
-                || last_in_group.is_some_and(|l| p <= l)
-            {
-                return err(format!(
-                    "{what} postings entry {i} is out of range, unsorted, or not a \
-                     matching node"
-                ));
-            }
-            last_in_group = Some(p);
-        }
-        let mut counts = vec![0u32; names.len()];
-        for &word in cols.kinds {
-            if word & node::KIND_TAG_MASK == tag {
-                counts[(word >> node::KIND_TAG_BITS) as usize] += 1;
-            }
-        }
-        for (g, &c) in counts.iter().enumerate() {
-            if off[g + 1] - off[g] != c {
-                return err(format!(
-                    "{what} postings for name {g} have {} entries, the kinds column has {c}",
-                    off[g + 1] - off[g]
-                ));
-            }
-        }
-    }
-    // Id index: parallel, in-range, sorted (strictly — keys are unique)
-    // by key bytes.
-    if cols.id_attrs.len() != cols.id_elems.len() {
-        return err("id index columns have mismatched lengths".to_string());
-    }
-    let span = |a: u32| -> &str {
-        let s = cols.text_off[a as usize] as usize;
-        let e = cols.text_off[a as usize + 1] as usize;
-        &heap[s..e]
-    };
-    for (i, (&a, &e)) in cols.id_attrs.iter().zip(cols.id_elems).enumerate() {
-        if a as usize >= n || e as usize >= n {
-            return err(format!("id index entry {i} out of range"));
-        }
-        if i > 0 && span(cols.id_attrs[i - 1]) >= span(a) {
-            return err(format!(
-                "id index keys are not strictly sorted at entry {i}"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Iterator over the non-attribute children of a node.

@@ -43,6 +43,7 @@ pub mod par;
 pub mod parser;
 pub mod serialize;
 pub mod store;
+pub mod sweep;
 pub mod token;
 
 pub use axes::{Axis, AxisRoute, Dispatch, NodeTest, ResolvedTest, Scratch};
@@ -57,4 +58,5 @@ pub use parser::{
     parse, parse_reader, parse_reader_with_options, parse_with_options, ParseOptions,
 };
 pub use store::{ColumnError, RawColumns, StableBytes};
+pub use sweep::ColumnSweep;
 pub use token::{Tokenizer, XmlEvent, DEFAULT_MAX_ELEMENT_DEPTH};

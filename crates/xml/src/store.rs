@@ -78,8 +78,8 @@ impl<T: Copy + 'static> Col<T> {
     ///
     /// # Panics
     /// Panics if `slice` does not lie within `keep.bytes()` — callers
-    /// ([`Document::from_mapped_columns`](crate::Document::from_mapped_columns))
-    /// validate containment first and treat violations as corruption.
+    /// ([`ColumnSweep::finish`](crate::ColumnSweep::finish)) validate
+    /// containment first and treat violations as corruption.
     pub(crate) fn borrowed(slice: &[T], keep: &Arc<dyn StableBytes>) -> Col<T> {
         assert!(
             slice_within(slice, keep.bytes()),
@@ -273,19 +273,28 @@ pub struct RawColumns<'a> {
 /// A validation failure while adopting mapped columns — the snapshot file
 /// decoded structurally but its contents violate a document invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColumnError {
-    msg: String,
-}
-
-impl ColumnError {
-    pub(crate) fn new(msg: impl Into<String>) -> ColumnError {
-        ColumnError { msg: msg.into() }
-    }
+pub enum ColumnError {
+    /// The text heap is not valid UTF-8 — it backs
+    /// `from_utf8_unchecked` views for the life of the document, so a
+    /// crafted or decayed region must never be adopted.
+    InvalidUtf8 {
+        /// How many leading bytes were valid.
+        valid_up_to: usize,
+    },
+    /// A structural invariant does not hold; the message names the
+    /// column and the first offending entry.
+    Invariant(String),
 }
 
 impl fmt::Display for ColumnError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid document columns: {}", self.msg)
+        f.write_str("invalid document columns: ")?;
+        match self {
+            ColumnError::InvalidUtf8 { valid_up_to } => {
+                write!(f, "text heap is not valid UTF-8 after byte {valid_up_to}")
+            }
+            ColumnError::Invariant(msg) => f.write_str(msg),
+        }
     }
 }
 
