@@ -378,22 +378,30 @@ fn explain_check(doc: &minctx_xml::Document) {
     assert!(plan.contains(&golden), "{plan}");
     assert_eq!(opt.steps[0].mode, Some(PredMode::Backward));
 
-    // A positional step stays per-origin, but only for the origins the
-    // `item` postings say have an <item> child at all.
+    // A positional `child` step ranks its candidates among their siblings
+    // in one pass over the `descendant::item` image; the
+    // `descendant-or-self::node()` in front of it is never built.
     let opt = Engine::new(Strategy::OptMinContext)
         .explain(doc, "//item[position() = last()]")
         .unwrap();
-    let step = &opt.steps[1];
+    let (front, step) = (&opt.steps[0], &opt.steps[1]);
+    assert!(front.elided, "{}", opt.plan_text());
+    assert_eq!(step.mode, Some(PredMode::SiblingRank));
+    assert_eq!(step.input, items, "{}", opt.plan_text());
+    let golden = format!(
+        "step 0] descendant-or-self::node() elided calls=1\n  \
+         [#{} step 1] child::item preds=1 mode=sibling-rank route=postings calls=1 in={items} out=",
+        step.path
+    );
+    assert!(opt.plan_text().contains(&golden), "{}", opt.plan_text());
+
+    // Where one candidate can have several origins a positional step stays
+    // per-origin, but only for the origins the `item` postings can be
+    // reached from.
+    let opt = Engine::new(Strategy::OptMinContext)
+        .explain(doc, "//item/following-sibling::item[1]")
+        .unwrap();
+    let step = opt.steps.last().expect("a step row");
     assert_eq!(step.mode, Some(PredMode::PerOrigin));
-    assert!(
-        step.origins <= items && step.origins < step.input,
-        "origins not pruned: {}",
-        opt.plan_text()
-    );
-    assert!(
-        opt.plan_text()
-            .contains(&format!(" origins={}→{} ", step.input, step.origins)),
-        "{}",
-        opt.plan_text()
-    );
+    assert!(step.origins <= step.input, "{}", opt.plan_text());
 }

@@ -527,6 +527,38 @@ pub mod corpus {
         "(//book)[2][@year = 2000]",
         "(//title | //price)[not(. = 'XML')][last()]",
         "(//odd)[even or not(odd)]/even",
+        // ---- Positions without origins ----
+        // Positional `child` / `attribute` steps rank candidates among
+        // their siblings; behind `//` the `descendant-or-self::node()` is
+        // never built.  Same-name nesting (`odd` under `odd`'s parent's
+        // parent), several origins, attribute-containing context sets,
+        // re-ranking after a positional predicate, ranked steps nested in
+        // a ranked step's own predicate.
+        "//even[2]",
+        "//odd[last()]",
+        "//odd[position() mod 2 = 1]",
+        "*/book[@year][2]",
+        "//odd[2][1]",
+        "//book[last()][@id]",
+        "//even[last()][odd][1]",
+        "//@*[2]",
+        "//@*[last()]",
+        "//book/@*[position() > 1]",
+        "//odd//even[2]",
+        "//odd//even[last()]/@v",
+        "(//@id | //book)//title[1]",
+        "//book/@id/..//price[last()]",
+        "//@id//title[1]",
+        "//@*//node()[last()]",
+        "//node()[3]",
+        "//text()[last()]",
+        "//*[1]/*[last()]",
+        "//odd[position() = count(even[1]) + 1]",
+        "//even[odd[2]/even[last()]][2]",
+        "//book[position() = last() - 1]/title[1]",
+        // Filter starts number the whole set: must be unaffected.
+        "(//even)[3]",
+        "(//odd)[last()]/even[1]",
     ];
 }
 

@@ -11,8 +11,56 @@
 //! performs **zero** name resolution after the first call (verified by a
 //! test against [`NameTable::lookup_count`](minctx_xml::NameTable)).
 
-use minctx_syntax::{ExprId, Node, Query};
-use minctx_xml::{Document, ResolvedTest};
+use minctx_syntax::{ExprId, Node, Query, Step};
+use minctx_xml::{Axis, Document, NodeTest, ResolvedTest};
+
+/// How MINCONTEXT evaluates one location step — a property of the query's
+/// shape, decided here once rather than on every evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StepRoute {
+    /// No positional predicate: one axis sweep for the whole context set,
+    /// then the candidate set is filtered.
+    Set,
+    /// A positional predicate on `child` / `attribute`, where a candidate
+    /// has exactly one origin: one sweep of the given axis, then candidates
+    /// are ranked among their siblings.  The axis is the step's own, or
+    /// `descendant` when the step in front is [`StepRoute::Elided`].
+    Ranked(Axis),
+    /// A predicate-free `descendant-or-self::node()` in front of a ranked
+    /// `child` step: never built.  `child(dos(X)) = descendant(X)` as a set
+    /// and every sibling of a member is a member, so ranks within the
+    /// `descendant` image are exactly the child step's positions.  (As
+    /// XPath, `descendant::t[k]` is a different query — which is why this
+    /// is an evaluation route and not a rewrite.)
+    Elided,
+    /// A positional predicate on any other axis: a candidate can have
+    /// several origins, so candidates are listed per origin in axis order.
+    PerOrigin,
+}
+
+/// The steps of path `id` that are not evaluated as [`StepRoute::Set`],
+/// as `(path, step, route)`.
+fn routes(q: &Query, id: ExprId, steps: &[Step], out: &mut Vec<(ExprId, usize, StepRoute)>) {
+    let positional = |s: &Step| {
+        let mut relev = s.predicates.iter().map(|&p| q.relev(p));
+        relev.any(|r| r.position() || r.size())
+    };
+    for (i, s) in steps.iter().enumerate().filter(|(_, s)| positional(s)) {
+        let elides = s.axis == Axis::Child
+            && i > 0
+            && steps[i - 1].axis == Axis::DescendantOrSelf
+            && steps[i - 1].test == NodeTest::AnyNode
+            && steps[i - 1].predicates.is_empty();
+        if elides {
+            out.push((id, i - 1, StepRoute::Elided));
+        }
+        out.push(match s.axis {
+            Axis::Child if elides => (id, i, StepRoute::Ranked(Axis::Descendant)),
+            Axis::Child | Axis::Attribute => (id, i, StepRoute::Ranked(s.axis)),
+            _ => (id, i, StepRoute::PerOrigin),
+        });
+    }
+}
 
 /// A [`Query`] bound to a specific [`Document`]: every node test of every
 /// location path resolved to a [`ResolvedTest`].
@@ -27,6 +75,10 @@ pub struct CompiledQuery {
     /// Per arena node: the resolved tests of that node's steps (empty for
     /// non-path nodes), in step order.
     tests: Vec<Box<[ResolvedTest]>>,
+    /// The steps that are not evaluated as [`StepRoute::Set`] — those with
+    /// a positional predicate and the ones elided in front of them; few or
+    /// none per query, so a list, not a table.
+    routes: Box<[(ExprId, usize, StepRoute)]>,
     query_stamp: u64,
     doc_stamp: u64,
 }
@@ -44,9 +96,16 @@ impl CompiledQuery {
                 _ => Box::default(),
             })
             .collect();
+        let mut listed = Vec::new();
+        for (id, node) in query.iter() {
+            if let Node::Path(_, steps) = node {
+                routes(query, id, steps, &mut listed);
+            }
+        }
         CompiledQuery {
             query: query.clone(),
             tests,
+            routes: listed.into(),
             query_stamp: query.stamp(),
             doc_stamp: doc.stamp(),
         }
@@ -69,6 +128,13 @@ impl CompiledQuery {
     #[inline]
     pub fn step_test(&self, id: ExprId, step: usize) -> ResolvedTest {
         self.tests[id.index()][step]
+    }
+
+    /// How step `step` of path node `id` is evaluated.
+    #[inline]
+    pub(crate) fn step_route(&self, id: ExprId, step: usize) -> StepRoute {
+        let listed = self.routes.iter().find(|r| r.0 == id && r.1 == step);
+        listed.map_or(StepRoute::Set, |r| r.2)
     }
 
     /// The stamp of the query this was compiled from.

@@ -465,7 +465,8 @@ impl Engine {
     /// ([`AxisRoute`](minctx_xml::AxisRoute)) with cardinalities and wall
     /// times, how each predicated step's predicates ran
     /// ([`PredMode`](crate::PredMode): as a set, from backward sets alone,
-    /// or per origin — then with the origins left after postings pruning),
+    /// ranked among siblings, or per origin — then with the origins left
+    /// after postings pruning),
     /// memo and backward-propagation traffic, and fuel spent under the
     /// engine's budget.
     ///
@@ -488,11 +489,19 @@ impl Engine {
     /// assert!(profile.plan_text().contains(
     ///     "descendant::item preds=1 mode=backward route=postings calls=1 in=1 out=1"
     /// ));
-    /// // A positional predicate keeps per-origin candidate lists — but
-    /// // only for origins that have an <item> child at all.
+    /// // A positional predicate on `child` ranks the candidates among
+    /// // their siblings; the `//` in front of it is never materialised.
     /// let profile = engine.explain(&doc, "//item[last()]").unwrap();
+    /// let plan = profile.plan_text();
+    /// assert!(plan.contains("descendant-or-self::node() elided calls=1"));
+    /// assert!(plan.contains(
+    ///     "child::item preds=1 mode=sibling-rank route=postings calls=1 in=2 out=1"
+    /// ));
+    /// // Where a candidate can have several origins it keeps per-origin
+    /// // candidate lists — but only for origins that reach an <item>.
+    /// let profile = engine.explain(&doc, "//*/following::item[1]").unwrap();
     /// assert!(profile.plan_text().contains(
-    ///     "child::item preds=1 mode=per-origin origins=4→1 route=walk"
+    ///     "following::item preds=1 mode=per-origin origins=3→1 route=postings"
     /// ));
     /// ```
     pub fn explain(&self, doc: &Document, query: &str) -> Result<QueryProfile, EvalError> {

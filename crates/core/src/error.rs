@@ -138,11 +138,7 @@ mod tests {
             cause: Exhausted::Deadline,
         };
         assert!(e.to_string().contains("deadline"));
-        let p: EvalError = ParseError {
-            message: "boom".into(),
-            offset: 3,
-        }
-        .into();
+        let p: EvalError = ParseError::syntax("boom", 3).into();
         assert!(p.to_string().contains("boom"));
     }
 }

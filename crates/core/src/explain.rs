@@ -33,7 +33,7 @@ use crate::error::EvalError;
 use crate::rewrite::{rewrite_traced, Rule};
 use crate::value::Value;
 use minctx_syntax::{parse_xpath, ExprId, Node, PathStart, Query, Step};
-use minctx_xml::{AxisRoute, Document, Scratch};
+use minctx_xml::{AxisRoute, Dispatch, Document, Scratch};
 use std::fmt;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -49,9 +49,16 @@ pub enum PredMode {
     /// intersecting with OPTMINCONTEXT backward sets: no candidate was
     /// visited.
     Backward,
-    /// A positional predicate: candidates are listed per origin in axis
-    /// order (leading position-free predicates still run once, as a set).
+    /// A positional predicate on an axis where one candidate can have
+    /// several origins: candidates are listed per origin in axis order
+    /// (leading position-free predicates still run once, as a set).
     PerOrigin,
+    /// A positional predicate on `child` / `attribute`, where a candidate's
+    /// one origin is its parent: one sweep for the whole context set, then
+    /// candidates are ranked among their siblings (leading position-free
+    /// predicates run as a set first).  The step's `in` is the number of
+    /// candidates ranked.
+    SiblingRank,
 }
 
 impl PredMode {
@@ -61,6 +68,7 @@ impl PredMode {
             PredMode::Set => "set",
             PredMode::Backward => "backward",
             PredMode::PerOrigin => "per-origin",
+            PredMode::SiblingRank => "sibling-rank",
         }
     }
 }
@@ -80,6 +88,11 @@ pub struct StepProfile {
     pub index: usize,
     /// `axis::test` (unabbreviated).
     pub display: String,
+    /// The step was never built: a predicate-free
+    /// `descendant-or-self::node()` in front of a sibling-ranked `child`
+    /// step, which sweeps `descendant` from this step's context set
+    /// instead.  Only `invocations` is meaningful on such a row.
+    pub elided: bool,
     /// How many predicates filter this step.
     pub predicates: usize,
     /// The kernel route of the step's first invocation: the set kernel
@@ -178,6 +191,14 @@ impl QueryProfile {
         let _ = writeln!(s, "rewrite passes={} fired={fired}", self.rewrite_passes);
         let _ = writeln!(s, "plan");
         for st in &self.steps {
+            if st.elided {
+                let _ = writeln!(
+                    s,
+                    "  [#{} step {}] {} elided calls={}",
+                    st.path, st.index, st.display, st.invocations
+                );
+                continue;
+            }
             let preds = if st.predicates > 0 {
                 format!(" preds={}", st.predicates)
             } else {
@@ -250,7 +271,31 @@ impl ProfileCollector {
         self.backward_passes += 1;
     }
 
-    /// Aggregates one step invocation into the per-(path, index) record.
+    /// The per-(path, index) record, created empty on first sight.
+    fn row(&mut self, path: ExprId, index: usize, step: &Step) -> &mut StepProfile {
+        let known = |s: &StepProfile| s.path == path.index() && s.index == index;
+        let at = self.steps.iter().position(known).unwrap_or_else(|| {
+            self.steps.push(StepProfile {
+                path: path.index(),
+                index,
+                display: format!("{}::{}", step.axis, step.test),
+                elided: false,
+                predicates: step.predicates.len(),
+                route: Dispatch::NONE.route,
+                mode: None,
+                invocations: 0,
+                input: 0,
+                origins: 0,
+                output: 0,
+                time: Duration::ZERO,
+                par_chunks: 0,
+            });
+            self.steps.len() - 1
+        });
+        &mut self.steps[at]
+    }
+
+    /// Aggregates one step invocation into the step's record.
     pub(crate) fn record_step(
         &mut self,
         path: ExprId,
@@ -258,33 +303,24 @@ impl ProfileCollector {
         step: &Step,
         obs: StepObservation,
     ) {
-        if let Some(s) = self
-            .steps
-            .iter_mut()
-            .find(|s| s.path == path.index() && s.index == index)
-        {
-            s.invocations += 1;
-            s.input += obs.input as u64;
-            s.origins += obs.origins as u64;
-            s.output += obs.output as u64;
-            s.time += obs.time;
-            s.par_chunks += obs.chunks as u64;
-            return;
+        let s = self.row(path, index, step);
+        if s.invocations == 0 {
+            (s.route, s.mode) = (obs.route, obs.mode);
         }
-        self.steps.push(StepProfile {
-            path: path.index(),
-            index,
-            display: format!("{}::{}", step.axis, step.test),
-            predicates: step.predicates.len(),
-            route: obs.route,
-            mode: obs.mode,
-            invocations: 1,
-            input: obs.input as u64,
-            origins: obs.origins as u64,
-            output: obs.output as u64,
-            time: obs.time,
-            par_chunks: obs.chunks as u64,
-        });
+        s.invocations += 1;
+        s.input += obs.input as u64;
+        s.origins += obs.origins as u64;
+        s.output += obs.output as u64;
+        s.time += obs.time;
+        s.par_chunks += obs.chunks as u64;
+    }
+
+    /// Counts one pass over a step that was never built
+    /// ([`StepProfile::elided`]).
+    pub(crate) fn record_elided(&mut self, path: ExprId, index: usize, step: &Step) {
+        let s = self.row(path, index, step);
+        s.elided = true;
+        s.invocations += 1;
     }
 }
 
@@ -548,20 +584,36 @@ mod tests {
         assert_eq!(p.steps[0].mode, Some(PredMode::Set));
         assert_eq!(p.steps[0].route, AxisRoute::Walk, "singleton-root walk");
         assert_eq!(p.result, "node-set n=3");
-        // A positional predicate keeps per-origin lists (after its
-        // position-free neighbour ran as a set) and prunes the origins
-        // that have no <item> child at all.
+        // A positional predicate on `child` ranks candidates among their
+        // siblings (after its position-free neighbour ran as a set); the
+        // `descendant-or-self::node()` in front is never built.
         let p = e.explain(&doc, "//item[@id][1]").unwrap();
+        assert!(p.steps[0].elided);
         let step = p.steps.iter().find(|s| s.predicates == 2).unwrap();
-        assert_eq!(step.mode, Some(PredMode::PerOrigin));
-        assert_eq!((step.input, step.origins), (8, 2));
+        assert_eq!(step.mode, Some(PredMode::SiblingRank));
+        assert_eq!((step.input, step.output), (2, 2), "both @id items rank 1");
         assert!(
-            p.plan_text()
-                .contains("child::item preds=2 mode=per-origin origins=8→2 route=walk"),
+            p.plan_text().contains(
+                "  [#5 step 0] descendant-or-self::node() elided calls=1\n  \
+                 [#5 step 1] child::item preds=2 mode=sibling-rank route=postings calls=1 in=2 out=2"
+            ),
             "{}",
             p.plan_text()
         );
         assert_eq!(p.result, "node-set n=2");
+        // On an axis where a candidate can have several origins it keeps
+        // per-origin lists, and prunes the origins no <item> follows.
+        let p = e.explain(&doc, "//*/following-sibling::item[1]").unwrap();
+        let step = p.steps.iter().find(|s| s.predicates == 1).unwrap();
+        assert_eq!(step.mode, Some(PredMode::PerOrigin));
+        assert_eq!((step.input, step.origins), (7, 2));
+        assert!(
+            p.plan_text()
+                .contains("following-sibling::item preds=1 mode=per-origin origins=7→2 route=walk"),
+            "{}",
+            p.plan_text()
+        );
+        assert_eq!(p.result, "node-set n=1");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! context node.
 
 use crate::error::EvalError;
-use crate::value::{string_to_number, Value};
+use crate::value::{node_number, Value};
 use minctx_syntax::Func;
 use minctx_xml::{Document, NodeId, NodeSet};
 
@@ -28,16 +28,10 @@ pub fn apply(
         }
         Func::Count => Value::Number(node_set(&args[0])?.len() as f64),
         Func::Sum => {
-            // One string buffer for the whole set instead of an allocation
-            // per node (sum() over large sets is a hot serving shape).
-            let mut buf = String::new();
-            let mut total = 0.0;
-            for n in node_set(&args[0])?.iter() {
-                buf.clear();
-                doc.string_value_into(n, &mut buf);
-                total += string_to_number(&buf);
-            }
-            Value::Number(total)
+            // Attribute and text content is read in place (sum() over large
+            // sets is a hot serving shape).
+            let numbers = node_set(&args[0])?.iter();
+            Value::Number(numbers.map(|n| node_number(doc, n)).sum())
         }
         Func::Id => {
             // After normalization the argument is always a string; `id()`

@@ -48,7 +48,7 @@
 //! [`axis_preimage`]: minctx_xml::axes::axis_preimage
 
 use crate::budget::BudgetMeter;
-use crate::compile::CompiledQuery;
+use crate::compile::{CompiledQuery, StepRoute};
 use crate::engine::{Context, Evaluator, Strategy};
 use crate::error::EvalError;
 use crate::explain::{PredMode, ProfileCollector, StepObservation};
@@ -58,7 +58,7 @@ use crate::naive::arith;
 use crate::value::{compare, node_scalar_compare, Value};
 use minctx_syntax::{ExprId, Func, Node, PathStart, Relev, Step};
 use minctx_xml::axes::{axis_image_on, axis_preimage_on, Axis, Dispatch, ResolvedTest};
-use minctx_xml::{Document, Exec, NodeId, NodeSet, Scratch, WorkerPool};
+use minctx_xml::{sibling_ranks, Document, Exec, NodeId, NodeSet, Scratch, WorkerPool};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -303,24 +303,36 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             if cur.is_empty() {
                 break;
             }
-            // Node tests were resolved at compile time (postings-backed
-            // fast paths dispatch on the resolved name).
+            // Node tests and routes were resolved at compile time
+            // (postings-backed fast paths dispatch on the resolved name).
             let test = self.query.step_test(path_id, si);
+            let route = self.query.step_route(path_id, si);
+            if route == StepRoute::Elided {
+                // Never built: the ranked step behind it sweeps
+                // `descendant` from this very set.
+                if let Some(p) = &mut self.prof {
+                    p.record_elided(path_id, si, step);
+                }
+                continue;
+            }
             // An axis sweep touches at least the whole context set.
             self.meter.charge(cur.len() as u64 + 1)?;
             // Only a profiled run reads the clock; the step's route and
             // cardinalities are recorded after the kernel and the
             // predicate filtering finish.
             let timer = self.prof.is_some().then(Instant::now);
-            let input = cur.len();
+            let mut input = cur.len();
             let free = self.position_free(&step.predicates);
             let (doc, exec) = (self.doc, self.exec);
-            let (ran, mode, origins) = if free == step.predicates.len() {
-                // No positional predicate (or none at all): one axis sweep
-                // for the whole context set, ping-ponging two reused
-                // buffers, then each predicate filters the result as a
-                // set.
-                let ran = axis_image_on(doc, step.axis, &cur, test, self.scratch, &mut next, exec);
+            let (ran, mode, origins) = if route != StepRoute::PerOrigin {
+                // One axis sweep for the whole context set, ping-ponging
+                // two reused buffers, then each position-free predicate
+                // filters the result as a set.
+                let axis = match route {
+                    StepRoute::Ranked(sweep) => sweep,
+                    _ => step.axis,
+                };
+                let ran = axis_image_on(doc, axis, &cur, test, self.scratch, &mut next, exec);
                 // Charge the sweep's output too: from a singleton
                 // context, `preceding::*` can touch most of the
                 // document, and deadline polling granularity must
@@ -328,18 +340,26 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                 self.meter.charge(next.len() as u64)?;
                 std::mem::swap(&mut cur, &mut next);
                 let visited = self.per_node;
-                for &p in &step.predicates {
+                for &p in &step.predicates[..free] {
                     cur = self.filter_set(p, cur)?;
                 }
-                let mode = match (step.predicates.is_empty(), self.per_node > visited) {
-                    (true, _) => None,
-                    (false, true) => Some(PredMode::Set),
-                    (false, false) => Some(PredMode::Backward),
+                let mode = if free < step.predicates.len() {
+                    // What a ranked step takes in is the candidates it ranks.
+                    input = cur.len();
+                    cur = self.filter_ranked(&step.predicates[free..], cur)?;
+                    Some(PredMode::SiblingRank)
+                } else if step.predicates.is_empty() {
+                    None
+                } else if self.per_node > visited {
+                    Some(PredMode::Set)
+                } else {
+                    Some(PredMode::Backward)
                 };
                 (ran, mode, input)
             } else {
-                // Positional predicates need per-origin candidate lists in
-                // axis order.  An origin none of whose candidates can pass
+                // Where one candidate can have several origins, positional
+                // predicates need per-origin candidate lists in axis
+                // order.  An origin none of whose candidates can pass
                 // the node test contributes nothing: when the test's
                 // postings are shorter than the origin set, one preimage
                 // sweep keeps only the origins that reach them.
@@ -481,6 +501,34 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         Ok(())
     }
 
+    /// The positional predicates (and whatever follows them) of a step
+    /// whose candidates have exactly one origin each — their parent: the
+    /// per-origin candidate lists in axis order *are* the candidate set
+    /// grouped by parent.  Each predicate ranks the survivors of the one
+    /// before among their siblings ([`sibling_ranks`]) and evaluates them
+    /// through the usual `{position, size}` tables.
+    fn filter_ranked(&mut self, preds: &[ExprId], cands: NodeSet) -> Result<NodeSet, EvalError> {
+        let mut list = cands.into_vec();
+        for &pred in preds {
+            // One ranking pass and one filtering pass over the list.
+            self.meter.charge(2 * (list.len() as u64 + 1))?;
+            let ranks = sibling_ranks(self.doc, &list, self.scratch);
+            let mut kept = 0;
+            for (i, rank) in ranks.iter().enumerate() {
+                let inner = Context {
+                    node: list[i],
+                    position: rank.position as usize,
+                    size: rank.size as usize,
+                };
+                list[kept] = list[i];
+                kept += usize::from(self.eval(pred, inner)?.boolean());
+            }
+            list.truncate(kept);
+            self.scratch.recycle_ranks(ranks);
+        }
+        Ok(NodeSet::from_sorted_vec(list))
+    }
+
     // ---- OPTMINCONTEXT: backward propagation --------------------------
 
     /// The backward set of `id` — every context node its predicate holds
@@ -541,7 +589,14 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             }
         };
         if let Some((op, scalar)) = cmp {
-            witnesses.retain(|&y| node_scalar_compare(self.doc, op, y, &scalar));
+            // Branch-free compaction: the outcome is a coin flip per node.
+            let mut kept = 0;
+            for i in 0..witnesses.len() {
+                let y = witnesses[i];
+                witnesses[kept] = y;
+                kept += usize::from(node_scalar_compare(self.doc, op, y, &scalar));
+            }
+            witnesses.truncate(kept);
         }
         let witnesses = NodeSet::from_sorted_vec(witnesses);
         self.propagate_backwards(path_id, steps, witnesses)
@@ -768,32 +823,92 @@ mod tests {
         }
     }
 
-    #[test]
-    fn origin_pruning_skips_origins_without_a_matching_child() {
-        // 45 elements, only two of which have <b> children: the positional
-        // step keeps per-origin evaluation but expands just those two.
+    /// 45 elements, only two of which have <b> children.
+    fn sparse_b_doc() -> minctx_xml::Document {
         let mut xml = String::from("<r>");
         for _ in 0..18 {
             xml.push_str("<x><y/></x>");
         }
         xml.push_str("<x><b/><b k=\"1\"/><y/><b/></x><x><y/><b/></x></r>");
-        let doc = parse(&xml).unwrap();
+        parse(&xml).unwrap()
+    }
+
+    #[test]
+    fn origin_pruning_skips_origins_without_a_candidate() {
+        // Where a candidate can have several origins the positional step
+        // keeps per-origin evaluation, but expands only the origins the
+        // postings of <b> can be reached from.
+        let doc = sparse_b_doc();
         let engine = crate::Engine::new(Strategy::OptMinContext).with_optimizer(true);
-        for (q, want) in [("//*/b[last()]", 2), ("//*/b[2]", 1), ("//*/b[@k][1]", 1)] {
+        for (q, step, origins, want) in [
+            ("//*/following-sibling::b[1]", "following-sibling::b", 4, 3),
+            ("//*/descendant::b[2]", "descendant::b", 3, 1),
+            ("//*/descendant::b[@k][last()]", "descendant::b", 3, 1),
+        ] {
             let p = engine.explain(&doc, q).unwrap();
             assert_eq!(p.result, format!("node-set n={want}"), "{q}");
-            let step = p.steps.iter().find(|s| s.display == "child::b").unwrap();
+            let step = p.steps.iter().find(|s| s.display == step).unwrap();
             assert_eq!(step.mode, Some(PredMode::PerOrigin), "{q}");
-            assert_eq!((step.input, step.origins), (45, 2), "{q}");
-            assert!(p.plan_text().contains("origins=45→2"), "{}", p.plan_text());
+            assert_eq!((step.input, step.origins), (45, origins), "{q}");
+            let pruned = format!("origins=45→{origins}");
+            assert!(p.plan_text().contains(&pruned), "{}", p.plan_text());
             // Same answer as the unpruned reference semantics.
             let naive = crate::Engine::new(Strategy::Naive).evaluate_str(&doc, q);
             assert_eq!(engine.evaluate_str(&doc, q), naive, "{q}");
         }
         // Postings no shorter than the origin set: nothing to prune.
-        let p = engine.explain(&doc, "/r/x/y[1]").unwrap();
-        let step = p.steps.iter().find(|s| s.display == "child::y").unwrap();
+        let p = engine
+            .explain(&doc, "/r/x/following-sibling::x[1]")
+            .unwrap();
+        let step = p.steps.iter().find(|s| s.predicates == 1).unwrap();
         assert_eq!((step.input, step.origins), (20, 20));
         assert!(!p.plan_text().contains("origins="), "{}", p.plan_text());
+    }
+
+    #[test]
+    fn child_and_attribute_positions_are_ranked_without_an_origin_loop() {
+        let doc = sparse_b_doc();
+        let naive = crate::Engine::new(Strategy::Naive);
+        for strategy in [Strategy::MinContext, Strategy::OptMinContext] {
+            let engine = crate::Engine::new(strategy).with_optimizer(true);
+            // (query, ranked step, candidates ranked, result)
+            for (q, step, ranked, want) in [
+                ("//*/b[last()]", "child::b", 4, 2),
+                ("//*/b[2]", "child::b", 4, 1),
+                ("//*/b[@k][1]", "child::b", 1, 1),
+                ("//*/b[2][1]", "child::b", 4, 1),
+                ("//b/@*[last()]", "attribute::*", 1, 1),
+                ("/r/x/y[1]", "child::y", 20, 20),
+            ] {
+                let p = engine.explain(&doc, q).unwrap();
+                assert_eq!(p.result, format!("node-set n={want}"), "{q}");
+                let step = p.steps.iter().find(|s| s.display == step).unwrap();
+                assert_eq!(step.mode, Some(PredMode::SiblingRank), "{q}");
+                assert_eq!((step.input, step.origins), (ranked, ranked), "{q}");
+                assert!(!p.plan_text().contains("origins="), "{}", p.plan_text());
+                assert_eq!(engine.evaluate_str(&doc, q), naive.evaluate_str(&doc, q));
+            }
+            // `//b[k]` cannot be fused (`descendant::b[k]` is another
+            // query), but its `descendant-or-self::node()` is never built:
+            // the ranked step sweeps `descendant::b` from the root itself.
+            for optimizer in [true, false] {
+                let engine = engine.clone().with_optimizer(optimizer);
+                let p = engine.explain(&doc, "//b[2]").unwrap();
+                assert_eq!(p.ir_after, p.ir_before, "not a rewrite");
+                assert!(p.steps[0].elided && !p.steps[1].elided);
+                assert_eq!((p.steps[1].input, p.steps[1].output), (4, 1));
+                assert_eq!(p.steps[1].route, minctx_xml::AxisRoute::Postings);
+                let text = p.plan_text();
+                assert!(
+                    text.contains("descendant-or-self::node() elided calls=1\n")
+                        && text.contains("child::b preds=1 mode=sibling-rank route=postings"),
+                    "{text}"
+                );
+                assert_eq!(
+                    engine.evaluate_str(&doc, "//b[2]"),
+                    naive.evaluate_str(&doc, "//b[2]")
+                );
+            }
+        }
     }
 }

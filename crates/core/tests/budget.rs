@@ -235,7 +235,8 @@ fn budget_outcomes_do_not_depend_on_the_thread_count() {
     // Ok/BudgetExhausted *and* leaves the same `BudgetMeter::spent`.
     // The document's arena is past the kernels' size gate (2¹⁹ scanned
     // items; attributes pad it without adding origins), so the threaded
-    // runs really do cut their arena sweeps.
+    // runs really do cut their arena sweeps — the last query's, that is:
+    // the sibling-ranked `//t[k]` shapes sweep postings far below the gate.
     let pad: String = (0..24).map(|k| format!(" a{k}=\"{k}\"")).collect();
     let mut xml = String::from("<site>");
     for i in 0..19_000 {
@@ -259,6 +260,7 @@ fn budget_outcomes_do_not_depend_on_the_thread_count() {
             "//item[position() = last()]",
             "//item[@id][2]",
             "//person[position() mod 2 = 1]/@id",
+            "//item/*[last()]",
         ] {
             let query = minctx_syntax::parse_xpath(q).unwrap();
             let run = |engine: &Engine, budget: Budget| {
@@ -268,7 +270,7 @@ fn budget_outcomes_do_not_depend_on_the_thread_count() {
                 (result, meter.spent())
             };
             let (want, spend) = run(&engines[0], Budget::UNLIMITED);
-            assert!(want.is_ok() && spend > 100_000, "{s} {q}: spent {spend}");
+            assert!(want.is_ok() && spend > 10_000, "{s} {q}: spent {spend}");
             for cap in [spend / 3, spend - 1, spend, spend + 1] {
                 let sequential = run(&engines[0], Budget::fuel(cap));
                 assert_eq!(sequential.0.is_ok(), cap >= spend, "{s} {q} cap={cap}");

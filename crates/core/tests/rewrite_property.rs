@@ -354,3 +354,87 @@ fn raw_and_rewritten_agree_at_every_element_context() {
         }
     }
 }
+
+/// Every positional shape the sibling-rank route (and the `//` elision in
+/// front of it) takes, plus the neighbours it must leave alone: per-origin
+/// axes and `(…)[k]` filter starts.
+fn positional_queries() -> Vec<String> {
+    let mut queries = Vec::new();
+    for (i, t) in LABELS.iter().enumerate() {
+        let x = LABELS[(i + 1) % LABELS.len()];
+        for k in 1..=3 {
+            queries.extend([
+                format!("//{t}[{k}]"),
+                format!("*/{t}[@p][{k}]"),
+                format!("//{t}[{k}][1]"),
+                format!("//{x}//{t}[{k}]"),
+                format!("(//@p | //{x})//{t}[{k}]"),
+                format!("//{x}/@*/..//{t}[{k}]"),
+                format!("//@*[{k}]"),
+                format!("//node()[{}]", k + 1),
+                format!("//{x}[{t}[{k}]][last()]"),
+                format!("//{t}[position() = count({x}[1]) + {k}]"),
+                format!("(//{t})[{k}]"),
+                format!("//{x}/descendant::{t}[{k}]"),
+                format!("//{x}/following-sibling::{t}[{k}]"),
+            ]);
+        }
+        queries.extend([
+            format!("//{t}[last()]"),
+            format!("//{t}[position() mod 2 = 1]"),
+            format!("//{t}[last()][@p]"),
+            format!("//{t}[@q][last()]/@*[1]"),
+            format!("//{x}//{t}[last()]/text()[1]"),
+        ]);
+    }
+    queries.push("//text()[last()]".to_string());
+    queries.push("//*[2]/*[last()]/node()[1]".to_string());
+    queries
+}
+
+#[test]
+fn positional_steps_agree_with_naive_across_the_lattice() {
+    let naive = Engine::new(Strategy::Naive).with_budget(20_000_000);
+    let queries = positional_queries();
+    let mut non_empty = 0usize;
+    for seed in 1..=5u64 {
+        let owned = random_doc(
+            seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            40 + seed as usize * 8,
+        );
+        let path = std::env::temp_dir().join(format!(
+            "minctx-positional-{}-{seed}.mctx",
+            std::process::id()
+        ));
+        minctx_core::write_snapshot(&owned, &path).expect("write_snapshot");
+        let mapped = minctx_core::open_snapshot(&path).expect("open_snapshot");
+        std::fs::remove_file(&path).ok();
+        for q in &queries {
+            let want = eval(&naive, &owned, q).expect("naive answers within its guard budget");
+            non_empty += usize::from(want.as_node_set().is_some_and(|ns| !ns.is_empty()));
+            for strategy in [Strategy::MinContext, Strategy::OptMinContext] {
+                for optimize in [false, true] {
+                    for threads in [1, 2, 4] {
+                        let engine = Engine::new(strategy)
+                            .with_optimizer(optimize)
+                            .with_threads(threads);
+                        for (store, doc) in [("owned", &owned), ("mapped", &mapped)] {
+                            let got = engine.evaluate_str(doc, q).expect("evaluates");
+                            assert!(
+                                values_agree(&want, &got),
+                                "seed {seed}: {strategy} optimize={optimize} threads={threads} \
+                                 {store} diverges from naive on {q:?}:\n  naive: {want:?}\n  got: {got:?}",
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Agreement on empty answers proves little.
+    assert!(
+        non_empty * 2 >= queries.len() * 5,
+        "only {non_empty} of {} answers were non-empty",
+        queries.len() * 5
+    );
+}

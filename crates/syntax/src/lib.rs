@@ -43,7 +43,7 @@ pub mod query;
 pub use ast::{ArithOp, AstExpr, AstPath, AstStep, CmpOp};
 pub use lexer::{tokenize, Token, TokenKind};
 pub use normalize::{normalize, Bindings};
-pub use parser::{parse_expr, ParseError};
+pub use parser::{parse_expr, ParseError, ParseErrorKind, MAX_QUERY_DEPTH, MAX_QUERY_LEN};
 pub use query::{ExprId, Func, Node, PathStart, Query, QueryBuilder, Relev, Step, ValueType};
 
 /// Parses, normalizes (with no variable bindings) and lowers an XPath 1.0

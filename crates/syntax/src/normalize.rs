@@ -87,10 +87,7 @@ pub enum StaticType {
 }
 
 fn err(message: impl Into<String>) -> ParseError {
-    ParseError {
-        message: message.into(),
-        offset: 0,
-    }
+    ParseError::syntax(message, 0)
 }
 
 /// Normalizes a parsed expression into the paper's core form.

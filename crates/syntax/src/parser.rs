@@ -14,11 +14,61 @@ use crate::lexer::{tokenize, LexError, Token, TokenKind};
 use minctx_xml::axes::{Axis, NodeTest};
 use std::fmt;
 
+/// The longest query text, in bytes, the parser looks at.
+pub const MAX_QUERY_LEN: usize = 1 << 16;
+
+/// The tallest expression tree the parser builds, and the deepest it nests
+/// its own recursion: parentheses, predicates, function arguments and unary
+/// minus each open a level, and so does every operator of a left-associative
+/// chain (`1+1+1+…` and `a|b|c|…` grow a left-deep tree without any parser
+/// recursion).
+///
+/// Normalization, lowering, the rewriter, per-document compilation, every
+/// evaluator, the stream compiler and `Drop` all recurse over that tree, so
+/// bounding its height here bounds them all: the constant is chosen so that
+/// a query *at* the limit runs through all of them in a debug build on a
+/// 2 MiB-stack thread (`tests/query_bounds.rs` pins that).
+pub const MAX_QUERY_DEPTH: usize = 64;
+
+/// What a [`ParseError`] is about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The text is not an XPath 1.0 expression (or uses a function or
+    /// construct this engine does not have).
+    Syntax,
+    /// The text is longer than `limit` ([`MAX_QUERY_LEN`]) bytes.
+    TooLong { limit: usize },
+    /// The expression nests deeper than `limit` ([`MAX_QUERY_DEPTH`]).
+    TooDeep { limit: usize },
+}
+
 /// A parse (or lex) error with a byte offset into the query string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
+    pub kind: ParseErrorKind,
     pub message: String,
     pub offset: usize,
+}
+
+impl ParseError {
+    /// A [`ParseErrorKind::Syntax`] error.
+    pub fn syntax(message: impl Into<String>, offset: usize) -> ParseError {
+        ParseError {
+            kind: ParseErrorKind::Syntax,
+            message: message.into(),
+            offset,
+        }
+    }
+
+    fn too_deep(offset: usize) -> ParseError {
+        ParseError {
+            kind: ParseErrorKind::TooDeep {
+                limit: MAX_QUERY_DEPTH,
+            },
+            message: format!("expression nests deeper than {MAX_QUERY_DEPTH} levels"),
+            offset,
+        }
+    }
 }
 
 impl fmt::Display for ParseError {
@@ -35,32 +85,64 @@ impl std::error::Error for ParseError {}
 
 impl From<LexError> for ParseError {
     fn from(e: LexError) -> Self {
-        ParseError {
-            message: e.message,
-            offset: e.offset,
-        }
+        ParseError::syntax(e.message, e.offset)
     }
 }
 
 /// Parses an XPath 1.0 expression into an [`AstExpr`].
+///
+/// Input longer than [`MAX_QUERY_LEN`] or nesting deeper than
+/// [`MAX_QUERY_DEPTH`] is refused with a typed error before anything
+/// recurses over it.
 pub fn parse_expr(input: &str) -> Result<AstExpr, ParseError> {
+    if input.len() > MAX_QUERY_LEN {
+        return Err(ParseError {
+            kind: ParseErrorKind::TooLong {
+                limit: MAX_QUERY_LEN,
+            },
+            message: format!(
+                "query of {} bytes is longer than {MAX_QUERY_LEN}",
+                input.len()
+            ),
+            offset: MAX_QUERY_LEN,
+        });
+    }
     let tokens = tokenize(input)?;
     let mut p = Parser {
         tokens,
         pos: 0,
         end_offset: input.len(),
+        nesting: 0,
+        height: 0,
     };
-    let e = p.parse_or()?;
+    let e = p.parse_binary(0)?;
     if p.pos < p.tokens.len() {
         return Err(p.error_here("unexpected trailing tokens"));
     }
     Ok(e)
 }
 
+/// A binary operator of one of the six left-associative levels above unary
+/// minus — loosest first: `or`, `and`, equality, relational, additive,
+/// multiplicative.
+#[derive(Clone, Copy)]
+enum BinaryOp {
+    Or,
+    And,
+    Compare(CmpOp),
+    Arith(ArithOp),
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     end_offset: usize,
+    /// How many parentheses, predicates, function arguments and unary
+    /// minuses are open: the depth of the parser's own recursion.
+    nesting: usize,
+    /// The height of the tree the last `parse_*` call returned (a leaf is
+    /// 1; for `parse_step`, of the tallest predicate, 0 without one).
+    height: usize,
 }
 
 impl Parser {
@@ -92,10 +174,24 @@ impl Parser {
             Some(k) => format!("{msg}, found `{k}`"),
             None => format!("{msg}, found end of input"),
         };
-        ParseError {
-            message: found,
-            offset: self.offset_here(),
+        ParseError::syntax(found, self.offset_here())
+    }
+
+    /// Opens one level of parser recursion.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.nesting == MAX_QUERY_DEPTH {
+            return Err(ParseError::too_deep(self.offset_here()));
         }
+        self.nesting += 1;
+        Ok(())
+    }
+
+    /// The height of a node whose tallest child is `child` high.
+    fn above(&self, child: usize) -> Result<usize, ParseError> {
+        if child >= MAX_QUERY_DEPTH {
+            return Err(ParseError::too_deep(self.offset_here()));
+        }
+        Ok(child + 1)
     }
 
     fn eat(&mut self, kind: &TokenKind) -> bool {
@@ -117,90 +213,58 @@ impl Parser {
 
     // ---- expression levels -------------------------------------------
 
-    fn parse_or(&mut self) -> Result<AstExpr, ParseError> {
-        let mut left = self.parse_and()?;
-        while self.eat(&TokenKind::Or) {
-            let right = self.parse_and()?;
-            left = AstExpr::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+    /// The binary operator at the cursor and its precedence level.
+    fn binary_op(&self) -> Option<(usize, BinaryOp)> {
+        use TokenKind as T;
+        Some(match self.peek()? {
+            T::Or => (0, BinaryOp::Or),
+            T::And => (1, BinaryOp::And),
+            T::Eq => (2, BinaryOp::Compare(CmpOp::Eq)),
+            T::Neq => (2, BinaryOp::Compare(CmpOp::Neq)),
+            T::Lt => (3, BinaryOp::Compare(CmpOp::Lt)),
+            T::Le => (3, BinaryOp::Compare(CmpOp::Le)),
+            T::Gt => (3, BinaryOp::Compare(CmpOp::Gt)),
+            T::Ge => (3, BinaryOp::Compare(CmpOp::Ge)),
+            T::Plus => (4, BinaryOp::Arith(ArithOp::Add)),
+            T::Minus => (4, BinaryOp::Arith(ArithOp::Sub)),
+            T::Star => (5, BinaryOp::Arith(ArithOp::Mul)),
+            T::Div => (5, BinaryOp::Arith(ArithOp::Div)),
+            T::Mod => (5, BinaryOp::Arith(ArithOp::Mod)),
+            _ => return None,
+        })
     }
 
-    fn parse_and(&mut self) -> Result<AstExpr, ParseError> {
-        let mut left = self.parse_equality()?;
-        while self.eat(&TokenKind::And) {
-            let right = self.parse_equality()?;
-            left = AstExpr::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn parse_equality(&mut self) -> Result<AstExpr, ParseError> {
-        let mut left = self.parse_relational()?;
-        loop {
-            let op = match self.peek() {
-                Some(TokenKind::Eq) => CmpOp::Eq,
-                Some(TokenKind::Neq) => CmpOp::Neq,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.parse_relational()?;
-            left = AstExpr::Compare(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn parse_relational(&mut self) -> Result<AstExpr, ParseError> {
-        let mut left = self.parse_additive()?;
-        loop {
-            let op = match self.peek() {
-                Some(TokenKind::Lt) => CmpOp::Lt,
-                Some(TokenKind::Le) => CmpOp::Le,
-                Some(TokenKind::Gt) => CmpOp::Gt,
-                Some(TokenKind::Ge) => CmpOp::Ge,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.parse_additive()?;
-            left = AstExpr::Compare(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn parse_additive(&mut self) -> Result<AstExpr, ParseError> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(TokenKind::Plus) => ArithOp::Add,
-                Some(TokenKind::Minus) => ArithOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.parse_multiplicative()?;
-            left = AstExpr::Arith(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<AstExpr, ParseError> {
+    /// An expression of the operators at precedence `min` and tighter
+    /// (0, `or`, is a whole expression), by precedence climbing: operands
+    /// are unary expressions, and the right operand of an operator takes
+    /// only tighter ones, which makes every level left-associative.  The
+    /// loop nests one tree level per operator without recursing, so it is
+    /// the height that bounds a chain.
+    fn parse_binary(&mut self, min: usize) -> Result<AstExpr, ParseError> {
         let mut left = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(TokenKind::Star) => ArithOp::Mul,
-                Some(TokenKind::Div) => ArithOp::Div,
-                Some(TokenKind::Mod) => ArithOp::Mod,
-                _ => break,
-            };
+        let mut height = self.height;
+        while let Some((level, op)) = self.binary_op().filter(|&(level, _)| level >= min) {
             self.pos += 1;
-            let right = self.parse_unary()?;
-            left = AstExpr::Arith(op, Box::new(left), Box::new(right));
+            let right = Box::new(self.parse_binary(level + 1)?);
+            height = self.above(height.max(self.height))?;
+            let l = Box::new(left);
+            left = match op {
+                BinaryOp::Or => AstExpr::Or(l, right),
+                BinaryOp::And => AstExpr::And(l, right),
+                BinaryOp::Compare(op) => AstExpr::Compare(op, l, right),
+                BinaryOp::Arith(op) => AstExpr::Arith(op, l, right),
+            };
         }
+        self.height = height;
         Ok(left)
     }
 
     fn parse_unary(&mut self) -> Result<AstExpr, ParseError> {
         if self.eat(&TokenKind::Minus) {
+            self.enter()?;
             let e = self.parse_unary()?;
+            self.nesting -= 1;
+            self.height = self.above(self.height)?;
             Ok(AstExpr::Neg(Box::new(e)))
         } else {
             self.parse_union()
@@ -209,10 +273,13 @@ impl Parser {
 
     fn parse_union(&mut self) -> Result<AstExpr, ParseError> {
         let mut left = self.parse_path_expr()?;
+        let mut height = self.height;
         while self.eat(&TokenKind::Pipe) {
             let right = self.parse_path_expr()?;
+            height = self.above(height.max(self.height))?;
             left = AstExpr::Union(Box::new(left), Box::new(right));
         }
+        self.height = height;
         Ok(left)
     }
 
@@ -246,24 +313,18 @@ impl Parser {
         }
         // FilterExpr: PrimaryExpr Predicate* ('/' | '//' RelativePath)?
         let primary = self.parse_primary()?;
+        let mut tallest = self.height;
         let mut predicates = Vec::new();
         while self.peek() == Some(&TokenKind::LBracket) {
             predicates.push(self.parse_predicate()?);
+            tallest = tallest.max(self.height);
         }
         let mut steps = Vec::new();
-        loop {
-            if self.eat(&TokenKind::SlashSlash) {
-                steps.push(AstStep::simple(Axis::DescendantOrSelf, NodeTest::AnyNode));
-                steps.push(self.parse_step()?);
-            } else if self.eat(&TokenKind::Slash) {
-                steps.push(self.parse_step()?);
-            } else {
-                break;
-            }
-        }
+        tallest = tallest.max(self.parse_more_steps(&mut steps)?);
         if predicates.is_empty() && steps.is_empty() {
             Ok(primary)
         } else {
+            self.height = self.above(tallest)?;
             Ok(AstExpr::Filter {
                 primary: Box::new(primary),
                 predicates,
@@ -272,36 +333,39 @@ impl Parser {
         }
     }
 
-    fn parse_location_path(&mut self) -> Result<AstPath, ParseError> {
-        let mut steps = Vec::new();
-        let absolute;
-        if self.eat(&TokenKind::SlashSlash) {
-            absolute = true;
-            steps.push(AstStep::simple(Axis::DescendantOrSelf, NodeTest::AnyNode));
-            steps.push(self.parse_step()?);
-        } else if self.eat(&TokenKind::Slash) {
-            absolute = true;
-            // Bare `/` is a complete absolute path; a step follows only if
-            // one can start here.
-            if self.at_step_start() {
-                steps.push(self.parse_step()?);
-            } else {
-                return Ok(AstPath { absolute, steps });
-            }
-        } else {
-            absolute = false;
-            steps.push(self.parse_step()?);
-        }
+    /// `('/' Step | '//' Step)*` onto `steps`; returns the height of the
+    /// tallest predicate among them.
+    fn parse_more_steps(&mut self, steps: &mut Vec<AstStep>) -> Result<usize, ParseError> {
+        let mut tallest = 0;
         loop {
             if self.eat(&TokenKind::SlashSlash) {
                 steps.push(AstStep::simple(Axis::DescendantOrSelf, NodeTest::AnyNode));
-                steps.push(self.parse_step()?);
-            } else if self.eat(&TokenKind::Slash) {
-                steps.push(self.parse_step()?);
-            } else {
-                break;
+            } else if !self.eat(&TokenKind::Slash) {
+                return Ok(tallest);
             }
+            steps.push(self.parse_step()?);
+            tallest = tallest.max(self.height);
         }
+    }
+
+    fn parse_location_path(&mut self) -> Result<AstPath, ParseError> {
+        let mut steps = Vec::new();
+        self.height = 0;
+        let absolute = matches!(self.peek(), Some(TokenKind::Slash | TokenKind::SlashSlash));
+        if self.eat(&TokenKind::SlashSlash) {
+            steps.push(AstStep::simple(Axis::DescendantOrSelf, NodeTest::AnyNode));
+            steps.push(self.parse_step()?);
+        } else if !self.eat(&TokenKind::Slash) || self.at_step_start() {
+            // Bare `/` is a complete absolute path; a step follows only if
+            // one can start here.
+            steps.push(self.parse_step()?);
+        }
+        let tallest = if steps.is_empty() {
+            0
+        } else {
+            self.height.max(self.parse_more_steps(&mut steps)?)
+        };
+        self.height = self.above(tallest)?;
         Ok(AstPath { absolute, steps })
     }
 
@@ -321,6 +385,7 @@ impl Parser {
 
     fn parse_step(&mut self) -> Result<AstStep, ParseError> {
         // Abbreviated steps.
+        self.height = 0;
         if self.eat(&TokenKind::Dot) {
             return Ok(AstStep::simple(Axis::SelfAxis, NodeTest::AnyNode));
         }
@@ -333,9 +398,8 @@ impl Parser {
         } else if let (Some(TokenKind::Name(name)), Some(TokenKind::ColonColon)) =
             (self.peek(), self.peek2())
         {
-            let axis = Axis::from_str_opt(name).ok_or_else(|| ParseError {
-                message: format!("unknown axis `{name}`"),
-                offset: self.offset_here(),
+            let axis = Axis::from_str_opt(name).ok_or_else(|| {
+                ParseError::syntax(format!("unknown axis `{name}`"), self.offset_here())
             })?;
             self.pos += 2;
             axis
@@ -345,10 +409,12 @@ impl Parser {
         // Node test.
         let test = self.parse_node_test()?;
         // Predicates.
-        let mut predicates = Vec::new();
+        let (mut predicates, mut tallest) = (Vec::new(), 0);
         while self.peek() == Some(&TokenKind::LBracket) {
             predicates.push(self.parse_predicate()?);
+            tallest = tallest.max(self.height);
         }
+        self.height = tallest;
         Ok(AstStep {
             axis,
             test,
@@ -362,13 +428,13 @@ impl Parser {
                 self.pos += 1;
                 Ok(NodeTest::Wildcard)
             }
-            Some(TokenKind::PrefixWildcard(p)) => Err(ParseError {
-                message: format!(
+            Some(TokenKind::PrefixWildcard(p)) => Err(ParseError::syntax(
+                format!(
                     "namespace prefix wildcard `{p}:*` is not supported \
                      (namespaces are treated as plain names)"
                 ),
-                offset: self.offset_here(),
-            }),
+                self.offset_here(),
+            )),
             Some(TokenKind::Name(name)) => {
                 if self.peek2() == Some(&TokenKind::LParen) && is_node_type(&name) {
                     self.pos += 2; // name (
@@ -399,20 +465,30 @@ impl Parser {
 
     fn parse_predicate(&mut self) -> Result<AstExpr, ParseError> {
         self.expect(&TokenKind::LBracket, "`[`")?;
-        let e = self.parse_or()?;
+        let e = self.parse_nested()?;
         self.expect(&TokenKind::RBracket, "`]` after predicate")?;
+        Ok(e)
+    }
+
+    /// A full expression one level of parser recursion down: inside
+    /// parentheses, a predicate or an argument list.
+    fn parse_nested(&mut self) -> Result<AstExpr, ParseError> {
+        self.enter()?;
+        let e = self.parse_binary(0)?;
+        self.nesting -= 1;
         Ok(e)
     }
 
     // ---- primaries ------------------------------------------------------
 
     fn parse_primary(&mut self) -> Result<AstExpr, ParseError> {
+        self.height = 1;
         match self.bump() {
             Some(TokenKind::Variable(v)) => Ok(AstExpr::Var(v)),
             Some(TokenKind::Number(n)) => Ok(AstExpr::Number(n)),
             Some(TokenKind::Literal(s)) => Ok(AstExpr::Literal(s)),
             Some(TokenKind::LParen) => {
-                let e = self.parse_or()?;
+                let e = self.parse_nested()?;
                 self.expect(&TokenKind::RParen, "`)`")?;
                 Ok(e)
             }
@@ -420,26 +496,28 @@ impl Parser {
                 // Must be a function call (location paths were diverted in
                 // parse_path_expr).
                 self.expect(&TokenKind::LParen, "`(` after function name")?;
-                let mut args = Vec::new();
+                let (mut args, mut tallest) = (Vec::new(), 0);
                 if self.peek() != Some(&TokenKind::RParen) {
                     loop {
-                        args.push(self.parse_or()?);
+                        args.push(self.parse_nested()?);
+                        tallest = tallest.max(self.height);
                         if !self.eat(&TokenKind::Comma) {
                             break;
                         }
                     }
                 }
                 self.expect(&TokenKind::RParen, "`)` after arguments")?;
+                self.height = self.above(tallest)?;
                 Ok(AstExpr::Call(name, args))
             }
-            Some(other) => Err(ParseError {
-                message: format!("expected an expression, found `{other}`"),
-                offset: self.tokens[self.pos - 1].offset,
-            }),
-            None => Err(ParseError {
-                message: "expected an expression, found end of input".to_string(),
-                offset: self.end_offset,
-            }),
+            Some(other) => Err(ParseError::syntax(
+                format!("expected an expression, found `{other}`"),
+                self.tokens[self.pos - 1].offset,
+            )),
+            None => Err(ParseError::syntax(
+                "expected an expression, found end of input",
+                self.end_offset,
+            )),
         }
     }
 }
@@ -670,6 +748,44 @@ mod tests {
         assert!(parse_expr(")").is_err());
         assert!(parse_expr("child::").is_err());
         assert!(parse_expr("//").is_err());
+    }
+
+    #[test]
+    fn length_and_depth_are_bounded_with_typed_errors() {
+        let deep = ParseErrorKind::TooDeep {
+            limit: MAX_QUERY_DEPTH,
+        };
+        let n = MAX_QUERY_DEPTH;
+        // Parser recursion: `n` open constructs parse, one more does not,
+        // and the error points into the construct that went too far.
+        let parens = |d: usize| format!("{}1{}", "(".repeat(d), ")".repeat(d));
+        assert_eq!(parse_ok(&parens(n)), AstExpr::Number(1.0));
+        let err = parse_expr(&parens(n + 1)).unwrap_err();
+        assert_eq!((err.kind, err.offset), (deep, n + 1));
+        // Tree height: a leaf is 1, so `n - 1` operators of a chain (which
+        // nests without any recursion), minuses, predicates or calls fit.
+        for unit in ["+a", "|a", " or a", " = a", " * a"] {
+            assert!(parse_expr(&format!("a{}", unit.repeat(n - 1))).is_ok());
+            let err = parse_expr(&format!("a{}", unit.repeat(n))).unwrap_err();
+            assert_eq!(err.kind, deep, "{unit}");
+        }
+        for (open, close) in [("-", ""), ("a[", "]"), ("not(", ")"), ("a/b[", "]")] {
+            let nest = |d: usize| format!("{}a{}", open.repeat(d), close.repeat(d));
+            assert!(parse_expr(&nest(n - 1)).is_ok(), "{open}");
+            assert_eq!(parse_expr(&nest(n)).unwrap_err().kind, deep, "{open}");
+        }
+        // Width is not depth: sibling predicates, arguments and steps.
+        parse_ok(&format!("a{}", "[b]".repeat(4 * n)));
+        parse_ok(&format!("concat('x'{})", ", 'y'".repeat(4 * n)));
+        parse_ok(&format!("a{}", "/a".repeat(4 * n)));
+        // Length is checked before the lexer runs.
+        let long = "/a".repeat(MAX_QUERY_LEN / 2);
+        assert!(parse_expr(&long).is_ok());
+        let err = parse_expr(&format!("{long}/")).unwrap_err();
+        let limit = MAX_QUERY_LEN;
+        assert_eq!(err.kind, ParseErrorKind::TooLong { limit });
+        assert_eq!(err.offset, MAX_QUERY_LEN);
+        assert_eq!(parse_expr("a[").unwrap_err().kind, ParseErrorKind::Syntax);
     }
 
     #[test]

@@ -286,6 +286,12 @@ pub struct Scratch {
     tmp2: Vec<NodeId>,
     /// Merged subtree intervals for the descendant postings walk.
     ranges: Vec<(u32, u32)>,
+    /// [`sibling_ranks`]' output buffer between calls (see
+    /// [`Scratch::recycle_ranks`]).
+    ranks: Vec<SiblingRank>,
+    /// [`sibling_ranks`]' open groups: `[parent, subtree_end(parent), index
+    /// of the group's first list member]`, innermost on top.
+    open: Vec<[u32; 3]>,
 }
 
 impl Scratch {
@@ -297,6 +303,12 @@ impl Scratch {
     fn grow(&mut self, n: usize) {
         self.marked.ensure_capacity(n);
         self.flag.ensure_capacity(n);
+    }
+
+    /// Hands a buffer [`sibling_ranks`] returned back, so the next call
+    /// reuses its allocation.
+    pub fn recycle_ranks(&mut self, ranks: Vec<SiblingRank>) {
+        self.ranks = ranks;
     }
 }
 
@@ -1059,6 +1071,78 @@ pub fn axis_preimage_on(
             image(doc, mirror(axis), y.as_slice(), any, scratch, out, exec).chunks
         }
     }
+}
+
+/// A list member's proximity position among the members that share its
+/// parent, and how many of those there are — the `position()` and `last()`
+/// of a `child` or `attribute` step whose surviving candidates are the list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SiblingRank {
+    pub position: u32,
+    pub size: u32,
+}
+
+/// Ranks every member of `list` — nodes in strictly ascending document
+/// order — among the members with the same parent, in one pass.
+///
+/// The arena is pre-order, so the groups nest: once a member lies at or
+/// past `subtree_end(p)` no later member is a child of `p`, and a member
+/// inside `p`'s subtree whose parent is not `p` opens a group nested in
+/// `p`'s.  A stack of open groups (innermost on top, never deeper than the
+/// tree) therefore finds each member's group in amortized constant time: an
+/// `item` inside an `item` is ranked among its own siblings by construction.
+/// Time and memory are proportional to the list, never to `|D|`.
+///
+/// The returned buffer is lent out of `scratch`; give it back with
+/// [`Scratch::recycle_ranks`] (a nested call in between simply allocates).
+pub fn sibling_ranks(doc: &Document, list: &[NodeId], scratch: &mut Scratch) -> Vec<SiblingRank> {
+    debug_assert!(list.windows(2).all(|w| w[0] < w[1]));
+    let mut ranks = std::mem::take(&mut scratch.ranks);
+    ranks.clear();
+    ranks.reserve(list.len());
+    let open = &mut scratch.open;
+    open.clear();
+    let parent = doc.parent_raw();
+    for (i, &y) in list.iter().enumerate() {
+        let p = parent[y.index()];
+        while open.last().is_some_and(|g| g[1] as usize <= y.index()) {
+            open.pop();
+        }
+        match open.last() {
+            // While a group is open its first member's `size` is the running
+            // count; the others remember where that first member is.
+            Some(&[top, _, first]) if top == p => {
+                let seen = &mut ranks[first as usize].size;
+                *seen += 1;
+                let position = *seen;
+                ranks.push(SiblingRank {
+                    position,
+                    size: first,
+                });
+            }
+            _ => {
+                // The root's (absent) parent never closes.
+                let end = if p == NONE {
+                    u32::MAX
+                } else {
+                    doc.subtree_end(NodeId(p)) as u32
+                };
+                open.push([p, end, i as u32]);
+                ranks.push(SiblingRank {
+                    position: 1,
+                    size: 1,
+                });
+            }
+        }
+    }
+    // Every group is complete: copy its count from its first member (the
+    // one at position 1, always earlier in the list) to the rest.
+    for i in 0..ranks.len() {
+        if ranks[i].position > 1 {
+            ranks[i].size = ranks[ranks[i].size as usize].size;
+        }
+    }
+    ranks
 }
 
 impl Document {

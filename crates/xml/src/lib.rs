@@ -46,7 +46,9 @@ pub mod store;
 pub mod sweep;
 pub mod token;
 
-pub use axes::{Axis, AxisRoute, Dispatch, NodeTest, ResolvedTest, Scratch};
+pub use axes::{
+    sibling_ranks, Axis, AxisRoute, Dispatch, NodeTest, ResolvedTest, Scratch, SiblingRank,
+};
 pub use builder::DocumentBuilder;
 pub use document::Document;
 pub use error::{XmlError, XmlErrorKind};

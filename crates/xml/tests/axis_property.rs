@@ -8,7 +8,7 @@
 //! preimage constructions.
 
 use minctx_xml::axes::{axis_image, axis_preimage, Axis, NodeTest};
-use minctx_xml::{Document, DocumentBuilder, NodeId, NodeSet};
+use minctx_xml::{sibling_ranks, Document, DocumentBuilder, NodeId, NodeSet, Scratch, SiblingRank};
 
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
@@ -213,6 +213,72 @@ fn single_origin_axis_nodes_match_brute_force_order() {
                 }
                 assert_eq!(fast, slow, "axis {axis} from {from} test {test}");
             }
+        }
+    }
+}
+
+/// Shapes the random generator rarely reaches: same-name nesting 40 deep
+/// with a sibling beside every level, one sibling group of thousands,
+/// and elements that are mostly attribute list.
+fn adversarial_docs() -> Vec<Document> {
+    let deep = format!("<r>{}{}</r>", "<a><a/>".repeat(40), "<a/></a>".repeat(40));
+    let wide = format!(
+        "<r>{}</r>",
+        "<a/><b/>".repeat(if cfg!(miri) { 60 } else { 3_000 })
+    );
+    let attrs: String = (0..30).map(|k| format!(" k{k}=\"{k}\"")).collect();
+    let listy = format!("<r{attrs}><a{attrs}><a{attrs}/></a><b/><a{attrs}/></r>");
+    [deep, wide, listy]
+        .iter()
+        .map(|xml| minctx_xml::parse(xml).expect("well-formed"))
+        .collect()
+}
+
+#[test]
+fn sibling_ranks_match_a_quadratic_count() {
+    let seeds = if cfg!(miri) { 2 } else { 12 };
+    let mut docs = adversarial_docs();
+    docs.extend((1..=seeds).map(|s| random_doc(s * 0x9e37_79b9, 40 + (s as usize) * 30)));
+    let mut scratch = Scratch::new();
+    let mut rng = 0x5eed_u64;
+    for (d, doc) in docs.iter().enumerate() {
+        // Random document-ordered lists from empty to everything (the root
+        // and attribute nodes included), and the lists a name test yields.
+        let mut lists: Vec<Vec<NodeId>> = [0, 3, 30, 100]
+            .iter()
+            .map(|&pct| random_subset(doc, &mut rng, pct).into_vec())
+            .collect();
+        lists.push(
+            axis_image(
+                doc,
+                Axis::Descendant,
+                &NodeSet::singleton(doc.root()),
+                &NodeTest::name("a"),
+            )
+            .into_vec(),
+        );
+        lists.push(
+            doc.all_nodes()
+                .filter(|&n| doc.kind(n).is_attribute())
+                .collect(),
+        );
+        for list in &lists {
+            let ranks = sibling_ranks(doc, list, &mut scratch);
+            assert_eq!(ranks.len(), list.len());
+            for (i, &y) in list.iter().enumerate() {
+                let same = |&z: &NodeId| doc.parent(z) == doc.parent(y);
+                let want = SiblingRank {
+                    position: 1 + list[..i].iter().filter(|z| same(z)).count() as u32,
+                    size: list.iter().filter(|z| same(z)).count() as u32,
+                };
+                assert_eq!(
+                    ranks[i],
+                    want,
+                    "doc {d}, |list| {}, member {i} ({y})",
+                    list.len()
+                );
+            }
+            scratch.recycle_ranks(ranks);
         }
     }
 }
