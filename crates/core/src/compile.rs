@@ -86,6 +86,12 @@ pub struct CompiledQuery {
 impl CompiledQuery {
     /// Resolves every node test of `query` against `doc`.
     pub fn new(doc: &Document, query: &Query) -> CompiledQuery {
+        CompiledQuery::from_query(doc, query.clone())
+    }
+
+    /// [`CompiledQuery::new`] for a caller that is done with the query:
+    /// it moves in instead of being cloned.
+    pub fn from_query(doc: &Document, query: Query) -> CompiledQuery {
         let tests = query
             .iter()
             .map(|(_, node)| match node {
@@ -99,14 +105,14 @@ impl CompiledQuery {
         let mut listed = Vec::new();
         for (id, node) in query.iter() {
             if let Node::Path(_, steps) = node {
-                routes(query, id, steps, &mut listed);
+                routes(&query, id, steps, &mut listed);
             }
         }
         CompiledQuery {
-            query: query.clone(),
+            query_stamp: query.stamp(),
+            query,
             tests,
             routes: listed.into(),
-            query_stamp: query.stamp(),
             doc_stamp: doc.stamp(),
         }
     }

@@ -339,13 +339,14 @@ impl Engine {
         self.cache.lock().expect("engine cache poisoned").capacity()
     }
 
-    /// Enables or disables the query-IR rewrite pipeline
+    /// Enables or disables the query-IR rewriter
     /// ([`rewrite`](crate::rewrite::rewrite): step fusion, reverse-axis
     /// normalization, predicate hoisting/constant folding, subexpression
-    /// sharing).  On by default; rewriting is semantics-preserving, so the
-    /// toggle exists for differential testing and for measuring the passes
-    /// themselves.  Clears the compiled-query cache, which may hold
-    /// compilations from the previous setting.
+    /// sharing — one traversal of the query, linear in its size).  On by
+    /// default; rewriting is semantics-preserving, so the toggle exists
+    /// for differential testing and for measuring what the rules buy.
+    /// Clears the compiled-query cache, which may hold compilations from
+    /// the previous setting.
     pub fn with_optimizer(self, on: bool) -> Engine {
         self.cache.lock().expect("engine cache poisoned").clear();
         Engine {
@@ -425,7 +426,7 @@ impl Engine {
             };
             let mut span = self.recorder.span(Phase::Compile);
             span.attr_u64("nodes", rewritten.len() as u64);
-            CompiledQuery::new(doc, &rewritten)
+            CompiledQuery::from_query(doc, rewritten)
         } else {
             let mut span = self.recorder.span(Phase::Compile);
             span.attr_u64("nodes", query.len() as u64);

@@ -136,7 +136,8 @@ pub struct QueryProfile {
     pub ir_before: String,
     /// The IR that was compiled and evaluated.
     pub ir_after: String,
-    /// Fixpoint passes the rewriter ran (0 with the optimizer off).
+    /// Arena traversals the rewriter ran: 1, or 2 with the compacting
+    /// copy (0 with the optimizer off).
     pub rewrite_passes: usize,
     /// Rewrite rules that fired, with counts, in [`Rule::ALL`] order.
     pub fired_rules: Vec<(Rule, u32)>,
@@ -356,12 +357,12 @@ pub(crate) fn explain(
         let (q, trace) = rewrite_traced(&query);
         (q, trace, t.elapsed())
     } else {
-        (query.clone(), Default::default(), Duration::ZERO)
+        (query, Default::default(), Duration::ZERO)
     };
     let ir_after = render_expr(&compiled_query, compiled_query.root());
 
     let t = Instant::now();
-    let compiled = CompiledQuery::new(doc, &compiled_query);
+    let compiled = CompiledQuery::from_query(doc, compiled_query);
     let compile_time = t.elapsed();
 
     let optimized = engine.strategy() == Strategy::OptMinContext;
@@ -533,7 +534,7 @@ mod tests {
         // bare node-set predicates in an explicit boolean()).
         assert_eq!(p.ir_after, "/descendant::item[boolean(attribute::id)]");
         assert_eq!(p.fired_rules, vec![(Rule::FuseDescendant, 1)]);
-        assert!(p.rewrite_passes >= 2);
+        assert_eq!(p.rewrite_passes, 1);
         // The descendant::item step took the postings fast path from the
         // singleton root origin and saw all three <item>s.
         let outer = &p.steps[0];

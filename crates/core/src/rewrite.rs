@@ -3,7 +3,16 @@
 //! Optimization*, PAPERS.md).
 //!
 //! [`rewrite`] rebuilds the arena bottom-up through a hash-consing
-//! [`QueryBuilder`] and iterates to a fixpoint.  One pass applies:
+//! [`QueryBuilder`], **once**: every rule is applied where a node is built
+//! from children that are already in normal form, so the one traversal ends
+//! at the fixpoint — rewriting its result again changes nothing (DESIGN.md,
+//! "One traversal to the fixpoint", has the per-rule argument).  A path's
+//! steps are normalized as they are appended to the output list, looking
+//! only at its tail, so the work is linear in the query.  Rules that strand
+//! an operand they replaced, or move a predicate out of build order, flag
+//! the arena for one rule-free compacting copy
+//! ([`QueryBuilder::finish_reachable`]), which restores the canonical
+//! arena — the one lowering the rewritten text would build.  The rules:
 //!
 //! * **Step fusion** — `descendant-or-self::node()/child::a` (the expansion
 //!   of `//a`) fuses to `descendant::a`, and likewise for a following
@@ -44,6 +53,17 @@
 //!   branches (or anywhere else) collapse; evaluators that memoize or
 //!   materialize per node id then do the shared work once.
 //!
+//! **Height.**  Two rules add levels: the flip and the reverse-tail fold
+//! each put `boolean(path)` — two nodes — under a path node, the flip
+//! above the flipped step's own predicates.  A flipped step is a `self`
+//! step and a folded tail has no predicates, so neither is wrapped again:
+//! a chain through `P` nested paths grows by at most `2·P` levels.  The
+//! walks downstream recurse over the tree and are sized for what lowering
+//! can produce, `MAX_HEIGHT = 2 · MAX_QUERY_DEPTH` levels, so a result
+//! taller than that is discarded and the query runs as lowered: the
+//! rewritten arena is never taller than `max(input, MAX_HEIGHT)`.  It
+//! takes 32 nested `a[…]/..` to get there.
+//!
 //! Rewriting happens on the document-independent IR, *before*
 //! [`CompiledQuery`](crate::CompiledQuery) resolves node tests — the
 //! rewritten query is what gets compiled, so fused steps resolve their
@@ -56,15 +76,12 @@
 use crate::funcs;
 use crate::naive::arith;
 use crate::value::{compare_scalars, Value};
-use minctx_syntax::{CmpOp, ExprId, Func, Node, PathStart, Query, QueryBuilder, Step, ValueType};
+use minctx_syntax::{
+    CmpOp, ExprId, Func, Node, PathStart, Query, QueryBuilder, Step, ValueType, MAX_QUERY_DEPTH,
+};
 use minctx_xml::axes::{Axis, NodeTest};
 use minctx_xml::Document;
-use std::collections::HashMap;
 use std::sync::OnceLock;
-
-/// Upper bound on passes; each pass only shrinks or normalizes, so real
-/// queries reach the fixpoint in two or three.
-const MAX_PASSES: usize = 8;
 
 /// The rewrite rules, as stable names the EXPLAIN/profile surface
 /// reports.  Each variant corresponds to one transformation site in the
@@ -102,7 +119,8 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// All rules, in the stable order EXPLAIN reports them.
+    /// All rules, in the stable order EXPLAIN reports them (declaration
+    /// order: `ALL[r as usize] == r`).
     pub const ALL: [Rule; 12] = [
         Rule::DropSelfStep,
         Rule::FuseFollowingChain,
@@ -135,10 +153,6 @@ impl Rule {
             Rule::DedupUnion => "dedup-union",
         }
     }
-
-    fn index(self) -> usize {
-        Rule::ALL.iter().position(|&r| r == self).expect("in ALL")
-    }
 }
 
 impl std::fmt::Display for Rule {
@@ -147,24 +161,20 @@ impl std::fmt::Display for Rule {
     }
 }
 
-/// What a [`rewrite_traced`] run did: how many fixpoint passes ran and
-/// how often each [`Rule`] fired across them.
+/// What a [`rewrite_traced`] run did: how many times it walked an arena
+/// and how often each [`Rule`] fired.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RewriteTrace {
-    /// Arena rebuild passes run, including the final no-change pass that
-    /// detects the fixpoint.
+    /// Arena traversals run: 1 — the rewriting traversal — or 2 when that
+    /// one left nodes behind and the compacting copy followed.
     pub passes: usize,
     counts: [u32; Rule::ALL.len()],
 }
 
 impl RewriteTrace {
-    fn fire(&mut self, rule: Rule) {
-        self.counts[rule.index()] += 1;
-    }
-
     /// How many times `rule` fired.
     pub fn count(&self, rule: Rule) -> u32 {
-        self.counts[rule.index()]
+        self.counts[rule as usize]
     }
 
     /// The rules that fired at least once, with their counts, in the
@@ -197,220 +207,252 @@ pub fn rewrite(query: &Query) -> Query {
 /// EXPLAIN/profile surface's view of the pipeline.  Tracing is a handful
 /// of array increments; `rewrite` itself is implemented on top of this.
 pub fn rewrite_traced(query: &Query) -> (Query, RewriteTrace) {
-    let mut trace = RewriteTrace::default();
-    let mut cur = rewrite_once(query, &mut trace);
-    trace.passes = 1;
-    for _ in 1..MAX_PASSES {
-        let next = rewrite_once(&cur, &mut trace);
-        trace.passes += 1;
-        if next == cur {
-            break;
-        }
-        cur = next;
-    }
-    (cur, trace)
-}
-
-/// One rebuild of the arena with all local transforms applied.
-fn rewrite_once(q: &Query, trace: &mut RewriteTrace) -> Query {
-    let mut rw = Rewriter {
-        q,
-        b: QueryBuilder::new(),
-        map: HashMap::new(),
-        trace,
+    let mut rw = Rewriter::new(query);
+    let root = rw.rebuild(query.root());
+    let mut trace = rw.trace;
+    let rewritten = if DISPLACING.iter().any(|&r| trace.count(r) > 0) {
+        trace.passes = 2;
+        rw.b.finish_reachable(root)
+    } else {
+        trace.passes = 1;
+        rw.b.finish(root)
     };
-    let root = rw.rebuild(q.root());
-    rw.b.finish(root)
+    // The height bound (module doc).  Only two rules add levels, and an
+    // arena is no taller than it is long, so next to nothing gets measured.
+    let grew = trace.count(Rule::FlipChildParent) + trace.count(Rule::FoldReverseTail) > 0;
+    if grew && rewritten.len() > MAX_HEIGHT && height(&rewritten) > MAX_HEIGHT {
+        trace.counts = Default::default();
+        return (query.clone(), trace);
+    }
+    (rewritten, trace)
 }
 
-struct Rewriter<'q, 't> {
+/// The rules that strand a node already pushed — a folded operand, the
+/// path an existential variant replaces — or move one out of build order,
+/// a hoisted predicate: after one of them the arena needs the compacting
+/// copy.  (The fusions, the self-step drop and the union collapse only
+/// edit step lists or return a child; the flip pushes in place.)
+const DISPLACING: [Rule; 6] = [
+    Rule::DropExistentialTail,
+    Rule::FoldReverseTail,
+    Rule::HoistConstantPredicate,
+    Rule::DropTruePredicate,
+    Rule::FoldConstant,
+    Rule::CountExistence,
+];
+
+/// The tallest arena lowering produces: the parser admits trees
+/// [`MAX_QUERY_DEPTH`] high and normalization wraps each level in at most
+/// one conversion.  Every recursive walk downstream is sized for it.
+const MAX_HEIGHT: usize = 2 * MAX_QUERY_DEPTH;
+
+/// The height of `q`'s tree (a leaf is 1).
+fn height(q: &Query) -> usize {
+    let mut heights = vec![0; q.len()];
+    for (id, node) in q.iter() {
+        let mut below = 0;
+        node.clone()
+            .for_each_child_mut(|c| below = below.max(heights[c.index()]));
+        heights[id.index()] = below + 1;
+    }
+    heights[q.root().index()]
+}
+
+struct Rewriter<'q> {
     q: &'q Query,
     b: QueryBuilder,
-    /// Old id → rebuilt id (non-existential rebuilds only; existential
-    /// variants are rebuilt at their `boolean()` use sites and rely on the
-    /// builder's interning for sharing).
-    map: HashMap<ExprId, ExprId>,
+    /// Old id → rebuilt id, for the nodes rebuilt so far.
+    map: Vec<Option<ExprId>>,
     /// Rule-firing counters for the EXPLAIN surface.
-    trace: &'t mut RewriteTrace,
+    trace: RewriteTrace,
+    /// Steps appended plus nodes pushed: the linearity tests' work unit.
+    #[cfg(test)]
+    work: usize,
 }
 
-impl Rewriter<'_, '_> {
-    fn rebuild(&mut self, id: ExprId) -> ExprId {
-        if let Some(&new) = self.map.get(&id) {
-            return new;
+impl<'q> Rewriter<'q> {
+    fn new(q: &'q Query) -> Rewriter<'q> {
+        Rewriter {
+            q,
+            b: QueryBuilder::with_capacity(q.len()),
+            map: vec![None; q.len()],
+            trace: RewriteTrace::default(),
+            #[cfg(test)]
+            work: 0,
         }
-        let new = self.rebuild_uncached(id);
-        self.map.insert(id, new);
-        new
     }
 
-    fn rebuild_uncached(&mut self, id: ExprId) -> ExprId {
-        match self.q.node(id) {
-            Node::Or(a, b) | Node::And(a, b) => {
-                let is_or = matches!(self.q.node(id), Node::Or(..));
-                let (a, b) = (*a, *b);
-                let a2 = self.rebuild(a);
-                // `x or true()` → `true()` etc.; operands are pure, so the
-                // untaken side can be dropped (or never rebuilt at all).
-                let absorbing = is_or; // `or` short-circuits on true, `and` on false
-                match self.literal_bool(a2) {
-                    Some(v) if v == absorbing => {
-                        self.trace.fire(Rule::FoldConstant);
-                        self.push_bool(absorbing)
-                    }
-                    Some(_) => {
-                        self.trace.fire(Rule::FoldConstant);
-                        self.rebuild(b)
-                    }
-                    None => {
-                        let b2 = self.rebuild(b);
-                        match self.literal_bool(b2) {
-                            Some(v) if v == absorbing => {
-                                self.trace.fire(Rule::FoldConstant);
-                                self.push_bool(absorbing)
-                            }
-                            Some(_) => {
-                                self.trace.fire(Rule::FoldConstant);
-                                a2
-                            }
-                            None if is_or => self.b.push(Node::Or(a2, b2)),
-                            None => self.b.push(Node::And(a2, b2)),
-                        }
-                    }
-                }
-            }
+    fn fire(&mut self, rule: Rule) {
+        self.trace.counts[rule as usize] += 1;
+    }
+
+    fn push(&mut self, node: Node) -> ExprId {
+        #[cfg(test)]
+        {
+            self.work += 1;
+        }
+        self.b.push(node)
+    }
+
+    /// The normal form of the input node `id`, built from the normal forms
+    /// of its children.
+    fn rebuild(&mut self, id: ExprId) -> ExprId {
+        if let Some(new) = self.map[id.index()] {
+            return new;
+        }
+        let q = self.q;
+        let new = match q.node(id) {
+            Node::Or(a, b) => self.connective(true, *a, *b),
+            Node::And(a, b) => self.connective(false, *a, *b),
             Node::Compare(op, a, b) => {
-                let (op, a, b) = (*op, *a, *b);
-                let a2 = self.rebuild(a);
-                let b2 = self.rebuild(b);
-                if let Some(folded) = self.count_existence(op, a2, b2) {
-                    return folded;
-                }
-                match (
-                    literal_value(self.b.node(a2)),
-                    literal_value(self.b.node(b2)),
-                ) {
-                    (Some(va), Some(vb)) => {
-                        self.trace.fire(Rule::FoldConstant);
-                        self.push_bool(compare_scalars(op, &va, &vb))
-                    }
-                    _ => self.b.push(Node::Compare(op, a2, b2)),
-                }
+                let (a, b) = (self.rebuild(*a), self.rebuild(*b));
+                self.compare(*op, a, b)
             }
             Node::Arith(op, a, b) => {
-                let (op, a, b) = (*op, *a, *b);
-                let a2 = self.rebuild(a);
-                let b2 = self.rebuild(b);
-                match (self.b.node(a2), self.b.node(b2)) {
+                let (a, b) = (self.rebuild(*a), self.rebuild(*b));
+                match (self.b.node(a), self.b.node(b)) {
                     (Node::Number(x), Node::Number(y)) => {
-                        let v = arith(op, *x, *y);
-                        self.trace.fire(Rule::FoldConstant);
-                        self.b.push(Node::Number(v))
+                        let v = arith(*op, *x, *y);
+                        self.fire(Rule::FoldConstant);
+                        self.push(Node::Number(v))
                     }
-                    _ => self.b.push(Node::Arith(op, a2, b2)),
+                    _ => self.push(Node::Arith(*op, a, b)),
                 }
             }
             Node::Neg(a) => {
-                let a2 = self.rebuild(*a);
-                match self.b.node(a2) {
+                let a = self.rebuild(*a);
+                match self.b.node(a) {
                     Node::Number(x) => {
                         let v = -*x;
-                        self.trace.fire(Rule::FoldConstant);
-                        self.b.push(Node::Number(v))
+                        self.fire(Rule::FoldConstant);
+                        self.push(Node::Number(v))
                     }
-                    _ => self.b.push(Node::Neg(a2)),
+                    _ => self.push(Node::Neg(a)),
                 }
             }
             Node::Union(a, b) => {
-                let (a, b) = (*a, *b);
-                let a2 = self.rebuild(a);
-                let b2 = self.rebuild(b);
-                if a2 == b2 {
+                let (a, b) = (self.rebuild(*a), self.rebuild(*b));
+                if a == b {
                     // Set union is idempotent; interning already proved the
                     // branches identical.
-                    self.trace.fire(Rule::DedupUnion);
-                    a2
+                    self.fire(Rule::DedupUnion);
+                    a
                 } else {
-                    self.b.push(Node::Union(a2, b2))
+                    self.push(Node::Union(a, b))
                 }
             }
-            Node::Path(..) => self.rebuild_path(id, false),
+            Node::Path(start, steps) => self.path(start, steps),
             Node::Call(func, args) => {
-                let func = *func;
-                let args = args.clone();
-                let new_args: Vec<ExprId> = args
-                    .iter()
-                    .map(|&a| {
-                        if func == Func::Boolean && matches!(self.q.node(a), Node::Path(..)) {
-                            // The argument's value is only tested for
-                            // nonemptiness: rebuild it with the existential
-                            // tail rules enabled.
-                            self.rebuild_path(a, true)
-                        } else {
-                            self.rebuild(a)
-                        }
-                    })
-                    .collect();
-                match self.fold_call(func, &new_args) {
-                    Some(folded) => {
-                        self.trace.fire(Rule::FoldConstant);
-                        self.b.push(folded)
-                    }
-                    None => self.b.push(Node::Call(func, new_args)),
+                let args = args.iter().map(|&a| self.rebuild(a)).collect();
+                self.call(*func, args)
+            }
+            Node::Number(n) => self.push(Node::Number(*n)),
+            Node::Literal(s) => self.push(Node::Literal(s.clone())),
+        };
+        self.map[id.index()] = Some(new);
+        new
+    }
+
+    /// `a or b` / `a and b`.  A literal `true()` decides an `or`, a literal
+    /// `false()` an `and`, and the other literal is the neutral operand;
+    /// operands are pure, so the untaken side is dropped — `b` is not even
+    /// rebuilt once `a` has decided.
+    fn connective(&mut self, is_or: bool, a: ExprId, b: ExprId) -> ExprId {
+        let a = self.rebuild(a);
+        let kept = match self.literal_bool(a) {
+            Some(v) if v == is_or => a,
+            Some(_) => self.rebuild(b),
+            None => {
+                let b = self.rebuild(b);
+                match self.literal_bool(b) {
+                    Some(v) if v == is_or => b,
+                    Some(_) => a,
+                    None if is_or => return self.push(Node::Or(a, b)),
+                    None => return self.push(Node::And(a, b)),
                 }
             }
-            Node::Number(n) => self.b.push(Node::Number(*n)),
-            Node::Literal(s) => self.b.push(Node::Literal(s.clone())),
+        };
+        self.fire(Rule::FoldConstant);
+        kept
+    }
+
+    /// `a op b` over built operands: the count-existence shapes, then
+    /// literal folding.
+    fn compare(&mut self, op: CmpOp, a: ExprId, b: ExprId) -> ExprId {
+        if let Some(folded) = self.count_existence(op, a, b) {
+            return folded;
+        }
+        match self.literal_values(&[a, b]) {
+            Some(v) => {
+                self.fire(Rule::FoldConstant);
+                self.push_bool(compare_scalars(op, &v[0], &v[1]))
+            }
+            None => self.push(Node::Compare(op, a, b)),
+        }
+    }
+
+    /// `func(args)` over built arguments.  `boolean(π)` only tests `π` for
+    /// nonemptiness, so `π` gets its existential tail rules here, whether
+    /// the call was in the input or comes out of the count-existence rule.
+    fn call(&mut self, func: Func, mut args: Vec<ExprId>) -> ExprId {
+        if func == Func::Boolean {
+            if let [arg] = &mut args[..] {
+                *arg = self.existential(*arg);
+            }
+        }
+        match self.fold_call(func, &args) {
+            Some(folded) => {
+                self.fire(Rule::FoldConstant);
+                self.push(folded)
+            }
+            None => self.push(Node::Call(func, args)),
         }
     }
 
     /// Rebuilds a path node: predicates rebuilt (literal `true()` dropped),
-    /// steps fused and normalized, constant predicates hoisted.
-    fn rebuild_path(&mut self, id: ExprId, existential: bool) -> ExprId {
-        let Node::Path(start, steps) = self.q.node(id) else {
-            unreachable!("rebuild_path on a non-path node");
-        };
-        let (start, steps) = (start.clone(), steps.clone());
+    /// steps fused and normalized as they are appended, constant
+    /// predicates hoisted.
+    fn path(&mut self, start: &PathStart, steps: &[Step]) -> ExprId {
         let start = match start {
             PathStart::Root => PathStart::Root,
             PathStart::Context => PathStart::Context,
             PathStart::Filter {
                 primary,
                 predicates,
-            } => {
-                let primary = self.rebuild(primary);
-                let predicates = self.rebuild_predicates(&predicates);
-                PathStart::Filter {
-                    primary,
-                    predicates,
-                }
-            }
+            } => PathStart::Filter {
+                primary: self.rebuild(*primary),
+                predicates: self.predicates(predicates),
+            },
         };
-        let mut steps: Vec<Step> = steps
-            .into_iter()
-            .map(|s| Step {
+        let mut out = Vec::with_capacity(steps.len());
+        for s in steps {
+            let step = Step {
                 axis: s.axis,
-                test: s.test,
-                predicates: self.rebuild_predicates(&s.predicates),
-            })
-            .collect();
-        self.optimize_steps(&start, &mut steps);
-        if existential {
-            self.existential_tail(&mut steps);
+                test: s.test.clone(),
+                predicates: self.predicates(&s.predicates),
+            };
+            self.append_step(&start, &mut out, step);
         }
-        self.hoist_constant_predicates(&mut steps);
-        self.b.push(Node::Path(start, steps))
+        if self.hoist_constant_predicates(&mut out) {
+            // A step that lost its last predicate may now be the identity,
+            // fuse or flip: one more sweep over the (already normal
+            // elsewhere) list finds exactly those.
+            for step in std::mem::take(&mut out) {
+                self.append_step(&start, &mut out, step);
+            }
+        }
+        self.push(Node::Path(start, out))
     }
 
     /// Rebuilds a predicate list, dropping predicates that folded to
     /// literal `true()` (filtering by a constant-true predicate keeps every
     /// candidate and every later position unchanged).
-    fn rebuild_predicates(&mut self, preds: &[ExprId]) -> Vec<ExprId> {
+    fn predicates(&mut self, preds: &[ExprId]) -> Vec<ExprId> {
         let mut out = Vec::with_capacity(preds.len());
         for &p in preds {
             let p = self.rebuild(p);
             if self.literal_bool(p) == Some(true) {
-                self.trace.fire(Rule::DropTruePredicate);
+                self.fire(Rule::DropTruePredicate);
             } else {
                 out.push(p);
             }
@@ -418,185 +460,149 @@ impl Rewriter<'_, '_> {
         out
     }
 
-    /// The step-level rules: `self::node()` elimination, `//`-fusion, the
-    /// `child/parent` flip, and the `following`/`preceding` chain fusions.
-    /// Loops until no rule fires.
-    fn optimize_steps(&mut self, start: &PathStart, steps: &mut Vec<Step>) {
-        loop {
-            // A predicate-free `self::node()` step is the identity.
-            if let Some(i) = steps.iter().position(|s| {
-                s.axis == Axis::SelfAxis && s.test == NodeTest::AnyNode && s.predicates.is_empty()
-            }) {
-                steps.remove(i);
-                self.trace.fire(Rule::DropSelfStep);
-                continue;
-            }
-            let mut changed = false;
-            for i in 0..steps.len().saturating_sub(1) {
-                // `ancestor-or-self::node()/following-sibling::node()/
-                // descendant-or-self::t[p…]` is the spec's expansion of
-                // `following::t[p…]` (dually `preceding-sibling` /
-                // `preceding`): fusing it onto one step lands the name
-                // test on the sliced postings kernel.  Exact only for
-                // non-attribute origins — this document model gives an
-                // attribute's `following` the whole tail after the
-                // attribute itself, which the chain (routed through the
-                // owner element's siblings) cannot see — so the preceding
-                // step (or a `Root` start) must rule attributes out.
-                // Position-free predicates only: the fused step renumbers
-                // proximity positions (one merged candidate list instead
-                // of per-`descendant-or-self`-origin lists).
-                if i + 2 < steps.len() {
-                    let (a, b, c) = (&steps[i], &steps[i + 1], &steps[i + 2]);
-                    if a.axis == Axis::AncestorOrSelf
-                        && a.test == NodeTest::AnyNode
-                        && a.predicates.is_empty()
-                        && matches!(b.axis, Axis::FollowingSibling | Axis::PrecedingSibling)
-                        && b.test == NodeTest::AnyNode
-                        && b.predicates.is_empty()
-                        && c.axis == Axis::DescendantOrSelf
-                        && c.predicates.iter().all(|&p| self.position_free(p))
-                        && origin_excludes_attributes(start, steps, i)
-                    {
-                        let axis = if b.axis == Axis::FollowingSibling {
-                            Axis::Following
-                        } else {
-                            Axis::Preceding
-                        };
-                        steps[i] = Step {
-                            axis,
-                            test: c.test.clone(),
-                            predicates: c.predicates.clone(),
-                        };
-                        steps.drain(i + 1..i + 3);
-                        self.trace.fire(Rule::FuseFollowingChain);
-                        changed = true;
-                        break;
-                    }
-                }
-                let (a, b) = (&steps[i], &steps[i + 1]);
-                // `following::node()/descendant-or-self::t` ≡ `following::t`:
-                // the `following` set is closed under descendants and every
-                // member is its own descendant-or-self (dually `preceding`).
-                // Unconditional — the or-self step applies to the already
-                // attribute-free `following` result.
-                if matches!(a.axis, Axis::Following | Axis::Preceding)
-                    && a.test == NodeTest::AnyNode
-                    && a.predicates.is_empty()
-                    && b.axis == Axis::DescendantOrSelf
-                    && b.predicates.iter().all(|&p| self.position_free(p))
-                {
-                    steps[i] = Step {
-                        axis: a.axis,
-                        test: b.test.clone(),
-                        predicates: b.predicates.clone(),
-                    };
-                    steps.remove(i + 1);
-                    self.trace.fire(Rule::FuseFollowingOrSelf);
-                    changed = true;
-                    break;
-                }
-                // `descendant-or-self::node()/child::t` ≡ `descendant::t`
-                // (every proper descendant is a child of a descendant-or-
-                // self node and vice versa); same argument fuses a following
-                // `descendant(-or-self)` step.  Only for position-free
-                // predicates — fusion renumbers proximity positions.
-                if a.axis == Axis::DescendantOrSelf
-                    && a.test == NodeTest::AnyNode
-                    && a.predicates.is_empty()
-                    && matches!(
-                        b.axis,
-                        Axis::Child | Axis::Descendant | Axis::DescendantOrSelf
-                    )
-                    && b.predicates.iter().all(|&p| self.position_free(p))
-                {
-                    let axis = match b.axis {
-                        Axis::DescendantOrSelf => Axis::DescendantOrSelf,
-                        _ => Axis::Descendant,
-                    };
-                    steps[i] = Step {
-                        axis,
-                        test: b.test.clone(),
-                        predicates: b.predicates.clone(),
-                    };
-                    steps.remove(i + 1);
-                    self.trace.fire(Rule::FuseDescendant);
-                    changed = true;
-                    break;
-                }
-                // `child::t[p]/parent::node()` ≡ `self::node()[child::t[p]]`
-                // (`parent` exactly inverts `child` and `attribute`): the
-                // reverse step becomes a forward existence predicate, with
-                // identical inner positions.
-                if matches!(a.axis, Axis::Child | Axis::Attribute)
-                    && b.axis == Axis::Parent
-                    && b.test == NodeTest::AnyNode
-                    && b.predicates.is_empty()
-                {
-                    let inner = self.b.push(Node::Path(PathStart::Context, vec![a.clone()]));
-                    let pred = self.b.push(Node::Call(Func::Boolean, vec![inner]));
-                    steps[i] = Step {
-                        axis: Axis::SelfAxis,
-                        test: NodeTest::AnyNode,
-                        predicates: vec![pred],
-                    };
-                    steps.remove(i + 1);
-                    self.trace.fire(Rule::FlipChildParent);
-                    changed = true;
-                    break;
-                }
-            }
-            if !changed {
-                break;
-            }
+    /// Appends `step` to the normal step list `out` and restores normality:
+    /// `self::node()` elimination, the `following`/`preceding` chain
+    /// fusions, `//`-fusion and the `child/parent` flip.  `out` has no
+    /// redex, so a new one ends at the appended step; a firing replaces
+    /// the tail and only the tail is looked at again.
+    fn append_step(&mut self, start: &PathStart, out: &mut Vec<Step>, step: Step) {
+        #[cfg(test)]
+        {
+            self.work += 1;
         }
+        // A predicate-free `self::node()` step is the identity.
+        if step.axis == Axis::SelfAxis && bare_any_node(&step) {
+            self.fire(Rule::DropSelfStep);
+            return;
+        }
+        out.push(step);
+        while self.fuse_tail(start, out) {}
     }
 
-    /// Tail rules for paths whose value is only tested for nonemptiness.
-    fn existential_tail(&mut self, steps: &mut Vec<Step>) {
-        while let Some(last) = steps.last() {
-            if !last.predicates.is_empty() {
-                break;
-            }
-            // `self`, `descendant-or-self` and `ancestor-or-self` relate
-            // every node (attributes included) to itself, so under an
-            // existential context a trailing `::node()` step of one of them
-            // never changes nonemptiness.
-            if last.test == NodeTest::AnyNode
-                && matches!(
-                    last.axis,
-                    Axis::SelfAxis | Axis::DescendantOrSelf | Axis::AncestorOrSelf
-                )
+    /// Fires the rule, if any, whose left-hand side is the tail of `out`.
+    fn fuse_tail(&mut self, start: &PathStart, out: &mut Vec<Step>) -> bool {
+        let n = out.len();
+        // `ancestor-or-self::node()/following-sibling::node()/
+        // descendant-or-self::t[p…]` is the spec's expansion of
+        // `following::t[p…]` (dually `preceding-sibling` / `preceding`):
+        // fusing it onto one step lands the name test on the sliced
+        // postings kernel.  Exact only for non-attribute origins — this
+        // document model gives an attribute's `following` the whole tail
+        // after the attribute itself, which the chain (routed through the
+        // owner element's siblings) cannot see — so the preceding step (or
+        // a `Root` start) must rule attributes out.  Position-free
+        // predicates only: the fused step renumbers proximity positions
+        // (one merged candidate list instead of per-`descendant-or-self`-
+        // origin lists).
+        if let [.., a, b, c] = &out[..] {
+            if a.axis == Axis::AncestorOrSelf
+                && bare_any_node(a)
+                && matches!(b.axis, Axis::FollowingSibling | Axis::PrecedingSibling)
+                && bare_any_node(b)
+                && c.axis == Axis::DescendantOrSelf
+                && self.position_free(c)
+                && origin_excludes_attributes(start, out, n - 3)
             {
-                steps.pop();
-                self.trace.fire(Rule::DropExistentialTail);
-                continue;
+                let axis = if b.axis == Axis::FollowingSibling {
+                    Axis::Following
+                } else {
+                    Axis::Preceding
+                };
+                let c = out.pop().expect("three steps");
+                out.truncate(n - 3);
+                out.push(Step { axis, ..c });
+                self.fire(Rule::FuseFollowingChain);
+                return true;
             }
-            // `…/s[p]/ancestor::b` (existential) ≡ `…/s[p][ancestor::b]`:
-            // the reverse step becomes a per-node existence predicate the
-            // backward pass answers with one forward preimage sweep.  Only
-            // when an earlier predicate already rules out OPTMINCONTEXT's
-            // whole-path backward propagation — a fully predicate-free path
-            // is better left to that single pass.
-            if last.axis.is_reverse()
-                && steps.len() >= 2
-                && steps[..steps.len() - 1]
-                    .iter()
-                    .any(|s| !s.predicates.is_empty())
-            {
-                let last = steps.pop().expect("checked non-empty");
-                let inner = self.b.push(Node::Path(PathStart::Context, vec![last]));
-                let pred = self.b.push(Node::Call(Func::Boolean, vec![inner]));
-                steps
-                    .last_mut()
-                    .expect("len >= 2 before pop")
-                    .predicates
-                    .push(pred);
-                self.trace.fire(Rule::FoldReverseTail);
-                continue;
-            }
-            break;
         }
+        let [.., a, b] = &out[..] else {
+            return false;
+        };
+        // `following::node()/descendant-or-self::t` ≡ `following::t`: the
+        // `following` set is closed under descendants and every member is
+        // its own descendant-or-self (dually `preceding`).  Unconditional —
+        // the or-self step applies to the already attribute-free
+        // `following` result.
+        let fused = if matches!(a.axis, Axis::Following | Axis::Preceding)
+            && bare_any_node(a)
+            && b.axis == Axis::DescendantOrSelf
+            && self.position_free(b)
+        {
+            Some((Rule::FuseFollowingOrSelf, a.axis))
+        // `descendant-or-self::node()/child::t` ≡ `descendant::t` (every
+        // proper descendant is a child of a descendant-or-self node and
+        // vice versa); same argument fuses a following
+        // `descendant(-or-self)` step.  Only for position-free predicates —
+        // fusion renumbers proximity positions.
+        } else if a.axis == Axis::DescendantOrSelf
+            && bare_any_node(a)
+            && matches!(
+                b.axis,
+                Axis::Child | Axis::Descendant | Axis::DescendantOrSelf
+            )
+            && self.position_free(b)
+        {
+            let axis = match b.axis {
+                Axis::DescendantOrSelf => Axis::DescendantOrSelf,
+                _ => Axis::Descendant,
+            };
+            Some((Rule::FuseDescendant, axis))
+        } else {
+            None
+        };
+        if let Some((rule, axis)) = fused {
+            let b = out.pop().expect("two steps");
+            out[n - 2] = Step { axis, ..b };
+            self.fire(rule);
+            return true;
+        }
+        // `child::t[p]/parent::node()` ≡ `self::node()[child::t[p]]`
+        // (`parent` exactly inverts `child` and `attribute`): the reverse
+        // step becomes a forward existence predicate, with identical inner
+        // positions.
+        if matches!(a.axis, Axis::Child | Axis::Attribute)
+            && b.axis == Axis::Parent
+            && bare_any_node(b)
+        {
+            out.pop();
+            let a = out.pop().expect("two steps");
+            // A single `child`/`attribute` step has no existential tail to
+            // normalize: the call is pushed as it is.
+            let inner = self.push(Node::Path(PathStart::Context, vec![a]));
+            let pred = self.push(Node::Call(Func::Boolean, vec![inner]));
+            out.push(Step {
+                axis: Axis::SelfAxis,
+                test: NodeTest::AnyNode,
+                predicates: vec![pred],
+            });
+            self.fire(Rule::FlipChildParent);
+            return true;
+        }
+        false
+    }
+
+    /// The path to test for nonemptiness in place of the built path `arg`:
+    /// `arg` itself unless a tail rule applies.
+    fn existential(&mut self, arg: ExprId) -> ExprId {
+        let Node::Path(start, steps) = self.b.node(arg) else {
+            return arg;
+        };
+        if existential_tail_rule(steps).is_none() {
+            return arg;
+        }
+        let (start, mut steps) = (start.clone(), steps.clone());
+        while let Some(rule) = existential_tail_rule(&steps) {
+            let last = steps.pop().expect("a tail rule matched a step");
+            if rule == Rule::FoldReverseTail {
+                // One predicate-free reverse step: nothing to normalize.
+                let inner = self.push(Node::Path(PathStart::Context, vec![last]));
+                let pred = self.push(Node::Call(Func::Boolean, vec![inner]));
+                let onto = steps.last_mut().expect("the rule needs an earlier step");
+                onto.predicates.push(pred);
+            }
+            self.fire(rule);
+        }
+        self.push(Node::Path(start, steps))
     }
 
     /// Moves context-independent (`Relev = ∅`) predicates from inner steps
@@ -604,31 +610,33 @@ impl Rewriter<'_, '_> {
     /// the whole evaluation, so it filters all candidates or none wherever
     /// it sits — moving it earlier never changes the positions other
     /// predicates observe, and a constant-false one now short-circuits the
-    /// path before any axis walking.
-    fn hoist_constant_predicates(&mut self, steps: &mut [Step]) {
-        if steps.len() < 2 {
-            return;
-        }
+    /// path before any axis walking.  Returns whether a step lost its last
+    /// predicate.
+    fn hoist_constant_predicates(&mut self, steps: &mut [Step]) -> bool {
+        let Some((first, inner)) = steps.split_first_mut() else {
+            return false;
+        };
         let mut hoisted: Vec<ExprId> = Vec::new();
-        for s in steps.iter_mut().skip(1) {
-            let mut kept = Vec::with_capacity(s.predicates.len());
-            for &p in &s.predicates {
-                if self.b.relev(p).is_empty() {
+        let mut emptied = false;
+        for s in inner {
+            let before = hoisted.len();
+            s.predicates.retain(|&p| {
+                let constant = self.b.relev(p).is_empty();
+                if constant {
                     hoisted.push(p);
-                } else {
-                    kept.push(p);
                 }
-            }
-            s.predicates = kept;
-        }
-        if hoisted.is_empty() {
-            return;
+                !constant
+            });
+            emptied |= hoisted.len() > before && s.predicates.is_empty();
         }
         for _ in &hoisted {
-            self.trace.fire(Rule::HoistConstantPredicate);
+            self.fire(Rule::HoistConstantPredicate);
         }
-        hoisted.append(&mut steps[0].predicates);
-        steps[0].predicates = hoisted;
+        if !hoisted.is_empty() {
+            hoisted.append(&mut first.predicates);
+            first.predicates = hoisted;
+        }
+        emptied
     }
 
     /// Folds a call whose arguments are all literals, through the shared
@@ -659,10 +667,7 @@ impl Rewriter<'_, '_> {
         if !foldable {
             return None;
         }
-        let vals: Vec<Value> = args
-            .iter()
-            .map(|&a| literal_value(self.b.node(a)))
-            .collect::<Option<_>>()?;
+        let vals = self.literal_values(args)?;
         // The document parameter is only read for node-set arguments, which
         // `literal_value` never produces; a static placeholder satisfies
         // the signature.
@@ -687,20 +692,24 @@ impl Rewriter<'_, '_> {
     /// `count('x')` keeps its runtime error instead of becoming a
     /// successful `boolean('x')`.  Besides skipping the count, the
     /// `boolean(π)` form is exactly the shape OPTMINCONTEXT answers with
-    /// one backward pass and the fixpoint's existential-tail rules
-    /// simplify further.
+    /// one backward pass, and building it through [`Rewriter::call`]
+    /// gives `π` its existential tail rules on the spot.
     fn count_existence(&mut self, op: CmpOp, lhs: ExprId, rhs: ExprId) -> Option<ExprId> {
-        let count_arg = |rw: &Self, id: ExprId| match rw.b.node(id) {
+        let count_arg = |id: ExprId| match self.b.node(id) {
             Node::Call(Func::Count, args) => match args[..] {
-                [arg] if rw.b.value_type(arg) == ValueType::NodeSet => Some(arg),
+                [arg] if self.b.value_type(arg) == ValueType::NodeSet => Some(arg),
                 _ => None,
             },
             _ => None,
         };
-        let (op, arg, c) = match (count_arg(self, lhs), literal_value(self.b.node(rhs))) {
-            (Some(arg), Some(Value::Number(c))) => (op, arg, c),
-            _ => match (literal_value(self.b.node(lhs)), count_arg(self, rhs)) {
-                (Some(Value::Number(c)), Some(arg)) => (op.swapped(), arg, c),
+        let number = |id: ExprId| match self.b.node(id) {
+            Node::Number(c) => Some(*c),
+            _ => None,
+        };
+        let (op, arg, c) = match (count_arg(lhs), number(rhs)) {
+            (Some(arg), Some(c)) => (op, arg, c),
+            _ => match (number(lhs), count_arg(rhs)) {
+                (Some(c), Some(arg)) => (op.swapped(), arg, c),
                 _ => return None,
             },
         };
@@ -722,13 +731,21 @@ impl Rewriter<'_, '_> {
         } else {
             return None;
         };
-        self.trace.fire(Rule::CountExistence);
-        let boolean = self.b.push(Node::Call(Func::Boolean, vec![arg]));
+        self.fire(Rule::CountExistence);
+        let boolean = self.call(Func::Boolean, vec![arg]);
         Some(if exists {
             boolean
         } else {
-            self.b.push(Node::Call(Func::Not, vec![boolean]))
+            self.call(Func::Not, vec![boolean])
         })
+    }
+
+    /// The values of the nodes `ids` if every one of them is a literal.
+    /// Stops at the first that is not: `@id = 'x'` copies no string.
+    fn literal_values(&self, ids: &[ExprId]) -> Option<Vec<Value>> {
+        ids.iter()
+            .map(|&id| literal_value(self.b.node(id)))
+            .collect()
     }
 
     fn literal_bool(&self, id: ExprId) -> Option<bool> {
@@ -741,14 +758,50 @@ impl Rewriter<'_, '_> {
 
     fn push_bool(&mut self, v: bool) -> ExprId {
         let f = if v { Func::True } else { Func::False };
-        self.b.push(Node::Call(f, Vec::new()))
+        self.push(Node::Call(f, Vec::new()))
     }
 
-    /// Whether a (rebuilt) predicate ignores `position()` and `last()`.
-    fn position_free(&self, pred: ExprId) -> bool {
-        let r = self.b.relev(pred);
-        !r.position() && !r.size()
+    /// Whether every (rebuilt) predicate of `step` ignores `position()`
+    /// and `last()`.
+    fn position_free(&self, step: &Step) -> bool {
+        step.predicates.iter().all(|&p| {
+            let r = self.b.relev(p);
+            !r.position() && !r.size()
+        })
     }
+}
+
+/// A predicate-free `::node()` step.
+fn bare_any_node(s: &Step) -> bool {
+    s.test == NodeTest::AnyNode && s.predicates.is_empty()
+}
+
+/// The tail rule that applies to a path whose value is only tested for
+/// nonemptiness, if one does.
+fn existential_tail_rule(steps: &[Step]) -> Option<Rule> {
+    let (last, earlier) = steps.split_last()?;
+    if !last.predicates.is_empty() {
+        return None;
+    }
+    // `self`, `descendant-or-self` and `ancestor-or-self` relate every node
+    // (attributes included) to itself, so under an existential context a
+    // trailing `::node()` step of one of them never changes nonemptiness.
+    if last.test == NodeTest::AnyNode
+        && matches!(
+            last.axis,
+            Axis::SelfAxis | Axis::DescendantOrSelf | Axis::AncestorOrSelf
+        )
+    {
+        return Some(Rule::DropExistentialTail);
+    }
+    // `…/s[p]/ancestor::b` (existential) ≡ `…/s[p][ancestor::b]`: the
+    // reverse step becomes a per-node existence predicate the backward pass
+    // answers with one forward preimage sweep.  Only when an earlier
+    // predicate already rules out OPTMINCONTEXT's whole-path backward
+    // propagation — a fully predicate-free path is better left to that
+    // single pass.
+    (last.axis.is_reverse() && earlier.iter().any(|s| !s.predicates.is_empty()))
+        .then_some(Rule::FoldReverseTail)
 }
 
 /// Whether the origin set feeding `steps[i]` can contain attribute nodes.
@@ -1054,9 +1107,10 @@ mod tests {
         assert_eq!(q, parse_xpath("/descendant::item[@id]").unwrap());
         assert_eq!(tr.count(Rule::FuseDescendant), 1);
         assert_eq!(tr.fired(), vec![(Rule::FuseDescendant, 1)]);
-        assert!(tr.passes >= 2, "fixpoint needs a confirming pass");
+        assert_eq!(tr.passes, 1, "a fusion strands no node: nothing to compact");
         // A richer query fires several rules, reported in Rule::ALL order.
         let (_, tr) = rewrite_traced(&parse_xpath("//x[count(a) > 0]/./b[true()]").unwrap());
+        assert_eq!(tr.passes, 2, "`count(a)`, `0` and `true()` are left behind");
         let fired: Vec<Rule> = tr.fired().iter().map(|&(r, _)| r).collect();
         assert!(fired.contains(&Rule::FuseDescendant));
         assert!(fired.contains(&Rule::DropSelfStep));
@@ -1071,9 +1125,82 @@ mod tests {
         let (_, tr) = rewrite_traced(&parse_xpath("child::a[b]").unwrap());
         assert_eq!(tr.total(), 0);
         assert!(tr.fired().is_empty());
-        // Every rule has a distinct stable name.
+        assert_eq!(tr.passes, 1);
+        // Every rule has a distinct stable name, and counts under its own
+        // discriminant.
         let names: std::collections::BTreeSet<_> = Rule::ALL.iter().map(|r| r.as_str()).collect();
         assert_eq!(names.len(), Rule::ALL.len());
+        for (i, r) in Rule::ALL.into_iter().enumerate() {
+            assert_eq!(
+                r as usize, i,
+                "{r} is out of declaration order in Rule::ALL"
+            );
+        }
+    }
+
+    #[test]
+    fn a_rewrite_taller_than_lowering_can_produce_is_discarded() {
+        // Per nesting, `a[…]/..` is two levels as lowered (the path and the
+        // `boolean()` around it) and four once flipped.
+        let nested = |d: usize| format!("{}a/..{}", "a[".repeat(d), "]/..".repeat(d));
+        let q = parse_xpath(&nested(31)).unwrap();
+        let (out, tr) = rewrite_traced(&q);
+        assert_eq!((height(&q), height(&out)), (63, 127));
+        assert_eq!(tr.fired(), vec![(Rule::FlipChildParent, 32)]);
+        assert_eq!(rewrite(&out), out);
+        // One more and the result would be 131 levels: the query stays as
+        // it was lowered, and the trace says that nothing was applied.
+        let q = parse_xpath(&nested(32)).unwrap();
+        let (out, tr) = rewrite_traced(&q);
+        assert_eq!((height(&q), out == q), (65, true));
+        assert_eq!((tr.total(), tr.passes), (0, 1));
+        // The deepest nesting the parser admits lowers to within the bound,
+        // so only growth can ever trip it: the same nesting without the
+        // `..` rewrites as usual.
+        let deepest = parse_xpath(&nested(minctx_syntax::MAX_QUERY_DEPTH - 1)).unwrap();
+        assert_eq!(height(&deepest), MAX_HEIGHT - 1);
+        assert_eq!(rewrite(&deepest), deepest);
+        let plain = format!("{}//a{}", "a[".repeat(63), "]".repeat(63));
+        let (out, tr) = rewrite_traced(&parse_xpath(&plain).unwrap());
+        assert_eq!(
+            (height(&out), tr.fired()),
+            (127, vec![(Rule::FuseDescendant, 1)])
+        );
+    }
+
+    #[test]
+    fn work_is_linear_in_the_query() {
+        // Step chains as long as `MAX_QUERY_LEN` admits, one per rule that
+        // used to restart the scan: work — steps appended plus nodes
+        // pushed — stays within C × (input nodes + input steps).  Each step
+        // is appended once, once more if hoisting emptied a step of its
+        // path, and a firing pushes at most two nodes for the steps it
+        // consumes.
+        const C: usize = 3;
+        let chain = |head: &str, link: &str| {
+            let n = (minctx_syntax::MAX_QUERY_LEN - head.len()) / link.len();
+            format!("{head}{}", link.repeat(n))
+        };
+        for (name, src) in [
+            ("nothing fires", chain(".", "/a")),
+            ("every pair fuses", chain(".", "//a")),
+            ("every step drops", chain(".", "/.")),
+            ("every pair flips", chain(".", "/a/..")),
+            ("fusion under predicates", chain("", "//a[b]")),
+            ("every predicate drops", chain("", "/a[1=1]")),
+            ("every predicate hoists", chain("", "/a/b[count(/c)>1]")),
+        ] {
+            let q = parse_xpath(&src).unwrap();
+            let mut rw = Rewriter::new(&q);
+            rw.rebuild(q.root());
+            let size = q.len() + q.step_count();
+            assert!(size > 9_000, "{name}: only {size} nodes and steps");
+            assert!(
+                rw.work <= C * size,
+                "{name}: {} units of work for {size} nodes and steps",
+                rw.work
+            );
+        }
     }
 
     #[test]
@@ -1082,33 +1209,8 @@ mod tests {
             let q = rw(src);
             assert_eq!(q.root().index(), q.len() - 1, "{src:?}: root not last");
             for (id, node) in q.iter() {
-                let check = |c: ExprId| assert!(c < id, "{src:?}: child {c} not before {id}");
-                match node {
-                    Node::Or(a, b)
-                    | Node::And(a, b)
-                    | Node::Compare(_, a, b)
-                    | Node::Arith(_, a, b)
-                    | Node::Union(a, b) => {
-                        check(*a);
-                        check(*b);
-                    }
-                    Node::Neg(a) => check(*a),
-                    Node::Call(_, args) => args.iter().copied().for_each(check),
-                    Node::Path(start, steps) => {
-                        if let PathStart::Filter {
-                            primary,
-                            predicates,
-                        } = start
-                        {
-                            check(*primary);
-                            predicates.iter().copied().for_each(check);
-                        }
-                        for st in steps {
-                            st.predicates.iter().copied().for_each(check);
-                        }
-                    }
-                    Node::Number(_) | Node::Literal(_) => {}
-                }
+                node.clone()
+                    .for_each_child_mut(|c| assert!(*c < id, "{src:?}: child {c} not before {id}"));
             }
         }
     }

@@ -10,10 +10,14 @@
 //! unsound pass (fusing past a positional predicate, dropping a non-total
 //! step, hoisting a context-dependent predicate, interning distinct nodes)
 //! shows up as a divergence on some seed.
+//!
+//! Every generated query is also rewritten twice: one call must reach the
+//! fixpoint (rewriting its result fires nothing and changes nothing), in
+//! at most two arena traversals, and leave a canonical arena.
 
 use minctx_bench::{values_agree, xorshift};
-use minctx_core::{rewrite, Engine, EvalError, Strategy, Value};
-use minctx_syntax::parse_xpath;
+use minctx_core::{rewrite_traced, Engine, EvalError, Strategy, Value};
+use minctx_syntax::{parse_xpath, Query};
 use minctx_xml::{Document, DocumentBuilder};
 
 fn pick<'a>(rng: &mut u64, pool: &[&'a str]) -> &'a str {
@@ -222,6 +226,39 @@ fn random_boolean_tree_query(rng: &mut u64) -> String {
     }
 }
 
+/// Rewrites `q` and checks that the one call reached the fixpoint, in at
+/// most two traversals, and left a canonical arena: root last, children
+/// before parents, nothing unreachable.  Returns whether `q` changed.
+fn rewritten_once_is_the_fixpoint(src: &str) -> bool {
+    let q = parse_xpath(src).unwrap_or_else(|e| panic!("{src:?} failed to parse: {e}"));
+    let (once, trace) = rewrite_traced(&q);
+    assert!((1..=2).contains(&trace.passes), "{src:?}: {trace:?}");
+    let (twice, again) = rewrite_traced(&once);
+    assert_eq!(once, twice, "{src:?}: a second call changed the query");
+    assert_eq!(
+        (again.total(), again.passes),
+        (0, 1),
+        "{src:?}: a second call found work: {again:?}"
+    );
+    assert_canonical(&once, src);
+    once != q
+}
+
+fn assert_canonical(q: &Query, src: &str) {
+    assert_eq!(q.root().index(), q.len() - 1, "{src:?}: root not last");
+    let mut referenced = vec![false; q.len()];
+    for (id, node) in q.iter() {
+        node.clone().for_each_child_mut(|c| {
+            assert!(*c < id, "{src:?}: child {c} not before {id}");
+            referenced[c.index()] = true;
+        });
+    }
+    // Children precede parents, so a node no later node refers to is
+    // unreachable unless it is the root.
+    let strays = referenced[..q.len() - 1].iter().filter(|r| !**r).count();
+    assert_eq!(strays, 0, "{src:?}: {strays} unreachable nodes in {q:#?}");
+}
+
 /// Every strategy with the rewrite pipeline off and on; raw naive (the
 /// semantics oracle) first, under a guard budget.
 fn engines() -> Vec<Engine> {
@@ -268,6 +305,7 @@ fn boolean_predicate_trees_agree_across_strategies() {
         let mut rng = seed ^ 0xb001_ea17;
         for _ in 0..50 {
             let q = random_boolean_tree_query(&mut rng);
+            rewritten_once_is_the_fixpoint(&q);
             assert_all_agree(&engines, &doc, &q, seed);
             let opt = engines.last().expect("eight engines");
             non_empty += match eval(opt, &doc, &q) {
@@ -298,11 +336,8 @@ fn raw_and_rewritten_agree_on_random_queries_and_documents() {
         let mut rng = seed;
         for _ in 0..60 {
             let q = random_query(&mut rng);
-            let parsed = parse_xpath(&q).unwrap_or_else(|e| panic!("{q:?} failed to parse: {e}"));
             total += 1;
-            if rewrite(&parsed) != parsed {
-                rewrites += 1;
-            }
+            rewrites += usize::from(rewritten_once_is_the_fixpoint(&q));
             assert_all_agree(&engines, &doc, &q, seed);
         }
     }
@@ -396,6 +431,9 @@ fn positional_queries() -> Vec<String> {
 fn positional_steps_agree_with_naive_across_the_lattice() {
     let naive = Engine::new(Strategy::Naive).with_budget(20_000_000);
     let queries = positional_queries();
+    for q in &queries {
+        rewritten_once_is_the_fixpoint(q);
+    }
     let mut non_empty = 0usize;
     for seed in 1..=5u64 {
         let owned = random_doc(

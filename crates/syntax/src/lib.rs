@@ -14,14 +14,17 @@
 //! * [`parser`] implements the full grammar (both abbreviated and
 //!   unabbreviated syntax); abbreviations are expanded while parsing.
 //! * [`normalize`] brings queries into the paper's assumed form
-//!   (Section 2.2): all type conversions explicit, variables substituted by
-//!   constants, number predicates rewritten to `position() = n`, zero-arg
-//!   context functions expanded, `id(id(π))` rewritten to the id-"axis"
-//!   (Section 4), and unions lifted out of existential contexts.
+//!   (Section 2.2) in one walk of the tree: all type conversions explicit,
+//!   variables substituted by constants, number predicates rewritten to
+//!   `position() = n`, zero-arg context functions expanded, `id(id(π))`
+//!   rewritten to the id-"axis" (Section 4), and unions lifted out of
+//!   existential contexts.
 //! * [`query`] lowers the normalized AST to an arena [`query::Query`] whose
 //!   [`query::ExprId`]s index the context-value tables of the evaluators,
 //!   and computes the relevant-context sets `Relev(N)` of Section 3.1 and
-//!   static result types.
+//!   static result types — through the same [`QueryBuilder`] the rewriter
+//!   in `minctx-core` rebuilds queries with, so both type a node by one
+//!   rule.
 //!
 //! # Example
 //!

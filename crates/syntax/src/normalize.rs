@@ -9,7 +9,8 @@
 //!
 //! Concretely this pass:
 //!
-//! 1. substitutes variables by constants from a [`Bindings`] map;
+//! 1. substitutes variables by constants from a [`Bindings`] map (at the
+//!    leaf, in the same walk as everything below);
 //! 2. expands zero-argument context functions (`string()` → `string(.)`,
 //!    `number()`, `string-length()`, `normalize-space()`, `name()`, …);
 //! 3. rewrites predicates: number-typed `[e]` becomes `[position() = e]`,
@@ -29,8 +30,12 @@
 
 use crate::ast::{AstExpr, AstPath, AstStep, CmpOp};
 use crate::parser::ParseError;
+use crate::query::Func;
 use minctx_xml::axes::{Axis, NodeTest};
 use std::collections::HashMap;
+
+/// The static type of an expression (every XPath 1.0 expression has one).
+pub use crate::query::ValueType as StaticType;
 
 /// A constant value a variable can be bound to (node-set variables are out
 /// of scope, as in the paper).
@@ -77,23 +82,8 @@ impl Bindings {
     }
 }
 
-/// The static type of an expression (every XPath 1.0 expression has one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StaticType {
-    NodeSet,
-    Number,
-    String,
-    Boolean,
-}
-
 fn err(message: impl Into<String>) -> ParseError {
     ParseError::syntax(message, 0)
-}
-
-/// Normalizes a parsed expression into the paper's core form.
-pub fn normalize(expr: AstExpr, bindings: &Bindings) -> Result<AstExpr, ParseError> {
-    let substituted = substitute(expr, bindings)?;
-    norm_expr(substituted)
 }
 
 /// The static result type of a (substituted) expression.
@@ -104,12 +94,15 @@ pub fn static_type(expr: &AstExpr) -> Result<StaticType, ParseError> {
         AstExpr::Literal(_) => StaticType::String,
         AstExpr::Union(..) | AstExpr::Path(_) | AstExpr::Filter { .. } => StaticType::NodeSet,
         AstExpr::Var(v) => return Err(err(format!("unbound variable ${v}"))),
-        AstExpr::Call(name, args) => return call_type(name, args.len()),
+        AstExpr::Call(name, args) => resolve_call(name, args.len())?.result_type(),
     })
 }
 
-fn call_type(name: &str, arity: usize) -> Result<StaticType, ParseError> {
-    let (min, max, ty) = signature(name)?;
+/// The core-library function called `name`, checked to take `arity`
+/// arguments.
+fn resolve_call(name: &str, arity: usize) -> Result<Func, ParseError> {
+    let func = Func::from_name(name).ok_or_else(|| err(format!("unknown function {name}()")))?;
+    let (min, max) = arities(func);
     if arity < min || arity > max {
         let expected = if min == max {
             format!("{min}")
@@ -122,113 +115,21 @@ fn call_type(name: &str, arity: usize) -> Result<StaticType, ParseError> {
             "function {name}() expects {expected} argument(s), got {arity}"
         )));
     }
-    Ok(ty)
+    Ok(func)
 }
 
-/// `(min_arity, max_arity, result type)` of the XPath 1.0 core library.
-fn signature(name: &str) -> Result<(usize, usize, StaticType), ParseError> {
-    use StaticType::*;
-    Ok(match name {
-        "last" | "position" => (0, 0, Number),
-        "count" => (1, 1, Number),
-        "id" => (1, 1, NodeSet),
-        "local-name" | "namespace-uri" | "name" => (0, 1, String),
-        "string" => (0, 1, String),
-        "concat" => (2, usize::MAX, String),
-        "starts-with" | "contains" => (2, 2, Boolean),
-        "substring-before" | "substring-after" => (2, 2, String),
-        "substring" => (2, 3, String),
-        "string-length" => (0, 1, Number),
-        "normalize-space" => (0, 1, String),
-        "translate" => (3, 3, String),
-        "boolean" | "not" => (1, 1, Boolean),
-        "true" | "false" => (0, 0, Boolean),
-        "lang" => (1, 1, Boolean),
-        "number" => (0, 1, Number),
-        "sum" => (1, 1, Number),
-        "floor" | "ceiling" | "round" => (1, 1, Number),
-        other => return Err(err(format!("unknown function {other}()"))),
-    })
-}
-
-// ---- step 1: variable substitution -------------------------------------
-
-fn substitute(expr: AstExpr, b: &Bindings) -> Result<AstExpr, ParseError> {
-    Ok(match expr {
-        AstExpr::Var(name) => match b.get(&name) {
-            Some(Constant::Number(n)) => AstExpr::Number(*n),
-            Some(Constant::String(s)) => AstExpr::Literal(s.clone()),
-            Some(Constant::Boolean(true)) => AstExpr::Call("true".into(), vec![]),
-            Some(Constant::Boolean(false)) => AstExpr::Call("false".into(), vec![]),
-            None => return Err(err(format!("unbound variable ${name}"))),
-        },
-        AstExpr::Or(a, c) => {
-            AstExpr::Or(Box::new(substitute(*a, b)?), Box::new(substitute(*c, b)?))
-        }
-        AstExpr::And(a, c) => {
-            AstExpr::And(Box::new(substitute(*a, b)?), Box::new(substitute(*c, b)?))
-        }
-        AstExpr::Compare(op, a, c) => AstExpr::Compare(
-            op,
-            Box::new(substitute(*a, b)?),
-            Box::new(substitute(*c, b)?),
-        ),
-        AstExpr::Arith(op, a, c) => AstExpr::Arith(
-            op,
-            Box::new(substitute(*a, b)?),
-            Box::new(substitute(*c, b)?),
-        ),
-        AstExpr::Neg(a) => AstExpr::Neg(Box::new(substitute(*a, b)?)),
-        AstExpr::Union(a, c) => {
-            AstExpr::Union(Box::new(substitute(*a, b)?), Box::new(substitute(*c, b)?))
-        }
-        AstExpr::Path(p) => AstExpr::Path(substitute_path(p, b)?),
-        AstExpr::Filter {
-            primary,
-            predicates,
-            steps,
-        } => AstExpr::Filter {
-            primary: Box::new(substitute(*primary, b)?),
-            predicates: predicates
-                .into_iter()
-                .map(|p| substitute(p, b))
-                .collect::<Result<_, _>>()?,
-            steps: steps
-                .into_iter()
-                .map(|s| substitute_step(s, b))
-                .collect::<Result<_, _>>()?,
-        },
-        AstExpr::Call(name, args) => AstExpr::Call(
-            name,
-            args.into_iter()
-                .map(|a| substitute(a, b))
-                .collect::<Result<_, _>>()?,
-        ),
-        leaf @ (AstExpr::Number(_) | AstExpr::Literal(_)) => leaf,
-    })
-}
-
-fn substitute_path(p: AstPath, b: &Bindings) -> Result<AstPath, ParseError> {
-    Ok(AstPath {
-        absolute: p.absolute,
-        steps: p
-            .steps
-            .into_iter()
-            .map(|s| substitute_step(s, b))
-            .collect::<Result<_, _>>()?,
-    })
-}
-
-fn substitute_step(s: AstStep, b: &Bindings) -> Result<AstStep, ParseError> {
-    Ok(AstStep {
-        axis: s.axis,
-        test: s.test,
-        predicates: s
-            .predicates
-            .into_iter()
-            .map(|p| substitute(p, b))
-            .collect::<Result<_, _>>()?,
-    })
+/// `(min_arity, max_arity)` of the XPath 1.0 core library.
+fn arities(func: Func) -> (usize, usize) {
+    use Func::*;
+    match func {
+        Last | Position | True | False => (0, 0),
+        LocalName | NamespaceUri | Name | String | StringLength | NormalizeSpace | Number => (0, 1),
+        Count | Id | Boolean | Not | Lang | Sum | Floor | Ceiling | Round => (1, 1),
+        StartsWith | Contains | SubstringBefore | SubstringAfter => (2, 2),
+        Concat => (2, usize::MAX),
+        Substring => (2, 3),
+        Translate => (3, 3),
+    }
 }
 
 // ---- steps 2–7: the main normalization ---------------------------------
@@ -241,94 +142,92 @@ fn context_node_path() -> AstExpr {
     })
 }
 
-fn norm_expr(expr: AstExpr) -> Result<AstExpr, ParseError> {
+/// Normalizes a parsed expression into the paper's core form.
+pub fn normalize(expr: AstExpr, b: &Bindings) -> Result<AstExpr, ParseError> {
     Ok(match expr {
-        AstExpr::Or(a, b) => AstExpr::Or(
-            Box::new(to_boolean(norm_expr(*a)?)?),
-            Box::new(to_boolean(norm_expr(*b)?)?),
-        ),
-        AstExpr::And(a, b) => AstExpr::And(
-            Box::new(to_boolean(norm_expr(*a)?)?),
-            Box::new(to_boolean(norm_expr(*b)?)?),
-        ),
-        AstExpr::Compare(op, a, b) => {
-            let a = norm_expr(*a)?;
-            let b = norm_expr(*b)?;
-            lift_union_in_comparison(op, a, b)?
+        AstExpr::Or(mut l, mut r) => {
+            *l = to_boolean(normalize(*l, b)?)?;
+            *r = to_boolean(normalize(*r, b)?)?;
+            AstExpr::Or(l, r)
         }
-        AstExpr::Arith(op, a, b) => AstExpr::Arith(
-            op,
-            Box::new(to_number(norm_expr(*a)?)?),
-            Box::new(to_number(norm_expr(*b)?)?),
-        ),
-        AstExpr::Neg(a) => AstExpr::Neg(Box::new(to_number(norm_expr(*a)?)?)),
-        AstExpr::Union(a, b) => {
-            let a = norm_expr(*a)?;
-            let b = norm_expr(*b)?;
-            require_nset(&a, "left operand of |")?;
-            require_nset(&b, "right operand of |")?;
-            AstExpr::Union(Box::new(a), Box::new(b))
+        AstExpr::And(mut l, mut r) => {
+            *l = to_boolean(normalize(*l, b)?)?;
+            *r = to_boolean(normalize(*r, b)?)?;
+            AstExpr::And(l, r)
         }
-        AstExpr::Path(p) => AstExpr::Path(norm_path(p)?),
+        AstExpr::Compare(op, l, r) => {
+            let l = normalize(*l, b)?;
+            let r = normalize(*r, b)?;
+            lift_union_in_comparison(op, l, r)?
+        }
+        AstExpr::Arith(op, mut l, mut r) => {
+            *l = to_number(normalize(*l, b)?)?;
+            *r = to_number(normalize(*r, b)?)?;
+            AstExpr::Arith(op, l, r)
+        }
+        AstExpr::Neg(mut e) => {
+            *e = to_number(normalize(*e, b)?)?;
+            AstExpr::Neg(e)
+        }
+        AstExpr::Union(mut l, mut r) => {
+            *l = normalize(*l, b)?;
+            *r = normalize(*r, b)?;
+            require_nset(&l, "left operand of |")?;
+            require_nset(&r, "right operand of |")?;
+            AstExpr::Union(l, r)
+        }
+        AstExpr::Path(mut p) => {
+            norm_steps(&mut p.steps, b)?;
+            AstExpr::Path(p)
+        }
         AstExpr::Filter {
             primary,
-            predicates,
-            steps,
+            mut predicates,
+            mut steps,
         } => {
-            let primary = norm_expr(*primary)?;
+            let primary = normalize(*primary, b)?;
             require_nset(&primary, "filter expression")?;
-            let predicates = predicates
-                .into_iter()
-                .map(norm_predicate)
-                .collect::<Result<Vec<_>, _>>()?;
-            let steps = steps
-                .into_iter()
-                .map(norm_step)
-                .collect::<Result<Vec<_>, _>>()?;
+            norm_predicates(&mut predicates, b)?;
+            norm_steps(&mut steps, b)?;
             simplify_filter(primary, predicates, steps)?
         }
-        AstExpr::Call(name, args) => norm_call(name, args)?,
-        AstExpr::Var(v) => return Err(err(format!("unbound variable ${v}"))),
+        AstExpr::Call(name, args) => norm_call(name, args, b)?,
+        // Rule 1: a variable is the constant it is bound to.
+        AstExpr::Var(name) => match b.get(&name) {
+            Some(Constant::Number(n)) => AstExpr::Number(*n),
+            Some(Constant::String(s)) => AstExpr::Literal(s.clone()),
+            Some(Constant::Boolean(true)) => AstExpr::Call("true".into(), vec![]),
+            Some(Constant::Boolean(false)) => AstExpr::Call("false".into(), vec![]),
+            None => return Err(err(format!("unbound variable ${name}"))),
+        },
         leaf @ (AstExpr::Number(_) | AstExpr::Literal(_)) => leaf,
     })
 }
 
-fn norm_path(p: AstPath) -> Result<AstPath, ParseError> {
-    Ok(AstPath {
-        absolute: p.absolute,
-        steps: p
-            .steps
-            .into_iter()
-            .map(norm_step)
-            .collect::<Result<_, _>>()?,
-    })
-}
-
-fn norm_step(s: AstStep) -> Result<AstStep, ParseError> {
-    Ok(AstStep {
-        axis: s.axis,
-        test: s.test,
-        predicates: s
-            .predicates
-            .into_iter()
-            .map(norm_predicate)
-            .collect::<Result<_, _>>()?,
-    })
+fn norm_steps(steps: &mut [AstStep], b: &Bindings) -> Result<(), ParseError> {
+    steps
+        .iter_mut()
+        .try_for_each(|s| norm_predicates(&mut s.predicates, b))
 }
 
 /// Rule 3: number predicates become positional tests, everything else
 /// becomes boolean.
-fn norm_predicate(p: AstExpr) -> Result<AstExpr, ParseError> {
-    let p = norm_expr(p)?;
-    Ok(match static_type(&p)? {
-        StaticType::Boolean => p,
-        StaticType::Number => AstExpr::Compare(
-            CmpOp::Eq,
-            Box::new(AstExpr::Call("position".into(), vec![])),
-            Box::new(p),
-        ),
-        _ => to_boolean(p)?,
-    })
+fn norm_predicates(predicates: &mut [AstExpr], b: &Bindings) -> Result<(), ParseError> {
+    for slot in predicates {
+        // `Number(0)` is what a leaf costs to leave behind while its
+        // predicate is rebuilt.
+        let p = normalize(std::mem::replace(slot, AstExpr::Number(0.0)), b)?;
+        *slot = match static_type(&p)? {
+            StaticType::Boolean => p,
+            StaticType::Number => AstExpr::Compare(
+                CmpOp::Eq,
+                Box::new(AstExpr::Call("position".into(), vec![])),
+                Box::new(p),
+            ),
+            _ => to_boolean(p)?,
+        };
+    }
+    Ok(())
 }
 
 /// Wraps in `boolean(…)` unless already boolean.
@@ -389,7 +288,7 @@ fn to_string_arg(e: AstExpr) -> Result<AstExpr, ParseError> {
     })
 }
 
-fn require_nset(e: &AstExpr, what: &str) -> Result<(), ParseError> {
+fn require_nset(e: &AstExpr, what: impl std::fmt::Display) -> Result<(), ParseError> {
     if static_type(e)? != StaticType::NodeSet {
         return Err(err(format!("{what} must be a node-set")));
     }
@@ -420,104 +319,66 @@ fn simplify_filter(
 }
 
 /// Rules 2, 4, 5 for function calls.
-fn norm_call(name: String, args: Vec<AstExpr>) -> Result<AstExpr, ParseError> {
-    // Arity check up front (also validates the function name).
-    call_type(&name, args.len())?;
+fn norm_call(name: String, args: Vec<AstExpr>, b: &Bindings) -> Result<AstExpr, ParseError> {
+    // Resolves the name once; also the arity check, up front.
+    let func = resolve_call(&name, args.len())?;
     let mut args = args
         .into_iter()
-        .map(norm_expr)
+        .map(|a| normalize(a, b))
         .collect::<Result<Vec<_>, _>>()?;
-
-    match name.as_str() {
-        // Rule 2: zero-argument context forms.
-        "string" | "number" | "string-length" | "normalize-space" | "local-name"
-        | "namespace-uri" | "name"
-            if args.is_empty() =>
-        {
-            args.push(context_node_path());
-            norm_call(name, args)
-        }
+    // Rule 2: zero-argument context forms.
+    if args.is_empty() && arities(func) == (0, 1) {
+        args.push(context_node_path());
+    }
+    use Func::*;
+    Ok(match func {
         // Conversions collapse when the argument already has the target
         // type (`number(5)` = `5`).
-        "string" => {
-            if static_type(&args[0])? == StaticType::String {
-                Ok(args.remove(0))
-            } else {
-                Ok(AstExpr::Call(name, args))
-            }
-        }
-        "number" => {
-            if static_type(&args[0])? == StaticType::Number {
-                Ok(args.remove(0))
-            } else {
-                Ok(AstExpr::Call(name, args))
-            }
-        }
-        "boolean" => {
-            if static_type(&args[0])? == StaticType::Boolean {
-                Ok(args.remove(0))
-            } else {
-                Ok(lift_union_in_boolean(args.remove(0)))
-            }
-        }
+        String | Number if static_type(&args[0])? == func.result_type() => args.remove(0),
+        Boolean => to_boolean(args.remove(0))?,
         // Node-set-only functions.
-        "count" | "sum" => {
-            require_nset(&args[0], &format!("argument of {name}()"))?;
-            Ok(AstExpr::Call(name, args))
-        }
-        "local-name" | "namespace-uri" | "name" => {
-            require_nset(&args[0], &format!("argument of {name}()"))?;
-            Ok(AstExpr::Call(name, args))
+        Count | Sum | LocalName | NamespaceUri | Name => {
+            require_nset(&args[0], format_args!("argument of {name}()"))?;
+            AstExpr::Call(name, args)
         }
         // Rule 5: id() over a node-set becomes an id-"axis" step chain.
-        "id" => {
+        Id => {
             let arg = args.remove(0);
-            match static_type(&arg)? {
-                StaticType::NodeSet => {
-                    let id_step = AstStep::simple(Axis::Id, NodeTest::AnyNode);
-                    match arg {
-                        AstExpr::Path(mut p) => {
-                            p.steps.push(id_step);
-                            Ok(AstExpr::Path(p))
-                        }
-                        AstExpr::Filter {
-                            primary,
-                            predicates,
-                            mut steps,
-                        } => {
-                            steps.push(id_step);
-                            Ok(AstExpr::Filter {
-                                primary,
-                                predicates,
-                                steps,
-                            })
-                        }
-                        other => Ok(AstExpr::Filter {
-                            primary: Box::new(other),
-                            predicates: vec![],
-                            steps: vec![id_step],
-                        }),
-                    }
+            if static_type(&arg)? != StaticType::NodeSet {
+                return Ok(AstExpr::Call(name, vec![to_string_arg(arg)?]));
+            }
+            let id_step = AstStep::simple(Axis::Id, NodeTest::AnyNode);
+            let (primary, predicates, mut steps) = match arg {
+                AstExpr::Path(mut p) => {
+                    p.steps.push(id_step);
+                    return Ok(AstExpr::Path(p));
                 }
-                StaticType::String => Ok(AstExpr::Call("id".into(), vec![arg])),
-                _ => Ok(AstExpr::Call("id".into(), vec![to_string_arg(arg)?])),
+                AstExpr::Filter {
+                    primary,
+                    predicates,
+                    steps,
+                } => (primary, predicates, steps),
+                other => (Box::new(other), vec![], vec![]),
+            };
+            steps.push(id_step);
+            AstExpr::Filter {
+                primary,
+                predicates,
+                steps,
             }
         }
         // Boolean-argument functions.
-        "not" => {
-            let arg = to_boolean(args.remove(0))?;
-            Ok(AstExpr::Call(name, vec![arg]))
-        }
+        Not => AstExpr::Call(name, vec![to_boolean(args.remove(0))?]),
         // String-argument functions.
-        "concat" | "starts-with" | "contains" | "substring-before" | "substring-after"
-        | "translate" | "lang" | "normalize-space" | "string-length" => {
+        Concat | StartsWith | Contains | SubstringBefore | SubstringAfter | Translate | Lang
+        | NormalizeSpace | StringLength => {
             let args = args
                 .into_iter()
                 .map(to_string_arg)
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok(AstExpr::Call(name, args))
+            AstExpr::Call(name, args)
         }
-        "substring" => {
+        Substring => {
             let mut it = args.into_iter();
             let s = to_string_arg(it.next().expect("arity checked"))?;
             let start = to_number(it.next().expect("arity checked"))?;
@@ -525,17 +386,13 @@ fn norm_call(name: String, args: Vec<AstExpr>) -> Result<AstExpr, ParseError> {
             if let Some(len) = it.next() {
                 out.push(to_number(len)?);
             }
-            Ok(AstExpr::Call(name, out))
+            AstExpr::Call(name, out)
         }
         // Number-argument functions.
-        "floor" | "ceiling" | "round" => {
-            let arg = to_number(args.remove(0))?;
-            Ok(AstExpr::Call(name, vec![arg]))
-        }
-        // Nullary / context-free.
-        "true" | "false" | "position" | "last" => Ok(AstExpr::Call(name, args)),
-        other => Err(err(format!("unknown function {other}()"))),
-    }
+        Floor | Ceiling | Round => AstExpr::Call(name, vec![to_number(args.remove(0))?]),
+        // Conversions that stay, and the nullary / context-free ones.
+        String | Number | True | False | Position | Last => AstExpr::Call(name, args),
+    })
 }
 
 #[cfg(test)]
@@ -675,6 +532,22 @@ mod tests {
         let e = normalize(parse_expr("contains($s, 'h')").unwrap(), &b).unwrap();
         assert_eq!(e.to_string(), "contains('hi', 'h')");
         assert!(normalize(parse_expr("$missing").unwrap(), &Bindings::new()).is_err());
+        // A variable is resolved wherever the walk meets it — here inside
+        // a predicate inside a filter inside a call — and typed as the
+        // constant it stands for: `$n` makes a positional predicate, `$s`
+        // a boolean one.
+        let e = normalize(parse_expr("count((//a)[b[$n]][$s]/c)").unwrap(), &b).unwrap();
+        assert_eq!(
+            e.to_string(),
+            "count((/descendant-or-self::node()/child::a)\
+             [boolean(child::b[(position() = 5)])][boolean('hi')]/child::c)"
+        );
+        let deep = parse_expr("count((//a)[b[$missing]]/c)").unwrap();
+        let err = normalize(deep, &b).unwrap_err();
+        assert!(
+            err.to_string().contains("unbound variable $missing"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -21,10 +21,12 @@
 //! single parse-tree nodes with axis annotations), but every predicate is an
 //! ordinary arena expression with its own `ExprId`, `ValueType` and `Relev`.
 
-use crate::ast::{ArithOp, AstExpr, AstPath, AstStep, CmpOp};
+use crate::ast::{ArithOp, AstExpr, AstStep, CmpOp};
 use minctx_xml::axes::{Axis, NodeTest};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Index of an expression node in a [`Query`] arena.
 ///
@@ -388,6 +390,40 @@ pub enum Node {
     Literal(Box<str>),
 }
 
+impl Node {
+    /// Calls `f` on each child id, in the order the children are built:
+    /// operands left to right, a filter start's primary and predicates,
+    /// then each step's predicates.
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut ExprId)) {
+        match self {
+            Node::Or(a, b)
+            | Node::And(a, b)
+            | Node::Compare(_, a, b)
+            | Node::Arith(_, a, b)
+            | Node::Union(a, b) => {
+                f(a);
+                f(b);
+            }
+            Node::Neg(a) => f(a),
+            Node::Call(_, args) => args.iter_mut().for_each(f),
+            Node::Path(start, steps) => {
+                if let PathStart::Filter {
+                    primary,
+                    predicates,
+                } = start
+                {
+                    f(primary);
+                    predicates.iter_mut().for_each(&mut f);
+                }
+                for s in steps {
+                    s.predicates.iter_mut().for_each(&mut f);
+                }
+            }
+            Node::Number(_) | Node::Literal(_) => {}
+        }
+    }
+}
+
 /// A lowered, evaluation-ready XPath query: the arena parse tree with
 /// relevant-context annotations.
 ///
@@ -502,24 +538,70 @@ impl Query {
 /// (unbound variables, unknown function names): lowering is infallible on
 /// normalized input.
 pub fn lower(expr: &AstExpr) -> Query {
-    let mut lw = Lowerer {
-        nodes: Vec::new(),
-        types: Vec::new(),
-        relev: Vec::new(),
-    };
-    let root = lw.lower_expr(expr);
-    Query {
-        nodes: lw.nodes,
-        types: lw.types,
-        relev: lw.relev,
-        root,
-        stamp: fresh_stamp(),
-    }
+    // Interning off: a lowered arena is the parse tree, one node per
+    // occurrence (sharing duplicates is the rewriter's business).
+    let mut b = QueryBuilder::with_slots(0, Vec::new());
+    let root = lower_expr(&mut b, expr);
+    b.finish(root)
 }
 
-/// Allocates a process-unique query stamp (shared by [`lower`] and
-/// [`QueryBuilder::finish`], so rewritten queries get distinct cache
-/// identities too).
+fn lower_expr(b: &mut QueryBuilder, expr: &AstExpr) -> ExprId {
+    let node = match expr {
+        AstExpr::Or(x, y) => Node::Or(lower_expr(b, x), lower_expr(b, y)),
+        AstExpr::And(x, y) => Node::And(lower_expr(b, x), lower_expr(b, y)),
+        AstExpr::Compare(op, x, y) => Node::Compare(*op, lower_expr(b, x), lower_expr(b, y)),
+        AstExpr::Arith(op, x, y) => Node::Arith(*op, lower_expr(b, x), lower_expr(b, y)),
+        AstExpr::Neg(x) => Node::Neg(lower_expr(b, x)),
+        AstExpr::Union(x, y) => Node::Union(lower_expr(b, x), lower_expr(b, y)),
+        AstExpr::Path(p) => {
+            let start = if p.absolute {
+                PathStart::Root
+            } else {
+                PathStart::Context
+            };
+            Node::Path(start, lower_steps(b, &p.steps))
+        }
+        AstExpr::Filter {
+            primary,
+            predicates,
+            steps,
+        } => {
+            let primary = lower_expr(b, primary);
+            let predicates = predicates.iter().map(|p| lower_expr(b, p)).collect();
+            Node::Path(
+                PathStart::Filter {
+                    primary,
+                    predicates,
+                },
+                lower_steps(b, steps),
+            )
+        }
+        AstExpr::Call(name, args) => {
+            let func = Func::from_name(name)
+                .unwrap_or_else(|| panic!("unknown function {name}() reached lowering"));
+            Node::Call(func, args.iter().map(|a| lower_expr(b, a)).collect())
+        }
+        AstExpr::Var(v) => panic!("unbound variable ${v} reached lowering"),
+        AstExpr::Number(n) => Node::Number(*n),
+        AstExpr::Literal(s) => Node::Literal(s.as_str().into()),
+    };
+    b.push(node)
+}
+
+fn lower_steps(b: &mut QueryBuilder, steps: &[AstStep]) -> Vec<Step> {
+    steps
+        .iter()
+        .map(|s| Step {
+            axis: s.axis,
+            test: s.test.clone(),
+            predicates: s.predicates.iter().map(|p| lower_expr(b, p)).collect(),
+        })
+        .collect()
+}
+
+/// Allocates a process-unique query stamp (every [`QueryBuilder::finish`]
+/// takes one, so lowered and rewritten queries all get distinct cache
+/// identities).
 fn fresh_stamp() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
@@ -528,30 +610,66 @@ fn fresh_stamp() -> u64 {
 
 /// Incremental construction of a [`Query`] arena with hash-consing.
 ///
-/// The rewrite pipeline in `minctx-core` rebuilds queries bottom-up through
-/// this builder.  Every pushed node gets its [`ValueType`] and [`Relev`]
-/// computed from its (already pushed) children by exactly the rules
-/// [`lower`] uses, and **structurally identical nodes are interned to a
-/// single [`ExprId`]** — common-subexpression sharing across union branches
-/// is therefore node-id interning, not tree surgery: evaluators that memoize
-/// or materialize per `ExprId` do the shared work once.
+/// The rewriter in `minctx-core` rebuilds queries bottom-up through this
+/// builder, and [`lower`] pushes through it too (interning off): the
+/// [`ValueType`] and [`Relev`] of every node in every arena come from its
+/// (already pushed) children by the one rule in [`QueryBuilder::push`].
+/// **Structurally identical nodes are interned to a single [`ExprId`]** —
+/// common-subexpression sharing across union branches is therefore
+/// node-id interning, not tree surgery: evaluators that memoize or
+/// materialize per `ExprId` do the shared work once.
+///
+/// Identity is decided by comparing the nodes' own fields ([`identical`]),
+/// children by id — sound because children are interned first.  A hash of
+/// the same fields only picks where to look.
 ///
 /// Children must be pushed before the parents that reference them (the
 /// arena invariant every evaluator's bottom-up sweep relies on); the
 /// builder debug-asserts it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct QueryBuilder {
     nodes: Vec<Node>,
     types: Vec<ValueType>,
     relev: Vec<Relev>,
-    /// Canonical structural key ([`intern_key`]) → interned id.
-    interned: HashMap<String, ExprId>,
+    /// Open-addressing table of indices into `nodes`, probed linearly from
+    /// the node's structural hash ([`FREE`] where there is none); a power
+    /// of two at least twice `nodes.len()`, so a probe always ends at a
+    /// free slot.  Empty (and never grown) when interning is off.
+    slots: Vec<u32>,
+    /// Hash every node to one bucket: only equality separates nodes.
+    #[cfg(test)]
+    degenerate_hash: bool,
+}
+
+const FREE: u32 = u32::MAX;
+
+impl Default for QueryBuilder {
+    fn default() -> QueryBuilder {
+        QueryBuilder::new()
+    }
 }
 
 impl QueryBuilder {
     /// An empty builder.
     pub fn new() -> QueryBuilder {
-        QueryBuilder::default()
+        QueryBuilder::with_capacity(8)
+    }
+
+    /// An empty builder with room for `nodes` nodes.
+    pub fn with_capacity(nodes: usize) -> QueryBuilder {
+        let slots = vec![FREE; (nodes.max(4) * 2).next_power_of_two()];
+        QueryBuilder::with_slots(nodes, slots)
+    }
+
+    fn with_slots(nodes: usize, slots: Vec<u32>) -> QueryBuilder {
+        QueryBuilder {
+            nodes: Vec::with_capacity(nodes),
+            types: Vec::with_capacity(nodes),
+            relev: Vec::with_capacity(nodes),
+            slots,
+            #[cfg(test)]
+            degenerate_hash: false,
+        }
     }
 
     /// Number of nodes pushed so far.
@@ -583,16 +701,25 @@ impl QueryBuilder {
     /// children, and returns its id — the id of an existing structurally
     /// identical node where one was already pushed.
     pub fn push(&mut self, node: Node) -> ExprId {
-        let key = intern_key(&node);
-        if let Some(&id) = self.interned.get(&key) {
-            return id;
-        }
+        let slot = if self.slots.is_empty() {
+            None
+        } else {
+            match self.probe(&node) {
+                Ok(id) => return id,
+                Err(free) => Some(free),
+            }
+        };
         let (ty, relev) = self.type_and_relev(&node);
         let id = ExprId(self.nodes.len() as u32);
         self.nodes.push(node);
         self.types.push(ty);
         self.relev.push(relev);
-        self.interned.insert(key, id);
+        if let Some(slot) = slot {
+            self.slots[slot] = id.0;
+            if self.nodes.len() * 2 > self.slots.len() {
+                self.grow();
+            }
+        }
         id
     }
 
@@ -608,8 +735,41 @@ impl QueryBuilder {
         }
     }
 
-    /// Mirrors [`Lowerer`]'s typing/relevance rules over an already-built
-    /// node (children referenced by id instead of recursed into).
+    /// [`QueryBuilder::finish`] keeping only what `root` reaches, in the
+    /// order a depth-first walk from `root` completes the nodes — operands
+    /// left to right, a filter's primary and predicates before the steps'
+    /// predicates.  That is the order [`lower`] and a rebuild through this
+    /// builder push in, so the result is the arena either would have built
+    /// had the dropped nodes never been pushed.
+    pub fn finish_reachable(mut self, root: ExprId) -> Query {
+        assert!(root.index() < self.nodes.len(), "root {root} not pushed");
+        // What is kept is already pairwise distinct: no interning.
+        let mut kept = QueryBuilder::with_slots(self.len(), Vec::new());
+        let root = self.move_reachable(root, &mut vec![None; self.len()], &mut kept);
+        kept.finish(root)
+    }
+
+    /// Moves node `old` into `kept`, children first, unless it already
+    /// went (`moved`: old index → new id); returns its id there.
+    fn move_reachable(
+        &mut self,
+        old: ExprId,
+        moved: &mut [Option<ExprId>],
+        kept: &mut QueryBuilder,
+    ) -> ExprId {
+        if let Some(new) = moved[old.index()] {
+            return new;
+        }
+        // What stays behind is never looked at again.
+        let mut node = std::mem::replace(&mut self.nodes[old.index()], Node::Number(0.0));
+        node.for_each_child_mut(|c| *c = self.move_reachable(*c, moved, kept));
+        let new = kept.push(node);
+        moved[old.index()] = Some(new);
+        new
+    }
+
+    /// The typing/relevance rule: a node's static type and `Relev` from
+    /// its children's.
     fn type_and_relev(&self, node: &Node) -> (ValueType, Relev) {
         let child = |id: ExprId| {
             debug_assert!(id.index() < self.nodes.len(), "child {id} not pushed");
@@ -622,7 +782,9 @@ impl QueryBuilder {
             Node::Neg(a) => (ValueType::Number, child(*a)),
             Node::Union(a, b) => (ValueType::NodeSet, child(*a).union(child(*b))),
             // Step and filter predicates get their own inner contexts; only
-            // the start's relevance escapes (exactly as in lowering).
+            // the start's relevance escapes.  Absolute paths ignore the
+            // context entirely — this is what lets the evaluators share one
+            // result per document.
             Node::Path(PathStart::Root, _) => (ValueType::NodeSet, Relev::NONE),
             Node::Path(PathStart::Context, _) => (ValueType::NodeSet, Relev::NODE),
             Node::Path(PathStart::Filter { primary, .. }, _) => {
@@ -639,197 +801,121 @@ impl QueryBuilder {
             Node::Literal(_) => (ValueType::String, Relev::NONE),
         }
     }
-}
 
-/// A canonical, injective structural encoding of a node: equal keys ⇔
-/// structurally equal nodes.  Deliberately *not* the `Debug` form — the
-/// interner's correctness must not hinge on derive output — with numbers
-/// encoded by their IEEE bits (`-0.0 ≠ 0.0`) and all embedded strings
-/// length-prefixed so no delimiter collision is possible.
-fn intern_key(node: &Node) -> String {
-    use std::fmt::Write;
-    fn str_part(k: &mut String, s: &str) {
-        write!(k, "{}:{s}", s.len()).expect("writing to String");
+    /// Where `node` hashes to in the id table.
+    fn home(&self, node: &Node) -> usize {
+        #[cfg(test)]
+        if self.degenerate_hash {
+            return 0;
+        }
+        // The top half: a product's low bits only mix its factors' low bits.
+        (structural_hash(node) >> 32) as usize & (self.slots.len() - 1)
     }
-    fn test_part(k: &mut String, t: &NodeTest) {
-        match t {
-            NodeTest::Wildcard => k.push('*'),
-            NodeTest::Name(s) => {
-                k.push('n');
-                str_part(k, s);
+
+    /// The id of the pushed node identical to `node`, or the free slot
+    /// where its id belongs.
+    fn probe(&self, node: &Node) -> Result<ExprId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(node);
+        loop {
+            match self.slots[slot] {
+                FREE => return Err(slot),
+                id if identical(&self.nodes[id as usize], node) => return Ok(ExprId(id)),
+                _ => slot = (slot + 1) & mask,
             }
-            NodeTest::Text => k.push('t'),
-            NodeTest::Comment => k.push('c'),
-            NodeTest::Pi(None) => k.push('p'),
-            NodeTest::Pi(Some(s)) => {
-                k.push('P');
-                str_part(k, s);
-            }
-            NodeTest::AnyNode => k.push('N'),
         }
     }
-    let mut k = String::new();
+
+    /// Doubles the id table and re-seats every node.
+    fn grow(&mut self) {
+        self.slots = vec![FREE; self.slots.len() * 2];
+        for id in 0..self.nodes.len() {
+            let free = self
+                .probe(&self.nodes[id])
+                .expect_err("interned nodes are pairwise distinct");
+            self.slots[free] = id as u32;
+        }
+    }
+}
+
+/// The interning relation: structural equality, except that numbers are
+/// compared by their bits — `1 div -0` and `1 div 0` differ, and a NaN
+/// literal is one node however often it is pushed.
+fn identical(a: &Node, b: &Node) -> bool {
+    match (a, b) {
+        (Node::Number(x), Node::Number(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// A hash of exactly the fields [`identical`] compares, from a state
+/// drawn once per process: which nodes crowd one stretch of the table —
+/// where interning degrades to comparing a node with every other — cannot
+/// be worked out in advance by whoever writes the query.
+fn structural_hash(node: &Node) -> u64 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    let mut h = Mixer(*SEED.get_or_init(|| RandomState::new().build_hasher().finish()));
+    std::mem::discriminant(node).hash(&mut h);
     match node {
-        Node::Or(a, b) => write!(k, "or({a},{b})"),
-        Node::And(a, b) => write!(k, "and({a},{b})"),
-        Node::Compare(op, a, b) => write!(k, "cmp({op},{a},{b})"),
-        Node::Arith(op, a, b) => write!(k, "ar({op},{a},{b})"),
-        Node::Neg(a) => write!(k, "neg({a})"),
-        Node::Union(a, b) => write!(k, "un({a},{b})"),
-        Node::Number(n) => write!(k, "num({:016x})", n.to_bits()),
-        Node::Literal(s) => {
-            k.push_str("lit(");
-            str_part(&mut k, s);
-            write!(k, ")")
-        }
-        Node::Call(f, args) => {
-            write!(k, "call({f}").expect("writing to String");
-            for a in args {
-                write!(k, ",{a}").expect("writing to String");
-            }
-            write!(k, ")")
-        }
+        Node::Or(a, b) | Node::And(a, b) | Node::Union(a, b) => (a, b).hash(&mut h),
+        Node::Compare(op, a, b) => (op, a, b).hash(&mut h),
+        Node::Arith(op, a, b) => (op, a, b).hash(&mut h),
+        Node::Neg(a) => a.hash(&mut h),
+        Node::Number(n) => n.to_bits().hash(&mut h),
+        Node::Literal(s) => s.hash(&mut h),
+        Node::Call(func, args) => (func, args).hash(&mut h),
         Node::Path(start, steps) => {
-            match start {
-                PathStart::Root => k.push_str("path(/"),
-                PathStart::Context => k.push_str("path(."),
-                PathStart::Filter {
-                    primary,
-                    predicates,
-                } => {
-                    write!(k, "path(f{primary}").expect("writing to String");
-                    for p in predicates {
-                        write!(k, "[{p}]").expect("writing to String");
-                    }
-                }
-            }
-            for s in steps {
-                write!(k, ";{}::", s.axis).expect("writing to String");
-                test_part(&mut k, &s.test);
-                for p in &s.predicates {
-                    write!(k, "[{p}]").expect("writing to String");
-                }
-            }
-            write!(k, ")")
-        }
-    }
-    .expect("writing to String");
-    k
-}
-
-struct Lowerer {
-    nodes: Vec<Node>,
-    types: Vec<ValueType>,
-    relev: Vec<Relev>,
-}
-
-impl Lowerer {
-    fn push(&mut self, node: Node, ty: ValueType, relev: Relev) -> ExprId {
-        let id = ExprId(self.nodes.len() as u32);
-        self.nodes.push(node);
-        self.types.push(ty);
-        self.relev.push(relev);
-        id
-    }
-
-    fn relev_of(&self, id: ExprId) -> Relev {
-        self.relev[id.index()]
-    }
-
-    fn lower_expr(&mut self, expr: &AstExpr) -> ExprId {
-        match expr {
-            AstExpr::Or(a, b) => {
-                let (a, b) = (self.lower_expr(a), self.lower_expr(b));
-                let r = self.relev_of(a).union(self.relev_of(b));
-                self.push(Node::Or(a, b), ValueType::Boolean, r)
-            }
-            AstExpr::And(a, b) => {
-                let (a, b) = (self.lower_expr(a), self.lower_expr(b));
-                let r = self.relev_of(a).union(self.relev_of(b));
-                self.push(Node::And(a, b), ValueType::Boolean, r)
-            }
-            AstExpr::Compare(op, a, b) => {
-                let (a, b) = (self.lower_expr(a), self.lower_expr(b));
-                let r = self.relev_of(a).union(self.relev_of(b));
-                self.push(Node::Compare(*op, a, b), ValueType::Boolean, r)
-            }
-            AstExpr::Arith(op, a, b) => {
-                let (a, b) = (self.lower_expr(a), self.lower_expr(b));
-                let r = self.relev_of(a).union(self.relev_of(b));
-                self.push(Node::Arith(*op, a, b), ValueType::Number, r)
-            }
-            AstExpr::Neg(a) => {
-                let a = self.lower_expr(a);
-                let r = self.relev_of(a);
-                self.push(Node::Neg(a), ValueType::Number, r)
-            }
-            AstExpr::Union(a, b) => {
-                let (a, b) = (self.lower_expr(a), self.lower_expr(b));
-                let r = self.relev_of(a).union(self.relev_of(b));
-                self.push(Node::Union(a, b), ValueType::NodeSet, r)
-            }
-            AstExpr::Path(p) => self.lower_path(p),
-            AstExpr::Filter {
+            std::mem::discriminant(start).hash(&mut h);
+            if let PathStart::Filter {
                 primary,
                 predicates,
-                steps,
-            } => {
-                let primary = self.lower_expr(primary);
-                // Filter predicates and step predicates get their own inner
-                // contexts; only the primary's relevance escapes.
-                let r = self.relev_of(primary);
-                let predicates = predicates.iter().map(|p| self.lower_expr(p)).collect();
-                let steps = steps.iter().map(|s| self.lower_step(s)).collect();
-                self.push(
-                    Node::Path(
-                        PathStart::Filter {
-                            primary,
-                            predicates,
-                        },
-                        steps,
-                    ),
-                    ValueType::NodeSet,
-                    r,
-                )
+            } = start
+            {
+                (primary, predicates).hash(&mut h);
             }
-            AstExpr::Call(name, args) => {
-                let func = Func::from_name(name)
-                    .unwrap_or_else(|| panic!("unknown function {name}() reached lowering"));
-                let args: Vec<ExprId> = args.iter().map(|a| self.lower_expr(a)).collect();
-                let mut r = func.own_relev();
-                for &a in &args {
-                    r = r.union(self.relev_of(a));
-                }
-                self.push(Node::Call(func, args), func.result_type(), r)
+            for s in steps {
+                (s.axis, &s.test, &s.predicates).hash(&mut h);
             }
-            AstExpr::Var(v) => panic!("unbound variable ${v} reached lowering"),
-            AstExpr::Number(n) => self.push(Node::Number(*n), ValueType::Number, Relev::NONE),
-            AstExpr::Literal(s) => self.push(
-                Node::Literal(s.as_str().into()),
-                ValueType::String,
-                Relev::NONE,
-            ),
+        }
+    }
+    h.finish()
+}
+
+/// The multiply-rotate word mixer of rustc's `FxHasher`: a few cycles per
+/// word and nothing like collision-resistant, which the id table does not
+/// need — [`identical`] decides, and a table lives for one query.
+struct Mixer(u64);
+
+impl Mixer {
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for Mixer {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(word));
         }
     }
 
-    fn lower_path(&mut self, p: &AstPath) -> ExprId {
-        let steps: Vec<Step> = p.steps.iter().map(|s| self.lower_step(s)).collect();
-        let (start, relev) = if p.absolute {
-            // Absolute paths ignore the context entirely — this is what lets
-            // the evaluators share one result per document.
-            (PathStart::Root, Relev::NONE)
-        } else {
-            (PathStart::Context, Relev::NODE)
-        };
-        self.push(Node::Path(start, steps), ValueType::NodeSet, relev)
+    fn write_u32(&mut self, w: u32) {
+        self.word(w.into());
     }
 
-    fn lower_step(&mut self, s: &AstStep) -> Step {
-        Step {
-            axis: s.axis,
-            test: s.test.clone(),
-            predicates: s.predicates.iter().map(|p| self.lower_expr(p)).collect(),
-        }
+    fn write_u64(&mut self, w: u64) {
+        self.word(w);
+    }
+
+    fn write_usize(&mut self, w: usize) {
+        self.word(w as u64);
     }
 }
 
@@ -844,33 +930,8 @@ mod tests {
         // Root is the union and has the largest id.
         assert_eq!(q.root().index(), q.len() - 1);
         for (id, node) in q.iter() {
-            let check = |c: ExprId| assert!(c < id, "child {c} not before parent {id}");
-            match node {
-                Node::Or(a, b)
-                | Node::And(a, b)
-                | Node::Compare(_, a, b)
-                | Node::Arith(_, a, b)
-                | Node::Union(a, b) => {
-                    check(*a);
-                    check(*b);
-                }
-                Node::Neg(a) => check(*a),
-                Node::Call(_, args) => args.iter().copied().for_each(check),
-                Node::Path(start, steps) => {
-                    if let PathStart::Filter {
-                        primary,
-                        predicates,
-                    } = start
-                    {
-                        check(*primary);
-                        predicates.iter().copied().for_each(check);
-                    }
-                    for st in steps {
-                        st.predicates.iter().copied().for_each(check);
-                    }
-                }
-                Node::Number(_) | Node::Literal(_) => {}
-            }
+            node.clone()
+                .for_each_child_mut(|c| assert!(*c < id, "child {c} not before parent {id}"));
         }
     }
 
@@ -1021,45 +1082,111 @@ mod tests {
             let mut b = QueryBuilder::new();
             let mut map: Vec<ExprId> = Vec::with_capacity(q.len());
             for (id, node) in q.iter() {
-                let remap = |old: ExprId| map[old.index()];
-                let rebuilt = match node {
-                    Node::Or(x, y) => Node::Or(remap(*x), remap(*y)),
-                    Node::And(x, y) => Node::And(remap(*x), remap(*y)),
-                    Node::Compare(op, x, y) => Node::Compare(*op, remap(*x), remap(*y)),
-                    Node::Arith(op, x, y) => Node::Arith(*op, remap(*x), remap(*y)),
-                    Node::Neg(x) => Node::Neg(remap(*x)),
-                    Node::Union(x, y) => Node::Union(remap(*x), remap(*y)),
-                    Node::Call(f, args) => Node::Call(*f, args.iter().map(|&a| remap(a)).collect()),
-                    Node::Path(start, steps) => {
-                        let start = match start {
-                            PathStart::Root => PathStart::Root,
-                            PathStart::Context => PathStart::Context,
-                            PathStart::Filter {
-                                primary,
-                                predicates,
-                            } => PathStart::Filter {
-                                primary: remap(*primary),
-                                predicates: predicates.iter().map(|&p| remap(p)).collect(),
-                            },
-                        };
-                        let steps = steps
-                            .iter()
-                            .map(|s| Step {
-                                axis: s.axis,
-                                test: s.test.clone(),
-                                predicates: s.predicates.iter().map(|&p| remap(p)).collect(),
-                            })
-                            .collect();
-                        Node::Path(start, steps)
-                    }
-                    Node::Number(n) => Node::Number(*n),
-                    Node::Literal(s) => Node::Literal(s.clone()),
-                };
+                let mut rebuilt = node.clone();
+                rebuilt.for_each_child_mut(|c| *c = map[c.index()]);
                 let new_id = b.push(rebuilt);
                 assert_eq!(b.value_type(new_id), q.value_type(id), "{src}: {id}");
                 assert_eq!(b.relev(new_id), q.relev(id), "{src}: {id}");
                 map.push(new_id);
             }
         }
+    }
+
+    /// A path of one step, for the interner tests.
+    fn one_step(axis: Axis, test: NodeTest) -> Node {
+        let predicates = Vec::new();
+        Node::Path(
+            PathStart::Context,
+            vec![Step {
+                axis,
+                test,
+                predicates,
+            }],
+        )
+    }
+
+    #[test]
+    fn equality_not_the_hash_decides_identity() {
+        // Every node in one bucket: whatever the interner still tells
+        // apart, it tells apart by comparing fields.  With the real hash
+        // the same answers must come out.
+        for degenerate_hash in [true, false] {
+            let mut b = QueryBuilder {
+                degenerate_hash,
+                ..QueryBuilder::new()
+            };
+            let zero = b.push(Node::Number(0.0));
+            let one = b.push(Node::Number(1.0));
+            assert_ne!(zero, b.push(Node::Number(-0.0)));
+            assert_ne!(one, b.push(Node::Literal("1".into())));
+            let call = b.push(Node::Call(Func::Concat, vec![zero, one]));
+            assert_ne!(call, b.push(Node::Call(Func::Concat, vec![one, zero])));
+            assert_eq!(call, b.push(Node::Call(Func::Concat, vec![zero, one])));
+            assert_ne!(
+                b.push(Node::Compare(CmpOp::Lt, zero, one)),
+                b.push(Node::Compare(CmpOp::Le, zero, one))
+            );
+            assert_ne!(b.push(Node::Or(zero, one)), b.push(Node::And(zero, one)));
+            let child_a = b.push(one_step(Axis::Child, NodeTest::name("a")));
+            assert_ne!(
+                child_a,
+                b.push(one_step(Axis::Attribute, NodeTest::name("a")))
+            );
+            assert_ne!(child_a, b.push(one_step(Axis::Child, NodeTest::name("b"))));
+            assert_eq!(child_a, b.push(one_step(Axis::Child, NodeTest::name("a"))));
+            assert_ne!(
+                b.push(one_step(Axis::Child, NodeTest::Pi(None))),
+                b.push(one_step(Axis::Child, NodeTest::Pi(Some("".into()))))
+            );
+            assert_ne!(
+                b.push(Node::Path(PathStart::Root, Vec::new())),
+                b.push(Node::Path(PathStart::Context, Vec::new()))
+            );
+            // A NaN is one node however often it is pushed; another NaN
+            // (other payload bits) is another node.
+            let nan = b.push(Node::Number(f64::NAN));
+            assert_eq!(nan, b.push(Node::Number(f64::NAN)));
+            assert_ne!(
+                nan,
+                b.push(Node::Number(f64::from_bits(f64::NAN.to_bits() ^ 1)))
+            );
+            // 19 distinct nodes went in — past the 16 slots a new builder
+            // starts with, so the table was re-seated on the way.
+            assert_eq!(b.len(), 19);
+            assert_eq!(zero, b.push(Node::Number(0.0)));
+            assert_eq!(call, b.push(Node::Call(Func::Concat, vec![zero, one])));
+        }
+    }
+
+    #[test]
+    fn lowering_is_deterministic_and_never_shares() {
+        let src = "a[b = 1]/c | a[b = 1]/c";
+        let (once, again) = (parse_xpath(src).unwrap(), parse_xpath(src).unwrap());
+        assert_eq!(once, again);
+        assert_ne!(once.stamp(), again.stamp());
+        // Two copies of a 4-node branch and the union: interning would
+        // have left 5.
+        assert_eq!(once.len(), 9);
+    }
+
+    #[test]
+    fn finish_reachable_drops_strays_and_restores_build_order() {
+        // Pushed out of order, with two strays: what `finish_reachable`
+        // keeps is exactly what lowering the same expression builds.
+        let mut b = QueryBuilder::new();
+        b.push(Node::Number(7.0));
+        let two = b.push(Node::Number(2.0));
+        let one = b.push(Node::Number(1.0));
+        b.push(Node::Neg(two));
+        let shared = b.push(Node::Arith(ArithOp::Add, one, two));
+        let root = b.push(Node::Arith(ArithOp::Mul, shared, shared));
+        let q = b.finish_reachable(root);
+        let mut want = QueryBuilder::new();
+        let one = want.push(Node::Number(1.0));
+        let two = want.push(Node::Number(2.0));
+        let shared = want.push(Node::Arith(ArithOp::Add, one, two));
+        let root = want.push(Node::Arith(ArithOp::Mul, shared, shared));
+        assert_eq!(q, want.finish(root));
+        assert_eq!(q.value_type(q.root()), ValueType::Number);
     }
 }

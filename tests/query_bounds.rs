@@ -8,12 +8,13 @@
 use minctx::prelude::*;
 use minctx::syntax::{ParseErrorKind, MAX_QUERY_DEPTH, MAX_QUERY_LEN};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// `shape(d)`: a query nesting (or chaining) one construct `d` times.
 type Shape = fn(usize) -> String;
 
 /// One nesting construct per shape.
-const SHAPES: [(&str, Shape); 10] = [
+const SHAPES: [(&str, Shape); 12] = [
     ("parentheses", |d| {
         format!("{}1{}", "(".repeat(d), ")".repeat(d))
     }),
@@ -35,6 +36,16 @@ const SHAPES: [(&str, Shape); 10] = [
     }),
     ("counted predicates", |d| {
         format!("{}a{}", "a[count(".repeat(d), ") > 0]".repeat(d))
+    }),
+    // The two shapes on which the rewriter adds levels: every `a[p]/..`
+    // flips to `self::node()[boolean(child::a[p])]`, two nodes on top of
+    // `p` per nesting — and every `a[p]/ancestor::a` under a predicate
+    // folds its tail into one more predicate.
+    ("flipped predicates", |d| {
+        format!("{}a/..{}", "a[".repeat(d), "]/..".repeat(d))
+    }),
+    ("folded reverse tails", |d| {
+        format!("{}a{}", "a[".repeat(d), "]/ancestor::a".repeat(d))
     }),
 ];
 
@@ -104,6 +115,63 @@ fn hostile_queries_resolve_their_ticket_and_leave_the_workers_alive() {
     // Both workers are still there and still answer.
     let v = serve.query(corpus(), "count(//a)").wait().unwrap();
     assert_eq!(v, Value::Number(3.0));
+    let stats = serve.stats();
+    assert_eq!((stats.panics, stats.worker_respawns), (0, 0), "{stats:?}");
+    assert_eq!(serve.live_workers(), 2);
+}
+
+/// Step chains as long as `MAX_QUERY_LEN` admits: no nesting, so nothing
+/// refuses them, and each keeps one rewrite rule firing (or none) from one
+/// end to the other.  The rewriter's own test counts its work on these;
+/// here they go through everything else.
+fn longest_chains() -> Vec<String> {
+    let chain = |head: &str, link: &str| {
+        let n = (MAX_QUERY_LEN - head.len()) / link.len();
+        format!("{head}{}", link.repeat(n))
+    };
+    vec![
+        chain(".", "/a"),
+        chain(".", "//a"),
+        chain(".", "/."),
+        chain(".", "/a/.."),
+        chain("", "//a[b]"),
+        chain("", "/a[1=1]"),
+        chain("", "/a/b[count(/c)>1]"),
+    ]
+}
+
+#[test]
+fn the_longest_step_chains_are_answered_or_run_out_of_budget() {
+    let doc = Arc::new(parse_xml("<a><a><a/></a></a>").unwrap());
+    let chains = longest_chains();
+    let answered = |r: Result<Value, EvalError>, query: &str| match r {
+        Ok(_) | Err(EvalError::BudgetExhausted { .. }) => {}
+        Err(e) => panic!("{}…: {e}", &query[..24]),
+    };
+    for query in &chains {
+        for strategy in Strategy::ALL {
+            let engine = Engine::new(strategy).with_timeout(Duration::from_millis(250));
+            answered(engine.evaluate_str(&doc, query), query);
+        }
+    }
+    // Two workers, every chain in flight at once: each ticket resolves and
+    // the light query behind them is answered by a worker that is still
+    // there.
+    let serve = ServeEngine::builder()
+        .workers(2)
+        .default_budget(Budget::timeout(Duration::from_millis(250)))
+        .build();
+    let corpus = || Corpus::Document(Arc::clone(&doc));
+    let tickets: Vec<Ticket> = chains.iter().map(|q| serve.query(corpus(), q)).collect();
+    for (ticket, query) in tickets.into_iter().zip(&chains) {
+        match ticket.wait() {
+            Ok(v) => answered(Ok(v), query),
+            Err(ServeError::Eval(e)) => answered(Err(e), query),
+            Err(e) => panic!("{}…: {e}", &query[..24]),
+        }
+    }
+    let light = serve.query(corpus(), "count(//a)").wait();
+    assert_eq!(light.unwrap(), Value::Number(3.0));
     let stats = serve.stats();
     assert_eq!((stats.panics, stats.worker_respawns), (0, 0), "{stats:?}");
     assert_eq!(serve.live_workers(), 2);
