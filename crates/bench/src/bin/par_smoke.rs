@@ -30,9 +30,11 @@ use minctx_bench::{values_agree, xmark_doc, XmarkConfig};
 use minctx_core::{Engine, Strategy};
 use std::time::{Duration, Instant};
 
-/// Queries spanning the kernels a pool can cut: postings scans (fused
-/// descendant), wide child steps, set-filtered and positional predicates
-/// over large context sets, reverse axes, and a scalar aggregate.
+/// Queries spanning the kernels under a threaded engine: postings scans
+/// (fused descendant), wide child steps and reverse axes (walks, never
+/// cut), set-filtered and positional predicates over large context sets, a
+/// scalar aggregate — and the two arena scans a pool can still cut at this
+/// tier, `preceding` / `following` under a non-name test from a set.
 const QUERIES: &[&str] = &[
     "//item",
     "//item[@id]",
@@ -42,6 +44,8 @@ const QUERIES: &[&str] = &[
     "//bid[position() mod 7 = 0]",
     "count(//item[@id]) + count(//person)",
     "sum(//@v)",
+    "count(//bid/preceding::*)",
+    "count(//keyword/following::node())",
 ];
 
 /// Evaluations per timing sample; bound asserted on the minimum over

@@ -85,6 +85,52 @@ fn corpus_agrees_owned_vs_mapped_across_all_strategies() {
 #[test]
 #[cfg_attr(
     miri,
+    ignore = "axis x test x origin sweep is minutes-long under the interpreter"
+)]
+fn set_kernels_agree_owned_vs_mapped() {
+    // The walking kernels read `first_child` / `next_sibling` /
+    // `prev_sibling` — columns no corpus query reached through the set
+    // kernels while those swept `parent` alone: every axis under every
+    // non-name test, and every preimage, from sparse, nested and total
+    // origin sets, ordinal for ordinal.
+    use minctx_xml::axes::{axis_image, axis_preimage, Axis, NodeTest};
+    use minctx_xml::NodeSet;
+    let owned = xmark_doc(&XmarkConfig::sized(2_000));
+    let mapped = reopen("kernels", &owned);
+    let every = |k: usize| -> NodeSet { owned.all_nodes().step_by(k).collect() };
+    let elements = owned
+        .all_nodes()
+        .filter(|&n| owned.kind(n).is_element())
+        .collect();
+    for set in [every(97), every(7), elements, every(1)] {
+        for axis in Axis::ALL {
+            for test in [
+                NodeTest::AnyNode,
+                NodeTest::Wildcard,
+                NodeTest::Text,
+                NodeTest::Comment,
+                NodeTest::Pi(None),
+            ] {
+                assert_eq!(
+                    axis_image(&mapped, axis, &set, &test),
+                    axis_image(&owned, axis, &set, &test),
+                    "{axis}::{test} from {} nodes",
+                    set.len()
+                );
+            }
+            assert_eq!(
+                axis_preimage(&mapped, axis, &set),
+                axis_preimage(&owned, axis, &set),
+                "{axis} preimage of {} nodes",
+                set.len()
+            );
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(
+    miri,
     ignore = "full corpus x strategy sweep is minutes-long under the interpreter"
 )]
 fn mapped_documents_serve_compiled_query_caches() {

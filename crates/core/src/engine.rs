@@ -9,7 +9,7 @@
 //!   once per `(Query, Document)` pair — repeated [`Engine::evaluate`]
 //!   calls do zero name resolution;
 //! * a reusable [`Scratch`] arena threaded into the evaluators, so the
-//!   axis kernels' mark/flag sweeps perform no per-call `O(|D|)`
+//!   axis kernels' mark/flag bitmaps cost no per-call `O(|D|)`
 //!   allocations in steady state.
 
 use crate::budget::{Budget, BudgetMeter};
@@ -262,8 +262,9 @@ impl Engine {
 
     /// Sets the worker count for parallel evaluation.  With `n > 1` the
     /// MINCONTEXT/OPTMINCONTEXT evaluators hand a pool of `n` workers to
-    /// the axis kernels, which cut a large scan — a postings slice or an
-    /// arena sweep — into index ranges, run the same kernel body on each
+    /// the axis kernels, which cut a large scan — a postings slice, or the
+    /// arena ordinals `following`/`preceding` select under a non-name test
+    /// — into index ranges, run the same kernel body on each
     /// and concatenate in range order, so results are **bit-identical**
     /// to sequential evaluation.  That is all the setting means: fuel
     /// spent, budget outcomes and EXPLAIN routes do not depend on `n`,
@@ -690,7 +691,7 @@ mod tests {
         // A document whose arena is past the kernels' size gate (2¹⁹
         // scanned items) without many elements: ITEMS <item> children
         // (half carrying @id), each padded with 24 more attributes, so
-        // every arena sweep is cut while the per-origin work stays small.
+        // every arena scan is cut while the per-origin work stays small.
         const ITEMS: usize = 21_000;
         let pad: String = (0..24).map(|k| format!(" a{k}=\"{k}\"")).collect();
         let mut xml = String::from("<root>");
@@ -711,6 +712,7 @@ mod tests {
             "count(//item[sub])",
             "/root/item[position() mod 2 = 1]/sub",
             "/root/item/*",
+            "/root/item/following::*",
             "count(//sub/preceding::*)",
         ];
         for strategy in [Strategy::MinContext, Strategy::OptMinContext] {
@@ -737,18 +739,21 @@ mod tests {
         );
 
         // EXPLAIN on a threaded engine attributes chunked steps (the
-        // `child::*` step sweeps the arena from ITEMS context items;
-        // `//sub` would take the singleton-root shortcut and stay
-        // inline); apart from that attribution the plan — routes, fuel —
-        // is the sequential one.
+        // `following::*` step scans the arena's tail from ITEMS context
+        // items; `/root/item/*` walks the child chains and `//sub` takes
+        // the singleton-root shortcut, both inline); apart from that
+        // attribution the plan — routes, fuel — is the sequential one.
         let par = Engine::new(Strategy::MinContext).with_threads(4);
-        let plan = par.explain(&doc, "/root/item/*").unwrap().plan_text();
+        let walked = par.explain(&doc, "/root/item/*").unwrap().plan_text();
+        assert!(!walked.contains(" par="), "a walk is never cut:\n{walked}");
+        let scanned = "/root/item/following::*";
+        let plan = par.explain(&doc, scanned).unwrap().plan_text();
         assert!(
             plan.contains(" par="),
             "threaded plan attributes chunks:\n{plan}"
         );
         let seq_plan = Engine::new(Strategy::MinContext)
-            .explain(&doc, "/root/item/*")
+            .explain(&doc, scanned)
             .unwrap()
             .plan_text();
         assert!(

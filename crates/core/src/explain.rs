@@ -7,8 +7,10 @@
 //! * the IR before and after the rewrite pipeline, with the
 //!   [`Rule`](crate::rewrite::Rule)s that fired and how often;
 //! * per location-path step: the kernel route taken
-//!   ([`AxisRoute`](minctx_xml::AxisRoute) — postings fast path, local
-//!   walk, or generic `O(|D|)` sweep), context-set and axis-output
+//!   ([`AxisRoute`](minctx_xml::AxisRoute) — postings fast path, walk over
+//!   the structure links, or a scan of arena ordinals, which only
+//!   `following`/`preceding` under a non-name test, `self` and `id` still
+//!   are), context-set and axis-output
 //!   cardinalities, invocation counts, and wall time (inclusive of the
 //!   step's predicate filtering); for a predicated step also *how* its
 //!   predicates ran ([`PredMode`]: as a set, from backward sets alone, or

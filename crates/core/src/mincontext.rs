@@ -38,8 +38,9 @@
 //! are answered from a single *backward pass*: the node-level comparison
 //! set `T = {y | strval(y) op c}` — seeded from the postings of `π`'s last
 //! node test, so only nodes that test can select are ever compared — is
-//! propagated through the inverse axes `χ⁻¹` (one `O(|D|)`
-//! [`axis_preimage`] sweep per step, including the id-"axis" of
+//! propagated through the inverse axes `χ⁻¹` (one [`axis_preimage`] call
+//! per step — `O(|D|)` at worst, in practice a walk from the targets that
+//! costs, and is charged, what it touches — including the id-"axis" of
 //! Section 4), yielding the set of context nodes for which the predicate
 //! holds.  That set *is* the predicate's table: a candidate set is
 //! intersected with it in one linear merge, and a lone candidate is one
@@ -133,9 +134,10 @@ struct Run<'d, 'q, 's, 'm, 'p> {
     backward: Vec<Option<Option<NodeSet>>>,
     /// Reusable axis-kernel working memory (engine-owned).
     scratch: &'s mut Scratch,
-    /// Fuel/deadline accounting: charged per compute, per axis sweep
+    /// Fuel/deadline accounting: charged per compute, per axis kernel call
     /// (proportional to the context set and to its output), per candidate
-    /// filtered, and per backward or pruning sweep.
+    /// filtered, and per backward or pruning preimage (likewise, or |D|
+    /// where the preimage scans the arena).
     meter: &'m mut BudgetMeter,
     /// EXPLAIN instrumentation; `None` (the common case) costs one branch
     /// per hook and never reads the clock.
@@ -245,16 +247,20 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             .count()
     }
 
-    /// `χ⁻¹(targets)` into `out`: one `O(|D|)` sweep, charged as such.
+    /// `χ⁻¹(targets)` into `out`, charged for what the kernel touches: the
+    /// whole arena for the three preimages that still scan it, the targets
+    /// going in and the preimage coming out for the rest.
     fn preimage(
         &mut self,
         axis: Axis,
         targets: &NodeSet,
         out: &mut NodeSet,
     ) -> Result<(), EvalError> {
-        self.meter.charge(self.doc.len() as u64 + 1)?;
+        let scans = matches!(axis, Axis::Following | Axis::Preceding | Axis::Id);
+        let before = if scans { self.doc.len() } else { targets.len() };
+        self.meter.charge(before as u64 + 1)?;
         axis_preimage_on(self.doc, axis, targets, self.scratch, out, self.exec);
-        Ok(())
+        self.meter.charge(if scans { 0 } else { out.len() as u64 })
     }
 
     /// The sorted postings a name test selects on `axis` — everything the

@@ -110,6 +110,38 @@ fn optmincontext_backward_pass_is_metered() {
 }
 
 #[test]
+fn backward_preimages_are_charged_for_what_they_touch() {
+    // The preimage kernels under a backward pass walk from the targets;
+    // their fuel is the targets going in and the preimage coming out, not
+    // one |D| per call: three `@id`s and two steps up a 5 000-node document
+    // cost a few dozen units, and a budget of |D|/10 is plenty.
+    let mut xml = String::from("<r><a>");
+    for i in 0..10 {
+        let id = if i < 3 { " id=\"k\"" } else { "" };
+        xml.push_str(&format!("<e{id}><f/></e>"));
+    }
+    xml.push_str("</a>");
+    xml.push_str(&"<x/>".repeat(5_000));
+    xml.push_str("</r>");
+    let doc = parse(&xml).unwrap();
+    let engine = Engine::new(Strategy::OptMinContext);
+    for (q, want) in [("count(/r/a/e[@id])", 3.0), ("count(/r/a[e/@id])", 1.0)] {
+        let plan = engine.explain(&doc, q).unwrap();
+        assert_eq!(plan.backward_passes, 1, "{q}");
+        let spent = plan.fuel_spent;
+        assert!(spent < 100, "{q}: spent {spent} on {} nodes", doc.len());
+        let capped = engine.clone().with_budget(doc.len() as u64 / 10);
+        assert_eq!(capped.evaluate_str(&doc, q), Ok(Value::Number(want)), "{q}");
+    }
+    // The three preimages that still scan the arena are charged for it.
+    let spent = engine
+        .explain(&doc, "count(/r/a[following::x])")
+        .unwrap()
+        .fuel_spent;
+    assert!(spent > doc.len() as u64, "spent {spent}");
+}
+
+#[test]
 fn exhaustion_is_not_sticky_across_evaluations() {
     // Each evaluation gets a fresh meter: after one exhausted run the
     // next (cheap) query on the same engine succeeds.
@@ -206,8 +238,9 @@ fn set_filter_and_origin_pruning_charge_their_own_work() {
             let engine = Engine::new(s);
             let want = engine.evaluate_str(&doc, q).unwrap();
             let spent = engine.explain(&doc, q).unwrap().fuel_spent;
-            assert!(spent > 600, "{s} {q}: sweep + filter spend, got {spent}");
-            for fuel in [302, 400, spent - 1] {
+            // 402 nodes: the cheapest of the six runs spends 1 409.
+            assert!(spent > 1_400, "{s} {q}: sweep + filter spend, got {spent}");
+            for fuel in [302, 1_400, spent - 1] {
                 assert!(
                     matches!(
                         engine.clone().with_budget(fuel).evaluate_str(&doc, q),
@@ -235,8 +268,9 @@ fn budget_outcomes_do_not_depend_on_the_thread_count() {
     // Ok/BudgetExhausted *and* leaves the same `BudgetMeter::spent`.
     // The document's arena is past the kernels' size gate (2¹⁹ scanned
     // items; attributes pad it without adding origins), so the threaded
-    // runs really do cut their arena sweeps — the last query's, that is:
-    // the sibling-ranked `//t[k]` shapes sweep postings far below the gate.
+    // runs really do cut a scan — the last query's `following::*` from the
+    // person set, that is: the sibling-ranked `//t[k]` shapes sweep
+    // postings far below the gate, and a `child::*` step walks.
     let pad: String = (0..24).map(|k| format!(" a{k}=\"{k}\"")).collect();
     let mut xml = String::from("<site>");
     for i in 0..19_000 {
@@ -261,6 +295,7 @@ fn budget_outcomes_do_not_depend_on_the_thread_count() {
             "//item[@id][2]",
             "//person[position() mod 2 = 1]/@id",
             "//item/*[last()]",
+            "(//person/following::*)[last()]",
         ] {
             let query = minctx_syntax::parse_xpath(q).unwrap();
             let run = |engine: &Engine, budget: Budget| {

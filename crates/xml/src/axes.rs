@@ -3,19 +3,22 @@
 //!
 //! Three entry points:
 //!
-//! * [`axis_image`] — `χ(X) = {y | ∃x ∈ X : x χ y}`, in `O(|D|)`;
-//! * [`axis_preimage`] — `χ⁻¹(Y) = {x | χ({x}) ∩ Y ≠ ∅}`, in `O(|D|)`;
+//! * [`axis_image`] — `χ(X) = {y | ∃x ∈ X : x χ y}`, in `O(|D|)` at worst;
+//! * [`axis_preimage`] — `χ⁻¹(Y) = {x | χ({x}) ∩ Y ≠ ∅}`, likewise;
 //! * [`Document::axis_nodes`] — the nodes reachable from a *single* node in
 //!   axis order `<doc,χ` (forward document order for forward axes, reverse
 //!   for `ancestor(-or-self)`, `preceding(-sibling)` and `parent`), which is
 //!   what positional predicates (`position()`, `last()`) are defined over.
 //!
 //! The `O(|D|)` bounds (shown in [11] and relied upon by every theorem in
-//! the paper) are achieved with single sweeps over the pre-order arena:
-//! e.g. `descendant(X)` propagates an "ancestor in X" flag down the parent
-//! pointers, and `following(X)` is `{y | pre(y) ≥ min_{x∈X} subtree_end(x)}`.
+//! the paper) are the *worst* case here: the kernels walk the pre-order
+//! arena's structure links from `X`, entering each child chain, sibling
+//! group, ancestor chain and subtree interval at most once, so a step costs
+//! what it touches (DESIGN.md "Kernels that cost what they touch").  Only
+//! `following`/`preceding` under a non-name test (`{y | pre(y) ≥ min_{x∈X}
+//! subtree_end(x)}`: the arena's tail, all of it output) and `id` scan.
 //!
-//! Two layers of machinery keep the constant factors down (see DESIGN.md):
+//! Three layers of machinery keep the constant factors down (see DESIGN.md):
 //!
 //! * **Label postings** ([`Document::element_postings`]): name tests route
 //!   through per-label sorted node lists instead of sweeping `dom`, making
@@ -25,6 +28,8 @@
 //!   candidate buffers, so steady-state evaluation performs no per-call
 //!   `O(|D|)` allocations.  The `*_into` variants also reuse the output
 //!   set's allocation.
+//! * **Packed kind words**: a node test is resolved once per call into one
+//!   comparison on the `kinds` column, so no loop unpacks a [`NodeKind`].
 //!
 //! Each (axis, test shape, origin shape) is dispatched once, to one kernel
 //! body; the bodies whose cost is a single ascending scan are written over
@@ -43,7 +48,9 @@
 
 use crate::document::{Document, NONE};
 use crate::name::Name;
-use crate::node::{NodeId, NodeKind};
+use crate::node::{
+    NodeId, NodeKind, KIND_TAG_MASK, TAG_ATTRIBUTE, TAG_COMMENT, TAG_ELEMENT, TAG_PI, TAG_TEXT,
+};
 use crate::nodeset::{DenseSet, NodeSet};
 use crate::par::Exec;
 use std::fmt;
@@ -266,9 +273,54 @@ impl ResolvedTest {
     }
 }
 
+/// A resolved test as one comparison on a packed kind word: the tag must
+/// be one of `tags` (a bit per tag value) and the word must agree with
+/// `want` under `mask` — all of it for a name, none of it otherwise.  Built
+/// once per kernel call; the loops then never unpack a [`NodeKind`].
+#[derive(Debug, Clone, Copy)]
+struct KindFilter {
+    tags: u32,
+    mask: u32,
+    want: u32,
+}
+
+impl KindFilter {
+    /// The filter [`ResolvedTest::matches`] decides for `axis`.
+    fn new(t: ResolvedTest, axis: Axis) -> KindFilter {
+        let (principal, named): (u32, fn(Name) -> NodeKind) = if axis == Axis::Attribute {
+            (TAG_ATTRIBUTE, NodeKind::Attribute)
+        } else {
+            (TAG_ELEMENT, NodeKind::Element)
+        };
+        let (tags, name) = match t {
+            ResolvedTest::AnyNode => (!0, None),
+            ResolvedTest::NeverMatches => (0, None),
+            ResolvedTest::Wildcard => (1 << principal, None),
+            ResolvedTest::Name(nm) => (1 << principal, Some(named(nm))),
+            ResolvedTest::Text => (1 << TAG_TEXT, None),
+            ResolvedTest::Comment => (1 << TAG_COMMENT, None),
+            ResolvedTest::PiAny => (1 << TAG_PI, None),
+            ResolvedTest::Pi(nm) => (1 << TAG_PI, Some(NodeKind::Pi(nm))),
+        };
+        let (mask, want) = name.map_or((0, 0), |kind| (!0, kind.pack()));
+        KindFilter { tags, mask, want }
+    }
+
+    /// The same test on an axis that never yields attribute nodes.
+    fn without_attributes(mut self) -> KindFilter {
+        self.tags &= !(1 << TAG_ATTRIBUTE);
+        self
+    }
+
+    #[inline(always)]
+    fn accepts(self, word: u32) -> bool {
+        (self.tags >> (word & KIND_TAG_MASK)) & 1 != 0 && word & self.mask == self.want
+    }
+}
+
 /// Reusable working memory for the axis kernels.
 ///
-/// The set-at-a-time sweeps need `O(|D|)` mark/flag bitmaps and assorted
+/// The set-at-a-time kernels need `O(|D|)` mark/flag bitmaps and assorted
 /// candidate buffers; allocating them per call dominated evaluation time
 /// on large documents.  A `Scratch` owns them all — callers (the engine's
 /// evaluators, chiefly) create one and thread it through every kernel
@@ -278,13 +330,14 @@ impl ResolvedTest {
 pub struct Scratch {
     marked: DenseSet,
     flag: DenseSet,
-    /// Internal candidate buffer used by the image kernels (`parent` /
-    /// `ancestor` fast paths, the `id` axis).
+    /// Internal candidate buffer used by the image kernels (the singleton
+    /// shortcut, `parent::a`, the `id` axis).
     tmp: Vec<NodeId>,
     /// Buffer the preimage kernels use for attribute-filtered copies of
     /// `Y` (must be distinct from `tmp`, which the inner image call uses).
     tmp2: Vec<NodeId>,
-    /// Merged subtree intervals for the descendant postings walk.
+    /// Merged subtree intervals of the origins (`descendant` images, the
+    /// `ancestor` preimage).
     ranges: Vec<(u32, u32)>,
     /// [`sibling_ranks`]' output buffer between calls (see
     /// [`Scratch::recycle_ranks`]).
@@ -292,6 +345,18 @@ pub struct Scratch {
     /// [`sibling_ranks`]' open groups: `[parent, subtree_end(parent), index
     /// of the group's first list member]`, innermost on top.
     open: Vec<[u32; 3]>,
+}
+
+#[cfg(test)]
+thread_local!(static TOUCHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) });
+
+/// Counts link and kind slots read, plus bitmap words cleared or read back,
+/// by the walking kernels (a bit probed rides on a counted slot) — in unit
+/// tests only: a count, not a clock, for the "costs what it touches" bound.
+#[inline(always)]
+fn touched(_slots: usize) {
+    #[cfg(test)]
+    TOUCHED.with(|t| t.set(t.get() + _slots));
 }
 
 impl Scratch {
@@ -312,14 +377,6 @@ impl Scratch {
     }
 }
 
-#[inline]
-fn mark(set: &mut DenseSet, x: &[NodeId]) {
-    set.clear();
-    for &v in x {
-        set.insert(v);
-    }
-}
-
 /// Which kernel family an axis call ran on.  The kernel invocation itself
 /// returns this (inside a [`Dispatch`]), so the EXPLAIN/profile surface
 /// reports the arm that ran rather than a re-derivation of it.
@@ -329,10 +386,13 @@ pub enum AxisRoute {
     /// parent check): sublinear in `|D|` when the label is rare.
     Postings,
     /// Local traversal — the ordered single-node walk from a singleton
-    /// origin, or the `parent`/`ancestor` chain kernels — whose cost is
-    /// the touched chain/subtree, not the document.
+    /// origin, or a set kernel following structure links (child chains,
+    /// sibling groups, ancestor chains, subtree intervals) — whose cost is
+    /// what it touches, not the document.
     Walk,
-    /// Generic document-order sweep over the arena: `O(|D|)`.
+    /// A scan of ordinals, whatever the test: the arena's tail or head
+    /// (`following` / `preceding` under a non-name test — all of it
+    /// output), the whole arena (`id`), or just the origins (`self`).
     Sweep,
 }
 
@@ -429,22 +489,38 @@ pub fn axis_image_on(
     image(doc, axis, x.as_slice(), t, scratch, out, exec)
 }
 
+/// The subtree ranges of `x` (ascending) — each member's own ordinal
+/// included with `or_self` — merged into sorted, disjoint intervals of
+/// ordinals; sorted starts make it one pass.
+fn subtree_intervals(doc: &Document, x: &[NodeId], or_self: bool, ranges: &mut Vec<(u32, u32)>) {
+    ranges.clear();
+    for &m in x {
+        let s = (m.index() + usize::from(!or_self)) as u32;
+        let e = doc.subtree_end(m) as u32;
+        if s >= e {
+            continue;
+        }
+        match ranges.last_mut() {
+            Some(last) if s <= last.1 => last.1 = last.1.max(e),
+            _ => ranges.push((s, e)),
+        }
+    }
+}
+
 /// The one dispatch on (axis, test shape, origin shape).  Every arm whose
-/// dominant cost is a single ascending scan — over a sorted postings
-/// slice or over arena ordinals — hands that scan to `exec` as a body over
-/// an index range; the arms whose scans interleave state updates (sibling
-/// sweeps), are bounded by the origin chains (`parent`/`ancestor` walks),
-/// re-sort anyway (`id`) or are already memcpys (name-tested `following`)
-/// run inline.
+/// dominant cost is a single ascending scan — over a sorted postings slice
+/// or over the ordinals `following`/`preceding` select — hands that scan to
+/// `exec` as a body over an index range; the arms that re-sort anyway
+/// (`parent::a`, `id`) or are already memcpys (name-tested `following`) run
+/// inline, and everything else is a [`walk`].
 ///
 /// The scan bodies are `#[inline(always)]` closures: inlined into this
 /// function for the one-range path, their loops see that `out`, `scratch`
 /// and `doc` are distinct (the parameters' `noalias`), so the bitmap and
 /// column headers stay in registers across the pushes — compiled out of
-/// line they are reloaded once per node, measured at +25 % on a sweep.
-// The flag sweeps are index-driven by design: the loop index *is* the
-// pre-order NodeId, and each iteration reads several parallel columns.
-#[allow(clippy::needless_range_loop)]
+/// line they are reloaded once per node, measured at +25 % on a scan (and
+/// again when the walks shared this function: +27–34 % on the postings
+/// arms, which is why they do not).
 fn image(
     doc: &Document,
     axis: Axis,
@@ -464,9 +540,9 @@ fn image(
     };
     let o = out.vec_mut();
     // Singleton origin: the ordered single-node walk is local (subtree /
-    // chain / sibling cost) where the set sweeps are O(|D|) — and the
-    // per-candidate predicate paths the evaluators memoize are exactly
-    // this shape.  Excluded: the id axis, whose single-node walk
+    // chain / sibling cost) and clears no bitmap — and the per-candidate
+    // predicate paths the evaluators memoize, thousands of calls a query,
+    // are exactly this shape.  Excluded: the id axis, whose single-node walk
     // tokenizes the *concatenated* string value while the set kernel
     // tokenizes per text node (see DESIGN.md); and name-tested
     // `following`/`preceding`, where the sliced postings kernel is
@@ -493,14 +569,16 @@ fn image(
         ranges,
         ..
     } = scratch;
-    let parent = doc.parent_raw();
-    let keep = |node: NodeId| t.matches(doc, axis, node);
+    let (parent, kinds) = (doc.parent_raw(), doc.kinds_raw());
+    let test = KindFilter::new(t, axis);
+    let tree = test.without_attributes();
     use AxisRoute::{Postings, Sweep, Walk};
     match (axis, name) {
         // Postings-backed name tests: sublinear in |D| when the label is
         // rare.  `child::a` / `attribute::a` parent-check the postings.
         (Axis::Child | Axis::Attribute, Some(nm)) => {
-            mark(marked, x);
+            marked.clear();
+            marked.extend(x.iter().copied());
             let marked = &*marked;
             let posts = if axis == Axis::Child {
                 doc.element_postings(nm)
@@ -523,21 +601,9 @@ fn image(
             Dispatch::ran(Postings, chunks)
         }
         (Axis::Descendant | Axis::DescendantOrSelf, Some(nm)) => {
-            // Merge the subtree intervals of X (sorted starts ⇒ one pass),
-            // then merge the postings they span against them.
-            let or_self = axis == Axis::DescendantOrSelf;
-            ranges.clear();
-            for &m in x {
-                let s = (m.index() + usize::from(!or_self)) as u32;
-                let e = doc.subtree_end(m) as u32;
-                if s >= e {
-                    continue;
-                }
-                match ranges.last_mut() {
-                    Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                    _ => ranges.push((s, e)),
-                }
-            }
+            // The postings X's merged subtree intervals span, merged
+            // against those intervals.
+            subtree_intervals(doc, x, axis == Axis::DescendantOrSelf, ranges);
             let ranges = &*ranges;
             let span = match (ranges.first(), ranges.last()) {
                 (Some(first), Some(last)) => first.0..last.1,
@@ -602,7 +668,7 @@ fn image(
             );
             Dispatch::ran(Postings, chunks)
         }
-        // `parent::a` / `ancestor::a` walk the origin chains.
+        // `parent::a`: the few parents that carry the name, sorted.
         (Axis::Parent, Some(nm)) => {
             tmp.clear();
             for &m in x {
@@ -616,137 +682,11 @@ fn image(
             o.extend_from_slice(tmp);
             Dispatch::ran(Walk, 0)
         }
-        (Axis::Ancestor | Axis::AncestorOrSelf, Some(nm)) => {
-            // Union of ancestor chains with a visited set: O(|X| + output
-            // + total fresh chain length), not O(|D|).
-            flag.clear();
-            tmp.clear();
-            let or_self = axis == Axis::AncestorOrSelf;
-            for &m in x {
-                let mut cur = if or_self { Some(m) } else { doc.parent(m) };
-                while let Some(p) = cur {
-                    if !flag.insert(p) {
-                        break; // chain already walked from here up
-                    }
-                    if doc.kind(p) == NodeKind::Element(nm) {
-                        tmp.push(p);
-                    }
-                    cur = doc.parent(p);
-                }
-            }
-            tmp.sort_unstable();
-            o.extend_from_slice(tmp);
-            Dispatch::ran(Walk, 0)
-        }
-        // Everything below is a generic O(|D|) sweep, whatever the test.
+        // What still scans ordinals, whatever the test: the origins, the
+        // arena's tail or head (all of it output), or — `id` — all of it.
         (Axis::SelfAxis, _) => {
-            o.extend(x.iter().copied().filter(|&m| keep(m)));
+            o.extend(x.iter().copied().filter(|m| test.accepts(kinds[m.index()])));
             Dispatch::ran(Sweep, 0)
-        }
-        (Axis::Child, None) => {
-            mark(marked, x);
-            let marked = &*marked;
-            let chunks = exec.scan(
-                n,
-                o,
-                #[inline(always)]
-                |r, buf| {
-                    for i in r {
-                        let y = NodeId::from_index(i);
-                        let p = parent[i];
-                        if p != NONE
-                            && marked.contains(NodeId(p))
-                            && !doc.kind(y).is_attribute()
-                            && keep(y)
-                        {
-                            buf.push(y);
-                        }
-                    }
-                },
-            );
-            Dispatch::ran(Sweep, chunks)
-        }
-        (Axis::Parent, None) => {
-            flag.clear();
-            for &m in x {
-                let p = parent[m.index()];
-                if p != NONE {
-                    flag.insert(NodeId(p));
-                }
-            }
-            let flag = &*flag;
-            let chunks = exec.scan(
-                n,
-                o,
-                #[inline(always)]
-                |r, buf| {
-                    for y in r.map(NodeId::from_index) {
-                        if flag.contains(y) && keep(y) {
-                            buf.push(y);
-                        }
-                    }
-                },
-            );
-            Dispatch::ran(Sweep, chunks)
-        }
-        (Axis::Descendant | Axis::DescendantOrSelf, None) => {
-            mark(marked, x);
-            // flag: some proper ancestor is in X.  Parents precede children
-            // in pre-order, so a single forward sweep suffices.
-            flag.clear();
-            for i in 1..n {
-                let p = NodeId(parent[i]);
-                if marked.contains(p) || flag.contains(p) {
-                    flag.insert(NodeId::from_index(i));
-                }
-            }
-            let or_self = axis == Axis::DescendantOrSelf;
-            let (marked, flag) = (&*marked, &*flag);
-            // Attributes never appear as *descendants*, but an attribute
-            // member of X is its own descendant-or-self.
-            let chunks = exec.scan(
-                n,
-                o,
-                #[inline(always)]
-                |r, buf| {
-                    for y in r.map(NodeId::from_index) {
-                        if ((flag.contains(y) && !doc.kind(y).is_attribute())
-                            || (or_self && marked.contains(y)))
-                            && keep(y)
-                        {
-                            buf.push(y);
-                        }
-                    }
-                },
-            );
-            Dispatch::ran(Sweep, chunks)
-        }
-        (Axis::Ancestor | Axis::AncestorOrSelf, None) => {
-            mark(marked, x);
-            // flag: some proper descendant is in X.  Children follow
-            // parents in pre-order, so a single backward sweep suffices.
-            flag.clear();
-            for i in (1..n).rev() {
-                let y = NodeId::from_index(i);
-                if marked.contains(y) || flag.contains(y) {
-                    flag.insert(NodeId(parent[i]));
-                }
-            }
-            let or_self = axis == Axis::AncestorOrSelf;
-            let (marked, flag) = (&*marked, &*flag);
-            let chunks = exec.scan(
-                n,
-                o,
-                #[inline(always)]
-                |r, buf| {
-                    for y in r.map(NodeId::from_index) {
-                        if (flag.contains(y) || (or_self && marked.contains(y))) && keep(y) {
-                            buf.push(y);
-                        }
-                    }
-                },
-            );
-            Dispatch::ran(Sweep, chunks)
         }
         (Axis::Following, None) => {
             // y ∈ following(X)  ⇔  pre(y) ≥ min_{x∈X} subtree_end(x).
@@ -761,7 +701,7 @@ fn image(
                 #[inline(always)]
                 |r, buf| {
                     for y in (m + r.start..m + r.end).map(NodeId::from_index) {
-                        if !doc.kind(y).is_attribute() && keep(y) {
+                        if tree.accepts(kinds[y.index()]) {
                             buf.push(y);
                         }
                     }
@@ -779,69 +719,7 @@ fn image(
                 #[inline(always)]
                 |r, buf| {
                     for y in r.map(NodeId::from_index) {
-                        if doc.subtree_end(y) <= m && !doc.kind(y).is_attribute() && keep(y) {
-                            buf.push(y);
-                        }
-                    }
-                },
-            );
-            Dispatch::ran(Sweep, chunks)
-        }
-        (Axis::FollowingSibling, _) => {
-            mark(marked, x);
-            // flag[p]: a marked child of p has already occurred in the
-            // pre-order sweep (siblings occur in document order).
-            flag.clear();
-            for i in 1..n {
-                let y = NodeId::from_index(i);
-                if doc.kind(y).is_attribute() {
-                    continue;
-                }
-                let p = NodeId(parent[i]);
-                if flag.contains(p) && keep(y) {
-                    o.push(y);
-                }
-                if marked.contains(y) {
-                    flag.insert(p);
-                }
-            }
-            Dispatch::ran(Sweep, 0)
-        }
-        (Axis::PrecedingSibling, _) => {
-            mark(marked, x);
-            flag.clear();
-            for i in (1..n).rev() {
-                let y = NodeId::from_index(i);
-                if doc.kind(y).is_attribute() {
-                    continue;
-                }
-                let p = NodeId(parent[i]);
-                if flag.contains(p) && keep(y) {
-                    o.push(y);
-                }
-                if marked.contains(y) {
-                    flag.insert(p);
-                }
-            }
-            o.reverse();
-            Dispatch::ran(Sweep, 0)
-        }
-        (Axis::Attribute, None) => {
-            mark(marked, x);
-            let marked = &*marked;
-            let chunks = exec.scan(
-                n,
-                o,
-                #[inline(always)]
-                |r, buf| {
-                    for i in r {
-                        let y = NodeId::from_index(i);
-                        let p = parent[i];
-                        if doc.kind(y).is_attribute()
-                            && p != NONE
-                            && marked.contains(NodeId(p))
-                            && keep(y)
-                        {
+                        if doc.subtree_end(y) <= m && tree.accepts(kinds[y.index()]) {
                             buf.push(y);
                         }
                     }
@@ -853,10 +731,10 @@ fn image(
             // Tokens of text content reachable from X (descendant-or-self
             // for element/root members; own content for the rest),
             // dereferenced through the id index.  O(|D| + text).
-            mark(marked, x);
+            marked.clear();
+            marked.extend(x.iter().copied());
             flag.clear(); // flag: under an element/root member of X
-            for i in 0..n {
-                let p = parent[i];
+            for (i, &p) in parent.iter().enumerate() {
                 let from_parent = p != NONE && {
                     let pid = NodeId(p);
                     (flag.contains(pid) || marked.contains(pid))
@@ -867,8 +745,7 @@ fn image(
                 }
             }
             tmp.clear();
-            for i in 0..n {
-                let y = NodeId::from_index(i);
+            for y in doc.all_nodes() {
                 let content_counts = match doc.kind(y) {
                     NodeKind::Text => flag.contains(y) || marked.contains(y),
                     NodeKind::Attribute(_) | NodeKind::Comment | NodeKind::Pi(_) => {
@@ -880,12 +757,193 @@ fn image(
                     tmp.extend(doc.deref_ids(doc.content(y)).iter());
                 }
             }
-            tmp.retain(|&m| keep(m));
+            tmp.retain(|m| test.accepts(kinds[m.index()]));
             tmp.sort_unstable();
             tmp.dedup();
             o.extend_from_slice(tmp);
             Dispatch::ran(Sweep, 0)
         }
+        _ => {
+            walk(doc, axis, x, t, scratch, o);
+            Dispatch::ran(Walk, 0)
+        }
+    }
+}
+
+/// The set kernels that follow the structure links instead of scanning
+/// the arena: `child`, `parent`, `descendant(-or-self)` and `attribute`
+/// under a non-name test, `ancestor(-or-self)` and both sibling axes under
+/// any test, from two or more origins (ascending) into `o`.
+///
+/// Each child chain, sibling group, ancestor chain and subtree interval is
+/// entered at most once, so the cost is `O(|X| + nodes reached + ⌈n/64⌉)`:
+/// Definition 1's `O(|D|)` as the worst case only.  What a walk reaches out
+/// of document order it scatters into `flag` and reads back ascending over
+/// the span it wrote; a walk that needs no bitmap clears none.  All run on
+/// the calling thread, whatever the [`Exec`].
+fn walk(
+    doc: &Document,
+    axis: Axis,
+    x: &[NodeId],
+    t: ResolvedTest,
+    scratch: &mut Scratch,
+    o: &mut Vec<NodeId>,
+) {
+    let Scratch { flag, ranges, .. } = scratch;
+    let (parent, kinds) = (doc.parent_raw(), doc.kinds_raw());
+    let (first_child, next_sibling, prev_sibling) = doc.child_links_raw();
+    let any = t == ResolvedTest::AnyNode;
+    let test = KindFilter::new(t, axis);
+    let keep = |node: NodeId| test.accepts(kinds[node.index()]);
+    // The ordering step: what was scattered into `flag` between ordinals
+    // `lo` and `hi` comes back ascending, and meets the test.
+    let drain = |flag: &DenseSet, lo: usize, hi: usize, o: &mut Vec<NodeId>| {
+        touched(hi.saturating_sub(lo) / 64 + 1);
+        flag.append_span_to(lo, hi, o, |y| any || keep(y));
+    };
+    let words = doc.len().div_ceil(64);
+    let last_at = x.len() - 1;
+    let last = x[last_at].index();
+    match axis {
+        Axis::Child => {
+            // Children of two origins interleave only when one origin lies
+            // in the other's subtree — and then, X being ascending, some
+            // origin lies in its predecessor's.
+            let nested = x.windows(2).any(|w| w[1].index() < doc.subtree_end(w[0]));
+            touched(2 * x.len());
+            if nested {
+                flag.clear();
+                touched(words);
+            }
+            let mut hi = 0;
+            for &m in x {
+                let mut c = first_child[m.index()];
+                while c != NONE {
+                    touched(2 - usize::from(any));
+                    if nested {
+                        flag.insert(NodeId(c));
+                    } else if any || keep(NodeId(c)) {
+                        o.push(NodeId(c));
+                    }
+                    hi = hi.max(c as usize);
+                    c = next_sibling[c as usize];
+                }
+            }
+            if nested {
+                drain(flag, x[0].index(), hi, o);
+            }
+        }
+        Axis::Parent => {
+            flag.clear();
+            touched(words + (2 - usize::from(any)) * x.len());
+            let mut lo = usize::MAX;
+            for &m in x {
+                let p = parent[m.index()];
+                if p != NONE {
+                    flag.insert(NodeId(p));
+                    lo = lo.min(p as usize);
+                }
+            }
+            // A parent precedes its child.
+            drain(flag, lo, last, o);
+        }
+        Axis::Ancestor | Axis::AncestorOrSelf => {
+            // The union of the origins' ancestor chains.  A chain is left
+            // at its first node at or before the previous origin: that node
+            // is the previous origin or an ancestor of it (it precedes it,
+            // and its subtree reaches past it), and the rest of the chain
+            // was walked from there — so no node is met from two origins.
+            // The test is met on the way in: matches are few, chains long.
+            flag.clear();
+            touched(words + 2 * x.len() + last / 64 + 1);
+            let mut enter = |y: u32| {
+                if any || keep(NodeId(y)) {
+                    flag.insert(NodeId(y));
+                }
+            };
+            let (or_self, mut floor) = (axis == Axis::AncestorOrSelf, 0);
+            for &m in x {
+                let mut cur = if or_self { m.0 } else { parent[m.index()] };
+                while cur != NONE && cur >= floor {
+                    touched(2 - usize::from(any));
+                    enter(cur);
+                    cur = parent[cur as usize];
+                }
+                if cur != NONE && cur + 1 == floor {
+                    enter(cur); // the previous origin itself
+                }
+                floor = m.0 + 1;
+            }
+            // An ancestor precedes its descendants.
+            flag.append_span_to(0, last, o, |_| true);
+        }
+        Axis::Descendant | Axis::DescendantOrSelf => {
+            let or_self = axis == Axis::DescendantOrSelf;
+            let tree = test.without_attributes();
+            subtree_intervals(doc, x, or_self, ranges);
+            touched(x.len());
+            let mut xi = 0;
+            for &(s, e) in ranges.iter() {
+                touched((e - s) as usize);
+                for y in (s..e).map(NodeId) {
+                    let w = kinds[y.index()];
+                    if tree.accepts(w) {
+                        o.push(y);
+                    } else if or_self && test.accepts(w) {
+                        // What only `tree` turns away is an attribute: never
+                        // a *descendant*, but as a member of X its own
+                        // descendant-or-self.
+                        while xi < x.len() && x[xi] < y {
+                            xi += 1;
+                        }
+                        if x.get(xi) == Some(&y) {
+                            o.push(y);
+                        }
+                    }
+                }
+            }
+        }
+        Axis::FollowingSibling | Axis::PrecedingSibling => {
+            // One walk per sibling group, from its earliest member of X to
+            // the group's end (`preceding-sibling`: its latest, to the start):
+            // X is taken in that order, so the group's other members were
+            // passed on the way — and attribute members are in no chain.
+            let forward = axis == Axis::FollowingSibling;
+            let link = if forward { next_sibling } else { prev_sibling };
+            flag.clear();
+            touched(words + x.len());
+            let (mut lo, mut hi) = (usize::MAX, 0);
+            for i in 0..x.len() {
+                let m = x[if forward { i } else { last_at - i }];
+                if flag.contains(m) {
+                    continue;
+                }
+                let mut s = link[m.index()];
+                while s != NONE && flag.insert(NodeId(s)) {
+                    touched(2 - usize::from(any));
+                    (lo, hi) = (lo.min(s as usize), hi.max(s as usize));
+                    s = link[s as usize];
+                }
+            }
+            drain(flag, lo, hi, o);
+        }
+        Axis::Attribute => {
+            // An element's attributes are the slots right after it.
+            touched(2 * x.len());
+            for &m in x {
+                if kinds[m.index()] & KIND_TAG_MASK != TAG_ELEMENT {
+                    continue;
+                }
+                let run = kinds[m.index() + 1..]
+                    .iter()
+                    .take_while(|&&w| w & KIND_TAG_MASK == TAG_ATTRIBUTE)
+                    .count() as u32;
+                touched(run as usize);
+                let owned = (m.0 + 1..=m.0 + run).map(NodeId);
+                o.extend(owned.filter(|&y| any || keep(y)));
+            }
+        }
+        _ => unreachable!("{axis} is scanned, not walked"),
     }
 }
 
@@ -922,7 +980,6 @@ pub fn axis_preimage_into(
 /// [`axis_preimage_into`] with the scan run on `exec` (identical output,
 /// whatever the executor).  Returns the chunks the scan was cut into
 /// (`0`: one range, inline).
-#[allow(clippy::needless_range_loop)] // index-driven pre-order sweeps; the index is the NodeId
 pub fn axis_preimage_on(
     doc: &Document,
     axis: Axis,
@@ -936,7 +993,6 @@ pub fn axis_preimage_on(
         return 0;
     }
     let n = doc.len();
-    scratch.grow(n);
     let mirror = |axis: Axis| axis.inverse().expect("tree axes have inverses");
     match axis {
         Axis::SelfAxis => {
@@ -993,38 +1049,22 @@ pub fn axis_preimage_on(
                     o.extend(doc.attributes(m));
                 }
             }
-            o.sort_unstable();
-            o.dedup();
+            // Two ascending runs with no node in both: the stable sort is
+            // one merge.
+            o.sort();
             ran.chunks
         }
         Axis::Ancestor | Axis::AncestorOrSelf => {
             // ancestor(x) reaches Y  ⇔  x is a proper descendant of Y —
             // *including* attribute descendants, which the mirror
-            // descendant image would drop.
-            let or_self = axis == Axis::AncestorOrSelf;
-            let Scratch { marked, flag, .. } = scratch;
-            mark(marked, y.as_slice());
-            flag.clear();
-            let parent = doc.parent_raw();
-            for i in 1..n {
-                let p = NodeId(parent[i]);
-                if marked.contains(p) || flag.contains(p) {
-                    flag.insert(NodeId::from_index(i));
-                }
+            // descendant image would drop: Y's merged subtree intervals,
+            // whole.
+            let ranges = &mut scratch.ranges;
+            subtree_intervals(doc, y.as_slice(), axis == Axis::AncestorOrSelf, ranges);
+            for &(s, e) in ranges.iter() {
+                out.vec_mut().extend((s..e).map(NodeId));
             }
-            let (marked, flag) = (&*marked, &*flag);
-            exec.scan(
-                n,
-                out.vec_mut(),
-                #[inline(always)]
-                |r, buf| {
-                    for v in r.map(NodeId::from_index) {
-                        if flag.contains(v) || (or_self && marked.contains(v)) {
-                            buf.push(v);
-                        }
-                    }
-                },
-            )
+            0
         }
         Axis::Following => {
             // following(x) ∩ Y ≠ ∅  ⇔  subtree_end(x) ≤ max non-attribute
@@ -1066,7 +1106,7 @@ pub fn axis_preimage_on(
         }
         Axis::FollowingSibling | Axis::PrecedingSibling => {
             // Sibling relations exclude attributes on both sides, and the
-            // sibling sweeps already enforce that: plain mirror.
+            // sibling walks already enforce that: plain mirror.
             let any = ResolvedTest::AnyNode;
             image(doc, mirror(axis), y.as_slice(), any, scratch, out, exec).chunks
         }
@@ -1211,7 +1251,10 @@ impl Document {
                 _ => {}
             }
         }
-        let keep = |n: NodeId| t.matches(self, axis, n);
+        let kinds = self.kinds_raw();
+        let test = KindFilter::new(t, axis);
+        let tree = test.without_attributes();
+        let keep = |n: NodeId| test.accepts(kinds[n.index()]);
         let mut chunks = 0;
         match axis {
             Axis::SelfAxis => {
@@ -1227,14 +1270,12 @@ impl Document {
                     }
                 }
             }
-            Axis::Descendant => {
-                out.extend(self.descendants(from).filter(|&d| keep(d)));
-            }
-            Axis::DescendantOrSelf => {
-                if keep(from) {
+            Axis::Descendant | Axis::DescendantOrSelf => {
+                if axis == Axis::DescendantOrSelf && keep(from) {
                     out.push(from);
                 }
-                out.extend(self.descendants(from).filter(|&d| keep(d)));
+                let below = from.0 + 1..self.subtree_end(from) as u32;
+                out.extend(below.map(NodeId).filter(|d| tree.accepts(kinds[d.index()])));
             }
             Axis::Ancestor | Axis::AncestorOrSelf => {
                 if axis == Axis::AncestorOrSelf && keep(from) {
@@ -1256,7 +1297,7 @@ impl Document {
                     #[inline(always)]
                     |r, buf| {
                         for y in (start + r.start..start + r.end).map(NodeId::from_index) {
-                            if !self.kind(y).is_attribute() && keep(y) {
+                            if tree.accepts(kinds[y.index()]) {
                                 buf.push(y);
                             }
                         }
@@ -1272,7 +1313,7 @@ impl Document {
                     #[inline(always)]
                     |r, buf| {
                         for y in r.rev().map(NodeId::from_index) {
-                            if self.subtree_end(y) <= m && !self.kind(y).is_attribute() && keep(y) {
+                            if self.subtree_end(y) <= m && tree.accepts(kinds[y.index()]) {
                                 buf.push(y);
                             }
                         }
@@ -1353,6 +1394,7 @@ pub fn idx_in_axis_order(axis: Axis, x: NodeId, s: &NodeSet) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::DocumentBuilder;
     use crate::par::WorkerPool;
     use crate::parser::parse;
 
@@ -1733,7 +1775,8 @@ mod tests {
         // A wide flat document just past the production gate, in postings
         // (the `a` label) and in arena ordinals: the scans really are cut
         // (non-zero chunk counts), still agreeing with the one inline
-        // range; a scan below the gate stays inline on the same executor.
+        // range; a scan below the gate stays inline on the same executor,
+        // and so does every walk, whatever it reaches.
         let mut xml = String::from("<r><c><b/></c>");
         for i in 0..crate::par::GATE_ITEMS + 10 {
             xml.push_str(if i % 1000 == 0 {
@@ -1753,10 +1796,11 @@ mod tests {
             (Axis::Child, NodeTest::name("a"), true),
             (Axis::Descendant, NodeTest::name("a"), true),
             (Axis::Preceding, NodeTest::name("a"), true),
-            (Axis::Child, NodeTest::AnyNode, true),
             (Axis::Preceding, NodeTest::Wildcard, true),
             (Axis::Following, NodeTest::AnyNode, true),
             (Axis::Child, NodeTest::name("c"), false),
+            (Axis::Child, NodeTest::AnyNode, false),
+            (Axis::Descendant, NodeTest::Wildcard, false),
             (Axis::FollowingSibling, NodeTest::AnyNode, false),
         ] {
             let t = test.resolve(&doc);
@@ -1766,16 +1810,13 @@ mod tests {
             assert_eq!((a.route, a.chunks), (b.route, 0), "axis {axis} test {test}");
             assert_eq!(b.chunks > 0, chunked, "axis {axis} test {test}");
         }
-        axis_preimage_on(
-            &doc,
-            Axis::Ancestor,
-            &elems,
-            &mut scratch,
-            &mut one,
-            Exec::INLINE,
-        );
-        let chunks = axis_preimage_on(&doc, Axis::Ancestor, &elems, &mut scratch, &mut many, exec);
-        assert!(chunks > 0 && many == one);
+        // Of the preimages, `following` still scans the arena; `ancestor`
+        // copies subtree intervals out.
+        for (axis, chunked) in [(Axis::Following, true), (Axis::Ancestor, false)] {
+            axis_preimage_on(&doc, axis, &elems, &mut scratch, &mut one, Exec::INLINE);
+            let chunks = axis_preimage_on(&doc, axis, &elems, &mut scratch, &mut many, exec);
+            assert!((chunks > 0) == chunked && many == one, "preimage {axis}");
+        }
         let last = elems.last().unwrap();
         let (mut one, mut many) = (Vec::new(), Vec::new());
         doc.axis_nodes_into(Axis::Preceding, last, ResolvedTest::Wildcard, &mut one);
@@ -1787,6 +1828,161 @@ mod tests {
             exec,
         );
         assert!(ran.chunks > 0 && many == one && one.windows(2).all(|w| w[0] > w[1]));
+    }
+
+    /// A seeded tree of about `elements` elements, fan-out 0–4 and depth
+    /// ≤ 9, with 0–3 attributes an element and text, comments and PIs
+    /// among the children.
+    fn mixed_doc(seed: u64, elements: usize) -> Document {
+        fn grow(b: &mut DocumentBuilder, rng: &mut u64, left: &mut usize, depth: usize) {
+            let attrs = [("p", "1"), ("q", "2"), ("r", "3")];
+            b.start_element(
+                ["a", "b", "c"][xorshift(rng) as usize % 3],
+                &attrs[..xorshift(rng) as usize % 4],
+            );
+            *left = left.saturating_sub(1);
+            for _ in 0..xorshift(rng) % 5 {
+                match xorshift(rng) % 8 {
+                    0 => drop(b.text("t")),
+                    1 => drop(b.comment("c")),
+                    2 => drop(b.processing_instruction("pi", "d")),
+                    _ if depth < 9 && *left > 0 => grow(b, rng, left, depth + 1),
+                    _ => {}
+                }
+            }
+            b.end_element();
+        }
+        let (mut b, mut rng, mut left) = (DocumentBuilder::new(), seed | 1, elements);
+        b.start_element("r", &[]);
+        while left > 0 {
+            grow(&mut b, &mut rng, &mut left, 1);
+        }
+        b.end_element();
+        b.finish().unwrap()
+    }
+
+    /// The axes with a walking arm.
+    const WALKED: [Axis; 9] = [
+        Axis::Child,
+        Axis::Parent,
+        Axis::Ancestor,
+        Axis::AncestorOrSelf,
+        Axis::Descendant,
+        Axis::DescendantOrSelf,
+        Axis::Attribute,
+        Axis::FollowingSibling,
+        Axis::PrecedingSibling,
+    ];
+
+    /// Slots read and bitmap words passed over by one `axis::test` image
+    /// of `x`, and how many nodes the walk could reach before the test: the
+    /// `node()` image — for the two arms that scan subtree intervals, with
+    /// the attribute slots inside them, i.e. the inverse axis's preimage.
+    fn work_and_reach(
+        doc: &Document,
+        axis: Axis,
+        test: &NodeTest,
+        x: &NodeSet,
+        scratch: &mut Scratch,
+    ) -> (usize, usize) {
+        let mut out = NodeSet::new();
+        if matches!(axis, Axis::Descendant | Axis::DescendantOrSelf) {
+            let inverse = axis.inverse().expect("a tree axis");
+            axis_preimage_into(doc, inverse, x, scratch, &mut out);
+        } else {
+            axis_image_into(doc, axis, x, ResolvedTest::AnyNode, scratch, &mut out);
+        }
+        let reach = out.len();
+        let before = TOUCHED.get();
+        axis_image_into(doc, axis, x, test.resolve(doc), scratch, &mut out);
+        (TOUCHED.get() - before, reach)
+    }
+
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "10⁵-node documents are minutes-long under the interpreter"
+    )]
+    fn walks_cost_what_they_touch() {
+        // A count, not a clock: link and kind slots read plus bitmap words
+        // cleared or read back, per walked arm.  One constant, 2: at most
+        // two slots per origin, two per node reached (its link and its
+        // kind word), and the bitmap passed over twice (cleared, read
+        // back) — at every density, nested and adversarial sets included.
+        let wide = format!("<r>{}</r>", "<a/><b/>".repeat(3_000));
+        let deep = format!("<r>{}{}</r>", "<a><a/>".repeat(40), "<a/></a>".repeat(40));
+        let docs = [
+            mixed_doc(7, 3_000),
+            parse(&wide).unwrap(),
+            parse(&deep).unwrap(),
+        ];
+        let tests = [
+            NodeTest::AnyNode,
+            NodeTest::Wildcard,
+            NodeTest::Text,
+            NodeTest::name("a"),
+        ];
+        let mut scratch = Scratch::new();
+        let mut rng = 0x5eed_u64;
+        for (d, doc) in docs.iter().enumerate() {
+            let mut sets: Vec<NodeSet> = [3, 20, 80, 100]
+                .iter()
+                .map(|&pct| {
+                    doc.all_nodes()
+                        .filter(|_| xorshift(&mut rng) % 100 < pct)
+                        .collect()
+                })
+                .collect();
+            // Every other child of the document element; everything with
+            // children (the spine, on the deep document).
+            sets.push(doc.children(doc.document_element()).step_by(2).collect());
+            sets.push(
+                doc.all_nodes()
+                    .filter(|&n| doc.first_child(n).is_some())
+                    .collect(),
+            );
+            let words = doc.len().div_ceil(64);
+            for x in sets.iter().filter(|x| x.len() > 1) {
+                for arm in WALKED {
+                    for test in &tests {
+                        let named = matches!(test, NodeTest::Name(_));
+                        if named && !matches!(arm, Axis::Ancestor | Axis::FollowingSibling) {
+                            continue; // the other arms' name tests run on postings
+                        }
+                        let (work, reach) = work_and_reach(doc, arm, test, x, &mut scratch);
+                        assert!(
+                            work <= 2 * x.len() + 2 * reach + 2 * words,
+                            "doc {d}, {arm}::{test} from {} of {} nodes: {work} for reach {reach}",
+                            x.len(),
+                            doc.len()
+                        );
+                    }
+                }
+            }
+        }
+
+        // And sublinear where the origins are few: 100 of them, inside one
+        // subtree of a 2·10⁵-node document, read under 2 % of the arena —
+        // of which clearing the bitmap, n/64 words before a link is read,
+        // is 1.6 %.  (Origins spread over the whole document have all of
+        // the bitmap read back as well: the bound above, nothing less.)
+        let doc = mixed_doc(11, 100_000);
+        let n = doc.len();
+        assert!(n >= 200_000, "{n}");
+        let top = doc
+            .children(doc.document_element())
+            .find(|&c| doc.subtree_end(c) - c.index() > 100)
+            .unwrap();
+        let x: NodeSet = (1..=100).map(|i| NodeId(top.0 + i)).collect();
+        for arm in WALKED {
+            for test in &tests[..3] {
+                let (work, reach) = work_and_reach(&doc, arm, test, &x, &mut scratch);
+                assert!(
+                    work < n / 50,
+                    "{arm}::{test} from 100 of {n} nodes: {work} for reach {reach}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1808,15 +2004,25 @@ mod tests {
             (Axis::DescendantOrSelf, name, &three, Postings),
             (Axis::Following, name, &three, Postings),
             (Axis::Preceding, name, &three, Postings),
-            // …the chain kernels are local walks…
+            // …the chain kernels are local walks, as are the sibling axes
+            // and, under a non-name test, everything that follows links or
+            // subtree intervals…
             (Axis::Parent, name, &three, Walk),
             (Axis::Ancestor, name, &three, Walk),
             (Axis::AncestorOrSelf, name, &three, Walk),
-            // …and the rest sweep, as every non-name test does.
+            (Axis::FollowingSibling, name, &three, Walk),
+            (Axis::PrecedingSibling, any, &three, Walk),
+            (Axis::Child, any, &three, Walk),
+            (Axis::Parent, any, &three, Walk),
+            (Axis::Ancestor, any, &three, Walk),
+            (Axis::DescendantOrSelf, any, &three, Walk),
+            (Axis::Attribute, any, &three, Walk),
+            // …and what is left scans: the origins, the tail or head of the
+            // arena, or all of it.
             (Axis::SelfAxis, name, &three, Sweep),
-            (Axis::FollowingSibling, name, &three, Sweep),
+            (Axis::Following, any, &three, Sweep),
+            (Axis::Preceding, any, &three, Sweep),
             (Axis::Id, name, &three, Sweep),
-            (Axis::Child, any, &three, Sweep),
             // Singleton origins take the single-node walk, whose own
             // postings fast paths cover name-tested descendant(-or-self).
             (Axis::Descendant, name, &one, Postings),

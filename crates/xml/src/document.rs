@@ -226,6 +226,15 @@ impl Document {
         &self.store.kinds
     }
 
+    /// The raw `first_child` / `next_sibling` / `prev_sibling` columns the
+    /// set kernels walk (`NONE`-terminated; attribute nodes are in none of
+    /// the chains).
+    #[inline]
+    pub(crate) fn child_links_raw(&self) -> (&[u32], &[u32], &[u32]) {
+        let s = &self.store;
+        (&s.first_child, &s.next_sibling, &s.prev_sibling)
+    }
+
     /// Iterates the non-attribute children of `n` in document order.
     pub fn children(&self, n: NodeId) -> Children<'_> {
         Children {

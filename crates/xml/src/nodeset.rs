@@ -6,9 +6,9 @@
 //! intersection are linear merges.
 //!
 //! [`DenseSet`] is the companion *dense* representation: a capacity-bounded
-//! bitset over node indices.  The axis kernels use it for their mark/flag
-//! sweeps (a [`Scratch`](crate::axes::Scratch) holds two, reused across
-//! calls), and [`NodeSet::from_unsorted_with_capacity`] routes large
+//! bitset over node indices.  The axis kernels mark origins in it and put
+//! what their walks reach out of order back in order through it (a
+//! [`Scratch`](crate::axes::Scratch) holds two, reused across calls), and [`NodeSet::from_unsorted_with_capacity`] routes large
 //! unsorted intermediate sets — the shape the CVT strategy's accumulation
 //! loops produce — through it instead of a comparison sort.
 
@@ -132,30 +132,20 @@ impl NodeSet {
         }
     }
 
-    /// Set union (linear merge).
+    /// Set union (linear merge; branch-free, as which side is smaller is a
+    /// coin flip per step).
     pub fn union(&self, other: &NodeSet) -> NodeSet {
-        let mut out = Vec::with_capacity(self.len() + other.len());
+        let (a, b) = (&self.nodes, &other.nodes);
+        let mut out = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
-        while i < self.nodes.len() && j < other.nodes.len() {
-            let (a, b) = (self.nodes[i], other.nodes[j]);
-            match a.cmp(&b) {
-                std::cmp::Ordering::Less => {
-                    out.push(a);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(a);
-                    i += 1;
-                    j += 1;
-                }
-            }
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            out.push(x.min(y));
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
         }
-        out.extend_from_slice(&self.nodes[i..]);
-        out.extend_from_slice(&other.nodes[j..]);
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
         NodeSet { nodes: out }
     }
 
@@ -323,26 +313,45 @@ impl DenseSet {
         }
     }
 
-    /// Iterates members in ascending (document) order.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
+    /// Appends the members with index in `lo..=hi` that `keep` accepts to
+    /// `out`, ascending: `O((hi − lo)/64 + members)`.  The axis kernels'
+    /// ordering primitive — nodes reached out of document order are
+    /// [`insert`](DenseSet::insert)ed, then read back in order over the
+    /// span that was written rather than over the whole capacity.
+    pub fn append_span_to(
+        &self,
+        lo: usize,
+        hi: usize,
+        out: &mut Vec<NodeId>,
+        mut keep: impl FnMut(NodeId) -> bool,
+    ) {
+        if lo > hi || lo >= self.capacity {
+            return;
+        }
+        let hi = hi.min(self.capacity - 1);
+        for wi in lo / 64..=hi / 64 {
+            let mut bits = self.words[wi];
+            if wi == lo / 64 {
+                bits &= !0 << (lo % 64);
+            }
+            if wi == hi / 64 {
+                bits &= !0 >> (63 - hi % 64);
+            }
+            while bits != 0 {
+                let n = NodeId::from_index(wi * 64 + bits.trailing_zeros() as usize);
+                if keep(n) {
+                    out.push(n);
                 }
-                let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                Some(NodeId::from_index(wi * 64 + b))
-            })
-        })
+            }
+        }
     }
 
     /// Converts to the sorted sparse representation.
     pub fn to_node_set(&self) -> NodeSet {
-        NodeSet {
-            nodes: self.iter().collect(),
-        }
+        let mut nodes = Vec::new();
+        self.append_span_to(0, usize::MAX, &mut nodes, |_| true);
+        NodeSet { nodes }
     }
 }
 
@@ -488,9 +497,15 @@ mod tests {
         for i in [150usize, 3, 64, 63, 65, 0, 199] {
             d.insert(NodeId::from_index(i));
         }
-        let v: Vec<usize> = d.iter().map(|n| n.index()).collect();
-        assert_eq!(v, vec![0, 3, 63, 64, 65, 150, 199]);
         assert_eq!(d.to_node_set(), ids(&[0, 3, 63, 64, 65, 150, 199]));
+        // A span is cut exactly, inside a word and across words, and may
+        // be filtered on the way out.
+        let mut v = Vec::new();
+        d.append_span_to(3, 64, &mut v, |_| true);
+        d.append_span_to(65, 1_000, &mut v, |n| n.index() != 150);
+        d.append_span_to(5, 4, &mut v, |_| true);
+        d.append_span_to(200, 300, &mut v, |_| true);
+        assert_eq!(NodeSet::from_sorted_vec(v), ids(&[3, 63, 64, 65, 199]));
     }
 
     #[test]

@@ -110,40 +110,87 @@ fn random_subset(doc: &Document, rng: &mut u64, density_pct: u64) -> NodeSet {
         .collect()
 }
 
+/// Every set kernel against the oracle from one origin set: images under
+/// each non-name test (the oracle's `node()` image, cut down by
+/// `ResolvedTest::matches`), preimages, and every output strictly
+/// ascending.
+fn check_against_brute_force(doc: &Document, set: &NodeSet, tag: &str) {
+    let ascending = |s: &NodeSet| s.as_slice().windows(2).all(|w| w[0] < w[1]);
+    for axis in Axis::ALL {
+        if axis == Axis::Id {
+            // `axis_relates(Id, …)` tokenizes the *concatenated* string
+            // value; the set kernels tokenize per text node (see
+            // DESIGN.md) — covered by the adjointness test below instead.
+            continue;
+        }
+        let reached = brute_image(doc, axis, set);
+        for test in [
+            NodeTest::AnyNode,
+            NodeTest::Wildcard,
+            NodeTest::Text,
+            NodeTest::Comment,
+            NodeTest::Pi(None),
+        ] {
+            let t = test.resolve(doc);
+            let fast = axis_image(doc, axis, set, &test);
+            let mut slow = reached.clone();
+            slow.retain(|y| t.matches(doc, axis, y));
+            assert!(ascending(&fast), "image order: {tag}, {axis}::{test}");
+            assert_eq!(
+                fast,
+                slow,
+                "image: {tag}, {axis}::{test}, |X|={}",
+                set.len()
+            );
+        }
+        let fast = axis_preimage(doc, axis, set);
+        let slow = brute_preimage(doc, axis, set);
+        assert!(ascending(&fast), "preimage order: {tag}, {axis}");
+        assert_eq!(fast, slow, "preimage: {tag}, {axis}, |Y|={}", set.len());
+    }
+}
+
 #[test]
 #[cfg_attr(miri, ignore = "property sweep is minutes-long under the interpreter")]
 fn image_and_preimage_match_brute_force_on_random_documents() {
     for seed in 1..=6u64 {
         let doc = random_doc(seed * 0x9e37_79b9, 60 + (seed as usize) * 25);
         let mut rng = seed;
-        for density in [3, 20, 80] {
+        // Subsets of *all* node kinds — attributes, text, comments, PIs and
+        // the root among the origins — from sparse to everything.
+        for density in [3, 20, 80, 100] {
             let set = random_subset(&doc, &mut rng, density);
-            for axis in Axis::ALL {
-                if axis == Axis::Id {
-                    // `axis_relates(Id, …)` tokenizes the *concatenated*
-                    // string value; the set kernels tokenize per text node
-                    // (see DESIGN.md) — covered by the adjointness test
-                    // below instead.
-                    continue;
-                }
-                let fast = axis_image(&doc, axis, &set, &NodeTest::AnyNode);
-                let slow = brute_image(&doc, axis, &set);
-                assert_eq!(
-                    fast,
-                    slow,
-                    "image: seed {seed}, axis {axis}, |X|={}",
-                    set.len()
-                );
-                let fast = axis_preimage(&doc, axis, &set);
-                let slow = brute_preimage(&doc, axis, &set);
-                assert_eq!(
-                    fast,
-                    slow,
-                    "preimage: seed {seed}, axis {axis}, |Y|={}",
-                    set.len()
-                );
-            }
+            check_against_brute_force(&doc, &set, &format!("seed {seed} at {density}%"));
         }
+    }
+}
+
+#[test]
+fn image_and_preimage_match_brute_force_on_adversarial_origin_sets() {
+    // Where the walks' ordering and once-only arguments are under most
+    // strain: one sibling group of thousands entered from its first, its
+    // last and every other member, and a same-name spine 40 deep taken
+    // whole, so every child chain and sibling group nests inside another.
+    let [deep, wide, listy] = <[Document; 3]>::try_from(adversarial_docs()).expect("three shapes");
+    let group: Vec<NodeId> = wide.children(wide.document_element()).collect();
+    let ends = [group[0], group[group.len() - 1]];
+    let sets = [
+        ("first", NodeSet::singleton(ends[0])),
+        ("last", NodeSet::singleton(ends[1])),
+        ("both ends", ends.into_iter().collect()),
+        ("every other", group.iter().copied().step_by(2).collect()),
+    ];
+    for (tag, set) in &sets {
+        check_against_brute_force(&wide, set, &format!("wide, {tag}"));
+    }
+    let spine: NodeSet = deep
+        .all_nodes()
+        .filter(|&n| n != deep.root() && deep.first_child(n).is_some())
+        .collect();
+    assert_eq!(spine.len(), 41, "<r> and the 40 nested <a>");
+    check_against_brute_force(&deep, &spine, "deep, spine");
+    for doc in [&deep, &listy] {
+        check_against_brute_force(doc, &doc.all_nodes().collect(), "everything");
     }
 }
 

@@ -244,7 +244,8 @@
 //!
 //! [`Engine::with_threads`](engine::Engine::with_threads) turns on
 //! intra-query data parallelism, and means exactly one thing: the axis
-//! kernels cut a large scan — a postings slice or an arena sweep — into
+//! kernels cut a large scan — a postings slice, or the arena ordinals
+//! `following`/`preceding` select under a non-name test — into
 //! index ranges, run the same kernel body on each across a scoped worker
 //! pool, and concatenate in range order.  Results are **bit-identical**
 //! to sequential evaluation, ordinals included, and so are fuel spent,
