@@ -99,7 +99,7 @@ fn overhead_check(doc: &minctx_xml::Document) {
     let compiled = CompiledQuery::new(doc, &rewritten);
     let evaluator = MinContext {
         optimized: false,
-        pool: None,
+        threads: 1,
     };
     let mut scratch = Scratch::new();
 

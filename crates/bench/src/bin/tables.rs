@@ -182,7 +182,7 @@ fn main() {
 /// The `par/*` rows: what `Engine::with_threads` buys (or costs) on
 /// this machine.  For each tier, evaluation wall time of two
 /// parallel-eligible queries at threads 1/2/4 with a derived
-/// `speedup/tN` ratio (t1 / tN, so >1 means the pool helped).  On a
+/// `speedup/tN` ratio (t1 / tN, so >1 means the threads helped).  On a
 /// single-core container the speedups sit at ~1.0 — the rows then record
 /// that the coordination overhead stays in the noise, not a speedup (see
 /// DESIGN.md "Parallel evaluation").
@@ -196,7 +196,7 @@ fn par_snapshot(elements: usize, runs: usize) -> Vec<(String, f64)> {
         let mut t1_ms = 0.0;
         for threads in [1usize, 2, 4] {
             let engine = Engine::new(Strategy::MinContext).with_threads(threads);
-            engine.evaluate(&doc, &query).unwrap(); // warm compile + pool
+            engine.evaluate(&doc, &query).unwrap(); // warm compile
             let t = ms(time(runs, || engine.evaluate(&doc, &query).unwrap()));
             out.push((format!("par/{tag}/eval-ms/t{threads}/{q}"), t));
             if threads == 1 {

@@ -8,15 +8,23 @@
 //! over several index ranges concatenated in range order instead of over
 //! one, so it is required to be bit-identical, not merely set-equal.  The
 //! corpus's small documents sit below the kernels' size gate — what they
-//! pin is that attaching a pool changes nothing else; a generated
+//! pin is that a thread count changes nothing else; a generated
 //! document past the gate (with the chunk counter asserted to move) puts
 //! real cut scans under the same comparison, and every cut geometry the
 //! gate cannot produce is covered kernel by kernel in `minctx-xml`'s
-//! `parallel_kernels_match_sequential_bit_for_bit`.
+//! `parallel_kernels_match_sequential_bit_for_bit`.  On the benchmark's
+//! document size the counter is asserted *not* to move: no scan there is
+//! cut, so threads=2 costs what threads=1 does by construction.
 
 use minctx_bench::{corpus, values_agree, xmark_doc, xorshift, XmarkConfig};
 use minctx_core::{Engine, Strategy, Value};
+use minctx_xml::par::par_chunks_dispatched;
 use minctx_xml::Document;
+use std::sync::{Mutex, PoisonError};
+
+/// Held by the tests that read `par/chunks` across evaluations, so the one
+/// asserting it stays still never overlaps the one that moves it.
+static CHUNK_COUNTER: Mutex<()> = Mutex::new(());
 
 /// Element count of the generated document that opens the kernels' size
 /// gate (2¹⁹ scanned items): at ~2.66 nodes per element its arena sweeps
@@ -106,6 +114,8 @@ const GATE_QUERIES: &[&str] = &[
     "(//item)[last()]/preceding::*[3]",
     "count(//*[@v > 500])",
     "sum(//item/@v)",
+    "count(//bid/preceding::*)",
+    "count(//keyword/following::node())",
 ];
 
 #[test]
@@ -120,7 +130,8 @@ fn randomized_chunk_geometry_never_changes_results() {
     // through the postings columns and the arena, and no answer may
     // change.  Not vacuous: chunks must actually have been dispatched.
     let doc = xmark_doc(&XmarkConfig::sized(GATE_DOC_ELEMENTS));
-    let chunks_before = minctx_xml::par::par_chunks_dispatched();
+    let _counter = CHUNK_COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
+    let chunks_before = par_chunks_dispatched();
     let mut rng = 0x9e37_79b9_7f4a_7c15u64;
     for strategy in [Strategy::MinContext, Strategy::OptMinContext] {
         let baseline = Engine::new(strategy);
@@ -146,7 +157,71 @@ fn randomized_chunk_geometry_never_changes_results() {
         }
     }
     assert!(
-        minctx_xml::par::par_chunks_dispatched() > chunks_before,
+        par_chunks_dispatched() > chunks_before,
         "no chunks dispatched: the document is below the kernels' gate"
+    );
+}
+
+/// The queries of the repo benchmark's `arena-paths` and `arena-preds`
+/// workloads (`benchmark/src/gen.rs` `PATH_QUERIES` / `PRED_QUERIES`;
+/// that harness is its own workspace, so the lists are repeated here).
+const BENCHMARK_QUERIES: &[&str] = &[
+    "//item",
+    "/site/item",
+    "//parlist/listitem",
+    "/site/*/*",
+    "//item//keyword",
+    "//listitem/ancestor::parlist",
+    "//item/following-sibling::person",
+    "//keyword/parent::*",
+    "//item/@id",
+    "//bid/preceding::item",
+    "//item | //person",
+    "count(//item)",
+    "//item[@id]",
+    "//item[keyword]",
+    "//item[not(@id)]",
+    "//item[@v > 500]",
+    "//item[position() = last()]",
+    "//parlist[count(listitem) > 2]",
+    "//item[@id][2]",
+    "//item[.//keyword and not(bid)]",
+    "//person[position() mod 2 = 1]/@id",
+    "//item[following-sibling::item]",
+    "//item[description/parlist]",
+    "//item[count(.//listitem) > count(.//keyword)]",
+    "sum(//item/@v)",
+    "count(//*[@id])",
+];
+
+#[test]
+#[cfg_attr(
+    miri,
+    ignore = "benchmark-sized document sweep is minutes-long under the interpreter"
+)]
+fn benchmark_queries_are_never_cut_at_two_threads() {
+    // On the benchmark's document size every scan sits below the gate:
+    // threads=2 runs each query exactly as threads=1 does, so it cannot be
+    // slower — counted, not clocked.
+    let doc = xmark_doc(&XmarkConfig::sized(100_000));
+    let engine = |threads| {
+        Engine::new(Strategy::OptMinContext)
+            .with_optimizer(true)
+            .with_threads(threads)
+    };
+    let (one, two) = (engine(1), engine(2));
+    let _counter = CHUNK_COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
+    let chunks_before = par_chunks_dispatched();
+    for query in BENCHMARK_QUERIES {
+        check(
+            &format!("t=2 / {query}"),
+            &one.evaluate_str(&doc, query),
+            two.evaluate_str(&doc, query),
+        );
+    }
+    assert_eq!(
+        par_chunks_dispatched(),
+        chunks_before,
+        "a benchmark query cut a scan at threads=2"
     );
 }

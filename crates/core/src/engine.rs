@@ -23,7 +23,7 @@ use crate::tables::ContextValueTables;
 use crate::value::Value;
 use minctx_obs::{Phase, Recorder};
 use minctx_syntax::{parse_xpath, Query};
-use minctx_xml::{Document, NodeId, Scratch, WorkerPool};
+use minctx_xml::{Document, NodeId, Scratch};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -191,12 +191,9 @@ pub struct Engine {
     /// and never read the clock (see [`Engine::with_recorder`]).
     recorder: Recorder,
     /// Worker count for parallel evaluation; 1 (the default) means fully
-    /// sequential — no pool exists and every axis kernel runs its scan as
-    /// one range on the calling thread.
+    /// sequential — every axis kernel runs its scan as one range on the
+    /// calling thread.
     threads: usize,
-    /// The work-splitting pool, present iff `threads > 1`.  Clones share
-    /// it (the pool serializes concurrent regions internally).
-    pool: Option<Arc<WorkerPool>>,
 }
 
 /// Scratch arenas retained in the pool; beyond this, returning scratches
@@ -229,8 +226,6 @@ impl Clone for Engine {
             // into the same stream.
             recorder: self.recorder.clone(),
             threads: self.threads,
-            // Clones share the pool; regions are serialized inside it.
-            pool: self.pool.clone(),
         }
     }
 }
@@ -256,24 +251,21 @@ impl Engine {
             scratch_pool: Mutex::new(Vec::new()),
             recorder: Recorder::disabled(),
             threads: 1,
-            pool: None,
         }
     }
 
     /// Sets the worker count for parallel evaluation.  With `n > 1` the
-    /// MINCONTEXT/OPTMINCONTEXT evaluators hand a pool of `n` workers to
-    /// the axis kernels, which cut a large scan — a postings slice, or the
-    /// arena ordinals `following`/`preceding` select under a non-name test
-    /// — into index ranges, run the same kernel body on each
-    /// and concatenate in range order, so results are **bit-identical**
-    /// to sequential evaluation.  That is all the setting means: fuel
-    /// spent, budget outcomes and EXPLAIN routes do not depend on `n`,
-    /// and scans below a fixed size gate stay on the calling thread.  The
-    /// default — and `n = 1` — builds no pool at all.
+    /// MINCONTEXT/OPTMINCONTEXT axis kernels cut a large scan — a
+    /// postings slice, or the arena ordinals `following`/`preceding`
+    /// select under a non-name test — into index ranges, run the same
+    /// kernel body on each on up to `n` scoped threads (the caller's
+    /// included) and concatenate in range order, so results are
+    /// **bit-identical** to sequential evaluation.  That is all the
+    /// setting means: fuel spent, budget outcomes and EXPLAIN routes do
+    /// not depend on `n`, and scans below a fixed size gate stay on the
+    /// calling thread.  The default — and `n = 1` — never spawns a thread.
     pub fn with_threads(mut self, n: usize) -> Engine {
-        let n = n.max(1);
-        self.threads = n;
-        self.pool = (n > 1).then(|| Arc::new(WorkerPool::new(n)));
+        self.threads = n.max(1);
         self
     }
 
@@ -283,11 +275,11 @@ impl Engine {
     }
 
     /// The MINCONTEXT evaluator configured for this engine: optimized or
-    /// not, sharing the engine's pool if it has one.
+    /// not, at the engine's thread count.
     pub(crate) fn mincontext(&self, optimized: bool) -> MinContext {
         MinContext {
             optimized,
-            pool: self.pool.clone(),
+            threads: self.threads,
         }
     }
 
@@ -728,7 +720,7 @@ mod tests {
             }
         }
 
-        // threads(1) keeps the purely sequential engine: no pool at all.
+        // threads(1) keeps the purely sequential engine.
         assert_eq!(
             Engine::new(Strategy::MinContext).with_threads(1).threads(),
             1

@@ -58,10 +58,6 @@ pub use mincontext::MinContext;
 // The kernel-route label `Engine::explain` reports per step, re-exported
 // so profile consumers match on it without a direct xml dependency.
 pub use minctx_xml::AxisRoute;
-// The pool behind `Engine::with_threads` (and `MinContext::pool`),
-// re-exported so evaluator users attach one without a direct xml
-// dependency.
-pub use minctx_xml::WorkerPool;
 // The persistent-index backend, re-exported so engine users reach
 // `open_snapshot`/`write_snapshot` (the serving pair behind
 // `Engine::evaluate_snapshot`) without a separate dependency.

@@ -59,8 +59,7 @@ use crate::naive::arith;
 use crate::value::{compare, node_scalar_compare, Value};
 use minctx_syntax::{ExprId, Func, Node, PathStart, Relev, Step};
 use minctx_xml::axes::{axis_image_on, axis_preimage_on, Axis, Dispatch, ResolvedTest};
-use minctx_xml::{sibling_ranks, Document, Exec, NodeId, NodeSet, Scratch, WorkerPool};
-use std::sync::Arc;
+use minctx_xml::{sibling_ranks, Document, Exec, NodeId, NodeSet, Scratch};
 use std::time::Instant;
 
 /// The MINCONTEXT evaluator; with `optimized` set, OPTMINCONTEXT.
@@ -68,14 +67,13 @@ use std::time::Instant;
 pub struct MinContext {
     /// Enables the Section-4 backward-propagation optimizations.
     pub optimized: bool,
-    /// The engine's worker pool
-    /// ([`Engine::with_threads`](crate::Engine::with_threads); shared
-    /// across engine clones, regions are serialized inside it).  With one
-    /// attached, the axis kernels cut their large scans into ranges on it
-    /// — same kernel bodies, same results, same fuel; nothing else about
-    /// the evaluation changes.  `None` (the default) runs every scan as
-    /// one range on the calling thread.
-    pub pool: Option<Arc<WorkerPool>>,
+    /// The engine's worker count
+    /// ([`Engine::with_threads`](crate::Engine::with_threads)).  Above 1,
+    /// the axis kernels cut their large scans into ranges on that many
+    /// scoped threads — same kernel bodies, same results, same fuel;
+    /// nothing else about the evaluation changes.  0 or 1 runs every scan
+    /// as one range on the calling thread.
+    pub threads: usize,
 }
 
 impl Evaluator for MinContext {
@@ -142,8 +140,8 @@ struct Run<'d, 'q, 's, 'm, 'p> {
     /// EXPLAIN instrumentation; `None` (the common case) costs one branch
     /// per hook and never reads the clock.
     prof: Option<&'p mut ProfileCollector>,
-    /// How the axis kernels run their scans: on the evaluator's pool when
-    /// it has one, inline otherwise.
+    /// How the axis kernels run their scans: cut on the evaluator's
+    /// threads when it has more than one, inline otherwise.
     exec: Exec<'q>,
     /// How many set filters had to evaluate a predicate node by node; a
     /// step that leaves it unchanged was answered from backward sets alone
@@ -169,7 +167,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             scratch,
             meter,
             prof,
-            exec: Exec::on(config.pool.as_deref()),
+            exec: Exec::on(config.threads),
             per_node: 0,
         }
     }
@@ -690,7 +688,7 @@ mod tests {
         let mut meter = BudgetMeter::unlimited();
         MinContext {
             optimized,
-            pool: None,
+            threads: 1,
         }
         .evaluate(doc, &cq, Context::document(doc), &mut scratch, &mut meter)
         .unwrap()

@@ -348,7 +348,6 @@ pub struct ServeBuilder {
     workers: usize,
     strategy: Strategy,
     optimize: Option<bool>,
-    threads: usize,
     snapshot_cache_capacity: usize,
     query_cache_capacity: usize,
     shards: usize,
@@ -365,7 +364,6 @@ impl Default for ServeBuilder {
                 .unwrap_or(1),
             strategy: Strategy::OptMinContext,
             optimize: None,
-            threads: 1,
             snapshot_cache_capacity: 8,
             query_cache_capacity: 256,
             shards: 8,
@@ -393,17 +391,6 @@ impl ServeBuilder {
     /// default, which honors `MINCTX_NO_OPTIMIZER`).
     pub fn optimizer(mut self, on: bool) -> ServeBuilder {
         self.optimize = Some(on);
-        self
-    }
-
-    /// Intra-query data-parallel threads per worker engine (default 1 —
-    /// purely sequential, the pre-existing path).  Values above 1 give
-    /// each worker's engine a [`Engine::with_threads`] pool, so the large
-    /// scans inside the axis kernels are cut into ranges across that many
-    /// threads; total thread pressure is roughly `workers × threads`,
-    /// so raise this only when workers are few and documents are large.
-    pub fn threads(mut self, n: usize) -> ServeBuilder {
-        self.threads = n.max(1);
         self
     }
 
@@ -467,7 +454,6 @@ impl ServeBuilder {
         let cfg = WorkerConfig {
             strategy: self.strategy,
             optimize: self.optimize,
-            threads: self.threads,
         };
         let workers = (0..self.workers)
             .map(|i| spawn_worker(&shared, cfg, i).expect("failed to spawn serve worker"))
@@ -485,7 +471,6 @@ impl ServeBuilder {
 struct WorkerConfig {
     strategy: Strategy,
     optimize: Option<bool>,
-    threads: usize,
 }
 
 impl WorkerConfig {
@@ -493,9 +478,6 @@ impl WorkerConfig {
         let mut engine = Engine::new(self.strategy);
         if let Some(on) = self.optimize {
             engine = engine.with_optimizer(on);
-        }
-        if self.threads > 1 {
-            engine = engine.with_threads(self.threads);
         }
         engine
     }

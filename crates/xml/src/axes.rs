@@ -35,9 +35,9 @@
 //! body; the bodies whose cost is a single ascending scan are written over
 //! an index range of that scan, and the `*_on` entry points take the
 //! [`Exec`] that runs it — one range on the calling thread
-//! ([`Exec::INLINE`], what the plain entry points use) or several on a
-//! [`WorkerPool`](crate::par::WorkerPool), concatenated in range order —
-//! and return the [`Dispatch`] that ran.
+//! ([`Exec::INLINE`], what the plain entry points use) or several on
+//! scoped threads ([`Exec::on`]), concatenated in range order — and
+//! return the [`Dispatch`] that ran.
 //!
 //! The paper's formal model has no attribute nodes; we support them as an
 //! extension.  Per the XPath 1.0 data model, attribute nodes are *excluded*
@@ -414,7 +414,7 @@ impl fmt::Display for AxisRoute {
 }
 
 /// What one kernel invocation did: the family of the kernel arm that ran,
-/// and how many chunks its scan was cut into on the pool (`0`: one range
+/// and how many ranges its scan was cut into (`0`: one range
 /// on the calling thread — always, under [`Exec::INLINE`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dispatch {
@@ -1395,7 +1395,6 @@ pub fn idx_in_axis_order(axis: Axis, x: NodeId, s: &NodeSet) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::builder::DocumentBuilder;
-    use crate::par::WorkerPool;
     use crate::parser::parse;
 
     /// Brute-force reference: enumerate all pairs via `axis_relates`.
@@ -1701,16 +1700,15 @@ mod tests {
     #[test]
     #[cfg_attr(
         miri,
-        ignore = "full axis x test x origin pool sweep is minutes-long under the interpreter"
+        ignore = "full axis x test x origin threaded sweep is minutes-long under the interpreter"
     )]
     fn parallel_kernels_match_sequential_bit_for_bit() {
         // The range driver's contract, kernel by kernel: a scan cut at
         // *any* points — random ones here, repeated (empty ranges),
         // adjacent (one-item ranges) and past the scan's end — and run on
-        // a pool concatenates to exactly what the one inline range
+        // three threads concatenates to exactly what the one inline range
         // produces, ordinals and axis order included, and dispatches to
         // the same route.
-        let pool = WorkerPool::new(3);
         let ids = parse(r#"<a id="10"><b id="11">22 10</b><c id="22">x</c></a>"#).unwrap();
         let mut rng = 0x2545_f491_4f6c_dd1du64;
         for doc in [doc1(), doc2(), ids] {
@@ -1735,7 +1733,7 @@ mod tests {
                     .map(|_| xorshift(&mut rng) as usize % (doc.len() + 3))
                     .collect();
                 cuts.sort_unstable();
-                let cut = Exec::cut_at(&pool, &cuts);
+                let cut = Exec::cut_at(3, &cuts);
                 let inline = Exec::INLINE;
                 for axis in Axis::ALL {
                     let tag = format!("round {round} cuts {cuts:?} axis {axis}");
@@ -1787,8 +1785,7 @@ mod tests {
         }
         xml.push_str("<c/></r>");
         let doc = parse(&xml).unwrap();
-        let pool = WorkerPool::new(4);
-        let exec = Exec::on(Some(&pool));
+        let exec = Exec::on(4);
         let elems = all_elements(&doc);
         let mut scratch = Scratch::new();
         let (mut one, mut many) = (NodeSet::new(), NodeSet::new());

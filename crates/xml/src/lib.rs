@@ -55,7 +55,7 @@ pub use error::{XmlError, XmlErrorKind};
 pub use name::{Name, NameTable};
 pub use node::{NodeId, NodeKind};
 pub use nodeset::{DenseSet, NodeSet};
-pub use par::{Exec, WorkerPool};
+pub use par::Exec;
 pub use parser::{
     parse, parse_reader, parse_reader_with_options, parse_with_options, ParseOptions,
 };

@@ -246,16 +246,14 @@
 //! intra-query data parallelism, and means exactly one thing: the axis
 //! kernels cut a large scan — a postings slice, or the arena ordinals
 //! `following`/`preceding` select under a non-name test — into
-//! index ranges, run the same kernel body on each across a scoped worker
-//! pool, and concatenate in range order.  Results are **bit-identical**
-//! to sequential evaluation, ordinals included, and so are fuel spent,
-//! budget outcomes and EXPLAIN routes (the differential corpus runs at
-//! threads 1/2/4 to hold the line).  The default of 1 constructs no
-//! pool at all; scans below a fixed, measured size gate never pay
-//! coordination cost.  In the service, set
-//! [`ServeBuilder::threads`](serve::ServeBuilder::threads) per worker
-//! engine — total thread pressure is roughly `workers × threads`.
-//! EXPLAIN step rows report dispatched chunk counts
+//! index ranges, run the same kernel body on each on scoped threads
+//! spawned for that scan, and concatenate in range order.  Results are
+//! **bit-identical** to sequential evaluation, ordinals included, and so
+//! are fuel spent, budget outcomes and EXPLAIN routes (the differential
+//! corpus runs at threads 1/2/4 to hold the line).  The default of 1
+//! never spawns a thread; scans below a fixed size gate of 2¹⁹ items
+//! stay on the calling thread.  EXPLAIN step rows report dispatched
+//! chunk counts
 //! ([`StepProfile::par_chunks`](engine::StepProfile), rendered as
 //! ` par=K`), and the global registry carries `par/*` counters:
 //!

@@ -1,6 +1,5 @@
 // The exhaustive interleaving enumerator shared by the protocol-model
-// suites — `crates/xml/tests/par_protocol.rs`,
-// `crates/serve/tests/protocol_model.rs` and
+// suites — `crates/serve/tests/protocol_model.rs` and
 // `crates/obs/tests/concurrency.rs` — each of which `include!`s this file
 // (a subdirectory of `tests/` is not a test target of its own), so every
 // suite also runs the enumerator's self-check.
