@@ -559,6 +559,19 @@ pub mod corpus {
         // Filter starts number the whole set: must be unaffected.
         "(//even)[3]",
         "(//odd)[last()]/even[1]",
+        // ---- Columnar predicates ----
+        // Grouped counts over child / attribute runs and name-ranked
+        // subtrees (same-name nesting included), candidate-side
+        // comparisons, and a wildcard step started from its predicate's
+        // backward set.
+        "//even[count(odd) > 2]",
+        "//*[count(.//odd) > count(.//even)]",
+        "//*[count(@*) = 1]",
+        "//*[count(descendant-or-self::odd) = 1]",
+        "//book[@year > 1999]",
+        "//book[price != 39.95]",
+        "count(//*[@id])",
+        "//*[count(*) - count(@*) > 0]",
     ];
 }
 

@@ -61,6 +61,17 @@ pub enum PredMode {
     /// predicates run as a set first).  The step's `in` is the number of
     /// candidates ranked.
     SiblingRank,
+    /// As [`PredMode::Set`], with at least one predicate or operand
+    /// answered for the whole candidate list by column kernels — a count
+    /// or a comparison computed on the candidates' side — and none node by
+    /// node.  On the row of a predicate-free step under such a predicate:
+    /// the kernel call that computed the step for every candidate at once,
+    /// its `in` being those candidates.
+    Column,
+    /// OPTMINCONTEXT started the step from its first predicate's backward
+    /// set, the smaller side: the step is that set's members the axis
+    /// reaches, and the predicate is not evaluated again.
+    SelectiveEnd,
 }
 
 impl PredMode {
@@ -71,6 +82,8 @@ impl PredMode {
             PredMode::Backward => "backward",
             PredMode::PerOrigin => "per-origin",
             PredMode::SiblingRank => "sibling-rank",
+            PredMode::Column => "column",
+            PredMode::SelectiveEnd => "selective-end",
         }
     }
 }
@@ -316,6 +329,32 @@ impl ProfileCollector {
         s.output += obs.output as u64;
         s.time += obs.time;
         s.par_chunks += obs.chunks as u64;
+    }
+
+    /// Aggregates one column kernel call — the predicate-free step `path`
+    /// computed for `input` candidates at once, reaching `output` nodes —
+    /// into the step's record ([`PredMode::Column`]).
+    pub(crate) fn record_column(
+        &mut self,
+        path: ExprId,
+        step: &Step,
+        route: AxisRoute,
+        input: usize,
+        output: usize,
+        since: Option<Instant>,
+    ) {
+        let time = since.map_or(Duration::ZERO, |t| t.elapsed());
+        let (mode, chunks, origins) = (Some(PredMode::Column), 0, input);
+        let obs = StepObservation {
+            route,
+            mode,
+            input,
+            origins,
+            output,
+            time,
+            chunks,
+        };
+        self.record_step(path, 0, step, obs);
     }
 
     /// Counts one pass over a step that was never built
@@ -581,10 +620,11 @@ mod tests {
         let p = e.explain(&doc, "//item[not(@id)]").unwrap();
         assert_eq!(p.steps[0].mode, Some(PredMode::Backward));
         assert_eq!(p.result, "node-set n=1");
-        // …one operand that has to be computed per node makes it `set`,
-        // and the set route is the set kernel's, not a per-origin walk.
+        // …an operand answered by a column kernel for the whole candidate
+        // list makes it `column`, and the set route is the set kernel's,
+        // not a per-origin walk.
         let p = e.explain(&doc, "//*[@id or count(*) > 1]").unwrap();
-        assert_eq!(p.steps[0].mode, Some(PredMode::Set));
+        assert_eq!(p.steps[0].mode, Some(PredMode::Column));
         assert_eq!(p.steps[0].route, AxisRoute::Walk, "singleton-root walk");
         assert_eq!(p.result, "node-set n=3");
         // A positional predicate on `child` ranks candidates among their

@@ -17,10 +17,12 @@
 //!   per node).
 //!
 //! Literals and argument-free calls are cheaper to recompute than to look
-//! up and get none.  `Relev = {node}` booleans and numbers — what
-//! predicates over large candidate sets produce — are stored densely by
-//! node index; everything else keeps the hashed map keyed on the packed
-//! relevant context.
+//! up and get none.  `Relev = {node}` booleans — what predicates over
+//! large candidate sets produce — are stored densely by node index;
+//! everything else, per-node numbers included, keeps the hashed map keyed
+//! on the packed relevant context, sized to the entries written (a dense
+//! `f64` per node was 8·|D| bytes for one `count(b)` under
+//! `//a[position() = count(b)]`).
 
 use crate::engine::Context;
 use crate::value::Value;
@@ -28,7 +30,8 @@ use minctx_syntax::{ExprId, Node, PathStart, Query, Relev, ValueType};
 use minctx_xml::{DenseSet, NodeSet};
 use std::collections::HashMap;
 
-/// One expression node's memo table.  Dense tables allocate on first write.
+/// One expression node's memo table.  The dense table allocates on first
+/// write.
 #[derive(Debug, Clone)]
 pub(crate) enum Table {
     /// Never read back (see the module docs): nothing is stored.
@@ -36,8 +39,6 @@ pub(crate) enum Table {
     /// `Relev = {node}`, boolean-valued: bit `i` of `known` says node `i` was
     /// computed, bit `i` of `truth` holds the answer.
     Bools { known: DenseSet, truth: DenseSet },
-    /// `Relev = {node}`, number-valued.
-    Numbers { known: DenseSet, vals: Vec<f64> },
     /// Any other shape: relevant-context key → value.
     Sparse(HashMap<u128, Value>),
 }
@@ -69,15 +70,12 @@ impl Table {
             Table::Bools { known, truth } => known
                 .contains(ctx.node)
                 .then(|| Value::Boolean(truth.contains(ctx.node))),
-            Table::Numbers { known, vals } => known
-                .contains(ctx.node)
-                .then(|| Value::Number(vals[ctx.node.index()])),
             Table::Sparse(map) => map.get(&memo_key(relev, ctx)).cloned(),
         }
     }
 
     /// Stores `v` for `ctx`; `nodes` is the document's node count, the
-    /// capacity dense tables grow to on their first write.
+    /// capacity the dense table grows to on its first write.
     pub(crate) fn put(&mut self, relev: Relev, ctx: Context, nodes: usize, v: &Value) {
         match (self, v) {
             (Table::Bools { known, truth }, Value::Boolean(b)) => {
@@ -87,14 +85,6 @@ impl Table {
                     truth.ensure_capacity(nodes);
                     truth.insert(ctx.node);
                 }
-            }
-            (Table::Numbers { known, vals }, Value::Number(n)) => {
-                if vals.is_empty() {
-                    known.ensure_capacity(nodes);
-                    *vals = vec![0.0; nodes];
-                }
-                known.insert(ctx.node);
-                vals[ctx.node.index()] = *n;
             }
             (Table::Sparse(map), v) => {
                 map.insert(memo_key(relev, ctx), v.clone());
@@ -144,7 +134,7 @@ impl Table {
     pub(crate) fn entries(&self) -> usize {
         match self {
             Table::None => 0,
-            Table::Bools { known, .. } | Table::Numbers { known, .. } => known.len(),
+            Table::Bools { known, .. } => known.len(),
             Table::Sparse(map) => map.len(),
         }
     }
@@ -202,16 +192,13 @@ pub(crate) fn tables_for(q: &Query) -> Vec<Table> {
             if trivial || !(predicate[i] || parents[i] > 1 || shrinks[i]) {
                 return Table::None;
             }
-            match (q.relev(id) == Relev::NODE, q.value_type(id)) {
-                (true, ValueType::Boolean) => Table::Bools {
+            if q.relev(id) == Relev::NODE && q.value_type(id) == ValueType::Boolean {
+                Table::Bools {
                     known: DenseSet::new(),
                     truth: DenseSet::new(),
-                },
-                (true, ValueType::Number) => Table::Numbers {
-                    known: DenseSet::new(),
-                    vals: Vec::new(),
-                },
-                _ => Table::Sparse(HashMap::new()),
+                }
+            } else {
+                Table::Sparse(HashMap::new())
             }
         })
         .collect()
@@ -231,7 +218,6 @@ mod tests {
             .map(|(id, _)| match tables[id.index()] {
                 Table::None => "none",
                 Table::Bools { .. } => "bools",
-                Table::Numbers { .. } => "numbers",
                 Table::Sparse(_) => "sparse",
             })
             .collect()
@@ -265,13 +251,13 @@ mod tests {
         // {node} to ∅, so it is computed once and kept.
         let paths = kinds("//a[. = //b]", |n| matches!(n, Node::Path(..)));
         assert!(paths.contains(&"sparse"), "{paths:?}");
-        // A per-node number under a positional comparison is dense.
+        // A per-node number under a positional comparison is hashed.
         assert_eq!(
             kinds("//a[position() = count(b)]", |n| matches!(
                 n,
                 Node::Call(minctx_syntax::Func::Count, _)
             )),
-            vec!["numbers"]
+            vec!["sparse"]
         );
     }
 
@@ -294,13 +280,5 @@ mod tests {
         t.record(10, &set(&[1, 2]), &set(&[2]));
         assert_eq!(t.split(set(&[1, 2, 3, 4, 5])), (set(&[2, 3]), set(&[5])));
         assert_eq!(t.entries(), 4);
-
-        let mut n = Table::Numbers {
-            known: DenseSet::new(),
-            vals: Vec::new(),
-        };
-        n.put(Relev::NODE, ctx(2), 10, &Value::Number(1.5));
-        assert_eq!(n.get(Relev::NODE, ctx(2)), Some(Value::Number(1.5)));
-        assert_eq!(n.get(Relev::NODE, ctx(1)), None);
     }
 }

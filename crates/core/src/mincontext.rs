@@ -21,10 +21,15 @@
 //! `position()` and `last()` sweeps its axis once for the whole context
 //! set and filters the resulting candidate *set* (`and` in sequence, `or`
 //! as a union, `not` as a difference, anything else node by node); a step
-//! with a positional predicate lists candidates per origin in axis order,
-//! but only for origins the node test's postings say have a candidate at
-//! all, and still answers its leading position-free predicates once, as a
-//! set (DESIGN.md "Set-at-a-time predicates").
+//! with a positional predicate ranks `child` / `attribute` candidates
+//! among their siblings and lists them per origin on the other axes — only
+//! for origins the node test's postings say have a candidate at all — and
+//! still answers its leading position-free predicates once, as a set.
+//! Under OPTMINCONTEXT a candidate list is also a *column*: a comparison
+//! of `count(π)`s and `π RelOp c` over one local step are answered for the
+//! whole list by one kernel call per path, and a `*` / `node()` step starts
+//! from its first predicate's backward set when that is the smaller side
+//! (DESIGN.md "Set-at-a-time predicates").
 //!
 //! **OPTMINCONTEXT** (Section 4, plus the backward-propagation rule of the
 //! VLDB'02 predecessor's Section 6).  On top of MINCONTEXT, predicates of
@@ -56,9 +61,12 @@ use crate::explain::{PredMode, ProfileCollector, StepObservation};
 use crate::funcs;
 use crate::memo::{tables_for, Table};
 use crate::naive::arith;
-use crate::value::{compare, node_scalar_compare, Value};
-use minctx_syntax::{ExprId, Func, Node, PathStart, Relev, Step};
-use minctx_xml::axes::{axis_image_on, axis_preimage_on, Axis, Dispatch, ResolvedTest};
+use crate::value::{compare, compare_scalars, node_scalar_compare, Value};
+use minctx_syntax::{CmpOp, ExprId, Func, Node, PathStart, Relev, Step};
+use minctx_xml::axes::{
+    axis_counts, axis_image_among, axis_image_on, axis_preimage_on, retain_local, Axis, AxisRoute,
+    Dispatch, ResolvedTest,
+};
 use minctx_xml::{sibling_ranks, Document, Exec, NodeId, NodeSet, Scratch};
 use std::time::Instant;
 
@@ -147,6 +155,18 @@ struct Run<'d, 'q, 's, 'm, 'p> {
     /// step that leaves it unchanged was answered from backward sets alone
     /// (EXPLAIN's `mode=backward` as opposed to `mode=set`).
     per_node: u64,
+    /// How many column kernels answered a predicate for a candidate list
+    /// (EXPLAIN's `mode=column`).
+    columns: u64,
+}
+
+/// A predicate OPTMINCONTEXT answers for a whole candidate list, one
+/// kernel call per path in it: (a) `a op b` over counts, numbers and
+/// arithmetic, (b) `π op c` read on the candidates' side (DESIGN.md
+/// "Set-at-a-time predicates").
+enum Column<'q> {
+    Counts(CmpOp, ExprId, ExprId),
+    Compare(ExprId, &'q Step, CmpOp, ExprId),
 }
 
 impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
@@ -169,6 +189,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             prof,
             exec: Exec::on(config.threads),
             per_node: 0,
+            columns: 0,
         }
     }
 
@@ -324,7 +345,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             // Only a profiled run reads the clock; the step's route and
             // cardinalities are recorded after the kernel and the
             // predicate filtering finish.
-            let timer = self.prof.is_some().then(Instant::now);
+            let timer = self.timer();
             let mut input = cur.len();
             let free = self.position_free(&step.predicates);
             let (doc, exec) = (self.doc, self.exec);
@@ -336,15 +357,25 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                     StepRoute::Ranked(sweep) => sweep,
                     _ => step.axis,
                 };
-                let ran = axis_image_on(doc, axis, &cur, test, self.scratch, &mut next, exec);
+                // A ranked step's sweep is what it ranks: set routes only.
+                let lead = if route == StepRoute::Set {
+                    &step.predicates[..]
+                } else {
+                    &[]
+                };
+                let seeded = self.selective_end(axis, test, lead, &cur, &mut next)?;
+                let ran = match seeded {
+                    Some(ran) => ran,
+                    None => axis_image_on(doc, axis, &cur, test, self.scratch, &mut next, exec),
+                };
                 // Charge the sweep's output too: from a singleton
                 // context, `preceding::*` can touch most of the
                 // document, and deadline polling granularity must
                 // track that work, not just the input size.
                 self.meter.charge(next.len() as u64)?;
                 std::mem::swap(&mut cur, &mut next);
-                let visited = self.per_node;
-                for &p in &step.predicates[..free] {
+                let (visited, columns) = (self.per_node, self.columns);
+                for &p in &step.predicates[usize::from(seeded.is_some())..free] {
                     cur = self.filter_set(p, cur)?;
                 }
                 let mode = if free < step.predicates.len() {
@@ -354,8 +385,12 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                     Some(PredMode::SiblingRank)
                 } else if step.predicates.is_empty() {
                     None
+                } else if seeded.is_some() {
+                    Some(PredMode::SelectiveEnd)
                 } else if self.per_node > visited {
                     Some(PredMode::Set)
+                } else if self.columns > columns {
+                    Some(PredMode::Column)
                 } else {
                     Some(PredMode::Backward)
                 };
@@ -431,12 +466,14 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
 
     /// Keeps the members of `cands` for which the position-free predicate
     /// `pred` holds, without visiting a node the answer is already known
-    /// for: a backward-propagatable shape intersects with its backward
-    /// set; `and` filters in sequence, `or` unions (the right operand sees
-    /// only what the left rejected), `not` takes the difference — each
-    /// consulting and extending the predicate's own table, which stands in
-    /// for the per-node computes that would have shielded the operands;
-    /// any other shape is evaluated node by node through [`Run::eval`].
+    /// for: a column shape is answered for the whole list by one kernel
+    /// call per path in it; a backward-propagatable shape intersects with
+    /// its backward set; `and` filters in sequence, `or` unions (the right
+    /// operand sees only what the left rejected), `not` takes the
+    /// difference — each consulting and extending the predicate's own
+    /// table, which stands in for the per-node computes that would have
+    /// shielded the operands; any other shape is evaluated node by node
+    /// through [`Run::eval`].
     fn filter_set(&mut self, pred: ExprId, cands: NodeSet) -> Result<NodeSet, EvalError> {
         if cands.is_empty() {
             return Ok(cands);
@@ -447,26 +484,37 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             return self.filter_nodes(pred, cands);
         }
         let charge = cands.len() as u64 + 1;
-        if let Some(holds) = self.backward_set(pred)? {
-            let kept = cands.intersect(holds);
-            self.meter.charge(charge)?;
-            return Ok(kept);
+        let column = self.column(pred, cands.len());
+        if column.is_none() {
+            if let Some(holds) = self.backward_set(pred)? {
+                let kept = cands.intersect(holds);
+                self.meter.charge(charge)?;
+                return Ok(kept);
+            }
+            if !matches!(
+                q.node(pred),
+                Node::And(..) | Node::Or(..) | Node::Call(Func::Not, _)
+            ) {
+                return self.filter_nodes(pred, cands);
+            }
         }
-        let (a, b) = match q.node(pred) {
-            Node::And(a, b) | Node::Or(a, b) => (*a, Some(*b)),
-            Node::Call(Func::Not, args) => (args[0], None),
-            _ => return self.filter_nodes(pred, cands),
-        };
         self.meter.charge(charge)?;
         let (known, todo) = self.memo[pred.index()].split(cands);
-        let left = self.filter_set(a, todo.clone())?;
-        let holds = match (q.node(pred), b) {
-            (Node::And(..), Some(b)) => self.filter_set(b, left)?,
-            (_, Some(b)) => {
-                let right = self.filter_set(b, todo.difference(&left))?;
+        let holds = match (column, q.node(pred)) {
+            (Some(column), _) => self.column_holds(column, &todo)?,
+            (None, Node::And(a, b)) => {
+                let left = self.filter_set(*a, todo.clone())?;
+                self.filter_set(*b, left)?
+            }
+            (None, Node::Or(a, b)) => {
+                let left = self.filter_set(*a, todo.clone())?;
+                let right = self.filter_set(*b, todo.difference(&left))?;
                 left.union(&right)
             }
-            (_, None) => todo.difference(&left),
+            (None, Node::Call(_, args)) => {
+                todo.difference(&self.filter_set(args[0], todo.clone())?)
+            }
+            _ => unreachable!("a column or the set algebra"),
         };
         self.memo[pred.index()].record(self.doc.len(), &todo, &holds);
         Ok(known.union(&holds))
@@ -533,6 +581,150 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         Ok(NodeSet::from_sorted_vec(list))
     }
 
+    // ---- OPTMINCONTEXT: columns ---------------------------------------
+
+    /// The column `pred` is answered by for `n` candidates: (a) by shape;
+    /// (b) — `π op c` with `π` one `child` / `attribute` / `self` step —
+    /// while no backward set is built and `n` is below the seed
+    /// `build_backward` would compare.
+    fn column(&self, pred: ExprId, n: usize) -> Option<Column<'q>> {
+        if !self.opt || matches!(self.backward[pred.index()], Some(Some(_))) {
+            return None;
+        }
+        if let Node::Compare(op, a, b) = self.query.query().node(pred) {
+            if self.counted(*a) && self.counted(*b) {
+                return Some(Column::Counts(*op, *a, *b));
+            }
+        }
+        let (path, [step], Some((op, c))) = self.backward_shape(pred)? else {
+            return None;
+        };
+        let local = matches!(step.axis, Axis::Child | Axis::Attribute | Axis::SelfAxis);
+        let seed = self.postings(step.axis, self.query.step_test(path, 0));
+        let seed = seed.map_or(self.doc.len(), <[NodeId]>::len);
+        (local && n < seed).then_some(Column::Compare(path, step, op, c))
+    }
+
+    /// (a)'s operands: numbers, arithmetic of those, and `count(π)` of a
+    /// [`Run::count_step`].
+    fn counted(&self, id: ExprId) -> bool {
+        match self.query.query().node(id) {
+            Node::Number(_) => true,
+            Node::Arith(_, a, b) => self.counted(*a) && self.counted(*b),
+            Node::Call(Func::Count, args) => self.count_step(args[0]).is_some(),
+            _ => false,
+        }
+    }
+
+    /// A counted path the grouped count kernel takes: one predicate-free
+    /// `child` / `attribute` step, or `descendant(-or-self)` under a name.
+    fn count_step(&self, id: ExprId) -> Option<(ExprId, &'q Step, ResolvedTest)> {
+        let (path, [step]) = self.simple_relative_path(id)? else {
+            return None;
+        };
+        let test = self.query.step_test(path, 0);
+        let ranked = matches!(step.axis, Axis::Descendant | Axis::DescendantOrSelf);
+        let counted = matches!(step.axis, Axis::Child | Axis::Attribute)
+            || ranked && matches!(test, ResolvedTest::Name(_));
+        counted.then_some((path, step, test))
+    }
+
+    /// The members of `todo` a column predicate holds for, by one kernel
+    /// call per path in it.
+    fn column_holds(&mut self, column: Column<'q>, todo: &NodeSet) -> Result<NodeSet, EvalError> {
+        if todo.is_empty() {
+            return Ok(NodeSet::new());
+        }
+        self.columns += 1;
+        let holds = match column {
+            Column::Counts(op, a, b) => {
+                let (x, y) = (self.numbers(a, todo)?, self.numbers(b, todo)?);
+                let holds =
+                    |i: usize| compare_scalars(op, &Value::Number(x[i]), &Value::Number(y[i]));
+                todo.iter()
+                    .enumerate()
+                    .filter(|&(i, _)| holds(i))
+                    .map(|(_, c)| c)
+                    .collect()
+            }
+            Column::Compare(path, step, op, c) => {
+                let (doc, scalar) = (self.doc, self.constant_scalar(c).expect("a constant"));
+                let (mut list, mut read, timer) = (todo.as_slice().to_vec(), 0, self.timer());
+                let test = self.query.step_test(path, 0);
+                let work = retain_local(doc, step.axis, test, &mut list, |y| {
+                    read += 1;
+                    node_scalar_compare(doc, op, y, &scalar)
+                });
+                self.meter.charge(work as u64 + 1)?;
+                if let Some(p) = &mut self.prof {
+                    p.record_column(path, step, AxisRoute::Walk, todo.len(), read, timer);
+                }
+                list
+            }
+        };
+        Ok(NodeSet::from_sorted_vec(holds))
+    }
+
+    /// (a)'s number column of `id` over `cands`.
+    fn numbers(&mut self, id: ExprId, cands: &NodeSet) -> Result<Vec<f64>, EvalError> {
+        Ok(match self.query.query().node(id) {
+            Node::Number(n) => vec![*n; cands.len()],
+            Node::Arith(op, a, b) => {
+                let mut x = self.numbers(*a, cands)?;
+                for (x, y) in x.iter_mut().zip(self.numbers(*b, cands)?) {
+                    *x = arith(*op, *x, y);
+                }
+                x
+            }
+            Node::Call(_, args) => {
+                let (path, step, test) = self.count_step(args[0]).expect("a count");
+                let (mut counts, timer) = (Vec::new(), self.timer());
+                let (route, work) =
+                    axis_counts(self.doc, step.axis, test, cands.as_slice(), &mut counts);
+                self.meter.charge(work as u64 + 1)?;
+                if let Some(p) = &mut self.prof {
+                    let total = counts.iter().map(|&k| k as usize).sum();
+                    p.record_column(path, step, route, cands.len(), total, timer);
+                }
+                counts.into_iter().map(f64::from).collect()
+            }
+            _ => unreachable!("not a number column"),
+        })
+    }
+
+    /// (c): the step started from the backward set `B` of its first
+    /// position-free predicate — which then holds for all of it — when the
+    /// test has no postings and [`axis_image_among`] finds `B` the smaller
+    /// side.  A (b) comparison is not built only to ask.
+    fn selective_end(
+        &mut self,
+        axis: Axis,
+        test: ResolvedTest,
+        preds: &[ExprId],
+        cur: &NodeSet,
+        next: &mut NodeSet,
+    ) -> Result<Option<Dispatch>, EvalError> {
+        let Some(&first) = preds.first() else {
+            return Ok(None);
+        };
+        let named = self.postings(axis, test).is_some();
+        if named || self.column(first, 0).is_some() || self.backward_set(first)?.is_none() {
+            return Ok(None);
+        }
+        let Some(Some(b)) = &self.backward[first.index()] else {
+            unreachable!("built above");
+        };
+        let (doc, exec, b) = (self.doc, self.exec, b.as_slice());
+        let ran = axis_image_among(doc, axis, cur, test, b, self.scratch, next, exec);
+        self.meter.charge(ran.map_or(0, |_| b.len() as u64))?;
+        Ok(ran)
+    }
+
+    /// The clock, read only for a profiled run.
+    fn timer(&self) -> Option<Instant> {
+        self.prof.is_some().then(Instant::now)
+    }
+
     // ---- OPTMINCONTEXT: backward propagation --------------------------
 
     /// The backward set of `id` — every context node its predicate holds
@@ -560,24 +752,10 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
     /// string value is read: `@v > 500` compares the `v` attributes, not
     /// the text of every element in the document.
     fn build_backward(&mut self, id: ExprId) -> Result<Option<NodeSet>, EvalError> {
-        let (path, cmp) = match self.query.query().node(id) {
-            Node::Call(Func::Boolean, args) => (self.simple_relative_path(args[0]), None),
-            Node::Compare(op, a, b) => {
-                // Normalize to path-on-the-left.
-                let (path, scalar, op) = match self.simple_relative_path(*a) {
-                    Some(path) => (Some(path), *b, *op),
-                    None => (self.simple_relative_path(*b), *a, op.swapped()),
-                };
-                let Some(scalar) = self.constant_scalar(scalar) else {
-                    return Ok(None);
-                };
-                (path, Some((op, scalar)))
-            }
-            _ => return Ok(None),
-        };
-        let Some((path_id, steps)) = path else {
+        let Some((path_id, steps, cmp)) = self.backward_shape(id) else {
             return Ok(None);
         };
+        let cmp = cmp.map(|(op, c)| (op, self.constant_scalar(c).expect("a constant by shape")));
         let last = steps.len().checked_sub(1);
         let last = last.map(|si| (steps[si].axis, self.query.step_test(path_id, si)));
         let seed = last.and_then(|(axis, test)| self.postings(axis, test));
@@ -645,13 +823,27 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         Ok(set)
     }
 
+    /// `boolean(π)` as `(π, None)`; `π op c` and `c op π` as
+    /// `(π, Some((op, c)))`, normalized to path-on-the-left.
+    #[allow(clippy::type_complexity)]
+    fn backward_shape(&self, id: ExprId) -> Option<(ExprId, &'q [Step], Option<(CmpOp, ExprId)>)> {
+        let q = self.query.query();
+        let ((path, steps), cmp) = match q.node(id) {
+            Node::Call(Func::Boolean, args) => (self.simple_relative_path(args[0])?, None),
+            Node::Compare(op, a, b) => match self.simple_relative_path(*a) {
+                Some(path) => (path, Some((*op, *b))),
+                None => (self.simple_relative_path(*b)?, Some((op.swapped(), *a))),
+            },
+            _ => return None,
+        };
+        let constant = |c: ExprId| matches!(q.node(c), Node::Number(_) | Node::Literal(_));
+        cmp.is_none_or(|(_, c)| constant(c))
+            .then_some((path, steps, cmp))
+    }
+
     /// A relative, predicate-free location path — the shape the backward
-    /// optimization handles.  Every axis now propagates backward exactly:
-    /// the preimage kernels handle attribute nodes on both sides of the
-    /// relation, where their mirror-axis predecessors diverged from `χ⁻¹`
-    /// for attribute origins of `parent` / `ancestor(-or-self)` /
-    /// `descendant-or-self` / `following` / `preceding` (those axes were
-    /// therefore excluded here).
+    /// optimization handles, on every axis (the preimage kernels are exact
+    /// for attribute nodes on both sides of the relation).
     fn simple_relative_path(&self, id: ExprId) -> Option<(ExprId, &'q [Step])> {
         match self.query.query().node(id) {
             Node::Path(PathStart::Context, steps)
@@ -805,7 +997,9 @@ mod tests {
         // `ancestor::a[count(c) > 1]` runs once per <c>, and every run
         // reaches the same three <a> ancestors.  The predicate's dense
         // table answers the repeats, so `child::c` under it is walked once
-        // per distinct <a> — not once per (origin, ancestor) pair.
+        // per distinct <a> — not once per (origin, ancestor) pair.  Under
+        // OPTMINCONTEXT the walks are column kernel calls, whose rows'
+        // `in` count the <a>s computed.
         let doc = parse("<a><a><a><c/><c/><c/><c/></a></a></a>").unwrap();
         // The second query filters through the set algebra: `not`'s own
         // table must shield its (table-less) operand the same way.
@@ -820,10 +1014,93 @@ mod tests {
                 let p = engine.explain(&doc, q).unwrap();
                 assert_eq!(p.result, "node-set n=4", "{strategy} {q}");
                 let inner = p.steps.iter().find(|s| s.display == "child::c").unwrap();
-                assert_eq!(inner.invocations, 3, "{strategy}:\n{}", p.plan_text());
+                if strategy == Strategy::MinContext {
+                    assert_eq!(inner.invocations, 3, "{strategy}:\n{}", p.plan_text());
+                } else {
+                    let column = p.steps.iter().filter(|s| s.mode == Some(PredMode::Column));
+                    let computed: u64 = column.filter(|s| s.predicates == 0).map(|s| s.input).sum();
+                    assert_eq!(computed, 3, "{strategy}:\n{}", p.plan_text());
+                }
                 let anc = p.steps.iter().find(|s| s.display == "ancestor::a").unwrap();
                 assert_eq!(anc.invocations, 4, "{strategy} {q}");
             }
+        }
+    }
+
+    #[test]
+    fn columns_agree_with_naive_on_the_shapes_that_break_them() {
+        // <item>s nested ten deep, then eight shallow ones under <x>s; `v`
+        // values that are no number (`''`, `'NaN'`, `'1e3'`) or only one
+        // after trimming (`' 7 '`), and a negative zero.  `v` is on more
+        // nodes than there are <item>s (read on the candidates' side), `w`
+        // on fewer (the backward set is built).
+        let vals = ["", " 7 ", "NaN", "1e3", "-0", "7", "1000", "-1"];
+        let mut xml = String::from("<r>");
+        for d in 0..10 {
+            let id = if d % 3 == 0 {
+                format!(" id=\"i{d}\"")
+            } else {
+                String::new()
+            };
+            xml.push_str(&format!(
+                "<item v=\"{}\"{id}><k>{}</k>",
+                vals[d % 8],
+                vals[(d + 3) % 8]
+            ));
+        }
+        xml.push_str(&"</item>".repeat(10));
+        for v in vals {
+            xml.push_str(&format!(
+                "<x v=\"{v}\"><item v=\"{v}\" w=\"{v}\">{v}</item></x>"
+            ));
+        }
+        xml.push_str("</r>");
+        let doc = parse(&xml).unwrap();
+        let (opt, naive) = (
+            crate::Engine::new(Strategy::OptMinContext),
+            crate::Engine::new(Strategy::Naive),
+        );
+        let mut queries = vec![
+            "//item/*[@id]".to_string(),
+            "//item//*[@id]".to_string(),
+            "//item/descendant-or-self::*[@id]".to_string(),
+            "//x/@*[parent::x]".to_string(),
+            "//*[count(.//item) > count(k)]".to_string(),
+            "//item[count(descendant-or-self::item) - count(@*) >= 2]".to_string(),
+        ];
+        for op in ["=", "!=", "<", "<=", ">", ">="] {
+            for c in ["7", "'7'", "0", "-0", "1000", "''", "'NaN'"] {
+                for path in ["@v", "@w", "k", ".", "self::item"] {
+                    queries.push(format!("//item[{path} {op} {c}]"));
+                    queries.push(format!("//item[{c} {op} {path}]"));
+                }
+                queries.push(format!("//x[item {op} {c}]"));
+                queries.push(format!("//*[count(item) {op} {c}]"));
+                queries.push(format!("//*[count(@*) + 1 {op} {c}]"));
+            }
+        }
+        for q in &queries {
+            assert_eq!(
+                opt.evaluate_str(&doc, q),
+                naive.evaluate_str(&doc, q),
+                "{q}"
+            );
+        }
+        // Both routes of a comparison ran, and (c) from nested origins.
+        for (q, mode, passes) in [
+            ("//item[@v > 0]", PredMode::Column, 0),
+            ("//item[@w > 0]", PredMode::Backward, 1),
+            ("//item/*[@id]", PredMode::SelectiveEnd, 1),
+            ("//item//*[@id]", PredMode::SelectiveEnd, 1),
+        ] {
+            let p = opt.explain(&doc, q).unwrap();
+            let step = p.steps.iter().find(|s| s.predicates == 1).unwrap();
+            assert_eq!(
+                (step.mode, p.backward_passes),
+                (Some(mode), passes),
+                "{}",
+                p.plan_text()
+            );
         }
     }
 

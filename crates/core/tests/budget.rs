@@ -223,6 +223,52 @@ fn set_filtered_predicates_are_metered_per_candidate() {
 }
 
 #[test]
+fn column_kernels_are_metered_per_candidate() {
+    // 300 <e>s, every third with `@id`, every other with a second <c>: a
+    // grouped count and a step started from its backward set.  A cap below
+    // the candidate count is an error — never a short count — and exactly
+    // the fuel EXPLAIN reports gives the unmetered answer.
+    let mut xml = String::from("<r>");
+    for i in 0..300 {
+        let id = if i % 3 == 0 {
+            format!(" id=\"i{i}\"")
+        } else {
+            String::new()
+        };
+        let cs = if i % 2 == 0 { "<c/><c/>" } else { "<c/>" };
+        xml.push_str(&format!("<e{id}>{cs}</e>"));
+    }
+    xml.push_str("</r>");
+    let doc = parse(&xml).unwrap();
+    for (q, want) in [
+        ("count(//e[count(c) > 1])", 150.0),
+        ("count(//*[@id])", 100.0),
+    ] {
+        for s in [Strategy::MinContext, Strategy::OptMinContext] {
+            let engine = Engine::new(s);
+            assert_eq!(
+                engine.evaluate_str(&doc, q),
+                Ok(Value::Number(want)),
+                "{s} {q}"
+            );
+            let spent = engine.explain(&doc, q).unwrap().fuel_spent;
+            for fuel in [0, 1, 7, 50, 150, 299, spent - 1] {
+                let err = engine.clone().with_budget(fuel).evaluate_str(&doc, q);
+                assert_eq!(
+                    err,
+                    Err(EvalError::BudgetExhausted {
+                        cause: Exhausted::Fuel { fuel }
+                    }),
+                    "{s} {q} fuel={fuel} of {spent}"
+                );
+            }
+            let exact = engine.clone().with_budget(spent).evaluate_str(&doc, q);
+            assert_eq!(exact, Ok(Value::Number(want)), "{s} {q}");
+        }
+    }
+}
+
+#[test]
 fn set_filter_and_origin_pruning_charge_their_own_work() {
     // Fuel that covers the axis sweeps but not the filtering that follows
     // must trip *inside* the set filter / the pruning sweep: the answer is
@@ -295,6 +341,7 @@ fn budget_outcomes_do_not_depend_on_the_thread_count() {
             "//item[@id][2]",
             "//person[position() mod 2 = 1]/@id",
             "//item/*[last()]",
+            "//item[count(@*) > 25]",
             "(//person/following::*)[last()]",
         ] {
             let query = minctx_syntax::parse_xpath(q).unwrap();

@@ -575,69 +575,14 @@ fn image(
     use AxisRoute::{Postings, Sweep, Walk};
     match (axis, name) {
         // Postings-backed name tests: sublinear in |D| when the label is
-        // rare.  `child::a` / `attribute::a` parent-check the postings.
-        (Axis::Child | Axis::Attribute, Some(nm)) => {
-            marked.clear();
-            marked.extend(x.iter().copied());
-            let marked = &*marked;
-            let posts = if axis == Axis::Child {
-                doc.element_postings(nm)
-            } else {
+        // rare.
+        (Axis::Child | Axis::Attribute | Axis::Descendant | Axis::DescendantOrSelf, Some(nm)) => {
+            let posts = if axis == Axis::Attribute {
                 doc.attribute_postings(nm)
+            } else {
+                doc.element_postings(nm)
             };
-            let chunks = exec.scan(
-                posts.len(),
-                o,
-                #[inline(always)]
-                |r, buf| {
-                    for &p in &posts[r] {
-                        let par = parent[p.index()];
-                        if par != NONE && marked.contains(NodeId(par)) {
-                            buf.push(p);
-                        }
-                    }
-                },
-            );
-            Dispatch::ran(Postings, chunks)
-        }
-        (Axis::Descendant | Axis::DescendantOrSelf, Some(nm)) => {
-            // The postings X's merged subtree intervals span, merged
-            // against those intervals.
-            subtree_intervals(doc, x, axis == Axis::DescendantOrSelf, ranges);
-            let ranges = &*ranges;
-            let span = match (ranges.first(), ranges.last()) {
-                (Some(first), Some(last)) => first.0..last.1,
-                _ => 0..0,
-            };
-            let all = doc.element_postings(nm);
-            let lo = all.partition_point(|p| (p.index() as u32) < span.start);
-            let hi = lo + all[lo..].partition_point(|p| (p.index() as u32) < span.end);
-            let posts = &all[lo..hi];
-            let chunks = exec.scan(
-                posts.len(),
-                o,
-                #[inline(always)]
-                |r, buf| {
-                    let posts = &posts[r];
-                    let Some(first) = posts.first() else {
-                        return;
-                    };
-                    // Intervals are sorted and disjoint: start at the first
-                    // one that does not end before this range's postings do.
-                    let from = ranges.partition_point(|&(_, e)| e <= first.index() as u32);
-                    let mut pi = 0usize;
-                    for &(s, e) in &ranges[from..] {
-                        pi += posts[pi..].partition_point(|p| (p.index() as u32) < s);
-                        if pi == posts.len() {
-                            break;
-                        }
-                        while pi < posts.len() && (posts[pi].index() as u32) < e {
-                            buf.push(posts[pi]);
-                            pi += 1;
-                        }
-                    }
-                },
-            );
+            let chunks = image_among(doc, axis, x, posts, marked, ranges, o, exec);
             Dispatch::ran(Postings, chunks)
         }
         (Axis::Following, Some(nm)) => {
@@ -768,6 +713,139 @@ fn image(
             Dispatch::ran(Walk, 0)
         }
     }
+}
+
+/// `χ(X) ∩ posts` for `child`, `attribute` and `descendant(-or-self)`,
+/// where `posts` is sorted and holds only nodes of the kind the axis
+/// yields — a name's postings, or a test-filtered backward set
+/// ([`axis_image_among`]).  `child` / `attribute` parent-check `posts`
+/// against `X` marked in a bitmap; `descendant(-or-self)` merges the part
+/// of `posts` that `X`'s merged subtree intervals span against those
+/// intervals.  Returns the chunks the scan was cut into.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn image_among(
+    doc: &Document,
+    axis: Axis,
+    x: &[NodeId],
+    posts: &[NodeId],
+    marked: &mut DenseSet,
+    ranges: &mut Vec<(u32, u32)>,
+    o: &mut Vec<NodeId>,
+    exec: Exec<'_>,
+) -> usize {
+    if matches!(axis, Axis::Child | Axis::Attribute) {
+        marked.clear();
+        marked.extend(x.iter().copied());
+        let (marked, parent) = (&*marked, doc.parent_raw());
+        return exec.scan(
+            posts.len(),
+            o,
+            #[inline(always)]
+            |r, buf| {
+                for &p in &posts[r] {
+                    let par = parent[p.index()];
+                    if par != NONE && marked.contains(NodeId(par)) {
+                        buf.push(p);
+                    }
+                }
+            },
+        );
+    }
+    subtree_intervals(doc, x, axis == Axis::DescendantOrSelf, ranges);
+    let ranges = &*ranges;
+    let span = match (ranges.first(), ranges.last()) {
+        (Some(first), Some(last)) => first.0..last.1,
+        _ => 0..0,
+    };
+    let lo = posts.partition_point(|p| (p.index() as u32) < span.start);
+    let hi = lo + posts[lo..].partition_point(|p| (p.index() as u32) < span.end);
+    let posts = &posts[lo..hi];
+    exec.scan(
+        posts.len(),
+        o,
+        #[inline(always)]
+        |r, buf| {
+            let posts = &posts[r];
+            let Some(first) = posts.first() else {
+                return;
+            };
+            // Intervals are sorted and disjoint: start at the first one
+            // that does not end before this range's postings do.
+            let from = ranges.partition_point(|&(_, e)| e <= first.index() as u32);
+            let mut pi = 0usize;
+            for &(s, e) in &ranges[from..] {
+                pi += posts[pi..].partition_point(|p| (p.index() as u32) < s);
+                if pi == posts.len() {
+                    break;
+                }
+                while pi < posts.len() && (posts[pi].index() as u32) < e {
+                    buf.push(posts[pi]);
+                    pi += 1;
+                }
+            }
+        },
+    )
+}
+
+/// `t(among) ∩ χ(X)` for a sorted node list `among` — the step started from
+/// its selective end — when `among` is shorter than the span of `X`'s
+/// merged subtree intervals, what a walk from `X` may read.  `child`,
+/// `attribute` and `descendant(-or-self)` run the bodies the name-test
+/// postings run ([`image_among`]) over the members of `among` that `t`
+/// accepts on the axis; `self` keeps those in `X`.
+///
+/// `None`, with `out` untouched, when `among` is the longer side, on any
+/// other axis, and on `descendant-or-self::node()` (an attribute origin is
+/// its own image, the attribute slots of the intervals are not).
+#[allow(clippy::too_many_arguments)]
+pub fn axis_image_among(
+    doc: &Document,
+    axis: Axis,
+    x: &NodeSet,
+    t: ResolvedTest,
+    among: &[NodeId],
+    scratch: &mut Scratch,
+    out: &mut NodeSet,
+    exec: Exec<'_>,
+) -> Option<Dispatch> {
+    let mut test = KindFilter::new(t, axis);
+    match axis {
+        Axis::Attribute => test.tags &= 1 << TAG_ATTRIBUTE,
+        Axis::SelfAxis => {}
+        Axis::Child | Axis::Descendant => test = test.without_attributes(),
+        Axis::DescendantOrSelf if t != ResolvedTest::AnyNode => test = test.without_attributes(),
+        _ => return None,
+    }
+    let (mut span, mut reach) = (0, 0);
+    for m in x.iter() {
+        let end = doc.subtree_end(m);
+        span += end.saturating_sub(m.index().max(reach));
+        reach = reach.max(end);
+    }
+    if among.len() >= span {
+        return None;
+    }
+    scratch.grow(doc.len());
+    let Scratch {
+        marked,
+        tmp,
+        ranges,
+        ..
+    } = scratch;
+    let kinds = doc.kinds_raw();
+    tmp.clear();
+    tmp.extend(among.iter().filter(|y| test.accepts(kinds[y.index()])));
+    out.clear();
+    let o = out.vec_mut();
+    if axis == Axis::SelfAxis {
+        marked.clear();
+        marked.extend(x.iter());
+        o.extend(tmp.iter().filter(|&&y| marked.contains(y)));
+        return Some(Dispatch::ran(AxisRoute::Postings, 0));
+    }
+    let chunks = image_among(doc, axis, x.as_slice(), tmp, marked, ranges, o, exec);
+    Some(Dispatch::ran(AxisRoute::Postings, chunks))
 }
 
 /// The set kernels that follow the structure links instead of scanning
@@ -1183,6 +1261,155 @@ pub fn sibling_ranks(doc: &Document, list: &[NodeId], scratch: &mut Scratch) -> 
         }
     }
     ranks
+}
+
+/// `|χ({c}) ∩ t|` for every member `c` of `list` — nodes in strictly
+/// ascending document order — into `counts`, in one call: the `count(χ::t)`
+/// of every candidate at once.  `child` and `attribute` under any test walk
+/// each member's child chain or attribute run and test the kind word;
+/// `descendant(-or-self)` under a name test ranks each member's subtree
+/// interval in the name's postings — the start by a pointer that only moves
+/// forward (the starts ascend), the end by galloping from it, so a member
+/// nested in another is ranked on its own interval by construction.
+///
+/// Returns the route and the work done: one per member plus the slots read
+/// or the postings probed — never `|D|`.
+///
+/// # Panics
+///
+/// On any other axis or test (the caller evaluates those per node).
+pub fn axis_counts(
+    doc: &Document,
+    axis: Axis,
+    t: ResolvedTest,
+    list: &[NodeId],
+    counts: &mut Vec<u32>,
+) -> (AxisRoute, usize) {
+    debug_assert!(list.windows(2).all(|w| w[0] < w[1]));
+    counts.clear();
+    let mut work = list.len();
+    let route = match (axis, t) {
+        (Axis::Descendant | Axis::DescendantOrSelf, ResolvedTest::Name(nm)) => {
+            let posts = doc.element_postings(nm);
+            let lead = usize::from(axis == Axis::Descendant);
+            let mut at = 0;
+            for &c in list {
+                at = gallop(posts, at, c.index() + lead, &mut work);
+                let end = gallop(posts, at, doc.subtree_end(c), &mut work);
+                counts.push((end - at) as u32);
+            }
+            AxisRoute::Postings
+        }
+        _ => {
+            let test = KindFilter::new(t, axis);
+            for &c in list {
+                let mut n = 0;
+                work += local(doc, axis, c, test, |_| {
+                    n += 1;
+                    false
+                });
+                counts.push(n);
+            }
+            AxisRoute::Walk
+        }
+    };
+    touched(work);
+    (route, work)
+}
+
+/// Keeps the members `c` of `list` that have a node of `χ({c})` passing `t`
+/// for which `holds` says yes — `child`, `attribute` and `self` only: each
+/// member's own child chain, attribute run or itself, read in document
+/// order until one holds.  Returns the work done: one per member plus the
+/// slots read.
+///
+/// # Panics
+///
+/// On any other axis.
+pub fn retain_local(
+    doc: &Document,
+    axis: Axis,
+    t: ResolvedTest,
+    list: &mut Vec<NodeId>,
+    mut holds: impl FnMut(NodeId) -> bool,
+) -> usize {
+    let test = KindFilter::new(t, axis);
+    let mut work = list.len();
+    list.retain(|&c| {
+        let mut hit = false;
+        work += local(doc, axis, c, test, |y| {
+            hit = holds(y);
+            hit
+        });
+        hit
+    });
+    touched(work);
+    work
+}
+
+/// Feeds `f` the nodes of `χ({c})` that pass `test`, in document order,
+/// until it returns true — for the axes whose image from one node is local:
+/// `c`'s child chain, its attribute run (the slots right after it), or `c`
+/// itself.  Returns the slots read.
+#[inline(always)]
+fn local(
+    doc: &Document,
+    axis: Axis,
+    c: NodeId,
+    test: KindFilter,
+    mut f: impl FnMut(NodeId) -> bool,
+) -> usize {
+    let kinds = doc.kinds_raw();
+    match axis {
+        Axis::Child => {
+            let (first_child, next_sibling, _) = doc.child_links_raw();
+            let (mut y, mut read) = (first_child[c.index()], 1);
+            while y != NONE {
+                read += 2;
+                if test.accepts(kinds[y as usize]) && f(NodeId(y)) {
+                    break;
+                }
+                y = next_sibling[y as usize];
+            }
+            read
+        }
+        Axis::Attribute => {
+            let mut read = 1;
+            if kinds[c.index()] & KIND_TAG_MASK == TAG_ELEMENT {
+                for (y, &w) in (c.0 + 1..).zip(&kinds[c.index() + 1..]) {
+                    read += 1;
+                    if w & KIND_TAG_MASK != TAG_ATTRIBUTE || (test.accepts(w) && f(NodeId(y))) {
+                        break;
+                    }
+                }
+            }
+            read
+        }
+        Axis::SelfAxis => {
+            if test.accepts(kinds[c.index()]) {
+                f(c);
+            }
+            1
+        }
+        _ => panic!("{axis} is not local to one node"),
+    }
+}
+
+/// The first index at or after `from` whose posting is at or past ordinal
+/// `to`: exponential steps, then a binary search inside the last one, so
+/// passing `k` postings probes `O(log k)` of them (added to `work`).
+fn gallop(posts: &[NodeId], from: usize, to: usize, work: &mut usize) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    // Every posting before `lo` is below `to`.
+    while hi < posts.len() && posts[hi].index() < to {
+        *work += 1;
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    let hi = hi.min(posts.len());
+    *work += (hi - lo + 1).ilog2() as usize + 1;
+    lo + posts[lo..hi].partition_point(|p| p.index() < to)
 }
 
 impl Document {
@@ -1978,6 +2205,90 @@ mod tests {
                     work < n / 50,
                     "{arm}::{test} from 100 of {n} nodes: {work} for reach {reach}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "10⁵-node documents are minutes-long under the interpreter"
+    )]
+    fn grouped_counts_cost_what_they_touch() {
+        // Every member's count equals its own axis list's length, and the
+        // work is counted, not clocked: the walks read at most three slots
+        // per member and two per node reached under `node()`; the ranked
+        // descendant count passes each member once and probes O(log) of the
+        // postings its intervals span per member — never the document.
+        let deep = format!(
+            "<r>{}{}</r>",
+            "<a p='1'><a/>".repeat(40),
+            "<b/></a>".repeat(40)
+        );
+        let docs = [
+            mixed_doc(7, 3_000),
+            parse(&deep).unwrap(),
+            mixed_doc(11, 100_000),
+        ];
+        let mut rng = 0x5eed_u64;
+        let mut counts = Vec::new();
+        for (d, doc) in docs.iter().enumerate() {
+            let n = doc.len();
+            let a = NodeTest::name("a").resolve(doc);
+            let posts = doc.element_postings(doc.find_name("a").unwrap());
+            let top = doc
+                .children(doc.document_element())
+                .find(|&c| doc.subtree_end(c) - c.index() > 100)
+                .unwrap();
+            let mut sets: Vec<Vec<NodeId>> = [1, 20, 100]
+                .iter()
+                .map(|&pct| {
+                    doc.all_nodes()
+                        .filter(|_| xorshift(&mut rng) % 100 < pct)
+                        .collect()
+                })
+                .collect();
+            sets.push((1..=100).map(|i| NodeId(top.0 + i)).collect());
+            for list in &sets {
+                let c = list.len();
+                for (axis, t) in [
+                    (Axis::Child, ResolvedTest::AnyNode),
+                    (Axis::Child, a),
+                    (Axis::Attribute, ResolvedTest::Wildcard),
+                    (Axis::Descendant, a),
+                    (Axis::DescendantOrSelf, a),
+                ] {
+                    let before = TOUCHED.get();
+                    let (route, work) = axis_counts(doc, axis, t, list, &mut counts);
+                    assert_eq!(TOUCHED.get() - before, work);
+                    let mut reach = 0;
+                    for (&m, &k) in list.iter().zip(&counts) {
+                        let mut one = Vec::new();
+                        doc.axis_nodes_into(axis, m, t, &mut one);
+                        assert_eq!(k as usize, one.len(), "doc {d}: {axis} from {m}");
+                        doc.axis_nodes_into(axis, m, ResolvedTest::AnyNode, &mut one);
+                        reach += one.len();
+                    }
+                    let tag = format!("doc {d}: {axis}::{t:?} over {c} of {n}: {work}");
+                    if route == AxisRoute::Postings {
+                        let (Some(first), Some(last)) = (list.first(), list.last()) else {
+                            continue;
+                        };
+                        let lo = posts.partition_point(|p| p < first);
+                        let spanned =
+                            posts.partition_point(|p| p.index() < doc.subtree_end(*last)) - lo;
+                        let log = (posts.len() + 1).ilog2() as usize + 1;
+                        assert!(
+                            work <= c + spanned + 4 * c * log,
+                            "{tag}, {spanned} spanned"
+                        );
+                    } else {
+                        assert!(work <= 3 * c + 2 * reach, "{tag}, reach {reach}");
+                    }
+                    if c == 100 && n > 200_000 {
+                        assert!(work < n / 50, "{tag}");
+                    }
+                }
             }
         }
     }
