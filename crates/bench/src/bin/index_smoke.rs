@@ -23,7 +23,9 @@
 //!
 //! It also prints what the open cost — MB/s over the file, and how the
 //! one pass over the sections split between checksum and invariant
-//! sweep (the `index/open_hash_ns` / `index/open_sweep_ns` counters).
+//! sweep (the `index/open_hash_ns` / `index/open_sweep_ns` counters) —
+//! and what the file costs: bytes per node and per byte of the
+//! corpus as XML text.
 //! Printed, not asserted: open speed is gated by `benchmark/`
 //! (`snapshot-cold`, `index.open_ms`).
 //!
@@ -59,6 +61,7 @@ fn main() {
         build_start.elapsed()
     );
 
+    let xml_len = minctx_xml::serialize::to_xml_string(&doc).len();
     let engine = Engine::new(Strategy::OptMinContext);
     let expected = engine.evaluate_str(&doc, "count(//item)").unwrap();
 
@@ -66,9 +69,12 @@ fn main() {
     let write_start = Instant::now();
     let info = write_snapshot(&doc, &path).unwrap();
     println!(
-        "snapshot: {} bytes written in {:.1?} (stamp {:#018x})",
+        "snapshot: {} bytes written in {:.1?} ({:.1} bytes a node, {:.2} per XML byte; stamp \
+         {:#018x})",
         info.file_len,
         write_start.elapsed(),
+        info.file_len as f64 / nodes as f64,
+        info.file_len as f64 / xml_len as f64,
         info.stamp
     );
     drop(doc);

@@ -88,11 +88,10 @@ fn corpus_agrees_owned_vs_mapped_across_all_strategies() {
     ignore = "axis x test x origin sweep is minutes-long under the interpreter"
 )]
 fn set_kernels_agree_owned_vs_mapped() {
-    // The walking kernels read `first_child` / `next_sibling` /
-    // `prev_sibling` — columns no corpus query reached through the set
-    // kernels while those swept `parent` alone: every axis under every
-    // non-name test, and every preimage, from sparse, nested and total
-    // origin sets, ordinal for ordinal.
+    // The walking kernels follow `subtree_end` chains and attribute runs
+    // that no corpus query reaches through the set kernels: every axis
+    // under every non-name test, and every preimage, from sparse, nested
+    // and total origin sets, ordinal for ordinal.
     use minctx_xml::axes::{axis_image, axis_preimage, Axis, NodeTest};
     use minctx_xml::NodeSet;
     let owned = xmark_doc(&XmarkConfig::sized(2_000));

@@ -5,7 +5,7 @@
 //!      0     8  magic  b"MCTXSNP\x01"
 //!      8     4  endian tag 0x0A0B0C0D (little-endian on disk; a reader
 //!                on the wrong byte order sees a scrambled tag)
-//!     12     4  format version (2; version 1 used a different FastHash)
+//!     12     4  format version (3)
 //!     16     8  node_count
 //!     24     8  name_count
 //!     32     8  text_heap_len        (bytes)
@@ -20,9 +20,10 @@
 //!    104     —  sections, each 8-byte aligned, zero-padded between
 //! ```
 //!
-//! Sections appear in the fixed order of [`Layout`]: the seven node
-//! columns, the text-offset column, the postings CSR arrays, the id
-//! index, the name table (CSR offsets + UTF-8 bytes), and the text heap
+//! Sections appear in the fixed order of [`Layout`]: the three node
+//! columns (kinds, parent, subtree_end), the text-offset column, the
+//! postings CSR arrays, the id index, the name table (CSR offsets + UTF-8
+//! bytes), and the text heap
 //! last (the `u8` sections trail the `u32` ones so every `u32` section
 //! is naturally aligned; alignment is nevertheless re-checked at open).
 //! All integers little-endian.  Section offsets are *computed from the
@@ -33,10 +34,11 @@
 pub(crate) const MAGIC: [u8; 8] = *b"MCTXSNP\x01";
 /// Byte-order canary (reads back scrambled under the wrong endianness).
 pub(crate) const ENDIAN_TAG: u32 = 0x0A0B_0C0D;
-/// Current format version.  Version 2 moved no byte of any section: it
-/// changed [`FastHash`](crate::hash), and with it both checksums and the
-/// stamp, so version-1 files are refused rather than re-hashed.
-pub(crate) const VERSION: u32 = 2;
+/// Current format version.  Version 3 dropped the four child and sibling
+/// link sections, which the document now derives from `subtree_end`;
+/// version 2 (the same sections plus those four) and version 1 (a
+/// different [`FastHash`](crate::hash)) are refused, not converted.
+pub(crate) const VERSION: u32 = 3;
 /// Total header bytes; sections start here (8-aligned).
 pub(crate) const HEADER_LEN: usize = 104;
 /// Alignment of every section start.
@@ -120,10 +122,6 @@ pub(crate) struct Sect {
 pub(crate) struct Layout {
     pub kinds: Sect,
     pub parent: Sect,
-    pub first_child: Sect,
-    pub last_child: Sect,
-    pub next_sibling: Sect,
-    pub prev_sibling: Sect,
     pub subtree_end: Sect,
     pub text_off: Sect,
     pub elem_off: Sect,
@@ -176,10 +174,6 @@ pub(crate) fn layout(h: &Header) -> Option<Layout> {
     let lay = Layout {
         kinds: sect(n, 4)?,
         parent: sect(n, 4)?,
-        first_child: sect(n, 4)?,
-        last_child: sect(n, 4)?,
-        next_sibling: sect(n, 4)?,
-        prev_sibling: sect(n, 4)?,
         subtree_end: sect(n, 4)?,
         text_off: sect(n.checked_add(1)?, 4)?,
         elem_off: sect(names.checked_add(1)?, 4)?,
@@ -235,10 +229,6 @@ mod tests {
         let sects = [
             (lay.kinds, 4),
             (lay.parent, 4),
-            (lay.first_child, 4),
-            (lay.last_child, 4),
-            (lay.next_sibling, 4),
-            (lay.prev_sibling, 4),
             (lay.subtree_end, 4),
             (lay.text_off, 4),
             (lay.elem_off, 4),

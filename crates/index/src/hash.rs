@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn known_stability() {
         // Snapshot checksums and stamps depend on this hash staying put
-        // for format version 2: pinned literal vectors, so any edit to
+        // (format versions 2 and 3): pinned literal vectors, so any edit to
         // SEED, PRIME, the lane count, the round, the fold or the
         // finalizer — which would orphan every existing snapshot file —
         // fails loudly here (such a change requires a format version

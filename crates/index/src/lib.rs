@@ -1,20 +1,16 @@
 //! # minctx-index — persistent, mmap-able document snapshots
 //!
 //! The persistent half of the index-backed backend: a built
-//! [`Document`]'s flat columns (pre-order structure links, packed kinds,
+//! [`Document`]'s flat columns (packed kinds, parent links, subtree ends,
 //! CSR label postings, text heap, id index — see `minctx-xml`'s `store`
 //! module and DESIGN.md "Persistent index") are written to disk once
 //! with [`write_snapshot`] and reopened **zero-copy** with
 //! [`open_snapshot`]: the file is memory-mapped and the columns are
 //! adopted in place, so reopening a stored corpus costs one pass over
-//! the file — checksum and invariant sweep together, about 3.4 GB/s —
-//! instead of an XML re-parse.  `benchmark/` holds the numbers: the
-//! `snapshot-cold` workload (open a 4·10⁵-element, 40 MB snapshot, one
-//! query, unmap: 12–13 ms an open, 38 ms before format version 2) and
-//! the per-layer row `index.open_ms` (10⁵ elements, 10 MB: 1.5–2.3 ms,
-//! against `xml.parse.ms` ≈ 20 ms for the same document as text).  The
-//! axis kernels and all four arena evaluators run unchanged on the
-//! mapped columns.
+//! the file — checksum and invariant sweep together — instead of an XML
+//! re-parse: `index.open_ms` against `xml.parse.ms` in `benchmark/`
+//! (10⁵ elements: 0.9 ms against 19 ms).  The axis kernels and all four
+//! arena evaluators run unchanged on the mapped columns.
 //!
 //! ```
 //! use minctx_index::{open_snapshot, write_snapshot};
@@ -41,7 +37,7 @@
 //! followed by 8-byte-aligned sections.  `open_snapshot` validates all
 //! of it — magic/version/endianness, both checksums, the computed
 //! layout against the real file size, and every document invariant
-//! (monotone offsets, UTF-8, sorted postings, in-range links) — before
+//! (monotone offsets, UTF-8, sorted postings, one pre-order tree) — before
 //! adopting a single column, so truncated, bit-flipped or handcrafted
 //! files fail with an actionable [`SnapshotError`], never a panic or
 //! worse.  The section checksum and the invariants ride one pass:
@@ -679,14 +675,10 @@ fn section_bytes<'a>(
     cols: &RawColumns<'a>,
     name_off: &'a [u32],
     name_bytes: &'a [u8],
-) -> [(Sect, &'a [u8]); 17] {
+) -> [(Sect, &'a [u8]); 13] {
     [
         (lay.kinds, u32s_as_bytes(cols.kinds)),
         (lay.parent, u32s_as_bytes(cols.parent)),
-        (lay.first_child, u32s_as_bytes(cols.first_child)),
-        (lay.last_child, u32s_as_bytes(cols.last_child)),
-        (lay.next_sibling, u32s_as_bytes(cols.next_sibling)),
-        (lay.prev_sibling, u32s_as_bytes(cols.prev_sibling)),
         (lay.subtree_end, u32s_as_bytes(cols.subtree_end)),
         (lay.text_off, u32s_as_bytes(cols.text_off)),
         (lay.elem_off, u32s_as_bytes(cols.elem_off)),
@@ -803,10 +795,6 @@ fn open_snapshot_le(path: &Path) -> Result<Document, SnapshotError> {
     let cols = RawColumns {
         kinds: u32_slice(bytes, lay.kinds, "kinds")?,
         parent: u32_slice(bytes, lay.parent, "parent")?,
-        first_child: u32_slice(bytes, lay.first_child, "first_child")?,
-        last_child: u32_slice(bytes, lay.last_child, "last_child")?,
-        next_sibling: u32_slice(bytes, lay.next_sibling, "next_sibling")?,
-        prev_sibling: u32_slice(bytes, lay.prev_sibling, "prev_sibling")?,
         subtree_end: u32_slice(bytes, lay.subtree_end, "subtree_end")?,
         text_off: u32_slice(bytes, lay.text_off, "text_off")?,
         text_heap: byte_slice(bytes, lay.text_heap.off, lay.text_heap.count)?,

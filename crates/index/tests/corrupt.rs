@@ -110,10 +110,22 @@ fn wrong_magic_version_and_endianness_are_distinct_errors() {
             e,
             SnapshotError::UnsupportedVersion {
                 found: 999,
-                supported: 2
+                supported: 3
             }
         ),
         "{e}"
+    );
+
+    // A version-2 file (four more link sections) is refused at the
+    // header: with its sections cut away there is nothing else to read.
+    let mut b = bytes[..104].to_vec();
+    b[12..16].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(
+        open_raw("version-2", &b).unwrap_err(),
+        SnapshotError::UnsupportedVersion {
+            found: 2,
+            supported: 3
+        }
     );
 }
 
@@ -153,7 +165,7 @@ fn header_and_section_corruption_name_their_region() {
     );
 }
 
-/// Re-implementation of the format-version-2 FastHash (pinned by
+/// Re-implementation of the FastHash of format versions 2 and 3 (pinned by
 /// `hash.rs::known_stability`, so it cannot drift silently) and of the
 /// documented header/section layout — enough to *re-sign* a mutated
 /// snapshot so it passes both checksums and exercises the semantic
@@ -203,89 +215,29 @@ mod craft {
         bytes[88..96].copy_from_slice(&header.to_le_bytes());
     }
 
-    /// Byte offset of a `u32` section entry, walking the documented
-    /// layout: sections in fixed order, each 8-byte aligned.
-    /// `section` indexes the order kinds=0, parent=1, first_child=2,
-    /// last_child=3, next_sibling=4, prev_sibling=5, subtree_end=6,
-    /// text_off=7, elem_off=8, elem_post=9.
+    /// Section indexes in on-disk order (see [`sections`]).
+    pub const KINDS: usize = 0;
+    pub const PARENT: usize = 1;
+    pub const SUBTREE_END: usize = 2;
+    pub const ELEM_POST: usize = 5;
+    pub const NAME_BYTES: usize = 11;
+    pub const TEXT_HEAP: usize = 12;
+
+    /// Byte offset of entry `entry` of `u32` section `section`.
     pub fn u32_entry_offset(bytes: &[u8], section: usize, entry: usize) -> usize {
-        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap()) as usize;
-        let n = u64_at(16);
-        let names = u64_at(24);
-        let counts = [n, n, n, n, n, n, n, n + 1, names + 1, u64_at(40)];
-        let mut cursor = 104usize;
-        for (i, &count) in counts.iter().enumerate() {
-            cursor = cursor.div_ceil(8) * 8;
-            if i == section {
-                return cursor + entry * 4;
-            }
-            cursor += count * 4;
-        }
-        unreachable!("section index out of range");
+        sections(bytes)[section].0 + 4 * entry
     }
 
-    /// Which byte region to locate with [`byte_region_offset`].
-    #[derive(Clone, Copy)]
-    pub enum ByteRegion {
-        NameBytes,
-        TextHeap,
-    }
-
-    /// Byte offset (and length) of one of the two `u8` sections,
-    /// walking the full documented layout: the `u32` sections in fixed
-    /// order, then `name_bytes`, then `text_heap`, each 8-byte aligned.
-    pub fn byte_region_offset(bytes: &[u8], region: ByteRegion) -> (usize, usize) {
-        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap()) as usize;
-        let n = u64_at(16);
-        let names = u64_at(24);
-        // (count, width) in on-disk order; see `format.rs`.
-        let sections = [
-            (n, 4),          // kinds
-            (n, 4),          // parent
-            (n, 4),          // first_child
-            (n, 4),          // last_child
-            (n, 4),          // next_sibling
-            (n, 4),          // prev_sibling
-            (n, 4),          // subtree_end
-            (n + 1, 4),      // text_off
-            (names + 1, 4),  // elem_off
-            (u64_at(40), 4), // elem_post
-            (names + 1, 4),  // attr_off
-            (u64_at(48), 4), // attr_post
-            (u64_at(56), 4), // id_attrs
-            (u64_at(56), 4), // id_elems
-            (names + 1, 4),  // name_off
-            (u64_at(64), 1), // name_bytes
-            (u64_at(32), 1), // text_heap
-        ];
-        let want = match region {
-            ByteRegion::NameBytes => 15,
-            ByteRegion::TextHeap => 16,
-        };
-        let mut cursor = 104usize;
-        for (i, &(count, width)) in sections.iter().enumerate() {
-            cursor = cursor.div_ceil(8) * 8;
-            if i == want {
-                return (cursor, count);
-            }
-            cursor += count * width;
-        }
-        unreachable!("region index out of range");
-    }
-
-    /// `(byte offset, entry count, entry width)` of all seventeen
-    /// sections in on-disk order — the fifteen `u32` sections, then
-    /// `name_bytes`, then `text_heap` (see `format.rs`).
-    pub fn sections(bytes: &[u8]) -> [(usize, usize, usize); 17] {
+    /// `(byte offset, entry count, entry width)` of all thirteen
+    /// sections in on-disk order — the eleven `u32` sections, then
+    /// `name_bytes`, then `text_heap` (see `format.rs`), each 8-byte
+    /// aligned.
+    pub fn sections(bytes: &[u8]) -> [(usize, usize, usize); 13] {
         let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap()) as usize;
         let (n, names, ids) = (u64_at(16), u64_at(24), u64_at(56));
         let mut sections = [
             (0, n, 4),          // kinds
             (0, n, 4),          // parent
-            (0, n, 4),          // first_child
-            (0, n, 4),          // last_child
-            (0, n, 4),          // next_sibling
-            (0, n, 4),          // prev_sibling
             (0, n, 4),          // subtree_end
             (0, n + 1, 4),      // text_off
             (0, names + 1, 4),  // elem_off
@@ -310,11 +262,11 @@ mod craft {
 
 #[test]
 fn resigned_link_cycle_is_rejected_not_hung() {
-    // A checksum-consistent snapshot whose next_sibling column contains
-    // a self-loop: without the pre-order direction validation this
-    // would open fine and hang the first `children()` traversal.
+    // A checksum-consistent snapshot whose parent column contains a
+    // self-loop: without the pre-order direction validation this would
+    // open fine and hang the first ancestor walk.
     let mut bytes = sample_bytes();
-    let off = craft::u32_entry_offset(&bytes, 4, 1); // next_sibling[1]
+    let off = craft::u32_entry_offset(&bytes, craft::PARENT, 1);
     bytes[off..off + 4].copy_from_slice(&1u32.to_le_bytes());
     craft::resign(&mut bytes);
     let e = open_raw("cycle", &bytes).expect_err("cyclic snapshot opened");
@@ -331,7 +283,7 @@ fn resigned_postings_mismatch_is_rejected() {
     // name-test fast paths can never silently disagree with the kind
     // sweeps.
     let mut bytes = sample_bytes();
-    let off = craft::u32_entry_offset(&bytes, 9, 0); // elem_post[0]
+    let off = craft::u32_entry_offset(&bytes, craft::ELEM_POST, 0);
     bytes[off..off + 4].copy_from_slice(&0u32.to_le_bytes());
     craft::resign(&mut bytes);
     let e = open_raw("postings", &bytes).expect_err("bad postings opened");
@@ -348,7 +300,7 @@ fn resigned_invalid_utf8_in_the_text_heap_is_rejected() {
     // the life of the document, so open must refuse it with the typed
     // error *before* any string is ever materialized.
     let mut bytes = sample_bytes();
-    let (off, len) = craft::byte_region_offset(&bytes, craft::ByteRegion::TextHeap);
+    let (off, len, _) = craft::sections(&bytes)[craft::TEXT_HEAP];
     assert!(len > 0, "sample document must have text content");
     bytes[off] = 0xFF; // never valid anywhere in UTF-8
     craft::resign(&mut bytes);
@@ -372,7 +324,7 @@ fn resigned_invalid_utf8_in_the_name_bytes_is_rejected() {
     // names must be UTF-8 as a whole region, reported with the typed
     // error (not a per-name Corrupt message).
     let mut bytes = sample_bytes();
-    let (off, len) = craft::byte_region_offset(&bytes, craft::ByteRegion::NameBytes);
+    let (off, len, _) = craft::sections(&bytes)[craft::NAME_BYTES];
     assert!(len > 0, "sample document must intern names");
     bytes[off] = 0xC0; // an overlong-encoding lead byte, always invalid
     craft::resign(&mut bytes);
@@ -477,7 +429,7 @@ mod mutants {
 
     fn set_u32(
         bytes: &mut [u8],
-        sections: &[(usize, usize, usize); 17],
+        sections: &[(usize, usize, usize); 13],
         s: usize,
         i: usize,
         v: u32,
@@ -498,7 +450,7 @@ mod mutants {
     fn assert_agree(name: &str, bytes: &mut [u8], what: &str) -> Result<(), SnapshotError> {
         craft::resign(bytes);
         let sections = craft::sections(bytes);
-        let u32s: [Vec<u32>; 15] = std::array::from_fn(|s| {
+        let u32s: [Vec<u32>; 11] = std::array::from_fn(|s| {
             let (off, count, _) = sections[s];
             bytes[off..off + 4 * count]
                 .chunks_exact(4)
@@ -506,7 +458,7 @@ mod mutants {
                 .collect()
         });
         let region = |s: usize| &bytes[sections[s].0..sections[s].0 + sections[s].1];
-        let want = oracle::verdict(&u32s, region(15), region(16));
+        let want = oracle::verdict(&u32s, region(craft::NAME_BYTES), region(craft::TEXT_HEAP));
         let got = open_raw(name, bytes).map(|_| ());
         assert_eq!(got, want, "{what}");
         got
@@ -520,14 +472,14 @@ mod mutants {
         let n = sections[0].1;
         match rng.below(10) {
             k @ (0 | 1) => {
-                let (off, len, _) = sections[15 + k];
+                let (off, len, _) = sections[craft::NAME_BYTES + k];
                 let (at, b) = (rng.below(len), rng.next() as u8);
                 bytes[off + at] = b;
-                format!("section {} byte {at} := {b:#x}", 15 + k)
+                format!("section {} byte {at} := {b:#x}", craft::NAME_BYTES + k)
             }
             _ => {
                 let s = loop {
-                    let s = rng.below(15);
+                    let s = rng.below(craft::NAME_BYTES);
                     if sections[s].1 > 0 {
                         break s;
                     }
@@ -591,7 +543,7 @@ mod mutants {
         let sections = craft::sections(&pristine);
         let n = sections[0].1;
         let mut rejected = 0;
-        for (s, &(off, count, _)) in sections[..15].iter().enumerate() {
+        for (s, &(off, count, _)) in sections[..craft::NAME_BYTES].iter().enumerate() {
             if count == 0 {
                 continue; // this document has no ids
             }
@@ -650,7 +602,7 @@ mod mutants {
         assert_eq!((sections[0].0, n), (104, per_block + 1));
         // A self-reference and an index past the arena are wrong in every
         // node column, on either side of the block edge.
-        for s in 0..7 {
+        for s in [craft::KINDS, craft::PARENT, craft::SUBTREE_END] {
             for i in [per_block - 1, per_block] {
                 for v in [i as u32, n as u32 + 1] {
                     let mut bytes = pristine.clone();
@@ -668,12 +620,45 @@ mod mutants {
         miri,
         ignore = "megabyte snapshots are minutes-long under the interpreter"
     )]
+    fn a_garbage_row_at_a_block_edge_is_refused_not_a_panic() {
+        // `<r>` with 20 000 empty children: each row past the second is an
+        // element whose predecessor closes where it starts, so the row a
+        // block of `subtree_end` starts with also starts a range of the
+        // one-tree rule — whose own fault, with a `NONE` parent and an end
+        // past the arena, is read through both.
+        let pristine = snapshot_of("edge-row", &format!("<r>{}</r>", "<e/>".repeat(20_000)));
+        let sections = craft::sections(&pristine);
+        let (off, n, _) = sections[craft::SUBTREE_END];
+        let first_boundary = (off - 104).div_ceil(BLOCK) * BLOCK + 104;
+        let mut edges = 0;
+        for boundary in (first_boundary..off + 4 * n).step_by(BLOCK) {
+            let j = (boundary - off) / 4;
+            let mut bytes = pristine.clone();
+            set_u32(&mut bytes, &sections, craft::PARENT, j, NONE);
+            set_u32(&mut bytes, &sections, craft::SUBTREE_END, j, n as u32 + 1);
+            let what = format!("row {j}: parent NONE, subtree_end {}", n + 1);
+            let got = assert_agree("edge-row", &mut bytes, &what);
+            let want = format!(
+                "invalid document columns: node {j}: subtree_end {} out of range",
+                n + 1
+            );
+            assert_eq!(got, Err(SnapshotError::Corrupt(want)), "{what}");
+            edges += 1;
+        }
+        assert!(edges > 0, "no block edge inside subtree_end");
+    }
+
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "megabyte snapshots are minutes-long under the interpreter"
+    )]
     fn utf8_sequences_cut_by_a_block_boundary_are_validated_whole() {
         // One 200 000-byte text node: the heap is a single span crossing
         // several block boundaries, so bytes around one can be rewritten
         // without disturbing a text offset.
         let pristine = snapshot_of("cut", &format!("<a>{}</a>", "x".repeat(200_000)));
-        let (heap, len, _) = craft::sections(&pristine)[16];
+        let (heap, len, _) = craft::sections(&pristine)[craft::TEXT_HEAP];
         let cut = (heap - 104).div_ceil(BLOCK) * BLOCK + 104 - heap;
         assert!(cut >= 3 && cut + 3 < len);
         let run = |what: &str, edits: &[(usize, u8)]| {
@@ -734,6 +719,51 @@ mod mutants {
                 }),
                 "{what}"
             );
+        }
+    }
+
+    #[test]
+    fn two_trees_in_one_file_are_refused_at_the_node() {
+        // Every entry in range and along pre-order — all the format-2
+        // sweep asked of the structure — but `parent`, `subtree_end` and
+        // the kinds describe two different trees.
+        type Edit = fn(&mut [u8], &[(usize, usize, usize); 13]);
+        let cases: [(&str, Edit, &str); 3] = [
+            (
+                // 0:end 5, 1:p0 end 4, 2:p1 end 3, 3:p0 end 4, 4:p0 end 5:
+                // `subtree_end` puts node 3 inside node 1, `parent` beside it.
+                "<a><b/><c/></a><!--x-->",
+                |b, s| set_u32(b, s, craft::PARENT, 3, 0),
+                "node 3: parent 0 is not 1, the innermost node open there",
+            ),
+            (
+                // The attribute and the text child of `a` trade kinds.
+                r#"<a x="1">t</a>"#,
+                |b, s| {
+                    let word = |i: usize| b[s[craft::KINDS].0 + 4 * i..][..4].to_vec();
+                    let (attr, text) = (word(2), word(3));
+                    b[s[craft::KINDS].0 + 8..][..4].copy_from_slice(&text);
+                    b[s[craft::KINDS].0 + 12..][..4].copy_from_slice(&attr);
+                },
+                "node 3: attribute follows neither its element nor a sibling attribute",
+            ),
+            (
+                // The text node swallows its following sibling.
+                "<a>t<b/></a>",
+                |b, s| {
+                    set_u32(b, s, craft::SUBTREE_END, 2, 4);
+                    set_u32(b, s, craft::PARENT, 3, 2);
+                },
+                "node 2: only elements have descendants, but subtree_end is 4",
+            ),
+        ];
+        for (xml, edit, want) in cases {
+            let mut bytes = snapshot_of("two-trees", xml);
+            let sections = craft::sections(&bytes);
+            edit(&mut bytes, &sections);
+            let got = assert_agree("two-trees", &mut bytes, xml);
+            let want = format!("invalid document columns: {want}");
+            assert_eq!(got, Err(SnapshotError::Corrupt(want)), "{xml}");
         }
     }
 }

@@ -1,12 +1,14 @@
 //! The row-wise validator `open_snapshot` ran before the column sweep
-//! replaced it (format version 1, PR 14 and earlier), kept as a test
-//! oracle: the sweep must accept and reject the same files, with the
-//! same error variant and the same message.
+//! replaced it, kept as a test oracle: the sweep must accept and reject
+//! the same files, with the same error variant and the same message.
 //!
 //! `validate_columns` below is the body of `minctx-xml`'s
-//! `document.rs::validate_columns` moved here *verbatim*; the constants
-//! it names and a stand-in `ColumnError` are declared around it so that
-//! not a line of it had to change.  [`verdict`] wraps it in what
+//! `document.rs::validate_columns` (format version 1) moved here, with
+//! the constants it names and a stand-in `ColumnError` declared around
+//! it, and changed only as the format was: version 3 dropped the four
+//! child and sibling link columns and their direction checks, and added
+//! the one-tree rule at the end of each row, written here with an
+//! explicit stack of open nodes.  [`verdict`] wraps it in what
 //! `open_snapshot_le` did between verifying the section checksum and
 //! returning: the name-table checks and the typed UTF-8 check of the
 //! text heap.
@@ -44,15 +46,15 @@ impl std::fmt::Display for ColumnError {
 }
 
 /// What the row-wise open said of a file image whose header and
-/// checksums are in order: `u32s` are the fifteen `u32` sections in
+/// checksums are in order: `u32s` are the eleven `u32` sections in
 /// file order, decoded; `name_bytes` and `text_heap` the two that
 /// follow (as `craft::sections` cuts them).
 pub fn verdict(
-    u32s: &[Vec<u32>; 15],
+    u32s: &[Vec<u32>; 11],
     name_bytes: &[u8],
     text_heap: &[u8],
 ) -> Result<(), SnapshotError> {
-    let name_off = &u32s[14];
+    let name_off = &u32s[10];
     // ---- Name table (open_snapshot_le, verbatim) ------------------------
     if let Err(e) = std::str::from_utf8(name_bytes) {
         return Err(SnapshotError::InvalidUtf8 {
@@ -93,19 +95,15 @@ pub fn verdict(
     let cols = RawColumns {
         kinds: &u32s[0],
         parent: &u32s[1],
-        first_child: &u32s[2],
-        last_child: &u32s[3],
-        next_sibling: &u32s[4],
-        prev_sibling: &u32s[5],
-        subtree_end: &u32s[6],
-        text_off: &u32s[7],
+        subtree_end: &u32s[2],
+        text_off: &u32s[3],
         text_heap,
-        elem_off: &u32s[8],
-        elem_post: &u32s[9],
-        attr_off: &u32s[10],
-        attr_post: &u32s[11],
-        id_attrs: &u32s[12],
-        id_elems: &u32s[13],
+        elem_off: &u32s[4],
+        elem_post: &u32s[5],
+        attr_off: &u32s[6],
+        attr_post: &u32s[7],
+        id_attrs: &u32s[8],
+        id_elems: &u32s[9],
     };
     validate_columns(&cols, &names).map_err(|e| SnapshotError::Corrupt(e.to_string()))
 }
@@ -119,14 +117,7 @@ fn validate_columns(cols: &RawColumns<'_>, names: &NameTable) -> Result<(), Colu
             "document has {n} nodes; a well-formed document has at least root + document element"
         ));
     }
-    for (name, col) in [
-        ("parent", cols.parent),
-        ("first_child", cols.first_child),
-        ("last_child", cols.last_child),
-        ("next_sibling", cols.next_sibling),
-        ("prev_sibling", cols.prev_sibling),
-        ("subtree_end", cols.subtree_end),
-    ] {
+    for (name, col) in [("parent", cols.parent), ("subtree_end", cols.subtree_end)] {
         if col.len() != n {
             return err(format!(
                 "column {name} has {} entries, expected {n}",
@@ -139,6 +130,7 @@ fn validate_columns(cols: &RawColumns<'_>, names: &NameTable) -> Result<(), Colu
         return err("node 0 is not a parentless root node".to_string());
     }
     let name_count = names.len() as u32;
+    let mut open: Vec<usize> = Vec::new();
     for i in 0..n {
         let word = cols.kinds[i];
         let tag = word & node::KIND_TAG_MASK;
@@ -147,33 +139,56 @@ fn validate_columns(cols: &RawColumns<'_>, names: &NameTable) -> Result<(), Colu
         if tag > node::TAG_ATTRIBUTE || (named && nm >= name_count) || (!named && nm != 0) {
             return err(format!("node {i} has invalid packed kind word {word:#x}"));
         }
-        // Pre-order direction, not just range: parents and previous
-        // siblings strictly precede a node, children and next siblings
-        // strictly follow it.  Beyond catching corruption, this is what
-        // makes every link *traversal* provably terminate — a crafted
-        // snapshot with a sibling or parent cycle must fail here, not
-        // hang the first `children()` walk.
-        let iu = i as u32;
-        for (what, v, forward) in [
-            ("parent", cols.parent[i], false),
-            ("first_child", cols.first_child[i], true),
-            ("last_child", cols.last_child[i], true),
-            ("next_sibling", cols.next_sibling[i], true),
-            ("prev_sibling", cols.prev_sibling[i], false),
-        ] {
-            if v == NONE {
-                continue;
-            }
-            if v as usize >= n || (forward && v <= iu) || (!forward && v >= iu) {
+        // Pre-order direction, not just range: a parent strictly
+        // precedes its node, so a crafted parent cycle fails here.
+        let p = cols.parent[i];
+        if p != NONE && p >= i as u32 {
+            return err(format!(
+                "node {i}: parent link {p} out of range or against pre-order"
+            ));
+        }
+        // The root's subtree spans the arena.
+        let se = cols.subtree_end[i] as usize;
+        if se <= i || se > n || (i == 0 && se != n) {
+            return err(format!("node {i}: subtree_end {se} out of range"));
+        }
+        // One tree: `parent`, `subtree_end` and the kinds describe the
+        // same pre-order tree.  `open` holds the nodes whose subtree
+        // contains `i`, outermost first.
+        while open
+            .last()
+            .is_some_and(|&o| cols.subtree_end[o] as usize <= i)
+        {
+            open.pop();
+        }
+        if i > 0 {
+            let tag = cols.kinds[i] & node::KIND_TAG_MASK;
+            let prev = cols.kinds[i - 1] & node::KIND_TAG_MASK;
+            if tag != node::TAG_ELEMENT && se != i + 1 {
                 return err(format!(
-                    "node {i}: {what} link {v} out of range or against pre-order"
+                    "node {i}: only elements have descendants, but subtree_end is {se}"
+                ));
+            }
+            // The root spans the arena, so `open` holds it at least.
+            let top = *open.last().expect("the root is open");
+            let top_end = cols.subtree_end[top];
+            if p as usize != top {
+                return err(format!(
+                    "node {i}: parent {p} is not {top}, the innermost node open there"
+                ));
+            }
+            if se > top_end as usize {
+                return err(format!("node {i}: subtree_end {se} overruns {top_end}"));
+            }
+            let after_owner = prev == node::TAG_ELEMENT && top == i - 1;
+            let after_sibling = prev == node::TAG_ATTRIBUTE && cols.parent[i - 1] == p;
+            if tag == node::TAG_ATTRIBUTE && !after_owner && !after_sibling {
+                return err(format!(
+                    "node {i}: attribute follows neither its element nor a sibling attribute"
                 ));
             }
         }
-        let se = cols.subtree_end[i] as usize;
-        if se <= i || se > n {
-            return err(format!("node {i}: subtree_end {se} out of range"));
-        }
+        open.push(i);
     }
     // Text heap: monotone offsets on UTF-8 char boundaries.
     if cols.text_off.len() != n + 1 {

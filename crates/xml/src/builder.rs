@@ -3,9 +3,10 @@
 //! [`DocumentBuilder`] receives SAX-style events (`start_element`, `text`,
 //! `end_element`, …) and assembles the pre-order arena of a [`Document`].
 //! Both the XML parser and the synthetic workload generators build documents
-//! through this one code path, so every invariant (pre-order ids, subtree
-//! ranges, sibling links, id index, text-heap spans, CSR postings) is
-//! enforced in a single place.
+//! through this one code path, so every invariant (pre-order ids, parent
+//! links, subtree ranges, id index, text-heap spans, CSR postings) is
+//! enforced in a single place.  Child and sibling links are not built: the
+//! document derives them from the subtree ranges.
 
 use crate::document::{Document, NONE};
 use crate::error::{XmlError, XmlErrorKind};
@@ -57,10 +58,7 @@ pub struct DocumentBuilder {
     /// Packed kind words ([`NodeKind::pack`]).
     kinds: Vec<u32>,
     parent: Vec<u32>,
-    first_child: Vec<u32>,
-    last_child: Vec<u32>,
-    next_sibling: Vec<u32>,
-    prev_sibling: Vec<u32>,
+    /// `idx + 1` when pushed; an element's is set when it closes.
     subtree_end: Vec<u32>,
     /// Per-node content start offsets into `text_heap` (the final
     /// `len + 1`-th offset is pushed at `finish`).
@@ -91,10 +89,6 @@ impl DocumentBuilder {
             names: NameTable::new(),
             kinds: Vec::new(),
             parent: Vec::new(),
-            first_child: Vec::new(),
-            last_child: Vec::new(),
-            next_sibling: Vec::new(),
-            prev_sibling: Vec::new(),
             subtree_end: Vec::new(),
             text_off: Vec::new(),
             text_heap: String::new(),
@@ -113,10 +107,6 @@ impl DocumentBuilder {
         let mut b = Self::new();
         b.kinds.reserve(n);
         b.parent.reserve(n);
-        b.first_child.reserve(n);
-        b.last_child.reserve(n);
-        b.next_sibling.reserve(n);
-        b.prev_sibling.reserve(n);
         b.subtree_end.reserve(n);
         b.text_off.reserve(n + 1);
         b
@@ -128,30 +118,16 @@ impl DocumentBuilder {
         self
     }
 
-    /// Raw node append; returns the arena index.  Links into the sibling
-    /// chain of `parent` unless the node is an attribute.
+    /// Raw node append; returns the arena index.  Writes no earlier node's
+    /// slot.
     fn push_node(&mut self, kind: NodeKind, content: &str, parent: u32) -> u32 {
         let idx = u32::try_from(self.kinds.len()).expect("document larger than u32::MAX nodes");
         self.kinds.push(kind.pack());
         self.parent.push(parent);
-        self.first_child.push(NONE);
-        self.last_child.push(NONE);
-        self.next_sibling.push(NONE);
-        self.prev_sibling.push(NONE);
         self.subtree_end.push(idx + 1);
         self.text_off
             .push(u32::try_from(self.text_heap.len()).expect("text heap larger than u32::MAX"));
         self.text_heap.push_str(content);
-        if parent != NONE && !kind.is_attribute() {
-            let prev = self.last_child[parent as usize];
-            if prev == NONE {
-                self.first_child[parent as usize] = idx;
-            } else {
-                self.next_sibling[prev as usize] = idx;
-                self.prev_sibling[idx as usize] = prev;
-            }
-            self.last_child[parent as usize] = idx;
-        }
         idx
     }
 
@@ -288,10 +264,6 @@ impl DocumentBuilder {
         let store = DocStore {
             kinds: Col::owned(self.kinds),
             parent: Col::owned(self.parent),
-            first_child: Col::owned(self.first_child),
-            last_child: Col::owned(self.last_child),
-            next_sibling: Col::owned(self.next_sibling),
-            prev_sibling: Col::owned(self.prev_sibling),
             subtree_end: Col::owned(self.subtree_end),
             text_off: Col::owned(self.text_off),
             text_heap: Col::owned(self.text_heap.into_bytes()),

@@ -9,8 +9,12 @@
 //! * per-node tables elsewhere in the engine are dense arrays.
 //!
 //! The arena is stored as flat, offset-based columns (see
-//! [`store`](crate::store)): packed kind words, structure links, one text
-//! heap with per-node spans, CSR label postings, and a sorted id index.
+//! [`store`](crate::store)): packed kind words, parent links, subtree ends,
+//! one text heap with per-node spans, CSR label postings, and a sorted id
+//! index.  Child and sibling links are derived, not stored: `n`'s first
+//! child is the first slot after its attribute run, if that is below
+//! `subtree_end(n)`; the sibling after `c` is `subtree_end(c)`, if that is
+//! below its parent's `subtree_end`.
 //! Columns are either owned heap buffers (built by
 //! [`DocumentBuilder`](crate::DocumentBuilder)) or zero-copy views of a
 //! memory-mapped snapshot (`minctx-index`); every accessor below works
@@ -22,7 +26,7 @@
 //! excluded from all tree axes and reachable only via the `attribute` axis.
 
 use crate::name::{Name, NameTable};
-use crate::node::{self, NodeId, NodeKind};
+use crate::node::{self, NodeId, NodeKind, KIND_TAG_MASK, TAG_ATTRIBUTE};
 use crate::nodeset::NodeSet;
 use crate::store::{ColumnError, DocStore, RawColumns, StableBytes};
 use crate::sweep::ColumnSweep;
@@ -30,6 +34,18 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 pub(crate) const NONE: u32 = u32::MAX;
+
+/// The first slot in `n + 1 .. end` that is not an attribute, or `end`:
+/// `n`'s first child when `end` is `subtree_end(n)`, since `n`'s attributes
+/// are the run of slots right after it.
+#[inline]
+pub(crate) fn first_child_at(kinds: &[u32], n: usize, end: usize) -> usize {
+    let mut c = n + 1;
+    while c < end && kinds[c] & KIND_TAG_MASK == TAG_ATTRIBUTE {
+        c += 1;
+    }
+    c
+}
 
 /// An in-memory XML document; the node domain `dom` of the paper.
 #[derive(Debug, Clone)]
@@ -165,32 +181,25 @@ impl Document {
         (p != NONE).then_some(NodeId(p))
     }
 
-    /// First non-attribute child.
+    /// First non-attribute child: the first slot after `n`'s attribute
+    /// run, if it is inside `n`'s subtree.
     #[inline]
     pub fn first_child(&self, n: NodeId) -> Option<NodeId> {
-        let c = self.store.first_child[n.index()];
-        (c != NONE).then_some(NodeId(c))
+        let end = self.subtree_end(n);
+        let c = first_child_at(self.kinds_raw(), n.index(), end);
+        (c < end).then(|| NodeId::from_index(c))
     }
 
-    /// Last non-attribute child.
-    #[inline]
-    pub fn last_child(&self, n: NodeId) -> Option<NodeId> {
-        let c = self.store.last_child[n.index()];
-        (c != NONE).then_some(NodeId(c))
-    }
-
-    /// Next sibling (attribute nodes are not part of sibling chains).
+    /// Next sibling: the slot right after `n`'s subtree, if it is inside
+    /// the parent's.  Attribute nodes and the root have none.
     #[inline]
     pub fn next_sibling(&self, n: NodeId) -> Option<NodeId> {
-        let s = self.store.next_sibling[n.index()];
-        (s != NONE).then_some(NodeId(s))
-    }
-
-    /// Previous sibling.
-    #[inline]
-    pub fn prev_sibling(&self, n: NodeId) -> Option<NodeId> {
-        let s = self.store.prev_sibling[n.index()];
-        (s != NONE).then_some(NodeId(s))
+        let p = self.store.parent[n.index()];
+        if p == NONE || self.kind(n).is_attribute() {
+            return None;
+        }
+        let s = self.store.subtree_end[n.index()];
+        (s < self.store.subtree_end[p as usize]).then_some(NodeId(s))
     }
 
     /// One past the pre-order index of the last descendant of `n`
@@ -226,37 +235,23 @@ impl Document {
         &self.store.kinds
     }
 
-    /// The raw `first_child` / `next_sibling` / `prev_sibling` columns the
-    /// set kernels walk (`NONE`-terminated; attribute nodes are in none of
-    /// the chains).
+    /// The raw `subtree_end` column: the set kernels walk a child chain
+    /// `c ← subtree_end(c)` while `c < subtree_end(parent)`.
     #[inline]
-    pub(crate) fn child_links_raw(&self) -> (&[u32], &[u32], &[u32]) {
-        let s = &self.store;
-        (&s.first_child, &s.next_sibling, &s.prev_sibling)
+    pub(crate) fn subtree_end_raw(&self) -> &[u32] {
+        &self.store.subtree_end
     }
 
     /// Iterates the non-attribute children of `n` in document order.
-    pub fn children(&self, n: NodeId) -> Children<'_> {
-        Children {
-            doc: self,
-            next: self.store.first_child[n.index()],
-        }
+    pub fn children(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(self.first_child(n), |&c| self.next_sibling(c))
     }
 
-    /// Iterates the attribute nodes of `n` in document order.
-    ///
-    /// Attributes are stored contiguously right after their element.
-    pub fn attributes(&self, n: NodeId) -> Attributes<'_> {
-        let start = if self.kind(n).is_element() {
-            n.index() + 1
-        } else {
-            // Non-elements have no attributes; empty range.
-            self.len()
-        };
-        Attributes {
-            doc: self,
-            next: start,
-        }
+    /// Iterates the attribute nodes of `n` in document order: the slots
+    /// between `n` and its first child (none unless `n` is an element).
+    pub fn attributes(&self, n: NodeId) -> impl Iterator<Item = NodeId> {
+        let run_end = first_child_at(self.kinds_raw(), n.index(), self.subtree_end(n));
+        (n.index() + 1..run_end).map(NodeId::from_index)
     }
 
     /// The value of the attribute named `name` on element `n`.
@@ -421,10 +416,6 @@ impl Document {
         RawColumns {
             kinds: &s.kinds,
             parent: &s.parent,
-            first_child: &s.first_child,
-            last_child: &s.last_child,
-            next_sibling: &s.next_sibling,
-            prev_sibling: &s.prev_sibling,
             subtree_end: &s.subtree_end,
             text_off: &s.text_off,
             text_heap: &s.text_heap,
@@ -443,8 +434,9 @@ impl Document {
     ///
     /// Every document invariant the accessors rely on is validated here,
     /// in `O(|D|)`, so a column set that decodes structurally but
-    /// violates the data model (dangling links, non-monotone offsets,
-    /// invalid UTF-8, unsorted postings) is rejected with a
+    /// violates the data model (a parent column and subtree ends that
+    /// describe two trees, non-monotone offsets, invalid UTF-8, unsorted
+    /// postings) is rejected with a
     /// [`ColumnError`] instead of panicking later.  This is one whole
     /// [`ColumnSweep`]; a caller that reads the backing bytes itself can
     /// drive the sweep alongside its own pass instead.
@@ -503,48 +495,6 @@ impl Document {
     }
 }
 
-/// Iterator over the non-attribute children of a node.
-pub struct Children<'d> {
-    doc: &'d Document,
-    next: u32,
-}
-
-impl Iterator for Children<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        if self.next == NONE {
-            return None;
-        }
-        let cur = NodeId(self.next);
-        self.next = self.doc.store.next_sibling[cur.index()];
-        Some(cur)
-    }
-}
-
-/// Iterator over the attribute nodes of an element.
-pub struct Attributes<'d> {
-    doc: &'d Document,
-    next: usize,
-}
-
-impl Iterator for Attributes<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        if self.next >= self.doc.len() {
-            return None;
-        }
-        let n = NodeId::from_index(self.next);
-        if self.doc.kind(n).is_attribute() {
-            self.next += 1;
-            Some(n)
-        } else {
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::parser::parse;
@@ -563,10 +513,9 @@ mod tests {
         assert_eq!(doc.label_str(kids[1]), Some("c"));
         assert_eq!(doc.parent(kids[0]), Some(a));
         assert_eq!(doc.next_sibling(kids[0]), Some(kids[1]));
-        assert_eq!(doc.prev_sibling(kids[1]), Some(kids[0]));
-        assert_eq!(doc.prev_sibling(kids[0]), None);
+        assert_eq!(doc.next_sibling(kids[1]), None);
         assert_eq!(doc.first_child(a), Some(kids[0]));
-        assert_eq!(doc.last_child(a), Some(kids[1]));
+        assert_eq!(doc.children(a).last(), Some(kids[1]));
     }
 
     #[test]
@@ -636,7 +585,7 @@ mod tests {
         let a = doc.document_element();
         let b = doc.first_child(a).unwrap();
         let c = doc.first_child(b).unwrap();
-        let d = doc.last_child(a).unwrap();
+        let d = doc.children(a).last().unwrap();
         assert!(doc.is_ancestor_of(a, c));
         assert!(doc.is_ancestor_of(b, c));
         assert!(!doc.is_ancestor_of(c, b));

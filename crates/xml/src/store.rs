@@ -5,11 +5,14 @@
 //! `u32`/`u8` arrays with offset-based (CSR) indirection instead of
 //! nested allocations:
 //!
-//! * the seven per-node structure columns (`kinds` packs the node kind
-//!   and its interned name into one word, see [`NodeKind`] packing),
-//! * the text heap: one byte buffer holding every content string, with a
-//!   per-node offset column (`text_off[n]..text_off[n+1]` is node `n`'s
-//!   content — nodes are appended in pre-order, so offsets are monotone),
+//! * four per-node structure columns: `kinds` (the node kind and its
+//!   interned name packed into one word, see [`NodeKind`] packing),
+//!   `parent`, `subtree_end`, and `text_off` into the text heap
+//!   (`text_off[n]..text_off[n+1]` is node `n`'s content — nodes are
+//!   appended in pre-order, so offsets are monotone).  Child and sibling
+//!   links are not stored: [`Document`] derives them from `subtree_end`,
+//!   `parent` and the kind word,
+//! * the text heap: one byte buffer holding every content string,
 //! * CSR label postings: one flat node-id array per posting family
 //!   (element / attribute) plus a per-name offset column,
 //! * the id index: `(attribute node, owner element)` pairs sorted by the
@@ -164,10 +167,6 @@ pub(crate) struct DocStore {
     /// Packed node kinds (`NodeKind::pack`).
     pub(crate) kinds: Col<u32>,
     pub(crate) parent: Col<u32>,
-    pub(crate) first_child: Col<u32>,
-    pub(crate) last_child: Col<u32>,
-    pub(crate) next_sibling: Col<u32>,
-    pub(crate) prev_sibling: Col<u32>,
     pub(crate) subtree_end: Col<u32>,
     /// `len + 1` monotone offsets into `text_heap`; node `n`'s content is
     /// `text_heap[text_off[n]..text_off[n+1]]` (empty for elements/root).
@@ -242,14 +241,6 @@ pub struct RawColumns<'a> {
     pub kinds: &'a [u32],
     /// Parent links (`u32::MAX` = none).
     pub parent: &'a [u32],
-    /// First non-attribute child (`u32::MAX` = none).
-    pub first_child: &'a [u32],
-    /// Last non-attribute child (`u32::MAX` = none).
-    pub last_child: &'a [u32],
-    /// Next sibling (`u32::MAX` = none).
-    pub next_sibling: &'a [u32],
-    /// Previous sibling (`u32::MAX` = none).
-    pub prev_sibling: &'a [u32],
     /// One past the last pre-order index of each node's subtree.
     pub subtree_end: &'a [u32],
     /// `node_count + 1` monotone offsets into `text_heap`.

@@ -11,7 +11,10 @@
 //! ([`ColumnSweep::advance`]); blocks may therefore arrive in any order,
 //! and the violation reported is the one the row-wise validator this
 //! replaced would have met first (the lowest `Rank`), not the first
-//! one seen.  See DESIGN.md "Opening at memory speed".
+//! one seen.  The one-tree rule — `parent`, `subtree_end` and the kind
+//! word describe the same pre-order tree — is checked the same way, over
+//! rows instead of one column ([`ColumnSweep::check_tree`]).  See
+//! DESIGN.md "Opening at memory speed".
 
 use crate::document::{Document, NONE};
 use crate::name::NameTable;
@@ -25,7 +28,7 @@ use std::sync::Arc;
 type Rank = (u8, usize, u8);
 
 // Phases, in reporting order.  The node phase is row-major: node `i`'s
-// kind word, then its links in column order, then node `i + 1`.
+// kind word, parent, subtree end and one-tree rule, then node `i + 1`.
 const UTF8: u8 = 0;
 const SHAPE: u8 = 1;
 const ROOT: u8 = 2;
@@ -39,25 +42,15 @@ const POSTINGS: u8 = 7;
 const IDS: u8 = 17;
 const NAMES: u8 = 18;
 
-// Progress slots: the seven node columns by their row position (kinds,
-// the five links, subtree_end), then the other streamed columns.
+// Progress slots: the three node columns by their row position, then the
+// other streamed columns.  The one-tree rule's parts follow the columns in
+// a row (see `TreeRule`).
 const KINDS_COL: usize = 0;
-const SUBTREE_END_COL: usize = 6;
-const TEXT_OFF_COL: usize = 7;
-const HEAP_COL: usize = 8;
-const POST_COL: usize = 9;
-
-/// The five link columns in row order, with the direction pre-order
-/// demands of each (`true`: forward).
-fn links<'a>(c: &RawColumns<'a>) -> [(&'static str, &'a [u32], bool); 5] {
-    [
-        ("parent", c.parent, false),
-        ("first_child", c.first_child, true),
-        ("last_child", c.last_child, true),
-        ("next_sibling", c.next_sibling, true),
-        ("prev_sibling", c.prev_sibling, false),
-    ]
-}
+const PARENT_COL: usize = 1;
+const SUBTREE_END_COL: usize = 2;
+const TEXT_OFF_COL: usize = 3;
+const HEAP_COL: usize = 4;
+const POST_COL: usize = 5;
 
 /// A kind word is a known tag with an interned name exactly when the
 /// tag carries one.
@@ -69,20 +62,88 @@ fn kind_bad(word: u32, name_count: u32) -> bool {
     (tag > TAG_ATTRIBUTE) | (named & (nm >= name_count)) | (!named & (nm != 0))
 }
 
-/// Pre-order direction, not just range: parents and previous siblings
-/// strictly precede node `i` (`v >= n` implies `v >= i`), children and
-/// next siblings strictly follow it.  Beyond catching corruption, this
-/// is what makes every link *traversal* provably terminate — a crafted
-/// snapshot with a sibling or parent cycle must fail here, not hang the
-/// first `children()` walk.
+/// A parent strictly precedes its child (`v >= n` implies `v >= i`), so
+/// a crafted parent cycle fails here, not in the first ancestor walk.
 #[inline]
-fn link_bad(forward: bool, i: u32, v: u32, n: u32) -> bool {
-    (v != NONE) & if forward { (v <= i) | (v >= n) } else { v >= i }
+fn parent_bad(i: u32, v: u32) -> bool {
+    (v != NONE) & (v >= i)
 }
 
+/// A subtree starts at its node and ends inside the arena, so every walk
+/// along `c ← subtree_end(c)` moves forward and stops; the root's spans
+/// the arena.
 #[inline]
 fn subtree_end_bad(i: u32, end: u32, n: u32) -> bool {
-    (end <= i) | (end > n)
+    (end <= i) | (end > n) | ((i == 0) & (end != n))
+}
+
+/// The one-tree rule's parts, in the order a row reports them after its
+/// columns: node `i ≥ 1` is a leaf unless an element, has for parent the
+/// innermost node open at `i`, nests its subtree in the parent's, and, if
+/// an attribute, directly follows its element or a sibling attribute.  (The
+/// root spans the arena, so some node is always open.)
+#[derive(Debug, Clone, Copy)]
+enum TreeRule {
+    Leaf = 3,
+    Parent,
+    Nests,
+    Attribute,
+}
+
+/// The parts node `i ≥ 1` breaks by its row `[kind word, parent,
+/// subtree_end]` and the row before.  "Innermost open" is checked in two
+/// local halves — here, that `i - 1`, if still open at `i`, is the parent;
+/// in [`link_faults`], that the node after a subtree ending inside its
+/// parent's is the parent's child — which by induction over the rows are
+/// the stack rule: the innermost node open at `i` is `i - 1` if that is
+/// open, else the parent of the outermost node closing at `i`.
+#[inline(always)]
+fn local_faults(
+    i: u32,
+    [word, p, end]: [u32; 3],
+    [before, prev_p, prev_end]: [u32; 3],
+) -> [(bool, TreeRule); 3] {
+    let (tag, prev) = (word & KIND_TAG_MASK, before & KIND_TAG_MASK);
+    let attr_ok = (prev == TAG_ELEMENT) & (p == i - 1) | (prev == TAG_ATTRIBUTE) & (prev_p == p);
+    [
+        ((tag != TAG_ELEMENT) & (end != i + 1), TreeRule::Leaf),
+        ((prev_end > i) & (p != i - 1), TreeRule::Parent),
+        ((tag == TAG_ATTRIBUTE) & !attr_ok, TreeRule::Attribute),
+    ]
+}
+
+/// Entry `k` of a node column, clamped to its last: a row holding garbage
+/// (a `NONE` parent, an end past the arena), reported by a column rule
+/// ranked before the tree rule, still reads in bounds.
+#[inline(always)]
+fn clamped(col: &[u32], k: u32) -> u32 {
+    col[(k as usize).min(col.len() - 1)]
+}
+
+/// The parts read through the parent `p` of a node whose subtree ends at
+/// `end`: it nests in the parent's (bad for the node), and the node at
+/// `end`, if still inside the parent, is the parent's child (bad for the
+/// node at `end`).
+#[inline(always)]
+fn link_faults(c: &RawColumns<'_>, p: u32, end: u32) -> [bool; 2] {
+    let pend = clamped(c.subtree_end, p);
+    [end > pend, (end < pend) & (clamped(c.parent, end) != p)]
+}
+
+/// The message for `rule` broken at node `i`, whose innermost open node
+/// is `top` — read as [`link_faults`] reads, since it is built before the
+/// rule's rank is compared with a column fault's in the same row.
+fn tree_message(c: &RawColumns<'_>, i: usize, rule: TreeRule, top: u32) -> String {
+    let (p, end) = (c.parent[i], c.subtree_end[i]);
+    let what = match rule {
+        TreeRule::Leaf => format!("only elements have descendants, but subtree_end is {end}"),
+        TreeRule::Parent => format!("parent {p} is not {top}, the innermost node open there"),
+        TreeRule::Nests => format!("subtree_end {end} overruns {}", clamped(c.subtree_end, p)),
+        TreeRule::Attribute => {
+            "attribute follows neither its element nor a sibling attribute".into()
+        }
+    };
+    format!("node {i}: {what}")
 }
 
 /// Text offsets are monotone and land on char boundaries of the heap: its
@@ -148,6 +209,8 @@ pub struct ColumnSweep<'a> {
     name_count: usize,
     /// Entries checked so far, per streamed column.
     done: [usize; POST_COL + 2],
+    /// Rows the one-tree rule has been checked for.
+    tree_done: usize,
     /// Nodes tagged element / attribute, counted by the kinds sweep.
     tagged: [usize; 2],
     /// Per postings family: the CSR group being swept and its last
@@ -168,6 +231,7 @@ impl<'a> ColumnSweep<'a> {
             cols,
             name_count,
             done: [0; POST_COL + 2],
+            tree_done: 1,
             tagged: [0; 2],
             cursor: [(0, -1); 2],
             offsets_ok: [false; 2],
@@ -204,10 +268,6 @@ impl<'a> ColumnSweep<'a> {
             && [
                 c.kinds,
                 c.parent,
-                c.first_child,
-                c.last_child,
-                c.next_sibling,
-                c.prev_sibling,
                 c.subtree_end,
                 c.text_off,
                 c.elem_off,
@@ -227,10 +287,6 @@ impl<'a> ColumnSweep<'a> {
         let store = DocStore {
             kinds: Col::borrowed(c.kinds, &keep),
             parent: Col::borrowed(c.parent, &keep),
-            first_child: Col::borrowed(c.first_child, &keep),
-            last_child: Col::borrowed(c.last_child, &keep),
-            next_sibling: Col::borrowed(c.next_sibling, &keep),
-            prev_sibling: Col::borrowed(c.prev_sibling, &keep),
             subtree_end: Col::borrowed(c.subtree_end, &keep),
             text_off: Col::borrowed(c.text_off, &keep),
             text_heap: Col::borrowed(c.text_heap, &keep),
@@ -320,15 +376,13 @@ impl<'a> ColumnSweep<'a> {
             let msg = format!("document has {n} nodes; node ids are 32 bits");
             self.invariant((SHAPE, 0, 0), msg);
         }
-        let node_cols = links(&c).map(|(name, col, _)| (name, col));
-        for (k, (name, col)) in (1..).zip(
-            node_cols
-                .into_iter()
-                .chain([("subtree_end", c.subtree_end)]),
-        ) {
+        for (k, (name, col)) in [("parent", c.parent), ("subtree_end", c.subtree_end)]
+            .into_iter()
+            .enumerate()
+        {
             if col.len() != n {
                 let msg = format!("column {name} has {} entries, expected {n}", col.len());
-                self.invariant((SHAPE, k, 0), msg);
+                self.invariant((SHAPE, k + 1, 0), msg);
             }
         }
         if c.kinds.first().map(|w| w & KIND_TAG_MASK) != Some(TAG_ROOT)
@@ -422,20 +476,17 @@ impl<'a> ColumnSweep<'a> {
             );
         }
 
-        // Structure links: in range or NONE, and along pre-order.
-        for (k, (what, col, forward)) in links(&c).into_iter().enumerate() {
-            let r = self.take(1 + k, col, end);
-            let block = &col[r.clone()];
-            let (_, hit) = sweep_block(block, r.start as u32, |i, v| {
-                (link_bad(forward, i, v, n), i.wrapping_add(1))
-            });
-            if let Some(k2) = hit {
-                let (i, v) = (r.start + k2, block[k2]);
-                self.invariant(
-                    (NODES, i, 1 + k as u8),
-                    format!("node {i}: {what} link {v} out of range or against pre-order"),
-                );
-            }
+        // Parents: NONE or before the node.
+        let r = self.take(PARENT_COL, c.parent, end);
+        let block = &c.parent[r.clone()];
+        if let (_, Some(k)) = sweep_block(block, r.start as u32, |i, v| {
+            (parent_bad(i, v), i.wrapping_add(1))
+        }) {
+            let (i, v) = (r.start + k, block[k]);
+            self.invariant(
+                (NODES, i, PARENT_COL as u8),
+                format!("node {i}: parent link {v} out of range or against pre-order"),
+            );
         }
         let r = self.take(SUBTREE_END_COL, c.subtree_end, end);
         let block = &c.subtree_end[r.clone()];
@@ -448,6 +499,7 @@ impl<'a> ColumnSweep<'a> {
                 format!("node {i}: subtree_end {se} out of range"),
             );
         }
+        self.check_tree();
 
         // Text heap: monotone offsets on UTF-8 char boundaries.
         let r = self.take(TEXT_OFF_COL, c.text_off, end);
@@ -517,6 +569,60 @@ impl<'a> ColumnSweep<'a> {
                 i = stop;
             }
             self.cursor[family] = (group, prev);
+        }
+    }
+
+    /// The one-tree rule over the rows whose columns are checked, swept
+    /// as a column is: every part ORed with no early exit (two passes, so
+    /// the first vectorises), and only if one is bad the rows again for
+    /// the lowest-ranked fault.  Linear; allocates only the message.
+    fn check_tree(&mut self) {
+        let c = self.cols;
+        let from = self.tree_done;
+        let upto = self.done[..3].iter().copied().min().unwrap_or(0);
+        // No root or mismatched lengths (reported already): no tree.
+        if upto <= from || !self.clear_below((NODES, 0, 0)) {
+            return;
+        }
+        self.tree_done = upto;
+        let rows = |back: usize| {
+            let at = |col: &'a [u32]| &col[from - back..upto - back];
+            at(c.kinds).iter().zip(at(c.parent)).zip(at(c.subtree_end))
+        };
+        let (mut any, pairs) = (false, (from as u32..).zip(rows(0).zip(rows(1))));
+        for (i, (((&w, &p), &e), ((&w0, &p0), &e0))) in pairs {
+            let faults = local_faults(i, [w, p, e], [w0, p0, e0]);
+            any |= faults.iter().fold(false, |any, &(bad, _)| any | bad);
+        }
+        for (&p, &e) in c.parent[from..upto].iter().zip(&c.subtree_end[from..upto]) {
+            let [a, b] = link_faults(&c, p, e);
+            any |= a | b;
+        }
+        if !any {
+            return;
+        }
+        let row = |j: usize| [c.kinds[j], c.parent[j], c.subtree_end[j]];
+        let first = (from..upto)
+            .flat_map(|j| {
+                let ([_, p, e], i) = (row(j), j as u32);
+                let local = local_faults(i, row(j), row(j - 1));
+                let own = local.into_iter().find(|&(bad, _)| bad);
+                let [nests, next] = link_faults(&c, p, e);
+                // (A garbage `subtree_end` can point anywhere.)
+                let next = next && (j..c.parent.len()).contains(&(e as usize));
+                [
+                    own.map(|(_, rule)| (j, rule, i - 1)),
+                    nests.then_some((j, TreeRule::Nests, p)),
+                    next.then_some((e as usize, TreeRule::Parent, p)),
+                ]
+            })
+            .flatten()
+            .min_by_key(|&(i, rule, _)| (i, rule as u8));
+        if let Some((i, rule, top)) = first {
+            let rank = (NODES, i, rule as u8);
+            if self.clear_below(rank) {
+                self.invariant(rank, tree_message(&c, i, rule, top));
+            }
         }
     }
 
@@ -592,16 +698,17 @@ mod tests {
 
     /// Owned copies of a document's columns, to break and re-borrow.
     struct Owned {
-        u32s: [Vec<u32>; 14],
+        u32s: [Vec<u32>; 10],
         heap: Vec<u8>,
         names: usize,
     }
 
     const KINDS: usize = 0;
     const PARENT: usize = 1;
-    const SUBTREE_END: usize = 6;
-    const ELEM_OFF: usize = 8;
-    const ELEM_POST: usize = 9;
+    const SUBTREE_END: usize = 2;
+    const ELEM_OFF: usize = 4;
+    const ELEM_POST: usize = 5;
+    const ID_ATTRS: usize = 8;
 
     impl Owned {
         fn of(xml: &str) -> Owned {
@@ -611,10 +718,6 @@ mod tests {
                 u32s: [
                     c.kinds,
                     c.parent,
-                    c.first_child,
-                    c.last_child,
-                    c.next_sibling,
-                    c.prev_sibling,
                     c.subtree_end,
                     c.text_off,
                     c.elem_off,
@@ -635,19 +738,15 @@ mod tests {
             RawColumns {
                 kinds: &u[0],
                 parent: &u[1],
-                first_child: &u[2],
-                last_child: &u[3],
-                next_sibling: &u[4],
-                prev_sibling: &u[5],
-                subtree_end: &u[6],
-                text_off: &u[7],
+                subtree_end: &u[2],
+                text_off: &u[3],
                 text_heap: &self.heap,
-                elem_off: &u[8],
-                elem_post: &u[9],
-                attr_off: &u[10],
-                attr_post: &u[11],
-                id_attrs: &u[12],
-                id_elems: &u[13],
+                elem_off: &u[4],
+                elem_post: &u[5],
+                attr_off: &u[6],
+                attr_post: &u[7],
+                id_attrs: &u[8],
+                id_elems: &u[9],
             }
         }
 
@@ -665,42 +764,82 @@ mod tests {
 
     #[test]
     fn the_lowest_ranked_violation_wins_whatever_order_blocks_arrive_in() {
-        let mut o = Owned::of(DOC);
-        // Three violations; row-major, node 1's ranks first.
-        o.u32s[ELEM_POST][0] = 0;
-        o.u32s[PARENT][2] = 2;
-        o.u32s[SUBTREE_END][1] = 0;
-        let want = o.verdict().unwrap_err();
-        assert_eq!(
-            want,
-            ColumnError::Invariant("node 1: subtree_end 0 out of range".into())
-        );
-        // Every column as one block, in each rotation of the column
-        // order, and then entry by entry from the back.
-        let mut ends: Vec<usize> = o
-            .u32s
-            .iter()
-            .map(|c| c.as_ptr() as usize + 4 * c.len())
-            .collect();
-        ends.push(o.heap.as_ptr() as usize + o.heap.len());
-        for rotation in 0..ends.len() {
+        // Row-major: a row's columns, then its one-tree rule, then the next
+        // row.  (Node 6 is the comment, a child of node 1; node 3 closed
+        // at 6; node 7 is the second `b`.)
+        type Breakage = fn(&mut Owned);
+        let cases: [(Breakage, &str); 4] = [
+            (
+                |o| {
+                    o.u32s[ELEM_POST][0] = 0;
+                    o.u32s[PARENT][2] = 2;
+                    o.u32s[SUBTREE_END][1] = 0;
+                },
+                "node 1: subtree_end 0 out of range",
+            ),
+            (
+                |o| {
+                    o.u32s[ELEM_POST][0] = 0;
+                    o.u32s[SUBTREE_END][10] = 0;
+                    o.u32s[PARENT][6] = 3;
+                },
+                "node 6: parent 3 is not 1, the innermost node open there",
+            ),
+            (
+                |o| {
+                    o.u32s[PARENT][6] = 3;
+                    o.u32s[KINDS][6] = 7;
+                },
+                "node 6 has invalid packed kind word 0x7",
+            ),
+            (
+                // A garbage row whose own tree fault is read through a
+                // parent and an end outside the arena.
+                |o| {
+                    o.u32s[PARENT][7] = NONE;
+                    o.u32s[SUBTREE_END][7] = 13;
+                },
+                "node 7: subtree_end 13 out of range",
+            ),
+        ];
+        for (breakage, want) in cases {
+            let mut o = Owned::of(DOC);
+            breakage(&mut o);
+            let want = ColumnError::Invariant(want.into());
+            assert_eq!(o.verdict().unwrap_err(), want);
+            // Every column as one block, in each rotation of the column
+            // order, and then entry by entry from the back.
+            let mut ends: Vec<usize> = o
+                .u32s
+                .iter()
+                .map(|c| c.as_ptr() as usize + 4 * c.len())
+                .collect();
+            ends.push(o.heap.as_ptr() as usize + o.heap.len());
+            for rotation in 0..ends.len() {
+                let mut sweep = ColumnSweep::new(o.cols(), o.names);
+                for k in 0..ends.len() {
+                    sweep.sweep_below(ends[(k + rotation) % ends.len()]);
+                }
+                let got = sweep.conclude(o.names).unwrap_err();
+                assert_eq!(got, want, "rotation {rotation}");
+            }
             let mut sweep = ColumnSweep::new(o.cols(), o.names);
-            for k in 0..ends.len() {
-                sweep.sweep_below(ends[(k + rotation) % ends.len()]);
+            for col in o.u32s.iter().rev() {
+                for k in 0..=col.len() {
+                    sweep.sweep_below(col.as_ptr() as usize + 4 * k);
+                }
             }
-            assert_eq!(
-                sweep.conclude(o.names).unwrap_err(),
-                want,
-                "rotation {rotation}"
-            );
-        }
-        let mut sweep = ColumnSweep::new(o.cols(), o.names);
-        for col in o.u32s.iter().rev() {
-            for k in 0..=col.len() {
-                sweep.sweep_below(col.as_ptr() as usize + 4 * k);
+            assert_eq!(sweep.conclude(o.names).unwrap_err(), want);
+            // Row by row: each step reaches one more entry of the node
+            // column stored highest, so the one-tree rule sees one row a
+            // call — every row starts a range, as at a block edge.
+            let top = o.u32s[..3].iter().map(|c| c.as_ptr() as usize).max();
+            let mut sweep = ColumnSweep::new(o.cols(), o.names);
+            for k in 0..=o.u32s[KINDS].len() {
+                sweep.sweep_below(top.unwrap() + 4 * k);
             }
+            assert_eq!(sweep.conclude(o.names).unwrap_err(), want, "row by row");
         }
-        assert_eq!(sweep.conclude(o.names).unwrap_err(), want);
     }
 
     #[test]
@@ -709,7 +848,7 @@ mod tests {
         let cases: [(&str, Breakage); 9] = [
             ("no nodes", |o| o.u32s.iter_mut().for_each(Vec::clear)),
             ("one node", |o| {
-                o.u32s[..8].iter_mut().for_each(|c| c.truncate(1));
+                o.u32s[..4].iter_mut().for_each(|c| c.truncate(1));
             }),
             ("short column", |o| o.u32s[PARENT].truncate(3)),
             ("long column", |o| o.u32s[SUBTREE_END].push(1)),
@@ -721,7 +860,7 @@ mod tests {
                 *o.u32s[ELEM_OFF].last_mut().unwrap() += 1;
             }),
             ("no names", |o| o.names = 0),
-            ("ids out of step", |o| o.u32s[12].push(0)),
+            ("ids out of step", |o| o.u32s[ID_ATTRS].push(0)),
         ];
         for (what, breakage) in cases {
             let mut o = Owned::of(DOC);

@@ -7,6 +7,8 @@
 //! and shares no code with the set kernels' sweeps, postings walks, or
 //! preimage constructions.
 
+mod support;
+
 use minctx_xml::axes::{axis_image, axis_preimage, Axis, NodeTest};
 use minctx_xml::{sibling_ranks, Document, DocumentBuilder, NodeId, NodeSet, Scratch, SiblingRank};
 
@@ -326,6 +328,58 @@ fn sibling_ranks_match_a_quadratic_count() {
                 );
             }
             scratch.recycle_ranks(ranks);
+        }
+    }
+}
+
+#[test]
+fn derived_links_match_a_brute_force_over_the_parent_column() {
+    // `first_child`, `next_sibling` and `children` are computed from
+    // `subtree_end` and the kind word; the oracle reads only `parent`: a
+    // node's children are the non-attribute nodes whose parent it is,
+    // ascending.  Every node is asked — the root and attribute nodes
+    // included — on owned and mapped copies of a generated document, the
+    // 40-deep spine, a sibling group of thousands, attribute-heavy and
+    // attribute-only elements, and empty ones.
+    let mut docs = adversarial_docs();
+    docs.push(random_doc(0x5eed, if cfg!(miri) { 60 } else { 300 }));
+    docs.push(
+        minctx_xml::parse(r#"<r a="1" b="2"><e x="1" y="2"/><f/>t<g><h z="3"/><!--c--></g></r>"#)
+            .expect("well-formed"),
+    );
+    for (d, owned) in docs.iter().enumerate() {
+        let mapped = support::reopen(owned);
+        for (tag, doc) in [("owned", owned), ("mapped", &mapped)] {
+            let mut kids = vec![Vec::new(); doc.len()];
+            for c in doc.all_nodes().filter(|&c| !doc.kind(c).is_attribute()) {
+                if let Some(p) = doc.parent(c) {
+                    kids[p.index()].push(c);
+                }
+            }
+            let mut next = vec![None; doc.len()];
+            for group in &kids {
+                for w in group.windows(2) {
+                    next[w[0].index()] = Some(w[1]);
+                }
+            }
+            for n in doc.all_nodes() {
+                let want = &kids[n.index()];
+                assert_eq!(
+                    doc.children(n).collect::<Vec<_>>(),
+                    *want,
+                    "doc {d} {tag}: children of {n}"
+                );
+                assert_eq!(
+                    doc.first_child(n),
+                    want.first().copied(),
+                    "doc {d} {tag}: first child of {n}"
+                );
+                assert_eq!(
+                    doc.next_sibling(n),
+                    next[n.index()],
+                    "doc {d} {tag}: next sibling of {n}"
+                );
+            }
         }
     }
 }

@@ -12,117 +12,10 @@
 //! provenance-losing pointer round-trip or any out-of-bounds /
 //! use-after-free read in the column code fails the job.
 
-use minctx_xml::{Document, RawColumns, StableBytes};
-use std::sync::Arc;
+mod support;
 
-/// An 8-aligned, immutable in-memory region: the test stand-in for a
-/// mapped snapshot file.
-struct FixedBytes {
-    buf: Vec<u64>,
-    len: usize,
-}
-
-// SAFETY: (test) `buf` is never touched after construction, so the
-// pointer and length are stable and the bytes immutable for the
-// region's lifetime.
-unsafe impl StableBytes for FixedBytes {
-    fn bytes(&self) -> &[u8] {
-        // SAFETY: the buffer holds at least `len` initialized bytes and
-        // u64 -> u8 only lowers alignment.
-        unsafe { std::slice::from_raw_parts(self.buf.as_ptr().cast::<u8>(), self.len) }
-    }
-}
-
-/// Byte offsets (within the packed region) of the 14 `u32` columns in
-/// `RawColumns` field order, then the text heap.
-struct Layout {
-    cols: [(usize, usize); 14],
-    heap: (usize, usize),
-}
-
-/// Packs a document's columns into one contiguous 8-aligned region,
-/// mimicking the snapshot layout: u32 columns first (4-aligned by
-/// construction), text heap last.
-fn pack(doc: &Document) -> (Arc<dyn StableBytes>, Layout) {
-    let cols = doc.raw_columns();
-    let u32_cols: [&[u32]; 14] = [
-        cols.kinds,
-        cols.parent,
-        cols.first_child,
-        cols.last_child,
-        cols.next_sibling,
-        cols.prev_sibling,
-        cols.subtree_end,
-        cols.text_off,
-        cols.elem_off,
-        cols.elem_post,
-        cols.attr_off,
-        cols.attr_post,
-        cols.id_attrs,
-        cols.id_elems,
-    ];
-    let mut bytes: Vec<u8> = Vec::new();
-    let mut offs = [(0usize, 0usize); 14];
-    for (slot, col) in offs.iter_mut().zip(u32_cols) {
-        *slot = (bytes.len(), col.len());
-        for v in col {
-            bytes.extend_from_slice(&v.to_ne_bytes());
-        }
-    }
-    let heap = (bytes.len(), cols.text_heap.len());
-    bytes.extend_from_slice(cols.text_heap);
-
-    // Move into the 8-aligned backing.
-    let len = bytes.len();
-    let mut buf = vec![0u64; len.div_ceil(8)];
-    // SAFETY: (test) viewing the zero-initialized u64 buffer as bytes;
-    // alignment only decreases and the lengths match.
-    unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<u8>(), len) }
-        .copy_from_slice(&bytes);
-    (
-        Arc::new(FixedBytes { buf, len }),
-        Layout { cols: offs, heap },
-    )
-}
-
-/// A `u32` view at `(off, count)` inside the packed region.
-#[expect(
-    clippy::cast_ptr_alignment,
-    reason = "the alignment-raising cast is guarded by the assert above it"
-)]
-fn view(region: &[u8], (off, count): (usize, usize)) -> &[u32] {
-    let sl = &region[off..off + count * 4];
-    assert_eq!(sl.as_ptr() as usize % 4, 0, "packing broke alignment");
-    // SAFETY: (test) bounds and alignment asserted above; every bit
-    // pattern is a valid u32.
-    unsafe { std::slice::from_raw_parts(sl.as_ptr().cast::<u32>(), count) }
-}
-
-/// Reopens `doc` as a borrowed-column document over a packed region.
-fn reopen(doc: &Document) -> Document {
-    let (keep, lay) = pack(doc);
-    let region = keep.bytes();
-    let raw = RawColumns {
-        kinds: view(region, lay.cols[0]),
-        parent: view(region, lay.cols[1]),
-        first_child: view(region, lay.cols[2]),
-        last_child: view(region, lay.cols[3]),
-        next_sibling: view(region, lay.cols[4]),
-        prev_sibling: view(region, lay.cols[5]),
-        subtree_end: view(region, lay.cols[6]),
-        text_off: view(region, lay.cols[7]),
-        text_heap: &region[lay.heap.0..lay.heap.0 + lay.heap.1],
-        elem_off: view(region, lay.cols[8]),
-        elem_post: view(region, lay.cols[9]),
-        attr_off: view(region, lay.cols[10]),
-        attr_post: view(region, lay.cols[11]),
-        id_attrs: view(region, lay.cols[12]),
-        id_elems: view(region, lay.cols[13]),
-    };
-    let names = doc.names().clone();
-    Document::from_mapped_columns(raw, names, doc.stamp() | (1 << 63), Arc::clone(&keep))
-        .expect("packed columns validate")
-}
+use minctx_xml::Document;
+use support::{pack, reopen};
 
 const DOC: &str =
     r#"<lib x="1"><b id="b1">téxt·1</b><!--c--><?p d?><b id="b2" y="2">t2<i/></b></lib>"#;
