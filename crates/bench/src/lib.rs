@@ -577,13 +577,15 @@ pub mod corpus {
 
 /// A byte-counting [`GlobalAlloc`](std::alloc::GlobalAlloc) wrapper over
 /// the system allocator, for the streaming allocation-ceiling smoke and
-/// the `stream/*` bench rows: tracks total bytes ever allocated and the
-/// peak live working set.  Install it in a binary with
+/// the `stream/*` bench rows: tracks total bytes ever allocated, the
+/// peak live working set and the number of allocations.  Install it in a
+/// binary with
 /// `#[global_allocator] static A: CountingAllocator = CountingAllocator::new();`.
 pub struct CountingAllocator {
     live: std::sync::atomic::AtomicUsize,
     peak: std::sync::atomic::AtomicUsize,
     total: std::sync::atomic::AtomicUsize,
+    count: std::sync::atomic::AtomicUsize,
 }
 
 impl CountingAllocator {
@@ -594,6 +596,7 @@ impl CountingAllocator {
             live: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
             total: AtomicUsize::new(0),
+            count: AtomicUsize::new(0),
         }
     }
 
@@ -614,6 +617,11 @@ impl CountingAllocator {
         self.total.load(std::sync::atomic::Ordering::Relaxed)
     }
 
+    /// Allocations ever made, a `realloc` counting as one (monotone).
+    pub fn count(&self) -> usize {
+        self.count.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
     /// Restarts the peak gauge from the current live size (call before
     /// the measured region).
     pub fn reset_peak(&self) {
@@ -625,6 +633,7 @@ impl CountingAllocator {
     fn record_alloc(&self, size: usize) {
         use std::sync::atomic::Ordering;
         self.total.fetch_add(size, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
         let live = self.live.fetch_add(size, Ordering::Relaxed) + size;
         self.peak.fetch_max(live, Ordering::Relaxed);
     }

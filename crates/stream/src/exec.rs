@@ -35,6 +35,7 @@
 use crate::compile::{CStep, Lit, PExpr, PredTree, ProgId, ResultKind, SAxis, STest, StreamQuery};
 use minctx_core::value::string_to_number;
 use minctx_syntax::CmpOp;
+use minctx_xml::Attrs;
 use std::rc::Rc;
 
 /// The kind of a matched (or visited) node, mirroring the arena's
@@ -155,7 +156,7 @@ pub(crate) struct NodeView<'e> {
     /// The node's own string value, where locally available.
     content: Option<&'e str>,
     /// For elements: the start tag's attributes (values decoded).
-    attrs: Option<&'e [(String, String)]>,
+    attrs: Option<Attrs<'e>>,
     /// Whether child/descendant expectations can be registered (elements
     /// and the root have frames; leaves and attributes do not).
     has_frame: bool,
@@ -215,7 +216,7 @@ impl<'q> Exec<'q> {
 
     // ---- event entry points ------------------------------------------
 
-    pub fn start_element(&mut self, name: &str, attrs: &[(String, String)], ordinal: u32) {
+    pub fn start_element(&mut self, name: &str, attrs: Attrs<'_>, ordinal: u32) {
         let view = NodeView {
             ordinal,
             kind: StreamNodeKind::Element,

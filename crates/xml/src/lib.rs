@@ -61,4 +61,4 @@ pub use parser::{
 };
 pub use store::{ColumnError, RawColumns, StableBytes};
 pub use sweep::ColumnSweep;
-pub use token::{Tokenizer, XmlEvent, DEFAULT_MAX_ELEMENT_DEPTH};
+pub use token::{Attrs, Tokenizer, XmlEvent, DEFAULT_MAX_ELEMENT_DEPTH};

@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// An interned name: an index into the owning document's [`NameTable`].
 ///
@@ -37,10 +38,15 @@ impl fmt::Display for Name {
 /// document, plus any names interned while compiling queries against it
 /// (so a query's node test `foo` resolves to a `Name` even if no `foo`
 /// element exists).
+///
+/// Each name is allocated once: the index order and the lookup table share
+/// one `Arc<str>`.  The lookup table is std's `HashMap` (SipHash, seeded
+/// per process), because the names are chosen by whoever wrote the
+/// document.
 #[derive(Debug, Default)]
 pub struct NameTable {
-    strings: Vec<Box<str>>,
-    index: HashMap<Box<str>, Name>,
+    strings: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, Name>,
     /// Number of [`NameTable::get`] calls ever made against this table —
     /// the per-evaluation name-resolution work the compiled-query cache is
     /// supposed to eliminate.  Observable via
@@ -73,9 +79,9 @@ impl NameTable {
             return n;
         }
         let n = Name(u32::try_from(self.strings.len()).expect("more than u32::MAX names"));
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.index.insert(boxed, n);
+        let shared: Arc<str> = s.into();
+        self.strings.push(Arc::clone(&shared));
+        self.index.insert(shared, n);
         n
     }
 

@@ -25,11 +25,8 @@ pub fn parse(input: &str) -> Result<Document, XmlError> {
 
 /// Parses an XML document with explicit [`ParseOptions`].
 pub fn parse_with_options(input: &str, opts: &ParseOptions) -> Result<Document, XmlError> {
-    build(
-        Tokenizer::with_options(input, opts.clone()),
-        opts,
-        input.len() / 16,
-    )
+    let b = DocumentBuilder::for_text(input.len());
+    build(Tokenizer::with_options(input, opts.clone()), opts, b)
 }
 
 /// Parses an XML document from a reader with default options.  The
@@ -44,21 +41,21 @@ pub fn parse_reader_with_options(
     reader: impl Read,
     opts: &ParseOptions,
 ) -> Result<Document, XmlError> {
-    build(Tokenizer::from_reader(reader, opts.clone()), opts, 0)
+    let b = DocumentBuilder::new();
+    build(Tokenizer::from_reader(reader, opts.clone()), opts, b)
 }
 
 /// Folds the event stream into a document.
 fn build(
     mut tok: Tokenizer<'_>,
     opts: &ParseOptions,
-    capacity_hint: usize,
+    mut b: DocumentBuilder,
 ) -> Result<Document, XmlError> {
-    let mut b = DocumentBuilder::with_capacity(capacity_hint);
     b.id_attribute(&opts.id_attribute);
     while let Some(ev) = tok.next_event()? {
         match ev {
             XmlEvent::StartElement { name, attrs } => {
-                b.start_element_from(name, attrs);
+                b.start_element_from(name, attrs.iter());
             }
             XmlEvent::EndElement { .. } => {
                 b.end_element();

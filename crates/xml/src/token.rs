@@ -27,6 +27,7 @@
 //! to the largest single token, not the input.
 
 use crate::error::{XmlError, XmlErrorKind};
+use std::fmt;
 use std::io::Read;
 
 /// Options controlling document construction and event filtering.
@@ -89,10 +90,7 @@ pub enum XmlEvent<'t> {
     /// An element opens.  Attribute values are fully decoded and
     /// whitespace-normalized; a self-closing element is followed
     /// immediately by its [`XmlEvent::EndElement`].
-    StartElement {
-        name: &'t str,
-        attrs: &'t [(String, String)],
-    },
+    StartElement { name: &'t str, attrs: Attrs<'t> },
     /// The most recently opened element closes.
     EndElement { name: &'t str },
     /// A maximal run of character data (entities decoded, CDATA merged);
@@ -103,6 +101,64 @@ pub enum XmlEvent<'t> {
     Comment(&'t str),
     /// A processing instruction inside the document element.
     Pi { target: &'t str, data: &'t str },
+}
+
+/// The attributes of a start tag, in source order: `(name, value)` pairs
+/// borrowed like the rest of an event.  A name is a slice of the window; so
+/// is a value, unless a reference or a `\t`/`\n`/`\r` made it differ from
+/// its source text, in which case it is a slice of one buffer the lexer
+/// reuses for every start tag.
+#[derive(Clone, Copy)]
+pub struct Attrs<'t> {
+    window: &'t str,
+    decoded: &'t str,
+    slots: &'t [AttrSlot],
+}
+
+/// Where one attribute of the current start tag lies: window ranges, the
+/// value's in the decoded buffer instead when `decoded`.
+#[derive(Debug, Clone, Copy)]
+struct AttrSlot {
+    name: (usize, usize),
+    value: (usize, usize),
+    decoded: bool,
+}
+
+impl<'t> Attrs<'t> {
+    /// Number of attributes.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether the start tag has no attributes.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The `(name, value)` pairs in source order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&'t str, &'t str)> + 't {
+        let Attrs {
+            window,
+            decoded,
+            slots,
+        } = *self;
+        slots.iter().map(move |s| {
+            let text = if s.decoded { decoded } else { window };
+            (&window[s.name.0..s.name.1], &text[s.value.0..s.value.1])
+        })
+    }
+}
+
+impl fmt::Debug for Attrs<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for Attrs<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
 }
 
 /// Reader-mode refill granularity.
@@ -545,16 +601,24 @@ impl<F: Feed> Source<F> {
         Ok(amp + 1 + semi + 1)
     }
 
-    /// Lexes the quoted attribute value at window index `q` into `out`,
-    /// decoding references and normalizing whitespace characters to
-    /// spaces; returns the index after the closing quote.
+    /// Lexes the quoted attribute value at window index `q`, decoding
+    /// references and normalizing whitespace characters to spaces; returns
+    /// the index after the closing quote and the value's range.  The range
+    /// is the window's unless decoding changed the text: then the value is
+    /// appended to `buf` and the range is `buf`'s (the `bool`).
     #[inline]
-    fn lex_attr_value(&mut self, q: usize, out: &mut String) -> Result<usize, XmlError> {
+    fn lex_attr_value(
+        &mut self,
+        q: usize,
+        buf: &mut String,
+    ) -> Result<(usize, (usize, usize), bool), XmlError> {
         let quote = match self.byte(q) {
             Some(c @ (b'"' | b'\'')) => c,
             _ => return Err(self.unexpected(q)),
         };
         let (mut run, mut i) = (q + 1, q + 1);
+        // Where the value starts in `buf`, once it has been copied there.
+        let mut copied = None;
         loop {
             i = self.scan(i, ATTR_STOP)?;
             let stop = self.byte(i);
@@ -562,19 +626,30 @@ impl<F: Feed> Source<F> {
                 i += 1; // the other quote is plain data
                 continue;
             }
-            out.push_str(self.text(run, i));
             match stop {
                 None => return Err(self.err_at(XmlErrorKind::UnexpectedEof, i)),
                 Some(b'<') => {
                     let kind = XmlErrorKind::Malformed("'<' in attribute value".to_string());
                     return Err(self.err_at(kind, i));
                 }
-                Some(b'&') => i = self.lex_reference(i, out)?,
-                Some(b'\t' | b'\n' | b'\r') => {
-                    out.push(' ');
-                    i += 1;
+                Some(b'"' | b'\'') => {
+                    return Ok(match copied {
+                        None => (i + 1, (q + 1, i), false),
+                        Some(start) => {
+                            buf.push_str(self.text(run, i));
+                            (i + 1, (start, buf.len()), true)
+                        }
+                    });
                 }
-                Some(_) => return Ok(i + 1),
+                _ => {}
+            }
+            copied.get_or_insert(buf.len());
+            buf.push_str(self.text(run, i));
+            if stop == Some(b'&') {
+                i = self.lex_reference(i, buf)?;
+            } else {
+                buf.push(' '); // \t, \n or \r
+                i += 1;
             }
             run = i;
         }
@@ -649,9 +724,10 @@ struct Lexer<F> {
     open_ends: Vec<usize>,
     /// Window range of the current element / close-tag / PI-target name.
     name: (usize, usize),
-    /// Attribute slots of the current start tag; first `attrs_live` valid.
-    attrs: Vec<(String, String)>,
-    attrs_live: usize,
+    /// Attribute slots of the current start tag, and the values decoding
+    /// changed (see [`Attrs`]).
+    attrs: Vec<AttrSlot>,
+    attr_buf: String,
     /// The current text run, when it could not be borrowed from the
     /// window (entities decoded, CDATA merged).
     text_buf: String,
@@ -723,7 +799,7 @@ impl<F: Feed> Lexer<F> {
             open_ends: Vec::new(),
             name: (0, 0),
             attrs: Vec::new(),
-            attrs_live: 0,
+            attr_buf: String::new(),
             text_buf: String::new(),
             pending_end: false,
             started: false,
@@ -867,7 +943,8 @@ impl<F: Feed> Lexer<F> {
         }
         let name_end = self.src.lex_name(at + 1)?;
         self.name = (at + 1, name_end);
-        self.attrs_live = 0;
+        self.attrs.clear();
+        self.attr_buf.clear();
         let mut i = name_end;
         loop {
             i = self.src.skip_ws(i)?;
@@ -889,31 +966,34 @@ impl<F: Feed> Lexer<F> {
                 Some(_) => {
                     let aname_end = self.src.lex_name(i)?;
                     let aname = self.src.text(i, aname_end);
-                    if self.attrs[..self.attrs_live]
+                    if self
+                        .attrs
                         .iter()
-                        .any(|(n, _)| n == aname)
+                        .any(|a| self.src.text(a.name.0, a.name.1) == aname)
                     {
                         let kind = XmlErrorKind::DuplicateAttribute(aname.to_string());
                         return Err(self.src.err_at(kind, i));
                     }
-                    if self.attrs.len() == self.attrs_live {
-                        self.attrs.push((String::new(), String::new()));
-                    }
-                    let slot = &mut self.attrs[self.attrs_live];
-                    slot.0.clear();
-                    slot.0.push_str(aname);
-                    slot.1.clear();
                     let eq = self.src.skip_ws_then(aname_end, b'=')?;
                     let q = self.src.skip_ws(eq)?;
-                    i = self.src.lex_attr_value(q, &mut slot.1)?;
-                    self.attrs_live += 1;
+                    let (end, value, decoded) = self.src.lex_attr_value(q, &mut self.attr_buf)?;
+                    self.attrs.push(AttrSlot {
+                        name: (i, aname_end),
+                        value,
+                        decoded,
+                    });
+                    i = end;
                 }
                 None => return Err(self.src.err_at(XmlErrorKind::UnexpectedEof, i)),
             }
         }
         Ok(Some(XmlEvent::StartElement {
             name: self.src.text(at + 1, name_end),
-            attrs: &self.attrs[..self.attrs_live],
+            attrs: Attrs {
+                window: self.src.feed.window(),
+                decoded: &self.attr_buf,
+                slots: &self.attrs,
+            },
         }))
     }
 
@@ -1037,6 +1117,30 @@ mod tests {
             trace_opts("<a>x<!--c-->z</a>", opts).unwrap(),
             vec!["<a []", "t:x", "t:z", ">a"]
         );
+    }
+
+    #[test]
+    fn attribute_values_are_borrowed_unless_decoded() {
+        // Window slices and decoded values interleave within a tag, and the
+        // decoded buffer starts afresh at the next tag.
+        let input = "<a p=\"plain\" d=\"x&amp;y\" w=\"t\tn\" q='say \"hi\"'>\
+                     <b e=\"&#65;\" f=\"\" g=\"last\"/></a>";
+        assert_eq!(
+            trace(input).unwrap(),
+            vec![
+                "<a [p=plain,d=x&y,w=t n,q=say \"hi\"]",
+                "<b [e=A,f=,g=last]",
+                ">b",
+                ">a"
+            ]
+        );
+        let mut tok = Tokenizer::new(input);
+        let Some(XmlEvent::StartElement { attrs, .. }) = tok.next_event().unwrap() else {
+            panic!("start tag expected");
+        };
+        assert_eq!((attrs.len(), attrs.is_empty()), (4, false));
+        let decoded: Vec<bool> = attrs.slots.iter().map(|s| s.decoded).collect();
+        assert_eq!(decoded, [false, true, true, false]);
     }
 
     #[test]
