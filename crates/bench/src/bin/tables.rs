@@ -456,7 +456,7 @@ fn stream_snapshot(elements: usize, runs: usize) -> Vec<(String, f64)> {
 /// spans into a discarding JSON-lines sink, and `explain` the fully
 /// profiled evaluation (per-step timers on).  The committed
 /// eval/eval-traced gap is the record that tracing stays in the noise;
-/// the `obs_smoke` binary asserts the bound, these rows track it.
+/// `benchmark/`'s `obs.recorder_overhead_pct` row measures it.
 fn obs_snapshot(doc: &Document, runs: usize) -> Vec<(String, f64)> {
     use minctx_obs::{JsonLinesSink, Recorder, Registry};
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;

@@ -576,11 +576,13 @@ pub mod corpus {
 }
 
 /// A byte-counting [`GlobalAlloc`](std::alloc::GlobalAlloc) wrapper over
-/// the system allocator, for the streaming allocation-ceiling smoke and
-/// the `stream/*` bench rows: tracks total bytes ever allocated, the
+/// the system allocator, for the allocation checks in `tests/*_alloc.rs`
+/// and the `stream/*` bench rows: tracks total bytes ever allocated, the
 /// peak live working set and the number of allocations.  Install it in a
 /// binary with
-/// `#[global_allocator] static A: CountingAllocator = CountingAllocator::new();`.
+/// `#[global_allocator] static A: CountingAllocator = CountingAllocator::new();`
+/// and keep one check per binary, so nothing else allocates while it
+/// counts.
 pub struct CountingAllocator {
     live: std::sync::atomic::AtomicUsize,
     peak: std::sync::atomic::AtomicUsize,

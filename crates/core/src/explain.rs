@@ -26,8 +26,9 @@
 //! representative for them too.
 //!
 //! [`QueryProfile::plan_text`] renders the deterministic portion — no
-//! durations — in a stable line-oriented format, which the `obs_smoke`
-//! golden test pins.
+//! durations — in a stable line-oriented format, which this module's
+//! tests, the `Engine::explain` doctest and
+//! `tests/facade.rs::explain_plan_rows_agree_with_count` pin.
 
 use crate::compile::CompiledQuery;
 use crate::engine::{Context, Engine, Strategy};
@@ -183,7 +184,8 @@ pub struct QueryProfile {
 
 impl QueryProfile {
     /// The deterministic plan tree: everything except wall times, in a
-    /// stable line-oriented format (golden-tested by `obs_smoke`).
+    /// stable line-oriented format (golden-tested by
+    /// `tests/facade.rs::explain_plan_rows_agree_with_count`).
     pub fn plan_text(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "query {}", self.source);

@@ -11,9 +11,9 @@
 //!
 //! `Recorder::span` on a disabled recorder builds `Span { data: None }` —
 //! no clock read, no allocation, no atomic; attribute calls and the drop
-//! are one untaken branch each.  The `obs_smoke` binary *measures* this:
-//! engine throughput over the differential corpus with a disabled
-//! recorder must be within 1% of the uninstrumented baseline.
+//! are one untaken branch each.  `benchmark/` measures what a recorder
+//! costs an evaluation pass (`obs.recorder_overhead_pct`,
+//! `trace.overhead_pct`).
 
 use crate::registry::json_escape;
 use std::fmt;

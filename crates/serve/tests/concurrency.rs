@@ -1,7 +1,8 @@
 //! Differential concurrency tests: N client threads against one shared
 //! mapped snapshot must see exactly the answers a single-threaded
-//! engine produces, and the service's budgets must shed load as
-//! `BudgetExhausted` through the [`Ticket`], never panic or hang.
+//! engine produces, and the service's budgets and queue bound must shed
+//! load as `BudgetExhausted` / `Overloaded` through the [`Ticket`], never
+//! panic or hang.
 //!
 //! (No loom in a std-only workspace — these are barrier-synchronized
 //! stress tests, not exhaustive interleaving checks; the shard and
@@ -9,7 +10,7 @@
 
 use minctx_bench::{corpus, values_agree, xmark_doc, XmarkConfig};
 use minctx_core::{open_snapshot, write_snapshot, Budget, Engine, EvalError, Strategy, Value};
-use minctx_serve::{Corpus, ServeEngine, ServeError, ShardedLru};
+use minctx_serve::{Corpus, RetryPolicy, ServeEngine, ServeError, ShardedLru};
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -115,29 +116,94 @@ fn shared_parsed_document_serves_many_threads() {
     }
 }
 
+/// Quadratic on purpose: every element's `following` list is built and
+/// ranked on its own, Θ(|D|²) work that runs for minutes at 2·10⁴
+/// elements — every request carrying it ends at its deadline.
+const QUADRATIC: &str = "count(//*/following::*[last()])";
+
 #[test]
 fn pathological_request_is_shed_by_its_deadline() {
-    // A zero-duration deadline trips before any work happens; the
-    // exhaustion surfaces through the ticket as an error, and the pool
-    // keeps serving afterwards.
+    // A zero-duration deadline trips before any work happens; 100 ms
+    // trips in the middle of the evaluation, so metering must poll while
+    // real work runs.  Either way the exhaustion surfaces through the
+    // ticket as an error well inside a liveness bound, and the pool keeps
+    // serving afterwards.
     let doc = Arc::new(xmark_doc(&XmarkConfig::sized(20_000)));
     let serve = ServeEngine::builder().workers(2).build();
-    let err = serve
-        .query_with_budget(
-            Corpus::Document(Arc::clone(&doc)),
-            "count(//*[count(ancestor::*) < count(descendant::*)])",
-            Budget::timeout(Duration::ZERO),
-        )
-        .wait()
-        .unwrap_err();
+    for deadline in [Duration::ZERO, Duration::from_millis(100)] {
+        let err = serve
+            .query_with_budget(
+                Corpus::Document(Arc::clone(&doc)),
+                QUADRATIC,
+                Budget::timeout(deadline),
+            )
+            .wait_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|| panic!("a {deadline:?} deadline never fired"))
+            .unwrap_err();
+        assert!(
+            matches!(err, ServeError::Eval(EvalError::BudgetExhausted { .. })),
+            "{deadline:?}: {err:?}"
+        );
+        // The pool is still healthy.
+        let v = serve
+            .query(Corpus::Document(Arc::clone(&doc)), "count(/*)")
+            .wait()
+            .unwrap();
+        assert_eq!(v, Value::Number(1.0));
+    }
+}
+
+#[test]
+fn a_full_queue_sheds_exactly_the_excess_at_admission() {
+    // One worker held busy by a deadline-bounded quadratic request, and a
+    // queue of four: of eight light requests, four are admitted and four
+    // bounce as `Overloaded` at submission.
+    let doc = Arc::new(xmark_doc(&XmarkConfig::sized(20_000)));
+    let serve = ServeEngine::builder().workers(1).queue_capacity(4).build();
+    let blocker = serve.query_with_budget(
+        Corpus::Document(Arc::clone(&doc)),
+        QUADRATIC,
+        Budget::timeout(Duration::from_secs(2)),
+    );
+    // Once the worker has taken the blocker, the queue is empty until
+    // the blocker's deadline.
+    while serve.queue_depth() > 0 {
+        thread::yield_now();
+    }
+    let light: Vec<_> = (0..8)
+        .map(|_| serve.query(Corpus::Document(Arc::clone(&doc)), "count(/*)"))
+        .collect();
+    let (mut ok, mut shed) = (0, 0);
+    for t in light {
+        let got = t
+            .wait_timeout(Duration::from_secs(30))
+            .expect("ticket hung");
+        match got {
+            Ok(v) => {
+                assert_eq!(v, Value::Number(1.0));
+                ok += 1;
+            }
+            Err(ServeError::Overloaded { capacity: 4 }) => shed += 1,
+            Err(e) => panic!("light request failed: {e:?}"),
+        }
+    }
+    assert_eq!((ok, shed), (4, 4));
+    let err = blocker.wait().unwrap_err();
     assert!(
         matches!(err, ServeError::Eval(EvalError::BudgetExhausted { .. })),
         "{err:?}"
     );
-    // The pool is still healthy.
+    let stats = serve.stats();
+    assert_eq!(stats.shed, 4);
+    assert!(stats.max_queue_depth <= 4, "{stats:?}");
+    // With the queue drained, a retrying client gets through.
     let v = serve
-        .query(Corpus::Document(doc), "count(/*)")
-        .wait()
+        .query_with_retry(
+            Corpus::Document(doc),
+            "count(/*)",
+            Budget::UNLIMITED,
+            RetryPolicy::default(),
+        )
         .unwrap();
     assert_eq!(v, Value::Number(1.0));
 }

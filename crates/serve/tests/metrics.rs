@@ -4,6 +4,7 @@
 
 use minctx_obs::{AttrValue, CollectSink, Phase, Recorder};
 use minctx_serve::{Corpus, ServeEngine, ServeError};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 fn small_doc() -> Arc<minctx_xml::Document> {
@@ -35,16 +36,18 @@ fn stats_and_exposition_track_requests_per_engine() {
     // must hold even when every wait rounds to the same bucket.
     assert!(stats.queue_wait_p50 <= stats.queue_wait_p99);
 
-    let text = serve.metrics_text();
-    assert!(text.contains("# TYPE serve_requests counter"), "{text}");
-    assert!(text.contains("serve_requests 11"), "{text}");
-    assert!(text.contains("# TYPE serve_queue_wait_us histogram"));
-    assert!(text.contains("serve_latency_ok_us_count 10"), "{text}");
-    assert!(text.contains("serve_latency_error_us_count 1"), "{text}");
-
-    let json = serve.metrics_json();
-    assert!(json.contains("\"serve/requests\":11"), "{json}");
-    assert!(json.contains("\"serve/latency_ok_us\""), "{json}");
+    // Both expositions parse, and carry the numbers the stats do.
+    let text = check_prometheus(&serve.metrics_text());
+    assert_eq!(text["serve_requests"], 11.0);
+    assert_eq!(text["serve_queue_wait_us_bucket{le=\"+Inf\"}"], 11.0);
+    assert_eq!(text["serve_latency_ok_us_count"], 10.0);
+    assert_eq!(text["serve_latency_error_us_count"], 1.0);
+    let json = check_json(&serve.metrics_json());
+    assert_eq!(json["counters.serve/requests"], 11.0);
+    assert_eq!(json["histograms.serve/latency_ok_us.count"], 10.0);
+    // So does the process-global registry, where the xml counters live.
+    let global = check_prometheus(&minctx_obs::metrics_text());
+    assert!(global.contains_key("xml_documents_built"), "{global:?}");
 
     // A second pool's registry is independent: fresh counters.
     let other = ServeEngine::builder().workers(1).build();
@@ -52,8 +55,8 @@ fn stats_and_exposition_track_requests_per_engine() {
         .query(Corpus::Document(doc), "count(//c)")
         .wait()
         .unwrap();
-    assert!(other.metrics_text().contains("serve_requests 1"));
-    assert!(serve.metrics_text().contains("serve_requests 11"));
+    let requests = |s: &ServeEngine| check_prometheus(&s.metrics_text())["serve_requests"];
+    assert_eq!((requests(&other), requests(&serve)), (1.0, 11.0));
 }
 
 #[test]
@@ -92,4 +95,126 @@ fn request_log_emits_one_serve_span_per_request() {
     assert!(spans
         .iter()
         .any(|s| { matches!(s.attr("query"), Some(AttrValue::Str(q)) if q == "count(//b)") }));
+}
+
+/// Reads a Prometheus text exposition strictly enough that a renderer
+/// regression cannot hide behind a matching substring: every sample
+/// belongs to a `# TYPE`-declared family, every value is a number, and
+/// histogram buckets are cumulative and close at `+Inf`.  Returns the
+/// samples by series (labels included).
+fn check_prometheus(text: &str) -> BTreeMap<String, f64> {
+    let mut declared = HashSet::new();
+    let mut samples = BTreeMap::new();
+    // The histogram whose buckets are being read, and its running total.
+    let mut open: Option<(&str, f64)> = None;
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let [name, kind] = rest.split(' ').collect::<Vec<_>>()[..] else {
+                panic!("malformed {line:?}");
+            };
+            assert!(
+                matches!(kind, "counter" | "gauge" | "histogram"),
+                "{line:?}"
+            );
+            declared.insert(name);
+            continue;
+        }
+        let (series, value) = line
+            .rsplit_once(' ')
+            .unwrap_or_else(|| panic!("{line:?} is not `series value`"));
+        let value: f64 = value.parse().unwrap_or_else(|_| panic!("{line:?}"));
+        assert!(value.is_finite() && value >= 0.0, "{line:?}");
+        let name = series.split('{').next().unwrap();
+        assert!(
+            name.chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
+            "{line:?} leaves the Prometheus alphabet"
+        );
+        let family = ["_bucket", "_sum", "_count", "_max"]
+            .iter()
+            .find_map(|s| name.strip_suffix(s).filter(|f| declared.contains(f)))
+            .unwrap_or(name);
+        assert!(declared.contains(family), "{line:?} has no # TYPE");
+        if family != name && name.ends_with("_bucket") {
+            if let Some((f, total)) = open {
+                assert_eq!(f, family, "histogram {f} never closed at +Inf");
+                assert!(value >= total, "non-cumulative bucket {line:?}");
+            }
+            open = (!series.ends_with("{le=\"+Inf\"}")).then_some((family, value));
+        }
+        samples.insert(series.to_string(), value);
+    }
+    assert_eq!(open, None, "a histogram never closed at +Inf");
+    samples
+}
+
+/// Parses the JSON exposition (objects, strings and numbers: all the
+/// renderer emits) and returns every number by its dotted key path, e.g.
+/// `counters.serve/requests`; panics on anything malformed.
+fn check_json(text: &str) -> BTreeMap<String, f64> {
+    struct Parser<'a> {
+        b: &'a [u8],
+        i: usize,
+        numbers: BTreeMap<String, f64>,
+    }
+    impl Parser<'_> {
+        fn eat(&mut self, c: u8) -> bool {
+            let hit = self.b.get(self.i) == Some(&c);
+            self.i += usize::from(hit);
+            hit
+        }
+        fn string(&mut self) -> String {
+            assert!(self.eat(b'"'), "expected a string at byte {}", self.i);
+            let start = self.i;
+            while self.b[self.i] != b'"' {
+                self.i += if self.b[self.i] == b'\\' { 2 } else { 1 };
+            }
+            self.i += 1;
+            String::from_utf8(self.b[start..self.i - 1].to_vec()).unwrap()
+        }
+        fn value(&mut self, path: String) {
+            if self.eat(b'{') {
+                if self.eat(b'}') {
+                    return;
+                }
+                loop {
+                    let key = self.string();
+                    assert!(self.eat(b':'), "expected `:` at byte {}", self.i);
+                    self.value(if path.is_empty() {
+                        key
+                    } else {
+                        format!("{path}.{key}")
+                    });
+                    if self.eat(b'}') {
+                        return;
+                    }
+                    assert!(self.eat(b','), "expected `,` or `}}` at byte {}", self.i);
+                }
+            } else if self.b.get(self.i) == Some(&b'"') {
+                self.string();
+            } else {
+                let start = self.i;
+                while self
+                    .b
+                    .get(self.i)
+                    .is_some_and(|c| c.is_ascii_digit() || b"+-.eE".contains(c))
+                {
+                    self.i += 1;
+                }
+                let number = std::str::from_utf8(&self.b[start..self.i]).unwrap();
+                let number = number
+                    .parse()
+                    .unwrap_or_else(|_| panic!("expected a value at byte {start}"));
+                self.numbers.insert(path, number);
+            }
+        }
+    }
+    let mut p = Parser {
+        b: text.as_bytes(),
+        i: 0,
+        numbers: BTreeMap::new(),
+    };
+    p.value(String::new());
+    assert_eq!(p.i, text.len(), "bytes after the JSON value");
+    p.numbers
 }

@@ -21,12 +21,13 @@ static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 /// The `xml/documents_built` counter in the process-wide metrics
 /// registry, resolved once.  Stamps still come from [`NEXT_STAMP`] (the
 /// registry cell must not double as the stamp source — stamps demand
-/// uniqueness, metrics only monotonicity).  The streaming smoke asserts
-/// the counter is unchanged across `evaluate_reader` on streamable
-/// queries — direct proof that the one-pass path never materializes an
-/// arena — and the index and serve smokes assert the same across
-/// `open_snapshot` (reopening a snapshot never re-builds, just as it
-/// never re-lexes).
+/// uniqueness, metrics only monotonicity).  In `crates/bench/tests/`,
+/// `stream_alloc.rs` asserts the counter is unchanged across
+/// `evaluate_reader` on streamable queries — direct proof that the
+/// one-pass path never materializes an arena — and `open_alloc.rs` and
+/// `serve_alloc.rs` assert the same across `open_snapshot` and a warm
+/// serving pool (reopening a snapshot never re-builds, just as it never
+/// re-lexes).
 fn documents_built_counter() -> &'static minctx_obs::Counter {
     static C: std::sync::OnceLock<minctx_obs::Counter> = std::sync::OnceLock::new();
     C.get_or_init(|| minctx_obs::global().counter("xml/documents_built"))

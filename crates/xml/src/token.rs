@@ -687,9 +687,9 @@ impl<F: Feed> Source<F> {
 /// The `xml/tokenizers_created` counter in the process-wide metrics
 /// registry, resolved once.  Every path that reads XML *text* — the DOM
 /// parser and the streamer alike — goes through exactly one `Tokenizer`,
-/// so the index and serve smokes assert this counter stays flat across
-/// `open_snapshot` (a reopened snapshot is adopted column-for-column,
-/// never re-lexed).
+/// so `crates/bench/tests/open_alloc.rs` and `serve_alloc.rs` assert this
+/// counter stays flat across `open_snapshot` and a warm serving pool (a
+/// reopened snapshot is adopted column-for-column, never re-lexed).
 fn tokenizers_counter() -> &'static minctx_obs::Counter {
     static C: std::sync::OnceLock<minctx_obs::Counter> = std::sync::OnceLock::new();
     C.get_or_init(|| minctx_obs::global().counter("xml/tokenizers_created"))

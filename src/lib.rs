@@ -207,8 +207,8 @@
 //! [`open_snapshot_or_quarantine`](index::open_snapshot_or_quarantine).
 //! The [`serve::chaos`] and [`index::fault`] modules inject seeded
 //! panics and torn writes so every one of these claims is exercised by
-//! `crates/serve/tests/chaos.rs`, the crash-simulation half of
-//! `crates/index/tests/corrupt.rs`, and the `chaos_smoke` binary.
+//! `crates/serve/tests/chaos.rs` (fixed seeds) and the crash-simulation
+//! half of `crates/index/tests/corrupt.rs`.
 //!
 //! ## Observability
 //!

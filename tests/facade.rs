@@ -46,3 +46,40 @@ fn reexported_crates_compose() {
         .unwrap();
     assert_eq!(v.into_node_set().unwrap().len(), 2);
 }
+
+#[test]
+fn explain_plan_rows_agree_with_count() {
+    // The golden rows of `//item[@id]` that neither `explain`'s unit
+    // tests nor the `Engine::explain` doctest pin: both step rows under
+    // MINCONTEXT, and OPTMINCONTEXT's step row followed by its memo and
+    // backward-pass lines.  Cardinalities come from `count()`.
+    let doc = parse_xml(r#"<cat><item id="1"/><x><item id="2"/></x><item/></cat>"#).unwrap();
+    let plan = |s: Strategy| {
+        let engine = Engine::new(s).with_optimizer(true);
+        let count = |q: &str| match engine.evaluate_str(&doc, q).unwrap() {
+            Value::Number(n) => n,
+            v => panic!("{q}: {v:?}"),
+        };
+        let counts = (count("count(//item)"), count("count(//item[@id])"));
+        (
+            engine.explain(&doc, "//item[@id]").unwrap().plan_text(),
+            counts,
+        )
+    };
+    let (text, (items, with_id)) = plan(Strategy::MinContext);
+    let golden = format!(
+        "plan\n  \
+         [#2 step 0] descendant::item preds=1 mode=set route=postings calls=1 in=1 out={with_id}\n  \
+         [#0 step 0] attribute::id route=walk calls={items} in={items} out={with_id}\n\
+         memo "
+    );
+    assert!(text.contains(&golden), "{text}");
+    let (text, _) = plan(Strategy::OptMinContext);
+    let golden = format!(
+        "plan\n  \
+         [#2 step 0] descendant::item preds=1 mode=backward route=postings calls=1 in=1 out={with_id}\n\
+         memo hits=0 misses=1\n\
+         backward passes=1\n"
+    );
+    assert!(text.contains(&golden), "{text}");
+}
