@@ -484,12 +484,13 @@ impl Engine {
     ///     "descendant::item preds=1 mode=backward route=postings calls=1 in=1 out=1"
     /// ));
     /// // A positional predicate on `child` ranks the candidates among
-    /// // their siblings; the `//` in front of it is never materialised.
+    /// // their siblings and reads `position()` / `last()` off the ranks;
+    /// // the `//` in front of it is never materialised.
     /// let profile = engine.explain(&doc, "//item[last()]").unwrap();
     /// let plan = profile.plan_text();
     /// assert!(plan.contains("descendant-or-self::node() elided calls=1"));
     /// assert!(plan.contains(
-    ///     "child::item preds=1 mode=sibling-rank route=postings calls=1 in=2 out=1"
+    ///     "child::item preds=1 mode=rank-column route=postings calls=1 in=2 out=1"
     /// ));
     /// // Where a candidate can have several origins it keeps per-origin
     /// // candidate lists — but only for origins that reach an <item>.

@@ -60,8 +60,14 @@ pub enum PredMode {
     /// one origin is its parent: one sweep for the whole context set, then
     /// candidates are ranked among their siblings (leading position-free
     /// predicates run as a set first).  The step's `in` is the number of
-    /// candidates ranked.
+    /// candidates ranked.  At least one predicate from the first positional
+    /// one on was evaluated candidate by candidate.
     SiblingRank,
+    /// As [`PredMode::SiblingRank`], and every predicate from the first
+    /// positional one on was answered by OPTMINCONTEXT's rank column for
+    /// the whole ranked list: `position()` and `last()` read off the ranks,
+    /// counts by column kernels, no candidate evaluated on its own.
+    RankColumn,
     /// As [`PredMode::Set`], with at least one predicate or operand
     /// answered for the whole candidate list by column kernels — a count
     /// or a comparison computed on the candidates' side — and none node by
@@ -83,6 +89,7 @@ impl PredMode {
             PredMode::Backward => "backward",
             PredMode::PerOrigin => "per-origin",
             PredMode::SiblingRank => "sibling-rank",
+            PredMode::RankColumn => "rank-column",
             PredMode::Column => "column",
             PredMode::SelectiveEnd => "selective-end",
         }
@@ -630,17 +637,23 @@ mod tests {
         assert_eq!(p.steps[0].route, AxisRoute::Walk, "singleton-root walk");
         assert_eq!(p.result, "node-set n=3");
         // A positional predicate on `child` ranks candidates among their
-        // siblings (after its position-free neighbour ran as a set); the
-        // `descendant-or-self::node()` in front is never built.
+        // siblings (after its position-free neighbour ran as a set) and is
+        // read off the rank column; the `descendant-or-self::node()` in
+        // front is never built.
         let p = e.explain(&doc, "//item[@id][1]").unwrap();
         assert!(p.steps[0].elided);
         let step = p.steps.iter().find(|s| s.predicates == 2).unwrap();
-        assert_eq!(step.mode, Some(PredMode::SiblingRank));
+        assert_eq!(step.mode, Some(PredMode::RankColumn));
         assert_eq!((step.input, step.output), (2, 2), "both @id items rank 1");
+        assert_eq!(
+            p.memo_hits + p.memo_misses,
+            1,
+            "one compute: the root's path"
+        );
         assert!(
             p.plan_text().contains(
                 "  [#5 step 0] descendant-or-self::node() elided calls=1\n  \
-                 [#5 step 1] child::item preds=2 mode=sibling-rank route=postings calls=1 in=2 out=2"
+                 [#5 step 1] child::item preds=2 mode=rank-column route=postings calls=1 in=2 out=2"
             ),
             "{}",
             p.plan_text()

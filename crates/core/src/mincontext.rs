@@ -26,7 +26,8 @@
 //! for origins the node test's postings say have a candidate at all — and
 //! still answers its leading position-free predicates once, as a set.
 //! Under OPTMINCONTEXT a candidate list is also a *column*: a comparison
-//! of `count(π)`s and `π RelOp c` over one local step are answered for the
+//! of `count(π)`s — and, on a ranked list, of `position()` / `last()` —
+//! and `boolean(π)` / `π RelOp c` over one local step are answered for the
 //! whole list by one kernel call per path, and a `*` / `node()` step starts
 //! from its first predicate's backward set when that is the smaller side
 //! (DESIGN.md "Set-at-a-time predicates").
@@ -67,7 +68,7 @@ use minctx_xml::axes::{
     axis_counts, axis_image_among, axis_image_on, axis_preimage_on, retain_local, Axis, AxisRoute,
     Dispatch, ResolvedTest,
 };
-use minctx_xml::{sibling_ranks, Document, Exec, NodeId, NodeSet, Scratch};
+use minctx_xml::{sibling_ranks, Document, Exec, NodeId, NodeSet, Scratch, SiblingRank};
 use std::time::Instant;
 
 /// The MINCONTEXT evaluator; with `optimized` set, OPTMINCONTEXT.
@@ -151,9 +152,9 @@ struct Run<'d, 'q, 's, 'm, 'p> {
     /// How the axis kernels run their scans: cut on the evaluator's
     /// threads when it has more than one, inline otherwise.
     exec: Exec<'q>,
-    /// How many set filters had to evaluate a predicate node by node; a
-    /// step that leaves it unchanged was answered from backward sets alone
-    /// (EXPLAIN's `mode=backward` as opposed to `mode=set`).
+    /// How many set filters or ranking passes evaluated a predicate node by
+    /// node; a step that leaves it unchanged ran on backward sets or columns
+    /// alone (EXPLAIN's `mode=backward` / `rank-column`, not `set` / `sibling-rank`).
     per_node: u64,
     /// How many column kernels answered a predicate for a candidate list
     /// (EXPLAIN's `mode=column`).
@@ -162,11 +163,11 @@ struct Run<'d, 'q, 's, 'm, 'p> {
 
 /// A predicate OPTMINCONTEXT answers for a whole candidate list, one
 /// kernel call per path in it: (a) `a op b` over counts, numbers and
-/// arithmetic, (b) `π op c` read on the candidates' side (DESIGN.md
-/// "Set-at-a-time predicates").
+/// arithmetic, (b) `boolean(π)` or `π op c` read on the candidates' side
+/// (DESIGN.md "Set-at-a-time predicates").
 enum Column<'q> {
     Counts(CmpOp, ExprId, ExprId),
-    Compare(ExprId, &'q Step, CmpOp, ExprId),
+    Compare(ExprId, &'q Step, Option<(CmpOp, ExprId)>),
 }
 
 impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
@@ -358,11 +359,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                     _ => step.axis,
                 };
                 // A ranked step's sweep is what it ranks: set routes only.
-                let lead = if route == StepRoute::Set {
-                    &step.predicates[..]
-                } else {
-                    &[]
-                };
+                let lead = step.predicates.first().filter(|_| route == StepRoute::Set);
                 let seeded = self.selective_end(axis, test, lead, &cur, &mut next)?;
                 let ran = match seeded {
                     Some(ran) => ran,
@@ -381,8 +378,10 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                 let mode = if free < step.predicates.len() {
                     // What a ranked step takes in is the candidates it ranks.
                     input = cur.len();
+                    let visited = self.per_node;
                     cur = self.filter_ranked(&step.predicates[free..], cur)?;
-                    Some(PredMode::SiblingRank)
+                    let modes = [PredMode::RankColumn, PredMode::SiblingRank];
+                    Some(modes[usize::from(self.per_node > visited)])
                 } else if step.predicates.is_empty() {
                     None
                 } else if seeded.is_some() {
@@ -501,7 +500,9 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         self.meter.charge(charge)?;
         let (known, todo) = self.memo[pred.index()].split(cands);
         let holds = match (column, q.node(pred)) {
-            (Some(column), _) => self.column_holds(column, &todo)?,
+            (Some(column), _) => {
+                NodeSet::from_sorted_vec(self.column_holds(column, todo.as_slice(), None)?)
+            }
             (None, Node::And(a, b)) => {
                 let left = self.filter_set(*a, todo.clone())?;
                 self.filter_set(*b, left)?
@@ -557,36 +558,55 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
     /// whose candidates have exactly one origin each — their parent: the
     /// per-origin candidate lists in axis order *are* the candidate set
     /// grouped by parent.  Each predicate ranks the survivors of the one
-    /// before among their siblings ([`sibling_ranks`]) and evaluates them
-    /// through the usual `{position, size}` tables.
+    /// before among their siblings ([`sibling_ranks`]): a column shape under
+    /// OPTMINCONTEXT reads `position()` / `last()` off the ranks, anything
+    /// else evaluates each candidate through the `{position, size}` tables.
     fn filter_ranked(&mut self, preds: &[ExprId], cands: NodeSet) -> Result<NodeSet, EvalError> {
         let mut list = cands.into_vec();
         for &pred in preds {
             // One ranking pass and one filtering pass over the list.
             self.meter.charge(2 * (list.len() as u64 + 1))?;
             let ranks = sibling_ranks(self.doc, &list, self.scratch);
-            let mut kept = 0;
-            for (i, rank) in ranks.iter().enumerate() {
-                let inner = Context {
-                    node: list[i],
-                    position: rank.position as usize,
-                    size: rank.size as usize,
-                };
-                list[kept] = list[i];
-                kept += usize::from(self.eval(pred, inner)?.boolean());
-            }
-            list.truncate(kept);
+            let kept = self.retain_ranked(pred, &mut list, &ranks);
+            // The buffer goes back to `Scratch` on the error path too.
             self.scratch.recycle_ranks(ranks);
+            kept?;
         }
         Ok(NodeSet::from_sorted_vec(list))
+    }
+
+    /// [`Run::filter_ranked`]'s filtering pass.
+    fn retain_ranked(
+        &mut self,
+        pred: ExprId,
+        list: &mut Vec<NodeId>,
+        ranks: &[SiblingRank],
+    ) -> Result<(), EvalError> {
+        if let Some(column) = self.column(pred, list.len()) {
+            *list = self.column_holds(column, list, Some(ranks))?;
+            return Ok(());
+        }
+        self.per_node += 1;
+        let mut kept = 0;
+        for (i, rank) in ranks.iter().enumerate() {
+            let inner = Context {
+                node: list[i],
+                position: rank.position as usize,
+                size: rank.size as usize,
+            };
+            list[kept] = list[i];
+            kept += usize::from(self.eval(pred, inner)?.boolean());
+        }
+        list.truncate(kept);
+        Ok(())
     }
 
     // ---- OPTMINCONTEXT: columns ---------------------------------------
 
     /// The column `pred` is answered by for `n` candidates: (a) by shape;
-    /// (b) — `π op c` with `π` one `child` / `attribute` / `self` step —
-    /// while no backward set is built and `n` is below the seed
-    /// `build_backward` would compare.
+    /// (b) — `boolean(π)` or `π op c` with `π` one `child` / `attribute` /
+    /// `self` step — while no backward set is built and `n` is below the
+    /// seed `build_backward` would compare.
     fn column(&self, pred: ExprId, n: usize) -> Option<Column<'q>> {
         if !self.opt || matches!(self.backward[pred.index()], Some(Some(_))) {
             return None;
@@ -596,20 +616,20 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                 return Some(Column::Counts(*op, *a, *b));
             }
         }
-        let (path, [step], Some((op, c))) = self.backward_shape(pred)? else {
+        let (path, [step], cmp) = self.backward_shape(pred)? else {
             return None;
         };
         let local = matches!(step.axis, Axis::Child | Axis::Attribute | Axis::SelfAxis);
         let seed = self.postings(step.axis, self.query.step_test(path, 0));
         let seed = seed.map_or(self.doc.len(), <[NodeId]>::len);
-        (local && n < seed).then_some(Column::Compare(path, step, op, c))
+        (local && n < seed).then_some(Column::Compare(path, step, cmp))
     }
 
-    /// (a)'s operands: numbers, arithmetic of those, and `count(π)` of a
-    /// [`Run::count_step`].
+    /// (a)'s operands: numbers, arithmetic of those, `count(π)` of a
+    /// [`Run::count_step`], and `position()` / `last()` (ranked, by `Relev`).
     fn counted(&self, id: ExprId) -> bool {
         match self.query.query().node(id) {
-            Node::Number(_) => true,
+            Node::Number(_) | Node::Call(Func::Position | Func::Last, _) => true,
             Node::Arith(_, a, b) => self.counted(*a) && self.counted(*b),
             Node::Call(Func::Count, args) => self.count_step(args[0]).is_some(),
             _ => false,
@@ -630,30 +650,38 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
     }
 
     /// The members of `todo` a column predicate holds for, by one kernel
-    /// call per path in it.
-    fn column_holds(&mut self, column: Column<'q>, todo: &NodeSet) -> Result<NodeSet, EvalError> {
+    /// call per path in it; `ranks`, where the list is ranked, are its
+    /// `position()` and `last()`.
+    fn column_holds(
+        &mut self,
+        column: Column<'q>,
+        todo: &[NodeId],
+        ranks: Option<&[SiblingRank]>,
+    ) -> Result<Vec<NodeId>, EvalError> {
         if todo.is_empty() {
-            return Ok(NodeSet::new());
+            return Ok(Vec::new());
         }
         self.columns += 1;
-        let holds = match column {
+        Ok(match column {
             Column::Counts(op, a, b) => {
-                let (x, y) = (self.numbers(a, todo)?, self.numbers(b, todo)?);
+                let (x, y) = (self.numbers(a, todo, ranks)?, self.numbers(b, todo, ranks)?);
                 let holds =
                     |i: usize| compare_scalars(op, &Value::Number(x[i]), &Value::Number(y[i]));
                 todo.iter()
                     .enumerate()
                     .filter(|&(i, _)| holds(i))
-                    .map(|(_, c)| c)
+                    .map(|(_, &c)| c)
                     .collect()
             }
-            Column::Compare(path, step, op, c) => {
-                let (doc, scalar) = (self.doc, self.constant_scalar(c).expect("a constant"));
-                let (mut list, mut read, timer) = (todo.as_slice().to_vec(), 0, self.timer());
+            Column::Compare(path, step, cmp) => {
+                let doc = self.doc;
+                let cmp = cmp.map(|(op, c)| (op, self.constant_scalar(c).expect("a constant")));
+                let (mut list, mut read, timer) = (todo.to_vec(), 0, self.timer());
                 let test = self.query.step_test(path, 0);
                 let work = retain_local(doc, step.axis, test, &mut list, |y| {
                     read += 1;
-                    node_scalar_compare(doc, op, y, &scalar)
+                    cmp.as_ref()
+                        .is_none_or(|(op, scalar)| node_scalar_compare(doc, *op, y, scalar))
                 });
                 self.meter.charge(work as u64 + 1)?;
                 if let Some(p) = &mut self.prof {
@@ -661,26 +689,35 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                 }
                 list
             }
-        };
-        Ok(NodeSet::from_sorted_vec(holds))
+        })
     }
 
     /// (a)'s number column of `id` over `cands`.
-    fn numbers(&mut self, id: ExprId, cands: &NodeSet) -> Result<Vec<f64>, EvalError> {
+    fn numbers(
+        &mut self,
+        id: ExprId,
+        cands: &[NodeId],
+        ranks: Option<&[SiblingRank]>,
+    ) -> Result<Vec<f64>, EvalError> {
+        let ranked = |read: fn(&SiblingRank) -> u32| {
+            let ranks = ranks.expect("a ranked list");
+            ranks.iter().map(|r| f64::from(read(r))).collect()
+        };
         Ok(match self.query.query().node(id) {
             Node::Number(n) => vec![*n; cands.len()],
             Node::Arith(op, a, b) => {
-                let mut x = self.numbers(*a, cands)?;
-                for (x, y) in x.iter_mut().zip(self.numbers(*b, cands)?) {
+                let mut x = self.numbers(*a, cands, ranks)?;
+                for (x, y) in x.iter_mut().zip(self.numbers(*b, cands, ranks)?) {
                     *x = arith(*op, *x, y);
                 }
                 x
             }
+            Node::Call(Func::Position, _) => ranked(|r| r.position),
+            Node::Call(Func::Last, _) => ranked(|r| r.size),
             Node::Call(_, args) => {
                 let (path, step, test) = self.count_step(args[0]).expect("a count");
                 let (mut counts, timer) = (Vec::new(), self.timer());
-                let (route, work) =
-                    axis_counts(self.doc, step.axis, test, cands.as_slice(), &mut counts);
+                let (route, work) = axis_counts(self.doc, step.axis, test, cands, &mut counts);
                 self.meter.charge(work as u64 + 1)?;
                 if let Some(p) = &mut self.prof {
                     let total = counts.iter().map(|&k| k as usize).sum();
@@ -695,20 +732,23 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
     /// (c): the step started from the backward set `B` of its first
     /// position-free predicate — which then holds for all of it — when the
     /// test has no postings and [`axis_image_among`] finds `B` the smaller
-    /// side.  A (b) comparison is not built only to ask.
+    /// side.  An (a) or (b) comparison is not built only to ask, an
+    /// existence test (postings and preimages only) is.
     fn selective_end(
         &mut self,
         axis: Axis,
         test: ResolvedTest,
-        preds: &[ExprId],
+        first: Option<&ExprId>,
         cur: &NodeSet,
         next: &mut NodeSet,
     ) -> Result<Option<Dispatch>, EvalError> {
-        let Some(&first) = preds.first() else {
+        let Some(&first) = first else {
             return Ok(None);
         };
         let named = self.postings(axis, test).is_some();
-        if named || self.column(first, 0).is_some() || self.backward_set(first)?.is_none() {
+        let column = self.column(first, 0);
+        let compares = column.is_some() && !matches!(column, Some(Column::Compare(.., None)));
+        if named || compares || self.backward_set(first)?.is_none() {
             return Ok(None);
         }
         let Some(Some(b)) = &self.backward[first.index()] else {
@@ -1031,9 +1071,9 @@ mod tests {
     fn columns_agree_with_naive_on_the_shapes_that_break_them() {
         // <item>s nested ten deep, then eight shallow ones under <x>s; `v`
         // values that are no number (`''`, `'NaN'`, `'1e3'`) or only one
-        // after trimming (`' 7 '`), and a negative zero.  `v` is on more
-        // nodes than there are <item>s (read on the candidates' side), `w`
-        // on fewer (the backward set is built).
+        // after trimming (`' 7 '`), and a negative zero.  `v` and `id` are
+        // on more nodes than there are <item>s (read on the candidates'
+        // side), `w` on fewer (the backward set is built).
         let vals = ["", " 7 ", "NaN", "1e3", "-0", "7", "1000", "-1"];
         let mut xml = String::from("<r>");
         for d in 0..10 {
@@ -1049,9 +1089,9 @@ mod tests {
             ));
         }
         xml.push_str(&"</item>".repeat(10));
-        for v in vals {
+        for (i, v) in vals.iter().enumerate() {
             xml.push_str(&format!(
-                "<x v=\"{v}\"><item v=\"{v}\" w=\"{v}\">{v}</item></x>"
+                "<x v=\"{v}\" id=\"x{i}\"><item v=\"{v}\" w=\"{v}\" id=\"y{i}\">{v}</item></x>"
             ));
         }
         xml.push_str("</r>");
@@ -1068,6 +1108,18 @@ mod tests {
             "//*[count(.//item) > count(k)]".to_string(),
             "//item[count(descendant-or-self::item) - count(@*) >= 2]".to_string(),
         ];
+        for pred in [
+            "@id",
+            "not(@w)",
+            "k",
+            "text()",
+            "self::item",
+            "@*",
+            "*[@id]",
+        ] {
+            queries.push(format!("//item[{pred}]"));
+            queries.push(format!("//*[{pred}]"));
+        }
         for op in ["=", "!=", "<", "<=", ">", ">="] {
             for c in ["7", "'7'", "0", "-0", "1000", "''", "'NaN'"] {
                 for path in ["@v", "@w", "k", ".", "self::item"] {
@@ -1086,12 +1138,16 @@ mod tests {
                 "{q}"
             );
         }
-        // Both routes of a comparison ran, and (c) from nested origins.
+        // Both routes of a comparison and of an existence test ran, and (c)
+        // from nested origins — an existence `B` still built for it.
         for (q, mode, passes) in [
             ("//item[@v > 0]", PredMode::Column, 0),
             ("//item[@w > 0]", PredMode::Backward, 1),
+            ("//item[@id]", PredMode::Column, 0),
+            ("//item[@w]", PredMode::Backward, 1),
             ("//item/*[@id]", PredMode::SelectiveEnd, 1),
             ("//item//*[@id]", PredMode::SelectiveEnd, 1),
+            ("//*[@id]", PredMode::SelectiveEnd, 1),
         ] {
             let p = opt.explain(&doc, q).unwrap();
             let step = p.steps.iter().find(|s| s.predicates == 1).unwrap();
@@ -1102,6 +1158,29 @@ mod tests {
                 p.plan_text()
             );
         }
+    }
+
+    #[test]
+    fn a_ranked_pass_out_of_fuel_hands_its_rank_buffer_back() {
+        // Plain MINCONTEXT evaluates `[position() = last()]` candidate by
+        // candidate, so the run's last unit of fuel is spent inside the
+        // filtering pass, while the rank buffer is lent out of `Scratch`.
+        let doc = parse(&format!("<r>{}</r>", "<b/>".repeat(50))).unwrap();
+        let q = parse_xpath("/r/b[position() = last()]").unwrap();
+        let cq = CompiledQuery::new(&doc, &q);
+        let run = |scratch: &mut Scratch, budget: crate::Budget| {
+            let mut meter = budget.meter();
+            let ctx = Context::document(&doc);
+            let v = MinContext::default().evaluate(&doc, &cq, ctx, scratch, &mut meter);
+            (v.is_ok(), meter.spent())
+        };
+        let (ok, spent) = run(&mut Scratch::new(), crate::Budget::UNLIMITED);
+        let mut scratch = Scratch::new();
+        assert_eq!(
+            (ok, run(&mut scratch, crate::Budget::fuel(spent - 1)).0),
+            (true, false)
+        );
+        assert!(sibling_ranks(&doc, &[], &mut scratch).capacity() >= 50);
     }
 
     /// 45 elements, only two of which have <b> children.
@@ -1152,6 +1231,12 @@ mod tests {
         let naive = crate::Engine::new(Strategy::Naive);
         for strategy in [Strategy::MinContext, Strategy::OptMinContext] {
             let engine = crate::Engine::new(strategy).with_optimizer(true);
+            // OPTMINCONTEXT reads every one of these predicates off the rank
+            // column; MINCONTEXT evaluates each candidate, as the paper does.
+            let (mode, name) = match strategy {
+                Strategy::OptMinContext => (PredMode::RankColumn, "rank-column"),
+                _ => (PredMode::SiblingRank, "sibling-rank"),
+            };
             // (query, ranked step, candidates ranked, result)
             for (q, step, ranked, want) in [
                 ("//*/b[last()]", "child::b", 4, 2),
@@ -1164,9 +1249,17 @@ mod tests {
                 let p = engine.explain(&doc, q).unwrap();
                 assert_eq!(p.result, format!("node-set n={want}"), "{q}");
                 let step = p.steps.iter().find(|s| s.display == step).unwrap();
-                assert_eq!(step.mode, Some(PredMode::SiblingRank), "{q}");
+                assert_eq!(step.mode, Some(mode), "{strategy} {q}");
                 assert_eq!((step.input, step.origins), (ranked, ranked), "{q}");
                 assert!(!p.plan_text().contains("origins="), "{}", p.plan_text());
+                assert_eq!(engine.evaluate_str(&doc, q), naive.evaluate_str(&doc, q));
+            }
+            // One predicate per candidate — `@k` after a position, a literal
+            // operand — and the step is `sibling-rank` on both.
+            for q in ["//*/b[1][@k]", "//*/b[position() = '2']"] {
+                let p = engine.explain(&doc, q).unwrap();
+                let step = p.steps.iter().find(|s| s.display == "child::b").unwrap();
+                assert_eq!(step.mode, Some(PredMode::SiblingRank), "{strategy} {q}");
                 assert_eq!(engine.evaluate_str(&doc, q), naive.evaluate_str(&doc, q));
             }
             // `//b[k]` cannot be fused (`descendant::b[k]` is another
@@ -1182,7 +1275,7 @@ mod tests {
                 let text = p.plan_text();
                 assert!(
                     text.contains("descendant-or-self::node() elided calls=1\n")
-                        && text.contains("child::b preds=1 mode=sibling-rank route=postings"),
+                        && text.contains(&format!("child::b preds=1 mode={name} route=postings")),
                     "{text}"
                 );
                 assert_eq!(

@@ -284,9 +284,14 @@ fn set_filter_and_origin_pruning_charge_their_own_work() {
             let engine = Engine::new(s);
             let want = engine.evaluate_str(&doc, q).unwrap();
             let spent = engine.explain(&doc, q).unwrap().fuel_spent;
-            // 402 nodes: the cheapest of the six runs spends 1 409.
-            assert!(spent > 1_400, "{s} {q}: sweep + filter spend, got {spent}");
-            for fuel in [302, 1_400, spent - 1] {
+            // 402 nodes.  The cheapest of the six runs is OPTMINCONTEXT's
+            // `count(//e[@id][2])` at 1 109: the sweep (300), the set filter
+            // over it (301), `@id`'s backward pass (seed, preimage in and
+            // out: 302), then one ranking pass over the 100 survivors
+            // (2 · 101), `[2]` read off its rank column at no further charge.
+            // 1 100 therefore trips inside that last pass.
+            assert!(spent > 1_100, "{s} {q}: sweep + filter spend, got {spent}");
+            for fuel in [302, 1_100, spent - 1] {
                 assert!(
                     matches!(
                         engine.clone().with_budget(fuel).evaluate_str(&doc, q),
@@ -352,7 +357,12 @@ fn budget_outcomes_do_not_depend_on_the_thread_count() {
                 (result, meter.spent())
             };
             let (want, spend) = run(&engines[0], Budget::UNLIMITED);
-            assert!(want.is_ok() && spend > 10_000, "{s} {q}: spent {spend}");
+            // The cheapest run is OPTMINCONTEXT's `//person[…]/@id` at
+            // 8 454: its 2 112 persons charged three times (the sweep's
+            // output, then the ranking and the filtering pass, which reads
+            // the position off the ranks and computes nothing), and its
+            // 1 056 survivors twice (the `@id` step's input and output).
+            assert!(want.is_ok() && spend > 8_000, "{s} {q}: spent {spend}");
             for cap in [spend / 3, spend - 1, spend, spend + 1] {
                 let sequential = run(&engines[0], Budget::fuel(cap));
                 assert_eq!(sequential.0.is_ok(), cap >= spend, "{s} {q} cap={cap}");

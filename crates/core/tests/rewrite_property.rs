@@ -392,7 +392,10 @@ fn raw_and_rewritten_agree_at_every_element_context() {
 
 /// Every positional shape the sibling-rank route (and the `//` elision in
 /// front of it) takes, plus the neighbours it must leave alone: per-origin
-/// axes and `(…)[k]` filter starts.
+/// axes and `(…)[k]` filter starts.  Then the shapes OPTMINCONTEXT reads
+/// off a column: `position()` / `last()` off the rank column — through
+/// arithmetic, ±∞ and NaN, beside a count, or not at all for a literal
+/// operand — and `boolean(χ::t)` on the candidates' side.
 fn positional_queries() -> Vec<String> {
     let mut queries = Vec::new();
     for (i, t) in LABELS.iter().enumerate() {
@@ -420,6 +423,19 @@ fn positional_queries() -> Vec<String> {
             format!("//{t}[last()][@p]"),
             format!("//{t}[@q][last()]/@*[1]"),
             format!("//{x}//{t}[last()]/text()[1]"),
+            format!("//{t}[last() - position() < 2]"),
+            format!("//{t}[position() = last() div 2]"),
+            format!("//{t}[position() div 0 = last() div 0]"),
+            format!("//{t}[(last() - position()) div 0 > 0]"),
+            format!("//{t}[position() = count(@*)]"),
+            format!("//{t}[position() = '2']"),
+            format!("//{x}/{t}[@p]"),
+            format!("//{x}/{t}[not(@q)]"),
+            format!("//{x}/{t}[*]"),
+            format!("//{x}/{t}[text()]"),
+            format!("//{x}/*[self::{t}]"),
+            format!("//{x}/*[@p][last()]"),
+            format!("//*[{t}][text()][1]"),
         ]);
     }
     queries.push("//text()[last()]".to_string());
