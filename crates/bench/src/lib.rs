@@ -1,16 +1,13 @@
-//! Shared machinery for the benchmark harnesses: synthetic document
-//! generators, the paper's query families, and a dependency-free timing
-//! loop (the workspace is `std`-only by design, so no criterion).
+//! Test support shared by the workspace's suites: synthetic document
+//! generators, the paper's query families, the cross-suite differential
+//! corpus, and a byte-counting allocator for the allocation checks.
 //!
-//! The benches are wired as `harness = false` cargo benches; run them with
-//! `cargo bench -p minctx-bench` or individually, e.g.
-//! `cargo bench -p minctx-bench --bench exp_query_size`.  The
-//! `tables` binary (`cargo run --release -p minctx-bench --bin tables`)
-//! prints the paper-style strategy × document-size timing tables.
+//! Nothing here times anything: the repo's ruler is `benchmark/`, and the
+//! paper's complexity bounds are counted in fuel by
+//! `crates/core/tests/theorems.rs`.
 
-use minctx_core::{Engine, Strategy, Value};
+use minctx_core::Value;
 use minctx_xml::{Document, DocumentBuilder};
-use std::time::{Duration, Instant};
 
 /// A balanced tree of alternating `<even>`/`<odd>` elements, `fanout`
 /// children per node down to `depth`, leaves carrying their pre-order
@@ -32,18 +29,6 @@ pub fn uniform_tree(depth: usize, fanout: usize) -> Document {
     let mut b = DocumentBuilder::new();
     rec(&mut b, depth, fanout, &mut 0);
     b.finish().expect("generated tree is well-formed")
-}
-
-/// A flat document `<r><e>0</e><e>1</e>…</r>` with `n` children — the
-/// shape the paper's Figure 2 measurements use.
-pub fn wide_doc(n: usize) -> Document {
-    let mut b = DocumentBuilder::new();
-    b.start_element("r", &[]);
-    for i in 0..n {
-        b.leaf("e", &[("v", &i.to_string())], &i.to_string());
-    }
-    b.end_element();
-    b.finish().expect("generated doc is well-formed")
 }
 
 /// Configuration for the XMark-style synthetic document generator
@@ -82,8 +67,8 @@ impl XmarkConfig {
     }
 }
 
-/// XMark-flavoured label pool; index 0 (`item`) is the label the axis-step
-/// benchmarks single out, so it always exists.
+/// XMark-flavoured label pool; index 0 (`item`) is the label the suites'
+/// queries single out, so it always exists.
 const XMARK_LABELS: &[&str] = &[
     "item",
     "person",
@@ -215,6 +200,9 @@ pub fn exponential_doc() -> Document {
 }
 
 /// Core XPath queries (no positional functions) — the Theorem 7 fragment.
+/// Each selects something on every `uniform_tree` the theorem suite
+/// (`crates/core/tests/theorems.rs`) measures it on, as do the next two
+/// families.
 pub const CORE_XPATH_QUERIES: &[&str] = &[
     "//odd",
     "/descendant::even/child::odd",
@@ -233,11 +221,14 @@ pub const WADLER_QUERIES: &[&str] = &[
     "//even[last()]",
 ];
 
-/// Full-XPath showcase queries, including the paper's running example E.
+/// Full-XPath showcase queries, including the paper's running example E
+/// and a context-independent predicate (`Relev = ∅`), which MINCONTEXT
+/// computes once rather than once per candidate.
 pub const FULL_XPATH_QUERIES: &[&str] = &[
     "/descendant::*[position() > last()*0.5 or self::* = 100]",
     "//even[count(odd) > 1]/odd[position() != last()]",
     "sum(//@v) > 100",
+    "//odd[count(//even) > 1]",
 ];
 
 /// The cross-suite differential corpus: documents and queries shared by
@@ -283,7 +274,7 @@ pub mod corpus {
             ),
         ];
         // A generated three-level tree (40 elements) — the same generator
-        // the benches use, so the oracle covers the benchmarked shape.
+        // the theorem suite doubles, so the oracle covers its shape.
         docs.push(("tree-3-3".to_string(), uniform_tree(3, 3)));
         docs
     }
@@ -576,8 +567,8 @@ pub mod corpus {
 }
 
 /// A byte-counting [`GlobalAlloc`](std::alloc::GlobalAlloc) wrapper over
-/// the system allocator, for the allocation checks in `tests/*_alloc.rs`
-/// and the `stream/*` bench rows: tracks total bytes ever allocated, the
+/// the system allocator, for the allocation checks in `tests/*_alloc.rs`:
+/// tracks total bytes ever allocated, the
 /// peak live working set and the number of allocations.  Install it in a
 /// binary with
 /// `#[global_allocator] static A: CountingAllocator = CountingAllocator::new();`
@@ -690,79 +681,16 @@ unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
     }
 }
 
-/// Median-of-`runs` wall-clock time of `f`.
-pub fn time<R>(runs: usize, mut f: impl FnMut() -> R) -> Duration {
-    assert!(runs > 0);
-    let mut samples: Vec<Duration> = (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            let r = f();
-            let elapsed = start.elapsed();
-            std::hint::black_box(r);
-            elapsed
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2]
-}
-
-/// Times one strategy on one query (budgeted engines return `None` on
-/// budget exhaustion so tables can print `>cap`).
-///
-/// The query is compiled *once*, outside the timing loop: the tables
-/// compare evaluation algorithms, so parsing/normalization/lowering cost
-/// must not flatten the ratios.  The query-IR optimizer is pinned on
-/// (regardless of `MINCTX_NO_OPTIMIZER`); [`time_strategy_opt`] chooses.
-pub fn time_strategy(
-    doc: &Document,
-    strategy: Strategy,
-    query: &str,
-    budget: Option<u64>,
-    runs: usize,
-) -> Option<Duration> {
-    time_strategy_opt(doc, strategy, query, budget, runs, true)
-}
-
-/// [`time_strategy`] with the query-IR rewrite pipeline pinned on or off —
-/// the snapshot bin times both so the fused-vs-raw gap lands in
-/// `BENCH_baseline.json`.
-pub fn time_strategy_opt(
-    doc: &Document,
-    strategy: Strategy,
-    query: &str,
-    budget: Option<u64>,
-    runs: usize,
-    optimizer: bool,
-) -> Option<Duration> {
-    let mut engine = Engine::new(strategy).with_optimizer(optimizer);
-    if let Some(b) = budget {
-        engine = engine.with_budget(b);
-    }
-    let compiled = minctx_syntax::parse_xpath(query).ok()?;
-    // Reject once up front so the timing loop measures successes only.
-    engine.evaluate(doc, &compiled).ok()?;
-    Some(time(runs, || engine.evaluate(doc, &compiled).unwrap()))
-}
-
-/// Formats a duration in fixed-width milliseconds for table output.
-pub fn fmt_ms(d: Option<Duration>) -> String {
-    match d {
-        Some(d) => format!("{:>10.3}", d.as_secs_f64() * 1e3),
-        None => format!("{:>10}", "—"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minctx_core::{Engine, Strategy};
 
     #[test]
     fn generators_produce_expected_shapes() {
         let d = uniform_tree(2, 3);
         // 1 + 3 + 9 = 13 elements.
         assert_eq!(d.element_count(), 13);
-        let w = wide_doc(5);
-        assert_eq!(w.element_count(), 6);
         assert_eq!(
             exponential_family(2),
             "//b/parent::a/child::b/parent::a/child::b"
@@ -789,7 +717,7 @@ mod tests {
 
     #[test]
     fn bench_queries_run_under_every_strategy() {
-        // Guard the bench query lists against rot: they must all evaluate.
+        // Guard the query families against rot: they must all evaluate.
         let doc = uniform_tree(2, 2);
         for q in CORE_XPATH_QUERIES
             .iter()
@@ -802,19 +730,5 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{s} failed on {q:?}: {e}"));
             }
         }
-    }
-
-    #[test]
-    fn time_strategy_reports_budget_exhaustion_as_none() {
-        let doc = exponential_doc();
-        let t = time_strategy(
-            &doc,
-            Strategy::Naive,
-            &exponential_family(40),
-            Some(1_000),
-            1,
-        );
-        assert!(t.is_none());
-        assert_eq!(fmt_ms(t).trim(), "—");
     }
 }

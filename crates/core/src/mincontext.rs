@@ -14,8 +14,12 @@
 //! per document.  The memo tables that guarantee this exist only where a
 //! repeat can actually arrive (the `memo` module decides which).  Since only contexts
 //! that actually arise are ever touched (the top-down recursion is the
-//! paper's context-propagation), total work is polynomial — `O(|D|·|Q|)`
-//! on Core XPath and the Extended Wadler fragment (Theorems 7 and 10).
+//! paper's context-propagation), total work is polynomial (Theorems 7, 10
+//! and 13).  `crates/core/tests/theorems.rs` counts it: fuel grows linearly
+//! with `|D|` for every Core XPath, Extended Wadler and full-XPath family
+//! query on balanced trees; on deep chains a per-node `descendant::`
+//! predicate walks each subtree, quadratic here and linear only under
+//! OPTMINCONTEXT's backward sets.
 //!
 //! Predicates are set-at-a-time too.  A step whose predicates all ignore
 //! `position()` and `last()` sweeps its axis once for the whole context

@@ -15,9 +15,10 @@
 //! predicate and are filled for contexts that can never occur, whereas
 //! MINCONTEXT touches only the contexts the query actually propagates
 //! top-down (and OPTMINCONTEXT avoids even those where a backward pass
-//! suffices).  Keeping this evaluator around gives the benchmark suite the
-//! paper's own baseline and the test suite a structurally independent
-//! oracle: it shares no evaluation order with the recursive strategies.
+//! suffices).  Keeping this evaluator around gives the theorem suite
+//! (`tests/theorems.rs`, which counts those cells) the paper's own baseline
+//! and the differential suite a structurally independent oracle: it shares
+//! no evaluation order with the recursive strategies.
 
 use crate::budget::BudgetMeter;
 use crate::compile::CompiledQuery;
@@ -267,15 +268,19 @@ fn path_value(
             break;
         }
         let test = query.step_test(path_id, si);
-        // An axis sweep touches at least the whole context set.
+        // An axis sweep touches at least the whole context set, and its
+        // output too: from a singleton context `preceding::*` can touch
+        // most of the document (as MINCONTEXT charges it).
         meter.charge(cur.len() as u64 + 1)?;
         if step.predicates.is_empty() {
             cur = axis_image_resolved(doc, step.axis, &cur, test, scratch);
+            meter.charge(cur.len() as u64)?;
         } else {
             let mut acc = Vec::new();
             let mut cands = Vec::new();
             for x in cur.iter() {
                 doc.axis_nodes_into(step.axis, x, test, &mut cands);
+                meter.charge(cands.len() as u64)?;
                 let mut kept = std::mem::take(&mut cands);
                 for &p in &step.predicates {
                     kept = filter_candidates(tables, p, kept);

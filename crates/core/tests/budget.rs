@@ -7,19 +7,10 @@
 //! evaluation.  (The streaming engine's per-event metering is covered in
 //! `crates/stream/tests/budget_stream.rs`.)
 
+use minctx_bench::exponential_family as family;
 use minctx_core::{Budget, Context, Engine, EvalError, Exhausted, Strategy, Value};
 use minctx_xml::parse;
 use std::time::Duration;
-
-/// `//b` followed by `i` copies of `/parent::a/child::b` — the Section-1
-/// family; exponential for Naive, merely step-linear for the rest.
-fn family(i: usize) -> String {
-    let mut q = String::from("//b");
-    for _ in 0..i {
-        q.push_str("/parent::a/child::b");
-    }
-    q
-}
 
 /// A document big enough that every strategy must spend hundreds of
 /// units on the family query.
@@ -139,6 +130,33 @@ fn backward_preimages_are_charged_for_what_they_touch() {
         .unwrap()
         .fuel_spent;
     assert!(spent > doc.len() as u64, "spent {spent}");
+}
+
+#[test]
+fn context_value_tables_charge_what_their_sweeps_return() {
+    // A predicate-free absolute path is one table cell, however much of
+    // the document its sweep returns: the cell is charged for the nodes
+    // out, so a cap far below the document trips inside the sweep.
+    let doc = parse(&doc_xml()).unwrap();
+    for (q, want) in [
+        ("count(/descendant::node())", 401.0),
+        ("count(/a/b[last()]/preceding::node())", 398.0),
+    ] {
+        for optimize in [true, false] {
+            let engine = Engine::new(Strategy::ContextValueTable).with_optimizer(optimize);
+            assert_eq!(engine.evaluate_str(&doc, q), Ok(Value::Number(want)), "{q}");
+            for fuel in [50, 390] {
+                let err = engine.clone().with_budget(fuel).evaluate_str(&doc, q);
+                assert_eq!(
+                    err,
+                    Err(EvalError::BudgetExhausted {
+                        cause: Exhausted::Fuel { fuel }
+                    }),
+                    "{q} optimize={optimize}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -31,12 +31,12 @@
 //!   [`Strategy`](engine::Strategy) and extensible through the
 //!   [`Evaluator`](engine::Evaluator) trait:
 //!
-//! | Strategy            | Algorithm                                | Behavior                        |
-//! |---------------------|------------------------------------------|---------------------------------|
-//! | `Naive`             | context-at-a-time recursion (Section 1)  | exponential in query size       |
-//! | `ContextValueTable` | bottom-up full tables (VLDB 2002)        | polynomial, cubic space         |
-//! | `MinContext`        | relevant-context evaluation (Section 3)  | `O(|D|·|Q|)` on Core XPath      |
-//! | `OptMinContext`     | + backward axis propagation (Section 4)  | `O(|D|)` existential predicates |
+//! | Strategy            | Algorithm                                | Behavior                          |
+//! |---------------------|------------------------------------------|-----------------------------------|
+//! | `Naive`             | context-at-a-time recursion (Section 1)  | exponential in query size         |
+//! | `ContextValueTable` | bottom-up full tables (VLDB 2002)        | polynomial, cubic space           |
+//! | `MinContext`        | relevant-context evaluation (Section 3)  | polynomial; linear on wide trees  |
+//! | `OptMinContext`     | + backward axis propagation (Section 4)  | `O(|D|)` existential predicates   |
 //!
 //! All strategies produce the same [`Value`](engine::Value) domain and are
 //! continuously cross-checked by a differential corpus (see
@@ -127,8 +127,8 @@
 //! reopens it **zero-copy** via `mmap` — the flat columns (pre-order
 //! structure, packed kinds, CSR label postings, text heap, id index) are
 //! adopted in place after an integrity scan, so reopening skips the XML
-//! parser entirely (≥5× cheaper than re-parsing at the 10⁶-element
-//! bench tier; see the `index/*` rows in `BENCH_baseline.json`):
+//! parser entirely (the ruler's `snapshot-cold` workload and `index.*`
+//! rows in `benchmark/` measure the open against the parse):
 //!
 //! ```
 //! use minctx::prelude::*;
@@ -269,12 +269,15 @@
 //! );
 //! ```
 //!
-//! ## Benchmarks
+//! ## Measurements
 //!
-//! `cargo run --release -p minctx-bench --bin tables` prints the paper's
-//! strategy × document-size timing tables; `cargo bench -p minctx-bench`
-//! runs the per-theorem harnesses (`thm7_mincontext`, `thm10_wadler`,
-//! `thm13_corexpath`, `exp_query_size`, `axes`).
+//! The paper's complexity claims are tier-1 tests that count fuel, not
+//! milliseconds: `crates/core/tests/theorems.rs` doubles the document or
+//! the query and asserts how the work grows — exponential for `Naive` on
+//! Section 1's family, `|D|²` and `|D|³` for the context-value tables,
+//! linear for MINCONTEXT and OPTMINCONTEXT on every query family.  Time
+//! is measured in one place, the `benchmark/` workspace
+//! (`BENCHMARK.json`), run parent against change.
 
 #![forbid(unsafe_code)]
 
