@@ -2,16 +2,19 @@
 //! serving-shaped queries in one pass over the text, the
 //! `xml/documents_built` counter stays flat, and the pass's peak heap
 //! stays under half of what parsing the same text into an arena peaks at.
-//! A pass holds the tokenizer window, the open frames and its buffered
+//! A pass holds the tokenizer window, the state stacks and its buffered
 //! candidates (0.28–0.36 of the arena's peak for `//item[@id]` at 10⁵ and
 //! 10⁶ elements; 0.15 MB for a query with no match), where the arena
-//! holds every node.  One allocation check in this binary, so nothing
-//! else allocates while it measures; the 10⁶-element tier is `#[ignore]`d
-//! for a release run.
+//! holds every node.  A pass also allocates nothing per element or per
+//! predicate instance: doubling the document adds a handful of
+//! allocations (the buffers' regrowths), not thousands.  The checks take
+//! turns, so nothing else in this binary allocates while one measures;
+//! the 10⁶-element tier is `#[ignore]`d for a release run.
 
 use minctx_bench::{xmark_doc, CountingAllocator, XmarkConfig};
 use minctx_core::{Engine, Strategy};
 use minctx_stream::StreamingEngine;
+use minctx_syntax::Query;
 use minctx_xml::serialize::to_xml_string;
 use std::sync::Mutex;
 
@@ -73,4 +76,29 @@ fn streaming_never_builds_the_arena_at_1e5() {
 #[ignore = "10⁶ elements: run in release with --ignored"]
 fn streaming_never_builds_the_arena_at_1e6() {
     streaming_never_builds_the_arena(1_000_000);
+}
+
+/// Allocations made by one streamed pass of `query` over an
+/// `elements`-element document (the text is built before counting).
+fn pass_allocations(engine: &Engine, query: &Query, elements: usize) -> usize {
+    let xml = to_xml_string(&xmark_doc(&XmarkConfig::sized(elements)));
+    let before = ALLOC.count();
+    let out = engine.evaluate_reader_str(query, &xml).unwrap();
+    let made = ALLOC.count() - before;
+    assert!(out.is_streamed(), "fell back ({:?})", out.fallback_reason());
+    made
+}
+
+#[test]
+#[cfg_attr(miri, ignore)]
+fn a_streamed_pass_allocates_nothing_per_predicate_instance() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let engine = Engine::new(Strategy::Streaming);
+    let query = minctx_syntax::parse_xpath("count(//item[@id])").unwrap();
+    let small = pass_allocations(&engine, &query, 20_000);
+    let large = pass_allocations(&engine, &query, 40_000);
+    assert!(
+        large < small + 32,
+        "allocations grew {small} -> {large} when the document doubled"
+    );
 }

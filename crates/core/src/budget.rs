@@ -21,7 +21,7 @@
 //! Metering is built to cost nothing when unlimited: a charge is one
 //! `checked_sub` on a `u64` (remaining fuel starts at `u64::MAX`) plus a
 //! skipped branch when no deadline is set.  `Instant::now()` is polled
-//! only every [`DEADLINE_POLL_UNITS`] charged units, so deadline
+//! only every `DEADLINE_POLL_UNITS` charged units, so deadline
 //! enforcement adds one syscall-ish clock read per ~50k node touches.
 
 use crate::error::{EvalError, Exhausted};

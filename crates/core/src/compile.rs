@@ -1,10 +1,10 @@
 //! Per-document query compilation: [`CompiledQuery`].
 //!
-//! A [`Query`](minctx_syntax::Query) is document-independent; its node
+//! A [`Query`] is document-independent; its node
 //! tests are strings.  Every axis call used to re-resolve them against the
 //! document's name table — per step, per context node, per evaluation.  A
 //! `CompiledQuery` binds a query to one document, resolving every
-//! [`NodeTest`](minctx_xml::NodeTest) to a [`ResolvedTest`] (an integer
+//! [`NodeTest`] to a [`ResolvedTest`] (an integer
 //! comparison) exactly once.  The [`Engine`](crate::Engine) caches
 //! compiled queries per `(query stamp, document stamp)`, so the production
 //! serving pattern — one document, a fixed query set, many evaluations —

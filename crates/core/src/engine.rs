@@ -138,7 +138,7 @@ impl fmt::Display for Strategy {
 /// working memory, and a [`BudgetMeter`] they must charge their work
 /// against — every strategy honors fuel and deadline limits, surfacing
 /// [`EvalError::BudgetExhausted`] when one trips (see
-/// [`Budget`](crate::Budget) for the accounting contract).
+/// [`Budget`] for the accounting contract).
 pub trait Evaluator {
     /// The strategy this evaluator implements (for diagnostics).
     fn strategy(&self) -> Strategy;

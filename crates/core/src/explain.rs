@@ -5,9 +5,9 @@
 //! engine actually did rather than what it might do:
 //!
 //! * the IR before and after the rewrite pipeline, with the
-//!   [`Rule`](crate::rewrite::Rule)s that fired and how often;
+//!   [`Rule`]s that fired and how often;
 //! * per location-path step: the kernel route taken
-//!   ([`AxisRoute`](minctx_xml::AxisRoute) — postings fast path, walk over
+//!   ([`AxisRoute`] — postings fast path, walk over
 //!   the structure links, or a scan of arena ordinals, which only
 //!   `following`/`preceding` under a non-name test, `self` and `id` still
 //!   are), context-set and axis-output

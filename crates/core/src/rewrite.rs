@@ -196,7 +196,7 @@ impl RewriteTrace {
 }
 
 /// Rewrites a query to its optimization fixpoint.  The result evaluates to
-/// the same [`Value`](crate::Value) as the input at every context, under
+/// the same [`Value`] as the input at every context, under
 /// every strategy — the differential and property suites assert exactly
 /// that.
 pub fn rewrite(query: &Query) -> Query {

@@ -32,7 +32,7 @@
 //!
 //! A versioned little-endian container (`format.rs` documents the byte
 //! layout): a 104-byte header (magic, endianness canary, version,
-//! section counts, stamp, file length, and two [`FastHash`](crate::hash)
+//! section counts, stamp, file length, and two `FastHash`
 //! checksums — one over the header, one over every section byte),
 //! followed by 8-byte-aligned sections.  `open_snapshot` validates all
 //! of it — magic/version/endianness, both checksums, the computed

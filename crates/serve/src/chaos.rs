@@ -4,14 +4,14 @@
 //! panic sites chosen to exercise every isolation boundary the pool
 //! claims to have:
 //!
-//! * [`Site::Eval`] — a panic *inside* the `catch_unwind` fence around
+//! * `Site::Eval` — a panic *inside* the `catch_unwind` fence around
 //!   evaluation.  Must surface as
 //!   [`ServeError::WorkerPanicked`](crate::ServeError::WorkerPanicked)
 //!   on that request's ticket; the worker lives on.
-//! * [`Site::Worker`] — a panic *outside* the fence, in the worker loop
+//! * `Site::Worker` — a panic *outside* the fence, in the worker loop
 //!   itself.  The thread dies; the respawn sentry must replace it and
 //!   every other queued request must still be answered.
-//! * [`Site::Shard`] — a panic while **holding a cache shard lock**,
+//! * `Site::Shard` — a panic while **holding a cache shard lock**,
 //!   poisoning the mutex.  The shard must recover (clear the poison,
 //!   drop the disposable cache contents) on its next use.
 //!
@@ -30,7 +30,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// Per-mille panic rates for each [`Site`], driven by a fixed seed.
+/// Per-mille panic rates for each `Site`, driven by a fixed seed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// Seed for the decision stream; same seed + same workload = same

@@ -4,7 +4,7 @@
 //! The rest of the workspace is deliberately single-threaded per
 //! evaluation; this crate adds the serving layer the paper's
 //! complexity results make attractive: because every evaluator is
-//! polynomial-time over an *immutable* arena [`Document`] (and the
+//! polynomial-time over an *immutable* arena [`Document`](minctx_xml::Document) (and the
 //! mmap-able snapshot form is zero-copy), one document can serve many
 //! concurrent queries with no copies and no locks on the data itself.
 //!

@@ -13,7 +13,7 @@
 //! never see the pool smaller than it really is and conclude, say,
 //! that teardown is finished while a respawn is in flight.
 //!
-//! The count lives behind the [`crate::sync`] facade; the loom model in
+//! The count lives behind the `crate::sync` facade; the loom model in
 //! `tests/loom.rs` drives [`adopt`](LiveCount::adopt) /
 //! [`retire`](LiveCount::retire) / [`handoff`](LiveCount::handoff)
 //! through every interleaving, and the exhaustive offline checker in

@@ -1,5 +1,5 @@
 //! The worker pool itself: [`ServeEngine`] owns N threads that pull
-//! `(corpus, query)` jobs off a shared [`Queue`](crate::queue::Queue),
+//! `(corpus, query)` jobs off a shared [`Queue`],
 //! resolve the document through a snapshot LRU keyed on content stamps,
 //! resolve the compiled query through a `(query, doc_stamp)` LRU, and
 //! evaluate under the request's [`Budget`] — anchored at submission
@@ -24,7 +24,7 @@
 //!   to wait out a burst.
 //! * **Quarantine** — a snapshot that fails validation (bad magic,
 //!   checksum mismatch, truncation) is renamed aside to `*.corrupt` via
-//!   [`quarantine_snapshot`](minctx_core::quarantine_snapshot), so a
+//!   [`quarantine_snapshot`], so a
 //!   corrupt file is inspected once, not re-read on every request.
 
 use crate::chaos;

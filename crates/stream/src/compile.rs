@@ -1,8 +1,8 @@
 //! The stream compiler: lowering an arena [`Query`] into the stack-machine
 //! automaton the one-pass executor runs.
 //!
-//! [`compile`] either produces a [`StreamQuery`] — a set of step
-//! [`Program`]s (the main path plus one program per predicate atom) over
+//! `compile` either produces a [`StreamQuery`] — a set of step
+//! `Program`s (the main path plus one program per predicate atom) over
 //! the forward-axis fragment — or reports the first construct that forces
 //! the arena path, as a stable `&'static str` reason.  The classifier
 //! ([`crate::fragment::classify`]) is exactly this compiler with the
@@ -22,7 +22,7 @@ pub(crate) type ProgId = usize;
 
 /// The streamable axes: every step of every program walks strictly
 /// forward and strictly downward (or sideways onto attributes), which is
-/// what lets one document pass with a frame stack answer the query.
+/// what lets one document pass with a state stack answer the query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SAxis {
     SelfAxis,
@@ -159,7 +159,7 @@ pub(crate) fn compile(query: &Query) -> Result<StreamQuery, &'static str> {
     })
 }
 
-/// The stable fallback reasons [`compile`] reports.  Public (via
+/// The stable fallback reasons `compile` reports.  Public (via
 /// `fragment`) so callers can match on them in diagnostics and tests.
 pub mod reason {
     pub const NOT_A_PATH: &str =

@@ -203,17 +203,12 @@ fn run(
     let mut ex = Exec::new(sq);
     let mut next: u64 = 1;
     while let Some(ev) = tok.next_event()? {
-        if next > u32::MAX as u64 && !matches!(ev, XmlEvent::EndElement { .. }) {
-            return Err(EvalError::DocumentTooLarge {
-                nodes: next as usize,
-                limit: u32::MAX as usize,
-            });
-        }
-        let ord = next.min(u32::MAX as u64) as u32;
-        match &ev {
-            XmlEvent::StartElement { attrs, .. } => meter.charge(1 + attrs.len() as u64)?,
-            _ => meter.charge(1)?,
-        }
+        let (ord, attrs) = match &ev {
+            XmlEvent::EndElement { .. } => (0, 0),
+            XmlEvent::StartElement { attrs, .. } => (ordinal(next, attrs.len())?, attrs.len()),
+            _ => (ordinal(next, 0)?, 0),
+        };
+        meter.charge(1 + attrs as u64)?;
         match ev {
             XmlEvent::StartElement { name, attrs } => {
                 next += 1 + attrs.len() as u64;
@@ -241,6 +236,18 @@ fn run(
         }
     }
     Ok(ex.finalize())
+}
+
+/// The ordinal of a node numbered `next` that is followed by `attrs`
+/// attribute nodes, if all of them fit in `u32`.
+fn ordinal(next: u64, attrs: usize) -> Result<u32, EvalError> {
+    let last = next + attrs as u64;
+    u32::try_from(last)
+        .map(|_| next as u32)
+        .map_err(|_| EvalError::DocumentTooLarge {
+            nodes: last as usize,
+            limit: u32::MAX as usize,
+        })
 }
 
 #[cfg(test)]
@@ -435,6 +442,23 @@ mod tests {
         let phases: Vec<Phase> = sink.take().iter().map(|s| s.phase).collect();
         assert!(!phases.contains(&Phase::Stream));
         assert!(phases.contains(&Phase::Evaluate));
+    }
+
+    #[test]
+    fn ordinals_past_u32_are_refused_attributes_included() {
+        let max = u64::from(u32::MAX);
+        assert_eq!(ordinal(1, 3).unwrap(), 1);
+        assert_eq!(ordinal(max, 0).unwrap(), u32::MAX);
+        assert_eq!(ordinal(max - 2, 2).unwrap(), u32::MAX - 2);
+        // An element at `u32::MAX − 2` with three attributes would number
+        // its last attribute `u32::MAX + 1`.
+        for (next, attrs) in [(max - 2, 3), (max, 1), (max + 1, 0)] {
+            assert!(matches!(
+                ordinal(next, attrs),
+                Err(EvalError::DocumentTooLarge { nodes, limit })
+                    if nodes as u64 == next + attrs as u64 && limit == u32::MAX as usize
+            ));
+        }
     }
 
     #[test]

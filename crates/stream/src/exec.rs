@@ -1,26 +1,34 @@
 //! The one-pass stack-automaton executor.
 //!
-//! [`Exec`] consumes the tokenizer's event stream and maintains, per open
-//! element, a **frame** of active automaton states:
+//! [`Exec`] consumes the tokenizer's event stream and keeps the active
+//! automaton states of every open element on two shared stacks:
 //!
 //! * a `child` state expects its step to match among the element's
 //!   children;
-//! * a `desc` state expects its step anywhere in the element's subtree
-//!   (it is carried down into every nested frame).
+//! * a `desc` state expects its step anywhere in the element's subtree.
+//!
+//! Each open element holds a **mark**: the lengths of both stacks when it
+//! opened, so the states it registered are the stacks' tails above the
+//! mark.  A node is tested against its parent's `child` range and against
+//! the whole `desc` stack (every open ancestor's descendant expectations);
+//! closing an element truncates both stacks to its mark.  No state is
+//! copied per element.
 //!
 //! When a node matches a state's step, the step's predicate instances are
 //! opened (one **group** per predicate, one **atom** cell per existence
 //! atom, each atom backed by a sub-program started at the matching node)
 //! and the state advances: `self` and or-`self` parts are checked
 //! inline, `attribute` steps are checked against the start tag's
-//! attributes, and child/descendant expectations are registered in the
-//! node's frame.  Completing the final step of the main program records a
-//! **candidate** (the node's would-be pre-order id plus the guard chain
-//! of every predicate group opened along its derivation); completing an
-//! atom program records a witness for that atom.
+//! attributes, and child/descendant expectations are pushed above the
+//! node's mark.  A state's **guard** names the last group opened along
+//! its derivation; every group links to the guard it was opened under, so
+//! one `u32` names a whole chain and `State` is `Copy`.
+//! Completing the final step of the main program records a **candidate**
+//! (the node's would-be pre-order id plus its guard); completing an atom
+//! program records a witness for that atom.
 //!
 //! Nothing is ever un-recorded: atoms are monotone (false until a witness
-//! arrives), so element close needs no bookkeeping — an existence
+//! arrives), so element close needs no predicate bookkeeping — an existence
 //! predicate that never found a witness simply stays false.  At end of
 //! stream, [`Exec::finalize`] evaluates every candidate's guard chain
 //! (memoized; the dependency order follows creation order, so the
@@ -29,14 +37,15 @@
 //! same node is derivable more than once or attribute matches from
 //! distinct states interleave.
 //!
-//! Memory is `O(depth · active states + candidates + results)` — no
-//! structure is proportional to the document.
+//! Memory is `O(depth · live states + predicate instances + candidates)`:
+//! the state stacks are bounded by the open path, but groups, atom cells
+//! and candidates grow by one per predicate instance or match and are
+//! kept until [`Exec::finalize`].
 
-use crate::compile::{CStep, Lit, PExpr, PredTree, ProgId, ResultKind, SAxis, STest, StreamQuery};
+use crate::compile::{CStep, Lit, PExpr, PredTree, ResultKind, SAxis, STest, StreamQuery};
 use minctx_core::value::string_to_number;
 use minctx_syntax::CmpOp;
 use minctx_xml::Attrs;
-use std::rc::Rc;
 
 /// The kind of a matched (or visited) node, mirroring the arena's
 /// `NodeKind` without interned names.
@@ -90,43 +99,34 @@ impl StreamValue {
     }
 }
 
-/// A link in a derivation's guard chain: the predicate groups opened at
-/// one step, plus the chain accumulated before it.
-struct GuardNode {
-    groups: Vec<usize>,
-    parent: Guards,
-}
-
-type Guards = Option<Rc<GuardNode>>;
+/// A guard chain: `0` is the empty chain, `g` requires group `g − 1` and
+/// then that group's own `parent` chain.
+type Guard = u32;
 
 /// Which completion a state feeds.
 #[derive(Clone, Copy)]
 enum Target {
     Main,
-    Atom(usize),
+    Atom(u32),
 }
 
 /// An active automaton state: program `prog` waiting for `step` to match.
-/// Cloning is cheap — the guard chain is shared through `Rc`.
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct State {
-    prog: ProgId,
+    prog: u32,
     step: u16,
     target: Target,
-    guards: Guards,
+    guard: Guard,
 }
 
-/// Per-open-element active states.
-#[derive(Default)]
-struct Frame {
-    child: Vec<State>,
-    desc: Vec<State>,
-}
-
-/// One opened predicate instance.
+/// One opened predicate instance, and the guard-chain link through it.
 struct Group<'q> {
     tree: &'q PredTree,
     atom_base: usize,
+    /// The guard the group was opened under.
+    parent: Guard,
+    /// Finalize-time memo.
+    val: Option<bool>,
 }
 
 /// One existence-atom cell: monotone false → true.
@@ -135,7 +135,7 @@ struct Atom {
     /// An unconditional witness was found.
     definite: bool,
     /// Guard chains of conditional witnesses (evaluated at finalize).
-    witnesses: Vec<Guards>,
+    witnesses: Vec<Guard>,
     /// Finalize-time memo.
     resolved: Option<bool>,
 }
@@ -143,7 +143,7 @@ struct Atom {
 /// A completed main-path match awaiting guard resolution.
 struct Candidate {
     ordinal: u32,
-    guards: Guards,
+    guard: Guard,
     desc: Option<StreamMatch>,
 }
 
@@ -158,20 +158,20 @@ pub(crate) struct NodeView<'e> {
     /// For elements: the start tag's attributes (values decoded).
     attrs: Option<Attrs<'e>>,
     /// Whether child/descendant expectations can be registered (elements
-    /// and the root have frames; leaves and attributes do not).
-    has_frame: bool,
+    /// and the root hold a mark; leaves and attributes do not).
+    has_mark: bool,
 }
 
 pub(crate) struct Exec<'q> {
     sq: &'q StreamQuery,
-    frames: Vec<Frame>,
-    /// Frame recycling pool: steady-state evaluation allocates nothing
-    /// per element once the deepest path has been visited.
-    spare: Vec<Frame>,
-    /// Scratch buffer for the states matched by the current event.
-    matched: Vec<State>,
+    /// Child expectations of the open elements, innermost last.
+    child: Vec<State>,
+    /// Descendant expectations of the open elements, innermost last.
+    desc: Vec<State>,
+    /// Per open element, the root first: where its states begin in
+    /// `child` and in `desc`.
+    marks: Vec<(u32, u32)>,
     groups: Vec<Group<'q>>,
-    group_vals: Vec<Option<bool>>,
     atoms: Vec<Atom>,
     pending: Vec<Candidate>,
     /// `Exists` resolved unconditionally true: stop the stream.
@@ -182,11 +182,10 @@ impl<'q> Exec<'q> {
     pub fn new(sq: &'q StreamQuery) -> Exec<'q> {
         let mut ex = Exec {
             sq,
-            frames: vec![Frame::default()],
-            spare: Vec::new(),
-            matched: Vec::new(),
+            child: Vec::new(),
+            desc: Vec::new(),
+            marks: vec![(0, 0)],
             groups: Vec::new(),
-            group_vals: Vec::new(),
             atoms: Vec::new(),
             pending: Vec::new(),
             done: false,
@@ -198,13 +197,19 @@ impl<'q> Exec<'q> {
             name: None,
             content: None,
             attrs: None,
-            has_frame: true,
+            has_mark: true,
+        };
+        let main = State {
+            prog: 0,
+            step: 0,
+            target: Target::Main,
+            guard: 0,
         };
         if ex.sq.programs[0].steps.is_empty() {
             // `/` — the root node itself is the result.
-            ex.complete(Target::Main, None, &root);
+            ex.complete(Target::Main, 0, &root);
         } else {
-            ex.start_from(0, 0, Target::Main, None, &root);
+            ex.start_from(main, &root);
         }
         ex
     }
@@ -223,140 +228,119 @@ impl<'q> Exec<'q> {
             name: Some(name),
             content: None,
             attrs: Some(attrs),
-            has_frame: true,
+            has_mark: true,
         };
-        // Collect the parent frame's states this element satisfies.
-        let mut matched = std::mem::take(&mut self.matched);
-        matched.clear();
-        {
-            let top = self.frames.last().expect("root frame always present");
-            for st in top.child.iter().chain(top.desc.iter()) {
-                if self.step_of(st).test_matches(&view) {
-                    matched.push(st.clone());
-                }
-            }
-        }
-        // Open this element's frame; descendant expectations propagate.
-        let mut frame = self.spare.pop().unwrap_or_default();
-        frame.child.clear();
-        frame.desc.clear();
-        {
-            let top = self.frames.last().expect("root frame always present");
-            frame.desc.extend(top.desc.iter().cloned());
-        }
-        self.frames.push(frame);
-        for st in &matched {
-            self.advance(st.prog, st.step, st.target, st.guards.clone(), &view);
-        }
-        self.matched = matched;
+        // What `visit` registers lands above the current tops: that is
+        // this element's range, pushed once its parent's are read.
+        let mark = (self.child.len() as u32, self.desc.len() as u32);
+        self.visit(&view);
+        self.marks.push(mark);
     }
 
     pub fn end_element(&mut self) {
-        let f = self.frames.pop().expect("end without start");
-        debug_assert!(!self.frames.is_empty(), "root frame popped");
-        self.spare.push(f);
+        let (child, desc) = self.marks.pop().expect("end without start");
+        debug_assert!(!self.marks.is_empty(), "root mark popped");
+        self.child.truncate(child as usize);
+        self.desc.truncate(desc as usize);
     }
 
     /// A text, comment or PI event (one leaf node).
     pub fn leaf(&mut self, kind: StreamNodeKind, name: Option<&str>, content: &str, ordinal: u32) {
-        let view = NodeView {
+        self.visit(&NodeView {
             ordinal,
             kind,
             name,
             content: Some(content),
             attrs: None,
-            has_frame: false,
-        };
-        let mut matched = std::mem::take(&mut self.matched);
-        matched.clear();
-        {
-            let top = self.frames.last().expect("root frame always present");
-            for st in top.child.iter().chain(top.desc.iter()) {
-                if self.step_of(st).test_matches(&view) {
-                    matched.push(st.clone());
-                }
-            }
-        }
-        for st in &matched {
-            self.advance(st.prog, st.step, st.target, st.guards.clone(), &view);
-        }
-        self.matched = matched;
+            has_mark: false,
+        });
     }
 
     // ---- automaton core ----------------------------------------------
 
-    fn step_of(&self, st: &State) -> &'q CStep {
-        &self.sq.programs[st.prog].steps[st.step as usize]
+    /// Advances every state of the parent's `child` range and of the
+    /// `desc` stack that `view` satisfies.  Both bounds are fixed before
+    /// the first advance, and advances only push past them, so what
+    /// `view` registers for its own subtree is not visited here.
+    fn visit(&mut self, view: &NodeView) {
+        let (child_end, desc_end) = (self.child.len(), self.desc.len());
+        let child_start = self.marks.last().expect("root mark always present").0 as usize;
+        for i in child_start..child_end {
+            let st = self.child[i];
+            if self.step_of(st).test_matches(view) {
+                self.advance(st, view);
+            }
+        }
+        for i in 0..desc_end {
+            let st = self.desc[i];
+            if self.step_of(st).test_matches(view) {
+                self.advance(st, view);
+            }
+        }
     }
 
-    /// `view` just matched step `step` of `prog` (test already checked):
+    fn step_of(&self, st: State) -> &'q CStep {
+        &self.sq.programs[st.prog as usize].steps[st.step as usize]
+    }
+
+    /// `view` just matched the step `st` waits on (test already checked):
     /// apply the step's value check and predicates, then complete the
     /// program or start its next step at `view`.
-    fn advance(
-        &mut self,
-        prog: ProgId,
-        step: u16,
-        target: Target,
-        guards: Guards,
-        view: &NodeView,
-    ) {
-        // Borrow the step through the compiled query's own lifetime so the
-        // recursive calls below can take `&mut self`.
-        let sq: &'q StreamQuery = self.sq;
-        let cstep = &sq.programs[prog].steps[step as usize];
+    fn advance(&mut self, st: State, view: &NodeView) {
+        let cstep = self.step_of(st);
         if let Some((op, lit)) = &cstep.value_check {
             match view.content {
                 Some(s) if scalar_cmp(*op, s, lit) => {}
                 _ => return,
             }
         }
-        let mut guards = guards;
-        if !cstep.preds.is_empty() {
-            let mut gids = Vec::with_capacity(cstep.preds.len());
-            for tree in &cstep.preds {
-                let gid = self.groups.len();
-                let atom_base = self.atoms.len();
-                self.atoms
-                    .extend(tree.atom_progs.iter().map(|_| Atom::default()));
-                self.groups.push(Group { tree, atom_base });
-                self.group_vals.push(None);
-                gids.push(gid);
-                for (slot, &p) in tree.atom_progs.iter().enumerate() {
-                    // Atom programs run from the candidate node with a
-                    // fresh guard chain: their own truth is what feeds the
-                    // group, and their inner predicates guard only their
-                    // own witnesses.
-                    self.start_from(p, 0, Target::Atom(atom_base + slot), None, view);
-                }
+        let mut guard = st.guard;
+        for tree in &cstep.preds {
+            let atom_base = self.atoms.len();
+            self.atoms
+                .extend(tree.atom_progs.iter().map(|_| Atom::default()));
+            self.groups.push(Group {
+                tree,
+                atom_base,
+                parent: guard,
+                val: None,
+            });
+            guard = self.groups.len() as Guard;
+            for (slot, &p) in tree.atom_progs.iter().enumerate() {
+                // Atom programs run from the candidate node with an empty
+                // guard chain: their own truth is what feeds the group,
+                // and their inner predicates guard only their own
+                // witnesses.
+                let atom = State {
+                    prog: p as u32,
+                    step: 0,
+                    target: Target::Atom((atom_base + slot) as u32),
+                    guard: 0,
+                };
+                self.start_from(atom, view);
             }
-            guards = Some(Rc::new(GuardNode {
-                groups: gids,
-                parent: guards,
-            }));
         }
-        if step as usize + 1 == sq.programs[prog].steps.len() {
-            self.complete(target, guards, view);
+        if st.step as usize + 1 == self.sq.programs[st.prog as usize].steps.len() {
+            self.complete(st.target, guard, view);
         } else {
-            self.start_from(prog, step + 1, target, guards, view);
+            let next = State {
+                step: st.step + 1,
+                guard,
+                ..st
+            };
+            self.start_from(next, view);
         }
     }
 
-    /// Begins step `step` of `prog` at origin `view`: inline `self` /
-    /// or-`self` / `attribute` parts, frame registration for the rest.
-    fn start_from(
-        &mut self,
-        prog: ProgId,
-        step: u16,
-        target: Target,
-        guards: Guards,
-        view: &NodeView,
-    ) {
-        let sq: &'q StreamQuery = self.sq;
-        let cstep = &sq.programs[prog].steps[step as usize];
+    /// Begins step `st.step` of `st.prog` at origin `view`: inline `self`
+    /// / or-`self` / `attribute` parts, a push above `view`'s mark for the
+    /// rest.
+    fn start_from(&mut self, st: State, view: &NodeView) {
+        let cstep = self.step_of(st);
         match cstep.axis {
             SAxis::SelfAxis => {
                 if cstep.test_matches(view) {
-                    self.advance(prog, step, target, guards, view);
+                    self.advance(st, view);
                 }
             }
             SAxis::Attribute => {
@@ -368,37 +352,30 @@ impl<'q> Exec<'q> {
                             name: Some(name),
                             content: Some(value),
                             attrs: None,
-                            has_frame: false,
+                            has_mark: false,
                         };
                         if cstep.test_matches(&av) {
-                            self.advance(prog, step, target, guards.clone(), &av);
+                            self.advance(st, &av);
                         }
                     }
                 }
             }
             SAxis::Child | SAxis::Descendant | SAxis::DescendantOrSelf => {
                 if cstep.axis == SAxis::DescendantOrSelf && cstep.test_matches(view) {
-                    self.advance(prog, step, target, guards.clone(), view);
+                    self.advance(st, view);
                 }
-                if view.has_frame {
-                    let st = State {
-                        prog,
-                        step,
-                        target,
-                        guards,
-                    };
-                    let frame = self.frames.last_mut().expect("frame for view");
+                if view.has_mark {
                     if cstep.axis == SAxis::Child {
-                        frame.child.push(st);
+                        self.child.push(st);
                     } else {
-                        frame.desc.push(st);
+                        self.desc.push(st);
                     }
                 }
             }
         }
     }
 
-    fn complete(&mut self, target: Target, guards: Guards, view: &NodeView) {
+    fn complete(&mut self, target: Target, guard: Guard, view: &NodeView) {
         match target {
             Target::Main => {
                 // An existence query stops the stream as soon as a match
@@ -406,7 +383,7 @@ impl<'q> Exec<'q> {
                 // already provable from monotone atom state (e.g. the
                 // `[@id]` atom of `boolean(//item[@id])` resolves at the
                 // very event that completes the candidate).
-                if self.sq.result == ResultKind::Exists && self.chain_definitely_true(&guards) {
+                if self.sq.result == ResultKind::Exists && self.chain_definitely_true(guard) {
                     self.done = true;
                     return;
                 }
@@ -418,21 +395,20 @@ impl<'q> Exec<'q> {
                 });
                 self.pending.push(Candidate {
                     ordinal: view.ordinal,
-                    guards,
+                    guard,
                     desc,
                 });
             }
             Target::Atom(aid) => {
-                let atom = &mut self.atoms[aid];
+                let atom = &mut self.atoms[aid as usize];
                 if atom.definite {
                     return;
                 }
-                match guards {
-                    None => {
-                        atom.definite = true;
-                        atom.witnesses.clear();
-                    }
-                    some => atom.witnesses.push(some),
+                if guard == 0 {
+                    atom.definite = true;
+                    atom.witnesses.clear();
+                } else {
+                    atom.witnesses.push(guard);
                 }
             }
         }
@@ -442,7 +418,7 @@ impl<'q> Exec<'q> {
     /// Atoms are monotone (false may still become true), so only
     /// positive evidence counts: an atom proves nothing under `not()`
     /// until end of stream, while constants prove either polarity.
-    fn chain_definitely_true(&self, guards: &Guards) -> bool {
+    fn chain_definitely_true(&self, mut guard: Guard) -> bool {
         fn def_true(ex: &Exec<'_>, e: &PExpr, base: usize) -> bool {
             match e {
                 PExpr::Atom(slot) => ex.atoms[base + slot].definite,
@@ -462,15 +438,12 @@ impl<'q> Exec<'q> {
                 PExpr::Const(b) => !*b,
             }
         }
-        let mut cur = guards.clone();
-        while let Some(node) = cur {
-            for &gid in &node.groups {
-                let g = &self.groups[gid];
-                if !def_true(self, &g.tree.expr, g.atom_base) {
-                    return false;
-                }
+        while guard != 0 {
+            let g = &self.groups[guard as usize - 1];
+            if !def_true(self, &g.tree.expr, g.atom_base) {
+                return false;
             }
-            cur = node.parent.clone();
+            guard = g.parent;
         }
         true
     }
@@ -483,20 +456,15 @@ impl<'q> Exec<'q> {
         if self.done {
             return StreamValue::Boolean(true);
         }
-        let mut candidates = std::mem::take(&mut self.pending);
-        let mut accepted: Vec<(u32, Option<StreamMatch>)> = Vec::new();
-        for c in candidates.drain(..) {
-            if self.chain_true(&c.guards) {
-                accepted.push((c.ordinal, c.desc));
-            }
-        }
-        accepted.sort_by_key(|(o, _)| *o);
-        accepted.dedup_by_key(|(o, _)| *o);
+        let mut accepted = std::mem::take(&mut self.pending);
+        accepted.retain(|c| self.chain_true(c.guard));
+        accepted.sort_by_key(|c| c.ordinal);
+        accepted.dedup_by_key(|c| c.ordinal);
         match self.sq.result {
             ResultKind::Nodes => StreamValue::Nodes(
                 accepted
                     .into_iter()
-                    .map(|(_, d)| d.expect("Nodes candidates capture a description"))
+                    .map(|c| c.desc.expect("Nodes candidates capture a description"))
                     .collect(),
             ),
             ResultKind::Count => StreamValue::Number(accepted.len() as f64),
@@ -504,15 +472,12 @@ impl<'q> Exec<'q> {
         }
     }
 
-    fn chain_true(&mut self, guards: &Guards) -> bool {
-        let mut cur = guards.clone();
-        while let Some(node) = cur {
-            for &gid in &node.groups {
-                if !self.group_true(gid) {
-                    return false;
-                }
+    fn chain_true(&mut self, mut guard: Guard) -> bool {
+        while guard != 0 {
+            if !self.group_true(guard as usize - 1) {
+                return false;
             }
-            cur = node.parent.clone();
+            guard = self.groups[guard as usize - 1].parent;
         }
         true
     }
@@ -521,15 +486,17 @@ impl<'q> Exec<'q> {
     /// depend (through atom witnesses) on groups opened strictly later,
     /// so the recursion is well-founded.
     fn group_true(&mut self, gid: usize) -> bool {
-        if let Some(v) = self.group_vals[gid] {
+        let Group {
+            tree,
+            atom_base,
+            val,
+            ..
+        } = self.groups[gid];
+        if let Some(v) = val {
             return v;
         }
-        let (tree, base) = {
-            let g = &self.groups[gid];
-            (g.tree, g.atom_base)
-        };
-        let v = self.pexpr_true(&tree.expr, base);
-        self.group_vals[gid] = Some(v);
+        let v = self.pexpr_true(&tree.expr, atom_base);
+        self.groups[gid].val = Some(v);
         v
     }
 
@@ -551,7 +518,7 @@ impl<'q> Exec<'q> {
             return v;
         }
         let witnesses = std::mem::take(&mut self.atoms[aid].witnesses);
-        let v = witnesses.iter().any(|w| self.chain_true(w));
+        let v = witnesses.iter().any(|&w| self.chain_true(w));
         self.atoms[aid].resolved = Some(v);
         v
     }

@@ -20,7 +20,7 @@
 //!   node that carries its own string value (attribute, `text()`,
 //!   `comment()`, `processing-instruction()`).
 //!
-//! Classify the *rewritten* query (post [`minctx_core::rewrite`]) to get
+//! Classify the *rewritten* query (post [`minctx_core::rewrite()`]) to get
 //! the widest fragment: the rewriter fuses `//`-chains and normalizes
 //! reverse axes away where possible, turning e.g. `a/parent::node()`
 //! (reverse, rejected) into `self::node()[a]` (accepted).

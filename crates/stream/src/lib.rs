@@ -4,9 +4,10 @@
 //! fragment** of XPath 1.0 in a single pass over XML *text* — an
 //! [`io::Read`](std::io::Read) or a `&str` — without materializing a
 //! [`Document`](minctx_xml::Document) arena.  `//item[@id]` over a
-//! multi-gigabyte feed runs in memory proportional to document depth
-//! plus the result, not the input (cf. the tree-automata execution model
-//! of *XPath Whole Query Optimization*, PAPERS.md).
+//! multi-gigabyte feed holds no node of the input: its memory is document
+//! depth times the live automaton states, plus one predicate instance per
+//! `item` and the result (cf. the tree-automata execution model of *XPath
+//! Whole Query Optimization*, PAPERS.md).
 //!
 //! Three layers:
 //!
@@ -16,9 +17,9 @@
 //!   *exact* pre-order ordinals the arena would assign;
 //! * the [stream compiler](crate::compile::StreamQuery) and
 //!   [classifier]([`fragment::classify`]): the rewritten query IR is
-//!   lowered into a stack-machine automaton (per-open-element state
-//!   frames, predicate subautomata, buffered emission), or the first
-//!   non-streamable construct is reported;
+//!   lowered into a stack-machine automaton (two state stacks marked
+//!   per open element, predicate subautomata, buffered emission), or the
+//!   first non-streamable construct is reported;
 //! * engine integration: [`StreamingEngine::evaluate_reader`] extends
 //!   [`Engine`](minctx_core::Engine) — under
 //!   [`Strategy::Streaming`](minctx_core::Strategy) it streams what the

@@ -136,3 +136,44 @@ fn streamed_known_answers_spot_check() {
     let out = e.evaluate_reader_str(&q, &xml).unwrap();
     assert_eq!(out.streamed(), Some(&StreamValue::Boolean(true)));
 }
+
+/// `parlist/listitem` recursion `levels` deep.  Every level holds, in
+/// order, a `listitem` with no `parlist` below it, one whose `parlist` is
+/// a grandchild, and the one the next level nests in: a descendant
+/// expectation that outlived its element, or a child range read past its
+/// parent's, would witness a predicate the oracle refutes.  1 001 open
+/// elements at 500 levels, under the default `max_element_depth`.
+fn parlist_recursion(levels: usize) -> String {
+    let level = concat!(
+        "<parlist><listitem><text/></listitem>",
+        "<listitem><text><parlist/></text></listitem><listitem>",
+    );
+    let mut xml = level.repeat(levels);
+    xml.push_str("<text/>");
+    xml.push_str(&"</listitem></parlist>".repeat(levels));
+    xml
+}
+
+#[test]
+fn deep_recursion_streams_ordinal_for_ordinal() {
+    let xml = parlist_recursion(500);
+    let doc = parse(&xml).unwrap();
+    let oracle = Engine::new(Strategy::MinContext);
+    let engine = Engine::new(Strategy::Streaming);
+    for q in [
+        "//parlist//listitem",
+        "//parlist/listitem[parlist]",
+        "count(//listitem[.//parlist])",
+        // Three groups on one guard chain: a chain cut after its last
+        // group admits the `listitem`s that have `text` but no `parlist`.
+        "//parlist[listitem/text]/listitem[parlist][text]",
+    ] {
+        let query = parse_xpath(q).unwrap();
+        let want = oracle.evaluate(&doc, &query).unwrap();
+        let out = engine.evaluate_reader_str(&query, &xml).unwrap();
+        let got = out
+            .streamed()
+            .unwrap_or_else(|| panic!("{q}: fell back ({:?})", out.fallback_reason()));
+        assert_stream_agrees(&doc, got, &want, q);
+    }
+}

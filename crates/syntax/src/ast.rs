@@ -5,7 +5,7 @@
 //! step, `.` becomes `self::node()`, `..` becomes `parent::node()`, `@n`
 //! becomes `attribute::n`, and a step without an axis gets `child::`).
 //!
-//! The [`normalize`](crate::normalize) pass transforms this tree into the
+//! The [`normalize`](crate::normalize()) pass transforms this tree into the
 //! paper's assumed core form; [`query::lower`](crate::query::lower) then
 //! produces the arena representation used by the evaluators.
 

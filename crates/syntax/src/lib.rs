@@ -13,7 +13,7 @@
 //!   test, `and`/`or`/`div`/`mod` as operators vs. names).
 //! * [`parser`] implements the full grammar (both abbreviated and
 //!   unabbreviated syntax); abbreviations are expanded while parsing.
-//! * [`normalize`] brings queries into the paper's assumed form
+//! * [`normalize`](normalize()) brings queries into the paper's assumed form
 //!   (Section 2.2) in one walk of the tree: all type conversions explicit,
 //!   variables substituted by constants, number predicates rewritten to
 //!   `position() = n`, zero-arg context functions expanded, `id(id(π))`

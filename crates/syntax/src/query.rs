@@ -8,7 +8,7 @@
 //!   context-value-table evaluator fills its tables.
 //! * Each node carries a static [`ValueType`] (every XPath 1.0 expression
 //!   has one — Section 2.2 of the paper assumes all conversions explicit,
-//!   which [`normalize`](crate::normalize) guarantees).
+//!   which [`normalize`](crate::normalize()) guarantees).
 //! * Each node carries its *relevant context* [`Relev`] (Section 3.1): the
 //!   subset of the context triple `(x, k, n)` — context node, position,
 //!   size — that the node's value actually depends on.  MINCONTEXT keys its
@@ -534,7 +534,7 @@ impl Query {
 ///
 /// # Panics
 ///
-/// Panics on ASTs that did not go through [`normalize`](crate::normalize)
+/// Panics on ASTs that did not go through [`normalize`](crate::normalize())
 /// (unbound variables, unknown function names): lowering is infallible on
 /// normalized input.
 pub fn lower(expr: &AstExpr) -> Query {
@@ -619,7 +619,7 @@ fn fresh_stamp() -> u64 {
 /// node-id interning, not tree surgery: evaluators that memoize or
 /// materialize per `ExprId` do the shared work once.
 ///
-/// Identity is decided by comparing the nodes' own fields ([`identical`]),
+/// Identity is decided by comparing the nodes' own fields (`identical`),
 /// children by id — sound because children are interned first.  A hash of
 /// the same fields only picks where to look.
 ///

@@ -10,7 +10,7 @@
 //!   for `ancestor(-or-self)`, `preceding(-sibling)` and `parent`), which is
 //!   what positional predicates (`position()`, `last()`) are defined over.
 //!
-//! The `O(|D|)` bounds (shown in [11] and relied upon by every theorem in
+//! The `O(|D|)` bounds (shown in \[11\] and relied upon by every theorem in
 //! the paper) are the *worst* case here: the kernels walk the pre-order
 //! arena from `X` — `parent` up, child chains `c ← subtree_end(c)` across,
 //! subtree intervals down — entering each child chain, sibling group,
@@ -807,7 +807,7 @@ fn image_among(
 /// its selective end — when `among` is shorter than the span of `X`'s
 /// merged subtree intervals, what a walk from `X` may read.  `child`,
 /// `attribute` and `descendant(-or-self)` run the bodies the name-test
-/// postings run ([`image_among`]) over the members of `among` that `t`
+/// postings run (`image_among`) over the members of `among` that `t`
 /// accepts on the axis; `self` keeps those in `X`.
 ///
 /// `None`, with `out` untouched, when `among` is the longer side, on any

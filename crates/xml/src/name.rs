@@ -4,7 +4,7 @@
 //! [`NameTable`]; a [`Name`] is a `u32` index into it.  Node tests then
 //! compare labels with a single integer comparison, which keeps the per-node
 //! cost of `T(t)` constant — required for the `O(|D|)` axis-step bound of
-//! Definition 1 / [11].
+//! Definition 1 / \[11\].
 
 use std::collections::HashMap;
 use std::fmt;

@@ -1,5 +1,5 @@
 //! The DOM-building XML parser: a thin fold of the shared pull
-//! [`Tokenizer`](crate::token::Tokenizer) into a [`DocumentBuilder`].
+//! [`Tokenizer`] into a [`DocumentBuilder`].
 //!
 //! All lexing — elements, attributes, character data with entity and
 //! character references, CDATA sections, comments, processing

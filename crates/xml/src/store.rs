@@ -19,7 +19,7 @@
 //!   attribute's content bytes, so `element_by_id` is a binary search
 //!   whose keys live in the text heap (no separate key storage).
 //!
-//! A [`Col<T>`] is either **owned** (a `Vec<T>`, the
+//! A `Col<T>` is either **owned** (a `Vec<T>`, the
 //! [`DocumentBuilder`](crate::DocumentBuilder) path) or **borrowed** from
 //! a [`StableBytes`] region (the `minctx-index` snapshot path).  Both
 //! deref to `&[T]` through one cached pointer, so the axis kernels and

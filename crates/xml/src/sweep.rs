@@ -13,7 +13,7 @@
 //! replaced would have met first (the lowest `Rank`), not the first
 //! one seen.  The one-tree rule — `parent`, `subtree_end` and the kind
 //! word describe the same pre-order tree — is checked the same way, over
-//! rows instead of one column ([`ColumnSweep::check_tree`]).  See
+//! rows instead of one column (`ColumnSweep::check_tree`).  See
 //! DESIGN.md "Opening at memory speed".
 
 use crate::document::{Document, NONE};

@@ -21,8 +21,8 @@
 //! options drop them).
 //!
 //! The input can be a borrowed `&str` (zero-copy names and bodies) or any
-//! [`io::Read`] ([`Tokenizer::from_reader`]): reader mode keeps a sliding
-//! window that is refilled on demand and compacted as events are
+//! [`io::Read`](Read) ([`Tokenizer::from_reader`]): reader mode keeps a
+//! sliding window that is refilled on demand and compacted as events are
 //! consumed, so tokenizing a multi-gigabyte feed holds memory proportional
 //! to the largest single token, not the input.
 
@@ -45,10 +45,10 @@ pub struct ParseOptions {
     /// source of ID-typed attributes, are not interpreted).  Default: `id`.
     pub id_attribute: String,
     /// Maximum element nesting depth.  Every open element costs a stack
-    /// slot in the tokenizer *and* a state frame in every consumer (the
-    /// DOM builder's ancestor chain, the streaming automaton's per-depth
-    /// frames), so an adversarially deep document — `<a><a><a>…` — would
-    /// otherwise grow memory without bound.  Opening an element below
+    /// slot in the tokenizer *and* state in every consumer (the DOM
+    /// builder's ancestor chain, the streaming automaton's mark and the
+    /// states above it), so an adversarially deep document — `<a><a><a>…`
+    /// — would otherwise grow memory without bound.  Opening an element below
     /// `max_element_depth` ancestors fails with a clean
     /// [`XmlErrorKind::TooDeep`](crate::XmlErrorKind) instead.
     /// Default: 1024 (far above any realistic document; raise it
