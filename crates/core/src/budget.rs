@@ -71,12 +71,6 @@ impl Budget {
         }
     }
 
-    /// This budget with the fuel cap replaced.
-    pub fn with_fuel(mut self, fuel: u64) -> Budget {
-        self.fuel = Some(fuel);
-        self
-    }
-
     /// This budget with the timeout replaced.
     pub fn with_timeout(mut self, timeout: Duration) -> Budget {
         self.timeout = Some(timeout);
@@ -107,8 +101,8 @@ impl Budget {
 }
 
 /// The mutable metering state for one evaluation, created from a
-/// [`Budget`] and threaded through
-/// [`Evaluator::evaluate`](crate::Evaluator::evaluate).
+/// [`Budget`] and threaded through every evaluator's `evaluate`
+/// (see [`Engine::evaluate_compiled_metered`](crate::Engine::evaluate_compiled_metered)).
 #[derive(Debug)]
 pub struct BudgetMeter {
     /// Fuel left; `u64::MAX` when unmetered (practically inexhaustible:

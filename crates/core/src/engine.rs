@@ -1,5 +1,4 @@
-//! The public entry point: [`Engine`], [`Strategy`], [`Context`], and the
-//! [`Evaluator`] trait future backends plug into.
+//! The public entry point: [`Engine`], [`Strategy`] and [`Context`].
 //!
 //! The engine owns two pieces of cross-evaluation state aimed at the
 //! serving scenario (one document, a fixed query set, many evaluations):
@@ -96,7 +95,7 @@ impl Strategy {
         Strategy::OptMinContext,
     ];
 
-    /// A short stable name (used in bench tables and CLI flags).
+    /// A short stable name (trace spans, EXPLAIN, test messages).
     pub fn as_str(self) -> &'static str {
         match self {
             Strategy::Naive => "naive",
@@ -105,18 +104,6 @@ impl Strategy {
             Strategy::OptMinContext => "optmincontext",
             Strategy::Streaming => "streaming",
         }
-    }
-
-    /// Parses a strategy name as printed by [`Strategy::as_str`].
-    pub fn from_str_opt(s: &str) -> Option<Strategy> {
-        Some(match s {
-            "naive" => Strategy::Naive,
-            "cvt" => Strategy::ContextValueTable,
-            "mincontext" => Strategy::MinContext,
-            "optmincontext" => Strategy::OptMinContext,
-            "streaming" => Strategy::Streaming,
-            _ => return None,
-        })
     }
 }
 
@@ -128,34 +115,8 @@ impl fmt::Display for Strategy {
     }
 }
 
-/// An evaluation backend.  The four in-tree strategies implement it; so
-/// can out-of-tree backends (streaming, index-backed, parallel) — the
-/// [`Engine`] only needs something that maps `(document, compiled query,
-/// context)` to a [`Value`].
-///
-/// Backends receive the query pre-compiled (node tests resolved, see
-/// [`CompiledQuery`]), a caller-owned [`Scratch`] for the axis kernels'
-/// working memory, and a [`BudgetMeter`] they must charge their work
-/// against — every strategy honors fuel and deadline limits, surfacing
-/// [`EvalError::BudgetExhausted`] when one trips (see
-/// [`Budget`] for the accounting contract).
-pub trait Evaluator {
-    /// The strategy this evaluator implements (for diagnostics).
-    fn strategy(&self) -> Strategy;
-
-    /// Evaluates a compiled query at a context, charging work to `meter`.
-    fn evaluate(
-        &self,
-        doc: &Document,
-        query: &CompiledQuery,
-        ctx: Context,
-        scratch: &mut Scratch,
-        meter: &mut BudgetMeter,
-    ) -> Result<Value, EvalError>;
-}
-
-/// Default compiled-query cache capacity; beyond it the least-recently
-/// used compilation is evicted (see [`Engine::with_cache_capacity`]).
+/// Compiled-query cache capacity; beyond it the least-recently used
+/// compilation is evicted.
 const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// The query-evaluation entry point: a [`Strategy`] plus evaluation
@@ -179,7 +140,7 @@ pub struct Engine {
     /// [`Engine::with_optimizer`] overrides either way.
     optimize: bool,
     /// `(query stamp, document stamp)` → compiled query, LRU-bounded at
-    /// [`Engine::cache_capacity`] entries.
+    /// `DEFAULT_CACHE_CAPACITY` entries.
     cache: Mutex<LruCache<(u64, u64), Arc<CompiledQuery>>>,
     /// Reusable axis-kernel working memory for this engine's evaluations.
     /// Pool of scratch arenas: evaluations pop one and return it, so
@@ -317,21 +278,6 @@ impl Engine {
         self
     }
 
-    /// Bounds the compiled-query cache at `capacity` entries (least
-    /// recently used compilations are evicted beyond it).  Clears the
-    /// cache.  The default is 256.
-    pub fn with_cache_capacity(self, capacity: usize) -> Engine {
-        Engine {
-            cache: Mutex::new(LruCache::new(capacity)),
-            ..self
-        }
-    }
-
-    /// The compiled-query cache's entry bound.
-    pub fn cache_capacity(&self) -> usize {
-        self.cache.lock().expect("engine cache poisoned").capacity()
-    }
-
     /// Enables or disables the query-IR rewriter
     /// ([`rewrite`](crate::rewrite::rewrite): step fusion, reverse-axis
     /// normalization, predicate hoisting/constant folding, subexpression
@@ -358,28 +304,9 @@ impl Engine {
         self.strategy
     }
 
-    /// The configured fuel cap, if any.
-    pub fn budget(&self) -> Option<u64> {
-        self.budget.fuel
-    }
-
     /// The full budget configuration (fuel and timeout).
     pub fn budget_config(&self) -> Budget {
         self.budget
-    }
-
-    /// The pluggable backend for this engine's strategy.
-    pub fn evaluator(&self) -> Box<dyn Evaluator> {
-        match self.strategy {
-            Strategy::Naive => Box::new(Naive),
-            Strategy::ContextValueTable => Box::new(ContextValueTables),
-            // Arena evaluation under the streaming strategy uses
-            // MINCONTEXT — the same evaluator the streaming differential
-            // suite uses as its oracle — so `evaluate_reader`'s arena
-            // fallback and a direct `evaluate` agree by construction.
-            Strategy::MinContext | Strategy::Streaming => Box::new(self.mincontext(false)),
-            Strategy::OptMinContext => Box::new(self.mincontext(true)),
-        }
     }
 
     /// Compiles `query` against `doc` — running the rewrite pipeline
@@ -508,39 +435,6 @@ impl Engine {
         self.evaluate_at(doc, query, Context::document(doc))
     }
 
-    /// Opens a persistent document snapshot (see `minctx-index`) and
-    /// evaluates `query` against it — a stored corpus is queried without
-    /// ever touching the XML parser.
-    ///
-    /// This is the one-shot convenience: each call pays the snapshot's
-    /// open-time integrity scan.  Serving loops should call
-    /// [`minctx_index::open_snapshot`] once and [`Engine::evaluate`] the
-    /// returned [`Document`] many times — snapshot stamps are stable
-    /// across reopens, so the engine's compiled-query cache keeps
-    /// hitting either way.
-    pub fn evaluate_snapshot(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        query: &Query,
-    ) -> Result<Value, EvalError> {
-        let doc = minctx_index::open_snapshot(path)
-            .map_err(|e| EvalError::Snapshot(std::sync::Arc::new(e)))?;
-        self.evaluate(&doc, query)
-    }
-
-    /// [`Engine::evaluate_snapshot`] for an unparsed XPath string (the
-    /// string is lowered afresh per call, exactly like
-    /// [`Engine::evaluate_str`]).
-    pub fn evaluate_snapshot_str(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        query: &str,
-    ) -> Result<Value, EvalError> {
-        let doc = minctx_index::open_snapshot(path)
-            .map_err(|e| EvalError::Snapshot(std::sync::Arc::new(e)))?;
-        self.evaluate_str(&doc, query)
-    }
-
     /// Evaluates a lowered query at an explicit context.
     ///
     /// The context must be valid for the document: its node in range and
@@ -605,9 +499,24 @@ impl Engine {
         let result = {
             let mut span = self.recorder.span(Phase::Evaluate);
             let spent_before = meter.spent();
-            let result = self
-                .evaluator()
-                .evaluate(doc, compiled, ctx, &mut scratch, meter);
+            let result = match self.strategy {
+                Strategy::Naive => Naive.evaluate(doc, compiled, ctx, meter),
+                Strategy::ContextValueTable => {
+                    ContextValueTables.evaluate(doc, compiled, ctx, &mut scratch, meter)
+                }
+                // Arena evaluation under the streaming strategy uses
+                // MINCONTEXT — the same evaluator the streaming differential
+                // suite uses as its oracle — so `evaluate_reader`'s arena
+                // fallback and a direct `evaluate` agree by construction.
+                Strategy::MinContext | Strategy::Streaming => {
+                    self.mincontext(false)
+                        .evaluate(doc, compiled, ctx, &mut scratch, meter)
+                }
+                Strategy::OptMinContext => {
+                    self.mincontext(true)
+                        .evaluate(doc, compiled, ctx, &mut scratch, meter)
+                }
+            };
             span.attr_str("strategy", || self.strategy.as_str().to_string());
             span.attr_u64("fuel", meter.spent() - spent_before);
             span.attr_u64("ok", u64::from(result.is_ok()));
@@ -630,14 +539,6 @@ mod tests {
     use minctx_xml::parse;
 
     #[test]
-    fn strategy_name_round_trip() {
-        for s in Strategy::ALL.into_iter().chain([Strategy::Streaming]) {
-            assert_eq!(Strategy::from_str_opt(s.as_str()), Some(s));
-        }
-        assert_eq!(Strategy::from_str_opt("quantum"), None);
-    }
-
-    #[test]
     fn streaming_strategy_delegates_arena_evaluation_to_mincontext() {
         // Strategy::Streaming is the evaluate_reader marker; on an already
         // materialized document it evaluates via MINCONTEXT (the streaming
@@ -656,22 +557,9 @@ mod tests {
             .with_budget(100)
             .with_timeout(Duration::from_millis(250));
         assert_eq!(e.strategy(), Strategy::Naive);
-        assert_eq!(e.budget(), Some(100));
         assert_eq!(
             e.budget_config(),
             Budget::fuel(100).with_timeout(Duration::from_millis(250))
-        );
-        assert_eq!(e.evaluator().strategy(), Strategy::Naive);
-        assert_eq!(
-            Engine::new(Strategy::OptMinContext).evaluator().strategy(),
-            Strategy::OptMinContext
-        );
-        assert_eq!(Engine::new(Strategy::MinContext).cache_capacity(), 256);
-        assert_eq!(
-            Engine::new(Strategy::MinContext)
-                .with_cache_capacity(7)
-                .cache_capacity(),
-            7
         );
     }
 
@@ -763,27 +651,32 @@ mod tests {
 
     #[test]
     fn compiled_query_cache_evicts_least_recently_used() {
-        // Capacity 2: compiling a third query evicts the stale one, and
-        // the still-hot compilation survives (same Arc, no recompile).
-        let doc = parse("<a><b/><c/><d/></a>").unwrap();
-        let qb = minctx_syntax::parse_xpath("/a/b").unwrap();
-        let qc = minctx_syntax::parse_xpath("/a/c").unwrap();
-        let qd = minctx_syntax::parse_xpath("/a/d").unwrap();
-        let e = Engine::new(Strategy::MinContext).with_cache_capacity(2);
-        let cb = e.compile(&doc, &qb);
-        let _cc = e.compile(&doc, &qc);
-        assert_eq!(e.cached_queries(), 2);
-        // Touch qb so qc becomes the LRU entry, then overflow with qd.
-        assert!(Arc::ptr_eq(&cb, &e.compile(&doc, &qb)));
-        let cd = e.compile(&doc, &qd);
-        assert_eq!(e.cached_queries(), 2);
-        // qb survived (same Arc); qc was evicted and recompiles fresh.
-        assert!(Arc::ptr_eq(&cb, &e.compile(&doc, &qb)));
-        assert!(Arc::ptr_eq(&cd, &e.compile(&doc, &qd)));
-        let cc2 = e.compile(&doc, &qc);
-        assert_eq!(e.cached_queries(), 2);
-        // And the recompiled qc is resident again.
-        assert!(Arc::ptr_eq(&cc2, &e.compile(&doc, &qc)));
+        // One query past the capacity: the cache stays at its bound, the
+        // least recently used compilation is evicted, and a still-hot one
+        // survives (same Arc, no recompile).
+        let doc = parse("<a><b/></a>").unwrap();
+        let queries: Vec<Query> = (0..=DEFAULT_CACHE_CAPACITY)
+            .map(|i| parse_xpath(&format!("/a/b[{i}]")).unwrap())
+            .collect();
+        let (hot, stale, extra) = (&queries[0], &queries[1], &queries[DEFAULT_CACHE_CAPACITY]);
+        let e = Engine::new(Strategy::MinContext);
+        let c_hot = e.compile(&doc, hot);
+        let c_stale = e.compile(&doc, stale);
+        for q in &queries[2..DEFAULT_CACHE_CAPACITY] {
+            e.compile(&doc, q);
+        }
+        assert_eq!(e.cached_queries(), DEFAULT_CACHE_CAPACITY);
+        // Touch `hot` so `stale` becomes the LRU entry, then overflow.
+        assert!(Arc::ptr_eq(&c_hot, &e.compile(&doc, hot)));
+        let c_extra = e.compile(&doc, extra);
+        assert_eq!(e.cached_queries(), DEFAULT_CACHE_CAPACITY);
+        assert!(Arc::ptr_eq(&c_hot, &e.compile(&doc, hot)));
+        assert!(Arc::ptr_eq(&c_extra, &e.compile(&doc, extra)));
+        // `stale` was evicted: it recompiles fresh and is resident again.
+        let c_stale2 = e.compile(&doc, stale);
+        assert!(!Arc::ptr_eq(&c_stale, &c_stale2));
+        assert_eq!(e.cached_queries(), DEFAULT_CACHE_CAPACITY);
+        assert!(Arc::ptr_eq(&c_stale2, &e.compile(&doc, stale)));
     }
 
     #[test]
@@ -994,37 +887,6 @@ mod tests {
             e.evaluate_compiled(&other, &cq, Context::document(&other)),
             Err(EvalError::InvalidContext { .. })
         ));
-    }
-
-    #[test]
-    fn evaluate_snapshot_queries_a_stored_corpus() {
-        let doc = parse(r#"<a><b id="x">1</b><b>2</b></a>"#).unwrap();
-        let path = std::env::temp_dir().join(format!(
-            "minctx-engine-snapshot-{}.mctx",
-            std::process::id()
-        ));
-        crate::write_snapshot(&doc, &path).unwrap();
-        let q = minctx_syntax::parse_xpath("count(//b)").unwrap();
-        for s in Strategy::ALL {
-            let e = Engine::new(s);
-            assert_eq!(
-                e.evaluate_snapshot(&path, &q).unwrap(),
-                Value::Number(2.0),
-                "strategy {s}"
-            );
-            assert_eq!(
-                e.evaluate_snapshot_str(&path, "string(id('x'))").unwrap(),
-                Value::String("1".into()),
-                "strategy {s}"
-            );
-        }
-        // A missing snapshot surfaces as EvalError::Snapshot.
-        let missing = std::env::temp_dir().join("minctx-engine-snapshot-missing.mctx");
-        assert!(matches!(
-            Engine::new(Strategy::MinContext).evaluate_snapshot(&missing, &q),
-            Err(EvalError::Snapshot(_))
-        ));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

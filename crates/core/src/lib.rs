@@ -15,8 +15,8 @@
 //! All strategies share one [`Value`] domain, one conversion/comparison
 //! library ([`value`], [`funcs`]), and one lowered query representation
 //! ([`minctx_syntax::Query`]) — so they are differentially testable against
-//! each other, and new backends (streaming, index-backed, parallel) can be
-//! added by implementing [`Evaluator`] without touching the existing ones.
+//! each other.  [`Engine`] picks the evaluator with one `match` on its
+//! [`Strategy`].
 //!
 //! ```
 //! use minctx_core::{Engine, Strategy};
@@ -51,7 +51,7 @@ pub mod value;
 pub use budget::{Budget, BudgetMeter};
 pub use cache::LruCache;
 pub use compile::CompiledQuery;
-pub use engine::{Context, Engine, Evaluator, Strategy};
+pub use engine::{Context, Engine, Strategy};
 pub use error::{EvalError, Exhausted};
 pub use explain::{PredMode, QueryProfile, StepProfile};
 pub use mincontext::MinContext;
@@ -59,8 +59,8 @@ pub use mincontext::MinContext;
 // so profile consumers match on it without a direct xml dependency.
 pub use minctx_xml::AxisRoute;
 // The persistent-index backend, re-exported so engine users reach
-// `open_snapshot`/`write_snapshot` (the serving pair behind
-// `Engine::evaluate_snapshot`) without a separate dependency.
+// `open_snapshot`/`write_snapshot` (open once, then `Engine::evaluate`
+// the returned document) without a separate dependency.
 pub use minctx_index::{
     open_snapshot, open_snapshot_or_quarantine, quarantine_snapshot, snapshot_stamp, stale_temps,
     write_snapshot, SnapshotError, SnapshotInfo,

@@ -60,7 +60,7 @@
 
 use crate::budget::BudgetMeter;
 use crate::compile::{CompiledQuery, StepRoute};
-use crate::engine::{Context, Evaluator, Strategy};
+use crate::engine::Context;
 use crate::error::EvalError;
 use crate::explain::{PredMode, ProfileCollector, StepObservation};
 use crate::funcs;
@@ -89,16 +89,10 @@ pub struct MinContext {
     pub threads: usize,
 }
 
-impl Evaluator for MinContext {
-    fn strategy(&self) -> Strategy {
-        if self.optimized {
-            Strategy::OptMinContext
-        } else {
-            Strategy::MinContext
-        }
-    }
-
-    fn evaluate(
+impl MinContext {
+    /// Evaluates a compiled query at a context, charging work to `meter`;
+    /// `scratch` is the axis kernels' working memory.
+    pub fn evaluate(
         &self,
         doc: &Document,
         query: &CompiledQuery,
@@ -108,10 +102,8 @@ impl Evaluator for MinContext {
     ) -> Result<Value, EvalError> {
         Run::new(doc, query, self, scratch, meter, None).eval(query.query().root(), ctx)
     }
-}
 
-impl MinContext {
-    /// [`Evaluator::evaluate`] with a [`ProfileCollector`] attached: the
+    /// [`MinContext::evaluate`] with a [`ProfileCollector`] attached: the
     /// instrumented entry point behind [`Engine::explain`]. Identical
     /// semantics and fuel accounting; the profiled run additionally reads
     /// the clock once per path step.
@@ -914,6 +906,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Strategy;
     use minctx_syntax::parse_xpath;
     use minctx_xml::parse;
 

@@ -23,28 +23,24 @@
 
 use crate::budget::BudgetMeter;
 use crate::compile::CompiledQuery;
-use crate::engine::{Context, Evaluator, Strategy};
+use crate::engine::Context;
 use crate::error::EvalError;
 use crate::funcs;
 use crate::value::{compare, Value};
 use minctx_syntax::{ArithOp, ExprId, Func, Node, PathStart, Step};
-use minctx_xml::{Document, NodeId, NodeSet, Scratch};
+use minctx_xml::{Document, NodeId, NodeSet};
 
 /// The exponential-time baseline evaluator.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Naive;
 
-impl Evaluator for Naive {
-    fn strategy(&self) -> Strategy {
-        Strategy::Naive
-    }
-
-    fn evaluate(
+impl Naive {
+    /// Evaluates a compiled query at a context, charging work to `meter`.
+    pub fn evaluate(
         &self,
         doc: &Document,
         query: &CompiledQuery,
         ctx: Context,
-        _scratch: &mut Scratch,
         meter: &mut BudgetMeter,
     ) -> Result<Value, EvalError> {
         let mut run = Run { doc, query, meter };

@@ -22,7 +22,7 @@
 
 use crate::budget::BudgetMeter;
 use crate::compile::CompiledQuery;
-use crate::engine::{Context, Evaluator, Strategy};
+use crate::engine::Context;
 use crate::error::EvalError;
 use crate::funcs;
 use crate::naive::arith;
@@ -35,12 +35,10 @@ use minctx_xml::{Document, NodeId, NodeSet, Scratch};
 #[derive(Debug, Clone, Default)]
 pub struct ContextValueTables;
 
-impl Evaluator for ContextValueTables {
-    fn strategy(&self) -> Strategy {
-        Strategy::ContextValueTable
-    }
-
-    fn evaluate(
+impl ContextValueTables {
+    /// Evaluates a compiled query at a context, charging work to `meter`;
+    /// `scratch` is the axis kernels' working memory.
+    pub fn evaluate(
         &self,
         doc: &Document,
         query: &CompiledQuery,

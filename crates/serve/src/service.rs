@@ -195,15 +195,6 @@ impl Ticket {
         }
     }
 
-    /// Non-blocking poll; `None` while the request is still in flight.
-    pub fn try_wait(&self) -> Option<Result<Value, ServeError>> {
-        match self.rx.try_recv() {
-            Ok(r) => Some(r),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::Disconnected)),
-        }
-    }
-
     /// Blocks at most `timeout`; `None` if the request is still in
     /// flight when it elapses (the ticket remains usable).
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Value, ServeError>> {
@@ -242,8 +233,6 @@ pub struct ServeStats {
     pub worker_respawns: u64,
     /// High-watermark queue depth observed at admission.
     pub max_queue_depth: u64,
-    /// High-watermark queue wait (submission → worker pickup).
-    pub max_queue_wait: Duration,
     /// Median queue wait, from the `serve/queue_wait_us` histogram
     /// (bucketed — exact to ~3%; [`Duration::ZERO`] before any pickup).
     pub queue_wait_p50: Duration,
@@ -254,8 +243,8 @@ pub struct ServeStats {
 /// Per-engine metrics: every counter and histogram is a handle into the
 /// engine's *private* [`Registry`] (not the process-global one — two
 /// pools in one process must not mix their numbers), rendered by
-/// [`ServeEngine::metrics_text`].  The two high-watermark atomics stay
-/// exact alongside the bucketed histograms.
+/// [`ServeEngine::metrics_text`].  The queue-depth high-watermark atomic
+/// stays exact alongside the bucketed histograms.
 struct Metrics {
     registry: Registry,
     requests: Counter,
@@ -277,7 +266,6 @@ struct Metrics {
     latency_panic_us: Histogram,
     latency_shed_us: Histogram,
     max_queue_depth: AtomicU64,
-    max_queue_wait_micros: AtomicU64,
 }
 
 impl Metrics {
@@ -300,7 +288,6 @@ impl Metrics {
             latency_panic_us: registry.histogram("serve/latency_panic_us"),
             latency_shed_us: registry.histogram("serve/latency_shed_us"),
             max_queue_depth: AtomicU64::new(0),
-            max_queue_wait_micros: AtomicU64::new(0),
             registry,
         }
     }
@@ -341,15 +328,20 @@ struct Shared {
     live_workers: LiveCount,
 }
 
+/// Distinct `(query, document)` compilations the shared query cache
+/// keeps resident.
+const QUERY_CACHE_CAPACITY: usize = 256;
+
 /// Configuration for a [`ServeEngine`]; `ServeEngine::builder()` is the
 /// entry point, [`build`](ServeBuilder::build) spawns the pool.
 #[derive(Debug, Clone)]
 pub struct ServeBuilder {
     workers: usize,
-    strategy: Strategy,
-    optimize: Option<bool>,
+    /// The engine every worker clones: OPTMINCONTEXT, optimizer per
+    /// [`ServeBuilder::optimizer`] (default: the engine's own default,
+    /// which honors `MINCTX_NO_OPTIMIZER`).
+    engine: Engine,
     snapshot_cache_capacity: usize,
-    query_cache_capacity: usize,
     shards: usize,
     default_budget: Budget,
     queue_capacity: usize,
@@ -362,10 +354,8 @@ impl Default for ServeBuilder {
             workers: thread::available_parallelism()
                 .map(|n| n.get().min(4))
                 .unwrap_or(1),
-            strategy: Strategy::OptMinContext,
-            optimize: None,
+            engine: Engine::new(Strategy::OptMinContext),
             snapshot_cache_capacity: 8,
-            query_cache_capacity: 256,
             shards: 8,
             default_budget: Budget::UNLIMITED,
             queue_capacity: 1024,
@@ -381,29 +371,16 @@ impl ServeBuilder {
         self
     }
 
-    /// Evaluation strategy for every worker (default: `OptMinContext`).
-    pub fn strategy(mut self, s: Strategy) -> ServeBuilder {
-        self.strategy = s;
-        self
-    }
-
     /// Force the rewrite pipeline on or off (default: the engine's own
     /// default, which honors `MINCTX_NO_OPTIMIZER`).
     pub fn optimizer(mut self, on: bool) -> ServeBuilder {
-        self.optimize = Some(on);
+        self.engine = self.engine.with_optimizer(on);
         self
     }
 
     /// Distinct mapped snapshots kept resident (default 8).
     pub fn snapshot_cache_capacity(mut self, n: usize) -> ServeBuilder {
         self.snapshot_cache_capacity = n.max(1);
-        self
-    }
-
-    /// Distinct `(query, document)` compilations kept resident
-    /// (default 256).
-    pub fn query_cache_capacity(mut self, n: usize) -> ServeBuilder {
-        self.query_cache_capacity = n.max(1);
         self
     }
 
@@ -446,17 +423,14 @@ impl ServeBuilder {
         let shared = Arc::new(Shared {
             queue: Queue::bounded(self.queue_capacity),
             snapshots: ShardedLru::new(self.snapshot_cache_capacity, self.shards),
-            queries: ShardedLru::new(self.query_cache_capacity, self.shards),
+            queries: ShardedLru::new(QUERY_CACHE_CAPACITY, self.shards),
             metrics: Metrics::new(),
             recorder: self.recorder,
             live_workers: LiveCount::new(),
         });
-        let cfg = WorkerConfig {
-            strategy: self.strategy,
-            optimize: self.optimize,
-        };
+        let template = Arc::new(self.engine);
         let workers = (0..self.workers)
-            .map(|i| spawn_worker(&shared, cfg, i).expect("failed to spawn serve worker"))
+            .map(|i| spawn_worker(&shared, &template, i).expect("failed to spawn serve worker"))
             .collect();
         ServeEngine {
             shared,
@@ -466,42 +440,28 @@ impl ServeBuilder {
     }
 }
 
-/// Everything needed to (re)build a worker's private engine.
-#[derive(Debug, Clone, Copy)]
-struct WorkerConfig {
-    strategy: Strategy,
-    optimize: Option<bool>,
-}
-
-impl WorkerConfig {
-    fn fresh_engine(&self) -> Engine {
-        let mut engine = Engine::new(self.strategy);
-        if let Some(on) = self.optimize {
-            engine = engine.with_optimizer(on);
-        }
-        engine
-    }
-}
-
-/// Spawns one worker thread.  The live count adopts the worker *before*
-/// the spawn (and abandons it on failure) so the count never dips to
-/// zero between a dying worker and its replacement.
+/// Spawns one worker thread, which clones `template` for its private
+/// engine.  The live count adopts the worker *before* the spawn (and
+/// abandons it on failure) so the count never dips to zero between a
+/// dying worker and its replacement.
 fn spawn_worker(
     shared: &Arc<Shared>,
-    cfg: WorkerConfig,
+    template: &Arc<Engine>,
     index: usize,
 ) -> std::io::Result<JoinHandle<()>> {
     shared.live_workers.adopt();
-    let shared2 = Arc::clone(shared);
+    let (shared2, template) = (Arc::clone(shared), Arc::clone(template));
     let spawned = thread::Builder::new()
         .name(format!("minctx-serve-{index}"))
         .spawn(move || {
-            let _sentry = RespawnSentry {
-                shared: Arc::clone(&shared2),
-                cfg,
+            // Built on the worker thread: a failed spawn must not run its
+            // drop (the caller abandons the adopted count instead).
+            let sentry = RespawnSentry {
+                shared: shared2,
+                template,
                 index,
             };
-            worker_loop(&shared2, cfg);
+            worker_loop(&sentry.shared, &sentry.template);
         });
     if spawned.is_err() {
         shared.live_workers.abandon();
@@ -515,7 +475,7 @@ fn spawn_worker(
 /// shrinks and queued jobs never wait on dead threads.
 struct RespawnSentry {
     shared: Arc<Shared>,
-    cfg: WorkerConfig,
+    template: Arc<Engine>,
     index: usize,
 }
 
@@ -531,17 +491,17 @@ impl Drop for RespawnSentry {
             // abort); the pool just runs one thread short.
             self.shared
                 .live_workers
-                .handoff(|| drop(spawn_worker(&self.shared, self.cfg, self.index)));
+                .handoff(|| drop(spawn_worker(&self.shared, &self.template, self.index)));
         } else {
             self.shared.live_workers.retire();
         }
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, cfg: WorkerConfig) {
+fn worker_loop(shared: &Arc<Shared>, template: &Engine) {
     // Each worker owns its engine — and with it a private scratch
     // pool — so evaluation never shares mutable state across threads.
-    let mut engine = cfg.fresh_engine();
+    let mut engine = template.clone();
     while let Some(job) = shared.queue.pop() {
         // A panic here escapes the fence and kills the worker; the
         // sentry respawns it.  (Chaos site: Worker.)
@@ -549,10 +509,6 @@ fn worker_loop(shared: &Arc<Shared>, cfg: WorkerConfig) {
         shared.metrics.requests.inc();
         let waited = job.submitted.elapsed();
         shared.metrics.queue_wait_us.record_micros(waited);
-        shared
-            .metrics
-            .max_queue_wait_micros
-            .fetch_max(waited.as_micros() as u64, Ordering::Relaxed);
         let mut span = shared.recorder.span(Phase::Serve);
         let outcome = catch_unwind(AssertUnwindSafe(|| serve_one(&engine, shared, &job)));
         let reply = match outcome {
@@ -560,8 +516,8 @@ fn worker_loop(shared: &Arc<Shared>, cfg: WorkerConfig) {
             Err(payload) => {
                 shared.metrics.panics.inc();
                 // The unwound engine's internal caches and scratch pool
-                // are in an unknown state; rebuild from config.
-                engine = cfg.fresh_engine();
+                // are in an unknown state; start over from the template.
+                engine = template.clone();
                 Err(ServeError::WorkerPanicked {
                     message: panic_message(payload.as_ref()),
                 })
@@ -792,7 +748,6 @@ impl ServeEngine {
             panics: m.panics.get(),
             worker_respawns: m.worker_respawns.get(),
             max_queue_depth: m.max_queue_depth.load(Ordering::Relaxed),
-            max_queue_wait: Duration::from_micros(m.max_queue_wait_micros.load(Ordering::Relaxed)),
             queue_wait_p50: Duration::from_micros(wait.quantile(0.50).unwrap_or(0)),
             queue_wait_p99: Duration::from_micros(wait.quantile(0.99).unwrap_or(0)),
         }
@@ -842,5 +797,33 @@ impl std::fmt::Debug for ServeEngine {
             .field("default_budget", &self.default_budget)
             .field("stats", &self.stats())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use minctx_xml::parse;
+
+    #[test]
+    fn optimizer_setting_reaches_the_shared_query_cache() {
+        // `//b` compiles to one fused step with the rewriter on and to the
+        // two-step expansion with it off; the pool's compilations are the
+        // ones the shared cache holds.
+        let doc = Arc::new(parse("<a><b/><c><b/></c></a>").unwrap());
+        for (on, steps) in [(true, 1), (false, 2)] {
+            let serve = ServeEngine::builder().workers(1).optimizer(on).build();
+            let answer = serve
+                .query(Corpus::Document(Arc::clone(&doc)), "//b")
+                .wait()
+                .unwrap();
+            assert_eq!(answer.as_node_set().unwrap().len(), 2);
+            let compiled = serve
+                .shared
+                .queries
+                .get(&(Arc::from("//b"), doc.stamp()))
+                .expect("the request compiled into the shared cache");
+            assert_eq!(compiled.query().step_count(), steps, "optimizer({on})");
+        }
     }
 }

@@ -17,9 +17,10 @@
 //! chaos away from the ordinary concurrency tests.
 
 use minctx_bench::{corpus, values_agree};
-use minctx_core::{Budget, Engine, EvalError, Strategy, Value};
+use minctx_core::{Budget, Context, Engine, EvalError, Exhausted, Strategy, Value};
 use minctx_serve::{chaos, ChaosPlan, Corpus, RetryPolicy, ServeEngine, ServeError};
-use minctx_xml::Document;
+use minctx_syntax::parse_xpath;
+use minctx_xml::{parse, Document};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -358,6 +359,67 @@ fn serial_worker_deaths_never_strand_the_queue() {
 
     chaos::clear();
     assert_pool_recovered(&serve, &doc);
+}
+
+/// A worker rebuilt after a contained panic keeps the pool's optimizer
+/// setting.  A fuel budget between the fused and the unfused spend of
+/// `//b` tells the two apart: the fused compilation fits, the unfused
+/// one runs out.
+#[test]
+fn rebuilt_workers_keep_the_optimizer_setting() {
+    let _guard = chaos_guard();
+    let _clear = ClearOnDrop;
+    let doc = Arc::new(parse("<a><b/><c><b/><d><b/><e/><e/></d></c><f/><f/></a>").unwrap());
+    let spend = |on: bool| {
+        let engine = Engine::new(Strategy::OptMinContext).with_optimizer(on);
+        let compiled = engine.compile(&doc, &parse_xpath("//b").unwrap());
+        let mut meter = Budget::UNLIMITED.meter();
+        engine
+            .evaluate_compiled_metered(&doc, &compiled, Context::document(&doc), &mut meter)
+            .unwrap();
+        meter.spent()
+    };
+    let (fused, unfused) = (spend(true), spend(false));
+    assert!(fused < unfused, "fused {fused} vs unfused {unfused}");
+    let budget = Budget::fuel((fused + unfused) / 2);
+
+    for on in [true, false] {
+        let serve = ServeEngine::builder().workers(1).optimizer(on).build();
+        let ask = || {
+            serve
+                .query_with_budget(Corpus::Document(Arc::clone(&doc)), "//b", budget)
+                .wait_timeout(RESOLVE_WITHIN)
+                .expect("ticket hung")
+        };
+        // The panic fires before the query is compiled, so the first
+        // compilation below is the rebuilt worker's.
+        chaos::install(ChaosPlan {
+            seed: 3,
+            eval_panic_per_mille: 1000,
+            ..ChaosPlan::default()
+        });
+        assert!(matches!(ask(), Err(ServeError::WorkerPanicked { .. })));
+        chaos::clear();
+        let got = ask();
+        if on {
+            assert_eq!(got.unwrap().as_node_set().unwrap().len(), 3);
+        } else {
+            assert_eq!(
+                got,
+                Err(ServeError::Eval(EvalError::BudgetExhausted {
+                    cause: Exhausted::Fuel {
+                        fuel: budget.fuel.unwrap()
+                    }
+                }))
+            );
+        }
+        let stats = serve.stats();
+        assert_eq!(
+            (stats.panics, stats.query_misses),
+            (1, 1),
+            "optimizer({on})"
+        );
+    }
 }
 
 #[test]

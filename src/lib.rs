@@ -28,8 +28,7 @@
 //!   `Relev(N)` of Section 3.1.
 //! * [`engine`] — four interchangeable evaluators behind
 //!   [`Engine`](engine::Engine), selected by a
-//!   [`Strategy`](engine::Strategy) and extensible through the
-//!   [`Evaluator`](engine::Evaluator) trait:
+//!   [`Strategy`](engine::Strategy):
 //!
 //! | Strategy            | Algorithm                                | Behavior                          |
 //! |---------------------|------------------------------------------|-----------------------------------|
@@ -137,14 +136,12 @@
 //! let path = std::env::temp_dir().join(format!("minctx-facade-{}.mctx", std::process::id()));
 //! write_snapshot(&doc, &path).unwrap();
 //!
-//! // One-shot convenience: open + evaluate in one call…
-//! let engine = Engine::new(Strategy::OptMinContext);
-//! let q = parse_xpath("count(//b)").unwrap();
-//! assert_eq!(engine.evaluate_snapshot(&path, &q).unwrap(), Value::Number(1.0));
-//!
-//! // …or open once and serve many queries; snapshot stamps are stable
+//! // Open once and serve many queries; snapshot stamps are stable
 //! // across reopens, so compiled-query caches keep hitting.
+//! let engine = Engine::new(Strategy::OptMinContext);
 //! let corpus = open_snapshot(&path).unwrap();
+//! let q = parse_xpath("count(//b)").unwrap();
+//! assert_eq!(engine.evaluate(&corpus, &q).unwrap(), Value::Number(1.0));
 //! assert_eq!(engine.evaluate_str(&corpus, "string(id('k'))").unwrap(),
 //!            Value::String("7".into()));
 //! # std::fs::remove_file(&path).ok();
@@ -292,8 +289,8 @@ pub use minctx_xml as xml;
 /// The most common imports, bundled.
 pub mod prelude {
     pub use minctx_core::{
-        Budget, CompiledQuery, Context, Engine, EvalError, Evaluator, QueryProfile, StepProfile,
-        Strategy, Value,
+        Budget, CompiledQuery, Context, Engine, EvalError, QueryProfile, StepProfile, Strategy,
+        Value,
     };
     pub use minctx_index::{
         open_snapshot, open_snapshot_or_quarantine, snapshot_stamp, write_snapshot, SnapshotError,
