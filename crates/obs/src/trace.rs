@@ -93,6 +93,9 @@ impl SpanRecord {
 /// Receives finished spans.  Implementations must tolerate concurrent
 /// calls (spans finish on whatever thread ran the phase).
 pub trait Sink: Send + Sync {
+    /// Delivers one finished span.  Must not panic: spans finish in
+    /// `Drop`, outside any caller's panic fence, and the serve pool's
+    /// request log relies on it.
     fn record(&self, span: SpanRecord);
 }
 

@@ -4,13 +4,13 @@
 //! panic sites chosen to exercise every isolation boundary the pool
 //! claims to have:
 //!
-//! * `Site::Eval` — a panic *inside* the `catch_unwind` fence around
-//!   evaluation.  Must surface as
+//! * `Site::Worker` — a panic in the worker loop, as soon as a popped
+//!   job enters the job's `catch_unwind` fence.
+//! * `Site::Eval` — a panic as evaluation starts, at the top of
+//!   `serve_one`, inside the same fence.  Both must surface as
 //!   [`ServeError::WorkerPanicked`](crate::ServeError::WorkerPanicked)
-//!   on that request's ticket; the worker lives on.
-//! * `Site::Worker` — a panic *outside* the fence, in the worker loop
-//!   itself.  The thread dies; the respawn sentry must replace it and
-//!   every other queued request must still be answered.
+//!   on that request's ticket; the worker rebuilds its engine and
+//!   serves on.
 //! * `Site::Shard` — a panic while **holding a cache shard lock**,
 //!   poisoning the mutex.  The shard must recover (clear the poison,
 //!   drop the disposable cache contents) on its next use.
@@ -36,10 +36,10 @@ pub struct ChaosPlan {
     /// Seed for the decision stream; same seed + same workload = same
     /// decision sequence.
     pub seed: u64,
-    /// Rate (0..=1000) of panics inside the evaluation fence.
+    /// Rate (0..=1000) of panics as evaluation starts (`Site::Eval`).
     pub eval_panic_per_mille: u16,
-    /// Rate (0..=1000) of panics that escape the fence and kill the
-    /// worker thread.
+    /// Rate (0..=1000) of panics in the worker loop as a popped job
+    /// enters its fence (`Site::Worker`).
     pub worker_kill_per_mille: u16,
     /// Rate (0..=1000) of panics taken while holding a shard lock.
     pub shard_panic_per_mille: u16,
@@ -71,11 +71,6 @@ pub fn install(plan: ChaosPlan) {
 pub fn clear() {
     ENABLED.store(false, Ordering::Release);
     *lock_active() = None;
-}
-
-/// Ticks consumed so far by the installed plan (0 when none).
-pub fn ticks() -> u64 {
-    lock_active().as_ref().map_or(0, |a| a.ticks)
 }
 
 fn lock_active() -> std::sync::MutexGuard<'static, Option<Active>> {

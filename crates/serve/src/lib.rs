@@ -19,13 +19,14 @@
 //!   saturated pool sheds load as
 //!   [`BudgetExhausted`](minctx_core::EvalError::BudgetExhausted)
 //!   rather than stretching tail latency.
-//! * Fault tolerance: evaluation panics are contained per-request
-//!   ([`ServeError::WorkerPanicked`]), dead workers respawn, cache
-//!   shards recover from lock poisoning, and a bounded admission queue
-//!   sheds overload as [`ServeError::Overloaded`] — with
-//!   [`RetryPolicy`] backoff for callers that want to wait a burst
-//!   out.  The [`chaos`] module injects seeded panics at each
-//!   isolation boundary so these claims stay tested.
+//! * Fault tolerance: panics are contained per request
+//!   ([`ServeError::WorkerPanicked`]) and the worker keeps serving on a
+//!   fresh engine, cache shards recover from lock poisoning, and a
+//!   bounded admission queue sheds overload as
+//!   [`ServeError::Overloaded`] — with [`RetryPolicy`] backoff for
+//!   callers that want to wait a burst out.  The [`chaos`] module
+//!   injects seeded panics inside the job fence and under a shard lock
+//!   so these claims stay tested.
 //!
 //! ```
 //! use minctx_core::Value;
@@ -46,14 +47,12 @@
 #![forbid(unsafe_code)]
 
 pub mod chaos;
-pub mod live;
 pub mod queue;
 pub mod service;
 pub mod shard;
 pub(crate) mod sync;
 
 pub use chaos::ChaosPlan;
-pub use live::LiveCount;
 pub use queue::{PushError, Queue, TryPop};
 pub use service::{Corpus, RetryPolicy, ServeBuilder, ServeEngine, ServeError, ServeStats, Ticket};
 pub use shard::ShardedLru;

@@ -161,11 +161,6 @@ impl<T> Queue<T> {
         self.ready.notify_all();
     }
 
-    /// Whether [`close`](Queue::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// Items currently waiting (racy; diagnostics only).
     pub fn len(&self) -> usize {
         self.lock().items.len()

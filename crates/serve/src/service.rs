@@ -10,12 +10,13 @@
 //! The pool is built so that one bad request cannot take the service
 //! down, and overload degrades loudly instead of silently:
 //!
-//! * **Panic isolation** — evaluation runs inside `catch_unwind`; a
-//!   panicking request surfaces as [`ServeError::WorkerPanicked`] on
-//!   its own ticket, the worker rebuilds its engine (post-unwind state
-//!   is suspect) and keeps serving.  A panic that escapes the fence
-//!   kills the thread, but a respawn sentry replaces it, so queued
-//!   requests never hang on a shrunken pool.
+//! * **Panic isolation** — each popped job is served inside one
+//!   `catch_unwind`; a panicking request surfaces as
+//!   [`ServeError::WorkerPanicked`] on its own ticket, the worker
+//!   rebuilds its engine from the builder's template (post-unwind state
+//!   is suspect) and keeps serving.  Nothing outside the fence can
+//!   panic, so the N threads [`ServeBuilder::build`] spawns serve until
+//!   the engine is dropped.
 //! * **Admission control** — the queue is bounded
 //!   ([`ServeBuilder::queue_capacity`]); a full queue fast-rejects with
 //!   [`ServeError::Overloaded`] on the ticket rather than stretching
@@ -28,7 +29,6 @@
 //!   corrupt file is inspected once, not re-read on every request.
 
 use crate::chaos;
-use crate::live::LiveCount;
 use crate::queue::{PushError, Queue};
 use crate::shard::ShardedLru;
 use minctx_core::{
@@ -79,8 +79,10 @@ pub enum ServeError {
         /// The queue capacity the request bounced off.
         capacity: usize,
     },
-    /// The service shut down before answering — the engine was dropped
-    /// while this request was queued.
+    /// The reply channel closed with no answer: the job met a closed
+    /// queue.  Every popped job is answered, and dropping the engine
+    /// serves out the queue before its workers exit, so the pool itself
+    /// never leaves a ticket here.
     Disconnected,
 }
 
@@ -226,11 +228,9 @@ pub struct ServeStats {
     pub snapshot_misses: u64,
     /// Requests fast-rejected at admission ([`ServeError::Overloaded`]).
     pub shed: u64,
-    /// Panics contained by the evaluation fence
+    /// Panics contained by the per-job fence
     /// ([`ServeError::WorkerPanicked`] tickets).
     pub panics: u64,
-    /// Worker threads replaced after a panic escaped the fence.
-    pub worker_respawns: u64,
     /// High-watermark queue depth observed at admission.
     pub max_queue_depth: u64,
     /// Median queue wait, from the `serve/queue_wait_us` histogram
@@ -254,7 +254,6 @@ struct Metrics {
     snapshot_misses: Counter,
     shed: Counter,
     panics: Counter,
-    worker_respawns: Counter,
     /// Queue depth observed at each admission.
     queue_depth: Histogram,
     /// Submission → worker-pickup wait, in microseconds.
@@ -279,7 +278,6 @@ impl Metrics {
             snapshot_misses: registry.counter("serve/snapshot_misses"),
             shed: registry.counter("serve/shed"),
             panics: registry.counter("serve/panics"),
-            worker_respawns: registry.counter("serve/worker_respawns"),
             queue_depth: registry.histogram("serve/queue_depth"),
             queue_wait_us: registry.histogram("serve/queue_wait_us"),
             latency_ok_us: registry.histogram("serve/latency_ok_us"),
@@ -292,15 +290,19 @@ impl Metrics {
         }
     }
 
-    /// The per-outcome latency histogram a finished request records into.
-    fn latency_for(&self, reply: &Result<Value, ServeError>) -> &Histogram {
+    /// A finished request's outcome: the stable label its request-log
+    /// span carries and the latency histogram it records into, from one
+    /// match so the two cannot disagree.
+    fn outcome(&self, reply: &Result<Value, ServeError>) -> (&'static str, &Histogram) {
         match reply {
-            Ok(_) => &self.latency_ok_us,
-            Err(ServeError::Eval(EvalError::BudgetExhausted { .. })) => &self.latency_budget_us,
-            Err(ServeError::Eval(_)) => &self.latency_error_us,
-            Err(ServeError::WorkerPanicked { .. }) => &self.latency_panic_us,
-            Err(ServeError::Overloaded { .. }) => &self.latency_shed_us,
-            Err(ServeError::Disconnected) => &self.latency_error_us,
+            Ok(_) => ("ok", &self.latency_ok_us),
+            Err(ServeError::Eval(EvalError::BudgetExhausted { .. })) => {
+                ("budget_exhausted", &self.latency_budget_us)
+            }
+            Err(ServeError::Eval(_)) => ("error", &self.latency_error_us),
+            Err(ServeError::WorkerPanicked { .. }) => ("panic", &self.latency_panic_us),
+            Err(ServeError::Overloaded { .. }) => ("shed", &self.latency_shed_us),
+            Err(ServeError::Disconnected) => ("disconnected", &self.latency_error_us),
         }
     }
 }
@@ -321,11 +323,6 @@ struct Shared {
     /// Request-lifecycle recorder ([`ServeBuilder::request_log`]): one
     /// [`Phase::Serve`] span per served request.  Disabled by default.
     recorder: Recorder,
-    /// Threads currently in a worker loop — originals and respawns
-    /// alike.  [`ServeEngine::drop`] spins this to zero so no worker
-    /// (not even an unjoined respawn) outlives the engine's teardown
-    /// accounting.  The handoff protocol lives in [`LiveCount`].
-    live_workers: LiveCount,
 }
 
 /// Distinct `(query, document)` compilations the shared query cache
@@ -426,11 +423,15 @@ impl ServeBuilder {
             queries: ShardedLru::new(QUERY_CACHE_CAPACITY, self.shards),
             metrics: Metrics::new(),
             recorder: self.recorder,
-            live_workers: LiveCount::new(),
         });
-        let template = Arc::new(self.engine);
         let workers = (0..self.workers)
-            .map(|i| spawn_worker(&shared, &template, i).expect("failed to spawn serve worker"))
+            .map(|i| {
+                let (shared, template) = (Arc::clone(&shared), self.engine.clone());
+                thread::Builder::new()
+                    .name(format!("minctx-serve-{i}"))
+                    .spawn(move || worker_loop(&shared, &template))
+                    .expect("failed to spawn serve worker")
+            })
             .collect();
         ServeEngine {
             shared,
@@ -440,77 +441,26 @@ impl ServeBuilder {
     }
 }
 
-/// Spawns one worker thread, which clones `template` for its private
-/// engine.  The live count adopts the worker *before* the spawn (and
-/// abandons it on failure) so the count never dips to zero between a
-/// dying worker and its replacement.
-fn spawn_worker(
-    shared: &Arc<Shared>,
-    template: &Arc<Engine>,
-    index: usize,
-) -> std::io::Result<JoinHandle<()>> {
-    shared.live_workers.adopt();
-    let (shared2, template) = (Arc::clone(shared), Arc::clone(template));
-    let spawned = thread::Builder::new()
-        .name(format!("minctx-serve-{index}"))
-        .spawn(move || {
-            // Built on the worker thread: a failed spawn must not run its
-            // drop (the caller abandons the adopted count instead).
-            let sentry = RespawnSentry {
-                shared: shared2,
-                template,
-                index,
-            };
-            worker_loop(&sentry.shared, &sentry.template);
-        });
-    if spawned.is_err() {
-        shared.live_workers.abandon();
-    }
-    spawned
-}
-
-/// Runs on every worker exit path.  A clean exit (queue closed) just
-/// decrements the live count; an exit by panic — something escaped the
-/// evaluation fence — first spawns a replacement, so the pool never
-/// shrinks and queued jobs never wait on dead threads.
-struct RespawnSentry {
-    shared: Arc<Shared>,
-    template: Arc<Engine>,
-    index: usize,
-}
-
-impl Drop for RespawnSentry {
-    fn drop(&mut self) {
-        if thread::panicking() && !self.shared.queue.is_closed() {
-            self.shared.metrics.worker_respawns.inc();
-            // Replacement first, own retire second ([`LiveCount::handoff`]):
-            // the live count stays positive across the handoff.  The
-            // replacement is detached; ServeEngine::drop waits on
-            // `live_workers`, not on join handles.  A failed spawn here
-            // must not panic (we're already unwinding — it would
-            // abort); the pool just runs one thread short.
-            self.shared
-                .live_workers
-                .handoff(|| drop(spawn_worker(&self.shared, &self.template, self.index)));
-        } else {
-            self.shared.live_workers.retire();
-        }
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>, template: &Engine) {
+fn worker_loop(shared: &Shared, template: &Engine) {
     // Each worker owns its engine — and with it a private scratch
     // pool — so evaluation never shares mutable state across threads.
     let mut engine = template.clone();
     while let Some(job) = shared.queue.pop() {
-        // A panic here escapes the fence and kills the worker; the
-        // sentry respawns it.  (Chaos site: Worker.)
-        chaos::tick(chaos::Site::Worker);
+        // Outside the fence stay the request counter, the span, the
+        // latency record and the reply, and none of them can panic:
+        // counters and histograms are relaxed atomics on a bounded
+        // bucket index, a `Sink` must not panic, and `send` to a dropped
+        // ticket returns an error.  The span stays out so that an
+        // unwinding job never drops it: a sink panicking mid-unwind
+        // would abort the process.
         shared.metrics.requests.inc();
         let waited = job.submitted.elapsed();
         shared.metrics.queue_wait_us.record_micros(waited);
         let mut span = shared.recorder.span(Phase::Serve);
-        let outcome = catch_unwind(AssertUnwindSafe(|| serve_one(&engine, shared, &job)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            chaos::tick(chaos::Site::Worker);
+            serve_one(&engine, shared, &job)
+        }));
         let reply = match outcome {
             Ok(r) => r.map_err(ServeError::Eval),
             Err(payload) => {
@@ -523,29 +473,14 @@ fn worker_loop(shared: &Arc<Shared>, template: &Engine) {
                 })
             }
         };
+        let (label, latency) = shared.metrics.outcome(&reply);
         span.attr_str("query", || job.query.to_string());
-        span.attr_str("outcome", || outcome_name(&reply).to_string());
+        span.attr_str("outcome", || label.to_string());
         span.attr_u64("wait_us", waited.as_micros() as u64);
         drop(span);
-        shared
-            .metrics
-            .latency_for(&reply)
-            .record_micros(job.submitted.elapsed());
+        latency.record_micros(job.submitted.elapsed());
         // A dropped Ticket just discards the answer.
         let _ = job.reply.send(reply);
-    }
-}
-
-/// A stable outcome label for request-log spans (matches the per-outcome
-/// latency histogram split).
-fn outcome_name(reply: &Result<Value, ServeError>) -> &'static str {
-    match reply {
-        Ok(_) => "ok",
-        Err(ServeError::Eval(EvalError::BudgetExhausted { .. })) => "budget_exhausted",
-        Err(ServeError::Eval(_)) => "error",
-        Err(ServeError::WorkerPanicked { .. }) => "panic",
-        Err(ServeError::Overloaded { .. }) => "shed",
-        Err(ServeError::Disconnected) => "disconnected",
     }
 }
 
@@ -623,9 +558,8 @@ fn serve_one(engine: &Engine, shared: &Shared, job: &Job) -> Result<Value, EvalE
 /// admission queue, and panic-isolated workers (see the module docs'
 /// *Fault tolerance* section).
 ///
-/// Dropping the engine closes the queue, drains already-queued jobs,
-/// joins every original worker, and waits for any respawned workers to
-/// exit.
+/// Dropping the engine closes the queue, drains already-queued jobs and
+/// joins every worker.
 pub struct ServeEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -717,13 +651,6 @@ impl ServeEngine {
         self.workers.len()
     }
 
-    /// Worker threads currently serving — equals
-    /// [`worker_count`](ServeEngine::worker_count) whenever the pool is
-    /// healthy, including after panics (respawns replace the dead).
-    pub fn live_workers(&self) -> usize {
-        self.shared.live_workers.get()
-    }
-
     /// Jobs currently queued (racy; diagnostics only).
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.len()
@@ -746,7 +673,6 @@ impl ServeEngine {
             snapshot_misses: m.snapshot_misses.get(),
             shed: m.shed.get(),
             panics: m.panics.get(),
-            worker_respawns: m.worker_respawns.get(),
             max_queue_depth: m.max_queue_depth.load(Ordering::Relaxed),
             queue_wait_p50: Duration::from_micros(wait.quantile(0.50).unwrap_or(0)),
             queue_wait_p99: Duration::from_micros(wait.quantile(0.99).unwrap_or(0)),
@@ -779,13 +705,6 @@ impl Drop for ServeEngine {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Respawned workers are detached (spawned mid-unwind, nobody
-        // holds their handles); they exit promptly once the closed
-        // queue drains.  Wait them out so "no leaked worker" holds by
-        // the time drop returns.
-        while self.shared.live_workers.get() > 0 {
-            thread::yield_now();
-        }
     }
 }
 
@@ -793,7 +712,6 @@ impl std::fmt::Debug for ServeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeEngine")
             .field("workers", &self.workers.len())
-            .field("live_workers", &self.live_workers())
             .field("default_budget", &self.default_budget)
             .field("stats", &self.stats())
             .finish()

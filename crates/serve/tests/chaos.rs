@@ -1,14 +1,16 @@
 //! Seeded fault-injection suite for the worker pool.  Each test
-//! installs a [`ChaosPlan`] that fires panics at one isolation boundary
-//! (contained evaluation panic, worker-killing panic, panic under a
-//! shard lock) and asserts the four invariants the serving layer
-//! claims:
+//! installs a [`ChaosPlan`] that fires panics at the isolation
+//! boundaries (the worker loop and evaluation, both inside the job's
+//! fence, and under a shard lock) and asserts the four invariants the
+//! serving layer claims:
 //!
 //! 1. **No hang** — every ticket resolves within a generous timeout.
 //! 2. **No wrong answer** — every `Ok` is bit-identical to the
 //!    fault-free sequential evaluation of the same query.
-//! 3. **No leaked worker** — `live_workers()` equals the configured
-//!    pool size once the dust settles, and shutdown leaves zero.
+//! 3. **Every job accounted once** — each popped job is counted in
+//!    `requests`, lands in exactly one per-outcome latency histogram
+//!    and leaves one request-log span, and the `panic` spans number the
+//!    contained panics.
 //! 4. **Service survives** — after `chaos::clear()` the same pool
 //!    answers everything correctly.
 //!
@@ -18,11 +20,12 @@
 
 use minctx_bench::{corpus, values_agree};
 use minctx_core::{Budget, Context, Engine, EvalError, Exhausted, Strategy, Value};
+use minctx_obs::{AttrValue, CollectSink, Recorder};
 use minctx_serve::{chaos, ChaosPlan, Corpus, RetryPolicy, ServeEngine, ServeError};
 use minctx_syntax::parse_xpath;
 use minctx_xml::{parse, Document};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Serializes chaos tests: the plan is process-global state.
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
@@ -44,16 +47,62 @@ impl Drop for ClearOnDrop {
 
 const RESOLVE_WITHIN: Duration = Duration::from_secs(30);
 
-/// A dying worker resolves its ticket (the job drops during unwind)
-/// *before* its respawn sentry finishes the hand-off bookkeeping, so
-/// `live_workers`/`worker_respawns` may lag ticket resolution by a
-/// moment.  Spin until the pool settles; panic rather than hang.
-fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-    let deadline = Instant::now() + RESOLVE_WITHIN;
-    while !cond() {
-        assert!(Instant::now() < deadline, "pool never settled: {what}");
-        std::thread::yield_now();
-    }
+/// The two panic sites inside the job's fence, each at `per_mille`:
+/// both must resolve their own ticket as `WorkerPanicked`.
+fn fenced_sites(seed: u64, per_mille: u16) -> [ChaosPlan; 2] {
+    [
+        ChaosPlan {
+            seed,
+            eval_panic_per_mille: per_mille,
+            ..ChaosPlan::default()
+        },
+        ChaosPlan {
+            seed,
+            worker_kill_per_mille: per_mille,
+            ..ChaosPlan::default()
+        },
+    ]
+}
+
+/// A pool of `workers` whose request log collects into the returned sink.
+fn logged_pool(workers: usize) -> (ServeEngine, Arc<CollectSink>) {
+    let log = Arc::new(CollectSink::new());
+    let serve = ServeEngine::builder()
+        .workers(workers)
+        .request_log(Recorder::to_sink(log.clone()))
+        .build();
+    (serve, log)
+}
+
+/// Invariant 3 once `submitted` tickets have resolved, none shed: every
+/// job was popped and counted, each sits in exactly one non-shed latency
+/// histogram, and the request log holds one span per job, its `panic`
+/// spans as many as the contained panics.
+fn assert_every_job_accounted(serve: &ServeEngine, log: &CollectSink, submitted: usize) {
+    let stats = serve.stats();
+    assert_eq!(
+        (stats.requests, stats.shed),
+        (submitted as u64, 0),
+        "{stats:?}"
+    );
+    let latencies: f64 = serve
+        .metrics_text()
+        .lines()
+        .filter_map(|line| line.split_once(' '))
+        .filter(|(series, _)| {
+            series.starts_with("serve_latency_")
+                && series.ends_with("_count")
+                && *series != "serve_latency_shed_us_count"
+        })
+        .map(|(_, n)| n.parse::<f64>().unwrap())
+        .sum();
+    assert_eq!(latencies, stats.requests as f64, "{stats:?}");
+    let spans = log.take();
+    let panics = spans
+        .iter()
+        .filter(|s| matches!(s.attr("outcome"), Some(AttrValue::Str(o)) if o == "panic"))
+        .count();
+    assert_eq!((spans.len(), panics as u64), (submitted, stats.panics));
 }
 
 fn test_doc() -> Arc<Document> {
@@ -128,83 +177,31 @@ fn contained_eval_panics_fail_only_their_own_ticket() {
     let _guard = chaos_guard();
     let _clear = ClearOnDrop;
     let doc = test_doc();
-    let serve = ServeEngine::builder().workers(3).build();
-
-    chaos::install(ChaosPlan {
-        seed: 0xDEAD_BEEF,
-        eval_panic_per_mille: 250,
-        ..ChaosPlan::default()
-    });
     let expected = expected_answers(&doc);
-    let outcomes = run_corpus(&serve, &doc, 4);
-    let panicked = outcomes
-        .iter()
-        .filter(|(_, r)| matches!(r, Err(ServeError::WorkerPanicked { .. })))
-        .count();
-    for (i, r) in &outcomes {
-        assert!(
-            matches!(r, Ok(_) | Err(ServeError::WorkerPanicked { .. }))
-                || matches!((r, &expected[*i]), (Err(ServeError::Eval(g)), Err(w)) if g == w),
-            "{}: unexpected outcome {r:?}",
-            corpus::QUERIES[*i]
-        );
+    for plan in fenced_sites(0xDEAD_BEEF, 250) {
+        let (serve, log) = logged_pool(3);
+        chaos::install(plan);
+        let outcomes = run_corpus(&serve, &doc, 4);
+        let panicked = outcomes
+            .iter()
+            .filter(|(_, r)| matches!(r, Err(ServeError::WorkerPanicked { .. })))
+            .count();
+        for (i, r) in &outcomes {
+            assert!(
+                matches!(r, Ok(_) | Err(ServeError::WorkerPanicked { .. }))
+                    || matches!((r, &expected[*i]), (Err(ServeError::Eval(g)), Err(w)) if g == w),
+                "{}: unexpected outcome {r:?}",
+                corpus::QUERIES[*i]
+            );
+        }
+        assert!(panicked > 0, "a 25% panic rate fired zero times: {plan:?}");
+        assert_eq!(serve.stats().panics as usize, panicked);
+        assert_every_job_accounted(&serve, &log, outcomes.len());
+
+        chaos::clear();
+        assert_pool_recovered(&serve, &doc);
+        drop(serve);
     }
-    assert!(panicked > 0, "a 25% eval-panic rate fired zero times");
-
-    // Contained panics never kill threads: no respawns, full pool.
-    let stats = serve.stats();
-    assert_eq!(stats.panics as usize, panicked);
-    assert_eq!(stats.worker_respawns, 0);
-    assert_eq!(serve.live_workers(), serve.worker_count());
-
-    chaos::clear();
-    assert_pool_recovered(&serve, &doc);
-    drop(serve);
-}
-
-#[test]
-fn escaped_worker_panics_respawn_and_strand_no_ticket() {
-    let _guard = chaos_guard();
-    let _clear = ClearOnDrop;
-    let doc = test_doc();
-    let serve = ServeEngine::builder().workers(3).build();
-
-    chaos::install(ChaosPlan {
-        seed: 42,
-        worker_kill_per_mille: 200,
-        ..ChaosPlan::default()
-    });
-    let expected = expected_answers(&doc);
-    let outcomes = run_corpus(&serve, &doc, 4);
-    // A killed worker drops the job it had just popped — that one
-    // ticket resolves Disconnected; nothing may hang.
-    let dropped = outcomes
-        .iter()
-        .filter(|(_, r)| matches!(r, Err(ServeError::Disconnected)))
-        .count();
-    for (i, r) in &outcomes {
-        assert!(
-            matches!(r, Ok(_) | Err(ServeError::Disconnected))
-                || matches!((r, &expected[*i]), (Err(ServeError::Eval(g)), Err(w)) if g == w),
-            "{}: unexpected outcome {r:?}",
-            corpus::QUERIES[*i]
-        );
-    }
-    assert!(dropped > 0, "a 20% worker-kill rate fired zero times");
-
-    // Every Disconnected ticket corresponds to one worker death, and
-    // every death must be answered by one respawn.
-    wait_until("respawns catch up with deaths", || {
-        serve.stats().worker_respawns as usize >= dropped
-    });
-    assert_eq!(serve.stats().worker_respawns as usize, dropped);
-    wait_until("pool back to full strength", || {
-        serve.live_workers() == serve.worker_count()
-    });
-
-    chaos::clear();
-    assert_pool_recovered(&serve, &doc);
-    drop(serve);
 }
 
 #[test]
@@ -226,7 +223,6 @@ fn shard_lock_panics_poison_then_recover() {
         .filter(|(_, r)| matches!(r, Err(ServeError::WorkerPanicked { .. })))
         .count();
     assert!(panicked > 0, "a 15% shard-panic rate fired zero times");
-    assert_eq!(serve.live_workers(), serve.worker_count());
 
     chaos::clear();
     // The poisoned-and-cleared cache must serve hits again, not just
@@ -274,15 +270,11 @@ fn mixed_chaos_storm_holds_every_invariant_for_fixed_seeds() {
                     got,
                     Err(ServeError::Eval(EvalError::BudgetExhausted { .. }))
                         | Err(ServeError::WorkerPanicked { .. })
-                        | Err(ServeError::Disconnected)
                 ),
                 "dead-on-arrival budget produced {got:?}"
             );
         }
         assert!(!outcomes.is_empty());
-        wait_until("pool back to full strength", || {
-            serve.live_workers() == serve.worker_count()
-        });
         chaos::clear();
         assert_pool_recovered(&serve, &doc);
         drop(serve); // must not hang on shutdown either
@@ -290,75 +282,36 @@ fn mixed_chaos_storm_holds_every_invariant_for_fixed_seeds() {
 }
 
 /// Regression for the ticket-semantics bug: with a single worker that
-/// panics on *every* request, all outstanding tickets must still
-/// resolve — before panic isolation, the first panic killed the lone
-/// worker and every queued ticket hung forever.
+/// panics on *every* request, at either site inside the fence, all
+/// outstanding tickets must still resolve — before panic isolation, the
+/// first panic killed the lone worker and every queued ticket hung
+/// forever.
 #[test]
 fn panicking_worker_mid_job_resolves_every_outstanding_ticket() {
     let _guard = chaos_guard();
     let _clear = ClearOnDrop;
     let doc = test_doc();
-    let serve = ServeEngine::builder().workers(1).build();
+    for plan in fenced_sites(99, 1000) {
+        let (serve, log) = logged_pool(1);
+        chaos::install(plan);
+        let tickets: Vec<_> = (0..16)
+            .map(|_| serve.query(Corpus::Document(Arc::clone(&doc)), "count(//*)"))
+            .collect();
+        for (i, t) in tickets.into_iter().enumerate() {
+            let got = t
+                .wait_timeout(RESOLVE_WITHIN)
+                .unwrap_or_else(|| panic!("outstanding ticket {i} hung"));
+            assert!(
+                matches!(got, Err(ServeError::WorkerPanicked { .. })),
+                "ticket {i}: {got:?} under {plan:?}"
+            );
+        }
+        assert_eq!(serve.stats().panics, 16);
+        assert_every_job_accounted(&serve, &log, 16);
 
-    chaos::install(ChaosPlan {
-        seed: 99,
-        eval_panic_per_mille: 1000,
-        ..ChaosPlan::default()
-    });
-    let tickets: Vec<_> = (0..16)
-        .map(|_| serve.query(Corpus::Document(Arc::clone(&doc)), "count(//*)"))
-        .collect();
-    for (i, t) in tickets.into_iter().enumerate() {
-        let got = t
-            .wait_timeout(RESOLVE_WITHIN)
-            .unwrap_or_else(|| panic!("outstanding ticket {i} hung"));
-        assert!(
-            matches!(got, Err(ServeError::WorkerPanicked { .. })),
-            "ticket {i}: {got:?}"
-        );
+        chaos::clear();
+        assert_pool_recovered(&serve, &doc);
     }
-    assert_eq!(serve.stats().panics, 16);
-    assert_eq!(serve.live_workers(), 1);
-
-    chaos::clear();
-    assert_pool_recovered(&serve, &doc);
-}
-
-/// Same regression at the harsher site: every request *kills* the lone
-/// worker outright.  Each death must respawn a replacement that picks
-/// up the next queued job.
-#[test]
-fn serial_worker_deaths_never_strand_the_queue() {
-    let _guard = chaos_guard();
-    let _clear = ClearOnDrop;
-    let doc = test_doc();
-    let serve = ServeEngine::builder().workers(1).build();
-
-    chaos::install(ChaosPlan {
-        seed: 5,
-        worker_kill_per_mille: 1000,
-        ..ChaosPlan::default()
-    });
-    let tickets: Vec<_> = (0..8)
-        .map(|_| serve.query(Corpus::Document(Arc::clone(&doc)), "count(//*)"))
-        .collect();
-    for (i, t) in tickets.into_iter().enumerate() {
-        let got = t
-            .wait_timeout(RESOLVE_WITHIN)
-            .unwrap_or_else(|| panic!("ticket {i} stranded by worker death"));
-        assert!(
-            matches!(got, Err(ServeError::Disconnected)),
-            "ticket {i}: {got:?}"
-        );
-    }
-    wait_until("eight respawns recorded", || {
-        serve.stats().worker_respawns >= 8
-    });
-    assert_eq!(serve.stats().worker_respawns, 8);
-    wait_until("lone worker back", || serve.live_workers() == 1);
-
-    chaos::clear();
-    assert_pool_recovered(&serve, &doc);
 }
 
 /// A worker rebuilt after a contained panic keeps the pool's optimizer

@@ -4,13 +4,11 @@
 //! which adds the loom dev-dependency transiently and runs
 //! `RUSTFLAGS="--cfg loom" cargo test -p minctx-serve --test loom`);
 //! in a normal build this file compiles to nothing.  Each model drives
-//! the *real* [`Queue`], [`ShardedLru`], and [`LiveCount`] code through
-//! every interleaving loom can reach, checking:
+//! the *real* [`Queue`] and [`ShardedLru`] code through every
+//! interleaving loom can reach, checking:
 //!
 //! * no job is lost or double-delivered across `push`/`pop`/`close`;
 //! * a bounded queue's `Full` fast-reject never deadlocks anyone;
-//! * the live-worker count never transiently dips during a respawn
-//!   handoff;
 //! * the sharded cache never leaks a locked shard (every `get`/`insert`
 //!   completes and later observers see a consistent shard).
 //!
@@ -22,7 +20,7 @@
 
 use loom::sync::Arc;
 use loom::thread;
-use minctx_serve::{LiveCount, PushError, Queue, ShardedLru, TryPop};
+use minctx_serve::{PushError, Queue, ShardedLru, TryPop};
 
 /// Drains the queue non-blockingly, spinning (with a loom yield) while
 /// it is empty-but-open.  Models a worker loop without parking on the
@@ -121,32 +119,6 @@ fn bounded_full_rejection_never_deadlocks() {
         };
         q.close();
         assert_eq!(consumer.join().unwrap().len(), 1);
-    });
-}
-
-#[test]
-fn live_count_never_dips_during_handoff() {
-    loom::model(|| {
-        let live = Arc::new(LiveCount::new());
-        live.adopt(); // the steady worker
-        live.adopt(); // the worker about to die and respawn
-        let observer = {
-            let live = Arc::clone(&live);
-            thread::spawn(move || {
-                // At every point the observer can run, both the steady
-                // worker and the dying-or-replacement worker must be
-                // counted: a dip to 1 would let a teardown path
-                // conclude the pool has shrunk.
-                assert!(live.get() >= 2, "live count transiently dipped");
-            })
-        };
-        let dying = {
-            let live = Arc::clone(&live);
-            thread::spawn(move || live.handoff(|| live.adopt()))
-        };
-        dying.join().unwrap();
-        observer.join().unwrap();
-        assert_eq!(live.get(), 2, "handoff preserves the pool size");
     });
 }
 

@@ -1,30 +1,26 @@
-//! Exhaustive offline interleaving checker for the serve protocols.
+//! Exhaustive offline interleaving checker for the serve queue protocol.
 //!
 //! `tests/loom.rs` needs the loom crate, which the offline workspace
-//! deliberately does not vendor — so this test re-proves the same
+//! deliberately does not vendor — so this test re-proves the queue
 //! invariants with nothing but std, by brute force.  The key soundness
 //! observation: every [`Queue`] transition (`push`, `try_pop`, `close`)
 //! runs entirely inside one critical section of the queue's single
-//! mutex, and every [`LiveCount`] transition is a single `SeqCst` RMW.
-//! Real threads can therefore only produce behaviors equal to *some
-//! sequential interleaving of those atomic steps* — so enumerating
-//! every interleaving of small per-thread programs and replaying each
-//! one against the **real** `Queue`/`LiveCount` code (fresh state per
-//! schedule) covers everything the scheduler could do, minus only the
-//! condvar wakeup paths (which `tests/loom.rs` and the seeded stress
-//! test in `tests/queue_stress.rs` cover).
+//! mutex.  Real threads can therefore only produce behaviors equal to
+//! *some sequential interleaving of those atomic steps* — so
+//! enumerating every interleaving of small per-thread programs and
+//! replaying each one against the **real** `Queue` code (fresh state
+//! per schedule) covers everything the scheduler could do, minus only
+//! the condvar wakeup paths (which `tests/loom.rs` and the seeded
+//! stress test in `tests/queue_stress.rs` cover).
 //!
 //! Checked here, across *every* schedule:
 //!
 //! * no job is lost, none is delivered twice, and `TryPop::Closed` is
 //!   only ever observed on a closed-and-drained queue;
 //! * a bounded queue rejects with `Full` only while genuinely at
-//!   capacity, and a `Full`-rejected item is never later delivered;
-//! * the live-worker count never transiently dips during a respawn
-//!   handoff — and the checker has teeth: the buggy retire-first
-//!   ordering is shown to be caught.
+//!   capacity, and a `Full`-rejected item is never later delivered.
 
-use minctx_serve::{LiveCount, PushError, Queue, TryPop};
+use minctx_serve::{PushError, Queue, TryPop};
 use std::collections::BTreeSet;
 
 // `for_each_schedule` and its self-check, shared by the three model suites.
@@ -180,79 +176,4 @@ fn bounded_queue_full_rejections_are_exact_under_every_interleaving() {
     for_each_schedule(&lens, |s| {
         replay_queue(1, &programs, s);
     });
-}
-
-/// One atomic step of the live-count respawn protocol.
-#[derive(Clone, Copy)]
-enum LiveOp {
-    /// The replacement-adopt half of a handoff.
-    Adopt,
-    /// The dying worker's own retire.
-    Retire,
-    /// An observer samples the count.
-    Observe,
-}
-
-/// Replays a handoff ordering against the real [`LiveCount`] and
-/// returns the minimum count any observer sampled.
-fn replay_live(programs: &[Vec<LiveOp>], schedule: &[usize]) -> usize {
-    let live = LiveCount::new();
-    live.adopt(); // the steady worker
-    live.adopt(); // the worker about to die and be replaced
-    let mut pc = vec![0usize; programs.len()];
-    let mut min_seen = usize::MAX;
-    for &t in schedule {
-        let op = programs[t][pc[t]];
-        pc[t] += 1;
-        match op {
-            LiveOp::Adopt => live.adopt(),
-            LiveOp::Retire => live.retire(),
-            LiveOp::Observe => min_seen = min_seen.min(live.get()),
-        }
-    }
-    assert_eq!(live.get(), 2, "handoff must preserve the pool size");
-    min_seen
-}
-
-#[test]
-fn live_count_never_dips_with_replacement_first_handoff() {
-    // The real protocol ([`LiveCount::handoff`]): adopt the replacement
-    // strictly before retiring.  Two observers sample at arbitrary
-    // points; in no interleaving may either see fewer than 2.
-    let programs = vec![
-        vec![LiveOp::Adopt, LiveOp::Retire],
-        vec![LiveOp::Observe; 2],
-        vec![LiveOp::Observe; 2],
-    ];
-    let lens: Vec<usize> = programs.iter().map(Vec::len).collect();
-    for_each_schedule(&lens, |s| {
-        let min_seen = replay_live(&programs, s);
-        assert!(
-            min_seen >= 2,
-            "live count dipped to {min_seen} during a replacement-first handoff"
-        );
-    });
-}
-
-#[test]
-fn retire_first_handoff_would_dip_and_the_checker_catches_it() {
-    // Negative control: the tempting-but-wrong ordering (retire, then
-    // adopt the replacement) must produce at least one schedule where
-    // an observer catches the pool at 1 — proving this checker would
-    // have flagged the bug had `handoff` been written that way.
-    let programs = vec![
-        vec![LiveOp::Retire, LiveOp::Adopt],
-        vec![LiveOp::Observe; 2],
-    ];
-    let lens: Vec<usize> = programs.iter().map(Vec::len).collect();
-    let mut dip_found = false;
-    for_each_schedule(&lens, |s| {
-        if replay_live(&programs, s) < 2 {
-            dip_found = true;
-        }
-    });
-    assert!(
-        dip_found,
-        "the checker failed to expose the retire-first dip"
-    );
 }

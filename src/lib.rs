@@ -190,7 +190,7 @@
 //! The service degrades loudly, never silently: a request that panics a
 //! worker resolves *its own* ticket as
 //! [`ServeError::WorkerPanicked`](serve::ServeError::WorkerPanicked)
-//! while the worker rebuilds and keeps serving (dead threads respawn);
+//! while the worker rebuilds its engine and keeps serving;
 //! a queue at capacity fast-rejects new requests as
 //! [`ServeError::Overloaded`](serve::ServeError::Overloaded) — both are
 //! [retryable](serve::ServeError::is_retryable), and
