@@ -170,16 +170,24 @@ const COMPACT_AT: usize = 64 * 1024;
 /// Longest entity body the lexer accepts (`&#x10FFFF;` needs 9).
 const MAX_ENTITY: usize = 32;
 
-// Byte classes.  Every run — a name, an attribute value, character
-// data — is lexed by `Source::scan`: advance to the first byte carrying
-// a given class bit.  Name runs therefore stop on the complemented class
-// `NAME_END`, which every byte >= 0x80 is in: `lex_name` decodes that one
-// character, asks the Unicode predicate, and resumes the run.
+// Byte classes.  A name ends at the first byte carrying the complemented
+// class `NAME_END`, which every byte >= 0x80 is in: the name lexer
+// decodes that one character, asks the Unicode predicate, and resumes
+// the run.  Text and attribute values end at a stop byte, and a
+// reader's window is extended past the next `<` (`LT`): these are found
+// eight bytes a step by `first_stop`, and their bits here serve the
+// scan's first byte and its tail.
 const NAME_START: u8 = 1; // [A-Za-z_:]
 const NAME_END: u8 = 2; // not [A-Za-z0-9_:.-]
 const TEXT_STOP: u8 = 4; // < & ]
 const ATTR_STOP: u8 = 8; // " ' < & \t \n \r
 const DOCTYPE_STOP: u8 = 16; // [ ] " ' >
+const LT: u8 = 32; // <
+
+/// The `TEXT_STOP`, `ATTR_STOP` and `LT` classes as byte sets.
+const TEXT_STOPS: &[u8] = b"<&]";
+const ATTR_STOPS: &[u8] = b"\"'<&\t\n\r";
+const LTS: &[u8] = b"<";
 
 static CLASS: [u8; 256] = {
     let mut t = [NAME_END; 256];
@@ -200,6 +208,9 @@ static CLASS: [u8; 256] = {
         }
         if matches!(c, b'[' | b']' | b'"' | b'\'' | b'>') {
             t[b] |= DOCTYPE_STOP;
+        }
+        if c == b'<' {
+            t[b] |= LT;
         }
         b += 1;
     }
@@ -301,30 +312,71 @@ impl Feed for ReaderFeed<'_> {
     }
 }
 
-/// Index of the first byte of `w` whose class has a bit of `stop`.  Eight
-/// bytes are classified into a bit mask per step, so a short run costs
-/// one predictable loop turn rather than a branch per byte that
-/// mispredicts wherever the run happens to end.
-#[inline]
-fn first_of_class(w: &[u8], stop: u8) -> Option<usize> {
-    let hit = |b: &u8| CLASS[*b as usize] & stop != 0;
-    // Many scans end where they start (character data at a `<`, a name at
-    // its delimiter after a wide character): not worth a wide step.
+/// Index of the first byte of `w` whose class has a bit of `class`.
+/// Eight bytes are tested per step by `flags`, which marks byte `k` of a
+/// chunk in bits `8k..8k + 8` (only the lowest mark is read), so a short
+/// run costs one predictable loop turn rather than a branch per byte that
+/// mispredicts wherever the run happens to end.  Many runs end where they
+/// start (character data at a `<`, a name at its delimiter after a wide
+/// character), so the first byte is looked up in `CLASS` alone, and so is
+/// a tail shorter than eight bytes.
+#[inline(always)]
+fn first_of(w: &[u8], class: u8, flags: impl Fn(&[u8]) -> u64) -> Option<usize> {
+    let hit = |b: &u8| CLASS[*b as usize] & class != 0;
     if w.first().is_some_and(hit) {
         return Some(0);
     }
     let mut chunks = w.chunks_exact(8);
     for (n, chunk) in chunks.by_ref().enumerate() {
-        let mask = chunk
-            .iter()
-            .enumerate()
-            .fold(0u32, |m, (k, b)| m | (u32::from(hit(b)) << k));
-        if mask != 0 {
-            return Some(n * 8 + mask.trailing_zeros() as usize);
+        let marks = flags(chunk);
+        if marks != 0 {
+            return Some(n * 8 + marks.trailing_zeros() as usize / 8);
         }
     }
     let tail = chunks.remainder();
     tail.iter().position(hit).map(|k| w.len() - tail.len() + k)
+}
+
+/// [`first_of`] with each byte of a chunk looked up in `CLASS`.
+#[inline(always)]
+fn first_of_class(w: &[u8], class: u8) -> Option<usize> {
+    first_of(w, class, |chunk| {
+        let hit = |b: &u8| u64::from(CLASS[*b as usize] & class != 0);
+        chunk
+            .iter()
+            .enumerate()
+            .fold(0, |m, (k, b)| m | hit(b) << (8 * k))
+    })
+}
+
+/// [`first_of`] with the bytes of `stops`, the byte set of class bit
+/// `class`, found a word at a time by [`stop_flags`].
+#[inline]
+fn first_stop(w: &[u8], stops: &[u8], class: u8) -> Option<usize> {
+    first_of(w, class, |chunk| {
+        let word = u64::from_le_bytes(chunk.try_into().expect("chunks of eight"));
+        stop_flags(word, stops)
+    })
+}
+
+/// Flags the top bit of each byte of `word` (little-endian: byte 0 is the
+/// lowest) that is in `stops` — and possibly of bytes above such a byte,
+/// so only the lowest flag may be read.
+///
+/// With `L` = `0x0101…01`, `v = word ^ c·L` has a zero byte exactly where
+/// `word` holds `c`, and `(v − L) & !v & 0x8080…80` flags every zero
+/// byte of `v`.  It flags a nonzero byte only when the subtraction
+/// borrows into it, which needs a zero byte below it (a `c ^ 1` right
+/// after a `c` is the case).  So the lowest flag is exact: a false flag
+/// has a true one below it.  OR-ing the masks of several stops keeps
+/// that, since every true stop is flagged in its own mask.
+#[inline(always)]
+fn stop_flags(word: u64, stops: &[u8]) -> u64 {
+    const L: u64 = u64::from_le_bytes([1; 8]);
+    stops.iter().fold(0, |m, &c| {
+        let v = word ^ (L * u64::from(c));
+        m | (v.wrapping_sub(L) & !v & (L << 7))
+    })
 }
 
 /// Advances a zero-based `(line, col)` over `text`; columns count
@@ -343,20 +395,31 @@ fn advance_line_col(text: &str, line: &mut u32, col: &mut u32) {
 
 /// The window and the cursor into it.  All indices are window-local; they
 /// stay valid while a token is lexed because the window is refilled only
-/// by appending (when a scan reaches its end) and trimmed only between
-/// tokens ([`Source::compact`]).
+/// by appending and trimmed only between tokens ([`Source::compact`]).
+///
+/// A start tag, an end tag or a text run holds no `<`, so once
+/// [`Source::hold`] has put the next `<` in the window, each is lexed
+/// from the window as it stands: the helpers that take `&self` never
+/// refill, and treat the window's end as the input's.  Comments, PIs,
+/// CDATA, DOCTYPE and reference lookahead refill as they go
+/// ([`Source::find`], [`Source::ensure`]).
 struct Source<F> {
     feed: F,
     /// Start of the next token.
     pos: usize,
+    /// One past the input offset of the `<` the last [`Source::hold`]
+    /// put in the window; `usize::MAX` once the window holds the rest of
+    /// the input.
+    held: usize,
     /// Bytes dropped from the front of the window so far, and the
     /// zero-based line/column that prefix ends at.
     drained: usize,
     drained_lines: u32,
     drained_cols: u32,
-    /// Bytes examined by `scan`/`find`, for the linearity test.
+    /// Bytes examined by the scans (a run and the byte that ends it),
+    /// for the linearity tests.
     #[cfg(test)]
-    scanned: usize,
+    scanned: std::cell::Cell<usize>,
 }
 
 impl<F: Feed> Source<F> {
@@ -382,11 +445,9 @@ impl<F: Feed> Source<F> {
     }
 
     #[inline]
-    fn note_scanned(&mut self, _n: usize) {
+    fn note_scanned(&self, _n: usize) {
         #[cfg(test)]
-        {
-            self.scanned += _n;
-        }
+        self.scanned.set(self.scanned.get() + _n);
     }
 
     #[cold]
@@ -404,6 +465,38 @@ impl<F: Feed> Source<F> {
             }
         }
         Ok(())
+    }
+
+    /// Makes the window hold a `<` at or after index `i` and the byte
+    /// after it, or the rest of the input.  A borrowed string holds it
+    /// all already.  A reader is searched only when `i` has passed the
+    /// `<` the last search found, and then from `i`, so each byte is
+    /// searched once.
+    #[inline]
+    fn hold(&mut self, i: usize) -> Result<(), XmlError> {
+        if F::SLIDES && self.held <= self.drained + i {
+            self.extend_past_lt(i)?;
+        }
+        Ok(())
+    }
+
+    /// The search behind [`Source::hold`]: from `i`, refilling until the
+    /// window holds a `<` and the byte after it, or the input ends.
+    fn extend_past_lt(&mut self, mut i: usize) -> Result<(), XmlError> {
+        loop {
+            let w = self.bytes();
+            let hit = first_stop(&w[i..], LTS, LT);
+            self.note_scanned(hit.map_or(w.len() - i, |k| k + 1));
+            if let Some(k) = hit {
+                self.held = self.drained + i + k + 1;
+                return self.ensure(i + k + 2);
+            }
+            i = w.len();
+            if !self.refill()? {
+                self.held = usize::MAX;
+                return Ok(());
+            }
+        }
     }
 
     /// Window index of the first byte at or after `i` whose class has a
@@ -425,6 +518,16 @@ impl<F: Feed> Source<F> {
                 return Ok(i);
             }
         }
+    }
+
+    /// Window index of the first byte at or after `i` in `stops` (class
+    /// bit `class`), or the window's end; no refill.
+    #[inline]
+    fn next_stop(&self, i: usize, stops: &[u8], class: u8) -> usize {
+        let w = &self.bytes()[i..];
+        let run = first_stop(w, stops, class).unwrap_or(w.len());
+        self.note_scanned((run + 1).min(w.len()));
+        i + run
     }
 
     /// Window index of the first occurrence of `pat` at or after `from`;
@@ -493,28 +596,23 @@ impl<F: Feed> Source<F> {
 
     /// Window index of the first non-whitespace byte at or after `i`.
     /// Whitespace inside markup is a byte or none, which a plain loop
-    /// handles better than [`Source::scan`]'s wide steps.
+    /// handles better than a wide step.
     #[inline]
-    fn skip_ws(&mut self, mut i: usize) -> Result<usize, XmlError> {
-        loop {
-            match self.byte(i) {
-                Some(b' ' | b'\t' | b'\n' | b'\r') => i += 1,
-                Some(_) => return Ok(i),
-                None if self.refill()? => {}
-                None => return Ok(i),
-            }
+    fn skip_ws(&self, mut i: usize) -> usize {
+        let w = self.bytes();
+        while matches!(w.get(i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            i += 1;
         }
+        i
     }
 
-    /// Skips whitespace from `i`, wants `want` there; returns the index
-    /// after it.
+    /// Skips whitespace from `i`, wants `want` there; returns its index.
     #[inline]
-    fn skip_ws_then(&mut self, i: usize, want: u8) -> Result<usize, XmlError> {
-        let i = self.skip_ws(i)?;
-        if self.byte(i) == Some(want) {
-            Ok(i + 1)
-        } else {
-            Err(self.unexpected(i))
+    fn want(&self, i: usize, want: u8) -> Result<usize, XmlError> {
+        let i = self.skip_ws(i);
+        match self.byte(i) {
+            Some(b) if b == want => Ok(i),
+            _ => Err(self.unexpected(i)),
         }
     }
 
@@ -534,19 +632,21 @@ impl<F: Feed> Source<F> {
 
     /// Lexes an XML name starting at window index `start`; returns its
     /// end.
-    #[inline]
-    fn lex_name(&mut self, start: usize) -> Result<usize, XmlError> {
-        self.ensure(start + 1)?;
-        let mut i = match self.byte(start) {
-            Some(b) if CLASS[b as usize] & NAME_START != 0 => start + 1,
+    #[inline(always)]
+    fn lex_name(&self, start: usize) -> Result<usize, XmlError> {
+        let w = self.bytes();
+        let mut i = match w.get(start) {
+            Some(&b) if CLASS[b as usize] & NAME_START != 0 => start + 1,
             _ => match self.wide_name_char(start, true) {
                 Some(n) => start + n,
                 None => return Err(self.unexpected(start)),
             },
         };
         loop {
-            i = self.scan(i, NAME_END)?;
-            match self.byte(i) {
+            let run = first_of_class(&w[i..], NAME_END).unwrap_or(w.len() - i);
+            self.note_scanned((run + 1).min(w.len() - i));
+            i += run;
+            match w.get(i) {
                 Some(0x80..) => match self.wide_name_char(i, false) {
                     Some(n) => i += n,
                     None => return Ok(i),
@@ -620,7 +720,7 @@ impl<F: Feed> Source<F> {
         // Where the value starts in `buf`, once it has been copied there.
         let mut copied = None;
         loop {
-            i = self.scan(i, ATTR_STOP)?;
+            i = self.next_stop(i, ATTR_STOPS, ATTR_STOP);
             let stop = self.byte(i);
             if matches!(stop, Some(b'"' | b'\'')) && stop != Some(quote) {
                 i += 1; // the other quote is plain data
@@ -720,7 +820,7 @@ struct Lexer<F> {
     opts: ParseOptions,
     /// Names of the open elements, concatenated outermost first;
     /// `open_ends[d]` is where the name at depth `d` ends.
-    open_names: String,
+    open_names: Vec<u8>,
     open_ends: Vec<usize>,
     /// Window range of the current element / close-tag / PI-target name.
     name: (usize, usize),
@@ -788,14 +888,15 @@ impl<F: Feed> Lexer<F> {
             src: Source {
                 feed,
                 pos: 0,
+                held: 0,
                 drained: 0,
                 drained_lines: 0,
                 drained_cols: 0,
                 #[cfg(test)]
-                scanned: 0,
+                scanned: std::cell::Cell::new(0),
             },
             opts,
-            open_names: String::new(),
+            open_names: Vec::new(),
             open_ends: Vec::new(),
             name: (0, 0),
             attrs: Vec::new(),
@@ -829,9 +930,10 @@ impl<F: Feed> Lexer<F> {
         }
         loop {
             self.src.compact();
+            self.src.hold(self.src.pos)?;
             if self.open_ends.is_empty() {
                 // Prolog or epilog: misc items only; content is rejected.
-                let at = self.src.skip_ws(self.src.pos)?;
+                let at = self.src.skip_ws(self.src.pos);
                 self.src.pos = at;
                 if self.src.byte(at).is_none() {
                     return if self.seen_root {
@@ -858,11 +960,11 @@ impl<F: Feed> Lexer<F> {
             // borrowed unless a reference or CDATA section forces a copy.
             let (mut raw, mut at) = (self.src.pos, self.src.pos);
             let next = loop {
-                at = self.src.scan(at, TEXT_STOP)?;
+                at = self.src.next_stop(at, TEXT_STOPS, TEXT_STOP);
                 match self.src.byte(at) {
                     None => return Err(self.src.err_at(XmlErrorKind::UnexpectedEof, at)),
                     Some(b']') => {
-                        if self.src.at(at, b"]]>")? {
+                        if self.src.bytes()[at..].starts_with(b"]]>") {
                             let kind =
                                 XmlErrorKind::Malformed("']]>' in character data".to_string());
                             return Err(self.src.err_at(kind, at));
@@ -875,7 +977,6 @@ impl<F: Feed> Lexer<F> {
                         at = self.src.lex_reference(at, &mut self.text_buf)?;
                     }
                     Some(_) => {
-                        self.src.ensure(at + 2)?;
                         let next = self.src.byte(at + 1);
                         if next != Some(b'!') || !self.src.at(at, b"<![CDATA[")? {
                             break next;
@@ -888,6 +989,7 @@ impl<F: Feed> Lexer<F> {
                         };
                         self.text_buf.push_str(self.src.text(body, end));
                         at = end + 3;
+                        self.src.hold(at)?;
                     }
                 }
                 raw = at;
@@ -895,25 +997,16 @@ impl<F: Feed> Lexer<F> {
             // Markup other than CDATA ends the run (comments and PIs split
             // runs even when dropped): emit it first, the markup next call.
             self.src.pos = at;
-            let owned = !self.text_buf.is_empty();
-            if owned {
+            let strip = self.opts.strip_whitespace_text;
+            if !self.text_buf.is_empty() {
                 self.text_buf.push_str(self.src.text(raw, at));
+                if keeps(strip, self.text_buf.as_bytes()) {
+                    return Ok(Some(XmlEvent::Text(&self.text_buf)));
+                }
+                self.text_buf.clear();
+            } else if keeps(strip, &self.src.bytes()[raw..at]) {
+                return Ok(Some(XmlEvent::Text(self.src.text(raw, at))));
             }
-            let run = if owned {
-                &self.text_buf[..]
-            } else {
-                self.src.text(raw, at)
-            };
-            let keep =
-                !self.opts.strip_whitespace_text || run.bytes().any(|b| !b.is_ascii_whitespace());
-            if keep && !run.is_empty() {
-                return Ok(Some(XmlEvent::Text(if owned {
-                    &self.text_buf
-                } else {
-                    self.src.text(raw, at)
-                })));
-            }
-            self.text_buf.clear();
             match next {
                 Some(b'/') => return self.end_element(at),
                 Some(b'!') if self.src.at(at, b"<!--")? => {
@@ -941,41 +1034,48 @@ impl<F: Feed> Lexer<F> {
             let limit = self.opts.max_element_depth;
             return Err(self.src.err_at(XmlErrorKind::TooDeep { limit }, at));
         }
+        self.src.hold(at + 1)?;
         let name_end = self.src.lex_name(at + 1)?;
         self.name = (at + 1, name_end);
         self.attrs.clear();
         self.attr_buf.clear();
         let mut i = name_end;
         loop {
-            i = self.src.skip_ws(i)?;
-            match self.src.byte(i) {
+            let w = self.src.bytes();
+            let at_ws = i;
+            i = self.src.skip_ws(i);
+            match w.get(i) {
                 Some(b'>') => {
-                    self.open_names.push_str(self.src.text(at + 1, name_end));
+                    self.open_names.extend_from_slice(&w[at + 1..name_end]);
                     self.open_ends.push(self.open_names.len());
                     self.src.pos = i + 1;
                     break;
                 }
                 Some(b'/') => {
-                    if !self.src.at(i, b"/>")? {
+                    if w.get(i + 1) != Some(&b'>') {
                         return Err(self.src.err_at(XmlErrorKind::UnexpectedChar('/'), i));
                     }
                     self.pending_end = true;
                     self.src.pos = i + 2;
                     break;
                 }
+                // XML 1.0 [40]: whitespace comes before every attribute.
+                Some(_) if i == at_ws => return Err(self.src.unexpected(i)),
                 Some(_) => {
                     let aname_end = self.src.lex_name(i)?;
-                    let aname = self.src.text(i, aname_end);
-                    if self
-                        .attrs
-                        .iter()
-                        .any(|a| self.src.text(a.name.0, a.name.1) == aname)
-                    {
-                        let kind = XmlErrorKind::DuplicateAttribute(aname.to_string());
-                        return Err(self.src.err_at(kind, i));
+                    let aname = &w[i..aname_end];
+                    if self.attrs.iter().any(|a| w[a.name.0..a.name.1] == *aname) {
+                        let aname = self.src.text(i, aname_end).to_string();
+                        return Err(self.src.err_at(XmlErrorKind::DuplicateAttribute(aname), i));
                     }
-                    let eq = self.src.skip_ws_then(aname_end, b'=')?;
-                    let q = self.src.skip_ws(eq)?;
+                    let eq = match w.get(aname_end) {
+                        Some(b'=') => aname_end,
+                        _ => self.src.want(aname_end, b'=')?,
+                    };
+                    let q = match w.get(eq + 1) {
+                        Some(b'"' | b'\'') => eq + 1,
+                        _ => self.src.skip_ws(eq + 1),
+                    };
                     let (end, value, decoded) = self.src.lex_attr_value(q, &mut self.attr_buf)?;
                     self.attrs.push(AttrSlot {
                         name: (i, aname_end),
@@ -998,23 +1098,39 @@ impl<F: Feed> Lexer<F> {
     }
 
     /// Consumes the `</tag>` close tag at window index `at`, validating
-    /// nesting (the caller has checked an element is open).
+    /// nesting (the caller has checked an element is open).  A close tag
+    /// that repeats the open name byte for byte and then `>` is confirmed
+    /// by that one compare; any other is lexed and compared as a name.
     fn end_element(&mut self, at: usize) -> Result<Option<XmlEvent<'_>>, XmlError> {
-        let name_end = self.src.lex_name(at + 2)?;
-        self.src.pos = self.src.skip_ws_then(name_end, b'>')?;
-        let close = self.src.text(at + 2, name_end);
+        self.src.hold(at + 1)?;
+        let start = at + 2;
+        let outer = self.open_ends.len().checked_sub(2);
+        let open_start = outer.map_or(0, |d| self.open_ends[d]);
+        let open = &self.open_names[open_start..];
+        let end = start + open.len();
+        let w = self.src.bytes();
+        let confirmed = w.get(start..end) == Some(open) && w.get(end) == Some(&b'>');
+        let (name_end, gt) = if confirmed {
+            self.src.note_scanned(open.len() + 1);
+            (end, end)
+        } else {
+            let name_end = self.src.lex_name(start)?;
+            (name_end, self.src.want(name_end, b'>')?)
+        };
+        self.src.pos = gt + 1;
         self.open_ends.pop();
-        let open_start = self.open_ends.last().copied().unwrap_or(0);
-        if self.open_names[open_start..] != *close {
+        if !confirmed && self.open_names[open_start..] != self.src.bytes()[start..name_end] {
             let kind = XmlErrorKind::MismatchedTag {
-                open: self.open_names[open_start..].to_string(),
-                close: close.to_string(),
+                open: String::from_utf8_lossy(&self.open_names[open_start..]).into_owned(),
+                close: self.src.text(start, name_end).to_string(),
             };
-            return Err(self.src.err_at(kind, at + 2));
+            return Err(self.src.err_at(kind, start));
         }
         self.open_names.truncate(open_start);
         self.seen_root |= self.open_ends.is_empty();
-        Ok(Some(XmlEvent::EndElement { name: close }))
+        Ok(Some(XmlEvent::EndElement {
+            name: self.src.text(start, name_end),
+        }))
     }
 
     /// Consumes the comment at window index `at`; returns the body's
@@ -1039,6 +1155,7 @@ impl<F: Feed> Lexer<F> {
     /// the data's window range when the options keep PIs (and we are
     /// inside the root element).  The target's range is left in `name`.
     fn consume_pi(&mut self, at: usize) -> Result<Option<(usize, usize)>, XmlError> {
+        self.src.hold(at + 1)?;
         let data = self.src.lex_name(at + 2)?;
         self.name = (at + 2, data);
         if self.src.text(at + 2, data).eq_ignore_ascii_case("xml") {
@@ -1053,6 +1170,13 @@ impl<F: Feed> Lexer<F> {
         let keep = self.opts.keep_processing_instructions && !self.open_ends.is_empty();
         Ok(keep.then_some((data, end)))
     }
+}
+
+/// Whether a text run is an event: not empty, and not whitespace only
+/// when the options `strip` such runs.
+#[inline]
+fn keeps(strip: bool, run: &[u8]) -> bool {
+    !run.is_empty() && (!strip || run.iter().any(|b| !b.is_ascii_whitespace()))
 }
 
 pub(crate) fn is_name_start(c: char) -> bool {
@@ -1091,6 +1215,18 @@ mod tests {
             XmlEvent::Text(t) => format!("t:{t}"),
             XmlEvent::Comment(c) => format!("c:{c}"),
             XmlEvent::Pi { target, data } => format!("pi:{target}:{data}"),
+        }
+    }
+
+    /// A reader handing out at most `.1` bytes a read.
+    struct Trickle<'a>(&'a [u8], usize);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.len().min(out.len()).min(self.1);
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
         }
     }
 
@@ -1155,19 +1291,10 @@ mod tests {
     fn reader_mode_matches_str_mode() {
         // A reader that trickles 3 bytes at a time exercises every refill
         // boundary; the event stream must be byte-identical.
-        struct Trickle<'a>(&'a [u8]);
-        impl Read for Trickle<'_> {
-            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-                let n = self.0.len().min(out.len()).min(3);
-                out[..n].copy_from_slice(&self.0[..n]);
-                self.0 = &self.0[n..];
-                Ok(n)
-            }
-        }
         let input = "<?xml version=\"1.0\"?><!DOCTYPE a><a häuser=\"größe\">héllo \
                      ☃<![CDATA[<raw>]]>&amp;<!--co--><b x='1' y=\"2\"/><?pi data?></a>";
         let want = trace(input).unwrap();
-        let mut tok = Tokenizer::from_reader(Trickle(input.as_bytes()), ParseOptions::default());
+        let mut tok = Tokenizer::from_reader(Trickle(input.as_bytes(), 3), ParseOptions::default());
         let mut got = Vec::new();
         while let Some(ev) = tok.next_event().unwrap() {
             got.push(describe(&ev));
@@ -1314,15 +1441,6 @@ mod tests {
         // A token that outruns the window is resumed where the scan
         // stopped, never re-scanned from its start: with 4 KB reads a
         // restart per refill would examine each 4 MB token ~500 times.
-        struct Chunks<'a>(&'a [u8]);
-        impl Read for Chunks<'_> {
-            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-                let n = self.0.len().min(out.len()).min(4096);
-                out[..n].copy_from_slice(&self.0[..n]);
-                self.0 = &self.0[n..];
-                Ok(n)
-            }
-        }
         let big = "x".repeat(4 << 20);
         for (input, events) in [
             (format!("<a v=\"{big}\"/>"), 2),
@@ -1331,7 +1449,8 @@ mod tests {
             (format!("<a><?p {big}?></a>"), 3),
             (format!("<{big}/>"), 2),
         ] {
-            let mut tok = Tokenizer::from_reader(Chunks(input.as_bytes()), ParseOptions::default());
+            let rd = Trickle(input.as_bytes(), 4096);
+            let mut tok = Tokenizer::from_reader(rd, ParseOptions::default());
             let mut seen = 0;
             while let Some(ev) = tok.next_event().unwrap() {
                 let len = match ev {
@@ -1346,12 +1465,110 @@ mod tests {
                 seen += 1;
             }
             assert_eq!(seen, events);
-            let scanned = either!(&tok.0, lx => lx.src.scanned);
+            let scanned = either!(&tok.0, lx => lx.src.scanned.get());
             assert!(
                 scanned <= 3 * input.len(),
                 "{scanned} bytes scanned for {} of input",
                 input.len()
             );
+        }
+    }
+
+    /// The events of `input`, or the error kind and offset it stops at;
+    /// reader mode (one byte a read, and 4 KB) must agree with `Str` mode.
+    fn both_modes(input: &str) -> Result<Vec<String>, (XmlErrorKind, usize)> {
+        fn drain(mut tok: Tokenizer<'_>) -> Result<Vec<String>, (XmlErrorKind, usize)> {
+            let mut out = Vec::new();
+            loop {
+                match tok.next_event() {
+                    Ok(Some(ev)) => out.push(describe(&ev)),
+                    Ok(None) => return Ok(out),
+                    Err(e) => return Err((e.kind().clone(), e.offset())),
+                }
+            }
+        }
+        let want = drain(Tokenizer::new(input));
+        for size in [1, 4096] {
+            let rd = Trickle(input.as_bytes(), size);
+            let got = drain(Tokenizer::from_reader(rd, ParseOptions::default()));
+            assert_eq!(got, want, "read size {size} on {input:?}");
+        }
+        want
+    }
+
+    #[test]
+    fn attributes_are_separated_by_whitespace() {
+        // XML 1.0 [40]: STag ::= '<' Name (S Attribute)* S? '>'.
+        for input in [r#"<a x="1"y="2"/>"#, "<a x='1'y='2'></a>"] {
+            let err = (XmlErrorKind::UnexpectedChar('y'), 8);
+            assert_eq!(both_modes(input), Err(err), "{input}");
+        }
+        for input in [r#"<a x="1" y="2"/>"#, "<a x='1'\ny='2'></a>"] {
+            assert_eq!(both_modes(input).unwrap()[0], "<a [x=1,y=2]", "{input}");
+        }
+    }
+
+    #[test]
+    fn end_tag_shapes() {
+        let ok = |input| both_modes(input).expect(input);
+        assert_eq!(ok("<a></a >"), ["<a []", ">a"]);
+        assert_eq!(ok("<a></a\n>"), ["<a []", ">a"]);
+        assert_eq!(
+            ok("<größe><b/></größe>"),
+            ["<größe []", "<b []", ">b", ">größe"]
+        );
+        let mismatch = |open: &str, close: &str, at| {
+            let (open, close) = (open.to_string(), close.to_string());
+            Err((XmlErrorKind::MismatchedTag { open, close }, at))
+        };
+        assert_eq!(both_modes("<a></ab>"), mismatch("a", "ab", 5));
+        assert_eq!(both_modes("<item></ita>"), mismatch("item", "ita", 8));
+        assert_eq!(
+            both_modes("<r><a></a"),
+            Err((XmlErrorKind::UnexpectedEof, 9))
+        );
+        assert_eq!(both_modes("<größe></größ>"), mismatch("größe", "größ", 11));
+        assert_eq!(both_modes("<a></é>"), mismatch("a", "é", 5));
+        let bad = XmlErrorKind::UnexpectedChar('☃');
+        assert_eq!(both_modes("<a></a☃>"), Err((bad, 6)));
+    }
+
+    #[test]
+    fn markup_is_scanned_once() {
+        // A borrowed string needs no look-ahead for `<`, and a close tag
+        // confirmed by its compare is not lexed again.
+        let item = "<catalogue_entry id=\"i1\" v='2'>x &amp; y<b/><c>t]</c></catalogue_entry>\n";
+        let input = format!("<r>{}</r>", item.repeat(100));
+        let mut tok = Tokenizer::new(&input);
+        while tok.next_event().unwrap().is_some() {}
+        let scanned = either!(&tok.0, lx => lx.src.scanned.get());
+        assert!(scanned <= input.len(), "{scanned} of {}", input.len());
+    }
+
+    #[test]
+    fn word_scan_matches_the_class_table() {
+        // Every byte value at every offset of a 16-byte window (two words;
+        // cut to 12, offsets 8.. go through the tail instead), and each
+        // true stop `c` also followed by `c ^ 1`, the byte its borrow can
+        // flag.
+        for (stops, class) in [(TEXT_STOPS, TEXT_STOP), (ATTR_STOPS, ATTR_STOP), (LTS, LT)] {
+            let table = |w: &[u8]| w.iter().position(|&b| CLASS[b as usize] & class != 0);
+            for b in 0..=255u8 {
+                let after: &[u8] = if table(&[b]).is_some() {
+                    &[b'x', b ^ 1]
+                } else {
+                    b"x"
+                };
+                for at in 0..16 {
+                    for &n in after {
+                        let mut w = [b'x'; 17];
+                        (w[at], w[at + 1]) = (b, n);
+                        for w in [&w[..16], &w[..12]] {
+                            assert_eq!(first_stop(w, stops, class), table(w), "{b:#x} at {at}");
+                        }
+                    }
+                }
+            }
         }
     }
 

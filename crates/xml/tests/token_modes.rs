@@ -227,3 +227,61 @@ fn reader_mode_is_str_mode_on_every_truncation_and_substitution() {
     // The generator and the mutations both have to bite.
     assert!(clean >= seeds && failed >= 10 * seeds, "{clean} {failed}");
 }
+
+/// FNV-1a, 64 bits: a stable fold of verdict text.
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Every verdict `Str` mode reaches on the documents of the test above —
+/// each document, its truncations at character boundaries and its ASCII
+/// substitutions, drawn in the same order — folded into one hash of the
+/// events and, on failure, the error kind, offset, line and column.  A
+/// lexer change that alters any verdict changes the hash; the verdict
+/// count pins that the inputs are the same.
+#[test]
+#[cfg_attr(miri, ignore)] // 300 documents through the interpreter
+fn str_mode_verdicts_match_the_pinned_digest() {
+    let (mut digest, mut verdicts) = (0xcbf2_9ce4_8422_2325, 0u32);
+    let mut fold = |input: &str, opts: &ParseOptions| {
+        for line in outcome(Tokenizer::with_options(input, opts.clone())) {
+            digest = fnv(digest, line.as_bytes());
+            digest = fnv(digest, b"\n");
+        }
+        digest = fnv(digest, b"\0");
+        verdicts += 1;
+    };
+    for seed in 1..=300u64 {
+        let mut r = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+        let doc = document(&mut r);
+        let mut opts = match r.below(2) {
+            0 => ParseOptions::default(),
+            _ => ParseOptions::paper_model(),
+        };
+        opts.keep_comments = r.below(4) > 0;
+        opts.keep_processing_instructions = r.below(4) > 0;
+        if r.below(5) == 0 {
+            opts.max_element_depth = 2;
+        }
+        fold(&doc, &opts);
+        for cut in (0..doc.len()).filter(|&cut| doc.is_char_boundary(cut)) {
+            fold(&doc[..cut], &opts);
+        }
+        for _ in 0..48 {
+            let mut bytes = doc.clone().into_bytes();
+            let at = r.below(bytes.len());
+            if bytes[at].is_ascii() {
+                bytes[at] = b"<>&;\"'/!?-[]= a\n#x0"[r.below(19)];
+                fold(&String::from_utf8(bytes).expect("ASCII for ASCII"), &opts);
+            }
+        }
+    }
+    assert_eq!(
+        (verdicts, digest),
+        (42_445, 0x9bcc_7348_ec17_c127),
+        "verdicts, digest"
+    );
+}
