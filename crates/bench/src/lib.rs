@@ -497,6 +497,32 @@ pub mod corpus {
         "//book[following-sibling::*[price < 50]]",
         "//odd[ancestor::*[count(odd) > 1]]",
         "//title[ancestor::*[@id or count(*) > 3]]",
+        // Name-tested sibling steps from many origins (one merge against
+        // the name's postings), and sibling predicates answered from their
+        // witnesses: plain, under `not`, compared with a constant.
+        "//title/following-sibling::price",
+        "//price/preceding-sibling::title",
+        "//book/following-sibling::magazine",
+        "//magazine/preceding-sibling::book",
+        "//n/following-sibling::m",
+        "//m/preceding-sibling::n",
+        "//odd/following-sibling::even",
+        "//even/preceding-sibling::odd",
+        "//@*/following-sibling::book",
+        "/descendant-or-self::node()/preceding-sibling::odd",
+        "//book[following-sibling::book]",
+        "//book[preceding-sibling::magazine]",
+        "//*[following-sibling::title]",
+        "//@*[following-sibling::book]",
+        "//n[not(following-sibling::n)]",
+        "//odd[not(preceding-sibling::odd)]",
+        "//book[not(following-sibling::magazine)][1]",
+        "//n[following-sibling::n = 3]",
+        "//n[preceding-sibling::n < 2]",
+        "//m[preceding-sibling::n != 100]",
+        "//even[following-sibling::even > 0]",
+        "//book[following-sibling::book = 'XML100']",
+        "count(//odd[following-sibling::odd])",
         // Attribute nodes as the filtered candidates.
         "//@*[. > 500]",
         "//@*[. = 2000]",

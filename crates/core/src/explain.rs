@@ -675,6 +675,37 @@ mod tests {
     }
 
     #[test]
+    fn explain_shows_sibling_steps_on_the_postings() {
+        let doc = parse(
+            "<cat><item/><person/><item/><x><person/><item/><item/></x><person/><item/></cat>",
+        )
+        .unwrap();
+        let e = Engine::new(Strategy::OptMinContext).with_optimizer(true);
+        // Five <item> origins merged against the <person> postings.
+        let p = e.explain(&doc, "//item/following-sibling::person").unwrap();
+        assert!(
+            p.plan_text()
+                .contains("following-sibling::person route=postings calls=1 in=5 out=2"),
+            "{}",
+            p.plan_text()
+        );
+        // The sibling-existence predicate is a column over the candidates,
+        // the witnesses merged against them in one call: no backward set
+        // is built.
+        let p = e.explain(&doc, "//item[following-sibling::item]").unwrap();
+        assert_eq!(p.backward_passes, 0);
+        let plan = p.plan_text();
+        assert!(
+            plan.contains("descendant::item preds=1 mode=column route=postings calls=1 in=1 out=3"),
+            "{plan}"
+        );
+        assert!(
+            plan.contains("following-sibling::item mode=column route=postings calls=1 in=5 out=5"),
+            "{plan}"
+        );
+    }
+
+    #[test]
     fn explain_without_optimizer_keeps_the_ir_and_fires_nothing() {
         let doc = item_doc();
         let e = Engine::new(Strategy::MinContext).with_optimizer(false);

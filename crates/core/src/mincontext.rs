@@ -31,10 +31,11 @@
 //! still answers its leading position-free predicates once, as a set.
 //! Under OPTMINCONTEXT a candidate list is also a *column*: a comparison
 //! of `count(π)`s — and, on a ranked list, of `position()` / `last()` —
-//! and `boolean(π)` / `π RelOp c` over one local step are answered for the
-//! whole list by one kernel call per path, and a `*` / `node()` step starts
-//! from its first predicate's backward set when that is the smaller side
-//! (DESIGN.md "Set-at-a-time predicates").
+//! and `boolean(π)` / `π RelOp c` over one local step, or over one
+//! name-tested sibling step (its witnesses merged against the list), are
+//! answered for the whole list by one kernel call per path, and a `*` /
+//! `node()` step starts from its first predicate's backward set when that
+//! is the smaller side (DESIGN.md "Set-at-a-time predicates").
 //!
 //! **OPTMINCONTEXT** (Section 4, plus the backward-propagation rule of the
 //! VLDB'02 predecessor's Section 6).  On top of MINCONTEXT, predicates of
@@ -159,11 +160,13 @@ struct Run<'d, 'q, 's, 'm, 'p> {
 
 /// A predicate OPTMINCONTEXT answers for a whole candidate list, one
 /// kernel call per path in it: (a) `a op b` over counts, numbers and
-/// arithmetic, (b) `boolean(π)` or `π op c` read on the candidates' side
-/// (DESIGN.md "Set-at-a-time predicates").
+/// arithmetic, (b) `boolean(π)` or `π op c` read on the candidates' side,
+/// (d) the same over one name-tested sibling step, read on the witnesses'
+/// side (DESIGN.md "Set-at-a-time predicates").
 enum Column<'q> {
     Counts(CmpOp, ExprId, ExprId),
     Compare(ExprId, &'q Step, Option<(CmpOp, ExprId)>),
+    Siblings(ExprId, &'q Step, Option<(CmpOp, ExprId)>),
 }
 
 impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
@@ -602,7 +605,8 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
     /// The column `pred` is answered by for `n` candidates: (a) by shape;
     /// (b) — `boolean(π)` or `π op c` with `π` one `child` / `attribute` /
     /// `self` step — while no backward set is built and `n` is below the
-    /// seed `build_backward` would compare.
+    /// seed `build_backward` would compare; (d) — the same with `π` one
+    /// sibling step under a name test — while no backward set is built.
     fn column(&self, pred: ExprId, n: usize) -> Option<Column<'q>> {
         if !self.opt || matches!(self.backward[pred.index()], Some(Some(_))) {
             return None;
@@ -615,8 +619,11 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         let (path, [step], cmp) = self.backward_shape(pred)? else {
             return None;
         };
-        let local = matches!(step.axis, Axis::Child | Axis::Attribute | Axis::SelfAxis);
         let seed = self.postings(step.axis, self.query.step_test(path, 0));
+        if matches!(step.axis, Axis::FollowingSibling | Axis::PrecedingSibling) {
+            return seed.is_some().then_some(Column::Siblings(path, step, cmp));
+        }
+        let local = matches!(step.axis, Axis::Child | Axis::Attribute | Axis::SelfAxis);
         let seed = seed.map_or(self.doc.len(), <[NodeId]>::len);
         (local && n < seed).then_some(Column::Compare(path, step, cmp))
     }
@@ -685,6 +692,36 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                 }
                 list
             }
+            Column::Siblings(path, step, cmp) => {
+                // `c[following-sibling::t]` holds iff `c` is a preceding
+                // sibling of a witness: `preceding-sibling(T) ∩ todo`, one
+                // merge of the witnesses against the candidates.
+                let timer = self.timer();
+                let seed = self.postings(step.axis, self.query.step_test(path, 0));
+                let seed = seed.expect("a name test has postings");
+                let compared;
+                let witnesses = match cmp {
+                    None => seed,
+                    Some((op, c)) => {
+                        let scalar = self.constant_scalar(c).expect("a constant");
+                        compared = self.compared(seed.to_vec(), op, &scalar);
+                        compared.as_slice()
+                    }
+                };
+                let scanned = if cmp.is_some() { seed.len() } else { 0 };
+                let charge = scanned + witnesses.len() + todo.len() + 1;
+                self.meter.charge(charge as u64)?;
+                let opposite = step.axis.inverse().expect("a sibling axis");
+                let (any, mut out) = (ResolvedTest::AnyNode, NodeSet::new());
+                let (doc, exec, scratch) = (self.doc, self.exec, &mut *self.scratch);
+                axis_image_among(doc, opposite, witnesses, any, todo, scratch, &mut out, exec)
+                    .expect("the sibling axes always merge");
+                if let Some(p) = &mut self.prof {
+                    let route = AxisRoute::Postings;
+                    p.record_column(path, step, route, todo.len(), witnesses.len(), timer);
+                }
+                out.into_vec()
+            }
         })
     }
 
@@ -742,8 +779,10 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             return Ok(None);
         };
         let named = self.postings(axis, test).is_some();
-        let column = self.column(first, 0);
-        let compares = column.is_some() && !matches!(column, Some(Column::Compare(.., None)));
+        let compares = matches!(
+            self.column(first, 0),
+            Some(Column::Counts(..) | Column::Compare(.., Some(_)) | Column::Siblings(.., Some(_)))
+        );
         if named || compares || self.backward_set(first)?.is_none() {
             return Ok(None);
         }
@@ -751,7 +790,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             unreachable!("built above");
         };
         let (doc, exec, b) = (self.doc, self.exec, b.as_slice());
-        let ran = axis_image_among(doc, axis, cur, test, b, self.scratch, next, exec);
+        let ran = axis_image_among(doc, axis, cur.as_slice(), test, b, self.scratch, next, exec);
         self.meter.charge(ran.map_or(0, |_| b.len() as u64))?;
         Ok(ran)
     }
@@ -807,18 +846,24 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             }
         };
         if let Some((op, scalar)) = cmp {
-            // Branch-free compaction: the outcome is a coin flip per node.
-            let mut kept = 0;
-            for i in 0..witnesses.len() {
-                let y = witnesses[i];
-                witnesses[kept] = y;
-                kept += usize::from(node_scalar_compare(self.doc, op, y, &scalar));
-            }
-            witnesses.truncate(kept);
+            witnesses = self.compared(witnesses, op, &scalar);
         }
         let witnesses = NodeSet::from_sorted_vec(witnesses);
         self.propagate_backwards(path_id, steps, witnesses)
             .map(Some)
+    }
+
+    /// The members `y` of `witnesses` with `strval(y) op scalar`, in order.
+    fn compared(&self, mut witnesses: Vec<NodeId>, op: CmpOp, scalar: &Value) -> Vec<NodeId> {
+        // Branch-free compaction: the outcome is a coin flip per node.
+        let mut kept = 0;
+        for i in 0..witnesses.len() {
+            let y = witnesses[i];
+            witnesses[kept] = y;
+            kept += usize::from(node_scalar_compare(self.doc, op, y, scalar));
+        }
+        witnesses.truncate(kept);
+        witnesses
     }
 
     /// `χ₁⁻¹(t₁ ∩ … χₖ⁻¹(tₖ ∩ T))`: one preimage sweep per step, right to
@@ -1151,6 +1196,97 @@ mod tests {
             assert_eq!(
                 (step.mode, p.backward_passes),
                 (Some(mode), passes),
+                "{}",
+                p.plan_text()
+            );
+        }
+    }
+
+    #[test]
+    fn sibling_columns_agree_with_naive() {
+        // A seeded tree of <item>, <k> and <x> with text, attributes and
+        // same-name nesting; `v` values that are no number or only one
+        // after trimming.  Candidates of every kind meet the sibling
+        // column: elements, attributes, text, the root.
+        let vals = ["", " 7 ", "NaN", "7", "-0", "1000"];
+        let mut rng = 0x51b1_u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng as usize
+        };
+        let mut xml = String::from("<r>");
+        let mut open = Vec::new();
+        for _ in 0..600 {
+            match next() % 6 {
+                0 | 1 if open.len() < 6 => {
+                    let name = ["item", "k", "x"][next() % 3];
+                    xml.push_str(&format!("<{name} v=\"{}\">", vals[next() % 6]));
+                    open.push(name);
+                }
+                2 if !open.is_empty() => xml.push_str(&format!("</{}>", open.pop().unwrap())),
+                3 => xml.push_str(vals[next() % 6]),
+                _ => xml.push_str(&format!("<{}/>", ["item", "k", "x"][next() % 3])),
+            }
+        }
+        while let Some(name) = open.pop() {
+            xml.push_str(&format!("</{name}>"));
+        }
+        xml.push_str("</r>");
+        let doc = parse(&xml).unwrap();
+        let (opt, naive) = (
+            crate::Engine::new(Strategy::OptMinContext),
+            crate::Engine::new(Strategy::Naive),
+        );
+        for q in [
+            "count(//item[following-sibling::item])",
+            "count(//item[not(following-sibling::item)])",
+            "count(//k[preceding-sibling::item != 7])",
+            "count(//k[following-sibling::item = 7])",
+        ] {
+            let n = opt.evaluate_str(&doc, q);
+            assert!(matches!(n, Ok(Value::Number(n)) if n > 0.0), "{q}: {n:?}");
+        }
+        let mut preds = Vec::new();
+        for axis in ["following-sibling", "preceding-sibling"] {
+            for t in ["item", "k", "nosuch", "*"] {
+                preds.push(format!("{axis}::{t}"));
+                preds.push(format!("not({axis}::{t})"));
+                for (op, c) in [("=", "7"), ("!=", "''"), ("<", "1000"), (">=", "'NaN'")] {
+                    preds.push(format!("{axis}::{t} {op} {c}"));
+                }
+            }
+        }
+        for pred in &preds {
+            for q in [
+                format!("//item[{pred}]"),
+                format!("//*[{pred}]"),
+                format!("//node()[{pred}]"),
+                format!("//@v[{pred}]"),
+                format!("/self::node()[{pred}]"),
+                format!("//k[{pred}][2]"),
+                format!("//item[1][{pred}]"),
+            ] {
+                assert_eq!(
+                    opt.evaluate_str(&doc, &q),
+                    naive.evaluate_str(&doc, &q),
+                    "{q}"
+                );
+            }
+        }
+        // A name-tested sibling predicate is a column, whatever the
+        // candidate count, and builds no backward set.
+        for q in [
+            "//item[following-sibling::item]",
+            "//item[not(preceding-sibling::k)]",
+            "//k[following-sibling::item = 7]",
+        ] {
+            let p = opt.explain(&doc, q).unwrap();
+            let step = p.steps.iter().find(|s| s.predicates == 1).unwrap();
+            assert_eq!(
+                (step.mode, p.backward_passes),
+                (Some(PredMode::Column), 0),
                 "{}",
                 p.plan_text()
             );

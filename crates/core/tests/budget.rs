@@ -133,6 +133,45 @@ fn backward_preimages_are_charged_for_what_they_touch() {
 }
 
 #[test]
+fn a_sibling_existence_column_is_charged_for_its_merge() {
+    // `[following-sibling::f]` over ten <e>s is one merge of the ten <f>
+    // witnesses against them: `|T| + |C| + 1` on top of the `|C| + 1` any
+    // set filter costs — and under `not`, the `not`'s own filter again —
+    // whatever else the document holds.  A comparison also pays for
+    // reading the postings it compares (`|seed|`), and merges only the
+    // witnesses that pass.
+    let mut xml = String::from("<r><a>");
+    for i in 0..10 {
+        xml.push_str(&format!("<e/><f>{}</f>", i % 2));
+    }
+    xml.push_str("</a>");
+    xml.push_str(&"<x/>".repeat(5_000));
+    xml.push_str("</r>");
+    let doc = parse(&xml).unwrap();
+    let engine = Engine::new(Strategy::OptMinContext);
+    let spent = |q: &str| {
+        let plan = engine.explain(&doc, q).unwrap();
+        assert_eq!(plan.backward_passes, 0, "{q}");
+        plan.fuel_spent
+    };
+    let bare = spent("count(/r/a/e)");
+    let (c, t) = (10, 10);
+    for (q, column) in [
+        ("count(/r/a/e[following-sibling::f])", (c + 1) + (t + c + 1)),
+        (
+            "count(/r/a/e[not(following-sibling::f)])",
+            2 * (c + 1) + (t + c + 1),
+        ),
+        (
+            "count(/r/a/e[following-sibling::f = 1])",
+            (c + 1) + (t + t / 2 + c + 1),
+        ),
+    ] {
+        assert_eq!(spent(q) - bare, column, "{q}");
+    }
+}
+
+#[test]
 fn context_value_tables_charge_what_their_sweeps_return() {
     // A predicate-free absolute path is one table cell, however much of
     // the document its sweep returns: the cell is charged for the nodes

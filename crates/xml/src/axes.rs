@@ -24,7 +24,8 @@
 //! * **Label postings** ([`Document::element_postings`]): name tests route
 //!   through per-label sorted node lists instead of sweeping `dom`, making
 //!   the common `descendant::a` / `child::a` / `attribute::a` steps
-//!   sublinear in practice.
+//!   sublinear in practice, and a sibling step one merge of the origins
+//!   against the label's list instead of a walk of every sibling group.
 //! * **[`Scratch`]**: every kernel threads reusable mark/flag bitmaps and
 //!   candidate buffers, so steady-state evaluation performs no per-call
 //!   `O(|D|)` allocations.  The `*_into` variants also reuse the output
@@ -526,7 +527,8 @@ fn subtree_intervals(doc: &Document, x: &[NodeId], or_self: bool, ranges: &mut V
 /// dominant cost is a single ascending scan — over a sorted postings slice
 /// or over the ordinals `following`/`preceding` select — hands that scan to
 /// `exec` as a body over an index range; the arms that re-sort anyway
-/// (`parent::a`, `id`) or are already memcpys (name-tested `following`) run
+/// (`parent::a`, `id`), are already memcpys (name-tested `following`) or
+/// build a bitmap in merge order (the name-tested sibling axes) run
 /// inline, and everything else is a [`walk`].
 ///
 /// The scan bodies are `#[inline(always)]` closures: inlined into this
@@ -591,7 +593,15 @@ fn image(
     match (axis, name) {
         // Postings-backed name tests: sublinear in |D| when the label is
         // rare.
-        (Axis::Child | Axis::Attribute | Axis::Descendant | Axis::DescendantOrSelf, Some(nm)) => {
+        (
+            Axis::Child
+            | Axis::Attribute
+            | Axis::Descendant
+            | Axis::DescendantOrSelf
+            | Axis::FollowingSibling
+            | Axis::PrecedingSibling,
+            Some(nm),
+        ) => {
             let posts = if axis == Axis::Attribute {
                 doc.attribute_postings(nm)
             } else {
@@ -730,13 +740,14 @@ fn image(
     }
 }
 
-/// `χ(X) ∩ posts` for `child`, `attribute` and `descendant(-or-self)`,
-/// where `posts` is sorted and holds only nodes of the kind the axis
-/// yields — a name's postings, or a test-filtered backward set
+/// `χ(X) ∩ posts` for `child`, `attribute`, `descendant(-or-self)` and
+/// the two sibling axes, where `posts` is sorted and holds only nodes of
+/// the kind the axis yields — a name's postings, or a test-filtered list
 /// ([`axis_image_among`]).  `child` / `attribute` parent-check `posts`
 /// against `X` marked in a bitmap; `descendant(-or-self)` merges the part
 /// of `posts` that `X`'s merged subtree intervals span against those
-/// intervals.  Returns the chunks the scan was cut into.
+/// intervals; the sibling axes merge `posts` against `X`
+/// ([`sibling_merge`]).  Returns the chunks the scan was cut into.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn image_among(
@@ -766,6 +777,10 @@ fn image_among(
                 }
             },
         );
+    }
+    if matches!(axis, Axis::FollowingSibling | Axis::PrecedingSibling) {
+        sibling_merge(doc, axis == Axis::FollowingSibling, x, posts, marked, o);
+        return 0;
     }
     subtree_intervals(doc, x, axis == Axis::DescendantOrSelf, ranges);
     let ranges = &*ranges;
@@ -803,21 +818,101 @@ fn image_among(
     )
 }
 
-/// `t(among) ∩ χ(X)` for a sorted node list `among` — the step started from
-/// its selective end — when `among` is shorter than the span of `X`'s
-/// merged subtree intervals, what a walk from `X` may read.  `child`,
-/// `attribute` and `descendant(-or-self)` run the bodies the name-test
-/// postings run (`image_among`) over the members of `among` that `t`
-/// accepts on the axis; `self` keeps those in `X`.
+/// `following-sibling(X) ∩ posts` (`forward`) or `preceding-sibling(X) ∩
+/// posts`, both ascending, in one merge: `O(|X| + |posts| + ⌈n/64⌉)`
+/// whatever the sibling groups hold.  `posts` holds no attribute.
 ///
-/// `None`, with `out` untouched, when `among` is the longer side, on any
-/// other axis, and on `descendant-or-self::node()` (an attribute origin is
-/// its own image, the attribute slots of the intervals are not).
+/// `y` follows a sibling in `X` exactly when some origin before it has its
+/// parent.  So the merge takes origins and `posts` together in document
+/// order, and an origin sets its parent's bit in `marked` once the merge
+/// has passed it: a member whose parent's bit is set when it is met has an
+/// earlier origin with the same parent — a preceding sibling — and one
+/// whose bit is clear has none.  `preceding-sibling` is the same merge in
+/// descending order.  Attribute origins and the root are in no sibling
+/// group and mark nothing; the root, as a member, has no parent to find
+/// set.  Runs on the calling thread (the bitmap is built in merge order),
+/// and out of line, as the walks are, so that `image`'s postings loops
+/// keep their registers.
+#[inline(never)]
+fn sibling_merge(
+    doc: &Document,
+    forward: bool,
+    x: &[NodeId],
+    posts: &[NodeId],
+    marked: &mut DenseSet,
+    o: &mut Vec<NodeId>,
+) {
+    let (Some(&first), Some(&last)) = (x.first(), x.last()) else {
+        return;
+    };
+    let (parent, kinds) = (doc.parent_raw(), doc.kinds_raw());
+    marked.clear();
+    touched(doc.len().div_ceil(64));
+    // Its parent and kind word.
+    let mark = |marked: &mut DenseSet, m: &NodeId| {
+        touched(2);
+        let p = parent[m.index()];
+        if p != NONE && kinds[m.index()] & KIND_TAG_MASK != TAG_ATTRIBUTE {
+            marked.insert(NodeId(p));
+        }
+    };
+    // Its parent; the bit rides on it (an absent parent lies past the
+    // bitmap).  Whether it is set is a coin flip, so the member is written
+    // and kept by advancing past it.
+    let (start, mut k) = (o.len(), o.len());
+    let mut keep = |marked: &DenseSet, o: &mut Vec<NodeId>, y: NodeId| {
+        touched(1);
+        o[k] = y;
+        k += usize::from(marked.contains(NodeId(parent[y.index()])));
+    };
+    if forward {
+        // Nothing up to the first origin follows one.
+        let posts = &posts[posts.partition_point(|&y| y <= first)..];
+        o.resize(start + posts.len(), first);
+        let mut origins = x.iter().peekable();
+        for &y in posts {
+            while let Some(m) = origins.next_if(|&&m| m < y) {
+                mark(marked, m);
+            }
+            keep(marked, o, y);
+        }
+    } else {
+        // Nothing from the last origin on precedes one.
+        let posts = &posts[..posts.partition_point(|&y| y < last)];
+        o.resize(start + posts.len(), first);
+        let mut origins = x.iter().rev().peekable();
+        for &y in posts.iter().rev() {
+            while let Some(m) = origins.next_if(|&&m| m > y) {
+                mark(marked, m);
+            }
+            keep(marked, o, y);
+        }
+    }
+    o.truncate(k);
+    if !forward {
+        o[start..].reverse();
+    }
+}
+
+/// `t(among) ∩ χ(X)` for a sorted node list `among` — the step started from
+/// its selective end, or a sibling predicate answered from its witnesses.
+/// `child`, `attribute`, `descendant(-or-self)` and the sibling axes run
+/// the bodies the name-test postings run (`image_among`) over the members
+/// of `among` that `t` accepts on the axis; `self` keeps those in `X`.
+/// The subtree axes do so when `among` is shorter than the span of `X`'s
+/// merged subtree intervals, what a walk from `X` may read; the sibling
+/// axes always do, in `O(|X| + |among| + ⌈n/64⌉)` — a walk's image would
+/// be intersected with `among` anyway, in a merge as long as this one.
+///
+/// `None`, with `out` untouched, when `among` is the longer side of a
+/// subtree axis, on any other axis, and on `descendant-or-self::node()`
+/// (an attribute origin is its own image, the attribute slots of the
+/// intervals are not).
 #[allow(clippy::too_many_arguments)]
 pub fn axis_image_among(
     doc: &Document,
     axis: Axis,
-    x: &NodeSet,
+    x: &[NodeId],
     t: ResolvedTest,
     among: &[NodeId],
     scratch: &mut Scratch,
@@ -828,18 +923,22 @@ pub fn axis_image_among(
     match axis {
         Axis::Attribute => test.tags &= 1 << TAG_ATTRIBUTE,
         Axis::SelfAxis => {}
-        Axis::Child | Axis::Descendant => test = test.without_attributes(),
+        Axis::Child | Axis::Descendant | Axis::FollowingSibling | Axis::PrecedingSibling => {
+            test = test.without_attributes();
+        }
         Axis::DescendantOrSelf if t != ResolvedTest::AnyNode => test = test.without_attributes(),
         _ => return None,
     }
-    let (mut span, mut reach) = (0, 0);
-    for m in x.iter() {
-        let end = doc.subtree_end(m);
-        span += end.saturating_sub(m.index().max(reach));
-        reach = reach.max(end);
-    }
-    if among.len() >= span {
-        return None;
+    if !matches!(axis, Axis::FollowingSibling | Axis::PrecedingSibling) {
+        let (mut span, mut reach) = (0, 0);
+        for &m in x {
+            let end = doc.subtree_end(m);
+            span += end.saturating_sub(m.index().max(reach));
+            reach = reach.max(end);
+        }
+        if among.len() >= span {
+            return None;
+        }
     }
     scratch.grow(doc.len());
     let Scratch {
@@ -855,17 +954,17 @@ pub fn axis_image_among(
     let o = out.vec_mut();
     if axis == Axis::SelfAxis {
         marked.clear();
-        marked.extend(x.iter());
+        marked.extend(x.iter().copied());
         o.extend(tmp.iter().filter(|&&y| marked.contains(y)));
         return Some(Dispatch::ran(AxisRoute::Postings, 0));
     }
-    let chunks = image_among(doc, axis, x.as_slice(), tmp, marked, ranges, o, exec);
+    let chunks = image_among(doc, axis, x, tmp, marked, ranges, o, exec);
     Some(Dispatch::ran(AxisRoute::Postings, chunks))
 }
 
 /// The set kernels that walk the arena instead of scanning it: `child`,
-/// `parent`, `descendant(-or-self)` and `attribute` under a non-name test,
-/// `ancestor(-or-self)` and both sibling axes under any test, from two or
+/// `parent`, `descendant(-or-self)`, `attribute` and both sibling axes
+/// under a non-name test, `ancestor(-or-self)` under any test, from two or
 /// more origins (ascending) into `o`.
 ///
 /// Each child chain, sibling group, ancestor chain and subtree interval is
@@ -2261,7 +2360,7 @@ mod tests {
                 for arm in WALKED {
                     for test in &tests {
                         let named = matches!(test, NodeTest::Name(_));
-                        if named && !matches!(arm, Axis::Ancestor | Axis::FollowingSibling) {
+                        if named && arm != Axis::Ancestor {
                             continue; // the other arms' name tests run on postings
                         }
                         let (work, reach) = work_and_reach(doc, arm, test, x, &mut scratch);
@@ -2301,6 +2400,71 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn sibling_merges_cost_their_postings() {
+        // A name-tested sibling step from two or more origins is one merge
+        // of the origins against the name's postings: each origin's parent
+        // and kind word, each posting's parent, and the bitmap cleared —
+        // `2·|X| + |postings(a)| + ⌈n/64⌉`, whatever the groups hold, on
+        // the shapes and origin sets the walks are held to.
+        let wide = format!("<r>{}</r>", "<a/><b/>".repeat(3_000));
+        let deep = format!("<r>{}{}</r>", "<a><a/>".repeat(40), "<a/></a>".repeat(40));
+        let docs = [
+            mixed_doc(7, 3_000),
+            parse(&wide).unwrap(),
+            parse(&deep).unwrap(),
+        ];
+        let mut scratch = Scratch::new();
+        let mut out = NodeSet::new();
+        let mut rng = 0x5eed_u64;
+        for (d, doc) in docs.iter().enumerate() {
+            let a = NodeTest::name("a").resolve(doc);
+            let posts = doc.element_postings(doc.find_name("a").unwrap()).len();
+            let mut sets: Vec<NodeSet> = [3, 20, 80, 100]
+                .iter()
+                .map(|&pct| {
+                    doc.all_nodes()
+                        .filter(|_| xorshift(&mut rng) % 100 < pct)
+                        .collect()
+                })
+                .collect();
+            sets.push(doc.children(doc.document_element()).step_by(2).collect());
+            let words = doc.len().div_ceil(64);
+            for x in sets.iter().filter(|x| x.len() > 1) {
+                for arm in [Axis::FollowingSibling, Axis::PrecedingSibling] {
+                    let before = TOUCHED.get();
+                    let ran = axis_image_on(doc, arm, x, a, &mut scratch, &mut out, Exec::INLINE);
+                    let work = TOUCHED.get() - before;
+                    assert_eq!(ran, Dispatch::ran(AxisRoute::Postings, 0));
+                    assert!(
+                        work <= 2 * x.len() + posts + words,
+                        "doc {d}, {arm}::a from {} of {} nodes: {work}",
+                        x.len(),
+                        doc.len()
+                    );
+                }
+            }
+        }
+
+        // The trade-off, pinned: two origins at the head of a three-member
+        // group pay the 5 000 postings behind them, where a walk would
+        // pass one sibling (DESIGN.md "Not done").
+        let doc = parse(&format!(
+            "<r><g><a/><a/><a/></g>{}</r>",
+            "<a/>".repeat(5_000)
+        ))
+        .unwrap();
+        let a = NodeTest::name("a").resolve(&doc);
+        let g = doc.first_child(doc.document_element()).unwrap();
+        let x: NodeSet = doc.children(g).take(2).collect();
+        let before = TOUCHED.get();
+        axis_image_into(&doc, Axis::FollowingSibling, &x, a, &mut scratch, &mut out);
+        let work = TOUCHED.get() - before;
+        assert_eq!(out.len(), 2);
+        let words = doc.len().div_ceil(64);
+        assert!((5_000..=5_003 + 4 + words).contains(&work), "{work}");
     }
 
     #[test]
@@ -2410,13 +2574,15 @@ mod tests {
             (Axis::DescendantOrSelf, name, &three, Postings),
             (Axis::Following, name, &three, Postings),
             (Axis::Preceding, name, &three, Postings),
+            (Axis::FollowingSibling, name, &three, Postings),
+            (Axis::PrecedingSibling, name, &three, Postings),
             // …the chain kernels are local walks, as are the sibling axes
-            // and, under a non-name test, everything that follows links or
-            // subtree intervals…
+            // under a non-name test and everything else that follows links
+            // or subtree intervals…
             (Axis::Parent, name, &three, Walk),
             (Axis::Ancestor, name, &three, Walk),
             (Axis::AncestorOrSelf, name, &three, Walk),
-            (Axis::FollowingSibling, name, &three, Walk),
+            (Axis::FollowingSibling, any, &three, Walk),
             (Axis::PrecedingSibling, any, &three, Walk),
             (Axis::Child, any, &three, Walk),
             (Axis::Parent, any, &three, Walk),
@@ -2433,6 +2599,7 @@ mod tests {
             // postings fast paths cover name-tested descendant(-or-self).
             (Axis::Descendant, name, &one, Postings),
             (Axis::Child, name, &one, Walk),
+            (Axis::FollowingSibling, name, &one, Walk),
             (Axis::Child, any, &one, Walk),
             // The singleton exceptions stay on the set kernels: id, and
             // the sliced name-tested following/preceding postings.

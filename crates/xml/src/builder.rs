@@ -56,8 +56,12 @@ const STAMP_COUNTER_MASK: u64 = (1 << 63) - 1;
 #[derive(Debug)]
 pub struct DocumentBuilder {
     names: NameTable,
-    /// Direct-mapped cache in front of `names`; see [`Self::intern`].
-    name_cache: [CachedName; NAME_CACHE],
+    /// Two-way set-associative cache in front of `names`; see
+    /// [`Self::intern`].
+    name_cache: [[CachedName; 2]; NAME_CACHE],
+    /// How many names the cache passed on to `names`.
+    #[cfg(test)]
+    table_asks: usize,
     /// `[element, attribute]` nodes counted per name as they are pushed:
     /// the postings' offsets without a counting sweep at `finish`.
     counts: Vec<[u32; 2]>,
@@ -79,11 +83,11 @@ pub struct DocumentBuilder {
     saw_document_element: bool,
 }
 
-/// Slots of [`DocumentBuilder`]'s name cache.
+/// Sets of [`DocumentBuilder`]'s name cache.
 const NAME_CACHE: usize = 64;
 
-/// A name cache slot: the last name whose length and [`name_key`] led
-/// there.
+/// A name cache slot: one of the last two names whose length and
+/// [`name_key`] led to its set.
 #[derive(Debug, Clone, Copy)]
 struct CachedName {
     len: usize,
@@ -117,6 +121,13 @@ fn name_key(b: &[u8]) -> u64 {
     }
 }
 
+/// The name cache set of a name with this [`name_key`] and length.
+#[inline]
+fn cache_set(key: u64, len: usize) -> usize {
+    let mix = (key ^ len as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (mix >> (64 - NAME_CACHE.trailing_zeros())) as usize
+}
+
 impl Default for DocumentBuilder {
     fn default() -> Self {
         Self::new()
@@ -128,7 +139,9 @@ impl DocumentBuilder {
     pub fn new() -> Self {
         let mut b = DocumentBuilder {
             names: NameTable::new(),
-            name_cache: [EMPTY_SLOT; NAME_CACHE],
+            name_cache: [[EMPTY_SLOT; 2]; NAME_CACHE],
+            #[cfg(test)]
+            table_asks: 0,
             counts: Vec::new(),
             kinds: Vec::new(),
             parent: Vec::new(),
@@ -190,25 +203,33 @@ impl DocumentBuilder {
         self.text_heap.push_str(content);
     }
 
-    /// [`NameTable::intern`] behind a direct-mapped cache of 64 slots,
-    /// indexed by the name's length and first eight bytes.  A hit is
+    /// [`NameTable::intern`] behind a two-way set-associative cache of 64
+    /// sets, indexed by the name's length and first eight bytes.  A hit is
     /// confirmed against the name's bytes: by the slot's length and key
     /// alone for names of at most eight bytes (they determine every
     /// byte), by the table's copy for longer ones.  A miss asks the table,
     /// which stays the only authority: names get the numbers it alone
-    /// would give them, in first-occurrence order, and names that collide
-    /// in the cache cost what the table costs.
+    /// would give them, in first-occurrence order.  The set keeps the last
+    /// two names that led to it, so two names sharing a set — `keyword`
+    /// and `person` do — alternate without asking the table again.
     #[inline]
     fn intern(&mut self, s: &str) -> Name {
         let key = name_key(s.as_bytes());
-        let mix = (key ^ s.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let slot = (mix >> (64 - NAME_CACHE.trailing_zeros())) as usize;
-        let c = self.name_cache[slot];
-        if c.len == s.len() && c.key == key && (s.len() <= 8 || self.names.resolve(c.name) == s) {
+        let set = &mut self.name_cache[cache_set(key, s.len())];
+        let names = &self.names;
+        let hit = |c: &CachedName| {
+            c.len == s.len() && c.key == key && (s.len() <= 8 || names.resolve(c.name) == s)
+        };
+        if let Some(c) = set.iter().find(|c| hit(c)) {
             return c.name;
         }
+        #[cfg(test)]
+        {
+            self.table_asks += 1;
+        }
         let name = self.names.intern(s);
-        self.name_cache[slot] = CachedName {
+        set[1] = set[0];
+        set[0] = CachedName {
             len: s.len(),
             key,
             name,
@@ -800,6 +821,24 @@ mod tests {
                 assert_eq!(got, [&pair[0], &pair[1], &pair[1], &pair[0]]);
             }
         }
+    }
+
+    #[test]
+    fn two_names_sharing_a_set_ask_the_table_once_each() {
+        // `keyword` and `person` share a set of the cache; alternating
+        // them a thousand times reaches the table once per distinct name.
+        let set = |s: &str| cache_set(name_key(s.as_bytes()), s.len());
+        assert_eq!(set("keyword"), set("person"));
+        let mut b = DocumentBuilder::new();
+        b.start_element("site", &[]);
+        for _ in 0..1000 {
+            b.leaf("keyword", &[], "");
+            b.leaf("person", &[], "");
+        }
+        b.end_element();
+        assert_eq!(b.table_asks, 3, "site, keyword, person");
+        let doc = b.finish().unwrap();
+        assert!(doc.names().strings().eq(["site", "keyword", "person"]));
     }
 
     /// Folds `xml`'s events into a builder as `parser::build` does, but

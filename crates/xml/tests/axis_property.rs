@@ -9,8 +9,10 @@
 
 mod support;
 
-use minctx_xml::axes::{axis_image, axis_preimage, Axis, NodeTest};
-use minctx_xml::{sibling_ranks, Document, DocumentBuilder, NodeId, NodeSet, Scratch, SiblingRank};
+use minctx_xml::axes::{axis_image, axis_image_among, axis_preimage, Axis, NodeTest};
+use minctx_xml::{
+    sibling_ranks, Document, DocumentBuilder, Exec, NodeId, NodeSet, Scratch, SiblingRank,
+};
 
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
@@ -113,8 +115,8 @@ fn random_subset(doc: &Document, rng: &mut u64, density_pct: u64) -> NodeSet {
 }
 
 /// Every set kernel against the oracle from one origin set: images under
-/// each non-name test (the oracle's `node()` image, cut down by
-/// `ResolvedTest::matches`), preimages, and every output strictly
+/// each non-name test and the name `a` (the oracle's `node()` image, cut
+/// down by `ResolvedTest::matches`), preimages, and every output strictly
 /// ascending.
 fn check_against_brute_force(doc: &Document, set: &NodeSet, tag: &str) {
     let ascending = |s: &NodeSet| s.as_slice().windows(2).all(|w| w[0] < w[1]);
@@ -132,6 +134,7 @@ fn check_against_brute_force(doc: &Document, set: &NodeSet, tag: &str) {
             NodeTest::Text,
             NodeTest::Comment,
             NodeTest::Pi(None),
+            NodeTest::name("a"),
         ] {
             let t = test.resolve(doc);
             let fast = axis_image(doc, axis, set, &test);
@@ -193,6 +196,90 @@ fn image_and_preimage_match_brute_force_on_adversarial_origin_sets() {
     check_against_brute_force(&deep, &spine, "deep, spine");
     for doc in [&deep, &listy] {
         check_against_brute_force(doc, &doc.all_nodes().collect(), "everything");
+    }
+}
+
+/// `axis_image_among` against the oracle for each of `lists`: `t(among) ∩
+/// χ(X)` whenever it answers, and on the sibling axes always, strictly
+/// ascending.
+fn check_among(doc: &Document, set: &NodeSet, lists: &[Vec<NodeId>], tag: &str) {
+    let (mut scratch, mut out) = (Scratch::new(), NodeSet::new());
+    for axis in Axis::ALL {
+        let sibling = matches!(axis, Axis::FollowingSibling | Axis::PrecedingSibling);
+        let mut reached = None;
+        for among in lists {
+            for test in [NodeTest::AnyNode, NodeTest::Wildcard, NodeTest::name("a")] {
+                let t = test.resolve(doc);
+                let x = set.as_slice();
+                let inline = Exec::INLINE;
+                let ran = axis_image_among(doc, axis, x, t, among, &mut scratch, &mut out, inline);
+                if ran.is_none() {
+                    assert!(!sibling, "{tag}: {axis}::{test} refused");
+                    continue;
+                }
+                let reached = reached.get_or_insert_with(|| brute_image(doc, axis, set));
+                let slow: Vec<NodeId> = among
+                    .iter()
+                    .copied()
+                    .filter(|&y| reached.contains(y) && t.matches(doc, axis, y))
+                    .collect();
+                assert!(
+                    out.as_slice().windows(2).all(|w| w[0] < w[1]),
+                    "among order: {tag}, {axis}::{test}"
+                );
+                assert_eq!(
+                    out.as_slice(),
+                    slow,
+                    "among: {tag}, {axis}::{test}, |X|={} |among|={}",
+                    set.len(),
+                    among.len()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "property sweep is minutes-long under the interpreter")]
+fn image_among_matches_brute_force_on_random_lists() {
+    // Origins and `among` lists of every density over every node kind —
+    // attributes and the root on both sides — on random documents, and on
+    // the adversarial shapes: the 6 000-sibling group entered from its
+    // ends and every other member, the 40-deep spine nested in itself.
+    let mut rng = 0x51b1_u64;
+    let mut lists = |doc: &Document, densities: &[u64]| -> Vec<Vec<NodeId>> {
+        densities
+            .iter()
+            .map(|&pct| random_subset(doc, &mut rng, pct).into_vec())
+            .collect()
+    };
+    for seed in 1..=6u64 {
+        let doc = random_doc(seed * 0x2545_f491, 60 + (seed as usize) * 25);
+        for density in [3, 20, 80, 100] {
+            let set = random_subset(&doc, &mut (seed + density), density);
+            let among = lists(&doc, &[0, 10, 50, 100]);
+            check_among(&doc, &set, &among, &format!("seed {seed}, X at {density}%"));
+        }
+    }
+    let [deep, wide, listy] = <[Document; 3]>::try_from(adversarial_docs()).expect("three shapes");
+    let group: Vec<NodeId> = wide.children(wide.document_element()).collect();
+    let spine: NodeSet = deep
+        .all_nodes()
+        .filter(|&n| deep.first_child(n).is_some())
+        .collect();
+    let ends = [group[0], group[group.len() - 1]];
+    let cases = [
+        ("wide, ends", &wide, ends.into_iter().collect()),
+        (
+            "wide, every other",
+            &wide,
+            group.iter().copied().step_by(2).collect(),
+        ),
+        ("deep, spine", &deep, spine),
+        ("listy, everything", &listy, listy.all_nodes().collect()),
+    ];
+    for (tag, doc, set) in &cases {
+        check_among(doc, set, &lists(doc, &[5, 50, 100]), tag);
     }
 }
 
