@@ -589,6 +589,36 @@ pub mod corpus {
         "//book[price != 39.95]",
         "count(//*[@id])",
         "//*[count(*) - count(@*) > 0]",
+        // ---- Reverse steps from the postings ----
+        // Name-tested reverse steps from many origins (the first origin's
+        // chain and one merge of the name's postings against the origins,
+        // or the postings before the last origin less its ancestors), and
+        // descendant predicates answered from their witnesses: plain,
+        // under `not`, compared with a constant, and nested in a predicate
+        // evaluated node by node.
+        "//title/ancestor::book",
+        "//price/ancestor-or-self::book",
+        "//@id/ancestor::library",
+        "//text()/ancestor-or-self::title",
+        "//even/ancestor::odd",
+        "//odd/ancestor-or-self::odd",
+        "//price/preceding::book",
+        "//@year/preceding::title",
+        "//even/preceding::odd",
+        "//node()/preceding::even",
+        "//book[.//price]",
+        "//*[.//title]",
+        "//odd[.//even]",
+        "//@*[.//title]",
+        "//*[not(.//title)]",
+        "//even[not(descendant::odd)]",
+        "//book[.//title = 'XML']",
+        "//odd[.//even > 10]",
+        "//odd[descendant-or-self::odd]",
+        "//n[descendant-or-self::n = 3]",
+        "//library[book[.//price] or @x]",
+        "//odd[even[.//odd] or @x]",
+        "count(//even[.//odd])",
     ];
 }
 

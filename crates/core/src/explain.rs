@@ -706,6 +706,45 @@ mod tests {
     }
 
     #[test]
+    fn explain_shows_reverse_steps_and_descendant_columns_on_the_postings() {
+        let doc = parse(concat!(
+            "<site><parlist><listitem><parlist><listitem/></parlist></listitem></parlist>",
+            "<item><keyword/></item><item/><item><x><keyword/></x></item><bid/></site>"
+        ))
+        .unwrap();
+        let e = Engine::new(Strategy::OptMinContext).with_optimizer(true);
+        // Two <listitem> origins merged against the <parlist> postings, and
+        // the <item> postings before the <bid> copied.
+        for (q, row) in [
+            (
+                "//listitem/ancestor::parlist",
+                "ancestor::parlist route=postings calls=1 in=2 out=2",
+            ),
+            (
+                "//bid/preceding::item",
+                "preceding::item route=postings calls=1 in=1 out=3",
+            ),
+        ] {
+            let plan = e.explain(&doc, q).unwrap().plan_text();
+            assert!(plan.contains(row), "{plan}");
+        }
+        // The descendant-existence predicate is a column over the
+        // candidates, one ancestor merge of them against the witnesses: no
+        // backward set is built.
+        let p = e.explain(&doc, "//item[.//keyword]").unwrap();
+        assert_eq!(p.backward_passes, 0);
+        let plan = p.plan_text();
+        assert!(
+            plan.contains("descendant::item preds=1 mode=column route=postings calls=1 in=1 out=2"),
+            "{plan}"
+        );
+        assert!(
+            plan.contains("descendant::keyword mode=column route=postings calls=1 in=3 out=2"),
+            "{plan}"
+        );
+    }
+
+    #[test]
     fn explain_without_optimizer_keeps_the_ir_and_fires_nothing() {
         let doc = item_doc();
         let e = Engine::new(Strategy::MinContext).with_optimizer(false);

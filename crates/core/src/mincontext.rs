@@ -32,10 +32,11 @@
 //! Under OPTMINCONTEXT a candidate list is also a *column*: a comparison
 //! of `count(π)`s — and, on a ranked list, of `position()` / `last()` —
 //! and `boolean(π)` / `π RelOp c` over one local step, or over one
-//! name-tested sibling step (its witnesses merged against the list), are
-//! answered for the whole list by one kernel call per path, and a `*` /
-//! `node()` step starts from its first predicate's backward set when that
-//! is the smaller side (DESIGN.md "Set-at-a-time predicates").
+//! name-tested sibling or `descendant(-or-self)` step (its witnesses merged
+//! against the list), are answered for the whole list by one kernel call
+//! per path, and a `*` / `node()` step starts from its first predicate's
+//! backward set when that is the smaller side (DESIGN.md "Set-at-a-time
+//! predicates").
 //!
 //! **OPTMINCONTEXT** (Section 4, plus the backward-propagation rule of the
 //! VLDB'02 predecessor's Section 6).  On top of MINCONTEXT, predicates of
@@ -161,12 +162,13 @@ struct Run<'d, 'q, 's, 'm, 'p> {
 /// A predicate OPTMINCONTEXT answers for a whole candidate list, one
 /// kernel call per path in it: (a) `a op b` over counts, numbers and
 /// arithmetic, (b) `boolean(π)` or `π op c` read on the candidates' side,
-/// (d) the same over one name-tested sibling step, read on the witnesses'
-/// side (DESIGN.md "Set-at-a-time predicates").
+/// (d) the same over one name-tested step whose inverse axis merges — a
+/// sibling or a `descendant(-or-self)` step — read on the witnesses' side
+/// (DESIGN.md "Set-at-a-time predicates").
 enum Column<'q> {
     Counts(CmpOp, ExprId, ExprId),
     Compare(ExprId, &'q Step, Option<(CmpOp, ExprId)>),
-    Siblings(ExprId, &'q Step, Option<(CmpOp, ExprId)>),
+    Witnesses(ExprId, &'q Step, Option<(CmpOp, ExprId)>),
 }
 
 impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
@@ -606,7 +608,8 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
     /// (b) — `boolean(π)` or `π op c` with `π` one `child` / `attribute` /
     /// `self` step — while no backward set is built and `n` is below the
     /// seed `build_backward` would compare; (d) — the same with `π` one
-    /// sibling step under a name test — while no backward set is built.
+    /// sibling or `descendant(-or-self)` step under a name test — while no
+    /// backward set is built.
     fn column(&self, pred: ExprId, n: usize) -> Option<Column<'q>> {
         if !self.opt || matches!(self.backward[pred.index()], Some(Some(_))) {
             return None;
@@ -620,8 +623,16 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             return None;
         };
         let seed = self.postings(step.axis, self.query.step_test(path, 0));
-        if matches!(step.axis, Axis::FollowingSibling | Axis::PrecedingSibling) {
-            return seed.is_some().then_some(Column::Siblings(path, step, cmp));
+        // The axes whose inverse `axis_image_among` always merges.
+        let merged = matches!(
+            step.axis,
+            Axis::FollowingSibling
+                | Axis::PrecedingSibling
+                | Axis::Descendant
+                | Axis::DescendantOrSelf
+        );
+        if merged {
+            return seed.is_some().then_some(Column::Witnesses(path, step, cmp));
         }
         let local = matches!(step.axis, Axis::Child | Axis::Attribute | Axis::SelfAxis);
         let seed = seed.map_or(self.doc.len(), <[NodeId]>::len);
@@ -692,10 +703,11 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                 }
                 list
             }
-            Column::Siblings(path, step, cmp) => {
+            Column::Witnesses(path, step, cmp) => {
                 // `c[following-sibling::t]` holds iff `c` is a preceding
-                // sibling of a witness: `preceding-sibling(T) ∩ todo`, one
-                // merge of the witnesses against the candidates.
+                // sibling of a witness, `c[.//t]` iff it is an ancestor of
+                // one: `χ⁻¹(T) ∩ todo`, one merge of the witnesses against
+                // the candidates.
                 let timer = self.timer();
                 let seed = self.postings(step.axis, self.query.step_test(path, 0));
                 let seed = seed.expect("a name test has postings");
@@ -708,14 +720,20 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                         compared.as_slice()
                     }
                 };
+                // Charged before the merge: the seed compared, each
+                // candidate and, for a sibling merge, each witness; after
+                // it, what the ancestor merge read of its chain and probed.
                 let scanned = if cmp.is_some() { seed.len() } else { 0 };
-                let charge = scanned + witnesses.len() + todo.len() + 1;
-                self.meter.charge(charge as u64)?;
-                let opposite = step.axis.inverse().expect("a sibling axis");
+                let opposite = step.axis.inverse().expect("a tree axis");
+                let sibling = matches!(opposite, Axis::FollowingSibling | Axis::PrecedingSibling);
+                let known = todo.len() + if sibling { witnesses.len() } else { 0 };
+                self.meter.charge((scanned + known + 1) as u64)?;
                 let (any, mut out) = (ResolvedTest::AnyNode, NodeSet::new());
                 let (doc, exec, scratch) = (self.doc, self.exec, &mut *self.scratch);
-                axis_image_among(doc, opposite, witnesses, any, todo, scratch, &mut out, exec)
-                    .expect("the sibling axes always merge");
+                let (_, read) =
+                    axis_image_among(doc, opposite, witnesses, any, todo, scratch, &mut out, exec)
+                        .expect("the inverse axis merges");
+                self.meter.charge((read - known) as u64)?;
                 if let Some(p) = &mut self.prof {
                     let route = AxisRoute::Postings;
                     p.record_column(path, step, route, todo.len(), witnesses.len(), timer);
@@ -781,9 +799,14 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         let named = self.postings(axis, test).is_some();
         let compares = matches!(
             self.column(first, 0),
-            Some(Column::Counts(..) | Column::Compare(.., Some(_)) | Column::Siblings(.., Some(_)))
+            Some(
+                Column::Counts(..) | Column::Compare(.., Some(_)) | Column::Witnesses(.., Some(_))
+            )
         );
-        if named || compares || self.backward_set(first)?.is_none() {
+        // Not on the ancestor axes: their walk reads only the origins'
+        // chains, and the first predicate's backward set may be far longer.
+        let ancestral = matches!(axis, Axis::Ancestor | Axis::AncestorOrSelf);
+        if named || ancestral || compares || self.backward_set(first)?.is_none() {
             return Ok(None);
         }
         let Some(Some(b)) = &self.backward[first.index()] else {
@@ -792,7 +815,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         let (doc, exec, b) = (self.doc, self.exec, b.as_slice());
         let ran = axis_image_among(doc, axis, cur.as_slice(), test, b, self.scratch, next, exec);
         self.meter.charge(ran.map_or(0, |_| b.len() as u64))?;
-        Ok(ran)
+        Ok(ran.map(|(ran, _)| ran))
     }
 
     /// The clock, read only for a profiled run.
@@ -1202,12 +1225,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sibling_columns_agree_with_naive() {
-        // A seeded tree of <item>, <k> and <x> with text, attributes and
-        // same-name nesting; `v` values that are no number or only one
-        // after trimming.  Candidates of every kind meet the sibling
-        // column: elements, attributes, text, the root.
+    /// A seeded tree of <item>, <k> and <x> with text, attributes and
+    /// same-name nesting; `v` values that are no number or only one after
+    /// trimming.
+    fn witness_doc() -> minctx_xml::Document {
         let vals = ["", " 7 ", "NaN", "7", "-0", "1000"];
         let mut rng = 0x51b1_u64;
         let mut next = || {
@@ -1234,27 +1255,27 @@ mod tests {
             xml.push_str(&format!("</{name}>"));
         }
         xml.push_str("</r>");
-        let doc = parse(&xml).unwrap();
+        parse(&xml).unwrap()
+    }
+
+    /// Every existence predicate `axis::t`, alone, under `not` and compared
+    /// with a constant, over candidates of every kind — elements,
+    /// attributes, text, the root — and in front of and behind a positional
+    /// predicate: OPTMINCONTEXT agrees with `Naive`.  The queries in
+    /// `columns` are answered by a column, whatever the candidate count,
+    /// and build no backward set.
+    fn witness_columns_agree(doc: &minctx_xml::Document, axes: &[&str], columns: &[&str]) {
         let (opt, naive) = (
             crate::Engine::new(Strategy::OptMinContext),
             crate::Engine::new(Strategy::Naive),
         );
-        for q in [
-            "count(//item[following-sibling::item])",
-            "count(//item[not(following-sibling::item)])",
-            "count(//k[preceding-sibling::item != 7])",
-            "count(//k[following-sibling::item = 7])",
-        ] {
-            let n = opt.evaluate_str(&doc, q);
-            assert!(matches!(n, Ok(Value::Number(n)) if n > 0.0), "{q}: {n:?}");
-        }
         let mut preds = Vec::new();
-        for axis in ["following-sibling", "preceding-sibling"] {
+        for axis in axes {
             for t in ["item", "k", "nosuch", "*"] {
-                preds.push(format!("{axis}::{t}"));
-                preds.push(format!("not({axis}::{t})"));
+                preds.push(format!("{axis}{t}"));
+                preds.push(format!("not({axis}{t})"));
                 for (op, c) in [("=", "7"), ("!=", "''"), ("<", "1000"), (">=", "'NaN'")] {
-                    preds.push(format!("{axis}::{t} {op} {c}"));
+                    preds.push(format!("{axis}{t} {op} {c}"));
                 }
             }
         }
@@ -1269,20 +1290,18 @@ mod tests {
                 format!("//item[1][{pred}]"),
             ] {
                 assert_eq!(
-                    opt.evaluate_str(&doc, &q),
-                    naive.evaluate_str(&doc, &q),
+                    opt.evaluate_str(doc, &q),
+                    naive.evaluate_str(doc, &q),
                     "{q}"
                 );
             }
         }
-        // A name-tested sibling predicate is a column, whatever the
-        // candidate count, and builds no backward set.
-        for q in [
-            "//item[following-sibling::item]",
-            "//item[not(preceding-sibling::k)]",
-            "//k[following-sibling::item = 7]",
-        ] {
-            let p = opt.explain(&doc, q).unwrap();
+        // `.//t` is one `descendant::t` step once the rewriter fuses it.
+        let fused = opt.clone().with_optimizer(true);
+        for q in columns {
+            let n = fused.evaluate_str(doc, &format!("count({q})"));
+            assert!(matches!(n, Ok(Value::Number(n)) if n > 0.0), "{q}: {n:?}");
+            let p = fused.explain(doc, q).unwrap();
             let step = p.steps.iter().find(|s| s.predicates == 1).unwrap();
             assert_eq!(
                 (step.mode, p.backward_passes),
@@ -1291,6 +1310,38 @@ mod tests {
                 p.plan_text()
             );
         }
+    }
+
+    #[test]
+    fn sibling_columns_agree_with_naive() {
+        witness_columns_agree(
+            &witness_doc(),
+            &["following-sibling::", "preceding-sibling::"],
+            &[
+                "//item[following-sibling::item]",
+                "//item[not(preceding-sibling::k)]",
+                "//k[following-sibling::item = 7]",
+                "//k[preceding-sibling::item != 7]",
+            ],
+        );
+    }
+
+    #[test]
+    fn descendant_columns_agree_with_naive() {
+        // `c[.//t]` is `c ∈ ancestor(T)`: the ancestor merge over the
+        // candidates, same-name nesting included (an <item> inside an
+        // <item> is both a candidate and a witness).
+        witness_columns_agree(
+            &witness_doc(),
+            &[".//", "descendant::", "descendant-or-self::"],
+            &[
+                "//item[.//k]",
+                "//item[descendant::item]",
+                "//item[not(.//item)]",
+                "//item[descendant-or-self::k != 7]",
+                "//x[.//item != 7]",
+            ],
+        );
     }
 
     #[test]

@@ -172,6 +172,64 @@ fn a_sibling_existence_column_is_charged_for_its_merge() {
 }
 
 #[test]
+fn a_descendant_existence_column_is_charged_for_its_merge() {
+    // `[.//f]` over ten <e>s, each holding one <f>, is one ancestor merge
+    // of the candidates against the <f> witnesses: each candidate read
+    // once, plus the probes of a cursor galloping over the witnesses —
+    // one to start, one for each candidate it moves for (`|C| - 1` here) —
+    // plus one, on top of the `|C| + 1` any set filter costs.  Before the
+    // first witness, its chain: its four ancestors (<e>, <a>, <r>, the
+    // root), each galloped to among the candidates before it, one probe
+    // apiece.  The 5 000 <f>s behind the candidates are never read by the
+    // merge; a comparison still pays for reading every posting it
+    // compares (`|seed|`), and the cursor moves over the five that pass:
+    // for every other candidate.  Its first witness lies in the second
+    // <e>, one candidate further for the chain's last gallop.
+    let mut xml = String::from("<r><a>");
+    for i in 0..10 {
+        xml.push_str(&format!("<e><f>{}</f></e>", i % 2));
+    }
+    xml.push_str("</a>");
+    xml.push_str(&"<f/>".repeat(5_000));
+    xml.push_str("</r>");
+    let doc = parse(&xml).unwrap();
+    let engine = Engine::new(Strategy::OptMinContext).with_optimizer(true);
+    let spent = |q: &str| {
+        let plan = engine.explain(&doc, q).unwrap();
+        assert_eq!(plan.backward_passes, 0, "{q}");
+        plan.fuel_spent
+    };
+    let bare = spent("count(/r/a/e)");
+    let (c, seed, chain) = (10, 5_010, 4 + 4);
+    for (q, column) in [
+        ("count(/r/a/e[.//f])", (c + 1) + (c + c + 1) + chain),
+        (
+            "count(/r/a/e[descendant-or-self::f])",
+            (c + 1) + (c + c + 1) + chain,
+        ),
+        (
+            "count(/r/a/e[not(.//f)])",
+            2 * (c + 1) + (c + c + 1) + chain,
+        ),
+        (
+            "count(/r/a/e[.//f = 1])",
+            (c + 1) + (seed + c + c / 2 + 1) + chain + 1,
+        ),
+    ] {
+        assert_eq!(spent(q) - bare, column, "{q}");
+    }
+    // Two candidates charge far less than the witnesses they are merged
+    // against: the merge never reads the 5 000 behind them.  (Behind a
+    // positional predicate the step ranks its candidates first, and a
+    // ranked pass charges `2·(|C| + 1)`.)
+    let t = 5_010;
+    let bare = spent("count(/r/a/e[position() < 3])");
+    let two = spent("count(/r/a/e[position() < 3][.//f])") - bare;
+    assert!(two < t, "{two}");
+    assert_eq!(two, 2 * (2 + 1) + (2 + 2 + 1) + chain);
+}
+
+#[test]
 fn context_value_tables_charge_what_their_sweeps_return() {
     // A predicate-free absolute path is one table cell, however much of
     // the document its sweep returns: the cell is charged for the nodes

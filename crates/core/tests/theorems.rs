@@ -120,9 +120,18 @@ fn mincontext_fuel_doubles_with_the_document_on_every_family() {
 fn optmincontext_keeps_core_xpath_linear_on_deep_chains() {
     // Chains of 100, 200 and 400 elements: backward sets answer the
     // `descendant::` and `ancestor::` predicates for all nodes at once.
-    // Measured ×1.94–1.99 per doubling.
+    // Measured ×1.94–1.99 per doubling.  `[.//even]` too: from a wildcard
+    // step the step starts from the predicate's backward set; from a
+    // named one the predicate is one ancestor merge of the candidates
+    // against the `even` postings, its cursor one witness a candidate
+    // (×1.96–1.99).
     let docs: Vec<Document> = [100, 200, 400].map(|n| uniform_tree(n, 1)).into();
-    for q in CORE_XPATH_QUERIES {
+    let existence = [
+        "//*[.//even]",
+        "//odd[.//even]",
+        "//even[not(descendant::odd)]",
+    ];
+    for q in CORE_XPATH_QUERIES.iter().chain(&existence) {
         for optimize in [true, false] {
             let engine = Engine::new(Strategy::OptMinContext).with_optimizer(optimize);
             let fuel = fuel_per_doc(&engine, &docs, q);
@@ -130,6 +139,34 @@ fn optmincontext_keeps_core_xpath_linear_on_deep_chains() {
                 assert!(
                     r <= LINEAR,
                     "optimize={optimize} {q:?}: ×{r:.2} per doubling, fuel {fuel:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_per_candidate_ancestor_step_stays_linear() {
+    // `//x[y/ancestor::a]`: MINCONTEXT evaluates `y/ancestor::a` once per
+    // `x`, an ancestor step from that `x`'s `y`s with every `a` of the
+    // document around them.  Fuel counts the sets, ×2.0 per doubling
+    // measured.  What the ancestor kernel reads is not fuel; it is counted
+    // on the same shape, per doubling too, by `minctx-xml`'s
+    // `axes::tests::nested_ancestor_steps_cost_what_they_touch` (×2.1),
+    // since that count is private to the crate.
+    let unit = "<a><x><y/><b/><a><y/></a><y/></x></a><c/>";
+    let docs: Vec<Document> = [250, 500, 1_000]
+        .map(|n| minctx_xml::parse(&format!("<r>{}</r>", unit.repeat(n))).unwrap())
+        .into();
+    let q = "//x[y/ancestor::a]";
+    for s in [Strategy::MinContext, Strategy::OptMinContext] {
+        for optimize in [true, false] {
+            let engine = Engine::new(s).with_optimizer(optimize);
+            let fuel = fuel_per_doc(&engine, &docs, q);
+            for r in ratios(&fuel) {
+                assert!(
+                    r <= LINEAR,
+                    "{s} optimize={optimize}: ×{r:.2} per doubling, fuel {fuel:?}"
                 );
             }
         }

@@ -54,7 +54,10 @@ pub(crate) mod sync;
 
 pub use chaos::ChaosPlan;
 pub use queue::{PushError, Queue, TryPop};
-pub use service::{Corpus, RetryPolicy, ServeBuilder, ServeEngine, ServeError, ServeStats, Ticket};
+pub use service::{
+    Corpus, RetryPolicy, ServeBuilder, ServeEngine, ServeError, ServeStats, Ticket,
+    QUERY_CACHE_CAPACITY,
+};
 pub use shard::ShardedLru;
 
 // The service hands `ServeEngine` references and `Ticket`s across

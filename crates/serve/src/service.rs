@@ -327,7 +327,7 @@ struct Shared {
 
 /// Distinct `(query, document)` compilations the shared query cache
 /// keeps resident.
-const QUERY_CACHE_CAPACITY: usize = 256;
+pub const QUERY_CACHE_CAPACITY: usize = 256;
 
 /// Configuration for a [`ServeEngine`]; `ServeEngine::builder()` is the
 /// entry point, [`build`](ServeBuilder::build) spawns the pool.

@@ -24,8 +24,9 @@
 //! * **Label postings** ([`Document::element_postings`]): name tests route
 //!   through per-label sorted node lists instead of sweeping `dom`, making
 //!   the common `descendant::a` / `child::a` / `attribute::a` steps
-//!   sublinear in practice, and a sibling step one merge of the origins
-//!   against the label's list instead of a walk of every sibling group.
+//!   sublinear in practice, and an ancestor or sibling step one merge of
+//!   the origins against the label's list instead of a walk of every
+//!   ancestor chain or sibling group.
 //! * **[`Scratch`]**: every kernel threads reusable mark/flag bitmaps and
 //!   candidate buffers, so steady-state evaluation performs no per-call
 //!   `O(|D|)` allocations.  The `*_into` variants also reuse the output
@@ -333,10 +334,13 @@ pub struct Scratch {
     marked: DenseSet,
     flag: DenseSet,
     /// Internal candidate buffer used by the image kernels (the singleton
-    /// shortcut, `parent::a`, the `id` axis).
+    /// shortcut, `parent::a`, the chain `preceding::a` cuts out or the
+    /// ancestor merge searches, the `id` axis).
     tmp: Vec<NodeId>,
     /// Buffer the preimage kernels use for attribute-filtered copies of
-    /// `Y` (must be distinct from `tmp`, which the inner image call uses).
+    /// `Y` (must be distinct from `tmp`, which the inner image call uses),
+    /// and the ancestor merge's chain under [`axis_image_among`], whose
+    /// `tmp` holds the list.
     tmp2: Vec<NodeId>,
     /// Merged subtree intervals of the origins (`descendant` images, the
     /// `ancestor` preimage).
@@ -399,7 +403,8 @@ impl Scratch {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AxisRoute {
     /// Sorted label-postings kernel (binary search / interval merge /
-    /// parent check): sublinear in `|D|` when the label is rare.
+    /// parent check / ancestor or sibling merge / copy): sublinear in
+    /// `|D|` when the label is rare.
     Postings,
     /// Local traversal — the ordered single-node walk from a singleton
     /// origin, or a set kernel following the tree (child chains,
@@ -527,9 +532,9 @@ fn subtree_intervals(doc: &Document, x: &[NodeId], or_self: bool, ranges: &mut V
 /// dominant cost is a single ascending scan — over a sorted postings slice
 /// or over the ordinals `following`/`preceding` select — hands that scan to
 /// `exec` as a body over an index range; the arms that re-sort anyway
-/// (`parent::a`, `id`), are already memcpys (name-tested `following`) or
-/// build a bitmap in merge order (the name-tested sibling axes) run
-/// inline, and everything else is a [`walk`].
+/// (`parent::a`, `id`), are already memcpys (name-tested `following` and
+/// `preceding`) or merge in order (the name-tested ancestor and sibling
+/// axes) run inline, and everything else is a [`walk`].
 ///
 /// The scan bodies are `#[inline(always)]` closures: inlined into this
 /// function for the one-range path, their loops see that `out`, `scratch`
@@ -551,8 +556,15 @@ fn image(
     if x.is_empty() || t == ResolvedTest::NeverMatches {
         return Dispatch::NONE;
     }
+    // A name routes through its postings — but for `attribute::a` from
+    // fewer origins than `a` has postings, reading each origin's run is
+    // the shorter job, and the walk does that.
     let name = match t {
-        ResolvedTest::Name(nm) => Some(nm),
+        ResolvedTest::Name(nm)
+            if axis != Axis::Attribute || x.len() >= doc.attribute_postings(nm).len() =>
+        {
+            Some(nm)
+        }
         _ => None,
     };
     let o = out.vec_mut();
@@ -598,6 +610,8 @@ fn image(
             | Axis::Attribute
             | Axis::Descendant
             | Axis::DescendantOrSelf
+            | Axis::Ancestor
+            | Axis::AncestorOrSelf
             | Axis::FollowingSibling
             | Axis::PrecedingSibling,
             Some(nm),
@@ -607,7 +621,7 @@ fn image(
             } else {
                 doc.element_postings(nm)
             };
-            let chunks = image_among(doc, axis, x, posts, marked, ranges, o, exec);
+            let (chunks, _) = image_among(doc, axis, x, posts, marked, ranges, tmp, o, exec);
             Dispatch::ran(Postings, chunks)
         }
         (Axis::Following, Some(nm)) => {
@@ -621,22 +635,8 @@ fn image(
             Dispatch::ran(Postings, 0)
         }
         (Axis::Preceding, Some(nm)) => {
-            let m = x.iter().map(|v| v.index()).max().expect("x non-empty");
-            let all = doc.element_postings(nm);
-            let posts = &all[..all.partition_point(|p| p.index() < m)];
-            let chunks = exec.scan(
-                posts.len(),
-                o,
-                #[inline(always)]
-                |r, buf| {
-                    for &p in &posts[r] {
-                        if doc.subtree_end(p) <= m {
-                            buf.push(p);
-                        }
-                    }
-                },
-            );
-            Dispatch::ran(Postings, chunks)
+            preceding_copy(doc, x[x.len() - 1], t, doc.element_postings(nm), tmp, o);
+            Dispatch::ran(Postings, 0)
         }
         // `parent::a`: the few parents that carry the name, sorted.
         (Axis::Parent, Some(nm)) => {
@@ -740,14 +740,18 @@ fn image(
     }
 }
 
-/// `χ(X) ∩ posts` for `child`, `attribute`, `descendant(-or-self)` and
-/// the two sibling axes, where `posts` is sorted and holds only nodes of
-/// the kind the axis yields — a name's postings, or a test-filtered list
-/// ([`axis_image_among`]).  `child` / `attribute` parent-check `posts`
-/// against `X` marked in a bitmap; `descendant(-or-self)` merges the part
-/// of `posts` that `X`'s merged subtree intervals span against those
-/// intervals; the sibling axes merge `posts` against `X`
-/// ([`sibling_merge`]).  Returns the chunks the scan was cut into.
+/// `χ(X) ∩ posts` for `child`, `attribute`, `descendant(-or-self)`,
+/// `ancestor(-or-self)` and the two sibling axes, where `posts` is sorted
+/// and holds only nodes of the kind the axis yields — a name's postings, or
+/// a test-filtered list ([`axis_image_among`]).  `child` / `attribute`
+/// parent-check `posts` against `X` marked in a bitmap;
+/// `descendant(-or-self)` copies the runs of `posts` that `X`'s merged
+/// subtree intervals hold, galloping from one interval's end to the next;
+/// the ancestor axes ([`ancestor_merge`]) and the sibling axes
+/// ([`sibling_merge`]) merge `posts` against `X`, the ancestor merge
+/// walking one chain into `chain`.  Returns the chunks the scan was cut
+/// into and the slots of `X` read: one an origin, but what the ancestor
+/// merge reads of its chain and probes.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn image_among(
@@ -757,32 +761,42 @@ fn image_among(
     posts: &[NodeId],
     marked: &mut DenseSet,
     ranges: &mut Vec<(u32, u32)>,
+    chain: &mut Vec<NodeId>,
     o: &mut Vec<NodeId>,
     exec: Exec<'_>,
-) -> usize {
-    if matches!(axis, Axis::Child | Axis::Attribute) {
-        marked.clear();
-        marked.extend(x.iter().copied());
-        let (marked, parent) = (&*marked, doc.parent_raw());
-        return exec.scan(
-            posts.len(),
-            o,
-            #[inline(always)]
-            |r, buf| {
-                for &p in &posts[r] {
-                    let par = parent[p.index()];
-                    if par != NONE && marked.contains(NodeId(par)) {
-                        buf.push(p);
+) -> (usize, usize) {
+    match axis {
+        Axis::Child | Axis::Attribute => {
+            marked.clear();
+            marked.extend(x.iter().copied());
+            let (marked, parent) = (&*marked, doc.parent_raw());
+            let chunks = exec.scan(
+                posts.len(),
+                o,
+                #[inline(always)]
+                |r, buf| {
+                    for &p in &posts[r] {
+                        let par = parent[p.index()];
+                        if par != NONE && marked.contains(NodeId(par)) {
+                            buf.push(p);
+                        }
                     }
-                }
-            },
-        );
-    }
-    if matches!(axis, Axis::FollowingSibling | Axis::PrecedingSibling) {
-        sibling_merge(doc, axis == Axis::FollowingSibling, x, posts, marked, o);
-        return 0;
+                },
+            );
+            return (chunks, x.len());
+        }
+        Axis::FollowingSibling | Axis::PrecedingSibling => {
+            sibling_merge(doc, axis == Axis::FollowingSibling, x, posts, marked, o);
+            return (0, x.len());
+        }
+        Axis::Ancestor | Axis::AncestorOrSelf => {
+            let read = ancestor_merge(doc, axis == Axis::AncestorOrSelf, x, posts, chain, o);
+            return (0, read);
+        }
+        _ => {}
     }
     subtree_intervals(doc, x, axis == Axis::DescendantOrSelf, ranges);
+    touched(x.len());
     let ranges = &*ranges;
     let span = match (ranges.first(), ranges.last()) {
         (Some(first), Some(last)) => first.0..last.1,
@@ -791,7 +805,7 @@ fn image_among(
     let lo = posts.partition_point(|p| (p.index() as u32) < span.start);
     let hi = lo + posts[lo..].partition_point(|p| (p.index() as u32) < span.end);
     let posts = &posts[lo..hi];
-    exec.scan(
+    let chunks = exec.scan(
         posts.len(),
         o,
         #[inline(always)]
@@ -803,19 +817,114 @@ fn image_among(
             // Intervals are sorted and disjoint: start at the first one
             // that does not end before this range's postings do.
             let from = ranges.partition_point(|&(_, e)| e <= first.index() as u32);
-            let mut pi = 0usize;
+            let (mut pi, mut probes) = (0, 0);
             for &(s, e) in &ranges[from..] {
-                pi += posts[pi..].partition_point(|p| (p.index() as u32) < s);
+                pi = gallop(posts, pi, s as usize, &mut probes);
                 if pi == posts.len() {
                     break;
                 }
-                while pi < posts.len() && (posts[pi].index() as u32) < e {
-                    buf.push(posts[pi]);
-                    pi += 1;
-                }
+                let end = gallop(posts, pi, e as usize, &mut probes);
+                buf.extend_from_slice(&posts[pi..end]);
+                touched(end - pi);
+                pi = end;
             }
+            touched(probes);
         },
-    )
+    );
+    (chunks, x.len())
+}
+
+/// `ancestor(X) ∩ list`, or with `or_self` `ancestor-or-self(X) ∩ list`,
+/// ascending, for sorted `X` and `list`, in one merge: the members before
+/// the first origin are its ancestors in `list` — its chain, walked into
+/// `chain` and found by [`gallop`] — and each member from the first origin
+/// to the last reads its `subtree_end` while a cursor over `X` gallops.
+/// Returns the chain's length plus the probes.
+///
+/// `p` is an ancestor of an origin exactly when an origin lies in `(p,
+/// subtree_end(p))` — pre-order puts a subtree right behind its root —
+/// and then the first origin after `p` is one.  So a member is kept when
+/// the first origin at or after `p + 1` lies below `subtree_end(p)`; for
+/// `-or-self` the search starts at `p` itself.  Before the first origin
+/// that origin is the one searched for, and the members it lies below are
+/// its ancestors.  Nothing at or past the last origin is an ancestor of
+/// one (past it, for `-or-self`), so the list is cut there.  An attribute
+/// origin lies in its owner's interval as its descendants do; an attribute
+/// or other leaf member, whose interval is itself, is kept only as an
+/// origin under `-or-self`.  Runs on the calling thread and out of line,
+/// as [`sibling_merge`] does.
+#[inline(never)]
+fn ancestor_merge(
+    doc: &Document,
+    or_self: bool,
+    x: &[NodeId],
+    list: &[NodeId],
+    chain: &mut Vec<NodeId>,
+    o: &mut Vec<NodeId>,
+) -> usize {
+    let (Some(&first), Some(&last)) = (x.first(), x.last()) else {
+        return 0;
+    };
+    let (ends, lead) = (doc.subtree_end_raw(), usize::from(!or_self));
+    let head = list.partition_point(|&p| p < first);
+    let (before, list) = list.split_at(head);
+    let list = &list[..list.partition_point(|p| p.index() + lead <= last.index())];
+    // The first origin's ancestors, nearest first: the single-origin walk.
+    doc.axis_nodes_into(Axis::Ancestor, first, ResolvedTest::AnyNode, chain);
+    let (mut at, mut probes) = (0, 0);
+    for &a in chain.iter().rev() {
+        at = gallop(before, at, a.index(), &mut probes);
+        if before.get(at) == Some(&a) {
+            o.push(a);
+        }
+    }
+    let (start, mut k) = (o.len(), o.len());
+    o.resize(start + list.len(), last);
+    // The cursor and the origin under it; `at` stays in range, as `p +
+    // lead` is at most the last origin.
+    let (mut at, mut next) = (0, first.index());
+    probes += 1;
+    for &p in list {
+        let to = p.index() + lead;
+        if next < to {
+            at = gallop(x, at + 1, to, &mut probes);
+            next = x[at].index();
+        }
+        // Whether it is kept is a coin flip, so it is written and kept by
+        // advancing past it.
+        o[k] = p;
+        k += usize::from(next < ends[p.index()] as usize);
+    }
+    o.truncate(k);
+    touched(chain.len() + list.len() + probes);
+    chain.len() + probes
+}
+
+/// `preceding(X) ∩ posts` for the postings `posts` of the name `t` tests,
+/// where `m` is the last origin, ascending, as a copy.  `y ∈ preceding(X)`
+/// iff `subtree_end(y) ≤ m` — and for `y < m` that fails exactly when `y`
+/// is an ancestor of `m`: so the postings before `m`, less the few on `m`'s
+/// parent chain (the single-origin walk, into `chain`), each cut out by a
+/// binary search.  Out of line, as the merges are.
+#[inline(never)]
+fn preceding_copy(
+    doc: &Document,
+    m: NodeId,
+    t: ResolvedTest,
+    posts: &[NodeId],
+    chain: &mut Vec<NodeId>,
+    o: &mut Vec<NodeId>,
+) {
+    let posts = &posts[..posts.partition_point(|&p| p < m)];
+    doc.axis_nodes_into(Axis::Ancestor, m, t, chain);
+    let mut from = 0;
+    for &a in chain.iter().rev() {
+        // Each of them is a posting before m.
+        let at = from + posts[from..].partition_point(|&p| p < a);
+        o.extend_from_slice(&posts[from..at]);
+        from = at + 1;
+    }
+    o.extend_from_slice(&posts[from..]);
 }
 
 /// `following-sibling(X) ∩ posts` (`forward`) or `preceding-sibling(X) ∩
@@ -895,19 +1004,23 @@ fn sibling_merge(
 }
 
 /// `t(among) ∩ χ(X)` for a sorted node list `among` — the step started from
-/// its selective end, or a sibling predicate answered from its witnesses.
-/// `child`, `attribute`, `descendant(-or-self)` and the sibling axes run
-/// the bodies the name-test postings run (`image_among`) over the members
-/// of `among` that `t` accepts on the axis; `self` keeps those in `X`.
-/// The subtree axes do so when `among` is shorter than the span of `X`'s
-/// merged subtree intervals, what a walk from `X` may read; the sibling
-/// axes always do, in `O(|X| + |among| + ⌈n/64⌉)` — a walk's image would
-/// be intersected with `among` anyway, in a merge as long as this one.
+/// its selective end, or an existence predicate answered from its
+/// witnesses.  `child`, `attribute`, `descendant(-or-self)`, the ancestor
+/// axes and the sibling axes run the bodies the name-test postings run
+/// (`image_among`) over the members of `among` that `t` accepts on the
+/// axis; `self` keeps those in `X`.  The others do so when `among` is
+/// shorter than the span of `X`'s merged subtree intervals, what a walk
+/// from `X` may read; the ancestor and sibling axes always do, in a merge
+/// of `among` against `X` — a walk's image would be intersected with
+/// `among` anyway, in a merge at least as long as this one.
 ///
-/// `None`, with `out` untouched, when `among` is the longer side of a
-/// subtree axis, on any other axis, and on `descendant-or-self::node()`
-/// (an attribute origin is its own image, the attribute slots of the
-/// intervals are not).
+/// Returns the kernel that ran and the slots it read: each member of
+/// `among` once, plus one an origin — for the ancestor merge, the first
+/// origin's chain and the probes into the members and `X` instead.
+/// `None`, with `out` untouched, when `among` is the longer side of the
+/// span, on any other axis, and on
+/// `descendant-or-self::node()` (an attribute origin is its own image, the
+/// attribute slots of the intervals are not).
 #[allow(clippy::too_many_arguments)]
 pub fn axis_image_among(
     doc: &Document,
@@ -918,18 +1031,24 @@ pub fn axis_image_among(
     scratch: &mut Scratch,
     out: &mut NodeSet,
     exec: Exec<'_>,
-) -> Option<Dispatch> {
+) -> Option<(Dispatch, usize)> {
     let mut test = KindFilter::new(t, axis);
     match axis {
         Axis::Attribute => test.tags &= 1 << TAG_ATTRIBUTE,
-        Axis::SelfAxis => {}
+        // No attribute is a strict ancestor, and under `-or-self` one is
+        // its own: the merge decides.
+        Axis::SelfAxis | Axis::Ancestor | Axis::AncestorOrSelf => {}
         Axis::Child | Axis::Descendant | Axis::FollowingSibling | Axis::PrecedingSibling => {
             test = test.without_attributes();
         }
         Axis::DescendantOrSelf if t != ResolvedTest::AnyNode => test = test.without_attributes(),
         _ => return None,
     }
-    if !matches!(axis, Axis::FollowingSibling | Axis::PrecedingSibling) {
+    let merges = matches!(
+        axis,
+        Axis::Ancestor | Axis::AncestorOrSelf | Axis::FollowingSibling | Axis::PrecedingSibling
+    );
+    if !merges {
         let (mut span, mut reach) = (0, 0);
         for &m in x {
             let end = doc.subtree_end(m);
@@ -944,6 +1063,7 @@ pub fn axis_image_among(
     let Scratch {
         marked,
         tmp,
+        tmp2,
         ranges,
         ..
     } = scratch;
@@ -952,20 +1072,25 @@ pub fn axis_image_among(
     tmp.extend(among.iter().filter(|y| test.accepts(kinds[y.index()])));
     out.clear();
     let o = out.vec_mut();
-    if axis == Axis::SelfAxis {
+    let (chunks, read) = if axis == Axis::SelfAxis {
         marked.clear();
         marked.extend(x.iter().copied());
         o.extend(tmp.iter().filter(|&&y| marked.contains(y)));
-        return Some(Dispatch::ran(AxisRoute::Postings, 0));
-    }
-    let chunks = image_among(doc, axis, x, tmp, marked, ranges, o, exec);
-    Some(Dispatch::ran(AxisRoute::Postings, chunks))
+        (0, x.len())
+    } else {
+        image_among(doc, axis, x, tmp, marked, ranges, tmp2, o, exec)
+    };
+    Some((
+        Dispatch::ran(AxisRoute::Postings, chunks),
+        among.len() + read,
+    ))
 }
 
 /// The set kernels that walk the arena instead of scanning it: `child`,
-/// `parent`, `descendant(-or-self)`, `attribute` and both sibling axes
-/// under a non-name test, `ancestor(-or-self)` under any test, from two or
-/// more origins (ascending) into `o`.
+/// `parent`, `descendant(-or-self)`, `ancestor(-or-self)` and both sibling
+/// axes under a non-name test, `attribute` under one too or under a name
+/// with more postings than there are origins, from two or more origins
+/// (ascending) into `o`.
 ///
 /// Each child chain, sibling group, ancestor chain and subtree interval is
 /// entered at most once, so the cost is `O(|X| + slots reached + ⌈n/64⌉)`,
@@ -1059,7 +1184,7 @@ fn walk(
             // is the previous origin or an ancestor of it (it precedes it,
             // and its subtree reaches past it), and the rest of the chain
             // was walked from there — so no node is met from two origins.
-            // The test is met on the way in: matches are few, chains long.
+            // The test is met on the way in.
             flag.clear();
             touched(words + 2 * x.len() + last / 64 + 1);
             let mut enter = |y: u32| {
@@ -1592,7 +1717,13 @@ fn local(
 /// The first index at or after `from` whose posting is at or past ordinal
 /// `to`: exponential steps, then a binary search inside the last one, so
 /// passing `k` postings probes `O(log k)` of them (added to `work`).
+#[inline(always)]
 fn gallop(posts: &[NodeId], from: usize, to: usize, work: &mut usize) -> usize {
+    // Passing none is one probe, and the common case of a merge.
+    *work += 1;
+    if posts.get(from).is_none_or(|p| p.index() >= to) {
+        return from;
+    }
     let (mut lo, mut hi, mut step) = (from, from, 1);
     // Every posting before `lo` is below `to`.
     while hi < posts.len() && posts[hi].index() < to {
@@ -1602,7 +1733,7 @@ fn gallop(posts: &[NodeId], from: usize, to: usize, work: &mut usize) -> usize {
         step *= 2;
     }
     let hi = hi.min(posts.len());
-    *work += (hi - lo + 1).ilog2() as usize + 1;
+    *work += (hi - lo + 1).ilog2() as usize;
     lo + posts[lo..hi].partition_point(|p| p.index() < to)
 }
 
@@ -2202,10 +2333,11 @@ mod tests {
         for (axis, test, chunked) in [
             (Axis::Child, NodeTest::name("a"), true),
             (Axis::Descendant, NodeTest::name("a"), true),
-            (Axis::Preceding, NodeTest::name("a"), true),
             (Axis::Preceding, NodeTest::Wildcard, true),
             (Axis::Following, NodeTest::AnyNode, true),
             (Axis::Child, NodeTest::name("c"), false),
+            // A name's postings before the last origin, copied.
+            (Axis::Preceding, NodeTest::name("a"), false),
             (Axis::Child, NodeTest::AnyNode, false),
             (Axis::Descendant, NodeTest::Wildcard, false),
             (Axis::FollowingSibling, NodeTest::AnyNode, false),
@@ -2316,6 +2448,8 @@ mod tests {
         // two slots per origin, two per node reached (its link and its
         // kind word), and the bitmap passed over twice (cleared, read
         // back) — at every density, nested and adversarial sets included.
+        // A name test walks only on `attribute`, from fewer origins than
+        // the name has postings (`p`, on the generated document).
         // What deriving the links costs the two sibling arms is its own
         // term, one slot an origin: a group's start reads the origin's end
         // and parent, then the parent's end (unless a chain passed the
@@ -2334,11 +2468,14 @@ mod tests {
             NodeTest::AnyNode,
             NodeTest::Wildcard,
             NodeTest::Text,
-            NodeTest::name("a"),
+            NodeTest::name("p"),
         ];
         let mut scratch = Scratch::new();
         let mut rng = 0x5eed_u64;
         for (d, doc) in docs.iter().enumerate() {
+            let p_postings = doc
+                .find_name("p")
+                .map_or(0, |p| doc.attribute_postings(p).len());
             let mut sets: Vec<NodeSet> = [3, 20, 80, 100]
                 .iter()
                 .map(|&pct| {
@@ -2360,8 +2497,8 @@ mod tests {
                 for arm in WALKED {
                     for test in &tests {
                         let named = matches!(test, NodeTest::Name(_));
-                        if named && arm != Axis::Ancestor {
-                            continue; // the other arms' name tests run on postings
+                        if named && (arm != Axis::Attribute || x.len() >= p_postings) {
+                            continue; // the name's postings route
                         }
                         let (work, reach) = work_and_reach(doc, arm, test, x, &mut scratch);
                         let sibling =
@@ -2465,6 +2602,163 @@ mod tests {
         assert_eq!(out.len(), 2);
         let words = doc.len().div_ceil(64);
         assert!((5_000..=5_003 + 4 + words).contains(&work), "{work}");
+    }
+
+    /// What `gallop` may probe passing `k` members in `calls` calls, by
+    /// concavity: `calls · (2·log₂(k / calls + 1) + 2)`.
+    fn gallop_bound(calls: usize, k: usize) -> f64 {
+        let calls = calls as f64;
+        calls * (2.0 * (k as f64 / calls.max(1.0) + 1.0).log2() + 2.0)
+    }
+
+    #[test]
+    fn ancestor_merges_cost_their_postings() {
+        // A name-tested ancestor step from two or more origins is the first
+        // origin's chain, each link galloped to in the postings before it,
+        // and one merge of the postings from the first origin to the last
+        // against the origins: each of those postings' `subtree_end`, plus
+        // the probes of a cursor galloping over `X`.
+        let wide = format!("<r>{}</r>", "<a/><b/>".repeat(3_000));
+        let deep = format!("<r>{}{}</r>", "<a><a/>".repeat(40), "<a/></a>".repeat(40));
+        let docs = [
+            mixed_doc(7, 3_000),
+            parse(&wide).unwrap(),
+            parse(&deep).unwrap(),
+        ];
+        let mut scratch = Scratch::new();
+        let mut out = NodeSet::new();
+        let mut rng = 0x5eed_u64;
+        for (d, doc) in docs.iter().enumerate() {
+            let a = NodeTest::name("a").resolve(doc);
+            let posts = doc.element_postings(doc.find_name("a").unwrap());
+            let mut sets: Vec<NodeSet> = [3, 20, 80, 100]
+                .iter()
+                .map(|&pct| {
+                    doc.all_nodes()
+                        .filter(|_| xorshift(&mut rng) % 100 < pct)
+                        .collect()
+                })
+                .collect();
+            sets.push(doc.children(doc.document_element()).step_by(2).collect());
+            for x in sets.iter().filter(|x| x.len() > 1) {
+                for arm in [Axis::Ancestor, Axis::AncestorOrSelf] {
+                    let (first, last) = (x.first().unwrap(), x.last().unwrap());
+                    let or_self = usize::from(arm == Axis::AncestorOrSelf);
+                    let head = posts.partition_point(|&p| p < first);
+                    let inside =
+                        posts.partition_point(|&p| p.index() < last.index() + or_self) - head;
+                    let depth = doc
+                        .axis_nodes(Axis::Ancestor, first, &NodeTest::AnyNode)
+                        .len();
+                    let start = TOUCHED.get();
+                    let ran = axis_image_on(doc, arm, x, a, &mut scratch, &mut out, Exec::INLINE);
+                    let work = TOUCHED.get() - start;
+                    assert_eq!(ran, Dispatch::ran(AxisRoute::Postings, 0));
+                    let bound = (depth + inside) as f64
+                        + gallop_bound(depth, head)
+                        + gallop_bound(inside, x.len())
+                        + 1.0;
+                    assert!(
+                        work as f64 <= bound,
+                        "doc {d}, {arm}::a from {} of {} nodes: {work} for depth {depth}, \
+                         {inside} postings",
+                        x.len(),
+                        doc.len()
+                    );
+                }
+            }
+        }
+
+        // Two origins behind 5 000 postings read none of them: the first
+        // origin's chain of four is galloped to.  The trade-off, pinned: two
+        // origins with the 5 000 between them pay all of them, where a walk
+        // would climb two chains of two (DESIGN.md "Not done").
+        for (shape, found, work_in) in [
+            ("<r>{}<a><a><b/><b/></a></a></r>", 2, 4..=64),
+            ("<r><b/>{}<b/></r>", 0, 5_000..=2 * 5_002),
+        ] {
+            let doc = parse(&shape.replace("{}", &"<a/>".repeat(5_000))).unwrap();
+            let a = NodeTest::name("a").resolve(&doc);
+            let x: NodeSet = doc
+                .all_nodes()
+                .filter(|&n| doc.label_str(n) == Some("b"))
+                .collect();
+            let start = TOUCHED.get();
+            axis_image_into(&doc, Axis::Ancestor, &x, a, &mut scratch, &mut out);
+            let work = TOUCHED.get() - start;
+            assert_eq!(out.len(), found, "{shape}");
+            assert!(work_in.contains(&work), "{shape}: {work}");
+        }
+    }
+
+    #[test]
+    fn nested_ancestor_steps_cost_what_they_touch() {
+        // `//x[y/ancestor::a]` evaluated once per candidate, as MINCONTEXT
+        // does: each call starts from one `x`'s `y` children, with every
+        // `a` in the document behind the later ones.  A merge that read
+        // every posting before the last origin would make the sum
+        // quadratic (×4 per doubling); the first origin's chain and the
+        // postings between the origins keep it linear.
+        let mut scratch = Scratch::new();
+        let mut out = NodeSet::new();
+        let mut per_doc = Vec::new();
+        for n in [500, 1_000, 2_000, 4_000] {
+            let unit = "<a><x><y/><b/><a><y/></a><y/></x></a><c/>";
+            let doc = parse(&format!("<r>{}</r>", unit.repeat(n))).unwrap();
+            let a = NodeTest::name("a").resolve(&doc);
+            let start = TOUCHED.get();
+            let mut found = 0;
+            for x in doc.all_nodes().filter(|&n| doc.label_str(n) == Some("x")) {
+                let ys: NodeSet = doc
+                    .children(x)
+                    .filter(|&c| doc.label_str(c) == Some("y"))
+                    .collect();
+                axis_image_into(&doc, Axis::Ancestor, &ys, a, &mut scratch, &mut out);
+                found += out.len();
+            }
+            assert_eq!(found, n);
+            per_doc.push(TOUCHED.get() - start);
+        }
+        for w in per_doc.windows(2) {
+            let r = w[1] as f64 / w[0] as f64;
+            assert!(r <= 2.3, "×{r:.2} per doubling: {per_doc:?}");
+        }
+    }
+
+    #[test]
+    fn descendant_merges_gallop_between_intervals() {
+        // Many small intervals over a long list: the cursor gallops from
+        // one interval to the next, so the merge reads each origin's end,
+        // the postings it copies, and `O(log)` of the gap between two
+        // intervals — not the postings in between.
+        let doc = parse(&format!("<r>{}</r>", "<a><a/></a>".repeat(25_000))).unwrap();
+        let a = NodeTest::name("a").resolve(&doc);
+        let posts = doc.element_postings(doc.find_name("a").unwrap()).len();
+        let mut scratch = Scratch::new();
+        let mut out = NodeSet::new();
+        for step in [2, 10, 100, 1_000] {
+            let x: NodeSet = doc.children(doc.document_element()).step_by(step).collect();
+            for arm in [Axis::Descendant, Axis::DescendantOrSelf] {
+                let start = TOUCHED.get();
+                let ran = axis_image_on(&doc, arm, &x, a, &mut scratch, &mut out, Exec::INLINE);
+                let work = TOUCHED.get() - start;
+                assert_eq!(ran, Dispatch::ran(AxisRoute::Postings, 0));
+                let per = 1 + usize::from(arm == Axis::DescendantOrSelf);
+                assert_eq!(out.len(), per * x.len());
+                // Each interval gallops once to its start and once to its
+                // end.
+                let r = x.len();
+                let bound =
+                    (r + out.len()) as f64 + gallop_bound(r, posts) + gallop_bound(r, out.len());
+                assert!(
+                    work as f64 <= bound,
+                    "{arm}::a from every {step}th: {work} > {bound}"
+                );
+                if step >= 100 {
+                    assert!(work < posts / 5, "{arm}::a from every {step}th: {work}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -2574,19 +2868,20 @@ mod tests {
             (Axis::DescendantOrSelf, name, &three, Postings),
             (Axis::Following, name, &three, Postings),
             (Axis::Preceding, name, &three, Postings),
+            (Axis::Ancestor, name, &three, Postings),
+            (Axis::AncestorOrSelf, name, &three, Postings),
             (Axis::FollowingSibling, name, &three, Postings),
             (Axis::PrecedingSibling, name, &three, Postings),
-            // …the chain kernels are local walks, as are the sibling axes
-            // under a non-name test and everything else that follows links
-            // or subtree intervals…
+            // …`parent::a` and the chain kernels are local walks, as are the
+            // ancestor and sibling axes under a non-name test and everything
+            // else that follows links or subtree intervals…
             (Axis::Parent, name, &three, Walk),
-            (Axis::Ancestor, name, &three, Walk),
-            (Axis::AncestorOrSelf, name, &three, Walk),
             (Axis::FollowingSibling, any, &three, Walk),
             (Axis::PrecedingSibling, any, &three, Walk),
             (Axis::Child, any, &three, Walk),
             (Axis::Parent, any, &three, Walk),
             (Axis::Ancestor, any, &three, Walk),
+            (Axis::AncestorOrSelf, any, &three, Walk),
             (Axis::DescendantOrSelf, any, &three, Walk),
             (Axis::Attribute, any, &three, Walk),
             // …and what is left scans: the origins, the tail or head of the
@@ -2616,6 +2911,24 @@ mod tests {
                 "axis {axis} test {t:?} from {}",
                 x.len()
             );
+        }
+        // `attribute::p` reads the origins' runs from fewer origins than
+        // `p` has postings, and parent-checks the postings from as many.
+        let doc = parse(r#"<a p="1"><b p="2"/><b p="3"/><b p="4"/></a>"#).unwrap();
+        let p = NodeTest::name("p").resolve(&doc);
+        let elems = all_elements(&doc);
+        for (x, want) in [(elems.iter().skip(1).collect(), Walk), (elems, Postings)] {
+            let ran = axis_image_on(
+                &doc,
+                Axis::Attribute,
+                &x,
+                p,
+                &mut scratch,
+                &mut out,
+                Exec::INLINE,
+            );
+            assert_eq!(ran, Dispatch::ran(want, 0), "attribute::p from {}", x.len());
+            assert_eq!(out.len(), x.len());
         }
         // One origin at a time — what each origin of a positional step pays.
         let from = doc.document_element();

@@ -115,12 +115,17 @@ fn random_subset(doc: &Document, rng: &mut u64, density_pct: u64) -> NodeSet {
 }
 
 /// Every set kernel against the oracle from one origin set: images under
-/// each non-name test and the name `a` (the oracle's `node()` image, cut
-/// down by `ResolvedTest::matches`), preimages, and every output strictly
-/// ascending.
+/// each non-name test, the element name `a` and the attribute name `p` (the
+/// oracle's `node()` image, cut down by `ResolvedTest::matches`),
+/// preimages, and every output strictly ascending.
 fn check_against_brute_force(doc: &Document, set: &NodeSet, tag: &str) {
+    check_axes(doc, set, &Axis::ALL, tag);
+}
+
+/// [`check_against_brute_force`] on the listed axes only.
+fn check_axes(doc: &Document, set: &NodeSet, axes: &[Axis], tag: &str) {
     let ascending = |s: &NodeSet| s.as_slice().windows(2).all(|w| w[0] < w[1]);
-    for axis in Axis::ALL {
+    for &axis in axes {
         if axis == Axis::Id {
             // `axis_relates(Id, …)` tokenizes the *concatenated* string
             // value; the set kernels tokenize per text node (see
@@ -135,6 +140,7 @@ fn check_against_brute_force(doc: &Document, set: &NodeSet, tag: &str) {
             NodeTest::Comment,
             NodeTest::Pi(None),
             NodeTest::name("a"),
+            NodeTest::name("p"),
         ] {
             let t = test.resolve(doc);
             let fast = axis_image(doc, axis, set, &test);
@@ -200,12 +206,15 @@ fn image_and_preimage_match_brute_force_on_adversarial_origin_sets() {
 }
 
 /// `axis_image_among` against the oracle for each of `lists`: `t(among) ∩
-/// χ(X)` whenever it answers, and on the sibling axes always, strictly
-/// ascending.
+/// χ(X)` whenever it answers, and on the ancestor and sibling axes always,
+/// strictly ascending.
 fn check_among(doc: &Document, set: &NodeSet, lists: &[Vec<NodeId>], tag: &str) {
     let (mut scratch, mut out) = (Scratch::new(), NodeSet::new());
     for axis in Axis::ALL {
-        let sibling = matches!(axis, Axis::FollowingSibling | Axis::PrecedingSibling);
+        let merged = matches!(
+            axis,
+            Axis::Ancestor | Axis::AncestorOrSelf | Axis::FollowingSibling | Axis::PrecedingSibling
+        );
         let mut reached = None;
         for among in lists {
             for test in [NodeTest::AnyNode, NodeTest::Wildcard, NodeTest::name("a")] {
@@ -214,7 +223,7 @@ fn check_among(doc: &Document, set: &NodeSet, lists: &[Vec<NodeId>], tag: &str) 
                 let inline = Exec::INLINE;
                 let ran = axis_image_among(doc, axis, x, t, among, &mut scratch, &mut out, inline);
                 if ran.is_none() {
-                    assert!(!sibling, "{tag}: {axis}::{test} refused");
+                    assert!(!merged, "{tag}: {axis}::{test} refused");
                     continue;
                 }
                 let reached = reached.get_or_insert_with(|| brute_image(doc, axis, set));
@@ -280,6 +289,75 @@ fn image_among_matches_brute_force_on_random_lists() {
     ];
     for (tag, doc, set) in &cases {
         check_among(doc, set, &lists(doc, &[5, 50, 100]), tag);
+    }
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "property sweep is minutes-long under the interpreter")]
+fn merges_match_brute_force_on_a_deep_chain_and_many_small_intervals() {
+    // The ancestor merge where every origin has hundreds of ancestors of
+    // its own label: a chain 240 levels deep of `a`s, each with an
+    // attribute, a text node and a leaf `a` beside the next level.  Origin
+    // sets of every kind and density, the root alone and the deepest leaf
+    // alone, and `axis_image_among` over random lists.
+    let levels = if cfg!(miri) { 20 } else { 240 };
+    let chain = format!(
+        "<r>{}{}</r>",
+        r#"<a p="1">t<a/>"#.repeat(levels),
+        "</a>".repeat(levels)
+    );
+    let doc = minctx_xml::parse(&chain).expect("well-formed");
+    let kind = |pick: fn(&minctx_xml::NodeKind) -> bool| -> NodeSet {
+        doc.all_nodes().filter(|&n| pick(&doc.kind(n))).collect()
+    };
+    let deepest = doc.all_nodes().filter(|&n| doc.kind(n).is_element()).last();
+    let mut sets = vec![
+        ("attributes", kind(|k| k.is_attribute())),
+        ("text", kind(|k| k.is_text())),
+        ("root", NodeSet::singleton(doc.root())),
+        ("deepest", deepest.into_iter().collect()),
+        (
+            "root and deepest",
+            [doc.root()].into_iter().chain(deepest).collect(),
+        ),
+    ];
+    let mut rng = 0xc4a1_u64;
+    for density in [1, 3, 20, 80, 100] {
+        sets.push(("random", random_subset(&doc, &mut rng, density)));
+    }
+    let lists: Vec<Vec<NodeId>> = [5, 50, 100]
+        .iter()
+        .map(|&pct| random_subset(&doc, &mut rng, pct).into_vec())
+        .collect();
+    for (tag, set) in &sets {
+        let tag = format!("chain of {levels}, {tag} ({})", set.len());
+        check_against_brute_force(&doc, set, &tag);
+        check_among(&doc, set, &lists, &tag);
+    }
+
+    // Thousands of one-node intervals over a long list: the descendant
+    // merge gallops from one to the next.  Checked on the subtree and
+    // ancestor axes (the oracle is quadratic).
+    let pairs = if cfg!(miri) { 30 } else { 2_000 };
+    let doc =
+        minctx_xml::parse(&format!("<r>{}</r>", "<a><a/></a>".repeat(pairs))).expect("well-formed");
+    let outer: Vec<NodeId> = doc.children(doc.document_element()).collect();
+    let inner: NodeSet = outer.iter().filter_map(|&a| doc.first_child(a)).collect();
+    let axes = [
+        Axis::Descendant,
+        Axis::DescendantOrSelf,
+        Axis::Ancestor,
+        Axis::AncestorOrSelf,
+    ];
+    for (tag, set) in [
+        ("every outer", outer.iter().copied().collect()),
+        (
+            "every third outer",
+            outer.iter().copied().step_by(3).collect(),
+        ),
+        ("every inner", inner),
+    ] {
+        check_axes(&doc, &set, &axes, &format!("{pairs} pairs, {tag}"));
     }
 }
 
