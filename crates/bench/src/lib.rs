@@ -6,7 +6,7 @@
 //! paper's complexity bounds are counted in fuel by
 //! `crates/core/tests/theorems.rs`.
 
-use minctx_core::Value;
+use minctx_core::{Engine, Strategy, Value};
 use minctx_xml::{Document, DocumentBuilder};
 
 /// A balanced tree of alternating `<even>`/`<odd>` elements, `fanout`
@@ -118,6 +118,211 @@ pub fn values_agree(a: &Value, b: &Value) -> bool {
 #[inline]
 fn pct(state: &mut u64, p: u8) -> bool {
     xorshift(state) % 100 < p as u64
+}
+
+/// One of the `;`-separated alternatives in `list`.
+fn pick<'a>(rng: &mut u64, list: &'a str) -> &'a str {
+    let n = list.split(';').count() as u64;
+    let i = (xorshift(rng) % n) as usize;
+    list.split(';').nth(i).expect("in range").trim()
+}
+
+/// The element labels of [`random_doc`], which [`random_query`] names.
+const LABELS: [&str; 4] = ["a", "b", "c", "d"];
+const TEXTS: &str = "v; x; 1; 2.5";
+
+/// A seeded random document of about `nodes` nodes under an `<r>` root,
+/// nested by a random walk: elements labeled `a` to `d`, attributes
+/// `p` and `q` with small values, `id`s `k0`, `k1`, … wired into the id
+/// index, text, comments and PIs.  A text node names an id now and then,
+/// spaced off so that no token spans two text nodes: the set kernels
+/// tokenize per text node, `id(.)` the whole string (DESIGN.md).  With
+/// `run > 0` one element, placed at random, also holds `run` leaf children
+/// in a row.  No two text nodes are adjacent, so `to_xml_string` and a
+/// re-parse give back the same ordinals.
+pub fn random_doc(seed: u64, nodes: usize, run: usize) -> Document {
+    let mut rng = seed | 1;
+    let mut b = DocumentBuilder::new();
+    let (mut open, mut made, mut ids) = (1usize, 1usize, 0usize);
+    let mut run_at = (run > 0).then(|| xorshift(&mut rng) as usize % nodes.max(1));
+    let mut after_text = false;
+    let element = |b: &mut DocumentBuilder, rng: &mut u64, ids: &mut usize| {
+        let id = format!("k{ids}");
+        let mut attrs = Vec::new();
+        if pct(rng, 25) {
+            attrs.push(("p", pick(rng, TEXTS)));
+        }
+        if pct(rng, 15) {
+            attrs.push(("q", pick(rng, TEXTS)));
+        }
+        if pct(rng, 15) {
+            attrs.push(("id", id.as_str()));
+            *ids += 1;
+        }
+        b.start_element(LABELS[xorshift(rng) as usize % LABELS.len()], &attrs);
+    };
+    b.start_element("r", &[]);
+    while made < nodes {
+        let text = !after_text;
+        after_text = false;
+        match xorshift(&mut rng) % 12 {
+            0..=3 if open > 1 => {
+                b.end_element();
+                open -= 1;
+            }
+            4 if text && ids > 0 => {
+                b.text(&format!(" k{} ", xorshift(&mut rng) as usize % ids));
+                (made, after_text) = (made + 1, true);
+            }
+            4 | 5 if text => {
+                b.text(pick(&mut rng, TEXTS));
+                (made, after_text) = (made + 1, true);
+            }
+            6 => {
+                b.comment("c");
+                made += 1;
+            }
+            7 => {
+                b.processing_instruction("pi", "d");
+                made += 1;
+            }
+            _ => {
+                element(&mut b, &mut rng, &mut ids);
+                (open, made) = (open + 1, made + 1);
+                if run_at.is_some_and(|at| made > at) {
+                    run_at = None;
+                    for _ in 0..run {
+                        element(&mut b, &mut rng, &mut ids);
+                        if pct(&mut rng, 20) {
+                            b.text(pick(&mut rng, TEXTS));
+                        }
+                        b.end_element();
+                    }
+                }
+            }
+        }
+    }
+    for _ in 0..open {
+        b.end_element();
+    }
+    b.finish().expect("random doc is well-formed")
+}
+
+/// One step of [`random_query`]: every axis, a test the axis can match,
+/// 0–2 predicates.  Spelled out and weighted up: `descendant-or-self::
+/// node()` and the spec's expansions of `following` and `preceding`, the
+/// chains the rewriter fuses, so the unfused chains run too.
+fn random_step(rng: &mut u64, depth: usize) -> String {
+    let mut step = match pick(
+        rng,
+        "child; child; child; child; child; dos; dos; dos; descendant; descendant; \
+         descendant-or-self; self; parent; ancestor; ancestor-or-self; following-sibling; \
+         preceding-sibling; following; preceding; attribute; chain; chain",
+    ) {
+        "dos" => "descendant-or-self::node()".to_string(),
+        "attribute" => format!("@{}", pick(rng, "p; q; id; *; node()")),
+        axis => {
+            let chain = "following::node(); preceding::node(); \
+                         ancestor-or-self::node()/following-sibling::node(); \
+                         ancestor-or-self::node()/preceding-sibling::node()";
+            let axis = match axis {
+                "chain" => format!("{}/descendant-or-self", pick(rng, chain)),
+                axis => axis.to_string(),
+            };
+            let tests = "a; b; c; d; a; b; c; d; *; *; *; node(); node(); text(); comment(); \
+                         processing-instruction()";
+            format!("{axis}::{}", pick(rng, tests))
+        }
+    };
+    for _ in 0..[0, 0, 0, 0, 1, 1, 1, 2][xorshift(rng) as usize % 8] {
+        step = format!("{step}[{}]", random_pred(rng, depth));
+    }
+    step
+}
+
+/// One to three [`random_step`]s, each after `/` or `//`.
+fn random_path(rng: &mut u64, depth: usize) -> String {
+    let mut path = random_step(rng, depth);
+    for _ in 0..xorshift(rng) % 3 {
+        path.push_str(if xorshift(rng) % 3 == 0 { "//" } else { "/" });
+        path.push_str(&random_step(rng, depth));
+    }
+    path
+}
+
+/// A predicate: positional (through arithmetic, ±∞ and NaN, beside a
+/// count), constant (a folding and hoisting target), or a boolean tree
+/// over existence and comparison atoms, nested steps included.
+fn random_pred(rng: &mut u64, depth: usize) -> String {
+    let k = 1 + xorshift(rng) % 3;
+    let t = LABELS[xorshift(rng) as usize % LABELS.len()];
+    match xorshift(rng) % 10 {
+        0 if xorshift(rng) % 3 == 0 => format!("position() = count({t}[1]) + {k}"),
+        0 => k.to_string(),
+        1 => pick(
+            rng,
+            "last(); position() != last(); position() mod 2 = 1; last() - position() < 2; \
+             position() = last() div 2; position() div 0 = last() div 0; \
+             (last() - position()) div 0 > 0; position() = count(@*); position() = '2'",
+        )
+        .to_string(),
+        2 => pick(
+            rng,
+            "true(); 1 = 1; 3 > 2 + 0; count(/r) = 1; string-length('ab') = 2; false()",
+        )
+        .to_string(),
+        3 if depth > 0 => format!("not({})", random_pred(rng, depth - 1)),
+        4 if depth > 0 => {
+            let op = pick(rng, "and; or");
+            let (l, r) = (random_pred(rng, depth - 1), random_pred(rng, depth - 1));
+            format!("({l} {op} {r})")
+        }
+        5 if depth > 0 => random_path(rng, depth - 1),
+        _ => pick(
+            rng,
+            "b; @p; a/b; . = 'v'; @q = 'v'; @p != 1; text() > 1; count(*) > 1; count(b) > 1; \
+             not(d); ancestor::a; following-sibling::*; preceding-sibling::b; .//c; c[d]; \
+             //d/@q; b/descendant-or-self::node(); a/parent::node(); \
+             following-sibling::b = 'v'; descendant-or-self::a; id(.)",
+        )
+        .to_string(),
+    }
+}
+
+/// A seeded random query: a random path after `/`, `//`, an `id()` call
+/// or nothing (a relative path from the root), then perhaps a wrapper:
+/// `count`, `boolean`, `string`, a union with itself or another path, or a
+/// `(…)[p]` filter.
+pub fn random_query(rng: &mut u64) -> String {
+    let start = pick(rng, "/; /; /; //; //; //; ; id('k0 k2')/");
+    let q = format!("{start}{}", random_path(rng, 2));
+    match xorshift(rng) % 10 {
+        0 => format!("count({q})"),
+        1 => format!("boolean({q})"),
+        2 => format!("string({q})"),
+        3 => format!("{q} | {q}"),
+        4 => format!("{q} | //{}", random_step(rng, 1)),
+        5 => format!("({q})[{}]", random_pred(rng, 2)),
+        _ => q,
+    }
+}
+
+/// Every arena strategy with the rewrite pipeline off and on, raw naive
+/// first: the eight engines the differential suites compare.  Naive alone
+/// is metered by `naive_fuel`, so a query it would take exponential time
+/// on ends in `BudgetExhausted` rather than a hang.
+pub fn engines(naive_fuel: Option<u64>) -> Vec<Engine> {
+    let engine = |s: Strategy, optimize: bool| {
+        let e = Engine::new(s).with_optimizer(optimize);
+        match naive_fuel {
+            Some(fuel) if s == Strategy::Naive => e.with_budget(fuel),
+            _ => e,
+        }
+    };
+    Strategy::ALL
+        .iter()
+        .flat_map(|&s| [engine(s, false), engine(s, true)])
+        .collect()
 }
 
 /// Generates an XMark-style document (see [`XmarkConfig`]).  Shape is an
@@ -740,7 +945,6 @@ unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minctx_core::{Engine, Strategy};
 
     #[test]
     fn generators_produce_expected_shapes() {
@@ -750,6 +954,14 @@ mod tests {
         assert_eq!(
             exponential_family(2),
             "//b/parent::a/child::b/parent::a/child::b"
+        );
+        // The run is there, and the text round trip keeps every ordinal.
+        let d = random_doc(7, 40, 240);
+        assert!(d.all_nodes().any(|n| d.children(n).count() >= 240));
+        let xml = minctx_xml::serialize::to_xml_string(&d);
+        assert_eq!(
+            minctx_xml::parse(&xml).unwrap().debug_tree(),
+            d.debug_tree()
         );
     }
 

@@ -135,9 +135,7 @@ pub struct Engine {
     strategy: Strategy,
     budget: Budget,
     /// Run the [`rewrite`](crate::rewrite::rewrite) pipeline before
-    /// compiling queries.  On by default; `MINCTX_NO_OPTIMIZER` in the
-    /// environment flips the default off (the no-optimizer CI job), and
-    /// [`Engine::with_optimizer`] overrides either way.
+    /// compiling queries.  On unless [`Engine::with_optimizer`] turns it off.
     optimize: bool,
     /// `(query stamp, document stamp)` → compiled query, LRU-bounded at
     /// `DEFAULT_CACHE_CAPACITY` entries.
@@ -191,23 +189,13 @@ impl Clone for Engine {
     }
 }
 
-/// The optimizer default: on, unless `MINCTX_NO_OPTIMIZER` is set to
-/// anything but `0`/empty (the CI job that re-runs the suite with every
-/// query evaluated as written).
-fn optimizer_default() -> bool {
-    match std::env::var_os("MINCTX_NO_OPTIMIZER") {
-        None => true,
-        Some(v) => v.is_empty() || v == "0",
-    }
-}
-
 impl Engine {
     /// An engine running the given strategy.
     pub fn new(strategy: Strategy) -> Engine {
         Engine {
             strategy,
             budget: Budget::UNLIMITED,
-            optimize: optimizer_default(),
+            optimize: true,
             cache: Mutex::new(LruCache::new(DEFAULT_CACHE_CAPACITY)),
             scratch_pool: Mutex::new(Vec::new()),
             recorder: Recorder::disabled(),
@@ -681,11 +669,10 @@ mod tests {
 
     #[test]
     fn optimizer_is_on_by_default_and_toggleable() {
-        // The default tracks MINCTX_NO_OPTIMIZER (the no-optimizer CI job
-        // runs this very test with it set).
-        let e = Engine::new(Strategy::MinContext);
-        assert_eq!(e.optimizer(), optimizer_default());
-        let e = e.with_optimizer(false);
+        for s in Strategy::ALL.into_iter().chain([Strategy::Streaming]) {
+            assert!(Engine::new(s).optimizer(), "{s}");
+        }
+        let e = Engine::new(Strategy::MinContext).with_optimizer(false);
         assert!(!e.optimizer());
         assert!(e.with_optimizer(true).optimizer());
     }

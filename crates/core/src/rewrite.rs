@@ -69,9 +69,8 @@
 //! rewritten query is what gets compiled, so fused steps resolve their
 //! tests like any others and the compiled-query cache keeps keying on the
 //! original query's stamp.  The [`Engine`](crate::Engine) runs the pipeline
-//! by default; `Engine::with_optimizer(false)` (or the `MINCTX_NO_OPTIMIZER`
-//! environment variable) disables it, which is how the differential suite
-//! evaluates every corpus query both raw and rewritten.
+//! by default; `Engine::with_optimizer(false)` disables it, which is how the
+//! differential suites evaluate every query both raw and rewritten.
 
 use crate::funcs;
 use crate::naive::arith;
@@ -1063,6 +1062,23 @@ mod tests {
         assert_rewrites_to("a/b[count(/c) > 1]", "child::a[count(/c) > 1]/child::b");
         // Context-dependent predicates stay put.
         assert_fixed("child::a/child::b[c]");
+        // The rules' one critical pair: `FoldReverseTail` against hoisting
+        // over a step the hoist empties.  Hoisting goes first, so the
+        // emptied step is dropped (`self`) or flipped (`parent`), and the
+        // outcome is a fixpoint.
+        for (raw, fixpoint) in [
+            (
+                "boolean(a/self::node()[count(/r) = 1]/ancestor::b)",
+                "boolean(a[count(/r) = 1][boolean(ancestor::b)])",
+            ),
+            (
+                "boolean(a/parent::node()[count(/r) = 1]/ancestor::b)",
+                "boolean(self::node()[boolean(a[count(/r) = 1])][boolean(ancestor::b)])",
+            ),
+        ] {
+            assert_rewrites_to(raw, fixpoint);
+            assert_fixed(fixpoint);
+        }
     }
 
     #[test]

@@ -68,20 +68,24 @@ fn sufficient_fuel_changes_nothing() {
     // With enough fuel the metered answer is bit-identical to the
     // unmetered one, for every strategy and an assortment of queries.
     let doc = parse(&doc_xml()).unwrap();
-    for s in Strategy::ALL {
+    for (s, optimize) in Strategy::ALL
+        .into_iter()
+        .flat_map(|s| [(s, false), (s, true)])
+    {
         for q in [
             "count(//b)",
             "/a/b[position() = 2]",
             "boolean(//b)",
             "sum(//b) + count(/a/*)",
         ] {
-            let unmetered = Engine::new(s).evaluate_str(&doc, q).unwrap();
-            let metered = Engine::new(s)
+            let engine = Engine::new(s).with_optimizer(optimize);
+            let unmetered = engine.evaluate_str(&doc, q).unwrap();
+            let metered = engine
                 .with_budget(100_000_000)
                 .with_timeout(Duration::from_secs(600))
                 .evaluate_str(&doc, q)
                 .unwrap();
-            assert_eq!(unmetered, metered, "strategy {s} query {q}");
+            assert_eq!(unmetered, metered, "{s} optimize={optimize} query {q}");
         }
     }
 }
@@ -360,25 +364,28 @@ fn column_kernels_are_metered_per_candidate() {
         ("count(//*[@id])", 100.0),
     ] {
         for s in [Strategy::MinContext, Strategy::OptMinContext] {
-            let engine = Engine::new(s);
-            assert_eq!(
-                engine.evaluate_str(&doc, q),
-                Ok(Value::Number(want)),
-                "{s} {q}"
-            );
-            let spent = engine.explain(&doc, q).unwrap().fuel_spent;
-            for fuel in [0, 1, 7, 50, 150, 299, spent - 1] {
-                let err = engine.clone().with_budget(fuel).evaluate_str(&doc, q);
+            for optimize in [false, true] {
+                let engine = Engine::new(s).with_optimizer(optimize);
+                let tag = format!("{s} optimize={optimize} {q}");
                 assert_eq!(
-                    err,
-                    Err(EvalError::BudgetExhausted {
-                        cause: Exhausted::Fuel { fuel }
-                    }),
-                    "{s} {q} fuel={fuel} of {spent}"
+                    engine.evaluate_str(&doc, q),
+                    Ok(Value::Number(want)),
+                    "{tag}"
                 );
+                let spent = engine.explain(&doc, q).unwrap().fuel_spent;
+                for fuel in [0, 1, 7, 50, 150, 299, spent - 1] {
+                    let err = engine.clone().with_budget(fuel).evaluate_str(&doc, q);
+                    assert_eq!(
+                        err,
+                        Err(EvalError::BudgetExhausted {
+                            cause: Exhausted::Fuel { fuel }
+                        }),
+                        "{tag} fuel={fuel} of {spent}"
+                    );
+                }
+                let exact = engine.clone().with_budget(spent).evaluate_str(&doc, q);
+                assert_eq!(exact, Ok(Value::Number(want)), "{tag}");
             }
-            let exact = engine.clone().with_budget(spent).evaluate_str(&doc, q);
-            assert_eq!(exact, Ok(Value::Number(want)), "{s} {q}");
         }
     }
 }

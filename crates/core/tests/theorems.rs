@@ -24,10 +24,9 @@
 //!   `descendant::` predicate walks each node's subtree, quadratic on a
 //!   chain.  DESIGN.md "The paper's bounds, counted" lists every ratio.)
 //!
-//! Every engine pins [`Engine::with_optimizer`], so the bounds hold with
-//! `MINCTX_NO_OPTIMIZER` set as well.  Every query is asserted to select
-//! something on every document it is measured on, so no bound holds
-//! vacuously on empty answers.
+//! Every engine pins [`Engine::with_optimizer`].  Every query is asserted
+//! to select something on every document it is measured on, so no bound
+//! holds vacuously on empty answers.
 
 use minctx_bench::{
     exponential_doc, exponential_family, uniform_tree, CORE_XPATH_QUERIES, FULL_XPATH_QUERIES,

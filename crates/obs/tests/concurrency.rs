@@ -12,21 +12,11 @@
 //! shows the checker has teeth: a model with a separate count cell is
 //! caught violating conservation under some interleaving.
 
+use minctx_bench::xorshift;
 use minctx_obs::{Counter, Histogram, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-
-/// The workspace's seeded PRNG idiom (cf. `minctx-bench`): deterministic,
-/// dependency-free, good enough to scatter values across buckets.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
 
 #[test]
 fn histogram_hammer_conserves_counts_exactly() {

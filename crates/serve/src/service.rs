@@ -335,8 +335,7 @@ pub const QUERY_CACHE_CAPACITY: usize = 256;
 pub struct ServeBuilder {
     workers: usize,
     /// The engine every worker clones: OPTMINCONTEXT, optimizer per
-    /// [`ServeBuilder::optimizer`] (default: the engine's own default,
-    /// which honors `MINCTX_NO_OPTIMIZER`).
+    /// [`ServeBuilder::optimizer`] (default: on).
     engine: Engine,
     snapshot_cache_capacity: usize,
     shards: usize,
@@ -368,8 +367,7 @@ impl ServeBuilder {
         self
     }
 
-    /// Force the rewrite pipeline on or off (default: the engine's own
-    /// default, which honors `MINCTX_NO_OPTIMIZER`).
+    /// Turns the rewrite pipeline on or off (default: on).
     pub fn optimizer(mut self, on: bool) -> ServeBuilder {
         self.engine = self.engine.with_optimizer(on);
         self

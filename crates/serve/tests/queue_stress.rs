@@ -9,37 +9,20 @@
 //! = items pushed, with no overlap, no loss, and no duplicates — no
 //! matter where the asynchronous `close` landed relative to each push.
 //!
-//! The schedule is perturbed by a seeded xorshift RNG (spin-jitter and
-//! a randomized close point), so failures reproduce by seed.  Under
-//! Miri the iteration counts drop to keep the run tractable.
+//! The schedule is perturbed by the workspace's seeded RNG
+//! (`minctx_bench::xorshift`: spin-jitter and a randomized close point),
+//! so failures reproduce by seed.  Under Miri the iteration counts drop
+//! to keep the run tractable.
 
+use minctx_bench::xorshift;
 use minctx_serve::{PushError, Queue, TryPop};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::thread;
 
-/// Tiny deterministic xorshift64* — the workspace vendors nothing, so
-/// no rand crate; reproducibility by seed is all that matters here.
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> XorShift {
-        XorShift(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-}
-
 /// Burns a few cycles to perturb thread timing without sleeping.
-fn jitter(rng: &mut XorShift, max_spins: u32) {
-    let spins = (rng.next() % u64::from(max_spins.max(1))) as u32;
+fn jitter(rng: &mut u64, max_spins: u32) {
+    let spins = (xorshift(rng) % u64::from(max_spins.max(1))) as u32;
     for _ in 0..spins {
         std::hint::spin_loop();
     }
@@ -60,7 +43,7 @@ fn run_race(seed: u64) -> (BTreeSet<u32>, BTreeSet<u32>, Vec<u32>) {
         .map(|p| {
             let q = Arc::clone(&q);
             thread::spawn(move || {
-                let mut rng = XorShift::new(seed ^ (0xbabe << 8) ^ u64::from(p));
+                let mut rng = (seed ^ (0xbabe << 8) ^ u64::from(p)).max(1);
                 let mut accepted = BTreeSet::new();
                 let mut rejected = BTreeSet::new();
                 for i in 0..ITEMS_PER_PRODUCER {
@@ -88,7 +71,7 @@ fn run_race(seed: u64) -> (BTreeSet<u32>, BTreeSet<u32>, Vec<u32>) {
     let closer = {
         let q = Arc::clone(&q);
         thread::spawn(move || {
-            let mut rng = XorShift::new(seed ^ 0xc105_e0ff);
+            let mut rng = (seed ^ 0xc105_e0ff).max(1);
             jitter(&mut rng, 4096);
             q.close();
         })

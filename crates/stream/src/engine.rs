@@ -408,8 +408,6 @@ mod tests {
         // Raw `//a/b/..` has a reverse step → arena; rewritten it streams.
         let q = parse_xpath("//a/b/..").unwrap();
         let xml = "<r><a><b/></a><a/></r>";
-        // Pin the optimizer explicitly: the default tracks
-        // MINCTX_NO_OPTIMIZER (the no-optimizer CI job runs this test).
         let on = streaming().with_optimizer(true);
         let out = on.evaluate_reader_str(&q, xml).unwrap();
         assert!(out.is_streamed(), "rewritten query should stream");

@@ -97,8 +97,7 @@ fn streaming_agrees_with_mincontext_on_the_corpus() {
 #[test]
 fn classifier_verdict_matches_evaluate_reader_behavior() {
     // `classify` (on the rewritten query, mirroring an optimizing
-    // engine) must predict exactly which corpus queries stream.  The
-    // optimizer is pinned on: the default tracks MINCTX_NO_OPTIMIZER.
+    // engine) must predict exactly which corpus queries stream.
     let (_, doc) = &documents()[0];
     let xml = to_xml_string(doc);
     let engine = Engine::new(Strategy::Streaming).with_optimizer(true);

@@ -149,8 +149,12 @@ fn the_longest_step_chains_are_answered_or_run_out_of_budget() {
     };
     for query in &chains {
         for strategy in Strategy::ALL {
-            let engine = Engine::new(strategy).with_timeout(Duration::from_millis(250));
-            answered(engine.evaluate_str(&doc, query), query);
+            for optimize in [false, true] {
+                let engine = Engine::new(strategy)
+                    .with_optimizer(optimize)
+                    .with_timeout(Duration::from_millis(250));
+                answered(engine.evaluate_str(&doc, query), query);
+            }
         }
     }
     // Two workers, every chain in flight at once: each ticket resolves and
@@ -210,13 +214,16 @@ fn queries_at_the_depth_limit_run_on_a_two_mebibyte_stack() {
                     }
                 }
                 let parsed = minctx::syntax::parse_xpath(&query).unwrap();
-                let streamed = Engine::new(Strategy::Streaming)
-                    .with_budget(2_000_000)
-                    .evaluate_reader_str(&parsed, &xml);
-                assert!(
-                    !matches!(streamed, Err(EvalError::Parse(_))),
-                    "{name}: {streamed:?}"
-                );
+                for optimize in [false, true] {
+                    let streamed = Engine::new(Strategy::Streaming)
+                        .with_optimizer(optimize)
+                        .with_budget(2_000_000)
+                        .evaluate_reader_str(&parsed, &xml);
+                    assert!(
+                        !matches!(streamed, Err(EvalError::Parse(_))),
+                        "{name}, optimize={optimize}: {streamed:?}"
+                    );
+                }
             }
         })
         .expect("spawn");
