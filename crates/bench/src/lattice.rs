@@ -1,17 +1,21 @@
 //! The evaluation lattice: every arena strategy with the rewriter off and
 //! on, over an owned and a mapped copy of the document, and the streaming
 //! engine with the rewriter off and on over the document's text — all
-//! against raw `Naive`, context-at-a-time semantics.  The inputs are the
-//! shared corpus and seeded `random_query`s on seeded `random_doc`s, some
-//! of them with a run of 240 siblings.  CVT and naive sit out the
-//! documents too large for them (see [`Stores::engines`]).
+//! against raw `Naive`, context-at-a-time semantics.  CVT and naive sit
+//! out the documents too large for them.
+//!
+//! The suites that run it, each on its own inputs:
+//! `core/tests/differential.rs::all_strategies_agree_on_the_corpus` (the
+//! corpus), `bench/tests/snapshot_differential.rs` (the corpus queries on
+//! an XMark document), `stream/tests/stream_property.rs` (seeded
+//! [`random_query`]s on seeded [`random_doc`]s) and
+//! `core/tests/rewrite_property.rs` (the same beside a run of 240
+//! siblings).
 //!
 //! A failure prints what reproduces it from the log alone: the document's
 //! seed, the query, the configuration and the document as XML.
 
-use minctx_bench::{
-    corpus, engines, random_doc, random_query, values_agree, xmark_doc, XmarkConfig,
-};
+use crate::{engines, random_doc, random_query, values_agree};
 use minctx_core::{open_snapshot, write_snapshot, Engine, EvalError, Strategy, Value};
 use minctx_stream::{StreamOutcome, StreamValue, StreamingEngine};
 use minctx_xml::{parse, serialize::to_xml_string, Document};
@@ -66,7 +70,7 @@ impl Stores {
 
 /// What the runs saw, for the floors.
 #[derive(Default)]
-struct Tally {
+pub struct Tally {
     cases: usize,
     non_empty: usize,
     streamed: usize,
@@ -77,7 +81,7 @@ impl Tally {
     /// fed, not only its fallback: at least `non_empty` per cent of the
     /// answers select something, and `streamed` per cent of the two
     /// streaming runs a case makes stream.
-    fn floors(&self, non_empty: usize, streamed: usize) {
+    pub fn floors(&self, non_empty: usize, streamed: usize) {
         let Tally { cases, .. } = *self;
         let ok = self.non_empty * 100 >= non_empty * cases
             && self.streamed * 100 >= streamed * 2 * cases;
@@ -153,39 +157,20 @@ fn check(st: &Stores, engines: &[Engine], q: &str, tally: &mut Tally) {
 }
 
 /// Every corpus query on each of `documents`.
-fn corpus_on(documents: &[(String, Document)]) -> Tally {
+pub fn corpus_on(documents: &[(String, Document)]) -> Tally {
     let mut tally = Tally::default();
     for (name, doc) in documents {
         let st = Stores::new(name.clone(), doc);
         let engines = st.engines();
-        for q in corpus::QUERIES {
+        for q in crate::corpus::QUERIES {
             check(&st, &engines, q, &mut tally);
         }
     }
     tally
 }
 
-#[test]
-#[cfg_attr(miri, ignore = "minutes-long under the interpreter")]
-fn the_corpus_agrees_with_naive_in_every_configuration() {
-    let documents = corpus::documents();
-    let tally = corpus_on(&documents);
-    tally.floors(25, 10);
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "minutes-long under the interpreter")]
-fn the_corpus_agrees_on_an_xmark_document_in_every_configuration() {
-    // An irregular shape with ids and attributes at realistic densities, so
-    // the postings and id-index paths see their benchmark shape.  It is
-    // past naive's and CVT's size: MINCONTEXT without the rewriter is the
-    // oracle.
-    let doc = xmark_doc(&XmarkConfig::sized(2_000));
-    corpus_on(&[("xmark-2k".into(), doc)]).floors(0, 5);
-}
-
 /// `queries` seeded queries on each `random_doc(seed, nodes, run)`.
-fn generated(seeds: impl Iterator<Item = (u64, usize, usize)>, queries: usize) -> Tally {
+pub fn generated(seeds: impl Iterator<Item = (u64, usize, usize)>, queries: usize) -> Tally {
     let mut tally = Tally::default();
     for (seed, nodes, run) in seeds {
         let doc = random_doc(seed, nodes, run);
@@ -197,18 +182,4 @@ fn generated(seeds: impl Iterator<Item = (u64, usize, usize)>, queries: usize) -
         }
     }
     tally
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "minutes-long under the interpreter")]
-fn generated_queries_agree_with_naive_in_every_configuration() {
-    let tally = generated((1..=16).map(|s| (s, 20 + s as usize * 3, 0)), 30);
-    tally.floors(25, 5);
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "minutes-long under the interpreter")]
-fn generated_queries_agree_with_naive_beside_a_long_sibling_run() {
-    let tally = generated((1..=2).map(|s| (s * 0x9e37, 40, 240)), 40);
-    tally.floors(25, 5);
 }

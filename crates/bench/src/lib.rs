@@ -1,6 +1,7 @@
 //! Test support shared by the workspace's suites: synthetic document
 //! generators, the paper's query families, the cross-suite differential
-//! corpus, and a byte-counting allocator for the allocation checks.
+//! corpus, the evaluation lattice ([`lattice`]), and a byte-counting
+//! allocator for the allocation checks.
 //!
 //! Nothing here times anything: the repo's ruler is `benchmark/`, and the
 //! paper's complexity bounds are counted in fuel by
@@ -8,6 +9,8 @@
 
 use minctx_core::{Engine, Strategy, Value};
 use minctx_xml::{Document, DocumentBuilder};
+
+pub mod lattice;
 
 /// A balanced tree of alternating `<even>`/`<odd>` elements, `fanout`
 /// children per node down to `depth`, leaves carrying their pre-order

@@ -1,9 +1,10 @@
-//! Snapshot round-trip suite: the set kernels on owned and mapped copies,
+//! Snapshot round-trip suite: the corpus queries on an owned and a mapped
+//! XMark document, the set kernels on owned and mapped copies,
 //! compiled-query caches on a mapped document, and byte-stable
-//! re-serialization.  The whole corpus on owned and mapped documents under
-//! every strategy is `lattice.rs`.
+//! re-serialization.  The corpus documents' mapped copies are held to the
+//! owned ones by `core/tests/differential.rs`.
 
-use minctx_bench::{xmark_doc, XmarkConfig};
+use minctx_bench::{lattice, xmark_doc, XmarkConfig};
 use minctx_core::{open_snapshot, write_snapshot, Engine, Strategy};
 use minctx_xml::Document;
 use std::path::PathBuf;
@@ -25,6 +26,17 @@ fn reopen(name: &str, doc: &Document) -> Document {
     assert_eq!(mapped.stamp(), info.stamp, "{name}: stamp");
     assert_ne!(mapped.stamp(), doc.stamp(), "{name}: namespaces disjoint");
     mapped
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "minutes-long under the interpreter")]
+fn corpus_agrees_owned_vs_mapped_across_all_strategies() {
+    // An irregular shape with ids and attributes at realistic densities, so
+    // the postings and id-index paths see their benchmark shape, in every
+    // configuration of the lattice.  It is past naive's and CVT's size:
+    // MINCONTEXT without the rewriter is the oracle.
+    let doc = xmark_doc(&XmarkConfig::sized(2_000));
+    lattice::corpus_on(&[("xmark-2k".into(), doc)]).floors(0, 5);
 }
 
 #[test]

@@ -1,16 +1,16 @@
-//! The cross-strategy differential oracle at non-root contexts, and
-//! pinned answers that keep it from agreeing vacuously.
+//! The cross-strategy differential oracle: the corpus in every
+//! configuration of the evaluation lattice, strategies at non-root
+//! contexts, and pinned answers that keep it from agreeing vacuously.
 //!
 //! The strategies share the value/conversion library but nothing of their
 //! evaluation order — naive is top-down context-at-a-time, the tables are
 //! bottom-up over all contexts, MINCONTEXT is top-down set-at-a-time with
 //! memoization, OPTMINCONTEXT adds backward axis propagation — so their
 //! agreement, each with the rewrite pipeline off and on, is strong
-//! evidence of semantic correctness.  The whole corpus in every
-//! configuration is `crates/bench/tests/lattice.rs`.
+//! evidence of semantic correctness.
 
 use minctx_bench::corpus::{documents, QUERIES};
-use minctx_bench::{engines, values_agree};
+use minctx_bench::{engines, lattice, values_agree};
 use minctx_core::{Engine, Value};
 
 /// `"cvt"` / `"cvt+opt"` — for failure messages.
@@ -26,6 +26,13 @@ fn corpus_has_at_least_forty_queries() {
         "differential corpus shrank to {}",
         QUERIES.len()
     );
+}
+
+#[test]
+fn all_strategies_agree_on_the_corpus() {
+    // Every strategy with the rewriter off and on, over owned and mapped
+    // copies, and the streamer off and on, against raw naive.
+    lattice::corpus_on(&documents()).floors(25, 10);
 }
 
 #[test]

@@ -8,14 +8,16 @@
 //! coincide: the raw naive evaluator is the semantics oracle, and any
 //! unsound pass (fusing past a positional predicate, dropping a non-total
 //! step, hoisting a context-dependent predicate, interning distinct nodes)
-//! shows up as a divergence on some seed.  `crates/bench/tests/lattice.rs`
-//! runs the same grammar over mapped documents and the streamer too.
+//! shows up as a divergence on some seed.  The grammar's positional
+//! predicates also run beside a long sibling run through the whole
+//! evaluation lattice (`minctx_bench::lattice`): mapped documents and the
+//! streamer too.
 //!
 //! Every generated query is also rewritten twice: one call must reach the
 //! fixpoint (rewriting its result fires nothing and changes nothing), in
 //! at most two arena traversals, and leave a canonical arena.
 
-use minctx_bench::{engines, random_doc, random_query, values_agree};
+use minctx_bench::{engines, lattice, random_doc, random_query, values_agree};
 use minctx_core::{rewrite_traced, Engine, EvalError, Value};
 use minctx_syntax::{parse_xpath, Query};
 use minctx_xml::{serialize::to_xml_string, Document};
@@ -63,9 +65,10 @@ fn assert_canonical(q: &Query, src: &str) {
     assert_eq!(strays, 0, "{src:?}: {strays} unreachable nodes in {q:#?}");
 }
 
-/// Asserts that every engine that answers `q` gives the same answer; a
-/// failure prints the seed, the query, the engine and the document.
-fn assert_all_agree(engines: &[Engine], doc: &Document, q: &str, seed: u64) {
+/// Asserts that every engine that answers `q` gives the same answer, and
+/// returns it; a failure prints the seed, the query, the engine and the
+/// document.
+fn assert_all_agree(engines: &[Engine], doc: &Document, q: &str, seed: u64) -> Value {
     let mut baseline: Option<Value> = None;
     for e in engines {
         let Some(v) = eval(e, doc, q) else { continue };
@@ -81,7 +84,7 @@ fn assert_all_agree(engines: &[Engine], doc: &Document, q: &str, seed: u64) {
             ),
         }
     }
-    assert!(baseline.is_some(), "seed {seed}: no engine answered {q:?}");
+    baseline.unwrap_or_else(|| panic!("seed {seed}: no engine answered {q:?}"))
 }
 
 #[test]
@@ -109,6 +112,50 @@ fn raw_and_rewritten_agree_on_random_queries_and_documents() {
         rewrites * 4 >= total,
         "only {rewrites}/{total} random queries were rewritten — generator rotted?"
     );
+}
+
+#[test]
+fn boolean_predicate_trees_agree_across_strategies() {
+    // The grammar's queries that hold a boolean predicate tree (`and`,
+    // `or`, `not`: the shapes MINCONTEXT filters set-at-a-time), 25 per
+    // document, on documents of their own.
+    let engines = engines(Some(3_000_000));
+    let (mut total, mut non_empty) = (0usize, 0usize);
+    for seed in 1..=6u64 {
+        let doc = random_doc(
+            seed.wrapping_mul(0x2545_f491_4f6c_dd1d),
+            30 + seed as usize * 4,
+            0,
+        );
+        let mut rng = seed ^ 0xb001_ea17;
+        let trees = std::iter::repeat_with(|| random_query(&mut rng))
+            .filter(|q| q.contains(" and ") || q.contains(" or ") || q.contains("not("));
+        for q in trees.take(25) {
+            rewritten_once_is_the_fixpoint(&q);
+            total += 1;
+            non_empty += usize::from(match assert_all_agree(&engines, &doc, &q, seed) {
+                Value::NodeSet(ns) => !ns.is_empty(),
+                Value::Number(n) => n > 0.0,
+                Value::Boolean(b) => b,
+                Value::String(s) => !s.is_empty(),
+            });
+        }
+    }
+    // Agreement on empty answers proves little: a fair share must select
+    // something (about a quarter does).
+    assert!(
+        non_empty * 5 >= total,
+        "only {non_empty}/{total} tree queries were non-empty"
+    );
+}
+
+#[test]
+fn positional_steps_agree_with_naive_across_the_lattice() {
+    // Positional predicates of the grammar beside a run of 240 siblings,
+    // where `last()` and `position()` take large values, in every
+    // configuration of the lattice.
+    let tally = lattice::generated((1..=2).map(|s| (s * 0x9e37, 40, 240)), 40);
+    tally.floors(25, 5);
 }
 
 #[test]
