@@ -7,23 +7,25 @@
 //! The suites that run it, each on its own inputs:
 //! `core/tests/differential.rs::all_strategies_agree_on_the_corpus` (the
 //! corpus), `bench/tests/snapshot_differential.rs` (the corpus queries on
-//! an XMark document), `stream/tests/stream_property.rs` (seeded
-//! [`random_query`]s on seeded [`random_doc`]s) and
-//! `core/tests/rewrite_property.rs` (the same beside a run of 240
+//! an XMark document), `stream/tests/stream_property.rs` (the seeded
+//! [`random_query`](crate::random_query)s that stream, on seeded
+//! [`random_doc`]s) and
+//! `core/tests/rewrite_property.rs` (positional shapes beside a run of 240
 //! siblings).
 //!
 //! A failure prints what reproduces it from the log alone: the document's
 //! seed, the query, the configuration and the document as XML.
 
-use crate::{engines, random_doc, random_query, values_agree};
+use crate::{engines, random_doc, values_agree};
 use minctx_core::{open_snapshot, write_snapshot, Engine, EvalError, Strategy, Value};
 use minctx_stream::{StreamOutcome, StreamValue, StreamingEngine};
 use minctx_xml::{parse, serialize::to_xml_string, Document};
 use std::fmt::Debug;
 
-/// Raw naive's fuel.  A query past it costs naive's context-at-a-time
-/// evaluation too much; the first configuration that answers is then the
-/// oracle.
+/// Raw naive's fuel on generated queries.  A query past it costs naive's
+/// context-at-a-time evaluation too much; the first configuration that
+/// answers is then the oracle, and [`Tally::naive`] does not count it.
+/// Listed queries run naive unmetered: it must answer every one.
 const NAIVE_FUEL: u64 = 1_000_000;
 
 /// One document, owned, mapped from a snapshot, and as text.
@@ -55,9 +57,9 @@ impl Stores {
 
     /// The arena engines worth running here: CVT fills `|D|³` cells, so it
     /// sits out documents past 320 nodes, and naive those past 650.
-    fn engines(&self) -> Vec<Engine> {
+    fn engines(&self, naive_fuel: Option<u64>) -> Vec<Engine> {
         let n = self.owned.len();
-        engines(Some(NAIVE_FUEL))
+        engines(naive_fuel)
             .into_iter()
             .filter(|e| match e.strategy() {
                 Strategy::ContextValueTable => n <= 320,
@@ -71,9 +73,14 @@ impl Stores {
 /// What the runs saw, for the floors.
 #[derive(Default)]
 pub struct Tally {
-    cases: usize,
-    non_empty: usize,
-    streamed: usize,
+    /// Queries run, one per document.
+    pub cases: usize,
+    /// Cases whose answer selects something.
+    pub non_empty: usize,
+    /// Cases raw naive answered within its fuel.
+    pub naive: usize,
+    /// Streaming runs, two a case, that streamed rather than fell back.
+    pub streamed: usize,
 }
 
 impl Tally {
@@ -112,6 +119,7 @@ fn check(st: &Stores, engines: &[Engine], q: &str, tally: &mut Tally) {
     };
     let query = minctx_syntax::parse_xpath(q).unwrap_or_else(|e| fail("parse", &"a query", &e));
     let mut want: Option<Value> = None;
+    let mut naive = false;
     for e in engines {
         for (store, doc) in [("owned", &st.owned), ("mapped", &st.mapped)] {
             let config = format!("{} optimize={} {store}", e.strategy(), e.optimizer());
@@ -122,6 +130,7 @@ fn check(st: &Stores, engines: &[Engine], q: &str, tally: &mut Tally) {
                 }
                 Err(err) => fail(&config, &"an answer", &err),
             };
+            naive |= e.strategy() == Strategy::Naive;
             match &want {
                 Some(w) if !values_agree(w, &got) => fail(&config, w, &got),
                 Some(_) => {}
@@ -131,6 +140,7 @@ fn check(st: &Stores, engines: &[Engine], q: &str, tally: &mut Tally) {
     }
     let want = want.unwrap_or_else(|| fail("every arena engine", &"an answer", &"none"));
     tally.cases += 1;
+    tally.naive += usize::from(naive);
     tally.non_empty += usize::from(match &want {
         Value::NodeSet(ns) => !ns.is_empty(),
         Value::Number(n) => *n > 0.0,
@@ -156,29 +166,36 @@ fn check(st: &Stores, engines: &[Engine], q: &str, tally: &mut Tally) {
     }
 }
 
-/// Every corpus query on each of `documents`.
-pub fn corpus_on(documents: &[(String, Document)]) -> Tally {
+/// Every one of `queries` on each of `documents`, raw naive unmetered
+/// where it runs.
+pub fn queries_on(documents: &[(String, Document)], queries: &[impl AsRef<str>]) -> Tally {
     let mut tally = Tally::default();
     for (name, doc) in documents {
         let st = Stores::new(name.clone(), doc);
-        let engines = st.engines();
-        for q in crate::corpus::QUERIES {
-            check(&st, &engines, q, &mut tally);
+        let engines = st.engines(None);
+        for q in queries {
+            check(&st, &engines, q.as_ref(), &mut tally);
         }
     }
     tally
 }
 
-/// `queries` seeded queries on each `random_doc(seed, nodes, run)`.
-pub fn generated(seeds: impl Iterator<Item = (u64, usize, usize)>, queries: usize) -> Tally {
+/// On each `random_doc(seed, nodes, run)`, `per_doc` queries drawn by
+/// `query` from an rng seeded by the document's seed;
+/// [`random_query`](crate::random_query) draws the whole grammar.
+pub fn generated(
+    seeds: impl Iterator<Item = (u64, usize, usize)>,
+    per_doc: usize,
+    mut query: impl FnMut(&mut u64) -> String,
+) -> Tally {
     let mut tally = Tally::default();
     for (seed, nodes, run) in seeds {
         let doc = random_doc(seed, nodes, run);
         let st = Stores::new(format!("random_doc({seed}, {nodes}, {run})"), &doc);
-        let engines = st.engines();
+        let engines = st.engines(Some(NAIVE_FUEL));
         let mut rng = seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
-        for _ in 0..queries {
-            check(&st, &engines, &random_query(&mut rng), &mut tally);
+        for _ in 0..per_doc {
+            check(&st, &engines, &query(&mut rng), &mut tally);
         }
     }
     tally

@@ -281,15 +281,19 @@ fn random_pred(rng: &mut u64, depth: usize) -> String {
             format!("({l} {op} {r})")
         }
         5 if depth > 0 => random_path(rng, depth - 1),
-        _ => pick(
-            rng,
-            "b; @p; a/b; . = 'v'; @q = 'v'; @p != 1; text() > 1; count(*) > 1; count(b) > 1; \
-             not(d); ancestor::a; following-sibling::*; preceding-sibling::b; .//c; c[d]; \
-             //d/@q; b/descendant-or-self::node(); a/parent::node(); \
-             following-sibling::b = 'v'; descendant-or-self::a; id(.)",
-        )
-        .to_string(),
+        _ => random_atom(rng).to_string(),
     }
+}
+
+/// A position-free predicate atom: an existence test or a comparison.
+fn random_atom(rng: &mut u64) -> &'static str {
+    pick(
+        rng,
+        "b; @p; a/b; . = 'v'; @q = 'v'; @p != 1; text() > 1; count(*) > 1; count(b) > 1; \
+         not(d); ancestor::a; following-sibling::*; preceding-sibling::b; .//c; c[d]; \
+         //d/@q; b/descendant-or-self::node(); a/parent::node(); \
+         following-sibling::b = 'v'; descendant-or-self::a; id(.)",
+    )
 }
 
 /// A seeded random query: a random path after `/`, `//`, an `id()` call
@@ -307,6 +311,41 @@ pub fn random_query(rng: &mut u64) -> String {
         4 => format!("{q} | //{}", random_step(rng, 1)),
         5 => format!("({q})[{}]", random_pred(rng, 2)),
         _ => q,
+    }
+}
+
+/// A boolean tree `depth` deep over [`random_atom`]s, two levels in three
+/// a `not`, `and` or `or`.
+fn random_tree(rng: &mut u64, depth: usize) -> String {
+    if depth == 0 || xorshift(rng) % 3 == 0 {
+        return random_atom(rng).to_string();
+    }
+    let a = random_tree(rng, depth - 1);
+    match pick(rng, "not; and; or") {
+        "not" => format!("not({a})"),
+        op => format!("({a} {op} {})", random_tree(rng, depth - 1)),
+    }
+}
+
+/// A seeded query holding a three-deep boolean tree — the shapes
+/// MINCONTEXT filters set-at-a-time — on a step whose candidates are
+/// reached from many, often overlapping, origins: alone, beside a
+/// positional predicate on either side, nested inside another predicate,
+/// on a `(…)[p]` filter start, or counted.
+pub fn random_tree_query(rng: &mut u64) -> String {
+    let step = pick(
+        rng,
+        "//*; //a; //*/b; //b/ancestor::*; //c/following::*; //a/descendant-or-self::node(); \
+         //@*; //*/preceding-sibling::*",
+    );
+    let p = random_tree(rng, 3);
+    match xorshift(rng) % 6 {
+        0 => format!("{step}[{p}][2]"),
+        1 => format!("{step}[last()][{p}]"),
+        2 => format!("//*[{}[{p}]]", step.trim_start_matches("//")),
+        3 => format!("({step})[{p}]"),
+        4 => format!("count({step}[{p}])"),
+        _ => format!("{step}[{p}]"),
     }
 }
 

@@ -4,7 +4,7 @@
 //! re-serialization.  The corpus documents' mapped copies are held to the
 //! owned ones by `core/tests/differential.rs`.
 
-use minctx_bench::{lattice, xmark_doc, XmarkConfig};
+use minctx_bench::{corpus, lattice, xmark_doc, XmarkConfig};
 use minctx_core::{open_snapshot, write_snapshot, Engine, Strategy};
 use minctx_xml::Document;
 use std::path::PathBuf;
@@ -36,7 +36,7 @@ fn corpus_agrees_owned_vs_mapped_across_all_strategies() {
     // configuration of the lattice.  It is past naive's and CVT's size:
     // MINCONTEXT without the rewriter is the oracle.
     let doc = xmark_doc(&XmarkConfig::sized(2_000));
-    lattice::corpus_on(&[("xmark-2k".into(), doc)]).floors(0, 5);
+    lattice::queries_on(&[("xmark-2k".into(), doc)], corpus::QUERIES).floors(0, 5);
 }
 
 #[test]

@@ -8,16 +8,17 @@
 //! coincide: the raw naive evaluator is the semantics oracle, and any
 //! unsound pass (fusing past a positional predicate, dropping a non-total
 //! step, hoisting a context-dependent predicate, interning distinct nodes)
-//! shows up as a divergence on some seed.  The grammar's positional
-//! predicates also run beside a long sibling run through the whole
-//! evaluation lattice (`minctx_bench::lattice`): mapped documents and the
-//! streamer too.
+//! shows up as a divergence on some seed.  Boolean predicate trees
+//! (`minctx_bench::random_tree_query`) get their own documents, and a
+//! list of positional shapes runs beside a long sibling run through the
+//! whole evaluation lattice (`minctx_bench::lattice`): mapped documents
+//! and the streamer too.
 //!
-//! Every generated query is also rewritten twice: one call must reach the
-//! fixpoint (rewriting its result fires nothing and changes nothing), in
-//! at most two arena traversals, and leave a canonical arena.
+//! Every query is also rewritten twice: one call must reach the fixpoint
+//! (rewriting its result fires nothing and changes nothing), in at most
+//! two arena traversals, and leave a canonical arena.
 
-use minctx_bench::{engines, lattice, random_doc, random_query, values_agree};
+use minctx_bench::{engines, lattice, random_doc, random_query, random_tree_query, values_agree};
 use minctx_core::{rewrite_traced, Engine, EvalError, Value};
 use minctx_syntax::{parse_xpath, Query};
 use minctx_xml::{serialize::to_xml_string, Document};
@@ -95,7 +96,7 @@ fn raw_and_rewritten_agree_on_random_queries_and_documents() {
     for seed in 1..=8u64 {
         let doc = random_doc(
             seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            20 + seed as usize * 4,
+            25 + seed as usize * 5,
             0,
         );
         let mut rng = seed;
@@ -116,9 +117,7 @@ fn raw_and_rewritten_agree_on_random_queries_and_documents() {
 
 #[test]
 fn boolean_predicate_trees_agree_across_strategies() {
-    // The grammar's queries that hold a boolean predicate tree (`and`,
-    // `or`, `not`: the shapes MINCONTEXT filters set-at-a-time), 25 per
-    // document, on documents of their own.
+    // 50 boolean trees per document, on documents of their own.
     let engines = engines(Some(3_000_000));
     let (mut total, mut non_empty) = (0usize, 0usize);
     for seed in 1..=6u64 {
@@ -128,9 +127,8 @@ fn boolean_predicate_trees_agree_across_strategies() {
             0,
         );
         let mut rng = seed ^ 0xb001_ea17;
-        let trees = std::iter::repeat_with(|| random_query(&mut rng))
-            .filter(|q| q.contains(" and ") || q.contains(" or ") || q.contains("not("));
-        for q in trees.take(25) {
+        for _ in 0..50 {
+            let q = random_tree_query(&mut rng);
             rewritten_once_is_the_fixpoint(&q);
             total += 1;
             non_empty += usize::from(match assert_all_agree(&engines, &doc, &q, seed) {
@@ -142,20 +140,95 @@ fn boolean_predicate_trees_agree_across_strategies() {
         }
     }
     // Agreement on empty answers proves little: a fair share must select
-    // something (about a quarter does).
+    // something.
     assert!(
-        non_empty * 5 >= total,
+        non_empty * 3 >= total,
         "only {non_empty}/{total} tree queries were non-empty"
     );
 }
 
+/// Positional steps on every route: the sibling-rank route (child and
+/// sibling axes, after a `//` the rewriter may elide), name and wildcard
+/// tests, a predicate before the position, nested positionals, non-sibling
+/// axes and `(…)[k]` filter starts.  Then the shapes OPTMINCONTEXT reads
+/// off a column: `position()` / `last()` off the rank column — through
+/// arithmetic, ±∞ and NaN, beside a count, or not at all for a literal
+/// operand — and `boolean(χ::t)` on the candidates' side.
+fn positional_queries() -> Vec<String> {
+    const LABELS: [&str; 4] = ["a", "b", "c", "d"];
+    let mut queries = Vec::new();
+    for (i, t) in LABELS.iter().enumerate() {
+        let x = LABELS[(i + 1) % LABELS.len()];
+        for k in 1..=3 {
+            queries.extend([
+                format!("//{t}[{k}]"),
+                format!("*/{t}[@p][{k}]"),
+                format!("//{t}[{k}][1]"),
+                format!("//{x}//{t}[{k}]"),
+                format!("(//@p | //{x})//{t}[{k}]"),
+                format!("//{x}/@*/..//{t}[{k}]"),
+                format!("//@*[{k}]"),
+                format!("//node()[{}]", k + 1),
+                format!("//{x}[{t}[{k}]][last()]"),
+                format!("//{t}[position() = count({x}[1]) + {k}]"),
+                format!("(//{t})[{k}]"),
+                format!("//{x}/descendant::{t}[{k}]"),
+                format!("//{x}/following-sibling::{t}[{k}]"),
+            ]);
+        }
+        queries.extend([
+            format!("//{t}[last()]"),
+            format!("//{t}[position() mod 2 = 1]"),
+            format!("//{t}[last()][@p]"),
+            format!("//{t}[@q][last()]/@*[1]"),
+            format!("//{x}//{t}[last()]/text()[1]"),
+            format!("//{t}[last() - position() < 2]"),
+            format!("//{t}[position() = last() div 2]"),
+            format!("//{t}[position() div 0 = last() div 0]"),
+            format!("//{t}[(last() - position()) div 0 > 0]"),
+            format!("//{t}[position() = count(@*)]"),
+            format!("//{t}[position() = '2']"),
+            format!("//{x}/{t}[@p]"),
+            format!("//{x}/{t}[not(@q)]"),
+            format!("//{x}/{t}[*]"),
+            format!("//{x}/{t}[text()]"),
+            format!("//{x}/*[self::{t}]"),
+            format!("//{x}/*[@p][last()]"),
+            format!("//*[{t}][text()][1]"),
+        ]);
+    }
+    queries.push("//text()[last()]".to_string());
+    queries.push("//*[2]/*[last()]/node()[1]".to_string());
+    queries
+}
+
 #[test]
 fn positional_steps_agree_with_naive_across_the_lattice() {
-    // Positional predicates of the grammar beside a run of 240 siblings,
-    // where `last()` and `position()` take large values, in every
-    // configuration of the lattice.
-    let tally = lattice::generated((1..=2).map(|s| (s * 0x9e37, 40, 240)), 40);
-    tally.floors(25, 5);
+    // Beside a run of 240 siblings, where `last()` and `position()` take
+    // large values, in every configuration of the lattice.
+    let queries = positional_queries();
+    for q in &queries {
+        rewritten_once_is_the_fixpoint(q);
+    }
+    let docs: Vec<_> = (1..=5u64)
+        .map(|seed| {
+            let (seed, nodes) = (
+                seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                40 + seed as usize * 8,
+            );
+            (
+                format!("random_doc({seed}, {nodes}, 240)"),
+                random_doc(seed, nodes, 240),
+            )
+        })
+        .collect();
+    // Agreement on empty answers proves little: half must select something.
+    let tally = lattice::queries_on(&docs, &queries);
+    tally.floors(50, 0);
+    assert_eq!(
+        tally.naive, tally.cases,
+        "raw naive sat out a positional case"
+    );
 }
 
 #[test]

@@ -1,194 +1,35 @@
-//! Randomized streaming-soundness property test.
-//!
-//! A seeded generator (xorshift, shared with the other property suites)
-//! emits random *forward-fragment* queries — step chains over
-//! `child`/`descendant(-or-self)`/`self`/`attribute` with nested
-//! existence, negation and literal-comparison predicates — and random
-//! documents with attributes, text, comments and repeated labels.  Each
-//! document is serialized; each query is streamed over the text and
-//! checked ordinal-for-ordinal against MINCONTEXT on a parse of the same
-//! text.  Any unsound corner of the stack automaton (frame propagation,
-//! or-self matching, predicate guard chains, buffered-emission ordering,
-//! ordinal bookkeeping) shows up as a divergence on some seed.
+//! Randomized streaming soundness: the seeded `random_query`s that stream,
+//! on seeded `random_doc`s, each streamed over the document's text with the
+//! rewriter off and on and checked ordinal for ordinal against raw naive,
+//! beside every arena configuration of `minctx_bench::lattice`.  Any
+//! unsound corner of the stack automaton (frame propagation, or-self
+//! matching, predicate guard chains, buffered-emission ordering, ordinal
+//! bookkeeping) shows up as a divergence on some seed.
 
-use minctx_bench::xorshift;
-use minctx_core::{Engine, Strategy};
-use minctx_stream::{StreamOutcome, StreamValue, StreamingEngine};
+use minctx_bench::{lattice, random_query};
+use minctx_stream::classify;
 use minctx_syntax::parse_xpath;
-use minctx_xml::serialize::to_xml_string;
-use minctx_xml::{parse, Document, DocumentBuilder};
 
-const LABELS: &[&str] = &["a", "b", "c", "d"];
-const ATTRS: &[&str] = &["p", "q"];
-const TEXTS: &[&str] = &["v", "x", "1", "2.5"];
-
-fn pick<'a>(rng: &mut u64, pool: &[&'a str]) -> &'a str {
-    pool[xorshift(rng) as usize % pool.len()]
-}
-
-/// A random nested document with attributes (random small values), text,
-/// and the occasional comment/PI, over a 4-letter alphabet.
-fn random_doc(seed: u64, target: usize) -> Document {
-    let mut rng = seed | 1;
-    let mut b = DocumentBuilder::new();
-    let mut open = 1usize;
-    let mut made = 1usize;
-    b.start_element("r", &[]);
-    while made < target {
-        match xorshift(&mut rng) % 8 {
-            0 if open > 1 => {
-                b.end_element();
-                open -= 1;
-            }
-            1 => {
-                b.text(pick(&mut rng, TEXTS));
-                made += 1;
-            }
-            2 => {
-                b.comment("c");
-                made += 1;
-            }
-            3 => {
-                b.processing_instruction("pi", "d");
-                made += 1;
-            }
-            _ => {
-                let label = pick(&mut rng, LABELS);
-                match xorshift(&mut rng) % 3 {
-                    0 => b.start_element(label, &[]),
-                    1 => b.start_element(label, &[(pick(&mut rng, ATTRS), pick(&mut rng, TEXTS))]),
-                    _ => b.start_element(
-                        label,
-                        &[("p", pick(&mut rng, TEXTS)), ("q", pick(&mut rng, TEXTS))],
-                    ),
-                };
-                open += 1;
-                made += 1;
-            }
-        }
-    }
-    for _ in 0..open {
-        b.end_element();
-    }
-    b.finish().expect("random doc is well-formed")
-}
-
-/// One random forward step with 0–2 predicates.
-fn random_step(rng: &mut u64, depth: usize) -> String {
-    let axis_test = match xorshift(rng) % 10 {
-        0 | 1 => format!("descendant-or-self::node()/child::{}", pick(rng, LABELS)),
-        2 => format!("descendant::{}", pick(rng, LABELS)),
-        3 => format!("descendant-or-self::{}", pick(rng, &["a", "b", "*"])),
-        4 => format!("@{}", pick(rng, &["p", "q", "*"])),
-        5 => pick(rng, &["text()", "comment()", "node()", "*", "self::node()"]).to_string(),
-        _ => format!("child::{}", pick(rng, &["a", "b", "c", "d", "*"])),
-    };
-    // Attribute and leaf steps end a chain; only element-ish steps take
-    // predicates here (predicates on leaves are legal but vacuous).
-    if axis_test.contains('@') || axis_test.contains("()") {
-        return axis_test;
-    }
-    let mut s = axis_test;
-    for _ in 0..(xorshift(rng) % 3).saturating_sub(1) {
-        s.push('[');
-        s.push_str(&random_pred(rng, depth));
-        s.push(']');
-    }
-    s
-}
-
-/// A random position-free predicate from the streamable fragment (with
-/// occasional constructs *outside* it, to exercise the fallback path).
-fn random_pred(rng: &mut u64, depth: usize) -> String {
-    match xorshift(rng) % 10 {
-        0 => format!("not({})", pick(rng, LABELS)),
-        1 => format!("@{} = '{}'", pick(rng, ATTRS), pick(rng, TEXTS)),
-        2 => format!("@{} != {}", pick(rng, ATTRS), xorshift(rng) % 3),
-        3 => format!(".//{}", pick(rng, LABELS)),
-        4 => format!("text() = '{}'", pick(rng, TEXTS)),
-        5 if depth > 0 => format!("{}[{}]", pick(rng, LABELS), random_pred(rng, depth - 1)),
-        6 => format!("{} and @{}", pick(rng, LABELS), pick(rng, ATTRS)),
-        7 => format!("{} or .//{}", pick(rng, LABELS), pick(rng, LABELS)),
-        // Outside the fragment: positional / element-value comparisons —
-        // these must fall back, and the fallback must agree too.
-        8 => format!("{} = '{}'", pick(rng, LABELS), pick(rng, TEXTS)),
-        _ => pick(rng, LABELS).to_string(),
-    }
-}
-
-fn random_query(rng: &mut u64) -> String {
-    let mut q = String::new();
-    let steps = 1 + (xorshift(rng) % 3) as usize;
-    for i in 0..steps {
-        q.push('/');
-        let step = random_step(rng, 1);
-        if i > 0 && (step.starts_with('@') || step.contains("()")) {
-            q.push_str(&step);
-            break;
-        }
-        q.push_str(&step);
-    }
-    match xorshift(rng) % 4 {
-        0 => format!("count({q})"),
-        1 => format!("boolean({q})"),
-        _ => q,
-    }
+/// The next query of the grammar the streamer takes unrewritten: its
+/// forward fragment.  The others fall back, which the lattice's other
+/// suites already run.
+fn streamable(rng: &mut u64) -> String {
+    std::iter::repeat_with(|| random_query(rng))
+        .find(|q| classify(&parse_xpath(q).expect("the grammar parses")).is_streamable())
+        .expect("the grammar keeps drawing")
 }
 
 #[test]
 fn random_forward_queries_stream_exactly() {
-    let mut streamed = 0usize;
-    let mut fell_back = 0usize;
-    for seed in 1..=60u64 {
-        let doc = random_doc(seed.wrapping_mul(0x9e37_79b9), 60 + (seed as usize % 40));
-        let xml = to_xml_string(&doc);
-        let reparsed = parse(&xml).unwrap();
-        let oracle = Engine::new(Strategy::MinContext);
-        let engine = Engine::new(Strategy::Streaming);
-        let mut rng = seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
-        for _ in 0..12 {
-            let src = random_query(&mut rng);
-            let query = match parse_xpath(&src) {
-                Ok(q) => q,
-                Err(e) => panic!("seed {seed}: generator emitted bad query {src:?}: {e}"),
-            };
-            let want = oracle.evaluate(&reparsed, &query).unwrap();
-            let out = engine
-                .evaluate_reader_str(&query, &xml)
-                .unwrap_or_else(|e| panic!("seed {seed} {src:?}: {e}"));
-            match out {
-                StreamOutcome::Streamed(v) => {
-                    streamed += 1;
-                    match (&v, &want) {
-                        (StreamValue::Nodes(ms), minctx_core::Value::NodeSet(ns)) => {
-                            let got: Vec<usize> = ms.iter().map(|m| m.ordinal as usize).collect();
-                            let want: Vec<usize> = ns.iter().map(|n| n.index()).collect();
-                            assert_eq!(got, want, "seed {seed} {src:?}");
-                        }
-                        (StreamValue::Number(x), minctx_core::Value::Number(y)) => {
-                            assert_eq!(x, y, "seed {seed} {src:?}");
-                        }
-                        (StreamValue::Boolean(x), minctx_core::Value::Boolean(y)) => {
-                            assert_eq!(x, y, "seed {seed} {src:?}");
-                        }
-                        other => panic!("seed {seed} {src:?}: shape mismatch {other:?}"),
-                    }
-                }
-                StreamOutcome::Arena { value, .. } => {
-                    fell_back += 1;
-                    assert!(
-                        minctx_bench::values_agree(&value, &want),
-                        "seed {seed} {src:?}: fallback diverged"
-                    );
-                }
-            }
-        }
-    }
-    // The generator must keep feeding the streaming path, not just the
-    // fallback.
+    let seeds = (1..=30).map(|s: u64| (s.wrapping_mul(0x9e37_79b9), 60 + s as usize % 40, 0));
+    let tally = lattice::generated(seeds, 12, streamable);
+    tally.floors(25, 0);
+    // The streamer must be fed, not only its fallback: 300 queries or more
+    // stream in both optimizer settings.
+    assert!(tally.streamed >= 600, "{} streamed runs", tally.streamed);
     assert!(
-        streamed > 300,
-        "only {streamed} streamed out of {}",
-        streamed + fell_back
+        tally.naive * 10 >= tally.cases * 9,
+        "naive answered {}",
+        tally.naive
     );
 }
