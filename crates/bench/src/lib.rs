@@ -285,14 +285,17 @@ fn random_pred(rng: &mut u64, depth: usize) -> String {
     }
 }
 
-/// A position-free predicate atom: an existence test or a comparison.
+/// A position-free predicate atom: an existence test or a comparison,
+/// over paths whose steps may carry predicates of their own.
 fn random_atom(rng: &mut u64) -> &'static str {
     pick(
         rng,
         "b; @p; a/b; . = 'v'; @q = 'v'; @p != 1; text() > 1; count(*) > 1; count(b) > 1; \
          not(d); ancestor::a; following-sibling::*; preceding-sibling::b; .//c; c[d]; \
          //d/@q; b/descendant-or-self::node(); a/parent::node(); \
-         following-sibling::b = 'v'; descendant-or-self::a; id(.)",
+         following-sibling::b = 'v'; descendant-or-self::a; id(.); \
+         ancestor::*[b]; b[c] = 'v'; following-sibling::*[@p]; .//c[not(d)]; \
+         preceding-sibling::b[c] != 1; a[@q]/b",
     )
 }
 

@@ -70,8 +70,8 @@ pub enum Strategy {
     /// MINCONTEXT (Section 3): polynomial time via relevant-context
     /// restriction and set-at-a-time path evaluation.
     MinContext,
-    /// OPTMINCONTEXT (Section 4): MINCONTEXT plus backward axis
-    /// propagation for existential predicates.
+    /// OPTMINCONTEXT (Section 4): MINCONTEXT plus position-free predicates
+    /// answered by satisfying sets, built bottom-up through inverse axes.
     OptMinContext,
     /// One-pass SAX-style streaming over XML text without materializing
     /// the arena, for the forward-axis fragment (the `minctx-stream`
@@ -373,8 +373,8 @@ impl Engine {
     /// [`Rule`](crate::rewrite::Rule)s that fired, per-step kernel routing
     /// ([`AxisRoute`](minctx_xml::AxisRoute)) with cardinalities and wall
     /// times, how each predicated step's predicates ran
-    /// ([`PredMode`](crate::PredMode): as a set, from backward sets alone,
-    /// ranked among siblings, or per origin — then with the origins left
+    /// ([`PredMode`](crate::PredMode): node by node, by the predicate
+    /// algebra, ranked among siblings, or per origin — then with the origins left
     /// after postings pruning),
     /// memo and backward-propagation traffic, and fuel spent under the
     /// engine's budget.
@@ -394,9 +394,9 @@ impl Engine {
     /// println!("{profile}");
     /// assert_eq!(profile.result, "node-set n=1");
     /// // One fused step; its predicate is answered by intersecting the
-    /// // two <item>s with the backward set seeded from the `id` postings.
+    /// // two <item>s with the satisfying set seeded from the `id` postings.
     /// assert!(profile.plan_text().contains(
-    ///     "descendant::item preds=1 mode=backward route=postings calls=1 in=1 out=1"
+    ///     "descendant::item preds=1 mode=algebra route=postings calls=1 in=1 out=1"
     /// ));
     /// // A positional predicate on `child` ranks the candidates among
     /// // their siblings and reads `position()` / `last()` off the ranks;

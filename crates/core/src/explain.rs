@@ -13,14 +13,14 @@
 //!   are), context-set and axis-output
 //!   cardinalities, invocation counts, and wall time (inclusive of the
 //!   step's predicate filtering); for a predicated step also *how* its
-//!   predicates ran ([`PredMode`]: as a set, from backward sets alone, or
-//!   per origin) and how many origins survived postings pruning;
+//!   predicates ran ([`PredMode`]: node by node, by the predicate algebra,
+//!   ranked, or per origin) and how many origins survived postings pruning;
 //! * MINCONTEXT memo hits/computes and OPTMINCONTEXT backward passes;
 //! * fuel consumed under the engine's configured budget;
 //! * phase wall times (parse / rewrite / compile / evaluate).
 //!
 //! The profile is collected by the MINCONTEXT evaluator (the
-//! backward-propagating OPTMINCONTEXT variant when the engine's strategy
+//! OPTMINCONTEXT variant when the engine's strategy
 //! is [`Strategy::OptMinContext`]); the naive and context-value-table
 //! strategies share its IR, compilation, and axis kernels, so the plan is
 //! representative for them too.
@@ -48,10 +48,12 @@ pub enum PredMode {
     /// context set, then the candidate *set* is filtered, at least one
     /// predicate (or operand of an `and` / `or` / `not`) node by node.
     Set,
-    /// As [`PredMode::Set`], and every predicate was answered by
-    /// intersecting with OPTMINCONTEXT backward sets: no candidate was
-    /// visited.
-    Backward,
+    /// As [`PredMode::Set`], and no candidate was visited on its own:
+    /// OPTMINCONTEXT's predicate algebra answered every predicate for the
+    /// whole set, one kernel call per path (a satisfying set or a count
+    /// column).  On the row of a step under such a predicate: that step,
+    /// computed once for every node it was asked about.
+    Algebra,
     /// A positional predicate on an axis where one candidate can have
     /// several origins: candidates are listed per origin in axis order
     /// (leading position-free predicates still run once, as a set).
@@ -64,21 +66,9 @@ pub enum PredMode {
     /// one on was evaluated candidate by candidate.
     SiblingRank,
     /// As [`PredMode::SiblingRank`], and every predicate from the first
-    /// positional one on was answered by OPTMINCONTEXT's rank column for
-    /// the whole ranked list: `position()` and `last()` read off the ranks,
-    /// counts by column kernels, no candidate evaluated on its own.
+    /// positional one on was answered by the algebra for the whole ranked
+    /// list, `position()` and `last()` read off the ranks.
     RankColumn,
-    /// As [`PredMode::Set`], with at least one predicate or operand
-    /// answered for the whole candidate list by column kernels — a count
-    /// or a comparison computed on the candidates' side — and none node by
-    /// node.  On the row of a predicate-free step under such a predicate:
-    /// the kernel call that computed the step for every candidate at once,
-    /// its `in` being those candidates.
-    Column,
-    /// OPTMINCONTEXT started the step from its first predicate's backward
-    /// set, the smaller side: the step is that set's members the axis
-    /// reaches, and the predicate is not evaluated again.
-    SelectiveEnd,
 }
 
 impl PredMode {
@@ -86,12 +76,10 @@ impl PredMode {
     pub fn as_str(self) -> &'static str {
         match self {
             PredMode::Set => "set",
-            PredMode::Backward => "backward",
+            PredMode::Algebra => "algebra",
             PredMode::PerOrigin => "per-origin",
             PredMode::SiblingRank => "sibling-rank",
             PredMode::RankColumn => "rank-column",
-            PredMode::Column => "column",
-            PredMode::SelectiveEnd => "selective-end",
         }
     }
 }
@@ -172,8 +160,8 @@ pub struct QueryProfile {
     /// Values actually computed: every compute counts, whether or not the
     /// node keeps a table to store the result in.
     pub memo_misses: u64,
-    /// OPTMINCONTEXT backward sets built (one per predicate of a
-    /// backward-propagatable shape that was asked about).
+    /// OPTMINCONTEXT satisfying sets built for the whole document by the
+    /// preimage kernel (at most one per predicate).
     pub backward_passes: u64,
     /// Fuel charged under the engine's budget.
     pub fuel_spent: u64,
@@ -338,32 +326,6 @@ impl ProfileCollector {
         s.output += obs.output as u64;
         s.time += obs.time;
         s.par_chunks += obs.chunks as u64;
-    }
-
-    /// Aggregates one column kernel call — the predicate-free step `path`
-    /// computed for `input` candidates at once, reaching `output` nodes —
-    /// into the step's record ([`PredMode::Column`]).
-    pub(crate) fn record_column(
-        &mut self,
-        path: ExprId,
-        step: &Step,
-        route: AxisRoute,
-        input: usize,
-        output: usize,
-        since: Option<Instant>,
-    ) {
-        let time = since.map_or(Duration::ZERO, |t| t.elapsed());
-        let (mode, chunks, origins) = (Some(PredMode::Column), 0, input);
-        let obs = StepObservation {
-            route,
-            mode,
-            input,
-            origins,
-            output,
-            time,
-            chunks,
-        };
-        self.record_step(path, 0, step, obs);
     }
 
     /// Counts one pass over a step that was never built
@@ -618,22 +580,22 @@ mod tests {
     fn explain_says_which_way_a_predicate_ran() {
         let doc = item_doc();
         let e = Engine::new(Strategy::OptMinContext).with_optimizer(true);
-        // Answered from the backward set alone: no candidate is visited,
-        // so the predicate path has no step row at all.
+        // Answered from the satisfying set alone: no candidate is visited,
+        // so the predicate-free predicate path has no step row at all.
         let p = e.explain(&doc, "//item[@id]").unwrap();
         assert_eq!(p.steps.len(), 1, "{}", p.plan_text());
-        assert_eq!(p.steps[0].mode, Some(PredMode::Backward));
+        assert_eq!(p.steps[0].mode, Some(PredMode::Algebra));
         assert_eq!((p.backward_passes, p.memo_hits), (1, 0));
         assert_eq!(p.result, "node-set n=2");
-        // `not` over a backward set is still set algebra only…
+        // `not` over a satisfying set is still the algebra alone…
         let p = e.explain(&doc, "//item[not(@id)]").unwrap();
-        assert_eq!(p.steps[0].mode, Some(PredMode::Backward));
+        assert_eq!(p.steps[0].mode, Some(PredMode::Algebra));
         assert_eq!(p.result, "node-set n=1");
-        // …an operand answered by a column kernel for the whole candidate
-        // list makes it `column`, and the set route is the set kernel's,
-        // not a per-origin walk.
+        // …and so is an operand answered by a count column for the whole
+        // candidate list; the set route is the set kernel's, not a
+        // per-origin walk.
         let p = e.explain(&doc, "//*[@id or count(*) > 1]").unwrap();
-        assert_eq!(p.steps[0].mode, Some(PredMode::Column));
+        assert_eq!(p.steps[0].mode, Some(PredMode::Algebra));
         assert_eq!(p.steps[0].route, AxisRoute::Walk, "singleton-root walk");
         assert_eq!(p.result, "node-set n=3");
         // A positional predicate on `child` ranks candidates among their
@@ -689,18 +651,20 @@ mod tests {
             "{}",
             p.plan_text()
         );
-        // The sibling-existence predicate is a column over the candidates,
-        // the witnesses merged against them in one call: no backward set
-        // is built.
+        // The sibling-existence predicate is the witnesses merged against
+        // the candidates in one call: no set is built for the whole
+        // document.
         let p = e.explain(&doc, "//item[following-sibling::item]").unwrap();
         assert_eq!(p.backward_passes, 0);
         let plan = p.plan_text();
         assert!(
-            plan.contains("descendant::item preds=1 mode=column route=postings calls=1 in=1 out=3"),
+            plan.contains(
+                "descendant::item preds=1 mode=algebra route=postings calls=1 in=1 out=3"
+            ),
             "{plan}"
         );
         assert!(
-            plan.contains("following-sibling::item mode=column route=postings calls=1 in=5 out=5"),
+            plan.contains("following-sibling::item mode=algebra route=postings calls=1 in=5 out=5"),
             "{plan}"
         );
     }
@@ -728,18 +692,20 @@ mod tests {
             let plan = e.explain(&doc, q).unwrap().plan_text();
             assert!(plan.contains(row), "{plan}");
         }
-        // The descendant-existence predicate is a column over the
-        // candidates, one ancestor merge of them against the witnesses: no
-        // backward set is built.
+        // The descendant-existence predicate is one ancestor merge of the
+        // candidates against the witnesses: no set is built for the whole
+        // document.
         let p = e.explain(&doc, "//item[.//keyword]").unwrap();
         assert_eq!(p.backward_passes, 0);
         let plan = p.plan_text();
         assert!(
-            plan.contains("descendant::item preds=1 mode=column route=postings calls=1 in=1 out=2"),
+            plan.contains(
+                "descendant::item preds=1 mode=algebra route=postings calls=1 in=1 out=2"
+            ),
             "{plan}"
         );
         assert!(
-            plan.contains("descendant::keyword mode=column route=postings calls=1 in=3 out=2"),
+            plan.contains("descendant::keyword mode=algebra route=postings calls=1 in=3 out=2"),
             "{plan}"
         );
     }
@@ -758,7 +724,7 @@ mod tests {
     #[test]
     fn explain_counts_memo_hits_and_backward_passes() {
         let doc = parse("<a><b><c>7</c></b><b><c>9</c></b><b/></a>").unwrap();
-        // OPTMINCONTEXT answers the predicate with one backward pass.
+        // OPTMINCONTEXT answers the predicate with one set built whole.
         let p = Engine::new(Strategy::OptMinContext)
             .explain(&doc, "/a/b[c = 7]")
             .unwrap();

@@ -19,44 +19,31 @@
 //! with `|D|` for every Core XPath, Extended Wadler and full-XPath family
 //! query on balanced trees; on deep chains a per-node `descendant::`
 //! predicate walks each subtree, quadratic here and linear only under
-//! OPTMINCONTEXT's backward sets.
+//! OPTMINCONTEXT's satisfying sets.
 //!
 //! Predicates are set-at-a-time too.  A step whose predicates all ignore
 //! `position()` and `last()` sweeps its axis once for the whole context
-//! set and filters the resulting candidate *set* (`and` in sequence, `or`
-//! as a union, `not` as a difference, anything else node by node); a step
-//! with a positional predicate ranks `child` / `attribute` candidates
-//! among their siblings and lists them per origin on the other axes — only
-//! for origins the node test's postings say have a candidate at all — and
-//! still answers its leading position-free predicates once, as a set.
-//! Under OPTMINCONTEXT a candidate list is also a *column*: a comparison
-//! of `count(π)`s — and, on a ranked list, of `position()` / `last()` —
-//! and `boolean(π)` / `π RelOp c` over one local step, or over one
-//! name-tested sibling or `descendant(-or-self)` step (its witnesses merged
-//! against the list), are answered for the whole list by one kernel call
-//! per path, and a `*` / `node()` step starts from its first predicate's
-//! backward set when that is the smaller side (DESIGN.md "Set-at-a-time
-//! predicates").
+//! set and filters the candidate *set* (`and` in sequence, `or` as a
+//! union, `not` as a difference, anything else node by node); a step with
+//! a positional predicate ranks `child` / `attribute` candidates among
+//! their siblings and lists them per origin on the other axes — only for
+//! origins the node test's postings say have a candidate at all.
 //!
-//! **OPTMINCONTEXT** (Section 4, plus the backward-propagation rule of the
-//! VLDB'02 predecessor's Section 6).  On top of MINCONTEXT, predicates of
-//! the shapes
-//!
-//! ```text
-//! boolean(π)        π RelOp c        c RelOp π
-//! ```
-//!
-//! where `π` is a predicate-free relative path and `c` a constant scalar,
-//! are answered from a single *backward pass*: the node-level comparison
-//! set `T = {y | strval(y) op c}` — seeded from the postings of `π`'s last
-//! node test, so only nodes that test can select are ever compared — is
-//! propagated through the inverse axes `χ⁻¹` (one [`axis_preimage`] call
-//! per step — `O(|D|)` at worst, in practice a walk from the targets that
-//! costs, and is charged, what it touches — including the id-"axis" of
-//! Section 4), yielding the set of context nodes for which the predicate
-//! holds.  That set *is* the predicate's table: a candidate set is
-//! intersected with it in one linear merge, and a lone candidate is one
-//! binary search — no forward walk, no memo entry.
+//! **OPTMINCONTEXT** (Section 4, with the Core XPath algorithm of the
+//! VLDB'02 predecessor).  A position-free predicate is answered for a whole
+//! domain `D` by one kernel call per path in it: a comparison of
+//! `count(π)`s (on a ranked list, of `position()` / `last()` too) by number
+//! columns, and `boolean(π)` / `π op c` by its *satisfying set*, built
+//! innermost first.  Witnesses — the postings of `π`'s last node test, or
+//! the nodes it selects, compared under `op c` — are carried right to left
+//! through each `χ⁻¹` ([`axis_preimage`]), restricted at every step to its
+//! node test and to the satisfying sets of its own predicates.  The last
+//! `χ⁻¹` lands on `D`: a merge of the witnesses against `D` where the
+//! inverse axis merges, a local walk from `D` when `π` is one
+//! predicate-free `child` / `attribute` / `self` step and `D` the shorter
+//! side, else the preimage kernel — a set for the whole document, built
+//! once per evaluation, which *is* the predicate's table (DESIGN.md
+//! "Set-at-a-time predicates").
 //!
 //! [`axis_preimage`]: minctx_xml::axes::axis_preimage
 
@@ -75,12 +62,13 @@ use minctx_xml::axes::{
     Dispatch, ResolvedTest,
 };
 use minctx_xml::{sibling_ranks, Document, Exec, NodeId, NodeSet, Scratch, SiblingRank};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// The MINCONTEXT evaluator; with `optimized` set, OPTMINCONTEXT.
 #[derive(Debug, Clone, Default)]
 pub struct MinContext {
-    /// Enables the Section-4 backward-propagation optimizations.
+    /// Enables the Section-4 predicate algebra.
     pub optimized: bool,
     /// The engine's worker count
     /// ([`Engine::with_threads`](crate::Engine::with_threads)).  Above 1,
@@ -131,18 +119,21 @@ struct Run<'d, 'q, 's, 'm, 'p> {
     /// Per expression node: its memo table (see [`crate::memo`] for which
     /// nodes have one).
     memo: Vec<Table>,
-    /// OPTMINCONTEXT: per predicate node, the set of context nodes for
-    /// which the predicate holds (computed by one backward pass) — the
+    /// OPTMINCONTEXT: per path predicate, every node of the document it
+    /// holds for, once the preimage landing built it — then the
     /// predicate's whole table, consulted before `memo` and never copied
-    /// into it.  `None` until first asked, `Some(None)` once the node turned
-    /// out not to have a backward-propagatable shape.
-    backward: Vec<Option<Option<NodeSet>>>,
+    /// into it.  `None` until first asked, `Some(None)` for a node that is
+    /// no path predicate.
+    satisfied: Vec<Option<Option<NodeSet>>>,
+    /// OPTMINCONTEXT: per path predicate landing by a merge, its witnesses
+    /// at the first step, kept for the next domain.
+    witnesses: Vec<Option<Cow<'d, [NodeId]>>>,
     /// Reusable axis-kernel working memory (engine-owned).
     scratch: &'s mut Scratch,
     /// Fuel/deadline accounting: charged per compute, per axis kernel call
     /// (proportional to the context set and to its output), per candidate
-    /// filtered, and per backward or pruning preimage (likewise, or |D|
-    /// where the preimage scans the arena).
+    /// filtered, and per preimage (likewise, or |D| where the preimage
+    /// scans the arena).
     meter: &'m mut BudgetMeter,
     /// EXPLAIN instrumentation; `None` (the common case) costs one branch
     /// per hook and never reads the clock.
@@ -151,24 +142,40 @@ struct Run<'d, 'q, 's, 'm, 'p> {
     /// threads when it has more than one, inline otherwise.
     exec: Exec<'q>,
     /// How many set filters or ranking passes evaluated a predicate node by
-    /// node; a step that leaves it unchanged ran on backward sets or columns
-    /// alone (EXPLAIN's `mode=backward` / `rank-column`, not `set` / `sibling-rank`).
+    /// node; a step that leaves it unchanged ran on the predicate algebra
+    /// alone (EXPLAIN's `mode=algebra` / `rank-column`, not `set` /
+    /// `sibling-rank`).
     per_node: u64,
-    /// How many column kernels answered a predicate for a candidate list
-    /// (EXPLAIN's `mode=column`).
-    columns: u64,
 }
 
-/// A predicate OPTMINCONTEXT answers for a whole candidate list, one
-/// kernel call per path in it: (a) `a op b` over counts, numbers and
-/// arithmetic, (b) `boolean(π)` or `π op c` read on the candidates' side,
-/// (d) the same over one name-tested step whose inverse axis merges — a
-/// sibling or a `descendant(-or-self)` step — read on the witnesses' side
-/// (DESIGN.md "Set-at-a-time predicates").
-enum Column<'q> {
+/// A predicate OPTMINCONTEXT answers for a whole domain, one kernel call
+/// per path in it (DESIGN.md "Set-at-a-time predicates").
+#[derive(Clone, Copy)]
+enum Shape<'q> {
+    /// `a op b` over [`Run::counted`] operands: a number column each.
     Counts(CmpOp, ExprId, ExprId),
-    Compare(ExprId, &'q Step, Option<(CmpOp, ExprId)>),
-    Witnesses(ExprId, &'q Step, Option<(CmpOp, ExprId)>),
+    /// `boolean(π)` or `π op c`: a satisfying set.
+    Path(PathPred<'q>),
+}
+
+/// `boolean(π)` as `cmp: None`; `π op c` and `c op π` as `Some((op, c))`,
+/// path on the left.  `π` is relative and its predicates ignore position.
+#[derive(Clone, Copy)]
+struct PathPred<'q> {
+    path: ExprId,
+    steps: &'q [Step],
+    cmp: Option<(CmpOp, ExprId)>,
+}
+
+/// How a path predicate's last `χ⁻¹` lands on a domain.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Landing {
+    /// One merge of the witnesses against the domain.
+    Merge,
+    /// A walk from each member over its own children, attributes or itself.
+    Local,
+    /// The preimage kernel: the set for the whole document, intersected.
+    Whole,
 }
 
 impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
@@ -185,18 +192,18 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             query,
             opt: config.optimized,
             memo: tables_for(query.query()),
-            backward: vec![None; query.query().len()],
+            satisfied: vec![None; query.query().len()],
+            witnesses: vec![None; query.query().len()],
             scratch,
             meter,
             prof,
             exec: Exec::on(config.threads),
             per_node: 0,
-            columns: 0,
         }
     }
 
     fn eval(&mut self, id: ExprId, ctx: Context) -> Result<Value, EvalError> {
-        if let Some(set) = self.backward_set(id)? {
+        if let Some(set) = self.whole(id)? {
             return Ok(Value::Boolean(set.contains(ctx.node)));
         }
         let relev = self.query.query().relev(id);
@@ -361,7 +368,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                 };
                 // A ranked step's sweep is what it ranks: set routes only.
                 let lead = step.predicates.first().filter(|_| route == StepRoute::Set);
-                let seeded = self.selective_end(axis, test, lead, &cur, &mut next)?;
+                let seeded = self.start_from(axis, test, lead, &cur, &mut next)?;
                 let ran = match seeded {
                     Some(ran) => ran,
                     None => axis_image_on(doc, axis, &cur, test, self.scratch, &mut next, exec),
@@ -372,7 +379,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                 // track that work, not just the input size.
                 self.meter.charge(next.len() as u64)?;
                 std::mem::swap(&mut cur, &mut next);
-                let (visited, columns) = (self.per_node, self.columns);
+                let visited = self.per_node;
                 for &p in &step.predicates[usize::from(seeded.is_some())..free] {
                     cur = self.filter_set(p, cur)?;
                 }
@@ -385,14 +392,8 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                     Some(modes[usize::from(self.per_node > visited)])
                 } else if step.predicates.is_empty() {
                     None
-                } else if seeded.is_some() {
-                    Some(PredMode::SelectiveEnd)
-                } else if self.per_node > visited {
-                    Some(PredMode::Set)
-                } else if self.columns > columns {
-                    Some(PredMode::Column)
                 } else {
-                    Some(PredMode::Backward)
+                    Some([PredMode::Algebra, PredMode::Set][usize::from(self.per_node > visited)])
                 };
                 (ran, mode, input)
             } else {
@@ -466,14 +467,13 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
 
     /// Keeps the members of `cands` for which the position-free predicate
     /// `pred` holds, without visiting a node the answer is already known
-    /// for: a column shape is answered for the whole list by one kernel
-    /// call per path in it; a backward-propagatable shape intersects with
-    /// its backward set; `and` filters in sequence, `or` unions (the right
-    /// operand sees only what the left rejected), `not` takes the
-    /// difference — each consulting and extending the predicate's own
-    /// table, which stands in for the per-node computes that would have
-    /// shielded the operands; any other shape is evaluated node by node
-    /// through [`Run::eval`].
+    /// for: a [`Shape`] is answered for the whole set by
+    /// [`Run::satisfying`]; `and` filters in sequence, `or` unions (the
+    /// right operand sees only what the left rejected), `not` takes the
+    /// difference within `cands` — each consulting and extending the
+    /// predicate's own table, which stands in for the per-node computes
+    /// that would have shielded the operands; any other shape is evaluated
+    /// node by node through [`Run::eval`].
     fn filter_set(&mut self, pred: ExprId, cands: NodeSet) -> Result<NodeSet, EvalError> {
         if cands.is_empty() {
             return Ok(cands);
@@ -483,26 +483,25 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             // A context-free predicate is one table entry, not a set.
             return self.filter_nodes(pred, cands);
         }
-        let charge = cands.len() as u64 + 1;
-        let column = self.column(pred, cands.len());
-        if column.is_none() {
-            if let Some(holds) = self.backward_set(pred)? {
-                let kept = cands.intersect(holds);
-                self.meter.charge(charge)?;
-                return Ok(kept);
-            }
-            if !matches!(
-                q.node(pred),
-                Node::And(..) | Node::Or(..) | Node::Call(Func::Not, _)
-            ) {
-                return self.filter_nodes(pred, cands);
+        let shape = self.shape(pred);
+        let algebra = matches!(
+            q.node(pred),
+            Node::And(..) | Node::Or(..) | Node::Call(Func::Not, _)
+        );
+        if shape.is_none() && !algebra {
+            return self.filter_nodes(pred, cands);
+        }
+        self.meter.charge(cands.len() as u64 + 1)?;
+        if let Some(Shape::Path(p)) = shape {
+            if self.landing(pred, p, cands.len()) == Landing::Whole {
+                let holds = self.whole(pred)?.expect("a path predicate");
+                return Ok(cands.intersect(holds));
             }
         }
-        self.meter.charge(charge)?;
         let (known, todo) = self.memo[pred.index()].split(cands);
-        let holds = match (column, q.node(pred)) {
-            (Some(column), _) => {
-                NodeSet::from_sorted_vec(self.column_holds(column, todo.as_slice(), None)?)
+        let holds = match (shape, q.node(pred)) {
+            (Some(shape), _) => {
+                NodeSet::from_sorted_vec(self.satisfying(pred, shape, todo.as_slice(), None)?)
             }
             (None, Node::And(a, b)) => {
                 let left = self.filter_set(*a, todo.clone())?;
@@ -516,7 +515,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             (None, Node::Call(_, args)) => {
                 todo.difference(&self.filter_set(args[0], todo.clone())?)
             }
-            _ => unreachable!("a column or the set algebra"),
+            _ => unreachable!("a shape or the set algebra"),
         };
         self.memo[pred.index()].record(self.doc.len(), &todo, &holds);
         Ok(known.union(&holds))
@@ -559,9 +558,10 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
     /// whose candidates have exactly one origin each — their parent: the
     /// per-origin candidate lists in axis order *are* the candidate set
     /// grouped by parent.  Each predicate ranks the survivors of the one
-    /// before among their siblings ([`sibling_ranks`]): a column shape under
-    /// OPTMINCONTEXT reads `position()` / `last()` off the ranks, anything
-    /// else evaluates each candidate through the `{position, size}` tables.
+    /// before among their siblings ([`sibling_ranks`]): a [`Shape`] under
+    /// OPTMINCONTEXT is answered for the ranked list, `position()` /
+    /// `last()` read off the ranks; anything else evaluates each candidate
+    /// through the `{position, size}` tables.
     fn filter_ranked(&mut self, preds: &[ExprId], cands: NodeSet) -> Result<NodeSet, EvalError> {
         let mut list = cands.into_vec();
         for &pred in preds {
@@ -583,8 +583,8 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         list: &mut Vec<NodeId>,
         ranks: &[SiblingRank],
     ) -> Result<(), EvalError> {
-        if let Some(column) = self.column(pred, list.len()) {
-            *list = self.column_holds(column, list, Some(ranks))?;
+        if let Some(shape) = self.shape(pred) {
+            *list = self.satisfying(pred, shape, list, Some(ranks))?;
             return Ok(());
         }
         self.per_node += 1;
@@ -602,41 +602,54 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         Ok(())
     }
 
-    // ---- OPTMINCONTEXT: columns ---------------------------------------
+    /// The clock, read only for a profiled run.
+    fn timer(&self) -> Option<Instant> {
+        self.prof.is_some().then(Instant::now)
+    }
 
-    /// The column `pred` is answered by for `n` candidates: (a) by shape;
-    /// (b) — `boolean(π)` or `π op c` with `π` one `child` / `attribute` /
-    /// `self` step — while no backward set is built and `n` is below the
-    /// seed `build_backward` would compare; (d) — the same with `π` one
-    /// sibling or `descendant(-or-self)` step under a name test — while no
-    /// backward set is built.
-    fn column(&self, pred: ExprId, n: usize) -> Option<Column<'q>> {
-        if !self.opt || matches!(self.backward[pred.index()], Some(Some(_))) {
+    // ---- OPTMINCONTEXT: the predicate algebra -------------------------
+
+    /// The [`Shape`] OPTMINCONTEXT answers `pred` by; `None` under plain
+    /// MINCONTEXT.
+    fn shape(&self, pred: ExprId) -> Option<Shape<'q>> {
+        if !self.opt {
             return None;
         }
         if let Node::Compare(op, a, b) = self.query.query().node(pred) {
             if self.counted(*a) && self.counted(*b) {
-                return Some(Column::Counts(*op, *a, *b));
+                return Some(Shape::Counts(*op, *a, *b));
             }
         }
-        let (path, [step], cmp) = self.backward_shape(pred)? else {
-            return None;
+        self.path_pred(pred).map(Shape::Path)
+    }
+
+    /// `pred` as a [`PathPred`]: `boolean(π)`, `π op c` or `c op π`, `π` a
+    /// relative path whose predicates all ignore position, `c` a number or
+    /// string literal.  Booleans are excluded: comparing a node-set against
+    /// a boolean converts the *set*, which is no per-node comparison.
+    fn path_pred(&self, pred: ExprId) -> Option<PathPred<'q>> {
+        let q = self.query.query();
+        let relative = |id: ExprId| match q.node(id) {
+            Node::Path(PathStart::Context, steps)
+                if steps
+                    .iter()
+                    .all(|s| self.position_free(&s.predicates) == s.predicates.len()) =>
+            {
+                Some((id, steps.as_slice()))
+            }
+            _ => None,
         };
-        let seed = self.postings(step.axis, self.query.step_test(path, 0));
-        // The axes whose inverse `axis_image_among` always merges.
-        let merged = matches!(
-            step.axis,
-            Axis::FollowingSibling
-                | Axis::PrecedingSibling
-                | Axis::Descendant
-                | Axis::DescendantOrSelf
-        );
-        if merged {
-            return seed.is_some().then_some(Column::Witnesses(path, step, cmp));
-        }
-        let local = matches!(step.axis, Axis::Child | Axis::Attribute | Axis::SelfAxis);
-        let seed = seed.map_or(self.doc.len(), <[NodeId]>::len);
-        (local && n < seed).then_some(Column::Compare(path, step, cmp))
+        let ((path, steps), cmp) = match q.node(pred) {
+            Node::Call(Func::Boolean, args) => (relative(args[0])?, None),
+            Node::Compare(op, a, b) => match relative(*a) {
+                Some(path) => (path, Some((*op, *b))),
+                None => (relative(*b)?, Some((op.swapped(), *a))),
+            },
+            _ => return None,
+        };
+        let constant = |c: ExprId| matches!(q.node(c), Node::Number(_) | Node::Literal(_));
+        cmp.is_none_or(|(_, c)| constant(c))
+            .then_some(PathPred { path, steps, cmp })
     }
 
     /// (a)'s operands: numbers, arithmetic of those, `count(π)` of a
@@ -653,94 +666,253 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
     /// A counted path the grouped count kernel takes: one predicate-free
     /// `child` / `attribute` step, or `descendant(-or-self)` under a name.
     fn count_step(&self, id: ExprId) -> Option<(ExprId, &'q Step, ResolvedTest)> {
-        let (path, [step]) = self.simple_relative_path(id)? else {
+        let Node::Path(PathStart::Context, steps) = self.query.query().node(id) else {
             return None;
         };
-        let test = self.query.step_test(path, 0);
+        let [step] = steps.as_slice() else {
+            return None;
+        };
+        let test = self.query.step_test(id, 0);
         let ranked = matches!(step.axis, Axis::Descendant | Axis::DescendantOrSelf);
         let counted = matches!(step.axis, Axis::Child | Axis::Attribute)
             || ranked && matches!(test, ResolvedTest::Name(_));
-        counted.then_some((path, step, test))
+        (counted && step.predicates.is_empty()).then_some((id, step, test))
     }
 
-    /// The members of `todo` a column predicate holds for, by one kernel
-    /// call per path in it; `ranks`, where the list is ranked, are its
-    /// `position()` and `last()`.
-    fn column_holds(
+    /// How `p`'s last `χ⁻¹` lands on a domain of `n` nodes — the one length
+    /// test.  A set already built whole answers; a first step on a sibling
+    /// or `descendant(-or-self)` axis, whose inverse merges, merges; one
+    /// predicate-free `child` / `attribute` / `self` step walks from the
+    /// domain while it is shorter than the seed (the last test's postings,
+    /// else `|D|`); anything else is built whole.
+    fn landing(&self, pred: ExprId, p: PathPred<'q>, n: usize) -> Landing {
+        let Some(first) = p.steps.first() else {
+            return Landing::Whole;
+        };
+        let local = matches!(first.axis, Axis::Child | Axis::Attribute | Axis::SelfAxis)
+            && p.steps.len() == 1
+            && first.predicates.is_empty();
+        if matches!(self.satisfied[pred.index()], Some(Some(_))) {
+            Landing::Whole
+        } else if matches!(
+            first.axis,
+            Axis::FollowingSibling
+                | Axis::PrecedingSibling
+                | Axis::Descendant
+                | Axis::DescendantOrSelf
+        ) {
+            Landing::Merge
+        } else if local && n < self.seed(p).map_or(self.doc.len(), <[NodeId]>::len) {
+            Landing::Local
+        } else {
+            Landing::Whole
+        }
+    }
+
+    /// The postings of `p`'s last node test, if it is a name.
+    fn seed(&self, p: PathPred<'q>) -> Option<&'d [NodeId]> {
+        let last = p.steps.len().checked_sub(1)?;
+        self.postings(p.steps[last].axis, self.query.step_test(p.path, last))
+    }
+
+    /// The members of `dom` — ascending, each once — that `pred`, of shape
+    /// `shape`, holds for, by one kernel call per path in it; `ranks`,
+    /// where `dom` is ranked, are its `position()` and `last()`.
+    fn satisfying(
         &mut self,
-        column: Column<'q>,
-        todo: &[NodeId],
+        pred: ExprId,
+        shape: Shape<'q>,
+        dom: &[NodeId],
         ranks: Option<&[SiblingRank]>,
     ) -> Result<Vec<NodeId>, EvalError> {
-        if todo.is_empty() {
+        if dom.is_empty() {
             return Ok(Vec::new());
         }
-        self.columns += 1;
-        Ok(match column {
-            Column::Counts(op, a, b) => {
-                let (x, y) = (self.numbers(a, todo, ranks)?, self.numbers(b, todo, ranks)?);
+        let p = match shape {
+            Shape::Counts(op, a, b) => {
+                let (x, y) = (self.numbers(a, dom, ranks)?, self.numbers(b, dom, ranks)?);
                 let holds =
                     |i: usize| compare_scalars(op, &Value::Number(x[i]), &Value::Number(y[i]));
-                todo.iter()
-                    .enumerate()
-                    .filter(|&(i, _)| holds(i))
-                    .map(|(_, &c)| c)
-                    .collect()
+                let kept = dom.iter().enumerate().filter(|&(i, _)| holds(i));
+                return Ok(kept.map(|(_, &c)| c).collect());
             }
-            Column::Compare(path, step, cmp) => {
-                let doc = self.doc;
-                let cmp = cmp.map(|(op, c)| (op, self.constant_scalar(c).expect("a constant")));
-                let (mut list, mut read, timer) = (todo.to_vec(), 0, self.timer());
-                let test = self.query.step_test(path, 0);
-                let work = retain_local(doc, step.axis, test, &mut list, |y| {
+            Shape::Path(p) => p,
+        };
+        let landing = self.landing(pred, p, dom.len());
+        if landing == Landing::Whole {
+            let holds = self.whole(pred)?.expect("a path predicate");
+            return Ok(dom.iter().copied().filter(|&y| holds.contains(y)).collect());
+        }
+        let (first, timer, doc) = (&p.steps[0], self.timer(), self.doc);
+        Ok(match landing {
+            Landing::Whole => unreachable!("answered above"),
+            Landing::Local => {
+                let cmp = p.cmp.map(|(op, c)| (op, self.constant(c)));
+                let (mut list, mut read) = (dom.to_vec(), 0);
+                let test = self.query.step_test(p.path, 0);
+                let work = retain_local(doc, first.axis, test, &mut list, |y| {
                     read += 1;
                     cmp.as_ref()
                         .is_none_or(|(op, scalar)| node_scalar_compare(doc, *op, y, scalar))
                 });
                 self.meter.charge(work as u64 + 1)?;
-                if let Some(p) = &mut self.prof {
-                    p.record_column(path, step, AxisRoute::Walk, todo.len(), read, timer);
-                }
+                self.record(p.path, 0, first, AxisRoute::Walk, dom.len(), read, timer);
                 list
             }
-            Column::Witnesses(path, step, cmp) => {
+            Landing::Merge => {
                 // `c[following-sibling::t]` holds iff `c` is a preceding
                 // sibling of a witness, `c[.//t]` iff it is an ancestor of
-                // one: `χ⁻¹(T) ∩ todo`, one merge of the witnesses against
-                // the candidates.
-                let timer = self.timer();
-                let seed = self.postings(step.axis, self.query.step_test(path, 0));
-                let seed = seed.expect("a name test has postings");
-                let compared;
-                let witnesses = match cmp {
-                    None => seed,
-                    Some((op, c)) => {
-                        let scalar = self.constant_scalar(c).expect("a constant");
-                        compared = self.compared(seed.to_vec(), op, &scalar);
-                        compared.as_slice()
-                    }
+                // one: `χ⁻¹(W) ∩ dom`, one merge of the witnesses against
+                // the domain, charged each member of the domain and, for a
+                // sibling merge, each witness before it; after it, what
+                // the ancestor merge read of its chain and probed.
+                let w = match self.witnesses[pred.index()].take() {
+                    Some(w) => w,
+                    None => self.carry(p, false)?,
                 };
-                // Charged before the merge: the seed compared, each
-                // candidate and, for a sibling merge, each witness; after
-                // it, what the ancestor merge read of its chain and probed.
-                let scanned = if cmp.is_some() { seed.len() } else { 0 };
-                let opposite = step.axis.inverse().expect("a tree axis");
+                let opposite = first.axis.inverse().expect("a tree axis");
                 let sibling = matches!(opposite, Axis::FollowingSibling | Axis::PrecedingSibling);
-                let known = todo.len() + if sibling { witnesses.len() } else { 0 };
-                self.meter.charge((scanned + known + 1) as u64)?;
+                let known = dom.len() + if sibling { w.len() } else { 0 };
+                self.meter.charge(known as u64 + 1)?;
                 let (any, mut out) = (ResolvedTest::AnyNode, NodeSet::new());
-                let (doc, exec, scratch) = (self.doc, self.exec, &mut *self.scratch);
+                let (exec, scratch) = (self.exec, &mut *self.scratch);
                 let (_, read) =
-                    axis_image_among(doc, opposite, witnesses, any, todo, scratch, &mut out, exec)
+                    axis_image_among(doc, opposite, &w, any, dom, scratch, &mut out, exec)
                         .expect("the inverse axis merges");
                 self.meter.charge((read - known) as u64)?;
-                if let Some(p) = &mut self.prof {
-                    let route = AxisRoute::Postings;
-                    p.record_column(path, step, route, todo.len(), witnesses.len(), timer);
-                }
+                let (route, witnesses) = (AxisRoute::Postings, w.len());
+                self.record(p.path, 0, first, route, dom.len(), witnesses, timer);
+                self.witnesses[pred.index()] = Some(w);
                 out.into_vec()
             }
         })
+    }
+
+    /// The set `pred` holds for over the whole document when it is a path
+    /// predicate under OPTMINCONTEXT — its witnesses carried through the
+    /// first step's `χ⁻¹` by the preimage kernel — built on first request
+    /// and kept as the predicate's table; `None` for any other node.
+    fn whole(&mut self, pred: ExprId) -> Result<Option<&NodeSet>, EvalError> {
+        if self.opt && self.satisfied[pred.index()].is_none() {
+            let built = match self.path_pred(pred) {
+                Some(p) => {
+                    let mut w = NodeSet::from_sorted_vec(self.carry(p, true)?.into_owned());
+                    self.meter.charge(1)?;
+                    if let Some(first) = p.steps.first() {
+                        let targets = std::mem::take(&mut w);
+                        self.preimage(first.axis, &targets, &mut w)?;
+                    }
+                    if let Some(prof) = &mut self.prof {
+                        prof.backward_pass();
+                    }
+                    Some(w)
+                }
+                None => None,
+            };
+            self.satisfied[pred.index()] = Some(built);
+        }
+        Ok(self.satisfied[pred.index()]
+            .as_ref()
+            .and_then(Option::as_ref))
+    }
+
+    /// `p`'s witnesses at its first step, right to left: the last step's
+    /// postings — or the nodes its test selects, *before* any string value
+    /// is read (`@v > 500` compares the `v` attributes, not the text of
+    /// every element) — compared under `op c`; then at each step kept
+    /// where its node test holds and its axis can reach them (attributes
+    /// only on `self`, `parent`, `attribute` and the or-self axes), cut to
+    /// its own predicates' satisfying sets by [`Run::filter_set`] over
+    /// these nodes, and carried through the next step's `χ⁻¹`.  The seed is
+    /// charged `|seed|` when it is read, and always on the way to a `whole`
+    /// landing.
+    fn carry(&mut self, p: PathPred<'q>, whole: bool) -> Result<Cow<'d, [NodeId]>, EvalError> {
+        let doc = self.doc;
+        let postings = self.seed(p);
+        let cmp = p.cmp.map(|(op, c)| (op, self.constant(c)));
+        let reads = whole || cmp.is_some() || postings.is_none();
+        let seed = postings.map_or(doc.len(), <[NodeId]>::len);
+        self.meter.charge(if reads { seed as u64 } else { 0 })?;
+        // `.` — the path the rewriter leaves of `self::node()` — compares
+        // every node.
+        let last = p.steps.len().checked_sub(1);
+        let last = last.map(|si| (p.steps[si].axis, self.query.step_test(p.path, si)));
+        let mut w = match postings {
+            Some(hits) => Cow::Borrowed(hits),
+            None => {
+                let selects =
+                    |&y: &NodeId| last.is_none_or(|(axis, test)| test.matches(doc, axis, y));
+                Cow::Owned(doc.all_nodes().filter(selects).collect())
+            }
+        };
+        if let Some((op, scalar)) = cmp {
+            w = Cow::Owned(self.compared(w.into_owned(), op, &scalar));
+        }
+        for (si, step) in p.steps.iter().enumerate().rev() {
+            if si + 1 < p.steps.len() {
+                let (targets, mut pre) = (NodeSet::from_sorted_vec(w.into_owned()), NodeSet::new());
+                self.preimage(p.steps[si + 1].axis, &targets, &mut pre)?;
+                w = Cow::Owned(pre.into_vec());
+            }
+            if let Cow::Owned(nodes) = &mut w {
+                let (axis, test) = (step.axis, self.query.step_test(p.path, si));
+                let any = matches!(
+                    axis,
+                    Axis::SelfAxis | Axis::Parent | Axis::DescendantOrSelf | Axis::AncestorOrSelf
+                );
+                let reached = |y| any || doc.kind(y).is_attribute() == (axis == Axis::Attribute);
+                nodes.retain(|&y| reached(y) && test.matches(doc, axis, y));
+            }
+            if step.predicates.is_empty() {
+                continue;
+            }
+            let (timer, reached) = (self.timer(), w.len());
+            let mut set = NodeSet::from_sorted_vec(w.into_owned());
+            for &q in &step.predicates {
+                set = self.filter_set(q, set)?;
+            }
+            if si > 0 || whole {
+                self.record(p.path, si, step, AxisRoute::Walk, reached, set.len(), timer);
+            }
+            w = Cow::Owned(set.into_vec());
+        }
+        Ok(w)
+    }
+
+    /// (c): a `*` / `node()` step off the ancestor axes starts from the
+    /// satisfying set `B` of its first predicate — which then holds for all
+    /// of it — when [`axis_image_among`] finds `B` the smaller side.  `B`
+    /// is built only to ask when it is an existence test or lands whole
+    /// anyway; a comparison read on the candidates' side is not.  On the
+    /// ancestor axes the walk reads only the origins' chains, and `B` may
+    /// be far longer.
+    fn start_from(
+        &mut self,
+        axis: Axis,
+        test: ResolvedTest,
+        first: Option<&ExprId>,
+        cur: &NodeSet,
+        next: &mut NodeSet,
+    ) -> Result<Option<Dispatch>, EvalError> {
+        let ancestral = matches!(axis, Axis::Ancestor | Axis::AncestorOrSelf);
+        let Some(&first) = first.filter(|_| self.opt && !ancestral) else {
+            return Ok(None);
+        };
+        let Some(p) = self.path_pred(first) else {
+            return Ok(None);
+        };
+        let asks = p.cmp.is_none() || self.landing(first, p, 0) == Landing::Whole;
+        if !asks || self.postings(axis, test).is_some() {
+            return Ok(None);
+        }
+        self.whole(first)?;
+        let Some(Some(b)) = &self.satisfied[first.index()] else {
+            unreachable!("built above");
+        };
+        let (doc, exec, b) = (self.doc, self.exec, b.as_slice());
+        let ran = axis_image_among(doc, axis, cur.as_slice(), test, b, self.scratch, next, exec);
+        self.meter.charge(ran.map_or(0, |_| b.len() as u64))?;
+        Ok(ran.map(|(ran, _)| ran))
     }
 
     /// (a)'s number column of `id` over `cands`.
@@ -770,110 +942,41 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                 let (mut counts, timer) = (Vec::new(), self.timer());
                 let (route, work) = axis_counts(self.doc, step.axis, test, cands, &mut counts);
                 self.meter.charge(work as u64 + 1)?;
-                if let Some(p) = &mut self.prof {
-                    let total = counts.iter().map(|&k| k as usize).sum();
-                    p.record_column(path, step, route, cands.len(), total, timer);
-                }
+                let total = counts.iter().map(|&k| k as usize).sum();
+                self.record(path, 0, step, route, cands.len(), total, timer);
                 counts.into_iter().map(f64::from).collect()
             }
             _ => unreachable!("not a number column"),
         })
     }
 
-    /// (c): the step started from the backward set `B` of its first
-    /// position-free predicate — which then holds for all of it — when the
-    /// test has no postings and [`axis_image_among`] finds `B` the smaller
-    /// side.  An (a) or (b) comparison is not built only to ask, an
-    /// existence test (postings and preimages only) is.
-    fn selective_end(
+    /// Reports step `index` of `path`, computed by one kernel call of the
+    /// algebra for `input` nodes at once and reaching `output`, to EXPLAIN.
+    #[allow(clippy::too_many_arguments)]
+    fn record(
         &mut self,
-        axis: Axis,
-        test: ResolvedTest,
-        first: Option<&ExprId>,
-        cur: &NodeSet,
-        next: &mut NodeSet,
-    ) -> Result<Option<Dispatch>, EvalError> {
-        let Some(&first) = first else {
-            return Ok(None);
-        };
-        let named = self.postings(axis, test).is_some();
-        let compares = matches!(
-            self.column(first, 0),
-            Some(
-                Column::Counts(..) | Column::Compare(.., Some(_)) | Column::Witnesses(.., Some(_))
-            )
-        );
-        // Not on the ancestor axes: their walk reads only the origins'
-        // chains, and the first predicate's backward set may be far longer.
-        let ancestral = matches!(axis, Axis::Ancestor | Axis::AncestorOrSelf);
-        if named || ancestral || compares || self.backward_set(first)?.is_none() {
-            return Ok(None);
+        path: ExprId,
+        index: usize,
+        step: &Step,
+        route: AxisRoute,
+        input: usize,
+        output: usize,
+        since: Option<Instant>,
+    ) {
+        if let (Some(p), Some(since)) = (&mut self.prof, since) {
+            let (mode, origins, time, chunks) =
+                (Some(PredMode::Algebra), input, since.elapsed(), 0);
+            let obs = StepObservation {
+                route,
+                mode,
+                input,
+                origins,
+                output,
+                time,
+                chunks,
+            };
+            p.record_step(path, index, step, obs);
         }
-        let Some(Some(b)) = &self.backward[first.index()] else {
-            unreachable!("built above");
-        };
-        let (doc, exec, b) = (self.doc, self.exec, b.as_slice());
-        let ran = axis_image_among(doc, axis, cur.as_slice(), test, b, self.scratch, next, exec);
-        self.meter.charge(ran.map_or(0, |_| b.len() as u64))?;
-        Ok(ran.map(|(ran, _)| ran))
-    }
-
-    /// The clock, read only for a profiled run.
-    fn timer(&self) -> Option<Instant> {
-        self.prof.is_some().then(Instant::now)
-    }
-
-    // ---- OPTMINCONTEXT: backward propagation --------------------------
-
-    /// The backward set of `id` — every context node its predicate holds
-    /// for — built on first request; `None` when the engine is plain
-    /// MINCONTEXT or `id` is not of a backward-propagatable shape.
-    fn backward_set(&mut self, id: ExprId) -> Result<Option<&NodeSet>, EvalError> {
-        if !self.opt {
-            return Ok(None);
-        }
-        if self.backward[id.index()].is_none() {
-            let built = self.build_backward(id)?;
-            if let (Some(_), Some(p)) = (&built, &mut self.prof) {
-                p.backward_pass();
-            }
-            self.backward[id.index()] = Some(built);
-        }
-        Ok(self.backward[id.index()].as_ref().and_then(Option::as_ref))
-    }
-
-    /// Builds the backward set for `boolean(π)` / `π RelOp c` / `c RelOp π`
-    /// shapes, or `None` when the shape does not apply.
-    ///
-    /// Witnesses are seeded from the last step's node test — its postings
-    /// for a name test, a test-filtered sweep otherwise — *before* any
-    /// string value is read: `@v > 500` compares the `v` attributes, not
-    /// the text of every element in the document.
-    fn build_backward(&mut self, id: ExprId) -> Result<Option<NodeSet>, EvalError> {
-        let Some((path_id, steps, cmp)) = self.backward_shape(id) else {
-            return Ok(None);
-        };
-        let cmp = cmp.map(|(op, c)| (op, self.constant_scalar(c).expect("a constant by shape")));
-        let last = steps.len().checked_sub(1);
-        let last = last.map(|si| (steps[si].axis, self.query.step_test(path_id, si)));
-        let seed = last.and_then(|(axis, test)| self.postings(axis, test));
-        // The witness scan visits every seeded node once.
-        self.meter
-            .charge(seed.map_or(self.doc.len(), <[NodeId]>::len) as u64 + 1)?;
-        let mut witnesses: Vec<NodeId> = match seed {
-            Some(hits) => hits.to_vec(),
-            None => {
-                let selects =
-                    |&y: &NodeId| last.is_none_or(|(axis, test)| test.matches(self.doc, axis, y));
-                self.doc.all_nodes().filter(selects).collect()
-            }
-        };
-        if let Some((op, scalar)) = cmp {
-            witnesses = self.compared(witnesses, op, &scalar);
-        }
-        let witnesses = NodeSet::from_sorted_vec(witnesses);
-        self.propagate_backwards(path_id, steps, witnesses)
-            .map(Some)
     }
 
     /// The members `y` of `witnesses` with `strval(y) op scalar`, in order.
@@ -889,84 +992,12 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         witnesses
     }
 
-    /// `χ₁⁻¹(t₁ ∩ … χₖ⁻¹(tₖ ∩ T))`: one preimage sweep per step, right to
-    /// left, filtering by each step's node test first.
-    ///
-    /// Attribute nodes in the target set are kept only where the forward
-    /// axis can actually produce them: always for `self` and the or-self
-    /// axes (an attribute is its own or-self image), only attributes for
-    /// `attribute`, never for the rest.  The preimage kernels themselves
-    /// are exact for attribute *origins* (see
-    /// [`minctx_xml::axes::axis_preimage`]), so every axis propagates
-    /// backward exactly.
-    fn propagate_backwards(
-        &mut self,
-        path_id: ExprId,
-        steps: &[Step],
-        targets: NodeSet,
-    ) -> Result<NodeSet, EvalError> {
-        let mut set = targets;
-        let mut pre = NodeSet::new();
-        for (si, step) in steps.iter().enumerate().rev() {
-            let test = self.query.step_test(path_id, si);
-            set.retain(|y| {
-                let is_attr = self.doc.kind(y).is_attribute();
-                let attr_ok = match step.axis {
-                    Axis::SelfAxis
-                    | Axis::Parent
-                    | Axis::DescendantOrSelf
-                    | Axis::AncestorOrSelf => true,
-                    Axis::Attribute => is_attr,
-                    _ => !is_attr,
-                };
-                attr_ok && test.matches(self.doc, step.axis, y)
-            });
-            self.preimage(step.axis, &set, &mut pre)?;
-            std::mem::swap(&mut set, &mut pre);
-        }
-        Ok(set)
-    }
-
-    /// `boolean(π)` as `(π, None)`; `π op c` and `c op π` as
-    /// `(π, Some((op, c)))`, normalized to path-on-the-left.
-    #[allow(clippy::type_complexity)]
-    fn backward_shape(&self, id: ExprId) -> Option<(ExprId, &'q [Step], Option<(CmpOp, ExprId)>)> {
-        let q = self.query.query();
-        let ((path, steps), cmp) = match q.node(id) {
-            Node::Call(Func::Boolean, args) => (self.simple_relative_path(args[0])?, None),
-            Node::Compare(op, a, b) => match self.simple_relative_path(*a) {
-                Some(path) => (path, Some((*op, *b))),
-                None => (self.simple_relative_path(*b)?, Some((op.swapped(), *a))),
-            },
-            _ => return None,
-        };
-        let constant = |c: ExprId| matches!(q.node(c), Node::Number(_) | Node::Literal(_));
-        cmp.is_none_or(|(_, c)| constant(c))
-            .then_some((path, steps, cmp))
-    }
-
-    /// A relative, predicate-free location path — the shape the backward
-    /// optimization handles, on every axis (the preimage kernels are exact
-    /// for attribute nodes on both sides of the relation).
-    fn simple_relative_path(&self, id: ExprId) -> Option<(ExprId, &'q [Step])> {
+    /// A constant scalar operand of a [`PathPred`] comparison.
+    fn constant(&self, id: ExprId) -> Value {
         match self.query.query().node(id) {
-            Node::Path(PathStart::Context, steps)
-                if steps.iter().all(|s| s.predicates.is_empty()) =>
-            {
-                Some((id, steps))
-            }
-            _ => None,
-        }
-    }
-
-    /// A constant scalar operand (number or string literal).  Booleans are
-    /// excluded: comparing a node-set against a boolean converts the *set*,
-    /// which is not an existential per-node comparison.
-    fn constant_scalar(&self, id: ExprId) -> Option<Value> {
-        match self.query.query().node(id) {
-            Node::Number(n) => Some(Value::Number(*n)),
-            Node::Literal(s) => Some(Value::String(s.to_string())),
-            _ => None,
+            Node::Number(n) => Value::Number(*n),
+            Node::Literal(s) => Value::String(s.to_string()),
+            _ => unreachable!("a constant by shape"),
         }
     }
 }
@@ -1103,8 +1134,8 @@ mod tests {
         // reaches the same three <a> ancestors.  The predicate's dense
         // table answers the repeats, so `child::c` under it is walked once
         // per distinct <a> — not once per (origin, ancestor) pair.  Under
-        // OPTMINCONTEXT the walks are column kernel calls, whose rows'
-        // `in` count the <a>s computed.
+        // OPTMINCONTEXT the walk is one count column over the <a>s inside
+        // the outer predicate's satisfying set, computed once for all <c>s.
         let doc = parse("<a><a><a><c/><c/><c/><c/></a></a></a>").unwrap();
         // The second query filters through the set algebra: `not`'s own
         // table must shield its (table-less) operand the same way.
@@ -1119,15 +1150,17 @@ mod tests {
                 let p = engine.explain(&doc, q).unwrap();
                 assert_eq!(p.result, "node-set n=4", "{strategy} {q}");
                 let inner = p.steps.iter().find(|s| s.display == "child::c").unwrap();
+                let anc = p.steps.iter().find(|s| s.display == "ancestor::a").unwrap();
                 if strategy == Strategy::MinContext {
                     assert_eq!(inner.invocations, 3, "{strategy}:\n{}", p.plan_text());
+                    assert_eq!(anc.invocations, 4, "{strategy} {q}");
                 } else {
-                    let column = p.steps.iter().filter(|s| s.mode == Some(PredMode::Column));
-                    let computed: u64 = column.filter(|s| s.predicates == 0).map(|s| s.input).sum();
+                    let algebra = p.steps.iter().filter(|s| s.mode == Some(PredMode::Algebra));
+                    let computed: u64 =
+                        algebra.filter(|s| s.predicates == 0).map(|s| s.input).sum();
                     assert_eq!(computed, 3, "{strategy}:\n{}", p.plan_text());
+                    assert_eq!((anc.invocations, anc.input), (1, 3), "{}", p.plan_text());
                 }
-                let anc = p.steps.iter().find(|s| s.display == "ancestor::a").unwrap();
-                assert_eq!(anc.invocations, 4, "{strategy} {q}");
             }
         }
     }
@@ -1203,22 +1236,23 @@ mod tests {
                 "{q}"
             );
         }
-        // Both routes of a comparison and of an existence test ran, and (c)
-        // from nested origins — an existence `B` still built for it.
-        for (q, mode, passes) in [
-            ("//item[@v > 0]", PredMode::Column, 0),
-            ("//item[@w > 0]", PredMode::Backward, 1),
-            ("//item[@id]", PredMode::Column, 0),
-            ("//item[@w]", PredMode::Backward, 1),
-            ("//item/*[@id]", PredMode::SelectiveEnd, 1),
-            ("//item//*[@id]", PredMode::SelectiveEnd, 1),
-            ("//*[@id]", PredMode::SelectiveEnd, 1),
+        // Both landings of a comparison and of an existence test ran — a
+        // walk from the candidates, the set built whole — and (c) from
+        // nested origins, an existence set still built whole for it.
+        for (q, passes) in [
+            ("//item[@v > 0]", 0),
+            ("//item[@w > 0]", 1),
+            ("//item[@id]", 0),
+            ("//item[@w]", 1),
+            ("//item/*[@id]", 1),
+            ("//item//*[@id]", 1),
+            ("//*[@id]", 1),
         ] {
             let p = opt.explain(&doc, q).unwrap();
             let step = p.steps.iter().find(|s| s.predicates == 1).unwrap();
             assert_eq!(
                 (step.mode, p.backward_passes),
-                (Some(mode), passes),
+                (Some(PredMode::Algebra), passes),
                 "{}",
                 p.plan_text()
             );
@@ -1262,8 +1296,8 @@ mod tests {
     /// with a constant, over candidates of every kind — elements,
     /// attributes, text, the root — and in front of and behind a positional
     /// predicate: OPTMINCONTEXT agrees with `Naive`.  The queries in
-    /// `columns` are answered by a column, whatever the candidate count,
-    /// and build no backward set.
+    /// `columns` are answered by one merge, whatever the candidate count,
+    /// and build no set for the whole document.
     fn witness_columns_agree(doc: &minctx_xml::Document, axes: &[&str], columns: &[&str]) {
         let (opt, naive) = (
             crate::Engine::new(Strategy::OptMinContext),
@@ -1305,7 +1339,7 @@ mod tests {
             let step = p.steps.iter().find(|s| s.predicates == 1).unwrap();
             assert_eq!(
                 (step.mode, p.backward_passes),
-                (Some(PredMode::Column), 0),
+                (Some(PredMode::Algebra), 0),
                 "{}",
                 p.plan_text()
             );
@@ -1342,6 +1376,66 @@ mod tests {
                 "//x[.//item != 7]",
             ],
         );
+    }
+
+    #[test]
+    fn nested_predicates_agree_with_naive() {
+        // Predicates inside predicates, on every landing and at every step
+        // of the inner path — the first, the last and one between — under
+        // `not`, `or` and a positional neighbour, with the optimizer off
+        // and on: OPTMINCONTEXT agrees with `Naive`.
+        let doc = witness_doc();
+        let naive = crate::Engine::new(Strategy::Naive);
+        let preds = [
+            "ancestor::*[k]",
+            "ancestor::item[@v = 7]",
+            "k[item] = 7",
+            "k[item[k]]",
+            "following-sibling::*[@v]",
+            "preceding-sibling::item[k] != 7",
+            ".//k[not(item)]",
+            "descendant::x[.//k = 7]",
+            "descendant-or-self::*[@v][k]",
+            "x[@v]/item",
+            "*[k]/*[item]/k",
+            "parent::*[following-sibling::k]",
+            "following::k[@v > 0]",
+            "preceding::*[item][x]",
+            "self::item[k]",
+            "@v[. = 7]",
+            "item[not(.//x)] = 7",
+        ];
+        for optimizer in [false, true] {
+            let opt = crate::Engine::new(Strategy::OptMinContext).with_optimizer(optimizer);
+            for pred in preds {
+                for q in [
+                    format!("//item[{pred}]"),
+                    format!("//*[{pred}]"),
+                    format!("//node()[{pred}]"),
+                    format!("//@v[{pred}]"),
+                    format!("//*[not({pred})]"),
+                    format!("//k[{pred} or @v = 7]"),
+                    format!("//k[{pred}][2]"),
+                    format!("//item[1][{pred}]"),
+                    format!("//x[count(*[{pred}]) > 1]"),
+                ] {
+                    let want = naive.evaluate_str(&doc, &q);
+                    assert_eq!(opt.evaluate_str(&doc, &q), want, "{q}");
+                }
+                // The whole predicate is answered by the algebra: no
+                // candidate is visited, and each inner step is one call.
+                let p = opt.explain(&doc, &format!("//item[{pred}]")).unwrap();
+                let step = p.steps.iter().find(|s| s.display == "descendant::item");
+                let step = step.or(p.steps.iter().find(|s| s.display == "child::item"));
+                assert_eq!(step.unwrap().mode, Some(PredMode::Algebra), "{pred}");
+                let inner = p.steps.iter().filter(|s| s.path != p.steps[0].path);
+                assert!(
+                    inner.clone().all(|s| s.invocations == 1),
+                    "{}",
+                    p.plan_text()
+                );
+            }
+        }
     }
 
     #[test]
@@ -1415,8 +1509,9 @@ mod tests {
         let naive = crate::Engine::new(Strategy::Naive);
         for strategy in [Strategy::MinContext, Strategy::OptMinContext] {
             let engine = crate::Engine::new(strategy).with_optimizer(true);
-            // OPTMINCONTEXT reads every one of these predicates off the rank
-            // column; MINCONTEXT evaluates each candidate, as the paper does.
+            // OPTMINCONTEXT answers every one of these predicates for the
+            // ranked list; MINCONTEXT evaluates each candidate, as the paper
+            // does.
             let (mode, name) = match strategy {
                 Strategy::OptMinContext => (PredMode::RankColumn, "rank-column"),
                 _ => (PredMode::SiblingRank, "sibling-rank"),
@@ -1427,6 +1522,7 @@ mod tests {
                 ("//*/b[2]", "child::b", 4, 1),
                 ("//*/b[@k][1]", "child::b", 1, 1),
                 ("//*/b[2][1]", "child::b", 4, 1),
+                ("//*/b[1][@k]", "child::b", 4, 0),
                 ("//b/@*[last()]", "attribute::*", 1, 1),
                 ("/r/x/y[1]", "child::y", 20, 20),
             ] {
@@ -1438,14 +1534,12 @@ mod tests {
                 assert!(!p.plan_text().contains("origins="), "{}", p.plan_text());
                 assert_eq!(engine.evaluate_str(&doc, q), naive.evaluate_str(&doc, q));
             }
-            // One predicate per candidate — `@k` after a position, a literal
-            // operand — and the step is `sibling-rank` on both.
-            for q in ["//*/b[1][@k]", "//*/b[position() = '2']"] {
-                let p = engine.explain(&doc, q).unwrap();
-                let step = p.steps.iter().find(|s| s.display == "child::b").unwrap();
-                assert_eq!(step.mode, Some(PredMode::SiblingRank), "{strategy} {q}");
-                assert_eq!(engine.evaluate_str(&doc, q), naive.evaluate_str(&doc, q));
-            }
+            // A literal operand is read per candidate: `sibling-rank` on both.
+            let q = "//*/b[position() = '2']";
+            let p = engine.explain(&doc, q).unwrap();
+            let step = p.steps.iter().find(|s| s.display == "child::b").unwrap();
+            assert_eq!(step.mode, Some(PredMode::SiblingRank), "{strategy} {q}");
+            assert_eq!(engine.evaluate_str(&doc, q), naive.evaluate_str(&doc, q));
             // `//b[k]` cannot be fused (`descendant::b[k]` is another
             // query), but its `descendant-or-self::node()` is never built:
             // the ranked step sweeps `descendant::b` from the root itself.

@@ -77,7 +77,7 @@ fn explain_plan_rows_agree_with_count() {
     let (text, _) = plan(Strategy::OptMinContext);
     let golden = format!(
         "plan\n  \
-         [#2 step 0] descendant::item preds=1 mode=backward route=postings calls=1 in=1 out={with_id}\n\
+         [#2 step 0] descendant::item preds=1 mode=algebra route=postings calls=1 in=1 out={with_id}\n\
          memo hits=0 misses=1\n\
          backward passes=1\n"
     );
