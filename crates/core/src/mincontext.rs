@@ -1396,8 +1396,8 @@ mod tests {
             ".//k[not(item)]",
             "descendant::x[.//k = 7]",
             "descendant-or-self::*[@v][k]",
-            "x[@v]/item",
-            "*[k]/*[item]/k",
+            "x[@v = 7]/item",
+            "*[k = 7]/*[item]/k",
             "parent::*[following-sibling::k]",
             "following::k[@v > 0]",
             "preceding::*[item][x]",
