@@ -115,8 +115,8 @@ pub struct StepProfile {
     /// for a predicate-free step).
     pub mode: Option<PredMode>,
     /// How many times the step ran (a path under a predicate runs once
-    /// per candidate its predicate is computed for; none at all when a
-    /// backward set answers the predicate).
+    /// per candidate its predicate is computed for; once when the
+    /// predicate algebra computes it for all of them).
     pub invocations: u64,
     /// Total context-set cardinality across invocations.
     pub input: u64,
@@ -155,7 +155,7 @@ pub struct QueryProfile {
     /// Per-step evaluation records, outermost path first.
     pub steps: Vec<StepProfile>,
     /// MINCONTEXT memo hits (free re-uses of a computed value).  Answers
-    /// read from a backward set are not memo traffic and count as neither.
+    /// read from a satisfying set are not memo traffic and count as neither.
     pub memo_hits: u64,
     /// Values actually computed: every compute counts, whether or not the
     /// node keeps a table to store the result in.

@@ -679,12 +679,11 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         (counted && step.predicates.is_empty()).then_some((id, step, test))
     }
 
-    /// How `p`'s last `χ⁻¹` lands on a domain of `n` nodes — the one length
-    /// test.  A set already built whole answers; a first step on a sibling
-    /// or `descendant(-or-self)` axis, whose inverse merges, merges; one
-    /// predicate-free `child` / `attribute` / `self` step walks from the
-    /// domain while it is shorter than the seed (the last test's postings,
-    /// else `|D|`); anything else is built whole.
+    /// How `p`'s last `χ⁻¹` lands on a domain of `n` nodes, by the one
+    /// length test: a first step whose inverse merges merges, one
+    /// predicate-free local step walks from a domain shorter than the seed
+    /// (the postings, else `|D|`), and anything else — or a set already
+    /// built — is the whole set.
     fn landing(&self, pred: ExprId, p: PathPred<'q>, n: usize) -> Landing {
         let Some(first) = p.steps.first() else {
             return Landing::Whole;
@@ -816,16 +815,12 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             .and_then(Option::as_ref))
     }
 
-    /// `p`'s witnesses at its first step, right to left: the last step's
-    /// postings — or the nodes its test selects, *before* any string value
-    /// is read (`@v > 500` compares the `v` attributes, not the text of
-    /// every element) — compared under `op c`; then at each step kept
-    /// where its node test holds and its axis can reach them (attributes
-    /// only on `self`, `parent`, `attribute` and the or-self axes), cut to
-    /// its own predicates' satisfying sets by [`Run::filter_set`] over
-    /// these nodes, and carried through the next step's `χ⁻¹`.  The seed is
-    /// charged `|seed|` when it is read, and always on the way to a `whole`
-    /// landing.
+    /// `p`'s witnesses at its first step: the last test's postings — or the
+    /// nodes it selects, before any string value is read — compared under
+    /// `op c`, then right to left kept where each step's test holds and its
+    /// axis reaches, cut to its predicates' sets by [`Run::filter_set`] and
+    /// carried through the next step's `χ⁻¹`.  The seed costs `|seed|`
+    /// when read, and always on the way to a `whole` landing.
     fn carry(&mut self, p: PathPred<'q>, whole: bool) -> Result<Cow<'d, [NodeId]>, EvalError> {
         let doc = self.doc;
         let postings = self.seed(p);
@@ -879,13 +874,11 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         Ok(w)
     }
 
-    /// (c): a `*` / `node()` step off the ancestor axes starts from the
-    /// satisfying set `B` of its first predicate — which then holds for all
-    /// of it — when [`axis_image_among`] finds `B` the smaller side.  `B`
-    /// is built only to ask when it is an existence test or lands whole
-    /// anyway; a comparison read on the candidates' side is not.  On the
-    /// ancestor axes the walk reads only the origins' chains, and `B` may
-    /// be far longer.
+    /// (c): a `*` / `node()` step off the ancestor axes (whose walk reads
+    /// only the origins' chains) starts from its first predicate's whole
+    /// set `B`, which then holds for all of it, when [`axis_image_among`]
+    /// finds `B` the smaller side — `B` built only to ask for an existence
+    /// test or where it lands whole anyway.
     fn start_from(
         &mut self,
         axis: Axis,
@@ -1171,7 +1164,7 @@ mod tests {
         // values that are no number (`''`, `'NaN'`, `'1e3'`) or only one
         // after trimming (`' 7 '`), and a negative zero.  `v` and `id` are
         // on more nodes than there are <item>s (read on the candidates'
-        // side), `w` on fewer (the backward set is built).
+        // side), `w` on fewer (the set is built whole).
         let vals = ["", " 7 ", "NaN", "1e3", "-0", "7", "1000", "-1"];
         let mut xml = String::from("<r>");
         for d in 0..10 {

@@ -132,8 +132,7 @@ fn optmincontext_keeps_core_xpath_linear_on_deep_chains() {
     // step the step starts from the predicate's satisfying set; from a
     // named one the predicate is one ancestor merge of the candidates
     // against the `even` postings, its cursor one witness a candidate
-    // (×1.96–1.99).  The nested shapes measure ×1.97–2.00; they read
-    // ×3.6–3.9 while the inner path ran once per candidate.  They stay out
+    // (×1.96–1.99).  The nested shapes measure ×1.97–2.00.  They stay out
     // of `CORE_XPATH_QUERIES`, which plain MINCONTEXT's balanced-tree test
     // reads too.
     let docs: Vec<Document> = [100, 200, 400].map(|n| uniform_tree(n, 1)).into();
@@ -163,10 +162,9 @@ fn optmincontext_keeps_nested_predicates_linear_on_balanced_trees() {
     // OPTMINCONTEXT only: plain MINCONTEXT evaluates `descendant::even[odd]`
     // once per `odd` candidate by design, ×2.31 per doubling at depth
     // 6 → 7, and stays the paper's algorithm and the independent check.
-    // Under OPTMINCONTEXT the inner path is one satisfying set: measured
-    // ×1.98–2.00.  The sibling shape read ×3.43–3.91 while its inner step
-    // started from the inner predicate's set once per candidate, each
-    // start charged that whole set.
+    // Under OPTMINCONTEXT the inner path is one satisfying set, not a start
+    // from the inner predicate's set once per candidate, each charged that
+    // whole set: measured ×1.98–2.00.
     let docs = balanced(6..=9);
     for q in &NESTED[1..] {
         for optimize in [true, false] {
