@@ -467,13 +467,12 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
 
     /// Keeps the members of `cands` for which the position-free predicate
     /// `pred` holds, without visiting a node the answer is already known
-    /// for: a [`Shape`] is answered for the whole set by
-    /// [`Run::satisfying`]; `and` filters in sequence, `or` unions (the
-    /// right operand sees only what the left rejected), `not` takes the
-    /// difference within `cands` — each consulting and extending the
-    /// predicate's own table, which stands in for the per-node computes
-    /// that would have shielded the operands; any other shape is evaluated
-    /// node by node through [`Run::eval`].
+    /// for: a [`Shape`] is answered for the whole set by [`Run::answer`];
+    /// `and` filters in sequence, `or` unions (the right operand sees only
+    /// what the left rejected), `not` takes the difference within `cands` —
+    /// each consulting and extending the predicate's own table, which
+    /// stands in for the per-node computes that would have shielded the
+    /// operands; any other shape is evaluated node by node ([`Run::eval`]).
     fn filter_set(&mut self, pred: ExprId, cands: NodeSet) -> Result<NodeSet, EvalError> {
         if cands.is_empty() {
             return Ok(cands);
@@ -501,7 +500,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         let (known, todo) = self.memo[pred.index()].split(cands);
         let holds = match (shape, q.node(pred)) {
             (Some(shape), _) => {
-                NodeSet::from_sorted_vec(self.satisfying(pred, shape, todo.as_slice(), None)?)
+                NodeSet::from_sorted_vec(self.answer(pred, shape, todo.as_slice(), None)?)
             }
             (None, Node::And(a, b)) => {
                 let left = self.filter_set(*a, todo.clone())?;
@@ -584,7 +583,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         ranks: &[SiblingRank],
     ) -> Result<(), EvalError> {
         if let Some(shape) = self.shape(pred) {
-            *list = self.satisfying(pred, shape, list, Some(ranks))?;
+            *list = self.answer(pred, shape, list, Some(ranks))?;
             return Ok(());
         }
         self.per_node += 1;
@@ -715,28 +714,37 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
     }
 
     /// The members of `dom` — ascending, each once — that `pred`, of shape
-    /// `shape`, holds for, by one kernel call per path in it; `ranks`,
-    /// where `dom` is ranked, are its `position()` and `last()`.
-    fn satisfying(
+    /// `shape`, holds for, by one kernel call per path in it: the count
+    /// column (`ranks`, where `dom` is ranked, are its `position()` and
+    /// `last()`) or the satisfying set.
+    fn answer(
         &mut self,
         pred: ExprId,
         shape: Shape<'q>,
         dom: &[NodeId],
         ranks: Option<&[SiblingRank]>,
     ) -> Result<Vec<NodeId>, EvalError> {
-        if dom.is_empty() {
-            return Ok(Vec::new());
-        }
-        let p = match shape {
+        match shape {
+            _ if dom.is_empty() => Ok(Vec::new()),
             Shape::Counts(op, a, b) => {
                 let (x, y) = (self.numbers(a, dom, ranks)?, self.numbers(b, dom, ranks)?);
                 let holds =
                     |i: usize| compare_scalars(op, &Value::Number(x[i]), &Value::Number(y[i]));
                 let kept = dom.iter().enumerate().filter(|&(i, _)| holds(i));
-                return Ok(kept.map(|(_, &c)| c).collect());
+                Ok(kept.map(|(_, &c)| c).collect())
             }
-            Shape::Path(p) => p,
-        };
+            Shape::Path(p) => self.satisfying(pred, p, dom),
+        }
+    }
+
+    /// The members of `dom` the path predicate `p` holds for: its witnesses
+    /// ([`Run::carry`]) landed on `dom` as [`Run::landing`] chooses.
+    fn satisfying(
+        &mut self,
+        pred: ExprId,
+        p: PathPred<'q>,
+        dom: &[NodeId],
+    ) -> Result<Vec<NodeId>, EvalError> {
         let landing = self.landing(pred, p, dom.len());
         if landing == Landing::Whole {
             let holds = self.whole(pred)?.expect("a path predicate");
@@ -810,9 +818,8 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             };
             self.satisfied[pred.index()] = Some(built);
         }
-        Ok(self.satisfied[pred.index()]
-            .as_ref()
-            .and_then(Option::as_ref))
+        let built = &self.satisfied[pred.index()];
+        Ok(built.as_ref().and_then(Option::as_ref))
     }
 
     /// `p`'s witnesses at its first step: the last test's postings — or the

@@ -115,15 +115,6 @@ fn mincontext_fuel_doubles_with_the_document_on_every_family() {
     }
 }
 
-/// Predicates that carry predicates of their own.  Their satisfying sets are
-/// built innermost first, once per evaluation, so OPTMINCONTEXT never runs
-/// the inner path once per candidate.
-const NESTED: [&str; 3] = [
-    "//*[ancestor::*[even]]",
-    "//odd[descendant::even[odd]]",
-    "//*[following-sibling::*[odd]]",
-];
-
 #[test]
 fn optmincontext_keeps_core_xpath_linear_on_deep_chains() {
     // Chains of 100, 200 and 400 elements: satisfying sets answer the
@@ -132,16 +123,17 @@ fn optmincontext_keeps_core_xpath_linear_on_deep_chains() {
     // step the step starts from the predicate's satisfying set; from a
     // named one the predicate is one ancestor merge of the candidates
     // against the `even` postings, its cursor one witness a candidate
-    // (×1.96–1.99).  The nested shapes measure ×1.97–2.00.  They stay out
-    // of `CORE_XPATH_QUERIES`, which plain MINCONTEXT's balanced-tree test
-    // reads too.
+    // (×1.96–1.99).  The last two carry a predicate inside the predicate,
+    // whose satisfying set is built once, innermost first (×1.97–2.00).
+    // They stay out of `CORE_XPATH_QUERIES`, which plain MINCONTEXT's
+    // balanced-tree test reads too.
     let docs: Vec<Document> = [100, 200, 400].map(|n| uniform_tree(n, 1)).into();
     let existence = [
         "//*[.//even]",
         "//odd[.//even]",
         "//even[not(descendant::odd)]",
-        NESTED[0],
-        NESTED[1],
+        "//*[ancestor::*[even]]",
+        "//odd[descendant::even[odd]]",
     ];
     for q in CORE_XPATH_QUERIES.iter().chain(&existence) {
         for optimize in [true, false] {
@@ -166,7 +158,10 @@ fn optmincontext_keeps_nested_predicates_linear_on_balanced_trees() {
     // from the inner predicate's set once per candidate, each charged that
     // whole set: measured ×1.98–2.00.
     let docs = balanced(6..=9);
-    for q in &NESTED[1..] {
+    for q in [
+        "//*[following-sibling::*[odd]]",
+        "//odd[descendant::even[odd]]",
+    ] {
         for optimize in [true, false] {
             let engine = Engine::new(Strategy::OptMinContext).with_optimizer(optimize);
             let fuel = fuel_per_doc(&engine, &docs, q);
