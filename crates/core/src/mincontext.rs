@@ -751,48 +751,41 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             return Ok(dom.iter().copied().filter(|&y| holds.contains(y)).collect());
         }
         let (first, timer, doc) = (&p.steps[0], self.timer(), self.doc);
-        Ok(match landing {
-            Landing::Whole => unreachable!("answered above"),
-            Landing::Local => {
-                let cmp = p.cmp.map(|(op, c)| (op, self.constant(c)));
-                let (mut list, mut read) = (dom.to_vec(), 0);
-                let test = self.query.step_test(p.path, 0);
-                let work = retain_local(doc, first.axis, test, &mut list, |y| {
-                    read += 1;
-                    cmp.as_ref()
-                        .is_none_or(|(op, scalar)| node_scalar_compare(doc, *op, y, scalar))
-                });
-                self.meter.charge(work as u64 + 1)?;
-                self.record(p.path, 0, first, AxisRoute::Walk, dom.len(), read, timer);
-                list
-            }
-            Landing::Merge => {
-                // `c[following-sibling::t]` holds iff `c` is a preceding
-                // sibling of a witness, `c[.//t]` iff it is an ancestor of
-                // one: `χ⁻¹(W) ∩ dom`, one merge of the witnesses against
-                // the domain, charged each member of the domain and, for a
-                // sibling merge, each witness before it; after it, what
-                // the ancestor merge read of its chain and probed.
-                let w = match self.witnesses[pred.index()].take() {
-                    Some(w) => w,
-                    None => self.carry(p, false)?,
-                };
-                let opposite = first.axis.inverse().expect("a tree axis");
-                let sibling = matches!(opposite, Axis::FollowingSibling | Axis::PrecedingSibling);
-                let known = dom.len() + if sibling { w.len() } else { 0 };
-                self.meter.charge(known as u64 + 1)?;
-                let (any, mut out) = (ResolvedTest::AnyNode, NodeSet::new());
-                let (exec, scratch) = (self.exec, &mut *self.scratch);
-                let (_, read) =
-                    axis_image_among(doc, opposite, &w, any, dom, scratch, &mut out, exec)
-                        .expect("the inverse axis merges");
-                self.meter.charge((read - known) as u64)?;
-                let (route, witnesses) = (AxisRoute::Postings, w.len());
-                self.record(p.path, 0, first, route, dom.len(), witnesses, timer);
-                self.witnesses[pred.index()] = Some(w);
-                out.into_vec()
-            }
-        })
+        if landing == Landing::Local {
+            let cmp = p.cmp.map(|(op, c)| (op, self.constant(c)));
+            let (mut list, mut read) = (dom.to_vec(), 0);
+            let test = self.query.step_test(p.path, 0);
+            let work = retain_local(doc, first.axis, test, &mut list, |y| {
+                read += 1;
+                cmp.as_ref()
+                    .is_none_or(|(op, scalar)| node_scalar_compare(doc, *op, y, scalar))
+            });
+            self.meter.charge(work as u64 + 1)?;
+            self.record(p.path, 0, first, AxisRoute::Walk, dom.len(), read, timer);
+            return Ok(list);
+        }
+        // `c[following-sibling::t]` holds iff `c` is a preceding sibling of
+        // a witness, `c[.//t]` iff it is an ancestor of one: `χ⁻¹(W) ∩ dom`,
+        // one merge of the witnesses against the domain, charged each member
+        // of the domain and, for a sibling merge, each witness before it;
+        // after it, what the ancestor merge read of its chain and probed.
+        let w = match self.witnesses[pred.index()].take() {
+            Some(w) => w,
+            None => self.carry(p, false)?,
+        };
+        let opposite = first.axis.inverse().expect("a tree axis");
+        let sibling = matches!(opposite, Axis::FollowingSibling | Axis::PrecedingSibling);
+        let known = dom.len() + if sibling { w.len() } else { 0 };
+        self.meter.charge(known as u64 + 1)?;
+        let (any, mut out) = (ResolvedTest::AnyNode, NodeSet::new());
+        let (exec, scratch) = (self.exec, &mut *self.scratch);
+        let (_, read) = axis_image_among(doc, opposite, &w, any, dom, scratch, &mut out, exec)
+            .expect("the inverse axis merges");
+        self.meter.charge((read - known) as u64)?;
+        let (route, witnesses) = (AxisRoute::Postings, w.len());
+        self.record(p.path, 0, first, route, dom.len(), witnesses, timer);
+        self.witnesses[pred.index()] = Some(w);
+        Ok(out.into_vec())
     }
 
     /// The set `pred` holds for over the whole document when it is a path
