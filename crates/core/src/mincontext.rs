@@ -42,8 +42,8 @@
 //! inverse axis merges, a local walk from `D` when `π` is one
 //! predicate-free `child` / `attribute` / `self` step and `D` the shorter
 //! side, else the preimage kernel — a set for the whole document, built
-//! once per evaluation, which *is* the predicate's table (DESIGN.md
-//! "Set-at-a-time predicates").
+//! once per evaluation, which *is* the predicate's table and which a `*` /
+//! `node()` step may start from (DESIGN.md "Set-at-a-time predicates").
 //!
 //! [`axis_preimage`]: minctx_xml::axes::axis_preimage
 
