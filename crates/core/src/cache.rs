@@ -1,5 +1,5 @@
 //! A small least-recently-used map, shared by the [`Engine`](crate::Engine)'s
-//! compiled-query cache and the `minctx-serve` sharded caches.
+//! compiled-query cache and the two `minctx-serve` caches.
 //!
 //! Deliberately simple (std-only, no intrusive list): entries carry a
 //! monotone use tick and eviction scans for the minimum.  Lookups and

@@ -75,19 +75,18 @@ pub enum Strategy {
     OptMinContext,
     /// One-pass SAX-style streaming over XML text without materializing
     /// the arena, for the forward-axis fragment (the `minctx-stream`
-    /// crate's `evaluate_reader`).  As an *arena* evaluator — i.e. when a
-    /// [`Document`] has already been built and `evaluate` is called — this
-    /// strategy delegates to [`Strategy::MinContext`], which is also the
-    /// streaming differential suite's oracle.
+    /// crate's `evaluate_reader`, whose arena fallback runs
+    /// [`Strategy::MinContext`]).  It has no arena evaluator of its own:
+    /// evaluating or explaining a built [`Document`] under it is
+    /// [`EvalError::NotAnArenaStrategy`].
     Streaming,
 }
 
 impl Strategy {
     /// The arena strategies, in baseline-to-best order (handy for
     /// differential tests and benchmark sweeps).  [`Strategy::Streaming`]
-    /// is deliberately excluded: it is not a distinct arena algorithm
-    /// (its arena path delegates to MINCONTEXT; the streaming path lives
-    /// in `minctx-stream`).
+    /// is deliberately excluded: it is not an arena algorithm (its one
+    /// evaluator lives in `minctx-stream`).
     pub const ALL: [Strategy; 4] = [
         Strategy::Naive,
         Strategy::ContextValueTable,
@@ -292,6 +291,13 @@ impl Engine {
         self.strategy
     }
 
+    /// The same engine running `strategy`: budget, optimizer, recorder,
+    /// threads and compiled-query cache carry over (a compilation does
+    /// not depend on the strategy).
+    pub fn with_strategy(self, strategy: Strategy) -> Engine {
+        Engine { strategy, ..self }
+    }
+
     /// The full budget configuration (fuel and timeout).
     pub fn budget_config(&self) -> Budget {
         self.budget
@@ -380,7 +386,8 @@ impl Engine {
     /// engine's budget.
     ///
     /// The profiled run uses the MINCONTEXT evaluator (OPTMINCONTEXT when
-    /// the engine's strategy is [`Strategy::OptMinContext`]) and honors
+    /// the engine's strategy is [`Strategy::OptMinContext`]; an error
+    /// under [`Strategy::Streaming`]) and honors
     /// the engine's budget and optimizer settings, but bypasses the
     /// compiled-query cache: EXPLAIN always measures a real compile.
     ///
@@ -492,11 +499,7 @@ impl Engine {
                 Strategy::ContextValueTable => {
                     ContextValueTables.evaluate(doc, compiled, ctx, &mut scratch, meter)
                 }
-                // Arena evaluation under the streaming strategy uses
-                // MINCONTEXT — the same evaluator the streaming differential
-                // suite uses as its oracle — so `evaluate_reader`'s arena
-                // fallback and a direct `evaluate` agree by construction.
-                Strategy::MinContext | Strategy::Streaming => {
+                Strategy::MinContext => {
                     self.mincontext(false)
                         .evaluate(doc, compiled, ctx, &mut scratch, meter)
                 }
@@ -504,6 +507,7 @@ impl Engine {
                     self.mincontext(true)
                         .evaluate(doc, compiled, ctx, &mut scratch, meter)
                 }
+                Strategy::Streaming => Err(EvalError::NotAnArenaStrategy),
             };
             span.attr_str("strategy", || self.strategy.as_str().to_string());
             span.attr_u64("fuel", meter.spent() - spent_before);
@@ -527,15 +531,27 @@ mod tests {
     use minctx_xml::parse;
 
     #[test]
-    fn streaming_strategy_delegates_arena_evaluation_to_mincontext() {
+    fn streaming_strategy_refuses_arena_evaluation() {
         // Strategy::Streaming is the evaluate_reader marker; on an already
-        // materialized document it evaluates via MINCONTEXT (the streaming
-        // suite's oracle), not some fifth arena walker.
+        // materialized document it has no evaluator, and says so rather
+        // than answering with some other strategy.
         let doc = parse("<a><b/><b/></a>").unwrap();
-        let v = Engine::new(Strategy::Streaming)
-            .evaluate_str(&doc, "count(//b)")
-            .unwrap();
-        assert_eq!(v, Value::Number(2.0));
+        let e = Engine::new(Strategy::Streaming);
+        assert_eq!(
+            e.evaluate_str(&doc, "count(//b)"),
+            Err(EvalError::NotAnArenaStrategy)
+        );
+        let q = minctx_syntax::parse_xpath("count(//b)").unwrap();
+        assert_eq!(e.evaluate(&doc, &q), Err(EvalError::NotAnArenaStrategy));
+        assert!(matches!(
+            e.explain(&doc, "count(//b)"),
+            Err(EvalError::NotAnArenaStrategy)
+        ));
+        let mincontext = e.with_strategy(Strategy::MinContext);
+        assert_eq!(
+            mincontext.evaluate_str(&doc, "count(//b)"),
+            Ok(Value::Number(2.0))
+        );
         assert!(!Strategy::ALL.contains(&Strategy::Streaming));
     }
 

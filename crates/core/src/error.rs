@@ -54,6 +54,10 @@ pub enum EvalError {
     /// [`minctx_index::SnapshotError`] for the full taxonomy).  Arc'd so
     /// evaluation errors stay cheaply clonable.
     Snapshot(std::sync::Arc<minctx_index::SnapshotError>),
+    /// A built document was handed to an engine whose strategy is
+    /// [`Strategy::Streaming`](crate::Strategy::Streaming), which only
+    /// evaluates XML text (`minctx-stream`'s `evaluate_reader`).
+    NotAnArenaStrategy,
 }
 
 /// Which [`Budget`](crate::Budget) limit an evaluation ran out of.
@@ -92,6 +96,9 @@ impl fmt::Display for EvalError {
                 write!(f, "invalid evaluation context: {reason}")
             }
             EvalError::Snapshot(e) => write!(f, "{e}"),
+            EvalError::NotAnArenaStrategy => {
+                f.write_str("the streaming strategy has no arena evaluator")
+            }
         }
     }
 }

@@ -23,7 +23,8 @@
 //! OPTMINCONTEXT variant when the engine's strategy
 //! is [`Strategy::OptMinContext`]); the naive and context-value-table
 //! strategies share its IR, compilation, and axis kernels, so the plan is
-//! representative for them too.
+//! representative for them too.  [`Strategy::Streaming`] has no arena
+//! evaluator to profile: explaining under it is an error.
 //!
 //! [`QueryProfile::plan_text`] renders the deterministic portion — no
 //! durations — in a stable line-oriented format, which this module's
@@ -358,6 +359,9 @@ pub(crate) fn explain(
     doc: &Document,
     source: &str,
 ) -> Result<QueryProfile, EvalError> {
+    if engine.strategy() == Strategy::Streaming {
+        return Err(EvalError::NotAnArenaStrategy);
+    }
     let t = Instant::now();
     let query = parse_xpath(source)?;
     let parse_time = t.elapsed();

@@ -36,8 +36,9 @@
 //!   (`a[p]/ancestor::b` → `a[p][ancestor::b]`), where OPTMINCONTEXT answers
 //!   it with one forward preimage sweep.  The reverse-step fold is applied
 //!   only when an earlier step already carries a predicate: a fully
-//!   predicate-free path is left intact for OPTMINCONTEXT's single
-//!   whole-path backward pass.
+//!   predicate-free path is left intact, since each of its steps is one
+//!   set-at-a-time kernel call under either MINCONTEXT evaluator and the
+//!   fold would add a predicate pass over the previous step's nodes.
 //! * **Predicate hoisting + constant folding** — pure literal
 //!   subexpressions are evaluated at rewrite time through the *same*
 //!   conversion/function library the evaluators use ([`funcs::apply`],
@@ -794,11 +795,10 @@ fn existential_tail_rule(steps: &[Step]) -> Option<Rule> {
         return Some(Rule::DropExistentialTail);
     }
     // `…/s[p]/ancestor::b` (existential) ≡ `…/s[p][ancestor::b]`: the
-    // reverse step becomes a per-node existence predicate the backward pass
-    // answers with one forward preimage sweep.  Only when an earlier
-    // predicate already rules out OPTMINCONTEXT's whole-path backward
-    // propagation — a fully predicate-free path is better left to that
-    // single pass.
+    // reverse step becomes an existence predicate on `s`.  Only when an
+    // earlier step already carries a predicate: a predicate-free path runs
+    // one set-at-a-time kernel call a step, which the fold would only
+    // follow with a predicate pass over the nodes of `s`.
     (last.axis.is_reverse() && earlier.iter().any(|s| !s.predicates.is_empty()))
         .then_some(Rule::FoldReverseTail)
 }

@@ -3,8 +3,8 @@
 //! The workspace's zero-dependency observability core, sitting below
 //! every other crate (it depends on `std` alone):
 //!
-//! * [`registry`] — named [`Counter`]s, [`Gauge`]s and lock-free
-//!   fixed-bucket [`Histogram`]s behind a get-or-register [`Registry`],
+//! * [`registry`] — named [`Counter`]s and lock-free fixed-bucket
+//!   [`Histogram`]s behind a get-or-register [`Registry`],
 //!   with point-in-time snapshots, a Prometheus-style text exposition
 //!   renderer and a JSON renderer.  [`global()`] is the process-wide
 //!   registry (`minctx-xml` / `minctx-index` counters live there);
@@ -28,7 +28,7 @@ pub mod registry;
 pub mod trace;
 
 pub use registry::{
-    global, metrics_text, Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot,
+    global, metrics_text, Counter, Histogram, HistogramSnapshot, Registry, RegistrySnapshot,
     HISTOGRAM_BUCKETS,
 };
 pub use trace::{AttrValue, CollectSink, JsonLinesSink, Phase, Recorder, Sink, Span, SpanRecord};

@@ -1,5 +1,5 @@
-//! The metrics registry: named [`Counter`]s, [`Gauge`]s and fixed-bucket
-//! lock-free [`Histogram`]s, with point-in-time snapshots and two stable
+//! The metrics registry: named [`Counter`]s and fixed-bucket lock-free
+//! [`Histogram`]s, with point-in-time snapshots and two stable
 //! renderers (Prometheus-style text exposition and JSON).
 //!
 //! # Concurrency model
@@ -22,7 +22,7 @@
 //! rely on.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// A monotone event counter.  Cloning shares the underlying cell.
@@ -49,35 +49,6 @@ impl Counter {
 
     /// The current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A signed instantaneous value (queue depths, pool sizes, …).  Cloning
-/// shares the underlying cell.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// A gauge not attached to any registry.
-    pub fn detached() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Replaces the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the value by `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -230,18 +201,16 @@ impl HistogramSnapshot {
 #[derive(Debug, Clone, Default)]
 pub struct RegistrySnapshot {
     pub counters: Vec<(String, u64)>,
-    pub gauges: Vec<(String, i64)>,
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
-/// A named collection of instruments.  `counter`/`gauge`/`histogram` are
+/// A named collection of instruments.  `counter`/`histogram` are
 /// get-or-register: the first call under a name creates the instrument,
 /// later calls return a handle to the same cells — so independent
 /// subsystems can meet at a shared name without coordination.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: RwLock<BTreeMap<String, Counter>>,
-    gauges: RwLock<BTreeMap<String, Gauge>>,
     histograms: RwLock<BTreeMap<String, Histogram>>,
 }
 
@@ -256,19 +225,6 @@ impl Registry {
             return c.clone();
         }
         self.counters
-            .write()
-            .expect("registry poisoned")
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    /// The gauge registered under `name`, creating it on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        if let Some(g) = self.gauges.read().expect("registry poisoned").get(name) {
-            return g.clone();
-        }
-        self.gauges
             .write()
             .expect("registry poisoned")
             .entry(name.to_string())
@@ -294,13 +250,6 @@ impl Registry {
         RegistrySnapshot {
             counters: self
                 .counters
-                .read()
-                .expect("registry poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self
-                .gauges
                 .read()
                 .expect("registry poisoned")
                 .iter()
@@ -370,11 +319,6 @@ impl RegistrySnapshot {
             let _ = writeln!(out, "# TYPE {n} counter");
             let _ = writeln!(out, "{n} {v}");
         }
-        for (name, v) in &self.gauges {
-            let n = prom_name(name);
-            let _ = writeln!(out, "# TYPE {n} gauge");
-            let _ = writeln!(out, "{n} {v}");
-        }
         for (name, h) in &self.histograms {
             let n = prom_name(name);
             let _ = writeln!(out, "# TYPE {n} histogram");
@@ -394,20 +338,13 @@ impl RegistrySnapshot {
         out
     }
 
-    /// JSON rendering: counters and gauges as numbers, histograms as
+    /// JSON rendering: counters as numbers, histograms as
     /// `{count, sum, max, p50, p99}` summaries.  Key order is the
     /// registry's stable name order.
     pub fn render_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("{\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{v}", json_escape(name));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -506,8 +443,6 @@ mod tests {
         r.counter("a/b").inc();
         r.counter("a/b").add(2);
         assert_eq!(r.counter("a/b").get(), 3);
-        r.gauge("g").set(-7);
-        assert_eq!(r.gauge("g").get(), -7);
         r.histogram("h").record(10);
         assert_eq!(r.histogram("h").snapshot().count, 1);
     }
@@ -516,13 +451,11 @@ mod tests {
     fn prometheus_rendering_is_stable_and_sanitized() {
         let r = Registry::new();
         r.counter("serve/requests").add(5);
-        r.gauge("serve/queue_depth").set(2);
         let h = r.histogram("serve/latency_us");
         h.record(3);
         h.record(300);
         let text = r.render_prometheus();
         assert!(text.contains("# TYPE serve_requests counter\nserve_requests 5\n"));
-        assert!(text.contains("serve_queue_depth 2"));
         assert!(text.contains("serve_latency_us_bucket{le=\"3\"} 1"));
         assert!(text.contains("serve_latency_us_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("serve_latency_us_sum 303"));

@@ -256,7 +256,6 @@ fn registry_registration_races_resolve_to_one_cell() {
                 for i in 0..NAMES {
                     reg.counter(&format!("race/c{i}")).inc();
                     reg.histogram(&format!("race/h{i}")).record(i);
-                    reg.gauge(&format!("race/g{i}")).add(1);
                 }
             })
         })
@@ -272,8 +271,5 @@ fn registry_registration_races_resolve_to_one_cell() {
     }
     for (name, h) in &snap.histograms {
         assert_eq!(h.count, THREADS, "{name} lost observations");
-    }
-    for (name, g) in &snap.gauges {
-        assert_eq!(*g, THREADS as i64, "{name} lost adjustments");
     }
 }

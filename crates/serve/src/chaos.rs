@@ -11,8 +11,8 @@
 //!   [`ServeError::WorkerPanicked`](crate::ServeError::WorkerPanicked)
 //!   on that request's ticket; the worker rebuilds its engine and
 //!   serves on.
-//! * `Site::Shard` — a panic while **holding a cache shard lock**,
-//!   poisoning the mutex.  The shard must recover (clear the poison,
+//! * `Site::Shard` — a panic while **holding a cache lock**,
+//!   poisoning the mutex.  The cache must recover (clear the poison,
 //!   drop the disposable cache contents) on its next use.
 //!
 //! Decisions are deterministic: the n-th tick of a plan fires iff
@@ -41,7 +41,7 @@ pub struct ChaosPlan {
     /// Rate (0..=1000) of panics in the worker loop as a popped job
     /// enters its fence (`Site::Worker`).
     pub worker_kill_per_mille: u16,
-    /// Rate (0..=1000) of panics taken while holding a shard lock.
+    /// Rate (0..=1000) of panics taken while holding a cache lock.
     pub shard_panic_per_mille: u16,
 }
 

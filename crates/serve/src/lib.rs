@@ -10,7 +10,7 @@
 //!
 //! * [`ServeEngine`] — N worker threads pulling `(corpus, query)` jobs
 //!   off one MPMC queue; each submission returns a [`Ticket`].
-//! * Two sharded LRUs shared by the pool: mapped snapshots keyed by
+//! * Two LRUs shared by the pool, one lock each: mapped snapshots keyed by
 //!   **content stamp** (peeked from the 104-byte snapshot header, no
 //!   full-file scan), and compiled queries keyed by
 //!   `(query text, doc stamp)`.
@@ -21,11 +21,11 @@
 //!   rather than stretching tail latency.
 //! * Fault tolerance: panics are contained per request
 //!   ([`ServeError::WorkerPanicked`]) and the worker keeps serving on a
-//!   fresh engine, cache shards recover from lock poisoning, and a
+//!   fresh engine, the caches recover from lock poisoning, and a
 //!   bounded admission queue sheds overload as
 //!   [`ServeError::Overloaded`] — with [`RetryPolicy`] backoff for
 //!   callers that want to wait a burst out.  The [`chaos`] module
-//!   injects seeded panics inside the job fence and under a shard lock
+//!   injects seeded panics inside the job fence and under a cache lock
 //!   so these claims stay tested.
 //!
 //! ```
@@ -47,18 +47,18 @@
 #![forbid(unsafe_code)]
 
 pub mod chaos;
+pub mod lru;
 pub mod queue;
 pub mod service;
-pub mod shard;
 pub(crate) mod sync;
 
 pub use chaos::ChaosPlan;
+pub use lru::SharedLru;
 pub use queue::{PushError, Queue, TryPop};
 pub use service::{
     Corpus, RetryPolicy, ServeBuilder, ServeEngine, ServeError, ServeStats, Ticket,
     QUERY_CACHE_CAPACITY,
 };
-pub use shard::ShardedLru;
 
 // The service hands `ServeEngine` references and `Ticket`s across
 // threads; both must be thread-safe by construction (tickets are Send

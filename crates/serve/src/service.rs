@@ -29,8 +29,8 @@
 //!   corrupt file is inspected once, not re-read on every request.
 
 use crate::chaos;
+use crate::lru::SharedLru;
 use crate::queue::{PushError, Queue};
-use crate::shard::ShardedLru;
 use minctx_core::{
     open_snapshot_or_quarantine, quarantine_snapshot, snapshot_stamp, Budget, CompiledQuery,
     Context, Engine, EvalError, Exhausted, SnapshotError, Strategy, Value,
@@ -40,7 +40,6 @@ use minctx_syntax::parse_xpath;
 use minctx_xml::Document;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -231,7 +230,8 @@ pub struct ServeStats {
     /// Panics contained by the per-job fence
     /// ([`ServeError::WorkerPanicked`] tickets).
     pub panics: u64,
-    /// High-watermark queue depth observed at admission.
+    /// High-watermark queue depth observed at admission: the exact
+    /// `max` of the `serve/queue_depth` histogram.
     pub max_queue_depth: u64,
     /// Median queue wait, from the `serve/queue_wait_us` histogram
     /// (bucketed — exact to ~3%; [`Duration::ZERO`] before any pickup).
@@ -243,8 +243,7 @@ pub struct ServeStats {
 /// Per-engine metrics: every counter and histogram is a handle into the
 /// engine's *private* [`Registry`] (not the process-global one — two
 /// pools in one process must not mix their numbers), rendered by
-/// [`ServeEngine::metrics_text`].  The queue-depth high-watermark atomic
-/// stays exact alongside the bucketed histograms.
+/// [`ServeEngine::metrics_text`].
 struct Metrics {
     registry: Registry,
     requests: Counter,
@@ -264,7 +263,6 @@ struct Metrics {
     latency_budget_us: Histogram,
     latency_panic_us: Histogram,
     latency_shed_us: Histogram,
-    max_queue_depth: AtomicU64,
 }
 
 impl Metrics {
@@ -285,7 +283,6 @@ impl Metrics {
             latency_budget_us: registry.histogram("serve/latency_budget_exhausted_us"),
             latency_panic_us: registry.histogram("serve/latency_panic_us"),
             latency_shed_us: registry.histogram("serve/latency_shed_us"),
-            max_queue_depth: AtomicU64::new(0),
             registry,
         }
     }
@@ -314,11 +311,11 @@ struct Shared {
     /// from document content (with the snapshot bit set), so two paths
     /// to the same bytes share one mapping, and a rewritten file is
     /// re-mapped under its new stamp — no mtime heuristics.
-    snapshots: ShardedLru<u64, Arc<Document>>,
+    snapshots: SharedLru<u64, Arc<Document>>,
     /// Compiled queries keyed by `(query text, doc stamp)`: compilation
     /// bakes in document name-codes, so the same XPath against a
     /// different document is a different entry.
-    queries: ShardedLru<(Arc<str>, u64), Arc<CompiledQuery>>,
+    queries: SharedLru<(Arc<str>, u64), Arc<CompiledQuery>>,
     metrics: Metrics,
     /// Request-lifecycle recorder ([`ServeBuilder::request_log`]): one
     /// [`Phase::Serve`] span per served request.  Disabled by default.
@@ -338,7 +335,6 @@ pub struct ServeBuilder {
     /// [`ServeBuilder::optimizer`] (default: on).
     engine: Engine,
     snapshot_cache_capacity: usize,
-    shards: usize,
     default_budget: Budget,
     queue_capacity: usize,
     recorder: Recorder,
@@ -352,7 +348,6 @@ impl Default for ServeBuilder {
                 .unwrap_or(1),
             engine: Engine::new(Strategy::OptMinContext),
             snapshot_cache_capacity: 8,
-            shards: 8,
             default_budget: Budget::UNLIMITED,
             queue_capacity: 1024,
             recorder: Recorder::disabled(),
@@ -376,14 +371,6 @@ impl ServeBuilder {
     /// Distinct mapped snapshots kept resident (default 8).
     pub fn snapshot_cache_capacity(mut self, n: usize) -> ServeBuilder {
         self.snapshot_cache_capacity = n.max(1);
-        self
-    }
-
-    /// Lock shards per cache (default 8).  A cache too small to give
-    /// every shard two entries uses fewer (see [`ShardedLru::new`]): the
-    /// default 8-snapshot cache runs on 4.
-    pub fn shards(mut self, n: usize) -> ServeBuilder {
-        self.shards = n.max(1);
         self
     }
 
@@ -417,8 +404,8 @@ impl ServeBuilder {
     pub fn build(self) -> ServeEngine {
         let shared = Arc::new(Shared {
             queue: Queue::bounded(self.queue_capacity),
-            snapshots: ShardedLru::new(self.snapshot_cache_capacity, self.shards),
-            queries: ShardedLru::new(QUERY_CACHE_CAPACITY, self.shards),
+            snapshots: SharedLru::new(self.snapshot_cache_capacity),
+            queries: SharedLru::new(QUERY_CACHE_CAPACITY),
             metrics: Metrics::new(),
             recorder: self.recorder,
         });
@@ -494,7 +481,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Resolve document and compiled query through the shared caches, then
 /// evaluate under the request's meter.  Cache misses compute outside
-/// any shard lock; a race on a cold key costs one duplicated
+/// the cache's lock; a race on a cold key costs one duplicated
 /// compilation, never a stall.  Runs inside the worker's panic fence.
 fn serve_one(engine: &Engine, shared: &Shared, job: &Job) -> Result<Value, EvalError> {
     // Contained chaos site: a panic here must resolve THIS ticket as
@@ -550,7 +537,7 @@ fn serve_one(engine: &Engine, shared: &Shared, job: &Job) -> Result<Value, EvalE
     engine.evaluate_compiled_metered(&doc, &compiled, Context::document(&doc), &mut meter)
 }
 
-/// A shared-snapshot query service: N worker threads, two sharded LRUs
+/// A shared-snapshot query service: N worker threads, two shared LRUs
 /// (mapped snapshots by content stamp, compiled queries by
 /// `(query, doc_stamp)`), per-request fuel/deadline budgets, a bounded
 /// admission queue, and panic-isolated workers (see the module docs'
@@ -597,13 +584,7 @@ impl ServeEngine {
             reply: tx,
         };
         match self.shared.queue.push(job) {
-            Ok(depth) => {
-                self.shared.metrics.queue_depth.record(depth as u64);
-                self.shared
-                    .metrics
-                    .max_queue_depth
-                    .fetch_max(depth as u64, Ordering::Relaxed);
-            }
+            Ok(depth) => self.shared.metrics.queue_depth.record(depth as u64),
             Err(PushError::Full { item, capacity }) => {
                 self.shared.metrics.shed.inc();
                 self.shared
@@ -671,7 +652,7 @@ impl ServeEngine {
             snapshot_misses: m.snapshot_misses.get(),
             shed: m.shed.get(),
             panics: m.panics.get(),
-            max_queue_depth: m.max_queue_depth.load(Ordering::Relaxed),
+            max_queue_depth: m.queue_depth.snapshot().max,
             queue_wait_p50: Duration::from_micros(wait.quantile(0.50).unwrap_or(0)),
             queue_wait_p99: Duration::from_micros(wait.quantile(0.99).unwrap_or(0)),
         }

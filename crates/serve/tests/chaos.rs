@@ -1,7 +1,7 @@
 //! Seeded fault-injection suite for the worker pool.  Each test
 //! installs a [`ChaosPlan`] that fires panics at the isolation
 //! boundaries (the worker loop and evaluation, both inside the job's
-//! fence, and under a shard lock) and asserts the four invariants the
+//! fence, and under a cache lock) and asserts the four invariants the
 //! serving layer claims:
 //!
 //! 1. **No hang** — every ticket resolves within a generous timeout.
@@ -218,8 +218,7 @@ fn shard_lock_panics_poison_then_recover() {
     let _guard = chaos_guard();
     let _clear = ClearOnDrop;
     let doc = test_doc();
-    // One shard per cache concentrates the poisoning on a single lock.
-    let serve = ServeEngine::builder().workers(3).shards(1).build();
+    let serve = ServeEngine::builder().workers(3).build();
 
     chaos::install(ChaosPlan {
         seed: 7,
@@ -231,7 +230,7 @@ fn shard_lock_panics_poison_then_recover() {
         .iter()
         .filter(|(_, r)| matches!(r, Err(ServeError::WorkerPanicked { .. })))
         .count();
-    assert!(panicked > 0, "a 15% shard-panic rate fired zero times");
+    assert!(panicked > 0, "a 15% cache-lock panic rate fired zero times");
 
     chaos::clear();
     // The poisoned-and-cleared cache must serve hits again, not just
@@ -254,7 +253,7 @@ fn mixed_chaos_storm_holds_every_invariant_for_fixed_seeds() {
     let _clear = ClearOnDrop;
     let doc = test_doc();
     for seed in [1u64, 2, 3] {
-        let serve = ServeEngine::builder().workers(4).shards(2).build();
+        let serve = ServeEngine::builder().workers(4).build();
         chaos::install(ChaosPlan {
             seed,
             eval_panic_per_mille: 100,

@@ -5,12 +5,12 @@
 //! panic or hang.
 //!
 //! (No loom in a std-only workspace — these are barrier-synchronized
-//! stress tests, not exhaustive interleaving checks; the shard and
+//! stress tests, not exhaustive interleaving checks; the cache and
 //! queue layers carry their own unit tests.)
 
 use minctx_bench::{corpus, values_agree, xmark_doc, XmarkConfig};
 use minctx_core::{open_snapshot, write_snapshot, Budget, Engine, EvalError, Strategy, Value};
-use minctx_serve::{Corpus, RetryPolicy, ServeEngine, ServeError, ShardedLru};
+use minctx_serve::{Corpus, RetryPolicy, ServeEngine, ServeError, SharedLru};
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -256,11 +256,11 @@ fn dropping_the_engine_answers_or_disconnects_every_ticket() {
 
 #[test]
 fn sharded_lru_is_coherent_under_contention() {
-    // Barrier-released threads hammer one ShardedLru with overlapping
+    // Barrier-released threads hammer one SharedLru with overlapping
     // key ranges; every observed value must be one some thread wrote
     // for that key, and residency stays within capacity.
     const THREADS: usize = 8;
-    let cache: Arc<ShardedLru<u32, Arc<(u32, u32)>>> = Arc::new(ShardedLru::new(64, 8));
+    let cache: Arc<SharedLru<u32, Arc<(u32, u32)>>> = Arc::new(SharedLru::new(64));
     let barrier = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS as u32)
         .map(|t| {

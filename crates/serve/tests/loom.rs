@@ -4,13 +4,13 @@
 //! which adds the loom dev-dependency transiently and runs
 //! `RUSTFLAGS="--cfg loom" cargo test -p minctx-serve --test loom`);
 //! in a normal build this file compiles to nothing.  Each model drives
-//! the *real* [`Queue`] and [`ShardedLru`] code through every
+//! the *real* [`Queue`] and [`SharedLru`] code through every
 //! interleaving loom can reach, checking:
 //!
 //! * no job is lost or double-delivered across `push`/`pop`/`close`;
 //! * a bounded queue's `Full` fast-reject never deadlocks anyone;
-//! * the sharded cache never leaks a locked shard (every `get`/`insert`
-//!   completes and later observers see a consistent shard).
+//! * the cache never leaks its lock (every `get`/`insert` completes
+//!   and later observers see a consistent cache).
 //!
 //! The same invariants are checked offline (no loom, exhaustive DFS at
 //! critical-section granularity) by `tests/protocol_model.rs` — loom
@@ -20,7 +20,7 @@
 
 use loom::sync::Arc;
 use loom::thread;
-use minctx_serve::{PushError, Queue, ShardedLru, TryPop};
+use minctx_serve::{PushError, Queue, SharedLru, TryPop};
 
 /// Drains the queue non-blockingly, spinning (with a loom yield) while
 /// it is empty-but-open.  Models a worker loop without parking on the
@@ -123,12 +123,12 @@ fn bounded_full_rejection_never_deadlocks() {
 }
 
 #[test]
-fn sharded_lru_never_leaks_a_locked_shard() {
+fn shared_lru_never_leaks_its_lock() {
     loom::model(|| {
-        // One shard forces both threads through the same lock; if any
-        // path returned without releasing it, the second op (and the
-        // final len) would deadlock and loom would flag the hang.
-        let c = Arc::new(ShardedLru::<u32, u32>::new(8, 1));
+        // Both threads go through the one lock; if any path returned
+        // without releasing it, the second op (and the final len) would
+        // deadlock and loom would flag the hang.
+        let c = Arc::new(SharedLru::<u32, u32>::new(8));
         let writer = {
             let c = Arc::clone(&c);
             thread::spawn(move || c.insert(1, 10))
@@ -140,7 +140,7 @@ fn sharded_lru_never_leaks_a_locked_shard() {
         writer.join().unwrap();
         let seen = reader.join().unwrap();
         assert!(seen.is_none() || seen == Some(10));
-        // The shard is unlocked and consistent after both ops.
+        // The cache is unlocked and consistent after both ops.
         assert_eq!(c.get(&1), Some(10));
         assert_eq!(c.len(), 1);
     });

@@ -15,7 +15,7 @@ use crate::exec::{Exec, StreamNodeKind, StreamValue};
 use minctx_core::{BudgetMeter, Engine, EvalError, Strategy, Value};
 use minctx_syntax::Query;
 use minctx_xml::token::{ParseOptions, Tokenizer, XmlEvent};
-use minctx_xml::{parse_reader_with_options, parse_with_options, Document};
+use minctx_xml::{parse_reader_with_options, parse_with_options, Document, XmlError};
 use std::io::Read;
 
 /// How [`StreamingEngine::evaluate_reader`] answered a query.
@@ -24,7 +24,8 @@ pub enum StreamOutcome {
     /// Answered in one pass over the text; no [`Document`] was built.
     Streamed(StreamValue),
     /// Fell back to the arena: the input was parsed and evaluated with
-    /// the engine's arena evaluator.  `reason` names the construct (or
+    /// the engine's arena strategy (MINCONTEXT under
+    /// [`Strategy::Streaming`]).  `reason` names the construct (or
     /// configuration) that forced the fallback.  The document is boxed so
     /// the streamed variant stays small.
     Arena {
@@ -117,19 +118,13 @@ impl StreamingEngine for Engine {
         reader: impl Read,
         opts: &ParseOptions,
     ) -> Result<StreamOutcome, EvalError> {
-        match decide(self, query) {
-            Ok(sq) => {
-                let mut tok = Tokenizer::from_reader(reader, opts.clone());
-                let mut meter = self.budget_config().meter();
-                let value = run_traced(self, &sq, &mut tok, &mut meter)?;
-                Ok(StreamOutcome::Streamed(value))
-            }
-            Err(reason) => {
-                let doc = Box::new(parse_reader_with_options(reader, opts)?);
-                let value = self.evaluate(&doc, query)?;
-                Ok(StreamOutcome::Arena { reason, doc, value })
-            }
-        }
+        evaluate_text(
+            self,
+            query,
+            reader,
+            |r| Tokenizer::from_reader(r, opts.clone()),
+            |r| parse_reader_with_options(r, opts),
+        )
     }
 
     fn evaluate_reader_str_with_options(
@@ -138,18 +133,44 @@ impl StreamingEngine for Engine {
         xml: &str,
         opts: &ParseOptions,
     ) -> Result<StreamOutcome, EvalError> {
-        match decide(self, query) {
-            Ok(sq) => {
-                let mut tok = Tokenizer::with_options(xml, opts.clone());
-                let mut meter = self.budget_config().meter();
-                let value = run_traced(self, &sq, &mut tok, &mut meter)?;
-                Ok(StreamOutcome::Streamed(value))
-            }
-            Err(reason) => {
-                let doc = Box::new(parse_with_options(xml, opts)?);
-                let value = self.evaluate(&doc, query)?;
-                Ok(StreamOutcome::Arena { reason, doc, value })
-            }
+        evaluate_text(
+            self,
+            query,
+            xml,
+            |x| Tokenizer::with_options(x, opts.clone()),
+            |x| parse_with_options(x, opts),
+        )
+    }
+}
+
+/// The body of both entry points, which differ only in how `input`
+/// becomes a tokenizer (streamed) or a document (the arena fallback).
+/// [`Strategy::Streaming`] has no arena evaluator, so its fallback runs
+/// MINCONTEXT — the streaming differential suite's oracle — under the
+/// engine's other settings; an arena strategy's fallback runs itself.
+fn evaluate_text<'a, T>(
+    engine: &Engine,
+    query: &Query,
+    input: T,
+    tokenizer: impl FnOnce(T) -> Tokenizer<'a>,
+    parse: impl FnOnce(T) -> Result<Document, XmlError>,
+) -> Result<StreamOutcome, EvalError> {
+    match decide(engine, query) {
+        Ok(sq) => {
+            let mut meter = engine.budget_config().meter();
+            let value = run_traced(engine, &sq, &mut tokenizer(input), &mut meter)?;
+            Ok(StreamOutcome::Streamed(value))
+        }
+        Err(reason) => {
+            let doc = Box::new(parse(input)?);
+            let value = match engine.strategy() {
+                Strategy::Streaming => engine
+                    .clone()
+                    .with_strategy(Strategy::MinContext)
+                    .evaluate(&doc, query)?,
+                _ => engine.evaluate(&doc, query)?,
+            };
+            Ok(StreamOutcome::Arena { reason, doc, value })
         }
     }
 }
@@ -275,7 +296,9 @@ mod tests {
         let out = e.evaluate_reader_str(&q, xml).unwrap();
         assert_eq!(nodes(&out), vec![3, 6]);
         let doc = minctx_xml::parse(xml).unwrap();
-        let oracle = e.evaluate(&doc, &q).unwrap();
+        let oracle = Engine::new(Strategy::MinContext)
+            .evaluate(&doc, &q)
+            .unwrap();
         let ids: Vec<u32> = oracle
             .as_node_set()
             .unwrap()

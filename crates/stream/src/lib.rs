@@ -23,8 +23,8 @@
 //! * engine integration: [`StreamingEngine::evaluate_reader`] extends
 //!   [`Engine`](minctx_core::Engine) — under
 //!   [`Strategy::Streaming`](minctx_core::Strategy) it streams what the
-//!   classifier accepts and falls back to parse-then-evaluate otherwise,
-//!   reporting which construct forced the fallback.
+//!   classifier accepts and falls back to parse-then-evaluate under
+//!   MINCONTEXT otherwise, reporting which construct forced the fallback.
 //!
 //! ```
 //! use minctx_core::{Engine, Strategy};

@@ -162,17 +162,6 @@ impl AstExpr {
     pub fn string(e: AstExpr) -> AstExpr {
         AstExpr::Call("string".to_string(), vec![e])
     }
-
-    /// Convenience: a `number(e)` call.
-    pub fn number_of(e: AstExpr) -> AstExpr {
-        AstExpr::Call("number".to_string(), vec![e])
-    }
-
-    /// Whether the expression is syntactically a location path (possibly
-    /// the bare `/`).
-    pub fn is_path(&self) -> bool {
-        matches!(self, AstExpr::Path(_))
-    }
 }
 
 impl fmt::Display for AstExpr {

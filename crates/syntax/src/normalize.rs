@@ -23,8 +23,10 @@
 //! 6. lifts unions out of existential contexts:
 //!    `boolean(π₁|π₂)` → `boolean(π₁) or boolean(π₂)` and
 //!    `(π₁|π₂) RelOp s` → `(π₁ RelOp s) or (π₂ RelOp s)` for scalar `s`
-//!    (required by `propagate_path_backwards`, Section 6; semantics are
-//!    preserved because the existential quantifier distributes over union);
+//!    (each operand is then one relative path, the shape OPTMINCONTEXT's
+//!    predicate algebra answers by a satisfying set, and `or` is their
+//!    union; semantics are preserved because the existential quantifier
+//!    distributes over union);
 //! 7. checks function names and arities, and rejects type errors XPath 1.0
 //!    defines as static errors (`count` of a non-node-set, etc.).
 

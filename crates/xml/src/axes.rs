@@ -1921,17 +1921,6 @@ impl Document {
     }
 }
 
-/// `idxχ(x, S)`: the 1-based index of `x` in `S` with respect to `<doc,χ`
-/// (Section 2.1).  `S` must be sorted in document order.
-pub fn idx_in_axis_order(axis: Axis, x: NodeId, s: &NodeSet) -> Option<usize> {
-    let pos = s.position_of(x)?;
-    Some(if axis.is_reverse() {
-        s.len() - pos
-    } else {
-        pos + 1
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2182,36 +2171,6 @@ mod tests {
         // Per-text-node tokenization (see DESIGN.md): the text node "22"
         // under b contributes the token to every ancestor's preimage.
         assert!(pre.contains(a));
-    }
-
-    #[test]
-    fn idx_in_axis_order_forward_and_reverse() {
-        let s = NodeSet::from_unsorted(vec![
-            NodeId::from_index(2),
-            NodeId::from_index(5),
-            NodeId::from_index(9),
-        ]);
-        assert_eq!(
-            idx_in_axis_order(Axis::Child, NodeId::from_index(2), &s),
-            Some(1)
-        );
-        assert_eq!(
-            idx_in_axis_order(Axis::Child, NodeId::from_index(9), &s),
-            Some(3)
-        );
-        // Reverse axis: first in reverse doc order gets index 1.
-        assert_eq!(
-            idx_in_axis_order(Axis::Ancestor, NodeId::from_index(9), &s),
-            Some(1)
-        );
-        assert_eq!(
-            idx_in_axis_order(Axis::Ancestor, NodeId::from_index(2), &s),
-            Some(3)
-        );
-        assert_eq!(
-            idx_in_axis_order(Axis::Child, NodeId::from_index(4), &s),
-            None
-        );
     }
 
     #[test]

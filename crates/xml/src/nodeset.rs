@@ -302,17 +302,6 @@ impl DenseSet {
         }
     }
 
-    /// In-place union with another dense set.
-    ///
-    /// # Panics
-    /// Panics if `other` has larger capacity than `self`.
-    pub fn union_with(&mut self, other: &DenseSet) {
-        assert!(other.capacity <= self.capacity, "capacity mismatch");
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
     /// Appends the members with index in `lo..=hi` that `keep` accepts to
     /// `out`, ascending: `O((hi − lo)/64 + members)`.  The axis kernels'
     /// ordering primitive — nodes reached out of document order are
@@ -517,7 +506,7 @@ mod tests {
         a.insert(NodeId::from_index(255));
         let mut b = DenseSet::with_capacity(128);
         b.extend([NodeId::from_index(5), NodeId::from_index(70)]);
-        a.union_with(&b);
+        a.extend(b.to_node_set().iter());
         assert_eq!(a.to_node_set(), ids(&[5, 70, 255]));
     }
 

@@ -159,8 +159,8 @@
 //! [`ServeEngine`](serve::ServeEngine) pool of worker threads sharing
 //! one immutable document (or mmap-ed snapshot) with zero copies —
 //! snapshots are cached by **content stamp** (peeked from the file
-//! header), compiled queries by `(query, document stamp)`, both behind
-//! sharded LRUs — and every request carries its own fuel/deadline
+//! header), compiled queries by `(query, document stamp)`, each behind
+//! one locked LRU — and every request carries its own fuel/deadline
 //! [`Budget`](engine::Budget), anchored at submission so queue wait
 //! counts against the deadline:
 //!
@@ -210,8 +210,8 @@
 //! ## Observability
 //!
 //! [`obs`] is the zero-dependency substrate the rest of the workspace
-//! reports through: a metrics [`Registry`](obs::Registry) (counters,
-//! gauges, lock-free histograms; Prometheus-text and JSON exposition)
+//! reports through: a metrics [`Registry`](obs::Registry) (counters and
+//! lock-free histograms; Prometheus-text and JSON exposition)
 //! and a query-lifecycle [`Recorder`](obs::Recorder) whose RAII spans
 //! cover parse → rewrite → compile → evaluate/stream → serve.  The
 //! default recorder is disabled and costs one untaken branch per span;
