@@ -830,7 +830,7 @@ pub mod corpus {
         // Grouped counts over child / attribute runs and name-ranked
         // subtrees (same-name nesting included), candidate-side
         // comparisons, and a wildcard step started from its predicate's
-        // backward set.
+        // whole satisfying set.
         "//even[count(odd) > 2]",
         "//*[count(.//odd) > count(.//even)]",
         "//*[count(@*) = 1]",

@@ -31,14 +31,10 @@
 //!   argument of `boolean()`, which is where the normalizer puts every
 //!   truth-valued path — trailing predicate-free total steps
 //!   (`self`/`descendant-or-self`/`ancestor-or-self` `::node()`, which
-//!   relate every node to itself) are dropped, and a trailing predicate-free
-//!   reverse step is folded into an existence predicate on the previous step
-//!   (`a[p]/ancestor::b` → `a[p][ancestor::b]`), where OPTMINCONTEXT answers
-//!   it with one forward preimage sweep.  The reverse-step fold is applied
-//!   only when an earlier step already carries a predicate: a fully
-//!   predicate-free path is left intact, since each of its steps is one
-//!   set-at-a-time kernel call under either MINCONTEXT evaluator and the
-//!   fold would add a predicate pass over the previous step's nodes.
+//!   relate every node to itself) are dropped.  A trailing reverse step
+//!   stays a step: both MINCONTEXT evaluators answer it with one
+//!   set-at-a-time kernel call, and folding it into an existence predicate
+//!   on the step before measured no fuel saved.
 //! * **Predicate hoisting + constant folding** — pure literal
 //!   subexpressions are evaluated at rewrite time through the *same*
 //!   conversion/function library the evaluators use ([`funcs::apply`],
@@ -54,11 +50,10 @@
 //!   branches (or anywhere else) collapse; evaluators that memoize or
 //!   materialize per node id then do the shared work once.
 //!
-//! **Height.**  Two rules add levels: the flip and the reverse-tail fold
-//! each put `boolean(path)` — two nodes — under a path node, the flip
-//! above the flipped step's own predicates.  A flipped step is a `self`
-//! step and a folded tail has no predicates, so neither is wrapped again:
-//! a chain through `P` nested paths grows by at most `2·P` levels.  The
+//! **Height.**  One rule adds levels: the flip puts `boolean(path)` — two
+//! nodes — under a path node, above the flipped step's own predicates.  A
+//! flipped step is a `self` step, so it is not wrapped again: a chain
+//! through `P` nested paths grows by at most `2·P` levels.  The
 //! walks downstream recurse over the tree and are sized for what lowering
 //! can produce, `MAX_HEIGHT = 2 · MAX_QUERY_DEPTH` levels, so a result
 //! taller than that is discarded and the query runs as lowered: the
@@ -103,8 +98,6 @@ pub enum Rule {
     FlipChildParent,
     /// Trailing total or-self steps dropped under existential contexts.
     DropExistentialTail,
-    /// A trailing reverse step folded into an existence predicate.
-    FoldReverseTail,
     /// A context-independent predicate hoisted to the first step.
     HoistConstantPredicate,
     /// A predicate that folded to literal `true()` dropped.
@@ -121,14 +114,13 @@ pub enum Rule {
 impl Rule {
     /// All rules, in the stable order EXPLAIN reports them (declaration
     /// order: `ALL[r as usize] == r`).
-    pub const ALL: [Rule; 12] = [
+    pub const ALL: [Rule; 11] = [
         Rule::DropSelfStep,
         Rule::FuseFollowingChain,
         Rule::FuseFollowingOrSelf,
         Rule::FuseDescendant,
         Rule::FlipChildParent,
         Rule::DropExistentialTail,
-        Rule::FoldReverseTail,
         Rule::HoistConstantPredicate,
         Rule::DropTruePredicate,
         Rule::FoldConstant,
@@ -145,7 +137,6 @@ impl Rule {
             Rule::FuseDescendant => "fuse-descendant",
             Rule::FlipChildParent => "flip-child-parent",
             Rule::DropExistentialTail => "drop-existential-tail",
-            Rule::FoldReverseTail => "fold-reverse-tail",
             Rule::HoistConstantPredicate => "hoist-constant-predicate",
             Rule::DropTruePredicate => "drop-true-predicate",
             Rule::FoldConstant => "fold-constant",
@@ -217,9 +208,9 @@ pub fn rewrite_traced(query: &Query) -> (Query, RewriteTrace) {
         trace.passes = 1;
         rw.b.finish(root)
     };
-    // The height bound (module doc).  Only two rules add levels, and an
+    // The height bound (module doc).  Only the flip adds levels, and an
     // arena is no taller than it is long, so next to nothing gets measured.
-    let grew = trace.count(Rule::FlipChildParent) + trace.count(Rule::FoldReverseTail) > 0;
+    let grew = trace.count(Rule::FlipChildParent) > 0;
     if grew && rewritten.len() > MAX_HEIGHT && height(&rewritten) > MAX_HEIGHT {
         trace.counts = Default::default();
         return (query.clone(), trace);
@@ -232,9 +223,8 @@ pub fn rewrite_traced(query: &Query) -> (Query, RewriteTrace) {
 /// a hoisted predicate: after one of them the arena needs the compacting
 /// copy.  (The fusions, the self-step drop and the union collapse only
 /// edit step lists or return a child; the flip pushes in place.)
-const DISPLACING: [Rule; 6] = [
+const DISPLACING: [Rule; 5] = [
     Rule::DropExistentialTail,
-    Rule::FoldReverseTail,
     Rule::HoistConstantPredicate,
     Rule::DropTruePredicate,
     Rule::FoldConstant,
@@ -587,20 +577,13 @@ impl<'q> Rewriter<'q> {
         let Node::Path(start, steps) = self.b.node(arg) else {
             return arg;
         };
-        if existential_tail_rule(steps).is_none() {
+        if !total_tail(steps) {
             return arg;
         }
         let (start, mut steps) = (start.clone(), steps.clone());
-        while let Some(rule) = existential_tail_rule(&steps) {
-            let last = steps.pop().expect("a tail rule matched a step");
-            if rule == Rule::FoldReverseTail {
-                // One predicate-free reverse step: nothing to normalize.
-                let inner = self.push(Node::Path(PathStart::Context, vec![last]));
-                let pred = self.push(Node::Call(Func::Boolean, vec![inner]));
-                let onto = steps.last_mut().expect("the rule needs an earlier step");
-                onto.predicates.push(pred);
-            }
-            self.fire(rule);
+        while total_tail(&steps) {
+            steps.pop();
+            self.fire(Rule::DropExistentialTail);
         }
         self.push(Node::Path(start, steps))
     }
@@ -776,31 +759,19 @@ fn bare_any_node(s: &Step) -> bool {
     s.test == NodeTest::AnyNode && s.predicates.is_empty()
 }
 
-/// The tail rule that applies to a path whose value is only tested for
-/// nonemptiness, if one does.
-fn existential_tail_rule(steps: &[Step]) -> Option<Rule> {
-    let (last, earlier) = steps.split_last()?;
-    if !last.predicates.is_empty() {
-        return None;
-    }
-    // `self`, `descendant-or-self` and `ancestor-or-self` relate every node
-    // (attributes included) to itself, so under an existential context a
-    // trailing `::node()` step of one of them never changes nonemptiness.
-    if last.test == NodeTest::AnyNode
-        && matches!(
-            last.axis,
-            Axis::SelfAxis | Axis::DescendantOrSelf | Axis::AncestorOrSelf
-        )
-    {
-        return Some(Rule::DropExistentialTail);
-    }
-    // `…/s[p]/ancestor::b` (existential) ≡ `…/s[p][ancestor::b]`: the
-    // reverse step becomes an existence predicate on `s`.  Only when an
-    // earlier step already carries a predicate: a predicate-free path runs
-    // one set-at-a-time kernel call a step, which the fold would only
-    // follow with a predicate pass over the nodes of `s`.
-    (last.axis.is_reverse() && earlier.iter().any(|s| !s.predicates.is_empty()))
-        .then_some(Rule::FoldReverseTail)
+/// Whether a path whose value is only tested for nonemptiness ends in a
+/// step [`Rule::DropExistentialTail`] drops.  `self`, `descendant-or-self`
+/// and `ancestor-or-self` relate every node (attributes included) to
+/// itself, so a trailing predicate-free `::node()` step of one of them
+/// never changes nonemptiness.
+fn total_tail(steps: &[Step]) -> bool {
+    steps.last().is_some_and(|last| {
+        bare_any_node(last)
+            && matches!(
+                last.axis,
+                Axis::SelfAxis | Axis::DescendantOrSelf | Axis::AncestorOrSelf
+            )
+    })
 }
 
 /// Whether the origin set feeding `steps[i]` can contain attribute nodes.
@@ -934,10 +905,9 @@ mod tests {
         assert_rewrites_to("boolean(a/ancestor-or-self::node())", "boolean(a)");
         // …but not outside an existential context.
         assert_fixed("child::a/ancestor-or-self::node()");
-        // A trailing reverse step folds into a predicate when an earlier
-        // step already has one (backward propagation was off the table).
-        assert_rewrites_to("//x[a[b]/ancestor::c]", "/descendant::x[a[b][ancestor::c]]");
-        // Fully predicate-free paths stay whole for OPTMINCONTEXT.
+        // A trailing reverse step stays a step, with or without predicates
+        // before it.
+        assert_fixed("/descendant::x[a[b]/ancestor::c]");
         assert_fixed("child::x[boolean(child::a/ancestor::c)]");
     }
 
@@ -1062,18 +1032,17 @@ mod tests {
         assert_rewrites_to("a/b[count(/c) > 1]", "child::a[count(/c) > 1]/child::b");
         // Context-dependent predicates stay put.
         assert_fixed("child::a/child::b[c]");
-        // The rules' one critical pair: `FoldReverseTail` against hoisting
-        // over a step the hoist empties.  Hoisting goes first, so the
-        // emptied step is dropped (`self`) or flipped (`parent`), and the
-        // outcome is a fixpoint.
+        // Hoisting over a step it empties: the emptied step is then
+        // dropped (`self`) or flipped (`parent`), and the outcome is a
+        // fixpoint.
         for (raw, fixpoint) in [
             (
                 "boolean(a/self::node()[count(/r) = 1]/ancestor::b)",
-                "boolean(a[count(/r) = 1][boolean(ancestor::b)])",
+                "boolean(a[count(/r) = 1]/ancestor::b)",
             ),
             (
                 "boolean(a/parent::node()[count(/r) = 1]/ancestor::b)",
-                "boolean(self::node()[boolean(a[count(/r) = 1])][boolean(ancestor::b)])",
+                "boolean(self::node()[boolean(a[count(/r) = 1])]/ancestor::b)",
             ),
         ] {
             assert_rewrites_to(raw, fixpoint);

@@ -344,7 +344,8 @@ fn set_filtered_predicates_are_metered_per_candidate() {
 #[test]
 fn column_kernels_are_metered_per_candidate() {
     // 300 <e>s, every third with `@id`, every other with a second <c>: a
-    // grouped count and a step started from its backward set.  A cap below
+    // grouped count and a step started from its predicate's whole
+    // satisfying set (`Run::whole`, `start_from`).  A cap below
     // the candidate count is an error — never a short count — and exactly
     // the fuel EXPLAIN reports gives the unmetered answer.
     let mut xml = String::from("<r>");

@@ -5,7 +5,7 @@
 //! corpus query, the rewritten IR as EXPLAIN renders it (`ir.after`) and
 //! every rule's firing count.  A rewriter change that moves either shows
 //! up here as a line diff; an intended move is listed with its reason in
-//! DESIGN.md ("One traversal to the fixpoint"), never silently re-pinned.
+//! CHANGES.md, never silently re-pinned.
 //!
 //! To regenerate: run the test, then copy the file it names over the
 //! golden one.

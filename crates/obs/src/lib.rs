@@ -19,8 +19,8 @@
 //! The paper's claims are quantitative (context-set sizes, memo hit
 //! rates, per-step sweep volumes); this crate is how the rest of the
 //! workspace reports those numbers from the inside instead of inferring
-//! them from wall clocks.  See DESIGN.md's "Observability" section for
-//! the overhead budget and format stability promises.
+//! them from wall clocks.  DESIGN.md "Observability" states the overhead
+//! budget and the format stability promises.
 
 #![forbid(unsafe_code)]
 

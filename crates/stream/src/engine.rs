@@ -12,7 +12,7 @@
 
 use crate::compile::{self, StreamQuery};
 use crate::exec::{Exec, StreamNodeKind, StreamValue};
-use minctx_core::{BudgetMeter, Engine, EvalError, Strategy, Value};
+use minctx_core::{BudgetMeter, Context, Engine, EvalError, Strategy, Value};
 use minctx_syntax::Query;
 use minctx_xml::token::{ParseOptions, Tokenizer, XmlEvent};
 use minctx_xml::{parse_reader_with_options, parse_with_options, Document, XmlError};
@@ -148,6 +148,9 @@ impl StreamingEngine for Engine {
 /// [`Strategy::Streaming`] has no arena evaluator, so its fallback runs
 /// MINCONTEXT — the streaming differential suite's oracle — under the
 /// engine's other settings; an arena strategy's fallback runs itself.
+/// The fallback compiles uncached, as [`Engine::evaluate_str`] does: the
+/// freshly parsed document's stamp never recurs, so a cached compilation
+/// would only evict live ones.
 fn evaluate_text<'a, T>(
     engine: &Engine,
     query: &Query,
@@ -163,13 +166,15 @@ fn evaluate_text<'a, T>(
         }
         Err(reason) => {
             let doc = Box::new(parse(input)?);
-            let value = match engine.strategy() {
-                Strategy::Streaming => engine
-                    .clone()
-                    .with_strategy(Strategy::MinContext)
-                    .evaluate(&doc, query)?,
-                _ => engine.evaluate(&doc, query)?,
+            let mincontext;
+            let arena = if engine.strategy() == Strategy::Streaming {
+                mincontext = engine.clone().with_strategy(Strategy::MinContext);
+                &mincontext
+            } else {
+                engine
             };
+            let compiled = arena.compile_uncached(&doc, query);
+            let value = arena.evaluate_compiled(&doc, &compiled, Context::document(&doc))?;
             Ok(StreamOutcome::Arena { reason, doc, value })
         }
     }
@@ -190,8 +195,8 @@ fn decide(engine: &Engine, query: &Query) -> Result<StreamQuery, &'static str> {
 }
 
 /// [`run`] under the engine's trace recorder: the one-pass evaluation is
-/// a [`Phase::Stream`] span (the arena fallback paths emit the usual
-/// parse/compile/evaluate spans through [`Engine::evaluate`] instead).
+/// a [`Phase::Stream`] span (the arena fallback emits the usual
+/// rewrite/compile/evaluate spans instead).
 /// Fuel spent is the event-weighted work metered by [`run`].
 fn run_traced(
     engine: &Engine,
@@ -424,6 +429,19 @@ mod tests {
         let q = parse_xpath("//b").unwrap();
         let out = e.evaluate_reader_str(&q, "<a><b/></a>").unwrap();
         assert_eq!(out.fallback_reason(), Some(REASON_ARENA_STRATEGY));
+    }
+
+    #[test]
+    fn fallbacks_leave_the_query_cache_empty() {
+        // Each fallback parses a document whose stamp never recurs, so a
+        // cached compilation of it could only evict live entries.
+        let e = Engine::new(Strategy::MinContext);
+        let q = parse_xpath("//b").unwrap();
+        for _ in 0..3 {
+            let out = e.evaluate_reader_str(&q, "<a><b/></a>").unwrap();
+            assert_eq!(out.fallback_reason(), Some(REASON_ARENA_STRATEGY));
+        }
+        assert_eq!(e.cached_queries(), 0);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! arena from `X` — `parent` up, child chains `c ← subtree_end(c)` across,
 //! subtree intervals down — entering each child chain, sibling group,
 //! ancestor chain and subtree interval at most once, so a step costs what
-//! it touches (DESIGN.md "Kernels that cost what they touch").  Only
-//! `following`/`preceding` under a non-name test (`{y | pre(y) ≥ min_{x∈X}
-//! subtree_end(x)}`: the arena's tail, all of it output) and `id` scan.
+//! it touches (DESIGN.md "Axis kernels").  Only `following`/`preceding`
+//! under a non-name test (`{y | pre(y) ≥ min_{x∈X} subtree_end(x)}`: the
+//! arena's tail, all of it output) and `id` scan.
 //!
 //! Three layers of machinery keep the constant factors down (see DESIGN.md):
 //!
@@ -1003,12 +1003,12 @@ fn sibling_merge(
     }
 }
 
-/// `t(among) ∩ χ(X)` for a sorted node list `among` — the step started from
-/// its selective end, or an existence predicate answered from its
-/// witnesses.  `child`, `attribute`, `descendant(-or-self)`, the ancestor
-/// axes and the sibling axes run the bodies the name-test postings run
-/// (`image_among`) over the members of `among` that `t` accepts on the
-/// axis; `self` keeps those in `X`.  The others do so when `among` is
+/// `t(among) ∩ χ(X)` for a sorted node list `among` — a step started from
+/// its first predicate's whole set (`start_from`), or a satisfying set
+/// landed on its candidates by merge.  `child`, `attribute`,
+/// `descendant(-or-self)`, the ancestor axes and the sibling axes run the
+/// bodies the name-test postings run (`image_among`) over the members of
+/// `among` that `t` accepts on the axis; `self` keeps those in `X`.  The others do so when `among` is
 /// shorter than the span of `X`'s merged subtree intervals, what a walk
 /// from `X` may read; the ancestor and sibling axes always do, in a merge
 /// of `among` against `X` — a walk's image would be intersected with

@@ -89,11 +89,6 @@ impl NodeSet {
         self.nodes.binary_search(&n).is_ok()
     }
 
-    /// The position (0-based) of `n` in document order within the set.
-    pub fn position_of(&self, n: NodeId) -> Option<usize> {
-        self.nodes.binary_search(&n).ok()
-    }
-
     /// The first node in document order (`first_<doc` of the paper).
     #[inline]
     pub fn first(&self) -> Option<NodeId> {
@@ -410,12 +405,10 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_position() {
+    fn contains_tests_membership() {
         let s = ids(&[10, 20, 30]);
         assert!(s.contains(NodeId::from_index(20)));
         assert!(!s.contains(NodeId::from_index(25)));
-        assert_eq!(s.position_of(NodeId::from_index(30)), Some(2));
-        assert_eq!(s.position_of(NodeId::from_index(11)), None);
     }
 
     #[test]
