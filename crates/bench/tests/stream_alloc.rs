@@ -7,7 +7,9 @@
 //! 10⁶ elements; 0.15 MB for a query with no match), where the arena
 //! holds every node.  A pass also allocates nothing per element or per
 //! predicate instance: doubling the document adds a handful of
-//! allocations (the buffers' regrowths), not thousands.  The checks take
+//! allocations (the buffers' regrowths), not thousands.  A query outside
+//! the fragment falls back to the arena on the engine's own scratch pool,
+//! copying neither the engine nor its compile cache.  The checks take
 //! turns, so nothing else in this binary allocates while one measures;
 //! the 10⁶-element tier is `#[ignore]`d for a release run.
 
@@ -100,5 +102,34 @@ fn a_streamed_pass_allocates_nothing_per_predicate_instance() {
     assert!(
         large < small + 32,
         "allocations grew {small} -> {large} when the document doubled"
+    );
+}
+
+/// Bytes allocated by one arena fallback of `query` over `xml`.
+fn fallback_bytes(engine: &Engine, query: &Query, xml: &str) -> usize {
+    let before = ALLOC.total();
+    let out = engine.evaluate_reader_str(query, xml).unwrap();
+    let made = ALLOC.total() - before;
+    assert!(!out.is_streamed(), "{query:?} streamed");
+    made
+}
+
+#[test]
+#[cfg_attr(miri, ignore)]
+fn a_fallback_runs_on_the_engines_own_scratch() {
+    // A fallback evaluates through the engine's scratch pool and copies
+    // neither the engine nor its compile cache, so the second fallback
+    // reuses the rank buffers the first one left in the pool.
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let xml = to_xml_string(&xmark_doc(&XmarkConfig::sized(2_000)));
+    let query = minctx_syntax::parse_xpath("//item[last()]").unwrap();
+    // Process-wide state (metric handles, name tables) is set up once.
+    fallback_bytes(&Engine::new(Strategy::Streaming), &query, &xml);
+    let engine = Engine::new(Strategy::Streaming);
+    let first = fallback_bytes(&engine, &query, &xml);
+    let second = fallback_bytes(&engine, &query, &xml);
+    assert!(
+        second < first,
+        "the second fallback allocated {second} bytes, the first {first}"
     );
 }

@@ -291,13 +291,6 @@ impl Engine {
         self.strategy
     }
 
-    /// The same engine running `strategy`: budget, optimizer, recorder,
-    /// threads and compiled-query cache carry over (a compilation does
-    /// not depend on the strategy).
-    pub fn with_strategy(self, strategy: Strategy) -> Engine {
-        Engine { strategy, ..self }
-    }
-
     /// The full budget configuration (fuel and timeout).
     pub fn budget_config(&self) -> Budget {
         self.budget
@@ -471,6 +464,36 @@ impl Engine {
         ctx: Context,
         meter: &mut BudgetMeter,
     ) -> Result<Value, EvalError> {
+        self.evaluate_as(self.strategy, doc, compiled, ctx, meter)
+    }
+
+    /// Evaluates an already-compiled query at the document root on the
+    /// arena under the engine's budget and scratch pool: by the engine's
+    /// strategy, or by MINCONTEXT under [`Strategy::Streaming`], which has
+    /// no arena evaluator of its own.  This is what a streaming engine
+    /// falls back to for a query outside the streamable fragment.
+    pub fn evaluate_on_arena(
+        &self,
+        doc: &Document,
+        compiled: &CompiledQuery,
+    ) -> Result<Value, EvalError> {
+        let strategy = match self.strategy {
+            Strategy::Streaming => Strategy::MinContext,
+            arena => arena,
+        };
+        let mut meter = self.budget.meter();
+        self.evaluate_as(strategy, doc, compiled, Context::document(doc), &mut meter)
+    }
+
+    /// [`Engine::evaluate_compiled_metered`] by `strategy`.
+    fn evaluate_as(
+        &self,
+        strategy: Strategy,
+        doc: &Document,
+        compiled: &CompiledQuery,
+        ctx: Context,
+        meter: &mut BudgetMeter,
+    ) -> Result<Value, EvalError> {
         let reason = if compiled.doc_stamp() != doc.stamp() {
             Some("query was compiled against a different document")
         } else if ctx.node.index() >= doc.len() {
@@ -494,7 +517,7 @@ impl Engine {
         let result = {
             let mut span = self.recorder.span(Phase::Evaluate);
             let spent_before = meter.spent();
-            let result = match self.strategy {
+            let result = match strategy {
                 Strategy::Naive => Naive.evaluate(doc, compiled, ctx, meter),
                 Strategy::ContextValueTable => {
                     ContextValueTables.evaluate(doc, compiled, ctx, &mut scratch, meter)
@@ -509,7 +532,7 @@ impl Engine {
                 }
                 Strategy::Streaming => Err(EvalError::NotAnArenaStrategy),
             };
-            span.attr_str("strategy", || self.strategy.as_str().to_string());
+            span.attr_str("strategy", || strategy.as_str().to_string());
             span.attr_u64("fuel", meter.spent() - spent_before);
             span.attr_u64("ok", u64::from(result.is_ok()));
             result
@@ -547,11 +570,9 @@ mod tests {
             e.explain(&doc, "count(//b)"),
             Err(EvalError::NotAnArenaStrategy)
         ));
-        let mincontext = e.with_strategy(Strategy::MinContext);
-        assert_eq!(
-            mincontext.evaluate_str(&doc, "count(//b)"),
-            Ok(Value::Number(2.0))
-        );
+        // What its streaming fallback runs on an arena is MINCONTEXT.
+        let compiled = e.compile_uncached(&doc, &q);
+        assert_eq!(e.evaluate_on_arena(&doc, &compiled), Ok(Value::Number(2.0)));
         assert!(!Strategy::ALL.contains(&Strategy::Streaming));
     }
 

@@ -12,7 +12,7 @@
 
 use crate::compile::{self, StreamQuery};
 use crate::exec::{Exec, StreamNodeKind, StreamValue};
-use minctx_core::{BudgetMeter, Context, Engine, EvalError, Strategy, Value};
+use minctx_core::{BudgetMeter, Engine, EvalError, Strategy, Value};
 use minctx_syntax::Query;
 use minctx_xml::token::{ParseOptions, Tokenizer, XmlEvent};
 use minctx_xml::{parse_reader_with_options, parse_with_options, Document, XmlError};
@@ -145,10 +145,10 @@ impl StreamingEngine for Engine {
 
 /// The body of both entry points, which differ only in how `input`
 /// becomes a tokenizer (streamed) or a document (the arena fallback).
-/// [`Strategy::Streaming`] has no arena evaluator, so its fallback runs
-/// MINCONTEXT — the streaming differential suite's oracle — under the
-/// engine's other settings; an arena strategy's fallback runs itself.
-/// The fallback compiles uncached, as [`Engine::evaluate_str`] does: the
+/// The fallback runs [`Engine::evaluate_on_arena`]: MINCONTEXT — the
+/// streaming differential suite's oracle — under [`Strategy::Streaming`],
+/// an arena strategy itself, either way through the engine's own scratch
+/// pool.  It compiles uncached, as [`Engine::evaluate_str`] does: the
 /// freshly parsed document's stamp never recurs, so a cached compilation
 /// would only evict live ones.
 fn evaluate_text<'a, T>(
@@ -166,15 +166,8 @@ fn evaluate_text<'a, T>(
         }
         Err(reason) => {
             let doc = Box::new(parse(input)?);
-            let mincontext;
-            let arena = if engine.strategy() == Strategy::Streaming {
-                mincontext = engine.clone().with_strategy(Strategy::MinContext);
-                &mincontext
-            } else {
-                engine
-            };
-            let compiled = arena.compile_uncached(&doc, query);
-            let value = arena.evaluate_compiled(&doc, &compiled, Context::document(&doc))?;
+            let compiled = engine.compile_uncached(&doc, query);
+            let value = engine.evaluate_on_arena(&doc, &compiled)?;
             Ok(StreamOutcome::Arena { reason, doc, value })
         }
     }
