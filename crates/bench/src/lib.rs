@@ -19,7 +19,7 @@ pub fn uniform_tree(depth: usize, fanout: usize) -> Document {
     fn rec(b: &mut DocumentBuilder, depth: usize, fanout: usize, counter: &mut usize) {
         let v = counter.to_string();
         *counter += 1;
-        b.start_element(if depth % 2 == 0 { "even" } else { "odd" }, &[("v", &v)]);
+        b.start_element(["even", "odd"][depth % 2], &[("v", &v)]);
         if depth == 0 {
             b.text(&v);
         } else {
@@ -247,7 +247,12 @@ fn random_step(rng: &mut u64, depth: usize) -> String {
 fn random_path(rng: &mut u64, depth: usize) -> String {
     let mut path = random_step(rng, depth);
     for _ in 0..xorshift(rng) % 3 {
-        path.push_str(if xorshift(rng) % 3 == 0 { "//" } else { "/" });
+        let sep = if xorshift(rng).is_multiple_of(3) {
+            "//"
+        } else {
+            "/"
+        };
+        path.push_str(sep);
         path.push_str(&random_step(rng, depth));
     }
     path
@@ -260,7 +265,7 @@ fn random_pred(rng: &mut u64, depth: usize) -> String {
     let k = 1 + xorshift(rng) % 3;
     let t = LABELS[xorshift(rng) as usize % LABELS.len()];
     match xorshift(rng) % 10 {
-        0 if xorshift(rng) % 3 == 0 => format!("position() = count({t}[1]) + {k}"),
+        0 if xorshift(rng).is_multiple_of(3) => format!("position() = count({t}[1]) + {k}"),
         0 => k.to_string(),
         1 => pick(
             rng,
@@ -320,7 +325,7 @@ pub fn random_query(rng: &mut u64) -> String {
 /// A boolean tree `depth` deep over [`random_atom`]s, two levels in three
 /// a `not`, `and` or `or`.
 fn random_tree(rng: &mut u64, depth: usize) -> String {
-    if depth == 0 || xorshift(rng) % 3 == 0 {
+    if depth == 0 || xorshift(rng).is_multiple_of(3) {
         return random_atom(rng).to_string();
     }
     let a = random_tree(rng, depth - 1);

@@ -160,15 +160,16 @@ enum Shape<'q> {
 
 /// A [`Shape::Counts`] operand over a list, typed by what it reads: a
 /// constant stays one number, `position()` / `last()` read the list's
-/// ranks, `count(π)` is the grouped count kernel's output, and arithmetic
-/// combines two columns member by member — no operand is copied into a
-/// column of `f64`s.
+/// ranks, `count(π)` is the grouped count kernel's output, arithmetic
+/// combines two columns and a negation negates one, member by member — no
+/// operand is copied into a column of `f64`s.
 enum Column<'r> {
     Constant(f64),
     Position(&'r [SiblingRank]),
     Last(&'r [SiblingRank]),
     Counts(Vec<u32>),
     Arith(ArithOp, Box<[Column<'r>; 2]>),
+    Neg(Box<Column<'r>>),
 }
 
 /// How many members [`Column::fill`] converts at a time.
@@ -225,6 +226,12 @@ impl Column<'_> {
                 ab[1].fill(from, b);
                 for (a, b) in out.iter_mut().zip(b.iter()) {
                     *a = arith(*op, *a, *b);
+                }
+            }
+            Column::Neg(a) => {
+                a.fill(from, out);
+                for o in out {
+                    *o = -*o;
                 }
             }
         }
@@ -590,7 +597,11 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             _ => unreachable!("a shape or the set algebra"),
         };
         self.memo[pred.index()].record(self.doc.len(), &todo, &holds);
-        Ok(known.union(&holds))
+        Ok(if known.is_empty() {
+            holds
+        } else {
+            known.union(&holds)
+        })
     }
 
     /// [`Run::filter_set`]'s node-by-node leg.
@@ -741,12 +752,14 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
             .then_some(PathPred { path, steps, cmp })
     }
 
-    /// (a)'s operands: numbers, arithmetic of those, `count(π)` of a
-    /// [`Run::count_step`], and `position()` / `last()` (ranked, by `Relev`).
+    /// (a)'s operands: numbers, arithmetic and negations of those,
+    /// `count(π)` of a [`Run::count_step`], and `position()` / `last()`
+    /// (ranked, by `Relev`).
     fn counted(&self, id: ExprId) -> bool {
         match self.query.query().node(id) {
             Node::Number(_) | Node::Call(Func::Position | Func::Last, _) => true,
             Node::Arith(_, a, b) => self.counted(*a) && self.counted(*b),
+            Node::Neg(a) => self.counted(*a),
             Node::Call(Func::Count, args) => self.count_step(args[0]).is_some(),
             _ => false,
         }
@@ -1019,6 +1032,7 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
                 );
                 Column::Arith(*op, Box::new([a, b]))
             }
+            Node::Neg(a) => Column::Neg(Box::new(self.column(*a, cands, ranks)?)),
             Node::Call(Func::Position, _) => Column::Position(ranked()),
             Node::Call(Func::Last, _) => Column::Last(ranked()),
             Node::Call(_, args) => {
@@ -1552,6 +1566,9 @@ mod tests {
             "position() mod 0 != 1",
             "-position() < -2",
             "0 - position() < -2",
+            "-(last() - position()) = -1",
+            "1 div -(position() - 1) < 0",
+            "-count(c) <= -2",
             "count(c) = last()",
             "count(c) = position()",
             "count(c) >= last() div 2",
@@ -1572,11 +1589,10 @@ mod tests {
                         "{q}"
                     );
                 }
-                // Every operand but a negation or a `number()` call left
-                // unfolded is a column, over the ranked list where the
-                // predicate reads a rank: no candidate is visited.
-                let unfolded = ["number(", "-2"].iter().any(|f| pred.contains(f));
-                let want = if pred.starts_with('-') || !optimizer && unfolded {
+                // Every operand but a `number()` call left unfolded is a
+                // column, over the ranked list where the predicate reads a
+                // rank: no candidate is visited.
+                let want = if !optimizer && pred.contains("number(") {
                     PredMode::SiblingRank
                 } else if pred.contains("position()") || pred.contains("last()") {
                     PredMode::RankColumn

@@ -334,9 +334,10 @@ fn counters() -> &'static Counters {
 /// [`open_snapshot`]) therefore sees either the previous complete
 /// snapshot or the new complete snapshot — never a partial file — and a
 /// writer killed at any byte leaves `path` untouched.  Temp files left
-/// behind by crashed writers of the *same* target are reaped on the next
-/// successful write (see [`stale_temps`]).  Concurrent writers of one
-/// target path are not coordinated: last rename wins.
+/// behind by crashed writers of the *same* target are reaped by the next
+/// write (see [`stale_temps`]); a live writer's temp is locked and left
+/// alone.  Concurrent writers of one target path each succeed: last
+/// rename wins.
 pub fn write_snapshot(
     doc: &Document,
     path: impl AsRef<Path>,
@@ -476,10 +477,10 @@ fn snapshot_dir(path: &Path) -> &Path {
     }
 }
 
-/// Temp files left behind by killed writers of `path`'s snapshot —
-/// `.<name>.tmp-*` entries in its directory.  [`write_snapshot`] reaps
-/// them automatically before each write; this is the inspection hook for
-/// tests and operators.
+/// Temp files of `path`'s snapshot — `.<name>.tmp-*` entries in its
+/// directory: those left behind by killed writers, and those of writers
+/// still running.  [`write_snapshot`] reaps the abandoned ones before
+/// each write; this is the inspection hook for tests and operators.
 pub fn stale_temps(path: impl AsRef<Path>) -> std::io::Result<Vec<PathBuf>> {
     let path = path.as_ref();
     let Some(file_name) = path.file_name() else {
@@ -496,12 +497,37 @@ pub fn stale_temps(path: impl AsRef<Path>) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Best-effort removal of every stale temp for `path` (crashed writers
-/// never clean up — the next writer does).
+/// Best-effort removal of every abandoned temp for `path` (crashed
+/// writers never clean up — the next writer does).  A live writer holds
+/// its temp locked (see [`create_temp`]); only a temp this call can lock
+/// is abandoned, and it is removed while still locked.
 fn reap_stale_temps(path: &Path) {
     if let Ok(temps) = stale_temps(path) {
         for t in temps {
-            let _ = std::fs::remove_file(t);
+            if File::open(&t).is_ok_and(|f| f.try_lock().is_ok()) {
+                let _ = std::fs::remove_file(t);
+            }
+        }
+    }
+}
+
+/// A new temp for the snapshot `file_name` in `dir`, created and locked
+/// for as long as the returned `File` lives.  A reaper may remove the
+/// temp between its creation and the lock; the name is then gone (names
+/// are unique among live writers), and the next one is tried.
+#[cfg(target_endian = "little")]
+fn create_temp(dir: &Path, file_name: &std::ffi::OsStr) -> std::io::Result<(PathBuf, File)> {
+    loop {
+        let tmp = dir.join(format!(
+            "{}{}-{}",
+            temp_prefix(file_name),
+            std::process::id(),
+            TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        let file = File::create_new(&tmp)?;
+        file.lock()?;
+        if tmp.exists() {
+            return Ok((tmp, file));
         }
     }
 }
@@ -547,14 +573,9 @@ fn write_snapshot_le(doc: &Document, path: &Path) -> Result<SnapshotInfo, Snapsh
         .file_name()
         .ok_or_else(|| SnapshotError::Corrupt("snapshot path has no file name".into()))?;
     reap_stale_temps(path);
-    let tmp = snapshot_dir(path).join(format!(
-        "{}{}-{}",
-        temp_prefix(file_name),
-        std::process::id(),
-        TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
+    let (tmp, file) = create_temp(snapshot_dir(path), file_name)?;
     fault::begin_write();
-    let r = write_sections_then_commit(doc, &tmp, path);
+    let r = write_sections_then_commit(doc, file, &tmp, path);
     if r.is_err() && !fault::crash_fired() {
         // A clean error path removes its temp; a simulated kill leaves
         // it torn on disk, exactly like a real one (the next writer
@@ -575,11 +596,13 @@ fn sync_dir(_dir: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// The sequential section pass into `tmp`, then the durable commit:
-/// temp `sync_all` → atomic rename onto `path` → directory fsync.
+/// The sequential section pass into `file`, the locked temp at `tmp`,
+/// then the durable commit: temp `sync_all` → atomic rename onto `path`
+/// → directory fsync.  The lock is held until the temp is renamed.
 #[cfg(target_endian = "little")]
 fn write_sections_then_commit(
     doc: &Document,
+    mut file: File,
     tmp: &Path,
     path: &Path,
 ) -> Result<SnapshotInfo, SnapshotError> {
@@ -613,7 +636,6 @@ fn write_sections_then_commit(
     })?;
     header.file_len = lay.total as u64;
 
-    let mut file = File::create(tmp)?;
     {
         let mut w = HashWrite {
             w: std::io::BufWriter::new(&mut file),
@@ -644,9 +666,9 @@ fn write_sections_then_commit(
     // the directory entry itself is made durable.
     fault::check(fault::Step::Sync)?;
     file.sync_all()?;
-    drop(file);
     fault::check(fault::Step::Rename)?;
     std::fs::rename(tmp, path)?;
+    drop(file);
     fault::check(fault::Step::DirSync)?;
     sync_dir(snapshot_dir(path))?;
     Ok(SnapshotInfo {
@@ -733,7 +755,7 @@ fn u32_slice<'a>(
     section: &'static str,
 ) -> Result<&'a [u32], SnapshotError> {
     let sl = byte_slice(bytes, s.off, s.count.checked_mul(4).ok_or_else(overflow)?)?;
-    if sl.as_ptr() as usize % std::mem::align_of::<u32>() != 0 {
+    if !(sl.as_ptr() as usize).is_multiple_of(std::mem::align_of::<u32>()) {
         return Err(SnapshotError::Misaligned {
             section,
             offset: s.off,

@@ -6,19 +6,22 @@
 use minctx_index::{open_snapshot, write_snapshot, SnapshotError};
 use std::io::Write;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn temp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("minctx-corrupt-{}-{name}.mctx", std::process::id()))
 }
 
 /// A small but representative snapshot: attributes, ids, text, comments,
-/// PIs, several names.
+/// PIs, several names.  Each call writes its own file, so tests running
+/// in parallel do not remove each other's.
 fn sample_bytes() -> Vec<u8> {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let doc = minctx_xml::parse(
         r#"<lib x="1"><b id="b1">text one</b><!--c--><?p d?><b id="b2" y="2">two<i/></b></lib>"#,
     )
     .unwrap();
-    let path = temp("sample");
+    let path = temp(&format!("sample-{}", CALLS.fetch_add(1, Ordering::Relaxed)));
     write_snapshot(&doc, &path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
@@ -572,7 +575,7 @@ mod mutants {
 
         // A violation only in the file's final, partial block.
         let mut bytes = pristine.clone();
-        assert!((bytes.len() - 104) % BLOCK != 0);
+        assert!(!(bytes.len() - 104).is_multiple_of(BLOCK));
         *bytes.last_mut().unwrap() = 0xFF;
         let e = assert_agree("blocks", &mut bytes, "last heap byte := 0xff").unwrap_err();
         assert!(
@@ -931,6 +934,32 @@ mod crash {
         write_snapshot(&doc_v1(), &path).unwrap();
         assert!(stale_temps(&path).unwrap().is_empty());
         assert!(open_snapshot(&path).is_ok());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_all_succeed() {
+        // Each writer's live temp is locked, so the other's reaping
+        // leaves it alone and every rename finds its file.
+        let path = temp("crash-concurrent");
+        let (docs, start) = ([doc_v1(), doc_v2()], std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            for doc in &docs {
+                let (path, start) = (&path, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for k in 0..300 {
+                        if let Err(e) = write_snapshot(doc, path) {
+                            panic!("write {k} failed: {e}");
+                        }
+                    }
+                });
+            }
+        });
+        let d = open_snapshot(&path).unwrap();
+        let text = d.string_value(d.root());
+        assert!(text == "one" || text == "twothree", "{text}");
+        assert!(stale_temps(&path).unwrap().is_empty());
         std::fs::remove_file(&path).ok();
     }
 

@@ -268,7 +268,7 @@ impl JsonLinesSink {
 impl Sink for JsonLinesSink {
     fn record(&self, span: SpanRecord) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if seq % self.sample_every != 0 {
+        if !seq.is_multiple_of(self.sample_every) {
             return;
         }
         use std::fmt::Write as _;

@@ -685,7 +685,7 @@ mod tests {
             let name = ELEMS[xorshift(rng) as usize % ELEMS.len()];
             let mut attrs = Vec::new();
             for (k, &a) in ATTRS.iter().enumerate() {
-                if xorshift(rng) % 3 == 0 {
+                if xorshift(rng).is_multiple_of(3) {
                     attrs.push((
                         a,
                         if k == 0 {

@@ -2,7 +2,7 @@
 //! `minctx-index`'s `open_snapshot`: every document invariant the
 //! accessors rely on, checked column-at-a-time.
 //!
-//! Each per-entry rule is one `#[inline] fn … -> bool` ("is bad").  A
+//! Each per-entry rule is one `#[inline(always)] fn … -> bool` ("is bad").  A
 //! sweep ORs its rule over a block of one column with no early exit, so
 //! the loop stays branch-free and vectorises; only a block that reports
 //! bad is re-scanned, entry by entry *with the same fn*, to name the
@@ -13,8 +13,14 @@
 //! replaced would have met first (the lowest `Rank`), not the first
 //! one seen.  The one-tree rule — `parent`, `subtree_end` and the kind
 //! word describe the same pre-order tree — is checked the same way, over
-//! rows instead of one column (`ColumnSweep::check_tree`).  See
-//! DESIGN.md "Opening at memory speed".
+//! rows instead of one column (`ColumnSweep::check_tree`).
+//!
+//! The sweep's body is compiled twice from one `#[inline(always)]` source:
+//! a generic copy, and on x86-64 one built for AVX-512 (F, VL, BW, DQ),
+//! whose unsigned compares and mask registers the rules' OR-loops
+//! vectorise into.  Each `ColumnSweep` picks its copy once, by what the
+//! CPU reports; both apply the same fns, so they rank and word every
+//! violation alike.  See DESIGN.md "Opening at memory speed".
 
 use crate::document::{Document, NONE};
 use crate::name::NameTable;
@@ -54,7 +60,7 @@ const POST_COL: usize = 5;
 
 /// A kind word is a known tag with an interned name exactly when the
 /// tag carries one.
-#[inline]
+#[inline(always)]
 fn kind_bad(word: u32, name_count: u32) -> bool {
     let tag = word & KIND_TAG_MASK;
     let nm = word >> KIND_TAG_BITS;
@@ -64,7 +70,7 @@ fn kind_bad(word: u32, name_count: u32) -> bool {
 
 /// A parent strictly precedes its child (`v >= n` implies `v >= i`), so
 /// a crafted parent cycle fails here, not in the first ancestor walk.
-#[inline]
+#[inline(always)]
 fn parent_bad(i: u32, v: u32) -> bool {
     (v != NONE) & (v >= i)
 }
@@ -72,7 +78,7 @@ fn parent_bad(i: u32, v: u32) -> bool {
 /// A subtree starts at its node and ends inside the arena, so every walk
 /// along `c ← subtree_end(c)` moves forward and stops; the root's spans
 /// the arena.
-#[inline]
+#[inline(always)]
 fn subtree_end_bad(i: u32, end: u32, n: u32) -> bool {
     (end <= i) | (end > n) | ((i == 0) & (end != n))
 }
@@ -148,7 +154,7 @@ fn tree_message(c: &RawColumns<'_>, i: usize, rule: TreeRule, top: u32) -> Strin
 
 /// Text offsets are monotone and land on char boundaries of the heap: its
 /// end, or any byte that is not a UTF-8 continuation byte.
-#[inline]
+#[inline(always)]
 fn text_off_bad(prev: u32, off: u32, heap: &[u8]) -> bool {
     let boundary = match heap.get(off as usize) {
         Some(&b) => (b as i8) >= -0x40,
@@ -160,7 +166,7 @@ fn text_off_bad(prev: u32, off: u32, heap: &[u8]) -> bool {
 /// A posting names a node whose kind word is exactly its family's tag
 /// and its group's name, above its predecessor in the group (`prev` is
 /// −1 at a group's start).
-#[inline]
+#[inline(always)]
 fn posting_bad(p: u32, prev: i64, word: u32, kinds: &[u32]) -> bool {
     (kinds.get(p as usize) != Some(&word)) | (i64::from(p) <= prev)
 }
@@ -169,7 +175,7 @@ fn posting_bad(p: u32, prev: i64, word: u32, kinds: &[u32]) -> bool {
 /// (`rule(state, entry) -> (bad, next state)`); returns the final state
 /// and, when any entry was bad, the first bad one's position — found by
 /// a second, entry-by-entry pass with the same `rule`.
-#[inline]
+#[inline(always)]
 fn sweep_block<S: Copy>(
     block: &[u32],
     start: S,
@@ -220,6 +226,25 @@ pub struct ColumnSweep<'a> {
     /// its entries by.
     offsets_ok: [bool; 2],
     first: Option<(Rank, ColumnError)>,
+    /// Whether [`sweep_below`](ColumnSweep::sweep_below) runs the AVX-512
+    /// copy: true only where [`wide_supported`] is.
+    wide: bool,
+}
+
+/// Whether this CPU has every feature the AVX-512 copy of the sweep is
+/// compiled for.  Never under Miri, which runs the generic copy.
+fn wide_supported() -> bool {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        std::is_x86_feature_detected!("avx512f")
+            && std::is_x86_feature_detected!("avx512vl")
+            && std::is_x86_feature_detected!("avx512bw")
+            && std::is_x86_feature_detected!("avx512dq")
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    {
+        false
+    }
 }
 
 impl<'a> ColumnSweep<'a> {
@@ -236,6 +261,7 @@ impl<'a> ColumnSweep<'a> {
             cursor: [(0, -1); 2],
             offsets_ok: [false; 2],
             first: None,
+            wide: wide_supported(),
         };
         s.check_shape();
         s
@@ -448,7 +474,28 @@ impl<'a> ColumnSweep<'a> {
         from..upto
     }
 
+    /// Checks every entry stored below address `end` not checked yet, by
+    /// the copy of [`ColumnSweep::sweep`] this CPU runs.
     fn sweep_below(&mut self, end: usize) {
+        if self.wide {
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            // SAFETY: `wide` is set only where `wide_supported` found every
+            // feature `sweep_wide` is compiled for.
+            return unsafe { self.sweep_wide(end) };
+        }
+        self.sweep(end);
+    }
+
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq")]
+    fn sweep_wide(&mut self, end: usize) {
+        self.sweep(end);
+    }
+
+    /// The body both copies compile: every rule over its not-yet-checked
+    /// block, the one-tree rule inlined.
+    #[inline(always)]
+    fn sweep(&mut self, end: usize) {
         let c = self.cols;
         // `check_shape` refuses more nodes than a `u32` counts; more
         // names than that only make the kind check stricter.
@@ -576,6 +623,7 @@ impl<'a> ColumnSweep<'a> {
     /// as a column is: every part ORed with no early exit (two passes, so
     /// the first vectorises), and only if one is bad the rows again for
     /// the lowest-ranked fault.  Linear; allocates only the message.
+    #[inline(always)]
     fn check_tree(&mut self) {
         let c = self.cols;
         let from = self.tree_done;
@@ -598,11 +646,19 @@ impl<'a> ColumnSweep<'a> {
             let [a, b] = link_faults(&c, p, e);
             any |= a | b;
         }
-        if !any {
-            return;
+        if any {
+            self.tree_fault(from..upto);
         }
+    }
+
+    /// Records the lowest-ranked one-tree fault among `rows`, which hold
+    /// one.
+    #[cold]
+    #[inline(never)]
+    fn tree_fault(&mut self, rows: Range<usize>) {
+        let c = self.cols;
         let row = |j: usize| [c.kinds[j], c.parent[j], c.subtree_end[j]];
-        let first = (from..upto)
+        let first = rows
             .flat_map(|j| {
                 let ([_, p, e], i) = (row(j), j as u32);
                 let local = local_faults(i, row(j), row(j - 1));
@@ -753,6 +809,64 @@ mod tests {
         fn verdict(&self) -> Result<(), ColumnError> {
             ColumnSweep::new(self.cols(), self.names).conclude(self.names)
         }
+
+        /// The verdict of the generic copy or the AVX-512 one, the columns
+        /// reached in address order `step` bytes at a time (`None`: all
+        /// at once, by `conclude`).
+        fn verdict_by(&self, wide: bool, step: Option<usize>) -> Result<(), ColumnError> {
+            let mut sweep = ColumnSweep::new(self.cols(), self.names);
+            sweep.wide = wide;
+            if let Some(step) = step {
+                let mut spans: Vec<(usize, usize)> = self
+                    .u32s
+                    .iter()
+                    .map(|c| (c.as_ptr() as usize, 4 * c.len()))
+                    .collect();
+                spans.push((self.heap.as_ptr() as usize, self.heap.len()));
+                spans.sort_unstable();
+                for (start, len) in spans {
+                    for at in (0..=len).step_by(step) {
+                        sweep.sweep_below(start + at);
+                    }
+                }
+            }
+            sweep.conclude(self.names)
+        }
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A seeded document of `steps` random events: nested elements with
+    /// attributes (ids among them), multi-byte text, comments and PIs.
+    fn generated(seed: u64, steps: usize) -> String {
+        let (mut rng, mut xml, mut open) = (seed, String::from("<r>"), Vec::new());
+        for k in 0..steps {
+            let name = xorshift(&mut rng) % 5;
+            match xorshift(&mut rng) % 8 {
+                0..=2 => {
+                    xml += &format!(r#"<e{name} id="i{k}" v="{k}">"#);
+                    open.push(name);
+                }
+                3 => {
+                    if let Some(name) = open.pop() {
+                        xml += &format!("</e{name}>");
+                    }
+                }
+                4 => xml += &format!("té{k}€😀"),
+                5 => xml += "<!--c-->",
+                6 => xml += "<?p d?>",
+                _ => xml += &format!(r#"<e{name} v="{k}"/>"#),
+            }
+        }
+        while let Some(name) = open.pop() {
+            xml += &format!("</e{name}>");
+        }
+        xml + "</r>"
     }
 
     const DOC: &str = r#"<lib x="1"><b id="b1">téxt</b><!--c--><b id="b2" y="2">two<i/></b></lib>"#;
@@ -916,5 +1030,56 @@ mod tests {
             o.verdict(),
             Err(ColumnError::InvalidUtf8 { valid_up_to: last })
         );
+    }
+
+    #[test]
+    fn both_copies_give_every_verdict_alike_at_every_split() {
+        let wide = wide_supported();
+        if !wide {
+            eprintln!("this CPU lacks AVX-512 F/VL/BW/DQ: only the generic copy is swept");
+        }
+        let built = Owned::of(&generated(0x5eed_cafe, 600));
+        let (mut rng, mut refused) = (0x0dd_ba11_u64, 0);
+        for mutant in 0..160 {
+            let mut o = Owned {
+                u32s: built.u32s.clone(),
+                heap: built.heap.clone(),
+                names: built.names,
+            };
+            // Mutant 0 is the built document itself.
+            let edits = if mutant == 0 {
+                0
+            } else {
+                1 + xorshift(&mut rng) % 3
+            };
+            for _ in 0..edits {
+                let col = (xorshift(&mut rng) % 11) as usize;
+                let r = xorshift(&mut rng);
+                if col == 10 {
+                    let at = r as usize % o.heap.len();
+                    o.heap[at] = (r >> 32) as u8;
+                    continue;
+                }
+                let v = &mut o.u32s[col];
+                let (len, at) = (v.len(), r as usize % v.len());
+                v[at] = match (r >> 32) % 5 {
+                    0 => v[at].wrapping_add(1),
+                    1 => v[at].wrapping_sub(1),
+                    2 => NONE,
+                    3 => v[(at + 1) % len],
+                    _ => (r >> 40) as u32 % (len as u32 + 2),
+                };
+            }
+            let want = o.verdict_by(false, None);
+            assert!(mutant > 0 || want.is_ok(), "{want:?}");
+            refused += usize::from(want.is_err());
+            for step in [None, Some(4), Some(52), Some(1000)] {
+                for copy in [false, true].into_iter().filter(|&c| !c || wide) {
+                    let got = o.verdict_by(copy, step);
+                    assert_eq!(got, want, "mutant {mutant}, wide {copy}, step {step:?}");
+                }
+            }
+        }
+        assert!(refused > 100, "only {refused} of 160 mutants refused");
     }
 }
