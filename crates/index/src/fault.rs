@@ -22,9 +22,15 @@
 //! * **Error** ([`FaultPlan::fail_sync`] / [`FaultPlan::fail_rename`] /
 //!   [`FaultPlan::fail_dir_sync`]) — the syscall reports failure but the
 //!   process lives, so the writer's own cleanup (temp removal) runs.
+//!
+//! One probe observes instead of failing: [`FaultPlan::claim_before_reap`]
+//! checks, at each temp the reaper removes, that no writer could still
+//! lock that temp (see [`reap_probes`]).
 
 use std::cell::RefCell;
+use std::fs::File;
 use std::io;
+use std::path::Path;
 
 /// What to inject into the next [`write_snapshot`](crate::write_snapshot)
 /// call on this thread.  A plan stays installed (and keeps firing) until
@@ -44,6 +50,12 @@ pub struct FaultPlan {
     /// survives, modeling a crash window where the new file is visible
     /// but its directory entry may not be durable yet.
     pub fail_dir_sync: bool,
+    /// Where the reaper has found a temp abandoned and is about to
+    /// remove it, try to lock that temp through a handle of its own, as
+    /// a writer that just created it would.  A lock that is granted
+    /// means that writer would go on to rename a file the removal takes
+    /// away; [`reap_probes`] counts such claims.
+    pub claim_before_reap: bool,
 }
 
 /// A durability step [`check`] can fail.
@@ -60,6 +72,10 @@ struct Active {
     written: u64,
     /// A `tear_after` crash has fired (cleanup must be skipped).
     crashed: bool,
+    /// Temps the reaper removed while `claim_before_reap` was set, and
+    /// how many of them a writer could have claimed at that moment.
+    reaped: u32,
+    claimed: u32,
 }
 
 thread_local! {
@@ -73,6 +89,8 @@ pub fn install(plan: FaultPlan) {
             plan,
             written: 0,
             crashed: false,
+            reaped: 0,
+            claimed: 0,
         });
     });
 }
@@ -93,6 +111,31 @@ pub(crate) fn begin_write() {
         if let Some(x) = a.borrow_mut().as_mut() {
             x.written = 0;
             x.crashed = false;
+        }
+    });
+}
+
+/// Temps reaped under a `claim_before_reap` plan since it was
+/// installed on this thread, and how many of them a writer could lock
+/// at the moment of removal (0 unless the reaper lets go too early).
+pub fn reap_probes() -> (u32, u32) {
+    ACTIVE.with(|a| {
+        a.borrow()
+            .as_ref()
+            .map_or((0, 0), |x| (x.reaped, x.claimed))
+    })
+}
+
+/// Called by the reaper just before it removes the abandoned temp `t`.
+pub(crate) fn before_reap(t: &Path) {
+    ACTIVE.with(|a| {
+        let mut a = a.borrow_mut();
+        let Some(x) = a.as_mut().filter(|x| x.plan.claim_before_reap) else {
+            return;
+        };
+        x.reaped += 1;
+        if File::open(t).is_ok_and(|f| f.try_lock().is_ok()) {
+            x.claimed += 1;
         }
     });
 }

@@ -500,13 +500,17 @@ pub fn stale_temps(path: impl AsRef<Path>) -> std::io::Result<Vec<PathBuf>> {
 /// Best-effort removal of every abandoned temp for `path` (crashed
 /// writers never clean up — the next writer does).  A live writer holds
 /// its temp locked (see [`create_temp`]); only a temp this call can lock
-/// is abandoned, and it is removed while still locked.
+/// is abandoned, and it is removed while still locked, so a writer that
+/// created it but has not locked it yet finds the name gone.
 fn reap_stale_temps(path: &Path) {
     if let Ok(temps) = stale_temps(path) {
         for t in temps {
-            if File::open(&t).is_ok_and(|f| f.try_lock().is_ok()) {
-                let _ = std::fs::remove_file(t);
+            let Ok(held) = File::open(&t) else { continue };
+            if held.try_lock().is_ok() {
+                fault::before_reap(&t);
+                let _ = std::fs::remove_file(&t);
             }
+            drop(held);
         }
     }
 }

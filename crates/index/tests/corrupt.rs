@@ -938,6 +938,46 @@ mod crash {
     }
 
     #[test]
+    fn a_temp_is_reaped_only_while_the_reaper_holds_its_lock() {
+        let _clear = ClearFaults;
+        let path = temp("crash-reap-locked");
+        // A live writer's temp: created and locked, not yet renamed.
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let live = path.with_file_name(format!(".{name}.tmp-99993-0"));
+        let held = std::fs::File::create_new(&live).unwrap();
+        held.lock().unwrap();
+        // A writer killed mid-write leaves an unlocked one.
+        fault::install(FaultPlan {
+            tear_after: Some(10),
+            ..FaultPlan::default()
+        });
+        assert!(write_snapshot(&doc_v1(), &path).is_err());
+        assert_eq!(stale_temps(&path).unwrap().len(), 2);
+
+        // The next write reaps the dead temp and spares the live one.
+        // At the removal, a writer that created the dead temp and now
+        // locks it must be refused: granted, it would rename a file the
+        // removal takes away.
+        fault::install(FaultPlan {
+            claim_before_reap: true,
+            ..FaultPlan::default()
+        });
+        write_snapshot(&doc_v1(), &path).unwrap();
+        assert_eq!(fault::reap_probes(), (1, 0), "(reaped, claimable)");
+        fault::clear();
+        assert_eq!(stale_temps(&path).unwrap(), vec![live.clone()]);
+
+        drop(held);
+        write_snapshot(&doc_v1(), &path).unwrap();
+        assert!(stale_temps(&path).unwrap().is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "600 snapshot writes from two threads are minutes-long under the interpreter"
+    )]
     fn concurrent_writers_of_one_path_all_succeed() {
         // Each writer's live temp is locked, so the other's reaping
         // leaves it alone and every rename finds its file.

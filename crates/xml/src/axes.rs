@@ -1926,6 +1926,7 @@ mod tests {
     use super::*;
     use crate::builder::DocumentBuilder;
     use crate::parser::parse;
+    use crate::testgen::xorshift;
 
     /// Brute-force reference: enumerate all pairs via `axis_relates`.
     fn brute_image(doc: &Document, axis: Axis, x: &NodeSet) -> NodeSet {
@@ -2188,13 +2189,6 @@ mod tests {
             assert_eq!(Axis::from_str_opt(axis.as_str()), Some(axis));
         }
         assert_eq!(Axis::from_str_opt("sideways"), None);
-    }
-
-    fn xorshift(state: &mut u64) -> u64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state
     }
 
     #[test]

@@ -44,6 +44,8 @@ pub mod parser;
 pub mod serialize;
 pub mod store;
 pub mod sweep;
+#[cfg(test)]
+mod testgen;
 pub mod token;
 
 pub use axes::{
