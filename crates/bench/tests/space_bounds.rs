@@ -1,4 +1,5 @@
-//! The paper's space half, counted for MINCONTEXT and OPTMINCONTEXT.
+//! The paper's space half, counted for MINCONTEXT and OPTMINCONTEXT, and
+//! against the context-value tables they improve on.
 //!
 //! The peak heap an evaluation holds above the live heap it starts from
 //! is measured on a warm second evaluation — the compiled query cached,
@@ -8,12 +9,14 @@
 //! read the ranks in place, so it peaks at no more than twice what plain
 //! MINCONTEXT's per-candidate evaluation does; and each strategy's peak
 //! grows at most ×2.3 per doubling of `|D|`, so neither holds more than a
-//! constant number of words per node.  Every engine pins
-//! [`Engine::with_optimizer`].  One measurement at a time in this binary,
-//! so nothing else allocates while one counts; the `d = 12…16` tier is
-//! `#[ignore]`d for a release run.
+//! constant number of words per node.  The context-value tables grow at
+//! least ×3.5 per doubling on the `last()` queries and ×7 on the running
+//! example E, a cell per (position, size) pair and per (node, position,
+//! size).  Every engine pins [`Engine::with_optimizer`].  One measurement
+//! at a time in this binary, so nothing else allocates while one counts;
+//! the `d = 12…16` tier is `#[ignore]`d for a release run.
 
-use minctx_bench::{uniform_tree, CountingAllocator, WADLER_QUERIES};
+use minctx_bench::{uniform_tree, CountingAllocator, FULL_XPATH_QUERIES, WADLER_QUERIES};
 use minctx_core::{Engine, Strategy, Value};
 use minctx_syntax::Query;
 use minctx_xml::Document;
@@ -90,4 +93,41 @@ fn wadler_peaks_stay_within_twice_mincontext_at_depths_7_to_11() {
 #[ignore = "up to 2¹⁷ nodes: run in release with --ignored"]
 fn wadler_peaks_stay_within_twice_mincontext_at_depths_12_to_16() {
     space_bounds(12..=16);
+}
+
+/// The context-value tables' peak growth per doubling of `|D|`, at
+/// least: one cell per (position, size) pair on a predicate reading
+/// `last()`, ×4 in the limit.
+const CVT_LAST_PER_DOUBLING: f64 = 3.5;
+
+/// The same on the running example E, which also reads the node: one
+/// cell per (node, position, size), ×8 in the limit.
+const CVT_E_PER_DOUBLING: f64 = 7.0;
+
+#[test]
+#[cfg_attr(miri, ignore)]
+fn context_value_tables_peak_at_every_position_and_size() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // E fills 523 MB at d = 6, so the tier stops at d = 5.
+    let docs: Vec<_> = (3..=5).map(|d| uniform_tree(d, 2)).collect();
+    let e = FULL_XPATH_QUERIES[0];
+    assert!(e.contains("self::* = 100"), "E is {e:?}");
+    let reads_last = WADLER_QUERIES.iter().filter(|q| q.contains("last()"));
+    let bounds = reads_last
+        .map(|&q| (q, CVT_LAST_PER_DOUBLING))
+        .chain([(e, CVT_E_PER_DOUBLING)]);
+    for optimizer in [false, true] {
+        let cvt = Engine::new(Strategy::ContextValueTable).with_optimizer(optimizer);
+        for (q, at_least) in bounds.clone() {
+            let query = minctx_syntax::parse_xpath(q).unwrap();
+            let peaks: Vec<usize> = docs.iter().map(|doc| peak(&cvt, doc, &query)).collect();
+            for pair in peaks.windows(2) {
+                let ratio = pair[1] as f64 / pair[0] as f64;
+                assert!(
+                    ratio >= at_least,
+                    "{q}, optimizer {optimizer}: CVT peaks at {peaks:?} bytes, ×{ratio:.2} per doubling"
+                );
+            }
+        }
+    }
 }

@@ -375,11 +375,15 @@ mod tests {
         let q = parse_xpath("boolean(//b[@x])").unwrap();
         let out = e.evaluate_reader_str(&q, xml).unwrap();
         assert_eq!(out.streamed(), Some(&StreamValue::Boolean(true)));
-        // …but a guard that cannot be proven mid-stream (not-exists) keeps
-        // reading and therefore sees the malformed tail.
+        // A not-exists guard is decided when its element closes, so the
+        // stream stops at `</b>`…
         let q = parse_xpath("boolean(//b[not(c)])").unwrap();
+        let out = e.evaluate_reader_str(&q, xml).unwrap();
+        assert_eq!(out.streamed(), Some(&StreamValue::Boolean(true)));
+        // …but one still open when the malformed tail arrives keeps
+        // reading and therefore sees it.
         assert!(matches!(
-            e.evaluate_reader_str(&q, xml),
+            e.evaluate_reader_str(&q, r#"<a><b x="1"><unclosed></a>"#),
             Err(EvalError::Xml(_))
         ));
     }

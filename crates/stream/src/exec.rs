@@ -25,27 +25,37 @@
 //! one `u32` names a whole chain and `State` is `Copy`.
 //! Completing the final step of the main program records a **candidate**
 //! (the node's would-be pre-order id plus its guard); completing an atom
-//! program records a witness for that atom.
+//! program sets the atom, or records a **witness** (the atom plus the
+//! witness's guard) when its own chain is not empty.
 //!
-//! Nothing is ever un-recorded: atoms are monotone (false until a witness
-//! arrives), so element close needs no predicate bookkeeping — an existence
-//! predicate that never found a witness simply stays false.  At end of
-//! stream, [`Exec::finalize`] evaluates every candidate's guard chain
-//! (memoized; the dependency order follows creation order, so the
-//! recursion terminates), then sorts and deduplicates by pre-order id —
-//! this is the *buffered emission* that restores document order when the
-//! same node is derivable more than once or attribute matches from
-//! distinct states interleave.
+//! Groups keep the same marks.  Every witness an atom can receive comes
+//! from the subtree of the node that opened the atom's group, so when
+//! that node closes its groups are decided.  A witness or candidate whose
+//! chain is not decided yet **waits** on the open node that opened the
+//! chain's first group, in a list headed at that node's mark.  When a
+//! node closes, the executor evaluates its groups, latest first (a
+//! group's atoms wait only on groups opened after it), shortens each
+//! chain waiting on them to its first group that is still open and lists
+//! it on the node that opened that group, and pops its states, groups and
+//! atoms.  So a chain is touched once per node it passes through, however
+//! deep the document.  A leaf opens and closes in its own event.  A
+//! witness whose chain is decided true sets its atom; a candidate whose
+//! chain is decided true is folded into the answer at once: `count` adds
+//! one, `boolean` stops the stream, a node-set query appends the match.
+//! All derivations of a node complete in the node's own event, where they
+//! are sorted into one **run** that is folded at most once;
+//! [`Exec::finalize`] only restores document order, where a guard decided
+//! late put a match behind a later one.
 //!
-//! Memory is `O(depth · live states + predicate instances + candidates)`:
-//! the state stacks are bounded by the open path, but groups, atom cells
-//! and candidates grow by one per predicate instance or match and are
-//! kept until [`Exec::finalize`].
+//! Memory is `O(depth · (live states + predicate instances) + answer)`,
+//! plus the chains still waiting on an open node's groups.
 
 use crate::compile::{CStep, Lit, PExpr, PredTree, ResultKind, SAxis, STest, StreamQuery};
 use minctx_core::value::string_to_number;
 use minctx_syntax::CmpOp;
 use minctx_xml::Attrs;
+use std::cmp::Reverse;
+use std::ops::{Index, IndexMut};
 
 /// The kind of a matched (or visited) node, mirroring the arena's
 /// `NodeKind` without interned names.
@@ -125,26 +135,108 @@ struct Group<'q> {
     atom_base: usize,
     /// The guard the group was opened under.
     parent: Guard,
-    /// Finalize-time memo.
-    val: Option<bool>,
+    /// The mark of the node that opened it.
+    node: u32,
+    /// The group's value, set when that node closes.
+    val: bool,
 }
 
-/// One existence-atom cell: monotone false → true.
-#[derive(Default)]
-struct Atom {
-    /// An unconditional witness was found.
-    definite: bool,
-    /// Guard chains of conditional witnesses (evaluated at finalize).
-    witnesses: Vec<Guard>,
-    /// Finalize-time memo.
-    resolved: Option<bool>,
+/// The end of a waiting list.
+const NIL: u32 = u32::MAX;
+
+/// What a waiting chain settles once it is decided true.
+#[derive(Clone, Copy)]
+enum Feeds {
+    /// An atom cell: the chain is a witness's.
+    Atom(u32),
+    /// A run: the chain is one derivation of a matched node.
+    Run(u32),
 }
 
-/// A completed main-path match awaiting guard resolution.
+/// A guard chain not decided yet, listed on the open node that opened
+/// its first group.
+#[derive(Clone, Copy)]
+struct Waiting {
+    guard: Guard,
+    feeds: Feeds,
+    /// The next entry on the same node's list, or `NIL`.
+    next: u32,
+}
+
+/// A matched node whose derivations wait on their chains.
+struct Run {
+    desc: Option<StreamMatch>,
+    /// Derivations still waiting.
+    live: u32,
+    /// Folded at the first derivation decided true.
+    folded: bool,
+}
+
+/// A completed main-path match, held until its node's event ends.
 struct Candidate {
     ordinal: u32,
     guard: Guard,
     desc: Option<StreamMatch>,
+}
+
+/// Cells addressed by `u32`; a removed cell is reused by the next insert.
+struct Slab<T> {
+    cells: Vec<T>,
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    const fn new() -> Slab<T> {
+        Slab {
+            cells: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, cell: T) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                self.cells[i as usize] = cell;
+                i
+            }
+            None => {
+                self.cells.push(cell);
+                self.cells.len() as u32 - 1
+            }
+        }
+    }
+
+    fn remove(&mut self, i: u32) {
+        self.free.push(i);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.free.len() == self.cells.len()
+    }
+}
+
+impl<T> Index<u32> for Slab<T> {
+    type Output = T;
+    fn index(&self, i: u32) -> &T {
+        &self.cells[i as usize]
+    }
+}
+
+impl<T> IndexMut<u32> for Slab<T> {
+    fn index_mut(&mut self, i: u32) -> &mut T {
+        &mut self.cells[i as usize]
+    }
+}
+
+/// An open node: the stack lengths when it opened, so that its states
+/// and groups are what lies above them, and the head of the list of
+/// chains waiting on its groups.
+#[derive(Clone, Copy)]
+struct Mark {
+    child: u32,
+    desc: u32,
+    groups: u32,
+    waiting: u32,
 }
 
 /// A node as seen by the automaton while its event is being processed.
@@ -168,13 +260,26 @@ pub(crate) struct Exec<'q> {
     child: Vec<State>,
     /// Descendant expectations of the open elements, innermost last.
     desc: Vec<State>,
-    /// Per open element, the root first: where its states begin in
-    /// `child` and in `desc`.
-    marks: Vec<(u32, u32)>,
+    /// Per open node, the root first.
+    marks: Vec<Mark>,
+    /// The predicate instances opened at the open nodes.
     groups: Vec<Group<'q>>,
-    atoms: Vec<Atom>,
-    pending: Vec<Candidate>,
-    /// `Exists` resolved unconditionally true: stop the stream.
+    /// Per atom cell of `groups`: an unconditional witness arrived (atoms
+    /// are monotone, false → true).
+    atoms: Vec<bool>,
+    /// The candidates of the current event.
+    fresh: Vec<Candidate>,
+    /// The waiting chains.
+    waiting: Slab<Waiting>,
+    /// The matched nodes some of whose derivations wait.
+    runs: Slab<Run>,
+    /// The closing node's list, gathered to be sorted.
+    closing: Vec<u32>,
+    /// The folded matches of a node-set query, in the order they folded.
+    answer: Vec<StreamMatch>,
+    /// The folded matches of a `count` query.
+    count: usize,
+    /// `Exists` decided true: stop the stream.
     done: bool,
 }
 
@@ -184,13 +289,19 @@ impl<'q> Exec<'q> {
             sq,
             child: Vec::new(),
             desc: Vec::new(),
-            marks: vec![(0, 0)],
+            marks: Vec::new(),
             groups: Vec::new(),
             atoms: Vec::new(),
-            pending: Vec::new(),
+            fresh: Vec::new(),
+            waiting: Slab::new(),
+            runs: Slab::new(),
+            closing: Vec::new(),
+            answer: Vec::new(),
+            count: 0,
             done: false,
         };
         // Launch the main program at the document root (ordinal 0).
+        ex.marks.push(ex.new_mark());
         let root = NodeView {
             ordinal: 0,
             kind: StreamNodeKind::Root,
@@ -211,6 +322,7 @@ impl<'q> Exec<'q> {
         } else {
             ex.start_from(main, &root);
         }
+        ex.settle_event();
         ex
     }
 
@@ -222,31 +334,25 @@ impl<'q> Exec<'q> {
     // ---- event entry points ------------------------------------------
 
     pub fn start_element(&mut self, name: &str, attrs: Attrs<'_>, ordinal: u32) {
-        let view = NodeView {
+        self.open(&NodeView {
             ordinal,
             kind: StreamNodeKind::Element,
             name: Some(name),
             content: None,
             attrs: Some(attrs),
             has_mark: true,
-        };
-        // What `visit` registers lands above the current tops: that is
-        // this element's range, pushed once its parent's are read.
-        let mark = (self.child.len() as u32, self.desc.len() as u32);
-        self.visit(&view);
-        self.marks.push(mark);
+        });
     }
 
     pub fn end_element(&mut self) {
-        let (child, desc) = self.marks.pop().expect("end without start");
-        debug_assert!(!self.marks.is_empty(), "root mark popped");
-        self.child.truncate(child as usize);
-        self.desc.truncate(desc as usize);
+        debug_assert!(self.marks.len() > 1, "end without start");
+        self.close();
     }
 
-    /// A text, comment or PI event (one leaf node).
+    /// A text, comment or PI event (one leaf node), which opens and
+    /// closes at once.
     pub fn leaf(&mut self, kind: StreamNodeKind, name: Option<&str>, content: &str, ordinal: u32) {
-        self.visit(&NodeView {
+        self.open(&NodeView {
             ordinal,
             kind,
             name,
@@ -254,17 +360,37 @@ impl<'q> Exec<'q> {
             attrs: None,
             has_mark: false,
         });
+        self.close();
+    }
+
+    /// Visits `view` as the newest open node: what it registers lands
+    /// above the current tops, and is its own until it closes.
+    fn open(&mut self, view: &NodeView) {
+        let parent = self.marks.last().expect("root mark always present");
+        let child_start = parent.child as usize;
+        self.marks.push(self.new_mark());
+        self.visit(view, child_start);
+        self.settle_event();
+    }
+
+    fn new_mark(&self) -> Mark {
+        Mark {
+            child: self.child.len() as u32,
+            desc: self.desc.len() as u32,
+            groups: self.groups.len() as u32,
+            waiting: NIL,
+        }
     }
 
     // ---- automaton core ----------------------------------------------
 
-    /// Advances every state of the parent's `child` range and of the
-    /// `desc` stack that `view` satisfies.  Both bounds are fixed before
-    /// the first advance, and advances only push past them, so what
-    /// `view` registers for its own subtree is not visited here.
-    fn visit(&mut self, view: &NodeView) {
+    /// Advances every state of the parent's `child` range, from
+    /// `child_start` on, and of the `desc` stack that `view` satisfies.
+    /// Both bounds are fixed before the first advance, and advances only
+    /// push past them, so what `view` registers for its own subtree is
+    /// not visited here.
+    fn visit(&mut self, view: &NodeView, child_start: usize) {
         let (child_end, desc_end) = (self.child.len(), self.desc.len());
-        let child_start = self.marks.last().expect("root mark always present").0 as usize;
         for i in child_start..child_end {
             let st = self.child[i];
             if self.step_of(st).test_matches(view) {
@@ -297,13 +423,13 @@ impl<'q> Exec<'q> {
         let mut guard = st.guard;
         for tree in &cstep.preds {
             let atom_base = self.atoms.len();
-            self.atoms
-                .extend(tree.atom_progs.iter().map(|_| Atom::default()));
+            self.atoms.resize(atom_base + tree.atom_progs.len(), false);
             self.groups.push(Group {
                 tree,
                 atom_base,
                 parent: guard,
-                val: None,
+                node: self.marks.len() as u32 - 1,
+                val: false,
             });
             guard = self.groups.len() as Guard;
             for (slot, &p) in tree.atom_progs.iter().enumerate() {
@@ -393,22 +519,20 @@ impl<'q> Exec<'q> {
                     name: view.name.map(Into::into),
                     value: view.content.map(Into::into),
                 });
-                self.pending.push(Candidate {
+                self.fresh.push(Candidate {
                     ordinal: view.ordinal,
                     guard,
                     desc,
                 });
             }
-            Target::Atom(aid) => {
-                let atom = &mut self.atoms[aid as usize];
-                if atom.definite {
+            Target::Atom(atom) => {
+                if self.atoms[atom as usize] {
                     return;
                 }
                 if guard == 0 {
-                    atom.definite = true;
-                    atom.witnesses.clear();
+                    self.atoms[atom as usize] = true;
                 } else {
-                    atom.witnesses.push(guard);
+                    self.add_waiting(guard, Feeds::Atom(atom));
                 }
             }
         }
@@ -417,11 +541,12 @@ impl<'q> Exec<'q> {
     /// Whether a guard chain is already provably true *mid-stream*.
     /// Atoms are monotone (false may still become true), so only
     /// positive evidence counts: an atom proves nothing under `not()`
-    /// until end of stream, while constants prove either polarity.
+    /// until its group's node closes, while constants prove either
+    /// polarity.
     fn chain_definitely_true(&self, mut guard: Guard) -> bool {
         fn def_true(ex: &Exec<'_>, e: &PExpr, base: usize) -> bool {
             match e {
-                PExpr::Atom(slot) => ex.atoms[base + slot].definite,
+                PExpr::Atom(slot) => ex.atoms[base + slot],
                 PExpr::Not(x) => def_false(ex, x, base),
                 PExpr::And(x, y) => def_true(ex, x, base) && def_true(ex, y, base),
                 PExpr::Or(x, y) => def_true(ex, x, base) || def_true(ex, y, base),
@@ -448,61 +573,185 @@ impl<'q> Exec<'q> {
         true
     }
 
-    // ---- finalize ----------------------------------------------------
+    // ---- resolution at close -----------------------------------------
 
-    /// Resolves every candidate's guards, then sorts and deduplicates by
-    /// pre-order id (buffered emission: restores document order).
-    pub fn finalize(mut self) -> StreamValue {
-        if self.done {
-            return StreamValue::Boolean(true);
-        }
-        let mut accepted = std::mem::take(&mut self.pending);
-        accepted.retain(|c| self.chain_true(c.guard));
-        accepted.sort_by_key(|c| c.ordinal);
-        accepted.dedup_by_key(|c| c.ordinal);
-        match self.sq.result {
-            ResultKind::Nodes => StreamValue::Nodes(
-                accepted
-                    .into_iter()
-                    .map(|c| c.desc.expect("Nodes candidates capture a description"))
-                    .collect(),
-            ),
-            ResultKind::Count => StreamValue::Number(accepted.len() as f64),
-            ResultKind::Exists => StreamValue::Boolean(!accepted.is_empty()),
+    /// Folds or lists the candidates of the event that just ended, out
+    /// of line: most events complete none.
+    fn settle_event(&mut self) {
+        if !self.fresh.is_empty() {
+            self.settle_fresh();
         }
     }
 
-    fn chain_true(&mut self, mut guard: Guard) -> bool {
-        while guard != 0 {
-            if !self.group_true(guard as usize - 1) {
-                return false;
+    /// A node's derivations all complete in its own event: sorted by
+    /// ordinal they form one run, folded at once if one of its chains is
+    /// empty, listed as waiting otherwise.
+    #[inline(never)]
+    fn settle_fresh(&mut self) {
+        let mut fresh = std::mem::take(&mut self.fresh);
+        fresh.sort_unstable_by_key(|c| c.ordinal);
+        for run in fresh.chunk_by_mut(|a, b| a.ordinal == b.ordinal) {
+            let desc = run[0].desc.take();
+            if run.iter().any(|c| c.guard == 0) {
+                self.fold(desc);
+                continue;
             }
-            guard = self.groups[guard as usize - 1].parent;
+            let run_id = self.runs.insert(Run {
+                desc,
+                live: run.len() as u32,
+                folded: false,
+            });
+            for c in run.iter() {
+                self.add_waiting(c.guard, Feeds::Run(run_id));
+            }
         }
-        true
+        fresh.clear();
+        self.fresh = fresh;
     }
 
-    /// Memoized group evaluation.  Groups opened at a node can only
-    /// depend (through atom witnesses) on groups opened strictly later,
-    /// so the recursion is well-founded.
-    fn group_true(&mut self, gid: usize) -> bool {
-        let Group {
-            tree,
-            atom_base,
-            val,
-            ..
-        } = self.groups[gid];
-        if let Some(v) = val {
-            return v;
-        }
-        let v = self.pexpr_true(&tree.expr, atom_base);
-        self.groups[gid].val = Some(v);
-        v
+    /// Lists a new chain `guard` that settles `feeds`.
+    fn add_waiting(&mut self, guard: Guard, feeds: Feeds) {
+        let i = self.waiting.insert(Waiting {
+            guard,
+            feeds,
+            next: NIL,
+        });
+        self.wait(i, guard);
     }
 
-    fn pexpr_true(&mut self, e: &PExpr, base: usize) -> bool {
+    /// Lists entry `i` on the open node that opened its chain's first
+    /// group, `guard − 1`.
+    fn wait(&mut self, i: u32, guard: Guard) {
+        let node = self.groups[guard as usize - 1].node as usize;
+        let head = std::mem::replace(&mut self.marks[node].waiting, i);
+        self.waiting[i].guard = guard;
+        self.waiting[i].next = head;
+    }
+
+    /// Entry `i`'s chain is decided, true if `holds`: settles what it
+    /// feeds and frees the entry.
+    fn decide(&mut self, i: u32, holds: bool) {
+        match self.waiting[i].feeds {
+            Feeds::Atom(atom) => self.atoms[atom as usize] |= holds,
+            Feeds::Run(run_id) => {
+                let run = &mut self.runs[run_id];
+                run.live -= 1;
+                let fold = holds && !run.folded;
+                run.folded |= holds;
+                let desc = if fold || run.live == 0 {
+                    run.desc.take()
+                } else {
+                    None
+                };
+                if run.live == 0 {
+                    self.runs.remove(run_id);
+                }
+                if fold {
+                    self.fold(desc);
+                }
+            }
+        }
+        self.waiting.remove(i);
+    }
+
+    /// The newest open node closes: pops its states and, out of line as
+    /// most nodes open none, decides its groups.
+    fn close(&mut self) {
+        let mark = self.marks.pop().expect("root mark always present");
+        self.child.truncate(mark.child as usize);
+        self.desc.truncate(mark.desc as usize);
+        if self.groups.len() > mark.groups as usize {
+            self.close_groups(mark);
+        }
+    }
+
+    /// The node `mark` was taken at has closed, so every witness its
+    /// groups can receive has arrived: decides them, latest first, settles
+    /// or moves on every chain that waited on them, and pops them with
+    /// their atoms.
+    #[inline(never)]
+    fn close_groups(&mut self, mark: Mark) {
+        let decided = mark.groups as usize;
+        let mut closing = std::mem::take(&mut self.closing);
+        let mut at = mark.waiting;
+        while at != NIL {
+            closing.push(at);
+            at = self.waiting[at].next;
+        }
+        // A group's atoms are numbered after every earlier group's, so
+        // with the witnesses latest atom first, each group's come after
+        // those of every group opened later; the runs' come last.
+        closing.sort_unstable_by_key(|&i| match self.waiting[i].feeds {
+            Feeds::Atom(atom) => Reverse(u64::from(atom) + 1),
+            Feeds::Run(_) => Reverse(0),
+        });
+        let mut next = 0;
+        for gid in (decided..self.groups.len()).rev() {
+            let atom_base = self.groups[gid].atom_base;
+            while let Some(&i) = closing.get(next) {
+                let w = self.waiting[i];
+                match w.feeds {
+                    Feeds::Atom(atom) if atom as usize >= atom_base => {}
+                    _ => break,
+                }
+                // The chain's groups were opened after this one: decided.
+                let left = self.shorten(w.guard, gid + 1);
+                debug_assert!(
+                    matches!(left, None | Some(0)),
+                    "a witness waits on an earlier group"
+                );
+                self.decide(i, left == Some(0));
+                next += 1;
+            }
+            let tree = self.groups[gid].tree;
+            self.groups[gid].val = self.pexpr_true(&tree.expr, atom_base);
+        }
+        // The rest feed atoms of groups still open, or runs.
+        for &i in &closing[next..] {
+            let w = self.waiting[i];
+            let left = match w.feeds {
+                Feeds::Run(run_id) if self.runs[run_id].folded => None,
+                _ => self.shorten(w.guard, decided),
+            };
+            match left {
+                Some(0) => self.decide(i, true),
+                Some(guard) => self.wait(i, guard),
+                None => self.decide(i, false),
+            }
+        }
+        closing.clear();
+        self.closing = closing;
+        self.atoms.truncate(self.groups[decided].atom_base);
+        self.groups.truncate(decided);
+    }
+
+    /// `guard`'s chain without its decided groups, those from index
+    /// `decided` on; `None` if one of them is false.
+    fn shorten(&self, mut guard: Guard, decided: usize) -> Option<Guard> {
+        while guard as usize > decided {
+            let g = &self.groups[guard as usize - 1];
+            if !g.val {
+                return None;
+            }
+            guard = g.parent;
+        }
+        Some(guard)
+    }
+
+    /// One node whose chain is decided true.
+    fn fold(&mut self, desc: Option<StreamMatch>) {
+        match self.sq.result {
+            ResultKind::Nodes => self
+                .answer
+                .push(desc.expect("Nodes candidates capture a description")),
+            ResultKind::Count => self.count += 1,
+            ResultKind::Exists => self.done = true,
+        }
+    }
+
+    fn pexpr_true(&self, e: &PExpr, base: usize) -> bool {
         match e {
-            PExpr::Atom(slot) => self.atom_true(base + slot),
+            PExpr::Atom(slot) => self.atoms[base + slot],
             PExpr::Not(x) => !self.pexpr_true(x, base),
             PExpr::And(x, y) => self.pexpr_true(x, base) && self.pexpr_true(y, base),
             PExpr::Or(x, y) => self.pexpr_true(x, base) || self.pexpr_true(y, base),
@@ -510,17 +759,28 @@ impl<'q> Exec<'q> {
         }
     }
 
-    fn atom_true(&mut self, aid: usize) -> bool {
-        if self.atoms[aid].definite {
-            return true;
+    // ---- finalize ----------------------------------------------------
+
+    /// Closes the root, which decides every chain left, and restores
+    /// document order if a late guard put a match behind a later one.
+    pub fn finalize(mut self) -> StreamValue {
+        if !self.done {
+            debug_assert_eq!(self.marks.len(), 1, "an element left open");
+            self.close();
+            debug_assert!(self.waiting.is_empty() && self.runs.is_empty());
         }
-        if let Some(v) = self.atoms[aid].resolved {
-            return v;
+        match self.sq.result {
+            ResultKind::Nodes => {
+                let mut answer = self.answer;
+                if !answer.is_sorted_by_key(|m| m.ordinal) {
+                    answer.sort_unstable_by_key(|m| m.ordinal);
+                }
+                debug_assert!(answer.windows(2).all(|w| w[0].ordinal < w[1].ordinal));
+                StreamValue::Nodes(answer)
+            }
+            ResultKind::Count => StreamValue::Number(self.count as f64),
+            ResultKind::Exists => StreamValue::Boolean(self.done),
         }
-        let witnesses = std::mem::take(&mut self.atoms[aid].witnesses);
-        let v = witnesses.iter().any(|&w| self.chain_true(w));
-        self.atoms[aid].resolved = Some(v);
-        v
     }
 }
 

@@ -5,9 +5,10 @@
 //! [`io::Read`](std::io::Read) or a `&str` — without materializing a
 //! [`Document`](minctx_xml::Document) arena.  `//item[@id]` over a
 //! multi-gigabyte feed holds no node of the input: its memory is document
-//! depth times the live automaton states, plus one predicate instance per
-//! `item` and the result (cf. the tree-automata execution model of *XPath
-//! Whole Query Optimization*, PAPERS.md).
+//! depth times the live automaton states and predicate instances, plus the
+//! result, and `count(//item[@id])` holds no more on a larger feed (cf. the
+//! tree-automata execution model of *XPath Whole Query Optimization*,
+//! PAPERS.md).
 //!
 //! Three layers:
 //!
@@ -18,8 +19,8 @@
 //! * the [stream compiler](crate::compile::StreamQuery) and
 //!   [classifier]([`fragment::classify`]): the rewritten query IR is
 //!   lowered into a stack-machine automaton (two state stacks marked
-//!   per open element, predicate subautomata, buffered emission), or the
-//!   first non-streamable construct is reported;
+//!   per open element, predicate subautomata decided as their elements
+//!   close), or the first non-streamable construct is reported;
 //! * engine integration: [`StreamingEngine::evaluate_reader`] extends
 //!   [`Engine`](minctx_core::Engine) — under
 //!   [`Strategy::Streaming`](minctx_core::Strategy) it streams what the

@@ -75,6 +75,18 @@ fn short_circuit_beats_the_meter() {
 }
 
 #[test]
+fn a_negated_guard_stops_the_stream_when_its_element_closes() {
+    // `[not(@id)]` is decided when the first `item` closes, four events
+    // in: the existence query stops there, and a budget that covers
+    // those events is enough for a text of a thousand more.
+    let xml = format!("<a><item>x</item>{}</a>", big_xml(500));
+    let q = parse_xpath("boolean(//item[not(@id)])").unwrap();
+    let e = Engine::new(Strategy::Streaming).with_budget(40);
+    let out = e.evaluate_reader_str(&q, &xml).unwrap();
+    assert_eq!(out.streamed(), Some(&StreamValue::Boolean(true)));
+}
+
+#[test]
 fn arena_fallback_is_metered_too() {
     // A positional predicate forces the arena path, which meters under
     // the same engine budget via the arena evaluators.

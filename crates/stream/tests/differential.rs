@@ -13,7 +13,7 @@
 //! fallback plumbing loses nothing).
 
 use minctx_bench::corpus::{documents, QUERIES};
-use minctx_bench::values_agree;
+use minctx_bench::{values_agree, xmark_doc, XmarkConfig};
 use minctx_core::{Engine, Strategy, Value};
 use minctx_stream::{classify, StreamOutcome, StreamValue, Streamability, StreamingEngine};
 use minctx_syntax::{parse_xpath, Query};
@@ -153,26 +153,64 @@ fn parlist_recursion(levels: usize) -> String {
     xml
 }
 
+/// Streams each query over `xml`, rewriter off and on, and checks it
+/// against MINCONTEXT on a parse of the same text.
+fn stream_agrees_on(xml: &str, queries: &[&str]) {
+    let doc = parse(xml).unwrap();
+    for optimize in [false, true] {
+        let oracle = Engine::new(Strategy::MinContext).with_optimizer(optimize);
+        let engine = Engine::new(Strategy::Streaming).with_optimizer(optimize);
+        for q in queries {
+            let query = parse_xpath(q).unwrap();
+            let ctx = format!("opt={optimize} {q}");
+            let want = oracle.evaluate(&doc, &query).unwrap();
+            let out = engine.evaluate_reader_str(&query, xml).unwrap();
+            let got = out
+                .streamed()
+                .unwrap_or_else(|| panic!("{ctx}: fell back ({:?})", out.fallback_reason()));
+            assert_stream_agrees(&doc, got, &want, &ctx);
+        }
+    }
+}
+
 #[test]
 fn deep_recursion_streams_ordinal_for_ordinal() {
-    let xml = parlist_recursion(500);
-    let doc = parse(&xml).unwrap();
-    let oracle = Engine::new(Strategy::MinContext);
-    let engine = Engine::new(Strategy::Streaming);
-    for q in [
-        "//parlist//listitem",
-        "//parlist/listitem[parlist]",
-        "count(//listitem[.//parlist])",
-        // Three groups on one guard chain: a chain cut after its last
-        // group admits the `listitem`s that have `text` but no `parlist`.
-        "//parlist[listitem/text]/listitem[parlist][text]",
-    ] {
-        let query = parse_xpath(q).unwrap();
-        let want = oracle.evaluate(&doc, &query).unwrap();
-        let out = engine.evaluate_reader_str(&query, &xml).unwrap();
-        let got = out
-            .streamed()
-            .unwrap_or_else(|| panic!("{q}: fell back ({:?})", out.fallback_reason()));
-        assert_stream_agrees(&doc, got, &want, q);
-    }
+    stream_agrees_on(
+        &parlist_recursion(500),
+        &[
+            "//parlist//listitem",
+            "//parlist/listitem[parlist]",
+            "count(//listitem[.//parlist])",
+            // Three groups on one guard chain: a chain cut after its last
+            // group admits the `listitem`s that have `text` but no
+            // `parlist`.
+            "//parlist[listitem/text]/listitem[parlist][text]",
+            // Every `listitem` is reached through each `parlist` above it,
+            // and each derivation's guard names the group of a different
+            // `parlist`: the groups close at different depths, the
+            // innermost first, and the node must count once.
+            "count(//parlist//listitem)",
+            "//parlist[listitem]//listitem",
+            "//parlist[not(listitem/text/parlist)]//listitem[text]",
+            "count(//listitem[parlist]//listitem[not(parlist)])",
+        ],
+    );
+}
+
+#[test]
+fn an_attribute_derived_from_every_ancestor_is_answered_once() {
+    // An attribute is derived once per element above it, its derivations
+    // interleaved with its siblings' in its owner's event.
+    let xmark = to_xml_string(&xmark_doc(&XmarkConfig::sized(3_000)));
+    stream_agrees_on(
+        &xmark,
+        &[
+            "count(//*//@id)",
+            "//*//@id",
+            "count(//*[keyword]//keyword)",
+            "//*[keyword]//keyword",
+            "boolean(//*[not(keyword)]//keyword[@id])",
+            "//item[.//keyword[not(@id)]]/@id",
+        ],
+    );
 }

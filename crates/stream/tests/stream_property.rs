@@ -3,7 +3,7 @@
 //! rewriter off and on and checked ordinal for ordinal against raw naive,
 //! beside every arena configuration of `minctx_bench::lattice`.  Any
 //! unsound corner of the stack automaton (frame propagation, or-self
-//! matching, predicate guard chains, buffered-emission ordering, ordinal
+//! matching, predicate guard chains, answer folding and ordering, ordinal
 //! bookkeeping) shows up as a divergence on some seed.
 
 use minctx_bench::{lattice, random_query};
