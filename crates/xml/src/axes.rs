@@ -579,7 +579,12 @@ fn image(
     if let [single] = x {
         let sliced_name_test = name.is_some() && matches!(axis, Axis::Following | Axis::Preceding);
         if axis != Axis::Id && !sliced_name_test {
-            // Staged in the scratch so `out` is sized once, exactly.
+            // A postings run is one copy of known length: straight into
+            // `out`.
+            if name.is_some() && matches!(axis, Axis::Descendant | Axis::DescendantOrSelf) {
+                return doc.axis_nodes_on(axis, *single, t, o, exec);
+            }
+            // A walk is staged in the scratch so `out` is sized once, exactly.
             let tmp = &mut scratch.tmp;
             let ran = doc.axis_nodes_on(axis, *single, t, tmp, exec);
             if axis.is_reverse() {
@@ -1782,16 +1787,21 @@ impl Document {
         if let ResolvedTest::Name(nm) = t {
             match axis {
                 Axis::Descendant | Axis::DescendantOrSelf => {
+                    // The postings in `lo..hi` are one run: its start by
+                    // binary search, its end by a gallop from the start (so
+                    // a small subtree's call probes `O(log run)`), then one
+                    // copy.
                     let posts = self.element_postings(nm);
                     let lo = from.index() + usize::from(axis == Axis::Descendant);
                     let hi = self.subtree_end(from);
-                    let start = posts.partition_point(|p| p.index() < lo);
-                    for &p in &posts[start..] {
-                        if p.index() >= hi {
-                            break;
-                        }
-                        out.push(p);
-                    }
+                    let mut probes = 0;
+                    let start = posts.partition_point(|p| {
+                        probes += 1;
+                        p.index() < lo
+                    });
+                    let end = gallop(posts, start, hi, &mut probes);
+                    out.extend_from_slice(&posts[start..end]);
+                    touched(probes + out.len());
                     return Dispatch::ran(AxisRoute::Postings, 0);
                 }
                 Axis::Following => {
@@ -2675,6 +2685,52 @@ mod tests {
         for w in per_doc.windows(2) {
             let r = w[1] as f64 / w[0] as f64;
             assert!(r <= 2.3, "×{r:.2} per doubling: {per_doc:?}");
+        }
+    }
+
+    #[test]
+    fn one_origin_descendant_copies_its_run() {
+        // One origin's `descendant(-or-self)::a` is one run of the
+        // postings: a binary search to its start, a gallop from there to its
+        // end, one copy — from the root over all 3 000 `a`s of a sibling
+        // group, and from each link of a 40-deep same-name spine, where the
+        // run starts ever further into the postings.
+        let wide = parse(&format!("<r>{}</r>", "<a/><b/>".repeat(3_000))).unwrap();
+        let deep = format!("<r>{}{}</r>", "<a><a/>".repeat(40), "<a/></a>".repeat(40));
+        let deep = parse(&deep).unwrap();
+        let spine: Vec<NodeId> = deep
+            .all_nodes()
+            .filter(|&n| deep.label_str(n) == Some("a") && deep.first_child(n).is_some())
+            .collect();
+        assert_eq!(spine.len(), 40);
+        let calls = [
+            (&wide, vec![wide.root(), wide.document_element()]),
+            (&deep, spine),
+        ];
+        let (mut scratch, mut via_image) = (Scratch::new(), NodeSet::new());
+        let mut out = Vec::new();
+        for (doc, origins) in calls {
+            let a = NodeTest::name("a").resolve(doc);
+            let posts = doc.element_postings(doc.find_name("a").unwrap()).len();
+            let log = |k: usize| (k + 1).next_power_of_two().ilog2() as usize;
+            for &from in &origins {
+                for arm in [Axis::Descendant, Axis::DescendantOrSelf] {
+                    let before = TOUCHED.get();
+                    let ran = doc.axis_nodes_on(arm, from, a, &mut out, Exec::INLINE);
+                    let work = TOUCHED.get() - before;
+                    assert_eq!(ran, Dispatch::ran(AxisRoute::Postings, 0));
+                    // The copy, the binary search (`log + 1` probes) and
+                    // the gallop over the run (`2·log + 1`).
+                    let bound = out.len() + log(posts) + 2 * log(out.len()) + 2;
+                    assert!(work <= bound, "{arm}::a from {from}: {work} > {bound}");
+                    // The same arm behind `image`'s one-origin branch.
+                    let before = TOUCHED.get();
+                    let x = NodeSet::singleton(from);
+                    axis_image_on(doc, arm, &x, a, &mut scratch, &mut via_image, Exec::INLINE);
+                    assert_eq!(TOUCHED.get() - before, work);
+                    assert_eq!(via_image.as_slice(), &out[..]);
+                }
+            }
         }
     }
 

@@ -127,20 +127,30 @@ impl NodeSet {
         }
     }
 
-    /// Set union (linear merge; branch-free, as which side is smaller is a
-    /// coin flip per step).
+    /// Set union: a linear merge that advances by comparison results
+    /// (branch-free, as which side is smaller is a coin flip per step).
+    /// Each step's loads wait on the compare before it, so both inputs are
+    /// cut at the larger side's middle value and the two halves merge in
+    /// lockstep, into disjoint regions of one buffer.
     pub fn union(&self, other: &NodeSet) -> NodeSet {
-        let (a, b) = (&self.nodes, &other.nodes);
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            let (x, y) = (a[i], b[j]);
-            out.push(x.min(y));
-            i += usize::from(x <= y);
-            j += usize::from(y <= x);
+        let (a, b) = (&self.nodes[..], &other.nodes[..]);
+        let larger = if a.len() >= b.len() { a } else { b };
+        let Some(&mid) = larger.get(larger.len() / 2) else {
+            return NodeSet::new();
+        };
+        let cut = |s: &[NodeId]| s.partition_point(|&x| x < mid);
+        let (ia, ib) = (cut(a), cut(b));
+        let mut out = vec![NodeId(0); a.len() + b.len()];
+        let (front, back) = out.split_at_mut(ia + ib);
+        let mut lo = Merge::new(&a[..ia], &b[..ib], front);
+        let mut hi = Merge::new(&a[ia..], &b[ib..], back);
+        while lo.open() && hi.open() {
+            lo.step();
+            hi.step();
         }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
+        let (k0, k1) = (lo.finish(), hi.finish());
+        out.copy_within(ia + ib..ia + ib + k1, k0);
+        out.truncate(k0 + k1);
         NodeSet { nodes: out }
     }
 
@@ -210,6 +220,58 @@ impl NodeSet {
     #[inline]
     pub(crate) fn vec_mut(&mut self) -> &mut Vec<NodeId> {
         &mut self.nodes
+    }
+}
+
+/// One half of [`NodeSet::union`]'s merge: a cursor into each input and
+/// one into the half's region of the output.
+struct Merge<'a> {
+    a: &'a [NodeId],
+    b: &'a [NodeId],
+    out: &'a mut [NodeId],
+    i: usize,
+    j: usize,
+    k: usize,
+}
+
+impl<'a> Merge<'a> {
+    fn new(a: &'a [NodeId], b: &'a [NodeId], out: &'a mut [NodeId]) -> Self {
+        Merge {
+            a,
+            b,
+            out,
+            i: 0,
+            j: 0,
+            k: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn open(&self) -> bool {
+        self.i < self.a.len() && self.j < self.b.len()
+    }
+
+    /// Writes the smaller head and advances past it on both sides.
+    #[inline(always)]
+    fn step(&mut self) {
+        let (x, y) = (self.a[self.i], self.b[self.j]);
+        self.out[self.k] = x.min(y);
+        self.i += usize::from(x <= y);
+        self.j += usize::from(y <= x);
+        self.k += 1;
+    }
+
+    /// Runs the merge out, copies the side left over and returns how many
+    /// nodes the region holds.
+    fn finish(mut self) -> usize {
+        while self.open() {
+            self.step();
+        }
+        for rest in [&self.a[self.i..], &self.b[self.j..]] {
+            self.out[self.k..self.k + rest.len()].copy_from_slice(rest);
+            self.k += rest.len();
+        }
+        self.k
     }
 }
 
@@ -391,6 +453,33 @@ mod tests {
         assert_eq!(a.intersect(&b), ids(&[3, 5]));
         assert_eq!(a.difference(&b), ids(&[1, 7]));
         assert_eq!(b.difference(&a), ids(&[4, 8]));
+    }
+
+    #[test]
+    fn union_matches_a_sort_of_both_sides() {
+        // Both halves of the lockstep merge: sizes from empty to a few
+        // hundred, one side much longer, disjoint ranges (`//item |
+        // //person`), shared members on the split value, and the same set
+        // twice.
+        let mut rng = 0x5eed_u64;
+        let mut draw = |len: usize, span: u64, base: usize| {
+            let v: Vec<usize> = (0..len)
+                .map(|_| base + (crate::testgen::xorshift(&mut rng) % span) as usize)
+                .collect();
+            ids(&v)
+        };
+        for round in 0..400 {
+            let (la, lb) = (round % 23 * round % 300, round * 7 % 41);
+            let span = 1 + (round as u64 % 5) * 100;
+            let a = draw(la, span, 0);
+            let b = draw(lb, span, if round % 3 == 0 { 1_000 } else { 0 });
+            let mut both = a.clone().into_vec();
+            both.extend(b.iter());
+            let want = NodeSet::from_unsorted(both);
+            assert_eq!(a.union(&b), want, "{a} ∪ {b}");
+            assert_eq!(b.union(&a), want, "{b} ∪ {a}");
+            assert_eq!(a.union(&a), a);
+        }
     }
 
     #[test]

@@ -346,6 +346,29 @@ fn single_origin_axis_nodes_match_brute_force_order() {
             }
         }
     }
+    // Long runs: the 3 000-pair sibling group's root holds one run of
+    // 3 000 `a`s, and each link of the 40-deep same-name spine a run that
+    // ends before its ancestors' trailing `a`s — from every origin, the
+    // one-origin arm and `image`'s one-origin branch alike.
+    for doc in adversarial_docs() {
+        for from in doc.all_nodes() {
+            for axis in [Axis::Descendant, Axis::DescendantOrSelf] {
+                let reached: Vec<NodeId> = doc
+                    .all_nodes()
+                    .filter(|&y| doc.axis_relates(axis, from, y))
+                    .collect();
+                for test in [NodeTest::name("a"), NodeTest::name("b"), NodeTest::AnyNode] {
+                    let t = test.resolve(&doc);
+                    let mut slow = reached.clone();
+                    slow.retain(|&y| t.matches(&doc, axis, y));
+                    let tag = format!("{axis}::{test} from {from} of {}", doc.len());
+                    assert_eq!(doc.axis_nodes(axis, from, &test), slow, "{tag}");
+                    let image = axis_image(&doc, axis, &NodeSet::singleton(from), &test);
+                    assert_eq!(image.as_slice(), &slow[..], "image: {tag}");
+                }
+            }
+        }
+    }
 }
 
 /// Shapes the random generator rarely reaches: same-name nesting 40 deep
