@@ -7,7 +7,7 @@
 //! paper's complexity bounds are counted in fuel by
 //! `crates/core/tests/theorems.rs`.
 
-use minctx_core::{Engine, Strategy, Value};
+use minctx_core::{Budget, Engine, Strategy, Value};
 use minctx_xml::{Document, DocumentBuilder};
 
 pub mod lattice;
@@ -365,7 +365,7 @@ pub fn engines(naive_fuel: Option<u64>) -> Vec<Engine> {
     let engine = |s: Strategy, optimize: bool| {
         let e = Engine::new(s).with_optimizer(optimize);
         match naive_fuel {
-            Some(fuel) if s == Strategy::Naive => e.with_budget(fuel),
+            Some(fuel) if s == Strategy::Naive => e.with_budget(Budget::fuel(fuel)),
             _ => e,
         }
     };

@@ -36,9 +36,8 @@ const DEADLINE_POLL_UNITS: u64 = 50_000;
 /// units) and an optional wall-clock *timeout*.  `Default` is unlimited.
 ///
 /// Configure an [`Engine`](crate::Engine) with
-/// [`with_budget`](crate::Engine::with_budget) /
-/// [`with_timeout`](crate::Engine::with_timeout), or build a `Budget`
-/// directly for per-request metering (the `minctx-serve` request loop
+/// [`with_budget`](crate::Engine::with_budget), or hand a `Budget` to
+/// each request for per-request metering (the `minctx-serve` request loop
 /// anchors deadlines at submit time via [`Budget::meter_at`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {

@@ -25,7 +25,6 @@ use minctx_syntax::{parse_xpath, Query};
 use minctx_xml::{Document, NodeId, Scratch};
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// An XPath 1.0 evaluation context: the triple `(x, k, n)` of Section 2.2
 /// — context node, context position, context size.
@@ -246,22 +245,16 @@ impl Engine {
         &self.recorder
     }
 
-    /// Caps the abstract work units (fuel) an evaluation may spend;
-    /// exceeding the cap yields [`EvalError::BudgetExhausted`].  Every
-    /// strategy meters its work — including the polynomial ones, whose
-    /// charges bound worst-case latency on a shared serving engine, and
-    /// the streaming engine's per-event accounting.
-    pub fn with_budget(mut self, fuel: u64) -> Engine {
-        self.budget.fuel = Some(fuel);
-        self
-    }
-
-    /// Caps the wall-clock time an evaluation may take; exceeding it
-    /// yields [`EvalError::BudgetExhausted`].  The deadline is polled
-    /// every ~50k charged work units, so enforcement granularity is well
-    /// under a millisecond of evaluator work.
-    pub fn with_timeout(mut self, timeout: Duration) -> Engine {
-        self.budget.timeout = Some(timeout);
+    /// Caps what an evaluation may spend: abstract work units (fuel)
+    /// and wall-clock time; exceeding either yields
+    /// [`EvalError::BudgetExhausted`].  Every strategy meters its work —
+    /// including the polynomial ones, whose charges bound worst-case
+    /// latency on a shared serving engine, and the streaming engine's
+    /// per-event accounting.  The deadline is polled every ~50k charged
+    /// work units, so enforcement granularity is well under a millisecond
+    /// of evaluator work.
+    pub fn with_budget(mut self, budget: Budget) -> Engine {
+        self.budget = budget;
         self
     }
 
@@ -552,6 +545,7 @@ impl Engine {
 mod tests {
     use super::*;
     use minctx_xml::parse;
+    use std::time::Duration;
 
     #[test]
     fn streaming_strategy_refuses_arena_evaluation() {
@@ -578,14 +572,10 @@ mod tests {
 
     #[test]
     fn engine_reports_configuration() {
-        let e = Engine::new(Strategy::Naive)
-            .with_budget(100)
-            .with_timeout(Duration::from_millis(250));
+        let budget = Budget::fuel(100).with_timeout(Duration::from_millis(250));
+        let e = Engine::new(Strategy::Naive).with_budget(budget);
         assert_eq!(e.strategy(), Strategy::Naive);
-        assert_eq!(
-            e.budget_config(),
-            Budget::fuel(100).with_timeout(Duration::from_millis(250))
-        );
+        assert_eq!(e.budget_config(), budget);
     }
 
     #[test]

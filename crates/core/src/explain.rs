@@ -746,7 +746,7 @@ mod tests {
     #[test]
     fn explain_respects_the_engine_budget() {
         let doc = item_doc();
-        let e = Engine::new(Strategy::MinContext).with_budget(1);
+        let e = Engine::new(Strategy::MinContext).with_budget(crate::Budget::fuel(1));
         assert!(matches!(
             e.explain(&doc, "//item[@id]"),
             Err(EvalError::BudgetExhausted { .. })

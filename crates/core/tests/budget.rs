@@ -32,7 +32,7 @@ fn every_strategy_exhausts_a_tiny_fuel_budget() {
         // enough for MINCONTEXT to finish inside even this tiny budget.
         let err = Engine::new(s)
             .with_optimizer(false)
-            .with_budget(50)
+            .with_budget(Budget::fuel(50))
             .evaluate_str(&doc, &family(10))
             .unwrap_err();
         assert_eq!(
@@ -50,7 +50,7 @@ fn every_strategy_honors_an_expired_deadline() {
     let doc = parse(&doc_xml()).unwrap();
     for s in Strategy::ALL {
         let err = Engine::new(s)
-            .with_timeout(Duration::ZERO)
+            .with_budget(Budget::timeout(Duration::ZERO))
             .evaluate_str(&doc, &family(10))
             .unwrap_err();
         assert_eq!(
@@ -81,8 +81,7 @@ fn sufficient_fuel_changes_nothing() {
             let engine = Engine::new(s).with_optimizer(optimize);
             let unmetered = engine.evaluate_str(&doc, q).unwrap();
             let metered = engine
-                .with_budget(100_000_000)
-                .with_timeout(Duration::from_secs(600))
+                .with_budget(Budget::fuel(100_000_000).with_timeout(Duration::from_secs(600)))
                 .evaluate_str(&doc, q)
                 .unwrap();
             assert_eq!(unmetered, metered, "{s} optimize={optimize} query {q}");
@@ -96,7 +95,7 @@ fn optmincontext_backward_pass_is_metered() {
     // budget smaller than the document must trip inside it rather than
     // letting the pass run for free.
     let doc = parse(&doc_xml()).unwrap();
-    let e = Engine::new(Strategy::OptMinContext).with_budget(20);
+    let e = Engine::new(Strategy::OptMinContext).with_budget(Budget::fuel(20));
     let err = e.evaluate_str(&doc, "/a/b[. = 'x']").unwrap_err();
     assert!(
         matches!(err, EvalError::BudgetExhausted { .. }),
@@ -125,7 +124,9 @@ fn backward_preimages_are_charged_for_what_they_touch() {
         assert_eq!(plan.backward_passes, 1, "{q}");
         let spent = plan.fuel_spent;
         assert!(spent < 100, "{q}: spent {spent} on {} nodes", doc.len());
-        let capped = engine.clone().with_budget(doc.len() as u64 / 10);
+        let capped = engine
+            .clone()
+            .with_budget(Budget::fuel(doc.len() as u64 / 10));
         assert_eq!(capped.evaluate_str(&doc, q), Ok(Value::Number(want)), "{q}");
     }
     // The three preimages that still scan the arena are charged for it.
@@ -247,7 +248,10 @@ fn context_value_tables_charge_what_their_sweeps_return() {
             let engine = Engine::new(Strategy::ContextValueTable).with_optimizer(optimize);
             assert_eq!(engine.evaluate_str(&doc, q), Ok(Value::Number(want)), "{q}");
             for fuel in [50, 390] {
-                let err = engine.clone().with_budget(fuel).evaluate_str(&doc, q);
+                let err = engine
+                    .clone()
+                    .with_budget(Budget::fuel(fuel))
+                    .evaluate_str(&doc, q);
                 assert_eq!(
                     err,
                     Err(EvalError::BudgetExhausted {
@@ -266,7 +270,7 @@ fn exhaustion_is_not_sticky_across_evaluations() {
     // next (cheap) query on the same engine succeeds.
     let doc = parse(&doc_xml()).unwrap();
     for s in Strategy::ALL {
-        let e = Engine::new(s).with_budget(2_000);
+        let e = Engine::new(s).with_budget(Budget::fuel(2_000));
         let _ = e.evaluate_str(&doc, &family(10));
         assert_eq!(
             e.evaluate_str(&doc, "count(/a)").unwrap(),
@@ -306,7 +310,7 @@ fn set_filtered_predicates_are_metered_per_candidate() {
             for fuel in [0, 1, 7, 50, 150, 299] {
                 let err = engine
                     .clone()
-                    .with_budget(fuel)
+                    .with_budget(Budget::fuel(fuel))
                     .evaluate_str(&doc, q)
                     .unwrap_err();
                 assert_eq!(
@@ -319,15 +323,14 @@ fn set_filtered_predicates_are_metered_per_candidate() {
             }
             let metered = engine
                 .clone()
-                .with_budget(100_000_000)
-                .with_timeout(Duration::from_secs(600))
+                .with_budget(Budget::fuel(100_000_000).with_timeout(Duration::from_secs(600)))
                 .evaluate_str(&doc, q)
                 .unwrap();
             assert_eq!(unmetered, metered, "{s} optimize={optimize}");
             // A deadline that has already passed trips too.
             let err = engine
                 .clone()
-                .with_timeout(Duration::ZERO)
+                .with_budget(Budget::timeout(Duration::ZERO))
                 .evaluate_str(&doc, q)
                 .unwrap_err();
             assert_eq!(
@@ -375,7 +378,10 @@ fn column_kernels_are_metered_per_candidate() {
                 );
                 let spent = engine.explain(&doc, q).unwrap().fuel_spent;
                 for fuel in [0, 1, 7, 50, 150, 299, spent - 1] {
-                    let err = engine.clone().with_budget(fuel).evaluate_str(&doc, q);
+                    let err = engine
+                        .clone()
+                        .with_budget(Budget::fuel(fuel))
+                        .evaluate_str(&doc, q);
                     assert_eq!(
                         err,
                         Err(EvalError::BudgetExhausted {
@@ -384,7 +390,10 @@ fn column_kernels_are_metered_per_candidate() {
                         "{tag} fuel={fuel} of {spent}"
                     );
                 }
-                let exact = engine.clone().with_budget(spent).evaluate_str(&doc, q);
+                let exact = engine
+                    .clone()
+                    .with_budget(Budget::fuel(spent))
+                    .evaluate_str(&doc, q);
                 assert_eq!(exact, Ok(Value::Number(want)), "{tag}");
             }
         }
@@ -417,13 +426,19 @@ fn set_filter_and_origin_pruning_charge_their_own_work() {
             for fuel in [302, 1_100, spent - 1] {
                 assert!(
                     matches!(
-                        engine.clone().with_budget(fuel).evaluate_str(&doc, q),
+                        engine
+                            .clone()
+                            .with_budget(Budget::fuel(fuel))
+                            .evaluate_str(&doc, q),
                         Err(EvalError::BudgetExhausted { .. })
                     ),
                     "{s} {q} fuel={fuel} of {spent}"
                 );
             }
-            let exact = engine.clone().with_budget(spent).evaluate_str(&doc, q);
+            let exact = engine
+                .clone()
+                .with_budget(Budget::fuel(spent))
+                .evaluate_str(&doc, q);
             assert_eq!(exact, Ok(want), "{s} {q}");
         }
     }

@@ -115,6 +115,63 @@ fn mincontext_fuel_doubles_with_the_document_on_every_family() {
     }
 }
 
+/// The member of `k` terms of each query family, by family.  The terms of
+/// a member are distinct: interning shares a repeated subterm.
+fn query_families(k: usize) -> [(&'static str, String); 5] {
+    let joined =
+        |sep: &str, term: &dyn Fn(usize) -> String| (0..k).map(term).collect::<Vec<_>>().join(sep);
+    let axis = |i: usize| ["following-sibling", "preceding-sibling"][i % 2];
+    let nested = joined("[", &|i| format!("{}::*", axis(i))) + &"]".repeat(k - 1);
+    [
+        ("nested sibling predicates", format!("//*[{nested}]")),
+        (
+            "and chain",
+            format!("//*[{}]", joined(" and ", &|i| format!("@v != '{i}'"))),
+        ),
+        (
+            "predicate list",
+            "/descendant::*".to_string() + &joined("", &|i| format!("[position() != {}]", i + 1)),
+        ),
+        ("union", joined(" | ", &|i| format!("//*[@v = '{i}']"))),
+        (
+            "or chain",
+            format!(
+                "//*[{}]",
+                joined(" or ", &|i| format!("count(descendant::odd) > {i}"))
+            ),
+        ),
+    ]
+}
+
+#[test]
+fn mincontext_fuel_doubles_with_the_query_on_every_family() {
+    // Theorems 7, 10 and 13 bound time in |Q| as well as |D|: at a fixed
+    // document (511 elements, each with `@v`, and 256 texts), fuel per
+    // doubling of k = 4 → 32 terms, measured ×1.70–2.06.  k stops at 32
+    // under `MAX_QUERY_DEPTH`.  `Naive` is left out: Section 1 makes it
+    // exponential in |Q| by design.
+    let doc = uniform_tree(8, 2);
+    let members = [4, 8, 16, 32].map(query_families);
+    for (f, (family, _)) in members[0].iter().enumerate() {
+        for s in [Strategy::MinContext, Strategy::OptMinContext] {
+            for optimize in [true, false] {
+                let engine = Engine::new(s).with_optimizer(optimize);
+                let fuel: Vec<u64> = members
+                    .iter()
+                    .map(|m| fuel_per_doc(&engine, std::slice::from_ref(&doc), &m[f].1)[0])
+                    .collect();
+                for r in ratios(&fuel) {
+                    assert!(
+                        r <= LINEAR,
+                        "{s} optimize={optimize} {family}: ×{r:.2} per doubling of k, \
+                         fuel {fuel:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn optmincontext_keeps_core_xpath_linear_on_deep_chains() {
     // Chains of 100, 200 and 400 elements: satisfying sets answer the
@@ -259,7 +316,7 @@ fn naive_agrees_on_small_members_of_the_family() {
             for optimize in [true, false] {
                 let v = Engine::new(s)
                     .with_optimizer(optimize)
-                    .with_budget(BUDGET)
+                    .with_budget(Budget::fuel(BUDGET))
                     .evaluate_str(&doc, &exponential_family(i))
                     .unwrap();
                 assert_eq!(v.into_node_set().unwrap().len(), 2, "{s} at i={i}");
@@ -281,7 +338,7 @@ fn naive_work_doubles_per_round_trip() {
     // far below the sizes the polynomial strategies handle, and the
     // failure must be the budget guard, not a wrong answer.
     let doc = exponential_doc();
-    let capped = naive.with_budget(BUDGET);
+    let capped = naive.with_budget(Budget::fuel(BUDGET));
     let blew_up_at = (0..64).find(|&i| {
         matches!(
             capped.evaluate_str(&doc, &exponential_family(i)),
@@ -337,7 +394,7 @@ fn polynomial_strategies_sail_through_much_larger_members() {
 fn budget_error_reports_the_configured_budget() {
     let err = Engine::new(Strategy::Naive)
         .with_optimizer(false)
-        .with_budget(1_000)
+        .with_budget(Budget::fuel(1_000))
         .evaluate_str(&exponential_doc(), &exponential_family(30))
         .unwrap_err();
     assert_eq!(

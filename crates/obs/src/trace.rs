@@ -18,8 +18,9 @@
 use crate::registry::json_escape;
 use std::fmt;
 use std::io::Write;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The query-lifecycle phases spans are reported under.
@@ -291,8 +292,11 @@ impl Sink for JsonLinesSink {
         }
         line.push('}');
         line.push('\n');
-        let mut out = self.out.lock().expect("json-lines sink poisoned");
-        let _ = out.write_all(line.as_bytes());
+        // A `Sink` must not panic, but the writer is the caller's: one that
+        // panics loses its line, not the thread recording the span (a
+        // serve worker), and the lock stays usable after it.
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = catch_unwind(AssertUnwindSafe(|| out.write_all(line.as_bytes())));
     }
 }
 

@@ -434,7 +434,8 @@ fn worker_loop(shared: &Shared, template: &Engine) {
         // Outside the fence stay the request counter, the span, the
         // latency record and the reply, and none of them can panic:
         // counters and histograms are relaxed atomics on a bounded
-        // bucket index, a `Sink` must not panic, and `send` to a dropped
+        // bucket index, a `Sink` must not panic (`JsonLinesSink` catches
+        // a panicking writer), and `send` to a dropped
         // ticket returns an error.  The span stays out so that an
         // unwinding job never drops it: a sink panicking mid-unwind
         // would abort the process.

@@ -2,10 +2,11 @@
 //! exposition, queue-wait quantiles in [`ServeStats`], per-outcome
 //! latency histograms, and the builder-attached request log.
 
-use minctx_obs::{AttrValue, CollectSink, Phase, Recorder};
+use minctx_obs::{AttrValue, CollectSink, JsonLinesSink, Phase, Recorder};
 use minctx_serve::{Corpus, ServeEngine, ServeError};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn small_doc() -> Arc<minctx_xml::Document> {
     Arc::new(minctx_xml::parse("<a><b/><b/><c/></a>").unwrap())
@@ -95,6 +96,36 @@ fn request_log_emits_one_serve_span_per_request() {
     assert!(spans
         .iter()
         .any(|s| { matches!(s.attr("query"), Some(AttrValue::Str(q)) if q == "count(//b)") }));
+}
+
+#[test]
+fn a_panicking_request_log_writer_loses_lines_not_workers() {
+    // The request log runs outside the worker's panic fence, so a writer
+    // that panics must cost its line, not the worker — nor, through a
+    // poisoned lock, every worker after it.
+    struct PanicsOnce(bool);
+    impl std::io::Write for PanicsOnce {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if !std::mem::replace(&mut self.0, true) {
+                panic!("request log writer fails");
+            }
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let doc = small_doc();
+    let log = JsonLinesSink::new(PanicsOnce(false));
+    let serve = ServeEngine::builder()
+        .workers(1)
+        .request_log(Recorder::to_sink(Arc::new(log)))
+        .build();
+    for _ in 0..2 {
+        let ticket = serve.query(Corpus::Document(Arc::clone(&doc)), "count(//b)");
+        let reply = ticket.wait_timeout(Duration::from_secs(10));
+        assert_eq!(reply, Some(Ok(minctx_core::Value::Number(2.0))));
+    }
 }
 
 /// Reads a Prometheus text exposition strictly enough that a renderer

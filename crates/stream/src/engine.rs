@@ -14,8 +14,8 @@ use crate::compile::{self, StreamQuery};
 use crate::exec::{Exec, StreamNodeKind, StreamValue};
 use minctx_core::{BudgetMeter, Engine, EvalError, Strategy, Value};
 use minctx_syntax::Query;
-use minctx_xml::token::{ParseOptions, Tokenizer, XmlEvent};
-use minctx_xml::{parse_reader_with_options, parse_with_options, Document, XmlError};
+use minctx_xml::token::{Tokenizer, XmlEvent};
+use minctx_xml::{parse, parse_reader, Document, XmlError};
 use std::io::Read;
 
 /// How [`StreamingEngine::evaluate_reader`] answered a query.
@@ -78,68 +78,27 @@ pub const REASON_ARENA_STRATEGY: &str = "engine strategy is an arena evaluator";
 /// assert_eq!(out.streamed(), Some(&StreamValue::Number(2.0)));
 /// ```
 pub trait StreamingEngine {
-    /// Evaluates `query` over a reader with explicit [`ParseOptions`],
-    /// streaming when possible (see [`StreamOutcome`]).
-    fn evaluate_reader_with_options(
-        &self,
-        query: &Query,
-        reader: impl Read,
-        opts: &ParseOptions,
-    ) -> Result<StreamOutcome, EvalError>;
+    /// Evaluates `query` over a reader, streaming when possible (see
+    /// [`StreamOutcome`]).
+    fn evaluate_reader(&self, query: &Query, reader: impl Read)
+        -> Result<StreamOutcome, EvalError>;
 
-    /// [`StreamingEngine::evaluate_reader_with_options`] over borrowed
-    /// text (zero-copy tokenization).
-    fn evaluate_reader_str_with_options(
-        &self,
-        query: &Query,
-        xml: &str,
-        opts: &ParseOptions,
-    ) -> Result<StreamOutcome, EvalError>;
+    /// [`StreamingEngine::evaluate_reader`] over borrowed text (zero-copy
+    /// tokenization).
+    fn evaluate_reader_str(&self, query: &Query, xml: &str) -> Result<StreamOutcome, EvalError>;
+}
 
-    /// Evaluates `query` over a reader with default options.
+impl StreamingEngine for Engine {
     fn evaluate_reader(
         &self,
         query: &Query,
         reader: impl Read,
     ) -> Result<StreamOutcome, EvalError> {
-        self.evaluate_reader_with_options(query, reader, &ParseOptions::default())
+        evaluate_text(self, query, reader, Tokenizer::from_reader, parse_reader)
     }
 
-    /// Evaluates `query` over borrowed text with default options.
     fn evaluate_reader_str(&self, query: &Query, xml: &str) -> Result<StreamOutcome, EvalError> {
-        self.evaluate_reader_str_with_options(query, xml, &ParseOptions::default())
-    }
-}
-
-impl StreamingEngine for Engine {
-    fn evaluate_reader_with_options(
-        &self,
-        query: &Query,
-        reader: impl Read,
-        opts: &ParseOptions,
-    ) -> Result<StreamOutcome, EvalError> {
-        evaluate_text(
-            self,
-            query,
-            reader,
-            |r| Tokenizer::from_reader(r, opts.clone()),
-            |r| parse_reader_with_options(r, opts),
-        )
-    }
-
-    fn evaluate_reader_str_with_options(
-        &self,
-        query: &Query,
-        xml: &str,
-        opts: &ParseOptions,
-    ) -> Result<StreamOutcome, EvalError> {
-        evaluate_text(
-            self,
-            query,
-            xml,
-            |x| Tokenizer::with_options(x, opts.clone()),
-            |x| parse_with_options(x, opts),
-        )
+        evaluate_text(self, query, xml, Tokenizer::new, parse)
     }
 }
 

@@ -72,7 +72,7 @@ pub enum StreamNodeKind {
 /// One matched node of a streamed node-set query, in document order.
 ///
 /// `ordinal` is the pre-order index the arena builder would assign the
-/// node when parsing the same input under the same options — i.e. it
+/// node when parsing the same input — i.e. it
 /// equals `NodeId::index()` of the corresponding node in
 /// `minctx_xml::parse(...)`, which is what the differential suite checks.
 #[derive(Debug, Clone, PartialEq)]

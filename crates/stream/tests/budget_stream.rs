@@ -2,7 +2,7 @@
 //! per event, so fuel and deadline budgets bound how much of a stream is
 //! read — `BudgetExhausted`, never a hang or a wrong partial answer.
 
-use minctx_core::{Engine, EvalError, Exhausted, Strategy};
+use minctx_core::{Budget, Engine, EvalError, Exhausted, Strategy};
 use minctx_stream::{StreamValue, StreamingEngine};
 use minctx_syntax::parse_xpath;
 use std::time::Duration;
@@ -20,7 +20,7 @@ fn big_xml(items: usize) -> String {
 fn streaming_exhausts_a_tiny_fuel_budget() {
     let xml = big_xml(500);
     let q = parse_xpath("count(//b)").unwrap();
-    let e = Engine::new(Strategy::Streaming).with_budget(40);
+    let e = Engine::new(Strategy::Streaming).with_budget(Budget::fuel(40));
     let err = e.evaluate_reader_str(&q, &xml).unwrap_err();
     assert_eq!(
         err,
@@ -37,7 +37,7 @@ fn streaming_exhausts_a_tiny_fuel_budget() {
 fn streaming_honors_an_expired_deadline() {
     let xml = big_xml(500);
     let q = parse_xpath("count(//b)").unwrap();
-    let e = Engine::new(Strategy::Streaming).with_timeout(Duration::ZERO);
+    let e = Engine::new(Strategy::Streaming).with_budget(Budget::timeout(Duration::ZERO));
     let err = e.evaluate_reader_str(&q, &xml).unwrap_err();
     assert_eq!(
         err,
@@ -55,8 +55,7 @@ fn sufficient_fuel_streams_to_the_same_answer() {
         .evaluate_reader_str(&q, &xml)
         .unwrap();
     let metered = Engine::new(Strategy::Streaming)
-        .with_budget(1_000_000)
-        .with_timeout(Duration::from_secs(600))
+        .with_budget(Budget::fuel(1_000_000).with_timeout(Duration::from_secs(600)))
         .evaluate_reader_str(&q, &xml)
         .unwrap();
     assert_eq!(unmetered.streamed(), metered.streamed());
@@ -69,7 +68,7 @@ fn short_circuit_beats_the_meter() {
     // charges) the rest of the stream: tiny fuel is still enough.
     let xml = big_xml(500);
     let q = parse_xpath("boolean(//b)").unwrap();
-    let e = Engine::new(Strategy::Streaming).with_budget(40);
+    let e = Engine::new(Strategy::Streaming).with_budget(Budget::fuel(40));
     let out = e.evaluate_reader_str(&q, &xml).unwrap();
     assert_eq!(out.streamed(), Some(&StreamValue::Boolean(true)));
 }
@@ -81,7 +80,7 @@ fn a_negated_guard_stops_the_stream_when_its_element_closes() {
     // those events is enough for a text of a thousand more.
     let xml = format!("<a><item>x</item>{}</a>", big_xml(500));
     let q = parse_xpath("boolean(//item[not(@id)])").unwrap();
-    let e = Engine::new(Strategy::Streaming).with_budget(40);
+    let e = Engine::new(Strategy::Streaming).with_budget(Budget::fuel(40));
     let out = e.evaluate_reader_str(&q, &xml).unwrap();
     assert_eq!(out.streamed(), Some(&StreamValue::Boolean(true)));
 }
@@ -94,7 +93,7 @@ fn arena_fallback_is_metered_too() {
     let q = parse_xpath("//b[position() = 2]").unwrap();
     let e = Engine::new(Strategy::Streaming)
         .with_optimizer(false)
-        .with_budget(40);
+        .with_budget(Budget::fuel(40));
     let err = e.evaluate_reader_str(&q, &xml).unwrap_err();
     assert!(matches!(err, EvalError::BudgetExhausted { .. }), "{err:?}");
 }
@@ -102,42 +101,43 @@ fn arena_fallback_is_metered_too() {
 #[test]
 fn depth_limit_guards_the_streaming_path() {
     // An adversarially deep document must come back as a clean
-    // `EvalError::Xml(TooDeep)` from the one-pass engine — constant
-    // memory is the streaming path's whole point, and an attacker
-    // nesting elements must not turn the open-tag stack into a
-    // memory bomb.
-    use minctx_xml::{ParseOptions, XmlErrorKind};
-    let deep: String = "<d>".repeat(3000) + &"</d>".repeat(3000);
+    // `TooDeep` from the one-pass engine — constant memory is the
+    // streaming path's whole point, and an attacker nesting elements must
+    // not turn the open-tag stack into a memory bomb.  The bound is one
+    // constant, so every text entry point refuses the same document at
+    // the same place: the start tag one level below `MAX_ELEMENT_DEPTH`.
+    use minctx_xml::{parse, parse_reader, XmlError, XmlErrorKind, MAX_ELEMENT_DEPTH};
+    let n = MAX_ELEMENT_DEPTH;
+    let deep = "<d>\n".repeat(n + 1) + &"</d>".repeat(n + 1);
     let q = parse_xpath("count(//d)").unwrap();
     let e = Engine::new(Strategy::Streaming);
-
-    let opts = ParseOptions {
-        max_element_depth: 64,
-        ..ParseOptions::default()
+    let streamed = |r: Result<minctx_stream::StreamOutcome, EvalError>| match r {
+        Err(EvalError::Xml(x)) => x,
+        other => panic!("expected an XML depth error, got {other:?}"),
     };
-    let err = e
-        .evaluate_reader_str_with_options(&q, &deep, &opts)
-        .unwrap_err();
-    match err {
-        EvalError::Xml(x) => {
-            assert!(
-                matches!(x.kind(), XmlErrorKind::TooDeep { limit: 64 }),
-                "{x:?}"
-            );
-        }
-        other => panic!("expected XML depth error, got {other:?}"),
-    }
-
-    // The default limit (1024) also cuts off a 3000-deep chain, on the
-    // reader path too.
-    let err = e.evaluate_reader(&q, deep.as_bytes()).unwrap_err();
-    assert!(
-        matches!(&err, EvalError::Xml(x) if matches!(x.kind(), XmlErrorKind::TooDeep { .. })),
-        "{err:?}"
+    let place = |x: &XmlError| (x.kind().clone(), x.offset(), x.line(), x.column());
+    let want = (
+        XmlErrorKind::TooDeep { limit: 1024 },
+        4 * n,
+        n as u32 + 1,
+        1,
+    );
+    assert_eq!(place(&parse(&deep).unwrap_err()), want);
+    assert_eq!(place(&parse_reader(deep.as_bytes()).unwrap_err()), want);
+    assert_eq!(place(&streamed(e.evaluate_reader_str(&q, &deep))), want);
+    assert_eq!(
+        place(&streamed(e.evaluate_reader(&q, deep.as_bytes()))),
+        want
     );
 
-    // Within the limit nothing changes.
-    let ok: String = "<d>".repeat(64).to_string() + &"</d>".repeat(64);
-    let out = e.evaluate_reader_str_with_options(&q, &ok, &opts).unwrap();
-    assert_eq!(out.streamed(), Some(&StreamValue::Number(64.0)));
+    // At the bound nothing changes.
+    let ok = "<d>\n".repeat(n) + &"</d>".repeat(n);
+    assert_eq!(parse(&ok).unwrap().element_count(), n);
+    assert_eq!(parse_reader(ok.as_bytes()).unwrap().element_count(), n);
+    let count = Some(&StreamValue::Number(n as f64));
+    assert_eq!(e.evaluate_reader_str(&q, &ok).unwrap().streamed(), count);
+    assert_eq!(
+        e.evaluate_reader(&q, ok.as_bytes()).unwrap().streamed(),
+        count
+    );
 }

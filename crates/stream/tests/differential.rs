@@ -141,7 +141,7 @@ fn streamed_known_answers_spot_check() {
 /// a grandchild, and the one the next level nests in: a descendant
 /// expectation that outlived its element, or a child range read past its
 /// parent's, would witness a predicate the oracle refutes.  1 001 open
-/// elements at 500 levels, under the default `max_element_depth`.
+/// elements at 500 levels, under `MAX_ELEMENT_DEPTH`.
 fn parlist_recursion(levels: usize) -> String {
     let level = concat!(
         "<parlist><listitem><text/></listitem>",

@@ -77,8 +77,6 @@ pub struct DocumentBuilder {
     text_heap: String,
     /// Stack of open elements (indices into the arena); root at bottom.
     open: Vec<u32>,
-    /// Name of the attribute that provides element ids (`id` by default).
-    id_attribute: String,
     /// Whether a top-level element has been completed already.
     saw_document_element: bool,
 }
@@ -149,7 +147,6 @@ impl DocumentBuilder {
             text_off: Vec::new(),
             text_heap: String::new(),
             open: Vec::new(),
-            id_attribute: "id".to_string(),
             saw_document_element: false,
         };
         let root = b.push_node(NodeKind::Root, NONE);
@@ -175,12 +172,6 @@ impl DocumentBuilder {
         let mut b = Self::with_capacity(len / 8);
         b.text_heap.reserve(len / 4);
         b
-    }
-
-    /// Uses `name` instead of `id` as the id-providing attribute.
-    pub fn id_attribute(&mut self, name: &str) -> &mut Self {
-        self.id_attribute = name.to_string();
-        self
     }
 
     /// Raw node append with no content; returns the arena index.  Writes
@@ -350,7 +341,7 @@ impl DocumentBuilder {
         self.text_heap.shrink_to_fit();
         let (elem_off, elem_post, attr_off, attr_post) = place_postings(&self.kinds, &self.counts);
 
-        // Id index: the id attribute's postings sorted by key bytes, each
+        // Id index: the `id` attribute's postings sorted by key bytes, each
         // with its owner element.  Postings are in document order, so a
         // stable sort keeps first occurrences first within equal keys and
         // the dedup keeps them (matching the old hash map's
@@ -360,7 +351,7 @@ impl DocumentBuilder {
         let key = |attr: u32| {
             &heap[text_off[attr as usize] as usize..text_off[attr as usize + 1] as usize]
         };
-        let mut id_attrs = match self.names.get(&self.id_attribute) {
+        let mut id_attrs = match self.names.get("id") {
             Some(id) => {
                 attr_post[attr_off[id.index()] as usize..attr_off[id.index() + 1] as usize].to_vec()
             }
@@ -550,17 +541,6 @@ mod tests {
         b.end_element();
         let doc = b.finish().unwrap();
         assert_eq!(doc.element_by_id("k"), Some(doc.document_element()));
-    }
-
-    #[test]
-    fn custom_id_attribute() {
-        let mut b = DocumentBuilder::new();
-        b.id_attribute("key");
-        b.start_element("a", &[("key", "z"), ("id", "ignored")]);
-        b.end_element();
-        let doc = b.finish().unwrap();
-        assert_eq!(doc.element_by_id("z"), Some(doc.document_element()));
-        assert_eq!(doc.element_by_id("ignored"), None);
     }
 
     #[test]

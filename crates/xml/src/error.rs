@@ -27,14 +27,12 @@ pub enum XmlErrorKind {
     DuplicateAttribute(String),
     /// `--` inside a comment, `]]>` in text, and similar lexical violations.
     Malformed(String),
-    /// Element nesting exceeded
-    /// [`ParseOptions::max_element_depth`](crate::ParseOptions): the
-    /// document is deeper than the configured limit allows (tokenizer
-    /// stack slots and consumer state frames grow with depth, so
-    /// adversarially deep inputs are cut off instead of exhausting
+    /// Element nesting exceeded [`MAX_ELEMENT_DEPTH`](crate::MAX_ELEMENT_DEPTH)
+    /// (tokenizer stack slots and consumer state frames grow with depth,
+    /// so adversarially deep inputs are cut off instead of exhausting
     /// memory).
     TooDeep {
-        /// The configured [`ParseOptions::max_element_depth`](crate::ParseOptions).
+        /// The bound, [`MAX_ELEMENT_DEPTH`](crate::MAX_ELEMENT_DEPTH).
         limit: usize,
     },
 }

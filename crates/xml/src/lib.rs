@@ -17,7 +17,7 @@
 //! * string values `strval : dom → string` ([`Document::string_value`]) and
 //!   the id dereferencing function `deref_ids` ([`Document::deref_ids`]).
 //!
-//! The XML parser ([`parse`], [`parse_with_options`]) and serializer
+//! The XML parser ([`parse`], [`parse_reader`]) and serializer
 //! ([`serialize::to_xml_string`]) are written from scratch — no third-party
 //! XML crate is used anywhere in the workspace.
 //!
@@ -58,9 +58,7 @@ pub use name::{Name, NameTable};
 pub use node::{NodeId, NodeKind};
 pub use nodeset::{DenseSet, NodeSet};
 pub use par::Exec;
-pub use parser::{
-    parse, parse_reader, parse_reader_with_options, parse_with_options, ParseOptions,
-};
+pub use parser::{parse, parse_reader};
 pub use store::{ColumnError, RawColumns, StableBytes};
 pub use sweep::ColumnSweep;
-pub use token::{Attrs, Tokenizer, XmlEvent, DEFAULT_MAX_ELEMENT_DEPTH};
+pub use token::{Attrs, Tokenizer, XmlEvent, MAX_ELEMENT_DEPTH};

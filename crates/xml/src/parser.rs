@@ -16,42 +16,23 @@ use crate::error::XmlError;
 use crate::token::{Tokenizer, XmlEvent};
 use std::io::Read;
 
-pub use crate::token::ParseOptions;
-
-/// Parses an XML document with default options.
+/// Parses an XML document.
 pub fn parse(input: &str) -> Result<Document, XmlError> {
-    parse_with_options(input, &ParseOptions::default())
+    build(
+        Tokenizer::new(input),
+        DocumentBuilder::for_text(input.len()),
+    )
 }
 
-/// Parses an XML document with explicit [`ParseOptions`].
-pub fn parse_with_options(input: &str, opts: &ParseOptions) -> Result<Document, XmlError> {
-    let b = DocumentBuilder::for_text(input.len());
-    build(Tokenizer::with_options(input, opts.clone()), opts, b)
-}
-
-/// Parses an XML document from a reader with default options.  The
-/// tokenizer's sliding window keeps peak lexing memory proportional to
-/// the largest single token; the arena, of course, holds the document.
+/// Parses an XML document from a reader.  The tokenizer's sliding window
+/// keeps peak lexing memory proportional to the largest single token; the
+/// arena, of course, holds the document.
 pub fn parse_reader(reader: impl Read) -> Result<Document, XmlError> {
-    parse_reader_with_options(reader, &ParseOptions::default())
-}
-
-/// [`parse_reader`] with explicit [`ParseOptions`].
-pub fn parse_reader_with_options(
-    reader: impl Read,
-    opts: &ParseOptions,
-) -> Result<Document, XmlError> {
-    let b = DocumentBuilder::new();
-    build(Tokenizer::from_reader(reader, opts.clone()), opts, b)
+    build(Tokenizer::from_reader(reader), DocumentBuilder::new())
 }
 
 /// Folds the event stream into a document.
-fn build(
-    mut tok: Tokenizer<'_>,
-    opts: &ParseOptions,
-    mut b: DocumentBuilder,
-) -> Result<Document, XmlError> {
-    b.id_attribute(&opts.id_attribute);
+fn build(mut tok: Tokenizer<'_>, mut b: DocumentBuilder) -> Result<Document, XmlError> {
     while let Some(ev) = tok.next_event()? {
         match ev {
             XmlEvent::StartElement { name, attrs } => {
@@ -211,18 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn whitespace_stripping_option() {
-        let input = "<a>\n  <b>x</b>\n  <c/>\n</a>";
-        let noisy = parse(input).unwrap();
-        let clean = parse_with_options(input, &ParseOptions::paper_model()).unwrap();
-        assert!(noisy.len() > clean.len());
-        assert_eq!(clean.string_value(clean.root()), "x");
-        // Whitespace *inside* meaningful text survives.
-        let doc = parse_with_options("<a> x </a>", &ParseOptions::paper_model()).unwrap();
-        assert_eq!(doc.string_value(doc.root()), " x ");
-    }
-
-    #[test]
     fn error_positions_are_line_column() {
         let err = parse("<a>\n<b></c>\n</a>").unwrap_err();
         assert_eq!(err.line(), 2);
@@ -274,16 +243,6 @@ mod tests {
         let from_str = parse(input).unwrap();
         let from_reader = parse_reader(input.as_bytes()).unwrap();
         assert_eq!(from_str.debug_tree(), from_reader.debug_tree());
-        // Options are honored through the reader path too.
-        let noisy = "<a>\n  <b>x</b>\n</a>";
-        let clean =
-            parse_reader_with_options(noisy.as_bytes(), &ParseOptions::paper_model()).unwrap();
-        assert_eq!(
-            clean.len(),
-            parse_with_options(noisy, &ParseOptions::paper_model())
-                .unwrap()
-                .len()
-        );
     }
 
     #[test]

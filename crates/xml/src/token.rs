@@ -4,7 +4,7 @@
 //! (start/end-element with attributes, merged text runs, comments,
 //! processing instructions), handling entity and character references,
 //! CDATA sections, the XML declaration, DOCTYPE skipping, and the
-//! [`ParseOptions`] filters.  Two consumers sit on top of it:
+//! [`MAX_ELEMENT_DEPTH`] nesting bound.  Two consumers sit on top of it:
 //!
 //! * the DOM builder ([`parse`](crate::parse) /
 //!   [`parse_reader`](crate::parser::parse_reader)) folds the events into a
@@ -12,13 +12,12 @@
 //! * the streaming evaluator (`minctx-stream`) runs its stack automaton
 //!   directly over the events without materializing a document.
 //!
-//! Because both consume the *same* event stream under the same options,
-//! the streamer can mirror the arena's pre-order node numbering exactly:
-//! one `StartElement` is one element node followed by one node per
-//! attribute, one `Text`/`Comment`/`Pi` event is one node.  Text runs are
-//! merged exactly as the DOM parser merges them (CDATA joins the
-//! surrounding character data; comments and PIs split runs even when the
-//! options drop them).
+//! Because both consume the *same* event stream, the streamer can mirror
+//! the arena's pre-order node numbering exactly: one `StartElement` is one
+//! element node followed by one node per attribute, one `Text`/`Comment`/`Pi`
+//! event is one node.  Text runs are merged exactly as the DOM parser
+//! merges them (CDATA joins the surrounding character data; comments and
+//! PIs split runs).
 //!
 //! The input can be a borrowed `&str` (zero-copy names and bodies) or any
 //! [`io::Read`](Read) ([`Tokenizer::from_reader`]): reader mode keeps a
@@ -30,57 +29,15 @@ use crate::error::{XmlError, XmlErrorKind};
 use std::fmt;
 use std::io::Read;
 
-/// Options controlling document construction and event filtering.
-#[derive(Debug, Clone)]
-pub struct ParseOptions {
-    /// Drop text nodes consisting entirely of XML whitespace.  This matches
-    /// the paper's examples (Figure 2 is pretty-printed; its `dom` contains
-    /// no whitespace nodes).  Default: `false`.
-    pub strip_whitespace_text: bool,
-    /// Drop comment nodes.  Default: `false`.
-    pub keep_comments: bool,
-    /// Drop processing-instruction nodes.  Default: `false`.
-    pub keep_processing_instructions: bool,
-    /// Attribute name supplying element ids for `id()` (DTDs, the standard
-    /// source of ID-typed attributes, are not interpreted).  Default: `id`.
-    pub id_attribute: String,
-    /// Maximum element nesting depth.  Every open element costs a stack
-    /// slot in the tokenizer *and* state in every consumer (the DOM
-    /// builder's ancestor chain, the streaming automaton's mark and the
-    /// states above it), so an adversarially deep document — `<a><a><a>…`
-    /// — would otherwise grow memory without bound.  Opening an element below
-    /// `max_element_depth` ancestors fails with a clean
-    /// [`XmlErrorKind::TooDeep`](crate::XmlErrorKind) instead.
-    /// Default: 1024 (far above any realistic document; raise it
-    /// explicitly for trusted deep inputs).
-    pub max_element_depth: usize,
-}
-
-/// Default for [`ParseOptions::max_element_depth`].
-pub const DEFAULT_MAX_ELEMENT_DEPTH: usize = 1024;
-
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions {
-            strip_whitespace_text: false,
-            keep_comments: true,
-            keep_processing_instructions: true,
-            id_attribute: "id".to_string(),
-            max_element_depth: DEFAULT_MAX_ELEMENT_DEPTH,
-        }
-    }
-}
-
-impl ParseOptions {
-    /// Options matching the paper's data model: whitespace-only text
-    /// stripped, comments and PIs kept.
-    pub fn paper_model() -> Self {
-        ParseOptions {
-            strip_whitespace_text: true,
-            ..Default::default()
-        }
-    }
-}
+/// Maximum element nesting depth.  Every open element costs a stack slot
+/// in the tokenizer *and* state in every consumer (the DOM builder's
+/// ancestor chain, the streaming automaton's mark and the states above
+/// it), so an adversarially deep document — `<a><a><a>…` — would
+/// otherwise grow memory without bound.  Opening an element below
+/// `MAX_ELEMENT_DEPTH` ancestors fails with a clean
+/// [`XmlErrorKind::TooDeep`](crate::XmlErrorKind) instead; 1024 is far
+/// above any realistic document.
+pub const MAX_ELEMENT_DEPTH: usize = 1024;
 
 /// One lexical event of an XML document, in document order.
 ///
@@ -94,7 +51,7 @@ pub enum XmlEvent<'t> {
     /// The most recently opened element closes.
     EndElement { name: &'t str },
     /// A maximal run of character data (entities decoded, CDATA merged);
-    /// never empty, never whitespace-only when the options strip it.
+    /// never empty.
     Text(&'t str),
     /// A comment inside the document element (prolog/epilog comments are
     /// skipped, matching the tree model which roots content at `/`).
@@ -817,7 +774,6 @@ macro_rules! either {
 
 struct Lexer<F> {
     src: Source<F>,
-    opts: ParseOptions,
     /// Names of the open elements, concatenated outermost first;
     /// `open_ends[d]` is where the name at depth `d` ends.
     open_names: Vec<u8>,
@@ -840,19 +796,14 @@ struct Lexer<F> {
 }
 
 impl<'a> Tokenizer<'a> {
-    /// Tokenizes a borrowed string with default options.
-    pub fn new(input: &'a str) -> Tokenizer<'a> {
-        Tokenizer::with_options(input, ParseOptions::default())
-    }
-
     /// Tokenizes a borrowed string.
-    pub fn with_options(input: &'a str, opts: ParseOptions) -> Tokenizer<'a> {
-        Tokenizer(Mode::Str(Lexer::new(input, opts)))
+    pub fn new(input: &'a str) -> Tokenizer<'a> {
+        Tokenizer(Mode::Str(Lexer::new(input)))
     }
 
     /// Tokenizes from a reader through a sliding window; memory stays
     /// proportional to the largest single token, not the input.
-    pub fn from_reader(rd: impl Read + 'a, opts: ParseOptions) -> Tokenizer<'a> {
+    pub fn from_reader(rd: impl Read + 'a) -> Tokenizer<'a> {
         let feed = ReaderFeed {
             rd: Box::new(rd),
             buf: String::new(),
@@ -860,12 +811,7 @@ impl<'a> Tokenizer<'a> {
             chunk: vec![0; READ_CHUNK],
             carry: 0,
         };
-        Tokenizer(Mode::Reader(Lexer::new(feed, opts)))
-    }
-
-    /// The options this tokenizer filters events with.
-    pub fn options(&self) -> &ParseOptions {
-        either!(&self.0, lx => &lx.opts)
+        Tokenizer(Mode::Reader(Lexer::new(feed)))
     }
 
     /// Number of currently open elements.
@@ -882,7 +828,7 @@ impl<'a> Tokenizer<'a> {
 }
 
 impl<F: Feed> Lexer<F> {
-    fn new(feed: F, opts: ParseOptions) -> Lexer<F> {
+    fn new(feed: F) -> Lexer<F> {
         tokenizers_counter().inc();
         Lexer {
             src: Source {
@@ -895,7 +841,6 @@ impl<F: Feed> Lexer<F> {
                 #[cfg(test)]
                 scanned: std::cell::Cell::new(0),
             },
-            opts,
             open_names: Vec::new(),
             open_ends: Vec::new(),
             name: (0, 0),
@@ -995,43 +940,37 @@ impl<F: Feed> Lexer<F> {
                 raw = at;
             };
             // Markup other than CDATA ends the run (comments and PIs split
-            // runs even when dropped): emit it first, the markup next call.
+            // runs): emit it first, the markup next call.
             self.src.pos = at;
-            let strip = self.opts.strip_whitespace_text;
             if !self.text_buf.is_empty() {
                 self.text_buf.push_str(self.src.text(raw, at));
-                if keeps(strip, self.text_buf.as_bytes()) {
-                    return Ok(Some(XmlEvent::Text(&self.text_buf)));
-                }
-                self.text_buf.clear();
-            } else if keeps(strip, &self.src.bytes()[raw..at]) {
+                return Ok(Some(XmlEvent::Text(&self.text_buf)));
+            } else if raw < at {
                 return Ok(Some(XmlEvent::Text(self.src.text(raw, at))));
             }
-            match next {
-                Some(b'/') => return self.end_element(at),
+            return match next {
+                Some(b'/') => self.end_element(at),
                 Some(b'!') if self.src.at(at, b"<!--")? => {
-                    if let Some((a, b)) = self.consume_comment(at)? {
-                        return Ok(Some(XmlEvent::Comment(self.src.text(a, b))));
-                    }
+                    let (a, b) = self.consume_comment(at)?;
+                    Ok(Some(XmlEvent::Comment(self.src.text(a, b))))
                 }
                 Some(b'?') => {
-                    if let Some((a, b)) = self.consume_pi(at)? {
-                        return Ok(Some(XmlEvent::Pi {
-                            target: self.src.text(self.name.0, self.name.1),
-                            data: self.src.text(a, b).trim_start(),
-                        }));
-                    }
+                    let (a, b) = self.consume_pi(at)?;
+                    Ok(Some(XmlEvent::Pi {
+                        target: self.src.text(self.name.0, self.name.1),
+                        data: self.src.text(a, b).trim_start(),
+                    }))
                 }
-                _ => return self.start_element(at),
-            }
+                _ => self.start_element(at),
+            };
         }
     }
 
     /// Consumes the `<tag attr="v"…>` or `<tag…/>` start tag at window
     /// index `at`.
     fn start_element(&mut self, at: usize) -> Result<Option<XmlEvent<'_>>, XmlError> {
-        if self.open_ends.len() >= self.opts.max_element_depth {
-            let limit = self.opts.max_element_depth;
+        if self.open_ends.len() >= MAX_ELEMENT_DEPTH {
+            let limit = MAX_ELEMENT_DEPTH;
             return Err(self.src.err_at(XmlErrorKind::TooDeep { limit }, at));
         }
         self.src.hold(at + 1)?;
@@ -1134,9 +1073,8 @@ impl<F: Feed> Lexer<F> {
     }
 
     /// Consumes the comment at window index `at`; returns the body's
-    /// window range when the options keep comments (and we are inside the
-    /// root element).
-    fn consume_comment(&mut self, at: usize) -> Result<Option<(usize, usize)>, XmlError> {
+    /// window range.
+    fn consume_comment(&mut self, at: usize) -> Result<(usize, usize), XmlError> {
         let body = at + "<!--".len();
         let Some(end) = self.src.find(body, b"-->")? else {
             return Err(self.src.err_at(XmlErrorKind::UnexpectedEof, body));
@@ -1147,14 +1085,12 @@ impl<F: Feed> Lexer<F> {
             return Err(self.src.err_at(kind, body));
         }
         self.src.pos = end + 3;
-        let keep = self.opts.keep_comments && !self.open_ends.is_empty();
-        Ok(keep.then_some((body, end)))
+        Ok((body, end))
     }
 
     /// Consumes the processing instruction at window index `at`; returns
-    /// the data's window range when the options keep PIs (and we are
-    /// inside the root element).  The target's range is left in `name`.
-    fn consume_pi(&mut self, at: usize) -> Result<Option<(usize, usize)>, XmlError> {
+    /// the data's window range.  The target's range is left in `name`.
+    fn consume_pi(&mut self, at: usize) -> Result<(usize, usize), XmlError> {
         self.src.hold(at + 1)?;
         let data = self.src.lex_name(at + 2)?;
         self.name = (at + 2, data);
@@ -1167,16 +1103,8 @@ impl<F: Feed> Lexer<F> {
             return Err(self.src.err_at(XmlErrorKind::UnexpectedEof, data));
         };
         self.src.pos = end + 2;
-        let keep = self.opts.keep_processing_instructions && !self.open_ends.is_empty();
-        Ok(keep.then_some((data, end)))
+        Ok((data, end))
     }
-}
-
-/// Whether a text run is an event: not empty, and not whitespace only
-/// when the options `strip` such runs.
-#[inline]
-fn keeps(strip: bool, run: &[u8]) -> bool {
-    !run.is_empty() && (!strip || run.iter().any(|b| !b.is_ascii_whitespace()))
 }
 
 pub(crate) fn is_name_start(c: char) -> bool {
@@ -1193,11 +1121,7 @@ mod tests {
 
     /// Collects `(kind, detail)` descriptions of every event.
     fn trace(input: &str) -> Result<Vec<String>, XmlError> {
-        trace_opts(input, ParseOptions::default())
-    }
-
-    fn trace_opts(input: &str, opts: ParseOptions) -> Result<Vec<String>, XmlError> {
-        let mut tok = Tokenizer::with_options(input, opts);
+        let mut tok = Tokenizer::new(input);
         let mut out = Vec::new();
         while let Some(ev) = tok.next_event()? {
             out.push(describe(&ev));
@@ -1244,15 +1168,6 @@ mod tests {
             trace("<a>x<![CDATA[<&]]>y<!--c-->z</a>").unwrap(),
             vec!["<a []", "t:x<&y", "c:c", "t:z", ">a"]
         );
-        // A dropped comment still splits the run.
-        let opts = ParseOptions {
-            keep_comments: false,
-            ..Default::default()
-        };
-        assert_eq!(
-            trace_opts("<a>x<!--c-->z</a>", opts).unwrap(),
-            vec!["<a []", "t:x", "t:z", ">a"]
-        );
     }
 
     #[test]
@@ -1280,21 +1195,13 @@ mod tests {
     }
 
     #[test]
-    fn whitespace_stripping_filters_text_events() {
-        assert_eq!(
-            trace_opts("<a>\n  <b> x </b>\n</a>", ParseOptions::paper_model()).unwrap(),
-            vec!["<a []", "<b []", "t: x ", ">b", ">a"]
-        );
-    }
-
-    #[test]
     fn reader_mode_matches_str_mode() {
         // A reader that trickles 3 bytes at a time exercises every refill
         // boundary; the event stream must be byte-identical.
         let input = "<?xml version=\"1.0\"?><!DOCTYPE a><a häuser=\"größe\">héllo \
                      ☃<![CDATA[<raw>]]>&amp;<!--co--><b x='1' y=\"2\"/><?pi data?></a>";
         let want = trace(input).unwrap();
-        let mut tok = Tokenizer::from_reader(Trickle(input.as_bytes(), 3), ParseOptions::default());
+        let mut tok = Tokenizer::from_reader(Trickle(input.as_bytes(), 3));
         let mut got = Vec::new();
         while let Some(ev) = tok.next_event().unwrap() {
             got.push(describe(&ev));
@@ -1305,7 +1212,7 @@ mod tests {
     #[test]
     fn reader_mode_reports_positions() {
         let input = "<a>\n<b></c>\n</a>";
-        let mut tok = Tokenizer::from_reader(input.as_bytes(), ParseOptions::default());
+        let mut tok = Tokenizer::from_reader(input.as_bytes());
         let err = loop {
             match tok.next_event() {
                 Ok(Some(_)) => {}
@@ -1334,8 +1241,7 @@ mod tests {
                 Ok(c.len())
             }
         }
-        let mut tok =
-            Tokenizer::from_reader(Chunks(vec![b"<a>xx]]>", b"y</a>"]), ParseOptions::default());
+        let mut tok = Tokenizer::from_reader(Chunks(vec![b"<a>xx]]>", b"y</a>"]));
         let err = loop {
             match tok.next_event() {
                 Ok(Some(_)) => {}
@@ -1353,7 +1259,7 @@ mod tests {
     #[test]
     fn reader_mode_rejects_invalid_utf8() {
         let bytes: &[u8] = b"<a>\xff</a>";
-        let mut tok = Tokenizer::from_reader(bytes, ParseOptions::default());
+        let mut tok = Tokenizer::from_reader(bytes);
         let err = loop {
             match tok.next_event() {
                 Ok(Some(_)) => {}
@@ -1374,7 +1280,7 @@ mod tests {
         }
         input.push_str("<b></c>"); // mismatch far past the threshold
         input.push_str("</a>");
-        let mut tok = Tokenizer::from_reader(input.as_bytes(), ParseOptions::default());
+        let mut tok = Tokenizer::from_reader(input.as_bytes());
         let err = loop {
             match tok.next_event() {
                 Ok(Some(_)) => {}
@@ -1389,42 +1295,38 @@ mod tests {
 
     #[test]
     fn depth_limit_cuts_off_adversarially_deep_documents() {
-        // Default limit: a 2000-deep chain errors cleanly instead of
-        // growing a 2000-slot stack per consumer.
+        // A 2000-deep chain errors cleanly instead of growing a 2000-slot
+        // stack per consumer.
         let deep = format!("{}{}", "<a>".repeat(2000), "</a>".repeat(2000));
         let err = trace(&deep).unwrap_err();
         assert!(
             matches!(
                 err.kind(),
                 XmlErrorKind::TooDeep {
-                    limit: DEFAULT_MAX_ELEMENT_DEPTH
+                    limit: MAX_ELEMENT_DEPTH
                 }
             ),
             "{err}"
         );
         assert!(err.to_string().contains("1024"), "{err}");
 
-        // Custom limit: depth == limit is fine, limit + 1 is not — and a
-        // self-closing element counts as a node at its depth.
-        let opts = |n| ParseOptions {
-            max_element_depth: n,
-            ..Default::default()
-        };
-        let at = format!("{}{}", "<a>".repeat(8), "</a>".repeat(8));
-        assert!(trace_opts(&at, opts(8)).is_ok());
-        let over = format!("{}{}", "<a>".repeat(9), "</a>".repeat(9));
+        // Depth == limit is fine, limit + 1 is not — and a self-closing
+        // element counts as a node at its depth.
+        let n = MAX_ELEMENT_DEPTH;
+        let at = format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        assert!(trace(&at).is_ok());
+        let over = format!("{}{}", "<a>".repeat(n + 1), "</a>".repeat(n + 1));
+        let err = trace(&over).unwrap_err();
+        assert!(matches!(err.kind(), XmlErrorKind::TooDeep { limit: 1024 }));
+        assert_eq!(err.offset(), 3 * n);
+        let leaf = format!("{}<b/>{}", "<a>".repeat(n), "</a>".repeat(n));
         assert!(matches!(
-            trace_opts(&over, opts(8)).unwrap_err().kind(),
-            XmlErrorKind::TooDeep { limit: 8 }
-        ));
-        let leaf = format!("{}<b/>{}", "<a>".repeat(8), "</a>".repeat(8));
-        assert!(matches!(
-            trace_opts(&leaf, opts(8)).unwrap_err().kind(),
-            XmlErrorKind::TooDeep { limit: 8 }
+            trace(&leaf).unwrap_err().kind(),
+            XmlErrorKind::TooDeep { limit: 1024 }
         ));
 
-        // Reader mode enforces the same limit.
-        let mut tok = Tokenizer::from_reader(over.as_bytes(), opts(8));
+        // Reader mode enforces the same limit at the same place.
+        let mut tok = Tokenizer::from_reader(over.as_bytes());
         let err = loop {
             match tok.next_event() {
                 Ok(Some(_)) => {}
@@ -1432,7 +1334,8 @@ mod tests {
                 Err(e) => break e,
             }
         };
-        assert!(matches!(err.kind(), XmlErrorKind::TooDeep { limit: 8 }));
+        assert!(matches!(err.kind(), XmlErrorKind::TooDeep { limit: 1024 }));
+        assert_eq!(err.offset(), 3 * n);
     }
 
     #[test]
@@ -1450,7 +1353,7 @@ mod tests {
             (format!("<{big}/>"), 2),
         ] {
             let rd = Trickle(input.as_bytes(), 4096);
-            let mut tok = Tokenizer::from_reader(rd, ParseOptions::default());
+            let mut tok = Tokenizer::from_reader(rd);
             let mut seen = 0;
             while let Some(ev) = tok.next_event().unwrap() {
                 let len = match ev {
@@ -1490,7 +1393,7 @@ mod tests {
         let want = drain(Tokenizer::new(input));
         for size in [1, 4096] {
             let rd = Trickle(input.as_bytes(), size);
-            let got = drain(Tokenizer::from_reader(rd, ParseOptions::default()));
+            let got = drain(Tokenizer::from_reader(rd));
             assert_eq!(got, want, "read size {size} on {input:?}");
         }
         want

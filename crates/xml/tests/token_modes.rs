@@ -1,15 +1,16 @@
 //! The two tokenizer modes are one lexer: over seeded small documents —
 //! and every truncation and a seeded set of one-byte substitutions of
-//! each — `Tokenizer::with_options` on the text and
-//! `Tokenizer::from_reader` at read sizes 1, 2, 3, 7 and 4096 produce the
-//! same events and, on failure, the same error kind, offset, line and
-//! column.  The read sizes put a refill boundary at every byte of every
-//! construct; the generator covers what the benchmark's workload text
-//! does not (both quote kinds, references in text and values, CDATA next
-//! to text, comments and PIs splitting runs, non-ASCII names and content,
-//! whitespace-only runs under `paper_model()`, a leading BOM).
+//! each — `Tokenizer::new` on the text and `Tokenizer::from_reader` at
+//! read sizes 1, 2, 3, 7 and 4096 produce the same events and, on
+//! failure, the same error kind, offset, line and column.  The read sizes
+//! put a refill boundary at every byte of every construct; the generator
+//! covers what the benchmark's workload text does not (both quote kinds,
+//! references in text and values, CDATA next to text, comments and PIs
+//! splitting runs, non-ASCII names and content, whitespace-only runs, a
+//! leading BOM).  The nesting bound is checked the same way on a document
+//! one level deeper than [`MAX_ELEMENT_DEPTH`].
 
-use minctx_xml::{ParseOptions, Tokenizer, XmlEvent};
+use minctx_xml::{Tokenizer, XmlEvent, MAX_ELEMENT_DEPTH};
 use std::io::Read;
 
 struct Rng(u64);
@@ -163,11 +164,11 @@ const READ_SIZES: [usize; 5] = [1, 2, 3, 7, 4096];
 
 /// Checks reader mode against `Str` mode on `input`; returns whether the
 /// input tokenized cleanly.
-fn modes_agree(input: &str, opts: &ParseOptions) -> bool {
-    let want = outcome(Tokenizer::with_options(input, opts.clone()));
+fn modes_agree(input: &str) -> bool {
+    let want = outcome(Tokenizer::new(input));
     for size in READ_SIZES {
         let rd = Trickle(input.as_bytes(), size);
-        let got = outcome(Tokenizer::from_reader(rd, opts.clone()));
+        let got = outcome(Tokenizer::from_reader(rd));
         assert_eq!(got, want, "read size {size} on {input:?}");
     }
     !want.last().is_some_and(|l| l.contains(" at "))
@@ -180,21 +181,11 @@ fn reader_mode_is_str_mode_on_every_truncation_and_substitution() {
     for seed in 1..=seeds {
         let mut r = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
         let doc = document(&mut r);
-        let mut opts = match r.below(2) {
-            0 => ParseOptions::default(),
-            _ => ParseOptions::paper_model(),
-        };
-        opts.keep_comments = r.below(4) > 0;
-        opts.keep_processing_instructions = r.below(4) > 0;
-        if r.below(5) == 0 {
-            opts.max_element_depth = 2;
-        }
-
         let mut tally = |ok: bool| *(if ok { &mut clean } else { &mut failed }) += 1;
-        tally(modes_agree(&doc, &opts));
+        tally(modes_agree(&doc));
         for cut in 0..doc.len() {
             if doc.is_char_boundary(cut) {
-                tally(modes_agree(&doc[..cut], &opts));
+                tally(modes_agree(&doc[..cut]));
                 continue;
             }
             // Not text any more, so `Str` mode cannot take it: whatever the
@@ -202,13 +193,13 @@ fn reader_mode_is_str_mode_on_every_truncation_and_substitution() {
             // starts, after the same events — unless the text before it
             // already fails.
             let torn = &doc.as_bytes()[..cut];
-            let outcomes = READ_SIZES
-                .map(|size| outcome(Tokenizer::from_reader(Trickle(torn, size), opts.clone())));
+            let outcomes =
+                READ_SIZES.map(|size| outcome(Tokenizer::from_reader(Trickle(torn, size))));
             let start = (0..cut).rev().find(|&i| doc.is_char_boundary(i)).unwrap();
             let last = outcomes[0].last().unwrap();
             assert!(
                 last.contains("UTF-8") && last.contains(&format!(" at {start} "))
-                    || outcomes[0] == outcome(Tokenizer::with_options(&doc[..start], opts.clone())),
+                    || outcomes[0] == outcome(Tokenizer::new(&doc[..start])),
                 "{:?} for {torn:?}",
                 outcomes[0]
             );
@@ -220,12 +211,39 @@ fn reader_mode_is_str_mode_on_every_truncation_and_substitution() {
             if bytes[at].is_ascii() {
                 bytes[at] = b"<>&;\"'/!?-[]= a\n#x0"[r.below(19)];
                 let mutant = String::from_utf8(bytes).expect("ASCII for ASCII");
-                tally(modes_agree(&mutant, &opts));
+                tally(modes_agree(&mutant));
             }
         }
     }
     // The generator and the mutations both have to bite.
     assert!(clean >= seeds && failed >= 10 * seeds, "{clean} {failed}");
+}
+
+#[test]
+fn reader_mode_is_str_mode_at_the_depth_bound() {
+    // One level deeper than the bound, a line per level: every cut at and
+    // around the start tag that trips it — before it, through it, after
+    // it — ends alike in both modes at every read size.
+    let n = MAX_ELEMENT_DEPTH;
+    let doc = "<d>\n".repeat(n + 1) + &"</d>".repeat(n + 1);
+    let trip = 4 * n;
+    assert!(!modes_agree(&doc));
+    let window = if cfg!(miri) { 2 } else { 8 };
+    let mut failed = 0;
+    for cut in trip - window..=trip + window {
+        failed += usize::from(!modes_agree(&doc[..cut]));
+    }
+    // Every cut fails: short of the tag at the end of input, from its `<`
+    // on at the bound.
+    assert_eq!(failed, 2 * window + 1);
+    let verdict = outcome(Tokenizer::new(&doc));
+    assert_eq!(
+        verdict.last().unwrap(),
+        &format!("TooDeep {{ limit: 1024 }} at {trip} ({}:1)", n + 1)
+    );
+    // One level less is clean.
+    let at = "<d>\n".repeat(n) + &"</d>".repeat(n);
+    assert!(modes_agree(&at));
 }
 
 /// FNV-1a, 64 bits: a stable fold of verdict text.
@@ -246,8 +264,8 @@ fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
 #[cfg_attr(miri, ignore)] // 300 documents through the interpreter
 fn str_mode_verdicts_match_the_pinned_digest() {
     let (mut digest, mut verdicts) = (0xcbf2_9ce4_8422_2325, 0u32);
-    let mut fold = |input: &str, opts: &ParseOptions| {
-        for line in outcome(Tokenizer::with_options(input, opts.clone())) {
+    let mut fold = |input: &str| {
+        for line in outcome(Tokenizer::new(input)) {
             digest = fnv(digest, line.as_bytes());
             digest = fnv(digest, b"\n");
         }
@@ -257,31 +275,22 @@ fn str_mode_verdicts_match_the_pinned_digest() {
     for seed in 1..=300u64 {
         let mut r = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
         let doc = document(&mut r);
-        let mut opts = match r.below(2) {
-            0 => ParseOptions::default(),
-            _ => ParseOptions::paper_model(),
-        };
-        opts.keep_comments = r.below(4) > 0;
-        opts.keep_processing_instructions = r.below(4) > 0;
-        if r.below(5) == 0 {
-            opts.max_element_depth = 2;
-        }
-        fold(&doc, &opts);
+        fold(&doc);
         for cut in (0..doc.len()).filter(|&cut| doc.is_char_boundary(cut)) {
-            fold(&doc[..cut], &opts);
+            fold(&doc[..cut]);
         }
         for _ in 0..48 {
             let mut bytes = doc.clone().into_bytes();
             let at = r.below(bytes.len());
             if bytes[at].is_ascii() {
                 bytes[at] = b"<>&;\"'/!?-[]= a\n#x0"[r.below(19)];
-                fold(&String::from_utf8(bytes).expect("ASCII for ASCII"), &opts);
+                fold(&String::from_utf8(bytes).expect("ASCII for ASCII"));
             }
         }
     }
     assert_eq!(
         (verdicts, digest),
-        (42_445, 0x9bcc_7348_ec17_c127),
+        (42_431, 0x588f_2c0d_f128_b512),
         "verdicts, digest"
     );
 }

@@ -18,7 +18,10 @@
 //! * [`xml`] — the data substrate: an arena [`Document`](xml::Document)
 //!   whose [`NodeId`](xml::NodeId)s are pre-order indices (document order
 //!   is integer comparison, subtrees are contiguous ranges), a from-scratch
-//!   XML parser, [`NodeSet`](xml::NodeSet)s, and the `O(|D|)` axis algebra
+//!   XML parser with no options (every text, comment and PI is a node, `@id`
+//!   is the id attribute, nesting stops at
+//!   [`MAX_ELEMENT_DEPTH`](xml::MAX_ELEMENT_DEPTH)),
+//!   [`NodeSet`](xml::NodeSet)s, and the `O(|D|)` axis algebra
 //!   of Definition 1 ([`axis_image`](xml::axes::axis_image) /
 //!   [`axis_preimage`](xml::axes::axis_preimage)).
 //! * [`syntax`] — the query pipeline: lexer → parser → normalizer (the
@@ -86,7 +89,7 @@
 //! use minctx::prelude::*;
 //!
 //! let doc = minctx::xml::parse("<a><b/><b/></a>").unwrap();
-//! let naive = Engine::new(Strategy::Naive).with_budget(10_000);
+//! let naive = Engine::new(Strategy::Naive).with_budget(Budget::fuel(10_000));
 //! let q = "//b".to_string() + &"/parent::a/child::b".repeat(30);
 //! assert!(matches!(
 //!     naive.evaluate_str(&doc, &q),

@@ -152,7 +152,7 @@ fn the_longest_step_chains_are_answered_or_run_out_of_budget() {
             for optimize in [false, true] {
                 let engine = Engine::new(strategy)
                     .with_optimizer(optimize)
-                    .with_timeout(Duration::from_millis(250));
+                    .with_budget(Budget::timeout(Duration::from_millis(250)));
                 answered(engine.evaluate_str(&doc, query), query);
             }
         }
@@ -205,7 +205,7 @@ fn queries_at_the_depth_limit_run_on_a_two_mebibyte_stack() {
                     for optimize in [false, true] {
                         let engine = Engine::new(strategy)
                             .with_optimizer(optimize)
-                            .with_budget(2_000_000);
+                            .with_budget(Budget::fuel(2_000_000));
                         match engine.evaluate_str(&doc, &query) {
                             Ok(_) | Err(EvalError::BudgetExhausted { .. }) => {}
                             Err(e) => panic!("{name} at {deepest} under {strategy}: {e}"),
@@ -217,7 +217,7 @@ fn queries_at_the_depth_limit_run_on_a_two_mebibyte_stack() {
                 for optimize in [false, true] {
                     let streamed = Engine::new(Strategy::Streaming)
                         .with_optimizer(optimize)
-                        .with_budget(2_000_000)
+                        .with_budget(Budget::fuel(2_000_000))
                         .evaluate_reader_str(&parsed, &xml);
                     assert!(
                         !matches!(streamed, Err(EvalError::Parse(_))),
