@@ -486,6 +486,36 @@ pub const FULL_XPATH_QUERIES: &[&str] = &[
     "//odd[count(//even) > 1]",
 ];
 
+/// The member of `k` terms of each query family, by family — the queries
+/// whose cost in `|Q|` the theorem suite counts in fuel and the space
+/// suite (`crates/bench/tests/space_bounds.rs`) in heap.  The terms of a
+/// member are distinct: interning shares a repeated subterm.
+pub fn query_families(k: usize) -> [(&'static str, String); 5] {
+    let joined =
+        |sep: &str, term: &dyn Fn(usize) -> String| (0..k).map(term).collect::<Vec<_>>().join(sep);
+    let axis = |i: usize| ["following-sibling", "preceding-sibling"][i % 2];
+    let nested = joined("[", &|i| format!("{}::*", axis(i))) + &"]".repeat(k - 1);
+    [
+        ("nested sibling predicates", format!("//*[{nested}]")),
+        (
+            "and chain",
+            format!("//*[{}]", joined(" and ", &|i| format!("@v != '{i}'"))),
+        ),
+        (
+            "predicate list",
+            "/descendant::*".to_string() + &joined("", &|i| format!("[position() != {}]", i + 1)),
+        ),
+        ("union", joined(" | ", &|i| format!("//*[@v = '{i}']"))),
+        (
+            "or chain",
+            format!(
+                "//*[{}]",
+                joined(" or ", &|i| format!("count(descendant::odd) > {i}"))
+            ),
+        ),
+    ]
+}
+
 /// The cross-suite differential corpus: documents and queries shared by
 /// the arena differential oracle (`crates/core/tests/differential.rs`)
 /// and the streaming differential suite

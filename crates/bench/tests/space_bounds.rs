@@ -9,14 +9,18 @@
 //! read the ranks in place, so it peaks at no more than twice what plain
 //! MINCONTEXT's per-candidate evaluation does; and each strategy's peak
 //! grows at most ×2.3 per doubling of `|D|`, so neither holds more than a
-//! constant number of words per node.  The context-value tables grow at
-//! least ×3.5 per doubling on the `last()` queries and ×7 on the running
-//! example E, a cell per (position, size) pair and per (node, position,
-//! size).  Every engine pins [`Engine::with_optimizer`].  One measurement
-//! at a time in this binary, so nothing else allocates while one counts;
-//! the `d = 12…16` tier is `#[ignore]`d for a release run.
+//! constant number of words per node.  The same ×2.3 bounds each
+//! strategy's peak per doubling of `|Q|`, on every member of the query
+//! families the theorem suite counts fuel on.  The context-value tables
+//! grow at least ×3.5 per doubling on the `last()` queries and ×7 on the
+//! running example E, a cell per (position, size) pair and per (node,
+//! position, size).  Every engine pins [`Engine::with_optimizer`].  One
+//! measurement at a time in this binary, so nothing else allocates while
+//! one counts; the `d = 12…16` tier is `#[ignore]`d for a release run.
 
-use minctx_bench::{uniform_tree, CountingAllocator, FULL_XPATH_QUERIES, WADLER_QUERIES};
+use minctx_bench::{
+    query_families, uniform_tree, CountingAllocator, FULL_XPATH_QUERIES, WADLER_QUERIES,
+};
 use minctx_core::{Engine, Strategy, Value};
 use minctx_syntax::Query;
 use minctx_xml::Document;
@@ -93,6 +97,36 @@ fn wadler_peaks_stay_within_twice_mincontext_at_depths_7_to_11() {
 #[ignore = "up to 2¹⁷ nodes: run in release with --ignored"]
 fn wadler_peaks_stay_within_twice_mincontext_at_depths_12_to_16() {
     space_bounds(12..=16);
+}
+
+#[test]
+#[cfg_attr(miri, ignore)]
+fn peaks_grow_at_most_2_3x_per_doubling_of_the_query_on_every_family() {
+    // Theorems 7, 10 and 13 bound space in |Q| as well as |D|: at a fixed
+    // document (511 elements, each with `@v`, and 256 texts), the peak per
+    // doubling of k = 4 → 32 terms of each family in `query_families`,
+    // measured ×1.02–1.97.  `Naive` is left out, as in the theorem suite.
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let doc = uniform_tree(8, 2);
+    let members = [4, 8, 16, 32].map(query_families);
+    for (f, (family, _)) in members[0].iter().enumerate() {
+        for optimizer in [false, true] {
+            for s in [Strategy::MinContext, Strategy::OptMinContext] {
+                let engine = Engine::new(s).with_optimizer(optimizer);
+                let peaks: Vec<usize> = members
+                    .iter()
+                    .map(|m| peak(&engine, &doc, &minctx_syntax::parse_xpath(&m[f].1).unwrap()))
+                    .collect();
+                for pair in peaks.windows(2) {
+                    assert!(
+                        pair[1] as f64 <= PER_DOUBLING * pair[0] as f64,
+                        "{family}, {s}, optimizer {optimizer}: peaks at {peaks:?} bytes \
+                         for k = 4, 8, 16, 32"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// The context-value tables' peak growth per doubling of `|D|`, at

@@ -76,11 +76,6 @@ impl Budget {
         self
     }
 
-    /// Whether neither limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.fuel.is_none() && self.timeout.is_none()
-    }
-
     /// Starts metering now: the deadline (if any) is `now + timeout`.
     pub fn meter(&self) -> BudgetMeter {
         self.meter_at(Instant::now())
@@ -239,8 +234,6 @@ mod tests {
         let b = Budget::fuel(7).with_timeout(Duration::from_millis(3));
         assert_eq!(b.fuel, Some(7));
         assert_eq!(b.timeout, Some(Duration::from_millis(3)));
-        assert!(!b.is_unlimited());
-        assert!(Budget::UNLIMITED.is_unlimited());
-        assert!(Budget::default().is_unlimited());
+        assert_eq!(Budget::default(), Budget::UNLIMITED);
     }
 }

@@ -15,14 +15,14 @@ use std::collections::HashMap;
 use std::hash::Hash;
 
 /// A bounded map evicting the least-recently-used entry on overflow.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LruCache<K, V> {
     map: HashMap<K, Entry<V>>,
     capacity: usize,
     tick: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Entry<V> {
     value: V,
     used: u64,

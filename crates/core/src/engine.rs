@@ -72,12 +72,12 @@ pub enum Strategy {
     /// OPTMINCONTEXT (Section 4): MINCONTEXT plus position-free predicates
     /// answered by satisfying sets, built bottom-up through inverse axes.
     OptMinContext,
-    /// One-pass SAX-style streaming over XML text without materializing
-    /// the arena, for the forward-axis fragment (the `minctx-stream`
-    /// crate's `evaluate_reader`, whose arena fallback runs
-    /// [`Strategy::MinContext`]).  It has no arena evaluator of its own:
-    /// evaluating or explaining a built [`Document`] under it is
-    /// [`EvalError::NotAnArenaStrategy`].
+    /// Not an algorithm: the `minctx-stream` crate's `evaluate_reader`
+    /// streams the forward-axis fragment under every strategy, and under
+    /// this one its arena fallback runs [`Strategy::MinContext`].  It has
+    /// no arena evaluator of its own: evaluating or explaining a built
+    /// [`Document`] under it is [`EvalError::NotAnArenaStrategy`].  Kept
+    /// only until its last callers move to an arena strategy.
     Streaming,
 }
 
@@ -167,23 +167,6 @@ impl fmt::Debug for Engine {
             .field("recorder", &self.recorder)
             .field("threads", &self.threads)
             .finish()
-    }
-}
-
-impl Clone for Engine {
-    fn clone(&self) -> Self {
-        Engine {
-            strategy: self.strategy,
-            budget: self.budget,
-            optimize: self.optimize,
-            // Compiled queries are immutable and Arc-shared: cheap to keep.
-            cache: Mutex::new(self.cache.lock().expect("engine cache poisoned").clone()),
-            scratch_pool: Mutex::new(Vec::new()),
-            // Clones share the sink: a cloned serving engine keeps tracing
-            // into the same stream.
-            recorder: self.recorder.clone(),
-            threads: self.threads,
-        }
     }
 }
 
@@ -774,10 +757,7 @@ mod tests {
         );
         assert_eq!(eval.attr("ok"), Some(&AttrValue::U64(1)));
         assert!(matches!(eval.attr("fuel"), Some(&AttrValue::U64(f)) if f > 0));
-        // A cloned engine keeps tracing into the same sink; the default
-        // engine traces nothing.
-        e.clone().evaluate_str(&doc, "count(//b)").unwrap();
-        assert_eq!(sink.take().len(), 4);
+        // The default engine traces nothing.
         Engine::new(Strategy::MinContext)
             .evaluate_str(&doc, "count(//b)")
             .unwrap();

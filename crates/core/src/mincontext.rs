@@ -1429,7 +1429,7 @@ mod tests {
             }
         }
         // `.//t` is one `descendant::t` step once the rewriter fuses it.
-        let fused = opt.clone().with_optimizer(true);
+        let fused = crate::Engine::new(Strategy::OptMinContext).with_optimizer(true);
         for q in columns {
             let n = fused.evaluate_str(doc, &format!("count({q})"));
             assert!(matches!(n, Ok(Value::Number(n)) if n > 0.0), "{q}: {n:?}");
@@ -1712,7 +1712,7 @@ mod tests {
             // query), but its `descendant-or-self::node()` is never built:
             // the ranked step sweeps `descendant::b` from the root itself.
             for optimizer in [true, false] {
-                let engine = engine.clone().with_optimizer(optimizer);
+                let engine = crate::Engine::new(strategy).with_optimizer(optimizer);
                 let p = engine.explain(&doc, "//b[2]").unwrap();
                 assert_eq!(p.ir_after, p.ir_before, "not a rewrite");
                 assert!(p.steps[0].elided && !p.steps[1].elided);

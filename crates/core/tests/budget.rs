@@ -12,6 +12,13 @@ use minctx_core::{Budget, Context, Engine, EvalError, Exhausted, Strategy, Value
 use minctx_xml::parse;
 use std::time::Duration;
 
+/// `engine`'s strategy and optimizer setting under `budget`.
+fn budgeted(engine: &Engine, budget: Budget) -> Engine {
+    Engine::new(engine.strategy())
+        .with_optimizer(engine.optimizer())
+        .with_budget(budget)
+}
+
 /// A document big enough that every strategy must spend hundreds of
 /// units on the family query.
 fn doc_xml() -> String {
@@ -124,9 +131,7 @@ fn backward_preimages_are_charged_for_what_they_touch() {
         assert_eq!(plan.backward_passes, 1, "{q}");
         let spent = plan.fuel_spent;
         assert!(spent < 100, "{q}: spent {spent} on {} nodes", doc.len());
-        let capped = engine
-            .clone()
-            .with_budget(Budget::fuel(doc.len() as u64 / 10));
+        let capped = budgeted(&engine, Budget::fuel(doc.len() as u64 / 10));
         assert_eq!(capped.evaluate_str(&doc, q), Ok(Value::Number(want)), "{q}");
     }
     // The three preimages that still scan the arena are charged for it.
@@ -248,10 +253,7 @@ fn context_value_tables_charge_what_their_sweeps_return() {
             let engine = Engine::new(Strategy::ContextValueTable).with_optimizer(optimize);
             assert_eq!(engine.evaluate_str(&doc, q), Ok(Value::Number(want)), "{q}");
             for fuel in [50, 390] {
-                let err = engine
-                    .clone()
-                    .with_budget(Budget::fuel(fuel))
-                    .evaluate_str(&doc, q);
+                let err = budgeted(&engine, Budget::fuel(fuel)).evaluate_str(&doc, q);
                 assert_eq!(
                     err,
                     Err(EvalError::BudgetExhausted {
@@ -308,9 +310,7 @@ fn set_filtered_predicates_are_metered_per_candidate() {
             let unmetered = engine.evaluate_str(&doc, q).unwrap();
             assert_eq!(unmetered, Value::Number(100.0), "{s}");
             for fuel in [0, 1, 7, 50, 150, 299] {
-                let err = engine
-                    .clone()
-                    .with_budget(Budget::fuel(fuel))
+                let err = budgeted(&engine, Budget::fuel(fuel))
                     .evaluate_str(&doc, q)
                     .unwrap_err();
                 assert_eq!(
@@ -321,16 +321,15 @@ fn set_filtered_predicates_are_metered_per_candidate() {
                     "{s} optimize={optimize} fuel={fuel}"
                 );
             }
-            let metered = engine
-                .clone()
-                .with_budget(Budget::fuel(100_000_000).with_timeout(Duration::from_secs(600)))
-                .evaluate_str(&doc, q)
-                .unwrap();
+            let metered = budgeted(
+                &engine,
+                Budget::fuel(100_000_000).with_timeout(Duration::from_secs(600)),
+            )
+            .evaluate_str(&doc, q)
+            .unwrap();
             assert_eq!(unmetered, metered, "{s} optimize={optimize}");
             // A deadline that has already passed trips too.
-            let err = engine
-                .clone()
-                .with_budget(Budget::timeout(Duration::ZERO))
+            let err = budgeted(&engine, Budget::timeout(Duration::ZERO))
                 .evaluate_str(&doc, q)
                 .unwrap_err();
             assert_eq!(
@@ -378,10 +377,7 @@ fn column_kernels_are_metered_per_candidate() {
                 );
                 let spent = engine.explain(&doc, q).unwrap().fuel_spent;
                 for fuel in [0, 1, 7, 50, 150, 299, spent - 1] {
-                    let err = engine
-                        .clone()
-                        .with_budget(Budget::fuel(fuel))
-                        .evaluate_str(&doc, q);
+                    let err = budgeted(&engine, Budget::fuel(fuel)).evaluate_str(&doc, q);
                     assert_eq!(
                         err,
                         Err(EvalError::BudgetExhausted {
@@ -390,10 +386,7 @@ fn column_kernels_are_metered_per_candidate() {
                         "{tag} fuel={fuel} of {spent}"
                     );
                 }
-                let exact = engine
-                    .clone()
-                    .with_budget(Budget::fuel(spent))
-                    .evaluate_str(&doc, q);
+                let exact = budgeted(&engine, Budget::fuel(spent)).evaluate_str(&doc, q);
                 assert_eq!(exact, Ok(Value::Number(want)), "{tag}");
             }
         }
@@ -426,19 +419,13 @@ fn set_filter_and_origin_pruning_charge_their_own_work() {
             for fuel in [302, 1_100, spent - 1] {
                 assert!(
                     matches!(
-                        engine
-                            .clone()
-                            .with_budget(Budget::fuel(fuel))
-                            .evaluate_str(&doc, q),
+                        budgeted(&engine, Budget::fuel(fuel)).evaluate_str(&doc, q),
                         Err(EvalError::BudgetExhausted { .. })
                     ),
                     "{s} {q} fuel={fuel} of {spent}"
                 );
             }
-            let exact = engine
-                .clone()
-                .with_budget(Budget::fuel(spent))
-                .evaluate_str(&doc, q);
+            let exact = budgeted(&engine, Budget::fuel(spent)).evaluate_str(&doc, q);
             assert_eq!(exact, Ok(want), "{s} {q}");
         }
     }

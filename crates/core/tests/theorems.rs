@@ -29,8 +29,8 @@
 //! holds vacuously on empty answers.
 
 use minctx_bench::{
-    exponential_doc, exponential_family, uniform_tree, CORE_XPATH_QUERIES, FULL_XPATH_QUERIES,
-    WADLER_QUERIES,
+    exponential_doc, exponential_family, query_families, uniform_tree, CORE_XPATH_QUERIES,
+    FULL_XPATH_QUERIES, WADLER_QUERIES,
 };
 use minctx_core::{Budget, Context, Engine, EvalError, Exhausted, Strategy, Value};
 use minctx_xml::Document;
@@ -113,34 +113,6 @@ fn mincontext_fuel_doubles_with_the_document_on_every_family() {
             }
         }
     }
-}
-
-/// The member of `k` terms of each query family, by family.  The terms of
-/// a member are distinct: interning shares a repeated subterm.
-fn query_families(k: usize) -> [(&'static str, String); 5] {
-    let joined =
-        |sep: &str, term: &dyn Fn(usize) -> String| (0..k).map(term).collect::<Vec<_>>().join(sep);
-    let axis = |i: usize| ["following-sibling", "preceding-sibling"][i % 2];
-    let nested = joined("[", &|i| format!("{}::*", axis(i))) + &"]".repeat(k - 1);
-    [
-        ("nested sibling predicates", format!("//*[{nested}]")),
-        (
-            "and chain",
-            format!("//*[{}]", joined(" and ", &|i| format!("@v != '{i}'"))),
-        ),
-        (
-            "predicate list",
-            "/descendant::*".to_string() + &joined("", &|i| format!("[position() != {}]", i + 1)),
-        ),
-        ("union", joined(" | ", &|i| format!("//*[@v = '{i}']"))),
-        (
-            "or chain",
-            format!(
-                "//*[{}]",
-                joined(" or ", &|i| format!("count(descendant::odd) > {i}"))
-            ),
-        ),
-    ]
 }
 
 #[test]

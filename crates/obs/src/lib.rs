@@ -13,8 +13,7 @@
 //!   query-lifecycle phases through (parse → rewrite → compile →
 //!   evaluate/stream → serve).  Disabled recorders (the default
 //!   everywhere) cost one untaken branch per span; [`JsonLinesSink`]
-//!   with sampling is the serve request log, [`CollectSink`] the test
-//!   harness.
+//!   is the serve request log, [`CollectSink`] the test harness.
 //!
 //! The paper's claims are quantitative (context-set sizes, memo hit
 //! rates, per-step sweep volumes); this crate is how the rest of the

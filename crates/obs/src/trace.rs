@@ -19,7 +19,6 @@ use crate::registry::json_escape;
 use std::fmt;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -224,28 +223,19 @@ impl Sink for CollectSink {
     }
 }
 
-/// A JSON-lines event sink with 1-in-N sampling — the serve request
-/// log.  Each recorded span becomes one line:
+/// A JSON-lines event sink — the serve request log.  Each recorded span
+/// becomes one line:
 ///
 /// ```json
 /// {"phase":"serve","us":1234,"outcome":"ok","query":"count(//a)"}
 /// ```
-///
-/// Sampling happens at record time on an atomic sequence counter, so a
-/// hot service logs every Nth request with no locking on skipped ones.
 pub struct JsonLinesSink {
     out: Mutex<Box<dyn Write + Send>>,
-    /// Record spans whose sequence number is ≡ 0 (mod `sample_every`).
-    sample_every: u64,
-    seq: AtomicU64,
 }
 
 impl fmt::Debug for JsonLinesSink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JsonLinesSink")
-            .field("sample_every", &self.sample_every)
-            .field("seq", &self.seq.load(Ordering::Relaxed))
-            .finish()
+        f.debug_struct("JsonLinesSink").finish_non_exhaustive()
     }
 }
 
@@ -254,24 +244,12 @@ impl JsonLinesSink {
     pub fn new(out: impl Write + Send + 'static) -> JsonLinesSink {
         JsonLinesSink {
             out: Mutex::new(Box::new(out)),
-            sample_every: 1,
-            seq: AtomicU64::new(0),
         }
-    }
-
-    /// Logs one span in `every` (clamped to at least 1).
-    pub fn with_sampling(mut self, every: u64) -> JsonLinesSink {
-        self.sample_every = every.max(1);
-        self
     }
 }
 
 impl Sink for JsonLinesSink {
     fn record(&self, span: SpanRecord) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if !seq.is_multiple_of(self.sample_every) {
-            return;
-        }
         use std::fmt::Write as _;
         let mut line = String::with_capacity(64);
         let _ = write!(
@@ -350,10 +328,10 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_sink_samples_one_in_n() {
+    fn json_lines_sink_writes_one_line_per_span() {
         let buf = SharedBuf::default();
-        let sink = JsonLinesSink::new(buf.clone()).with_sampling(3);
-        for i in 0..9u64 {
+        let sink = JsonLinesSink::new(buf.clone());
+        for i in 0..3u64 {
             let mut span = SpanRecord {
                 phase: Phase::Serve,
                 duration: Duration::from_micros(10),
@@ -365,13 +343,12 @@ mod tests {
         let bytes = buf.0.lock().unwrap().clone();
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        // Sequence numbers 0, 3, 6 of 0..9.
         assert_eq!(lines.len(), 3);
         for line in &lines {
             assert!(line.starts_with("{\"phase\":\"serve\",\"us\":10"));
             assert!(line.ends_with("\"outcome\":\"ok\"}"));
         }
-        assert!(lines[1].contains("\"seq\":3"));
+        assert!(lines[1].contains("\"seq\":1"));
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! * `Site::Eval` — a panic as evaluation starts, at the top of
 //!   `serve_one`, inside the same fence.  Both must surface as
 //!   [`ServeError::WorkerPanicked`](crate::ServeError::WorkerPanicked)
-//!   on that request's ticket; the worker rebuilds its engine and
-//!   serves on.
+//!   on that request's ticket; the worker serves on.
 //! * `Site::Shard` — a panic while **holding a cache lock**,
 //!   poisoning the mutex.  The cache must recover (clear the poison,
 //!   drop the disposable cache contents) on its next use.

@@ -20,8 +20,8 @@
 //!   [`BudgetExhausted`](minctx_core::EvalError::BudgetExhausted)
 //!   rather than stretching tail latency.
 //! * Fault tolerance: panics are contained per request
-//!   ([`ServeError::WorkerPanicked`]) and the worker keeps serving on a
-//!   fresh engine, the caches recover from lock poisoning, and a
+//!   ([`ServeError::WorkerPanicked`]) and the worker keeps serving on the
+//!   pool's one engine, the caches recover from lock poisoning, and a
 //!   bounded admission queue sheds overload as
 //!   [`ServeError::Overloaded`] — with [`RetryPolicy`] backoff for
 //!   callers that want to wait a burst out.  The [`chaos`] module

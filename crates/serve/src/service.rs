@@ -12,11 +12,12 @@
 //!
 //! * **Panic isolation** — each popped job is served inside one
 //!   `catch_unwind`; a panicking request surfaces as
-//!   [`ServeError::WorkerPanicked`] on its own ticket, the worker
-//!   rebuilds its engine from the builder's template (post-unwind state
-//!   is suspect) and keeps serving.  Nothing outside the fence can
-//!   panic, so the N threads [`ServeBuilder::build`] spawns serve until
-//!   the engine is dropped.
+//!   [`ServeError::WorkerPanicked`] on its own ticket and the worker
+//!   keeps serving on the pool's one [`Engine`]: the unwound evaluation
+//!   dropped the scratch it had popped, and the serve path never holds
+//!   the engine's compile-cache lock, so nothing it shares is left half
+//!   written.  Nothing outside the fence can panic, so the N threads
+//!   [`ServeBuilder::build`] spawns serve until the engine is dropped.
 //! * **Admission control** — the queue is bounded
 //!   ([`ServeBuilder::queue_capacity`]); a full queue fast-rejects with
 //!   [`ServeError::Overloaded`] on the ticket rather than stretching
@@ -65,8 +66,8 @@ pub enum ServeError {
     /// [`EvalError::BudgetExhausted`], ...).
     Eval(EvalError),
     /// The worker thread panicked while serving *this* request.  The
-    /// panic was contained: the worker rebuilt its engine and the pool
-    /// is healthy — only this request is lost.  Retryable.
+    /// panic was contained and the pool is healthy — only this request
+    /// is lost.  Retryable.
     WorkerPanicked {
         /// The panic payload, when it was a string.
         message: String,
@@ -307,6 +308,10 @@ impl Metrics {
 /// State every worker shares.
 struct Shared {
     queue: Queue<Job>,
+    /// The one engine every worker evaluates on: OPTMINCONTEXT, optimizer
+    /// per [`ServeBuilder::optimizer`].  Its scratch pool lends each
+    /// concurrent evaluation its own [`Scratch`](minctx_xml::Scratch).
+    engine: Engine,
     /// Mapped snapshots keyed by content stamp: the stamp is derived
     /// from document content (with the snapshot bit set), so two paths
     /// to the same bytes share one mapping, and a rewritten file is
@@ -328,14 +333,13 @@ pub const QUERY_CACHE_CAPACITY: usize = 256;
 
 /// Configuration for a [`ServeEngine`]; `ServeEngine::builder()` is the
 /// entry point, [`build`](ServeBuilder::build) spawns the pool.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ServeBuilder {
     workers: usize,
-    /// The engine every worker clones: OPTMINCONTEXT, optimizer per
+    /// The engine the workers share: OPTMINCONTEXT, optimizer per
     /// [`ServeBuilder::optimizer`] (default: on).
     engine: Engine,
     snapshot_cache_capacity: usize,
-    default_budget: Budget,
     queue_capacity: usize,
     recorder: Recorder,
 }
@@ -348,7 +352,6 @@ impl Default for ServeBuilder {
                 .unwrap_or(1),
             engine: Engine::new(Strategy::OptMinContext),
             snapshot_cache_capacity: 8,
-            default_budget: Budget::UNLIMITED,
             queue_capacity: 1024,
             recorder: Recorder::disabled(),
         }
@@ -374,13 +377,6 @@ impl ServeBuilder {
         self
     }
 
-    /// Budget applied to requests submitted via
-    /// [`ServeEngine::query`]; per-request budgets override it.
-    pub fn default_budget(mut self, b: Budget) -> ServeBuilder {
-        self.default_budget = b;
-        self
-    }
-
     /// Admission-control bound: requests beyond this many queued jobs
     /// are fast-rejected with [`ServeError::Overloaded`] (default 1024,
     /// clamped to at least 1).
@@ -392,9 +388,8 @@ impl ServeBuilder {
     /// Attaches a request-log [`Recorder`]: every served request emits
     /// one [`Phase::Serve`] span (query text, outcome, queue wait, fuel
     /// budget) into the recorder's sink.  Pair with
-    /// [`minctx_obs::JsonLinesSink`] (optionally
-    /// [`with_sampling`](minctx_obs::JsonLinesSink::with_sampling)) for
-    /// a sampled JSON-lines request log.  Default: disabled, near-free.
+    /// [`minctx_obs::JsonLinesSink`] for a JSON-lines request log.
+    /// Default: disabled, near-free.
     pub fn request_log(mut self, recorder: Recorder) -> ServeBuilder {
         self.recorder = recorder;
         self
@@ -404,6 +399,7 @@ impl ServeBuilder {
     pub fn build(self) -> ServeEngine {
         let shared = Arc::new(Shared {
             queue: Queue::bounded(self.queue_capacity),
+            engine: self.engine,
             snapshots: SharedLru::new(self.snapshot_cache_capacity),
             queries: SharedLru::new(QUERY_CACHE_CAPACITY),
             metrics: Metrics::new(),
@@ -411,25 +407,21 @@ impl ServeBuilder {
         });
         let workers = (0..self.workers)
             .map(|i| {
-                let (shared, template) = (Arc::clone(&shared), self.engine.clone());
+                let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("minctx-serve-{i}"))
-                    .spawn(move || worker_loop(&shared, &template))
+                    .spawn(move || worker_loop(&shared))
                     .expect("failed to spawn serve worker")
             })
             .collect();
-        ServeEngine {
-            shared,
-            workers,
-            default_budget: self.default_budget,
-        }
+        ServeEngine { shared, workers }
     }
 }
 
-fn worker_loop(shared: &Shared, template: &Engine) {
-    // Each worker owns its engine — and with it a private scratch
-    // pool — so evaluation never shares mutable state across threads.
-    let mut engine = template.clone();
+/// One worker: pop, serve inside the panic fence, reply, until the queue
+/// closes.  Every worker evaluates on `shared.engine`; the engine's
+/// scratch pool gives each concurrent evaluation its own working memory.
+fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         // Outside the fence stay the request counter, the span, the
         // latency record and the reply, and none of them can panic:
@@ -445,15 +437,12 @@ fn worker_loop(shared: &Shared, template: &Engine) {
         let mut span = shared.recorder.span(Phase::Serve);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             chaos::tick(chaos::Site::Worker);
-            serve_one(&engine, shared, &job)
+            serve_one(shared, &job)
         }));
         let reply = match outcome {
             Ok(r) => r.map_err(ServeError::Eval),
             Err(payload) => {
                 shared.metrics.panics.inc();
-                // The unwound engine's internal caches and scratch pool
-                // are in an unknown state; start over from the template.
-                engine = template.clone();
                 Err(ServeError::WorkerPanicked {
                     message: panic_message(payload.as_ref()),
                 })
@@ -484,7 +473,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// evaluate under the request's meter.  Cache misses compute outside
 /// the cache's lock; a race on a cold key costs one duplicated
 /// compilation, never a stall.  Runs inside the worker's panic fence.
-fn serve_one(engine: &Engine, shared: &Shared, job: &Job) -> Result<Value, EvalError> {
+fn serve_one(shared: &Shared, job: &Job) -> Result<Value, EvalError> {
+    let engine = &shared.engine;
     // Contained chaos site: a panic here must resolve THIS ticket as
     // WorkerPanicked and leave the pool healthy.
     chaos::tick(chaos::Site::Eval);
@@ -549,7 +539,6 @@ fn serve_one(engine: &Engine, shared: &Shared, job: &Job) -> Result<Value, EvalE
 pub struct ServeEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    default_budget: Budget,
 }
 
 impl ServeEngine {
@@ -563,9 +552,9 @@ impl ServeEngine {
         ServeBuilder::default()
     }
 
-    /// Submits a request under the pool's default budget.
+    /// Submits a request with no budget ([`Budget::UNLIMITED`]).
     pub fn query(&self, corpus: Corpus, query: &str) -> Ticket {
-        self.query_with_budget(corpus, query, self.default_budget)
+        self.query_with_budget(corpus, query, Budget::UNLIMITED)
     }
 
     /// Submits a request with its own budget.  The deadline clock starts
@@ -625,10 +614,6 @@ impl ServeEngine {
             }
         }
         Err(last.expect("at least one attempt always runs"))
-    }
-
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
     }
 
     /// Jobs currently queued (racy; diagnostics only).
@@ -692,7 +677,6 @@ impl std::fmt::Debug for ServeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeEngine")
             .field("workers", &self.workers.len())
-            .field("default_budget", &self.default_budget)
             .field("stats", &self.stats())
             .finish()
     }

@@ -325,8 +325,7 @@ fn panicking_worker_mid_job_resolves_every_outstanding_ticket() {
     }
 }
 
-/// A worker rebuilt after a contained panic keeps the pool's optimizer
-/// setting.  A fuel budget between the fused and the unfused spend of
+/// A worker that contained a panic keeps the pool's optimizer setting.  A fuel budget between the fused and the unfused spend of
 /// `//b` tells the two apart: the fused compilation fits, the unfused
 /// one runs out.
 #[test]
@@ -356,7 +355,7 @@ fn rebuilt_workers_keep_the_optimizer_setting() {
                 .expect("ticket hung")
         };
         // The panic fires before the query is compiled, so the first
-        // compilation below is the rebuilt worker's.
+        // compilation below comes after it.
         chaos::install(ChaosPlan {
             seed: 3,
             eval_panic_per_mille: 1000,

@@ -123,13 +123,6 @@ pub struct StreamQuery {
     pub(crate) result: ResultKind,
 }
 
-impl StreamQuery {
-    /// Number of compiled step programs (main path + predicate atoms).
-    pub fn program_count(&self) -> usize {
-        self.programs.len()
-    }
-}
-
 /// Compiles `query` for streaming, or names the construct that needs the
 /// arena.  Callers normally pass the *rewritten* query (post
 /// [`minctx_core::rewrite`]), which normalizes reverse axes away where
@@ -409,7 +402,7 @@ mod tests {
     fn main_program_is_first_and_atoms_follow() {
         let sq = comp("//a[b][c/@x = 1]").unwrap();
         // main + one atom per predicate.
-        assert_eq!(sq.program_count(), 3);
+        assert_eq!(sq.programs.len(), 3);
         assert_eq!(sq.result, ResultKind::Nodes);
         assert_eq!(comp("count(//a)").unwrap().result, ResultKind::Count);
         assert_eq!(comp("boolean(//a)").unwrap().result, ResultKind::Exists);

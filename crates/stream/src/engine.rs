@@ -2,17 +2,17 @@
 //! [`StreamOutcome`] it returns.
 //!
 //! `evaluate_reader` is the read-once entry point: it takes XML *text*
-//! (an [`io::Read`] or a `&str`) instead of a [`Document`].  Under
-//! [`Strategy::Streaming`], queries the
-//! [classifier](crate::fragment::classify) accepts are answered in one
-//! SAX-style pass with no arena allocated; everything else falls back to
-//! parsing the document and evaluating on the arena, and the outcome
-//! reports *which construct* forced the fallback (and hands back the
-//! parsed document, so the caller can keep using it).
+//! (an [`io::Read`] or a `&str`) instead of a [`Document`].  Under any
+//! engine, queries the [classifier](crate::fragment::classify) accepts
+//! are answered in one SAX-style pass with no arena allocated; everything
+//! else falls back to parsing the document and evaluating on the arena
+//! by the engine's own strategy, and the outcome reports *which
+//! construct* forced the fallback (and hands back the parsed document,
+//! so the caller can keep using it).
 
 use crate::compile::{self, StreamQuery};
 use crate::exec::{Exec, StreamNodeKind, StreamValue};
-use minctx_core::{BudgetMeter, Engine, EvalError, Strategy, Value};
+use minctx_core::{BudgetMeter, Engine, EvalError, Value};
 use minctx_syntax::Query;
 use minctx_xml::token::{Tokenizer, XmlEvent};
 use minctx_xml::{parse, parse_reader, Document, XmlError};
@@ -24,10 +24,10 @@ pub enum StreamOutcome {
     /// Answered in one pass over the text; no [`Document`] was built.
     Streamed(StreamValue),
     /// Fell back to the arena: the input was parsed and evaluated with
-    /// the engine's arena strategy (MINCONTEXT under
-    /// [`Strategy::Streaming`]).  `reason` names the construct (or
-    /// configuration) that forced the fallback.  The document is boxed so
-    /// the streamed variant stays small.
+    /// the engine's strategy (MINCONTEXT under
+    /// [`Strategy::Streaming`](minctx_core::Strategy::Streaming)).
+    /// `reason` names the construct that forced the fallback.  The
+    /// document is boxed so the streamed variant stays small.
     Arena {
         reason: &'static str,
         doc: Box<Document>,
@@ -58,19 +58,14 @@ impl StreamOutcome {
     }
 }
 
-/// Fallback reason when the engine's strategy is not
-/// [`Strategy::Streaming`] (streaming must be opted into: the arena
-/// strategies promise arena semantics such as full node-set values).
-pub const REASON_ARENA_STRATEGY: &str = "engine strategy is an arena evaluator";
-
 /// Streaming evaluation over XML text, as an extension of
-/// [`minctx_core::Engine`].
+/// [`minctx_core::Engine`], under any strategy.
 ///
 /// ```
 /// use minctx_core::{Engine, Strategy};
 /// use minctx_stream::{StreamingEngine, StreamValue};
 ///
-/// let engine = Engine::new(Strategy::Streaming);
+/// let engine = Engine::new(Strategy::OptMinContext);
 /// let query = minctx_syntax::parse_xpath("count(//b[@x])").unwrap();
 /// let out = engine
 ///     .evaluate_reader_str(&query, r#"<a><b x="1"/><b/><b x="2"/></a>"#)
@@ -104,12 +99,12 @@ impl StreamingEngine for Engine {
 
 /// The body of both entry points, which differ only in how `input`
 /// becomes a tokenizer (streamed) or a document (the arena fallback).
-/// The fallback runs [`Engine::evaluate_on_arena`]: MINCONTEXT — the
-/// streaming differential suite's oracle — under [`Strategy::Streaming`],
-/// an arena strategy itself, either way through the engine's own scratch
-/// pool.  It compiles uncached, as [`Engine::evaluate_str`] does: the
-/// freshly parsed document's stamp never recurs, so a cached compilation
-/// would only evict live ones.
+/// The fallback runs [`Engine::evaluate_on_arena`]: the engine's own
+/// strategy, or MINCONTEXT — the streaming differential suite's oracle —
+/// under [`Strategy::Streaming`](minctx_core::Strategy::Streaming), either
+/// way through the engine's own scratch pool.  It compiles uncached, as
+/// [`Engine::evaluate_str`] does: the freshly parsed document's stamp
+/// never recurs, so a cached compilation would only evict live ones.
 fn evaluate_text<'a, T>(
     engine: &Engine,
     query: &Query,
@@ -134,11 +129,9 @@ fn evaluate_text<'a, T>(
 
 /// Stream or fall back?  Mirrors the engine's compile pipeline: the query
 /// is rewritten exactly when the engine's optimizer is on, then handed to
-/// the stream compiler (= the classifier).
+/// the stream compiler (= the classifier).  The strategy plays no part:
+/// it names the arena algorithm, which only a fallback runs.
 fn decide(engine: &Engine, query: &Query) -> Result<StreamQuery, &'static str> {
-    if engine.strategy() != Strategy::Streaming {
-        return Err(REASON_ARENA_STRATEGY);
-    }
     if engine.optimizer() {
         compile::compile(&minctx_core::rewrite(query))
     } else {
@@ -231,6 +224,7 @@ fn ordinal(next: u64, attrs: usize) -> Result<u32, EvalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minctx_core::Strategy;
     use minctx_syntax::parse_xpath;
 
     fn streaming() -> Engine {
@@ -380,11 +374,40 @@ mod tests {
     }
 
     #[test]
-    fn arena_strategies_always_fall_back() {
-        let e = Engine::new(Strategy::MinContext);
-        let q = parse_xpath("//b").unwrap();
-        let out = e.evaluate_reader_str(&q, "<a><b/></a>").unwrap();
-        assert_eq!(out.fallback_reason(), Some(REASON_ARENA_STRATEGY));
+    fn arena_strategies_stream_and_fall_back_by_their_own_strategy() {
+        // root=0, <a>=1, <b>=2, @x=3, <c>=4, <b>=5, <b>=6, @x=7
+        let xml = r#"<a><b x="1"/><c><b/></c><b x="2"/></a>"#;
+        let doc = minctx_xml::parse(xml).unwrap();
+        for on in [false, true] {
+            let e = Engine::new(Strategy::OptMinContext).with_optimizer(on);
+            let q = parse_xpath("//b").unwrap();
+            let out = e.evaluate_reader_str(&q, xml).unwrap();
+            let want = e.evaluate_str(&doc, "//b").unwrap();
+            let ids: Vec<u32> = want
+                .as_node_set()
+                .unwrap()
+                .iter()
+                .map(|n| n.index() as u32)
+                .collect();
+            assert_eq!(nodes(&out), ids, "optimizer({on})");
+            let q = parse_xpath("count(//b[@x])").unwrap();
+            let out = e.evaluate_reader_str(&q, xml).unwrap();
+            let want = e.evaluate_str(&doc, "count(//b[@x])").unwrap();
+            assert_eq!(want, Value::Number(2.0));
+            assert_eq!(out.streamed(), Some(&StreamValue::Number(2.0)));
+            // A positional predicate falls back, to the engine's own arena
+            // answer.
+            let q = parse_xpath("//b[last()]").unwrap();
+            let out = e.evaluate_reader_str(&q, xml).unwrap();
+            assert_eq!(
+                out.fallback_reason(),
+                Some(crate::fragment::reason::POSITIONAL)
+            );
+            let StreamOutcome::Arena { value, .. } = out else {
+                unreachable!()
+            };
+            assert_eq!(value, e.evaluate_str(&doc, "//b[last()]").unwrap());
+        }
     }
 
     #[test]
@@ -392,10 +415,13 @@ mod tests {
         // Each fallback parses a document whose stamp never recurs, so a
         // cached compilation of it could only evict live entries.
         let e = Engine::new(Strategy::MinContext);
-        let q = parse_xpath("//b").unwrap();
+        let q = parse_xpath("//b[last()]").unwrap();
         for _ in 0..3 {
             let out = e.evaluate_reader_str(&q, "<a><b/></a>").unwrap();
-            assert_eq!(out.fallback_reason(), Some(REASON_ARENA_STRATEGY));
+            assert_eq!(
+                out.fallback_reason(),
+                Some(crate::fragment::reason::POSITIONAL)
+            );
         }
         assert_eq!(e.cached_queries(), 0);
     }

@@ -22,16 +22,18 @@
 //!   per open element, predicate subautomata decided as their elements
 //!   close), or the first non-streamable construct is reported;
 //! * engine integration: [`StreamingEngine::evaluate_reader`] extends
-//!   [`Engine`](minctx_core::Engine) — under
-//!   [`Strategy::Streaming`](minctx_core::Strategy) it streams what the
-//!   classifier accepts and falls back to parse-then-evaluate under
-//!   MINCONTEXT otherwise, reporting which construct forced the fallback.
+//!   [`Engine`](minctx_core::Engine) — under any strategy it streams what
+//!   the classifier accepts (after the engine's rewriter, when its
+//!   optimizer is on) and falls back to parse-then-evaluate by the
+//!   engine's own strategy otherwise (MINCONTEXT under
+//!   [`Strategy::Streaming`](minctx_core::Strategy::Streaming)), reporting
+//!   which construct forced the fallback.
 //!
 //! ```
 //! use minctx_core::{Engine, Strategy};
 //! use minctx_stream::{StreamingEngine, StreamValue};
 //!
-//! let engine = Engine::new(Strategy::Streaming);
+//! let engine = Engine::new(Strategy::OptMinContext);
 //! let query = minctx_syntax::parse_xpath("//item[@id]").unwrap();
 //! let xml = r#"<site><item id="a"/><item/><item id="b"/></site>"#;
 //! let out = engine.evaluate_reader_str(&query, xml).unwrap();
@@ -47,6 +49,6 @@ pub mod fragment;
 
 mod engine;
 
-pub use engine::{StreamOutcome, StreamingEngine, REASON_ARENA_STRATEGY};
+pub use engine::{StreamOutcome, StreamingEngine};
 pub use exec::{StreamMatch, StreamNodeKind, StreamValue};
 pub use fragment::{classify, Streamability};

@@ -52,10 +52,9 @@ fn streaming_agrees_with_mincontext_on_the_corpus() {
         // The oracle evaluates on a parse of the same serialized text the
         // streamer reads, so pre-order ids line up by construction.
         let reparsed = parse(&xml).unwrap_or_else(|e| panic!("{doc_name}: reserialize: {e}"));
-        let oracle = Engine::new(Strategy::MinContext);
         for optimize in [true, false] {
             let engine = Engine::new(Strategy::Streaming).with_optimizer(optimize);
-            let oracle = oracle.clone().with_optimizer(optimize);
+            let oracle = Engine::new(Strategy::MinContext).with_optimizer(optimize);
             for q in QUERIES {
                 let query: Query = parse_xpath(q).unwrap();
                 let ctx = format!("{doc_name} opt={optimize} {q:?}");

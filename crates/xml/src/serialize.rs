@@ -16,13 +16,6 @@ pub fn to_xml_string(doc: &Document) -> String {
     out
 }
 
-/// Serializes the subtree rooted at `n` (which may be any node kind).
-pub fn node_to_xml_string(doc: &Document, n: NodeId) -> String {
-    let mut out = String::new();
-    write_node(doc, n, &mut out);
-    out
-}
-
 fn write_node(doc: &Document, n: NodeId, out: &mut String) {
     match doc.kind(n) {
         NodeKind::Root => {
@@ -120,14 +113,6 @@ mod tests {
         let src = "<a><!--hello--><?pi data?></a>";
         let doc = parse(src).unwrap();
         assert_eq!(to_xml_string(&doc), src);
-    }
-
-    #[test]
-    fn subtree_serialization() {
-        let doc = parse("<a><b><c>t</c></b><d/></a>").unwrap();
-        let a = doc.document_element();
-        let b = doc.first_child(a).unwrap();
-        assert_eq!(node_to_xml_string(&doc, b), "<b><c>t</c></b>");
     }
 
     #[test]

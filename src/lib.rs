@@ -103,14 +103,14 @@
 //! ## Streaming
 //!
 //! For read-once workloads, [`stream`] evaluates the forward-axis
-//! fragment in one SAX-style pass over XML *text* — no document arena is
-//! built, and memory stays proportional to document depth plus the
-//! result:
+//! fragment on any engine in one SAX-style pass over XML *text* — no
+//! document arena is built, and memory stays proportional to document
+//! depth plus the result:
 //!
 //! ```
 //! use minctx::prelude::*;
 //!
-//! let engine = Engine::new(Strategy::Streaming);
+//! let engine = Engine::new(Strategy::OptMinContext);
 //! let query = parse_xpath("count(//b[@id])").unwrap();
 //! let out = engine
 //!     .evaluate_reader_str(&query, r#"<a><b id="1"/><b/></a>"#)
@@ -120,8 +120,8 @@
 //!
 //! Queries outside the streamable fragment (reverse axes the optimizer
 //! cannot normalize away, positional predicates, `id()`, …) fall back to
-//! parse-then-evaluate, and the outcome reports which construct forced
-//! the fallback — see [`stream::classify`].
+//! parse-then-evaluate by the engine's own strategy, and the outcome
+//! reports which construct forced the fallback — see [`stream::classify`].
 //!
 //! ## Persistent snapshots
 //!
@@ -193,7 +193,7 @@
 //! The service degrades loudly, never silently: a request that panics a
 //! worker resolves *its own* ticket as
 //! [`ServeError::WorkerPanicked`](serve::ServeError::WorkerPanicked)
-//! while the worker rebuilds its engine and keeps serving;
+//! while the worker keeps serving on the pool's one engine;
 //! a queue at capacity fast-rejects new requests as
 //! [`ServeError::Overloaded`](serve::ServeError::Overloaded) — both are
 //! [retryable](serve::ServeError::is_retryable), and

@@ -4,13 +4,18 @@
 //! the verify skill and ROADMAP.md write it; it must match a `##` or `###`
 //! heading exactly.  Renaming or deleting a cited section fails here with
 //! the place of every stale citation.  CHANGES.md is history and cites
-//! sections as they were, so it is not scanned.
+//! sections as they were, so it is not scanned.  The design document
+//! also stays within [`LINE_CAP`] lines: it says what is, and a PR's own
+//! measurements go to CHANGES.md.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The design document's file name, split so that this file cites nothing.
 const DESIGN: &str = concat!("DESIGN", ".md");
+
+/// The most lines the design document may hold.
+const LINE_CAP: usize = 1_100;
 
 /// Where citations are looked for, relative to the repository root.
 const ROOTS: [&str; 7] = [
@@ -117,6 +122,18 @@ fn every_design_citation_names_a_heading() {
         stale.is_empty(),
         "citations naming no `##` / `###` heading of {DESIGN}:\n{}",
         stale.join("\n")
+    );
+}
+
+#[test]
+fn the_design_document_stays_within_its_line_cap() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = fs::read_to_string(root.join(DESIGN)).expect("read the design document");
+    let lines = design.lines().count();
+    assert!(
+        lines <= LINE_CAP,
+        "{DESIGN} holds {lines} lines, over its cap of {LINE_CAP}: move measurements to \
+         CHANGES.md and say what is more briefly"
     );
 }
 

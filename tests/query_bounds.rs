@@ -160,12 +160,13 @@ fn the_longest_step_chains_are_answered_or_run_out_of_budget() {
     // Two workers, every chain in flight at once: each ticket resolves and
     // the light query behind them is answered by a worker that is still
     // there.
-    let serve = ServeEngine::builder()
-        .workers(2)
-        .default_budget(Budget::timeout(Duration::from_millis(250)))
-        .build();
+    let serve = ServeEngine::builder().workers(2).build();
+    let budget = Budget::timeout(Duration::from_millis(250));
     let corpus = || Corpus::Document(Arc::clone(&doc));
-    let tickets: Vec<Ticket> = chains.iter().map(|q| serve.query(corpus(), q)).collect();
+    let tickets: Vec<Ticket> = chains
+        .iter()
+        .map(|q| serve.query_with_budget(corpus(), q, budget))
+        .collect();
     for (ticket, query) in tickets.into_iter().zip(&chains) {
         match ticket.wait() {
             Ok(v) => answered(Ok(v), query),
@@ -173,7 +174,9 @@ fn the_longest_step_chains_are_answered_or_run_out_of_budget() {
             Err(e) => panic!("{}…: {e}", &query[..24]),
         }
     }
-    let light = serve.query(corpus(), "count(//a)").wait();
+    let light = serve
+        .query_with_budget(corpus(), "count(//a)", budget)
+        .wait();
     assert_eq!(light.unwrap(), Value::Number(3.0));
     let stats = serve.stats();
     assert_eq!(stats.panics, 0, "{stats:?}");
