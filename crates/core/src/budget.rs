@@ -1,7 +1,7 @@
 //! Fuel/deadline metering: [`Budget`] and the per-evaluation
 //! [`BudgetMeter`] every strategy charges its work against.
 //!
-//! This generalizes what used to be a [`Naive`](crate::naive::Naive)-only
+//! This generalizes what used to be a [`Strategy::Naive`](crate::Strategy::Naive)-only
 //! step counter into a mechanism honored by **all** evaluators (the four
 //! arena strategies and the streaming engine): a budget is a *fuel* cap
 //! in abstract work units, a wall-clock *deadline*, or both, and an

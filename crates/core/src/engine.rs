@@ -16,10 +16,8 @@ use crate::cache::LruCache;
 use crate::compile::CompiledQuery;
 use crate::error::EvalError;
 use crate::explain::QueryProfile;
-use crate::mincontext::MinContext;
-use crate::naive::Naive;
-use crate::tables::ContextValueTables;
 use crate::value::Value;
+use crate::{mincontext, naive, tables};
 use minctx_obs::{Phase, Recorder};
 use minctx_syntax::{parse_xpath, Query};
 use minctx_xml::{Document, NodeId, Scratch};
@@ -202,15 +200,6 @@ impl Engine {
     /// The configured worker count (1 = sequential).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The MINCONTEXT evaluator configured for this engine: optimized or
-    /// not, at the engine's thread count.
-    pub(crate) fn mincontext(&self, optimized: bool) -> MinContext {
-        MinContext {
-            optimized,
-            threads: self.threads,
-        }
     }
 
     /// Attaches a query-lifecycle trace [`Recorder`].  With an enabled
@@ -494,18 +483,19 @@ impl Engine {
             let mut span = self.recorder.span(Phase::Evaluate);
             let spent_before = meter.spent();
             let result = match strategy {
-                Strategy::Naive => Naive.evaluate(doc, compiled, ctx, meter),
+                Strategy::Naive => naive::evaluate(doc, compiled, ctx, meter),
                 Strategy::ContextValueTable => {
-                    ContextValueTables.evaluate(doc, compiled, ctx, &mut scratch, meter)
+                    tables::evaluate(doc, compiled, ctx, &mut scratch, meter)
                 }
-                Strategy::MinContext => {
-                    self.mincontext(false)
-                        .evaluate(doc, compiled, ctx, &mut scratch, meter)
-                }
-                Strategy::OptMinContext => {
-                    self.mincontext(true)
-                        .evaluate(doc, compiled, ctx, &mut scratch, meter)
-                }
+                Strategy::MinContext | Strategy::OptMinContext => mincontext::evaluate(
+                    doc,
+                    compiled,
+                    ctx,
+                    strategy == Strategy::OptMinContext,
+                    self.threads,
+                    &mut scratch,
+                    meter,
+                ),
                 Strategy::Streaming => Err(EvalError::NotAnArenaStrategy),
             };
             span.attr_str("strategy", || strategy.as_str().to_string());

@@ -32,8 +32,9 @@
 //! `tests/facade.rs::explain_plan_rows_agree_with_count` pin.
 
 use crate::compile::CompiledQuery;
-use crate::engine::{Context, Engine, Strategy};
+use crate::engine::{Engine, Strategy};
 use crate::error::EvalError;
+use crate::mincontext;
 use crate::rewrite::{rewrite_traced, Rule};
 use crate::value::Value;
 use minctx_syntax::{parse_xpath, ExprId, Node, PathStart, Query, Step};
@@ -386,10 +387,11 @@ pub(crate) fn explain(
     let mut scratch = Scratch::new();
     let mut meter = engine.budget_config().meter();
     let t = Instant::now();
-    let value = engine.mincontext(optimized).evaluate_profiled(
+    let value = mincontext::evaluate_profiled(
         doc,
         &compiled,
-        Context::document(doc),
+        optimized,
+        engine.threads(),
         &mut scratch,
         &mut meter,
         &mut collector,

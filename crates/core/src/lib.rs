@@ -42,10 +42,10 @@ pub mod error;
 pub mod explain;
 pub mod funcs;
 mod memo;
-pub mod mincontext;
-pub mod naive;
+mod mincontext;
+mod naive;
 pub mod rewrite;
-pub mod tables;
+mod tables;
 pub mod value;
 
 pub use budget::{Budget, BudgetMeter};
@@ -54,7 +54,6 @@ pub use compile::CompiledQuery;
 pub use engine::{Context, Engine, Strategy};
 pub use error::{EvalError, Exhausted};
 pub use explain::{PredMode, QueryProfile, StepProfile};
-pub use mincontext::MinContext;
 // The kernel-route label `Engine::explain` reports per step, re-exported
 // so profile consumers match on it without a direct xml dependency.
 pub use minctx_xml::AxisRoute;
@@ -65,9 +64,7 @@ pub use minctx_index::{
     open_snapshot, open_snapshot_or_quarantine, quarantine_snapshot, snapshot_stamp, stale_temps,
     write_snapshot, SnapshotError, SnapshotInfo,
 };
-pub use naive::Naive;
 pub use rewrite::{rewrite, rewrite_traced, RewriteTrace, Rule};
-pub use tables::ContextValueTables;
 pub use value::Value;
 
 // Concurrent-serving audit (DESIGN.md "Concurrent service"): everything

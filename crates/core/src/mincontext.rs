@@ -65,51 +65,42 @@ use minctx_xml::{sibling_ranks, Document, Exec, NodeId, NodeSet, Scratch, Siblin
 use std::borrow::Cow;
 use std::time::Instant;
 
-/// The MINCONTEXT evaluator; with `optimized` set, OPTMINCONTEXT.
-#[derive(Debug, Clone, Default)]
-pub struct MinContext {
-    /// Enables the Section-4 predicate algebra.
-    pub optimized: bool,
-    /// The engine's worker count
-    /// ([`Engine::with_threads`](crate::Engine::with_threads)).  Above 1,
-    /// the axis kernels cut their large scans into ranges on that many
-    /// scoped threads — same kernel bodies, same results, same fuel;
-    /// nothing else about the evaluation changes.  0 or 1 runs every scan
-    /// as one range on the calling thread.
-    pub threads: usize,
+/// Evaluates a compiled query at a context by MINCONTEXT, or with
+/// `optimized` by OPTMINCONTEXT, charging work to `meter`; `scratch` is
+/// the axis kernels' working memory.  `threads` is the engine's worker
+/// count ([`Engine::with_threads`](crate::Engine::with_threads)): above 1,
+/// the axis kernels cut their large scans into ranges on that many scoped
+/// threads — same kernel bodies, same results, same fuel; nothing else
+/// about the evaluation changes.
+pub(crate) fn evaluate(
+    doc: &Document,
+    query: &CompiledQuery,
+    ctx: Context,
+    optimized: bool,
+    threads: usize,
+    scratch: &mut Scratch,
+    meter: &mut BudgetMeter,
+) -> Result<Value, EvalError> {
+    Run::new(doc, query, optimized, threads, scratch, meter, None).eval(query.query().root(), ctx)
 }
 
-impl MinContext {
-    /// Evaluates a compiled query at a context, charging work to `meter`;
-    /// `scratch` is the axis kernels' working memory.
-    pub fn evaluate(
-        &self,
-        doc: &Document,
-        query: &CompiledQuery,
-        ctx: Context,
-        scratch: &mut Scratch,
-        meter: &mut BudgetMeter,
-    ) -> Result<Value, EvalError> {
-        Run::new(doc, query, self, scratch, meter, None).eval(query.query().root(), ctx)
-    }
-
-    /// [`MinContext::evaluate`] with a [`ProfileCollector`] attached: the
-    /// instrumented entry point behind [`Engine::explain`]. Identical
-    /// semantics and fuel accounting; the profiled run additionally reads
-    /// the clock once per path step.
-    ///
-    /// [`Engine::explain`]: crate::Engine::explain
-    pub(crate) fn evaluate_profiled(
-        &self,
-        doc: &Document,
-        query: &CompiledQuery,
-        ctx: Context,
-        scratch: &mut Scratch,
-        meter: &mut BudgetMeter,
-        prof: &mut ProfileCollector,
-    ) -> Result<Value, EvalError> {
-        Run::new(doc, query, self, scratch, meter, Some(prof)).eval(query.query().root(), ctx)
-    }
+/// [`evaluate`] at the document root with a [`ProfileCollector`]
+/// attached: the instrumented entry point behind [`Engine::explain`].
+/// Identical semantics and fuel accounting; the profiled run additionally
+/// reads the clock once per path step.
+///
+/// [`Engine::explain`]: crate::Engine::explain
+pub(crate) fn evaluate_profiled(
+    doc: &Document,
+    query: &CompiledQuery,
+    optimized: bool,
+    threads: usize,
+    scratch: &mut Scratch,
+    meter: &mut BudgetMeter,
+    prof: &mut ProfileCollector,
+) -> Result<Value, EvalError> {
+    Run::new(doc, query, optimized, threads, scratch, meter, Some(prof))
+        .eval(query.query().root(), Context::document(doc))
 }
 
 struct Run<'d, 'q, 's, 'm, 'p> {
@@ -262,7 +253,8 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
     fn new(
         doc: &'d Document,
         query: &'q CompiledQuery,
-        config: &'q MinContext,
+        opt: bool,
+        threads: usize,
         scratch: &'s mut Scratch,
         meter: &'m mut BudgetMeter,
         prof: Option<&'p mut ProfileCollector>,
@@ -270,14 +262,14 @@ impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
         Run {
             doc,
             query,
-            opt: config.optimized,
+            opt,
             memo: tables_for(query.query()),
             satisfied: vec![None; query.query().len()],
             witnesses: vec![None; query.query().len()],
             scratch,
             meter,
             prof,
-            exec: Exec::on(config.threads),
+            exec: Exec::on(threads),
             per_node: 0,
         }
     }
@@ -1112,12 +1104,8 @@ mod tests {
         let cq = CompiledQuery::new(doc, &q);
         let mut scratch = Scratch::new();
         let mut meter = BudgetMeter::unlimited();
-        MinContext {
-            optimized,
-            threads: 1,
-        }
-        .evaluate(doc, &cq, Context::document(doc), &mut scratch, &mut meter)
-        .unwrap()
+        let ctx = Context::document(doc);
+        evaluate(doc, &cq, ctx, optimized, 1, &mut scratch, &mut meter).unwrap()
     }
 
     fn eval_both(xml: &str, query: &str) -> (Value, Value) {
@@ -1211,8 +1199,7 @@ mod tests {
         let cq = CompiledQuery::new(&doc, &q);
         let mut scratch = Scratch::new();
         let mut meter = BudgetMeter::unlimited();
-        let config = MinContext::default();
-        let mut run = Run::new(&doc, &cq, &config, &mut scratch, &mut meter, None);
+        let mut run = Run::new(&doc, &cq, false, 1, &mut scratch, &mut meter, None);
         let v = run.eval(q.root(), Context::document(&doc)).unwrap();
         assert_eq!(v.as_node_set().unwrap().len(), 2);
         // Find the comparison predicate node and check its memo size: three
@@ -1617,7 +1604,7 @@ mod tests {
         let run = |scratch: &mut Scratch, budget: crate::Budget| {
             let mut meter = budget.meter();
             let ctx = Context::document(&doc);
-            let v = MinContext::default().evaluate(&doc, &cq, ctx, scratch, &mut meter);
+            let v = evaluate(&doc, &cq, ctx, false, 1, scratch, &mut meter);
             (v.is_ok(), meter.spent())
         };
         let (ok, spent) = run(&mut Scratch::new(), crate::Budget::UNLIMITED);

@@ -30,22 +30,16 @@ use crate::value::{compare, Value};
 use minctx_syntax::{ArithOp, ExprId, Func, Node, PathStart, Step};
 use minctx_xml::{Document, NodeId, NodeSet};
 
-/// The exponential-time baseline evaluator.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Naive;
-
-impl Naive {
-    /// Evaluates a compiled query at a context, charging work to `meter`.
-    pub fn evaluate(
-        &self,
-        doc: &Document,
-        query: &CompiledQuery,
-        ctx: Context,
-        meter: &mut BudgetMeter,
-    ) -> Result<Value, EvalError> {
-        let mut run = Run { doc, query, meter };
-        run.eval(query.query().root(), ctx)
-    }
+/// Evaluates a compiled query at a context by the exponential-time
+/// baseline, charging work to `meter`.
+pub(crate) fn evaluate(
+    doc: &Document,
+    query: &CompiledQuery,
+    ctx: Context,
+    meter: &mut BudgetMeter,
+) -> Result<Value, EvalError> {
+    let mut run = Run { doc, query, meter };
+    run.eval(query.query().root(), ctx)
 }
 
 struct Run<'d, 'q, 'm> {

@@ -31,29 +31,22 @@ use minctx_syntax::{ExprId, Func, Node, PathStart, Relev, Step};
 use minctx_xml::axes::axis_image_resolved;
 use minctx_xml::{Document, NodeId, NodeSet, Scratch};
 
-/// The bottom-up context-value-table evaluator.
-#[derive(Debug, Clone, Default)]
-pub struct ContextValueTables;
-
-impl ContextValueTables {
-    /// Evaluates a compiled query at a context, charging work to `meter`;
-    /// `scratch` is the axis kernels' working memory.
-    pub fn evaluate(
-        &self,
-        doc: &Document,
-        query: &CompiledQuery,
-        ctx: Context,
-        scratch: &mut Scratch,
-        meter: &mut BudgetMeter,
-    ) -> Result<Value, EvalError> {
-        let q = query.query();
-        let mut tables: Vec<Table> = Vec::with_capacity(q.len());
-        for (id, _) in q.iter() {
-            let t = build_table(doc, query, &tables, id, scratch, meter)?;
-            tables.push(t);
-        }
-        Ok(tables[q.root().index()].get(ctx).clone())
+/// Evaluates a compiled query at a context from bottom-up tables,
+/// charging work to `meter`; `scratch` is the axis kernels' working memory.
+pub(crate) fn evaluate(
+    doc: &Document,
+    query: &CompiledQuery,
+    ctx: Context,
+    scratch: &mut Scratch,
+    meter: &mut BudgetMeter,
+) -> Result<Value, EvalError> {
+    let q = query.query();
+    let mut tables: Vec<Table> = Vec::with_capacity(q.len());
+    for (id, _) in q.iter() {
+        let t = build_table(doc, query, &tables, id, scratch, meter)?;
+        tables.push(t);
     }
+    Ok(tables[q.root().index()].get(ctx).clone())
 }
 
 /// A context-value table: the node's value for every context in its
@@ -342,15 +335,14 @@ mod tests {
         let doc = parse("<a><b/><b/><b/></a>").unwrap();
         let q = parse_xpath("/a/b[position() = last() - 1]").unwrap();
         let cq = CompiledQuery::new(&doc, &q);
-        let v = ContextValueTables
-            .evaluate(
-                &doc,
-                &cq,
-                Context::document(&doc),
-                &mut Scratch::new(),
-                &mut BudgetMeter::unlimited(),
-            )
-            .unwrap();
+        let v = evaluate(
+            &doc,
+            &cq,
+            Context::document(&doc),
+            &mut Scratch::new(),
+            &mut BudgetMeter::unlimited(),
+        )
+        .unwrap();
         let ns = v.as_node_set().unwrap();
         assert_eq!(ns.len(), 1);
         // The middle <b>.

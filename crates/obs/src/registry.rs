@@ -1,6 +1,6 @@
 //! The metrics registry: named [`Counter`]s and fixed-bucket lock-free
-//! [`Histogram`]s, with point-in-time snapshots and two stable
-//! renderers (Prometheus-style text exposition and JSON).
+//! [`Histogram`]s, with point-in-time snapshots and one stable renderer,
+//! the Prometheus-style text exposition.
 //!
 //! # Concurrency model
 //!
@@ -30,11 +30,6 @@ use std::sync::{Arc, OnceLock, RwLock};
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A counter not attached to any registry (useful in tests).
-    pub fn detached() -> Counter {
-        Counter::default()
-    }
-
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
@@ -117,11 +112,6 @@ impl Default for HistogramCells {
 pub struct Histogram(Arc<HistogramCells>);
 
 impl Histogram {
-    /// A histogram not attached to any registry.
-    pub fn detached() -> Histogram {
-        Histogram::default()
-    }
-
     /// Records one observation.
     #[inline]
     pub fn record(&self, v: u64) {
@@ -188,11 +178,6 @@ impl HistogramSnapshot {
             }
         }
         Some(self.max)
-    }
-
-    /// Mean of recorded values; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count != 0).then(|| self.sum as f64 / self.count as f64)
     }
 }
 
@@ -269,11 +254,6 @@ impl Registry {
     pub fn render_prometheus(&self) -> String {
         self.snapshot().render_prometheus()
     }
-
-    /// JSON rendering of a fresh snapshot.
-    pub fn render_json(&self) -> String {
-        self.snapshot().render_json()
-    }
 }
 
 /// Maps a registry name onto the Prometheus metric-name alphabet
@@ -286,24 +266,6 @@ fn prom_name(name: &str) -> String {
             _ => '_',
         })
         .collect()
-}
-
-/// Minimal JSON string escaping (names and attr values are ASCII in
-/// practice, but correctness is cheap).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl RegistrySnapshot {
@@ -335,38 +297,6 @@ impl RegistrySnapshot {
             let _ = writeln!(out, "{n}_count {}", h.count);
             let _ = writeln!(out, "{n}_max {}", h.max);
         }
-        out
-    }
-
-    /// JSON rendering: counters as numbers, histograms as
-    /// `{count, sum, max, p50, p99}` summaries.  Key order is the
-    /// registry's stable name order.
-    pub fn render_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{v}", json_escape(name));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p99\":{}}}",
-                json_escape(name),
-                h.count,
-                h.sum,
-                h.max,
-                h.quantile(0.50).unwrap_or(0),
-                h.quantile(0.99).unwrap_or(0),
-            );
-        }
-        out.push_str("}}");
         out
     }
 }
@@ -421,7 +351,7 @@ mod tests {
 
     #[test]
     fn histogram_snapshot_totals_are_consistent() {
-        let h = Histogram::detached();
+        let h = Histogram::default();
         for v in [0, 1, 2, 3, 4, 5, 100, 1000, u64::MAX / 2] {
             h.record(v);
         }
@@ -433,8 +363,7 @@ mod tests {
         assert_eq!(s.quantile(1.0), Some(u64::MAX / 2));
         // p50 of 9 values is the 5th smallest (4); its bucket is exact.
         assert_eq!(s.quantile(0.5), Some(4));
-        assert!(s.mean().unwrap() > 0.0);
-        assert_eq!(Histogram::detached().snapshot().quantile(0.5), None);
+        assert_eq!(Histogram::default().snapshot().quantile(0.5), None);
     }
 
     #[test]
@@ -463,19 +392,6 @@ mod tests {
         assert!(text.contains("serve_latency_us_max 300"));
         // Deterministic: rendering twice gives the same bytes.
         assert_eq!(text, r.render_prometheus());
-    }
-
-    #[test]
-    fn json_rendering_is_wellformed() {
-        let r = Registry::new();
-        r.counter("xml/docs").inc();
-        r.histogram("lat_us").record(42);
-        let json = r.render_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"xml/docs\":1"));
-        assert!(json.contains("\"count\":1"));
-        assert!(json.contains("\"p50\":42") || json.contains("\"p50\":43"));
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! costs an evaluation pass (`obs.recorder_overhead_pct`,
 //! `trace.overhead_pct`).
 
-use crate::registry::json_escape;
 use std::fmt;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -278,6 +277,24 @@ impl Sink for JsonLinesSink {
     }
 }
 
+/// Minimal JSON string escaping (names and attr values are ASCII in
+/// practice, but correctness is cheap).
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,6 +366,11 @@ mod tests {
             assert!(line.ends_with("\"outcome\":\"ok\"}"));
         }
         assert!(lines[1].contains("\"seq\":1"));
+    }
+
+    #[test]
+    fn json_strings_are_escaped() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

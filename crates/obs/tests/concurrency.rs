@@ -78,8 +78,8 @@ fn snapshots_during_hammer_are_monotone_and_conserving() {
     // sum, and max against the previous one.
     const WRITERS: u64 = 4;
     const RECORDS: u64 = 30_000;
-    let hist = Histogram::detached();
-    let ctr = Counter::detached();
+    let hist = Histogram::default();
+    let ctr = Counter::default();
     let done = Arc::new(AtomicU64::new(0));
     let writers: Vec<_> = (0..WRITERS)
         .map(|t| {
@@ -143,7 +143,7 @@ enum Op {
 /// Replays `programs` under `schedule` against a fresh **real**
 /// [`Histogram`], checking every snapshot any observer could take.
 fn replay_histogram(programs: &[Vec<Op>], schedule: &[usize]) {
-    let hist = Histogram::detached();
+    let hist = Histogram::default();
     let mut pc = vec![0usize; programs.len()];
     let mut recorded = 0u64;
     let mut recorded_sum = 0u64;

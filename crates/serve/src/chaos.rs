@@ -1,13 +1,11 @@
 //! Seeded chaos injection for the worker pool.
 //!
-//! A [`ChaosPlan`] makes the service hurt itself on purpose, at three
+//! A [`ChaosPlan`] makes the service hurt itself on purpose, at two
 //! panic sites chosen to exercise every isolation boundary the pool
 //! claims to have:
 //!
-//! * `Site::Worker` — a panic in the worker loop, as soon as a popped
-//!   job enters the job's `catch_unwind` fence.
-//! * `Site::Eval` — a panic as evaluation starts, at the top of
-//!   `serve_one`, inside the same fence.  Both must surface as
+//! * `Site::Eval` — a panic as a popped job enters its `catch_unwind`
+//!   fence, at the top of `serve_one`.  It must surface as
 //!   [`ServeError::WorkerPanicked`](crate::ServeError::WorkerPanicked)
 //!   on that request's ticket; the worker serves on.
 //! * `Site::Shard` — a panic while **holding a cache lock**,
@@ -35,11 +33,9 @@ pub struct ChaosPlan {
     /// Seed for the decision stream; same seed + same workload = same
     /// decision sequence.
     pub seed: u64,
-    /// Rate (0..=1000) of panics as evaluation starts (`Site::Eval`).
+    /// Rate (0..=1000) of panics as a popped job enters its fence
+    /// (`Site::Eval`).
     pub eval_panic_per_mille: u16,
-    /// Rate (0..=1000) of panics in the worker loop as a popped job
-    /// enters its fence (`Site::Worker`).
-    pub worker_kill_per_mille: u16,
     /// Rate (0..=1000) of panics taken while holding a cache lock.
     pub shard_panic_per_mille: u16,
 }
@@ -47,7 +43,6 @@ pub struct ChaosPlan {
 /// Where a chaos panic is raised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Site {
-    Worker,
     Eval,
     Shard,
 }
@@ -105,7 +100,6 @@ pub(crate) fn tick(site: Site) {
         let n = a.ticks;
         a.ticks += 1;
         let rate = match site {
-            Site::Worker => a.plan.worker_kill_per_mille,
             Site::Eval => a.plan.eval_panic_per_mille,
             Site::Shard => a.plan.shard_panic_per_mille,
         };
@@ -120,7 +114,6 @@ pub(crate) fn tick(site: Site) {
 
 fn site_salt(site: Site) -> u64 {
     match site {
-        Site::Worker => 0x57_4f_52_4b,
         Site::Eval => 0x45_56_41_4c,
         Site::Shard => 0x53_48_41_52,
     }

@@ -23,10 +23,9 @@
 //!   ([`ServeError::WorkerPanicked`]) and the worker keeps serving on the
 //!   pool's one engine, the caches recover from lock poisoning, and a
 //!   bounded admission queue sheds overload as
-//!   [`ServeError::Overloaded`] — with [`RetryPolicy`] backoff for
-//!   callers that want to wait a burst out.  The [`chaos`] module
-//!   injects seeded panics inside the job fence and under a cache lock
-//!   so these claims stay tested.
+//!   [`ServeError::Overloaded`].  The [`chaos`] module injects seeded
+//!   panics inside the job fence and under a cache lock so these claims
+//!   stay tested.
 //!
 //! ```
 //! use minctx_core::Value;
@@ -56,8 +55,7 @@ pub use chaos::ChaosPlan;
 pub use lru::SharedLru;
 pub use queue::{PushError, Queue, TryPop};
 pub use service::{
-    Corpus, RetryPolicy, ServeBuilder, ServeEngine, ServeError, ServeStats, Ticket,
-    QUERY_CACHE_CAPACITY,
+    Corpus, ServeBuilder, ServeEngine, ServeError, ServeStats, Ticket, QUERY_CACHE_CAPACITY,
 };
 
 // The service hands `ServeEngine` references and `Ticket`s across
@@ -70,7 +68,6 @@ const _: () = {
     assert_send_sync::<Corpus>();
     assert_send_sync::<ServeError>();
     assert_send_sync::<ServeStats>();
-    assert_send_sync::<RetryPolicy>();
     assert_send_sync::<ChaosPlan>();
     assert_send::<Ticket>();
 };

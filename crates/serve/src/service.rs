@@ -21,9 +21,7 @@
 //! * **Admission control** — the queue is bounded
 //!   ([`ServeBuilder::queue_capacity`]); a full queue fast-rejects with
 //!   [`ServeError::Overloaded`] on the ticket rather than stretching
-//!   every deadline in line.  [`ServeEngine::query_with_retry`] layers
-//!   deterministic exponential backoff on top for callers that prefer
-//!   to wait out a burst.
+//!   every deadline in line.
 //! * **Quarantine** — a snapshot that fails validation (bad magic,
 //!   checksum mismatch, truncation) is renamed aside to `*.corrupt` via
 //!   [`quarantine_snapshot`], so a
@@ -34,13 +32,13 @@ use crate::lru::SharedLru;
 use crate::queue::{PushError, Queue};
 use minctx_core::{
     open_snapshot_or_quarantine, quarantine_snapshot, snapshot_stamp, Budget, CompiledQuery,
-    Context, Engine, EvalError, Exhausted, SnapshotError, Strategy, Value,
+    Context, Engine, EvalError, SnapshotError, Strategy, Value,
 };
 use minctx_obs::{Counter, Histogram, Phase, Recorder, Registry};
 use minctx_syntax::parse_xpath;
 use minctx_xml::Document;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -67,14 +65,14 @@ pub enum ServeError {
     Eval(EvalError),
     /// The worker thread panicked while serving *this* request.  The
     /// panic was contained and the pool is healthy — only this request
-    /// is lost.  Retryable.
+    /// is lost.
     WorkerPanicked {
         /// The panic payload, when it was a string.
         message: String,
     },
     /// The request was shed at admission: the queue already held
     /// `capacity` jobs.  Nothing was enqueued; the service never saw
-    /// the request.  Retryable after backoff.
+    /// the request.
     Overloaded {
         /// The queue capacity the request bounced off.
         capacity: usize,
@@ -84,24 +82,6 @@ pub enum ServeError {
     /// serves out the queue before its workers exit, so the pool itself
     /// never leaves a ticket here.
     Disconnected,
-}
-
-impl ServeError {
-    /// Whether resubmitting the same request can plausibly succeed:
-    /// admission-control sheds, contained worker panics, and deadline
-    /// exhaustion (a fresh submission re-anchors the deadline clock).
-    /// Fuel exhaustion is deterministic and `Disconnected` is final, so
-    /// neither is retryable.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            ServeError::Overloaded { .. }
-                | ServeError::WorkerPanicked { .. }
-                | ServeError::Eval(EvalError::BudgetExhausted {
-                    cause: Exhausted::Deadline,
-                })
-        )
-    }
 }
 
 impl std::fmt::Display for ServeError {
@@ -131,54 +111,6 @@ impl std::error::Error for ServeError {
 impl From<EvalError> for ServeError {
     fn from(e: EvalError) -> ServeError {
         ServeError::Eval(e)
-    }
-}
-
-/// Deterministic exponential backoff for [`ServeEngine::query_with_retry`]:
-/// retry `r` (zero-based) sleeps `min(base_delay · 2^r, max_delay)`.
-/// No jitter — retry schedules stay reproducible in tests and chaos
-/// runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    attempts: u32,
-    base_delay: Duration,
-    max_delay: Duration,
-}
-
-impl Default for RetryPolicy {
-    /// Three attempts, 5 ms base, 100 ms cap.
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 3,
-            base_delay: Duration::from_millis(5),
-            max_delay: Duration::from_millis(100),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Total attempts including the first (clamped to at least 1).
-    pub fn attempts(mut self, n: u32) -> RetryPolicy {
-        self.attempts = n.max(1);
-        self
-    }
-
-    /// Sleep before the first retry; doubles per retry.
-    pub fn base_delay(mut self, d: Duration) -> RetryPolicy {
-        self.base_delay = d;
-        self
-    }
-
-    /// Upper bound on any single sleep.
-    pub fn max_delay(mut self, d: Duration) -> RetryPolicy {
-        self.max_delay = d;
-        self
-    }
-
-    /// The sleep taken before zero-based retry `retry`.
-    pub fn delay_before(&self, retry: u32) -> Duration {
-        let factor = 1u32 << retry.min(20);
-        self.base_delay.saturating_mul(factor).min(self.max_delay)
     }
 }
 
@@ -435,10 +367,7 @@ fn worker_loop(shared: &Shared) {
         let waited = job.submitted.elapsed();
         shared.metrics.queue_wait_us.record_micros(waited);
         let mut span = shared.recorder.span(Phase::Serve);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            chaos::tick(chaos::Site::Worker);
-            serve_one(shared, &job)
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| serve_one(shared, &job)));
         let reply = match outcome {
             Ok(r) => r.map_err(ServeError::Eval),
             Err(payload) => {
@@ -493,21 +422,7 @@ fn serve_one(shared: &Shared, job: &Job) -> Result<Value, EvalError> {
                     return Err(EvalError::Snapshot(Arc::new(e)));
                 }
             };
-            match shared.snapshots.get(&stamp) {
-                Some(doc) => {
-                    shared.metrics.snapshot_hits.inc();
-                    doc
-                }
-                None => {
-                    shared.metrics.snapshot_misses.inc();
-                    let doc = Arc::new(
-                        open_snapshot_or_quarantine(path)
-                            .map_err(|e| EvalError::Snapshot(Arc::new(e)))?,
-                    );
-                    shared.snapshots.insert(stamp, Arc::clone(&doc));
-                    doc
-                }
-            }
+            snapshot(shared, path, stamp)?
         }
     };
     let key = (Arc::clone(&job.query), doc.stamp());
@@ -528,6 +443,22 @@ fn serve_one(shared: &Shared, job: &Job) -> Result<Value, EvalError> {
     engine.evaluate_compiled_metered(&doc, &compiled, Context::document(&doc), &mut meter)
 }
 
+/// The snapshot at `path` whose header was peeked as `peeked`: from the
+/// cache, or opened and cached under the stamp of what was opened.  A
+/// writer may rename new content over `path` between the peek and the
+/// open, so the opened document's stamp, not `peeked`, is its key.
+fn snapshot(shared: &Shared, path: &Path, peeked: u64) -> Result<Arc<Document>, EvalError> {
+    if let Some(doc) = shared.snapshots.get(&peeked) {
+        shared.metrics.snapshot_hits.inc();
+        return Ok(doc);
+    }
+    shared.metrics.snapshot_misses.inc();
+    let doc =
+        Arc::new(open_snapshot_or_quarantine(path).map_err(|e| EvalError::Snapshot(Arc::new(e)))?);
+    shared.snapshots.insert(doc.stamp(), Arc::clone(&doc));
+    Ok(doc)
+}
+
 /// A shared-snapshot query service: N worker threads, two shared LRUs
 /// (mapped snapshots by content stamp, compiled queries by
 /// `(query, doc_stamp)`), per-request fuel/deadline budgets, a bounded
@@ -542,12 +473,8 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// A pool with default configuration; see [`ServeEngine::builder`]
-    /// for the knobs.
-    pub fn new() -> ServeEngine {
-        ServeBuilder::default().build()
-    }
-
+    /// A [`ServeBuilder`] with default configuration; `build` spawns the
+    /// pool.
     pub fn builder() -> ServeBuilder {
         ServeBuilder::default()
     }
@@ -590,32 +517,6 @@ impl ServeEngine {
         Ticket { rx }
     }
 
-    /// Submits synchronously, retrying transient failures
-    /// ([`ServeError::is_retryable`]) under `policy`'s deterministic
-    /// exponential backoff.  Returns the first success, the first
-    /// permanent error, or — attempts exhausted — the last transient
-    /// error.
-    pub fn query_with_retry(
-        &self,
-        corpus: Corpus,
-        query: &str,
-        budget: Budget,
-        policy: RetryPolicy,
-    ) -> Result<Value, ServeError> {
-        let mut last = None;
-        for attempt in 0..policy.attempts.max(1) {
-            if attempt > 0 {
-                thread::sleep(policy.delay_before(attempt - 1));
-            }
-            match self.query_with_budget(corpus.clone(), query, budget).wait() {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_retryable() => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.expect("at least one attempt always runs"))
-    }
-
     /// Jobs currently queued (racy; diagnostics only).
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.len()
@@ -650,17 +551,6 @@ impl ServeEngine {
     /// process each expose their own numbers.
     pub fn metrics_text(&self) -> String {
         self.shared.metrics.registry.render_prometheus()
-    }
-
-    /// [`ServeEngine::metrics_text`] as a JSON object (same registry).
-    pub fn metrics_json(&self) -> String {
-        self.shared.metrics.registry.render_json()
-    }
-}
-
-impl Default for ServeEngine {
-    fn default() -> ServeEngine {
-        ServeEngine::new()
     }
 }
 
@@ -706,6 +596,35 @@ mod tests {
                 .get(&(Arc::from("//b"), doc.stamp()))
                 .expect("the request compiled into the shared cache");
             assert_eq!(compiled.query().step_count(), steps, "optimizer({on})");
+        }
+    }
+
+    #[test]
+    fn a_snapshot_is_cached_under_the_stamp_of_what_was_opened() {
+        // A writer renamed new content over the path between the header
+        // peek and the open: the miss path holds the old content's stamp
+        // and opens the new document.
+        let path = |name: &str| {
+            std::env::temp_dir().join(format!("minctx-serve-{}-{name}.mctx", std::process::id()))
+        };
+        let (old, new) = (path("stamp-old"), path("stamp-new"));
+        minctx_core::write_snapshot(&parse("<a/>").unwrap(), &old).unwrap();
+        minctx_core::write_snapshot(&parse("<b/>").unwrap(), &new).unwrap();
+        let stale = snapshot_stamp(&old).unwrap();
+        let serve = ServeEngine::builder().workers(1).build();
+        let doc = snapshot(&serve.shared, &new, stale).unwrap();
+        assert_ne!(doc.stamp(), stale);
+        // No entry maps a stamp to a document with another stamp.
+        let cache = &serve.shared.snapshots;
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get(&stale).is_none());
+        let cached = cache.get(&doc.stamp()).map(|d| d.stamp());
+        assert_eq!(cached, Some(doc.stamp()));
+        // The old content is answered from itself, not from the new one.
+        let answer = serve.query(Corpus::Snapshot(old.clone()), "count(/a)");
+        assert_eq!(answer.wait(), Ok(Value::Number(1.0)));
+        for p in [old, new] {
+            std::fs::remove_file(p).unwrap();
         }
     }
 }

@@ -1,8 +1,7 @@
 //! Seeded fault-injection suite for the worker pool.  Each test
 //! installs a [`ChaosPlan`] that fires panics at the isolation
-//! boundaries (the worker loop and evaluation, both inside the job's
-//! fence, and under a cache lock) and asserts the four invariants the
-//! serving layer claims:
+//! boundaries (as a job enters its fence, and under a cache lock) and
+//! asserts the four invariants the serving layer claims:
 //!
 //! 1. **No hang** — every ticket resolves within a generous timeout.
 //! 2. **No wrong answer** — every `Ok` is bit-identical to the
@@ -21,9 +20,7 @@
 use minctx_bench::{corpus, values_agree};
 use minctx_core::{Budget, Context, Engine, EvalError, Exhausted, Strategy, Value};
 use minctx_obs::{AttrValue, CollectSink, Recorder};
-use minctx_serve::{
-    chaos, ChaosPlan, Corpus, RetryPolicy, ServeEngine, ServeError, QUERY_CACHE_CAPACITY,
-};
+use minctx_serve::{chaos, ChaosPlan, Corpus, ServeEngine, ServeError, QUERY_CACHE_CAPACITY};
 use minctx_syntax::parse_xpath;
 use minctx_xml::{parse, Document};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -49,21 +46,14 @@ impl Drop for ClearOnDrop {
 
 const RESOLVE_WITHIN: Duration = Duration::from_secs(30);
 
-/// The two panic sites inside the job's fence, each at `per_mille`:
-/// both must resolve their own ticket as `WorkerPanicked`.
-fn fenced_sites(seed: u64, per_mille: u16) -> [ChaosPlan; 2] {
-    [
-        ChaosPlan {
-            seed,
-            eval_panic_per_mille: per_mille,
-            ..ChaosPlan::default()
-        },
-        ChaosPlan {
-            seed,
-            worker_kill_per_mille: per_mille,
-            ..ChaosPlan::default()
-        },
-    ]
+/// The panic site inside the job's fence at `per_mille`: a panic there
+/// must resolve its own ticket as `WorkerPanicked`.
+fn fenced_site(seed: u64, per_mille: u16) -> ChaosPlan {
+    ChaosPlan {
+        seed,
+        eval_panic_per_mille: per_mille,
+        ..ChaosPlan::default()
+    }
 }
 
 /// A pool of `workers` whose request log collects into the returned sink.
@@ -187,30 +177,29 @@ fn contained_eval_panics_fail_only_their_own_ticket() {
     let _clear = ClearOnDrop;
     let doc = test_doc();
     let expected = expected_answers(&doc);
-    for plan in fenced_sites(0xDEAD_BEEF, 250) {
-        let (serve, log) = logged_pool(3);
-        chaos::install(plan);
-        let outcomes = run_corpus(&serve, &doc, 4);
-        let panicked = outcomes
-            .iter()
-            .filter(|(_, r)| matches!(r, Err(ServeError::WorkerPanicked { .. })))
-            .count();
-        for (i, r) in &outcomes {
-            assert!(
-                matches!(r, Ok(_) | Err(ServeError::WorkerPanicked { .. }))
-                    || matches!((r, &expected[*i]), (Err(ServeError::Eval(g)), Err(w)) if g == w),
-                "{}: unexpected outcome {r:?}",
-                replayed()[*i]
-            );
-        }
-        assert!(panicked > 0, "a 25% panic rate fired zero times: {plan:?}");
-        assert_eq!(serve.stats().panics as usize, panicked);
-        assert_every_job_accounted(&serve, &log, outcomes.len());
-
-        chaos::clear();
-        assert_pool_recovered(&serve, &doc);
-        drop(serve);
+    let plan = fenced_site(0xDEAD_BEEF, 250);
+    let (serve, log) = logged_pool(3);
+    chaos::install(plan);
+    let outcomes = run_corpus(&serve, &doc, 4);
+    let panicked = outcomes
+        .iter()
+        .filter(|(_, r)| matches!(r, Err(ServeError::WorkerPanicked { .. })))
+        .count();
+    for (i, r) in &outcomes {
+        assert!(
+            matches!(r, Ok(_) | Err(ServeError::WorkerPanicked { .. }))
+                || matches!((r, &expected[*i]), (Err(ServeError::Eval(g)), Err(w)) if g == w),
+            "{}: unexpected outcome {r:?}",
+            replayed()[*i]
+        );
     }
+    assert!(panicked > 0, "a 25% panic rate fired zero times: {plan:?}");
+    assert_eq!(serve.stats().panics as usize, panicked);
+    assert_every_job_accounted(&serve, &log, outcomes.len());
+
+    chaos::clear();
+    assert_pool_recovered(&serve, &doc);
+    drop(serve);
 }
 
 #[test]
@@ -256,8 +245,7 @@ fn mixed_chaos_storm_holds_every_invariant_for_fixed_seeds() {
         let serve = ServeEngine::builder().workers(4).build();
         chaos::install(ChaosPlan {
             seed,
-            eval_panic_per_mille: 100,
-            worker_kill_per_mille: 80,
+            eval_panic_per_mille: 170,
             shard_panic_per_mille: 60,
         });
         // Mixed load: plain corpus replays plus deadline-storm requests
@@ -292,7 +280,7 @@ fn mixed_chaos_storm_holds_every_invariant_for_fixed_seeds() {
     }
 }
 
-/// Regression for the ticket-semantics bug: with a single worker that
+/// panics on *every* request inside the fence, all
 /// panics on *every* request, at either site inside the fence, all
 /// outstanding tickets must still resolve — before panic isolation, the
 /// first panic killed the lone worker and every queued ticket hung
@@ -302,27 +290,26 @@ fn panicking_worker_mid_job_resolves_every_outstanding_ticket() {
     let _guard = chaos_guard();
     let _clear = ClearOnDrop;
     let doc = test_doc();
-    for plan in fenced_sites(99, 1000) {
-        let (serve, log) = logged_pool(1);
-        chaos::install(plan);
-        let tickets: Vec<_> = (0..16)
-            .map(|_| serve.query(Corpus::Document(Arc::clone(&doc)), "count(//*)"))
-            .collect();
-        for (i, t) in tickets.into_iter().enumerate() {
-            let got = t
-                .wait_timeout(RESOLVE_WITHIN)
-                .unwrap_or_else(|| panic!("outstanding ticket {i} hung"));
-            assert!(
-                matches!(got, Err(ServeError::WorkerPanicked { .. })),
-                "ticket {i}: {got:?} under {plan:?}"
-            );
-        }
-        assert_eq!(serve.stats().panics, 16);
-        assert_every_job_accounted(&serve, &log, 16);
-
-        chaos::clear();
-        assert_pool_recovered(&serve, &doc);
+    let plan = fenced_site(99, 1000);
+    let (serve, log) = logged_pool(1);
+    chaos::install(plan);
+    let tickets: Vec<_> = (0..16)
+        .map(|_| serve.query(Corpus::Document(Arc::clone(&doc)), "count(//*)"))
+        .collect();
+    for (i, t) in tickets.into_iter().enumerate() {
+        let got = t
+            .wait_timeout(RESOLVE_WITHIN)
+            .unwrap_or_else(|| panic!("outstanding ticket {i} hung"));
+        assert!(
+            matches!(got, Err(ServeError::WorkerPanicked { .. })),
+            "ticket {i}: {got:?} under {plan:?}"
+        );
     }
+    assert_eq!(serve.stats().panics, 16);
+    assert_every_job_accounted(&serve, &log, 16);
+
+    chaos::clear();
+    assert_pool_recovered(&serve, &doc);
 }
 
 /// A worker that contained a panic keeps the pool's optimizer setting.  A fuel budget between the fused and the unfused spend of
@@ -383,47 +370,4 @@ fn rebuilt_workers_keep_the_optimizer_setting() {
             "optimizer({on})"
         );
     }
-}
-
-#[test]
-fn retry_policy_backoff_is_deterministic_and_capped() {
-    let p = RetryPolicy::default()
-        .base_delay(Duration::from_millis(5))
-        .max_delay(Duration::from_millis(40));
-    assert_eq!(p.delay_before(0), Duration::from_millis(5));
-    assert_eq!(p.delay_before(1), Duration::from_millis(10));
-    assert_eq!(p.delay_before(2), Duration::from_millis(20));
-    assert_eq!(p.delay_before(3), Duration::from_millis(40));
-    assert_eq!(p.delay_before(4), Duration::from_millis(40));
-    assert_eq!(p.delay_before(63), Duration::from_millis(40));
-}
-
-#[test]
-fn retry_recovers_from_contained_panics() {
-    let _guard = chaos_guard();
-    let _clear = ClearOnDrop;
-    let doc = test_doc();
-    let serve = ServeEngine::builder().workers(2).build();
-
-    // Roughly half of requests panic.  The decision stream is fixed by
-    // the seed, so either this seed lets one of the eight attempts
-    // through (it does) or the test fails every run — no flakiness.
-    chaos::install(ChaosPlan {
-        seed: 11,
-        eval_panic_per_mille: 500,
-        ..ChaosPlan::default()
-    });
-    let policy = RetryPolicy::default()
-        .attempts(8)
-        .base_delay(Duration::from_millis(1));
-    let v = serve
-        .query_with_retry(
-            Corpus::Document(Arc::clone(&doc)),
-            "count(/*)",
-            Budget::UNLIMITED,
-            policy,
-        )
-        .expect("8 attempts at 50% contained-panic rate all failed");
-    assert_eq!(v, Value::Number(1.0));
-    chaos::clear();
 }

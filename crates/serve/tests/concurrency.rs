@@ -10,7 +10,7 @@
 
 use minctx_bench::{corpus, values_agree, xmark_doc, XmarkConfig};
 use minctx_core::{open_snapshot, write_snapshot, Budget, Engine, EvalError, Strategy, Value};
-use minctx_serve::{Corpus, RetryPolicy, ServeEngine, ServeError, SharedLru};
+use minctx_serve::{Corpus, ServeEngine, ServeError, SharedLru};
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -196,14 +196,10 @@ fn a_full_queue_sheds_exactly_the_excess_at_admission() {
     let stats = serve.stats();
     assert_eq!(stats.shed, 4);
     assert!(stats.max_queue_depth <= 4, "{stats:?}");
-    // With the queue drained, a retrying client gets through.
+    // With the queue drained, a new request gets through.
     let v = serve
-        .query_with_retry(
-            Corpus::Document(doc),
-            "count(/*)",
-            Budget::UNLIMITED,
-            RetryPolicy::default(),
-        )
+        .query(Corpus::Document(doc), "count(/*)")
+        .wait()
         .unwrap();
     assert_eq!(v, Value::Number(1.0));
 }

@@ -37,15 +37,12 @@ fn stats_and_exposition_track_requests_per_engine() {
     // must hold even when every wait rounds to the same bucket.
     assert!(stats.queue_wait_p50 <= stats.queue_wait_p99);
 
-    // Both expositions parse, and carry the numbers the stats do.
+    // The exposition parses, and carries the numbers the stats do.
     let text = check_prometheus(&serve.metrics_text());
     assert_eq!(text["serve_requests"], 11.0);
     assert_eq!(text["serve_queue_wait_us_bucket{le=\"+Inf\"}"], 11.0);
     assert_eq!(text["serve_latency_ok_us_count"], 10.0);
     assert_eq!(text["serve_latency_error_us_count"], 1.0);
-    let json = check_json(&serve.metrics_json());
-    assert_eq!(json["counters.serve/requests"], 11.0);
-    assert_eq!(json["histograms.serve/latency_ok_us.count"], 10.0);
     // So does the process-global registry, where the xml counters live.
     let global = check_prometheus(&minctx_obs::metrics_text());
     assert!(global.contains_key("xml_documents_built"), "{global:?}");
@@ -174,75 +171,4 @@ fn check_prometheus(text: &str) -> BTreeMap<String, f64> {
     }
     assert_eq!(open, None, "a histogram never closed at +Inf");
     samples
-}
-
-/// Parses the JSON exposition (objects, strings and numbers: all the
-/// renderer emits) and returns every number by its dotted key path, e.g.
-/// `counters.serve/requests`; panics on anything malformed.
-fn check_json(text: &str) -> BTreeMap<String, f64> {
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
-        numbers: BTreeMap<String, f64>,
-    }
-    impl Parser<'_> {
-        fn eat(&mut self, c: u8) -> bool {
-            let hit = self.b.get(self.i) == Some(&c);
-            self.i += usize::from(hit);
-            hit
-        }
-        fn string(&mut self) -> String {
-            assert!(self.eat(b'"'), "expected a string at byte {}", self.i);
-            let start = self.i;
-            while self.b[self.i] != b'"' {
-                self.i += if self.b[self.i] == b'\\' { 2 } else { 1 };
-            }
-            self.i += 1;
-            String::from_utf8(self.b[start..self.i - 1].to_vec()).unwrap()
-        }
-        fn value(&mut self, path: String) {
-            if self.eat(b'{') {
-                if self.eat(b'}') {
-                    return;
-                }
-                loop {
-                    let key = self.string();
-                    assert!(self.eat(b':'), "expected `:` at byte {}", self.i);
-                    self.value(if path.is_empty() {
-                        key
-                    } else {
-                        format!("{path}.{key}")
-                    });
-                    if self.eat(b'}') {
-                        return;
-                    }
-                    assert!(self.eat(b','), "expected `,` or `}}` at byte {}", self.i);
-                }
-            } else if self.b.get(self.i) == Some(&b'"') {
-                self.string();
-            } else {
-                let start = self.i;
-                while self
-                    .b
-                    .get(self.i)
-                    .is_some_and(|c| c.is_ascii_digit() || b"+-.eE".contains(c))
-                {
-                    self.i += 1;
-                }
-                let number = std::str::from_utf8(&self.b[start..self.i]).unwrap();
-                let number = number
-                    .parse()
-                    .unwrap_or_else(|_| panic!("expected a value at byte {start}"));
-                self.numbers.insert(path, number);
-            }
-        }
-    }
-    let mut p = Parser {
-        b: text.as_bytes(),
-        i: 0,
-        numbers: BTreeMap::new(),
-    };
-    p.value(String::new());
-    assert_eq!(p.i, text.len(), "bytes after the JSON value");
-    p.numbers
 }

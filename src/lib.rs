@@ -195,11 +195,8 @@
 //! [`ServeError::WorkerPanicked`](serve::ServeError::WorkerPanicked)
 //! while the worker keeps serving on the pool's one engine;
 //! a queue at capacity fast-rejects new requests as
-//! [`ServeError::Overloaded`](serve::ServeError::Overloaded) — both are
-//! [retryable](serve::ServeError::is_retryable), and
-//! [`query_with_retry`](serve::ServeEngine::query_with_retry) wraps
-//! resubmission under a deterministic exponential
-//! [`RetryPolicy`](serve::RetryPolicy).  On the storage side,
+//! [`ServeError::Overloaded`](serve::ServeError::Overloaded).  On the
+//! storage side,
 //! [`write_snapshot`](index::write_snapshot) commits through a hidden
 //! temp file, fsync, atomic rename and directory fsync — a writer
 //! killed at any byte leaves the published path untouched — and files
@@ -214,7 +211,7 @@
 //!
 //! [`obs`] is the zero-dependency substrate the rest of the workspace
 //! reports through: a metrics [`Registry`](obs::Registry) (counters and
-//! lock-free histograms; Prometheus-text and JSON exposition)
+//! lock-free histograms; Prometheus-text exposition)
 //! and a query-lifecycle [`Recorder`](obs::Recorder) whose RAII spans
 //! cover parse → rewrite → compile → evaluate/stream → serve.  The
 //! default recorder is disabled and costs one untaken branch per span;
@@ -300,7 +297,7 @@ pub mod prelude {
         SnapshotInfo,
     };
     pub use minctx_obs::{metrics_text, Recorder};
-    pub use minctx_serve::{Corpus, RetryPolicy, ServeEngine, ServeError, Ticket};
+    pub use minctx_serve::{Corpus, ServeEngine, ServeError, Ticket};
     pub use minctx_stream::{
         classify, StreamMatch, StreamOutcome, StreamValue, Streamability, StreamingEngine,
     };
