@@ -259,7 +259,7 @@ fn random_path(rng: &mut u64, depth: usize) -> String {
 }
 
 /// A predicate: positional (through arithmetic, ±∞ and NaN, beside a
-/// count), constant (a folding and hoisting target), or a boolean tree
+/// count), constant (a folding target), or a boolean tree
 /// over existence and comparison atoms, nested steps included.
 fn random_pred(rng: &mut u64, depth: usize) -> String {
     let k = 1 + xorshift(rng) % 3;

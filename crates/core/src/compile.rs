@@ -79,7 +79,6 @@ pub struct CompiledQuery {
     /// a positional predicate and the ones elided in front of them; few or
     /// none per query, so a list, not a table.
     routes: Box<[(ExprId, usize, StepRoute)]>,
-    query_stamp: u64,
     doc_stamp: u64,
 }
 
@@ -109,7 +108,6 @@ impl CompiledQuery {
             }
         }
         CompiledQuery {
-            query_stamp: query.stamp(),
             query,
             tests,
             routes: listed.into(),
@@ -123,13 +121,6 @@ impl CompiledQuery {
         &self.query
     }
 
-    /// The resolved tests of the path node `id`, in step order (empty for
-    /// non-path nodes).
-    #[inline]
-    pub fn step_tests(&self, id: ExprId) -> &[ResolvedTest] {
-        &self.tests[id.index()]
-    }
-
     /// The resolved test of step `step` of path node `id`.
     #[inline]
     pub fn step_test(&self, id: ExprId, step: usize) -> ResolvedTest {
@@ -141,12 +132,6 @@ impl CompiledQuery {
     pub(crate) fn step_route(&self, id: ExprId, step: usize) -> StepRoute {
         let listed = self.routes.iter().find(|r| r.0 == id && r.1 == step);
         listed.map_or(StepRoute::Set, |r| r.2)
-    }
-
-    /// The stamp of the query this was compiled from.
-    #[inline]
-    pub fn query_stamp(&self) -> u64 {
-        self.query_stamp
     }
 
     /// The stamp of the document this was compiled against.
@@ -171,15 +156,17 @@ mod tests {
         for (id, node) in q.iter() {
             match node {
                 Node::Path(_, steps) => {
-                    assert_eq!(cq.step_tests(id).len(), steps.len());
+                    assert_eq!(cq.tests[id.index()].len(), steps.len());
+                    for (i, s) in steps.iter().enumerate() {
+                        assert_eq!(cq.step_test(id, i), s.test.resolve(&doc));
+                    }
                     path_nodes += 1;
                 }
-                _ => assert!(cq.step_tests(id).is_empty()),
+                _ => assert!(cq.tests[id.index()].is_empty()),
             }
         }
         assert!(path_nodes >= 2); // outer path + predicate path
         assert_eq!(cq.doc_stamp(), doc.stamp());
-        assert_eq!(cq.query_stamp(), q.stamp());
     }
 
     #[test]

@@ -231,9 +231,9 @@ impl Engine {
     }
 
     /// Enables or disables the query-IR rewriter
-    /// ([`rewrite`](crate::rewrite::rewrite): step fusion, reverse-axis
-    /// normalization, predicate hoisting/constant folding, subexpression
-    /// sharing — one traversal of the query, linear in its size).  On by
+    /// ([`rewrite`](crate::rewrite::rewrite): step fusion, the
+    /// `child`/`parent` flip, constant folding, subexpression sharing —
+    /// one traversal of the query, linear in its size).  On by
     /// default; rewriting is semantics-preserving, so the toggle exists
     /// for differential testing and for measuring what the rules buy.
     /// Clears the compiled-query cache, which may hold compilations from

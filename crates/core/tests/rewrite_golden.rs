@@ -11,19 +11,26 @@
 //! golden one.
 
 use minctx_bench::corpus::QUERIES;
-use minctx_core::{Engine, Strategy};
+use minctx_core::{Engine, QueryProfile, Rule, Strategy};
 
 const GOLDEN: &str = include_str!("golden/rewrite_corpus.txt");
 
-#[test]
-fn the_corpus_rewrites_to_the_pinned_fixpoints_with_the_pinned_rule_counts() {
+/// Each corpus query with its EXPLAIN profile, rewriter on.
+fn explained() -> impl Iterator<Item = (&'static str, QueryProfile)> {
     let doc = minctx_xml::parse("<a/>").unwrap();
     let engine = Engine::new(Strategy::OptMinContext).with_optimizer(true);
-    let mut actual = String::new();
-    for q in QUERIES {
+    QUERIES.iter().map(move |&q| {
         let p = engine
             .explain(&doc, q)
             .unwrap_or_else(|e| panic!("{q:?}: {e}"));
+        (q, p)
+    })
+}
+
+#[test]
+fn the_corpus_rewrites_to_the_pinned_fixpoints_with_the_pinned_rule_counts() {
+    let mut actual = String::new();
+    for (q, p) in explained() {
         let fired: Vec<String> = p
             .fired_rules
             .iter()
@@ -52,4 +59,24 @@ fn the_corpus_rewrites_to_the_pinned_fixpoints_with_the_pinned_rule_counts() {
             path.display()
         );
     }
+}
+
+/// A rule earns its place by firing on some corpus query; one that never
+/// fires is code no workload reaches.
+#[test]
+fn every_rule_fires_on_the_corpus() {
+    let mut counts = [0u32; Rule::ALL.len()];
+    for (_, p) in explained() {
+        for (rule, n) in p.fired_rules {
+            counts[rule as usize] += n;
+        }
+    }
+    let idle: Vec<Rule> = Rule::ALL
+        .into_iter()
+        .filter(|&r| counts[r as usize] == 0)
+        .collect();
+    assert!(
+        idle.is_empty(),
+        "rules that fire on no corpus query: {idle:?}"
+    );
 }

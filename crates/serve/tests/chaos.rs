@@ -312,11 +312,11 @@ fn panicking_worker_mid_job_resolves_every_outstanding_ticket() {
     assert_pool_recovered(&serve, &doc);
 }
 
-/// A worker that contained a panic keeps the pool's optimizer setting.  A fuel budget between the fused and the unfused spend of
-/// `//b` tells the two apart: the fused compilation fits, the unfused
-/// one runs out.
+/// A worker that contained a panic keeps the pool's optimizer setting.
+/// A fuel budget between the fused and the unfused spend of `//b` tells
+/// the two apart: the fused compilation fits, the unfused one runs out.
 #[test]
-fn rebuilt_workers_keep_the_optimizer_setting() {
+fn a_worker_that_contained_a_panic_keeps_the_optimizer_setting() {
     let _guard = chaos_guard();
     let _clear = ClearOnDrop;
     let doc = Arc::new(parse("<a><b/><c><b/><d><b/><e/><e/></d></c><f/><f/></a>").unwrap());
