@@ -984,6 +984,7 @@ impl Default for CountingAllocator {
     }
 }
 
+#[allow(unsafe_code, reason = "a global allocator is an `unsafe impl`")]
 // SAFETY: delegates allocation to `System` unchanged; only counters are
 // maintained around it.
 unsafe impl std::alloc::GlobalAlloc for CountingAllocator {

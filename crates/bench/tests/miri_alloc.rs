@@ -5,6 +5,8 @@
 //! pointers handed back and the layout contract; in the ordinary tier
 //! it is the allocator's accounting regression test.
 
+#![allow(unsafe_code, reason = "(test) calls `GlobalAlloc` methods directly")]
+
 use minctx_bench::CountingAllocator;
 use std::alloc::{GlobalAlloc, Layout};
 

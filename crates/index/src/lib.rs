@@ -456,6 +456,7 @@ fn check_header(bytes: &[u8; HEADER_LEN]) -> Result<Header, SnapshotError> {
 /// the in-memory representation *is* the on-disk representation — this
 /// cast is what makes both the write and the open zero-copy).
 #[cfg(target_endian = "little")]
+#[allow(unsafe_code, reason = "the zero-copy write's `u8` view of a column")]
 fn u32s_as_bytes(s: &[u32]) -> &[u8] {
     // SAFETY: u32 has no padding; alignment only decreases.
     unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<u8>(), std::mem::size_of_val(s)) }
@@ -753,6 +754,7 @@ impl<W: Write> HashWrite<W> {
     clippy::cast_ptr_alignment,
     reason = "the alignment-raising cast is guarded by the explicit check above it"
 )]
+#[allow(unsafe_code, reason = "the zero-copy open's `u32` view of a section")]
 fn u32_slice<'a>(
     bytes: &'a [u8],
     s: Sect,
@@ -979,6 +981,7 @@ mod tests {
     }
 
     /// Test-only safe view of a `u64` buffer as bytes.
+    #[allow(unsafe_code, reason = "(test) a `u8` view of an aligned buffer")]
     fn bytemuck_view(v: &[u64]) -> &[u8] {
         // SAFETY: (test) u64 -> u8 view; alignment only decreases and
         // every bit pattern is a valid u8.

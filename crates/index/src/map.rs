@@ -15,6 +15,8 @@
 //! open goes through the heap fallback and the whole unsafe surface
 //! stays Miri-executable.
 
+#![allow(unsafe_code, reason = "the `mmap` FFI and the region it backs")]
+
 use minctx_xml::StableBytes;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};

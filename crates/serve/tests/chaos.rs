@@ -280,8 +280,7 @@ fn mixed_chaos_storm_holds_every_invariant_for_fixed_seeds() {
     }
 }
 
-/// panics on *every* request inside the fence, all
-/// panics on *every* request, at either site inside the fence, all
+/// With a panic on *every* request at the site inside the fence, all
 /// outstanding tickets must still resolve — before panic isolation, the
 /// first panic killed the lone worker and every queued ticket hung
 /// forever.

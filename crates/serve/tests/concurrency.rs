@@ -251,7 +251,7 @@ fn dropping_the_engine_answers_or_disconnects_every_ticket() {
 }
 
 #[test]
-fn sharded_lru_is_coherent_under_contention() {
+fn shared_lru_is_coherent_under_contention() {
     // Barrier-released threads hammer one SharedLru with overlapping
     // key ranges; every observed value must be one some thread wrote
     // for that key, and residency stays within capacity.

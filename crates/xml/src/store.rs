@@ -28,6 +28,8 @@
 //! [`Document`]: crate::Document
 //! [`NodeKind`]: crate::NodeKind
 
+#![allow(unsafe_code, reason = "the borrowed columns' raw views and Send/Sync")]
+
 use crate::node::NodeId;
 use std::fmt;
 use std::ops::Deref;

@@ -476,6 +476,7 @@ impl<'a> ColumnSweep<'a> {
 
     /// Checks every entry stored below address `end` not checked yet, by
     /// the copy of [`ColumnSweep::sweep`] this CPU runs.
+    #[allow(unsafe_code, reason = "calls the AVX-512 copy on a detected CPU")]
     fn sweep_below(&mut self, end: usize) {
         if self.wide {
             #[cfg(all(target_arch = "x86_64", not(miri)))]

@@ -4,6 +4,7 @@
 //! adopts a snapshot file.  Each test crate uses part of it.
 
 #![allow(dead_code)]
+#![allow(unsafe_code, reason = "(test) a `StableBytes` stand-in, raw views")]
 
 use minctx_xml::{Document, RawColumns, StableBytes};
 use std::sync::Arc;

@@ -21,15 +21,7 @@ const DESIGN: &str = concat!("DESIGN", ".md");
 const LINE_CAP: usize = 1_100;
 
 /// Where citations are looked for, relative to the repository root.
-const ROOTS: [&str; 7] = [
-    "crates",
-    "src",
-    "tests",
-    "xtask",
-    ".github",
-    ".claude",
-    "ROADMAP.md",
-];
+const ROOTS: [&str; 6] = ["crates", "src", "tests", ".github", ".claude", "ROADMAP.md"];
 
 /// Comment markers a citation may be broken across.
 const MARKERS: [&str; 4] = ["//!", "///", "//", "#"];
@@ -187,7 +179,7 @@ fn every_test_the_design_document_names_exists() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let design = fs::read_to_string(root.join(DESIGN)).expect("read the design document");
     let mut files = Vec::new();
-    for r in ["crates", "src", "tests", "xtask"] {
+    for r in ["crates", "src", "tests"] {
         collect(&root.join(r), &mut files);
     }
     let sources: Vec<(String, String)> = files
