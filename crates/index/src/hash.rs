@@ -15,12 +15,12 @@
 //! 2. **Memory speed, so that `open_snapshot` costs one read of the
 //!    file**: a single `xor → mul → rotl` chain — the format-v1 hash —
 //!    retires 8 bytes every ≈ 6 cycles whatever the memory does
-//!    (2.7 GB/s: 14.6 ms for the 40 MB benchmark snapshot, 15 of the
-//!    36 ms of an open).  Eight chains overlap their multiplies: 26 GB/s
-//!    on cache-resident data (four chains: 20), and on the 40 MB file
-//!    whatever the memory delivers — 5.0–5.5 ms inside `open_snapshot`,
-//!    first touch of the mapping included (2.1 GHz Xeon, 2 vCPUs).  See
-//!    DESIGN.md "Opening at memory speed".
+//!    (2.7 GB/s).  Eight chains overlap their multiplies: 26 GB/s on
+//!    cache-resident data (four chains: 20), and on a mapped file
+//!    whatever the memory delivers — 2.6 ms of `index/open_hash_ns` per
+//!    open of the 23.5 MB snapshot of a 4·10⁵-element XMark document,
+//!    first touch of the mapping included (`crates/bench/tests/open_split.rs`;
+//!    2.0 GHz Xeon, 2 vCPUs).  See DESIGN.md "Opening at memory speed".
 //! 3. **Catches every single-bit flip** (and any realistic corruption):
 //!    `round` is a bijection of the state for a fixed word and of the
 //!    word for a fixed state, so changing one word changes its lane,

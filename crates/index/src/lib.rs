@@ -304,10 +304,15 @@ struct Counters {
     /// `index/snapshots_opened`: snapshots that passed full validation
     /// in [`open_snapshot`].
     opened: minctx_obs::Counter,
-    /// `index/open_hash_ns`, `index/open_sweep_ns`: where the opens'
-    /// passes over the sections spent their time, summed over opens.
+    /// `index/open_hash_ns`, `index/open_sweep_ns`, `index/open_finish_ns`:
+    /// where the opens spent their time after the `mmap`, summed over
+    /// opens — the hash and the sweep in the one pass over the sections,
+    /// then the name table and the checks [`ColumnSweep::finish`] runs
+    /// over whole columns (an open refused before that adds no finish
+    /// time).
     open_hash_ns: minctx_obs::Counter,
     open_sweep_ns: minctx_obs::Counter,
+    open_finish_ns: minctx_obs::Counter,
 }
 
 fn counters() -> &'static Counters {
@@ -319,6 +324,7 @@ fn counters() -> &'static Counters {
             opened: cell("index/snapshots_opened"),
             open_hash_ns: cell("index/open_hash_ns"),
             open_sweep_ns: cell("index/open_sweep_ns"),
+            open_finish_ns: cell("index/open_finish_ns"),
         }
     })
 }
@@ -905,7 +911,7 @@ fn open_snapshot_le(path: &Path) -> Result<Document, SnapshotError> {
     // The text heap backs `from_utf8_unchecked` views for the life of
     // the document; the sweep validated it (once), and its failure
     // keeps the typed error.
-    sweep
+    let doc = sweep
         .finish(names, header.stamp, Arc::clone(&keep))
         .map_err(|e| match e {
             ColumnError::InvalidUtf8 { valid_up_to } => SnapshotError::InvalidUtf8 {
@@ -913,7 +919,9 @@ fn open_snapshot_le(path: &Path) -> Result<Document, SnapshotError> {
                 valid_up_to,
             },
             ColumnError::Invariant(_) => SnapshotError::Corrupt(e.to_string()),
-        })
+        });
+    counters().open_finish_ns.add(lap());
+    doc
 }
 
 #[cfg(test)]

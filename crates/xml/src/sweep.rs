@@ -152,15 +152,19 @@ fn tree_message(c: &RawColumns<'_>, i: usize, rule: TreeRule, top: u32) -> Strin
     format!("node {i}: {what}")
 }
 
-/// Text offsets are monotone and land on char boundaries of the heap: its
-/// end, or any byte that is not a UTF-8 continuation byte.
+/// Text offsets are monotone and within the heap (`heap_len` saturated to
+/// `u32`); reads only the column.  That each lands on a char boundary is
+/// [`boundary_bad`], checked once the heap has been read.
 #[inline(always)]
-fn text_off_bad(prev: u32, off: u32, heap: &[u8]) -> bool {
-    let boundary = match heap.get(off as usize) {
-        Some(&b) => (b as i8) >= -0x40,
-        None => off as usize == heap.len(),
-    };
-    (off < prev) | !boundary
+fn text_off_bad(prev: u32, off: u32, heap_len: u32) -> bool {
+    (off < prev) | (off > heap_len)
+}
+
+/// An offset inside the heap lands on a char boundary: a byte that is not
+/// a UTF-8 continuation byte.  (The heap's end is one too.)
+#[inline(always)]
+fn boundary_bad(off: u32, heap: &[u8]) -> bool {
+    heap.get(off as usize).is_some_and(|&b| (b as i8) < -0x40)
 }
 
 /// A posting names a node whose kind word is exactly its family's tag
@@ -225,6 +229,11 @@ pub struct ColumnSweep<'a> {
     /// Whether each family's offsets column is sound enough to group
     /// its entries by.
     offsets_ok: [bool; 2],
+    /// Whether every heap byte validated so far was ASCII: then every
+    /// in-bounds offset is a char boundary.
+    heap_ascii: bool,
+    /// `text_off` entries checked against [`boundary_bad`].
+    boundary_done: usize,
     first: Option<(Rank, ColumnError)>,
     /// Whether [`sweep_below`](ColumnSweep::sweep_below) runs the AVX-512
     /// copy: true only where [`wide_supported`] is.
@@ -260,6 +269,8 @@ impl<'a> ColumnSweep<'a> {
             tagged: [0; 2],
             cursor: [(0, -1); 2],
             offsets_ok: [false; 2],
+            heap_ascii: true,
+            boundary_done: 0,
             first: None,
             wide: wide_supported(),
         };
@@ -268,11 +279,15 @@ impl<'a> ColumnSweep<'a> {
     }
 
     /// Checks every column entry stored wholly inside `seen` that has
-    /// not been checked yet.  `seen` is meant to be the prefix of the
-    /// columns' backing region read so far, so that each block is
-    /// checked while a reader's pass still has it in cache; any slice
-    /// is sound — it only decides *when* an entry is checked, and
-    /// [`finish`](ColumnSweep::finish) checks whatever is left.
+    /// not been checked yet — text offsets against char boundaries only
+    /// once the whole text heap is inside `seen`, since that rule reads
+    /// the heap at every offset.  Beside the entries checked, a rule
+    /// reads only the node columns (`kinds`, `parent`, `subtree_end`).
+    /// `seen` is meant to be the prefix of the columns' backing region
+    /// read so far, so that each block is checked while a reader's pass
+    /// still has it in cache; any slice is sound — it only decides
+    /// *when* an entry is checked, and [`finish`](ColumnSweep::finish)
+    /// checks whatever is left.
     pub fn advance(&mut self, seen: &[u8]) {
         self.sweep_below(seen.as_ptr() as usize + seen.len());
     }
@@ -549,18 +564,15 @@ impl<'a> ColumnSweep<'a> {
         }
         self.check_tree();
 
-        // Text heap: monotone offsets on UTF-8 char boundaries.
+        // Text heap: monotone offsets within it.
         let r = self.take(TEXT_OFF_COL, c.text_off, end);
         let prev = r.start.checked_sub(1).map_or(0, |p| c.text_off[p]);
+        let heap_len = u32::try_from(c.text_heap.len()).unwrap_or(u32::MAX);
         let block = &c.text_off[r.clone()];
         if let (_, Some(k)) = sweep_block(block, prev, |prev, off| {
-            (text_off_bad(prev, off, c.text_heap), off)
+            (text_off_bad(prev, off, heap_len), off)
         }) {
-            let (i, off) = (r.start + k, block[k]);
-            self.invariant(
-                (TEXT_OFF, i, 0),
-                format!("text_off[{i}] = {off} is not a monotone char boundary"),
-            );
+            self.text_off_fault(r.start + k);
         }
 
         // The heap itself: UTF-8, resumed at the start of a sequence a
@@ -568,7 +580,9 @@ impl<'a> ColumnSweep<'a> {
         let from = self.done[HEAP_COL];
         let upto = prefix(c.text_heap, end);
         if upto > from {
-            match std::str::from_utf8(&c.text_heap[from..upto]) {
+            let block = &c.text_heap[from..upto];
+            self.heap_ascii &= block.is_ascii();
+            match std::str::from_utf8(block) {
                 Ok(_) => self.done[HEAP_COL] = upto,
                 Err(e) => {
                     let at = from + e.valid_up_to();
@@ -580,6 +594,20 @@ impl<'a> ColumnSweep<'a> {
                         c.text_heap.len()
                     };
                 }
+            }
+        }
+
+        // Offsets on char boundaries, once the whole heap has been read,
+        // so that no offset reads a heap byte before `end` passes it.  An
+        // ASCII heap has no continuation byte to land on.
+        if self.done[HEAP_COL] == c.text_heap.len() && !self.heap_ascii {
+            let r = self.boundary_done..self.done[TEXT_OFF_COL];
+            self.boundary_done = r.end;
+            let block = &c.text_off[r.clone()];
+            if let (_, Some(k)) =
+                sweep_block(block, (), |(), off| (boundary_bad(off, c.text_heap), ()))
+            {
+                self.text_off_fault(r.start + k);
             }
         }
 
@@ -618,6 +646,17 @@ impl<'a> ColumnSweep<'a> {
             }
             self.cursor[family] = (group, prev);
         }
+    }
+
+    /// Records `text_off[i]` as breaking either half of the offset rule:
+    /// one rank and one message, so the lower entry wins whichever half
+    /// found it.
+    fn text_off_fault(&mut self, i: usize) {
+        let off = self.cols.text_off[i];
+        self.invariant(
+            (TEXT_OFF, i, 0),
+            format!("text_off[{i}] = {off} is not a monotone char boundary"),
+        );
     }
 
     /// The one-tree rule over the rows whose columns are checked, swept
@@ -752,6 +791,7 @@ impl<'a> ColumnSweep<'a> {
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use crate::serialize::to_xml_string;
     use crate::testgen::{generated, xorshift};
 
     /// Owned copies of a document's columns, to break and re-borrow.
@@ -764,6 +804,7 @@ mod tests {
     const KINDS: usize = 0;
     const PARENT: usize = 1;
     const SUBTREE_END: usize = 2;
+    const TEXT_OFFS: usize = 3;
     const ELEM_OFF: usize = 4;
     const ELEM_POST: usize = 5;
     const ID_ATTRS: usize = 8;
@@ -840,6 +881,68 @@ mod tests {
     }
 
     const DOC: &str = r#"<lib x="1"><b id="b1">téxt</b><!--c--><b id="b2" y="2">two<i/></b></lib>"#;
+
+    /// `xml` with every non-ASCII char dropped, parsed.
+    fn ascii_twin(xml: &str) -> Document {
+        parse(&xml.chars().filter(char::is_ascii).collect::<String>()).unwrap()
+    }
+
+    /// The text-offset rule as one rule, before its char-boundary half
+    /// waited for the heap: monotone, and on a char boundary — the heap's
+    /// end, or a byte that is not a UTF-8 continuation byte.
+    fn whole_text_off_bad(prev: u32, off: u32, heap: &[u8]) -> bool {
+        let boundary = match heap.get(off as usize) {
+            Some(&b) => (b as i8) >= -0x40,
+            None => off as usize == heap.len(),
+        };
+        (off < prev) | !boundary
+    }
+
+    /// The fault [`whole_text_off_bad`] names first in `o`, worded as the
+    /// sweep words it.
+    fn whole_text_off_fault(o: &Owned) -> Option<ColumnError> {
+        let offs = &o.u32s[TEXT_OFFS];
+        let (_, first) = sweep_block(offs, 0, |prev, off| {
+            (whole_text_off_bad(prev, off, &o.heap), off)
+        });
+        first.map(|i| {
+            ColumnError::Invariant(format!(
+                "text_off[{i}] = {} is not a monotone char boundary",
+                offs[i]
+            ))
+        })
+    }
+
+    /// `o` with its text offsets and heap in fresh allocations, the heap
+    /// stored below the offsets (`heap_first`) or above them, so that a
+    /// sweep in address order reaches it before or after them.  Where
+    /// the allocator puts a block is its own choice, so pairs are drawn
+    /// (and kept, so that each draw is new) until one lies as asked.
+    fn placed(o: &Owned, heap_first: bool) -> Owned {
+        let mut drawn = Vec::new();
+        for _ in 0..64 {
+            // Allocated in the order asked for, which often suffices.
+            let pair = if heap_first {
+                let heap = o.heap.clone();
+                (heap, o.u32s[TEXT_OFFS].clone())
+            } else {
+                let offs = o.u32s[TEXT_OFFS].clone();
+                (o.heap.clone(), offs)
+            };
+            if ((pair.0.as_ptr() as usize) < pair.1.as_ptr() as usize) == heap_first {
+                let mut u32s = o.u32s.clone();
+                u32s[TEXT_OFFS] = pair.1;
+                return Owned {
+                    u32s,
+                    heap: pair.0,
+                    names: o.names,
+                };
+            }
+            drawn.push(pair);
+        }
+        let side = if heap_first { "below" } else { "above" };
+        panic!("64 allocations never put the heap {side} its offsets")
+    }
 
     #[test]
     fn a_built_document_passes() {
@@ -1003,15 +1106,86 @@ mod tests {
     }
 
     #[test]
+    fn text_off_halves_give_the_whole_rules_verdict() {
+        // Every offset moved by up to two bytes, over a heap with
+        // multi-byte text and over its ASCII twin: the halves together
+        // refuse what the single rule refused, with its message, whether
+        // the heap is reached before the offsets, after them, or all at
+        // once.
+        let (mut refused, mut inside) = ([0; 2], 0);
+        for (ascii, doc) in [parse(DOC).unwrap(), ascii_twin(DOC)].iter().enumerate() {
+            let built = Owned::of_doc(doc);
+            assert_eq!(built.heap.is_ascii(), ascii == 1);
+            for i in 0..built.u32s[TEXT_OFFS].len() {
+                for delta in [-2, -1, 1, 2] {
+                    let mut o = Owned::of_doc(doc);
+                    let off = &mut o.u32s[TEXT_OFFS][i];
+                    *off = off.wrapping_add_signed(delta);
+                    let at = o.heap.get(*off as usize);
+                    inside += usize::from(at.is_some_and(|&b| b & 0xC0 == 0x80));
+                    let want = whole_text_off_fault(&o);
+                    refused[ascii] += usize::from(want.is_some());
+                    let got = [
+                        o.verdict(),
+                        placed(&o, true).verdict_by(false, Some(4)),
+                        placed(&o, false).verdict_by(false, Some(4)),
+                    ];
+                    for (how, got) in ["at once", "heap first", "heap last"].iter().zip(got) {
+                        let what = format!("text_off[{i}] moved by {delta}, {how}");
+                        match &want {
+                            Some(want) => assert_eq!(got.as_ref(), Err(want), "{what}"),
+                            None => assert!(
+                                !got.is_err_and(|e| e.to_string().starts_with("text_off[")),
+                                "{what}"
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(inside > 0, "no offset was moved into a multi-byte sequence");
+        assert!(refused.iter().all(|&r| r > 0), "{refused:?}");
+        // On an ASCII heap every offset inside it is a boundary; one past
+        // its end is not.
+        let mut o = Owned::of_doc(&ascii_twin(DOC));
+        let last = o.u32s[TEXT_OFFS].len() - 1;
+        o.u32s[TEXT_OFFS][last] += 1;
+        let want = whole_text_off_fault(&o);
+        assert_eq!(
+            want,
+            Some(ColumnError::Invariant(format!(
+                "text_off[{last}] = {} is not a monotone char boundary",
+                o.heap.len() + 1
+            )))
+        );
+        for heap_first in [true, false] {
+            let got = placed(&o, heap_first).verdict_by(false, Some(4));
+            assert_eq!(got.err(), want, "heap first: {heap_first}");
+        }
+    }
+
+    #[test]
     fn both_copies_give_every_verdict_alike_at_every_split() {
-        let wide = wide_supported();
-        if !wide {
+        if !wide_supported() {
             eprintln!("this CPU lacks AVX-512 F/VL/BW/DQ: only the generic copy is swept");
         }
-        // The interpreter runs only the generic copy; a handful of
-        // mutants over a small document keeps its pass short.
+        // Over multi-byte text, and over its ASCII twin, whose offsets
+        // need no char-boundary read.  The interpreter runs only the
+        // generic copy; a handful of mutants over a small document keeps
+        // its pass short.
         let (elements, mutants) = if cfg!(miri) { (20, 8) } else { (300, 160) };
-        let built = Owned::of_doc(&generated(0x5eed_cafe, elements).0);
+        let doc = generated(0x5eed_cafe, elements).0;
+        let twin = ascii_twin(&to_xml_string(&doc));
+        for (ascii, built) in [(false, Owned::of_doc(&doc)), (true, Owned::of_doc(&twin))] {
+            assert_eq!(built.heap.is_ascii(), ascii);
+            sweep_mutants_at_every_split(&built, mutants);
+        }
+    }
+
+    /// Both copies of the sweep give each of `mutants` seeded mutants of
+    /// `built` (the first is `built` itself) one verdict at every split.
+    fn sweep_mutants_at_every_split(built: &Owned, mutants: usize) {
+        let wide = wide_supported();
         let (mut rng, mut refused) = (0x0dd_ba11_u64, 0);
         for mutant in 0..mutants {
             let mut o = Owned {
