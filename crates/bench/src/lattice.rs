@@ -17,8 +17,9 @@
 //! seed, the query, the configuration and the document as XML.
 
 use crate::{engines, random_doc, values_agree};
-use minctx_core::{open_snapshot, write_snapshot, Engine, EvalError, Strategy, Value};
+use minctx_core::{Engine, EvalError, Strategy, Value};
 use minctx_stream::{StreamOutcome, StreamValue, StreamingEngine};
+use minctx_xml::snapshot::{open_snapshot, write_snapshot};
 use minctx_xml::{parse, serialize::to_xml_string, Document};
 use std::fmt::Debug;
 

@@ -8,7 +8,8 @@
 //! it measures; the 10⁶-element tier is `#[ignore]`d for a release run.
 
 use minctx_bench::{values_agree, xmark_doc, CountingAllocator, XmarkConfig};
-use minctx_core::{open_snapshot, write_snapshot, Engine, Strategy};
+use minctx_core::{Engine, Strategy};
+use minctx_xml::snapshot::{open_snapshot, write_snapshot};
 use std::sync::Mutex;
 
 #[global_allocator]

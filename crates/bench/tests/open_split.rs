@@ -3,14 +3,18 @@
 //! with `é` after every `">` (a heap of multi-byte text), each opened 30
 //! times.  Prints the median open and the median per-open split of the
 //! three open counters — hash and sweep (the one pass over the sections)
-//! and finish (name table and whole-column checks).  It asserts only that
-//! each counter advanced on every open, never a time; run it with
+//! and finish (name table and whole-column checks) — beside the median
+//! time of `std::str::from_utf8` over the document's text heap alone (every
+//! node's content, concatenated in pre-order), the UTF-8 share of the
+//! sweep.  It asserts only that each counter advanced on every open,
+//! never a time; run it with
 //! `cargo test --release -p minctx-bench --test open_split -- --ignored
 //! --nocapture`.
 
 use minctx_bench::{xmark_doc, XmarkConfig};
-use minctx_core::{open_snapshot, write_snapshot};
+use minctx_xml::snapshot::{open_snapshot, write_snapshot};
 use minctx_xml::{parse, serialize::to_xml_string, Document};
+use std::hint::black_box;
 use std::time::Instant;
 
 const OPENS: usize = 30;
@@ -48,12 +52,25 @@ fn open_split(what: &str, doc: &Document) {
         assert_eq!(snap.stamp(), info.stamp);
     }
     std::fs::remove_file(&path).ok();
+    let heap: Vec<u8> = doc
+        .all_nodes()
+        .flat_map(|n| doc.content(n).bytes())
+        .collect();
+    let utf8_ns = (0..OPENS)
+        .map(|_| {
+            let clock = Instant::now();
+            assert!(std::str::from_utf8(black_box(&heap)).is_ok());
+            clock.elapsed().as_nanos() as u64
+        })
+        .collect();
     let [hash, sweep, finish] = split_ns.map(median);
     println!(
         "{what}: {:.1} MB, open median {:.2} ms = hash {hash:.2} + sweep {sweep:.2} + \
-         finish {finish:.2} ms (medians of {OPENS})",
+         finish {finish:.2} ms; from_utf8 over the {:.1} MB heap {:.2} ms (medians of {OPENS})",
         info.file_len as f64 / 1e6,
         median(open_ns),
+        heap.len() as f64 / 1e6,
+        median(utf8_ns),
     );
 }
 

@@ -7,9 +7,9 @@
 //! counts.
 
 use minctx_bench::{xmark_doc, CountingAllocator, XmarkConfig};
-use minctx_core::write_snapshot;
 use minctx_obs::Counter;
 use minctx_serve::{Corpus, ServeEngine};
+use minctx_xml::snapshot::write_snapshot;
 use std::sync::Arc;
 use std::thread;
 

@@ -5,7 +5,8 @@
 //! owned ones by `core/tests/differential.rs`.
 
 use minctx_bench::{corpus, lattice, xmark_doc, XmarkConfig};
-use minctx_core::{open_snapshot, write_snapshot, Engine, Strategy};
+use minctx_core::{Engine, Strategy};
+use minctx_xml::snapshot::{open_snapshot, write_snapshot};
 use minctx_xml::Document;
 use std::path::PathBuf;
 

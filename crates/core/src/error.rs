@@ -1,6 +1,7 @@
 //! Evaluation errors.
 
 use minctx_syntax::ParseError;
+use minctx_xml::snapshot::SnapshotError;
 use minctx_xml::XmlError;
 use std::fmt;
 
@@ -51,9 +52,9 @@ pub enum EvalError {
     },
     /// Opening a persistent document snapshot failed (missing file,
     /// truncation, checksum mismatch, version skew — see
-    /// [`minctx_index::SnapshotError`] for the full taxonomy).  Arc'd so
-    /// evaluation errors stay cheaply clonable.
-    Snapshot(std::sync::Arc<minctx_index::SnapshotError>),
+    /// [`SnapshotError`] for the full taxonomy).  Arc'd so evaluation
+    /// errors stay cheaply clonable.
+    Snapshot(std::sync::Arc<SnapshotError>),
     /// A built document was handed to an engine whose strategy is
     /// [`Strategy::Streaming`](crate::Strategy::Streaming), which only
     /// evaluates XML text (`minctx-stream`'s `evaluate_reader`).

@@ -57,13 +57,6 @@ pub use explain::{PredMode, QueryProfile, StepProfile};
 // The kernel-route label `Engine::explain` reports per step, re-exported
 // so profile consumers match on it without a direct xml dependency.
 pub use minctx_xml::AxisRoute;
-// The persistent-index backend, re-exported so engine users reach
-// `open_snapshot`/`write_snapshot` (open once, then `Engine::evaluate`
-// the returned document) without a separate dependency.
-pub use minctx_index::{
-    open_snapshot, open_snapshot_or_quarantine, quarantine_snapshot, snapshot_stamp, stale_temps,
-    write_snapshot, SnapshotError, SnapshotInfo,
-};
 pub use rewrite::{rewrite, rewrite_traced, RewriteTrace, Rule};
 pub use value::Value;
 

@@ -6,9 +6,9 @@
 //! * [`registry`] — named [`Counter`]s and lock-free fixed-bucket
 //!   [`Histogram`]s behind a get-or-register [`Registry`],
 //!   with point-in-time snapshots and a Prometheus-style text exposition
-//!   renderer.  [`global()`] is the process-wide registry (`minctx-xml` /
-//!   `minctx-index` counters live there); `minctx-serve` builds one
-//!   registry per engine.
+//!   renderer.  [`global()`] is the process-wide registry (the counters
+//!   of `minctx-xml`, its snapshots' included, live there);
+//!   `minctx-serve` builds one registry per engine.
 //! * [`trace`] — the [`Recorder`]/[`Span`] API instrumented code emits
 //!   query-lifecycle phases through (parse → rewrite → compile →
 //!   evaluate/stream → serve).  Disabled recorders (the default

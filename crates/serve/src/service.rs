@@ -30,12 +30,12 @@
 use crate::chaos;
 use crate::lru::SharedLru;
 use crate::queue::{PushError, Queue};
-use minctx_core::{
-    open_snapshot_or_quarantine, quarantine_snapshot, snapshot_stamp, Budget, CompiledQuery,
-    Context, Engine, EvalError, SnapshotError, Strategy, Value,
-};
+use minctx_core::{Budget, CompiledQuery, Context, Engine, EvalError, Strategy, Value};
 use minctx_obs::{Counter, Histogram, Phase, Recorder, Registry};
 use minctx_syntax::parse_xpath;
+use minctx_xml::snapshot::{
+    open_snapshot_or_quarantine, quarantine_snapshot, snapshot_stamp, SnapshotError,
+};
 use minctx_xml::Document;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub enum Corpus {
     /// Path to a snapshot written by
-    /// [`write_snapshot`](minctx_core::write_snapshot).  The service
+    /// [`write_snapshot`](minctx_xml::snapshot::write_snapshot).  The service
     /// peeks only the 104-byte header per request (to learn the content
     /// stamp) and maps the full file once per distinct stamp.
     Snapshot(PathBuf),
@@ -576,6 +576,7 @@ impl std::fmt::Debug for ServeEngine {
 mod tests {
     use super::*;
     use minctx_xml::parse;
+    use minctx_xml::snapshot::write_snapshot;
 
     #[test]
     fn optimizer_setting_reaches_the_shared_query_cache() {
@@ -608,8 +609,8 @@ mod tests {
             std::env::temp_dir().join(format!("minctx-serve-{}-{name}.mctx", std::process::id()))
         };
         let (old, new) = (path("stamp-old"), path("stamp-new"));
-        minctx_core::write_snapshot(&parse("<a/>").unwrap(), &old).unwrap();
-        minctx_core::write_snapshot(&parse("<b/>").unwrap(), &new).unwrap();
+        write_snapshot(&parse("<a/>").unwrap(), &old).unwrap();
+        write_snapshot(&parse("<b/>").unwrap(), &new).unwrap();
         let stale = snapshot_stamp(&old).unwrap();
         let serve = ServeEngine::builder().workers(1).build();
         let doc = snapshot(&serve.shared, &new, stale).unwrap();

@@ -9,8 +9,9 @@
 //! queue layers carry their own unit tests.)
 
 use minctx_bench::{corpus, values_agree, xmark_doc, XmarkConfig};
-use minctx_core::{open_snapshot, write_snapshot, Budget, Engine, EvalError, Strategy, Value};
+use minctx_core::{Budget, Engine, EvalError, Strategy, Value};
 use minctx_serve::{Corpus, ServeEngine, ServeError, SharedLru};
+use minctx_xml::snapshot::{open_snapshot, write_snapshot};
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::thread;

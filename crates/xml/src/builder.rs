@@ -35,7 +35,7 @@ fn documents_built_counter() -> &'static minctx_obs::Counter {
 
 /// Builder stamps are plain counter values with the high bit clear;
 /// snapshot-backed documents use content-derived stamps with the high bit
-/// set (`minctx-index`), so the two namespaces can never collide in a
+/// set (`snapshot.rs`), so the two namespaces can never collide in a
 /// compiled-query cache.
 const STAMP_COUNTER_MASK: u64 = (1 << 63) - 1;
 

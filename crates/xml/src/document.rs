@@ -8,17 +8,17 @@
 //!   `x.index()+1 .. subtree_end(x)`,
 //! * per-node tables elsewhere in the engine are dense arrays.
 //!
-//! The arena is stored as flat, offset-based columns (see
-//! [`store`](crate::store)): packed kind words, parent links, subtree ends,
-//! one text heap with per-node spans, CSR label postings, and a sorted id
-//! index.  Child and sibling links are derived, not stored: `n`'s first
-//! child is the first slot after its attribute run, if that is below
-//! `subtree_end(n)`; the sibling after `c` is `subtree_end(c)`, if that is
-//! below its parent's `subtree_end`.
+//! The arena is stored as flat, offset-based columns (see `store.rs`):
+//! packed kind words, parent links, subtree ends, one text heap with
+//! per-node spans, CSR label postings, and a sorted id index.  Child and
+//! sibling links are derived, not stored: `n`'s first child is the first
+//! slot after its attribute run, if that is below `subtree_end(n)`; the
+//! sibling after `c` is `subtree_end(c)`, if that is below its parent's
+//! `subtree_end`.
 //! Columns are either owned heap buffers (built by
 //! [`DocumentBuilder`](crate::DocumentBuilder)) or zero-copy views of a
-//! memory-mapped snapshot (`minctx-index`); every accessor below works
-//! identically on both backings.
+//! memory-mapped [`snapshot`](crate::snapshot); every accessor below
+//! works identically on both backings.
 //!
 //! Attribute nodes (an extension over the paper's element-only examples) are
 //! stored inline immediately after their owner element and before its first
@@ -28,10 +28,8 @@
 use crate::name::{Name, NameTable};
 use crate::node::{self, NodeId, NodeKind, KIND_TAG_MASK, TAG_ATTRIBUTE};
 use crate::nodeset::NodeSet;
-use crate::store::{ColumnError, DocStore, RawColumns, StableBytes};
-use crate::sweep::ColumnSweep;
+use crate::store::{DocStore, RawColumns};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 pub(crate) const NONE: u32 = u32::MAX;
 
@@ -55,7 +53,7 @@ pub struct Document {
     /// Process-unique identity of this document's *content* (clones share
     /// it), used as a compiled-query cache key.  Snapshot-backed documents
     /// carry a content-derived stamp with the high bit set, disjoint from
-    /// the builder's counter stamps (see `minctx-index`).
+    /// the builder's counter stamps (see [`snapshot`](crate::snapshot)).
     pub(crate) stamp: u64,
 }
 
@@ -408,10 +406,9 @@ impl Document {
         self.store.elem_post.len()
     }
 
-    /// Borrowed views of every storage column — the exchange surface the
-    /// `minctx-index` snapshot writer serializes.  See
-    /// [`RawColumns`] for the per-column layout contract.
-    pub fn raw_columns(&self) -> RawColumns<'_> {
+    /// Borrowed views of every storage column, as the snapshot writer
+    /// serializes them.
+    pub(crate) fn raw_columns(&self) -> RawColumns<'_> {
         let s = &self.store;
         RawColumns {
             kinds: &s.kinds,
@@ -426,27 +423,6 @@ impl Document {
             id_attrs: &s.id_attrs,
             id_elems: &s.id_elems,
         }
-    }
-
-    /// Adopts columns borrowed from a mapped byte region (`keep` must own
-    /// the memory all slices point into) — the zero-copy open path of
-    /// `minctx-index`.
-    ///
-    /// Every document invariant the accessors rely on is validated here,
-    /// in `O(|D|)`, so a column set that decodes structurally but
-    /// violates the data model (a parent column and subtree ends that
-    /// describe two trees, non-monotone offsets, invalid UTF-8, unsorted
-    /// postings) is rejected with a
-    /// [`ColumnError`] instead of panicking later.  This is one whole
-    /// [`ColumnSweep`]; a caller that reads the backing bytes itself can
-    /// drive the sweep alongside its own pass instead.
-    pub fn from_mapped_columns(
-        cols: RawColumns<'_>,
-        names: NameTable,
-        stamp: u64,
-        keep: Arc<dyn StableBytes>,
-    ) -> Result<Document, ColumnError> {
-        ColumnSweep::new(cols, names.len()).finish(names, stamp, keep)
     }
 
     /// A debug rendering of the tree structure, one node per line.

@@ -19,7 +19,9 @@
 //!
 //! The XML parser ([`parse`], [`parse_reader`]) and serializer
 //! ([`serialize::to_xml_string`]) are written from scratch — no third-party
-//! XML crate is used anywhere in the workspace.
+//! XML crate is used anywhere in the workspace.  A built document's columns
+//! are also its file format: [`snapshot`] writes them to disk and maps them
+//! back zero-copy.
 //!
 //! # Example
 //!
@@ -36,14 +38,18 @@ pub mod axes;
 pub mod builder;
 pub mod document;
 pub mod error;
+mod format;
+mod hash;
+mod map;
 pub mod name;
 pub mod node;
 pub mod nodeset;
 pub mod par;
 pub mod parser;
 pub mod serialize;
-pub mod store;
-pub mod sweep;
+pub mod snapshot;
+mod store;
+mod sweep;
 #[cfg(test)]
 mod testgen;
 pub mod token;
@@ -59,6 +65,4 @@ pub use node::{NodeId, NodeKind};
 pub use nodeset::{DenseSet, NodeSet};
 pub use par::Exec;
 pub use parser::{parse, parse_reader};
-pub use store::{ColumnError, RawColumns, StableBytes};
-pub use sweep::ColumnSweep;
 pub use token::{Attrs, Tokenizer, XmlEvent, MAX_ELEMENT_DEPTH};

@@ -1,5 +1,6 @@
-//! File mapping: the [`StableBytes`] backing that keeps an open snapshot's
-//! columns valid for the life of the `Document`.
+//! File mapping: the region that keeps an open snapshot's columns valid
+//! for the life of the `Document` (its borrowed columns hold it in an
+//! `Arc`).
 //!
 //! On Unix the file is `mmap`ed read-only (`MAP_PRIVATE`) — opening a
 //! snapshot then costs page-table setup plus the integrity scan, not a
@@ -17,7 +18,6 @@
 
 #![allow(unsafe_code, reason = "the `mmap` FFI and the region it backs")]
 
-use minctx_xml::StableBytes;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 
@@ -36,10 +36,10 @@ unsafe impl Send for Mapping {}
 // through shared references are sound.
 unsafe impl Sync for Mapping {}
 
-// SAFETY: `bytes` returns the same pointer/length every call, and the
-// region is unmapped/freed only on drop.
-unsafe impl StableBytes for Mapping {
-    fn bytes(&self) -> &[u8] {
+impl Mapping {
+    /// The region's bytes: the same pointer and length on every call,
+    /// never written, and unmapped or freed only when the `Mapping` drops.
+    pub(crate) fn bytes(&self) -> &[u8] {
         match self {
             #[cfg(all(unix, not(miri)))]
             Mapping::Mmap { ptr, len } => {
@@ -126,6 +126,19 @@ fn read_to_aligned_heap(file: &mut File, len: usize) -> std::io::Result<Mapping>
     file.seek(SeekFrom::Start(0))?;
     file.read_exact(bytes)?;
     Ok(Mapping::Heap(buf, len))
+}
+
+#[cfg(test)]
+impl Mapping {
+    /// A heap region holding a copy of `data`.
+    pub(crate) fn of(data: &[u8]) -> Mapping {
+        let words = data.chunks(8).map(|c| {
+            let mut w = [0; 8];
+            w[..c.len()].copy_from_slice(c);
+            u64::from_ne_bytes(w)
+        });
+        Mapping::Heap(words.collect(), data.len())
+    }
 }
 
 #[cfg(test)]

@@ -1,19 +1,18 @@
-//! # minctx-index — persistent, mmap-able document snapshots
+//! Persistent, mmap-able document snapshots.
 //!
-//! The persistent half of the index-backed backend: a built
-//! [`Document`]'s flat columns (packed kinds, parent links, subtree ends,
-//! CSR label postings, text heap, id index — see `minctx-xml`'s `store`
-//! module and DESIGN.md "Persistent index") are written to disk once
+//! A built [`Document`]'s flat columns (packed kinds, parent links,
+//! subtree ends, CSR label postings, text heap, id index — see
+//! `store.rs` and DESIGN.md "Persistent index") are written to disk once
 //! with [`write_snapshot`] and reopened **zero-copy** with
 //! [`open_snapshot`]: the file is memory-mapped and the columns are
 //! adopted in place, so reopening a stored corpus costs one pass over
 //! the file — checksum and invariant sweep together — instead of an XML
-//! re-parse: `index.open_ms` against `xml.parse.ms` in `benchmark/`
-//! (10⁵ elements: 0.9 ms against 19 ms).  The axis kernels and all four
-//! arena evaluators run unchanged on the mapped columns.
+//! re-parse (`index.open_ms` against `xml.parse.ms` in `benchmark/`).
+//! The axis kernels and all four arena evaluators run unchanged on the
+//! mapped columns.
 //!
 //! ```
-//! use minctx_index::{open_snapshot, write_snapshot};
+//! use minctx_xml::snapshot::{open_snapshot, write_snapshot};
 //!
 //! let doc = minctx_xml::parse(r#"<a id="k"><b>hi</b></a>"#).unwrap();
 //! let path = std::env::temp_dir().join(format!("minctx-doc-{}.mctx", std::process::id()));
@@ -41,9 +40,8 @@
 //! adopting a single column, so truncated, bit-flipped or handcrafted
 //! files fail with an actionable [`SnapshotError`], never a panic or
 //! worse.  The section checksum and the invariants ride one pass:
-//! each 64 KB block is hashed and then, still in cache, swept by
-//! `minctx-xml`'s [`ColumnSweep`] (DESIGN.md "Opening at memory
-//! speed").
+//! each 64 KB block is hashed and then, still in cache, checked by the
+//! column sweep of `sweep.rs` (DESIGN.md "Opening at memory speed").
 //!
 //! ## Stamps
 //!
@@ -71,22 +69,23 @@
 //! [`open_snapshot_or_quarantine`]); the [`fault`] module injects torn
 //! writes and step failures so these guarantees stay tested.
 
-use minctx_xml::{ColumnError, ColumnSweep, Document, NameTable, RawColumns, StableBytes};
+use crate::format::{
+    self, Header, Layout, Sect, ENDIAN_TAG, HEADER_LEN, MAGIC, SECTION_ALIGN, VERSION,
+};
+use crate::hash::{hash_bytes, FastHash};
+use crate::map;
+use crate::store::RawColumns;
+use crate::sweep::ColumnSweep;
+use crate::{Document, NameTable};
 use std::fmt;
 use std::fs::File;
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 pub mod fault;
-mod format;
-mod hash;
-mod map;
-
-use format::{Header, Layout, Sect, ENDIAN_TAG, HEADER_LEN, MAGIC, SECTION_ALIGN, VERSION};
-use hash::{hash_bytes, FastHash};
 
 /// High bit of snapshot stamps; builder stamps keep it clear.
 const SNAPSHOT_STAMP_BIT: u64 = 1 << 63;
@@ -296,7 +295,7 @@ pub struct SnapshotInfo {
     pub stamp: u64,
 }
 
-/// The crate's cells in [`minctx_obs::global`].
+/// The snapshot cells in [`minctx_obs::global`].
 struct Counters {
     /// `index/snapshots_written`: snapshots committed by
     /// [`write_snapshot`] (bumped only after the durable rename).
@@ -348,40 +347,30 @@ pub fn write_snapshot(
     doc: &Document,
     path: impl AsRef<Path>,
 ) -> Result<SnapshotInfo, SnapshotError> {
-    #[cfg(target_endian = "big")]
-    {
-        let _ = (doc, path);
-        Err(SnapshotError::UnsupportedEndianness)
+    if cfg!(target_endian = "big") {
+        return Err(SnapshotError::UnsupportedEndianness);
     }
-    #[cfg(target_endian = "little")]
-    {
-        let r = write_snapshot_le(doc, path.as_ref());
-        if r.is_ok() {
-            counters().written.inc();
-        }
-        r
+    let r = write(doc, path.as_ref());
+    if r.is_ok() {
+        counters().written.inc();
     }
+    r
 }
 
 /// Opens the snapshot at `path` as a zero-copy, memory-mapped
-/// [`Document`] after full integrity validation (see the crate docs).
+/// [`Document`] after full integrity validation (see the module docs).
 /// The returned document behaves exactly like a built one — same
 /// accessors, same evaluators, same axis kernels — and holds the mapping
 /// alive for as long as it (or any clone) exists.
 pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Document, SnapshotError> {
-    #[cfg(target_endian = "big")]
-    {
-        let _ = path;
-        Err(SnapshotError::UnsupportedEndianness)
+    if cfg!(target_endian = "big") {
+        return Err(SnapshotError::UnsupportedEndianness);
     }
-    #[cfg(target_endian = "little")]
-    {
-        let r = open_snapshot_le(path.as_ref());
-        if r.is_ok() {
-            counters().opened.inc();
-        }
-        r
+    let r = open(path.as_ref());
+    if r.is_ok() {
+        counters().opened.inc();
     }
+    r
 }
 
 /// Reads just the stamp of the snapshot at `path` — the content-derived
@@ -392,20 +381,10 @@ pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Document, SnapshotError> 
 /// integrity scan.  A subsequent [`open_snapshot`] still performs the
 /// complete validation.
 pub fn snapshot_stamp(path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
-    #[cfg(target_endian = "big")]
-    {
-        let _ = path;
-        Err(SnapshotError::UnsupportedEndianness)
-    }
-    #[cfg(target_endian = "little")]
-    {
-        snapshot_stamp_le(path.as_ref())
-    }
-}
-
-#[cfg(target_endian = "little")]
-fn snapshot_stamp_le(path: &Path) -> Result<u64, SnapshotError> {
     use std::io::Read;
+    if cfg!(target_endian = "big") {
+        return Err(SnapshotError::UnsupportedEndianness);
+    }
     let mut file = File::open(path)?;
     let actual = file.metadata()?.len();
     if actual < HEADER_LEN as u64 {
@@ -424,7 +403,6 @@ fn snapshot_stamp_le(path: &Path) -> Result<u64, SnapshotError> {
 /// dedicated error — *before* the header checksum, so a foreign or
 /// version-skewed file is named as such rather than reported as a
 /// generic checksum mismatch; then the stamp's namespace bit.
-#[cfg(target_endian = "little")]
 fn check_header(bytes: &[u8; HEADER_LEN]) -> Result<Header, SnapshotError> {
     if bytes[..8] != MAGIC {
         return Err(SnapshotError::NotASnapshot {
@@ -461,7 +439,6 @@ fn check_header(bytes: &[u8; HEADER_LEN]) -> Result<Header, SnapshotError> {
 /// Reinterprets a `u32` column as raw bytes (little-endian hosts only:
 /// the in-memory representation *is* the on-disk representation — this
 /// cast is what makes both the write and the open zero-copy).
-#[cfg(target_endian = "little")]
 #[allow(unsafe_code, reason = "the zero-copy write's `u8` view of a column")]
 fn u32s_as_bytes(s: &[u32]) -> &[u8] {
     // SAFETY: u32 has no padding; alignment only decreases.
@@ -526,7 +503,6 @@ fn reap_stale_temps(path: &Path) {
 /// for as long as the returned `File` lives.  A reaper may remove the
 /// temp between its creation and the lock; the name is then gone (names
 /// are unique among live writers), and the next one is tried.
-#[cfg(target_endian = "little")]
 fn create_temp(dir: &Path, file_name: &std::ffi::OsStr) -> std::io::Result<(PathBuf, File)> {
     loop {
         let tmp = dir.join(format!(
@@ -578,11 +554,11 @@ pub fn open_snapshot_or_quarantine(path: impl AsRef<Path>) -> Result<Document, S
     }
 }
 
-#[cfg(target_endian = "little")]
-fn write_snapshot_le(doc: &Document, path: &Path) -> Result<SnapshotInfo, SnapshotError> {
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| SnapshotError::Corrupt("snapshot path has no file name".into()))?;
+/// [`write_snapshot`] on a little-endian host.
+fn write(doc: &Document, path: &Path) -> Result<SnapshotInfo, SnapshotError> {
+    let file_name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(ErrorKind::InvalidInput, "snapshot path has no file name")
+    })?;
     reap_stale_temps(path);
     let (tmp, file) = create_temp(snapshot_dir(path), file_name)?;
     fault::begin_write();
@@ -597,12 +573,12 @@ fn write_snapshot_le(doc: &Document, path: &Path) -> Result<SnapshotInfo, Snapsh
 }
 
 /// Make the rename of a snapshot durable: fsync its directory.
-#[cfg(all(target_endian = "little", unix))]
+#[cfg(unix)]
 fn sync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-#[cfg(all(target_endian = "little", not(unix)))]
+#[cfg(not(unix))]
 fn sync_dir(_dir: &Path) -> std::io::Result<()> {
     Ok(())
 }
@@ -610,7 +586,6 @@ fn sync_dir(_dir: &Path) -> std::io::Result<()> {
 /// The sequential section pass into `file`, the locked temp at `tmp`,
 /// then the durable commit: temp `sync_all` → atomic rename onto `path`
 /// → directory fsync.  The lock is held until the temp is renamed.
-#[cfg(target_endian = "little")]
 fn write_sections_then_commit(
     doc: &Document,
     mut file: File,
@@ -702,7 +677,6 @@ fn faulted_write(w: &mut impl Write, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 /// The sections in on-disk order, paired with their layout slots.
-#[cfg(target_endian = "little")]
 fn section_bytes<'a>(
     lay: &Layout,
     cols: &RawColumns<'a>,
@@ -755,7 +729,6 @@ impl<W: Write> HashWrite<W> {
 
 /// Bounds- and alignment-checked `u32` view of the section named
 /// `section` (the name only feeds the error).
-#[cfg(target_endian = "little")]
 #[expect(
     clippy::cast_ptr_alignment,
     reason = "the alignment-raising cast is guarded by the explicit check above it"
@@ -793,8 +766,8 @@ fn overflow() -> SnapshotError {
     SnapshotError::Corrupt("section size overflows".into())
 }
 
-#[cfg(target_endian = "little")]
-fn open_snapshot_le(path: &Path) -> Result<Document, SnapshotError> {
+/// [`open_snapshot`] on a little-endian host.
+fn open(path: &Path) -> Result<Document, SnapshotError> {
     let mut file = File::open(path)?;
     let actual = file.metadata()?.len();
     if actual < HEADER_LEN as u64 {
@@ -805,7 +778,7 @@ fn open_snapshot_le(path: &Path) -> Result<Document, SnapshotError> {
     }
     let len = usize::try_from(actual)
         .map_err(|_| SnapshotError::Corrupt("snapshot exceeds the address space".into()))?;
-    let keep: Arc<dyn StableBytes> = Arc::new(map::map_file(&mut file, len)?);
+    let keep = Arc::new(map::map_file(&mut file, len)?);
     let bytes = keep.bytes();
 
     // ---- Container validation: identity, geometry ----------------------
@@ -909,17 +882,8 @@ fn open_snapshot_le(path: &Path) -> Result<Document, SnapshotError> {
 
     // ---- Columns: the sweep's verdict, then zero-copy adoption ---------
     // The text heap backs `from_utf8_unchecked` views for the life of
-    // the document; the sweep validated it (once), and its failure
-    // keeps the typed error.
-    let doc = sweep
-        .finish(names, header.stamp, Arc::clone(&keep))
-        .map_err(|e| match e {
-            ColumnError::InvalidUtf8 { valid_up_to } => SnapshotError::InvalidUtf8 {
-                region: "text heap",
-                valid_up_to,
-            },
-            ColumnError::Invariant(_) => SnapshotError::Corrupt(e.to_string()),
-        });
+    // the document; the sweep validated it (once).
+    let doc = sweep.finish(names, header.stamp, &keep);
     counters().open_finish_ns.add(lap());
     doc
 }
@@ -929,12 +893,15 @@ mod tests {
     use super::*;
 
     fn temp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("minctx-index-{}-{name}.mctx", std::process::id()))
+        std::env::temp_dir().join(format!(
+            "minctx-snapshot-{}-{name}.mctx",
+            std::process::id()
+        ))
     }
 
     #[test]
     fn round_trip_preserves_everything_observable() {
-        let doc = minctx_xml::parse(
+        let doc = crate::parse(
             r#"<lib x="1"><b id="b1">t1</b><!--c--><?p d?><b id="b2" y="2">t2<i/></b></lib>"#,
         )
         .unwrap();
@@ -973,8 +940,8 @@ mod tests {
     fn u32_slice_refuses_misaligned_sections_with_a_typed_error() {
         // An 8-aligned heap region, sliced at an odd offset: the typed
         // `Misaligned` error must fire before any reinterpret cast.
-        let region = vec![0u64; 4];
-        let bytes: &[u8] = bytemuck_view(&region);
+        let region = map::Mapping::of(&[0; 32]);
+        let bytes = region.bytes();
         let ok = u32_slice(bytes, Sect { off: 4, count: 2 }, "probe").unwrap();
         assert_eq!(ok.len(), 2);
         let err = u32_slice(bytes, Sect { off: 2, count: 2 }, "probe").unwrap_err();
@@ -988,19 +955,11 @@ mod tests {
         assert!(err.to_string().contains("probe"), "{err}");
     }
 
-    /// Test-only safe view of a `u64` buffer as bytes.
-    #[allow(unsafe_code, reason = "(test) a `u8` view of an aligned buffer")]
-    fn bytemuck_view(v: &[u64]) -> &[u8] {
-        // SAFETY: (test) u64 -> u8 view; alignment only decreases and
-        // every bit pattern is a valid u8.
-        unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), std::mem::size_of_val(v)) }
-    }
-
     #[test]
     fn identical_documents_share_a_stamp_distinct_documents_do_not() {
-        let d1 = minctx_xml::parse("<a><b/></a>").unwrap();
-        let d2 = minctx_xml::parse("<a><b/></a>").unwrap();
-        let d3 = minctx_xml::parse("<a><c/></a>").unwrap();
+        let d1 = crate::parse("<a><b/></a>").unwrap();
+        let d2 = crate::parse("<a><b/></a>").unwrap();
+        let d3 = crate::parse("<a><c/></a>").unwrap();
         let (p1, p2, p3) = (temp("s1"), temp("s2"), temp("s3"));
         let s1 = write_snapshot(&d1, &p1).unwrap().stamp;
         let s2 = write_snapshot(&d2, &p2).unwrap().stamp;
@@ -1014,7 +973,7 @@ mod tests {
 
     #[test]
     fn clones_of_mapped_documents_share_the_mapping() {
-        let doc = minctx_xml::parse("<a>text</a>").unwrap();
+        let doc = crate::parse("<a>text</a>").unwrap();
         let path = temp("clone");
         write_snapshot(&doc, &path).unwrap();
         let re = open_snapshot(&path).unwrap();
@@ -1026,6 +985,17 @@ mod tests {
     }
 
     #[test]
+    fn a_path_with_no_file_name_is_an_invalid_input_error() {
+        let doc = crate::parse("<a/>").unwrap();
+        let e = write_snapshot(&doc, "/").unwrap_err();
+        assert_eq!(
+            e,
+            SnapshotError::Io(std::io::Error::from(ErrorKind::InvalidInput))
+        );
+        assert!(!e.to_string().contains("regenerate"), "{e}");
+    }
+
+    #[test]
     fn missing_file_is_an_io_error() {
         let e = open_snapshot(temp("nonexistent")).unwrap_err();
         assert!(matches!(e, SnapshotError::Io(_)), "{e}");
@@ -1033,7 +1003,7 @@ mod tests {
 
     #[test]
     fn snapshot_stamp_peeks_the_header_only() {
-        let doc = minctx_xml::parse("<a><b/>x</a>").unwrap();
+        let doc = crate::parse("<a><b/>x</a>").unwrap();
         let path = temp("stamp-peek");
         let info = write_snapshot(&doc, &path).unwrap();
         assert_eq!(snapshot_stamp(&path).unwrap(), info.stamp);

@@ -1,6 +1,6 @@
 //! Deterministic I/O fault injection for crash-safety tests.
 //!
-//! [`write_snapshot`](crate::write_snapshot) consults a **thread-local**
+//! [`write_snapshot`](super::write_snapshot) consults a **thread-local**
 //! [`FaultPlan`] at every byte it writes and at each durability step
 //! (data `sync_all`, atomic rename, directory fsync).  With no plan
 //! installed — the production state — every check is a branch on an
@@ -32,7 +32,7 @@ use std::fs::File;
 use std::io;
 use std::path::Path;
 
-/// What to inject into the next [`write_snapshot`](crate::write_snapshot)
+/// What to inject into the next [`write_snapshot`](super::write_snapshot)
 /// call on this thread.  A plan stays installed (and keeps firing) until
 /// [`clear`] — crash tests typically install, write, assert, clear.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

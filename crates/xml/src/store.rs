@@ -21,35 +21,21 @@
 //!
 //! A `Col<T>` is either **owned** (a `Vec<T>`, the
 //! [`DocumentBuilder`](crate::DocumentBuilder) path) or **borrowed** from
-//! a [`StableBytes`] region (the `minctx-index` snapshot path).  Both
-//! deref to `&[T]` through one cached pointer, so the axis kernels and
-//! evaluators run unchanged — and equally hot — on either backing.
+//! the [`Mapping`] of an opened snapshot (the
+//! [`open_snapshot`](crate::snapshot::open_snapshot) path).  Both deref to
+//! `&[T]` through one cached pointer, so the axis kernels and evaluators
+//! run unchanged — and equally hot — on either backing.
 //!
 //! [`Document`]: crate::Document
 //! [`NodeKind`]: crate::NodeKind
 
 #![allow(unsafe_code, reason = "the borrowed columns' raw views and Send/Sync")]
 
+use crate::map::Mapping;
 use crate::node::NodeId;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
-
-/// An immutable byte region with a stable address — the backing of
-/// borrowed columns (a memory-mapped snapshot file, or a heap buffer on
-/// platforms without `mmap`).
-///
-/// # Safety
-///
-/// Implementations must guarantee that `bytes()` returns the *same*
-/// pointer and length for the lifetime of the value, and that the bytes
-/// are never mutated or unmapped while the value is alive.  Borrowed
-/// columns cache raw pointers into the region and read through them for
-/// as long as they hold the `Arc`.
-pub unsafe trait StableBytes: Send + Sync + 'static {
-    /// The backing bytes.
-    fn bytes(&self) -> &[u8];
-}
 
 /// One document column: a contiguous `[T]`, owned or borrowed.
 ///
@@ -65,7 +51,7 @@ pub(crate) struct Col<T: Copy + 'static> {
 enum Backing<T> {
     Owned(Vec<T>),
     /// Keep-alive handle; the bytes themselves are reached via `ptr`.
-    Borrowed(Arc<dyn StableBytes>),
+    Borrowed(Arc<Mapping>),
 }
 
 impl<T: Copy + 'static> Col<T> {
@@ -82,10 +68,8 @@ impl<T: Copy + 'static> Col<T> {
     /// A column borrowed from `keep`'s byte region.
     ///
     /// # Panics
-    /// Panics if `slice` does not lie within `keep.bytes()` — callers
-    /// ([`ColumnSweep::finish`](crate::ColumnSweep::finish)) validate
-    /// containment first and treat violations as corruption.
-    pub(crate) fn borrowed(slice: &[T], keep: &Arc<dyn StableBytes>) -> Col<T> {
+    /// Panics if `slice` does not lie within `keep.bytes()`.
+    pub(crate) fn borrowed(slice: &[T], keep: &Arc<Mapping>) -> Col<T> {
         assert!(
             slice_within(slice, keep.bytes()),
             "borrowed column does not lie inside its backing region"
@@ -100,7 +84,7 @@ impl<T: Copy + 'static> Col<T> {
 
 /// Whether `slice`'s memory lies entirely inside `region` (empty slices
 /// are trivially contained).
-pub(crate) fn slice_within<T>(slice: &[T], region: &[u8]) -> bool {
+fn slice_within<T>(slice: &[T], region: &[u8]) -> bool {
     if slice.is_empty() {
         return true;
     }
@@ -117,8 +101,8 @@ impl<T: Copy + 'static> Deref for Col<T> {
     #[inline]
     fn deref(&self) -> &[T] {
         // SAFETY: `ptr`/`len` describe either the owned Vec's buffer
-        // (alive as long as `self`) or a range of a `StableBytes` region
-        // kept alive by the `Arc` in `backing`.
+        // (alive as long as `self`) or a range of a `Mapping`, which never
+        // moves or changes while the `Arc` in `backing` keeps it.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
@@ -148,8 +132,8 @@ impl<T: Copy + fmt::Debug + 'static> fmt::Debug for Col<T> {
 }
 
 // SAFETY: the pointed-to data is immutable for the life of the Col (owned
-// Vec never mutated; StableBytes contract for borrowed), so shared access
-// from multiple threads is sound for POD element types.
+// Vec never mutated; a Mapping never written), so shared access from
+// multiple threads is sound for POD element types.
 unsafe impl<T: Copy + Send + Sync + 'static> Send for Col<T> {}
 // SAFETY: as for Send — shared references expose only reads of
 // immutable POD data.
@@ -232,78 +216,28 @@ pub(crate) fn node_ids(s: &[u32]) -> &[NodeId] {
     unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<NodeId>(), s.len()) }
 }
 
-/// Borrowed views of every document column, in one struct — the exchange
-/// format between [`Document`](crate::Document) and the `minctx-index`
-/// snapshot reader/writer.  All slices are plain little-endian-in-memory
-/// `u32`/`u8` arrays; see the module docs for each column's meaning.
+/// Borrowed views of every document column, in one struct — what the
+/// snapshot writer serializes and the open sweeps.  All slices are plain
+/// little-endian-in-memory `u32`/`u8` arrays; see [`DocStore`] for each
+/// column's meaning.
 #[derive(Debug, Clone, Copy)]
-pub struct RawColumns<'a> {
-    /// Packed node kinds (kind tag in the low 3 bits, interned name
-    /// index in the high bits).
-    pub kinds: &'a [u32],
-    /// Parent links (`u32::MAX` = none).
-    pub parent: &'a [u32],
-    /// One past the last pre-order index of each node's subtree.
-    pub subtree_end: &'a [u32],
-    /// `node_count + 1` monotone offsets into `text_heap`.
-    pub text_off: &'a [u32],
-    /// All content bytes (UTF-8), concatenated in pre-order.
-    pub text_heap: &'a [u8],
-    /// CSR offsets (`name_count + 1`) into `elem_post`.
-    pub elem_off: &'a [u32],
-    /// Element postings, grouped by label.
-    pub elem_post: &'a [u32],
-    /// CSR offsets (`name_count + 1`) into `attr_post`.
-    pub attr_off: &'a [u32],
-    /// Attribute postings, grouped by name.
-    pub attr_post: &'a [u32],
-    /// Id-providing attribute nodes, sorted by their content bytes.
-    pub id_attrs: &'a [u32],
-    /// Owner element of each id key.
-    pub id_elems: &'a [u32],
+pub(crate) struct RawColumns<'a> {
+    pub(crate) kinds: &'a [u32],
+    pub(crate) parent: &'a [u32],
+    pub(crate) subtree_end: &'a [u32],
+    pub(crate) text_off: &'a [u32],
+    pub(crate) text_heap: &'a [u8],
+    pub(crate) elem_off: &'a [u32],
+    pub(crate) elem_post: &'a [u32],
+    pub(crate) attr_off: &'a [u32],
+    pub(crate) attr_post: &'a [u32],
+    pub(crate) id_attrs: &'a [u32],
+    pub(crate) id_elems: &'a [u32],
 }
-
-/// A validation failure while adopting mapped columns — the snapshot file
-/// decoded structurally but its contents violate a document invariant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ColumnError {
-    /// The text heap is not valid UTF-8 — it backs
-    /// `from_utf8_unchecked` views for the life of the document, so a
-    /// crafted or decayed region must never be adopted.
-    InvalidUtf8 {
-        /// How many leading bytes were valid.
-        valid_up_to: usize,
-    },
-    /// A structural invariant does not hold; the message names the
-    /// column and the first offending entry.
-    Invariant(String),
-}
-
-impl fmt::Display for ColumnError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("invalid document columns: ")?;
-        match self {
-            ColumnError::InvalidUtf8 { valid_up_to } => {
-                write!(f, "text heap is not valid UTF-8 after byte {valid_up_to}")
-            }
-            ColumnError::Invariant(msg) => f.write_str(msg),
-        }
-    }
-}
-
-impl std::error::Error for ColumnError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct FixedBytes(Vec<u8>);
-    // SAFETY: (test) the Vec is never touched after construction.
-    unsafe impl StableBytes for FixedBytes {
-        fn bytes(&self) -> &[u8] {
-            &self.0
-        }
-    }
 
     #[test]
     fn owned_col_survives_moves_and_clones() {
@@ -318,12 +252,8 @@ mod tests {
 
     #[test]
     fn borrowed_col_reads_through_the_region() {
-        let keep: Arc<dyn StableBytes> = Arc::new(FixedBytes(vec![7, 0, 0, 0, 9, 0, 0, 0]));
+        let keep = Arc::new(Mapping::of(&[7, 0, 0, 0, 9, 0, 0, 0]));
         let bytes = keep.bytes();
-        // SAFETY (test): region is 8 bytes, Vec<u8> allocations are
-        // sufficiently aligned for u32 only by luck — so copy through
-        // read_unaligned semantics instead: construct via a properly
-        // aligned owned buffer and check containment logic separately.
         assert!(slice_within(&bytes[2..5], bytes));
         assert!(!slice_within(&[1u8, 2, 3][..], bytes));
         assert!(slice_within(&[] as &[u8], bytes));
@@ -337,7 +267,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "backing region")]
     fn borrowed_col_rejects_foreign_slices() {
-        let keep: Arc<dyn StableBytes> = Arc::new(FixedBytes(vec![0; 8]));
+        let keep = Arc::new(Mapping::of(&[0; 8]));
         let foreign = [1u8, 2, 3];
         let _ = Col::borrowed(&foreign[..], &keep);
     }

@@ -1,6 +1,6 @@
-//! The invariant sweep behind [`Document::from_mapped_columns`] and
-//! `minctx-index`'s `open_snapshot`: every document invariant the
-//! accessors rely on, checked column-at-a-time.
+//! The invariant sweep behind [`open_snapshot`](crate::snapshot::open_snapshot):
+//! every document invariant the accessors rely on, checked
+//! column-at-a-time.
 //!
 //! Each per-entry rule is one `#[inline(always)] fn … -> bool` ("is bad").  A
 //! sweep ORs its rule over a block of one column with no early exit, so
@@ -23,9 +23,11 @@
 //! violation alike.  See DESIGN.md "Opening at memory speed".
 
 use crate::document::{Document, NONE};
+use crate::map::Mapping;
 use crate::name::NameTable;
 use crate::node::{KIND_TAG_BITS, KIND_TAG_MASK, TAG_ATTRIBUTE, TAG_ELEMENT, TAG_PI, TAG_ROOT};
-use crate::store::{self, Col, ColumnError, DocStore, RawColumns, StableBytes};
+use crate::snapshot::SnapshotError;
+use crate::store::{Col, DocStore, RawColumns};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -204,6 +206,22 @@ fn sweep_block<S: Copy>(
     (state, first)
 }
 
+/// A broken invariant, `msg` naming the column and the first offending
+/// entry.
+fn invariant(msg: &str) -> SnapshotError {
+    SnapshotError::Corrupt(format!("invalid document columns: {msg}"))
+}
+
+/// A text heap that is not UTF-8 after its first `valid_up_to` bytes.  It
+/// backs `from_utf8_unchecked` views for the life of the document, so such
+/// a region is never adopted.
+fn invalid_utf8(valid_up_to: usize) -> SnapshotError {
+    SnapshotError::InvalidUtf8 {
+        region: "text heap",
+        valid_up_to,
+    }
+}
+
 /// How many entries of `col` lie wholly below address `end`.
 fn prefix<T>(col: &[T], end: usize) -> usize {
     (end.saturating_sub(col.as_ptr() as usize) / std::mem::size_of::<T>()).min(col.len())
@@ -214,7 +232,7 @@ fn prefix<T>(col: &[T], end: usize) -> usize {
 /// are read, and [`finish`](ColumnSweep::finish) it into the
 /// [`Document`] — the only way a borrowed-column document comes to be,
 /// so every entry of every column has been checked by then.
-pub struct ColumnSweep<'a> {
+pub(crate) struct ColumnSweep<'a> {
     cols: RawColumns<'a>,
     name_count: usize,
     /// Entries checked so far, per streamed column.
@@ -234,7 +252,7 @@ pub struct ColumnSweep<'a> {
     heap_ascii: bool,
     /// `text_off` entries checked against [`boundary_bad`].
     boundary_done: usize,
-    first: Option<(Rank, ColumnError)>,
+    first: Option<(Rank, SnapshotError)>,
     /// Whether [`sweep_below`](ColumnSweep::sweep_below) runs the AVX-512
     /// copy: true only where [`wide_supported`] is.
     wide: bool,
@@ -260,7 +278,7 @@ impl<'a> ColumnSweep<'a> {
     /// Starts a sweep of `cols` against a name table of `name_count`
     /// entries, checking the `O(names)` parts at once: column lengths,
     /// the root, the postings offsets.
-    pub fn new(cols: RawColumns<'a>, name_count: usize) -> ColumnSweep<'a> {
+    pub(crate) fn new(cols: RawColumns<'a>, name_count: usize) -> ColumnSweep<'a> {
         let mut s = ColumnSweep {
             cols,
             name_count,
@@ -288,7 +306,7 @@ impl<'a> ColumnSweep<'a> {
     /// still has it in cache; any slice is sound — it only decides
     /// *when* an entry is checked, and [`finish`](ColumnSweep::finish)
     /// checks whatever is left.
-    pub fn advance(&mut self, seen: &[u8]) {
+    pub(crate) fn advance(&mut self, seen: &[u8]) {
         self.sweep_below(seen.as_ptr() as usize + seen.len());
     }
 
@@ -296,47 +314,26 @@ impl<'a> ColumnSweep<'a> {
     /// the columns as a [`Document`] borrowing from `keep` (which must
     /// own the memory all slices point into).  `names` must be the
     /// table of the `name_count` entries the sweep was started with.
-    pub fn finish(
+    pub(crate) fn finish(
         mut self,
         names: NameTable,
         stamp: u64,
-        keep: Arc<dyn StableBytes>,
-    ) -> Result<Document, ColumnError> {
+        keep: &Arc<Mapping>,
+    ) -> Result<Document, SnapshotError> {
         self.conclude(names.len())?;
         let c = self.cols;
-        let region = keep.bytes();
-        let contained = store::slice_within(c.text_heap, region)
-            && [
-                c.kinds,
-                c.parent,
-                c.subtree_end,
-                c.text_off,
-                c.elem_off,
-                c.elem_post,
-                c.attr_off,
-                c.attr_post,
-                c.id_attrs,
-                c.id_elems,
-            ]
-            .iter()
-            .all(|s| store::slice_within(s, region));
-        if !contained {
-            return Err(ColumnError::Invariant(
-                "a column slice lies outside the backing byte region".into(),
-            ));
-        }
         let store = DocStore {
-            kinds: Col::borrowed(c.kinds, &keep),
-            parent: Col::borrowed(c.parent, &keep),
-            subtree_end: Col::borrowed(c.subtree_end, &keep),
-            text_off: Col::borrowed(c.text_off, &keep),
-            text_heap: Col::borrowed(c.text_heap, &keep),
-            elem_off: Col::borrowed(c.elem_off, &keep),
-            elem_post: Col::borrowed(c.elem_post, &keep),
-            attr_off: Col::borrowed(c.attr_off, &keep),
-            attr_post: Col::borrowed(c.attr_post, &keep),
-            id_attrs: Col::borrowed(c.id_attrs, &keep),
-            id_elems: Col::borrowed(c.id_elems, &keep),
+            kinds: Col::borrowed(c.kinds, keep),
+            parent: Col::borrowed(c.parent, keep),
+            subtree_end: Col::borrowed(c.subtree_end, keep),
+            text_off: Col::borrowed(c.text_off, keep),
+            text_heap: Col::borrowed(c.text_heap, keep),
+            elem_off: Col::borrowed(c.elem_off, keep),
+            elem_post: Col::borrowed(c.elem_post, keep),
+            attr_off: Col::borrowed(c.attr_off, keep),
+            attr_post: Col::borrowed(c.attr_post, keep),
+            id_attrs: Col::borrowed(c.id_attrs, keep),
+            id_elems: Col::borrowed(c.id_elems, keep),
         };
         Ok(Document {
             names,
@@ -347,12 +344,12 @@ impl<'a> ColumnSweep<'a> {
 
     /// Checks every entry not checked yet, then what needs whole
     /// columns; the lowest-ranked violation of all, if there is one.
-    fn conclude(&mut self, names_len: usize) -> Result<(), ColumnError> {
+    fn conclude(&mut self, names_len: usize) -> Result<(), SnapshotError> {
         self.sweep_below(usize::MAX);
         if self.done[HEAP_COL] < self.cols.text_heap.len() {
             // The heap ends inside a multi-byte sequence.
             let at = self.done[HEAP_COL];
-            self.note((UTF8, at, 0), ColumnError::InvalidUtf8 { valid_up_to: at });
+            self.note((UTF8, at, 0), invalid_utf8(at));
         }
         for family in 0..2 {
             self.check_counts(family);
@@ -376,14 +373,14 @@ impl<'a> ColumnSweep<'a> {
     }
 
     /// Records `err` unless a violation of lower rank is already known.
-    fn note(&mut self, rank: Rank, err: ColumnError) {
+    fn note(&mut self, rank: Rank, err: SnapshotError) {
         if self.clear_below(rank) {
             self.first = Some((rank, err));
         }
     }
 
     fn invariant(&mut self, rank: Rank, msg: String) {
-        self.note(rank, ColumnError::Invariant(msg));
+        self.note(rank, invariant(&msg));
     }
 
     /// One postings family: its name, tag, first phase, offsets, entries.
@@ -589,7 +586,7 @@ impl<'a> ColumnSweep<'a> {
                     self.done[HEAP_COL] = if e.error_len().is_none() {
                         at // a sequence the block's end cut: resume here
                     } else {
-                        self.note((UTF8, at, 0), ColumnError::InvalidUtf8 { valid_up_to: at });
+                        self.note((UTF8, at, 0), invalid_utf8(at));
                         // Nothing past the first invalid byte can rank lower.
                         c.text_heap.len()
                     };
@@ -852,14 +849,14 @@ mod tests {
             }
         }
 
-        fn verdict(&self) -> Result<(), ColumnError> {
+        fn verdict(&self) -> Result<(), SnapshotError> {
             ColumnSweep::new(self.cols(), self.names).conclude(self.names)
         }
 
         /// The verdict of the generic copy or the AVX-512 one, the columns
         /// reached in address order `step` bytes at a time (`None`: all
         /// at once, by `conclude`).
-        fn verdict_by(&self, wide: bool, step: Option<usize>) -> Result<(), ColumnError> {
+        fn verdict_by(&self, wide: bool, step: Option<usize>) -> Result<(), SnapshotError> {
             let mut sweep = ColumnSweep::new(self.cols(), self.names);
             sweep.wide = wide;
             if let Some(step) = step {
@@ -900,13 +897,13 @@ mod tests {
 
     /// The fault [`whole_text_off_bad`] names first in `o`, worded as the
     /// sweep words it.
-    fn whole_text_off_fault(o: &Owned) -> Option<ColumnError> {
+    fn whole_text_off_fault(o: &Owned) -> Option<SnapshotError> {
         let offs = &o.u32s[TEXT_OFFS];
         let (_, first) = sweep_block(offs, 0, |prev, off| {
             (whole_text_off_bad(prev, off, &o.heap), off)
         });
         first.map(|i| {
-            ColumnError::Invariant(format!(
+            invariant(&format!(
                 "text_off[{i}] = {} is not a monotone char boundary",
                 offs[i]
             ))
@@ -992,7 +989,7 @@ mod tests {
         for (breakage, want) in cases {
             let mut o = Owned::of(DOC);
             breakage(&mut o);
-            let want = ColumnError::Invariant(want.into());
+            let want = invariant(want);
             assert_eq!(o.verdict().unwrap_err(), want);
             // Every column as one block, in each rotation of the column
             // order, and then entry by entry from the back.
@@ -1076,7 +1073,7 @@ mod tests {
         }
         assert_eq!(
             o.verdict(),
-            Err(ColumnError::Invariant(format!(
+            Err(invariant(&format!(
                 "element postings for name {b} have 1 entries, the kinds column has 2"
             )))
         );
@@ -1099,10 +1096,7 @@ mod tests {
         let mut o = o;
         let last = o.heap.len() - 1;
         o.heap[last] = 0xC3;
-        assert_eq!(
-            o.verdict(),
-            Err(ColumnError::InvalidUtf8 { valid_up_to: last })
-        );
+        assert_eq!(o.verdict(), Err(invalid_utf8(last)));
     }
 
     #[test]
@@ -1135,7 +1129,7 @@ mod tests {
                         match &want {
                             Some(want) => assert_eq!(got.as_ref(), Err(want), "{what}"),
                             None => assert!(
-                                !got.is_err_and(|e| e.to_string().starts_with("text_off[")),
+                                !got.is_err_and(|e| e.to_string().contains(": text_off[")),
                                 "{what}"
                             ),
                         }
@@ -1153,7 +1147,7 @@ mod tests {
         let want = whole_text_off_fault(&o);
         assert_eq!(
             want,
-            Some(ColumnError::Invariant(format!(
+            Some(invariant(&format!(
                 "text_off[{last}] = {} is not a monotone char boundary",
                 o.heap.len() + 1
             )))

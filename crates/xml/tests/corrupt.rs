@@ -3,7 +3,7 @@
 //! actionable messages — never a panic, and certainly never a document
 //! built on garbage columns.
 
-use minctx_index::{open_snapshot, write_snapshot, SnapshotError};
+use minctx_xml::snapshot::{open_snapshot, write_snapshot, SnapshotError};
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -389,9 +389,9 @@ mod oracle;
 
 mod mutants {
     use super::{craft, open_raw, oracle, temp};
-    use minctx_index::{write_snapshot, SnapshotError};
+    use minctx_xml::snapshot::{write_snapshot, SnapshotError};
 
-    /// Bytes `open_snapshot` hashes, then sweeps, per step (`lib.rs`
+    /// Bytes `open_snapshot` hashes, then sweeps, per step (`snapshot.rs`
     /// `OPEN_BLOCK`), counted from the end of the 104-byte header.
     const BLOCK: usize = 64 * 1024;
     const NONE: u32 = u32::MAX;
@@ -780,8 +780,8 @@ mod mutants {
 
 mod crash {
     use super::temp;
-    use minctx_index::fault::{self, FaultPlan};
-    use minctx_index::{
+    use minctx_xml::snapshot::fault::{self, FaultPlan};
+    use minctx_xml::snapshot::{
         open_snapshot, open_snapshot_or_quarantine, quarantine_snapshot, stale_temps,
         write_snapshot, SnapshotError,
     };

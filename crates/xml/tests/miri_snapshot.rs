@@ -11,7 +11,7 @@
 //! In the ordinary tier the same test doubles as coverage that a
 //! snapshot written by this build reopens correctly.
 
-use minctx_index::{open_snapshot, write_snapshot};
+use minctx_xml::snapshot::{open_snapshot, write_snapshot};
 
 fn temp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("minctx-miri-{}-{name}.mctx", std::process::id()))

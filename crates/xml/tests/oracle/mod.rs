@@ -4,17 +4,17 @@
 //!
 //! `validate_columns` below is the body of `minctx-xml`'s
 //! `document.rs::validate_columns` (format version 1) moved here, with
-//! the constants it names and a stand-in `ColumnError` declared around
-//! it, and changed only as the format was: version 3 dropped the four
+//! the constants it names and stand-ins for `ColumnError` and
+//! `RawColumns` declared around it, and changed only as the format was: version 3 dropped the four
 //! child and sibling link columns and their direction checks, and added
 //! the one-tree rule at the end of each row, written here with an
 //! explicit stack of open nodes.  [`verdict`] wraps it in what
-//! `open_snapshot_le` did between verifying the section checksum and
+//! `open_snapshot` did between verifying the section checksum and
 //! returning: the name-table checks and the typed UTF-8 check of the
 //! text heap.
 
-use minctx_index::SnapshotError;
-use minctx_xml::{NameTable, RawColumns};
+use minctx_xml::snapshot::SnapshotError;
+use minctx_xml::NameTable;
 
 const NONE: u32 = u32::MAX;
 
@@ -25,6 +25,21 @@ mod node {
     pub const TAG_ATTRIBUTE: u32 = 5;
     pub const KIND_TAG_BITS: u32 = 3;
     pub const KIND_TAG_MASK: u32 = (1 << KIND_TAG_BITS) - 1;
+}
+
+/// Stand-in for the column slices of the time, one field per column.
+struct RawColumns<'a> {
+    kinds: &'a [u32],
+    parent: &'a [u32],
+    subtree_end: &'a [u32],
+    text_off: &'a [u32],
+    text_heap: &'a [u8],
+    elem_off: &'a [u32],
+    elem_post: &'a [u32],
+    attr_off: &'a [u32],
+    attr_post: &'a [u32],
+    id_attrs: &'a [u32],
+    id_elems: &'a [u32],
 }
 
 /// Stand-in for the `ColumnError { msg }` struct of the time, with its
@@ -55,7 +70,7 @@ pub fn verdict(
     text_heap: &[u8],
 ) -> Result<(), SnapshotError> {
     let name_off = &u32s[10];
-    // ---- Name table (open_snapshot_le, verbatim) ------------------------
+    // ---- Name table (open_snapshot, verbatim) ---------------------------
     if let Err(e) = std::str::from_utf8(name_bytes) {
         return Err(SnapshotError::InvalidUtf8 {
             region: "name bytes",
@@ -85,7 +100,7 @@ pub fn verdict(
             "name table offsets do not cover the name bytes".into(),
         ));
     }
-    // ---- Text heap, typed (open_snapshot_le, verbatim) ------------------
+    // ---- Text heap, typed (open_snapshot, verbatim) ---------------------
     if let Err(e) = std::str::from_utf8(text_heap) {
         return Err(SnapshotError::InvalidUtf8 {
             region: "text heap",
@@ -108,7 +123,7 @@ pub fn verdict(
     validate_columns(&cols, &names).map_err(|e| SnapshotError::Corrupt(e.to_string()))
 }
 
-/// The full invariant sweep behind [`Document::from_mapped_columns`].
+/// The full invariant check the row-wise open ran over the columns.
 fn validate_columns(cols: &RawColumns<'_>, names: &NameTable) -> Result<(), ColumnError> {
     let err = |msg: String| Err(ColumnError::new(msg));
     let n = cols.kinds.len();

@@ -205,7 +205,7 @@
 //! The [`serve::chaos`] and [`index::fault`] modules inject seeded
 //! panics and torn writes so every one of these claims is exercised by
 //! `crates/serve/tests/chaos.rs` (fixed seeds) and the crash-simulation
-//! half of `crates/index/tests/corrupt.rs`.
+//! half of `crates/xml/tests/corrupt.rs`.
 //!
 //! ## Observability
 //!
@@ -279,12 +279,14 @@
 #![forbid(unsafe_code)]
 
 pub use minctx_core as engine;
-pub use minctx_index as index;
 pub use minctx_obs as obs;
 pub use minctx_serve as serve;
 pub use minctx_stream as stream;
 pub use minctx_syntax as syntax;
 pub use minctx_xml as xml;
+/// The persistent index: snapshots of built documents, mapped back
+/// zero-copy (the [`xml::snapshot`] module).
+pub use minctx_xml::snapshot as index;
 
 /// The most common imports, bundled.
 pub mod prelude {
@@ -292,15 +294,15 @@ pub mod prelude {
         Budget, CompiledQuery, Context, Engine, EvalError, QueryProfile, StepProfile, Strategy,
         Value,
     };
-    pub use minctx_index::{
-        open_snapshot, open_snapshot_or_quarantine, snapshot_stamp, write_snapshot, SnapshotError,
-        SnapshotInfo,
-    };
     pub use minctx_obs::{metrics_text, Recorder};
     pub use minctx_serve::{Corpus, ServeEngine, ServeError, Ticket};
     pub use minctx_stream::{
         classify, StreamMatch, StreamOutcome, StreamValue, Streamability, StreamingEngine,
     };
     pub use minctx_syntax::parse_xpath;
+    pub use minctx_xml::snapshot::{
+        open_snapshot, open_snapshot_or_quarantine, quarantine_snapshot, snapshot_stamp,
+        stale_temps, write_snapshot, SnapshotError, SnapshotInfo,
+    };
     pub use minctx_xml::{parse as parse_xml, Document, NodeId, NodeSet, Scratch};
 }

@@ -40,7 +40,7 @@ fn every_package_inherits_the_workspace_lints() {
     };
     let workspace = read(".");
     let packages: Vec<&str> = std::iter::once(".").chain(members(&workspace)).collect();
-    assert!(packages.len() >= 9, "only {packages:?}: the scan is broken");
+    assert!(packages.len() >= 8, "only {packages:?}: the scan is broken");
     let escaping: Vec<&str> = packages
         .into_iter()
         .filter(|dir| !inherits_workspace_lints(&read(dir)))
